@@ -20,10 +20,8 @@ Examples::
     python -m repro.cli campaign --jobs 8
     python -m repro.cli campaign --list
 
-    # Shard the campaign across machines, then merge the shard caches
-    python -m repro.cli campaign --shard 0/2 --cache-dir shard0
-    python -m repro.cli campaign --shard 1/2 --cache-dir shard1
-    python -m repro.cli cache merge shard0 shard1
+    # Fold result caches built elsewhere into the local one
+    python -m repro.cli cache merge other0 other1
 
     # Bound the result cache / trace store size
     python -m repro.cli cache gc --max-mb 64
@@ -221,7 +219,7 @@ def _print_point_status(label: str, rows) -> None:
         print(f"  [{status:>7}] {key[:12]}  {point.kind:<11} {point.label}")
 
 
-def _run_summary(label: str, elapsed: float, engine, jobs, note: str = "") -> str:
+def _run_summary(label: str, elapsed: float, engine, jobs) -> str:
     """The shared simulated/cache-hits/jobs run-summary line."""
     health = ""
     report = _merged_report(engine)
@@ -230,7 +228,7 @@ def _run_summary(label: str, elapsed: float, engine, jobs, note: str = "") -> st
                   f"{report.quarantined} quarantined")
     return (f"{label} in {elapsed:.1f}s "
             f"({engine.simulations_run} simulated, {engine.cache_hits} cache hits, "
-            f"jobs={engine.resolve_jobs(jobs)}{note}{health})")
+            f"jobs={engine.resolve_jobs(jobs)}{health})")
 
 
 def _policy_from_args(args: argparse.Namespace):
@@ -392,20 +390,9 @@ def _finish_run(args: argparse.Namespace, engine) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.sim.engine import parse_shard, shard_points
-
     cache = _build_campaign_cache(args)
     schemes = tuple(args.schemes)
     points = cache.enumerate_points(schemes, include_multicore=args.multicore)
-
-    shard = None
-    if args.shard:
-        try:
-            shard = parse_shard(args.shard)
-        except ValueError as error:
-            print(error)
-            return 2
-        points = shard_points(points, *shard)
 
     if args.list:
         _print_point_status("campaign", cache.engine.status(points))
@@ -414,25 +401,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
     line, progress = _progress_from_args(args, "campaign")
     start = time.perf_counter()
-    if shard is not None:
-        # A shard simulates its own point subset only; the cross-shard
-        # summary is printed by an unsharded run over the merged cache.
-        cache.engine.run(points, jobs=args.jobs, policy=policy,
-                         progress=progress)
-    else:
-        cache.run_campaign(
-            schemes, include_multicore=args.multicore, jobs=args.jobs,
-            policy=policy, progress=progress,
-        )
+    cache.run_campaign(
+        schemes, include_multicore=args.multicore, jobs=args.jobs,
+        policy=policy, progress=progress,
+    )
     if line is not None:
         line.finish()
     elapsed = time.perf_counter() - start
-    shard_note = f", shard {shard[0]}/{shard[1]}" if shard is not None else ""
     print(_run_summary(f"campaign: {len(points)} points", elapsed,
-                       cache.engine, args.jobs, shard_note))
+                       cache.engine, args.jobs))
     exit_code = _finish_run(args, cache.engine)
-    if shard is not None:
-        return exit_code
 
     report = _merged_report(cache.engine)
     if report is not None and report.quarantined:
@@ -1181,8 +1159,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="memory accesses to simulate")
     run_parser.set_defaults(func=_cmd_run)
 
-    def add_engine_flags(sub_parser: argparse.ArgumentParser) -> None:
-        """Engine/caching flags shared by figure and sweep execution."""
+    def add_executor_flags(sub_parser: argparse.ArgumentParser) -> None:
+        """Executor/storage flags shared by every campaign-running command."""
         sub_parser.add_argument("--jobs", type=int, default=None,
                                 help="parallel worker processes "
                                      "(default: os.cpu_count())")
@@ -1206,6 +1184,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--include-imported", action="store_true",
                                 help="also sweep every trace imported into the "
                                      "store ('repro trace import')")
+
+    def add_engine_flags(sub_parser: argparse.ArgumentParser) -> None:
+        """Engine/caching flags shared by figure and sweep execution."""
+        add_executor_flags(sub_parser)
         sub_parser.add_argument("--quick", action="store_true",
                                 help="use the small test configuration instead "
                                      "of the full-scale defaults")
@@ -1320,36 +1302,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="memory accesses per single-core point")
     campaign_parser.add_argument("--multicore", action="store_true",
                                  help="also simulate the multi-core mixes")
-    campaign_parser.add_argument("--jobs", type=int, default=None,
-                                 help="parallel worker processes "
-                                      "(default: os.cpu_count())")
-    campaign_parser.add_argument("--no-cache", action="store_true",
-                                 help="disable the persistent result cache")
-    campaign_parser.add_argument("--cache-dir", default=None,
-                                 help="result cache directory "
-                                      "(default: $REPRO_CACHE_DIR or .repro_cache)")
     campaign_parser.add_argument("--list", action="store_true",
                                  help="print the enumerated points and their "
                                       "cache status without simulating")
-    campaign_parser.add_argument("--shard", default=None, metavar="i/n",
-                                 help="simulate only shard i of n (deterministic "
-                                      "partition of the --list enumeration); "
-                                      "combine shard caches with 'repro cache merge'")
-    campaign_parser.add_argument("--trace-dir", default=None,
-                                 help="trace store directory (default: "
-                                      "$REPRO_TRACE_DIR or .repro_traces)")
-    campaign_parser.add_argument("--no-trace-store", action="store_true",
-                                 help="regenerate traces per process instead of "
-                                      "memory-mapping the shared trace store")
-    campaign_parser.add_argument("--include-imported", action="store_true",
-                                 help="also simulate every trace imported into "
-                                      "the store ('repro trace import')")
-    campaign_parser.add_argument("--core", choices=("scalar", "batch"),
-                                 default=None,
-                                 help="simulator core implementation: 'batch' "
-                                      "runs the chunk-vectorized fused loop "
-                                      "(bit-identical results, faster); "
-                                      "default: scalar")
+    add_executor_flags(campaign_parser)
     add_robustness_flags(campaign_parser)
     campaign_parser.set_defaults(func=_cmd_campaign)
 
@@ -1487,7 +1443,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: $REPRO_CACHE_DIR or .repro_cache)")
     cache_sub = cache_parser.add_subparsers(dest="cache_command", required=True)
     merge_parser = cache_sub.add_parser(
-        "merge", help="copy entries from other cache directories (e.g. shards)"
+        "merge", help="copy entries from other cache directories"
     )
     merge_parser.add_argument("sources", nargs="+",
                               help="cache directories to merge from")

@@ -254,11 +254,11 @@ _NOOP = _NoopSpan()
 
 
 @contextmanager
-def _live_span(name: str, metric: Optional[str], attrs: dict) -> Iterator[None]:
+def _live_span(name: str, metric: Optional[str], attrs: dict) -> Iterator[dict]:
     start_wall = time.time()
     start = time.perf_counter()
     try:
-        yield
+        yield attrs
     finally:
         duration = time.perf_counter() - start
         if metric is not None:
@@ -282,7 +282,9 @@ def span(name: str, metric: Optional[str] = None, **attrs):
     ``metric`` optionally names a histogram in the process-local metrics
     registry that the span's duration is folded into, so spans double as
     the source of duration distributions without a second timing call.
-    Disabled, this returns a shared no-op context manager (no allocation).
+    Entering a live span yields its ``attrs`` dict, so the body can stamp
+    attributes it only learns while running.  Disabled, this returns a
+    shared no-op context manager (no allocation) that yields None.
     """
     if not _enabled:
         return _NOOP

@@ -2,23 +2,26 @@
 
 The paper's evaluation is a campaign: a cross product of workloads, schemes,
 L1D prefetchers and trace budgets, each point an independent simulation.
-This module enumerates campaign points up front, fans them out across a
-:class:`concurrent.futures.ProcessPoolExecutor` (``--jobs N``), and persists
+This module enumerates campaign points up front, runs them, and persists
 every result to the on-disk :class:`~repro.sim.result_cache.ResultCache`,
 keyed by a content hash of everything that determines the outcome.  A warm
 cache means re-running a figure harness performs zero simulations.
 
-Execution is *supervised*: each point runs as its own future, every result
-is committed to the result cache the moment it lands, per-point failures
-are classified transient vs deterministic, transient failures are retried
-with capped exponential backoff (and an optional per-point timeout), the
-worker pool is respawned after a crash (``BrokenProcessPool``) with only
-the unfinished points re-submitted, and points that exhaust their retries
-are *quarantined* into a structured :class:`CampaignReport` instead of
-aborting the batch.  Idempotent cache keys make every campaign resumable
-by construction: re-running a partially-failed batch executes only the
-quarantined remainder.  The failure paths are exercised deterministically
-via :mod:`repro.sim.faults` (``REPRO_FAULT_SPEC``).
+Execution is *supervised* by one loop over one of two executors: a
+:class:`concurrent.futures.ProcessPoolExecutor` when more than one worker
+is useful (``--jobs N``), or an in-process executor that runs each attempt
+on the calling thread (``--jobs 1``, or a single cache miss).  Each point
+runs as its own future, every result is committed to the result cache the
+moment it lands, per-point failures are classified transient vs
+deterministic, transient failures are retried with capped exponential
+backoff (and an optional per-point timeout), a crashed worker pool
+(``BrokenProcessPool``) is respawned with only the unfinished points
+re-submitted, and points that exhaust their retries are *quarantined* into
+a structured :class:`CampaignReport` instead of aborting the batch.
+Idempotent cache keys make every campaign resumable by construction:
+re-running a partially-failed batch executes only the quarantined
+remainder.  The failure paths are exercised deterministically via
+:mod:`repro.sim.faults` (``REPRO_FAULT_SPEC``).
 
 Layering: the engine sits between the raw simulation drivers
 (:mod:`repro.sim.single_core` / :mod:`repro.sim.multi_core`) and the
@@ -35,7 +38,13 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -54,9 +63,10 @@ from repro.common.config import (
     system_config_to_dict,
 )
 from repro.sim.multi_core import MultiCoreResult, run_multicore_mix
+from repro.sim.batch import batch_unsupported_reason
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import SingleCoreResult
-from repro.sim.scenarios import build_scenario
+from repro.sim.scenarios import build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.ingest import IMPORTED_PREFIX
 from repro.traces.store import TraceStore, workload_key
@@ -198,46 +208,6 @@ def single_core_point(
     )
 
 
-def shard_points(
-    points: Sequence[CampaignPoint], shard_index: int, shard_count: int
-) -> list[CampaignPoint]:
-    """Deterministic shard of an enumerated point list.
-
-    Point ``i`` of the enumeration belongs to shard ``i % shard_count``, so
-    the shards of one enumeration are disjoint, cover every point, and are
-    stable across machines (the enumeration order is deterministic).  Used
-    by ``repro campaign --shard i/n``; the per-shard result caches are
-    recombined with ``repro cache merge``.
-    """
-    if shard_count <= 0:
-        raise ValueError(f"shard count must be positive, got {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard index must be in [0, {shard_count}), got {shard_index}"
-        )
-    return [
-        point for index, point in enumerate(points) if index % shard_count == shard_index
-    ]
-
-
-def parse_shard(spec: str) -> tuple[int, int]:
-    """Parse an ``i/n`` shard specification into ``(index, count)``."""
-    index_text, separator, count_text = spec.partition("/")
-    try:
-        if not separator:
-            raise ValueError(spec)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ValueError(
-            f"shard must look like 'i/n' (e.g. 0/4), got {spec!r}"
-        ) from None
-    if count <= 0 or not 0 <= index < count:
-        raise ValueError(
-            f"shard index must satisfy 0 <= i < n, got {spec!r}"
-        )
-    return index, count
-
-
 def multi_core_point(
     mix_name: str,
     workloads: Sequence[str],
@@ -356,7 +326,9 @@ def execute_point(
     ``sim_core`` overrides the simulator core implementation ("scalar" or
     "batch") recorded in the point's system config.  Because the batch core
     is bit-identical to the scalar reference, the override does not affect
-    the point's cache key -- results are shared between both cores.
+    the point's cache key -- results are shared between both cores.  The
+    ``simulate`` span records the core that actually ran: multi-core mixes
+    and single-core hierarchies the batch core rejects run scalar.
     """
     def trace_for(workload: str) -> Trace:
         if traces is None:
@@ -382,18 +354,22 @@ def execute_point(
         with obs_tracer.span(
             "simulate", metric="point.simulate_s", point=point.label,
             kind=point.kind, core=system.sim_core,
-        ):
+        ) as attrs:
+            hierarchy = build_hierarchy(scenario, config=system)
+            if attrs is not None and batch_unsupported_reason(hierarchy):
+                attrs["core"] = "scalar"
             return run_single_core(
                 trace,
                 scenario,
                 config=system,
                 warmup_fraction=point.warmup_fraction,
+                hierarchy=hierarchy,
             )
     if point.kind == "multi_core":
         traces_for_mix = [trace_for(workload) for workload in point.workloads]
         with obs_tracer.span(
             "simulate", metric="point.simulate_s", point=point.label,
-            kind=point.kind, core=system.sim_core,
+            kind=point.kind, core="scalar",
         ):
             return run_multicore_mix(
                 traces_for_mix,
@@ -480,31 +456,64 @@ def classify_failure(error: BaseException) -> tuple[bool, str]:
     return False, type(error).__name__
 
 
-def _execute_for_pool(
+def _attempt_point(
     point: CampaignPoint,
-    attempt: int = 0,
-    timeout_s: Optional[float] = None,
-    sim_core: Optional[str] = None,
-) -> tuple[str, dict, int]:
-    """Worker-side entry point: ``(key, serialized result, generator runs)``.
+    attempt: int,
+    timeout_s: Optional[float],
+    sim_core: Optional[str],
+    traces: Optional[dict[tuple[str, int, str], Trace]] = None,
+    trace_store: Optional[TraceStore] = None,
+    serialize: bool = True,
+) -> tuple[SingleCoreResult | MultiCoreResult | dict, int]:
+    """One attempt at one point: ``(result or payload, generator runs)``.
 
-    ``attempt`` is the 0-based attempt index the supervisor is on for this
-    point; fault-injection rules and retry accounting both key off it.  The
-    generator-invocation delta rides back with the payload so the campaign
-    report can aggregate generator work across worker processes.
+    Both executors run this.  ``attempt`` is the 0-based attempt index the
+    supervisor is on for this point; fault-injection rules key off it.  A
+    pool worker passes no ``traces``/``trace_store`` (it maps the store its
+    initializer installed) and ``serialize``s the result into a dict
+    payload, which is where ``corrupt``-mode faults strike.  The in-process
+    executor passes the engine's trace memo and store and serializes only
+    while a fault spec is active, so healthy runs never pay for JSON.  The
+    generator-invocation delta rides back so the campaign report can
+    aggregate generator work across worker processes.
     """
     from repro.sim.result_cache import result_to_dict
 
+    key = point.key()
     before = _generator_invocations
     with _point_deadline(timeout_s):
-        faults.inject_before(point.key(), point.label, attempt)
+        faults.inject_before(key, point.label, attempt)
         with obs_profile.profiled_point():
             result = execute_point(
-                point, trace_store=_worker_trace_store, sim_core=sim_core
+                point,
+                traces=traces,
+                trace_store=(
+                    trace_store if trace_store is not None else _worker_trace_store
+                ),
+                sim_core=sim_core,
             )
-    payload = result_to_dict(result)
-    payload = faults.corrupt_payload(point.key(), point.label, attempt, payload)
-    return point.key(), payload, _generator_invocations - before
+    if serialize:
+        result = faults.corrupt_payload(
+            key, point.label, attempt, result_to_dict(result)
+        )
+    return result, _generator_invocations - before
+
+
+class _InlineExecutor(Executor):
+    """Runs each submitted call on the calling thread.
+
+    ``submit`` returns an already-completed future.  Only ``Exception`` is
+    captured into it: ``KeyboardInterrupt`` and the fabric worker's drain
+    signal (``BaseException`` subclasses) propagate out of the supervisor.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:  # noqa: BLE001 -- supervised boundary
+            future.set_exception(error)
+        return future
 
 
 # ----------------------------------------------------------------------
@@ -789,20 +798,18 @@ class CampaignEngine:
     # Execution
     # ------------------------------------------------------------------
     def run_point(self, point: CampaignPoint) -> SingleCoreResult | MultiCoreResult:
-        """Run (or fetch from cache) one point in-process."""
-        key = point.key()
-        if self.result_cache is not None:
-            cached = self.result_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-        result = execute_point(
-            point, traces=self._traces, trace_store=self.trace_store,
-            sim_core=self.sim_core,
-        )
-        self.simulations_run += 1
-        if self.result_cache is not None:
-            self.result_cache.put(key, result, point=asdict(point))
+        """Run (or fetch from cache) one point in-process, supervised.
+
+        A one-point :meth:`run`; raises ``RuntimeError`` when the point is
+        quarantined.
+        """
+        result = self.run([point], jobs=1).get(point.key())
+        if result is None:
+            (outcome,) = self.last_report.quarantined_outcomes()
+            raise RuntimeError(
+                f"point {outcome.label} quarantined "
+                f"({outcome.error_kind}): {outcome.error}"
+            )
         return result
 
     def run(
@@ -823,8 +830,8 @@ class CampaignEngine:
         Returns ``{point key: result}`` for every point that produced a
         result (cache hit or fresh simulation).  Workers are only spawned
         for points that miss the cache; with one miss (or ``jobs == 1``)
-        execution stays in-process to avoid fork overhead -- both paths go
-        through the same retry/quarantine supervision.
+        the same supervision loop drives the in-process executor instead,
+        avoiding fork overhead.
 
         Every completed simulation is committed to the result cache the
         moment it finishes, so a later crash (or Ctrl-C) never discards
@@ -874,15 +881,11 @@ class CampaignEngine:
                         obs_tracer.event("cache_miss", point=point.label)
                 missing.append((key, point))
 
-            effective_jobs = self.resolve_jobs(jobs)
             if missing:
-                if effective_jobs <= 1 or len(missing) <= 1:
-                    self._run_serial(missing, effective_policy, report, results)
-                else:
-                    self._run_pool(
-                        missing, min(effective_jobs, len(missing)),
-                        effective_policy, report, results,
-                    )
+                self._supervise(
+                    missing, min(report.jobs, len(missing)),
+                    effective_policy, report, results,
+                )
         finally:
             self._progress = None
 
@@ -932,92 +935,6 @@ class CampaignEngine:
             timed_out=state.timed_out,
         )
 
-    def _run_serial(
-        self,
-        missing: list[tuple[str, CampaignPoint]],
-        policy: RetryPolicy,
-        report: CampaignReport,
-        results: dict,
-    ) -> None:
-        """In-process supervised execution (``--jobs 1`` / single miss).
-
-        The same retry/quarantine semantics as the pool path: a mid-batch
-        failure quarantines its point and the batch keeps going, with every
-        earlier result already committed to the cache.  A ``crash``-mode
-        injected fault is the one failure this path cannot survive -- it
-        *is* the process.
-        """
-        from repro.sim.result_cache import result_from_dict, result_to_dict
-
-        fault_spec = faults.active_spec()
-        for key, point in missing:
-            state = _PointState(point)
-            while True:
-                attempt = state.attempts
-                attempt_start = time.perf_counter()
-                failure: Optional[tuple[bool, str, str]] = None
-                result = None
-                generators_before = _generator_invocations
-                try:
-                    with _point_deadline(policy.timeout_s):
-                        faults.inject_before(key, point.label, attempt)
-                        with obs_profile.profiled_point():
-                            result = execute_point(
-                                point, traces=self._traces,
-                                trace_store=self.trace_store,
-                                sim_core=self.sim_core,
-                            )
-                except Exception as error:  # noqa: BLE001 -- supervised boundary
-                    transient, kind = classify_failure(error)
-                    failure = (transient, kind, str(error))
-                else:
-                    if fault_spec:
-                        # Mirror the pool path's serialization boundary so
-                        # corrupt-mode faults (and their recovery) behave
-                        # identically in serial runs.  Healthy runs skip
-                        # the round trip entirely.
-                        payload = faults.corrupt_payload(
-                            key, point.label, attempt, result_to_dict(result)
-                        )
-                        try:
-                            result = result_from_dict(payload)
-                        except (ValueError, TypeError, KeyError) as error:
-                            failure = (True, "corrupt-payload", str(error))
-                state.attempts += 1
-                state.wall_s += time.perf_counter() - attempt_start
-                if failure is not None:
-                    transient, kind, message = failure
-                    state.error = message
-                    state.error_kind = kind
-                    state.transient = transient
-                    state.timed_out = state.timed_out or kind == "timeout"
-                    if transient and state.attempts <= policy.retries:
-                        if obs_tracer.enabled():
-                            obs_metrics.registry().counter("point.retries")
-                            obs_tracer.event(
-                                "retry", point=point.label,
-                                attempt=state.attempts, kind=kind,
-                            )
-                        time.sleep(policy.backoff(state.attempts))
-                        continue
-                    report.outcomes.append(self._quarantine_outcome(key, state))
-                    self._notify_progress()
-                    break
-                report.generator_invocations += (
-                    _generator_invocations - generators_before
-                )
-                self._commit(key, point, result, results)
-                report.outcomes.append(
-                    PointOutcome(
-                        key, point.label, "ok",
-                        attempts=state.attempts,
-                        retries=state.attempts - 1,
-                        wall_s=state.wall_s,
-                    )
-                )
-                self._notify_progress()
-                break
-
     def _spawn_pool(self, workers: int) -> ProcessPoolExecutor:
         store_dir = (
             str(self.trace_store.directory)
@@ -1030,7 +947,7 @@ class CampaignEngine:
             initargs=(store_dir,),
         )
 
-    def _run_pool(
+    def _supervise(
         self,
         missing: list[tuple[str, CampaignPoint]],
         workers: int,
@@ -1038,15 +955,20 @@ class CampaignEngine:
         report: CampaignReport,
         results: dict,
     ) -> None:
-        """Supervised pool execution: per-point futures, drain as completed.
+        """The supervision loop: per-point futures, drained as completed.
 
-        Submission is windowed (at most ``2 * workers`` futures in flight)
-        so a pool crash only charges an attempt to the points that could
-        actually have caused it.  ``BrokenProcessPool`` respawns the pool
-        and re-submits the unfinished points; a point overrunning the
-        supervisor's hard deadline (the worker-side alarm plus grace)
-        terminates the stuck workers, charges only the overdue point, and
-        re-submits the innocent bystanders uncharged.
+        With one worker the futures come from the in-process executor,
+        one in flight at a time, so each result is committed before the
+        next point starts and an interrupt never discards finished work.
+        Otherwise submission to the process pool is windowed (at most
+        ``2 * workers`` futures in flight) so a pool crash only charges an
+        attempt to the points that could actually have caused it.
+        ``BrokenProcessPool`` respawns the pool and re-submits the
+        unfinished points; a point overrunning the supervisor's hard
+        deadline (the worker-side alarm plus grace) terminates the stuck
+        workers, charges only the overdue point, and re-submits the
+        innocent bystanders uncharged.  Neither can happen in-process,
+        where every future is complete by the time it is waited on.
         """
         from repro.sim.result_cache import result_from_dict
 
@@ -1059,23 +981,35 @@ class CampaignEngine:
         grace_s = (
             max(5.0, 0.5 * policy.timeout_s) if policy.timeout_s else None
         )
-        pool = self._spawn_pool(workers)
+        if workers > 1:
+            spawn, window, attempt_kwargs = (
+                lambda: self._spawn_pool(workers), 2 * workers, {}
+            )
+        else:
+            spawn, window, attempt_kwargs = _InlineExecutor, 1, {
+                "traces": self._traces,
+                "trace_store": self.trace_store,
+                "serialize": bool(faults.active_spec()),
+            }
+        executor: Executor = spawn()
         try:
             while ready or waiting or inflight:
                 now = time.monotonic()
                 while waiting and waiting[0][0] <= now:
                     _, key = heapq.heappop(waiting)
                     ready.append(key)
-                while ready and len(inflight) < 2 * workers:
+                while ready and len(inflight) < window:
                     key = ready.pop(0)
                     point_state = state[key]
+                    submitted = time.monotonic()
                     try:
-                        future = pool.submit(
-                            _execute_for_pool,
+                        future = executor.submit(
+                            _attempt_point,
                             point_state.point,
                             point_state.attempts,
                             policy.timeout_s,
                             self.sim_core,
+                            **attempt_kwargs,
                         )
                     except (BrokenProcessPool, RuntimeError):
                         # The pool broke between our draining it and this
@@ -1083,7 +1017,7 @@ class CampaignEngine:
                         # branch below respawn.
                         ready.insert(0, key)
                         break
-                    inflight[future] = (key, time.monotonic())
+                    inflight[future] = (key, submitted)
 
                 if not inflight:
                     if waiting:
@@ -1093,8 +1027,8 @@ class CampaignEngine:
                         continue
                     if ready:
                         # Submission failed on a broken pool; respawn.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = self._spawn_pool(workers)
+                        executor.shutdown(wait=False, cancel_futures=True)
+                        executor = spawn()
                         report.pool_respawns += 1
                         continue
                     break
@@ -1110,9 +1044,8 @@ class CampaignEngine:
                     point_state = state[key]
                     duration = time.monotonic() - submitted
                     failure: Optional[tuple[bool, str, str]] = None
-                    result = None
                     try:
-                        _, payload, generator_delta = future.result()
+                        result, generator_delta = future.result()
                     except BrokenProcessPool as exc:
                         broken = True
                         failure = (True, "worker-crash", str(exc))
@@ -1121,12 +1054,13 @@ class CampaignEngine:
                         failure = (transient, kind, str(exc))
                     else:
                         report.generator_invocations += generator_delta
-                        try:
-                            result = result_from_dict(payload)
-                        except (ValueError, TypeError, KeyError) as exc:
-                            # The worker finished but its payload does not
-                            # decode -- corruption is worth retrying.
-                            failure = (True, "corrupt-payload", str(exc))
+                        if isinstance(result, dict):
+                            try:
+                                result = result_from_dict(result)
+                            except (ValueError, TypeError, KeyError) as exc:
+                                # The attempt finished but its payload does
+                                # not decode -- corruption is worth retrying.
+                                failure = (True, "corrupt-payload", str(exc))
                     if failure is None:
                         point_state.attempts += 1
                         point_state.wall_s += duration
@@ -1156,7 +1090,7 @@ class CampaignEngine:
                             overdue.add(key)
                     if overdue:
                         broken = True
-                        for process in getattr(pool, "_processes", {}).values():
+                        for process in getattr(executor, "_processes", {}).values():
                             try:
                                 process.terminate()
                             except OSError:
@@ -1191,11 +1125,11 @@ class CampaignEngine:
                                 policy, report, ready, waiting,
                             )
                     inflight.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._spawn_pool(workers)
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    executor = spawn()
                     report.pool_respawns += 1
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=False, cancel_futures=True)
 
     def _charge_failure(
         self,

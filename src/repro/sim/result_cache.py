@@ -11,9 +11,9 @@ point that has already been simulated -- across processes and across runs.
 The cache directory defaults to ``.repro_cache`` in the working directory
 and can be redirected with the ``REPRO_CACHE_DIR`` environment variable.
 
-Sharded campaigns (``repro campaign --shard i/n``) write disjoint entry sets
-into per-shard directories; :meth:`ResultCache.merge_from` (exposed as
-``repro cache merge``) folds them back into one cache.  Size is bounded by
+Caches filled elsewhere (another machine, another cache directory) fold
+into one with :meth:`ResultCache.merge_from` (exposed as
+``repro cache merge``).  Size is bounded by
 an explicit ``repro cache gc --max-mb N`` sweep or, opportunistically on
 writes, by the ``REPRO_CACHE_MAX_MB`` environment variable; both evict the
 oldest entries (by file modification time) first.

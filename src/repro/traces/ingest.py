@@ -33,7 +33,6 @@ import gzip
 import hashlib
 import io
 import lzma
-import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
@@ -197,28 +196,13 @@ def import_champsim_trace(
     name: Optional[str] = None,
     compute_per_access: int = 0,
     max_records: Optional[int] = None,
-    *,
-    store: Optional[TraceStore] = None,
 ) -> tuple[str, str, Trace]:
     """Import one ChampSim-style trace file into the store.
 
     Parses the file, persists the columnar trace under its content-hash key
     and registers it as catalog workload ``imported.<name>``.  Returns
     ``(workload name, store key, memory-mapped trace)``.
-
-    ``store=`` is a deprecated alias for ``trace_store=`` (the keyword
-    every other entry point uses); it warns and will be removed.
     """
-    if store is not None:
-        if trace_store is not None:
-            raise TypeError("pass trace_store= only (store= is its "
-                            "deprecated alias)")
-        warnings.warn(
-            "import_champsim_trace(store=...) is deprecated; use trace_store=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        trace_store = store
     path = Path(path)
     store = trace_store if trace_store is not None else TraceStore.default()
     trace = read_champsim_trace(

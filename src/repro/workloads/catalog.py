@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -89,8 +88,6 @@ class WorkloadCatalog:
         name: str,
         num_memory_accesses: int = 40_000,
         trace_store: Optional[TraceStore] = None,
-        *,
-        store: Optional[TraceStore] = None,
     ) -> Trace:
         """Build the trace of a named workload.
 
@@ -98,21 +95,7 @@ class WorkloadCatalog:
         (and the trace persisted by a miss) come back memory-mapped, so
         repeated builds across processes share one on-disk copy.  Imported
         workloads already live in their store and bypass the fast path.
-
-        ``store=`` is a deprecated alias for ``trace_store=`` (the keyword
-        every other entry point uses); it warns and will be removed.
         """
-        if store is not None:
-            if trace_store is not None:
-                raise TypeError("pass trace_store= only (store= is its "
-                                "deprecated alias)")
-            warnings.warn(
-                "WorkloadCatalog.build(store=...) is deprecated; "
-                "use trace_store=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            trace_store = store
         spec = self.get(name)
         if trace_store is None or spec.suite == IMPORTED_SUITE:
             return spec.build(num_memory_accesses)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +54,8 @@ from repro.sim.engine import single_core_point
 from repro.sim.multi_core import run_multicore_mix
 from repro.sim.scenarios import SCHEMES, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
-from repro.traces.ingest import import_champsim_trace, read_champsim_trace
-from repro.traces.store import TraceStore
+from repro.traces.ingest import read_champsim_trace
 from repro.workloads import gap_trace, spec_like_trace
-from repro.workloads.catalog import default_catalog
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CHAMPSIM_FIXTURE = FIXTURES / "champsim_small.trace"
@@ -450,39 +447,6 @@ class TestSimCoreConfig:
         assert json.loads(points["scalar"].system_json) == (
             json.loads(points["batch"].system_json)
         )
-
-
-class TestTraceStoreKeywordRename:
-    def test_catalog_build_store_alias_warns(self, tmp_path):
-        store = TraceStore(tmp_path / "traces")
-        catalog = default_catalog()
-        with pytest.warns(DeprecationWarning, match="trace_store"):
-            via_alias = catalog.build("spec.mcf_like", 400, store=store)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            canonical = catalog.build("spec.mcf_like", 400, trace_store=store)
-        assert via_alias.as_lists() == canonical.as_lists()
-
-    def test_catalog_build_rejects_both_keywords(self, tmp_path):
-        store = TraceStore(tmp_path / "traces")
-        with pytest.raises(TypeError):
-            default_catalog().build(
-                "spec.mcf_like", 400, trace_store=store, store=store
-            )
-
-    def test_import_champsim_store_alias_warns(self, tmp_path):
-        store = TraceStore(tmp_path / "traces")
-        with pytest.warns(DeprecationWarning, match="trace_store"):
-            workload, _, _ = import_champsim_trace(
-                CHAMPSIM_FIXTURE, store=store, name="alias"
-            )
-        assert workload == "imported.alias"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            workload, _, _ = import_champsim_trace(
-                CHAMPSIM_FIXTURE, trace_store=store, name="canonical"
-            )
-        assert workload == "imported.canonical"
 
 
 class TestApiFacade:

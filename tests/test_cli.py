@@ -205,11 +205,12 @@ class TestCacheMerge:
         shard_a = tmp_path / "shard0"
         shard_b = tmp_path / "shard1"
         merged = tmp_path / "merged"
-        common = ["--schemes", "tlp", "--prefetchers", "ipcp",
-                  "--accesses", "600", "--jobs", "1", "--no-trace-store"]
-        assert main(["campaign", "--shard", "0/2",
+        common = ["--prefetchers", "ipcp", "--accesses", "600", "--jobs", "1",
+                  "--no-trace-store"]
+        # Disjoint schemes; both caches also hold the shared baseline points.
+        assert main(["campaign", "--schemes", "tlp",
                      "--cache-dir", str(shard_a)] + common) == 0
-        assert main(["campaign", "--shard", "1/2",
+        assert main(["campaign", "--schemes", "hermes",
                      "--cache-dir", str(shard_b)] + common) == 0
         capsys.readouterr()
 
@@ -220,10 +221,10 @@ class TestCacheMerge:
         assert f"{shard_a}:" in output
         assert f"{shard_b}:" in output
         assert "merged" in output
-        expected = (len(list(shard_a.glob("*.json")))
-                    + len(list(shard_b.glob("*.json"))))
-        assert expected > 0
-        assert len(list(merged.glob("*.json"))) == expected
+        expected = ({p.name for p in shard_a.glob("*.json")}
+                    | {p.name for p in shard_b.glob("*.json")})
+        assert expected
+        assert {p.name for p in merged.glob("*.json")} == expected
 
         # Merging a source again copies nothing (duplicates are skipped).
         assert main(["cache", "--dir", str(merged), "merge",
@@ -231,8 +232,8 @@ class TestCacheMerge:
         output = capsys.readouterr().out
         assert "0 copied" in output
 
-        # The merged cache serves the full (unsharded) campaign.
-        assert main(["campaign", "--list",
+        # The merged cache serves the campaign over both schemes.
+        assert main(["campaign", "--list", "--schemes", "tlp", "hermes",
                      "--cache-dir", str(merged)] + common) == 0
         assert "missing" not in capsys.readouterr().out
 

@@ -8,8 +8,8 @@ Pins the tentpole guarantees of the struct-of-arrays trace representation:
   columnar :class:`Trace` or a plain object list of records (single-core
   and multi-core);
 * ``split()``/``truncated()`` are zero-copy views;
-* campaign sharding partitions the enumeration deterministically and
-  merged shard caches equal an unsharded run's cache;
+* result caches filled from disjoint point subsets merge into the cache
+  one run over every point produces;
 * the result cache GC policy evicts oldest-first, explicitly and
   opportunistically via ``REPRO_CACHE_MAX_MB``.
 """
@@ -21,12 +21,7 @@ import pytest
 
 from repro.common.addresses import BLOCK_SIZE
 from repro.common.types import AccessKind, MemoryAccess
-from repro.sim.engine import (
-    CampaignEngine,
-    build_workload_trace,
-    parse_shard,
-    shard_points,
-)
+from repro.sim.engine import CampaignEngine, build_workload_trace
 from repro.sim.multi_core import run_multicore_mix
 from repro.sim.result_cache import CACHE_MAX_MB_ENV, ResultCache
 from repro.sim.results import SingleCoreResult
@@ -255,25 +250,8 @@ class TestColumnarContainer:
 
 
 # ----------------------------------------------------------------------
-# Campaign sharding + cache merge
+# Cache merge
 # ----------------------------------------------------------------------
-def test_parse_shard():
-    assert parse_shard("0/2") == (0, 2)
-    assert parse_shard("3/4") == (3, 4)
-    for bad in ("2/2", "-1/2", "1", "a/b", "1/0"):
-        with pytest.raises(ValueError):
-            parse_shard(bad)
-
-
-def test_shard_points_partitions_enumeration():
-    points = list(range(11))  # shard_points only enumerates
-    shards = [shard_points(points, i, 3) for i in range(3)]
-    combined = sorted(p for shard in shards for p in shard)
-    assert combined == points
-    assert all(len(set(a) & set(b)) == 0
-               for i, a in enumerate(shards) for b in shards[i + 1:])
-
-
 def _tiny_points():
     from repro.experiments.common import CampaignCache, ExperimentConfig
 
@@ -300,7 +278,7 @@ def test_sharded_caches_merge_to_unsharded_cache(tmp_path):
         directory = tmp_path / f"shard{index}"
         shard_dirs.append(directory)
         engine = CampaignEngine(result_cache=ResultCache(directory), jobs=1)
-        engine.run(shard_points(points, index, 2))
+        engine.run(points[index::2])
 
     merged = ResultCache(tmp_path / "merged")
     for directory in shard_dirs:

@@ -127,7 +127,14 @@ class TestClassifyFailure:
 
 # ----------------------------------------------------------------------
 # Supervised execution: crash / hang / raise / corrupt
+#
+# One supervision loop drives both executors, so every failure mode except
+# a worker crash (which in-process *is* the process) is checked at jobs=1
+# (the in-process executor) and jobs=2 (the process pool).
 # ----------------------------------------------------------------------
+JOBS = (1, 2)
+
+
 class TestSupervisedPool:
     def test_worker_crash_preserves_completed_and_retries_rest(
         self, tmp_path, monkeypatch
@@ -155,26 +162,29 @@ class TestSupervisedPool:
             monkeypatch,
             {"match": "bfs.urand/tlp", "mode": "hang", "hang_s": 60.0},
         )
-        engine = CampaignEngine(result_cache=ResultCache(tmp_path / "rc"))
         points = point_batch()
         hung = tiny_point(scheme="tlp")
         policy = RetryPolicy(retries=1, timeout_s=0.5, backoff_s=0.01)
-        results = engine.run(points, jobs=2, policy=policy)
-        assert hung.key() not in results
-        assert len(results) == len(points) - 1
-        report = engine.last_report
-        assert report.quarantined == 1
-        (outcome,) = report.quarantined_outcomes()
-        assert outcome.key == hung.key()
-        assert outcome.timed_out
-        assert outcome.attempts == 2  # initial + 1 retry, both timed out
+        for jobs in JOBS:
+            engine = CampaignEngine(
+                result_cache=ResultCache(tmp_path / f"rc{jobs}")
+            )
+            results = engine.run(points, jobs=jobs, policy=policy)
+            assert hung.key() not in results
+            assert len(results) == len(points) - 1
+            report = engine.last_report
+            assert report.quarantined == 1
+            (outcome,) = report.quarantined_outcomes()
+            assert outcome.key == hung.key()
+            assert outcome.timed_out
+            assert outcome.attempts == 2  # initial + 1 retry, both timed out
 
     def test_corrupt_payload_is_retried(self, tmp_path, monkeypatch):
         install_faults(
             monkeypatch,
             {"match": "bfs.urand/hermes", "mode": "corrupt", "max_attempts": 1},
         )
-        for jobs in (1, 2):
+        for jobs in JOBS:
             engine = CampaignEngine(
                 result_cache=ResultCache(tmp_path / f"rc{jobs}")
             )
@@ -193,16 +203,19 @@ class TestSupervisedSerial:
         self, tmp_path, monkeypatch
     ):
         install_faults(monkeypatch, {"match": "bfs.urand/tlp", "mode": "raise"})
-        engine = CampaignEngine(result_cache=ResultCache(tmp_path / "rc"))
         points = point_batch()
-        results = engine.run(points, jobs=1)
-        # Partial results are preserved, not discarded.
-        assert len(results) == len(points) - 1
-        report = engine.last_report
-        (outcome,) = report.quarantined_outcomes()
-        assert outcome.attempts == 1 and outcome.retries == 0
-        assert outcome.error_kind == "fault-injected"
-        assert outcome.transient is False
+        for jobs in JOBS:
+            engine = CampaignEngine(
+                result_cache=ResultCache(tmp_path / f"rc{jobs}")
+            )
+            results = engine.run(points, jobs=jobs)
+            # Partial results are preserved, not discarded.
+            assert len(results) == len(points) - 1
+            report = engine.last_report
+            (outcome,) = report.quarantined_outcomes()
+            assert outcome.attempts == 1 and outcome.retries == 0
+            assert outcome.error_kind == "fault-injected"
+            assert outcome.transient is False
 
     def test_transient_failure_heals_on_retry(self, tmp_path, monkeypatch):
         install_faults(
@@ -214,14 +227,17 @@ class TestSupervisedSerial:
                 "max_attempts": 1,
             },
         )
-        engine = CampaignEngine(result_cache=ResultCache(tmp_path / "rc"))
         points = point_batch()
-        results = engine.run(
-            points, jobs=1, policy=RetryPolicy(retries=2, backoff_s=0.0)
-        )
-        assert len(results) == len(points)
-        report = engine.last_report
-        assert report.quarantined == 0 and report.total_retries == 1
+        for jobs in JOBS:
+            engine = CampaignEngine(
+                result_cache=ResultCache(tmp_path / f"rc{jobs}")
+            )
+            results = engine.run(
+                points, jobs=jobs, policy=RetryPolicy(retries=2, backoff_s=0.0)
+            )
+            assert len(results) == len(points)
+            report = engine.last_report
+            assert report.quarantined == 0 and report.total_retries == 1
 
     def test_rerun_executes_only_the_quarantined_remainder(
         self, tmp_path, monkeypatch
@@ -240,6 +256,34 @@ class TestSupervisedSerial:
         assert len(results) == len(points)
         assert resumed.simulations_run == 1
         assert resumed.last_report.cache_hits == len(points) - 1
+
+    def test_interrupt_propagates_after_committing_earlier_points(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sim import engine as engine_module
+
+        first, second = tiny_point(), tiny_point(scheme="tlp")
+        execute = engine_module.execute_point
+
+        def interrupt_second(point, **kwargs):
+            if point.key() == second.key():
+                raise KeyboardInterrupt
+            return execute(point, **kwargs)
+
+        monkeypatch.setattr(engine_module, "execute_point", interrupt_second)
+        engine = CampaignEngine(result_cache=ResultCache(tmp_path / "rc"))
+        with pytest.raises(KeyboardInterrupt):
+            engine.run([first, second], jobs=1)
+        cache = ResultCache(tmp_path / "rc")
+        assert cache.get(first.key()) is not None
+        assert cache.get(second.key()) is None
+
+    def test_run_point_raises_on_quarantine(self, tmp_path, monkeypatch):
+        install_faults(monkeypatch, {"match": "bfs.urand/tlp", "mode": "raise"})
+        engine = CampaignEngine(result_cache=ResultCache(tmp_path / "rc"))
+        with pytest.raises(RuntimeError, match="fault-injected"):
+            engine.run_point(tiny_point(scheme="tlp"))
+        assert engine.run_point(tiny_point()) is not None
 
 
 # ----------------------------------------------------------------------

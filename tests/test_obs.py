@@ -193,6 +193,31 @@ class TestEngineTelemetry:
         }
         assert metrics.registry().snapshot()["counters"]["cache.hits"] == 1.0
 
+    def test_simulate_span_records_effective_core(self, tmp_path):
+        from repro.sim.engine import multi_core_point
+
+        fused = tiny_point()
+        fallback = tiny_point(scheme="delayed_tsp")  # unmodelled predictor
+        mix = multi_core_point(
+            "mix", ["bfs.urand", "spec.mcf_like"], "baseline", "ipcp",
+            memory_accesses=300, warmup_fraction=0.25,
+        )
+        tracer.configure(tmp_path / "tele", proc="t1")
+        CampaignEngine(result_cache=None, sim_core="batch").run(
+            [fused, fallback, mix], jobs=1
+        )
+        tracer.flush()
+        cores = {
+            r["attrs"]["point"]: r["attrs"]["core"]
+            for r in tracer.load_run(tmp_path / "tele")
+            if r["type"] == "span" and r["name"] == "simulate"
+        }
+        assert cores == {
+            fused.label: "batch",
+            fallback.label: "scalar",
+            mix.label: "scalar",
+        }
+
     def test_results_bit_identical_with_telemetry(self, tmp_path):
         plain = CampaignEngine(result_cache=None).run([tiny_point()], jobs=1)
         tracer.configure(tmp_path / "tele", proc="t1")
