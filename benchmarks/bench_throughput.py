@@ -25,6 +25,11 @@ Three metrics per scenario:
   fails when that geomean drops below 1.0 (the batch core must never be
   slower than the scalar reference it replaces) -- a same-machine,
   same-run comparison, so no calibration scaling applies;
+* ``multi_core`` (per mix) -- 4-core TLP/IPCP mixes (homogeneous
+  bfs.urand and a heterogeneous bfs/mcf/lbm/road mix, ``--accesses / 4``
+  per core) on both cores; ``speedup_vs_scalar`` is the per-mix ratio and
+  ``--check`` fails when any mix's batch run is slower than its scalar
+  run (same machine, same run, no calibration scaling);
 * ``store_load`` (per workload) -- trace-store load throughput in
   records/sec: memory-mapping a stored trace back (header parse + mmap +
   touching every column element), i.e. what a campaign worker pays instead
@@ -60,7 +65,8 @@ import math
 import time
 from pathlib import Path
 
-from repro.common.config import cascade_lake_single_core
+from repro.common.config import cascade_lake_multi_core, cascade_lake_single_core
+from repro.sim.multi_core import run_multicore_mix
 from repro.sim.scenarios import build_scenario
 from repro.sim.single_core import run_single_core
 from repro.workloads.gap import gap_trace
@@ -79,6 +85,13 @@ SCENARIOS = (
     ("spec.mcf_like", "tlp", "ipcp"),
     ("spec.mcf_like", "tlp", "berti"),
     ("spec.mcf_like", "ppf", "ipcp"),
+)
+
+#: (name, workloads) multi-core mixes, each run under TLP with IPCP.
+MULTICORE_MIXES = (
+    ("homog.bfs.urand", ("bfs.urand",) * 4),
+    ("hetero.bfs_mcf_lbm_road",
+     ("bfs.urand", "spec.mcf_like", "spec.lbm_like", "cc.road")),
 )
 
 BASELINE_PATH = Path(__file__).resolve().parent / "throughput_baseline.json"
@@ -190,6 +203,41 @@ def measure_figure_campaign(parallel_jobs: int = 2) -> dict:
     return report
 
 
+def measure_multi_core(accesses: int, repeats: int, warmup_fraction: float) -> dict:
+    """Best-of-``repeats`` mix throughput on both cores, interleaved per
+    repeat so host-speed drift hits the scalar and batch runs alike."""
+    per_core = max(1, accesses // 4)
+    traces = {}
+    rows = {}
+    for name, workloads in MULTICORE_MIXES:
+        for workload in workloads:
+            if workload not in traces:
+                traces[workload] = _build_trace(workload, per_core)
+        mix = [traces[workload] for workload in workloads]
+        best = {"scalar": math.inf, "batch": math.inf}
+        for _ in range(repeats):
+            for core in best:
+                system = dataclasses.replace(
+                    cascade_lake_multi_core(num_cores=len(mix)), sim_core=core
+                )
+                scenario = build_scenario("tlp", l1d_prefetcher="ipcp")
+                start = time.perf_counter()
+                run_multicore_mix(
+                    mix, scenario, config=system, warmup_fraction=warmup_fraction
+                )
+                best[core] = min(best[core], time.perf_counter() - start)
+        total = per_core * len(mix)
+        rows[name] = {
+            core: {
+                "seconds": round(seconds, 4),
+                "accesses_per_sec": round(total / seconds, 1),
+            }
+            for core, seconds in best.items()
+        }
+        rows[name]["speedup_vs_scalar"] = round(best["scalar"] / best["batch"], 2)
+    return rows
+
+
 def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0.25) -> dict:
     """Run every scenario ``repeats`` times and report the best throughput."""
     traces = {}
@@ -255,6 +303,7 @@ def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0
         "repeats": repeats,
         "scenarios": results,
         "core_batch": core_batch,
+        "multi_core": measure_multi_core(accesses, repeats, warmup_fraction),
         "construction": construction,
         "store_load": store_load,
         "figure_campaign": measure_figure_campaign(),
@@ -348,6 +397,18 @@ def main(argv=None) -> int:
     print(f"  {'geomean':<24} "
           f"{report['core_batch_geomean_accesses_per_sec']:>10,.0f} acc/s"
           f"  ({report['batch_speedup_vs_scalar']:.2f}x vs scalar)")
+
+    print(f"multi-core mixes (tlp/ipcp, {args.accesses // 4} accesses per core, "
+          f"best of {args.repeats}):")
+    baseline_multi = (baseline or {}).get("multi_core", {})
+    for name, entry in report["multi_core"].items():
+        line = (f"  {name:<24} scalar {entry['scalar']['accesses_per_sec']:>9,.0f}"
+                f"  batch {entry['batch']['accesses_per_sec']:>9,.0f} acc/s"
+                f"  ({entry['speedup_vs_scalar']:.2f}x vs scalar)")
+        baseline_entry = baseline_multi.get(name)
+        if baseline_entry:
+            line += f"  (baseline {baseline_entry['speedup_vs_scalar']:.2f}x)"
+        print(line)
 
     print(f"trace construction ({args.accesses} memory accesses, best of {args.repeats}):")
     seed_construction = (baseline or {}).get("seed", {}).get("construction", {})
@@ -473,6 +534,17 @@ def main(argv=None) -> int:
             f"batch core check passed: {report['batch_speedup_vs_scalar']:.2f}x "
             f"the scalar geomean (floor 1.0x)"
         )
+        slower = {
+            name: entry["speedup_vs_scalar"]
+            for name, entry in report["multi_core"].items()
+            if entry["speedup_vs_scalar"] < 1.0
+        }
+        if slower:
+            print(f"BATCH CORE REGRESSION on multi-core mixes "
+                  f"(batch/scalar speedup must be >= 1.0x): {slower}")
+            Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
+            return 1
+        print("multi-core batch check passed: every mix >= 1.0x its scalar run")
 
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(f"report written to {args.output}")

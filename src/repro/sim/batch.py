@@ -43,11 +43,14 @@ This module restructures the hot path around trace *chunks*:
    every component is one the fused loop models exactly (stock
    :class:`MemoryHierarchy`/:class:`Cache` with LRU sets, and a Null /
    Hermes / FLP off-chip predictor over the Table I feature set).
-   Anything else -- custom subclasses, SRRIP, exotic predictors, and the
-   per-instruction multi-core interleave -- drops to the pinned scalar
-   reference path; :func:`batch_unsupported_reason` names the offending
-   component, which is logged once per process and emitted as a
-   ``sim.batch.fallback`` observability event on every fallback.
+   Anything else -- custom subclasses, SRRIP, exotic predictors -- drops
+   to the pinned scalar reference path; :func:`batch_unsupported_reason`
+   names the offending component, which is logged once per process and
+   emitted as a ``sim.batch.fallback`` observability event on every
+   fallback.  The loop is a per-core generator
+   (:func:`fused_core_stepper`) that pauses before each load/store, so a
+   multi-core mix interleaves its cores on the same kernel and falls back
+   per core (:mod:`repro.sim.multi_core`).
 
 The batch core is selected with ``SystemConfig(sim_core="batch")`` /
 ``--core batch`` and is bit-identical to the scalar path by construction:
@@ -58,6 +61,7 @@ the same arithmetic, which the batch-vs-scalar equivalence suite pins.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -352,7 +356,22 @@ def run_core_trace_batched(
         _note_scalar_fallback(reason)
         runner.run_trace(trace)
         return False
+    deque(fused_core_stepper(
+        runner, trace, hierarchy, chunk_records, sample_hook, sample_interval
+    ), maxlen=0)
+    return True
 
+
+def fused_core_stepper(
+    runner: CoreRunner, trace, hierarchy: MemoryHierarchy, chunk_records: int,
+    sample_hook=None, sample_interval: Optional[int] = None,
+):
+    """The fused loop as a per-core generator (supported hierarchies only).
+
+    Runs compute records on its own and yields each load/store's dispatch
+    cycle before performing it, so the shared LLC/DRAM is touched only
+    after the driver resumes it.  Runner state is written back at the end.
+    """
     pc_col, vaddr_col, kind_col = trace.columns()
     total_records = len(pc_col)
 
@@ -588,6 +607,7 @@ def run_core_trace_batched(
             if kind == KIND_COMPUTE:
                 latency = 1
             else:
+                yield dispatch
                 cycle = int(dispatch)
                 is_write = kind == 1
 
@@ -1029,7 +1049,6 @@ def run_core_trace_batched(
     runner.loads += loads
     runner.stores += stores
     runner.total_load_latency += total_load_latency
-    return True
 
 
 def run_single_core_batched(
@@ -1054,20 +1073,16 @@ def run_single_core_batched(
     so sampling never changes metrics.
     """
     chunk = chunk_records if chunk_records else DEFAULT_CHUNK_RECORDS
-
-    def access(pc: int, vaddr: int, cycle: int, is_write: bool):
-        return hierarchy.demand_access(pc, vaddr, cycle, is_write=is_write)
-
     warmup, measured = trace.split(warmup_fraction)
     if len(warmup):
-        warmup_runner = CoreRunner(core_config, access)
+        warmup_runner = CoreRunner(core_config, hierarchy.demand_access)
         run_core_trace_batched(warmup_runner, warmup, hierarchy, chunk)
         hierarchy.reset_stats(include_shared=True)
 
     measured_chunk = chunk
     if sample_hook is not None and sample_interval:
         measured_chunk = max(1024, min(chunk, sample_interval))
-    runner = CoreRunner(core_config, access)
+    runner = CoreRunner(core_config, hierarchy.demand_access)
     run_core_trace_batched(
         runner, measured, hierarchy, measured_chunk,
         sample_hook=sample_hook, sample_interval=sample_interval,

@@ -62,7 +62,11 @@ from repro.common.config import (
     system_config_from_dict,
     system_config_to_dict,
 )
-from repro.sim.multi_core import MultiCoreResult, run_multicore_mix
+from repro.sim.multi_core import (
+    MultiCoreResult,
+    build_mix_hierarchies,
+    run_multicore_mix,
+)
 from repro.sim.batch import batch_unsupported_reason
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import SingleCoreResult
@@ -327,8 +331,9 @@ def execute_point(
     "batch") recorded in the point's system config.  Because the batch core
     is bit-identical to the scalar reference, the override does not affect
     the point's cache key -- results are shared between both cores.  The
-    ``simulate`` span records the core that actually ran: multi-core mixes
-    and single-core hierarchies the batch core rejects run scalar.
+    ``simulate`` span records the core that actually ran: a point whose
+    hierarchy (or, for a mix, any core's hierarchy) the batch core rejects
+    is stamped ``scalar``.
     """
     def trace_for(workload: str) -> Trace:
         if traces is None:
@@ -369,14 +374,18 @@ def execute_point(
         traces_for_mix = [trace_for(workload) for workload in point.workloads]
         with obs_tracer.span(
             "simulate", metric="point.simulate_s", point=point.label,
-            kind=point.kind, core="scalar",
-        ):
+            kind=point.kind, core=system.sim_core,
+        ) as attrs:
+            hierarchies = build_mix_hierarchies(scenario, system, len(traces_for_mix))
+            if attrs is not None and any(map(batch_unsupported_reason, hierarchies)):
+                attrs["core"] = "scalar"
             return run_multicore_mix(
                 traces_for_mix,
                 scenario,
                 config=system,
                 warmup_fraction=point.warmup_fraction,
                 mix_name=point.mix_name,
+                hierarchies=hierarchies,
             )
     raise ValueError(f"unknown campaign point kind {point.kind!r}")
 

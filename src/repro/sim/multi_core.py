@@ -4,23 +4,32 @@ The paper's multi-core evaluation runs 4-core mixes sharing the LLC and a
 DRAM channel whose per-core bandwidth is one quarter of the single-core
 configuration (3.2 GB/s per core, Table III).  The driver below builds one
 :class:`~repro.memory.hierarchy.SharedMemory` back-end, one private hierarchy
-and one incremental core model per trace, and advances the core with the
-smallest dispatch cycle so that the cores contend for DRAM bandwidth in time
-order.
+and one incremental core model per trace, and merges the cores' loads and
+stores on (dispatch cycle, core id) so that they contend for DRAM bandwidth
+in time order.  Compute records touch only their own core's ROB, so this is
+the order of stepping the earliest-dispatching core per instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heapreplace
 from typing import Optional
 
 from repro.common.config import SystemConfig, cascade_lake_multi_core
 from repro.common.types import MemLevel
 from repro.cpu.core import CoreResult, CoreRunner
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
+from repro.sim.batch import (
+    DEFAULT_CHUNK_RECORDS,
+    _note_scalar_fallback,
+    batch_unsupported_reason,
+    fused_core_stepper,
+    run_core_trace_batched,
+)
 from repro.sim.scenarios import Scenario, build_hierarchy
 from repro.stats.metrics import weighted_speedup
-from repro.traces.trace import Trace, trace_lists
+from repro.traces.trace import KIND_NON_MEM, Trace, trace_lists
 
 
 @dataclass
@@ -42,19 +51,31 @@ class MultiCoreResult:
         return weighted_speedup(self.ipcs, single_core_ipcs)
 
 
+def build_mix_hierarchies(
+    scenario: Scenario, system: SystemConfig, num_cores: int
+) -> list[MemoryHierarchy]:
+    """One private hierarchy per core over one shared LLC/DRAM back-end."""
+    shared = SharedMemory(system)
+    return [
+        build_hierarchy(scenario, config=system, shared=shared, core_id=core_id)
+        for core_id in range(num_cores)
+    ]
+
+
 def run_multicore_mix(
     traces: list[Trace],
     scenario: Scenario,
     config: Optional[SystemConfig] = None,
     warmup_fraction: float = 0.2,
     mix_name: Optional[str] = None,
+    hierarchies: Optional[list[MemoryHierarchy]] = None,
 ) -> MultiCoreResult:
     """Simulate one multi-core mix (one trace per core).
 
-    Always runs on the scalar reference path regardless of
-    ``config.sim_core``: the cores interleave per instruction on the shared
-    LLC/DRAM back-end, so there is no chunk of accesses free of cross-core
-    dependencies for the batch core of :mod:`repro.sim.batch` to fuse.
+    With ``config.sim_core == "batch"`` each core whose hierarchy the
+    batch core supports runs its fused stepper; any other core runs a
+    scalar stepper, and a ``sim.batch.fallback`` event names it.
+    ``hierarchies`` optionally supplies :func:`build_mix_hierarchies`.
     """
     if not traces:
         raise ValueError("a multi-core mix needs at least one trace")
@@ -63,62 +84,52 @@ def run_multicore_mix(
     system = (
         config if config is not None else cascade_lake_multi_core(num_cores=len(traces))
     )
-    shared = SharedMemory(system)
-    hierarchies: list[MemoryHierarchy] = [
-        build_hierarchy(scenario, config=system, shared=shared, core_id=core_id)
-        for core_id in range(len(traces))
-    ]
+    if hierarchies is None:
+        hierarchies = build_mix_hierarchies(scenario, system, len(traces))
+    fused = []
+    for core_id, hierarchy in enumerate(hierarchies):
+        reason = batch_unsupported_reason(hierarchy)
+        if system.sim_core == "batch" and reason is not None:
+            _note_scalar_fallback(f"core {core_id}: {reason}")
+        fused.append(system.sim_core == "batch" and reason is None)
+    splits = [trace.split(warmup_fraction) for trace in traces]
 
-    warmups = []
-    measured = []
-    for trace in traces:
-        warm, meas = trace.split(warmup_fraction)
-        warmups.append(warm)
-        measured.append(meas)
-
-    # Warm-up: run each core's warm-up slice (shared caches and predictors
-    # learn; timing contention during warm-up is irrelevant).
-    for hierarchy, warm in zip(hierarchies, warmups):
-        runner = CoreRunner(system.core, _make_callback(hierarchy))
-        runner.run_trace(warm)
+    # Warm-up: run each core's warm-up slice in turn (shared caches and
+    # predictors learn; timing contention during warm-up is irrelevant).
+    for core_id, (hierarchy, (warm, _)) in enumerate(zip(hierarchies, splits)):
+        runner = CoreRunner(system.core, hierarchy.demand_access)
+        if fused[core_id]:
+            run_core_trace_batched(runner, warm, hierarchy, DEFAULT_CHUNK_RECORDS)
+        else:
+            runner.run_trace(warm)
     for index, hierarchy in enumerate(hierarchies):
         hierarchy.reset_stats(include_shared=(index == 0))
 
-    # Measured phase: interleave the cores in dispatch-time order so that
-    # they contend for the shared DRAM channel.  The record streams are
-    # consumed as column lists (pc, vaddr, kind) -- no record objects are
-    # materialized on this path.
-    runners = [
-        CoreRunner(system.core, _make_callback(hierarchy))
-        for hierarchy in hierarchies
+    # Measured phase: resume the core whose pending load/store dispatches
+    # first (ties to the lower core id).  Every core starts pending at -inf:
+    # its first resume only runs compute records up to its first load/store.
+    runners = [CoreRunner(system.core, h.demand_access) for h in hierarchies]
+    steppers = [
+        fused_core_stepper(runner, measured, hierarchy, DEFAULT_CHUNK_RECORDS)
+        if fused[core_id] else _scalar_stepper(runner, measured)
+        for core_id, (runner, hierarchy, (_, measured)) in enumerate(
+            zip(runners, hierarchies, splits)
+        )
     ]
-    columns = [trace_lists(trace) for trace in measured]
-    positions = [0] * len(traces)
-    lengths = [len(pcs) for pcs, _, _ in columns]
-    active = [length > 0 for length in lengths]
-    while any(active):
-        best_core = -1
-        best_cycle = float("inf")
-        for core_id, runner in enumerate(runners):
-            if not active[core_id]:
-                continue
-            cycle = runner.next_dispatch_cycle
-            if cycle < best_cycle:
-                best_cycle = cycle
-                best_core = core_id
-        runner = runners[best_core]
-        position = positions[best_core]
-        pcs, vaddrs, kinds = columns[best_core]
-        runner.step_values(pcs[position], vaddrs[position], kinds[position])
-        positions[best_core] = position + 1
-        if position + 1 >= lengths[best_core]:
-            active[best_core] = False
+    heap = [(float("-inf"), core_id) for core_id in range(len(steppers))]
+    while heap:
+        core_id = heap[0][1]
+        cycle = next(steppers[core_id], None)
+        if cycle is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, (cycle, core_id))
 
     results: list[CoreResult] = [runner.finish() for runner in runners]
     for hierarchy in hierarchies:
         hierarchy.finalize()
 
-    dram_stats = shared.dram.stats
+    dram_stats = hierarchies[0].dram.stats
     return MultiCoreResult(
         mix_name=mix_name or "+".join(trace.name for trace in traces),
         scenario=scenario.name,
@@ -133,8 +144,11 @@ def run_multicore_mix(
     )
 
 
-def _make_callback(hierarchy: MemoryHierarchy):
-    def access(pc: int, vaddr: int, cycle: int, is_write: bool):
-        return hierarchy.demand_access(pc, vaddr, cycle, is_write=is_write)
+def _scalar_stepper(runner: CoreRunner, trace):
+    """Scalar reference stepper: pauses before each load/store."""
+    step = runner.step_values
+    for pc, vaddr, kind in zip(*trace_lists(trace)):
+        if kind != KIND_NON_MEM:
+            yield runner.next_dispatch_cycle
+        step(pc, vaddr, kind)
 
-    return access

@@ -5,10 +5,11 @@ change: for every supported component combination it must produce results
 **bit-identical** to the record-at-a-time scalar path, and it must silently
 fall back to that path for combinations it does not model.  These tests pin
 both properties across every scheme, every L1D prefetcher, every trace
-family (GAP generator, SPEC-like generator, imported ChampSim fixture), the
-vectorized hashing/perceptron primitives the batch core is built from, and
-the plumbing that routes ``core="batch"`` through configs and the API
-facade without perturbing cache keys.
+family (GAP generator, SPEC-like generator, imported ChampSim fixture),
+multi-core mixes on both cores against the per-instruction interleave they
+replaced, the vectorized hashing/perceptron primitives the batch core is
+built from, and the plumbing that routes ``core="batch"`` through configs
+and the API facade without perturbing cache keys.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from repro.common.hashing import (
     table_index,
     table_index_np,
 )
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.common.types import MemLevel
+from repro.cpu.core import CoreRunner
+from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.memory.replacement import SRRIPPolicy
 from repro.obs import tracer
 from repro.predictors.features import FeatureSpec
@@ -45,16 +48,23 @@ from repro.predictors.perceptron import HashedPerceptron
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
+from repro.sim import multi_core
 from repro.sim.batch import (
+    DEFAULT_CHUNK_RECORDS,
     batch_supported,
     batch_unsupported_reason,
     run_single_core_batched,
 )
-from repro.sim.engine import single_core_point
-from repro.sim.multi_core import run_multicore_mix
+from repro.sim.engine import build_workload_trace, single_core_point
+from repro.sim.multi_core import (
+    MultiCoreResult,
+    build_mix_hierarchies,
+    run_multicore_mix,
+)
 from repro.sim.scenarios import SCHEMES, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.ingest import read_champsim_trace
+from repro.traces.trace import trace_lists
 from repro.workloads import gap_trace, spec_like_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -324,20 +334,199 @@ class TestFallbacks:
         warnings_seen = [m for m in caplog.messages if reason in m]
         assert len(warnings_seen) == 1
 
-    def test_multicore_runs_scalar_regardless_of_core(self, spec_mcf_trace):
-        traces = [spec_mcf_trace, spec_mcf_trace]
-        scenario = build_scenario("tlp")
-        results = {}
-        for core in ("scalar", "batch"):
-            config = dataclasses.replace(
-                cascade_lake_multi_core(num_cores=2), sim_core=core
-            )
-            results[core] = run_multicore_mix(
-                traces, scenario, config=config, mix_name="mix"
-            )
-        assert dataclasses.asdict(results["batch"]) == (
-            dataclasses.asdict(results["scalar"])
+
+# ----------------------------------------------------------------------
+# Multi-core: the memory-event merge vs. the per-instruction interleave
+# ----------------------------------------------------------------------
+def _oracle_multicore_mix(
+    traces, scenario, config, warmup_fraction=0.2, mix_name=None,
+    hierarchies=None,
+) -> MultiCoreResult:
+    """The per-instruction interleave the merge replaced, kept as the oracle.
+
+    Always scalar: every step advances the core with the smallest next
+    dispatch cycle (ties to the lower core id) by one instruction.
+    """
+    if hierarchies is None:
+        hierarchies = build_mix_hierarchies(scenario, config, len(traces))
+    splits = [trace.split(warmup_fraction) for trace in traces]
+    for hierarchy, (warm, _) in zip(hierarchies, splits):
+        CoreRunner(config.core, hierarchy.demand_access).run_trace(warm)
+    for index, hierarchy in enumerate(hierarchies):
+        hierarchy.reset_stats(include_shared=(index == 0))
+    runners = [CoreRunner(config.core, h.demand_access) for h in hierarchies]
+    columns = [trace_lists(measured) for _, measured in splits]
+    positions = [0] * len(traces)
+    active = [len(pcs) > 0 for pcs, _, _ in columns]
+    while any(active):
+        best_core, best_cycle = -1, float("inf")
+        for core_id, runner in enumerate(runners):
+            if active[core_id] and runner.next_dispatch_cycle < best_cycle:
+                best_core, best_cycle = core_id, runner.next_dispatch_cycle
+        pcs, vaddrs, kinds = columns[best_core]
+        position = positions[best_core]
+        runners[best_core].step_values(
+            pcs[position], vaddrs[position], kinds[position]
         )
+        positions[best_core] = position + 1
+        active[best_core] = position + 1 < len(pcs)
+    results = [runner.finish() for runner in runners]
+    for hierarchy in hierarchies:
+        hierarchy.finalize()
+    dram_stats = hierarchies[0].dram.stats
+    return MultiCoreResult(
+        mix_name=mix_name or "+".join(trace.name for trace in traces),
+        scenario=scenario.name,
+        workloads=[trace.name for trace in traces],
+        ipcs=[result.ipc for result in results],
+        instructions=[result.instructions for result in results],
+        dram_transactions=dram_stats.total_transactions,
+        dram_transactions_by_source=dram_stats.by_source(),
+        per_core_dram_demand=[
+            h.stats.served_by[MemLevel.DRAM] for h in hierarchies
+        ],
+    )
+
+
+MIX_ACCESSES = 600
+HETERO_MIX = ("bfs.urand", "spec.mcf_like", "spec.lbm_like", "cc.road")
+
+
+def _mix_system(core: str, num_cores: int = 4, bandwidth: float = 3.2):
+    system = cascade_lake_multi_core(num_cores=num_cores)
+    return dataclasses.replace(
+        system.with_dram_bandwidth(bandwidth), sim_core=core
+    )
+
+
+@pytest.fixture(scope="module")
+def mix_traces():
+    return {
+        workload: build_workload_trace(workload, MIX_ACCESSES, "tiny")
+        for workload in HETERO_MIX
+    }
+
+
+@pytest.fixture
+def fused_cores(monkeypatch):
+    """Core ids whose measured phase ran on the fused stepper."""
+    seen = []
+    real = multi_core.fused_core_stepper
+
+    def spy(runner, trace, hierarchy, *args):
+        seen.append(hierarchy.core_id)
+        return real(runner, trace, hierarchy, *args)
+
+    monkeypatch.setattr(multi_core, "fused_core_stepper", spy)
+    return seen
+
+
+class TestMultiCoreEquivalence:
+    """Both cores' memory-event merge == the per-instruction oracle."""
+
+    def _check(self, traces, scheme, prefetcher="ipcp", bandwidth=3.2,
+               warmup_fraction=0.25):
+        scenario = build_scenario(scheme, l1d_prefetcher=prefetcher)
+        oracle = _oracle_multicore_mix(
+            traces, scenario, _mix_system("scalar", len(traces), bandwidth),
+            warmup_fraction=warmup_fraction,
+        )
+        assert oracle.dram_transactions > 0
+        for core in ("scalar", "batch"):
+            result = run_multicore_mix(
+                traces, build_scenario(scheme, l1d_prefetcher=prefetcher),
+                config=_mix_system(core, len(traces), bandwidth),
+                warmup_fraction=warmup_fraction,
+            )
+            assert dataclasses.asdict(result) == dataclasses.asdict(oracle), core
+
+    @pytest.mark.parametrize("scheme,prefetcher", [
+        ("baseline", "ipcp"), ("hermes", "ipcp"), ("tlp", "ipcp"),
+        ("ppf", "ipcp"), ("tlp", "berti"),
+    ])
+    def test_homogeneous_ties(self, mix_traces, scheme, prefetcher, fused_cores):
+        """Four identical bfs.urand traces tie on (cycle, core id) at every
+        step until the shared LLC/DRAM makes them diverge."""
+        self._check([mix_traces["bfs.urand"]] * 4, scheme, prefetcher)
+        assert fused_cores == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("scheme,prefetcher", [
+        ("baseline", "ipcp"), ("hermes", "ipcp"), ("tlp", "ipcp"),
+        ("ppf", "ipcp"), ("tlp", "berti"),
+    ])
+    def test_heterogeneous(self, mix_traces, scheme, prefetcher):
+        self._check([mix_traces[w] for w in HETERO_MIX], scheme, prefetcher)
+
+    @pytest.mark.parametrize("bandwidth", [1.6, 3.2])
+    def test_per_core_bandwidth(self, mix_traces, bandwidth):
+        self._check(
+            [mix_traces[w] for w in HETERO_MIX], "tlp", bandwidth=bandwidth
+        )
+
+    def test_two_core_mix(self, mix_traces):
+        self._check(
+            [mix_traces["bfs.urand"], mix_traces["spec.mcf_like"]], "tlp"
+        )
+
+    @pytest.mark.parametrize("chunk_records", [1, 61, DEFAULT_CHUNK_RECORDS])
+    def test_chunk_sizes(self, mix_traces, chunk_records, monkeypatch):
+        monkeypatch.setattr(multi_core, "DEFAULT_CHUNK_RECORDS", chunk_records)
+        # A quarter of each trace keeps the one-record chunks affordable.
+        self._check(
+            [mix_traces[w][: len(mix_traces[w]) // 4] for w in HETERO_MIX],
+            "tlp",
+        )
+
+    def test_no_warmup(self, mix_traces):
+        self._check(
+            [mix_traces[w] for w in HETERO_MIX], "tlp", warmup_fraction=0.0
+        )
+
+    def test_unequal_trace_lengths(self, mix_traces):
+        traces = [
+            mix_traces[w][: len(mix_traces[w]) * (k + 1) // 4]
+            for k, w in enumerate(HETERO_MIX)
+        ]
+        assert len({len(trace) for trace in traces}) == 4
+        self._check(traces, "tlp")
+
+    def test_per_core_fallback(self, tmp_path, mix_traces, fused_cores):
+        """Core 2 runs an unmodelled predictor: only it drops to scalar."""
+        traces = [mix_traces[w] for w in HETERO_MIX]
+
+        def hierarchies(system):
+            shared = SharedMemory(system)
+            return [
+                build_hierarchy(
+                    build_scenario("delayed_tsp" if core_id == 2 else "tlp"),
+                    config=system, shared=shared, core_id=core_id,
+                )
+                for core_id in range(4)
+            ]
+
+        oracle = _oracle_multicore_mix(
+            traces, build_scenario("tlp"), _mix_system("scalar"),
+            hierarchies=hierarchies(_mix_system("scalar")),
+        )
+        tracer.configure(tmp_path, proc="t-mix-fallback")
+        try:
+            result = run_multicore_mix(
+                traces, build_scenario("tlp"), config=_mix_system("batch"),
+                hierarchies=hierarchies(_mix_system("batch")),
+            )
+            tracer.shutdown()
+        finally:
+            tracer.disable()
+        assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
+        assert fused_cores == [0, 1, 3]
+        events = [
+            record for record in tracer.load_run(tmp_path)
+            if record.get("name") == "sim.batch.fallback"
+        ]
+        assert len(events) == 1
+        reason = events[0]["attrs"]["reason"]
+        assert reason.startswith("core 2: ")
+        assert "unmodelled off-chip predictor" in reason
 
 
 class TestVectorizedHashing:

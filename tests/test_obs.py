@@ -202,9 +202,13 @@ class TestEngineTelemetry:
             "mix", ["bfs.urand", "spec.mcf_like"], "baseline", "ipcp",
             memory_accesses=300, warmup_fraction=0.25,
         )
+        mix_fallback = multi_core_point(
+            "mix", ["bfs.urand", "spec.mcf_like"], "delayed_tsp", "ipcp",
+            memory_accesses=300, warmup_fraction=0.25,
+        )
         tracer.configure(tmp_path / "tele", proc="t1")
         CampaignEngine(result_cache=None, sim_core="batch").run(
-            [fused, fallback, mix], jobs=1
+            [fused, fallback, mix, mix_fallback], jobs=1
         )
         tracer.flush()
         cores = {
@@ -215,7 +219,8 @@ class TestEngineTelemetry:
         assert cores == {
             fused.label: "batch",
             fallback.label: "scalar",
-            mix.label: "scalar",
+            mix.label: "batch",
+            mix_fallback.label: "scalar",
         }
 
     def test_results_bit_identical_with_telemetry(self, tmp_path):
