@@ -30,6 +30,10 @@ Three metrics per scenario:
   per core) on both cores; ``speedup_vs_scalar`` is the per-mix ratio and
   ``--check`` fails when any mix's batch run is slower than its scalar
   run (same machine, same run, no calibration scaling);
+* ``hierarchy_build`` -- median milliseconds to build the single-core
+  TLP/IPCP hierarchy and the 4-core hierarchy set over one shared LLC
+  (the fixed cost every point pays before its first access); ``--check``
+  fails when either exceeds 3x its baseline, scaled by machine speed;
 * ``store_load`` (per workload) -- trace-store load throughput in
   records/sec: memory-mapping a stored trace back (header parse + mmap +
   touching every column element), i.e. what a campaign worker pays instead
@@ -66,8 +70,8 @@ import time
 from pathlib import Path
 
 from repro.common.config import cascade_lake_multi_core, cascade_lake_single_core
-from repro.sim.multi_core import run_multicore_mix
-from repro.sim.scenarios import build_scenario
+from repro.sim.multi_core import build_mix_hierarchies, run_multicore_mix
+from repro.sim.scenarios import build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.workloads.gap import gap_trace
 from repro.workloads.spec_like import spec_like_trace
@@ -93,6 +97,10 @@ MULTICORE_MIXES = (
     ("hetero.bfs_mcf_lbm_road",
      ("bfs.urand", "spec.mcf_like", "spec.lbm_like", "cc.road")),
 )
+
+#: --check fails when a hierarchy build takes more than this multiple of
+#: its (machine-scaled) baseline.
+HIERARCHY_BUILD_CEILING = 3.0
 
 BASELINE_PATH = Path(__file__).resolve().parent / "throughput_baseline.json"
 DEFAULT_OUTPUT = "BENCH_throughput.json"
@@ -238,6 +246,30 @@ def measure_multi_core(accesses: int, repeats: int, warmup_fraction: float) -> d
     return rows
 
 
+def measure_hierarchy_build(repeats: int = 9) -> dict:
+    """Median build time of the single-core and the 4-core TLP/IPCP
+    hierarchies, in milliseconds."""
+    scenario = build_scenario("tlp", l1d_prefetcher="ipcp")
+    builds = {
+        "single_core_ms": lambda: build_hierarchy(
+            scenario, config=cascade_lake_single_core()
+        ),
+        "multi_core_4_ms": lambda: build_mix_hierarchies(
+            scenario, cascade_lake_multi_core(num_cores=4), 4
+        ),
+    }
+    row = {}
+    for name, build in builds.items():
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            build()
+            samples.append(time.perf_counter() - start)
+        samples.sort()
+        row[name] = round(samples[len(samples) // 2] * 1e3, 2)
+    return row
+
+
 def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0.25) -> dict:
     """Run every scenario ``repeats`` times and report the best throughput."""
     traces = {}
@@ -304,6 +336,7 @@ def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0
         "scenarios": results,
         "core_batch": core_batch,
         "multi_core": measure_multi_core(accesses, repeats, warmup_fraction),
+        "hierarchy_build": measure_hierarchy_build(),
         "construction": construction,
         "store_load": store_load,
         "figure_campaign": measure_figure_campaign(),
@@ -408,6 +441,14 @@ def main(argv=None) -> int:
         baseline_entry = baseline_multi.get(name)
         if baseline_entry:
             line += f"  (baseline {baseline_entry['speedup_vs_scalar']:.2f}x)"
+        print(line)
+
+    baseline_build = (baseline or {}).get("hierarchy_build", {})
+    print("hierarchy build (tlp/ipcp, median):")
+    for name, ms in report["hierarchy_build"].items():
+        line = f"  {name:<24} {ms:>10.2f} ms"
+        if baseline_build.get(name):
+            line += f"  (baseline {baseline_build[name]:.2f} ms)"
         print(line)
 
     print(f"trace construction ({args.accesses} memory accesses, best of {args.repeats}):")
@@ -545,6 +586,29 @@ def main(argv=None) -> int:
             Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
             return 1
         print("multi-core batch check passed: every mix >= 1.0x its scalar run")
+
+    if args.check and baseline_build:
+        # The baseline row carries the calibration score of its own host;
+        # a slower machine gets a proportionally higher ceiling.
+        scale = 1.0
+        if baseline_build.get("calibration_score"):
+            score = report.get("calibration_score") or calibration_score()
+            scale = score / baseline_build["calibration_score"]
+        slow = {
+            name: ms
+            for name, ms in report["hierarchy_build"].items()
+            if baseline_build.get(name)
+            and ms > HIERARCHY_BUILD_CEILING * baseline_build[name] / scale
+        }
+        if slow:
+            print(f"HIERARCHY BUILD REGRESSION (over "
+                  f"{HIERARCHY_BUILD_CEILING:.0f}x the baseline, machine "
+                  f"scale {scale:.2f}x): {slow}")
+            Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
+            return 1
+        print(f"hierarchy build check passed: every build <= "
+              f"{HIERARCHY_BUILD_CEILING:.0f}x its baseline "
+              f"(machine scale {scale:.2f}x)")
 
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(f"report written to {args.output}")

@@ -5,7 +5,6 @@ from repro.memory.dram import DRAMModel
 from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
 from repro.memory.mshr import MSHR
 from repro.memory.paging import PageTable
-from repro.memory.replacement import LRUPolicy, ReplacementPolicy
 
 __all__ = [
     "Cache",
@@ -15,6 +14,4 @@ __all__ = [
     "PrefetchRecord",
     "MSHR",
     "PageTable",
-    "LRUPolicy",
-    "ReplacementPolicy",
 ]

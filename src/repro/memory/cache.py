@@ -16,26 +16,26 @@ from typing import Callable, Optional
 
 from repro.common.config import CacheConfig
 from repro.memory.mshr import MSHR
-from repro.memory.replacement import ReplacementPolicy, make_policy
 
 
 @dataclass(slots=True)
 class CacheBlock:
     """Metadata for one resident cache block.
 
-    ``ready_cycle`` is the cycle at which the fill actually arrives; a demand
-    access that hits the block earlier must wait for the remainder (this is
-    how the model charges the latency of in-flight prefetches instead of
-    making prefetched data magically available at issue time).
+    ``slot`` is the block's index into its cache's flat per-way arrays
+    (``set_index * associativity + way``).  ``ready_cycle`` is the cycle at
+    which the fill actually arrives; a demand access that hits the block
+    earlier must wait for the remainder (this is how the model charges the
+    latency of in-flight prefetches instead of making prefetched data
+    magically available at issue time).
     """
 
     block_addr: int
-    valid: bool = True
+    slot: int
     dirty: bool = False
     prefetched: bool = False
     prefetch_useful: bool = False
     prefetch_source_level: Optional[int] = None
-    fill_cycle: int = 0
     ready_cycle: int = 0
 
 
@@ -80,67 +80,64 @@ class EvictionInfo:
 
 
 class Cache:
-    """A set-associative, write-back cache with LRU replacement by default.
+    """A set-associative, write-back cache with LRU replacement.
 
     Addresses handled by the cache are *block addresses* (byte address
     shifted right by 6); callers are responsible for the conversion, which
     keeps the hot path cheap.
+
+    Block ``b`` maps to set ``b % num_sets`` (the fused fill of
+    :mod:`repro.sim.batch` inlines this and :meth:`fill`).  Replacement
+    state is flat and per cache, not per set.  Way ``w`` of set ``s`` is
+    slot ``s * associativity + w`` of ``_stamps`` (the slot's LRU access
+    stamp) and of ``_way_blocks`` (the block it holds).  A set's occupied
+    ways are always a prefix of its slots -- a fill takes the next free
+    one and :meth:`invalidate` moves the set's last block into the hole --
+    so ``_set_fill[s]`` alone tracks its free ways.  Every fill and hit
+    takes a fresh stamp from the cache's one ``_clock``, so the stamps of a
+    set are unique and the first minimum of a full set is exactly its least
+    recently used block.
     """
 
     def __init__(
         self,
         config: CacheConfig,
-        replacement: str = "lru",
         eviction_listener: Optional[Callable[[EvictionInfo], None]] = None,
     ) -> None:
         self.config = config
         self.name = config.name
         self.num_sets = config.num_sets
         self.associativity = config.associativity
+        if self.num_sets <= 0 or self.associativity <= 0:
+            raise ValueError(
+                f"{self.name}: a cache needs at least one set and one way, "
+                f"got {self.num_sets} x {self.associativity}"
+            )
         self.latency = config.latency
-        self._sets: list[dict[int, CacheBlock]] = [
-            {} for _ in range(self.num_sets)
-        ]
-        self._policies: list[ReplacementPolicy] = [
-            make_policy(replacement, self.associativity)
-            for _ in range(self.num_sets)
-        ]
-        # way assignment per set: block_addr -> way index, plus the reverse
-        # map way -> block_addr so victim resolution is O(1) instead of a
-        # linear scan over the set.
-        self._ways: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self._way_contents: list[list[Optional[int]]] = [
-            [None] * self.associativity for _ in range(self.num_sets)
-        ]
-        self._free_ways: list[list[int]] = [
-            list(range(self.associativity)) for _ in range(self.num_sets)
-        ]
+        slots = self.num_sets * self.associativity
+        self._blocks: dict[int, CacheBlock] = {}
+        self._stamps: list[int] = [0] * slots
+        self._way_blocks: list[Optional[CacheBlock]] = [None] * slots
+        self._set_fill: list[int] = [0] * self.num_sets
+        self._clock = 0
         self.mshr = MSHR(config.mshr_entries)
         self.stats = CacheStats()
         self._eviction_listener = eviction_listener
 
     # ------------------------------------------------------------------
-    # Indexing helpers
+    # Residency probes
     # ------------------------------------------------------------------
-    def set_index(self, block_addr: int) -> int:
-        """Return the set index for a block address.
-
-        The hot accessors (lookup/fill/resident/get_block) inline this
-        computation; keep them in sync if the indexing scheme ever changes.
-        """
-        return block_addr % self.num_sets
-
     def resident(self, block_addr: int) -> bool:
         """Non-intrusive residency probe (does not update replacement state).
 
         Used by the Hermes prediction-breakdown analysis (Figure 4) to find
         where a block lives without perturbing the simulation.
         """
-        return block_addr in self._sets[block_addr % self.num_sets]
+        return block_addr in self._blocks
 
     def get_block(self, block_addr: int) -> Optional[CacheBlock]:
         """Return the resident block metadata, if present (non-intrusive)."""
-        return self._sets[block_addr % self.num_sets].get(block_addr)
+        return self._blocks.get(block_addr)
 
     # ------------------------------------------------------------------
     # Access path
@@ -151,10 +148,9 @@ class Cache:
         Returns True on hit.  On a hit to a not-yet-used prefetched block the
         block is marked useful and the ``prefetch_hits`` counter incremented.
         """
-        set_idx = block_addr % self.num_sets
         stats = self.stats
         stats.demand_accesses += 1
-        block = self._sets[set_idx].get(block_addr)
+        block = self._blocks.get(block_addr)
         if block is None:
             stats.demand_misses += 1
             return False
@@ -164,8 +160,8 @@ class Cache:
             stats.prefetch_hits += 1
         if is_write:
             block.dirty = True
-        way = self._ways[set_idx][block_addr]
-        self._policies[set_idx].on_hit(way)
+        self._clock += 1
+        self._stamps[block.slot] = self._clock
         return True
 
     def probe_prefetch(self, block_addr: int) -> bool:
@@ -174,7 +170,7 @@ class Cache:
         Unlike :meth:`lookup`, this does not count as a demand access and
         does not update replacement state.
         """
-        return self.resident(block_addr)
+        return block_addr in self._blocks
 
     def fill(
         self,
@@ -193,9 +189,7 @@ class Cache:
         """
         if ready_cycle is None:
             ready_cycle = cycle
-        set_idx = block_addr % self.num_sets
-        cache_set = self._sets[set_idx]
-        existing = cache_set.get(block_addr)
+        existing = self._blocks.get(block_addr)
         if existing is not None:
             # Fill races with an earlier fill of the same block: keep the
             # stronger attribution (a demand fill overrides prefetched).
@@ -208,26 +202,30 @@ class Cache:
             return None
 
         eviction: Optional[EvictionInfo] = None
-        free_ways = self._free_ways[set_idx]
-        if not free_ways:
-            victim_way = self._policies[set_idx].victim()
-            victim_addr = self._way_contents[set_idx][victim_way]
-            if victim_addr is not None:
-                eviction = self._evict(set_idx, victim_addr)
-        way = free_ways.pop()
+        set_idx = block_addr % self.num_sets
+        ways = self.associativity
+        base = set_idx * ways
+        used = self._set_fill[set_idx]
+        if used < ways:
+            slot = base + used
+            self._set_fill[set_idx] = used + 1
+        else:
+            stamps = self._stamps
+            slot = stamps.index(min(stamps[base:base + ways]), base)
+            eviction = self._evict(self._way_blocks[slot])
 
         block = CacheBlock(
             block_addr=block_addr,
+            slot=slot,
             prefetched=prefetched,
             prefetch_source_level=prefetch_source_level,
             dirty=dirty,
-            fill_cycle=cycle,
             ready_cycle=ready_cycle,
         )
-        cache_set[block_addr] = block
-        self._ways[set_idx][block_addr] = way
-        self._way_contents[set_idx][way] = block_addr
-        self._policies[set_idx].on_fill(way)
+        self._blocks[block_addr] = block
+        self._way_blocks[slot] = block
+        self._clock += 1
+        self._stamps[slot] = self._clock
         if prefetched:
             self.stats.prefetch_fills += 1
         else:
@@ -236,23 +234,29 @@ class Cache:
 
     def invalidate(self, block_addr: int) -> bool:
         """Remove a block (used for coherence-like invalidations in tests)."""
-        set_idx = self.set_index(block_addr)
-        if block_addr not in self._sets[set_idx]:
+        block = self._blocks.get(block_addr)
+        if block is None:
             return False
-        self._evict(set_idx, block_addr)
+        self._evict(block)
+        # Keep the set's occupied ways a prefix: its last one fills the hole.
+        set_idx = block_addr % self.num_sets
+        used = self._set_fill[set_idx] - 1
+        self._set_fill[set_idx] = used
+        last = set_idx * self.associativity + used
+        if block.slot != last:
+            moved = self._way_blocks[last]
+            moved.slot = block.slot
+            self._way_blocks[block.slot] = moved
+            self._stamps[block.slot] = self._stamps[last]
+        self._way_blocks[last] = None
         return True
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _addr_in_way(self, set_idx: int, way: int) -> Optional[int]:
-        return self._way_contents[set_idx][way]
-
-    def _evict(self, set_idx: int, block_addr: int) -> EvictionInfo:
-        block = self._sets[set_idx].pop(block_addr)
-        way = self._ways[set_idx].pop(block_addr)
-        self._way_contents[set_idx][way] = None
-        self._free_ways[set_idx].append(way)
+    def _evict(self, block: CacheBlock) -> EvictionInfo:
+        """Drop ``block`` and account for it; the caller reuses its slot."""
+        del self._blocks[block.block_addr]
         self.stats.evictions += 1
         if block.dirty:
             self.stats.writebacks += 1
@@ -262,7 +266,7 @@ class Cache:
             else:
                 self.stats.useless_prefetch_evictions += 1
         info = EvictionInfo(
-            block_addr=block_addr,
+            block_addr=block.block_addr,
             was_prefetched=block.prefetched,
             prefetch_was_useful=block.prefetch_useful,
             was_dirty=block.dirty,
@@ -280,21 +284,15 @@ class Cache:
 
     def occupancy(self) -> float:
         """Fraction of cache capacity currently valid."""
-        resident_blocks = sum(len(s) for s in self._sets)
-        return resident_blocks / (self.num_sets * self.associativity)
+        return len(self._blocks) / (self.num_sets * self.associativity)
 
     def resident_blocks(self) -> list[int]:
         """Return all resident block addresses (for inspection and tests)."""
-        blocks: list[int] = []
-        for cache_set in self._sets:
-            blocks.extend(cache_set.keys())
-        return blocks
+        return list(self._blocks)
 
     def unused_prefetched_blocks(self) -> int:
         """Count resident prefetched blocks never touched by a demand access."""
-        count = 0
-        for cache_set in self._sets:
-            for block in cache_set.values():
-                if block.prefetched and not block.prefetch_useful:
-                    count += 1
-        return count
+        return sum(
+            1 for block in self._blocks.values()
+            if block.prefetched and not block.prefetch_useful
+        )

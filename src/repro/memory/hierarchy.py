@@ -25,6 +25,7 @@ The demand access flow mirrors the paper's Figure 9:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,8 +142,18 @@ class MemoryHierarchy:
         self.config = config
         self.core_id = core_id
         self.shared = shared if shared is not None else SharedMemory(config)
-        self.l1d = Cache(config.l1d, eviction_listener=self._on_l1d_eviction)
-        self.l2c = Cache(config.l2c, eviction_listener=self._on_l2c_eviction)
+        # The private caches report evictions through a weak reference: a
+        # bound method would make hierarchy <-> cache a reference cycle, and
+        # a finished hierarchy would then wait for the cyclic GC to free it.
+        owner = weakref.ref(self)
+        self.l1d = Cache(
+            config.l1d,
+            eviction_listener=lambda info: owner()._on_l1d_eviction(info),
+        )
+        self.l2c = Cache(
+            config.l2c,
+            eviction_listener=lambda info: owner()._on_l2c_eviction(info),
+        )
         self.page_table = PageTable(core_id=core_id)
         self.l1d_prefetcher = l1d_prefetcher
         self.l2_prefetcher = l2_prefetcher

@@ -20,37 +20,39 @@ This module restructures the hot path around trace *chunks*:
    (weights *do*, so weight sums stay in the serialized loop below).
 
 2. **Fused serialized loop** -- the stateful remainder (core dispatch/ROB
-   timing, page translation, the L1D->L2C->LLC->DRAM walk with per-set LRU
+   timing, page translation, the L1D->L2C->LLC->DRAM walk with its LRU
    updates, speculative DRAM requests, perceptron weight sums and
    saturating training) runs in one Python loop with the per-record bodies
    of ``CoreRunner.step_values``, ``MemoryHierarchy.demand_access``,
-   ``MemoryHierarchy._walk_below_l1d``, ``Cache.lookup``, ``LRUPolicy``,
+   ``MemoryHierarchy._walk_below_l1d``, ``Cache.lookup``,
    ``DRAMModel.access`` and ``HashedPerceptron.predict``/``train`` inlined
-   over the precomputed index columns.  Pure counters accumulate in locals
-   and flush once per chunk.  The prefetch machinery is fused too: the
-   recognised L1D prefetchers (IPCP, Berti) expose
+   over the precomputed index columns.  A cache's LRU state is flat: one
+   block dict keyed by block address, per-way stamp and block lists
+   indexed by each block's ``slot``, and one clock per cache, so an
+   inlined hit is a dict probe plus one stamp store.  Pure counters
+   accumulate in locals and flush once per chunk.  The prefetch machinery
+   is fused too: the recognised L1D prefetchers (IPCP, Berti) expose
    ``begin_batch``/``step_batch`` kernels -- per-chunk numpy precompute
    plus a thin order-dependent step -- and the loop drives SPP lookahead
    walks (``SPPPrefetcher.step``), PPF and SLP filter consults/training
    (``consult_step``/``train_step``) and cache fills (via
-   :func:`_make_inline_fill`, a positional ``Cache.fill`` + LRU clone)
-   without crossing the per-request object boundary.  The object
+   :func:`_make_inline_fill`, a positional ``Cache.fill`` clone) without
+   crossing the per-request object boundary.  The object
    implementations stay the pinned bit-identical reference; unrecognised
    prefetcher/filter combinations keep the object-call path inside the
    fused loop.
 
 3. **Chunk scheduler with scalar fallback** -- chunks only run fused when
    every component is one the fused loop models exactly (stock
-   :class:`MemoryHierarchy`/:class:`Cache` with LRU sets, and a Null /
-   Hermes / FLP off-chip predictor over the Table I feature set).
-   Anything else -- custom subclasses, SRRIP, exotic predictors -- drops
-   to the pinned scalar reference path; :func:`batch_unsupported_reason`
-   names the offending component, which is logged once per process and
-   emitted as a ``sim.batch.fallback`` observability event on every
-   fallback.  The loop is a per-core generator
-   (:func:`fused_core_stepper`) that pauses before each load/store, so a
-   multi-core mix interleaves its cores on the same kernel and falls back
-   per core (:mod:`repro.sim.multi_core`).
+   :class:`MemoryHierarchy`/:class:`Cache`, and a Null / Hermes / FLP
+   off-chip predictor over the Table I feature set).  Anything else --
+   custom subclasses, exotic predictors -- drops to the pinned scalar
+   reference path; :func:`batch_unsupported_reason` names the offending
+   component, which is logged once per process and emitted as a
+   ``sim.batch.fallback`` observability event on every fallback.  The
+   loop is a per-core generator (:func:`fused_core_stepper`) that pauses
+   before each load/store, so a multi-core mix interleaves its cores on
+   the same kernel and falls back per core (:mod:`repro.sim.multi_core`).
 
 The batch core is selected with ``SystemConfig(sim_core="batch")`` /
 ``--core batch`` and is bit-identical to the scalar path by construction:
@@ -74,7 +76,6 @@ from repro.core.slp import SecondLevelPerceptron
 from repro.cpu.core import CoreRunner
 from repro.memory.cache import Cache, CacheBlock, EvictionInfo
 from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
-from repro.memory.replacement import LRUPolicy
 from repro.obs import tracer as obs_tracer
 from repro.predictors.base import NullOffChipPredictor
 from repro.predictors.hermes import HermesPredictor
@@ -104,13 +105,6 @@ _PK_HERMES = 1
 _PK_FLP = 2
 
 
-def _cache_is_fusible(cache: Cache) -> bool:
-    """The fused loop inlines Cache.lookup + LRU; require the stock shapes."""
-    return type(cache) is Cache and all(
-        type(policy) is LRUPolicy for policy in cache._policies
-    )
-
-
 def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
     """Why ``hierarchy`` cannot run fused, or None when it can.
 
@@ -121,13 +115,12 @@ def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
     if type(hierarchy) is not MemoryHierarchy:
         return f"hierarchy subclass {type(hierarchy).__name__}"
     for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
-        if not _cache_is_fusible(cache):
-            detail = (
-                type(cache).__name__
-                if type(cache) is not Cache
-                else "non-LRU replacement policy"
+        # The fused loop inlines Cache.lookup/fill over the flat LRU state.
+        if type(cache) is not Cache:
+            return (
+                f"{cache.name}: unmodelled cache shape"
+                f" ({type(cache).__name__})"
             )
-            return f"{cache.name}: unmodelled cache shape ({detail})"
     predictor = hierarchy.offchip_predictor
     if type(predictor) is NullOffChipPredictor:
         return None
@@ -242,36 +235,34 @@ def _precompute_offchip_indices(
 
 
 def _make_inline_fill(cache: Cache):
-    """Positional fast-path clone of ``Cache.fill`` with LRU inlined.
+    """Positional fast-path clone of ``Cache.fill`` over the flat LRU state.
 
-    Only valid for :func:`_cache_is_fusible` caches (stock :class:`Cache`
-    over :class:`LRUPolicy` sets) and for fills that never set ``dirty`` --
-    which is every fill the fused loop drives (demand fills and prefetch
-    fills; writes dirty blocks via the lookup path, not fills).  Identical
-    arithmetic and update order to ``Cache.fill`` + ``Cache._evict`` +
-    ``LRUPolicy``; the only shortcut is skipping the
+    Only valid for a stock :class:`Cache` and for fills that never set
+    ``dirty`` -- which is every fill the fused loop drives (demand fills and
+    prefetch fills; writes dirty blocks via the lookup path, not fills).
+    Identical arithmetic and update order to ``Cache.fill`` +
+    ``Cache._evict``; the only shortcut is skipping the
     :class:`EvictionInfo` allocation when the cache has no eviction
-    listener to observe it.
+    listener to observe it.  The clock is read from and written back to the
+    cache on every fill, so a shared LLC stays ordered across the cores of
+    a mix.
     """
-    sets = cache._sets
+    blocks = cache._blocks
+    stamps = cache._stamps
+    way_blocks = cache._way_blocks
+    set_fill = cache._set_fill
     num_sets = cache.num_sets
-    ways_all = cache._ways
-    way_contents = cache._way_contents
-    free_ways_all = cache._free_ways
-    policies = cache._policies
+    ways = cache.associativity
     stats = cache.stats
     listener = cache._eviction_listener
 
     def fill(
         block_addr: int,
-        cycle: int,
         ready_cycle: int,
         prefetched: bool = False,
         prefetch_source_level: Optional[int] = None,
     ) -> None:
-        set_idx = block_addr % num_sets
-        cache_set = sets[set_idx]
-        existing = cache_set.get(block_addr)
+        existing = blocks.get(block_addr)
         if existing is not None:
             # Fill races with an earlier fill of the same block: keep the
             # stronger attribution (a demand fill overrides prefetched).
@@ -280,48 +271,45 @@ def _make_inline_fill(cache: Cache):
             if ready_cycle < existing.ready_cycle:
                 existing.ready_cycle = ready_cycle
             return
-        free_ways = free_ways_all[set_idx]
-        policy = policies[set_idx]
-        if not free_ways:
-            # Stamps are unique (monotone clock per set), so index(min) is
-            # exactly the first-minimal way LRUPolicy.victim() scans for.
-            stamps = policy._stamps
-            victim_way = stamps.index(min(stamps))
-            victim_addr = way_contents[set_idx][victim_way]
-            if victim_addr is not None:
-                victim = cache_set.pop(victim_addr)
-                ways_all[set_idx].pop(victim_addr)
-                way_contents[set_idx][victim_way] = None
-                free_ways.append(victim_way)
-                stats.evictions += 1
-                if victim.dirty:
-                    stats.writebacks += 1
-                if victim.prefetched:
-                    if victim.prefetch_useful:
-                        stats.useful_prefetch_evictions += 1
-                    else:
-                        stats.useless_prefetch_evictions += 1
-                if listener is not None:
-                    listener(
-                        EvictionInfo(
-                            block_addr=victim_addr,
-                            was_prefetched=victim.prefetched,
-                            prefetch_was_useful=victim.prefetch_useful,
-                            was_dirty=victim.dirty,
-                        )
+        set_idx = block_addr % num_sets
+        used = set_fill[set_idx]
+        if used < ways:
+            slot = set_idx * ways + used
+            set_fill[set_idx] = used + 1
+        else:
+            base = set_idx * ways
+            slot = stamps.index(min(stamps[base:base + ways]), base)
+            victim = way_blocks[slot]
+            del blocks[victim.block_addr]
+            stats.evictions += 1
+            if victim.dirty:
+                stats.writebacks += 1
+            if victim.prefetched:
+                if victim.prefetch_useful:
+                    stats.useful_prefetch_evictions += 1
+                else:
+                    stats.useless_prefetch_evictions += 1
+            if listener is not None:
+                listener(
+                    EvictionInfo(
+                        block_addr=victim.block_addr,
+                        was_prefetched=victim.prefetched,
+                        prefetch_was_useful=victim.prefetch_useful,
+                        was_dirty=victim.dirty,
                     )
-        way = free_ways.pop()
-        # Positional CacheBlock args in field order: block_addr, valid,
+                )
+        # Positional CacheBlock args in field order: block_addr, slot,
         # dirty, prefetched, prefetch_useful, prefetch_source_level,
-        # fill_cycle, ready_cycle.
-        cache_set[block_addr] = CacheBlock(
-            block_addr, True, False, prefetched, False,
-            prefetch_source_level, cycle, ready_cycle,
+        # ready_cycle.
+        block = CacheBlock(
+            block_addr, slot, False, prefetched, False,
+            prefetch_source_level, ready_cycle,
         )
-        ways_all[set_idx][block_addr] = way
-        way_contents[set_idx][way] = block_addr
-        policy._clock += 1
-        policy._stamps[way] = policy._clock
+        blocks[block_addr] = block
+        way_blocks[slot] = block
+        clock = cache._clock + 1
+        cache._clock = clock
+        stamps[slot] = clock
         if prefetched:
             stats.prefetch_fills += 1
         else:
@@ -391,14 +379,16 @@ def fused_core_stepper(
     page_table = hierarchy.page_table
     page_map = page_table._mapping
     allocate_frame = page_table._allocate_frame
-    l1_sets, l1_ways, l1_policies = l1d._sets, l1d._ways, l1d._policies
-    l1_num_sets, l1_latency = l1d.num_sets, l1d.latency
-    l2_sets, l2_ways, l2_policies = l2c._sets, l2c._ways, l2c._policies
-    l2_num_sets, l2_latency = l2c.num_sets, l2c.latency
-    llc_sets, llc_ways, llc_policies = llc._sets, llc._ways, llc._policies
-    llc_num_sets, llc_latency = llc.num_sets, llc.latency
-    # Positional fast-path fills (Cache.fill + LRU inlined; sound because
-    # batch_unsupported_reason already required the stock cache shapes).
+    l1_blocks, l1_stamps, l1_latency = l1d._blocks, l1d._stamps, l1d.latency
+    l2_blocks, l2_stamps, l2_latency = l2c._blocks, l2c._stamps, l2c.latency
+    llc_blocks, llc_stamps, llc_latency = (
+        llc._blocks, llc._stamps, llc.latency
+    )
+    # Positional fast-path fills (Cache.fill inlined; sound because
+    # batch_unsupported_reason already required stock caches).  Hits below
+    # bump each cache's own _clock in place rather than a local copy: the
+    # shared LLC's clock also advances in the other cores of a mix while
+    # this stepper is paused at a yield.
     l1_fill = _make_inline_fill(l1d)
     l2_fill = _make_inline_fill(l2c)
     llc_fill = _make_inline_fill(llc)
@@ -462,10 +452,8 @@ def fused_core_stepper(
             spp_step=l2pf.step,
             ppf_consult=(l2flt.consult_step if l2flt is not None else None),
             hstats=hstats,
-            l2_sets=l2_sets,
-            l2_num_sets=l2_num_sets,
-            llc_sets=llc_sets,
-            llc_num_sets=llc_num_sets,
+            l2_blocks=l2_blocks,
+            llc_blocks=llc_blocks,
             l2_fill=l2_fill,
             llc_fill=llc_fill,
             base_latency=l2_latency + llc_latency,
@@ -481,7 +469,7 @@ def fused_core_stepper(
                 return
             for pblock, fill_l2, sig, pdelta, pdepth, pconf in predictions:
                 hstats.l2c_prefetch_candidates += 1
-                if pblock in l2_sets[pblock % l2_num_sets]:
+                if pblock in l2_blocks:
                     hstats.l2c_prefetches_dropped_resident += 1
                     continue
                 if ppf_consult is not None:
@@ -492,15 +480,15 @@ def fused_core_stepper(
                         hstats.l2c_prefetches_filtered += 1
                         continue
                 fill_latency = base_latency
-                if pblock not in llc_sets[pblock % llc_num_sets]:
+                if pblock not in llc_blocks:
                     if dram._busy_until - cycle > drop_cycles:
                         hstats.l2c_prefetches_dropped_queue_full += 1
                         continue
                     fill_latency += dram_access(cycle, SRC_L2C_PREFETCH)
-                    llc_fill(pblock, cycle, cycle + fill_latency, True, INT_DRAM)
+                    llc_fill(pblock, cycle + fill_latency, True, INT_DRAM)
                 hstats.l2c_prefetches_issued += 1
                 if fill_l2:
-                    l2_fill(pblock, cycle, cycle + fill_latency, True, INT_DRAM)
+                    l2_fill(pblock, cycle + fill_latency, True, INT_DRAM)
                 if ppf_consult is not None:
                     # PPF training metadata travels as a raw (indices,
                     # confidence) tuple; the eviction/use hooks hand it
@@ -684,10 +672,9 @@ def fused_core_stepper(
                         queue_delay + dram_access_latency
                     )
 
-                # -- L1D probe + lookup (Cache.lookup + LRU inlined) --
+                # -- L1D probe + lookup (Cache.lookup inlined) --
                 latency = l1_latency
-                set_index = block % l1_num_sets
-                resident = l1_sets[set_index].get(block)
+                resident = l1_blocks.get(block)
                 l1_accesses += 1
                 if resident is None:
                     prefetch_hit = False
@@ -705,9 +692,9 @@ def fused_core_stepper(
                         l1_pf_hits += 1
                     if is_write:
                         resident.dirty = True
-                    policy = l1_policies[set_index]
-                    policy._clock += 1
-                    policy._stamps[l1_ways[set_index][block]] = policy._clock
+                    clock = l1d._clock + 1
+                    l1d._clock = clock
+                    l1_stamps[resident.slot] = clock
                     if prefetch_hit:
                         resolve_l1_prefetch_use(block)
 
@@ -725,7 +712,7 @@ def fused_core_stepper(
                                 tframe = allocate_frame(tvpage)
                             tpaddr = (tframe << 12) | (tvaddr & 4095)
                             tblock = tpaddr >> 6
-                            if tblock in l1_sets[tblock % l1_num_sets]:
+                            if tblock in l1_blocks:
                                 l1_pf_dropped_resident += 1
                                 continue
                             if slp_consult is not None:
@@ -738,21 +725,21 @@ def fused_core_stepper(
                             # The L2 prefetcher observes the prefetch
                             # arriving from the level above.
                             if spp_inline is not None and (
-                                tblock not in l2_sets[tblock % l2_num_sets]
+                                tblock not in l2_blocks
                             ):
                                 spp_inline(pc, tblock, cycle)
                             # _fetch_for_prefetch inlined (L1D source).  The
                             # L2 residency re-check matters: spp_inline may
                             # have just filled this block into the L2.
-                            if tblock in l2_sets[tblock % l2_num_sets]:
+                            if tblock in l2_blocks:
                                 served_level = LEVEL_L2C
                                 fetch_latency = l1_latency + l2_latency
-                            elif tblock in llc_sets[tblock % llc_num_sets]:
+                            elif tblock in llc_blocks:
                                 served_level = LEVEL_LLC
                                 fetch_latency = (
                                     l1_latency + l2_latency + llc_latency
                                 )
-                                l2_fill(tblock, cycle, cycle + fetch_latency)
+                                l2_fill(tblock, cycle + fetch_latency)
                             else:
                                 if dram._busy_until - cycle > drop_cycles:
                                     l1_pf_dropped_queue += 1
@@ -763,13 +750,12 @@ def fused_core_stepper(
                                     + dram_access(cycle, SRC_L1D_PREFETCH)
                                 )
                                 ready = cycle + fetch_latency
-                                llc_fill(tblock, cycle, ready)
-                                l2_fill(tblock, cycle, ready)
+                                llc_fill(tblock, ready)
+                                l2_fill(tblock, ready)
                             l1_pf_issued += 1
                             pf_served_by[served_level] += 1
                             l1_fill(
                                 tblock,
-                                cycle,
                                 cycle + fetch_latency,
                                 True,
                                 int(served_level),
@@ -833,8 +819,7 @@ def fused_core_stepper(
                     # -- below-L1D walk (_walk_below_l1d inlined; SPP and
                     #    cache fills stay object calls) --
                     latency += l2_latency
-                    set_index = block % l2_num_sets
-                    l2_block = l2_sets[set_index].get(block)
+                    l2_block = l2_blocks.get(block)
                     l2_accesses += 1
                     if l2_block is None:
                         l2_hit = False
@@ -853,9 +838,9 @@ def fused_core_stepper(
                             l2_pf_hits += 1
                         if is_write:
                             l2_block.dirty = True
-                        policy = l2_policies[set_index]
-                        policy._clock += 1
-                        policy._stamps[l2_ways[set_index][block]] = policy._clock
+                        clock = l2c._clock + 1
+                        l2c._clock = clock
+                        l2_stamps[l2_block.slot] = clock
                         if l2_prefetch_hit:
                             resolve_l2_prefetch_use(block)
 
@@ -866,13 +851,12 @@ def fused_core_stepper(
                         run_l2_prefetcher(pc, paddr, l2_hit, cycle)
 
                     if l2_hit:
-                        l1_fill(block, cycle, cycle + latency)
+                        l1_fill(block, cycle + latency)
                         served_l2c += 1
                         went_offchip = False
                     else:
                         latency += llc_latency
-                        set_index = block % llc_num_sets
-                        llc_block = llc_sets[set_index].get(block)
+                        llc_block = llc_blocks.get(block)
                         llc_accesses += 1
                         if llc_block is None:
                             llc_hit = False
@@ -888,14 +872,12 @@ def fused_core_stepper(
                                 llc_pf_hits += 1
                             if is_write:
                                 llc_block.dirty = True
-                            policy = llc_policies[set_index]
-                            policy._clock += 1
-                            policy._stamps[llc_ways[set_index][block]] = (
-                                policy._clock
-                            )
+                            clock = llc._clock + 1
+                            llc._clock = clock
+                            llc_stamps[llc_block.slot] = clock
                         if llc_hit:
-                            l1_fill(block, cycle, cycle + latency)
-                            l2_fill(block, cycle, cycle + latency)
+                            l1_fill(block, cycle + latency)
+                            l2_fill(block, cycle + latency)
                             served_llc += 1
                             went_offchip = False
                         else:
@@ -923,9 +905,9 @@ def fused_core_stepper(
                                 )
                             latency += dram_latency
                             ready = cycle + latency
-                            llc_fill(block, cycle, ready)
-                            l2_fill(block, cycle, ready)
-                            l1_fill(block, cycle, ready)
+                            llc_fill(block, ready)
+                            l2_fill(block, ready)
+                            l1_fill(block, ready)
                             served_dram += 1
                             went_offchip = True
 

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.common.config import (
+    CacheConfig,
     SystemConfig,
     cascade_lake_multi_core,
     cascade_lake_single_core,
@@ -40,8 +41,8 @@ from repro.common.hashing import (
 )
 from repro.common.types import MemLevel
 from repro.cpu.core import CoreRunner
+from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
-from repro.memory.replacement import SRRIPPolicy
 from repro.obs import tracer
 from repro.predictors.features import FeatureSpec
 from repro.predictors.perceptron import HashedPerceptron
@@ -88,6 +89,35 @@ def _run_pair(trace, scheme: str, l1d_prefetcher: str = "ipcp"):
 
 def _assert_identical(scalar, batch) -> None:
     assert dataclasses.asdict(batch) == dataclasses.asdict(scalar)
+
+
+def _tiny_caches(system: SystemConfig) -> SystemConfig:
+    """Every level shrunk to a few sets x 2 ways: nearly every fill evicts."""
+    return dataclasses.replace(
+        system,
+        l1d=CacheConfig("L1D", 2 * 2 * 64, 2, 4, 10),
+        l2c=CacheConfig("L2C", 4 * 2 * 64, 2, 10, 16),
+        llc=CacheConfig("LLC", 16 * 2 * 64, 2, 36, 64),
+    )
+
+
+def _assert_eviction_bound(cache: Cache) -> None:
+    """Most of ``cache``'s measured-phase fills displaced a resident block."""
+    stats = cache.stats
+    assert stats.evictions * 2 > stats.demand_fills + stats.prefetch_fills > 0
+
+
+def _lru_state(hierarchy: MemoryHierarchy) -> list:
+    """Each cache's clock, stamps and way contents: the fused loop must
+    leave them exactly as the scalar path does."""
+    return [
+        (
+            cache._clock,
+            cache._stamps,
+            [block and block.block_addr for block in cache._way_blocks],
+        )
+        for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +277,28 @@ class TestTableCollisionStress:
         _assert_identical(results["scalar"], results["batch"])
 
 
+class TestEvictionStress:
+    """Tiny two-way caches force the flat victim scan on almost every fill."""
+
+    def test_single_core_tlp(self, gap_bfs_trace):
+        scenario = build_scenario("tlp")
+        results, states = {}, {}
+        for core in ("scalar", "batch"):
+            system = _tiny_caches(_system(core))
+            hierarchy = build_hierarchy(scenario, config=system)
+            results[core] = run_single_core(
+                gap_bfs_trace, scenario, config=system, hierarchy=hierarchy
+            )
+            for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
+                _assert_eviction_bound(cache)
+            states[core] = _lru_state(hierarchy), [
+                dataclasses.asdict(cache.stats)
+                for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc)
+            ]
+        _assert_identical(results["scalar"], results["batch"])
+        assert states["batch"] == states["scalar"]
+
+
 class TestFallbacks:
     def test_supported_schemes(self):
         for scheme in ("baseline", "hermes", "tlp", "flp", "ppf"):
@@ -283,14 +335,14 @@ class TestFallbacks:
         )
         assert reason == "hierarchy subclass InstrumentedHierarchy"
 
-    def test_fallback_reason_names_non_lru_cache(self):
+    def test_fallback_reason_names_cache_subclass(self):
+        class InstrumentedCache(Cache):
+            pass
+
         hierarchy = build_hierarchy(build_scenario("tlp"))
-        llc = hierarchy.llc
-        llc._policies[0] = SRRIPPolicy(llc.associativity)
+        hierarchy.shared.llc = InstrumentedCache(hierarchy.llc.config)
         reason = batch_unsupported_reason(hierarchy)
-        assert reason is not None
-        assert llc.name in reason
-        assert "non-LRU replacement policy" in reason
+        assert reason == "LLC: unmodelled cache shape (InstrumentedCache)"
 
     def test_fallback_emits_obs_event_and_warns_once(
         self, tmp_path, spec_mcf_trace, caplog
@@ -489,6 +541,30 @@ class TestMultiCoreEquivalence:
         ]
         assert len({len(trace) for trace in traces}) == 4
         self._check(traces, "tlp")
+
+    def test_eviction_stress(self, mix_traces, fused_cores):
+        """Two-way caches of a few sets: the shared LLC evicts on most
+        fills, so its victim scan and clock run across the per-core merge."""
+        traces = [mix_traces[w] for w in HETERO_MIX]
+        scenario = build_scenario("tlp")
+        system = _tiny_caches(_mix_system("scalar"))
+        hierarchies = build_mix_hierarchies(scenario, system, len(traces))
+        oracle = _oracle_multicore_mix(
+            traces, scenario, system, warmup_fraction=0.25,
+            hierarchies=hierarchies,
+        )
+        _assert_eviction_bound(hierarchies[0].llc)
+        oracle_state = [_lru_state(hierarchy) for hierarchy in hierarchies]
+        for core in ("scalar", "batch"):
+            system = _tiny_caches(_mix_system(core))
+            hierarchies = build_mix_hierarchies(scenario, system, len(traces))
+            result = run_multicore_mix(
+                traces, scenario, config=system, warmup_fraction=0.25,
+                hierarchies=hierarchies,
+            )
+            assert dataclasses.asdict(result) == dataclasses.asdict(oracle), core
+            assert [_lru_state(h) for h in hierarchies] == oracle_state, core
+        assert fused_cores == [0, 1, 2, 3]
 
     def test_per_core_fallback(self, tmp_path, mix_traces, fused_cores):
         """Core 2 runs an unmodelled predictor: only it drops to scalar."""

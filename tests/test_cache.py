@@ -139,34 +139,59 @@ class TestStatsAndOccupancy:
         assert cache.stats.demand_hit_rate == pytest.approx(0.5)
 
 
-class TestVictimResolution:
-    """Regression tests for the way -> block_addr reverse map.
+def way_contents(cache: Cache, set_idx: int) -> list:
+    """Block address held by each way of a set (None for a free way)."""
+    base = set_idx * cache.associativity
+    return [
+        block.block_addr if block is not None else None
+        for block in cache._way_blocks[base:base + cache.associativity]
+    ]
 
-    The eviction path resolves the replacement policy's victim way to a
-    block address; an earlier implementation scanned the whole set.  These
-    tests pin down that the fast map always evicts exactly the block the
-    policy selected.
-    """
+
+def check_flat_layout(cache: Cache) -> None:
+    """The flat per-cache state agrees with the block dict, set by set."""
+    ways = cache.associativity
+    for set_idx in range(cache.num_sets):
+        contents = way_contents(cache, set_idx)
+        used = cache._set_fill[set_idx]
+        # Occupied ways are a prefix of the set; the rest are free.
+        assert contents[used:] == [None] * (ways - used)
+        assert set(contents[:used]) == {
+            addr for addr in cache.resident_blocks()
+            if addr % cache.num_sets == set_idx
+        }
+        stamps = cache._stamps[set_idx * ways:set_idx * ways + used]
+        assert len(set(stamps)) == used  # unique within the set
+    for addr, block in cache._blocks.items():
+        assert block.block_addr == addr
+        assert cache._way_blocks[block.slot] is block
+
+
+class TestVictimResolution:
+    """The victim is the minimum stamp of the full set, resolved through
+    the flat way-contents list to exactly the block LRU selects."""
 
     def test_eviction_removes_policy_victim(self):
         cache = tiny_cache(sets=1, ways=4)
         for addr in range(4):
             cache.fill(addr)
-        victim_way = cache._policies[0].victim()
-        victim_addr = cache._addr_in_way(0, victim_way)
+        cache.lookup(0)
+        victim_slot = cache._stamps.index(min(cache._stamps))
+        victim_addr = cache._way_blocks[victim_slot].block_addr
         eviction = cache.fill(4)
-        assert eviction.block_addr == victim_addr
+        assert eviction.block_addr == victim_addr == 1
+        assert cache.get_block(4).slot == victim_slot
 
     def test_addr_in_way_tracks_fills_and_evictions(self):
         cache = tiny_cache(sets=1, ways=2)
         cache.fill(10)
         cache.fill(20)
-        ways = {cache._addr_in_way(0, way) for way in range(2)}
-        assert ways == {10, 20}
+        assert set(way_contents(cache, 0)) == {10, 20}
         cache.invalidate(10)
-        remaining = [cache._addr_in_way(0, way) for way in range(2)]
+        remaining = way_contents(cache, 0)
         assert remaining.count(None) == 1
         assert 20 in remaining
+        check_flat_layout(cache)
 
     def test_lru_sequence_eviction_order(self):
         cache = tiny_cache(sets=1, ways=3)
@@ -177,6 +202,16 @@ class TestVictimResolution:
         assert cache.fill(4).block_addr == 2
         cache.lookup(3)          # order: 1, 4, 3
         assert cache.fill(5).block_addr == 1
+
+    def test_invalidate_keeps_recency_of_moved_block(self):
+        cache = tiny_cache(sets=1, ways=3)
+        for addr in (1, 2, 3):
+            cache.fill(addr)
+        cache.invalidate(1)      # 3 moves from the last way into the hole
+        check_flat_layout(cache)
+        cache.fill(4)            # free way: no eviction; order: 2, 3, 4
+        assert cache.fill(5).block_addr == 2
+        assert cache.fill(6).block_addr == 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,13 +224,88 @@ def test_reverse_map_matches_set_contents(ways, block_stream):
     for block in block_stream:
         if not cache.lookup(block):
             cache.fill(block)
-        for set_idx in range(2):
-            mapped = {
-                cache._addr_in_way(set_idx, way)
-                for way in range(ways)
-                if cache._addr_in_way(set_idx, way) is not None
-            }
-            assert mapped == set(cache._sets[set_idx].keys())
+        check_flat_layout(cache)
+
+
+class ReferenceLRU:
+    """Plain LRU model: one list of block addresses per set, LRU -> MRU."""
+
+    def __init__(self, sets: int, ways: int) -> None:
+        self.sets = [[] for _ in range(sets)]
+        self.ways = ways
+
+    def _set(self, addr: int) -> list:
+        return self.sets[addr % len(self.sets)]
+
+    def lookup(self, addr: int) -> bool:
+        blocks = self._set(addr)
+        if addr not in blocks:
+            return False
+        blocks.remove(addr)
+        blocks.append(addr)
+        return True
+
+    def fill(self, addr: int):
+        """Install ``addr``; a refill leaves recency alone.  Returns the
+        evicted address, if any."""
+        blocks = self._set(addr)
+        if addr in blocks:
+            return None
+        victim = blocks.pop(0) if len(blocks) == self.ways else None
+        blocks.append(addr)
+        return victim
+
+    def invalidate(self, addr: int) -> bool:
+        blocks = self._set(addr)
+        if addr not in blocks:
+            return False
+        blocks.remove(addr)
+        return True
+
+
+OPS = ("read", "write", "demand_fill", "prefetch_fill", "invalidate")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+)
+def test_matches_reference_lru(sets, ways, data):
+    """Differential check against the reference model on every step, plus
+    conservation of the demand counters and of resident blocks."""
+    # Twice the capacity in distinct blocks keeps every set under pressure.
+    address = st.integers(min_value=0, max_value=2 * sets * ways - 1)
+    ops = data.draw(st.lists(
+        st.tuples(st.sampled_from(OPS), address), min_size=50, max_size=400
+    ))
+    cache = tiny_cache(sets=sets, ways=ways)
+    reference = ReferenceLRU(sets, ways)
+    evicted = invalidated = 0
+    for op, addr in ops:
+        if op in ("read", "write"):
+            assert cache.lookup(addr, is_write=op == "write") == (
+                reference.lookup(addr)
+            )
+        elif op == "invalidate":
+            removed = cache.invalidate(addr)
+            assert removed == reference.invalidate(addr)
+            invalidated += removed
+        else:
+            eviction = cache.fill(addr, prefetched=op == "prefetch_fill")
+            victim = reference.fill(addr)
+            assert (eviction.block_addr if eviction else None) == victim
+            evicted += eviction is not None
+        stats = cache.stats
+        assert stats.demand_hits + stats.demand_misses == stats.demand_accesses
+        fills = stats.demand_fills + stats.prefetch_fills
+        assert fills - evicted - invalidated == len(cache.resident_blocks())
+        assert stats.evictions == evicted + invalidated
+    assert sorted(cache.resident_blocks()) == sorted(
+        addr for blocks in reference.sets for addr in blocks
+    )
+    check_flat_layout(cache)
 
 
 @settings(max_examples=30, deadline=None)

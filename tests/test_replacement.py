@@ -1,66 +1,46 @@
-"""Tests for the replacement policies."""
+"""Tests for LRU replacement, driven through the cache model."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.memory.replacement import LRUPolicy, SRRIPPolicy, make_policy
+from repro.common.config import CacheConfig
+from repro.memory.cache import Cache
+
+
+def one_set(ways: int) -> Cache:
+    return Cache(CacheConfig("T", ways * 64, ways, 1, 4))
+
+
+def filled_set(ways: int) -> Cache:
+    """A single full set holding blocks 0..ways-1, filled in that order."""
+    cache = one_set(ways)
+    for addr in range(ways):
+        cache.fill(addr)
+    return cache
 
 
 class TestLRU:
     def test_victim_is_least_recently_used(self):
-        lru = LRUPolicy(4)
-        for way in range(4):
-            lru.on_fill(way)
-        lru.on_hit(0)
-        lru.on_hit(1)
-        lru.on_hit(2)
-        assert lru.victim() == 3
+        cache = filled_set(4)
+        cache.lookup(0)
+        cache.lookup(1)
+        cache.lookup(2)
+        assert cache.fill(4).block_addr == 3
 
     def test_fill_makes_way_most_recent(self):
-        lru = LRUPolicy(2)
-        lru.on_fill(0)
-        lru.on_fill(1)
-        assert lru.victim() == 0
+        cache = filled_set(2)
+        assert cache.fill(2).block_addr == 0
 
     def test_hit_refreshes_recency(self):
-        lru = LRUPolicy(3)
-        lru.on_fill(0)
-        lru.on_fill(1)
-        lru.on_fill(2)
-        lru.on_hit(0)
-        assert lru.victim() == 1
+        cache = filled_set(3)
+        cache.lookup(0)
+        assert cache.fill(3).block_addr == 1
 
     def test_invalid_associativity(self):
         with pytest.raises(ValueError):
-            LRUPolicy(0)
-
-
-class TestSRRIP:
-    def test_victim_exists_even_when_all_recent(self):
-        srrip = SRRIPPolicy(4)
-        for way in range(4):
-            srrip.on_fill(way)
-            srrip.on_hit(way)
-        assert 0 <= srrip.victim() < 4
-
-    def test_hit_protects_block(self):
-        srrip = SRRIPPolicy(2)
-        srrip.on_fill(0)
-        srrip.on_fill(1)
-        srrip.on_hit(0)
-        assert srrip.victim() == 1
-
-
-class TestFactory:
-    def test_make_lru(self):
-        assert isinstance(make_policy("lru", 4), LRUPolicy)
-
-    def test_make_srrip(self):
-        assert isinstance(make_policy("SRRIP", 4), SRRIPPolicy)
-
-    def test_unknown_policy(self):
+            Cache(CacheConfig("T", 128, -2, 1, 4))
         with pytest.raises(ValueError):
-            make_policy("plru", 4)
+            Cache(CacheConfig("T", 0, 2, 1, 4))
 
 
 @given(
@@ -68,19 +48,18 @@ class TestFactory:
     st.lists(st.integers(min_value=0, max_value=7), max_size=100),
 )
 def test_lru_victim_always_valid_way(associativity, hits):
-    lru = LRUPolicy(associativity)
-    for way in range(associativity):
-        lru.on_fill(way)
+    cache = filled_set(associativity)
     for hit in hits:
-        lru.on_hit(hit % associativity)
-    assert 0 <= lru.victim() < associativity
+        cache.lookup(hit % associativity)
+    eviction = cache.fill(associativity)
+    assert 0 <= eviction.block_addr < associativity
+    assert cache.resident(associativity)
+    assert len(cache.resident_blocks()) == associativity
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())
 def test_lru_recently_touched_way_is_never_victim(associativity, data):
-    lru = LRUPolicy(associativity)
-    for way in range(associativity):
-        lru.on_fill(way)
+    cache = filled_set(associativity)
     touched = data.draw(st.integers(min_value=0, max_value=associativity - 1))
-    lru.on_hit(touched)
-    assert lru.victim() != touched
+    cache.lookup(touched)
+    assert cache.fill(associativity).block_addr != touched
