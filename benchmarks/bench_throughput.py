@@ -34,6 +34,10 @@ Three metrics per scenario:
   TLP/IPCP hierarchy and the 4-core hierarchy set over one shared LLC
   (the fixed cost every point pays before its first access); ``--check``
   fails when either exceeds 3x its baseline, scaled by machine speed;
+* ``graph_build`` -- median milliseconds of 5 cold builds (graph memo
+  cleared before each) of the ``medium`` urand and road input graphs, the
+  set-up cost of every process that generates a GAP trace; ``--check``
+  gates it like ``hierarchy_build``;
 * ``store_load`` (per workload) -- trace-store load throughput in
   records/sec: memory-mapping a stored trace back (header parse + mmap +
   touching every column element), i.e. what a campaign worker pays instead
@@ -74,6 +78,7 @@ from repro.sim.multi_core import build_mix_hierarchies, run_multicore_mix
 from repro.sim.scenarios import build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.workloads.gap import gap_trace
+from repro.workloads.graphs import clear_graph_memo, generate_graph
 from repro.workloads.spec_like import spec_like_trace
 
 #: (workload, scheme, l1d_prefetcher) scenarios measured by the benchmark.
@@ -98,9 +103,12 @@ MULTICORE_MIXES = (
      ("bfs.urand", "spec.mcf_like", "spec.lbm_like", "cc.road")),
 )
 
-#: --check fails when a hierarchy build takes more than this multiple of
-#: its (machine-scaled) baseline.
-HIERARCHY_BUILD_CEILING = 3.0
+#: --check fails when a hierarchy or input-graph build takes more than this
+#: multiple of its (machine-scaled) baseline.
+BUILD_CEILING = 3.0
+
+#: The build-time report rows that --check gates at BUILD_CEILING.
+BUILD_ROWS = ("hierarchy_build", "graph_build")
 
 BASELINE_PATH = Path(__file__).resolve().parent / "throughput_baseline.json"
 DEFAULT_OUTPUT = "BENCH_throughput.json"
@@ -246,28 +254,44 @@ def measure_multi_core(accesses: int, repeats: int, warmup_fraction: float) -> d
     return rows
 
 
-def measure_hierarchy_build(repeats: int = 9) -> dict:
-    """Median build time of the single-core and the 4-core TLP/IPCP
-    hierarchies, in milliseconds."""
-    scenario = build_scenario("tlp", l1d_prefetcher="ipcp")
-    builds = {
-        "single_core_ms": lambda: build_hierarchy(
-            scenario, config=cascade_lake_single_core()
-        ),
-        "multi_core_4_ms": lambda: build_mix_hierarchies(
-            scenario, cascade_lake_multi_core(num_cores=4), 4
-        ),
-    }
+def _median_build_ms(builds: dict, repeats: int, before=None) -> dict:
+    """Median milliseconds of ``repeats`` calls of each build; ``before``
+    runs untimed ahead of every call."""
     row = {}
     for name, build in builds.items():
         samples = []
         for _ in range(repeats):
+            if before is not None:
+                before()
             start = time.perf_counter()
             build()
             samples.append(time.perf_counter() - start)
         samples.sort()
         row[name] = round(samples[len(samples) // 2] * 1e3, 2)
     return row
+
+
+def measure_hierarchy_build(repeats: int = 9) -> dict:
+    """Median build time of the single-core and the 4-core TLP/IPCP
+    hierarchies, in milliseconds."""
+    scenario = build_scenario("tlp", l1d_prefetcher="ipcp")
+    return _median_build_ms({
+        "single_core_ms": lambda: build_hierarchy(
+            scenario, config=cascade_lake_single_core()
+        ),
+        "multi_core_4_ms": lambda: build_mix_hierarchies(
+            scenario, cascade_lake_multi_core(num_cores=4), 4
+        ),
+    }, repeats)
+
+
+def measure_graph_build(repeats: int = 5) -> dict:
+    """Median cold build time of the medium urand and road input graphs,
+    in milliseconds."""
+    return _median_build_ms({
+        f"{name}_medium_ms": lambda name=name: generate_graph(name, scale="medium")
+        for name in ("urand", "road")
+    }, repeats, before=clear_graph_memo)
 
 
 def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0.25) -> dict:
@@ -277,8 +301,6 @@ def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0
     store_load = {}
     results = {}
     core_batch = {}
-    from repro.workloads.graphs import clear_graph_memo
-
     for workload, scheme, prefetcher in SCENARIOS:
         if workload not in traces:
             clear_graph_memo()
@@ -337,6 +359,7 @@ def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0
         "core_batch": core_batch,
         "multi_core": measure_multi_core(accesses, repeats, warmup_fraction),
         "hierarchy_build": measure_hierarchy_build(),
+        "graph_build": measure_graph_build(),
         "construction": construction,
         "store_load": store_load,
         "figure_campaign": measure_figure_campaign(),
@@ -443,13 +466,14 @@ def main(argv=None) -> int:
             line += f"  (baseline {baseline_entry['speedup_vs_scalar']:.2f}x)"
         print(line)
 
-    baseline_build = (baseline or {}).get("hierarchy_build", {})
-    print("hierarchy build (tlp/ipcp, median):")
-    for name, ms in report["hierarchy_build"].items():
-        line = f"  {name:<24} {ms:>10.2f} ms"
-        if baseline_build.get(name):
-            line += f"  (baseline {baseline_build[name]:.2f} ms)"
-        print(line)
+    for row in BUILD_ROWS:
+        baseline_build = (baseline or {}).get(row, {})
+        print(f"{row} (median):")
+        for name, ms in report[row].items():
+            line = f"  {name:<24} {ms:>10.2f} ms"
+            if baseline_build.get(name):
+                line += f"  (baseline {baseline_build[name]:.2f} ms)"
+            print(line)
 
     print(f"trace construction ({args.accesses} memory accesses, best of {args.repeats}):")
     seed_construction = (baseline or {}).get("seed", {}).get("construction", {})
@@ -587,28 +611,30 @@ def main(argv=None) -> int:
             return 1
         print("multi-core batch check passed: every mix >= 1.0x its scalar run")
 
-    if args.check and baseline_build:
+    for row in BUILD_ROWS:
+        baseline_build = (baseline or {}).get(row, {})
+        if not (args.check and baseline_build):
+            continue
         # The baseline row carries the calibration score of its own host;
         # a slower machine gets a proportionally higher ceiling.
         scale = 1.0
         if baseline_build.get("calibration_score"):
-            score = report.get("calibration_score") or calibration_score()
-            scale = score / baseline_build["calibration_score"]
+            if "calibration_score" not in report:
+                report["calibration_score"] = round(calibration_score(), 1)
+            scale = report["calibration_score"] / baseline_build["calibration_score"]
         slow = {
             name: ms
-            for name, ms in report["hierarchy_build"].items()
+            for name, ms in report[row].items()
             if baseline_build.get(name)
-            and ms > HIERARCHY_BUILD_CEILING * baseline_build[name] / scale
+            and ms > BUILD_CEILING * baseline_build[name] / scale
         }
         if slow:
-            print(f"HIERARCHY BUILD REGRESSION (over "
-                  f"{HIERARCHY_BUILD_CEILING:.0f}x the baseline, machine "
-                  f"scale {scale:.2f}x): {slow}")
+            print(f"{row.upper()} REGRESSION (over {BUILD_CEILING:.0f}x the "
+                  f"baseline, machine scale {scale:.2f}x): {slow}")
             Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
             return 1
-        print(f"hierarchy build check passed: every build <= "
-              f"{HIERARCHY_BUILD_CEILING:.0f}x its baseline "
-              f"(machine scale {scale:.2f}x)")
+        print(f"{row} check passed: every build <= {BUILD_CEILING:.0f}x "
+              f"its baseline (machine scale {scale:.2f}x)")
 
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(f"report written to {args.output}")

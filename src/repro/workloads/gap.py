@@ -19,8 +19,9 @@ features key on.
 The emitter is columnar: kernels append plain-int ``(pc, vaddr, kind)``
 scalars to three column buffers (no per-record object construction), the
 per-access compute interleave is expanded vectorically at the end, and the
-kernels walk cached plain-list views of the CSR arrays instead of indexing
-numpy scalars one element at a time.
+kernels walk the CSR arrays through ``memoryview`` objects: indexing one
+returns a plain int as fast as indexing a list does (numpy scalar access is
+several times slower), and creating one copies nothing.
 """
 
 from __future__ import annotations
@@ -104,13 +105,13 @@ class TraceEmitter:
 # Kernels
 #
 # Address arithmetic is inlined (base + element_size * index) and the CSR
-# arrays are walked through their cached list views -- both are per-access
-# hot-path costs in a trace-emission run.
+# arrays are walked through memoryviews -- both are per-access hot-path
+# costs in a trace-emission run.
 # ----------------------------------------------------------------------
 def _bfs(emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator) -> None:
     """Breadth-first search with an explicit frontier (push style)."""
-    row_ptr = graph.row_ptr_list()
-    col_idx = graph.col_idx_list()
+    row_ptr = memoryview(graph.row_ptr)
+    col_idx = memoryview(graph.col_idx)
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     pc = _CODE_BASE
@@ -145,8 +146,8 @@ def _bfs(emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator) -> No
 
 def _pagerank(emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator) -> None:
     """Pull-style PageRank iterations."""
-    row_ptr = graph.row_ptr_list()
-    col_idx = graph.col_idx_list()
+    row_ptr = memoryview(graph.row_ptr)
+    col_idx = memoryview(graph.col_idx)
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     pc = _CODE_BASE + 0x1000
@@ -171,8 +172,8 @@ def _connected_components(
     emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator
 ) -> None:
     """Shiloach-Vishkin style hook-and-compress over the edge list."""
-    row_ptr = graph.row_ptr_list()
-    col_idx = graph.col_idx_list()
+    row_ptr = memoryview(graph.row_ptr)
+    col_idx = memoryview(graph.col_idx)
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     comp = list(range(num_vertices))
@@ -202,8 +203,8 @@ def _betweenness_centrality(
     emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator
 ) -> None:
     """Brandes-style BC from sampled sources (forward BFS + backward pass)."""
-    row_ptr = graph.row_ptr_list()
-    col_idx = graph.col_idx_list()
+    row_ptr = memoryview(graph.row_ptr)
+    col_idx = memoryview(graph.col_idx)
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     pc = _CODE_BASE + 0x3000
@@ -254,8 +255,8 @@ def _triangle_count(
     emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator
 ) -> None:
     """Triangle counting by neighbour-list intersection."""
-    row_ptr = graph.row_ptr_list()
-    col_idx = graph.col_idx_list()
+    row_ptr = memoryview(graph.row_ptr)
+    col_idx = memoryview(graph.col_idx)
     num_vertices = graph.num_vertices
     load = emitter.load
     pc = _CODE_BASE + 0x4000
@@ -284,8 +285,8 @@ def _triangle_count(
 
 def _sssp(emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator) -> None:
     """Delta-stepping-style SSSP (bucketed Bellman-Ford relaxations)."""
-    row_ptr = graph.row_ptr_list()
-    col_idx = graph.col_idx_list()
+    row_ptr = memoryview(graph.row_ptr)
+    col_idx = memoryview(graph.col_idx)
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     pc = _CODE_BASE + 0x5000

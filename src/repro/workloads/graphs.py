@@ -17,17 +17,15 @@ shapes the memory access pattern:
 Graphs are stored in CSR (compressed sparse row) form, the layout GAP itself
 uses, because the kernels' characteristic access pattern (stream the offsets
 array, stream the neighbour list, random-access the property array) follows
-directly from CSR.  For the trace emitters -- which index the CSR arrays one
-element at a time from Python -- each graph also exposes cached plain-list
-views (:meth:`CSRGraph.row_ptr_list` / :meth:`CSRGraph.col_idx_list`): list
-indexing over native ints is several times faster in the interpreter than
-per-element numpy access, and the conversion is one C-level ``tolist()``.
+directly from CSR.  A graph holds only its two numpy arrays; the trace
+emitters walk them through ``memoryview`` objects (see
+:mod:`repro.workloads.gap`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +43,6 @@ class CSRGraph:
     name: str
     row_ptr: np.ndarray
     col_idx: np.ndarray
-    _row_ptr_list: list | None = field(default=None, repr=False, compare=False)
-    _col_idx_list: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -77,33 +73,32 @@ class CSRGraph:
         """Approximate CSR footprint (offsets + neighbours), in bytes."""
         return self.row_ptr.nbytes + self.col_idx.nbytes
 
-    def row_ptr_list(self) -> list:
-        """``row_ptr`` as a cached plain-int list (fast scalar indexing)."""
-        if self._row_ptr_list is None:
-            self._row_ptr_list = self.row_ptr.tolist()
-        return self._row_ptr_list
-
-    def col_idx_list(self) -> list:
-        """``col_idx`` as a cached plain-int list (fast scalar indexing)."""
-        if self._col_idx_list is None:
-            self._col_idx_list = self.col_idx.tolist()
-        return self._col_idx_list
-
 
 def _edges_to_csr(
     name: str, num_vertices: int, sources: np.ndarray, destinations: np.ndarray
 ) -> CSRGraph:
-    """Build a CSR graph from parallel source/destination arrays."""
-    order = np.argsort(sources, kind="stable")
-    sources = sources[order]
-    destinations = destinations[order]
+    """Build a CSR graph from parallel source/destination arrays.
+
+    Edges are ordered by source, keeping input order within a source, by one
+    in-place sort of the int64 keys ``(source << shift) | edge_index``: the
+    keys are unique, so an unstable sort yields exactly the stable order.
+    """
+    num_edges = len(sources)
+    shift = num_edges.bit_length()
+    if (num_vertices - 1).bit_length() + shift > 63:
+        raise ValueError(f"{name}: {num_vertices} vertices x {num_edges} "
+                         f"edges do not fit a 63-bit sort key")
+    order = np.left_shift(sources, shift, dtype=np.int64)
+    order |= np.arange(num_edges, dtype=np.int64)
+    order.sort()
+    order &= (1 << shift) - 1
     counts = np.bincount(sources, minlength=num_vertices)
     row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
     return CSRGraph(
         name=name,
         row_ptr=row_ptr,
-        col_idx=destinations.astype(np.int32),
+        col_idx=destinations.astype(np.int32)[order],
     )
 
 
@@ -173,11 +168,12 @@ GRAPH_GENERATORS = {
 #: and graphs are immutable once built (the kernels only read them), so one
 #: process-wide copy serves every campaign point that shares an input graph
 #: -- a large share of cold campaign-point wall time otherwise.  The memo is
-#: a small LRU: each memoized graph also pins its cached list views (tens of
-#: MB of boxed ints for a medium graph), and a long sharded run sweeping
-#: many graph scales must not grow memory without bound, so the least
-#: recently used graph is evicted once the cap is reached (a campaign
-#: interleaves points over only a handful of distinct graphs at a time).
+#: a small LRU: a memoized graph pins its two CSR arrays, 8 B per vertex
+#: plus 4 B per edge (~9.4 MB for the 2.1M-edge medium urand or kron graph,
+#: ~3.1 MB for the medium road graph), and a long sharded run sweeping many
+#: graph scales must not grow memory without bound, so the least recently
+#: used graph is evicted once the cap is reached (a campaign interleaves
+#: points over only a handful of distinct graphs at a time).
 _GRAPH_MEMO: OrderedDict[tuple[str, str, int], CSRGraph] = OrderedDict()
 _GRAPH_MEMO_LIMIT = 6
 

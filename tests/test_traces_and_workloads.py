@@ -1,5 +1,11 @@
 """Tests for the trace container, synthetic generators and workloads."""
 
+import hashlib
+import json
+import pickle
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +21,22 @@ from repro.traces.synthetic import (
 from repro.traces.trace import Trace
 from repro.workloads.catalog import WorkloadCatalog, WorkloadSpec, default_catalog, make_multicore_mixes
 from repro.workloads.gap import GAP_KERNELS, gap_trace
-from repro.workloads.graphs import CSRGraph, generate_graph
+from repro.workloads.graphs import CSRGraph, _edges_to_csr, generate_graph
 from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS, spec_like_trace
+
+#: Pinned GAP trace and graph digests (regenerate with
+#: ``tests/fixtures/generate_gap_trace_digests.py``).
+GAP_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "gap_trace_digests.json").read_text()
+)
+
+
+def sha256_of(*arrays) -> str:
+    """sha256 over the raw bytes of ``arrays``, in order (as the fixture)."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 class TestTraceContainer:
@@ -143,6 +163,69 @@ class TestGraphs:
         graph = generate_graph("urand", scale="tiny")
         assert graph.footprint_bytes() > 0
 
+    @pytest.mark.parametrize("name", sorted(GAP_DIGESTS["graphs"]))
+    def test_medium_graph_matches_pinned_digest(self, name):
+        entry = GAP_DIGESTS["graphs"][name]
+        graph = generate_graph(entry["graph"], scale=entry["scale"], seed=entry["seed"])
+        assert sha256_of(graph.row_ptr) == entry["row_ptr"]
+        assert sha256_of(graph.col_idx) == entry["col_idx"]
+
+    def test_pickle_round_trip_after_walk(self):
+        graph = generate_graph("urand", scale="tiny")
+        trace = gap_trace("bfs", graph=graph, max_memory_accesses=500)
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone.name == graph.name
+        assert np.array_equal(clone.row_ptr, graph.row_ptr)
+        assert np.array_equal(clone.col_idx, graph.col_idx)
+        again = gap_trace("bfs", graph=clone, max_memory_accesses=500)
+        assert sha256_of(*again.columns()) == sha256_of(*trace.columns())
+
+
+def reference_csr(num_vertices, sources, destinations):
+    """CSR arrays built with a stable argsort of the sources."""
+    order = np.argsort(sources, kind="stable")
+    row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=num_vertices), out=row_ptr[1:])
+    return row_ptr, destinations[order].astype(np.int32)
+
+
+@st.composite
+def edge_lists(draw):
+    """(num_vertices, edges) with duplicate edges, self-loops and isolated
+    vertices: sources and destinations only span a prefix of the ids."""
+    num_vertices = draw(st.integers(min_value=1, max_value=300))
+    used = draw(st.integers(min_value=1, max_value=num_vertices))
+    vertex = st.integers(min_value=0, max_value=used - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=1_500))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=300))
+    edges += [(v, v) for v in draw(st.lists(vertex, max_size=200))]
+    draw(st.randoms(use_true_random=False)).shuffle(edges)
+    return num_vertices, edges
+
+
+class TestEdgesToCSR:
+    @settings(max_examples=60, deadline=None)
+    @given(edge_lists())
+    def test_matches_stable_argsort_reference(self, case):
+        num_vertices, edges = case
+        sources = np.array([e[0] for e in edges], dtype=np.int64)
+        destinations = np.array([e[1] for e in edges], dtype=np.int64)
+        expected_row_ptr, expected_col_idx = reference_csr(
+            num_vertices, sources, destinations
+        )
+        graph = _edges_to_csr("g", num_vertices, sources.copy(), destinations.copy())
+        assert graph.row_ptr.dtype == np.int64
+        assert graph.col_idx.dtype == np.int32
+        assert np.array_equal(graph.row_ptr, expected_row_ptr)
+        assert np.array_equal(graph.col_idx, expected_col_idx)
+
+    def test_oversized_key_rejected(self):
+        # 62 bits of vertex id + 2 bits of edge index > 63.
+        edges = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="63-bit"):
+            _edges_to_csr("huge", 1 << 62, edges, edges)
+
 
 class TestGAPKernels:
     @pytest.mark.parametrize("kernel", sorted(GAP_KERNELS))
@@ -168,6 +251,13 @@ class TestGAPKernels:
         first = gap_trace("pr", graph="urand", scale="tiny", max_memory_accesses=300, seed=9)
         second = gap_trace("pr", graph="urand", scale="tiny", max_memory_accesses=300, seed=9)
         assert [r.vaddr for r in first] == [r.vaddr for r in second]
+
+    @pytest.mark.parametrize("name", sorted(GAP_DIGESTS["traces"]))
+    def test_trace_matches_pinned_digest(self, name):
+        entry = GAP_DIGESTS["traces"][name]
+        trace = gap_trace(entry["kernel"], graph=entry["graph"], scale=entry["scale"],
+                          max_memory_accesses=entry["accesses"], seed=entry["seed"])
+        assert sha256_of(*trace.columns()) == entry["sha256"]
 
 
 class TestSpecLikeWorkloads:
