@@ -19,12 +19,14 @@ Three metrics per scenario:
   is amortized across the campaign and reported via
   ``first_build_seconds``);
 * ``core_batch`` (per scenario) -- the same simulation through the
-  chunk-vectorized batch core (``--core batch``), which is bit-identical
+  batch core's compiled kernel (``--core batch``), which is bit-identical
   to the scalar path; ``speedup_vs_scalar`` is the per-scenario ratio and
   ``batch_speedup_vs_scalar`` its geomean.  ``--check`` additionally
   fails when that geomean drops below 1.0 (the batch core must never be
   slower than the scalar reference it replaces) -- a same-machine,
-  same-run comparison, so no calibration scaling applies;
+  same-run comparison, so no calibration scaling applies -- and when the
+  batch geomean falls more than ``--tolerance`` below the committed
+  batch baseline, scaled by ``core_batch_calibration_score``;
 * ``multi_core`` (per mix) -- 4-core TLP/IPCP mixes (homogeneous
   bfs.urand and a heterogeneous bfs/mcf/lbm/road mix, ``--accesses / 4``
   per core) on both cores; ``speedup_vs_scalar`` is the per-mix ratio and
@@ -582,6 +584,29 @@ def main(argv=None) -> int:
                 f"throughput check passed: geomean >= {floor:,.0f} acc/s "
                 f"(baseline {reference:,.0f}, machine scale {scale:.2f}x, "
                 f"tolerance {args.tolerance:.0%})"
+            )
+        batch_reference = baseline.get("core_batch_geomean_accesses_per_sec")
+        batch_score = baseline.get("core_batch_calibration_score")
+        if args.check and batch_reference and batch_score:
+            # The batch rows carry the calibration score of the host they
+            # were recorded on (not the scalar rows' machine).
+            if "calibration_score" not in report:
+                report["calibration_score"] = round(calibration_score(), 1)
+            scale = report["calibration_score"] / batch_score
+            floor = (1.0 - args.tolerance) * batch_reference * scale
+            batch_geomean = report["core_batch_geomean_accesses_per_sec"]
+            if batch_geomean < floor:
+                print(
+                    f"BATCH THROUGHPUT REGRESSION: batch geomean "
+                    f"{batch_geomean:,.0f} acc/s is below {floor:,.0f} acc/s "
+                    f"({args.tolerance:.0%} under the committed batch baseline "
+                    f"{batch_reference:,.0f} scaled by machine speed {scale:.2f}x)"
+                )
+                Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
+                return 1
+            print(
+                f"batch throughput check passed: geomean >= {floor:,.0f} acc/s "
+                f"(baseline {batch_reference:,.0f}, machine scale {scale:.2f}x)"
             )
 
     if args.check and report["batch_speedup_vs_scalar"] < 1.0:

@@ -103,7 +103,7 @@ class SystemConfig:
     num_cores: int = 1
     #: Simulator core implementation: ``"scalar"`` steps one record at a
     #: time (the pinned reference path), ``"batch"`` runs the chunked
-    #: fused loop of :mod:`repro.sim.batch`.  The two are bit-identical,
+    #: compiled kernel of :mod:`repro.sim.batch`.  The two are bit-identical,
     #: so this field does not participate in result-cache keys (see
     #: :func:`system_config_to_dict`).
     sim_core: str = "scalar"

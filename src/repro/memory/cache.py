@@ -86,7 +86,7 @@ class Cache:
     shifted right by 6); callers are responsible for the conversion, which
     keeps the hot path cheap.
 
-    Block ``b`` maps to set ``b % num_sets`` (the fused fill of
+    Block ``b`` maps to set ``b % num_sets`` (the compiled kernel of
     :mod:`repro.sim.batch` inlines this and :meth:`fill`).  Replacement
     state is flat and per cache, not per set.  Way ``w`` of set ``s`` is
     slot ``s * associativity + w`` of ``_stamps`` (the slot's LRU access

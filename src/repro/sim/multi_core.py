@@ -25,6 +25,7 @@ from repro.sim.batch import (
     _note_scalar_fallback,
     batch_unsupported_reason,
     fused_core_stepper,
+    native_unavailable_reason,
     run_core_trace_batched,
 )
 from repro.sim.scenarios import Scenario, build_hierarchy
@@ -74,7 +75,8 @@ def run_multicore_mix(
 
     With ``config.sim_core == "batch"`` each core whose hierarchy the
     batch core supports runs its fused stepper; any other core runs a
-    scalar stepper, and a ``sim.batch.fallback`` event names it.
+    scalar stepper, and a ``sim.batch.fallback`` event names it.  Without
+    the compiled kernel every core runs scalar and one event says why.
     ``hierarchies`` optionally supplies :func:`build_mix_hierarchies`.
     """
     if not traces:
@@ -86,12 +88,18 @@ def run_multicore_mix(
     )
     if hierarchies is None:
         hierarchies = build_mix_hierarchies(scenario, system, len(traces))
-    fused = []
-    for core_id, hierarchy in enumerate(hierarchies):
-        reason = batch_unsupported_reason(hierarchy)
-        if system.sim_core == "batch" and reason is not None:
-            _note_scalar_fallback(f"core {core_id}: {reason}")
-        fused.append(system.sim_core == "batch" and reason is None)
+    fused = [False] * len(hierarchies)
+    native_reason = (
+        native_unavailable_reason() if system.sim_core == "batch" else None
+    )
+    if native_reason is not None:
+        _note_scalar_fallback(native_reason)
+    elif system.sim_core == "batch":
+        for core_id, hierarchy in enumerate(hierarchies):
+            reason = batch_unsupported_reason(hierarchy)
+            if reason is not None:
+                _note_scalar_fallback(f"core {core_id}: {reason}")
+            fused[core_id] = reason is None
     splits = [trace.split(warmup_fraction) for trace in traces]
 
     # Warm-up: run each core's warm-up slice in turn (shared caches and

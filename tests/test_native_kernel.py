@@ -1,0 +1,255 @@
+"""The compiled fused kernel: its loader, its fallback and its refcounting.
+
+The batch-vs-scalar equivalence suite (``test_batch_core.py``) pins what
+the kernel computes.  These tests pin how it is built and loaded (a cached
+build is reused without the compiler; concurrent builds publish complete
+files), what happens without it (the scalar reference runs and one
+``sim.batch.fallback`` event says why), and the C-API contract (no model
+object outlives a run, and exceptions raised inside Python callouts
+propagate out of the kernel unchanged).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
+import pytest
+
+from repro.common.config import (
+    CacheConfig,
+    cascade_lake_multi_core,
+    cascade_lake_single_core,
+)
+from repro.cpu.core import CoreRunner
+from repro.memory.cache import CacheBlock, EvictionInfo
+from repro.memory.hierarchy import PrefetchRecord
+from repro.obs import tracer
+from repro.prefetchers.ipcp import IPCPPrefetcher
+from repro.sim import native
+from repro.sim.batch import batch_unsupported_reason, fused_core_stepper
+from repro.sim.engine import build_workload_trace
+from repro.sim.multi_core import build_mix_hierarchies, run_multicore_mix
+from repro.sim.scenarios import build_hierarchy, build_scenario
+from repro.sim.single_core import run_single_core
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MIX = ("bfs.urand", "spec.mcf_like", "spec.lbm_like", "cc.road")
+MODEL_TYPES = (CacheBlock, EvictionInfo, PrefetchRecord)
+
+
+def _single(core: str):
+    return dataclasses.replace(cascade_lake_single_core(), sim_core=core)
+
+
+def _mix(core: str):
+    return dataclasses.replace(cascade_lake_multi_core(num_cores=4), sim_core=core)
+
+
+@pytest.fixture(scope="module")
+def traces():
+    return {workload: build_workload_trace(workload, 600, "tiny") for workload in MIX}
+
+
+def _fallback_events(run_dir: Path) -> list[dict]:
+    return [
+        record for record in tracer.load_run(run_dir)
+        if record.get("name") == "sim.batch.fallback"
+    ]
+
+
+# ----------------------------------------------------------------------
+# Loader
+# ----------------------------------------------------------------------
+class TestLoader:
+    def test_cache_hit_does_not_run_the_compiler(self, tmp_path, monkeypatch):
+        built = native.load(tmp_path)
+        assert Path(built.__file__) == native.artifact_path(tmp_path)
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran on a cache hit")
+
+        monkeypatch.setattr(native.subprocess, "run", no_compiler)
+        monkeypatch.setattr(native, "compiler", no_compiler)
+        cached = native.load(tmp_path)
+        assert cached.__file__ == built.__file__
+        assert hasattr(cached, "Stepper")
+
+    def test_concurrent_builds_both_load(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.sim import native\n"
+            "module = native.load(Path(sys.argv[1]))\n"
+            "print(module.Stepper.__name__)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        processes = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path)], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        for process in processes:
+            out, err = process.communicate(timeout=300)
+            assert process.returncode == 0, err
+            assert out.strip() == "Stepper"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            native.artifact_path(tmp_path).name
+        ]
+
+    def test_missing_compiler_is_reported(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(native.shutil, "which", lambda name: None)
+        with pytest.raises(native.NativeUnavailable, match="no C compiler"):
+            native.load(tmp_path)
+        assert not native.artifact_path(tmp_path).exists()
+
+
+# ----------------------------------------------------------------------
+# Fallback without the kernel
+# ----------------------------------------------------------------------
+@pytest.fixture
+def no_kernel(tmp_path, monkeypatch):
+    """This process has no kernel: an empty build cache and no compiler."""
+    monkeypatch.setattr(native, "BUILD_DIR", tmp_path / "build")
+    monkeypatch.setattr(native, "_KERNEL", None)
+    monkeypatch.setattr(native, "_REASON", None)
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+
+
+class TestFallback:
+    def test_reason_names_the_kernel(self, no_kernel):
+        reason = batch_unsupported_reason(build_hierarchy(build_scenario("tlp")))
+        assert reason == "native kernel unavailable: no C compiler (gcc or cc) on PATH"
+
+    def test_single_core_point(self, no_kernel, traces, tmp_path):
+        scenario = build_scenario("tlp")
+        scalar = run_single_core(traces["bfs.urand"], scenario, config=_single("scalar"))
+        tracer.configure(tmp_path / "run", proc="t-native-single")
+        try:
+            batch = run_single_core(traces["bfs.urand"], scenario, config=_single("batch"))
+            tracer.shutdown()
+        finally:
+            tracer.disable()
+        assert dataclasses.asdict(batch) == dataclasses.asdict(scalar)
+        events = _fallback_events(tmp_path / "run")
+        assert len(events) == 1
+        assert events[0]["attrs"]["reason"].startswith("native kernel unavailable: ")
+
+    def test_four_core_mix(self, no_kernel, traces, tmp_path):
+        mix = [traces[workload] for workload in MIX]
+        scalar = run_multicore_mix(mix, build_scenario("tlp"), config=_mix("scalar"))
+        tracer.configure(tmp_path / "run", proc="t-native-mix")
+        try:
+            batch = run_multicore_mix(mix, build_scenario("tlp"), config=_mix("batch"))
+            tracer.shutdown()
+        finally:
+            tracer.disable()
+        assert dataclasses.asdict(batch) == dataclasses.asdict(scalar)
+        events = _fallback_events(tmp_path / "run")
+        assert len(events) == 1
+        assert events[0]["attrs"]["reason"].startswith("native kernel unavailable: ")
+
+
+# ----------------------------------------------------------------------
+# Reference counting and exceptions
+# ----------------------------------------------------------------------
+def _model_objects() -> list:
+    return [obj for obj in gc.get_objects() if type(obj) in MODEL_TYPES]
+
+
+def _tiny_caches(system):
+    """Two-way caches of a few sets: most fills evict (EvictionInfo paths)."""
+    return dataclasses.replace(
+        system,
+        l1d=CacheConfig("L1D", 2 * 2 * 64, 2, 4, 10),
+        l2c=CacheConfig("L2C", 4 * 2 * 64, 2, 10, 16),
+        llc=CacheConfig("LLC", 16 * 2 * 64, 2, 36, 64),
+    )
+
+
+class Boom(Exception):
+    """Raised by a sabotaged Python kernel."""
+
+
+def _raise_on_call(monkeypatch, calls: int) -> None:
+    real = IPCPPrefetcher.step_batch
+    seen = [0]
+
+    def step_batch(self, hit):
+        seen[0] += 1
+        if seen[0] == calls:
+            raise Boom(f"call {calls}")
+        return real(self, hit)
+
+    monkeypatch.setattr(IPCPPrefetcher, "step_batch", step_batch)
+
+
+class TestRefcounts:
+    def _check_single(self, trace, raise_at=None, monkeypatch=None):
+        before = _model_objects()
+        system = _tiny_caches(_single("batch"))
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=system)
+        assert batch_unsupported_reason(hierarchy) is None
+        alive = weakref.ref(hierarchy)
+        if raise_at is None:
+            run_single_core(trace, build_scenario("tlp"), config=system, hierarchy=hierarchy)
+        else:
+            _raise_on_call(monkeypatch, raise_at)
+            with pytest.raises(Boom, match=f"call {raise_at}"):
+                run_single_core(
+                    trace, build_scenario("tlp"), config=system, hierarchy=hierarchy
+                )
+        del hierarchy
+        gc.collect()
+        assert alive() is None
+        known = {id(obj) for obj in before}
+        assert [obj for obj in _model_objects() if id(obj) not in known] == []
+
+    def _check_mix(self, mix, raise_at=None, monkeypatch=None):
+        before = _model_objects()
+        system = _tiny_caches(_mix("batch"))
+        hierarchies = build_mix_hierarchies(build_scenario("tlp"), system, len(mix))
+        alive = [weakref.ref(hierarchy) for hierarchy in hierarchies]
+        if raise_at is None:
+            run_multicore_mix(mix, build_scenario("tlp"), config=system,
+                              hierarchies=hierarchies)
+        else:
+            _raise_on_call(monkeypatch, raise_at)
+            with pytest.raises(Boom):
+                run_multicore_mix(mix, build_scenario("tlp"), config=system,
+                                  hierarchies=hierarchies)
+        del hierarchies
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * len(alive)
+        known = {id(obj) for obj in before}
+        assert [obj for obj in _model_objects() if id(obj) not in known] == []
+
+    def test_single_core_run_leaves_nothing(self, traces):
+        self._check_single(traces["bfs.urand"])
+
+    def test_four_core_mix_leaves_nothing(self, traces):
+        self._check_mix([traces[workload] for workload in MIX])
+
+    def test_callout_exception_propagates_from_single_core(self, traces, monkeypatch):
+        # Call 200 lands in the measured phase (warm-up has ~120 demands).
+        self._check_single(traces["spec.mcf_like"], 200, monkeypatch)
+
+    def test_callout_exception_propagates_from_mix(self, traces, monkeypatch):
+        self._check_mix([traces[workload] for workload in MIX], 900, monkeypatch)
+
+    def test_exhausted_stepper_stays_exhausted(self, traces):
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
+        runner = CoreRunner(_single("batch").core, hierarchy.demand_access)
+        stepper = fused_core_stepper(runner, traces["cc.road"], hierarchy, 61)
+        cycles = list(stepper)
+        assert len(cycles) == traces["cc.road"].num_memory_accesses
+        assert cycles == sorted(cycles)
+        assert next(stepper, None) is None
+        assert runner.instructions == len(traces["cc.road"])
