@@ -20,9 +20,10 @@ lives in preallocated parallel rows: a numpy ``int64`` buffer (memoryview
 rows) for current page and observation total, plus parallel lists for the
 access history, the delta counters and the confirmed-delta list.  The
 order-dependent kernel is :meth:`_step`; :meth:`on_demand_access` wraps its
-output in :class:`PrefetchRequest` objects for the scalar path, while the
-batch core precomputes chunk columns with :meth:`begin_batch` and drains
-them through :meth:`step_batch` (raw target vaddrs, no request objects).
+output in :class:`PrefetchRequest` objects for the scalar reference path.
+The batch simulator core runs its own port of :meth:`_step` in
+``repro/sim/_fused.c`` over the same ``_page_buf``/``_total_buf`` rows and
+flat copies of the per-entry containers, bit-identical.
 """
 
 from __future__ import annotations
@@ -68,11 +69,6 @@ class BertiPrefetcher(L1DPrefetcher):
         self._delta_hits: list[dict[int, int]] = [{} for _ in range(n)]
         #: Deltas promoted to "confirmed" with their estimated coverage.
         self._confirmed: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        # Batch cursor state.
-        self._b_keys: list[int] = []
-        self._b_blocks: list[int] = []
-        self._b_pages: list[int] = []
-        self._b_cursor = 0
 
     # ------------------------------------------------------------------
     # Main hook (scalar reference path)
@@ -102,31 +98,6 @@ class BertiPrefetcher(L1DPrefetcher):
                 )
             )
         return requests
-
-    # ------------------------------------------------------------------
-    # Batch interface (fused simulator core)
-    # ------------------------------------------------------------------
-    def begin_batch(self, pcs: np.ndarray, vaddrs: np.ndarray) -> None:
-        """Precompute the pure-per-access columns for one chunk."""
-        self._b_keys = (pcs % self.table_entries).tolist()
-        self._b_blocks = (vaddrs >> 6).tolist()
-        self._b_pages = (vaddrs >> PAGE_BITS).tolist()
-        self._b_cursor = 0
-
-    def step_batch(self, hit: bool) -> list[int] | None:
-        """Advance one access; returns target vaddrs (or None)."""
-        i = self._b_cursor
-        self._b_cursor = i + 1
-        block = self._b_blocks[i]
-        confirmed = self._step(self._b_keys[i], block, self._b_pages[i])
-        if not confirmed:
-            return None
-        targets: list[int] = []
-        for delta, _coverage in confirmed[: self.max_prefetch_degree]:
-            target_block = block + delta
-            if target_block > 0:
-                targets.append(target_block << 6)
-        return targets
 
     # ------------------------------------------------------------------
     # The order-dependent kernel

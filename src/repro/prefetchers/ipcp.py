@@ -27,13 +27,11 @@ row alias valid.  The per-page region tracker packs the touched-block set
 into one Python int bitmask (``bit_count()`` is the density popcount).
 
 The prefetch logic itself is factored into :meth:`_step`, which works on
-precomputed ``(key, block, page, offset)`` rows and returns raw target
-virtual addresses.  :meth:`on_demand_access` wraps those in
-:class:`PrefetchRequest` objects for the scalar reference path, while the
-batch simulator core (:mod:`repro.sim.batch`) precomputes whole chunk
-columns with :meth:`begin_batch` and consumes one row per demand access via
-:meth:`step_batch` -- no request objects, same arithmetic, bit-identical
-metrics.
+``(key, block, page, offset)`` and returns raw target virtual addresses;
+:meth:`on_demand_access` wraps those in :class:`PrefetchRequest` objects.
+This is the scalar reference path.  The batch simulator core runs its own
+port of :meth:`_step` in ``repro/sim/_fused.c`` over the same ``_ip_buf``/
+``_cplx_buf`` tables and a flat copy of the region FIFO, bit-identical.
 """
 
 from __future__ import annotations
@@ -102,12 +100,6 @@ class IPCPPrefetcher(L1DPrefetcher):
         #: Class/confidence of the most recent _step() that produced targets
         #: (consumed by the on_demand_access wrapper only).
         self._last_class = "none"
-        # Batch cursor state (begin_batch/step_batch).
-        self._b_keys: list[int] = []
-        self._b_blocks: list[int] = []
-        self._b_pages: list[int] = []
-        self._b_offsets: list[int] = []
-        self._b_cursor = 0
 
     # ------------------------------------------------------------------
     # Main hook (scalar reference path)
@@ -137,34 +129,6 @@ class IPCPPrefetcher(L1DPrefetcher):
             )
             for target in targets
         ]
-
-    # ------------------------------------------------------------------
-    # Batch interface (fused simulator core)
-    # ------------------------------------------------------------------
-    def begin_batch(self, pcs: np.ndarray, vaddrs: np.ndarray) -> None:
-        """Precompute the pure-per-access columns for one chunk.
-
-        ``pcs``/``vaddrs`` are the chunk's demand records in order; the
-        fused loop then calls :meth:`step_batch` exactly once per record.
-        """
-        blocks = vaddrs >> 6
-        self._b_keys = (pcs % self.ip_table_entries).tolist()
-        self._b_blocks = blocks.tolist()
-        self._b_pages = (vaddrs >> PAGE_BITS).tolist()
-        self._b_offsets = (blocks & (_BLOCKS_PER_PAGE - 1)).tolist()
-        self._b_cursor = 0
-
-    def step_batch(self, hit: bool) -> list[int] | None:
-        """Advance one access; returns target vaddrs (or None)."""
-        i = self._b_cursor
-        self._b_cursor = i + 1
-        return self._step(
-            self._b_keys[i],
-            self._b_blocks[i],
-            self._b_pages[i],
-            self._b_offsets[i],
-            hit,
-        )
 
     # ------------------------------------------------------------------
     # The order-dependent kernel

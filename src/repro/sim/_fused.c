@@ -4,20 +4,32 @@
  * One Stepper runs one core's trace through its MemoryHierarchy: core
  * dispatch/ROB timing, page translation, the L1D->L2C->LLC->DRAM walk with
  * its LRU updates and fills, speculative DRAM requests, the FLP/Hermes
- * weight sums and training, and the L1D/L2C prefetch issue paths.  It works
- * on the very Python objects the scalar reference uses (cache _blocks,
- * _stamps, _way_blocks, _set_fill and _clock, CacheBlock slots, the page
- * table, DRAM _busy_until, the perceptron int32 weights and every stats
- * object), in the same order and with the same arithmetic, so there is no
- * second copy of the simulator state.  The order-dependent kernels of the
- * prefetchers and filters (IPCP/Berti step_batch, SPP step, PPF/SLP
- * consult_step, SLP train) and the hierarchy callbacks stay Python calls.
+ * weight sums and training, the L1D/L2C prefetch issue paths, and the
+ * order-dependent kernels of the stock prefetchers and filters: IPCP or
+ * Berti at the L1D, SPP at the L2C, the SLP filter above the L1D and the PPF
+ * filter behind SPP.  It works on the very Python objects the scalar
+ * reference uses (cache _blocks, _stamps, _way_blocks, _set_fill and _clock,
+ * CacheBlock slots, the page table, DRAM _busy_until, the pending-prefetch
+ * dicts and every stats object), in the same order and with the same
+ * arithmetic.  Component tables held in numpy arrays are used in place
+ * through the buffer protocol: IPCP _ip_buf/_cplx_buf, Berti _page_buf/
+ * _total_buf, SPP _pattern_total_buf and the perceptron weights of FLP,
+ * Hermes, PPF and SLP.  Dict- and list-backed component state (IPCP's
+ * region FIFO, Berti's histories, delta counters and confirmed lists, SPP's
+ * signature FIFO and pattern delta counters, SLP's page buffer and PC
+ * history) is copied into flat tables when the Stepper is built and written
+ * back into the same containers, in the same order, when the trace ends (a
+ * run that raises leaves them as loaded); index memos are caches and are
+ * left alone (SPP's best-prediction memo is reset to None).  A hierarchy with any prefetch-path component the kernel
+ * does not model keeps the object-call paths (on_demand_access,
+ * _issue_l1d_prefetch, _run_l2_prefetcher); PPF training on prefetch use and
+ * L2C eviction stays a Python call either way.
  *
  * Cache clocks and the DRAM channel's _busy_until are written through to
  * their objects on every change, so they are current at every yield and
  * every Python call.  They are re-read after a yield (another core of a mix
- * may have moved the shared LLC and DRAM) and after the generic object-call
- * paths (unrecognised prefetchers, the sample hook), which may fill caches
+ * may have moved the shared LLC and DRAM) and after the object-call paths
+ * (unmodelled prefetchers, the sample hook), which may fill caches
  * themselves.  Pure counters accumulate per chunk and are added to their
  * stats objects at the end of each chunk.
  *
@@ -31,6 +43,7 @@
 #include <Python.h>
 #include <structmember.h>
 #include <stdint.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------ */
 /* Interned names and the model's Python types                         */
@@ -38,6 +51,7 @@
 
 static PyObject *CacheBlockType, *EvictionInfoType, *PrefetchRecordType;
 static PyObject *Levels[4]; /* MemLevel.L1D .. MemLevel.DRAM */
+static long long BertiHistoryDepth;
 
 /* CacheBlock slot offsets. */
 static Py_ssize_t CB_block_addr, CB_slot, CB_dirty, CB_prefetched,
@@ -50,13 +64,13 @@ static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
     X(_clock) X(_busy_until) X(_blocks) X(_stamps) X(_way_blocks)            \
     X(_set_fill) X(stats) X(_eviction_listener) X(num_sets) X(associativity) \
     X(latency) X(l1d) X(l2c) X(llc) X(dram) X(page_table) X(_mapping)        \
-    X(_allocate_frame) X(_record_offchip_prediction_location)                \
-    X(_resolve_l1d_prefetch_use) X(_resolve_l2c_prefetch_use)                \
-    X(_issue_l1d_prefetch) X(_finalize_l1d_prefetch)                         \
+    X(_allocate_frame) X(_resolve_l2c_prefetch_use) X(_issue_l1d_prefetch)   \
+    X(_run_l2_prefetcher) X(on_demand_access)                                \
     X(_pending_l1d_prefetches) X(_pending_l2c_prefetches)                    \
     X(_predictor_latency) X(_prefetch_drop_queue_cycles)                     \
     X(_cycles_per_transaction) X(config) X(access_latency)                   \
-    X(offchip_predictor)                                                     \
+    X(offchip_predictor) X(l1d_prefetcher) X(l2_prefetcher)                  \
+    X(l1d_prefetch_filter) X(l2_prefetch_filter)                             \
     X(perceptron) X(_tables) X(_weight_limits) X(training_threshold)         \
     X(last_prediction) X(activation_threshold) X(tau_high) X(tau_low)        \
     X(selective_delay) X(immediate_decisions) X(delayed_decisions)           \
@@ -67,18 +81,41 @@ static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
     X(total_load_latency) X(clear) X(extend) X(demand_loads)                 \
     X(demand_stores) X(offchip_predictions) X(speculative_requests)          \
     X(delayed_speculative_requests) X(delayed_predictions_saved)             \
+    X(offchip_prediction_location)                                           \
     X(l1d_prefetch_candidates) X(l1d_prefetches_dropped_resident)            \
     X(l1d_prefetches_filtered) X(l1d_prefetches_dropped_queue_full)          \
     X(l1d_prefetches_issued) X(l2c_prefetch_candidates)                      \
     X(l2c_prefetches_dropped_resident) X(l2c_prefetches_filtered)            \
     X(l2c_prefetches_dropped_queue_full) X(l2c_prefetches_issued)            \
-    X(served_by) X(l1d_prefetch_served_by) X(demand_accesses)                \
+    X(served_by) X(l1d_prefetch_served_by) X(useful_l1d_prefetches)          \
+    X(useless_l1d_prefetches) X(accurate_prefetch_source)                    \
+    X(inaccurate_prefetch_source) X(demand_accesses)                         \
     X(demand_hits) X(demand_misses) X(prefetch_hits) X(prefetch_fills)       \
     X(demand_fills) X(evictions) X(writebacks) X(useful_prefetch_evictions)  \
     X(useless_prefetch_evictions) X(total_transactions)                      \
     X(demand_transactions) X(speculative_transactions)                       \
     X(l1d_prefetch_transactions) X(l2c_prefetch_transactions)                \
-    X(total_queue_cycles) X(max_queue_cycles)
+    X(total_queue_cycles) X(max_queue_cycles)                                \
+    /* IPCP */                                                               \
+    X(ip_table_entries) X(cplx_table_entries) X(region_entries)              \
+    X(cs_degree) X(cplx_degree) X(gs_degree) X(nl_degree)                    \
+    X(cs_confidence_threshold) X(gs_density_threshold) X(_ip_buf)            \
+    X(_cplx_buf) X(_regions) X(_region_order) X(class_counts) X(_last_class) \
+    X(cs) X(cplx) X(gs) X(nl) X(none)                                        \
+    /* Berti */                                                              \
+    X(table_entries) X(low_coverage) X(max_prefetch_degree)                  \
+    X(relearn_interval) X(_page_buf) X(_total_buf) X(_histories)             \
+    X(_delta_hits) X(_confirmed)                                             \
+    /* SPP */                                                                \
+    X(signature_table_entries) X(pattern_table_entries)                      \
+    X(lookahead_confidence) X(l2_fill_confidence) X(max_lookahead_depth)     \
+    X(_signatures) X(_signature_order) X(_pattern_deltas)                    \
+    X(_pattern_total_buf) X(_pattern_best) X(lookahead_prefetches)           \
+    /* PPF and SLP */                                                        \
+    X(_weights) X(_index_bits) X(issue_threshold) X(consultations)           \
+    X(accepted) X(rejected) X(tau_pref) X(use_leveling_feature) X(history)   \
+    X(_page_buffer) X(page_buffer_entries) X(pc_history_length)              \
+    X(_pc_history) X(_pcs_tuple) X(_pcs_hash) X(issued) X(discarded)
 
 #define DECLARE_NAME(n) static PyObject *S_##n;
 NAMES(DECLARE_NAME)
@@ -151,10 +188,17 @@ load_model_types(void)
     PyObject *info = import_attr("repro.memory.cache", "EvictionInfo");
     PyObject *record = import_attr("repro.memory.hierarchy", "PrefetchRecord");
     PyObject *level = import_attr("repro.common.types", "MemLevel");
-    if (block == NULL || info == NULL || record == NULL || level == NULL)
+    PyObject *depth = import_attr("repro.prefetchers.berti", "_HISTORY_DEPTH");
+    if (block == NULL || info == NULL || record == NULL || level == NULL || depth == NULL)
         goto error;
     if (!PyType_Check(block) || !PyType_Check(record)) {
         PyErr_SetString(PyExc_TypeError, "CacheBlock/PrefetchRecord must be classes");
+        goto error;
+    }
+    BertiHistoryDepth = PyLong_AsLongLong(depth);
+    if (BertiHistoryDepth < 1 || BertiHistoryDepth > 255) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "Berti history depth out of range");
         goto error;
     }
     if ((CB_block_addr = slot_offset(block, "block_addr")) < 0
@@ -177,6 +221,7 @@ load_model_types(void)
             goto error;
     }
     Py_DECREF(level);
+    Py_DECREF(depth);
     CacheBlockType = block;
     EvictionInfoType = info;
     PrefetchRecordType = record;
@@ -188,6 +233,7 @@ error:
     Py_XDECREF(info);
     Py_XDECREF(record);
     Py_XDECREF(level);
+    Py_XDECREF(depth);
     return -1;
 }
 
@@ -204,15 +250,22 @@ alloc_slots(PyObject *type)
 /* Small helpers over Python objects                                   */
 /* ------------------------------------------------------------------ */
 
+static inline int
+as_ll(PyObject *value, long long *out)
+{
+    *out = PyLong_AsLongLong(value);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
 static int
 get_ll(PyObject *obj, PyObject *name, long long *out)
 {
     PyObject *value = PyObject_GetAttr(obj, name);
     if (value == NULL)
         return -1;
-    *out = PyLong_AsLongLong(value);
+    int rc = as_ll(value, out);
     Py_DECREF(value);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+    return rc;
 }
 
 static int
@@ -224,6 +277,17 @@ get_double(PyObject *obj, PyObject *name, double *out)
     *out = PyFloat_AsDouble(value);
     Py_DECREF(value);
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+get_truth(PyObject *obj, PyObject *name, int *out)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    *out = truth(value);
+    Py_DECREF(value);
+    return *out < 0 ? -1 : 0;
 }
 
 static int
@@ -285,18 +349,28 @@ add_item(PyObject *mapping, PyObject *key, long long delta)
     return rc;
 }
 
+/* getattr(obj, name)[level] += counts[level] for the four memory levels. */
+static int
+add_levels(PyObject *obj, PyObject *name, long long *counts)
+{
+    PyObject *mapping = PyObject_GetAttr(obj, name);
+    if (mapping == NULL)
+        return -1;
+    int rc = 0;
+    for (int level = 0; level < 4; level++) {
+        if (rc == 0 && add_item(mapping, Levels[level], counts[level]) < 0)
+            rc = -1;
+        counts[level] = 0;
+    }
+    Py_DECREF(mapping);
+    return rc;
+}
+
 static PyObject *
 call1(PyObject *f, PyObject *a)
 {
     PyObject *args[2] = {NULL, a};
     return PyObject_Vectorcall(f, args + 1, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-}
-
-static PyObject *
-call2(PyObject *f, PyObject *a, PyObject *b)
-{
-    PyObject *args[3] = {NULL, a, b};
-    return PyObject_Vectorcall(f, args + 1, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
 }
 
 static PyObject *
@@ -329,9 +403,1667 @@ py_bool(int value)
     return value ? Py_True : Py_False;
 }
 
+/* Python's ``a % m`` for m > 0. */
+static inline int64_t
+py_mod(int64_t a, int64_t m)
+{
+    int64_t r = a % m;
+    return r < 0 ? r + m : r;
+}
+
+/* Python's ``a // 2``. */
+static inline int64_t
+py_half(int64_t a)
+{
+    return a >= 0 ? a / 2 : -((1 - a) / 2);
+}
+
+/* ``block << 6``: the address of a block, or -1 with OverflowError. */
+static inline int
+block_address(int64_t block, int64_t *out)
+{
+    if (__builtin_mul_overflow(block, (int64_t)64, out)) {
+        PyErr_SetString(PyExc_OverflowError, "prefetch target beyond 64-bit addresses");
+        return -1;
+    }
+    return 0;
+}
+
+static inline int
+add_checked(int64_t a, int64_t b, int64_t *out)
+{
+    if (__builtin_add_overflow(a, b, out)) {
+        PyErr_SetString(PyExc_OverflowError, "prefetch target beyond 64-bit addresses");
+        return -1;
+    }
+    return 0;
+}
+
+static void *
+mem_calloc(Py_ssize_t count, size_t size)
+{
+    void *memory = PyMem_Calloc(count > 0 ? (size_t)count : 1, size);
+    if (memory == NULL)
+        PyErr_NoMemory();
+    return memory;
+}
+
+/* A held buffer view of a numpy table. */
+typedef struct {
+    Py_buffer view;
+    int held;
+} View;
+
+/* A writable C-contiguous 1-D buffer of signed ``itemsize``-byte integers
+ * (``length`` items unless negative); NULL with TypeError otherwise. */
+static void *
+view_ints(View *v, PyObject *obj, Py_ssize_t itemsize, Py_ssize_t length, const char *what)
+{
+    if (PyObject_GetBuffer(obj, &v->view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return NULL;
+    v->held = 1;
+    const char *format = v->view.format ? v->view.format : "B";
+    if (*format == '@' || *format == '=')
+        format++;
+    if (v->view.ndim != 1 || v->view.itemsize != itemsize || format[0] == '\0'
+        || format[1] != '\0' || strchr("ilq", format[0]) == NULL
+        || (length >= 0 && v->view.shape[0] != length)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a 1-D int%zd array of %zd items",
+                     what, 8 * itemsize, length);
+        return NULL;
+    }
+    return v->view.buf;
+}
+
+static void *
+attr_ints(View *v, PyObject *obj, PyObject *name, Py_ssize_t itemsize, Py_ssize_t length,
+          const char *what)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return NULL;
+    void *data = view_ints(v, value, itemsize, length, what);
+    Py_DECREF(value);
+    return data;
+}
+
+static void
+view_release(View *v)
+{
+    if (v->held) {
+        PyBuffer_Release(&v->view);
+        v->held = 0;
+    }
+}
+
+static PyObject *
+attr_exact(PyObject *obj, PyObject *name, PyTypeObject *type, Py_ssize_t length)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return NULL;
+    if (!Py_IS_TYPE(value, type) || (length >= 0 && PyObject_Length(value) != length)) {
+        PyErr_Format(PyExc_TypeError, "%U must be a %s of %zd items", name, type->tp_name,
+                     length);
+        Py_DECREF(value);
+        return NULL;
+    }
+    return value;
+}
+
 /* ------------------------------------------------------------------ */
-/* One cache level                                                     */
+/* Hashing (repro.common.hashing)                                      */
 /* ------------------------------------------------------------------ */
+
+#define MASK32 0xFFFFFFFFull
+
+static inline uint64_t
+jenkins32(uint64_t value)
+{
+    value &= MASK32;
+    value = (value + 0x7ED55D16ull + (value << 12)) & MASK32;
+    value = (value ^ 0xC761C23Cull ^ (value >> 19)) & MASK32;
+    value = (value + 0x165667B1ull + (value << 5)) & MASK32;
+    value = ((value + 0xD3A2646Cull) ^ (value << 9)) & MASK32;
+    value = (value + 0xFD7046C5ull + (value << 3)) & MASK32;
+    value = (value ^ 0xB55A4F09ull ^ (value >> 16)) & MASK32;
+    return value;
+}
+
+static inline uint64_t
+hash_step(uint64_t accumulator, uint64_t component)
+{
+    accumulator = ((accumulator << 7) | (accumulator >> 25)) & MASK32;
+    return accumulator ^ jenkins32(component);
+}
+
+/* hash_combine(a, b) */
+static inline uint64_t
+hash_pair(uint64_t a, uint64_t b)
+{
+    return hash_step(hash_step(0x9E3779B9ull, a), b);
+}
+
+/* fold_xor(value, bits) for a non-negative value and 1 <= bits < 64. */
+static inline uint64_t
+fold_xor(uint64_t value, int bits)
+{
+    uint64_t mask = (1ull << bits) - 1, folded = 0;
+    while (value) {
+        folded ^= value & mask;
+        value >>= bits;
+    }
+    return folded;
+}
+
+/* table_index(value, bits) % entries */
+static inline Py_ssize_t
+table_slot(uint64_t value, int bits, Py_ssize_t entries)
+{
+    return (Py_ssize_t)(fold_xor(jenkins32(value), bits) % (uint64_t)entries);
+}
+
+/* max(1, (entries - 1).bit_length()) */
+static int
+index_bits(Py_ssize_t entries)
+{
+    int bits = 0;
+    for (uint64_t rest = (uint64_t)(entries - 1); rest; rest >>= 1)
+        bits++;
+    return bits > 1 ? bits : 1;
+}
+
+/* ------------------------------------------------------------------ */
+/* Ordered keys: a bounded insertion-ordered set of int64 keys         */
+/* ------------------------------------------------------------------ */
+
+/* The FIFO and LRU tables of the components (IPCP regions, SPP signatures,
+ * the SLP page buffer): keys live in slots chained oldest to newest, found
+ * through an open-addressing index (linear probing, backward-shift
+ * deletion).  Payload arrays are indexed by slot. */
+typedef struct {
+    Py_ssize_t cap, len, head, tail, free_slot;
+    int64_t *keys;
+    Py_ssize_t *prev, *next, *index;
+    size_t mask;
+    int shift;
+} OrderedKeys;
+
+static int
+keys_init(OrderedKeys *m, Py_ssize_t cap)
+{
+    size_t size = 4;
+    int bits = 2;
+    while (size < (size_t)cap * 2) {
+        size <<= 1;
+        bits++;
+    }
+    m->cap = cap;
+    m->len = 0;
+    m->head = m->tail = -1;
+    m->mask = size - 1;
+    m->shift = 64 - bits;
+    m->keys = mem_calloc(cap, sizeof(int64_t));
+    m->prev = mem_calloc(cap, sizeof(Py_ssize_t));
+    m->next = mem_calloc(cap, sizeof(Py_ssize_t));
+    m->index = mem_calloc((Py_ssize_t)size, sizeof(Py_ssize_t));
+    if (m->keys == NULL || m->prev == NULL || m->next == NULL || m->index == NULL)
+        return -1;
+    for (size_t i = 0; i < size; i++)
+        m->index[i] = -1;
+    for (Py_ssize_t i = 0; i < cap; i++)
+        m->next[i] = i + 1 < cap ? i + 1 : -1;
+    m->free_slot = cap > 0 ? 0 : -1;
+    return 0;
+}
+
+static void
+keys_free(OrderedKeys *m)
+{
+    PyMem_Free(m->keys);
+    PyMem_Free(m->prev);
+    PyMem_Free(m->next);
+    PyMem_Free(m->index);
+    memset(m, 0, sizeof(*m));
+}
+
+static inline size_t
+keys_home(const OrderedKeys *m, int64_t key)
+{
+    return (size_t)(((uint64_t)key * 0x9E3779B97F4A7C15ull) >> m->shift);
+}
+
+/* The slot holding ``key``, or -1. */
+static inline Py_ssize_t
+keys_find(const OrderedKeys *m, int64_t key)
+{
+    for (size_t i = keys_home(m, key);; i = (i + 1) & m->mask) {
+        Py_ssize_t slot = m->index[i];
+        if (slot < 0 || m->keys[slot] == key)
+            return slot;
+    }
+}
+
+static inline void
+keys_link_tail(OrderedKeys *m, Py_ssize_t slot)
+{
+    m->prev[slot] = m->tail;
+    m->next[slot] = -1;
+    if (m->tail >= 0)
+        m->next[m->tail] = slot;
+    else
+        m->head = slot;
+    m->tail = slot;
+}
+
+static inline void
+keys_unlink(OrderedKeys *m, Py_ssize_t slot)
+{
+    Py_ssize_t before = m->prev[slot], after = m->next[slot];
+    if (before >= 0)
+        m->next[before] = after;
+    else
+        m->head = after;
+    if (after >= 0)
+        m->prev[after] = before;
+    else
+        m->tail = before;
+}
+
+/* Append an absent ``key`` as the newest; the caller keeps len < cap. */
+static Py_ssize_t
+keys_append(OrderedKeys *m, int64_t key)
+{
+    Py_ssize_t slot = m->free_slot;
+    m->free_slot = m->next[slot];
+    m->keys[slot] = key;
+    keys_link_tail(m, slot);
+    m->len++;
+    size_t i = keys_home(m, key);
+    while (m->index[i] >= 0)
+        i = (i + 1) & m->mask;
+    m->index[i] = slot;
+    return slot;
+}
+
+static void
+keys_remove(OrderedKeys *m, Py_ssize_t slot)
+{
+    size_t hole = keys_home(m, m->keys[slot]);
+    while (m->index[hole] != slot)
+        hole = (hole + 1) & m->mask;
+    for (size_t j = (hole + 1) & m->mask; m->index[j] >= 0; j = (j + 1) & m->mask) {
+        size_t home = keys_home(m, m->keys[m->index[j]]);
+        /* An entry whose home lies cyclically in (hole, j] stays put. */
+        int stays = hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
+        if (!stays) {
+            m->index[hole] = m->index[j];
+            hole = j;
+        }
+    }
+    m->index[hole] = -1;
+    keys_unlink(m, slot);
+    m->next[slot] = m->free_slot;
+    m->free_slot = slot;
+    m->len--;
+}
+
+/* FIFO/LRU insertion of an absent key: with the table full the oldest key
+ * goes first (Python inserts, then pops the oldest past capacity). */
+static Py_ssize_t
+keys_push(OrderedKeys *m, int64_t key)
+{
+    if (m->len == m->cap)
+        keys_remove(m, m->head);
+    return keys_append(m, key);
+}
+
+static void
+keys_move_to_end(OrderedKeys *m, Py_ssize_t slot)
+{
+    if (slot != m->tail) {
+        keys_unlink(m, slot);
+        keys_link_tail(m, slot);
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Hashed perceptrons (FLP/Hermes and SLP)                             */
+/* ------------------------------------------------------------------ */
+
+#define MAX_FEATURES 6
+
+typedef struct {
+    int features;
+    View views[MAX_FEATURES];
+    int32_t *tables[MAX_FEATURES];
+    Py_ssize_t entries[MAX_FEATURES];
+    int bits[MAX_FEATURES];
+    long long lo[MAX_FEATURES], hi[MAX_FEATURES];
+    double training_threshold;
+    PyObject *stats;
+    /* Chunk-local counters, added to ``stats`` at the end of each chunk. */
+    long long predictions, positive, training_events, correct, weight_updates;
+} Perceptron;
+
+/* Bind a HashedPerceptron's weight tables (in place) and limits. */
+static int
+perceptron_init(Perceptron *p, PyObject *perceptron, int features)
+{
+    int rc = -1;
+    PyObject *tables = NULL, *limits = NULL;
+    if ((p->stats = PyObject_GetAttr(perceptron, S_stats)) == NULL
+        || (tables = PyObject_GetAttr(perceptron, S__tables)) == NULL
+        || (limits = PyObject_GetAttr(perceptron, S__weight_limits)) == NULL
+        || get_double(perceptron, S_training_threshold, &p->training_threshold) < 0)
+        goto done;
+    if (PySequence_Size(tables) != features || PySequence_Size(limits) != features) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError, "the fused kernel models %d feature tables here",
+                         features);
+        goto done;
+    }
+    for (int f = 0; f < features; f++) {
+        PyObject *table = PySequence_GetItem(tables, f);
+        PyObject *bound = PySequence_GetItem(limits, f);
+        int ok = table && bound && PyArg_ParseTuple(bound, "LL", &p->lo[f], &p->hi[f]);
+        p->features = f + 1;
+        if (ok && (p->tables[f] = view_ints(&p->views[f], table, 4, -1,
+                                            "perceptron weights")) == NULL)
+            ok = 0;
+        Py_XDECREF(table);
+        Py_XDECREF(bound);
+        if (!ok)
+            goto done;
+        p->entries[f] = p->views[f].view.shape[0];
+        if (p->entries[f] < 1) {
+            PyErr_SetString(PyExc_ValueError, "empty perceptron weight table");
+            goto done;
+        }
+        p->bits[f] = index_bits(p->entries[f]);
+    }
+    rc = 0;
+done:
+    Py_XDECREF(tables);
+    Py_XDECREF(limits);
+    return rc;
+}
+
+static void
+perceptron_release(Perceptron *p)
+{
+    for (int f = 0; f < p->features; f++)
+        view_release(&p->views[f]);
+    p->features = 0;
+}
+
+static inline long long
+perceptron_sum(const Perceptron *p, const Py_ssize_t *indices)
+{
+    long long total = 0;
+    for (int f = 0; f < p->features; f++)
+        total += p->tables[f][indices[f]];
+    return total;
+}
+
+/* HashedPerceptron.train */
+static void
+perceptron_train(Perceptron *p, const Py_ssize_t *indices, int target, long long confidence)
+{
+    p->training_events++;
+    int predicted = confidence >= 0;
+    if (predicted == target)
+        p->correct++;
+    long long magnitude = confidence >= 0 ? confidence : -confidence;
+    if (predicted == target && (double)magnitude >= p->training_threshold)
+        return;
+    for (int f = 0; f < p->features; f++) {
+        long long updated = (long long)p->tables[f][indices[f]] + (target ? 1 : -1);
+        if (updated < p->lo[f])
+            updated = p->lo[f];
+        if (updated > p->hi[f])
+            updated = p->hi[f];
+        p->tables[f][indices[f]] = (int32_t)updated;
+    }
+    p->weight_updates++;
+}
+
+static int
+perceptron_flush(Perceptron *p)
+{
+    if (add_attr(p->stats, S_predictions, p->predictions) < 0
+        || add_attr(p->stats, S_positive_predictions, p->positive) < 0
+        || add_attr(p->stats, S_training_events, p->training_events) < 0
+        || add_attr(p->stats, S_correct_predictions, p->correct) < 0
+        || add_attr(p->stats, S_weight_updates, p->weight_updates) < 0)
+        return -1;
+    p->predictions = p->positive = p->training_events = p->correct = 0;
+    p->weight_updates = 0;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* IPCP (repro.prefetchers.ipcp.IPCPPrefetcher._step)                   */
+/* ------------------------------------------------------------------ */
+
+enum { CLASS_CS, CLASS_CPLX, CLASS_GS, CLASS_NL, CLASS_NONE, NUM_CLASSES };
+
+typedef struct {
+    View ip_view, cplx_view;
+    int64_t *ip_last, *ip_stride, *ip_conf, *ip_sig, *cplx_stride, *cplx_conf;
+    long long n, m, cs_degree, cplx_degree, gs_degree, nl_degree, cs_threshold;
+    double gs_density;
+    OrderedKeys regions; /* page FIFO, oldest first */
+    uint64_t *touched;   /* per region slot: touched-block bitmask */
+    int64_t *last_offset, *direction;
+    int last_class;
+    long long class_counts[NUM_CLASSES];
+    int64_t *targets;
+} IPCP;
+
+static PyObject **
+class_name(int cls)
+{
+    static PyObject **names[NUM_CLASSES] = {&S_cs, &S_cplx, &S_gs, &S_nl, &S_none};
+    return names[cls];
+}
+
+static int
+ipcp_load(IPCP *p, PyObject *obj)
+{
+    long long cap;
+    if (get_ll(obj, S_ip_table_entries, &p->n) < 0
+        || get_ll(obj, S_cplx_table_entries, &p->m) < 0
+        || get_ll(obj, S_region_entries, &cap) < 0
+        || get_ll(obj, S_cs_degree, &p->cs_degree) < 0
+        || get_ll(obj, S_cplx_degree, &p->cplx_degree) < 0
+        || get_ll(obj, S_gs_degree, &p->gs_degree) < 0
+        || get_ll(obj, S_nl_degree, &p->nl_degree) < 0
+        || get_ll(obj, S_cs_confidence_threshold, &p->cs_threshold) < 0
+        || get_double(obj, S_gs_density_threshold, &p->gs_density) < 0)
+        return -1;
+    if (p->n < 1 || p->m < 1 || cap < 1) {
+        PyErr_SetString(PyExc_ValueError, "IPCP tables must have at least one entry");
+        return -1;
+    }
+    int64_t *ip, *cplx;
+    if ((ip = attr_ints(&p->ip_view, obj, S__ip_buf, 8, 4 * p->n, "IPCP _ip_buf")) == NULL
+        || (cplx = attr_ints(&p->cplx_view, obj, S__cplx_buf, 8, 2 * p->m,
+                             "IPCP _cplx_buf")) == NULL)
+        return -1;
+    p->ip_last = ip;
+    p->ip_stride = ip + p->n;
+    p->ip_conf = ip + 2 * p->n;
+    p->ip_sig = ip + 3 * p->n;
+    p->cplx_stride = cplx;
+    p->cplx_conf = cplx + p->m;
+    long long most = 1;
+    long long degrees[4] = {p->cs_degree, p->cplx_degree, p->gs_degree, p->nl_degree};
+    for (int i = 0; i < 4; i++)
+        most = degrees[i] > most ? degrees[i] : most;
+    if (keys_init(&p->regions, (Py_ssize_t)cap) < 0
+        || (p->touched = mem_calloc(cap, sizeof(uint64_t))) == NULL
+        || (p->last_offset = mem_calloc(cap, sizeof(int64_t))) == NULL
+        || (p->direction = mem_calloc(cap, sizeof(int64_t))) == NULL
+        || (p->targets = mem_calloc(most, sizeof(int64_t))) == NULL)
+        return -1;
+
+    int rc = -1;
+    PyObject *regions = attr_exact(obj, S__regions, &PyDict_Type, -1);
+    PyObject *order = regions ? attr_exact(obj, S__region_order, &PyList_Type,
+                                           PyDict_GET_SIZE(regions)) : NULL;
+    PyObject *last = order ? PyObject_GetAttr(obj, S__last_class) : NULL;
+    if (last == NULL)
+        goto done;
+    if (PyList_GET_SIZE(order) > cap) {
+        PyErr_SetString(PyExc_ValueError, "IPCP holds more regions than region_entries");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(order); i++) {
+        PyObject *page_obj = PyList_GET_ITEM(order, i);
+        PyObject *region = PyDict_GetItemWithError(regions, page_obj);
+        long long page, offset, direction;
+        unsigned long long touched;
+        if (region == NULL || !PyList_CheckExact(region) || PyList_GET_SIZE(region) != 3) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_TypeError, "IPCP regions must be [mask, offset, direction]");
+            goto done;
+        }
+        touched = PyLong_AsUnsignedLongLong(PyList_GET_ITEM(region, 0));
+        if ((touched == (unsigned long long)-1 && PyErr_Occurred())
+            || as_ll(page_obj, &page) < 0
+            || as_ll(PyList_GET_ITEM(region, 1), &offset) < 0
+            || as_ll(PyList_GET_ITEM(region, 2), &direction) < 0)
+            goto done;
+        if (keys_find(&p->regions, page) >= 0) {
+            PyErr_SetString(PyExc_ValueError, "IPCP region order repeats a page");
+            goto done;
+        }
+        Py_ssize_t slot = keys_append(&p->regions, page);
+        p->touched[slot] = touched;
+        p->last_offset[slot] = offset;
+        p->direction[slot] = direction;
+    }
+    p->last_class = -1;
+    for (int cls = 0; cls < NUM_CLASSES; cls++) {
+        int same = PyObject_RichCompareBool(last, *class_name(cls), Py_EQ);
+        if (same < 0)
+            goto done;
+        if (same)
+            p->last_class = cls;
+    }
+    if (p->last_class < 0) {
+        PyErr_SetString(PyExc_ValueError, "unknown IPCP class");
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(regions);
+    Py_XDECREF(order);
+    Py_XDECREF(last);
+    return rc;
+}
+
+static int
+ipcp_emit(IPCP *p, int64_t block, Py_ssize_t *count)
+{
+    return block_address(block, &p->targets[(*count)++]);
+}
+
+/* One access: region tracking, classification and training.  Leaves the
+ * prefetch target addresses in p->targets; returns their count, or -1. */
+static Py_ssize_t
+ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
+{
+    int64_t key = py_mod(pc, p->n);
+    int64_t block = vaddr >> 6, page = vaddr >> 12, offset = block & 63;
+    Py_ssize_t r = keys_find(&p->regions, page);
+    if (r < 0) {
+        r = keys_push(&p->regions, page);
+        p->touched[r] = 0;
+        p->last_offset[r] = -1;
+        p->direction[r] = 1;
+    }
+    if (p->last_offset[r] >= 0 && offset != p->last_offset[r])
+        p->direction[r] = offset > p->last_offset[r] ? 1 : -1;
+    p->last_offset[r] = offset;
+    p->touched[r] |= (uint64_t)1 << offset;
+
+    Py_ssize_t count = 0;
+    int64_t last_block = p->ip_last[key], stride;
+    if (last_block >= 0 && (stride = block - last_block) != 0) {
+        int64_t last_stride = p->ip_stride[key];
+        int64_t confidence = p->ip_conf[key];
+        int64_t signature = p->ip_sig[key];
+        int64_t m = p->m, target;
+        if (stride == last_stride && confidence >= p->cs_threshold) {
+            p->class_counts[CLASS_CS]++;
+            p->last_class = CLASS_CS;
+            target = block;
+            for (long long k = 0; k < p->cs_degree; k++) {
+                if (add_checked(target, stride, &target) < 0
+                    || (target > 0 && ipcp_emit(p, target, &count) < 0))
+                    return -1;
+            }
+        }
+        else if ((double)__builtin_popcountll(p->touched[r]) / 64.0 >= p->gs_density) {
+            p->class_counts[CLASS_GS]++;
+            p->last_class = CLASS_GS;
+            target = block;
+            for (long long k = 0; k < p->gs_degree; k++) {
+                if (add_checked(target, p->direction[r], &target) < 0
+                    || (target > 0 && ipcp_emit(p, target, &count) < 0))
+                    return -1;
+            }
+        }
+        else if (p->cplx_conf[py_mod(signature, m)] >= 2) {
+            p->class_counts[CLASS_CPLX]++;
+            p->last_class = CLASS_CPLX;
+            target = block;
+            uint64_t chained = (uint64_t)signature;
+            for (long long k = 0; k < p->cplx_degree; k++) {
+                int64_t ckey = py_mod((int64_t)chained, m);
+                if (p->cplx_conf[ckey] < 2)
+                    break;
+                int64_t chained_stride = p->cplx_stride[ckey];
+                if (add_checked(target, chained_stride, &target) < 0)
+                    return -1;
+                if (target <= 0)
+                    break;
+                if (ipcp_emit(p, target, &count) < 0)
+                    return -1;
+                chained = ((chained << 3) ^ ((uint64_t)chained_stride & 0x3F)) & 0xFFF;
+            }
+        }
+        else {
+            p->class_counts[CLASS_NONE]++;
+        }
+
+        /* Training: stride confidence, then the CPLX entry of the previous
+         * signature, then the signature itself. */
+        if (stride == last_stride) {
+            if (confidence < 3)
+                p->ip_conf[key] = confidence + 1;
+        }
+        else if (confidence > 0) {
+            p->ip_conf[key] = confidence - 1;
+        }
+        int64_t tkey = py_mod(signature, m), tconf = p->cplx_conf[tkey];
+        if (tconf == 0) {
+            p->cplx_stride[tkey] = stride;
+            p->cplx_conf[tkey] = 1;
+        }
+        else if (p->cplx_stride[tkey] != stride) {
+            tconf--;
+            if (tconf == 0) {
+                p->cplx_stride[tkey] = stride;
+                p->cplx_conf[tkey] = 1;
+            }
+            else {
+                p->cplx_conf[tkey] = tconf;
+            }
+        }
+        else if (tconf < 3) {
+            p->cplx_conf[tkey] = tconf + 1;
+        }
+        p->ip_sig[key] =
+            (int64_t)((((uint64_t)signature << 3) ^ ((uint64_t)stride & 0x3F)) & 0xFFF);
+        p->ip_stride[key] = stride;
+    }
+
+    if (count == 0 && !hit) {
+        /* NL: a miss no other class covered falls back to next-line. */
+        p->class_counts[CLASS_NL]++;
+        p->last_class = CLASS_NL;
+        int64_t target = block;
+        for (long long k = 0; k < p->nl_degree; k++) {
+            if (add_checked(target, 1, &target) < 0 || ipcp_emit(p, target, &count) < 0)
+                return -1;
+        }
+    }
+    p->ip_last[key] = block;
+    return count;
+}
+
+static int
+ipcp_flush(IPCP *p, PyObject *obj)
+{
+    PyObject *counts = PyObject_GetAttr(obj, S_class_counts);
+    if (counts == NULL)
+        return -1;
+    int rc = 0;
+    for (int cls = 0; cls < NUM_CLASSES; cls++) {
+        if (rc == 0 && add_item(counts, *class_name(cls), p->class_counts[cls]) < 0)
+            rc = -1;
+        p->class_counts[cls] = 0;
+    }
+    Py_DECREF(counts);
+    return rc;
+}
+
+static int
+ipcp_write_back(IPCP *p, PyObject *obj)
+{
+    PyObject *regions = PyObject_GetAttr(obj, S__regions);
+    PyObject *order = regions ? PyObject_GetAttr(obj, S__region_order) : NULL;
+    PyObject *pages = order ? PyList_New(0) : NULL;
+    int rc = -1;
+    if (pages == NULL)
+        goto done;
+    PyDict_Clear(regions);
+    for (Py_ssize_t slot = p->regions.head; slot >= 0; slot = p->regions.next[slot]) {
+        PyObject *page = PyLong_FromLongLong(p->regions.keys[slot]);
+        PyObject *region = page ? Py_BuildValue("[KLL]", (unsigned long long)p->touched[slot],
+                                                (long long)p->last_offset[slot],
+                                                (long long)p->direction[slot]) : NULL;
+        int ok = region && PyDict_SetItem(regions, page, region) == 0
+                 && PyList_Append(pages, page) == 0;
+        Py_XDECREF(page);
+        Py_XDECREF(region);
+        if (!ok)
+            goto done;
+    }
+    if (PyList_SetSlice(order, 0, PY_SSIZE_T_MAX, pages) < 0
+        || PyObject_SetAttr(obj, S__last_class, *class_name(p->last_class)) < 0)
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(regions);
+    Py_XDECREF(order);
+    Py_XDECREF(pages);
+    return rc;
+}
+
+static void
+ipcp_release(IPCP *p)
+{
+    view_release(&p->ip_view);
+    view_release(&p->cplx_view);
+    keys_free(&p->regions);
+    PyMem_Free(p->touched);
+    PyMem_Free(p->last_offset);
+    PyMem_Free(p->direction);
+    PyMem_Free(p->targets);
+    p->touched = NULL;
+    p->targets = NULL;
+    p->last_offset = p->direction = NULL;
+}
+
+/* ------------------------------------------------------------------ */
+/* Insertion-ordered in-page delta counters (Berti, SPP)               */
+/* ------------------------------------------------------------------ */
+
+/* Deltas between blocks of one 4KB page lie in -63..63.  A table entry's
+ * delta -> count dict keeps its deltas and counts in insertion order in
+ * small arrays, found through a per-delta position index. */
+#define DELTA_SPAN 127
+
+typedef struct {
+    uint8_t at[DELTA_SPAN]; /* by delta + 63: 1 + position, 0 when absent */
+    int8_t *delta;
+    int32_t *count;
+    int len, cap;
+} Deltas;
+
+static inline int
+delta_in_page(long long delta)
+{
+    if (delta < -63 || delta > 63) {
+        PyErr_SetString(PyExc_ValueError, "delta outside one page");
+        return 0;
+    }
+    return 1;
+}
+
+/* Grow a pair of parallel arrays to hold ``need`` items. */
+static int
+grow(int8_t **small, void **wide, size_t wide_size, int *cap, int need)
+{
+    if (need <= *cap)
+        return 0;
+    int size = *cap ? 2 * *cap : 4;
+    size = size < need ? need : size;
+    size = size < DELTA_SPAN ? size : DELTA_SPAN;
+    int8_t *grown_small = PyMem_Realloc(*small, size);
+    if (grown_small == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *small = grown_small;
+    void *grown_wide = PyMem_Realloc(*wide, size * wide_size);
+    if (grown_wide == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *wide = grown_wide;
+    *cap = size;
+    return 0;
+}
+
+/* counts[delta] += 1 */
+static inline int
+deltas_bump(Deltas *d, int64_t delta)
+{
+    int at = d->at[delta + 63];
+    if (at) {
+        d->count[at - 1]++;
+        return 0;
+    }
+    if (grow(&d->delta, (void **)&d->count, sizeof(int32_t), &d->cap, d->len + 1) < 0)
+        return -1;
+    d->delta[d->len] = (int8_t)delta;
+    d->count[d->len] = 1;
+    d->at[delta + 63] = (uint8_t)++d->len;
+    return 0;
+}
+
+/* {delta: count // 2 for delta, count in counts.items() if count > 1};
+ * returns the new sum. */
+static int64_t
+deltas_halve(Deltas *d)
+{
+    int kept = 0;
+    int64_t total = 0;
+    for (int i = 0; i < d->len; i++) {
+        int8_t delta = d->delta[i];
+        if (d->count[i] > 1) {
+            d->delta[kept] = delta;
+            d->count[kept] = d->count[i] / 2;
+            total += d->count[kept];
+            d->at[delta + 63] = (uint8_t)++kept;
+        }
+        else {
+            d->at[delta + 63] = 0;
+        }
+    }
+    d->len = kept;
+    return total;
+}
+
+static void
+deltas_free(Deltas *d)
+{
+    PyMem_Free(d->delta);
+    PyMem_Free(d->count);
+}
+
+static int
+deltas_load(Deltas *d, PyObject *dict)
+{
+    if (!PyDict_CheckExact(dict)) {
+        PyErr_SetString(PyExc_TypeError, "delta counters must be dicts");
+        return -1;
+    }
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(dict, &pos, &key, &value)) {
+        long long delta, count;
+        if (as_ll(key, &delta) < 0 || as_ll(value, &count) < 0 || !delta_in_page(delta))
+            return -1;
+        if (count < INT32_MIN || count > INT32_MAX) {
+            PyErr_SetString(PyExc_ValueError, "delta counter out of range");
+            return -1;
+        }
+        if (deltas_bump(d, delta) < 0)
+            return -1;
+        d->count[d->at[delta + 63] - 1] = (int32_t)count;
+    }
+    return 0;
+}
+
+static PyObject *
+deltas_dict(const Deltas *d)
+{
+    PyObject *dict = PyDict_New();
+    for (int i = 0; dict != NULL && i < d->len; i++) {
+        PyObject *key = PyLong_FromLong(d->delta[i]);
+        PyObject *value = key ? PyLong_FromLong(d->count[i]) : NULL;
+        if (value == NULL || PyDict_SetItem(dict, key, value) < 0)
+            Py_CLEAR(dict);
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+    }
+    return dict;
+}
+
+/* ------------------------------------------------------------------ */
+/* Berti (repro.prefetchers.berti.BertiPrefetcher._step)                */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    int8_t *delta;
+    double *coverage;
+    int len, cap;
+} Confirmed;
+
+typedef struct {
+    View page_view, total_view;
+    int64_t *pages, *totals;
+    long long n, relearn, max_degree;
+    double low;
+    int64_t *history; /* n x BertiHistoryDepth, oldest first */
+    uint8_t *history_len;
+    Deltas *hits;
+    Confirmed *confirmed;
+    uint8_t *dirty; /* entries to write back */
+    int64_t targets[DELTA_SPAN];
+} Berti;
+
+static int
+berti_load(Berti *b, PyObject *obj)
+{
+    if (get_ll(obj, S_table_entries, &b->n) < 0
+        || get_ll(obj, S_relearn_interval, &b->relearn) < 0
+        || get_ll(obj, S_max_prefetch_degree, &b->max_degree) < 0
+        || get_double(obj, S_low_coverage, &b->low) < 0)
+        return -1;
+    if (b->n < 1) {
+        PyErr_SetString(PyExc_ValueError, "Berti needs at least one table entry");
+        return -1;
+    }
+    if ((b->pages = attr_ints(&b->page_view, obj, S__page_buf, 8, b->n, "Berti _page_buf")) == NULL
+        || (b->totals = attr_ints(&b->total_view, obj, S__total_buf, 8, b->n,
+                                  "Berti _total_buf")) == NULL
+        || (b->history = mem_calloc(b->n * BertiHistoryDepth, sizeof(int64_t))) == NULL
+        || (b->history_len = mem_calloc(b->n, 1)) == NULL
+        || (b->hits = mem_calloc(b->n, sizeof(Deltas))) == NULL
+        || (b->confirmed = mem_calloc(b->n, sizeof(Confirmed))) == NULL
+        || (b->dirty = mem_calloc(b->n, 1)) == NULL)
+        return -1;
+    int rc = -1;
+    PyObject *histories = attr_exact(obj, S__histories, &PyList_Type, b->n);
+    PyObject *hits = histories ? attr_exact(obj, S__delta_hits, &PyList_Type, b->n) : NULL;
+    PyObject *confirmed = hits ? attr_exact(obj, S__confirmed, &PyList_Type, b->n) : NULL;
+    if (confirmed == NULL)
+        goto done;
+    for (Py_ssize_t key = 0; key < b->n; key++) {
+        PyObject *history = PyList_GET_ITEM(histories, key);
+        PyObject *deltas = PyList_GET_ITEM(confirmed, key);
+        if (!PyList_CheckExact(history) || PyList_GET_SIZE(history) > BertiHistoryDepth
+            || !PyList_CheckExact(deltas) || PyList_GET_SIZE(deltas) > DELTA_SPAN) {
+            PyErr_SetString(PyExc_ValueError, "Berti history or confirmed list out of range");
+            goto done;
+        }
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(history); i++) {
+            long long block;
+            if (as_ll(PyList_GET_ITEM(history, i), &block) < 0)
+                goto done;
+            if ((block >> 6) != b->pages[key]) {
+                PyErr_SetString(PyExc_ValueError, "Berti history leaves its page");
+                goto done;
+            }
+            b->history[key * BertiHistoryDepth + i] = block;
+        }
+        b->history_len[key] = (uint8_t)PyList_GET_SIZE(history);
+        if (deltas_load(&b->hits[key], PyList_GET_ITEM(hits, key)) < 0)
+            goto done;
+        Confirmed *c = &b->confirmed[key];
+        if (grow(&c->delta, (void **)&c->coverage, sizeof(double), &c->cap,
+                 (int)PyList_GET_SIZE(deltas)) < 0)
+            goto done;
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(deltas); i++) {
+            long long delta;
+            double coverage;
+            if (!PyArg_ParseTuple(PyList_GET_ITEM(deltas, i), "Ld", &delta, &coverage)
+                || !delta_in_page(delta))
+                goto done;
+            c->delta[c->len] = (int8_t)delta;
+            c->coverage[c->len++] = coverage;
+        }
+    }
+    rc = 0;
+done:
+    Py_XDECREF(histories);
+    Py_XDECREF(hits);
+    Py_XDECREF(confirmed);
+    return rc;
+}
+
+/* _promote_deltas: the confirmed list from the counters, then aging. */
+static int
+berti_promote(Berti *b, int64_t key, int64_t total)
+{
+    Deltas *d = &b->hits[key];
+    Confirmed *c = &b->confirmed[key];
+    c->len = 0;
+    if (total > 0) {
+        if (grow(&c->delta, (void **)&c->coverage, sizeof(double), &c->cap, d->len) < 0)
+            return -1;
+        for (int i = 0; i < d->len; i++) {
+            double coverage = (double)d->count[i] / (double)total;
+            if (coverage >= b->low) {
+                c->delta[c->len] = d->delta[i];
+                c->coverage[c->len++] = coverage < 1.0 ? coverage : 1.0;
+            }
+        }
+    }
+    /* Stable sort by descending coverage. */
+    for (int i = 1; i < c->len; i++) {
+        int8_t delta = c->delta[i];
+        double coverage = c->coverage[i];
+        int j = i;
+        for (; j > 0 && c->coverage[j - 1] < coverage; j--) {
+            c->delta[j] = c->delta[j - 1];
+            c->coverage[j] = c->coverage[j - 1];
+        }
+        c->delta[j] = delta;
+        c->coverage[j] = coverage;
+    }
+    deltas_halve(d);
+    b->totals[key] = py_half(total);
+    return 0;
+}
+
+/* One access; leaves the target addresses in b->targets and returns their
+ * count, or -1. */
+static Py_ssize_t
+berti_step(Berti *b, int64_t pc, int64_t vaddr)
+{
+    int64_t key = py_mod(pc, b->n), block = vaddr >> 6, page = vaddr >> 12;
+    int64_t *history = b->history + key * BertiHistoryDepth;
+    b->dirty[key] = 1;
+    if (b->pages[key] != page) {
+        /* New page for this PC: the local-delta history restarts. */
+        b->pages[key] = page;
+        b->history_len[key] = 0;
+    }
+    int64_t total = b->totals[key];
+    int len = b->history_len[key];
+    if (len) {
+        uint64_t seen[2] = {0, 0};
+        for (int i = 0; i < len; i++) {
+            int64_t delta = block - history[i];
+            if (delta == 0)
+                continue;
+            int at = (int)delta + 63;
+            if ((seen[at >> 6] >> (at & 63)) & 1)
+                continue;
+            seen[at >> 6] |= (uint64_t)1 << (at & 63);
+            if (deltas_bump(&b->hits[key], delta) < 0)
+                return -1;
+        }
+        total += 1;
+    }
+    if (len == BertiHistoryDepth) {
+        memmove(history, history + 1, (len - 1) * sizeof(int64_t));
+        history[len - 1] = block;
+    }
+    else {
+        history[len] = block;
+        b->history_len[key] = (uint8_t)(len + 1);
+    }
+    if (total >= b->relearn) {
+        if (berti_promote(b, key, total) < 0)
+            return -1;
+    }
+    else {
+        b->totals[key] = total;
+    }
+
+    /* confirmed[:max_prefetch_degree] */
+    Confirmed *c = &b->confirmed[key];
+    long long limit = b->max_degree >= 0 ? b->max_degree : c->len + b->max_degree;
+    if (limit > c->len)
+        limit = c->len;
+    Py_ssize_t count = 0;
+    for (long long i = 0; i < limit; i++) {
+        int64_t target = block + c->delta[i];
+        if (target > 0 && block_address(target, &b->targets[count++]) < 0)
+            return -1;
+    }
+    return count;
+}
+
+static int
+berti_write_back(Berti *b, PyObject *obj)
+{
+    int rc = -1;
+    PyObject *histories = PyObject_GetAttr(obj, S__histories);
+    PyObject *hits = histories ? PyObject_GetAttr(obj, S__delta_hits) : NULL;
+    PyObject *confirmed = hits ? PyObject_GetAttr(obj, S__confirmed) : NULL;
+    if (confirmed == NULL)
+        goto done;
+    for (Py_ssize_t key = 0; key < b->n; key++) {
+        if (!b->dirty[key])
+            continue;
+        int len = b->history_len[key];
+        PyObject *blocks = PyList_New(len);
+        for (int i = 0; blocks != NULL && i < len; i++) {
+            PyObject *block = PyLong_FromLongLong(b->history[key * BertiHistoryDepth + i]);
+            if (block == NULL)
+                Py_CLEAR(blocks);
+            else
+                PyList_SET_ITEM(blocks, i, block);
+        }
+        Confirmed *c = &b->confirmed[key];
+        PyObject *deltas = blocks ? PyList_New(c->len) : NULL;
+        for (int i = 0; deltas != NULL && i < c->len; i++) {
+            PyObject *item = Py_BuildValue("(id)", (int)c->delta[i], c->coverage[i]);
+            if (item == NULL)
+                Py_CLEAR(deltas);
+            else
+                PyList_SET_ITEM(deltas, i, item);
+        }
+        PyObject *counts = deltas ? deltas_dict(&b->hits[key]) : NULL;
+        PyObject *history = PyList_GET_ITEM(histories, key);
+        int ok = counts != NULL
+                 && PyList_SetSlice(history, 0, PY_SSIZE_T_MAX, blocks) == 0
+                 && PyList_SetItem(hits, key, Py_NewRef(counts)) == 0
+                 && PyList_SetItem(confirmed, key, Py_NewRef(deltas)) == 0;
+        Py_XDECREF(blocks);
+        Py_XDECREF(deltas);
+        Py_XDECREF(counts);
+        if (!ok)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(histories);
+    Py_XDECREF(hits);
+    Py_XDECREF(confirmed);
+    return rc;
+}
+
+static void
+berti_release(Berti *b)
+{
+    view_release(&b->page_view);
+    view_release(&b->total_view);
+    for (long long key = 0; b->hits != NULL && key < b->n; key++)
+        deltas_free(&b->hits[key]);
+    for (long long key = 0; b->confirmed != NULL && key < b->n; key++) {
+        PyMem_Free(b->confirmed[key].delta);
+        PyMem_Free(b->confirmed[key].coverage);
+    }
+    PyMem_Free(b->history);
+    PyMem_Free(b->history_len);
+    PyMem_Free(b->hits);
+    PyMem_Free(b->confirmed);
+    PyMem_Free(b->dirty);
+    b->history = NULL;
+    b->history_len = b->dirty = NULL;
+    b->hits = NULL;
+    b->confirmed = NULL;
+}
+
+/* ------------------------------------------------------------------ */
+/* SPP (repro.prefetchers.spp.SPPPrefetcher.step)                       */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    int64_t block, signature, delta, depth;
+    int fill_l2;
+    double confidence;
+} Prediction;
+
+typedef struct {
+    View total_view;
+    int64_t *totals;
+    long long m, max_depth;
+    double lookahead_confidence, l2_fill_confidence;
+    OrderedKeys signatures; /* page FIFO, oldest first */
+    int64_t *packed;        /* per signature slot: (signature << 6) | offset */
+    uint8_t *trained;       /* 0: the pattern entry is None */
+    Deltas *patterns;
+    uint8_t *best_valid;    /* memo of the first maximal delta */
+    int8_t *best_delta;
+    int32_t *best_count;
+    long long lookahead_prefetches;
+    Prediction *predictions;
+} SPP;
+
+static int
+spp_load(SPP *p, PyObject *obj)
+{
+    long long cap;
+    if (get_ll(obj, S_signature_table_entries, &cap) < 0
+        || get_ll(obj, S_pattern_table_entries, &p->m) < 0
+        || get_ll(obj, S_max_lookahead_depth, &p->max_depth) < 0
+        || get_double(obj, S_lookahead_confidence, &p->lookahead_confidence) < 0
+        || get_double(obj, S_l2_fill_confidence, &p->l2_fill_confidence) < 0)
+        return -1;
+    if (cap < 1 || p->m < 1) {
+        PyErr_SetString(PyExc_ValueError, "SPP tables must have at least one entry");
+        return -1;
+    }
+    if ((p->totals = attr_ints(&p->total_view, obj, S__pattern_total_buf, 8, p->m,
+                               "SPP _pattern_total_buf")) == NULL
+        || keys_init(&p->signatures, (Py_ssize_t)cap) < 0
+        || (p->packed = mem_calloc(cap, sizeof(int64_t))) == NULL
+        || (p->trained = mem_calloc(p->m, 1)) == NULL
+        || (p->patterns = mem_calloc(p->m, sizeof(Deltas))) == NULL
+        || (p->best_valid = mem_calloc(p->m, 1)) == NULL
+        || (p->best_delta = mem_calloc(p->m, 1)) == NULL
+        || (p->best_count = mem_calloc(p->m, sizeof(int32_t))) == NULL
+        || (p->predictions = mem_calloc(p->max_depth, sizeof(Prediction))) == NULL)
+        return -1;
+    int rc = -1;
+    PyObject *signatures = attr_exact(obj, S__signatures, &PyDict_Type, -1);
+    PyObject *order = signatures ? attr_exact(obj, S__signature_order, &PyList_Type,
+                                              PyDict_GET_SIZE(signatures)) : NULL;
+    PyObject *patterns = order ? attr_exact(obj, S__pattern_deltas, &PyList_Type, p->m) : NULL;
+    if (patterns == NULL)
+        goto done;
+    if (PyList_GET_SIZE(order) > cap) {
+        PyErr_SetString(PyExc_ValueError, "SPP holds more signatures than its table");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(order); i++) {
+        PyObject *page_obj = PyList_GET_ITEM(order, i);
+        PyObject *packed = PyDict_GetItemWithError(signatures, page_obj);
+        long long page, value;
+        if (packed == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "SPP signature order and table differ");
+            goto done;
+        }
+        if (as_ll(page_obj, &page) < 0 || as_ll(packed, &value) < 0)
+            goto done;
+        if (keys_find(&p->signatures, page) >= 0) {
+            PyErr_SetString(PyExc_ValueError, "SPP signature order repeats a page");
+            goto done;
+        }
+        p->packed[keys_append(&p->signatures, page)] = value;
+    }
+    for (Py_ssize_t key = 0; key < p->m; key++) {
+        PyObject *deltas = PyList_GET_ITEM(patterns, key);
+        if (deltas == Py_None)
+            continue;
+        p->trained[key] = 1;
+        if (deltas_load(&p->patterns[key], deltas) < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(signatures);
+    Py_XDECREF(order);
+    Py_XDECREF(patterns);
+    return rc;
+}
+
+static inline uint64_t
+spp_signature(uint64_t signature, int64_t delta)
+{
+    return ((signature << 3) ^ ((uint64_t)delta & 0x7F)) & 0xFFF;
+}
+
+/* Observe one L2 access (by block address) and predict ahead; leaves the
+ * predictions in p->predictions and returns their count, or -1. */
+static Py_ssize_t
+spp_step(SPP *p, int64_t block)
+{
+    int64_t page = block >> 6, offset = block & 0x3F;
+    Py_ssize_t slot = keys_find(&p->signatures, page);
+    if (slot < 0) {
+        p->packed[keys_push(&p->signatures, page)] = offset; /* signature 0 */
+        return 0;
+    }
+    int64_t packed = p->packed[slot];
+    int64_t delta = offset - (packed & 0x3F);
+    if (delta == 0)
+        return 0;
+    uint64_t signature = (uint64_t)(packed >> 6);
+
+    /* Train the previous signature's entry with the observed delta. */
+    int64_t m = p->m, key = py_mod((int64_t)signature, m), total;
+    Deltas *d = &p->patterns[key];
+    if (deltas_bump(d, delta) < 0)
+        return -1;
+    if (!p->trained[key]) {
+        p->trained[key] = 1;
+        total = 1;
+    }
+    else {
+        total = p->totals[key] + 1;
+        /* Periodically halve the counters so stale deltas fade away. */
+        if (total >= 64)
+            total = deltas_halve(d);
+    }
+    p->best_valid[key] = 0;
+    p->totals[key] = total;
+    signature = spp_signature(signature, delta);
+    p->packed[slot] = (int64_t)((signature << 6) | (uint64_t)offset);
+
+    /* Lookahead along the signature path. */
+    Py_ssize_t count = 0;
+    double path_confidence = 1.0;
+    int64_t predicted = block;
+    for (long long depth = 0; depth < p->max_depth; depth++) {
+        key = py_mod((int64_t)signature, m);
+        d = &p->patterns[key];
+        if (!p->trained[key] || d->len == 0 || (total = p->totals[key]) == 0)
+            break;
+        if (!p->best_valid[key]) {
+            /* The first maximal count in insertion order. */
+            int best_delta = 0;
+            int32_t best_count = -1;
+            for (int i = 0; i < d->len; i++) {
+                if (d->count[i] > best_count) {
+                    best_count = d->count[i];
+                    best_delta = d->delta[i];
+                }
+            }
+            p->best_valid[key] = 1;
+            p->best_delta[key] = (int8_t)best_delta;
+            p->best_count[key] = best_count;
+        }
+        int64_t predicted_delta = p->best_delta[key];
+        path_confidence *= (double)p->best_count[key] / (double)total;
+        if (path_confidence < p->lookahead_confidence)
+            break;
+        predicted += predicted_delta;
+        if (predicted <= 0)
+            break;
+        Prediction *out = &p->predictions[count++];
+        out->block = predicted;
+        out->fill_l2 = path_confidence >= p->l2_fill_confidence;
+        out->signature = (int64_t)signature;
+        out->delta = predicted_delta;
+        out->depth = depth;
+        out->confidence = path_confidence;
+        if (depth > 0)
+            p->lookahead_prefetches++;
+        signature = spp_signature(signature, predicted_delta);
+    }
+    return count;
+}
+
+static int
+spp_write_back(SPP *p, PyObject *obj)
+{
+    int rc = -1;
+    PyObject *signatures = PyObject_GetAttr(obj, S__signatures);
+    PyObject *order = signatures ? PyObject_GetAttr(obj, S__signature_order) : NULL;
+    PyObject *patterns = order ? PyObject_GetAttr(obj, S__pattern_deltas) : NULL;
+    PyObject *best = patterns ? PyObject_GetAttr(obj, S__pattern_best) : NULL;
+    PyObject *pages = best ? PyList_New(0) : NULL;
+    if (pages == NULL || !PyList_CheckExact(best) || PyList_GET_SIZE(best) != p->m) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "SPP _pattern_best must be a list per entry");
+        goto done;
+    }
+    PyDict_Clear(signatures);
+    for (Py_ssize_t slot = p->signatures.head; slot >= 0; slot = p->signatures.next[slot]) {
+        PyObject *page = PyLong_FromLongLong(p->signatures.keys[slot]);
+        PyObject *packed = page ? PyLong_FromLongLong(p->packed[slot]) : NULL;
+        int ok = packed && PyDict_SetItem(signatures, page, packed) == 0
+                 && PyList_Append(pages, page) == 0;
+        Py_XDECREF(page);
+        Py_XDECREF(packed);
+        if (!ok)
+            goto done;
+    }
+    if (PyList_SetSlice(order, 0, PY_SSIZE_T_MAX, pages) < 0)
+        goto done;
+    for (Py_ssize_t key = 0; key < p->m; key++) {
+        /* Only trained entries changed; the memo is a cache. */
+        if (PyList_SetItem(best, key, Py_NewRef(Py_None)) < 0)
+            goto done;
+        if (!p->trained[key])
+            continue;
+        PyObject *deltas = deltas_dict(&p->patterns[key]);
+        if (deltas == NULL || PyList_SetItem(patterns, key, deltas) < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(signatures);
+    Py_XDECREF(order);
+    Py_XDECREF(patterns);
+    Py_XDECREF(best);
+    Py_XDECREF(pages);
+    return rc;
+}
+
+static void
+spp_release(SPP *p)
+{
+    for (long long key = 0; p->patterns != NULL && key < p->m; key++)
+        deltas_free(&p->patterns[key]);
+    view_release(&p->total_view);
+    keys_free(&p->signatures);
+    PyMem_Free(p->packed);
+    PyMem_Free(p->trained);
+    PyMem_Free(p->patterns);
+    PyMem_Free(p->best_valid);
+    PyMem_Free(p->best_delta);
+    PyMem_Free(p->best_count);
+    PyMem_Free(p->predictions);
+    p->packed = NULL;
+    p->trained = p->best_valid = NULL;
+    p->patterns = NULL;
+    p->best_delta = NULL;
+    p->best_count = NULL;
+    p->predictions = NULL;
+}
+
+/* ------------------------------------------------------------------ */
+/* PPF (PerceptronPrefetchFilter.consult_step)                         */
+/* ------------------------------------------------------------------ */
+
+#define PPF_FEATURES 9
+
+typedef struct {
+    View view;
+    int32_t *weights; /* PPF_FEATURES rows of ``entries`` weights */
+    long long entries;
+    int bits;
+    double issue_threshold;
+    long long consultations, accepted, rejected;
+} PPF;
+
+static int
+ppf_load(PPF *p, PyObject *obj)
+{
+    long long bits;
+    if (get_ll(obj, S_table_entries, &p->entries) < 0 || get_ll(obj, S__index_bits, &bits) < 0
+        || get_double(obj, S_issue_threshold, &p->issue_threshold) < 0)
+        return -1;
+    if (p->entries < 1 || bits != index_bits((Py_ssize_t)p->entries)) {
+        PyErr_SetString(PyExc_ValueError, "PPF table size and index bits disagree");
+        return -1;
+    }
+    p->bits = (int)bits;
+    p->weights = attr_ints(&p->view, obj, S__weights, 4, PPF_FEATURES * p->entries,
+                           "PPF _weights");
+    return p->weights == NULL ? -1 : 0;
+}
+
+/* Score one SPP candidate: the weight-table indices go to ``indices``, the
+ * confidence to ``*confidence``; returns the issue decision. */
+static int
+ppf_consult(PPF *p, int64_t pc, const Prediction *candidate, Py_ssize_t *indices,
+            long long *confidence)
+{
+    p->consultations++;
+    int64_t block = candidate->block, delta = candidate->delta;
+    uint64_t offset = (uint64_t)block & 63;
+    double bucket = candidate->confidence > 0.0 ? candidate->confidence : 0.0;
+    bucket = bucket < 0.999 ? bucket : 0.999;
+    uint64_t values[PPF_FEATURES] = {
+        (uint64_t)pc,
+        (uint64_t)pc ^ ((uint64_t)candidate->depth << 5),
+        (uint64_t)block,
+        offset,
+        hash_pair((uint64_t)(block >> 6), (uint64_t)delta),
+        hash_pair((uint64_t)candidate->signature, (uint64_t)delta),
+        (uint64_t)(int64_t)(bucket * 8),
+        (uint64_t)pc ^ offset,
+        (uint64_t)delta & 0xFFF,
+    };
+    long long total = 0;
+    for (int f = 0; f < PPF_FEATURES; f++) {
+        indices[f] = table_slot(values[f], p->bits, (Py_ssize_t)p->entries);
+        total += p->weights[f * p->entries + indices[f]];
+    }
+    *confidence = total;
+    int issue = (double)total >= p->issue_threshold;
+    if (issue)
+        p->accepted++;
+    else
+        p->rejected++;
+    return issue;
+}
+
+static int
+ppf_flush(PPF *p, PyObject *obj)
+{
+    if (add_attr(obj, S_consultations, p->consultations) < 0
+        || add_attr(obj, S_accepted, p->accepted) < 0
+        || add_attr(obj, S_rejected, p->rejected) < 0)
+        return -1;
+    p->consultations = p->accepted = p->rejected = 0;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* SLP (SecondLevelPerceptron.consult_step and its FeatureHistory)      */
+/* ------------------------------------------------------------------ */
+
+#define SLP_FEATURES 6
+#define PC_HISTORY 4
+
+typedef struct {
+    Perceptron p;
+    PyObject *history; /* the FeatureHistory */
+    double tau_pref;
+    int leveling;
+    OrderedKeys pages; /* the page buffer, least recent first */
+    int64_t pcs[PC_HISTORY];
+    int npcs;
+    long long consultations, issued, discarded;
+} SLP;
+
+static int
+slp_load(SLP *s, PyObject *obj)
+{
+    long long capacity, pc_window;
+    PyObject *perceptron = PyObject_GetAttr(obj, S_perceptron);
+    if (perceptron == NULL)
+        return -1;
+    int bound = perceptron_init(&s->p, perceptron, SLP_FEATURES);
+    Py_DECREF(perceptron);
+    if (bound < 0 || get_double(obj, S_tau_pref, &s->tau_pref) < 0
+        || get_truth(obj, S_use_leveling_feature, &s->leveling) < 0
+        || (s->history = PyObject_GetAttr(obj, S_history)) == NULL
+        || get_ll(s->history, S_page_buffer_entries, &capacity) < 0
+        || get_ll(s->history, S_pc_history_length, &pc_window) < 0)
+        return -1;
+    if (capacity < 1 || pc_window != PC_HISTORY) {
+        PyErr_SetString(PyExc_ValueError, "SLP history outside the modelled shape");
+        return -1;
+    }
+    if (keys_init(&s->pages, (Py_ssize_t)capacity) < 0)
+        return -1;
+    int rc = -1;
+    PyObject *buffer = PyObject_GetAttr(s->history, S__page_buffer);
+    PyObject *pages = buffer ? PySequence_List(buffer) : NULL;
+    PyObject *pcs_obj = pages ? PyObject_GetAttr(s->history, S__pc_history) : NULL;
+    PyObject *pcs = pcs_obj ? PySequence_List(pcs_obj) : NULL;
+    if (pcs == NULL)
+        goto done;
+    if (PyList_GET_SIZE(pages) > capacity || PyList_GET_SIZE(pcs) > PC_HISTORY) {
+        PyErr_SetString(PyExc_ValueError, "SLP history exceeds its capacity");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(pages); i++) {
+        long long page;
+        if (as_ll(PyList_GET_ITEM(pages, i), &page) < 0)
+            goto done;
+        keys_append(&s->pages, page);
+    }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(pcs); i++) {
+        long long pc;
+        if (as_ll(PyList_GET_ITEM(pcs, i), &pc) < 0)
+            goto done;
+        s->pcs[s->npcs++] = pc;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(buffer);
+    Py_XDECREF(pages);
+    Py_XDECREF(pcs_obj);
+    Py_XDECREF(pcs);
+    return rc;
+}
+
+/* Score one L1D prefetch candidate at physical address ``paddr``, then
+ * observe it: the indices go to ``indices``, the confidence to
+ * ``*confidence``; returns the issue decision. */
+static int
+slp_consult(SLP *s, int64_t pc, int64_t paddr, int trigger_prediction, Py_ssize_t *indices,
+            long long *confidence)
+{
+    s->consultations++;
+    int64_t page = paddr >> 12;
+    Py_ssize_t slot = keys_find(&s->pages, page);
+    uint64_t first = slot < 0, offset = ((uint64_t)paddr >> 6) & 63;
+    uint64_t pcs_hash = 0;
+    if (s->npcs) {
+        pcs_hash = 0x9E3779B9ull;
+        for (int i = 0; i < s->npcs; i++)
+            pcs_hash = hash_step(pcs_hash, (uint64_t)s->pcs[i]);
+    }
+    uint64_t values[SLP_FEATURES] = {
+        (uint64_t)pc ^ (offset << 2),
+        (uint64_t)pc ^ (((uint64_t)paddr & 63) << 2),
+        hash_pair((uint64_t)pc, first),
+        hash_pair(offset, first),
+        pcs_hash,
+        hash_pair(s->leveling && trigger_prediction, offset),
+    };
+    Perceptron *p = &s->p;
+    for (int f = 0; f < SLP_FEATURES; f++)
+        indices[f] = table_slot(values[f], p->bits[f], p->entries[f]);
+    long long total = perceptron_sum(p, indices);
+    *confidence = total;
+    p->predictions++;
+    if (total >= 0)
+        p->positive++;
+
+    /* FeatureHistory.observe */
+    if (slot >= 0)
+        keys_move_to_end(&s->pages, slot);
+    else
+        keys_push(&s->pages, page);
+    if (s->npcs == PC_HISTORY) {
+        memmove(s->pcs, s->pcs + 1, (PC_HISTORY - 1) * sizeof(int64_t));
+        s->pcs[PC_HISTORY - 1] = pc;
+    }
+    else {
+        s->pcs[s->npcs++] = pc;
+    }
+
+    int issue = (double)total < s->tau_pref;
+    if (issue)
+        s->issued++;
+    else
+        s->discarded++;
+    return issue;
+}
+
+static int
+slp_flush(SLP *s, PyObject *obj)
+{
+    if (perceptron_flush(&s->p) < 0 || add_attr(obj, S_consultations, s->consultations) < 0
+        || add_attr(obj, S_issued, s->issued) < 0 || add_attr(obj, S_discarded, s->discarded) < 0)
+        return -1;
+    s->consultations = s->issued = s->discarded = 0;
+    return 0;
+}
+
+static int
+slp_write_back(SLP *s)
+{
+    int rc = -1;
+    PyObject *buffer = PyObject_GetAttr(s->history, S__page_buffer);
+    PyObject *pcs = buffer ? PyObject_GetAttr(s->history, S__pc_history) : NULL;
+    PyObject *recent = pcs ? PyList_New(s->npcs) : NULL;
+    if (recent == NULL || discard(PyObject_CallMethodNoArgs(buffer, S_clear)) < 0)
+        goto done;
+    for (Py_ssize_t slot = s->pages.head; slot >= 0; slot = s->pages.next[slot]) {
+        PyObject *page = PyLong_FromLongLong(s->pages.keys[slot]);
+        int ok = page && PyObject_SetItem(buffer, page, Py_None) == 0;
+        Py_XDECREF(page);
+        if (!ok)
+            goto done;
+    }
+    for (int i = 0; i < s->npcs; i++) {
+        PyObject *pc = PyLong_FromLongLong(s->pcs[i]);
+        if (pc == NULL)
+            goto done;
+        PyList_SET_ITEM(recent, i, pc);
+    }
+    if (discard(PyObject_CallMethodNoArgs(pcs, S_clear)) < 0
+        || discard(PyObject_CallMethodOneArg(pcs, S_extend, recent)) < 0
+        || PyObject_SetAttr(s->history, S__pcs_tuple, Py_None) < 0
+        || PyObject_SetAttr(s->history, S__pcs_hash, Py_None) < 0)
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(buffer);
+    Py_XDECREF(pcs);
+    Py_XDECREF(recent);
+    return rc;
+}
+
+static void
+slp_release(SLP *s)
+{
+    perceptron_release(&s->p);
+    keys_free(&s->pages);
+}
+
+/* ------------------------------------------------------------------ */
+/* The stepper                                                         */
+/* ------------------------------------------------------------------ */
+
+enum { PK_NULL = 0, PK_HERMES = 1, PK_FLP = 2 };
+/* L1D prefetcher kernels; PF_OBJECT runs every prefetch-path component
+ * through its Python object. */
+enum { PF_OBJECT = -1, PF_NONE = 0, PF_IPCP = 1, PF_BERTI = 2 };
+enum { LEVEL_L1D = 0, LEVEL_L2C = 1, LEVEL_LLC = 2, LEVEL_DRAM = 3 };
+#define NUM_FEATURES 5
 
 #define CACHE_OBJECTS(X) \
     X(obj) X(blocks) X(stamps) X(way_blocks) X(set_fill) X(stats) X(listener)
@@ -340,6 +2072,7 @@ typedef struct {
 #define DECLARE_FIELD(n) PyObject *n;
     CACHE_OBJECTS(DECLARE_FIELD)
 #undef DECLARE_FIELD
+    int level;
     long long num_sets, ways, latency;
     long long clock; /* mirror of obj._clock, written through */
     /* Chunk-local counters, added to ``stats`` at the end of each chunk. */
@@ -348,11 +2081,90 @@ typedef struct {
     long long useful_evictions, useless_evictions;
 } CacheState;
 
+#define STEPPER_OBJECTS(X)                                                    \
+    X(runner) X(hierarchy) X(hstats) X(begin_chunk) X(sample_hook)            \
+    X(page_map) X(allocate_frame) X(resolve_l2) X(run_l2_prefetcher)          \
+    X(issue_l1d_prefetch) X(on_demand_access) X(pending_l1) X(pending_l2c)    \
+    X(predictor) X(dram) X(dram_stats) X(retire_deque) X(index_columns)       \
+    X(prefetcher) X(l2_prefetcher) X(l1_filter) X(l2_filter)
+
+typedef struct {
+    PyObject_HEAD
+#define DECLARE_FIELD(n) PyObject *n;
+    STEPPER_OBJECTS(DECLARE_FIELD)
+#undef DECLARE_FIELD
+    CacheState l1, l2, llc;
+
+    /* Trace columns (held for the stepper's lifetime). */
+    Py_buffer pc_buf, vaddr_buf, kind_buf;
+    int have_columns;
+    const int64_t *pcs, *vaddrs;
+    const uint8_t *kinds;
+    Py_ssize_t total, chunk_records, pos, chunk_stop;
+    int kind_non_mem;
+
+    /* Off-chip predictor: weight tables and this chunk's index columns. */
+    int predictor_kind;
+    Perceptron flp;
+    double activation_threshold, tau_high, tau_low;
+    int selective_delay, last_prediction;
+    Py_buffer index_buf;
+    int have_index;
+    const int64_t *index;
+    Py_ssize_t index_rows, demand_cursor;
+
+    /* Prefetchers and filters the kernel runs itself. */
+    int prefetch_kind, have_spp, have_ppf, have_slp, loaded;
+    IPCP ipcp;
+    Berti berti;
+    SPP spp;
+    PPF ppf;
+    SLP slp;
+
+    /* Hierarchy constants and the DRAM channel. */
+    long long predictor_latency, dram_access_latency;
+    double cycles_per_transaction, drop_cycles;
+    double busy_until; /* mirror of dram._busy_until, written through */
+
+    /* Core timing: the ROB's retire times as a ring buffer. */
+    double *retire;
+    Py_ssize_t retire_cap, retire_head, retire_len, rob_size;
+    double dispatch_interval, dispatch_cycle, last_retire;
+    long long instructions, loads, stores;
+    double total_load_latency;
+    int pending; /* a load/store at ``pos`` was yielded, not yet performed */
+    double pending_dispatch;
+    int in_chunk, finished;
+
+    /* Sampling. */
+    long long sample_interval, next_sample;
+
+    /* Chunk-local counters. */
+    long long flp_immediate, flp_delayed, flp_negative;
+    long long demand_loads, demand_stores, offchip_predictions;
+    long long speculative_requests, delayed_speculative, delayed_saved;
+    long long l1_pf_candidates, l1_pf_dropped_resident, l1_pf_filtered;
+    long long l1_pf_dropped_queue, l1_pf_issued;
+    long long l2_pf_candidates, l2_pf_dropped_resident, l2_pf_filtered;
+    long long l2_pf_dropped_queue, l2_pf_issued;
+    long long useful_l1_prefetches, useless_l1_prefetches;
+    long long served[4], pf_served[4], prediction_location[4];
+    long long accurate_source[4], inaccurate_source[4];
+    long long dram_transactions, dram_demand, dram_speculative;
+    long long dram_l1d_prefetch, dram_l2c_prefetch;
+    long long dram_queue_cycles, dram_max_queue;
+} Stepper;
+
+/* ------------------------------------------------------------------ */
+/* One cache level                                                     */
+/* ------------------------------------------------------------------ */
+
 static int
-cache_init(CacheState *c, PyObject *cache)
+cache_init(CacheState *c, PyObject *cache, int level)
 {
     Py_INCREF(cache);
     c->obj = cache;
+    c->level = level;
     if ((c->blocks = PyObject_GetAttr(cache, S__blocks)) == NULL
         || (c->stamps = PyObject_GetAttr(cache, S__stamps)) == NULL
         || (c->way_blocks = PyObject_GetAttr(cache, S__way_blocks)) == NULL
@@ -472,11 +2284,87 @@ done:
     return rc;
 }
 
+/* MemoryHierarchy._finalize_l1d_prefetch */
+static int
+finalize_l1_prefetch(Stepper *s, PyObject *record, int useful)
+{
+    PyObject *served = slot_get(record, PR_served_by);
+    if (served == NULL)
+        return -1;
+    long level = PyLong_AsLong(served);
+    if (level < 0 || level > 3) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "prefetch record served by no level");
+        return -1;
+    }
+    slot_set(record, PR_useful, py_bool(useful));
+    if (useful) {
+        s->useful_l1_prefetches++;
+        s->accurate_source[level]++;
+    }
+    else {
+        s->useless_l1_prefetches++;
+        s->inaccurate_source[level]++;
+    }
+    return 0;
+}
+
+/* pending_l1d_prefetches.pop(block) finalized as ``useful``, if present
+ * (_resolve_l1d_prefetch_use and the L1D eviction listener). */
+static int
+resolve_l1_prefetch(Stepper *s, PyObject *block, int useful)
+{
+    PyObject *record = PyDict_GetItemWithError(s->pending_l1, block);
+    if (record == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    Py_INCREF(record);
+    int rc = PyDict_DelItem(s->pending_l1, block);
+    if (rc == 0)
+        rc = finalize_l1_prefetch(s, record, useful);
+    Py_DECREF(record);
+    return rc;
+}
+
+/* _resolve_l2c_prefetch_use, called only when a PPF record is pending. */
+static int
+resolve_l2_prefetch(Stepper *s, PyObject *block)
+{
+    int pending = PyDict_Contains(s->pending_l2c, block);
+    if (pending <= 0)
+        return pending;
+    return discard(call1(s->resolve_l2, block));
+}
+
+/* The eviction listeners: the L1D's is inlined, the L2C's Python one runs
+ * only when it has a pending PPF record to train. */
+static int
+evicted(Stepper *s, CacheState *c, PyObject *vaddr, PyObject *vprefetched,
+        PyObject *vuseful, PyObject *vdirty, int was_prefetched, int was_useful)
+{
+    if (c->listener == NULL)
+        return 0;
+    if (c->level == LEVEL_L1D)
+        return was_prefetched ? resolve_l1_prefetch(s, vaddr, was_useful) : 0;
+    if (c->level == LEVEL_L2C) {
+        if (!was_prefetched || was_useful)
+            return 0;
+        int pending = PyDict_Contains(s->pending_l2c, vaddr);
+        if (pending <= 0)
+            return pending;
+    }
+    PyObject *info = call4(EvictionInfoType, vaddr, vprefetched, vuseful, vdirty);
+    if (info == NULL)
+        return -1;
+    int rc = discard(call1(c->listener, info));
+    Py_DECREF(info);
+    return rc;
+}
+
 /* Cache.fill for a fill that never sets ``dirty`` (every fill the kernel
  * drives).  ``key`` is the block address as a Python int; ``source`` the
  * prefetch source level (-1 for None). */
 static int
-cache_fill(CacheState *c, PyObject *key, long long block_addr, long long ready,
+cache_fill(Stepper *s, CacheState *c, PyObject *key, long long block_addr, long long ready,
            int prefetched, int source)
 {
     PyObject *existing = PyDict_GetItemWithError(c->blocks, key);
@@ -554,16 +2442,11 @@ cache_fill(CacheState *c, PyObject *key, long long block_addr, long long ready,
             else
                 c->useless_evictions++;
         }
-        if (c->listener != NULL) {
-            PyObject *info = call4(EvictionInfoType, vaddr, vprefetched, vuseful, vdirty);
-            if (info == NULL || discard(call1(c->listener, info)) < 0) {
-                Py_XDECREF(info);
-                Py_DECREF(victim);
-                return -1;
-            }
-            Py_DECREF(info);
-        }
+        int rc = evicted(s, c, vaddr, vprefetched, vuseful, vdirty, was_prefetched,
+                         was_useful);
         Py_DECREF(victim);
+        if (rc < 0)
+            return -1;
     }
 
     PyObject *block = alloc_slots(CacheBlockType);
@@ -622,82 +2505,8 @@ cache_flush(CacheState *c)
 }
 
 /* ------------------------------------------------------------------ */
-/* The stepper                                                         */
+/* DRAM and translation                                                */
 /* ------------------------------------------------------------------ */
-
-enum { PK_NULL = 0, PK_HERMES = 1, PK_FLP = 2 };
-enum { LEVEL_L1D = 0, LEVEL_L2C = 1, LEVEL_LLC = 2, LEVEL_DRAM = 3 };
-#define NUM_FEATURES 5
-
-#define STEPPER_OBJECTS(X)                                                    \
-    X(runner) X(hierarchy) X(hstats) X(begin_chunk) X(sample_hook)            \
-    X(page_map) X(allocate_frame) X(record_location) X(resolve_l1)            \
-    X(resolve_l2) X(run_l2_prefetcher) X(issue_l1d_prefetch)                  \
-    X(on_demand_access) X(pf_step) X(spp_step) X(ppf_consult) X(slp_consult)  \
-    X(slp_train) X(pending_l1) X(pending_l2c) X(finalize_l1) X(predictor)     \
-    X(pstats) X(dram) X(dram_stats) X(retire_deque) X(index_columns)
-
-typedef struct {
-    PyObject_HEAD
-#define DECLARE_FIELD(n) PyObject *n;
-    STEPPER_OBJECTS(DECLARE_FIELD)
-#undef DECLARE_FIELD
-    CacheState l1, l2, llc;
-
-    /* Trace columns (held for the stepper's lifetime). */
-    Py_buffer pc_buf, vaddr_buf, kind_buf;
-    int have_columns;
-    const int64_t *pcs, *vaddrs;
-    const uint8_t *kinds;
-    Py_ssize_t total, chunk_records, pos, chunk_stop;
-    int kind_non_mem;
-
-    /* Off-chip predictor: weight tables and this chunk's index columns. */
-    int predictor_kind;
-    Py_buffer table_bufs[NUM_FEATURES];
-    int have_tables;
-    int32_t *tables[NUM_FEATURES];
-    Py_ssize_t table_len[NUM_FEATURES];
-    long long lo[NUM_FEATURES], hi[NUM_FEATURES];
-    double training_threshold, activation_threshold, tau_high, tau_low;
-    int selective_delay, last_prediction;
-    Py_buffer index_buf;
-    int have_index;
-    const int64_t *index;
-    Py_ssize_t index_rows, demand_cursor;
-
-    /* Hierarchy constants and the DRAM channel. */
-    long long predictor_latency, dram_access_latency;
-    double cycles_per_transaction, drop_cycles;
-    double busy_until; /* mirror of dram._busy_until, written through */
-
-    /* Core timing: the ROB's retire times as a ring buffer. */
-    double *retire;
-    Py_ssize_t retire_cap, retire_head, retire_len, rob_size;
-    double dispatch_interval, dispatch_cycle, last_retire;
-    long long instructions, loads, stores;
-    double total_load_latency;
-    int pending; /* a load/store at ``pos`` was yielded, not yet performed */
-    double pending_dispatch;
-    int in_chunk, finished;
-
-    /* Sampling. */
-    long long sample_interval, next_sample;
-
-    /* Chunk-local counters. */
-    long long predictions, positive, training_events, correct, weight_updates;
-    long long flp_immediate, flp_delayed, flp_negative;
-    long long demand_loads, demand_stores, offchip_predictions;
-    long long speculative_requests, delayed_speculative, delayed_saved;
-    long long l1_pf_candidates, l1_pf_dropped_resident, l1_pf_filtered;
-    long long l1_pf_dropped_queue, l1_pf_issued;
-    long long l2_pf_candidates, l2_pf_dropped_resident, l2_pf_filtered;
-    long long l2_pf_dropped_queue, l2_pf_issued;
-    long long served[4], pf_served[4];
-    long long dram_transactions, dram_demand, dram_speculative;
-    long long dram_l1d_prefetch, dram_l2c_prefetch;
-    long long dram_queue_cycles, dram_max_queue;
-} Stepper;
 
 static int
 set_busy(Stepper *s, double value)
@@ -792,125 +2601,105 @@ translate(Stepper *s, long long vaddr, long long *paddr)
 /* ------------------------------------------------------------------ */
 
 /* SPP observes an L2 access to ``block`` and its lookahead predictions are
- * issued (_run_l2_prefetcher + _issue_l2c_prefetch over SPP's raw
- * prediction tuples, filtered by PPF when present). */
+ * issued (_run_l2_prefetcher + _issue_l2c_prefetch, filtered by PPF when
+ * present). */
 static int
-spp_issue(Stepper *s, PyObject *pc_obj, PyObject *block_obj, long long cycle)
+spp_issue(Stepper *s, long long pc, long long block, long long cycle)
 {
-    PyObject *predictions = call2(s->spp_step, block_obj, pc_obj);
-    if (predictions == NULL)
+    Py_ssize_t n = spp_step(&s->spp, block);
+    if (n < 0)
         return -1;
-    if (predictions == Py_None) {
-        Py_DECREF(predictions);
-        return 0;
-    }
-    PyObject *seq = PySequence_Fast(predictions, "SPP step must return a sequence");
-    Py_DECREF(predictions);
-    if (seq == NULL)
-        return -1;
-    int rc = -1;
-    PyObject *consult = NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
     for (Py_ssize_t i = 0; i < n; i++) {
-        Py_CLEAR(consult);
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
-        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 6) {
-            PyErr_SetString(PyExc_TypeError, "SPP predictions must be 6-tuples");
-            goto done;
-        }
-        PyObject *pblock_obj = PyTuple_GET_ITEM(item, 0);
+        const Prediction *prediction = &s->spp.predictions[i];
+        long long pblock = prediction->block;
+        Py_ssize_t indices[PPF_FEATURES];
+        long long confidence = 0;
         s->l2_pf_candidates++;
-        int resident = PyDict_Contains(s->l2.blocks, pblock_obj);
+        PyObject *pblock_obj = PyLong_FromLongLong(pblock);
+        if (pblock_obj == NULL)
+            return -1;
+        int rc = -1, resident = PyDict_Contains(s->l2.blocks, pblock_obj);
         if (resident < 0)
-            goto done;
+            goto next;
         if (resident) {
             s->l2_pf_dropped_resident++;
-            continue;
+            rc = 0;
+            goto next;
         }
-        if (s->ppf_consult != NULL) {
-            PyObject *args[7] = {NULL, pc_obj, pblock_obj, PyTuple_GET_ITEM(item, 2),
-                                 PyTuple_GET_ITEM(item, 3), PyTuple_GET_ITEM(item, 4),
-                                 PyTuple_GET_ITEM(item, 5)};
-            consult = PyObject_Vectorcall(s->ppf_consult, args + 1,
-                                          6 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-            if (consult == NULL)
-                goto done;
-            if (!PyTuple_Check(consult) || PyTuple_GET_SIZE(consult) != 3) {
-                PyErr_SetString(PyExc_TypeError, "PPF consult_step must return a 3-tuple");
-                goto done;
-            }
-            int issue = truth(PyTuple_GET_ITEM(consult, 0));
-            if (issue < 0)
-                goto done;
-            if (!issue) {
-                s->l2_pf_filtered++;
-                continue;
-            }
+        if (s->have_ppf && !ppf_consult(&s->ppf, pc, prediction, indices, &confidence)) {
+            s->l2_pf_filtered++;
+            rc = 0;
+            goto next;
         }
-        long long pblock = PyLong_AsLongLong(pblock_obj);
-        if (pblock == -1 && PyErr_Occurred())
-            goto done;
         long long fill_latency = s->l2.latency + s->llc.latency;
         int in_llc = PyDict_Contains(s->llc.blocks, pblock_obj);
         if (in_llc < 0)
-            goto done;
+            goto next;
         if (!in_llc) {
             if (dram_backed_up(s, cycle)) {
                 s->l2_pf_dropped_queue++;
-                continue;
+                rc = 0;
+                goto next;
             }
             long long dram_latency;
             if (dram_prefetch(s, cycle, &s->dram_l2c_prefetch, &dram_latency) < 0)
-                goto done;
+                goto next;
             fill_latency += dram_latency;
-            if (cache_fill(&s->llc, pblock_obj, pblock, cycle + fill_latency, 1, LEVEL_DRAM) < 0)
-                goto done;
+            if (cache_fill(s, &s->llc, pblock_obj, pblock, cycle + fill_latency, 1,
+                           LEVEL_DRAM) < 0)
+                goto next;
         }
         s->l2_pf_issued++;
-        int fill_l2 = truth(PyTuple_GET_ITEM(item, 1));
-        if (fill_l2 < 0)
-            goto done;
-        if (fill_l2
-            && cache_fill(&s->l2, pblock_obj, pblock, cycle + fill_latency, 1, LEVEL_DRAM) < 0)
-            goto done;
-        if (consult != NULL) {
+        if (prediction->fill_l2
+            && cache_fill(s, &s->l2, pblock_obj, pblock, cycle + fill_latency, 1,
+                          LEVEL_DRAM) < 0)
+            goto next;
+        if (s->have_ppf) {
             /* PPF training metadata travels as a raw (indices, confidence)
              * tuple; the eviction/use hooks hand it back to
-             * PerceptronPrefetchFilter.train unchanged. */
-            PyObject *metadata = PyTuple_Pack(2, PyTuple_GET_ITEM(consult, 2),
-                                              PyTuple_GET_ITEM(consult, 1));
+             * PerceptronPrefetchFilter.train. */
+            PyObject *list = PyList_New(PPF_FEATURES);
+            for (int f = 0; list != NULL && f < PPF_FEATURES; f++) {
+                PyObject *index = PyLong_FromSsize_t(indices[f]);
+                if (index == NULL)
+                    Py_CLEAR(list);
+                else
+                    PyList_SET_ITEM(list, f, index);
+            }
+            PyObject *metadata = list ? Py_BuildValue("(NL)", list, confidence) : NULL;
             if (metadata == NULL)
-                goto done;
-            int set = PyObject_SetItem(s->pending_l2c, pblock_obj, metadata);
+                goto next;
+            int set = PyDict_SetItem(s->pending_l2c, pblock_obj, metadata);
             Py_DECREF(metadata);
             if (set < 0)
-                goto done;
+                goto next;
         }
+        rc = 0;
+    next:
+        Py_DECREF(pblock_obj);
+        if (rc < 0)
+            return -1;
     }
-    rc = 0;
-done:
-    Py_XDECREF(consult);
-    Py_DECREF(seq);
-    return rc;
+    return 0;
 }
 
-/* One L1D prefetch target (_issue_l1d_prefetch + _fetch_for_prefetch for
- * the IPCP/Berti kernels, filtered by SLP when present). */
+/* One L1D prefetch target (_issue_l1d_prefetch + _fetch_for_prefetch,
+ * filtered by SLP when present). */
 static int
-l1_prefetch_target(Stepper *s, PyObject *tvaddr_obj, PyObject *pc_obj, long long cycle,
-                   PyObject *cycle_obj)
+l1_prefetch_target(Stepper *s, long long tvaddr, long long pc, long long cycle)
 {
     s->l1_pf_candidates++;
-    long long tvaddr = PyLong_AsLongLong(tvaddr_obj);
     long long tpaddr;
-    if ((tvaddr == -1 && PyErr_Occurred()) || translate(s, tvaddr, &tpaddr) < 0)
+    if (translate(s, tvaddr, &tpaddr) < 0)
         return -1;
     long long tblock = tpaddr >> 6;
     PyObject *tblock_obj = PyLong_FromLongLong(tblock);
     if (tblock_obj == NULL)
         return -1;
     int rc = -1;
-    PyObject *consult = NULL, *record = NULL;
+    PyObject *record = NULL;
+    Py_ssize_t indices[SLP_FEATURES];
+    long long confidence = 0;
     int found = PyDict_Contains(s->l1.blocks, tblock_obj);
     if (found < 0)
         goto done;
@@ -919,33 +2708,18 @@ l1_prefetch_target(Stepper *s, PyObject *tvaddr_obj, PyObject *pc_obj, long long
         rc = 0;
         goto done;
     }
-    if (s->slp_consult != NULL) {
-        PyObject *tpaddr_obj = PyLong_FromLongLong(tpaddr);
-        if (tpaddr_obj == NULL)
-            goto done;
-        consult = call3(s->slp_consult, pc_obj, tpaddr_obj, py_bool(s->last_prediction));
-        Py_DECREF(tpaddr_obj);
-        if (consult == NULL)
-            goto done;
-        if (!PyTuple_Check(consult) || PyTuple_GET_SIZE(consult) != 3) {
-            PyErr_SetString(PyExc_TypeError, "SLP consult_step must return a 3-tuple");
-            goto done;
-        }
-        int issue = truth(PyTuple_GET_ITEM(consult, 0));
-        if (issue < 0)
-            goto done;
-        if (!issue) {
-            s->l1_pf_filtered++;
-            rc = 0;
-            goto done;
-        }
+    if (s->have_slp
+        && !slp_consult(&s->slp, pc, tpaddr, s->last_prediction, indices, &confidence)) {
+        s->l1_pf_filtered++;
+        rc = 0;
+        goto done;
     }
     /* The L2 prefetcher observes the prefetch arriving from the level
      * above. */
-    if (s->spp_step != NULL) {
+    if (s->have_spp) {
         if ((found = PyDict_Contains(s->l2.blocks, tblock_obj)) < 0)
             goto done;
-        if (!found && spp_issue(s, pc_obj, tblock_obj, cycle) < 0)
+        if (!found && spp_issue(s, pc, tblock, cycle) < 0)
             goto done;
     }
     /* The L2 residency re-check matters: SPP may have just filled this
@@ -964,7 +2738,7 @@ l1_prefetch_target(Stepper *s, PyObject *tvaddr_obj, PyObject *pc_obj, long long
         if (found) {
             served = LEVEL_LLC;
             fetch_latency = s->l1.latency + s->l2.latency + s->llc.latency;
-            if (cache_fill(&s->l2, tblock_obj, tblock, cycle + fetch_latency, 0, -1) < 0)
+            if (cache_fill(s, &s->l2, tblock_obj, tblock, cycle + fetch_latency, 0, -1) < 0)
                 goto done;
         }
         else {
@@ -979,40 +2753,36 @@ l1_prefetch_target(Stepper *s, PyObject *tvaddr_obj, PyObject *pc_obj, long long
                 goto done;
             fetch_latency = s->l1.latency + s->l2.latency + s->llc.latency + dram_latency;
             long long ready = cycle + fetch_latency;
-            if (cache_fill(&s->llc, tblock_obj, tblock, ready, 0, -1) < 0
-                || cache_fill(&s->l2, tblock_obj, tblock, ready, 0, -1) < 0)
+            if (cache_fill(s, &s->llc, tblock_obj, tblock, ready, 0, -1) < 0
+                || cache_fill(s, &s->l2, tblock_obj, tblock, ready, 0, -1) < 0)
                 goto done;
         }
     }
     s->l1_pf_issued++;
     s->pf_served[served]++;
-    if (cache_fill(&s->l1, tblock_obj, tblock, cycle + fetch_latency, 1, served) < 0)
+    if (cache_fill(s, &s->l1, tblock_obj, tblock, cycle + fetch_latency, 1, served) < 0)
         goto done;
     /* on_fill is the L1DPrefetcher base no-op for IPCP/Berti; SLP trains as
      * soon as the serve level is known. */
-    if (consult != NULL
-        && discard(call3(s->slp_train, PyTuple_GET_ITEM(consult, 2),
-                         py_bool(served == LEVEL_DRAM), PyTuple_GET_ITEM(consult, 1))) < 0)
-        goto done;
+    if (s->have_slp)
+        perceptron_train(&s->slp.p, indices, served == LEVEL_DRAM, confidence);
     PyObject *previous = PyDict_GetItemWithError(s->pending_l1, tblock_obj);
     if (previous != NULL) {
-        Py_INCREF(previous);
-        int finalized = discard(call2(s->finalize_l1, previous, Py_False));
-        Py_DECREF(previous);
-        if (finalized < 0)
+        if (finalize_l1_prefetch(s, previous, 0) < 0)
             goto done;
     }
     else if (PyErr_Occurred())
         goto done;
     record = alloc_slots(PrefetchRecordType);
-    if (record == NULL)
+    PyObject *cycle_obj = record ? PyLong_FromLongLong(cycle) : NULL;
+    PyObject *metadata = cycle_obj ? PyDict_New() : NULL;
+    if (metadata == NULL) {
+        Py_XDECREF(cycle_obj);
         goto done;
-    PyObject *metadata = PyDict_New();
-    if (metadata == NULL)
-        goto done;
+    }
     slot_set(record, PR_block_addr, tblock_obj);
     slot_set(record, PR_served_by, Levels[served]);
-    slot_set(record, PR_issue_cycle, cycle_obj);
+    SLOT(record, PR_issue_cycle) = cycle_obj;
     slot_set(record, PR_useful, Py_None);
     SLOT(record, PR_filter_metadata) = metadata;
     if (PyDict_SetItem(s->pending_l1, tblock_obj, record) < 0)
@@ -1020,40 +2790,40 @@ l1_prefetch_target(Stepper *s, PyObject *tvaddr_obj, PyObject *pc_obj, long long
     rc = 0;
 done:
     Py_XDECREF(record);
-    Py_XDECREF(consult);
     Py_DECREF(tblock_obj);
     return rc;
 }
 
+/* The L1D prefetcher observes a demand access and its targets are issued. */
 static int
-l1_prefetch(Stepper *s, int l1d_hit, PyObject *pc_obj, long long cycle, PyObject *cycle_obj)
+l1_prefetch(Stepper *s, long long pc, long long vaddr, int l1d_hit, long long cycle)
 {
-    PyObject *targets = call1(s->pf_step, py_bool(l1d_hit));
-    if (targets == NULL)
-        return -1;
-    if (targets == Py_None) {
-        Py_DECREF(targets);
-        return 0;
+    const int64_t *targets;
+    Py_ssize_t n;
+    if (s->prefetch_kind == PF_IPCP) {
+        n = ipcp_step(&s->ipcp, pc, vaddr, l1d_hit);
+        targets = s->ipcp.targets;
     }
-    PyObject *seq = PySequence_Fast(targets, "step_batch must return a sequence");
-    Py_DECREF(targets);
-    if (seq == NULL)
-        return -1;
-    int rc = 0;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    for (Py_ssize_t i = 0; i < n && rc == 0; i++)
-        rc = l1_prefetch_target(s, PySequence_Fast_GET_ITEM(seq, i), pc_obj, cycle, cycle_obj);
-    Py_DECREF(seq);
-    return rc;
+    else {
+        n = berti_step(&s->berti, pc, vaddr);
+        targets = s->berti.targets;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (l1_prefetch_target(s, targets[i], pc, cycle) < 0)
+            return -1;
+    }
+    return n < 0 ? -1 : 0;
 }
 
-/* Object-call path for L1D prefetchers without a batch kernel. */
+/* Object-call path for prefetchers the kernel does not model. */
 static int
-l1_prefetch_generic(Stepper *s, PyObject *pc_obj, PyObject *vaddr_obj, int l1d_hit,
-                    PyObject *cycle_obj)
+l1_prefetch_object(Stepper *s, PyObject *pc_obj, long long vaddr, int l1d_hit,
+                   PyObject *cycle_obj)
 {
-    PyObject *candidates = call4(s->on_demand_access, pc_obj, vaddr_obj,
-                                 py_bool(l1d_hit), cycle_obj);
+    PyObject *vaddr_obj = PyLong_FromLongLong(vaddr);
+    PyObject *candidates = vaddr_obj ? call4(s->on_demand_access, pc_obj, vaddr_obj,
+                                             py_bool(l1d_hit), cycle_obj) : NULL;
+    Py_XDECREF(vaddr_obj);
     if (candidates == NULL || reload_all(s) < 0) {
         Py_XDECREF(candidates);
         return -1;
@@ -1093,14 +2863,24 @@ speculative_request(Stepper *s, long long issue_at, long long *latency)
     return 0;
 }
 
-static inline int32_t *
-weight(Stepper *s, int feature, long long index)
+/* _record_offchip_prediction_location: where the block is when a
+ * speculative request fires. */
+static int
+record_location(Stepper *s, PyObject *block, int missed_l1d)
 {
-    if (index < 0 || index >= s->table_len[feature]) {
-        PyErr_SetString(PyExc_IndexError, "off-chip feature index out of range");
-        return NULL;
+    CacheState *levels[3] = {&s->l1, &s->l2, &s->llc};
+    int location = LEVEL_DRAM;
+    for (int level = missed_l1d ? LEVEL_L2C : LEVEL_L1D; level < LEVEL_DRAM; level++) {
+        int found = PyDict_Contains(levels[level]->blocks, block);
+        if (found < 0)
+            return -1;
+        if (found) {
+            location = level;
+            break;
+        }
     }
-    return s->tables[feature] + index;
+    s->prediction_location[location]++;
+    return 0;
 }
 
 /* MemoryHierarchy.demand_access plus the perceptron predict/train, inlined.
@@ -1112,17 +2892,18 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     long long cycle = (long long)dispatch;
     int is_write = kind == 1;
     int rc = -1;
-    PyObject *block_obj = NULL, *pc_obj = NULL, *cycle_obj = NULL;
-    PyObject *vaddr_obj = NULL, *paddr_obj = NULL;
+    PyObject *block_obj = NULL, *pc_obj = NULL, *cycle_obj = NULL, *paddr_obj = NULL;
 
     /* -- page translation -- */
     long long paddr;
     if (translate(s, vaddr, &paddr) < 0)
         goto done;
     long long block = paddr >> 6;
-    if ((block_obj = PyLong_FromLongLong(block)) == NULL
-        || (pc_obj = PyLong_FromLongLong(pc)) == NULL
-        || (cycle_obj = PyLong_FromLongLong(cycle)) == NULL)
+    if ((block_obj = PyLong_FromLongLong(block)) == NULL)
+        goto done;
+    if (s->prefetch_kind == PF_OBJECT
+        && ((pc_obj = PyLong_FromLongLong(pc)) == NULL
+            || (cycle_obj = PyLong_FromLongLong(cycle)) == NULL))
         goto done;
     if (is_write)
         s->demand_stores++;
@@ -1132,7 +2913,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     /* -- off-chip prediction -- */
     int action = 0, predicted_offchip = 0;
     long long confidence = 0;
-    int32_t *w[NUM_FEATURES];
+    Py_ssize_t indices[NUM_FEATURES];
     if (s->predictor_kind != PK_NULL) {
         Py_ssize_t row = s->demand_cursor++;
         if (row >= s->index_rows) {
@@ -1140,13 +2921,17 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
             goto done;
         }
         for (int f = 0; f < NUM_FEATURES; f++) {
-            if ((w[f] = weight(s, f, s->index[f * s->index_rows + row])) == NULL)
+            int64_t index = s->index[f * s->index_rows + row];
+            if (index < 0 || index >= s->flp.entries[f]) {
+                PyErr_SetString(PyExc_IndexError, "off-chip feature index out of range");
                 goto done;
-            confidence += *w[f];
+            }
+            indices[f] = (Py_ssize_t)index;
         }
-        s->predictions++;
+        confidence = perceptron_sum(&s->flp, indices);
+        s->flp.predictions++;
         if (confidence >= 0)
-            s->positive++;
+            s->flp.positive++;
         if (s->predictor_kind == PK_HERMES) {
             predicted_offchip = (double)confidence >= s->activation_threshold;
             action = predicted_offchip ? 1 : 0;
@@ -1180,7 +2965,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     long long speculative_ready = 0;
     if (action == 1) {
         s->speculative_requests++;
-        if (discard(call1(s->record_location, block_obj)) < 0)
+        if (record_location(s, block_obj, 0) < 0)
             goto done;
         long long dram_latency;
         if (speculative_request(s, cycle + s->predictor_latency, &dram_latency) < 0)
@@ -1195,17 +2980,16 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     int l1d_hit = cache_lookup(&s->l1, block_obj, cycle, is_write, &latency, &prefetch_hit);
     if (l1d_hit < 0)
         goto done;
-    if (prefetch_hit && discard(call1(s->resolve_l1, block_obj)) < 0)
+    if (prefetch_hit && resolve_l1_prefetch(s, block_obj, 1) < 0)
         goto done;
 
     /* -- L1D prefetcher -- */
-    if (s->pf_step != NULL) {
-        if (l1_prefetch(s, l1d_hit, pc_obj, cycle, cycle_obj) < 0)
+    if (s->prefetch_kind > PF_NONE) {
+        if (l1_prefetch(s, pc, vaddr, l1d_hit, cycle) < 0)
             goto done;
     }
     else if (s->on_demand_access != NULL) {
-        if ((vaddr_obj = PyLong_FromLongLong(vaddr)) == NULL
-            || l1_prefetch_generic(s, pc_obj, vaddr_obj, l1d_hit, cycle_obj) < 0)
+        if (l1_prefetch_object(s, pc_obj, vaddr, l1d_hit, cycle_obj) < 0)
             goto done;
     }
 
@@ -1217,7 +3001,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         else {
             s->speculative_requests++;
             s->delayed_speculative++;
-            if (discard(call2(s->record_location, block_obj, Py_True)) < 0)
+            if (record_location(s, block_obj, 1) < 0)
                 goto done;
             long long dram_latency;
             if (speculative_request(s, cycle + s->l1.latency + s->predictor_latency,
@@ -1241,12 +3025,12 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
                                   &l2_prefetch_hit);
         if (l2_hit < 0)
             goto done;
-        if (l2_prefetch_hit && discard(call1(s->resolve_l2, block_obj)) < 0)
+        if (l2_prefetch_hit && resolve_l2_prefetch(s, block_obj) < 0)
             goto done;
 
         /* SPP observes L2 demand accesses. */
-        if (s->spp_step != NULL) {
-            if (spp_issue(s, pc_obj, block_obj, cycle) < 0)
+        if (s->have_spp) {
+            if (spp_issue(s, pc, block, cycle) < 0)
                 goto done;
         }
         else if (s->run_l2_prefetcher != NULL) {
@@ -1258,7 +3042,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         }
 
         if (l2_hit) {
-            if (cache_fill(&s->l1, block_obj, block, cycle + latency, 0, -1) < 0)
+            if (cache_fill(s, &s->l1, block_obj, block, cycle + latency, 0, -1) < 0)
                 goto done;
             s->served[LEVEL_L2C]++;
         }
@@ -1270,8 +3054,8 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
             if (llc_hit < 0)
                 goto done;
             if (llc_hit) {
-                if (cache_fill(&s->l1, block_obj, block, cycle + latency, 0, -1) < 0
-                    || cache_fill(&s->l2, block_obj, block, cycle + latency, 0, -1) < 0)
+                if (cache_fill(s, &s->l1, block_obj, block, cycle + latency, 0, -1) < 0
+                    || cache_fill(s, &s->l2, block_obj, block, cycle + latency, 0, -1) < 0)
                     goto done;
                 s->served[LEVEL_LLC]++;
             }
@@ -1291,9 +3075,9 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
                 }
                 latency += dram_latency;
                 long long ready = cycle + latency;
-                if (cache_fill(&s->llc, block_obj, block, ready, 0, -1) < 0
-                    || cache_fill(&s->l2, block_obj, block, ready, 0, -1) < 0
-                    || cache_fill(&s->l1, block_obj, block, ready, 0, -1) < 0)
+                if (cache_fill(s, &s->llc, block_obj, block, ready, 0, -1) < 0
+                    || cache_fill(s, &s->l2, block_obj, block, ready, 0, -1) < 0
+                    || cache_fill(s, &s->l1, block_obj, block, ready, 0, -1) < 0)
                     goto done;
                 s->served[LEVEL_DRAM]++;
                 went_offchip = 1;
@@ -1306,25 +3090,8 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     }
 
     /* -- perceptron training -- */
-    if (s->predictor_kind != PK_NULL) {
-        s->training_events++;
-        int predicted_positive = confidence >= 0;
-        if (predicted_positive == went_offchip)
-            s->correct++;
-        long long magnitude = confidence >= 0 ? confidence : -confidence;
-        if (predicted_positive != went_offchip
-            || (double)magnitude < s->training_threshold) {
-            for (int f = 0; f < NUM_FEATURES; f++) {
-                long long updated = (long long)*w[f] + (went_offchip ? 1 : -1);
-                if (went_offchip && updated > s->hi[f])
-                    updated = s->hi[f];
-                else if (!went_offchip && updated < s->lo[f])
-                    updated = s->lo[f];
-                *w[f] = (int32_t)updated;
-            }
-            s->weight_updates++;
-        }
-    }
+    if (s->predictor_kind != PK_NULL)
+        perceptron_train(&s->flp, indices, went_offchip, confidence);
 
     if (kind == 0) {
         *latency_out = effective_latency;
@@ -1340,7 +3107,6 @@ done:
     Py_XDECREF(block_obj);
     Py_XDECREF(pc_obj);
     Py_XDECREF(cycle_obj);
-    Py_XDECREF(vaddr_obj);
     Py_XDECREF(paddr_obj);
     return rc;
 }
@@ -1374,16 +3140,15 @@ begin_chunk(Stepper *s)
     release_index(s);
     if (s->begin_chunk == NULL)
         return 0;
-    PyObject *start = PyLong_FromSsize_t(s->pos);
-    PyObject *stop = PyLong_FromSsize_t(s->chunk_stop);
-    PyObject *columns = (start && stop) ? call2(s->begin_chunk, start, stop) : NULL;
-    Py_XDECREF(start);
-    Py_XDECREF(stop);
+    PyObject *args[3] = {NULL, PyLong_FromSsize_t(s->pos), PyLong_FromSsize_t(s->chunk_stop)};
+    PyObject *columns = (args[1] && args[2])
+        ? PyObject_Vectorcall(s->begin_chunk, args + 1, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL)
+        : NULL;
+    Py_XDECREF(args[1]);
+    Py_XDECREF(args[2]);
     if (columns == NULL)
         return -1;
     s->index_columns = columns;
-    if (s->predictor_kind == PK_NULL)
-        return 0;
     if (PyObject_GetBuffer(columns, &s->index_buf, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
     s->have_index = 1;
@@ -1438,26 +3203,23 @@ flush_hierarchy(Stepper *s)
         || add_attr(h, S_l2c_prefetches_dropped_resident, s->l2_pf_dropped_resident) < 0
         || add_attr(h, S_l2c_prefetches_filtered, s->l2_pf_filtered) < 0
         || add_attr(h, S_l2c_prefetches_dropped_queue_full, s->l2_pf_dropped_queue) < 0
-        || add_attr(h, S_l2c_prefetches_issued, s->l2_pf_issued) < 0)
+        || add_attr(h, S_l2c_prefetches_issued, s->l2_pf_issued) < 0
+        || add_attr(h, S_useful_l1d_prefetches, s->useful_l1_prefetches) < 0
+        || add_attr(h, S_useless_l1d_prefetches, s->useless_l1_prefetches) < 0
+        || add_levels(h, S_served_by, s->served) < 0
+        || add_levels(h, S_l1d_prefetch_served_by, s->pf_served) < 0
+        || add_levels(h, S_offchip_prediction_location, s->prediction_location) < 0
+        || add_levels(h, S_accurate_prefetch_source, s->accurate_source) < 0
+        || add_levels(h, S_inaccurate_prefetch_source, s->inaccurate_source) < 0)
         return -1;
-    PyObject *served = PyObject_GetAttr(h, S_served_by);
-    PyObject *pf_served = served ? PyObject_GetAttr(h, S_l1d_prefetch_served_by) : NULL;
-    int rc = pf_served ? 0 : -1;
-    for (int level = 0; level < 4 && rc == 0; level++) {
-        if (add_item(served, Levels[level], s->served[level]) < 0
-            || add_item(pf_served, Levels[level], s->pf_served[level]) < 0)
-            rc = -1;
-        s->served[level] = s->pf_served[level] = 0;
-    }
-    Py_XDECREF(served);
-    Py_XDECREF(pf_served);
     s->demand_loads = s->demand_stores = s->offchip_predictions = 0;
     s->speculative_requests = s->delayed_speculative = s->delayed_saved = 0;
     s->l1_pf_candidates = s->l1_pf_dropped_resident = s->l1_pf_filtered = 0;
     s->l1_pf_dropped_queue = s->l1_pf_issued = 0;
     s->l2_pf_candidates = s->l2_pf_dropped_resident = s->l2_pf_filtered = 0;
     s->l2_pf_dropped_queue = s->l2_pf_issued = 0;
-    return rc;
+    s->useful_l1_prefetches = s->useless_l1_prefetches = 0;
+    return 0;
 }
 
 static int
@@ -1465,12 +3227,7 @@ flush_predictor(Stepper *s)
 {
     if (s->predictor_kind == PK_NULL)
         return 0;
-    PyObject *p = s->pstats;
-    if (add_attr(p, S_predictions, s->predictions) < 0
-        || add_attr(p, S_positive_predictions, s->positive) < 0
-        || add_attr(p, S_training_events, s->training_events) < 0
-        || add_attr(p, S_correct_predictions, s->correct) < 0
-        || add_attr(p, S_weight_updates, s->weight_updates) < 0
+    if (perceptron_flush(&s->flp) < 0
         || PyObject_SetAttr(s->predictor, S_last_prediction, py_bool(s->last_prediction)) < 0)
         return -1;
     if (s->predictor_kind == PK_FLP
@@ -1478,9 +3235,22 @@ flush_predictor(Stepper *s)
             || add_attr(s->predictor, S_delayed_decisions, s->flp_delayed) < 0
             || add_attr(s->predictor, S_negative_decisions, s->flp_negative) < 0))
         return -1;
-    s->predictions = s->positive = s->training_events = s->correct = 0;
-    s->weight_updates = s->flp_immediate = s->flp_delayed = s->flp_negative = 0;
+    s->flp_immediate = s->flp_delayed = s->flp_negative = 0;
     return 0;
+}
+
+static int
+flush_components(Stepper *s)
+{
+    if (s->prefetch_kind == PF_IPCP && ipcp_flush(&s->ipcp, s->prefetcher) < 0)
+        return -1;
+    if (s->have_spp && add_attr(s->l2_prefetcher, S_lookahead_prefetches,
+                                s->spp.lookahead_prefetches) < 0)
+        return -1;
+    s->spp.lookahead_prefetches = 0;
+    if (s->have_ppf && ppf_flush(&s->ppf, s->l2_filter) < 0)
+        return -1;
+    return s->have_slp ? slp_flush(&s->slp, s->l1_filter) : 0;
 }
 
 /* Add the chunk's counters to their stats objects, then sample. */
@@ -1489,7 +3259,8 @@ end_chunk(Stepper *s)
 {
     s->in_chunk = 0;
     if (flush_hierarchy(s) < 0 || cache_flush(&s->l1) < 0 || cache_flush(&s->l2) < 0
-        || cache_flush(&s->llc) < 0 || flush_dram(s) < 0 || flush_predictor(s) < 0)
+        || cache_flush(&s->llc) < 0 || flush_dram(s) < 0 || flush_predictor(s) < 0
+        || flush_components(s) < 0)
         return -1;
     if (s->sample_hook == NULL)
         return 0;
@@ -1519,7 +3290,23 @@ end_chunk(Stepper *s)
     return rc;
 }
 
-/* Write the core runner's state back (end of the trace). */
+/* Hand the flat component state back to its Python containers. */
+static int
+write_back_components(Stepper *s)
+{
+    if (!s->loaded)
+        return 0;
+    if (s->prefetch_kind == PF_IPCP && ipcp_write_back(&s->ipcp, s->prefetcher) < 0)
+        return -1;
+    if (s->prefetch_kind == PF_BERTI && berti_write_back(&s->berti, s->prefetcher) < 0)
+        return -1;
+    if (s->have_spp && spp_write_back(&s->spp, s->l2_prefetcher) < 0)
+        return -1;
+    return s->have_slp ? slp_write_back(&s->slp) : 0;
+}
+
+/* Write the core runner's and the components' state back (end of the
+ * trace). */
 static int
 finish(Stepper *s)
 {
@@ -1548,7 +3335,8 @@ finish(Stepper *s)
         && add_attr(s->runner, S_instructions, s->instructions) == 0
         && add_attr(s->runner, S_loads, s->loads) == 0
         && add_attr(s->runner, S_stores, s->stores) == 0
-        && PyObject_SetAttr(s->runner, S_total_load_latency, total) == 0)
+        && PyObject_SetAttr(s->runner, S_total_load_latency, total) == 0
+        && write_back_components(s) == 0)
         rc = 0;
     Py_DECREF(times);
     Py_XDECREF(cleared);
@@ -1575,6 +3363,8 @@ retire_record(Stepper *s, double dispatch, long long latency)
     s->instructions++;
 }
 
+static void release_components(Stepper *s);
+
 /* Advance to the next load/store (returning its dispatch cycle, when
  * ``yield_memory``) or to the end of the trace (returning NULL without an
  * exception).  NULL with an exception set on error. */
@@ -1600,6 +3390,7 @@ advance(Stepper *s, int yield_memory)
                     s->finished = 1;
                     release_index(s);
                     finish(s); /* NULL either way; an error stays set */
+                    release_components(s);
                     return NULL;
                 }
                 if (begin_chunk(s) < 0)
@@ -1634,6 +3425,7 @@ advance(Stepper *s, int yield_memory)
 error:
     s->finished = 1;
     release_index(s);
+    release_components(s);
     return NULL;
 }
 
@@ -1669,75 +3461,26 @@ get_column(PyObject *array, Py_buffer *view, Py_ssize_t itemsize, const char *na
     return 0;
 }
 
-/* Optional callable: None becomes NULL. */
-static PyObject *
-optional(PyObject *value)
-{
-    return value == Py_None ? NULL : Py_NewRef(value);
-}
-
 static int
 init_predictor(Stepper *s, PyObject *predictor)
 {
     s->predictor = Py_NewRef(predictor);
     if (s->predictor_kind == PK_NULL)
         return 0;
-    int rc = -1;
-    PyObject *perceptron = NULL, *tables = NULL, *limits = NULL, *last = NULL;
-    if ((perceptron = PyObject_GetAttr(predictor, S_perceptron)) == NULL
-        || (s->pstats = PyObject_GetAttr(perceptron, S_stats)) == NULL
-        || (tables = PyObject_GetAttr(perceptron, S__tables)) == NULL
-        || (limits = PyObject_GetAttr(perceptron, S__weight_limits)) == NULL
-        || get_double(perceptron, S_training_threshold, &s->training_threshold) < 0
-        || (last = PyObject_GetAttr(predictor, S_last_prediction)) == NULL
-        || (s->last_prediction = truth(last)) < 0)
-        goto done;
-    if (PySequence_Size(tables) != NUM_FEATURES || PySequence_Size(limits) != NUM_FEATURES) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "the fused kernel models five feature tables");
-        goto done;
-    }
-    for (int f = 0; f < NUM_FEATURES; f++) {
-        PyObject *table = PySequence_GetItem(tables, f);
-        PyObject *bound = PySequence_GetItem(limits, f);
-        int ok = table && bound
-                 && PyArg_ParseTuple(bound, "LL", &s->lo[f], &s->hi[f])
-                 && PyObject_GetBuffer(table, &s->table_bufs[f],
-                                       PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) == 0;
-        Py_XDECREF(table);
-        Py_XDECREF(bound);
-        if (!ok)
-            goto done;
-        s->have_tables = f + 1;
-        if (s->table_bufs[f].itemsize != 4 || s->table_bufs[f].ndim != 1) {
-            PyErr_SetString(PyExc_TypeError, "perceptron weights must be int32");
-            goto done;
-        }
-        s->tables[f] = (int32_t *)s->table_bufs[f].buf;
-        s->table_len[f] = s->table_bufs[f].shape[0];
-    }
-    if (s->predictor_kind == PK_HERMES) {
-        if (get_double(predictor, S_activation_threshold, &s->activation_threshold) < 0)
-            goto done;
-    }
-    else {
-        PyObject *delay = PyObject_GetAttr(predictor, S_selective_delay);
-        if (delay == NULL)
-            goto done;
-        s->selective_delay = truth(delay);
-        Py_DECREF(delay);
-        if (s->selective_delay < 0
-            || get_double(predictor, S_tau_high, &s->tau_high) < 0
-            || get_double(predictor, S_tau_low, &s->tau_low) < 0)
-            goto done;
-    }
-    rc = 0;
-done:
-    Py_XDECREF(perceptron);
-    Py_XDECREF(tables);
-    Py_XDECREF(limits);
-    Py_XDECREF(last);
-    return rc;
+    PyObject *perceptron = PyObject_GetAttr(predictor, S_perceptron);
+    if (perceptron == NULL)
+        return -1;
+    int bound = perceptron_init(&s->flp, perceptron, NUM_FEATURES);
+    Py_DECREF(perceptron);
+    if (bound < 0 || get_truth(predictor, S_last_prediction, &s->last_prediction) < 0)
+        return -1;
+    if (s->predictor_kind == PK_HERMES)
+        return get_double(predictor, S_activation_threshold, &s->activation_threshold);
+    if (get_truth(predictor, S_selective_delay, &s->selective_delay) < 0
+        || get_double(predictor, S_tau_high, &s->tau_high) < 0
+        || get_double(predictor, S_tau_low, &s->tau_low) < 0)
+        return -1;
+    return 0;
 }
 
 static int
@@ -1786,9 +3529,9 @@ init_hierarchy(Stepper *s, PyObject *h)
     PyObject *l1d = NULL, *l2c = NULL, *llc = NULL, *page_table = NULL, *config = NULL;
     int rc = -1;
     s->hierarchy = Py_NewRef(h);
-    if ((l1d = PyObject_GetAttr(h, S_l1d)) == NULL || cache_init(&s->l1, l1d) < 0
-        || (l2c = PyObject_GetAttr(h, S_l2c)) == NULL || cache_init(&s->l2, l2c) < 0
-        || (llc = PyObject_GetAttr(h, S_llc)) == NULL || cache_init(&s->llc, llc) < 0
+    if ((l1d = PyObject_GetAttr(h, S_l1d)) == NULL || cache_init(&s->l1, l1d, LEVEL_L1D) < 0
+        || (l2c = PyObject_GetAttr(h, S_l2c)) == NULL || cache_init(&s->l2, l2c, LEVEL_L2C) < 0
+        || (llc = PyObject_GetAttr(h, S_llc)) == NULL || cache_init(&s->llc, llc, LEVEL_LLC) < 0
         || (s->dram = PyObject_GetAttr(h, S_dram)) == NULL
         || (s->dram_stats = PyObject_GetAttr(s->dram, S_stats)) == NULL
         || get_double(s->dram, S__busy_until, &s->busy_until) < 0
@@ -1799,17 +3542,14 @@ init_hierarchy(Stepper *s, PyObject *h)
         || (s->page_map = PyObject_GetAttr(page_table, S__mapping)) == NULL
         || (s->allocate_frame = PyObject_GetAttr(page_table, S__allocate_frame)) == NULL
         || (s->hstats = PyObject_GetAttr(h, S_stats)) == NULL
-        || (s->record_location = PyObject_GetAttr(h, S__record_offchip_prediction_location)) == NULL
-        || (s->resolve_l1 = PyObject_GetAttr(h, S__resolve_l1d_prefetch_use)) == NULL
         || (s->resolve_l2 = PyObject_GetAttr(h, S__resolve_l2c_prefetch_use)) == NULL
-        || (s->issue_l1d_prefetch = PyObject_GetAttr(h, S__issue_l1d_prefetch)) == NULL
-        || (s->finalize_l1 = PyObject_GetAttr(h, S__finalize_l1d_prefetch)) == NULL
         || (s->pending_l1 = PyObject_GetAttr(h, S__pending_l1d_prefetches)) == NULL
         || (s->pending_l2c = PyObject_GetAttr(h, S__pending_l2c_prefetches)) == NULL
         || get_ll(h, S__predictor_latency, &s->predictor_latency) < 0
         || get_double(h, S__prefetch_drop_queue_cycles, &s->drop_cycles) < 0)
         goto done;
-    if (!PyDict_CheckExact(s->page_map) || !PyDict_CheckExact(s->pending_l1)) {
+    if (!PyDict_CheckExact(s->page_map) || !PyDict_CheckExact(s->pending_l1)
+        || !PyDict_CheckExact(s->pending_l2c)) {
         PyErr_SetString(PyExc_TypeError, "page map and pending prefetches must be dicts");
         goto done;
     }
@@ -1823,6 +3563,55 @@ done:
     return rc;
 }
 
+/* Bind the prefetch path: the flat copies of the components the kernel
+ * runs itself, or the hierarchy's object-call paths. */
+static int
+init_prefetch(Stepper *s, PyObject *h)
+{
+    if ((s->prefetcher = PyObject_GetAttr(h, S_l1d_prefetcher)) == NULL
+        || (s->l2_prefetcher = PyObject_GetAttr(h, S_l2_prefetcher)) == NULL
+        || (s->l1_filter = PyObject_GetAttr(h, S_l1d_prefetch_filter)) == NULL
+        || (s->l2_filter = PyObject_GetAttr(h, S_l2_prefetch_filter)) == NULL)
+        return -1;
+    if (s->prefetch_kind == PF_OBJECT) {
+        if (s->prefetcher != Py_None
+            && ((s->on_demand_access = PyObject_GetAttr(s->prefetcher, S_on_demand_access)) == NULL
+                || (s->issue_l1d_prefetch = PyObject_GetAttr(h, S__issue_l1d_prefetch)) == NULL))
+            return -1;
+        if (s->l2_prefetcher != Py_None
+            && (s->run_l2_prefetcher = PyObject_GetAttr(h, S__run_l2_prefetcher)) == NULL)
+            return -1;
+        return 0;
+    }
+    if (s->prefetch_kind < PF_NONE || s->prefetch_kind > PF_BERTI
+        || (s->prefetch_kind == PF_NONE) != (s->prefetcher == Py_None)) {
+        PyErr_SetString(PyExc_ValueError, "prefetch kind does not match the L1D prefetcher");
+        return -1;
+    }
+    s->loaded = 1;
+    s->have_spp = s->l2_prefetcher != Py_None;
+    s->have_ppf = s->l2_filter != Py_None;
+    s->have_slp = s->l1_filter != Py_None;
+    if ((s->prefetch_kind == PF_IPCP && ipcp_load(&s->ipcp, s->prefetcher) < 0)
+        || (s->prefetch_kind == PF_BERTI && berti_load(&s->berti, s->prefetcher) < 0)
+        || (s->have_spp && spp_load(&s->spp, s->l2_prefetcher) < 0)
+        || (s->have_ppf && ppf_load(&s->ppf, s->l2_filter) < 0)
+        || (s->have_slp && slp_load(&s->slp, s->l1_filter) < 0))
+        return -1;
+    return 0;
+}
+
+static void
+release_components(Stepper *s)
+{
+    ipcp_release(&s->ipcp);
+    berti_release(&s->berti);
+    spp_release(&s->spp);
+    view_release(&s->ppf.view);
+    slp_release(&s->slp);
+    s->loaded = 0;
+}
+
 static PyTypeObject StepperType;
 
 static PyObject *
@@ -1830,15 +3619,15 @@ stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {
         "runner", "hierarchy", "pcs", "vaddrs", "kinds", "kind_non_mem",
-        "chunk_records", "begin_chunk", "predictor_kind", "kernels",
+        "chunk_records", "begin_chunk", "predictor_kind", "prefetch_kind",
         "sample_hook", "sample_interval", NULL};
-    PyObject *runner, *hierarchy, *pcs, *vaddrs, *kinds, *begin, *kernels, *hook;
-    int kind_non_mem, predictor_kind;
+    PyObject *runner, *hierarchy, *pcs, *vaddrs, *kinds, *begin, *hook;
+    int kind_non_mem, predictor_kind, prefetch_kind;
     Py_ssize_t chunk_records;
     long long sample_interval;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOinOiOOL", keywords, &runner,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOinOiiOL", keywords, &runner,
                                      &hierarchy, &pcs, &vaddrs, &kinds, &kind_non_mem,
-                                     &chunk_records, &begin, &predictor_kind, &kernels,
+                                     &chunk_records, &begin, &predictor_kind, &prefetch_kind,
                                      &hook, &sample_interval))
         return NULL;
     if (chunk_records <= 0) {
@@ -1849,11 +3638,10 @@ stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ValueError, "unknown predictor kind");
         return NULL;
     }
-    PyObject *pf_step, *slp_consult, *slp_train, *spp_step, *ppf_consult, *on_demand, *run_l2;
-    if (!PyArg_ParseTuple(kernels, "OOOOOOO;kernels must be a 7-tuple", &pf_step,
-                          &slp_consult, &slp_train, &spp_step, &ppf_consult, &on_demand,
-                          &run_l2))
+    if ((predictor_kind == PK_NULL) != (begin == Py_None)) {
+        PyErr_SetString(PyExc_ValueError, "begin_chunk goes with an off-chip predictor");
         return NULL;
+    }
     if (load_model_types() < 0)
         return NULL;
     Stepper *s = (Stepper *)type->tp_alloc(type, 0);
@@ -1862,14 +3650,9 @@ stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     s->kind_non_mem = kind_non_mem;
     s->chunk_records = chunk_records;
     s->predictor_kind = predictor_kind;
-    s->begin_chunk = optional(begin);
-    s->pf_step = optional(pf_step);
-    s->slp_consult = optional(slp_consult);
-    s->slp_train = optional(slp_train);
-    s->spp_step = optional(spp_step);
-    s->ppf_consult = optional(ppf_consult);
-    s->on_demand_access = optional(on_demand);
-    s->run_l2_prefetcher = optional(run_l2);
+    s->prefetch_kind = prefetch_kind;
+    if (begin != Py_None)
+        s->begin_chunk = Py_NewRef(begin);
     if (hook != Py_None && sample_interval > 0) {
         s->sample_hook = Py_NewRef(hook);
         s->sample_interval = sample_interval;
@@ -1902,7 +3685,7 @@ stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
         goto error;
     int predictor_ok = init_predictor(s, predictor);
     Py_DECREF(predictor);
-    if (predictor_ok < 0)
+    if (predictor_ok < 0 || init_prefetch(s, hierarchy) < 0)
         goto error;
     return (PyObject *)s;
 error:
@@ -1920,9 +3703,8 @@ release_buffers(Stepper *s)
         PyBuffer_Release(&s->kind_buf);
         s->have_columns = 0;
     }
-    for (int f = 0; f < s->have_tables; f++)
-        PyBuffer_Release(&s->table_bufs[f]);
-    s->have_tables = 0;
+    perceptron_release(&s->flp);
+    release_components(s);
 }
 
 static int
@@ -1934,6 +3716,9 @@ stepper_traverse(Stepper *s, visitproc visit, void *arg)
 #define VISIT_CACHE(n) Py_VISIT(s->l1.n); Py_VISIT(s->l2.n); Py_VISIT(s->llc.n);
     CACHE_OBJECTS(VISIT_CACHE)
 #undef VISIT_CACHE
+    Py_VISIT(s->flp.stats);
+    Py_VISIT(s->slp.p.stats);
+    Py_VISIT(s->slp.history);
     return 0;
 }
 
@@ -1948,6 +3733,9 @@ stepper_clear(Stepper *s)
 #define CLEAR_CACHE(n) Py_CLEAR(s->l1.n); Py_CLEAR(s->l2.n); Py_CLEAR(s->llc.n);
     CACHE_OBJECTS(CLEAR_CACHE)
 #undef CLEAR_CACHE
+    Py_CLEAR(s->flp.stats);
+    Py_CLEAR(s->slp.p.stats);
+    Py_CLEAR(s->slp.history);
     return 0;
 }
 

@@ -6,33 +6,34 @@ The scalar reference path steps one trace record at a time through
 :meth:`repro.memory.hierarchy.MemoryHierarchy.demand_access` per memory
 record.  The batch core restructures that hot path around trace *chunks*:
 
-1. **Vectorized precompute** -- everything about a chunk that is a pure
-   function of the demand ``(pc, vaddr)`` stream is computed with numpy
-   before any state advances: the off-chip predictor's five feature values
-   and their Jenkins/folded-XOR weight-table indices
-   (:func:`_precompute_offchip_indices`, one ``(5, n)`` int64 array), the
-   page-buffer first-access bits, the last-4-PC window hashes and the L1D
-   prefetcher's pure columns (IPCP/Berti ``begin_batch``).  This is sound
-   because the FLP/Hermes feature history observes the demand stream only;
-   weights depend on outcomes, so weight sums stay in the serialized loop.
+1. **Vectorized precompute** -- the off-chip predictor's five feature
+   values and their Jenkins/folded-XOR weight-table indices are a pure
+   function of the demand ``(pc, vaddr)`` stream, so they are computed with
+   numpy per chunk before any state advances
+   (:func:`_precompute_offchip_indices`, one ``(5, n)`` int64 array,
+   including the page-buffer first-access bits and the last-4-PC window
+   hashes).  This is sound because the FLP/Hermes feature history observes
+   the demand stream only; weights depend on outcomes, so weight sums stay
+   in the serialized loop.
 
 2. **Compiled fused loop** -- the stateful remainder runs in C
    (``_fused.c``, a CPython extension): core dispatch/ROB timing, page
    translation, the L1D->L2C->LLC->DRAM walk with its LRU updates, fills
    and evictions, speculative and prefetch DRAM requests, the perceptron
-   weight sums and saturating training, and the L1D/L2C prefetch issue
-   paths.  It reads the trace and index columns through the buffer
-   protocol and updates in place the very objects the scalar reference
-   uses -- each cache's ``_blocks``/``_stamps``/``_way_blocks``/
-   ``_set_fill``/``_clock``, the ``CacheBlock`` slots, the page table,
-   DRAM ``_busy_until``, the perceptron int32 weights and every stats
-   object -- in the same order with the same arithmetic.  The
-   order-dependent prefetcher and filter kernels stay Python and are called
-   from C: IPCP/Berti ``step_batch``, ``SPPPrefetcher.step``, PPF/SLP
-   ``consult_step`` and SLP training, plus the hierarchy callbacks
-   (prediction-location bookkeeping, prefetch-use resolution, eviction
-   listeners).  Unrecognised prefetcher/filter combinations keep the
-   hierarchy's object-call paths inside the compiled loop.
+   weight sums and saturating training, the L1D/L2C prefetch issue paths
+   and the order-dependent kernels of stock IPCP or Berti, SPP, PPF and SLP
+   (with SLP training and the L1D eviction/prefetch-use bookkeeping).  It
+   reads the trace and index columns through the buffer protocol and
+   updates in place the very objects the scalar reference uses -- each
+   cache's ``_blocks``/``_stamps``/``_way_blocks``/``_set_fill``/``_clock``,
+   the ``CacheBlock`` slots, the page table, DRAM ``_busy_until``, every
+   numpy component table and every stats object -- in the same order with
+   the same arithmetic.  The components' dict- and list-backed state is
+   copied into flat C tables when the stepper is built and written back
+   into the same containers when its trace ends.  PPF training on prefetch
+   use and L2C eviction stays a Python call.  When any prefetch-path
+   component is not one the kernel models (:func:`_prefetch_kind`), all of
+   them keep the hierarchy's object-call paths inside the compiled loop.
 
 3. **Scheduling and fallback** -- :func:`fused_core_stepper` returns the
    kernel's per-core stepper, an iterator that pauses before each
@@ -70,7 +71,9 @@ from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import tracer as obs_tracer
 from repro.predictors.base import NullOffChipPredictor
+from repro.predictors.features import FeatureHistory
 from repro.predictors.hermes import HermesPredictor
+from repro.predictors.perceptron import HashedPerceptron
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
@@ -93,9 +96,28 @@ _LEGACY_FEATURE_NAMES = (
     "last_four_load_pcs",
 )
 
+#: SLP's features: Table I plus the leveling feature.
+_SLP_FEATURE_NAMES = _LEGACY_FEATURE_NAMES + ("flp_prediction_plus_offset",)
+
 _PK_NULL = 0
 _PK_HERMES = 1
 _PK_FLP = 2
+
+#: L1D prefetcher kernels of the compiled loop; _PF_OBJECT runs every
+#: prefetch-path component through its Python object.
+_PF_OBJECT = -1
+_PF_NONE = 0
+_PF_IPCP = 1
+_PF_BERTI = 2
+
+
+def _feature_set_reason(label: str, perceptron, history, names) -> Optional[str]:
+    """Why a Table I perceptron is not the one the kernel models, or None."""
+    if tuple(spec.name for spec in perceptron.features) != names:
+        return f"{label}: non-standard feature set"
+    if history.pc_history_length != 4:
+        return f"{label}: pc_history_length {history.pc_history_length}"
+    return None
 
 
 def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
@@ -116,20 +138,60 @@ def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
             )
     predictor = hierarchy.offchip_predictor
     if type(predictor) in (HermesPredictor, FirstLevelPerceptron):
-        names = tuple(spec.name for spec in predictor.perceptron.features)
-        if names != _LEGACY_FEATURE_NAMES:
-            return (
-                f"off-chip predictor {type(predictor).__name__}:"
-                " non-standard feature set"
-            )
-        if predictor.history.pc_history_length != 4:
-            return (
-                f"off-chip predictor {type(predictor).__name__}:"
-                f" pc_history_length {predictor.history.pc_history_length}"
-            )
+        reason = _feature_set_reason(
+            f"off-chip predictor {type(predictor).__name__}",
+            predictor.perceptron, predictor.history, _LEGACY_FEATURE_NAMES,
+        )
+        if reason is not None:
+            return reason
     elif type(predictor) is not NullOffChipPredictor:
         return f"unmodelled off-chip predictor {type(predictor).__name__}"
     return native_unavailable_reason()
+
+
+def _prefetch_kind(hierarchy: MemoryHierarchy) -> int:
+    """The L1D prefetcher kernel the compiled loop runs, or ``_PF_OBJECT``.
+
+    The kernel runs stock IPCP or Berti, SPP, PPF and SLP itself.  When any
+    prefetch-path component is another type (a subclass included) or has a
+    shape the kernel does not model, all of them keep their object-call
+    paths, so the Python objects and the kernel never both own one
+    component's state.
+    """
+    prefetcher = hierarchy.l1d_prefetcher
+    if prefetcher is None:
+        kind = _PF_NONE
+    elif type(prefetcher) is IPCPPrefetcher and min(
+        prefetcher.ip_table_entries, prefetcher.cplx_table_entries,
+        prefetcher.region_entries,
+    ) >= 1:
+        kind = _PF_IPCP
+    elif type(prefetcher) is BertiPrefetcher and prefetcher.table_entries >= 1:
+        kind = _PF_BERTI
+    else:
+        return _PF_OBJECT
+    spp = hierarchy.l2_prefetcher
+    if spp is not None and not (
+        type(spp) is SPPPrefetcher
+        and min(spp.signature_table_entries, spp.pattern_table_entries) >= 1
+    ):
+        return _PF_OBJECT
+    ppf = hierarchy.l2_prefetch_filter
+    if ppf is not None and not (
+        type(ppf) is PerceptronPrefetchFilter and ppf.table_entries >= 1
+    ):
+        return _PF_OBJECT
+    slp = hierarchy.l1d_prefetch_filter
+    if slp is not None and not (
+        type(slp) is SecondLevelPerceptron
+        and type(slp.perceptron) is HashedPerceptron
+        and type(slp.history) is FeatureHistory
+        and _feature_set_reason(
+            "SLP", slp.perceptron, slp.history, _SLP_FEATURE_NAMES
+        ) is None
+    ):
+        return _PF_OBJECT
+    return kind
 
 
 def native_unavailable_reason() -> Optional[str]:
@@ -283,56 +345,18 @@ def fused_core_stepper(
     else:
         predictor_kind = _PK_FLP
 
-    # The kernel inlines _issue_l1d_prefetch / _issue_l2c_prefetch for the
-    # exact component types whose kernels it calls (IPCP/Berti + SLP above
-    # the L1D, SPP + PPF behind the L2C).  Any other combination keeps the
-    # hierarchy's object-call paths inside the fused loop.
-    prefetcher = hierarchy.l1d_prefetcher
-    l2pf = hierarchy.l2_prefetcher
-    l2flt = hierarchy.l2_prefetch_filter
-    l1flt = hierarchy.l1d_prefetch_filter
-    inline_l2 = (
-        (l2pf is None or type(l2pf) is SPPPrefetcher)
-        and (l2flt is None or type(l2flt) is PerceptronPrefetchFilter)
-    )
-    inline_l1 = (
-        inline_l2
-        and type(prefetcher) in (IPCPPrefetcher, BertiPrefetcher)
-        and (l1flt is None or type(l1flt) is SecondLevelPerceptron)
-    )
-    kernels = (
-        prefetcher.step_batch if inline_l1 else None,
-        l1flt.consult_step if inline_l1 and l1flt is not None else None,
-        l1flt.perceptron.train if inline_l1 and l1flt is not None else None,
-        l2pf.step if inline_l2 and l2pf is not None else None,
-        l2flt.consult_step if inline_l2 and l2flt is not None else None,
-        prefetcher.on_demand_access
-        if prefetcher is not None and not inline_l1 else None,
-        hierarchy._run_l2_prefetcher
-        if l2pf is not None and not inline_l2 else None,
-    )
-
-    # Vectorized precompute over each chunk's demand records: the off-chip
-    # feature indices and the L1D prefetcher's pure columns.
-    pf_begin = prefetcher.begin_batch if inline_l1 else None
+    # Vectorized precompute of each chunk's off-chip feature indices.
     begin_chunk = None
-    if predictor_kind != _PK_NULL or pf_begin is not None:
+    if predictor_kind != _PK_NULL:
         def begin_chunk(start: int, stop: int):
             demand = kind_col[start:stop] != KIND_NON_MEM
-            demand_pcs = pc_col[start:stop][demand]
-            demand_vaddrs = vaddr_col[start:stop][demand]
-            indices = None
-            if predictor_kind != _PK_NULL:
-                indices = _precompute_offchip_indices(
-                    predictor, demand_pcs, demand_vaddrs
-                )
-            if pf_begin is not None:
-                pf_begin(demand_pcs, demand_vaddrs)
-            return indices
+            return _precompute_offchip_indices(
+                predictor, pc_col[start:stop][demand], vaddr_col[start:stop][demand]
+            )
 
     return native.kernel().Stepper(
         runner, hierarchy, pc_col, vaddr_col, kind_col, KIND_NON_MEM,
-        chunk_records, begin_chunk, predictor_kind, kernels,
+        chunk_records, begin_chunk, predictor_kind, _prefetch_kind(hierarchy),
         sample_hook, sample_interval or 0,
     )
 

@@ -9,7 +9,8 @@ edited source, another interpreter or other flags build a new file and a
 matching one is loaded without looking for a compiler.  Deleting the file
 forces a rebuild.  A build writes a private temporary file and publishes it
 with :func:`os.replace`, so processes that build at the same time (pool or
-fabric workers) each end up loading a complete file.
+fabric workers) each end up loading a complete file.  After a build, the
+files of other keys (earlier sources) are deleted.
 
 :func:`load` returns the module, or raises :class:`NativeUnavailable` saying
 why it cannot; :func:`unavailable_reason` memoizes that once per process.
@@ -84,12 +85,27 @@ def build(target: Path) -> None:
             os.unlink(temp)
 
 
+def remove_stale(target: Path) -> None:
+    """Delete the shared objects of other keys next to ``target``.
+
+    A file another process still has loaded or is replacing may refuse or
+    vanish; it is left to a later build.
+    """
+    for path in target.parent.glob("_fused-*"):
+        if path.name != target.name:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+
+
 def load(build_dir: Optional[Path] = None):
     """The kernel module, built into ``build_dir`` when no cached file fits."""
     try:
         target = artifact_path(build_dir)
         if not target.is_file():
             build(target)
+            remove_stale(target)
         spec = importlib.util.spec_from_file_location("repro.sim._fused", target)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.config import (
     CacheConfig,
@@ -40,17 +41,24 @@ from repro.common.hashing import (
     table_index_np,
 )
 from repro.common.types import MemLevel
+from repro.core.flp import FirstLevelPerceptron
+from repro.core.slp import SecondLevelPerceptron
+from repro.core.tlp import TLPConfig, TwoLevelPerceptron
 from repro.cpu.core import CoreRunner
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.obs import tracer
-from repro.predictors.features import FeatureSpec
+from repro.predictors.features import FeatureHistory, FeatureSpec
 from repro.predictors.perceptron import HashedPerceptron
+from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
+from repro.sim import batch as batch_module
 from repro.sim import multi_core
 from repro.sim.batch import (
+    _PF_OBJECT,
+    _prefetch_kind,
     DEFAULT_CHUNK_RECORDS,
     batch_supported,
     batch_unsupported_reason,
@@ -65,7 +73,7 @@ from repro.sim.multi_core import (
 from repro.sim.scenarios import SCHEMES, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.ingest import read_champsim_trace
-from repro.traces.trace import trace_lists
+from repro.traces.trace import KIND_LOAD, KIND_NON_MEM, Trace, trace_lists
 from repro.workloads import gap_trace, spec_like_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -120,6 +128,84 @@ def _lru_state(hierarchy: MemoryHierarchy) -> list:
     ]
 
 
+def _component_state(hierarchy: MemoryHierarchy) -> dict:
+    """Every prefetcher's and filter's full state after a run.
+
+    Dicts are listed item by item, so their insertion order counts.  Index
+    memos and SPP's best-prediction memo are caches and are left out.
+    """
+    state = {}
+    prefetcher = hierarchy.l1d_prefetcher
+    if isinstance(prefetcher, IPCPPrefetcher):
+        state["ipcp"] = (
+            list(prefetcher._regions.items()),
+            list(prefetcher._region_order),
+            prefetcher._ip_buf.tolist(),
+            prefetcher._cplx_buf.tolist(),
+            list(prefetcher.class_counts.items()),
+            prefetcher._last_class,
+        )
+    elif isinstance(prefetcher, BertiPrefetcher):
+        state["berti"] = (
+            prefetcher._page_buf.tolist(),
+            prefetcher._total_buf.tolist(),
+            prefetcher._histories,
+            [list(hits.items()) for hits in prefetcher._delta_hits],
+            prefetcher._confirmed,
+        )
+    spp = hierarchy.l2_prefetcher
+    if spp is not None:
+        state["spp"] = (
+            list(spp._signatures.items()),
+            list(spp._signature_order),
+            [None if d is None else list(d.items()) for d in spp._pattern_deltas],
+            spp._pattern_total_buf.tolist(),
+            spp.lookahead_prefetches,
+        )
+    ppf = hierarchy.l2_prefetch_filter
+    if ppf is not None:
+        state["ppf"] = (
+            ppf._weights.tolist(), ppf.consultations, ppf.accepted, ppf.rejected,
+        )
+    slp = hierarchy.l1d_prefetch_filter
+    if slp is not None:
+        state["slp"] = (
+            slp.perceptron._weights.tolist(),
+            dataclasses.asdict(slp.perceptron.stats),
+            list(slp.history._page_buffer),
+            list(slp.history._pc_history),
+            slp.consultations,
+            slp.issued,
+            slp.discarded,
+        )
+    perceptron = getattr(hierarchy.offchip_predictor, "perceptron", None)
+    if perceptron is not None:
+        state["offchip"] = (
+            perceptron._weights.tolist(), dataclasses.asdict(perceptron.stats),
+        )
+    return state
+
+
+def _state_pair(trace, make_hierarchy, chunk_records=None, monkeypatch=None):
+    """Scalar and batch runs on fresh hierarchies from ``make_hierarchy``:
+    their results, then their hierarchy and component states."""
+    runs = []
+    for core in ("scalar", "batch"):
+        hierarchy = make_hierarchy()
+        if core == "batch" and chunk_records is not None:
+            monkeypatch.setattr(batch_module, "DEFAULT_CHUNK_RECORDS", chunk_records)
+        result = run_single_core(
+            trace, build_scenario("baseline"), config=_system(core),
+            hierarchy=hierarchy,
+        )
+        runs.append((
+            result,
+            dataclasses.asdict(hierarchy.stats),
+            _component_state(hierarchy),
+        ))
+    return runs
+
+
 @pytest.fixture(scope="module")
 def gap_bfs_trace():
     return gap_trace("bfs", graph="urand", scale="medium",
@@ -145,6 +231,179 @@ class TestSchemePrefetcherEquivalence:
     def test_bit_identical(self, gap_bfs_trace, scheme, l1d_prefetcher):
         scalar, batch = _run_pair(gap_bfs_trace, scheme, l1d_prefetcher)
         _assert_identical(scalar, batch)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("l1d_prefetcher", ("ipcp", "berti"))
+    def test_component_state_identical(self, gap_bfs_trace, scheme, l1d_prefetcher):
+        """Each prefetcher's and filter's full post-run state matches too,
+        dict insertion order included."""
+        scenario = build_scenario(scheme, l1d_prefetcher=l1d_prefetcher)
+        scalar, batch = _state_pair(
+            gap_bfs_trace, lambda: build_hierarchy(scenario)
+        )
+        assert batch == scalar
+
+
+def _tlp_hierarchy(prefetcher, **tlp_options) -> MemoryHierarchy:
+    tlp = TwoLevelPerceptron(TLPConfig(**tlp_options))
+    return MemoryHierarchy(
+        cascade_lake_single_core(), l1d_prefetcher=prefetcher,
+        l2_prefetcher=SPPPrefetcher(), l1d_prefetch_filter=tlp.slp,
+        offchip_predictor=tlp.flp,
+    )
+
+
+#: Hierarchies whose every component the compiled kernel runs itself.
+STATE_CASES = {
+    "tlp-ipcp": lambda: _tlp_hierarchy(IPCPPrefetcher()),
+    "tlp-berti": lambda: _tlp_hierarchy(BertiPrefetcher()),
+    "aggressive-spp-ppf": lambda: MemoryHierarchy(
+        cascade_lake_single_core(), l1d_prefetcher=IPCPPrefetcher(),
+        l2_prefetcher=SPPPrefetcher(aggressive=True),
+        l2_prefetch_filter=PerceptronPrefetchFilter(),
+    ),
+    "fig17-table-entries": lambda: _tlp_hierarchy(
+        IPCPPrefetcher(ip_table_entries=4096, cplx_table_entries=16384),
+        table_entries=2048,
+    ),
+    "no-leveling": lambda: _tlp_hierarchy(
+        BertiPrefetcher(), use_leveling_feature=False
+    ),
+}
+
+
+def _strided_trace(records: int = 3_000, seed: int = 3) -> Trace:
+    """Six load streams walking pages in small strides, with jumps.
+
+    Regular in-page strides give Berti deltas of equal coverage (ties its
+    stable sort must keep in order), fire every IPCP class and drive SPP's
+    pattern counters through their halving step.
+    """
+    rng = np.random.default_rng(seed)
+    positions = [0] * 6
+    pcs, vaddrs = [], []
+    for _ in range(records):
+        k = int(rng.integers(0, 6))
+        positions[k] += 1 + k % 3 if rng.random() < 0.9 else 7
+        pcs.append(0x401000 + 16 * k)
+        vaddrs.append(((k + 1) << 24) + 64 * positions[k] + 8 * int(rng.integers(0, 8)))
+    kinds = np.full(records, KIND_LOAD, dtype=np.uint8)
+    kinds[::5] = KIND_NON_MEM
+    return Trace.from_columns("strided", np.array(pcs), np.array(vaddrs), kinds)
+
+
+class TestComponentState:
+    """The kernel's flat copies of the prefetcher and filter state are
+    written back exactly: same containers, same values, same order."""
+
+    @pytest.mark.parametrize("case", sorted(STATE_CASES))
+    @pytest.mark.parametrize("chunk_records", (7, DEFAULT_CHUNK_RECORDS))
+    @pytest.mark.parametrize("trace_name", ("spec", "strided"))
+    def test_state_after_run(
+        self, spec_mcf_trace, case, chunk_records, trace_name, monkeypatch
+    ):
+        trace = spec_mcf_trace if trace_name == "spec" else _strided_trace()
+        assert _prefetch_kind(STATE_CASES[case]()) != _PF_OBJECT
+        scalar, batch = _state_pair(trace, STATE_CASES[case], chunk_records, monkeypatch)
+        assert batch == scalar
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        l1d=st.sampled_from(("ipcp", "berti")),
+        l1d_entries=st.integers(1, 64),
+        region_entries=st.integers(1, 8),
+        signature_entries=st.integers(1, 16),
+        pattern_entries=st.integers(1, 64),
+        aggressive=st.booleans(),
+        ppf_entries=st.one_of(st.none(), st.integers(1, 64)),
+        slp_entries=st.one_of(st.none(), st.integers(1, 64)),
+        page_buffer_entries=st.integers(1, 16),
+        seed=st.integers(0, 1_000),
+    )
+    def test_random_table_shapes(
+        self, l1d, l1d_entries, region_entries, signature_entries,
+        pattern_entries, aggressive, ppf_entries, slp_entries,
+        page_buffer_entries, seed,
+    ):
+        trace = spec_like_trace("mcf_like", num_memory_accesses=400, seed=seed)
+
+        def hierarchy():
+            if l1d == "ipcp":
+                prefetcher = IPCPPrefetcher(
+                    ip_table_entries=l1d_entries,
+                    cplx_table_entries=2 * l1d_entries,
+                    region_entries=region_entries,
+                )
+            else:
+                prefetcher = BertiPrefetcher(table_entries=l1d_entries)
+            return MemoryHierarchy(
+                cascade_lake_single_core(),
+                l1d_prefetcher=prefetcher,
+                l2_prefetcher=SPPPrefetcher(
+                    signature_table_entries=signature_entries,
+                    pattern_table_entries=pattern_entries,
+                    aggressive=aggressive,
+                ),
+                l1d_prefetch_filter=SecondLevelPerceptron(
+                    table_entries=slp_entries,
+                    page_buffer_entries=page_buffer_entries,
+                ),
+                l2_prefetch_filter=(
+                    None if ppf_entries is None
+                    else PerceptronPrefetchFilter(table_entries=ppf_entries)
+                ),
+                offchip_predictor=FirstLevelPerceptron(
+                    page_buffer_entries=page_buffer_entries
+                ),
+            )
+
+        assert _prefetch_kind(hierarchy()) != _PF_OBJECT
+        scalar, batch = _state_pair(trace, hierarchy)
+        assert batch == scalar
+
+
+class _SubclassedSLP(SecondLevelPerceptron):
+    """A filter subclass: the kernel must not assume its behaviour."""
+
+
+def _short_pc_history_slp() -> SecondLevelPerceptron:
+    slp = SecondLevelPerceptron()
+    slp.history = FeatureHistory(pc_history_length=3)
+    return slp
+
+
+class _SubclassedSPP(SPPPrefetcher):
+    """A prefetcher subclass: the kernel must not assume its behaviour."""
+
+
+#: Prefetch-path components the kernel does not model.
+UNMODELLED = {
+    "slp-subclass": lambda: dict(l1d_prefetch_filter=_SubclassedSLP()),
+    "slp-pc-history-3": lambda: dict(l1d_prefetch_filter=_short_pc_history_slp()),
+    "spp-subclass": lambda: dict(l2_prefetcher=_SubclassedSPP()),
+}
+
+
+class TestUnmodelledComponents:
+    @pytest.mark.parametrize("case", sorted(UNMODELLED))
+    def test_object_path_matches_scalar(self, spec_mcf_trace, case):
+        """An unmodelled filter or prefetcher sends the whole prefetch path
+        through its Python objects; the point still runs fused and matches
+        the scalar reference."""
+
+        def hierarchy():
+            parts = dict(
+                l1d_prefetcher=IPCPPrefetcher(), l2_prefetcher=SPPPrefetcher(),
+                l1d_prefetch_filter=SecondLevelPerceptron(),
+                offchip_predictor=FirstLevelPerceptron(),
+            )
+            parts.update(UNMODELLED[case]())
+            return MemoryHierarchy(cascade_lake_single_core(), **parts)
+
+        assert batch_supported(hierarchy())
+        assert _prefetch_kind(hierarchy()) == _PF_OBJECT
+        scalar, batch = _state_pair(spec_mcf_trace, hierarchy)
+        assert batch == scalar
 
 
 class TestTraceFamilyEquivalence:
@@ -297,6 +556,28 @@ class TestEvictionStress:
             ]
         _assert_identical(results["scalar"], results["batch"])
         assert states["batch"] == states["scalar"]
+
+    @pytest.mark.parametrize("scheme,l1d_prefetcher", (
+        ("tlp", "ipcp"), ("ppf", "ipcp"), ("tlp", "berti"), ("baseline", "berti"),
+    ))
+    def test_l1d_prefetch_accounting(self, gap_bfs_trace, scheme, l1d_prefetcher):
+        """The inlined L1D eviction listener and prefetch finalization count
+        exactly what the hierarchy's Python methods count."""
+        scenario = build_scenario(scheme, l1d_prefetcher=l1d_prefetcher)
+        scalar, batch = _state_pair(
+            gap_bfs_trace,
+            lambda: build_hierarchy(scenario, config=_tiny_caches(_system("scalar"))),
+        )
+        stats = scalar[1]
+        assert stats["useful_l1d_prefetches"] > 0
+        assert stats["useless_l1d_prefetches"] > 0
+        for field in (
+            "useful_l1d_prefetches", "useless_l1d_prefetches",
+            "accurate_prefetch_source", "inaccurate_prefetch_source",
+            "offchip_prediction_location",
+        ):
+            assert batch[1][field] == stats[field], field
+        assert batch == scalar
 
 
 class TestFallbacks:

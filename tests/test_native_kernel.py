@@ -29,8 +29,8 @@ from repro.common.config import (
 from repro.cpu.core import CoreRunner
 from repro.memory.cache import CacheBlock, EvictionInfo
 from repro.memory.hierarchy import PrefetchRecord
+from repro.memory.paging import PageTable
 from repro.obs import tracer
-from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.sim import native
 from repro.sim.batch import batch_unsupported_reason, fused_core_stepper
 from repro.sim.engine import build_workload_trace
@@ -103,6 +103,27 @@ class TestLoader:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             native.artifact_path(tmp_path).name
         ]
+
+    def test_build_deletes_stale_kernels(self, tmp_path, monkeypatch):
+        suffix = native.artifact_path(tmp_path).name.split(".", 1)[1]
+        stale = [tmp_path / f"_fused-{key}.{suffix}" for key in ("0" * 16, "f" * 16)]
+        for path in stale:
+            path.write_bytes(b"an earlier build")
+        (tmp_path / "unrelated.so").write_bytes(b"")
+        # A file still in use elsewhere may refuse deletion: the build
+        # goes on and leaves it for later.
+        real_unlink = Path.unlink
+
+        def unlink(path, *args, **kwargs):
+            if path == stale[1]:
+                raise PermissionError("in use")
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        built = native.load(tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [Path(built.__file__).name, stale[1].name, "unrelated.so"]
+        )
 
     def test_missing_compiler_is_reported(self, tmp_path, monkeypatch):
         monkeypatch.setattr(native.shutil, "which", lambda name: None)
@@ -179,16 +200,17 @@ class Boom(Exception):
 
 
 def _raise_on_call(monkeypatch, calls: int) -> None:
-    real = IPCPPrefetcher.step_batch
+    """Make the kernel's page-fault callout raise on its ``calls``-th call."""
+    real = PageTable._allocate_frame
     seen = [0]
 
-    def step_batch(self, hit):
+    def allocate_frame(self, vpage):
         seen[0] += 1
         if seen[0] == calls:
             raise Boom(f"call {calls}")
-        return real(self, hit)
+        return real(self, vpage)
 
-    monkeypatch.setattr(IPCPPrefetcher, "step_batch", step_batch)
+    monkeypatch.setattr(PageTable, "_allocate_frame", allocate_frame)
 
 
 class TestRefcounts:
@@ -238,11 +260,12 @@ class TestRefcounts:
         self._check_mix([traces[workload] for workload in MIX])
 
     def test_callout_exception_propagates_from_single_core(self, traces, monkeypatch):
-        # Call 200 lands in the measured phase (warm-up has ~120 demands).
-        self._check_single(traces["spec.mcf_like"], 200, monkeypatch)
+        # Fault 120 lands in the measured phase (warm-up faults ~70 pages).
+        self._check_single(traces["spec.mcf_like"], 120, monkeypatch)
 
     def test_callout_exception_propagates_from_mix(self, traces, monkeypatch):
-        self._check_mix([traces[workload] for workload in MIX], 900, monkeypatch)
+        # Fault 150 lands in the measured phase (warm-up faults ~85 pages).
+        self._check_mix([traces[workload] for workload in MIX], 150, monkeypatch)
 
     def test_exhausted_stepper_stays_exhausted(self, traces):
         hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
