@@ -9,8 +9,6 @@ components.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -79,58 +77,3 @@ def table_index(feature_value: int, table_bits: int) -> int:
     """
     return fold_xor(jenkins32(feature_value), table_bits)
 
-
-# ----------------------------------------------------------------------
-# Vectorized variants (batch simulator core)
-#
-# Element-wise numpy translations of the scalar functions above, used by
-# the chunked simulation path to hash whole feature columns at once.  All
-# arithmetic runs in uint64 with an explicit 32-bit mask after every step,
-# which reproduces the scalar masking bit for bit.  Inputs must be
-# non-negative (the simulator only hashes addresses, PCs and hash outputs,
-# all of which fit in 64 unsigned bits).
-# ----------------------------------------------------------------------
-
-def jenkins32_np(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`jenkins32` over an array of non-negative ints."""
-    value = np.asarray(values).astype(np.uint64) & _MASK32
-    value = (value + 0x7ED55D16 + (value << 12)) & _MASK32
-    value = (value ^ 0xC761C23C ^ (value >> 19)) & _MASK32
-    value = (value + 0x165667B1 + (value << 5)) & _MASK32
-    value = ((value + 0xD3A2646C) ^ (value << 9)) & _MASK32
-    value = (value + 0xFD7046C5 + (value << 3)) & _MASK32
-    value = (value ^ 0xB55A4F09 ^ (value >> 16)) & _MASK32
-    return value
-
-
-def fold_xor_np(values: np.ndarray, output_bits: int) -> np.ndarray:
-    """Vectorized :func:`fold_xor` over an array of non-negative ints."""
-    if output_bits <= 0:
-        raise ValueError(f"output_bits must be positive, got {output_bits}")
-    value = np.asarray(values).astype(np.uint64)
-    mask = np.uint64((1 << output_bits) - 1)
-    folded = np.zeros_like(value)
-    shift = 0
-    while shift < 64:
-        folded ^= (value >> np.uint64(shift)) & mask
-        shift += output_bits
-    return folded
-
-
-def hash_combine_np(*components: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`hash_combine` over parallel component arrays."""
-    if not components:
-        raise ValueError("hash_combine_np needs at least one component array")
-    first = np.asarray(components[0])
-    accumulator = np.full(first.shape, 0x9E3779B9, dtype=np.uint64)
-    for component in components:
-        accumulator = (
-            (accumulator << np.uint64(7)) | (accumulator >> np.uint64(25))
-        ) & _MASK32
-        accumulator ^= jenkins32_np(component)
-    return accumulator
-
-
-def table_index_np(feature_values: np.ndarray, table_bits: int) -> np.ndarray:
-    """Vectorized :func:`table_index` over an array of feature values."""
-    return fold_xor_np(jenkins32_np(feature_values), table_bits)

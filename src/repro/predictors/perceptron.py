@@ -16,11 +16,9 @@ memo turns most predictions into dictionary lookups while remaining
 bit-identical to the direct hash computation.
 
 Weight storage is one flat numpy ``int32`` buffer.  The scalar path indexes
-it through per-feature :class:`memoryview` rows (plain-int reads and writes,
-as fast as the previous ``array('i')`` rows), while the batch simulator core
-gathers and scatters whole index columns through the numpy views returned by
-:meth:`HashedPerceptron.weight_views` -- both paths share the same storage,
-so there is nothing to synchronize.
+it through per-feature :class:`memoryview` rows (plain-int reads and writes),
+and the batch simulator core's compiled kernel reads and writes the same rows
+in place through the buffer protocol, so there is nothing to synchronize.
 """
 
 from __future__ import annotations
@@ -70,8 +68,7 @@ class HashedPerceptron:
         self.training_threshold = training_threshold
         # All weights live in one flat int32 buffer; each feature's table is
         # a zero-copy memoryview slice of it.  Memoryview subscripts return
-        # plain Python ints (keeping the fused scalar loop cheap) while the
-        # numpy views over the same memory serve the batch gather path.
+        # plain Python ints, keeping the scalar loop cheap.
         offsets = [0]
         for spec in self.features:
             offsets.append(offsets[-1] + spec.table_entries)
@@ -79,10 +76,6 @@ class HashedPerceptron:
         buffer = memoryview(self._weights)
         self._tables: list[memoryview] = [
             buffer[offsets[i]:offsets[i + 1]] for i in range(len(self.features))
-        ]
-        self._views: list[np.ndarray] = [
-            self._weights[offsets[i]:offsets[i + 1]]
-            for i in range(len(self.features))
         ]
         self._weight_limits: list[tuple[int, int]] = []
         for spec in self.features:
@@ -146,60 +139,6 @@ class HashedPerceptron:
         return total, indices
 
     # ------------------------------------------------------------------
-    # Batch prediction/training (chunked simulator core)
-    # ------------------------------------------------------------------
-    def weight_views(self) -> list[np.ndarray]:
-        """Per-feature numpy int32 views over the shared weight buffer.
-
-        Writes through the scalar path (:meth:`train`) are immediately
-        visible here and vice versa -- the views alias the same memory.
-        """
-        return list(self._views)
-
-    def predict_batch(self, index_columns: list[np.ndarray]) -> np.ndarray:
-        """Vectorized confidence for a batch of precomputed index rows.
-
-        ``index_columns`` holds one integer array per feature (all the same
-        length); the result is the per-row weight sum, exactly what
-        sequential :meth:`confidence` calls would return **for the current
-        weights**.  Because weights move with every training event, this is
-        only bit-equivalent to the sequential path over spans with no
-        interleaved training; the fused batch core therefore uses it for
-        read-only scoring and keeps training sequential.
-
-        Does not touch the prediction counters; callers that need them
-        account for the batch in one shot.
-        """
-        if len(index_columns) != len(self._views):
-            raise ValueError(
-                f"expected {len(self._views)} index columns, "
-                f"got {len(index_columns)}"
-            )
-        total = np.zeros(len(index_columns[0]), dtype=np.int64)
-        for view, indices in zip(self._views, index_columns):
-            total += view[np.asarray(indices, dtype=np.intp)]
-        return total
-
-    def train_batch(
-        self,
-        index_columns: list[np.ndarray],
-        targets: np.ndarray,
-        confidences: np.ndarray,
-    ) -> None:
-        """Apply the update rule to a batch of (indices, target, confidence).
-
-        Saturating increments are order sensitive when rows share a table
-        index, so the updates are applied in row order -- bit-identical to
-        sequential :meth:`train` calls (a blind scatter-add followed by a
-        clip would not be).
-        """
-        rows = zip(*[np.asarray(col).tolist() for col in index_columns])
-        targets = np.asarray(targets).tolist()
-        confidences = np.asarray(confidences).tolist()
-        for indices, target, confidence in zip(rows, targets, confidences):
-            self.train(list(indices), bool(target), int(confidence))
-
-    # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
     def train(self, indices: list[int], target_positive: bool, confidence: int) -> None:
@@ -244,8 +183,8 @@ class HashedPerceptron:
     def reset(self) -> None:
         """Zero every weight and clear statistics.
 
-        The flat buffer is zeroed in place so the memoryview rows and numpy
-        views held by the fused prediction plan stay valid.
+        The flat buffer is zeroed in place so the memoryview rows held by
+        the prediction plan stay valid.
         """
         self._weights[:] = 0
         self.stats = PerceptronStats()

@@ -2,28 +2,30 @@
  * Compiled fused access kernel of the batch simulator core.
  *
  * One Stepper runs one core's trace through its MemoryHierarchy: core
- * dispatch/ROB timing, page translation, the L1D->L2C->LLC->DRAM walk with
- * its LRU updates and fills, speculative DRAM requests, the FLP/Hermes
- * weight sums and training, the L1D/L2C prefetch issue paths, and the
- * order-dependent kernels of the stock prefetchers and filters: IPCP or
- * Berti at the L1D, SPP at the L2C, the SLP filter above the L1D and the PPF
- * filter behind SPP.  It works on the very Python objects the scalar
- * reference uses (cache _blocks, _stamps, _way_blocks, _set_fill and _clock,
- * CacheBlock slots, the page table, DRAM _busy_until, the pending-prefetch
- * dicts and every stats object), in the same order and with the same
- * arithmetic.  Component tables held in numpy arrays are used in place
- * through the buffer protocol: IPCP _ip_buf/_cplx_buf, Berti _page_buf/
- * _total_buf, SPP _pattern_total_buf and the perceptron weights of FLP,
- * Hermes, PPF and SLP.  Dict- and list-backed component state (IPCP's
- * region FIFO, Berti's histories, delta counters and confirmed lists, SPP's
- * signature FIFO and pattern delta counters, SLP's page buffer and PC
- * history) is copied into flat tables when the Stepper is built and written
- * back into the same containers, in the same order, when the trace ends (a
- * run that raises leaves them as loaded); index memos are caches and are
- * left alone (SPP's best-prediction memo is reset to None).  A hierarchy with any prefetch-path component the kernel
- * does not model keeps the object-call paths (on_demand_access,
- * _issue_l1d_prefetch, _run_l2_prefetcher); PPF training on prefetch use and
- * L2C eviction stays a Python call either way.
+ * dispatch/ROB timing, page translation with first-touch frame allocation,
+ * the L1D->L2C->LLC->DRAM walk with its LRU updates and fills, speculative
+ * DRAM requests, the FLP/Hermes feature history, weight sums and training,
+ * the L1D/L2C prefetch issue paths, and the order-dependent kernels of the
+ * stock prefetchers and filters: IPCP or Berti at the L1D, SPP at the L2C,
+ * the SLP filter above the L1D and the PPF filter behind SPP.  It works on
+ * the very Python objects the scalar reference uses (cache _blocks,
+ * _stamps, _way_blocks, _set_fill and _clock, CacheBlock slots, the page
+ * table's _mapping, _allocated_frames and page_faults, DRAM _busy_until, the
+ * pending-prefetch dicts and every stats object), in the same order and
+ * with the same arithmetic.  Component tables held in numpy arrays are used
+ * in place through the buffer protocol: IPCP _ip_buf/_cplx_buf, Berti
+ * _page_buf/_total_buf, SPP _pattern_total_buf and the perceptron weights
+ * of FLP, Hermes, PPF and SLP.  Dict- and list-backed component state
+ * (IPCP's region FIFO, Berti's histories, delta counters and confirmed
+ * lists, SPP's signature FIFO and pattern delta counters, the page buffers
+ * and PC histories of the FLP/Hermes and SLP feature histories) is copied
+ * into flat tables when the Stepper is built and written back into the
+ * same containers, in the same order, when the trace ends (a run that
+ * raises leaves them as loaded); index memos are caches and are left alone
+ * (SPP's best-prediction memo is reset to None).  A hierarchy with any
+ * prefetch-path component the kernel does not model keeps the object-call
+ * paths (on_demand_access, _issue_l1d_prefetch, _run_l2_prefetcher); PPF
+ * training on prefetch use and L2C eviction stays a Python call either way.
  *
  * Cache clocks and the DRAM channel's _busy_until are written through to
  * their objects on every change, so they are current at every yield and
@@ -64,7 +66,8 @@ static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
     X(_clock) X(_busy_until) X(_blocks) X(_stamps) X(_way_blocks)            \
     X(_set_fill) X(stats) X(_eviction_listener) X(num_sets) X(associativity) \
     X(latency) X(l1d) X(l2c) X(llc) X(dram) X(page_table) X(_mapping)        \
-    X(_allocate_frame) X(_resolve_l2c_prefetch_use) X(_issue_l1d_prefetch)   \
+    X(_allocated_frames) X(core_id) X(memory_frames) X(page_faults)          \
+    X(_resolve_l2c_prefetch_use) X(_issue_l1d_prefetch)                      \
     X(_run_l2_prefetcher) X(on_demand_access)                                \
     X(_pending_l1d_prefetches) X(_pending_l2c_prefetches)                    \
     X(_predictor_latency) X(_prefetch_drop_queue_cycles)                     \
@@ -1877,66 +1880,58 @@ ppf_flush(PPF *p, PyObject *obj)
 }
 
 /* ------------------------------------------------------------------ */
-/* SLP (SecondLevelPerceptron.consult_step and its FeatureHistory)      */
+/* Feature history (repro.predictors.features.FeatureHistory)          */
 /* ------------------------------------------------------------------ */
 
-#define SLP_FEATURES 6
+/* The Table I features, shared by FLP/Hermes (virtual addresses) and SLP
+ * (physical addresses). */
+#define NUM_FEATURES 5
 #define PC_HISTORY 4
 
 typedef struct {
-    Perceptron p;
-    PyObject *history; /* the FeatureHistory */
-    double tau_pref;
-    int leveling;
+    PyObject *obj;     /* the FeatureHistory */
     OrderedKeys pages; /* the page buffer, least recent first */
     int64_t pcs[PC_HISTORY];
     int npcs;
-    long long consultations, issued, discarded;
-} SLP;
+} History;
 
+/* Copy a FeatureHistory's page buffer and last-4 PCs. */
 static int
-slp_load(SLP *s, PyObject *obj)
+history_load(History *h, PyObject *obj)
 {
     long long capacity, pc_window;
-    PyObject *perceptron = PyObject_GetAttr(obj, S_perceptron);
-    if (perceptron == NULL)
-        return -1;
-    int bound = perceptron_init(&s->p, perceptron, SLP_FEATURES);
-    Py_DECREF(perceptron);
-    if (bound < 0 || get_double(obj, S_tau_pref, &s->tau_pref) < 0
-        || get_truth(obj, S_use_leveling_feature, &s->leveling) < 0
-        || (s->history = PyObject_GetAttr(obj, S_history)) == NULL
-        || get_ll(s->history, S_page_buffer_entries, &capacity) < 0
-        || get_ll(s->history, S_pc_history_length, &pc_window) < 0)
+    h->obj = Py_NewRef(obj);
+    if (get_ll(obj, S_page_buffer_entries, &capacity) < 0
+        || get_ll(obj, S_pc_history_length, &pc_window) < 0)
         return -1;
     if (capacity < 1 || pc_window != PC_HISTORY) {
-        PyErr_SetString(PyExc_ValueError, "SLP history outside the modelled shape");
+        PyErr_SetString(PyExc_ValueError, "feature history outside the modelled shape");
         return -1;
     }
-    if (keys_init(&s->pages, (Py_ssize_t)capacity) < 0)
+    if (keys_init(&h->pages, (Py_ssize_t)capacity) < 0)
         return -1;
     int rc = -1;
-    PyObject *buffer = PyObject_GetAttr(s->history, S__page_buffer);
+    PyObject *buffer = PyObject_GetAttr(obj, S__page_buffer);
     PyObject *pages = buffer ? PySequence_List(buffer) : NULL;
-    PyObject *pcs_obj = pages ? PyObject_GetAttr(s->history, S__pc_history) : NULL;
+    PyObject *pcs_obj = pages ? PyObject_GetAttr(obj, S__pc_history) : NULL;
     PyObject *pcs = pcs_obj ? PySequence_List(pcs_obj) : NULL;
     if (pcs == NULL)
         goto done;
     if (PyList_GET_SIZE(pages) > capacity || PyList_GET_SIZE(pcs) > PC_HISTORY) {
-        PyErr_SetString(PyExc_ValueError, "SLP history exceeds its capacity");
+        PyErr_SetString(PyExc_ValueError, "feature history exceeds its capacity");
         goto done;
     }
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(pages); i++) {
         long long page;
         if (as_ll(PyList_GET_ITEM(pages, i), &page) < 0)
             goto done;
-        keys_append(&s->pages, page);
+        keys_append(&h->pages, page);
     }
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(pcs); i++) {
         long long pc;
         if (as_ll(PyList_GET_ITEM(pcs, i), &pc) < 0)
             goto done;
-        s->pcs[s->npcs++] = pc;
+        h->pcs[h->npcs++] = pc;
     }
     rc = 0;
 done:
@@ -1944,6 +1939,108 @@ done:
     Py_XDECREF(pages);
     Py_XDECREF(pcs_obj);
     Py_XDECREF(pcs);
+    return rc;
+}
+
+/* The Table I feature values of an access at (pc, addr), as the extractors
+ * compute them from FeatureHistory.context, then FeatureHistory.observe. */
+static void
+history_step(History *h, int64_t pc, int64_t addr, uint64_t *values)
+{
+    int64_t page = addr >> 12;
+    Py_ssize_t slot = keys_find(&h->pages, page);
+    uint64_t first = slot < 0, offset = ((uint64_t)addr >> 6) & 63;
+    uint64_t pcs_hash = 0;
+    if (h->npcs) {
+        pcs_hash = 0x9E3779B9ull;
+        for (int i = 0; i < h->npcs; i++)
+            pcs_hash = hash_step(pcs_hash, (uint64_t)h->pcs[i]);
+    }
+    values[0] = (uint64_t)pc ^ (offset << 2);
+    values[1] = (uint64_t)pc ^ (((uint64_t)addr & 63) << 2);
+    values[2] = hash_pair((uint64_t)pc, first);
+    values[3] = hash_pair(offset, first);
+    values[4] = pcs_hash;
+
+    if (slot >= 0)
+        keys_move_to_end(&h->pages, slot);
+    else
+        keys_push(&h->pages, page);
+    if (h->npcs == PC_HISTORY) {
+        memmove(h->pcs, h->pcs + 1, (PC_HISTORY - 1) * sizeof(int64_t));
+        h->pcs[PC_HISTORY - 1] = pc;
+    }
+    else {
+        h->pcs[h->npcs++] = pc;
+    }
+}
+
+/* Hand the page buffer (in LRU order) and the PC history back. */
+static int
+history_write_back(History *h)
+{
+    int rc = -1;
+    PyObject *buffer = PyObject_GetAttr(h->obj, S__page_buffer);
+    PyObject *pcs = buffer ? PyObject_GetAttr(h->obj, S__pc_history) : NULL;
+    PyObject *recent = pcs ? PyList_New(h->npcs) : NULL;
+    if (recent == NULL || discard(PyObject_CallMethodNoArgs(buffer, S_clear)) < 0)
+        goto done;
+    for (Py_ssize_t slot = h->pages.head; slot >= 0; slot = h->pages.next[slot]) {
+        PyObject *page = PyLong_FromLongLong(h->pages.keys[slot]);
+        int ok = page && PyObject_SetItem(buffer, page, Py_None) == 0;
+        Py_XDECREF(page);
+        if (!ok)
+            goto done;
+    }
+    for (int i = 0; i < h->npcs; i++) {
+        PyObject *pc = PyLong_FromLongLong(h->pcs[i]);
+        if (pc == NULL)
+            goto done;
+        PyList_SET_ITEM(recent, i, pc);
+    }
+    if (discard(PyObject_CallMethodNoArgs(pcs, S_clear)) < 0
+        || discard(PyObject_CallMethodOneArg(pcs, S_extend, recent)) < 0
+        || PyObject_SetAttr(h->obj, S__pcs_tuple, Py_None) < 0
+        || PyObject_SetAttr(h->obj, S__pcs_hash, Py_None) < 0)
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(buffer);
+    Py_XDECREF(pcs);
+    Py_XDECREF(recent);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* SLP (SecondLevelPerceptron.consult_step)                            */
+/* ------------------------------------------------------------------ */
+
+#define SLP_FEATURES (NUM_FEATURES + 1)
+
+typedef struct {
+    Perceptron p;
+    History history;
+    double tau_pref;
+    int leveling;
+    long long consultations, issued, discarded;
+} SLP;
+
+static int
+slp_load(SLP *s, PyObject *obj)
+{
+    PyObject *perceptron = PyObject_GetAttr(obj, S_perceptron);
+    if (perceptron == NULL)
+        return -1;
+    int bound = perceptron_init(&s->p, perceptron, SLP_FEATURES);
+    Py_DECREF(perceptron);
+    if (bound < 0 || get_double(obj, S_tau_pref, &s->tau_pref) < 0
+        || get_truth(obj, S_use_leveling_feature, &s->leveling) < 0)
+        return -1;
+    PyObject *history = PyObject_GetAttr(obj, S_history);
+    if (history == NULL)
+        return -1;
+    int rc = history_load(&s->history, history);
+    Py_DECREF(history);
     return rc;
 }
 
@@ -1955,23 +2052,10 @@ slp_consult(SLP *s, int64_t pc, int64_t paddr, int trigger_prediction, Py_ssize_
             long long *confidence)
 {
     s->consultations++;
-    int64_t page = paddr >> 12;
-    Py_ssize_t slot = keys_find(&s->pages, page);
-    uint64_t first = slot < 0, offset = ((uint64_t)paddr >> 6) & 63;
-    uint64_t pcs_hash = 0;
-    if (s->npcs) {
-        pcs_hash = 0x9E3779B9ull;
-        for (int i = 0; i < s->npcs; i++)
-            pcs_hash = hash_step(pcs_hash, (uint64_t)s->pcs[i]);
-    }
-    uint64_t values[SLP_FEATURES] = {
-        (uint64_t)pc ^ (offset << 2),
-        (uint64_t)pc ^ (((uint64_t)paddr & 63) << 2),
-        hash_pair((uint64_t)pc, first),
-        hash_pair(offset, first),
-        pcs_hash,
-        hash_pair(s->leveling && trigger_prediction, offset),
-    };
+    uint64_t values[SLP_FEATURES];
+    history_step(&s->history, pc, paddr, values);
+    values[NUM_FEATURES] = hash_pair(s->leveling && trigger_prediction,
+                                     ((uint64_t)paddr >> 6) & 63);
     Perceptron *p = &s->p;
     for (int f = 0; f < SLP_FEATURES; f++)
         indices[f] = table_slot(values[f], p->bits[f], p->entries[f]);
@@ -1980,20 +2064,6 @@ slp_consult(SLP *s, int64_t pc, int64_t paddr, int trigger_prediction, Py_ssize_
     p->predictions++;
     if (total >= 0)
         p->positive++;
-
-    /* FeatureHistory.observe */
-    if (slot >= 0)
-        keys_move_to_end(&s->pages, slot);
-    else
-        keys_push(&s->pages, page);
-    if (s->npcs == PC_HISTORY) {
-        memmove(s->pcs, s->pcs + 1, (PC_HISTORY - 1) * sizeof(int64_t));
-        s->pcs[PC_HISTORY - 1] = pc;
-    }
-    else {
-        s->pcs[s->npcs++] = pc;
-    }
-
     int issue = (double)total < s->tau_pref;
     if (issue)
         s->issued++;
@@ -2012,46 +2082,111 @@ slp_flush(SLP *s, PyObject *obj)
     return 0;
 }
 
-static int
-slp_write_back(SLP *s)
-{
-    int rc = -1;
-    PyObject *buffer = PyObject_GetAttr(s->history, S__page_buffer);
-    PyObject *pcs = buffer ? PyObject_GetAttr(s->history, S__pc_history) : NULL;
-    PyObject *recent = pcs ? PyList_New(s->npcs) : NULL;
-    if (recent == NULL || discard(PyObject_CallMethodNoArgs(buffer, S_clear)) < 0)
-        goto done;
-    for (Py_ssize_t slot = s->pages.head; slot >= 0; slot = s->pages.next[slot]) {
-        PyObject *page = PyLong_FromLongLong(s->pages.keys[slot]);
-        int ok = page && PyObject_SetItem(buffer, page, Py_None) == 0;
-        Py_XDECREF(page);
-        if (!ok)
-            goto done;
-    }
-    for (int i = 0; i < s->npcs; i++) {
-        PyObject *pc = PyLong_FromLongLong(s->pcs[i]);
-        if (pc == NULL)
-            goto done;
-        PyList_SET_ITEM(recent, i, pc);
-    }
-    if (discard(PyObject_CallMethodNoArgs(pcs, S_clear)) < 0
-        || discard(PyObject_CallMethodOneArg(pcs, S_extend, recent)) < 0
-        || PyObject_SetAttr(s->history, S__pcs_tuple, Py_None) < 0
-        || PyObject_SetAttr(s->history, S__pcs_hash, Py_None) < 0)
-        goto done;
-    rc = 0;
-done:
-    Py_XDECREF(buffer);
-    Py_XDECREF(pcs);
-    Py_XDECREF(recent);
-    return rc;
-}
-
 static void
 slp_release(SLP *s)
 {
     perceptron_release(&s->p);
-    keys_free(&s->pages);
+    keys_free(&s->history.pages);
+}
+
+/* ------------------------------------------------------------------ */
+/* Page table (repro.memory.paging.PageTable)                          */
+/* ------------------------------------------------------------------ */
+
+/* The page table's Python containers, and a C table of the mappings seen so
+ * far (open addressing, linear probing; frame -1 marks a free slot).  A
+ * mapping is never removed or changed, so the C table cannot go stale. */
+typedef struct {
+    PyObject *obj, *mapping, *allocated; /* PageTable, _mapping, _allocated_frames */
+    long long core_id, memory_frames;
+    int64_t *vpages, *frames;
+    size_t mask, count;
+} PageTable;
+
+static inline size_t
+frames_home(const PageTable *t, int64_t vpage)
+{
+    return (size_t)(((uint64_t)vpage * 0x9E3779B97F4A7C15ull) >> 32) & t->mask;
+}
+
+/* The cached frame of ``vpage``, or -1. */
+static inline int64_t
+frames_find(const PageTable *t, int64_t vpage)
+{
+    for (size_t i = frames_home(t, vpage);; i = (i + 1) & t->mask) {
+        if (t->frames[i] < 0 || t->vpages[i] == vpage)
+            return t->frames[i];
+    }
+}
+
+static int
+frames_alloc(PageTable *t, size_t size)
+{
+    t->vpages = mem_calloc((Py_ssize_t)size, sizeof(int64_t));
+    t->frames = mem_calloc((Py_ssize_t)size, sizeof(int64_t));
+    if (t->vpages == NULL || t->frames == NULL)
+        return -1;
+    memset(t->frames, 0xff, size * sizeof(int64_t));
+    t->mask = size - 1;
+    t->count = 0;
+    return 0;
+}
+
+static void
+frames_free(PageTable *t)
+{
+    PyMem_Free(t->vpages);
+    PyMem_Free(t->frames);
+    t->vpages = t->frames = NULL;
+}
+
+static inline void
+frames_put(PageTable *t, int64_t vpage, int64_t frame)
+{
+    size_t i = frames_home(t, vpage);
+    while (t->frames[i] >= 0)
+        i = (i + 1) & t->mask;
+    t->vpages[i] = vpage;
+    t->frames[i] = frame;
+    t->count++;
+}
+
+/* Cache an absent mapping, doubling the table at half load. */
+static int
+frames_add(PageTable *t, int64_t vpage, int64_t frame)
+{
+    if (2 * (t->count + 1) > t->mask + 1) {
+        int64_t *vpages = t->vpages, *frames = t->frames;
+        size_t size = t->mask + 1;
+        int rc = frames_alloc(t, 2 * size);
+        for (size_t i = 0; rc == 0 && i < size; i++) {
+            if (frames[i] >= 0)
+                frames_put(t, vpages[i], frames[i]);
+        }
+        PyMem_Free(vpages);
+        PyMem_Free(frames);
+        if (rc < 0)
+            return -1;
+    }
+    frames_put(t, vpage, frame);
+    return 0;
+}
+
+static int
+page_table_init(PageTable *t, PyObject *obj)
+{
+    t->obj = Py_NewRef(obj);
+    if ((t->mapping = PyObject_GetAttr(obj, S__mapping)) == NULL
+        || (t->allocated = PyObject_GetAttr(obj, S__allocated_frames)) == NULL
+        || get_ll(obj, S_core_id, &t->core_id) < 0
+        || get_ll(obj, S_memory_frames, &t->memory_frames) < 0)
+        return -1;
+    if (!PyDict_CheckExact(t->mapping) || !PySet_CheckExact(t->allocated)
+        || t->memory_frames <= 0) {
+        PyErr_SetString(PyExc_TypeError, "page table outside the modelled shape");
+        return -1;
+    }
+    return frames_alloc(t, 1024);
 }
 
 /* ------------------------------------------------------------------ */
@@ -2063,7 +2198,6 @@ enum { PK_NULL = 0, PK_HERMES = 1, PK_FLP = 2 };
  * through its Python object. */
 enum { PF_OBJECT = -1, PF_NONE = 0, PF_IPCP = 1, PF_BERTI = 2 };
 enum { LEVEL_L1D = 0, LEVEL_L2C = 1, LEVEL_LLC = 2, LEVEL_DRAM = 3 };
-#define NUM_FEATURES 5
 
 #define CACHE_OBJECTS(X) \
     X(obj) X(blocks) X(stamps) X(way_blocks) X(set_fill) X(stats) X(listener)
@@ -2082,11 +2216,10 @@ typedef struct {
 } CacheState;
 
 #define STEPPER_OBJECTS(X)                                                    \
-    X(runner) X(hierarchy) X(hstats) X(begin_chunk) X(sample_hook)            \
-    X(page_map) X(allocate_frame) X(resolve_l2) X(run_l2_prefetcher)          \
-    X(issue_l1d_prefetch) X(on_demand_access) X(pending_l1) X(pending_l2c)    \
-    X(predictor) X(dram) X(dram_stats) X(retire_deque) X(index_columns)       \
-    X(prefetcher) X(l2_prefetcher) X(l1_filter) X(l2_filter)
+    X(runner) X(hierarchy) X(hstats) X(sample_hook) X(resolve_l2)             \
+    X(run_l2_prefetcher) X(issue_l1d_prefetch) X(on_demand_access)            \
+    X(pending_l1) X(pending_l2c) X(predictor) X(dram) X(dram_stats)           \
+    X(retire_deque) X(prefetcher) X(l2_prefetcher) X(l1_filter) X(l2_filter)
 
 typedef struct {
     PyObject_HEAD
@@ -2103,15 +2236,14 @@ typedef struct {
     Py_ssize_t total, chunk_records, pos, chunk_stop;
     int kind_non_mem;
 
-    /* Off-chip predictor: weight tables and this chunk's index columns. */
+    PageTable pages;
+
+    /* Off-chip predictor: weight tables and feature history. */
     int predictor_kind;
     Perceptron flp;
+    History history;
     double activation_threshold, tau_high, tau_low;
     int selective_delay, last_prediction;
-    Py_buffer index_buf;
-    int have_index;
-    const int64_t *index;
-    Py_ssize_t index_rows, demand_cursor;
 
     /* Prefetchers and filters the kernel runs itself. */
     int prefetch_kind, have_spp, have_ppf, have_slp, loaded;
@@ -2573,26 +2705,72 @@ dram_backed_up(Stepper *s, long long cycle)
     return s->busy_until - (double)cycle > s->drop_cycles;
 }
 
+/* PageTable._allocate_frame for an unmapped ``vpage``: a hashed first
+ * choice, linearly probed over the live allocated-frame set, written
+ * through to the mapping, the set and the fault count. */
+static int64_t
+allocate_frame(PageTable *t, int64_t vpage, PyObject *vpage_obj)
+{
+    if (add_attr(t->obj, S_page_faults, 1) < 0)
+        return -1;
+    int64_t candidate = (int64_t)(
+        jenkins32(((uint64_t)vpage << 4) ^ ((uint64_t)t->core_id * 0x9E3779B1ull))
+        % (uint64_t)t->memory_frames);
+    PyObject *frame_obj = NULL;
+    for (long long probes = 0;; probes++) {
+        if (probes > t->memory_frames) {
+            PyErr_SetString(PyExc_RuntimeError, "physical memory exhausted");
+            return -1;
+        }
+        if ((frame_obj = PyLong_FromLongLong(candidate)) == NULL)
+            return -1;
+        int taken = PySet_Contains(t->allocated, frame_obj);
+        if (taken == 0)
+            break;
+        Py_DECREF(frame_obj);
+        if (taken < 0)
+            return -1;
+        candidate = (candidate + 1) % t->memory_frames;
+    }
+    int rc = PySet_Add(t->allocated, frame_obj) == 0
+        && PyDict_SetItem(t->mapping, vpage_obj, frame_obj) == 0;
+    Py_DECREF(frame_obj);
+    return rc ? candidate : -1;
+}
+
+/* The frame of ``vpage``: cached, mapped by the Python page table (the
+ * object-call prefetch path translates too), or newly allocated. */
+static int64_t
+page_frame(PageTable *t, int64_t vpage)
+{
+    int64_t frame = frames_find(t, vpage);
+    if (frame >= 0)
+        return frame;
+    PyObject *vpage_obj = PyLong_FromLongLong(vpage);
+    if (vpage_obj == NULL)
+        return -1;
+    PyObject *mapped = PyDict_GetItemWithError(t->mapping, vpage_obj);
+    if (mapped != NULL) {
+        long long value;
+        frame = as_ll(mapped, &value) < 0 ? -1 : value;
+    }
+    else if (!PyErr_Occurred()) {
+        frame = allocate_frame(t, vpage, vpage_obj);
+    }
+    Py_DECREF(vpage_obj);
+    if (frame < 0 || frames_add(t, vpage, frame) < 0)
+        return -1;
+    return frame;
+}
+
 /* PageTable.translate: returns the physical address. */
-static int
+static inline int
 translate(Stepper *s, long long vaddr, long long *paddr)
 {
-    PyObject *vpage = PyLong_FromLongLong(vaddr >> 12);
-    if (vpage == NULL)
+    int64_t frame = page_frame(&s->pages, vaddr >> 12);
+    if (frame < 0)
         return -1;
-    PyObject *frame = PyDict_GetItemWithError(s->page_map, vpage);
-    if (frame != NULL)
-        Py_INCREF(frame);
-    else if (!PyErr_Occurred())
-        frame = call1(s->allocate_frame, vpage);
-    Py_DECREF(vpage);
-    if (frame == NULL)
-        return -1;
-    long long value = PyLong_AsLongLong(frame);
-    Py_DECREF(frame);
-    if (value == -1 && PyErr_Occurred())
-        return -1;
-    *paddr = (value << 12) | (vaddr & 4095);
+    *paddr = (frame << 12) | (vaddr & 4095);
     return 0;
 }
 
@@ -2915,19 +3093,10 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     long long confidence = 0;
     Py_ssize_t indices[NUM_FEATURES];
     if (s->predictor_kind != PK_NULL) {
-        Py_ssize_t row = s->demand_cursor++;
-        if (row >= s->index_rows) {
-            PyErr_SetString(PyExc_IndexError, "off-chip index columns exhausted");
-            goto done;
-        }
-        for (int f = 0; f < NUM_FEATURES; f++) {
-            int64_t index = s->index[f * s->index_rows + row];
-            if (index < 0 || index >= s->flp.entries[f]) {
-                PyErr_SetString(PyExc_IndexError, "off-chip feature index out of range");
-                goto done;
-            }
-            indices[f] = (Py_ssize_t)index;
-        }
+        uint64_t values[NUM_FEATURES];
+        history_step(&s->history, pc, vaddr, values);
+        for (int f = 0; f < NUM_FEATURES; f++)
+            indices[f] = table_slot(values[f], s->flp.bits[f], s->flp.entries[f]);
         confidence = perceptron_sum(&s->flp, indices);
         s->flp.predictions++;
         if (confidence >= 0)
@@ -3116,50 +3285,12 @@ done:
 /* ------------------------------------------------------------------ */
 
 static void
-release_index(Stepper *s)
-{
-    if (s->have_index) {
-        PyBuffer_Release(&s->index_buf);
-        s->have_index = 0;
-    }
-    Py_CLEAR(s->index_columns);
-    s->index = NULL;
-    s->index_rows = 0;
-}
-
-/* Vectorized per-chunk precompute (a Python callback): the off-chip index
- * columns as one (5, demand records) int64 array, or None. */
-static int
-begin_chunk(Stepper *s)
+start_chunk(Stepper *s)
 {
     s->chunk_stop = s->pos + s->chunk_records;
     if (s->chunk_stop > s->total)
         s->chunk_stop = s->total;
     s->in_chunk = 1;
-    s->demand_cursor = 0;
-    release_index(s);
-    if (s->begin_chunk == NULL)
-        return 0;
-    PyObject *args[3] = {NULL, PyLong_FromSsize_t(s->pos), PyLong_FromSsize_t(s->chunk_stop)};
-    PyObject *columns = (args[1] && args[2])
-        ? PyObject_Vectorcall(s->begin_chunk, args + 1, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL)
-        : NULL;
-    Py_XDECREF(args[1]);
-    Py_XDECREF(args[2]);
-    if (columns == NULL)
-        return -1;
-    s->index_columns = columns;
-    if (PyObject_GetBuffer(columns, &s->index_buf, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return -1;
-    s->have_index = 1;
-    if (s->index_buf.ndim != 2 || s->index_buf.itemsize != 8
-        || s->index_buf.shape[0] != NUM_FEATURES) {
-        PyErr_SetString(PyExc_TypeError, "off-chip index columns must be (5, n) int64");
-        return -1;
-    }
-    s->index = (const int64_t *)s->index_buf.buf;
-    s->index_rows = s->index_buf.shape[1];
-    return 0;
 }
 
 static int
@@ -3294,6 +3425,8 @@ end_chunk(Stepper *s)
 static int
 write_back_components(Stepper *s)
 {
+    if (s->predictor_kind != PK_NULL && history_write_back(&s->history) < 0)
+        return -1;
     if (!s->loaded)
         return 0;
     if (s->prefetch_kind == PF_IPCP && ipcp_write_back(&s->ipcp, s->prefetcher) < 0)
@@ -3302,7 +3435,7 @@ write_back_components(Stepper *s)
         return -1;
     if (s->have_spp && spp_write_back(&s->spp, s->l2_prefetcher) < 0)
         return -1;
-    return s->have_slp ? slp_write_back(&s->slp) : 0;
+    return s->have_slp ? history_write_back(&s->slp.history) : 0;
 }
 
 /* Write the core runner's and the components' state back (end of the
@@ -3388,13 +3521,11 @@ advance(Stepper *s, int yield_memory)
                     goto error;
                 if (s->pos == s->total) {
                     s->finished = 1;
-                    release_index(s);
                     finish(s); /* NULL either way; an error stays set */
                     release_components(s);
                     return NULL;
                 }
-                if (begin_chunk(s) < 0)
-                    goto error;
+                start_chunk(s);
             }
             dispatch = s->dispatch_cycle;
             if (s->retire_len >= s->rob_size) {
@@ -3424,7 +3555,6 @@ advance(Stepper *s, int yield_memory)
     }
 error:
     s->finished = 1;
-    release_index(s);
     release_components(s);
     return NULL;
 }
@@ -3473,6 +3603,13 @@ init_predictor(Stepper *s, PyObject *predictor)
     int bound = perceptron_init(&s->flp, perceptron, NUM_FEATURES);
     Py_DECREF(perceptron);
     if (bound < 0 || get_truth(predictor, S_last_prediction, &s->last_prediction) < 0)
+        return -1;
+    PyObject *history = PyObject_GetAttr(predictor, S_history);
+    if (history == NULL)
+        return -1;
+    bound = history_load(&s->history, history);
+    Py_DECREF(history);
+    if (bound < 0)
         return -1;
     if (s->predictor_kind == PK_HERMES)
         return get_double(predictor, S_activation_threshold, &s->activation_threshold);
@@ -3539,8 +3676,7 @@ init_hierarchy(Stepper *s, PyObject *h)
         || (config = PyObject_GetAttr(s->dram, S_config)) == NULL
         || get_ll(config, S_access_latency, &s->dram_access_latency) < 0
         || (page_table = PyObject_GetAttr(h, S_page_table)) == NULL
-        || (s->page_map = PyObject_GetAttr(page_table, S__mapping)) == NULL
-        || (s->allocate_frame = PyObject_GetAttr(page_table, S__allocate_frame)) == NULL
+        || page_table_init(&s->pages, page_table) < 0
         || (s->hstats = PyObject_GetAttr(h, S_stats)) == NULL
         || (s->resolve_l2 = PyObject_GetAttr(h, S__resolve_l2c_prefetch_use)) == NULL
         || (s->pending_l1 = PyObject_GetAttr(h, S__pending_l1d_prefetches)) == NULL
@@ -3548,9 +3684,8 @@ init_hierarchy(Stepper *s, PyObject *h)
         || get_ll(h, S__predictor_latency, &s->predictor_latency) < 0
         || get_double(h, S__prefetch_drop_queue_cycles, &s->drop_cycles) < 0)
         goto done;
-    if (!PyDict_CheckExact(s->page_map) || !PyDict_CheckExact(s->pending_l1)
-        || !PyDict_CheckExact(s->pending_l2c)) {
-        PyErr_SetString(PyExc_TypeError, "page map and pending prefetches must be dicts");
+    if (!PyDict_CheckExact(s->pending_l1) || !PyDict_CheckExact(s->pending_l2c)) {
+        PyErr_SetString(PyExc_TypeError, "pending prefetches must be dicts");
         goto done;
     }
     rc = 0;
@@ -3609,6 +3744,8 @@ release_components(Stepper *s)
     spp_release(&s->spp);
     view_release(&s->ppf.view);
     slp_release(&s->slp);
+    keys_free(&s->history.pages);
+    frames_free(&s->pages);
     s->loaded = 0;
 }
 
@@ -3619,15 +3756,15 @@ stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {
         "runner", "hierarchy", "pcs", "vaddrs", "kinds", "kind_non_mem",
-        "chunk_records", "begin_chunk", "predictor_kind", "prefetch_kind",
-        "sample_hook", "sample_interval", NULL};
-    PyObject *runner, *hierarchy, *pcs, *vaddrs, *kinds, *begin, *hook;
+        "chunk_records", "predictor_kind", "prefetch_kind", "sample_hook",
+        "sample_interval", NULL};
+    PyObject *runner, *hierarchy, *pcs, *vaddrs, *kinds, *hook;
     int kind_non_mem, predictor_kind, prefetch_kind;
     Py_ssize_t chunk_records;
     long long sample_interval;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOinOiiOL", keywords, &runner,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOiniiOL", keywords, &runner,
                                      &hierarchy, &pcs, &vaddrs, &kinds, &kind_non_mem,
-                                     &chunk_records, &begin, &predictor_kind, &prefetch_kind,
+                                     &chunk_records, &predictor_kind, &prefetch_kind,
                                      &hook, &sample_interval))
         return NULL;
     if (chunk_records <= 0) {
@@ -3636,10 +3773,6 @@ stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     }
     if (predictor_kind < PK_NULL || predictor_kind > PK_FLP) {
         PyErr_SetString(PyExc_ValueError, "unknown predictor kind");
-        return NULL;
-    }
-    if ((predictor_kind == PK_NULL) != (begin == Py_None)) {
-        PyErr_SetString(PyExc_ValueError, "begin_chunk goes with an off-chip predictor");
         return NULL;
     }
     if (load_model_types() < 0)
@@ -3651,8 +3784,6 @@ stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     s->chunk_records = chunk_records;
     s->predictor_kind = predictor_kind;
     s->prefetch_kind = prefetch_kind;
-    if (begin != Py_None)
-        s->begin_chunk = Py_NewRef(begin);
     if (hook != Py_None && sample_interval > 0) {
         s->sample_hook = Py_NewRef(hook);
         s->sample_interval = sample_interval;
@@ -3696,7 +3827,6 @@ error:
 static void
 release_buffers(Stepper *s)
 {
-    release_index(s);
     if (s->have_columns) {
         PyBuffer_Release(&s->pc_buf);
         PyBuffer_Release(&s->vaddr_buf);
@@ -3718,7 +3848,11 @@ stepper_traverse(Stepper *s, visitproc visit, void *arg)
 #undef VISIT_CACHE
     Py_VISIT(s->flp.stats);
     Py_VISIT(s->slp.p.stats);
-    Py_VISIT(s->slp.history);
+    Py_VISIT(s->slp.history.obj);
+    Py_VISIT(s->history.obj);
+    Py_VISIT(s->pages.obj);
+    Py_VISIT(s->pages.mapping);
+    Py_VISIT(s->pages.allocated);
     return 0;
 }
 
@@ -3735,7 +3869,11 @@ stepper_clear(Stepper *s)
 #undef CLEAR_CACHE
     Py_CLEAR(s->flp.stats);
     Py_CLEAR(s->slp.p.stats);
-    Py_CLEAR(s->slp.history);
+    Py_CLEAR(s->slp.history.obj);
+    Py_CLEAR(s->history.obj);
+    Py_CLEAR(s->pages.obj);
+    Py_CLEAR(s->pages.mapping);
+    Py_CLEAR(s->pages.allocated);
     return 0;
 }
 

@@ -4,31 +4,32 @@ the scalar path.
 The scalar reference path steps one trace record at a time through
 :meth:`repro.cpu.core.CoreRunner.run_trace`, calling
 :meth:`repro.memory.hierarchy.MemoryHierarchy.demand_access` per memory
-record.  The batch core restructures that hot path around trace *chunks*:
+record.  The batch core runs the same steps for a whole trace in C
+(``_fused.c``, a CPython extension):
 
-1. **Vectorized precompute** -- the off-chip predictor's five feature
-   values and their Jenkins/folded-XOR weight-table indices are a pure
-   function of the demand ``(pc, vaddr)`` stream, so they are computed with
-   numpy per chunk before any state advances
-   (:func:`_precompute_offchip_indices`, one ``(5, n)`` int64 array,
-   including the page-buffer first-access bits and the last-4-PC window
-   hashes).  This is sound because the FLP/Hermes feature history observes
-   the demand stream only; weights depend on outcomes, so weight sums stay
-   in the serialized loop.
+1. **History replay in the kernel** -- at each demand access the kernel
+   computes the off-chip predictor's five Table I feature values (the
+   page-buffer first-access bit, the PC/offset XORs and the last-4-PC hash)
+   and their Jenkins/folded-XOR weight-table indices from a C copy of the
+   predictor's :class:`FeatureHistory`, then observes the access, exactly
+   as ``context()``/``observe()`` do.  SLP's history runs on the same C
+   helper over its prefetch candidates.
 
-2. **Compiled fused loop** -- the stateful remainder runs in C
-   (``_fused.c``, a CPython extension): core dispatch/ROB timing, page
-   translation, the L1D->L2C->LLC->DRAM walk with its LRU updates, fills
-   and evictions, speculative and prefetch DRAM requests, the perceptron
-   weight sums and saturating training, the L1D/L2C prefetch issue paths
-   and the order-dependent kernels of stock IPCP or Berti, SPP, PPF and SLP
-   (with SLP training and the L1D eviction/prefetch-use bookkeeping).  It
-   reads the trace and index columns through the buffer protocol and
-   updates in place the very objects the scalar reference uses -- each
-   cache's ``_blocks``/``_stamps``/``_way_blocks``/``_set_fill``/``_clock``,
-   the ``CacheBlock`` slots, the page table, DRAM ``_busy_until``, every
-   numpy component table and every stats object -- in the same order with
-   the same arithmetic.  The components' dict- and list-backed state is
+2. **Compiled fused loop** -- core dispatch/ROB timing, page translation
+   (a page fault allocates its frame in C: the hashed first choice,
+   linearly probed over the page table's allocated-frame set), the
+   L1D->L2C->LLC->DRAM walk with its LRU updates, fills and evictions,
+   speculative and prefetch DRAM requests, the perceptron weight sums and
+   saturating training, the L1D/L2C prefetch issue paths and the
+   order-dependent kernels of stock IPCP or Berti, SPP, PPF and SLP (with
+   SLP training and the L1D eviction/prefetch-use bookkeeping).  It reads
+   the trace columns through the buffer protocol and updates in place the
+   very objects the scalar reference uses -- each cache's
+   ``_blocks``/``_stamps``/``_way_blocks``/``_set_fill``/``_clock``, the
+   ``CacheBlock`` slots, the page table's ``_mapping``/``_allocated_frames``/
+   ``page_faults``, DRAM ``_busy_until``, every numpy component table and
+   every stats object -- in the same order with the same arithmetic.  The
+   dict- and list-backed state of the components and feature histories is
    copied into flat C tables when the stepper is built and written back
    into the same containers when its trace ends.  PPF training on prefetch
    use and L2C eviction stays a Python call.  When any prefetch-path
@@ -60,10 +61,6 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-import numpy as np
-
-from repro.common.addresses import PAGE_BITS
-from repro.common.hashing import hash_combine, hash_combine_np, table_index_np
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
 from repro.cpu.core import CoreRunner
@@ -83,11 +80,12 @@ from repro.traces.trace import KIND_NON_MEM
 
 _LOG = logging.getLogger("repro.sim.batch")
 
-#: Records per fused chunk.  Large enough to amortize the vectorized
-#: precompute, small enough to keep the index columns cache-resident.
+#: Records per chunk.  The kernel adds its counters to the stats objects and
+#: runs the sample hook at chunk ends, so chunks only bound how stale the
+#: stats objects get mid-run.
 DEFAULT_CHUNK_RECORDS = 8192
 
-#: Feature layout the vectorized precompute reproduces (Table I order).
+#: Feature layout the kernel's feature history computes (Table I order).
 _LEGACY_FEATURE_NAMES = (
     "pc_xor_cacheline_offset",
     "pc_xor_byte_offset",
@@ -115,6 +113,8 @@ def _feature_set_reason(label: str, perceptron, history, names) -> Optional[str]
     """Why a Table I perceptron is not the one the kernel models, or None."""
     if tuple(spec.name for spec in perceptron.features) != names:
         return f"{label}: non-standard feature set"
+    if type(history) is not FeatureHistory:
+        return f"{label}: feature history subclass {type(history).__name__}"
     if history.pc_history_length != 4:
         return f"{label}: pc_history_length {history.pc_history_length}"
     return None
@@ -185,7 +185,6 @@ def _prefetch_kind(hierarchy: MemoryHierarchy) -> int:
     if slp is not None and not (
         type(slp) is SecondLevelPerceptron
         and type(slp.perceptron) is HashedPerceptron
-        and type(slp.history) is FeatureHistory
         and _feature_set_reason(
             "SLP", slp.perceptron, slp.history, _SLP_FEATURE_NAMES
         ) is None
@@ -220,83 +219,6 @@ def _note_scalar_fallback(reason: str) -> None:
         _LOG.warning(
             "--core batch fell back to the scalar reference path: %s", reason
         )
-
-
-def _precompute_offchip_indices(
-    predictor, pcs: np.ndarray, vaddrs: np.ndarray
-) -> np.ndarray:
-    """Vectorized per-chunk feature hashing for a Hermes/FLP predictor.
-
-    Replays the predictor's :class:`FeatureHistory` over the chunk's demand
-    stream (advancing the live page buffer and PC history to their
-    end-of-chunk state -- the fused loop consumes the precomputed rows
-    instead of calling ``context()``/``observe()``), and returns one int64
-    index row per Table I feature (a ``(5, n)`` array), exactly what the
-    scalar ``HashedPerceptron._compute`` would have produced access by
-    access.
-    """
-    history = predictor.history
-    n = len(pcs)
-
-    # First-access bits: exact replay of the page-buffer LRU.
-    page_buffer = history._page_buffer
-    capacity = history.page_buffer_entries
-    move_to_end = page_buffer.move_to_end
-    popitem = page_buffer.popitem
-    first_bits: list[int] = []
-    append_first = first_bits.append
-    for page in (vaddrs >> PAGE_BITS).tolist():
-        if page in page_buffer:
-            append_first(0)
-            move_to_end(page)
-        else:
-            append_first(1)
-            page_buffer[page] = None
-            if len(page_buffer) > capacity:
-                popitem(last=False)
-    first = np.asarray(first_bits, dtype=np.uint64)
-
-    # Last-4-PC window hashes: the context for access i folds the four PCs
-    # observed before it, i.e. a sliding window over (prior history + chunk).
-    prior = list(history._pc_history)
-    len0 = len(prior)
-    window = history.pc_history_length
-    if len0:
-        merged = np.concatenate([np.asarray(prior, dtype=np.int64), pcs])
-    else:
-        merged = pcs
-    pcs_hash = np.empty(n, dtype=np.uint64)
-    lead = max(0, window - len0)
-    for i in range(min(lead, n)):
-        short = merged[max(0, i + len0 - window): i + len0].tolist()
-        pcs_hash[i] = hash_combine(*short) if short else 0
-    if n > lead:
-        base = lead + len0 - window
-        count = n - lead
-        pcs_hash[lead:] = hash_combine_np(
-            *(merged[base + k: base + k + count] for k in range(window))
-        )
-    history._pc_history.extend(pcs.tolist())
-    history._pcs_tuple = None
-    history._pcs_hash = None
-
-    # Feature values (Table I) and their table indices.
-    upcs = pcs.astype(np.uint64)
-    uvas = vaddrs.astype(np.uint64)
-    cacheline_offset = (uvas >> np.uint64(6)) & np.uint64(63)
-    values = (
-        upcs ^ (cacheline_offset << np.uint64(2)),
-        upcs ^ ((uvas & np.uint64(63)) << np.uint64(2)),
-        hash_combine_np(upcs, first),
-        hash_combine_np(cacheline_offset, first),
-        pcs_hash,
-    )
-    columns = np.empty((len(values), n), dtype=np.int64)
-    for row, value, (_, bits, entries, _, _) in zip(
-        columns, values, predictor.perceptron._plan
-    ):
-        row[:] = table_index_np(value, bits) % np.uint64(entries)
-    return columns
 
 
 def run_core_trace_batched(
@@ -344,19 +266,9 @@ def fused_core_stepper(
         predictor_kind = _PK_HERMES
     else:
         predictor_kind = _PK_FLP
-
-    # Vectorized precompute of each chunk's off-chip feature indices.
-    begin_chunk = None
-    if predictor_kind != _PK_NULL:
-        def begin_chunk(start: int, stop: int):
-            demand = kind_col[start:stop] != KIND_NON_MEM
-            return _precompute_offchip_indices(
-                predictor, pc_col[start:stop][demand], vaddr_col[start:stop][demand]
-            )
-
     return native.kernel().Stepper(
         runner, hierarchy, pc_col, vaddr_col, kind_col, KIND_NON_MEM,
-        chunk_records, begin_chunk, predictor_kind, _prefetch_kind(hierarchy),
+        chunk_records, predictor_kind, _prefetch_kind(hierarchy),
         sample_hook, sample_interval or 0,
     )
 

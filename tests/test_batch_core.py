@@ -7,9 +7,9 @@ fall back to that path for combinations it does not model.  These tests pin
 both properties across every scheme, every L1D prefetcher, every trace
 family (GAP generator, SPEC-like generator, imported ChampSim fixture),
 multi-core mixes on both cores against the per-instruction interleave they
-replaced, the vectorized hashing/perceptron primitives the batch core is
-built from, and the plumbing that routes ``core="batch"`` through configs
-and the API facade without perturbing cache keys.
+replaced, the kernel's page-fault allocation, and the plumbing that routes
+``core="batch"`` through configs and the API facade without perturbing cache
+keys.
 """
 
 from __future__ import annotations
@@ -30,16 +30,7 @@ from repro.common.config import (
     system_config_from_dict,
     system_config_to_dict,
 )
-from repro.common.hashing import (
-    fold_xor,
-    fold_xor_np,
-    hash_combine,
-    hash_combine_np,
-    jenkins32,
-    jenkins32_np,
-    table_index,
-    table_index_np,
-)
+from repro.common.hashing import jenkins32
 from repro.common.types import MemLevel
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
@@ -47,9 +38,9 @@ from repro.core.tlp import TLPConfig, TwoLevelPerceptron
 from repro.cpu.core import CoreRunner
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
+from repro.memory.paging import PageTable
 from repro.obs import tracer
-from repro.predictors.features import FeatureHistory, FeatureSpec
-from repro.predictors.perceptron import HashedPerceptron
+from repro.predictors.features import FeatureHistory
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
@@ -129,7 +120,8 @@ def _lru_state(hierarchy: MemoryHierarchy) -> list:
 
 
 def _component_state(hierarchy: MemoryHierarchy) -> dict:
-    """Every prefetcher's and filter's full state after a run.
+    """Every prefetcher's, filter's and feature history's full state after a
+    run, and the page table's.
 
     Dicts are listed item by item, so their insertion order counts.  Index
     memos and SPP's best-prediction memo are caches and are left out.
@@ -180,10 +172,22 @@ def _component_state(hierarchy: MemoryHierarchy) -> dict:
         )
     perceptron = getattr(hierarchy.offchip_predictor, "perceptron", None)
     if perceptron is not None:
+        history = hierarchy.offchip_predictor.history
         state["offchip"] = (
             perceptron._weights.tolist(), dataclasses.asdict(perceptron.stats),
+            list(history._page_buffer),
+            list(history._pc_history),
         )
+    state["page_table"] = _page_table_state(hierarchy.page_table)
     return state
+
+
+def _page_table_state(table: PageTable) -> tuple:
+    return (
+        list(table._mapping.items()),
+        sorted(table._allocated_frames),
+        table.page_faults,
+    )
 
 
 def _state_pair(trace, make_hierarchy, chunk_records=None, monkeypatch=None):
@@ -253,6 +257,8 @@ def _tlp_hierarchy(prefetcher, **tlp_options) -> MemoryHierarchy:
     )
 
 
+SMALL_PAGE_BUFFER = 8
+
 #: Hierarchies whose every component the compiled kernel runs itself.
 STATE_CASES = {
     "tlp-ipcp": lambda: _tlp_hierarchy(IPCPPrefetcher()),
@@ -268,6 +274,11 @@ STATE_CASES = {
     ),
     "no-leveling": lambda: _tlp_hierarchy(
         BertiPrefetcher(), use_leveling_feature=False
+    ),
+    # Fewer page-buffer entries than either trace touches pages: the FLP and
+    # SLP page buffers evict.
+    "small-page-buffer": lambda: _tlp_hierarchy(
+        IPCPPrefetcher(), page_buffer_entries=SMALL_PAGE_BUFFER
     ),
 }
 
@@ -306,6 +317,15 @@ class TestComponentState:
         assert _prefetch_kind(STATE_CASES[case]()) != _PF_OBJECT
         scalar, batch = _state_pair(trace, STATE_CASES[case], chunk_records, monkeypatch)
         assert batch == scalar
+
+    @pytest.mark.parametrize("trace_name", ("spec", "strided"))
+    def test_small_page_buffer_evicts(self, spec_mcf_trace, trace_name):
+        """The ``small-page-buffer`` case really drives the FLP page buffer
+        past its capacity."""
+        trace = spec_mcf_trace if trace_name == "spec" else _strided_trace()
+        _, vaddrs, kinds = trace.columns()
+        pages = np.unique(vaddrs[kinds != KIND_NON_MEM] >> 12)
+        assert len(pages) > 4 * SMALL_PAGE_BUFFER
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -580,6 +600,62 @@ class TestEvictionStress:
         assert batch == scalar
 
 
+def _paged_hierarchy(memory_frames=None) -> MemoryHierarchy:
+    """A TLP/IPCP hierarchy, with ``memory_frames`` physical frames when
+    given."""
+    hierarchy = build_hierarchy(build_scenario("tlp"))
+    if memory_frames is not None:
+        hierarchy.page_table = PageTable(memory_frames=memory_frames)
+    return hierarchy
+
+
+class TestPaging:
+    """The kernel allocates page frames in C exactly as
+    ``PageTable._allocate_frame`` does, and never calls it."""
+
+    def _pages_touched(self, trace) -> int:
+        hierarchy = _paged_hierarchy()
+        run_single_core(trace, build_scenario("tlp"), config=_system("scalar"),
+                        hierarchy=hierarchy)
+        return hierarchy.page_table.mapped_pages()
+
+    def test_exhausted_memory_raises_alike(self, spec_mcf_trace):
+        frames = self._pages_touched(spec_mcf_trace) - 1
+        tables = []
+        for core in ("scalar", "batch"):
+            hierarchy = _paged_hierarchy(frames)
+            with pytest.raises(RuntimeError, match="^physical memory exhausted$"):
+                run_single_core(spec_mcf_trace, build_scenario("tlp"),
+                                config=_system(core), hierarchy=hierarchy)
+            tables.append(_page_table_state(hierarchy.page_table))
+        assert tables[1] == tables[0]
+
+    def test_probe_wraps_alike(self, spec_mcf_trace):
+        # Exactly as many frames as pages: the last allocations probe past
+        # frame ``frames - 1`` and wrap around to frame 0.
+        frames = self._pages_touched(spec_mcf_trace)
+        scalar, batch = _state_pair(spec_mcf_trace, lambda: _paged_hierarchy(frames))
+        assert batch == scalar
+        mapping, allocated, faults = batch[2]["page_table"]
+        assert allocated == list(range(frames)) and faults == frames
+        assert any(jenkins32(vpage << 4) % frames > frame for vpage, frame in mapping)
+
+    def test_kernel_never_calls_allocate_frame(self, spec_mcf_trace, monkeypatch):
+        scenario = build_scenario("tlp", l1d_prefetcher="ipcp")
+        reference = run_single_core(spec_mcf_trace, scenario, config=_system("batch"))
+
+        def refuse(self, vpage):
+            raise AssertionError("the kernel called PageTable._allocate_frame")
+
+        monkeypatch.setattr(PageTable, "_allocate_frame", refuse)
+        hierarchy = build_hierarchy(scenario)
+        assert batch_unsupported_reason(hierarchy) is None
+        patched = run_single_core(spec_mcf_trace, scenario, config=_system("batch"),
+                                  hierarchy=hierarchy)
+        _assert_identical(reference, patched)
+        assert hierarchy.page_table.page_faults > 0
+
+
 class TestFallbacks:
     def test_supported_schemes(self):
         for scheme in ("baseline", "hermes", "tlp", "flp", "ppf"):
@@ -589,6 +665,17 @@ class TestFallbacks:
     def test_predictor_subclass_falls_back(self):
         hierarchy = build_hierarchy(build_scenario("delayed_tsp"))
         assert not batch_supported(hierarchy)
+
+    def test_feature_history_subclass_falls_back(self):
+        class InstrumentedHistory(FeatureHistory):
+            pass
+
+        hierarchy = build_hierarchy(build_scenario("tlp"))
+        hierarchy.offchip_predictor.history = InstrumentedHistory()
+        assert batch_unsupported_reason(hierarchy) == (
+            "off-chip predictor FirstLevelPerceptron: feature history subclass"
+            " InstrumentedHistory"
+        )
 
     def test_hierarchy_subclass_falls_back(self):
         class InstrumentedHierarchy(MemoryHierarchy):
@@ -884,91 +971,6 @@ class TestMultiCoreEquivalence:
         reason = events[0]["attrs"]["reason"]
         assert reason.startswith("core 2: ")
         assert "unmodelled off-chip predictor" in reason
-
-
-class TestVectorizedHashing:
-    """The numpy hash kernels reproduce the scalar functions bit for bit."""
-
-    def _values(self):
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, 1 << 48, size=256, dtype=np.uint64)
-        values[:4] = (0, 1, (1 << 32) - 1, (1 << 48) - 1)
-        return values
-
-    def test_jenkins32(self):
-        values = self._values()
-        expected = [jenkins32(int(v)) for v in values]
-        assert jenkins32_np(values).tolist() == expected
-
-    @pytest.mark.parametrize("bits", (6, 10, 12))
-    def test_fold_xor(self, bits):
-        values = self._values()
-        expected = [fold_xor(int(v), bits) for v in values]
-        assert fold_xor_np(values, bits).tolist() == expected
-
-    def test_hash_combine(self):
-        a, b = self._values(), self._values()[::-1].copy()
-        expected = [hash_combine(int(x), int(y)) for x, y in zip(a, b)]
-        assert hash_combine_np(a, b).tolist() == expected
-
-    @pytest.mark.parametrize("bits", (7, 12))
-    def test_table_index(self, bits):
-        values = self._values()
-        expected = [table_index(int(v), bits) for v in values]
-        assert table_index_np(values, bits).tolist() == expected
-
-
-class TestPerceptronBatchOps:
-    def _perceptron(self) -> HashedPerceptron:
-        return HashedPerceptron(
-            [
-                FeatureSpec("a", lambda c: c.pc, table_entries=64),
-                FeatureSpec("b", lambda c: c.vaddr, table_entries=100),
-            ],
-            training_threshold=8,
-        )
-
-    def test_predict_batch_matches_confidence(self):
-        perceptron = self._perceptron()
-        rng = np.random.default_rng(3)
-        for view in perceptron.weight_views():
-            view[:] = rng.integers(-15, 16, size=view.shape, dtype=np.int32)
-        columns = [
-            rng.integers(0, 64, size=32, dtype=np.int64),
-            rng.integers(0, 100, size=32, dtype=np.int64),
-        ]
-        got = perceptron.predict_batch(columns)
-        expected = [
-            perceptron.confidence([int(i), int(j)])
-            for i, j in zip(columns[0], columns[1])
-        ]
-        assert got.tolist() == expected
-
-    def test_train_batch_matches_sequential(self):
-        rng = np.random.default_rng(5)
-        columns = [
-            # Deliberately collision-heavy: saturating updates on shared
-            # indices are order sensitive, which is exactly what
-            # train_batch must preserve.
-            rng.integers(0, 4, size=64, dtype=np.int64),
-            rng.integers(0, 4, size=64, dtype=np.int64),
-        ]
-        targets = rng.integers(0, 2, size=64).astype(bool)
-        confidences = rng.integers(-40, 41, size=64, dtype=np.int64)
-
-        batched = self._perceptron()
-        batched.train_batch(columns, targets, confidences)
-        sequential = self._perceptron()
-        for i, j, target, confidence in zip(
-            columns[0], columns[1], targets, confidences
-        ):
-            sequential.train([int(i), int(j)], bool(target), int(confidence))
-
-        for got, expected in zip(
-            batched.weight_views(), sequential.weight_views()
-        ):
-            assert got.tolist() == expected.tolist()
-        assert batched.stats.weight_updates == sequential.stats.weight_updates
 
 
 class TestSimCoreConfig:

@@ -28,8 +28,7 @@ from repro.common.config import (
 )
 from repro.cpu.core import CoreRunner
 from repro.memory.cache import CacheBlock, EvictionInfo
-from repro.memory.hierarchy import PrefetchRecord
-from repro.memory.paging import PageTable
+from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
 from repro.obs import tracer
 from repro.sim import native
 from repro.sim.batch import batch_unsupported_reason, fused_core_stepper
@@ -200,33 +199,34 @@ class Boom(Exception):
 
 
 def _raise_on_call(monkeypatch, calls: int) -> None:
-    """Make the kernel's page-fault callout raise on its ``calls``-th call."""
-    real = PageTable._allocate_frame
+    """Make the kernel's PPF prefetch-use callout raise on its ``calls``-th
+    call."""
+    real = MemoryHierarchy._resolve_l2c_prefetch_use
     seen = [0]
 
-    def allocate_frame(self, vpage):
+    def resolve(self, block):
         seen[0] += 1
         if seen[0] == calls:
             raise Boom(f"call {calls}")
-        return real(self, vpage)
+        return real(self, block)
 
-    monkeypatch.setattr(PageTable, "_allocate_frame", allocate_frame)
+    monkeypatch.setattr(MemoryHierarchy, "_resolve_l2c_prefetch_use", resolve)
 
 
 class TestRefcounts:
-    def _check_single(self, trace, raise_at=None, monkeypatch=None):
+    def _check_single(self, trace, raise_at=None, monkeypatch=None, scheme="tlp"):
         before = _model_objects()
         system = _tiny_caches(_single("batch"))
-        hierarchy = build_hierarchy(build_scenario("tlp"), config=system)
+        hierarchy = build_hierarchy(build_scenario(scheme), config=system)
         assert batch_unsupported_reason(hierarchy) is None
         alive = weakref.ref(hierarchy)
         if raise_at is None:
-            run_single_core(trace, build_scenario("tlp"), config=system, hierarchy=hierarchy)
+            run_single_core(trace, build_scenario(scheme), config=system, hierarchy=hierarchy)
         else:
             _raise_on_call(monkeypatch, raise_at)
             with pytest.raises(Boom, match=f"call {raise_at}"):
                 run_single_core(
-                    trace, build_scenario("tlp"), config=system, hierarchy=hierarchy
+                    trace, build_scenario(scheme), config=system, hierarchy=hierarchy
                 )
         del hierarchy
         gc.collect()
@@ -234,18 +234,18 @@ class TestRefcounts:
         known = {id(obj) for obj in before}
         assert [obj for obj in _model_objects() if id(obj) not in known] == []
 
-    def _check_mix(self, mix, raise_at=None, monkeypatch=None):
+    def _check_mix(self, mix, raise_at=None, monkeypatch=None, scheme="tlp"):
         before = _model_objects()
         system = _tiny_caches(_mix("batch"))
-        hierarchies = build_mix_hierarchies(build_scenario("tlp"), system, len(mix))
+        hierarchies = build_mix_hierarchies(build_scenario(scheme), system, len(mix))
         alive = [weakref.ref(hierarchy) for hierarchy in hierarchies]
         if raise_at is None:
-            run_multicore_mix(mix, build_scenario("tlp"), config=system,
+            run_multicore_mix(mix, build_scenario(scheme), config=system,
                               hierarchies=hierarchies)
         else:
             _raise_on_call(monkeypatch, raise_at)
-            with pytest.raises(Boom):
-                run_multicore_mix(mix, build_scenario("tlp"), config=system,
+            with pytest.raises(Boom, match=f"call {raise_at}"):
+                run_multicore_mix(mix, build_scenario(scheme), config=system,
                                   hierarchies=hierarchies)
         del hierarchies
         gc.collect()
@@ -260,12 +260,14 @@ class TestRefcounts:
         self._check_mix([traces[workload] for workload in MIX])
 
     def test_callout_exception_propagates_from_single_core(self, traces, monkeypatch):
-        # Fault 120 lands in the measured phase (warm-up faults ~70 pages).
-        self._check_single(traces["spec.mcf_like"], 120, monkeypatch)
+        # Call 10 of 19 lands mid-way through the measured phase (the
+        # warm-up makes none).
+        self._check_single(traces["bfs.urand"], 10, monkeypatch, scheme="ppf")
 
     def test_callout_exception_propagates_from_mix(self, traces, monkeypatch):
-        # Fault 150 lands in the measured phase (warm-up faults ~85 pages).
-        self._check_mix([traces[workload] for workload in MIX], 150, monkeypatch)
+        # Call 30 of 57 lands in the measured phase (the warm-up makes 11).
+        self._check_mix([traces[workload] for workload in MIX], 30, monkeypatch,
+                        scheme="ppf")
 
     def test_exhausted_stepper_stays_exhausted(self, traces):
         hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
