@@ -16,18 +16,19 @@ The entry points mirror the CLI one-to-one:
 ``run_campaign``     ``repro campaign`` -- the full paper point set
 ===================  =====================================================
 
-Every entry point takes ``core=`` ("scalar" or "batch") to select the
-simulator core implementation; the batch core of :mod:`repro.sim.batch` is
-bit-identical to the scalar reference and simply faster, so results (and
-persistent cache entries) are shared between the two.
+Every entry point takes ``core=`` to select the simulator core
+implementation: "batch" (the default), the compiled kernel of
+:mod:`repro.sim.batch`, or "scalar", the reference path it is
+bit-identical to; results (and persistent cache entries) are shared
+between the two.
 
 Example::
 
     from repro import api
 
     trace = api.load_trace("bfs.urand", memory_accesses=20_000)
-    baseline = api.simulate_point("bfs.urand", "baseline", core="batch")
-    tlp = api.simulate_point("bfs.urand", "tlp", core="batch")
+    baseline = api.simulate_point("bfs.urand", "baseline")
+    tlp = api.simulate_point("bfs.urand", "tlp")
     print(tlp.ipc / baseline.ipc, tlp.dram_transactions)
 """
 
@@ -162,7 +163,7 @@ def simulate_point(
 
     ``scheme`` is one of :data:`SCHEMES` (``baseline``, ``hermes``,
     ``tlp``, ...); ``core`` selects the simulator core implementation
-    ("scalar" or "batch", bit-identical).
+    ("batch" by default, or the bit-identical "scalar" reference).
     """
     point = single_core_point(
         workload,

@@ -172,7 +172,6 @@ def _cache_from_config(
         result_cache=result_cache,
         jobs=args.jobs,
         trace_store=trace_store,
-        sim_core=getattr(args, "core", None),
     )
     return CampaignCache(config, engine=engine)
 
@@ -861,8 +860,6 @@ def _fabric_worker_args(args: argparse.Namespace) -> list[str]:
         argv += ["--retries", str(args.retries)]
     if args.timeout_s is not None:
         argv += ["--timeout-s", f"{args.timeout_s:g}"]
-    if getattr(args, "core", None):
-        argv += ["--core", args.core]
     return argv
 
 
@@ -988,7 +985,6 @@ def _cmd_fabric_worker(args: argparse.Namespace) -> int:
         policy=_policy_from_args(args),
         heartbeat_s=args.heartbeat_s,
         max_points=args.max_points,
-        sim_core=getattr(args, "core", None),
     )
     report = worker.run()
     note = " (drained)" if worker.drained else ""
@@ -1175,12 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--no-trace-store", action="store_true",
                                 help="regenerate traces per process instead of "
                                      "memory-mapping the shared trace store")
-        sub_parser.add_argument("--core", choices=("scalar", "batch"),
-                                default=None,
-                                help="simulator core implementation: 'batch' "
-                                     "runs the chunk-vectorized fused loop "
-                                     "(bit-identical results, faster); "
-                                     "default: scalar")
         sub_parser.add_argument("--include-imported", action="store_true",
                                 help="also sweep every trace imported into the "
                                      "store ('repro trace import')")
@@ -1379,10 +1369,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="in-worker retries per point (default: 2)")
     fabric_worker.add_argument("--timeout-s", type=float, default=None,
                                help="per-point timeout in seconds")
-    fabric_worker.add_argument("--core", choices=("scalar", "batch"),
-                               default=None,
-                               help="simulator core implementation "
-                                    "(default: scalar)")
     fabric_worker.set_defaults(func=_cmd_fabric, strict=False)
 
     fabric_status = fabric_sub.add_parser(

@@ -101,12 +101,13 @@ class SystemConfig:
     )
     dram: DRAMConfig = field(default_factory=DRAMConfig)
     num_cores: int = 1
-    #: Simulator core implementation: ``"scalar"`` steps one record at a
-    #: time (the pinned reference path), ``"batch"`` runs the chunked
-    #: compiled kernel of :mod:`repro.sim.batch`.  The two are bit-identical,
-    #: so this field does not participate in result-cache keys (see
-    #: :func:`system_config_to_dict`).
-    sim_core: str = "scalar"
+    #: Simulator core implementation: ``"batch"`` (the default) runs the
+    #: compiled kernel of :mod:`repro.sim.batch`, falling back to the
+    #: reference per point with a named reason; ``"scalar"`` steps one
+    #: record at a time through the reference path the equivalence suite
+    #: compares against.  The two are bit-identical, so this field does not
+    #: participate in result-cache keys (see :func:`system_config_to_dict`).
+    sim_core: str = "batch"
 
     def __post_init__(self) -> None:
         if self.sim_core not in ("scalar", "batch"):
@@ -158,7 +159,6 @@ def system_config_from_dict(payload: dict) -> SystemConfig:
         llc=CacheConfig(**payload["llc"]),
         dram=DRAMConfig(**payload["dram"]),
         num_cores=payload["num_cores"],
-        sim_core=payload.get("sim_core", "scalar"),
     )
 
 

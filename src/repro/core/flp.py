@@ -35,7 +35,7 @@ class FirstLevelPerceptron(OffChipPredictor):
 
     def __init__(
         self,
-        tau_high: int = 16,
+        tau_high: float = 16,
         tau_low: int = 2,
         table_entries: int | None = None,
         weight_bits: int = 5,

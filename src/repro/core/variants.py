@@ -18,33 +18,13 @@ evaluating six designs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
-from repro.predictors.base import OffChipAction, OffChipDecision, OffChipPredictor
-
-
-class AlwaysDelayedFLP(FirstLevelPerceptron):
-    """FLP variant whose positive predictions are always delayed.
-
-    Used by the ``Delayed TSP`` ablation: every predicted-off-chip load waits
-    for the L1D lookup before the speculative DRAM request is fired.
-    """
-
-    name = "flp-always-delayed"
-
-    def predict(self, pc: int, vaddr: int, cycle: int) -> OffChipDecision:
-        decision = super().predict(pc, vaddr, cycle)
-        if decision.action is OffChipAction.IMMEDIATE:
-            decision = OffChipDecision(
-                action=OffChipAction.DELAYED,
-                predicted_offchip=decision.predicted_offchip,
-                confidence=decision.confidence,
-                metadata=decision.metadata,
-            )
-        return decision
+from repro.predictors.base import OffChipPredictor
 
 
 @dataclass
@@ -105,8 +85,10 @@ def build_ablation_variant(
     if normalized == "tsp":
         return AblationVariant("tsp", flp(selective=False), slp(leveling=False))
     if normalized == "delayed_tsp":
-        predictor = AlwaysDelayedFLP(
-            tau_high=tau_high, tau_low=tau_low, selective_delay=True
+        # No immediate threshold: every positive prediction waits for the
+        # L1D lookup.
+        predictor = FirstLevelPerceptron(
+            tau_high=math.inf, tau_low=tau_low, selective_delay=True
         )
         return AblationVariant("delayed_tsp", predictor, slp(leveling=False))
     if normalized == "selective_tsp":

@@ -69,7 +69,6 @@ class FabricWorker:
         max_points: Optional[int] = None,
         idle_grace_s: float = 2.0,
         install_signal_handlers: bool = True,
-        sim_core: Optional[str] = None,
     ) -> None:
         self.queue = queue
         self.owner = owner or f"worker-{os.getpid()}"
@@ -79,7 +78,7 @@ class FabricWorker:
         self.idle_grace_s = idle_grace_s
         self.install_signal_handlers = install_signal_handlers
         self.engine = CampaignEngine(
-            result_cache=cache, jobs=1, trace_store=trace_store, sim_core=sim_core
+            result_cache=cache, jobs=1, trace_store=trace_store
         )
         #: Points this worker settled (done or quarantined).
         self.settled = 0

@@ -22,18 +22,17 @@
  * into flat tables when the Stepper is built and written back into the
  * same containers, in the same order, when the trace ends (a run that
  * raises leaves them as loaded); index memos are caches and are left alone
- * (SPP's best-prediction memo is reset to None).  A hierarchy with any
- * prefetch-path component the kernel does not model keeps the object-call
- * paths (on_demand_access, _issue_l1d_prefetch, _run_l2_prefetcher); PPF
- * training on prefetch use and L2C eviction stays a Python call either way.
+ * (SPP's best-prediction memo is reset to None).  PPF training on prefetch
+ * use and L2C eviction stays a Python call.  A hierarchy with any component
+ * the kernel does not model runs the scalar reference instead
+ * (repro.sim.batch.batch_unsupported_reason).
  *
  * Cache clocks and the DRAM channel's _busy_until are written through to
  * their objects on every change, so they are current at every yield and
  * every Python call.  They are re-read after a yield (another core of a mix
- * may have moved the shared LLC and DRAM) and after the object-call paths
- * (unmodelled prefetchers, the sample hook), which may fill caches
- * themselves.  Pure counters accumulate per chunk and are added to their
- * stats objects at the end of each chunk.
+ * may have moved the shared LLC and DRAM) and after the sample hook.  Pure
+ * counters accumulate per chunk and are added to their stats objects at the
+ * end of each chunk.
  *
  * The Stepper is an iterator: it runs compute records on its own and yields
  * each load/store's dispatch cycle before performing it, so a multi-core
@@ -67,11 +66,10 @@ static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
     X(_set_fill) X(stats) X(_eviction_listener) X(num_sets) X(associativity) \
     X(latency) X(l1d) X(l2c) X(llc) X(dram) X(page_table) X(_mapping)        \
     X(_allocated_frames) X(core_id) X(memory_frames) X(page_faults)          \
-    X(_resolve_l2c_prefetch_use) X(_issue_l1d_prefetch)                      \
-    X(_run_l2_prefetcher) X(on_demand_access)                                \
-    X(_pending_l1d_prefetches) X(_pending_l2c_prefetches)                    \
-    X(_predictor_latency) X(_prefetch_drop_queue_cycles)                     \
-    X(_cycles_per_transaction) X(config) X(access_latency)                   \
+    X(_resolve_l2c_prefetch_use) X(_pending_l1d_prefetches)                  \
+    X(_pending_l2c_prefetches) X(_predictor_latency)                         \
+    X(_prefetch_drop_queue_cycles) X(_cycles_per_transaction) X(config)      \
+    X(access_latency)                                                        \
     X(offchip_predictor) X(l1d_prefetcher) X(l2_prefetcher)                  \
     X(l1d_prefetch_filter) X(l2_prefetch_filter)                             \
     X(perceptron) X(_tables) X(_weight_limits) X(training_threshold)         \
@@ -2194,9 +2192,8 @@ page_table_init(PageTable *t, PyObject *obj)
 /* ------------------------------------------------------------------ */
 
 enum { PK_NULL = 0, PK_HERMES = 1, PK_FLP = 2 };
-/* L1D prefetcher kernels; PF_OBJECT runs every prefetch-path component
- * through its Python object. */
-enum { PF_OBJECT = -1, PF_NONE = 0, PF_IPCP = 1, PF_BERTI = 2 };
+/* L1D prefetcher kernels. */
+enum { PF_NONE = 0, PF_IPCP = 1, PF_BERTI = 2 };
 enum { LEVEL_L1D = 0, LEVEL_L2C = 1, LEVEL_LLC = 2, LEVEL_DRAM = 3 };
 
 #define CACHE_OBJECTS(X) \
@@ -2217,7 +2214,6 @@ typedef struct {
 
 #define STEPPER_OBJECTS(X)                                                    \
     X(runner) X(hierarchy) X(hstats) X(sample_hook) X(resolve_l2)             \
-    X(run_l2_prefetcher) X(issue_l1d_prefetch) X(on_demand_access)            \
     X(pending_l1) X(pending_l2c) X(predictor) X(dram) X(dram_stats)           \
     X(retire_deque) X(prefetcher) X(l2_prefetcher) X(l1_filter) X(l2_filter)
 
@@ -2246,7 +2242,7 @@ typedef struct {
     int selective_delay, last_prediction;
 
     /* Prefetchers and filters the kernel runs itself. */
-    int prefetch_kind, have_spp, have_ppf, have_slp, loaded;
+    int prefetch_kind, have_spp, have_ppf, have_slp;
     IPCP ipcp;
     Berti berti;
     SPP spp;
@@ -2993,37 +2989,6 @@ l1_prefetch(Stepper *s, long long pc, long long vaddr, int l1d_hit, long long cy
     return n < 0 ? -1 : 0;
 }
 
-/* Object-call path for prefetchers the kernel does not model. */
-static int
-l1_prefetch_object(Stepper *s, PyObject *pc_obj, long long vaddr, int l1d_hit,
-                   PyObject *cycle_obj)
-{
-    PyObject *vaddr_obj = PyLong_FromLongLong(vaddr);
-    PyObject *candidates = vaddr_obj ? call4(s->on_demand_access, pc_obj, vaddr_obj,
-                                             py_bool(l1d_hit), cycle_obj) : NULL;
-    Py_XDECREF(vaddr_obj);
-    if (candidates == NULL || reload_all(s) < 0) {
-        Py_XDECREF(candidates);
-        return -1;
-    }
-    int rc = 0, any = truth(candidates);
-    if (any > 0) {
-        PyObject *seq = PySequence_Fast(candidates, "prefetch candidates must be a sequence");
-        if (seq == NULL)
-            rc = -1;
-        for (Py_ssize_t i = 0; seq != NULL && i < PySequence_Fast_GET_SIZE(seq) && rc == 0; i++) {
-            s->l1_pf_candidates++;
-            rc = discard(call3(s->issue_l1d_prefetch, PySequence_Fast_GET_ITEM(seq, i),
-                               py_bool(s->last_prediction), cycle_obj));
-            if (rc == 0)
-                rc = reload_all(s);
-        }
-        Py_XDECREF(seq);
-    }
-    Py_DECREF(candidates);
-    return any < 0 ? -1 : rc;
-}
-
 /* ------------------------------------------------------------------ */
 /* One demand access                                                   */
 /* ------------------------------------------------------------------ */
@@ -3070,7 +3035,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     long long cycle = (long long)dispatch;
     int is_write = kind == 1;
     int rc = -1;
-    PyObject *block_obj = NULL, *pc_obj = NULL, *cycle_obj = NULL, *paddr_obj = NULL;
+    PyObject *block_obj = NULL;
 
     /* -- page translation -- */
     long long paddr;
@@ -3078,10 +3043,6 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         goto done;
     long long block = paddr >> 6;
     if ((block_obj = PyLong_FromLongLong(block)) == NULL)
-        goto done;
-    if (s->prefetch_kind == PF_OBJECT
-        && ((pc_obj = PyLong_FromLongLong(pc)) == NULL
-            || (cycle_obj = PyLong_FromLongLong(cycle)) == NULL))
         goto done;
     if (is_write)
         s->demand_stores++;
@@ -3153,14 +3114,8 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         goto done;
 
     /* -- L1D prefetcher -- */
-    if (s->prefetch_kind > PF_NONE) {
-        if (l1_prefetch(s, pc, vaddr, l1d_hit, cycle) < 0)
-            goto done;
-    }
-    else if (s->on_demand_access != NULL) {
-        if (l1_prefetch_object(s, pc_obj, vaddr, l1d_hit, cycle_obj) < 0)
-            goto done;
-    }
+    if (s->prefetch_kind != PF_NONE && l1_prefetch(s, pc, vaddr, l1d_hit, cycle) < 0)
+        goto done;
 
     /* -- selective delay (FLP) -- */
     if (action == 2) {
@@ -3198,17 +3153,8 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
             goto done;
 
         /* SPP observes L2 demand accesses. */
-        if (s->have_spp) {
-            if (spp_issue(s, pc, block, cycle) < 0)
-                goto done;
-        }
-        else if (s->run_l2_prefetcher != NULL) {
-            if ((paddr_obj = PyLong_FromLongLong(paddr)) == NULL
-                || discard(call4(s->run_l2_prefetcher, pc_obj, paddr_obj,
-                                 py_bool(l2_hit), cycle_obj)) < 0
-                || reload_all(s) < 0)
-                goto done;
-        }
+        if (s->have_spp && spp_issue(s, pc, block, cycle) < 0)
+            goto done;
 
         if (l2_hit) {
             if (cache_fill(s, &s->l1, block_obj, block, cycle + latency, 0, -1) < 0)
@@ -3274,9 +3220,6 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     rc = 0;
 done:
     Py_XDECREF(block_obj);
-    Py_XDECREF(pc_obj);
-    Py_XDECREF(cycle_obj);
-    Py_XDECREF(paddr_obj);
     return rc;
 }
 
@@ -3427,8 +3370,6 @@ write_back_components(Stepper *s)
 {
     if (s->predictor_kind != PK_NULL && history_write_back(&s->history) < 0)
         return -1;
-    if (!s->loaded)
-        return 0;
     if (s->prefetch_kind == PF_IPCP && ipcp_write_back(&s->ipcp, s->prefetcher) < 0)
         return -1;
     if (s->prefetch_kind == PF_BERTI && berti_write_back(&s->berti, s->prefetcher) < 0)
@@ -3698,8 +3639,7 @@ done:
     return rc;
 }
 
-/* Bind the prefetch path: the flat copies of the components the kernel
- * runs itself, or the hierarchy's object-call paths. */
+/* Bind the prefetch path: flat copies of the components' state. */
 static int
 init_prefetch(Stepper *s, PyObject *h)
 {
@@ -3708,22 +3648,11 @@ init_prefetch(Stepper *s, PyObject *h)
         || (s->l1_filter = PyObject_GetAttr(h, S_l1d_prefetch_filter)) == NULL
         || (s->l2_filter = PyObject_GetAttr(h, S_l2_prefetch_filter)) == NULL)
         return -1;
-    if (s->prefetch_kind == PF_OBJECT) {
-        if (s->prefetcher != Py_None
-            && ((s->on_demand_access = PyObject_GetAttr(s->prefetcher, S_on_demand_access)) == NULL
-                || (s->issue_l1d_prefetch = PyObject_GetAttr(h, S__issue_l1d_prefetch)) == NULL))
-            return -1;
-        if (s->l2_prefetcher != Py_None
-            && (s->run_l2_prefetcher = PyObject_GetAttr(h, S__run_l2_prefetcher)) == NULL)
-            return -1;
-        return 0;
-    }
     if (s->prefetch_kind < PF_NONE || s->prefetch_kind > PF_BERTI
         || (s->prefetch_kind == PF_NONE) != (s->prefetcher == Py_None)) {
         PyErr_SetString(PyExc_ValueError, "prefetch kind does not match the L1D prefetcher");
         return -1;
     }
-    s->loaded = 1;
     s->have_spp = s->l2_prefetcher != Py_None;
     s->have_ppf = s->l2_filter != Py_None;
     s->have_slp = s->l1_filter != Py_None;
@@ -3746,7 +3675,6 @@ release_components(Stepper *s)
     slp_release(&s->slp);
     keys_free(&s->history.pages);
     frames_free(&s->pages);
-    s->loaded = 0;
 }
 
 static PyTypeObject StepperType;

@@ -32,28 +32,29 @@ record.  The batch core runs the same steps for a whole trace in C
    dict- and list-backed state of the components and feature histories is
    copied into flat C tables when the stepper is built and written back
    into the same containers when its trace ends.  PPF training on prefetch
-   use and L2C eviction stays a Python call.  When any prefetch-path
-   component is not one the kernel models (:func:`_prefetch_kind`), all of
-   them keep the hierarchy's object-call paths inside the compiled loop.
+   use and L2C eviction stays a Python call.
 
 3. **Scheduling and fallback** -- :func:`fused_core_stepper` returns the
    kernel's per-core stepper, an iterator that pauses before each
    load/store, so a multi-core mix interleaves its cores on the same kernel
    (:mod:`repro.sim.multi_core`).  A hierarchy runs fused only when every
    component is one the kernel models exactly (stock
-   :class:`MemoryHierarchy`/:class:`Cache`, and a Null / Hermes / FLP
-   off-chip predictor over the Table I feature set) and the kernel is
-   available.  Otherwise the point runs the pinned scalar reference path;
-   :func:`batch_unsupported_reason` names the offending component, or
-   ``native kernel unavailable: <why>``, which is logged once per process
-   and emitted as a ``sim.batch.fallback`` observability event.
+   :class:`MemoryHierarchy`/:class:`Cache`, a Null / Hermes / FLP off-chip
+   predictor over the Table I feature set, and stock IPCP or Berti, SPP,
+   PPF and SLP) and the kernel is available; a core of a mix also runs
+   fused only when it shares no component with another core.  Otherwise
+   the point (or that core) runs the scalar reference path;
+   :func:`batch_unsupported_reason` / :func:`mix_unsupported_reasons` name
+   the offending component, or ``native kernel unavailable: <why>``, which
+   is logged once per process and emitted as a ``sim.batch.fallback``
+   observability event.
 
 The kernel is compiled with the installed C compiler on first use (never
 at import) into ``repro/sim/__pycache__/_fused-<key><EXT_SUFFIX>``, keyed by
 the C source, interpreter ABI and compiler flags; delete that file to force
-a rebuild (:mod:`repro.sim.native`).  The batch core is selected with
-``SystemConfig(sim_core="batch")`` / ``--core batch`` and is bit-identical
-to the scalar path, which the batch-vs-scalar equivalence suite pins.
+a rebuild (:mod:`repro.sim.native`).  The batch core is the default
+(``SystemConfig.sim_core == "batch"``); ``"scalar"`` runs the reference
+path, which the batch-vs-scalar equivalence suite pins it to.
 """
 
 from __future__ import annotations
@@ -101,12 +102,31 @@ _PK_NULL = 0
 _PK_HERMES = 1
 _PK_FLP = 2
 
-#: L1D prefetcher kernels of the compiled loop; _PF_OBJECT runs every
-#: prefetch-path component through its Python object.
-_PF_OBJECT = -1
-_PF_NONE = 0
-_PF_IPCP = 1
-_PF_BERTI = 2
+#: The L1D prefetcher kernel the compiled loop runs, by prefetcher type.
+_PREFETCH_KINDS = {type(None): 0, IPCPPrefetcher: 1, BertiPrefetcher: 2}
+
+#: (label, hierarchy attribute, {modelled type: table sizes that must be
+#: positive}) of each prefetch-path component.
+_PREFETCH_PATH = (
+    ("L1D prefetcher", "l1d_prefetcher", {
+        IPCPPrefetcher: ("ip_table_entries", "cplx_table_entries", "region_entries"),
+        BertiPrefetcher: ("table_entries",),
+    }),
+    ("L2 prefetcher", "l2_prefetcher", {
+        SPPPrefetcher: ("signature_table_entries", "pattern_table_entries"),
+    }),
+    ("L2 prefetch filter", "l2_prefetch_filter", {
+        PerceptronPrefetchFilter: ("table_entries",),
+    }),
+    ("L1D prefetch filter", "l1d_prefetch_filter", {SecondLevelPerceptron: ()}),
+)
+
+#: Per-core components of a hierarchy; the kernel keeps its own copy of
+#: their state while a core runs, so a mix's cores must not share them.
+_PRIVATE_COMPONENTS = (
+    "l1d", "l2c", "page_table", "offchip_predictor", "l1d_prefetcher",
+    "l2_prefetcher", "l1d_prefetch_filter", "l2_prefetch_filter",
+)
 
 
 def _feature_set_reason(label: str, perceptron, history, names) -> Optional[str]:
@@ -118,6 +138,29 @@ def _feature_set_reason(label: str, perceptron, history, names) -> Optional[str]
     if history.pc_history_length != 4:
         return f"{label}: pc_history_length {history.pc_history_length}"
     return None
+
+
+def _prefetch_path_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
+    """Why a prefetcher or filter is not one the kernel models, or None.
+
+    The kernel runs stock IPCP or Berti, SPP, PPF and SLP itself, each with
+    non-empty tables; a subclass is never assumed to behave like its base.
+    """
+    for label, name, modelled in _PREFETCH_PATH:
+        component = getattr(hierarchy, name)
+        if component is None:
+            continue
+        sizes = modelled.get(type(component))
+        if sizes is None:
+            return f"unmodelled {label} {type(component).__name__}"
+        if any(getattr(component, size) < 1 for size in sizes):
+            return f"{type(component).__name__}: empty table"
+    slp = hierarchy.l1d_prefetch_filter
+    if slp is None:
+        return None
+    if type(slp.perceptron) is not HashedPerceptron:
+        return f"SLP: perceptron subclass {type(slp.perceptron).__name__}"
+    return _feature_set_reason("SLP", slp.perceptron, slp.history, _SLP_FEATURE_NAMES)
 
 
 def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
@@ -146,51 +189,33 @@ def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
             return reason
     elif type(predictor) is not NullOffChipPredictor:
         return f"unmodelled off-chip predictor {type(predictor).__name__}"
-    return native_unavailable_reason()
+    return _prefetch_path_reason(hierarchy) or native_unavailable_reason()
 
 
-def _prefetch_kind(hierarchy: MemoryHierarchy) -> int:
-    """The L1D prefetcher kernel the compiled loop runs, or ``_PF_OBJECT``.
+def mix_unsupported_reasons(
+    hierarchies: list[MemoryHierarchy],
+) -> list[Optional[str]]:
+    """Per core of a mix, why it cannot run fused (``"core N: ..."``), or None.
 
-    The kernel runs stock IPCP or Berti, SPP, PPF and SLP itself.  When any
-    prefetch-path component is another type (a subclass included) or has a
-    shape the kernel does not model, all of them keep their object-call
-    paths, so the Python objects and the kernel never both own one
-    component's state.
+    Besides :func:`batch_unsupported_reason`, a core that shares a
+    per-core component object with another core runs the scalar reference:
+    each fused core works on its own copy of that component's state, so
+    the copies would drift apart.
     """
-    prefetcher = hierarchy.l1d_prefetcher
-    if prefetcher is None:
-        kind = _PF_NONE
-    elif type(prefetcher) is IPCPPrefetcher and min(
-        prefetcher.ip_table_entries, prefetcher.cplx_table_entries,
-        prefetcher.region_entries,
-    ) >= 1:
-        kind = _PF_IPCP
-    elif type(prefetcher) is BertiPrefetcher and prefetcher.table_entries >= 1:
-        kind = _PF_BERTI
-    else:
-        return _PF_OBJECT
-    spp = hierarchy.l2_prefetcher
-    if spp is not None and not (
-        type(spp) is SPPPrefetcher
-        and min(spp.signature_table_entries, spp.pattern_table_entries) >= 1
-    ):
-        return _PF_OBJECT
-    ppf = hierarchy.l2_prefetch_filter
-    if ppf is not None and not (
-        type(ppf) is PerceptronPrefetchFilter and ppf.table_entries >= 1
-    ):
-        return _PF_OBJECT
-    slp = hierarchy.l1d_prefetch_filter
-    if slp is not None and not (
-        type(slp) is SecondLevelPerceptron
-        and type(slp.perceptron) is HashedPerceptron
-        and _feature_set_reason(
-            "SLP", slp.perceptron, slp.history, _SLP_FEATURE_NAMES
-        ) is None
-    ):
-        return _PF_OBJECT
-    return kind
+    owners: dict[int, tuple[int, str]] = {}
+    shared: dict[int, str] = {}
+    for core_id, hierarchy in enumerate(hierarchies):
+        for name in _PRIVATE_COMPONENTS:
+            component = getattr(hierarchy, name)
+            owner, owner_name = owners.setdefault(id(component), (core_id, name))
+            if component is not None and owner != core_id:
+                shared.setdefault(core_id, f"shares {name} with core {owner}")
+                shared.setdefault(owner, f"shares {owner_name} with core {core_id}")
+    reasons = []
+    for core_id, hierarchy in enumerate(hierarchies):
+        reason = shared.get(core_id) or batch_unsupported_reason(hierarchy)
+        reasons.append(reason and f"core {core_id}: {reason}")
+    return reasons
 
 
 def native_unavailable_reason() -> Optional[str]:
@@ -217,7 +242,7 @@ def _note_scalar_fallback(reason: str) -> None:
     if reason not in _FALLBACK_LOGGED:
         _FALLBACK_LOGGED.add(reason)
         _LOG.warning(
-            "--core batch fell back to the scalar reference path: %s", reason
+            "batch core fell back to the scalar reference path: %s", reason
         )
 
 
@@ -268,7 +293,8 @@ def fused_core_stepper(
         predictor_kind = _PK_FLP
     return native.kernel().Stepper(
         runner, hierarchy, pc_col, vaddr_col, kind_col, KIND_NON_MEM,
-        chunk_records, predictor_kind, _prefetch_kind(hierarchy),
+        chunk_records, predictor_kind,
+        _PREFETCH_KINDS[type(hierarchy.l1d_prefetcher)],
         sample_hook, sample_interval or 0,
     )
 

@@ -67,7 +67,7 @@ from repro.sim.multi_core import (
     build_mix_hierarchies,
     run_multicore_mix,
 )
-from repro.sim.batch import batch_unsupported_reason
+from repro.sim.batch import batch_unsupported_reason, mix_unsupported_reasons
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import SingleCoreResult
 from repro.sim.scenarios import build_hierarchy, build_scenario
@@ -327,12 +327,12 @@ def execute_point(
     from the workload name (or map them from the shared ``trace_store``),
     which is deterministic, so both paths produce identical results.
 
-    ``sim_core`` overrides the simulator core implementation ("scalar" or
-    "batch") recorded in the point's system config.  Because the batch core
-    is bit-identical to the scalar reference, the override does not affect
-    the point's cache key -- results are shared between both cores.  The
-    ``simulate`` span records the core that actually ran: a point whose
-    hierarchy (or, for a mix, any core's hierarchy) the batch core rejects
+    ``sim_core`` overrides the simulator core of the point's system config
+    ("batch", the default, or "scalar", the reference path).  Because the
+    batch core is bit-identical to the scalar reference, the override does
+    not affect the point's cache key -- results are shared between both
+    cores.  The ``simulate`` span records the core that actually ran: a
+    point whose hierarchy (or, for a mix, any core) the batch core rejects
     is stamped ``scalar``.
     """
     def trace_for(workload: str) -> Trace:
@@ -377,7 +377,7 @@ def execute_point(
             kind=point.kind, core=system.sim_core,
         ) as attrs:
             hierarchies = build_mix_hierarchies(scenario, system, len(traces_for_mix))
-            if attrs is not None and any(map(batch_unsupported_reason, hierarchies)):
+            if attrs is not None and any(mix_unsupported_reasons(hierarchies)):
                 attrs["core"] = "scalar"
             return run_multicore_mix(
                 traces_for_mix,

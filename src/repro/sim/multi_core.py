@@ -23,8 +23,8 @@ from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.sim.batch import (
     DEFAULT_CHUNK_RECORDS,
     _note_scalar_fallback,
-    batch_unsupported_reason,
     fused_core_stepper,
+    mix_unsupported_reasons,
     native_unavailable_reason,
     run_core_trace_batched,
 )
@@ -73,11 +73,13 @@ def run_multicore_mix(
 ) -> MultiCoreResult:
     """Simulate one multi-core mix (one trace per core).
 
-    With ``config.sim_core == "batch"`` each core whose hierarchy the
-    batch core supports runs its fused stepper; any other core runs a
-    scalar stepper, and a ``sim.batch.fallback`` event names it.  Without
-    the compiled kernel every core runs scalar and one event says why.
-    ``hierarchies`` optionally supplies :func:`build_mix_hierarchies`.
+    With ``config.sim_core == "batch"`` (the default) each core that
+    :func:`~repro.sim.batch.mix_unsupported_reasons` accepts runs its fused
+    stepper; any other core -- an unmodelled component, or one shared with
+    another core -- runs a scalar stepper, and a ``sim.batch.fallback``
+    event names it.  Without the compiled kernel every core runs scalar and
+    one event says why.  ``hierarchies`` optionally supplies
+    :func:`build_mix_hierarchies`.
     """
     if not traces:
         raise ValueError("a multi-core mix needs at least one trace")
@@ -95,10 +97,9 @@ def run_multicore_mix(
     if native_reason is not None:
         _note_scalar_fallback(native_reason)
     elif system.sim_core == "batch":
-        for core_id, hierarchy in enumerate(hierarchies):
-            reason = batch_unsupported_reason(hierarchy)
+        for core_id, reason in enumerate(mix_unsupported_reasons(hierarchies)):
             if reason is not None:
-                _note_scalar_fallback(f"core {core_id}: {reason}")
+                _note_scalar_fallback(reason)
             fused[core_id] = reason is None
     splits = [trace.split(warmup_fraction) for trace in traces]
 

@@ -46,11 +46,12 @@ def run_single_core(
         hierarchy: optionally, a pre-built hierarchy (used by tests that want
             to inspect or instrument specific components).
 
-    When ``config.sim_core == "batch"``, the trace is stepped through the
-    chunked fused loop of :mod:`repro.sim.batch` instead of the per-record
-    scalar path.  Both produce bit-identical results; the batch core merely
-    gets there faster (and silently drops back to the scalar path for
-    component combinations it does not model).
+    With ``config.sim_core == "batch"`` (the default), the trace is stepped
+    through the compiled kernel of :mod:`repro.sim.batch`; ``"scalar"``
+    runs the per-record reference path.  Both produce bit-identical
+    results; the batch core gets there faster and drops back to the
+    reference, with a named ``sim.batch.fallback`` event, for component
+    combinations it does not model.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")

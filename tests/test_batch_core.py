@@ -32,6 +32,8 @@ from repro.common.config import (
 )
 from repro.common.hashing import jenkins32
 from repro.common.types import MemLevel
+from repro.experiments.common import quick_experiment_config
+from repro.experiments.spec import registered_experiments
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
 from repro.core.tlp import TLPConfig, TwoLevelPerceptron
@@ -48,11 +50,10 @@ from repro.prefetchers.spp import SPPPrefetcher
 from repro.sim import batch as batch_module
 from repro.sim import multi_core
 from repro.sim.batch import (
-    _PF_OBJECT,
-    _prefetch_kind,
     DEFAULT_CHUNK_RECORDS,
     batch_supported,
     batch_unsupported_reason,
+    mix_unsupported_reasons,
     run_single_core_batched,
 )
 from repro.sim.engine import build_workload_trace, single_core_point
@@ -224,10 +225,9 @@ def spec_mcf_trace():
 class TestSchemePrefetcherEquivalence:
     """Every scheme x every L1D prefetcher: batch == scalar, bit for bit.
 
-    Schemes whose components the batch core does not model (e.g.
-    ``delayed_tsp``'s always-delay predictor subclass) exercise the silent
-    scalar fallback here -- the equality then pins that the fallback is
-    complete, not partial.
+    Prefetchers the batch core does not model (``next_line``, ``stride``)
+    exercise the scalar fallback here -- the equality then pins that the
+    fallback is complete, not partial.
     """
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -314,7 +314,7 @@ class TestComponentState:
         self, spec_mcf_trace, case, chunk_records, trace_name, monkeypatch
     ):
         trace = spec_mcf_trace if trace_name == "spec" else _strided_trace()
-        assert _prefetch_kind(STATE_CASES[case]()) != _PF_OBJECT
+        assert batch_supported(STATE_CASES[case]())
         scalar, batch = _state_pair(trace, STATE_CASES[case], chunk_records, monkeypatch)
         assert batch == scalar
 
@@ -377,9 +377,13 @@ class TestComponentState:
                 ),
             )
 
-        assert _prefetch_kind(hierarchy()) != _PF_OBJECT
+        assert batch_supported(hierarchy())
         scalar, batch = _state_pair(trace, hierarchy)
         assert batch == scalar
+
+
+class _SubclassedFLP(FirstLevelPerceptron):
+    """A predictor subclass: the kernel must not assume its behaviour."""
 
 
 class _SubclassedSLP(SecondLevelPerceptron):
@@ -396,20 +400,31 @@ class _SubclassedSPP(SPPPrefetcher):
     """A prefetcher subclass: the kernel must not assume its behaviour."""
 
 
-#: Prefetch-path components the kernel does not model.
+#: Prefetch-path components the kernel does not model, with the fallback
+#: reason each one names.
 UNMODELLED = {
-    "slp-subclass": lambda: dict(l1d_prefetch_filter=_SubclassedSLP()),
-    "slp-pc-history-3": lambda: dict(l1d_prefetch_filter=_short_pc_history_slp()),
-    "spp-subclass": lambda: dict(l2_prefetcher=_SubclassedSPP()),
+    "slp-subclass": (
+        lambda: dict(l1d_prefetch_filter=_SubclassedSLP()),
+        "unmodelled L1D prefetch filter _SubclassedSLP",
+    ),
+    "slp-pc-history-3": (
+        lambda: dict(l1d_prefetch_filter=_short_pc_history_slp()),
+        "SLP: pc_history_length 3",
+    ),
+    "spp-subclass": (
+        lambda: dict(l2_prefetcher=_SubclassedSPP()),
+        "unmodelled L2 prefetcher _SubclassedSPP",
+    ),
 }
 
 
 class TestUnmodelledComponents:
     @pytest.mark.parametrize("case", sorted(UNMODELLED))
     def test_object_path_matches_scalar(self, spec_mcf_trace, case):
-        """An unmodelled filter or prefetcher sends the whole prefetch path
-        through its Python objects; the point still runs fused and matches
-        the scalar reference."""
+        """An unmodelled filter or prefetcher runs the whole point on the
+        Python objects of the scalar reference, under a fallback reason
+        that names the component."""
+        parts_for, expected_reason = UNMODELLED[case]
 
         def hierarchy():
             parts = dict(
@@ -417,11 +432,10 @@ class TestUnmodelledComponents:
                 l1d_prefetch_filter=SecondLevelPerceptron(),
                 offchip_predictor=FirstLevelPerceptron(),
             )
-            parts.update(UNMODELLED[case]())
+            parts.update(parts_for())
             return MemoryHierarchy(cascade_lake_single_core(), **parts)
 
-        assert batch_supported(hierarchy())
-        assert _prefetch_kind(hierarchy()) == _PF_OBJECT
+        assert batch_unsupported_reason(hierarchy()) == expected_reason
         scalar, batch = _state_pair(spec_mcf_trace, hierarchy)
         assert batch == scalar
 
@@ -663,7 +677,9 @@ class TestFallbacks:
             assert batch_supported(hierarchy), scheme
 
     def test_predictor_subclass_falls_back(self):
-        hierarchy = build_hierarchy(build_scenario("delayed_tsp"))
+        hierarchy = MemoryHierarchy(
+            cascade_lake_single_core(), offchip_predictor=_SubclassedFLP()
+        )
         assert not batch_supported(hierarchy)
 
     def test_feature_history_subclass_falls_back(self):
@@ -689,11 +705,15 @@ class TestFallbacks:
             hierarchy = build_hierarchy(build_scenario(scheme))
             assert batch_unsupported_reason(hierarchy) is None, scheme
 
+        reason = batch_unsupported_reason(MemoryHierarchy(
+            cascade_lake_single_core(), offchip_predictor=_SubclassedFLP()
+        ))
+        assert reason == "unmodelled off-chip predictor _SubclassedFLP"
+
         reason = batch_unsupported_reason(
-            build_hierarchy(build_scenario("delayed_tsp"))
+            build_hierarchy(build_scenario("tlp", l1d_prefetcher="next_line"))
         )
-        assert reason is not None
-        assert "unmodelled off-chip predictor" in reason
+        assert reason == "unmodelled L1D prefetcher NextLinePrefetcher"
 
         class InstrumentedHierarchy(MemoryHierarchy):
             pass
@@ -715,12 +735,12 @@ class TestFallbacks:
     def test_fallback_emits_obs_event_and_warns_once(
         self, tmp_path, spec_mcf_trace, caplog
     ):
-        """A ``--core batch`` fallback is never silent: it emits one
+        """A batch-core fallback is never silent: it emits one
         ``sim.batch.fallback`` obs event per run naming the offending
         component, and logs a warning once per reason per process."""
         tracer.configure(tmp_path, proc="t-fallback")
         try:
-            scenario = build_scenario("delayed_tsp")
+            scenario = build_scenario("baseline", l1d_prefetcher="next_line")
             with caplog.at_level("WARNING", logger="repro.sim.batch"):
                 for _ in range(2):
                     run_single_core(
@@ -737,7 +757,9 @@ class TestFallbacks:
         # fall back separately), so two runs emit at least two events.
         assert len(events) >= 2
         for event in events:
-            assert "unmodelled off-chip predictor" in event["attrs"]["reason"]
+            assert event["attrs"]["reason"] == (
+                "unmodelled L1D prefetcher NextLinePrefetcher"
+            )
         warning_lines = [
             message for message in caplog.messages
             if "fell back to the scalar reference path" in message
@@ -940,13 +962,19 @@ class TestMultiCoreEquivalence:
 
         def hierarchies(system):
             shared = SharedMemory(system)
-            return [
+            built = [
                 build_hierarchy(
-                    build_scenario("delayed_tsp" if core_id == 2 else "tlp"),
-                    config=system, shared=shared, core_id=core_id,
+                    build_scenario("tlp"), config=system, shared=shared,
+                    core_id=core_id,
                 )
                 for core_id in range(4)
             ]
+            built[2] = MemoryHierarchy(
+                system, shared=shared, core_id=2,
+                l1d_prefetcher=IPCPPrefetcher(), l2_prefetcher=SPPPrefetcher(),
+                offchip_predictor=_SubclassedFLP(),
+            )
+            return built
 
         oracle = _oracle_multicore_mix(
             traces, build_scenario("tlp"), _mix_system("scalar"),
@@ -968,9 +996,103 @@ class TestMultiCoreEquivalence:
             if record.get("name") == "sim.batch.fallback"
         ]
         assert len(events) == 1
-        reason = events[0]["attrs"]["reason"]
-        assert reason.startswith("core 2: ")
-        assert "unmodelled off-chip predictor" in reason
+        assert events[0]["attrs"]["reason"] == (
+            "core 2: unmodelled off-chip predictor _SubclassedFLP"
+        )
+
+    @pytest.mark.parametrize("component", ["offchip_predictor", "l2_prefetcher"])
+    def test_shared_component_runs_scalar(
+        self, tmp_path, mix_traces, fused_cores, component
+    ):
+        """Cores 0 and 1 share one FLP (or one SPP): both run the scalar
+        reference, each under a reason naming the other; core 2 owns its
+        components and runs fused.  Results and every component's state
+        match the oracle (two fused copies of the shared state would
+        drift apart)."""
+        traces = [mix_traces[w] for w in ("bfs.urand", "spec.mcf_like", "cc.road")]
+
+        def hierarchies(system):
+            shared = SharedMemory(system)
+            common = {
+                "offchip_predictor": FirstLevelPerceptron(),
+                "l2_prefetcher": SPPPrefetcher(),
+            }
+            built = []
+            for core_id in range(3):
+                parts = dict(
+                    offchip_predictor=FirstLevelPerceptron(),
+                    l2_prefetcher=SPPPrefetcher(),
+                )
+                if core_id < 2:
+                    parts[component] = common[component]
+                built.append(MemoryHierarchy(
+                    system, shared=shared, core_id=core_id,
+                    l1d_prefetcher=IPCPPrefetcher(), **parts,
+                ))
+            return built
+
+        scenario = build_scenario("flp")
+        oracle_hierarchies = hierarchies(_mix_system("scalar", 3))
+        oracle = _oracle_multicore_mix(
+            traces, scenario, _mix_system("scalar", 3),
+            hierarchies=oracle_hierarchies,
+        )
+        batch_hierarchies = hierarchies(_mix_system("batch", 3))
+        assert mix_unsupported_reasons(batch_hierarchies) == [
+            f"core 0: shares {component} with core 1",
+            f"core 1: shares {component} with core 0",
+            None,
+        ]
+        tracer.configure(tmp_path, proc="t-mix-shared")
+        try:
+            result = run_multicore_mix(
+                traces, scenario, config=_mix_system("batch", 3),
+                hierarchies=batch_hierarchies,
+            )
+            tracer.shutdown()
+        finally:
+            tracer.disable()
+        assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
+        assert [_component_state(h) for h in batch_hierarchies] == [
+            _component_state(h) for h in oracle_hierarchies
+        ]
+        assert fused_cores == [2]
+        assert sorted(
+            record["attrs"]["reason"] for record in tracer.load_run(tmp_path)
+            if record.get("name") == "sim.batch.fallback"
+        ) == [
+            f"core 0: shares {component} with core 1",
+            f"core 1: shares {component} with core 0",
+        ]
+
+
+class TestRegistryRunsFused:
+    def test_every_figure_point_is_supported(self):
+        """Every point of every registered figure, at the quick config,
+        builds hierarchies the batch core runs fused: no figure point
+        falls back to the scalar reference.  Builds only, no simulation."""
+        config = quick_experiment_config()
+        points = {
+            point.key(): point
+            for spec in registered_experiments().values()
+            for point in spec.build_sweep(config).compile(config)
+        }
+        assert len(points) == 90
+        rejected = {}
+        for point in points.values():
+            system = system_config_from_dict(json.loads(point.system_json))
+            scenario = build_scenario(point.scheme, point.l1d_prefetcher)
+            if point.kind == "single_core":
+                reasons = [batch_unsupported_reason(
+                    build_hierarchy(scenario, config=system)
+                )]
+            else:
+                reasons = mix_unsupported_reasons(
+                    build_mix_hierarchies(scenario, system, len(point.workloads))
+                )
+            if any(reasons):
+                rejected[point.label] = reasons
+        assert rejected == {}
 
 
 class TestSimCoreConfig:
@@ -978,10 +1100,12 @@ class TestSimCoreConfig:
         with pytest.raises(ValueError):
             dataclasses.replace(cascade_lake_single_core(), sim_core="simd")
 
-    def test_round_trip_defaults_to_scalar(self):
-        payload = system_config_to_dict(cascade_lake_single_core())
+    def test_round_trip_defaults_to_batch(self):
+        payload = system_config_to_dict(
+            dataclasses.replace(cascade_lake_single_core(), sim_core="scalar")
+        )
         assert "sim_core" not in payload
-        assert system_config_from_dict(payload).sim_core == "scalar"
+        assert system_config_from_dict(payload).sim_core == "batch"
 
     def test_cache_keys_shared_between_cores(self):
         """core="batch" is bit-identical, so it must not fork the cache."""

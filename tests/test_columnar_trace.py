@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.common.addresses import BLOCK_SIZE
+from repro.common.config import cascade_lake_multi_core, cascade_lake_single_core
 from repro.common.types import AccessKind, MemoryAccess
 from repro.sim.engine import CampaignEngine, build_workload_trace
 from repro.sim.multi_core import run_multicore_mix
@@ -173,8 +174,12 @@ def test_single_core_metrics_identical_columnar_vs_object_list():
     legacy = ObjectTrace(columnar.name, list(columnar), dict(columnar.metadata))
     scenario = build_scenario("tlp", l1d_prefetcher="ipcp")
     result_columnar = run_single_core(columnar, scenario, warmup_fraction=0.25)
+    # An ObjectTrace has no columns for the batch kernel: scalar core.
+    scalar = dataclasses.replace(cascade_lake_single_core(), sim_core="scalar")
     scenario = build_scenario("tlp", l1d_prefetcher="ipcp")
-    result_legacy = run_single_core(legacy, scenario, warmup_fraction=0.25)
+    result_legacy = run_single_core(
+        legacy, scenario, config=scalar, warmup_fraction=0.25
+    )
     assert dataclasses.asdict(result_columnar) == dataclasses.asdict(result_legacy)
 
 
@@ -186,9 +191,13 @@ def test_multi_core_metrics_identical_columnar_vs_object_list():
         columnar, build_scenario("hermes", l1d_prefetcher="ipcp"),
         warmup_fraction=0.25, mix_name="mix",
     )
+    # An ObjectTrace has no columns for the batch kernel: scalar core.
+    scalar = dataclasses.replace(
+        cascade_lake_multi_core(num_cores=len(legacy)), sim_core="scalar"
+    )
     result_legacy = run_multicore_mix(
         legacy, build_scenario("hermes", l1d_prefetcher="ipcp"),
-        warmup_fraction=0.25, mix_name="mix",
+        config=scalar, warmup_fraction=0.25, mix_name="mix",
     )
     assert dataclasses.asdict(result_columnar) == dataclasses.asdict(result_legacy)
 

@@ -197,17 +197,20 @@ class TestEngineTelemetry:
         from repro.sim.engine import multi_core_point
 
         fused = tiny_point()
-        fallback = tiny_point(scheme="delayed_tsp")  # unmodelled predictor
+        fallback = single_core_point(  # unmodelled prefetcher
+            "bfs.urand", "baseline", "next_line", memory_accesses=BUDGET,
+            warmup_fraction=0.25,
+        )
         mix = multi_core_point(
             "mix", ["bfs.urand", "spec.mcf_like"], "baseline", "ipcp",
             memory_accesses=300, warmup_fraction=0.25,
         )
         mix_fallback = multi_core_point(
-            "mix", ["bfs.urand", "spec.mcf_like"], "delayed_tsp", "ipcp",
+            "mix", ["bfs.urand", "spec.mcf_like"], "baseline", "next_line",
             memory_accesses=300, warmup_fraction=0.25,
         )
         tracer.configure(tmp_path / "tele", proc="t1")
-        CampaignEngine(result_cache=None, sim_core="batch").run(
+        CampaignEngine(result_cache=None).run(
             [fused, fallback, mix, mix_fallback], jobs=1
         )
         tracer.flush()

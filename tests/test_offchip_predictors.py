@@ -6,7 +6,7 @@ from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
 from repro.core.storage import tlp_storage_breakdown
 from repro.core.tlp import TLPConfig, TwoLevelPerceptron
-from repro.core.variants import ABLATION_VARIANTS, AlwaysDelayedFLP, build_ablation_variant
+from repro.core.variants import ABLATION_VARIANTS, build_ablation_variant
 from repro.predictors.base import NullOffChipPredictor, OffChipAction
 from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.base import PrefetchRequest
@@ -228,6 +228,9 @@ class TestAblationVariants:
         assert variant.l1d_prefetch_filter.use_leveling_feature is True
 
     def test_always_delayed_flp_never_immediate(self):
-        predictor = AlwaysDelayedFLP(tau_high=-100, tau_low=-200)
+        predictor = build_ablation_variant(
+            "delayed_tsp", tau_high=-100, tau_low=-200
+        ).offchip_predictor
         decision = predictor.predict(0x400, 0x1000, 0)
         assert decision.action is OffChipAction.DELAYED
+        assert predictor.immediate_decisions == 0
