@@ -1,9 +1,8 @@
-"""Memory hierarchy substrate: caches, MSHRs, DRAM and the composed hierarchy."""
+"""Memory hierarchy substrate: caches, DRAM and the composed hierarchy."""
 
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.dram import DRAMModel
 from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
-from repro.memory.mshr import MSHR
 from repro.memory.paging import PageTable
 
 __all__ = [
@@ -12,6 +11,5 @@ __all__ = [
     "DRAMModel",
     "MemoryHierarchy",
     "PrefetchRecord",
-    "MSHR",
     "PageTable",
 ]

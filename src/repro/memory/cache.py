@@ -11,32 +11,16 @@ demand access before being evicted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.common.config import CacheConfig
-from repro.memory.mshr import MSHR
 
-
-@dataclass(slots=True)
-class CacheBlock:
-    """Metadata for one resident cache block.
-
-    ``slot`` is the block's index into its cache's flat per-way arrays
-    (``set_index * associativity + way``).  ``ready_cycle`` is the cycle at
-    which the fill actually arrives; a demand access that hits the block
-    earlier must wait for the remainder (this is how the model charges the
-    latency of in-flight prefetches instead of making prefetched data
-    magically available at issue time).
-    """
-
-    block_addr: int
-    slot: int
-    dirty: bool = False
-    prefetched: bool = False
-    prefetch_useful: bool = False
-    prefetch_source_level: Optional[int] = None
-    ready_cycle: int = 0
+#: Bits of a slot's ``_flags`` byte.
+DIRTY = 1
+PREFETCHED = 2
+PREFETCH_USEFUL = 4
 
 
 @dataclass
@@ -86,16 +70,21 @@ class Cache:
     shifted right by 6); callers are responsible for the conversion, which
     keeps the hot path cheap.
 
-    Block ``b`` maps to set ``b % num_sets`` (the compiled kernel of
-    :mod:`repro.sim.batch` inlines this and :meth:`fill`).  Replacement
-    state is flat and per cache, not per set.  Way ``w`` of set ``s`` is
-    slot ``s * associativity + w`` of ``_stamps`` (the slot's LRU access
-    stamp) and of ``_way_blocks`` (the block it holds).  A set's occupied
-    ways are always a prefix of its slots -- a fill takes the next free
-    one and :meth:`invalidate` moves the set's last block into the hole --
-    so ``_set_fill[s]`` alone tracks its free ways.  Every fill and hit
-    takes a fresh stamp from the cache's one ``_clock``, so the stamps of a
-    set are unique and the first minimum of a full set is exactly its least
+    Block ``b`` maps to set ``b % num_sets``.  The whole cache state is a
+    handful of flat typed arrays, which the compiled kernel of
+    :mod:`repro.sim.batch` reads and writes in place through the buffer
+    protocol, so both cores share one representation.  Way ``w`` of set
+    ``s`` is slot ``s * associativity + w`` of the per-slot arrays:
+    ``_tags`` (the block address, -1 when free), ``_stamps`` (the LRU
+    access stamp), ``_ready`` (the cycle the fill arrives), ``_flags``
+    (:data:`DIRTY`, :data:`PREFETCHED` and :data:`PREFETCH_USEFUL` bits) and
+    ``_source`` (the level a prefetch was served from, -1 for none).  A
+    set's occupied ways are always a prefix of its slots -- a fill takes the
+    next free one and :meth:`invalidate` moves the set's last block into the
+    hole -- so ``_set_fill[s]`` alone tracks its free ways, and a free slot
+    holds the values of an empty one.  Every fill and hit takes a fresh
+    stamp from the cache's one-element ``_clock``, so the stamps of a set
+    are unique and the first minimum of a full set is exactly its least
     recently used block.
     """
 
@@ -115,62 +104,68 @@ class Cache:
             )
         self.latency = config.latency
         slots = self.num_sets * self.associativity
-        self._blocks: dict[int, CacheBlock] = {}
-        self._stamps: list[int] = [0] * slots
-        self._way_blocks: list[Optional[CacheBlock]] = [None] * slots
-        self._set_fill: list[int] = [0] * self.num_sets
-        self._clock = 0
-        self.mshr = MSHR(config.mshr_entries)
+        self._tags = array("q", [-1]) * slots
+        self._stamps = array("q", [0]) * slots
+        self._ready = array("q", [0]) * slots
+        self._flags = array("B", [0]) * slots
+        self._source = array("b", [-1]) * slots
+        self._set_fill = array("q", [0]) * self.num_sets
+        self._clock = array("q", [0])
         self.stats = CacheStats()
         self._eviction_listener = eviction_listener
 
     # ------------------------------------------------------------------
     # Residency probes
     # ------------------------------------------------------------------
+    def find(self, block_addr: int) -> int:
+        """The slot holding ``block_addr``, or -1 (non-intrusive)."""
+        set_idx = block_addr % self.num_sets
+        base = set_idx * self.associativity
+        try:
+            return self._tags.index(block_addr, base, base + self._set_fill[set_idx])
+        except ValueError:
+            return -1
+
     def resident(self, block_addr: int) -> bool:
         """Non-intrusive residency probe (does not update replacement state).
 
-        Used by the Hermes prediction-breakdown analysis (Figure 4) to find
-        where a block lives without perturbing the simulation.
+        Used for prefetch targets and by the Hermes prediction-breakdown
+        analysis (Figure 4) to find where a block lives without perturbing
+        the simulation.
         """
-        return block_addr in self._blocks
-
-    def get_block(self, block_addr: int) -> Optional[CacheBlock]:
-        """Return the resident block metadata, if present (non-intrusive)."""
-        return self._blocks.get(block_addr)
+        return self.find(block_addr) >= 0
 
     # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
-    def lookup(self, block_addr: int, is_write: bool = False) -> bool:
+    def lookup(
+        self, block_addr: int, is_write: bool = False
+    ) -> Optional[tuple[int, bool]]:
         """Perform a demand lookup.
 
-        Returns True on hit.  On a hit to a not-yet-used prefetched block the
-        block is marked useful and the ``prefetch_hits`` counter incremented.
+        Returns None on a miss.  A hit returns the block's ready cycle and
+        whether it was the first demand use of a prefetched block; that use
+        marks the block useful and increments ``prefetch_hits``.
         """
         stats = self.stats
         stats.demand_accesses += 1
-        block = self._blocks.get(block_addr)
-        if block is None:
+        slot = self.find(block_addr)
+        if slot < 0:
             stats.demand_misses += 1
-            return False
+            return None
         stats.demand_hits += 1
-        if block.prefetched and not block.prefetch_useful:
-            block.prefetch_useful = True
+        flags = self._flags[slot]
+        first_use = flags & (PREFETCHED | PREFETCH_USEFUL) == PREFETCHED
+        if first_use:
+            flags |= PREFETCH_USEFUL
             stats.prefetch_hits += 1
         if is_write:
-            block.dirty = True
-        self._clock += 1
-        self._stamps[block.slot] = self._clock
-        return True
-
-    def probe_prefetch(self, block_addr: int) -> bool:
-        """Check whether a prefetch target is already resident.
-
-        Unlike :meth:`lookup`, this does not count as a demand access and
-        does not update replacement state.
-        """
-        return block_addr in self._blocks
+            flags |= DIRTY
+        self._flags[slot] = flags
+        clock = self._clock
+        clock[0] += 1
+        self._stamps[slot] = clock[0]
+        return self._ready[slot], first_use
 
     def fill(
         self,
@@ -189,16 +184,16 @@ class Cache:
         """
         if ready_cycle is None:
             ready_cycle = cycle
-        existing = self._blocks.get(block_addr)
-        if existing is not None:
+        slot = self.find(block_addr)
+        if slot >= 0:
             # Fill races with an earlier fill of the same block: keep the
             # stronger attribution (a demand fill overrides prefetched).
             if not prefetched:
-                existing.prefetched = False
+                self._flags[slot] &= ~PREFETCHED
             if dirty:
-                existing.dirty = True
-            if ready_cycle < existing.ready_cycle:
-                existing.ready_cycle = ready_cycle
+                self._flags[slot] |= DIRTY
+            if ready_cycle < self._ready[slot]:
+                self._ready[slot] = ready_cycle
             return None
 
         eviction: Optional[EvictionInfo] = None
@@ -212,20 +207,15 @@ class Cache:
         else:
             stamps = self._stamps
             slot = stamps.index(min(stamps[base:base + ways]), base)
-            eviction = self._evict(self._way_blocks[slot])
+            eviction = self._evict(slot)
 
-        block = CacheBlock(
-            block_addr=block_addr,
-            slot=slot,
-            prefetched=prefetched,
-            prefetch_source_level=prefetch_source_level,
-            dirty=dirty,
-            ready_cycle=ready_cycle,
-        )
-        self._blocks[block_addr] = block
-        self._way_blocks[slot] = block
-        self._clock += 1
-        self._stamps[slot] = self._clock
+        self._tags[slot] = block_addr
+        self._ready[slot] = ready_cycle
+        self._flags[slot] = (PREFETCHED if prefetched else 0) | (DIRTY if dirty else 0)
+        self._source[slot] = -1 if prefetch_source_level is None else prefetch_source_level
+        clock = self._clock
+        clock[0] += 1
+        self._stamps[slot] = clock[0]
         if prefetched:
             self.stats.prefetch_fills += 1
         else:
@@ -234,42 +224,43 @@ class Cache:
 
     def invalidate(self, block_addr: int) -> bool:
         """Remove a block (used for coherence-like invalidations in tests)."""
-        block = self._blocks.get(block_addr)
-        if block is None:
+        slot = self.find(block_addr)
+        if slot < 0:
             return False
-        self._evict(block)
+        self._evict(slot)
         # Keep the set's occupied ways a prefix: its last one fills the hole.
         set_idx = block_addr % self.num_sets
         used = self._set_fill[set_idx] - 1
         self._set_fill[set_idx] = used
         last = set_idx * self.associativity + used
-        if block.slot != last:
-            moved = self._way_blocks[last]
-            moved.slot = block.slot
-            self._way_blocks[block.slot] = moved
-            self._stamps[block.slot] = self._stamps[last]
-        self._way_blocks[last] = None
+        for column, empty in (
+            (self._tags, -1), (self._stamps, 0), (self._ready, 0),
+            (self._flags, 0), (self._source, -1),
+        ):
+            column[slot] = column[last]
+            column[last] = empty
         return True
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _evict(self, block: CacheBlock) -> EvictionInfo:
-        """Drop ``block`` and account for it; the caller reuses its slot."""
-        del self._blocks[block.block_addr]
-        self.stats.evictions += 1
-        if block.dirty:
-            self.stats.writebacks += 1
-        if block.prefetched:
-            if block.prefetch_useful:
-                self.stats.useful_prefetch_evictions += 1
+    def _evict(self, slot: int) -> EvictionInfo:
+        """Account for the block in ``slot``; the caller reuses the slot."""
+        flags = self._flags[slot]
+        stats = self.stats
+        stats.evictions += 1
+        if flags & DIRTY:
+            stats.writebacks += 1
+        if flags & PREFETCHED:
+            if flags & PREFETCH_USEFUL:
+                stats.useful_prefetch_evictions += 1
             else:
-                self.stats.useless_prefetch_evictions += 1
+                stats.useless_prefetch_evictions += 1
         info = EvictionInfo(
-            block_addr=block.block_addr,
-            was_prefetched=block.prefetched,
-            prefetch_was_useful=block.prefetch_useful,
-            was_dirty=block.dirty,
+            block_addr=self._tags[slot],
+            was_prefetched=bool(flags & PREFETCHED),
+            prefetch_was_useful=bool(flags & PREFETCH_USEFUL),
+            was_dirty=bool(flags & DIRTY),
         )
         if self._eviction_listener is not None:
             self._eviction_listener(info)
@@ -284,15 +275,24 @@ class Cache:
 
     def occupancy(self) -> float:
         """Fraction of cache capacity currently valid."""
-        return len(self._blocks) / (self.num_sets * self.associativity)
+        return sum(self._set_fill) / (self.num_sets * self.associativity)
+
+    def resident_slots(self) -> list[int]:
+        """The occupied slots, set by set."""
+        ways = self.associativity
+        return [
+            base + way
+            for base, used in zip(range(0, len(self._tags), ways), self._set_fill)
+            for way in range(used)
+        ]
 
     def resident_blocks(self) -> list[int]:
         """Return all resident block addresses (for inspection and tests)."""
-        return list(self._blocks)
+        return [self._tags[slot] for slot in self.resident_slots()]
 
     def unused_prefetched_blocks(self) -> int:
         """Count resident prefetched blocks never touched by a demand access."""
         return sum(
-            1 for block in self._blocks.values()
-            if block.prefetched and not block.prefetch_useful
+            1 for slot in self.resident_slots()
+            if self._flags[slot] & (PREFETCHED | PREFETCH_USEFUL) == PREFETCHED
         )

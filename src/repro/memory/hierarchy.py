@@ -232,17 +232,17 @@ class MemoryHierarchy:
 
         # --- L1D lookup -------------------------------------------------
         latency = l1d.latency
-        resident = l1d.get_block(block)
-        prefetch_hit = bool(
-            resident is not None and resident.prefetched and not resident.prefetch_useful
-        )
-        if resident is not None and resident.ready_cycle > cycle:
-            # The block is present but its fill (typically an in-flight
-            # prefetch) has not arrived yet; the demand access waits for it.
-            latency = max(latency, resident.ready_cycle - cycle)
-        l1d_hit = l1d.lookup(block, is_write=is_write)
-        if prefetch_hit and l1d_hit:
-            self._resolve_l1d_prefetch_use(block)
+        hit = l1d.lookup(block, is_write=is_write)
+        l1d_hit = hit is not None
+        prefetch_hit = False
+        if l1d_hit:
+            ready, prefetch_hit = hit
+            if ready > cycle:
+                # The block is present but its fill (typically an in-flight
+                # prefetch) has not arrived yet; the demand access waits.
+                latency = max(latency, ready - cycle)
+            if prefetch_hit:
+                self._resolve_l1d_prefetch_use(block)
 
         # The L1D prefetcher observes every demand access to the L1D.
         self._run_l1d_prefetcher(pc, vaddr, paddr, l1d_hit, cycle)
@@ -313,15 +313,14 @@ class MemoryHierarchy:
         demand request merges with it and does not count as a transaction.
         """
         latency += self.l2c.latency
-        l2_block = self.l2c.get_block(block)
-        l2_prefetch_hit = bool(
-            l2_block is not None and l2_block.prefetched and not l2_block.prefetch_useful
-        )
-        if l2_block is not None and l2_block.ready_cycle > cycle:
-            latency = max(latency, l2_block.ready_cycle - cycle)
-        l2_hit = self.l2c.lookup(block, is_write=is_write)
-        if l2_prefetch_hit and l2_hit:
-            self._resolve_l2c_prefetch_use(block)
+        hit = self.l2c.lookup(block, is_write=is_write)
+        l2_hit = hit is not None
+        if l2_hit:
+            ready, l2_prefetch_hit = hit
+            if ready > cycle:
+                latency = max(latency, ready - cycle)
+            if l2_prefetch_hit:
+                self._resolve_l2c_prefetch_use(block)
 
         # SPP observes L2 demand accesses.
         self._run_l2_prefetcher(pc, paddr, l2_hit, cycle)
@@ -331,11 +330,11 @@ class MemoryHierarchy:
             return MemLevel.L2C, latency
 
         latency += self.llc.latency
-        llc_block = self.llc.get_block(block)
-        if llc_block is not None and llc_block.ready_cycle > cycle:
-            latency = max(latency, llc_block.ready_cycle - cycle)
-        llc_hit = self.llc.lookup(block, is_write=is_write)
-        if llc_hit:
+        hit = self.llc.lookup(block, is_write=is_write)
+        if hit is not None:
+            ready = hit[0]
+            if ready > cycle:
+                latency = max(latency, ready - cycle)
             self.l1d.fill(block, cycle=cycle, ready_cycle=cycle + latency)
             self.l2c.fill(block, cycle=cycle, ready_cycle=cycle + latency)
             return MemLevel.LLC, latency
@@ -393,7 +392,7 @@ class MemoryHierarchy:
     ) -> None:
         target_paddr = self.page_table.translate(request.vaddr)
         block = block_address(target_paddr)
-        if self.l1d.probe_prefetch(block):
+        if self.l1d.resident(block):
             self.stats.l1d_prefetches_dropped_resident += 1
             return
 

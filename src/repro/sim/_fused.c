@@ -8,31 +8,34 @@
  * the L1D/L2C prefetch issue paths, and the order-dependent kernels of the
  * stock prefetchers and filters: IPCP or Berti at the L1D, SPP at the L2C,
  * the SLP filter above the L1D and the PPF filter behind SPP.  It works on
- * the very Python objects the scalar reference uses (cache _blocks,
- * _stamps, _way_blocks, _set_fill and _clock, CacheBlock slots, the page
- * table's _mapping, _allocated_frames and page_faults, DRAM _busy_until, the
- * pending-prefetch dicts and every stats object), in the same order and
- * with the same arithmetic.  Component tables held in numpy arrays are used
- * in place through the buffer protocol: IPCP _ip_buf/_cplx_buf, Berti
- * _page_buf/_total_buf, SPP _pattern_total_buf and the perceptron weights
- * of FLP, Hermes, PPF and SLP.  Dict- and list-backed component state
- * (IPCP's region FIFO, Berti's histories, delta counters and confirmed
- * lists, SPP's signature FIFO and pattern delta counters, the page buffers
- * and PC histories of the FLP/Hermes and SLP feature histories) is copied
- * into flat tables when the Stepper is built and written back into the
- * same containers, in the same order, when the trace ends (a run that
- * raises leaves them as loaded); index memos are caches and are left alone
- * (SPP's best-prediction memo is reset to None).  PPF training on prefetch
- * use and L2C eviction stays a Python call.  A hierarchy with any component
- * the kernel does not model runs the scalar reference instead
+ * the very state the scalar reference uses, in the same order and with the
+ * same arithmetic.  Each cache is a set of flat typed arrays (_tags,
+ * _stamps, _ready, _flags, _source, _set_fill and the one-element _clock;
+ * see repro.memory.cache.Cache), read and written in place through the
+ * buffer protocol, so a lookup, probe, fill or victim scan is a C loop over
+ * one set.  Component tables held in numpy arrays are used in place the
+ * same way: IPCP _ip_buf/_cplx_buf, Berti _page_buf/_total_buf, SPP
+ * _pattern_total_buf and the perceptron weights of FLP, Hermes, PPF and
+ * SLP.  The page table's _mapping, _allocated_frames and page_faults, DRAM
+ * _busy_until, the pending-prefetch dicts and every stats object stay
+ * Python objects; a block address is boxed only to key a pending-prefetch
+ * dict or an EvictionInfo.  Dict- and list-backed component state (IPCP's
+ * region FIFO, Berti's histories, delta counters and confirmed lists, SPP's
+ * signature FIFO and pattern delta counters, the page buffers and PC
+ * histories of the FLP/Hermes and SLP feature histories) is copied into
+ * flat tables when the Stepper is built and written back into the same
+ * containers, in the same order, when the trace ends (a run that raises
+ * leaves them as loaded); index memos are caches and are left alone (SPP's
+ * best-prediction memo is reset to None).  PPF training on prefetch use and
+ * L2C eviction stays a Python call.  A hierarchy with any component the
+ * kernel does not model runs the scalar reference instead
  * (repro.sim.batch.batch_unsupported_reason).
  *
- * Cache clocks and the DRAM channel's _busy_until are written through to
- * their objects on every change, so they are current at every yield and
- * every Python call.  They are re-read after a yield (another core of a mix
- * may have moved the shared LLC and DRAM) and after the sample hook.  Pure
- * counters accumulate per chunk and are added to their stats objects at the
- * end of each chunk.
+ * The DRAM channel's _busy_until is written through to its object on every
+ * change, so it is current at every yield and every Python call, and it is
+ * re-read after a yield (another core of a mix may have moved it) and
+ * after the sample hook.  Pure counters accumulate per chunk and are added
+ * to their stats objects at the end of each chunk.
  *
  * The Stepper is an iterator: it runs compute records on its own and yields
  * each load/store's dispatch cycle before performing it, so a multi-core
@@ -50,20 +53,18 @@
 /* Interned names and the model's Python types                         */
 /* ------------------------------------------------------------------ */
 
-static PyObject *CacheBlockType, *EvictionInfoType, *PrefetchRecordType;
+static PyObject *EvictionInfoType, *PrefetchRecordType;
 static PyObject *Levels[4]; /* MemLevel.L1D .. MemLevel.DRAM */
 static long long BertiHistoryDepth;
 
-/* CacheBlock slot offsets. */
-static Py_ssize_t CB_block_addr, CB_slot, CB_dirty, CB_prefetched,
-    CB_prefetch_useful, CB_prefetch_source_level, CB_ready_cycle;
 /* PrefetchRecord slot offsets. */
 static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
     PR_filter_metadata;
 
 #define NAMES(X)                                                             \
-    X(_clock) X(_busy_until) X(_blocks) X(_stamps) X(_way_blocks)            \
-    X(_set_fill) X(stats) X(_eviction_listener) X(num_sets) X(associativity) \
+    X(_clock) X(_busy_until) X(_tags) X(_stamps) X(_ready) X(_flags)         \
+    X(_source) X(_set_fill) X(stats) X(_eviction_listener) X(num_sets)       \
+    X(associativity)                                                         \
     X(latency) X(l1d) X(l2c) X(llc) X(dram) X(page_table) X(_mapping)        \
     X(_allocated_frames) X(core_id) X(memory_frames) X(page_faults)          \
     X(_resolve_l2c_prefetch_use) X(_pending_l1d_prefetches)                  \
@@ -183,17 +184,16 @@ import_attr(const char *module, const char *name)
 static int
 load_model_types(void)
 {
-    if (CacheBlockType != NULL)
+    if (EvictionInfoType != NULL)
         return 0;
-    PyObject *block = import_attr("repro.memory.cache", "CacheBlock");
     PyObject *info = import_attr("repro.memory.cache", "EvictionInfo");
     PyObject *record = import_attr("repro.memory.hierarchy", "PrefetchRecord");
     PyObject *level = import_attr("repro.common.types", "MemLevel");
     PyObject *depth = import_attr("repro.prefetchers.berti", "_HISTORY_DEPTH");
-    if (block == NULL || info == NULL || record == NULL || level == NULL || depth == NULL)
+    if (info == NULL || record == NULL || level == NULL || depth == NULL)
         goto error;
-    if (!PyType_Check(block) || !PyType_Check(record)) {
-        PyErr_SetString(PyExc_TypeError, "CacheBlock/PrefetchRecord must be classes");
+    if (!PyType_Check(record)) {
+        PyErr_SetString(PyExc_TypeError, "PrefetchRecord must be a class");
         goto error;
     }
     BertiHistoryDepth = PyLong_AsLongLong(depth);
@@ -202,14 +202,7 @@ load_model_types(void)
             PyErr_SetString(PyExc_ValueError, "Berti history depth out of range");
         goto error;
     }
-    if ((CB_block_addr = slot_offset(block, "block_addr")) < 0
-        || (CB_slot = slot_offset(block, "slot")) < 0
-        || (CB_dirty = slot_offset(block, "dirty")) < 0
-        || (CB_prefetched = slot_offset(block, "prefetched")) < 0
-        || (CB_prefetch_useful = slot_offset(block, "prefetch_useful")) < 0
-        || (CB_prefetch_source_level = slot_offset(block, "prefetch_source_level")) < 0
-        || (CB_ready_cycle = slot_offset(block, "ready_cycle")) < 0
-        || (PR_block_addr = slot_offset(record, "block_addr")) < 0
+    if ((PR_block_addr = slot_offset(record, "block_addr")) < 0
         || (PR_served_by = slot_offset(record, "served_by")) < 0
         || (PR_issue_cycle = slot_offset(record, "issue_cycle")) < 0
         || (PR_useful = slot_offset(record, "useful")) < 0
@@ -223,14 +216,12 @@ load_model_types(void)
     }
     Py_DECREF(level);
     Py_DECREF(depth);
-    CacheBlockType = block;
     EvictionInfoType = info;
     PrefetchRecordType = record;
     return 0;
 error:
     for (int i = 0; i < 4; i++)
         Py_CLEAR(Levels[i]);
-    Py_XDECREF(block);
     Py_XDECREF(info);
     Py_XDECREF(record);
     Py_XDECREF(level);
@@ -2196,16 +2187,22 @@ enum { PK_NULL = 0, PK_HERMES = 1, PK_FLP = 2 };
 enum { PF_NONE = 0, PF_IPCP = 1, PF_BERTI = 2 };
 enum { LEVEL_L1D = 0, LEVEL_L2C = 1, LEVEL_LLC = 2, LEVEL_DRAM = 3 };
 
-#define CACHE_OBJECTS(X) \
-    X(obj) X(blocks) X(stamps) X(way_blocks) X(set_fill) X(stats) X(listener)
+#define CACHE_OBJECTS(X) X(stats) X(listener)
 
+/* Bits of a cache slot's flags byte (repro.memory.cache). */
+enum { F_DIRTY = 1, F_PREFETCHED = 2, F_USEFUL = 4 };
+
+/* One cache level: its flat state arrays, used in place. */
 typedef struct {
 #define DECLARE_FIELD(n) PyObject *n;
     CACHE_OBJECTS(DECLARE_FIELD)
 #undef DECLARE_FIELD
+    View views[7];
+    int64_t *tags, *stamps, *ready, *set_fill, *clock;
+    uint8_t *flags;
+    int8_t *source;
     int level;
     long long num_sets, ways, latency;
-    long long clock; /* mirror of obj._clock, written through */
     /* Chunk-local counters, added to ``stats`` at the end of each chunk. */
     long long accesses, hits, misses, pf_hits;
     long long prefetch_fills, demand_fills, evictions, writebacks;
@@ -2287,129 +2284,109 @@ typedef struct {
 /* One cache level                                                     */
 /* ------------------------------------------------------------------ */
 
+/* One of a cache's state arrays: ``length`` items of array typecode
+ * ``code``. */
+static void *
+cache_array(View *v, PyObject *cache, PyObject *name, char code, Py_ssize_t length)
+{
+    PyObject *value = PyObject_GetAttr(cache, name);
+    if (value == NULL)
+        return NULL;
+    int rc = PyObject_GetBuffer(value, &v->view,
+                                PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT);
+    Py_DECREF(value);
+    if (rc == 0)
+        v->held = 1;
+    if (rc < 0 || v->view.ndim != 1 || v->view.format == NULL
+        || v->view.format[0] != code || v->view.format[1] != '\0'
+        || v->view.itemsize != (code == 'q' ? 8 : 1)) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_TypeError, "unexpected cache state layout");
+        return NULL;
+    }
+    if (v->view.shape[0] != length) {
+        PyErr_SetString(PyExc_ValueError, "cache state does not match its geometry");
+        return NULL;
+    }
+    return v->view.buf;
+}
+
 static int
 cache_init(CacheState *c, PyObject *cache, int level)
 {
-    Py_INCREF(cache);
-    c->obj = cache;
     c->level = level;
-    if ((c->blocks = PyObject_GetAttr(cache, S__blocks)) == NULL
-        || (c->stamps = PyObject_GetAttr(cache, S__stamps)) == NULL
-        || (c->way_blocks = PyObject_GetAttr(cache, S__way_blocks)) == NULL
-        || (c->set_fill = PyObject_GetAttr(cache, S__set_fill)) == NULL
-        || (c->stats = PyObject_GetAttr(cache, S_stats)) == NULL
+    if ((c->stats = PyObject_GetAttr(cache, S_stats)) == NULL
         || (c->listener = PyObject_GetAttr(cache, S__eviction_listener)) == NULL)
         return -1;
-    if (!PyDict_CheckExact(c->blocks) || !PyList_CheckExact(c->stamps)
-        || !PyList_CheckExact(c->way_blocks) || !PyList_CheckExact(c->set_fill)) {
-        PyErr_SetString(PyExc_TypeError, "unexpected cache state layout");
-        return -1;
-    }
     if (c->listener == Py_None)
         Py_CLEAR(c->listener);
     if (get_ll(cache, S_num_sets, &c->num_sets) < 0
         || get_ll(cache, S_associativity, &c->ways) < 0
-        || get_ll(cache, S_latency, &c->latency) < 0
-        || get_ll(cache, S__clock, &c->clock) < 0)
+        || get_ll(cache, S_latency, &c->latency) < 0)
         return -1;
-    if (PyList_GET_SIZE(c->stamps) != c->num_sets * c->ways
-        || PyList_GET_SIZE(c->way_blocks) != c->num_sets * c->ways
-        || PyList_GET_SIZE(c->set_fill) != c->num_sets) {
-        PyErr_SetString(PyExc_ValueError, "cache state does not match its geometry");
+    Py_ssize_t slots = c->num_sets * c->ways;
+    View *v = c->views;
+    if ((c->tags = cache_array(v++, cache, S__tags, 'q', slots)) == NULL
+        || (c->stamps = cache_array(v++, cache, S__stamps, 'q', slots)) == NULL
+        || (c->ready = cache_array(v++, cache, S__ready, 'q', slots)) == NULL
+        || (c->flags = cache_array(v++, cache, S__flags, 'B', slots)) == NULL
+        || (c->source = cache_array(v++, cache, S__source, 'b', slots)) == NULL
+        || (c->set_fill = cache_array(v++, cache, S__set_fill, 'q', c->num_sets)) == NULL
+        || (c->clock = cache_array(v++, cache, S__clock, 'q', 1)) == NULL)
         return -1;
-    }
     return 0;
 }
 
-static int
-cache_reload(CacheState *c)
+static void
+cache_release(CacheState *c)
 {
-    return get_ll(c->obj, S__clock, &c->clock);
+    for (int i = 0; i < 7; i++)
+        view_release(&c->views[i]);
 }
 
-/* Take a fresh stamp for ``slot`` from the cache's clock. */
-static int
-cache_tick(CacheState *c, Py_ssize_t slot)
+/* The slot holding ``block`` (Cache.find), or -1. */
+static inline Py_ssize_t
+cache_find(const CacheState *c, long long block)
 {
-    PyObject *stamp = PyLong_FromLongLong(c->clock + 1);
-    if (stamp == NULL)
-        return -1;
-    if (PyObject_SetAttr(c->obj, S__clock, stamp) < 0) {
-        Py_DECREF(stamp);
-        return -1;
+    Py_ssize_t set_idx = (Py_ssize_t)(block % c->num_sets);
+    Py_ssize_t base = set_idx * c->ways, end = base + c->set_fill[set_idx];
+    for (Py_ssize_t slot = base; slot < end; slot++) {
+        if (c->tags[slot] == block)
+            return slot;
     }
-    c->clock += 1;
-    PyObject *old = PyList_GET_ITEM(c->stamps, slot);
-    PyList_SET_ITEM(c->stamps, slot, stamp);
-    Py_DECREF(old);
-    return 0;
-}
-
-static int
-block_slot(PyObject *block, Py_ssize_t *slot, Py_ssize_t limit)
-{
-    PyObject *value = slot_get(block, CB_slot);
-    if (value == NULL)
-        return -1;
-    *slot = PyLong_AsSsize_t(value);
-    if (*slot == -1 && PyErr_Occurred())
-        return -1;
-    if (*slot < 0 || *slot >= limit) {
-        PyErr_SetString(PyExc_IndexError, "cache block slot out of range");
-        return -1;
-    }
-    return 0;
+    return -1;
 }
 
 /* Demand lookup (Cache.lookup plus the ready-cycle wait of the walk).
- * Returns 1 on a hit, 0 on a miss, -1 on error; *latency grows to the
- * remaining fill time of an in-flight block, *prefetch_hit reports a first
- * demand use of a prefetched block. */
+ * Returns 1 on a hit, 0 on a miss; *latency grows to the remaining fill
+ * time of an in-flight block, *prefetch_hit reports a first demand use of a
+ * prefetched block. */
 static int
-cache_lookup(CacheState *c, PyObject *key, long long cycle, int is_write,
+cache_lookup(CacheState *c, long long block, long long cycle, int is_write,
              long long *latency, int *prefetch_hit)
 {
     c->accesses++;
-    PyObject *block = PyDict_GetItemWithError(c->blocks, key);
-    if (block == NULL) {
-        if (PyErr_Occurred())
-            return -1;
+    Py_ssize_t slot = cache_find(c, block);
+    if (slot < 0) {
         c->misses++;
         *prefetch_hit = 0;
         return 0;
     }
-    Py_INCREF(block);
-    int rc = -1;
-    PyObject *prefetched = slot_get(block, CB_prefetched);
-    PyObject *useful = slot_get(block, CB_prefetch_useful);
-    PyObject *ready_obj = slot_get(block, CB_ready_cycle);
-    if (prefetched == NULL || useful == NULL || ready_obj == NULL)
-        goto done;
-    int was_prefetched = truth(prefetched), was_useful = truth(useful);
-    if (was_prefetched < 0 || was_useful < 0)
-        goto done;
-    long long ready = PyLong_AsLongLong(ready_obj);
-    if (ready == -1 && PyErr_Occurred())
-        goto done;
+    c->hits++;
+    long long ready = c->ready[slot];
     if (ready > cycle && ready - cycle > *latency)
         *latency = ready - cycle;
-    c->hits++;
-    *prefetch_hit = was_prefetched && !was_useful;
+    int flags = c->flags[slot];
+    *prefetch_hit = (flags & (F_PREFETCHED | F_USEFUL)) == F_PREFETCHED;
     if (*prefetch_hit) {
-        slot_set(block, CB_prefetch_useful, Py_True);
+        flags |= F_USEFUL;
         c->pf_hits++;
     }
     if (is_write)
-        slot_set(block, CB_dirty, Py_True);
-    Py_ssize_t slot;
-    if (block_slot(block, &slot, PyList_GET_SIZE(c->stamps)) < 0)
-        goto done;
-    if (cache_tick(c, slot) < 0)
-        goto done;
-    rc = 1;
-done:
-    Py_DECREF(block);
-    return rc;
+        flags |= F_DIRTY;
+    c->flags[slot] = (uint8_t)flags;
+    c->stamps[slot] = ++*c->clock;
+    return 1;
 }
 
 /* MemoryHierarchy._finalize_l1d_prefetch */
@@ -2440,170 +2417,122 @@ finalize_l1_prefetch(Stepper *s, PyObject *record, int useful)
 /* pending_l1d_prefetches.pop(block) finalized as ``useful``, if present
  * (_resolve_l1d_prefetch_use and the L1D eviction listener). */
 static int
-resolve_l1_prefetch(Stepper *s, PyObject *block, int useful)
+resolve_l1_prefetch(Stepper *s, long long block, int useful)
 {
-    PyObject *record = PyDict_GetItemWithError(s->pending_l1, block);
-    if (record == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    Py_INCREF(record);
-    int rc = PyDict_DelItem(s->pending_l1, block);
-    if (rc == 0)
-        rc = finalize_l1_prefetch(s, record, useful);
-    Py_DECREF(record);
+    if (PyDict_GET_SIZE(s->pending_l1) == 0)
+        return 0;
+    PyObject *key = PyLong_FromLongLong(block);
+    if (key == NULL)
+        return -1;
+    int rc = 0;
+    PyObject *record = PyDict_GetItemWithError(s->pending_l1, key);
+    if (record != NULL) {
+        Py_INCREF(record);
+        rc = PyDict_DelItem(s->pending_l1, key);
+        if (rc == 0)
+            rc = finalize_l1_prefetch(s, record, useful);
+        Py_DECREF(record);
+    }
+    else if (PyErr_Occurred()) {
+        rc = -1;
+    }
+    Py_DECREF(key);
     return rc;
+}
+
+/* Whether a PPF record is pending for ``key``. */
+static int
+l2_pending(Stepper *s, PyObject *key)
+{
+    return PyDict_GET_SIZE(s->pending_l2c) == 0 ? 0 : PyDict_Contains(s->pending_l2c, key);
 }
 
 /* _resolve_l2c_prefetch_use, called only when a PPF record is pending. */
 static int
-resolve_l2_prefetch(Stepper *s, PyObject *block)
+resolve_l2_prefetch(Stepper *s, long long block)
 {
-    int pending = PyDict_Contains(s->pending_l2c, block);
-    if (pending <= 0)
-        return pending;
-    return discard(call1(s->resolve_l2, block));
+    PyObject *key = PyLong_FromLongLong(block);
+    if (key == NULL)
+        return -1;
+    int rc = l2_pending(s, key);
+    if (rc > 0)
+        rc = discard(call1(s->resolve_l2, key));
+    Py_DECREF(key);
+    return rc;
 }
 
 /* The eviction listeners: the L1D's is inlined, the L2C's Python one runs
  * only when it has a pending PPF record to train. */
 static int
-evicted(Stepper *s, CacheState *c, PyObject *vaddr, PyObject *vprefetched,
-        PyObject *vuseful, PyObject *vdirty, int was_prefetched, int was_useful)
+evicted(Stepper *s, CacheState *c, long long block, int flags)
 {
     if (c->listener == NULL)
         return 0;
+    int was_prefetched = (flags & F_PREFETCHED) != 0, was_useful = (flags & F_USEFUL) != 0;
     if (c->level == LEVEL_L1D)
-        return was_prefetched ? resolve_l1_prefetch(s, vaddr, was_useful) : 0;
-    if (c->level == LEVEL_L2C) {
-        if (!was_prefetched || was_useful)
-            return 0;
-        int pending = PyDict_Contains(s->pending_l2c, vaddr);
-        if (pending <= 0)
-            return pending;
-    }
-    PyObject *info = call4(EvictionInfoType, vaddr, vprefetched, vuseful, vdirty);
-    if (info == NULL)
+        return was_prefetched ? resolve_l1_prefetch(s, block, was_useful) : 0;
+    if (c->level == LEVEL_L2C && (!was_prefetched || was_useful))
+        return 0;
+    PyObject *key = PyLong_FromLongLong(block);
+    if (key == NULL)
         return -1;
-    int rc = discard(call1(c->listener, info));
-    Py_DECREF(info);
+    int rc = c->level == LEVEL_L2C ? l2_pending(s, key) : 1;
+    if (rc > 0) {
+        PyObject *info = call4(EvictionInfoType, key, py_bool(was_prefetched),
+                               py_bool(was_useful), py_bool(flags & F_DIRTY));
+        rc = info == NULL ? -1 : discard(call1(c->listener, info));
+        Py_XDECREF(info);
+    }
+    Py_DECREF(key);
     return rc;
 }
 
 /* Cache.fill for a fill that never sets ``dirty`` (every fill the kernel
- * drives).  ``key`` is the block address as a Python int; ``source`` the
- * prefetch source level (-1 for None). */
+ * drives); ``source`` is the prefetch source level (-1 for None). */
 static int
-cache_fill(Stepper *s, CacheState *c, PyObject *key, long long block_addr, long long ready,
-           int prefetched, int source)
+cache_fill(Stepper *s, CacheState *c, long long block, long long ready, int prefetched,
+           int source)
 {
-    PyObject *existing = PyDict_GetItemWithError(c->blocks, key);
-    if (existing != NULL) {
+    Py_ssize_t slot = cache_find(c, block);
+    if (slot >= 0) {
         /* Fill races with an earlier fill of the same block: keep the
          * stronger attribution (a demand fill overrides prefetched). */
         if (!prefetched)
-            slot_set(existing, CB_prefetched, Py_False);
-        PyObject *old = slot_get(existing, CB_ready_cycle);
-        if (old == NULL)
-            return -1;
-        long long previous = PyLong_AsLongLong(old);
-        if (previous == -1 && PyErr_Occurred())
-            return -1;
-        if (ready < previous) {
-            PyObject *boxed = PyLong_FromLongLong(ready);
-            if (boxed == NULL)
-                return -1;
-            slot_set(existing, CB_ready_cycle, boxed);
-            Py_DECREF(boxed);
-        }
+            c->flags[slot] &= (uint8_t)~F_PREFETCHED;
+        if (ready < c->ready[slot])
+            c->ready[slot] = ready;
         return 0;
     }
-    if (PyErr_Occurred())
-        return -1;
-
-    Py_ssize_t set_idx = (Py_ssize_t)(block_addr % c->num_sets);
-    Py_ssize_t slot;
-    long long used = PyLong_AsLongLong(PyList_GET_ITEM(c->set_fill, set_idx));
-    if (used == -1 && PyErr_Occurred())
-        return -1;
-    if (used < c->ways) {
-        slot = set_idx * c->ways + used;
-        PyObject *count = PyLong_FromLongLong(used + 1);
-        if (count == NULL)
-            return -1;
-        PyObject *old = PyList_GET_ITEM(c->set_fill, set_idx);
-        PyList_SET_ITEM(c->set_fill, set_idx, count);
-        Py_DECREF(old);
+    Py_ssize_t set_idx = (Py_ssize_t)(block % c->num_sets);
+    Py_ssize_t base = set_idx * c->ways;
+    if (c->set_fill[set_idx] < c->ways) {
+        slot = base + c->set_fill[set_idx]++;
     }
     else {
         /* The victim is the set's first least-recent stamp. */
-        Py_ssize_t base = set_idx * c->ways;
         slot = base;
-        long long best = 0;
-        for (Py_ssize_t i = base; i < base + c->ways; i++) {
-            long long stamp = PyLong_AsLongLong(PyList_GET_ITEM(c->stamps, i));
-            if (stamp == -1 && PyErr_Occurred())
-                return -1;
-            if (i == base || stamp < best) {
-                best = stamp;
+        for (Py_ssize_t i = base + 1; i < base + c->ways; i++) {
+            if (c->stamps[i] < c->stamps[slot])
                 slot = i;
-            }
         }
-        PyObject *victim = PyList_GET_ITEM(c->way_blocks, slot);
-        Py_INCREF(victim);
-        PyObject *vaddr = slot_get(victim, CB_block_addr);
-        PyObject *vdirty = slot_get(victim, CB_dirty);
-        PyObject *vprefetched = slot_get(victim, CB_prefetched);
-        PyObject *vuseful = slot_get(victim, CB_prefetch_useful);
-        int dirty, was_prefetched, was_useful;
-        if (vaddr == NULL || vdirty == NULL || vprefetched == NULL || vuseful == NULL
-            || (dirty = truth(vdirty)) < 0 || (was_prefetched = truth(vprefetched)) < 0
-            || (was_useful = truth(vuseful)) < 0
-            || PyDict_DelItem(c->blocks, vaddr) < 0) {
-            Py_DECREF(victim);
-            return -1;
-        }
+        int flags = c->flags[slot];
         c->evictions++;
-        if (dirty)
+        if (flags & F_DIRTY)
             c->writebacks++;
-        if (was_prefetched) {
-            if (was_useful)
+        if (flags & F_PREFETCHED) {
+            if (flags & F_USEFUL)
                 c->useful_evictions++;
             else
                 c->useless_evictions++;
         }
-        int rc = evicted(s, c, vaddr, vprefetched, vuseful, vdirty, was_prefetched,
-                         was_useful);
-        Py_DECREF(victim);
-        if (rc < 0)
+        if (evicted(s, c, c->tags[slot], flags) < 0)
             return -1;
     }
-
-    PyObject *block = alloc_slots(CacheBlockType);
-    PyObject *slot_obj = PyLong_FromSsize_t(slot);
-    PyObject *ready_obj = PyLong_FromLongLong(ready);
-    PyObject *source_obj = source < 0 ? Py_NewRef(Py_None) : PyLong_FromLong(source);
-    if (block == NULL || slot_obj == NULL || ready_obj == NULL || source_obj == NULL) {
-        Py_XDECREF(block);
-        Py_XDECREF(slot_obj);
-        Py_XDECREF(ready_obj);
-        Py_XDECREF(source_obj);
-        return -1;
-    }
-    slot_set(block, CB_block_addr, key);
-    SLOT(block, CB_slot) = slot_obj;
-    slot_set(block, CB_dirty, Py_False);
-    slot_set(block, CB_prefetched, py_bool(prefetched));
-    slot_set(block, CB_prefetch_useful, Py_False);
-    SLOT(block, CB_prefetch_source_level) = source_obj;
-    SLOT(block, CB_ready_cycle) = ready_obj;
-    if (PyDict_SetItem(c->blocks, key, block) < 0) {
-        Py_DECREF(block);
-        return -1;
-    }
-    PyObject *old = PyList_GET_ITEM(c->way_blocks, slot);
-    PyList_SET_ITEM(c->way_blocks, slot, block); /* steals */
-    Py_DECREF(old);
-    if (cache_tick(c, slot) < 0)
-        return -1;
+    c->tags[slot] = block;
+    c->ready[slot] = ready;
+    c->flags[slot] = prefetched ? F_PREFETCHED : 0;
+    c->source[slot] = (int8_t)source;
+    c->stamps[slot] = ++*c->clock;
     if (prefetched)
         c->prefetch_fills++;
     else
@@ -2649,19 +2578,11 @@ set_busy(Stepper *s, double value)
     return rc;
 }
 
-/* Re-read the state a Python call or another core may have moved. */
+/* Re-read the DRAM channel a Python call or another core may have moved. */
 static int
-reload_shared(Stepper *s)
+reload_busy(Stepper *s)
 {
-    return cache_reload(&s->llc) < 0 ? -1 : get_double(s->dram, S__busy_until, &s->busy_until);
-}
-
-static int
-reload_all(Stepper *s)
-{
-    if (cache_reload(&s->l1) < 0 || cache_reload(&s->l2) < 0)
-        return -1;
-    return reload_shared(s);
+    return get_double(s->dram, S__busy_until, &s->busy_until);
 }
 
 /* One queued DRAM transaction issued at ``issue_at`` (DRAMModel.access's
@@ -2789,45 +2710,31 @@ spp_issue(Stepper *s, long long pc, long long block, long long cycle)
         Py_ssize_t indices[PPF_FEATURES];
         long long confidence = 0;
         s->l2_pf_candidates++;
-        PyObject *pblock_obj = PyLong_FromLongLong(pblock);
-        if (pblock_obj == NULL)
-            return -1;
-        int rc = -1, resident = PyDict_Contains(s->l2.blocks, pblock_obj);
-        if (resident < 0)
-            goto next;
-        if (resident) {
+        if (cache_find(&s->l2, pblock) >= 0) {
             s->l2_pf_dropped_resident++;
-            rc = 0;
-            goto next;
+            continue;
         }
         if (s->have_ppf && !ppf_consult(&s->ppf, pc, prediction, indices, &confidence)) {
             s->l2_pf_filtered++;
-            rc = 0;
-            goto next;
+            continue;
         }
         long long fill_latency = s->l2.latency + s->llc.latency;
-        int in_llc = PyDict_Contains(s->llc.blocks, pblock_obj);
-        if (in_llc < 0)
-            goto next;
-        if (!in_llc) {
+        if (cache_find(&s->llc, pblock) < 0) {
             if (dram_backed_up(s, cycle)) {
                 s->l2_pf_dropped_queue++;
-                rc = 0;
-                goto next;
+                continue;
             }
             long long dram_latency;
             if (dram_prefetch(s, cycle, &s->dram_l2c_prefetch, &dram_latency) < 0)
-                goto next;
+                return -1;
             fill_latency += dram_latency;
-            if (cache_fill(s, &s->llc, pblock_obj, pblock, cycle + fill_latency, 1,
-                           LEVEL_DRAM) < 0)
-                goto next;
+            if (cache_fill(s, &s->llc, pblock, cycle + fill_latency, 1, LEVEL_DRAM) < 0)
+                return -1;
         }
         s->l2_pf_issued++;
         if (prediction->fill_l2
-            && cache_fill(s, &s->l2, pblock_obj, pblock, cycle + fill_latency, 1,
-                          LEVEL_DRAM) < 0)
-            goto next;
+            && cache_fill(s, &s->l2, pblock, cycle + fill_latency, 1, LEVEL_DRAM) < 0)
+            return -1;
         if (s->have_ppf) {
             /* PPF training metadata travels as a raw (indices, confidence)
              * tuple; the eviction/use hooks hand it back to
@@ -2841,18 +2748,13 @@ spp_issue(Stepper *s, long long pc, long long block, long long cycle)
                     PyList_SET_ITEM(list, f, index);
             }
             PyObject *metadata = list ? Py_BuildValue("(NL)", list, confidence) : NULL;
-            if (metadata == NULL)
-                goto next;
-            int set = PyDict_SetItem(s->pending_l2c, pblock_obj, metadata);
-            Py_DECREF(metadata);
+            PyObject *key = metadata ? PyLong_FromLongLong(pblock) : NULL;
+            int set = key ? PyDict_SetItem(s->pending_l2c, key, metadata) : -1;
+            Py_XDECREF(metadata);
+            Py_XDECREF(key);
             if (set < 0)
-                goto next;
+                return -1;
         }
-        rc = 0;
-    next:
-        Py_DECREF(pblock_obj);
-        if (rc < 0)
-            return -1;
     }
     return 0;
 }
@@ -2867,79 +2769,63 @@ l1_prefetch_target(Stepper *s, long long tvaddr, long long pc, long long cycle)
     if (translate(s, tvaddr, &tpaddr) < 0)
         return -1;
     long long tblock = tpaddr >> 6;
+    Py_ssize_t indices[SLP_FEATURES];
+    long long confidence = 0;
+    if (cache_find(&s->l1, tblock) >= 0) {
+        s->l1_pf_dropped_resident++;
+        return 0;
+    }
+    if (s->have_slp
+        && !slp_consult(&s->slp, pc, tpaddr, s->last_prediction, indices, &confidence)) {
+        s->l1_pf_filtered++;
+        return 0;
+    }
+    /* The L2 prefetcher observes the prefetch arriving from the level
+     * above. */
+    if (s->have_spp && cache_find(&s->l2, tblock) < 0 && spp_issue(s, pc, tblock, cycle) < 0)
+        return -1;
+    /* The L2 residency re-check matters: SPP may have just filled this
+     * block into the L2. */
+    int served;
+    long long fetch_latency;
+    if (cache_find(&s->l2, tblock) >= 0) {
+        served = LEVEL_L2C;
+        fetch_latency = s->l1.latency + s->l2.latency;
+    }
+    else if (cache_find(&s->llc, tblock) >= 0) {
+        served = LEVEL_LLC;
+        fetch_latency = s->l1.latency + s->l2.latency + s->llc.latency;
+        if (cache_fill(s, &s->l2, tblock, cycle + fetch_latency, 0, -1) < 0)
+            return -1;
+    }
+    else {
+        if (dram_backed_up(s, cycle)) {
+            s->l1_pf_dropped_queue++;
+            return 0;
+        }
+        served = LEVEL_DRAM;
+        long long dram_latency;
+        if (dram_prefetch(s, cycle, &s->dram_l1d_prefetch, &dram_latency) < 0)
+            return -1;
+        fetch_latency = s->l1.latency + s->l2.latency + s->llc.latency + dram_latency;
+        long long ready = cycle + fetch_latency;
+        if (cache_fill(s, &s->llc, tblock, ready, 0, -1) < 0
+            || cache_fill(s, &s->l2, tblock, ready, 0, -1) < 0)
+            return -1;
+    }
+    s->l1_pf_issued++;
+    s->pf_served[served]++;
+    if (cache_fill(s, &s->l1, tblock, cycle + fetch_latency, 1, served) < 0)
+        return -1;
+    /* on_fill is the L1DPrefetcher base no-op for IPCP/Berti; SLP trains as
+     * soon as the serve level is known. */
+    if (s->have_slp)
+        perceptron_train(&s->slp.p, indices, served == LEVEL_DRAM, confidence);
     PyObject *tblock_obj = PyLong_FromLongLong(tblock);
     if (tblock_obj == NULL)
         return -1;
     int rc = -1;
     PyObject *record = NULL;
-    Py_ssize_t indices[SLP_FEATURES];
-    long long confidence = 0;
-    int found = PyDict_Contains(s->l1.blocks, tblock_obj);
-    if (found < 0)
-        goto done;
-    if (found) {
-        s->l1_pf_dropped_resident++;
-        rc = 0;
-        goto done;
-    }
-    if (s->have_slp
-        && !slp_consult(&s->slp, pc, tpaddr, s->last_prediction, indices, &confidence)) {
-        s->l1_pf_filtered++;
-        rc = 0;
-        goto done;
-    }
-    /* The L2 prefetcher observes the prefetch arriving from the level
-     * above. */
-    if (s->have_spp) {
-        if ((found = PyDict_Contains(s->l2.blocks, tblock_obj)) < 0)
-            goto done;
-        if (!found && spp_issue(s, pc, tblock, cycle) < 0)
-            goto done;
-    }
-    /* The L2 residency re-check matters: SPP may have just filled this
-     * block into the L2. */
-    int served;
-    long long fetch_latency;
-    if ((found = PyDict_Contains(s->l2.blocks, tblock_obj)) < 0)
-        goto done;
-    if (found) {
-        served = LEVEL_L2C;
-        fetch_latency = s->l1.latency + s->l2.latency;
-    }
-    else {
-        if ((found = PyDict_Contains(s->llc.blocks, tblock_obj)) < 0)
-            goto done;
-        if (found) {
-            served = LEVEL_LLC;
-            fetch_latency = s->l1.latency + s->l2.latency + s->llc.latency;
-            if (cache_fill(s, &s->l2, tblock_obj, tblock, cycle + fetch_latency, 0, -1) < 0)
-                goto done;
-        }
-        else {
-            if (dram_backed_up(s, cycle)) {
-                s->l1_pf_dropped_queue++;
-                rc = 0;
-                goto done;
-            }
-            served = LEVEL_DRAM;
-            long long dram_latency;
-            if (dram_prefetch(s, cycle, &s->dram_l1d_prefetch, &dram_latency) < 0)
-                goto done;
-            fetch_latency = s->l1.latency + s->l2.latency + s->llc.latency + dram_latency;
-            long long ready = cycle + fetch_latency;
-            if (cache_fill(s, &s->llc, tblock_obj, tblock, ready, 0, -1) < 0
-                || cache_fill(s, &s->l2, tblock_obj, tblock, ready, 0, -1) < 0)
-                goto done;
-        }
-    }
-    s->l1_pf_issued++;
-    s->pf_served[served]++;
-    if (cache_fill(s, &s->l1, tblock_obj, tblock, cycle + fetch_latency, 1, served) < 0)
-        goto done;
-    /* on_fill is the L1DPrefetcher base no-op for IPCP/Berti; SLP trains as
-     * soon as the serve level is known. */
-    if (s->have_slp)
-        perceptron_train(&s->slp.p, indices, served == LEVEL_DRAM, confidence);
     PyObject *previous = PyDict_GetItemWithError(s->pending_l1, tblock_obj);
     if (previous != NULL) {
         if (finalize_l1_prefetch(s, previous, 0) < 0)
@@ -3008,22 +2894,14 @@ speculative_request(Stepper *s, long long issue_at, long long *latency)
 
 /* _record_offchip_prediction_location: where the block is when a
  * speculative request fires. */
-static int
-record_location(Stepper *s, PyObject *block, int missed_l1d)
+static void
+record_location(Stepper *s, long long block, int missed_l1d)
 {
     CacheState *levels[3] = {&s->l1, &s->l2, &s->llc};
-    int location = LEVEL_DRAM;
-    for (int level = missed_l1d ? LEVEL_L2C : LEVEL_L1D; level < LEVEL_DRAM; level++) {
-        int found = PyDict_Contains(levels[level]->blocks, block);
-        if (found < 0)
-            return -1;
-        if (found) {
-            location = level;
-            break;
-        }
-    }
+    int location = missed_l1d ? LEVEL_L2C : LEVEL_L1D;
+    while (location < LEVEL_DRAM && cache_find(levels[location], block) < 0)
+        location++;
     s->prediction_location[location]++;
-    return 0;
 }
 
 /* MemoryHierarchy.demand_access plus the perceptron predict/train, inlined.
@@ -3034,16 +2912,12 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
 {
     long long cycle = (long long)dispatch;
     int is_write = kind == 1;
-    int rc = -1;
-    PyObject *block_obj = NULL;
 
     /* -- page translation -- */
     long long paddr;
     if (translate(s, vaddr, &paddr) < 0)
-        goto done;
+        return -1;
     long long block = paddr >> 6;
-    if ((block_obj = PyLong_FromLongLong(block)) == NULL)
-        goto done;
     if (is_write)
         s->demand_stores++;
     else
@@ -3095,11 +2969,10 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     long long speculative_ready = 0;
     if (action == 1) {
         s->speculative_requests++;
-        if (record_location(s, block_obj, 0) < 0)
-            goto done;
+        record_location(s, block, 0);
         long long dram_latency;
         if (speculative_request(s, cycle + s->predictor_latency, &dram_latency) < 0)
-            goto done;
+            return -1;
         speculative = 1;
         speculative_ready = s->predictor_latency + dram_latency;
     }
@@ -3107,15 +2980,13 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     /* -- L1D lookup -- */
     long long latency = s->l1.latency;
     int prefetch_hit;
-    int l1d_hit = cache_lookup(&s->l1, block_obj, cycle, is_write, &latency, &prefetch_hit);
-    if (l1d_hit < 0)
-        goto done;
-    if (prefetch_hit && resolve_l1_prefetch(s, block_obj, 1) < 0)
-        goto done;
+    int l1d_hit = cache_lookup(&s->l1, block, cycle, is_write, &latency, &prefetch_hit);
+    if (prefetch_hit && resolve_l1_prefetch(s, block, 1) < 0)
+        return -1;
 
     /* -- L1D prefetcher -- */
     if (s->prefetch_kind != PF_NONE && l1_prefetch(s, pc, vaddr, l1d_hit, cycle) < 0)
-        goto done;
+        return -1;
 
     /* -- selective delay (FLP) -- */
     if (action == 2) {
@@ -3125,12 +2996,11 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         else {
             s->speculative_requests++;
             s->delayed_speculative++;
-            if (record_location(s, block_obj, 1) < 0)
-                goto done;
+            record_location(s, block, 1);
             long long dram_latency;
             if (speculative_request(s, cycle + s->l1.latency + s->predictor_latency,
                                     &dram_latency) < 0)
-                goto done;
+                return -1;
             speculative = 1;
             speculative_ready = s->l1.latency + s->predictor_latency + dram_latency;
         }
@@ -3145,33 +3015,26 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         /* -- below-L1D walk -- */
         latency += s->l2.latency;
         int l2_prefetch_hit;
-        int l2_hit = cache_lookup(&s->l2, block_obj, cycle, is_write, &latency,
-                                  &l2_prefetch_hit);
-        if (l2_hit < 0)
-            goto done;
-        if (l2_prefetch_hit && resolve_l2_prefetch(s, block_obj) < 0)
-            goto done;
+        int l2_hit = cache_lookup(&s->l2, block, cycle, is_write, &latency, &l2_prefetch_hit);
+        if (l2_prefetch_hit && resolve_l2_prefetch(s, block) < 0)
+            return -1;
 
         /* SPP observes L2 demand accesses. */
         if (s->have_spp && spp_issue(s, pc, block, cycle) < 0)
-            goto done;
+            return -1;
 
         if (l2_hit) {
-            if (cache_fill(s, &s->l1, block_obj, block, cycle + latency, 0, -1) < 0)
-                goto done;
+            if (cache_fill(s, &s->l1, block, cycle + latency, 0, -1) < 0)
+                return -1;
             s->served[LEVEL_L2C]++;
         }
         else {
             latency += s->llc.latency;
             int llc_prefetch_hit;
-            int llc_hit = cache_lookup(&s->llc, block_obj, cycle, is_write, &latency,
-                                       &llc_prefetch_hit);
-            if (llc_hit < 0)
-                goto done;
-            if (llc_hit) {
-                if (cache_fill(s, &s->l1, block_obj, block, cycle + latency, 0, -1) < 0
-                    || cache_fill(s, &s->l2, block_obj, block, cycle + latency, 0, -1) < 0)
-                    goto done;
+            if (cache_lookup(&s->llc, block, cycle, is_write, &latency, &llc_prefetch_hit)) {
+                if (cache_fill(s, &s->l1, block, cycle + latency, 0, -1) < 0
+                    || cache_fill(s, &s->l2, block, cycle + latency, 0, -1) < 0)
+                    return -1;
                 s->served[LEVEL_LLC]++;
             }
             else {
@@ -3184,16 +3047,16 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
                 else {
                     double delay;
                     if (dram_transaction(s, cycle + latency, &delay) < 0)
-                        goto done;
+                        return -1;
                     s->dram_demand++;
                     dram_latency = (long long)(delay + (double)s->dram_access_latency);
                 }
                 latency += dram_latency;
                 long long ready = cycle + latency;
-                if (cache_fill(s, &s->llc, block_obj, block, ready, 0, -1) < 0
-                    || cache_fill(s, &s->l2, block_obj, block, ready, 0, -1) < 0
-                    || cache_fill(s, &s->l1, block_obj, block, ready, 0, -1) < 0)
-                    goto done;
+                if (cache_fill(s, &s->llc, block, ready, 0, -1) < 0
+                    || cache_fill(s, &s->l2, block, ready, 0, -1) < 0
+                    || cache_fill(s, &s->l1, block, ready, 0, -1) < 0)
+                    return -1;
                 s->served[LEVEL_DRAM]++;
                 went_offchip = 1;
             }
@@ -3217,10 +3080,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         *latency_out = 1;
         s->stores++;
     }
-    rc = 0;
-done:
-    Py_XDECREF(block_obj);
-    return rc;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -3353,7 +3213,7 @@ end_chunk(Stepper *s)
     int rc = -1;
     if (accesses_obj && instructions && cycles
         && discard(call3(s->sample_hook, accesses_obj, instructions, cycles)) == 0
-        && reload_all(s) == 0)
+        && reload_busy(s) == 0)
         rc = 0;
     Py_XDECREF(accesses_obj);
     Py_XDECREF(done_obj);
@@ -3453,7 +3313,7 @@ advance(Stepper *s, int yield_memory)
             s->pending = 0;
             dispatch = s->pending_dispatch;
             /* Other cores of a mix ran while this one was paused. */
-            if (reload_shared(s) < 0)
+            if (reload_busy(s) < 0)
                 goto error;
         }
         else {
@@ -3761,6 +3621,9 @@ release_buffers(Stepper *s)
         PyBuffer_Release(&s->kind_buf);
         s->have_columns = 0;
     }
+    cache_release(&s->l1);
+    cache_release(&s->l2);
+    cache_release(&s->llc);
     perceptron_release(&s->flp);
     release_components(s);
 }

@@ -23,16 +23,17 @@ record.  The batch core runs the same steps for a whole trace in C
    saturating training, the L1D/L2C prefetch issue paths and the
    order-dependent kernels of stock IPCP or Berti, SPP, PPF and SLP (with
    SLP training and the L1D eviction/prefetch-use bookkeeping).  It reads
-   the trace columns through the buffer protocol and updates in place the
-   very objects the scalar reference uses -- each cache's
-   ``_blocks``/``_stamps``/``_way_blocks``/``_set_fill``/``_clock``, the
-   ``CacheBlock`` slots, the page table's ``_mapping``/``_allocated_frames``/
-   ``page_faults``, DRAM ``_busy_until``, every numpy component table and
-   every stats object -- in the same order with the same arithmetic.  The
-   dict- and list-backed state of the components and feature histories is
-   copied into flat C tables when the stepper is built and written back
-   into the same containers when its trace ends.  PPF training on prefetch
-   use and L2C eviction stays a Python call.
+   the trace columns and each cache's flat state arrays
+   (``_tags``/``_stamps``/``_ready``/``_flags``/``_source``/``_set_fill``/
+   ``_clock``, the one representation :class:`Cache` itself uses) through
+   the buffer protocol, and updates in place the very objects the scalar
+   reference uses -- those arrays, the page table's ``_mapping``/
+   ``_allocated_frames``/``page_faults``, DRAM ``_busy_until``, every numpy
+   component table and every stats object -- in the same order with the
+   same arithmetic.  The dict- and list-backed state of the components and
+   feature histories is copied into flat C tables when the stepper is built
+   and written back into the same containers when its trace ends.  PPF
+   training on prefetch use and L2C eviction stays a Python call.
 
 3. **Scheduling and fallback** -- :func:`fused_core_stepper` returns the
    kernel's per-core stepper, an iterator that pauses before each

@@ -67,6 +67,7 @@ from repro.sim.single_core import run_single_core
 from repro.traces.ingest import read_champsim_trace
 from repro.traces.trace import KIND_LOAD, KIND_NON_MEM, Trace, trace_lists
 from repro.workloads import gap_trace, spec_like_trace
+from test_cache import STATE_ARRAYS, check_flat_layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CHAMPSIM_FIXTURE = FIXTURES / "champsim_small.trace"
@@ -107,16 +108,16 @@ def _assert_eviction_bound(cache: Cache) -> None:
     assert stats.evictions * 2 > stats.demand_fills + stats.prefetch_fills > 0
 
 
+def _caches(hierarchy: MemoryHierarchy) -> tuple:
+    return hierarchy.l1d, hierarchy.l2c, hierarchy.llc
+
+
 def _lru_state(hierarchy: MemoryHierarchy) -> list:
-    """Each cache's clock, stamps and way contents: the fused loop must
-    leave them exactly as the scalar path does."""
+    """Every state array of each cache, the clock included: the fused loop
+    must leave them exactly as the scalar path does."""
     return [
-        (
-            cache._clock,
-            cache._stamps,
-            [block and block.block_addr for block in cache._way_blocks],
-        )
-        for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc)
+        {name: getattr(cache, name).tolist() for name in STATE_ARRAYS}
+        for cache in _caches(hierarchy)
     ]
 
 
@@ -582,11 +583,11 @@ class TestEvictionStress:
             results[core] = run_single_core(
                 gap_bfs_trace, scenario, config=system, hierarchy=hierarchy
             )
-            for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
+            for cache in _caches(hierarchy):
                 _assert_eviction_bound(cache)
+                check_flat_layout(cache)
             states[core] = _lru_state(hierarchy), [
-                dataclasses.asdict(cache.stats)
-                for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc)
+                dataclasses.asdict(cache.stats) for cache in _caches(hierarchy)
             ]
         _assert_identical(results["scalar"], results["batch"])
         assert states["batch"] == states["scalar"]
@@ -954,6 +955,9 @@ class TestMultiCoreEquivalence:
             )
             assert dataclasses.asdict(result) == dataclasses.asdict(oracle), core
             assert [_lru_state(h) for h in hierarchies] == oracle_state, core
+            for hierarchy in hierarchies:
+                for cache in _caches(hierarchy):
+                    check_flat_layout(cache)
         assert fused_cores == [0, 1, 2, 3]
 
     def test_per_core_fallback(self, tmp_path, mix_traces, fused_cores):

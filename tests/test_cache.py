@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheConfig
-from repro.memory.cache import Cache
+from repro.memory.cache import DIRTY, PREFETCH_USEFUL, PREFETCHED, Cache
 
 
 def tiny_cache(sets: int = 4, ways: int = 2) -> Cache:
@@ -15,9 +15,9 @@ def tiny_cache(sets: int = 4, ways: int = 2) -> Cache:
 class TestLookupAndFill:
     def test_miss_then_hit(self):
         cache = tiny_cache()
-        assert cache.lookup(0x100) is False
+        assert cache.lookup(0x100) is None
         cache.fill(0x100)
-        assert cache.lookup(0x100) is True
+        assert cache.lookup(0x100) is not None
         assert cache.stats.demand_hits == 1
         assert cache.stats.demand_misses == 1
 
@@ -59,10 +59,12 @@ class TestPrefetchTracking:
 
     def test_demand_hit_marks_prefetch_useful(self):
         cache = tiny_cache()
-        cache.fill(0x20, prefetched=True)
-        cache.lookup(0x20)
+        cache.fill(0x20, prefetched=True, ready_cycle=50)
+        assert cache.lookup(0x20) == (50, True)
         assert cache.stats.prefetch_hits == 1
         assert cache.unused_prefetched_blocks() == 0
+        assert cache.lookup(0x20) == (50, False)  # only the first use counts
+        assert cache.stats.prefetch_hits == 1
 
     def test_useless_prefetch_eviction_counted(self):
         cache = tiny_cache(sets=1, ways=1)
@@ -107,13 +109,14 @@ class TestReadyCycle:
     def test_ready_cycle_recorded(self):
         cache = tiny_cache()
         cache.fill(0x30, cycle=10, ready_cycle=200)
-        assert cache.get_block(0x30).ready_cycle == 200
+        assert cache._ready[cache.find(0x30)] == 200
 
     def test_second_fill_keeps_earliest_ready(self):
         cache = tiny_cache()
         cache.fill(0x30, cycle=10, ready_cycle=200)
         cache.fill(0x30, cycle=20, ready_cycle=100)
-        assert cache.get_block(0x30).ready_cycle == 100
+        assert cache._ready[cache.find(0x30)] == 100
+        assert cache.lookup(0x30) == (100, False)
 
 
 class TestStatsAndOccupancy:
@@ -139,32 +142,54 @@ class TestStatsAndOccupancy:
         assert cache.stats.demand_hit_rate == pytest.approx(0.5)
 
 
+#: Every array of a cache's state, per slot and per cache.
+SLOT_ARRAYS = ("_tags", "_stamps", "_ready", "_flags", "_source")
+STATE_ARRAYS = SLOT_ARRAYS + ("_set_fill", "_clock")
+
+#: The values a free slot holds, by array.
+FREE_SLOT = {"_tags": -1, "_stamps": 0, "_ready": 0, "_flags": 0, "_source": -1}
+
+
 def way_contents(cache: Cache, set_idx: int) -> list:
     """Block address held by each way of a set (None for a free way)."""
     base = set_idx * cache.associativity
+    used = cache._set_fill[set_idx]
     return [
-        block.block_addr if block is not None else None
-        for block in cache._way_blocks[base:base + cache.associativity]
+        cache._tags[base + way] if way < used else None
+        for way in range(cache.associativity)
     ]
 
 
 def check_flat_layout(cache: Cache) -> None:
-    """The flat per-cache state agrees with the block dict, set by set."""
+    """The flat per-cache state is consistent, set by set and slot by slot."""
     ways = cache.associativity
+    slots = cache.num_sets * ways
+    for name in SLOT_ARRAYS:
+        assert len(getattr(cache, name)) == slots, name
+    assert len(cache._set_fill) == cache.num_sets
+    assert len(cache._clock) == 1
     for set_idx in range(cache.num_sets):
-        contents = way_contents(cache, set_idx)
+        base = set_idx * ways
         used = cache._set_fill[set_idx]
-        # Occupied ways are a prefix of the set; the rest are free.
-        assert contents[used:] == [None] * (ways - used)
-        assert set(contents[:used]) == {
-            addr for addr in cache.resident_blocks()
-            if addr % cache.num_sets == set_idx
-        }
-        stamps = cache._stamps[set_idx * ways:set_idx * ways + used]
+        assert 0 <= used <= ways
+        tags = list(cache._tags[base:base + used])
+        # Each occupied way holds a distinct block of this set.
+        assert len(set(tags)) == used
+        assert all(tag % cache.num_sets == set_idx for tag in tags)
+        for slot in range(base, base + used):
+            assert cache.find(cache._tags[slot]) == slot
+            # Stamps come from the clock; flags use their three bits only.
+            assert 0 < cache._stamps[slot] <= cache._clock[0]
+            flags = cache._flags[slot]
+            assert flags & ~(DIRTY | PREFETCHED | PREFETCH_USEFUL) == 0
+            assert -1 <= cache._source[slot] <= 3
+            assert cache._ready[slot] >= 0
+        stamps = cache._stamps[base:base + used]
         assert len(set(stamps)) == used  # unique within the set
-    for addr, block in cache._blocks.items():
-        assert block.block_addr == addr
-        assert cache._way_blocks[block.slot] is block
+        # Occupied ways are a prefix of the set; the rest are free.
+        for slot in range(base + used, base + ways):
+            for name, empty in FREE_SLOT.items():
+                assert getattr(cache, name)[slot] == empty, (name, slot)
 
 
 class TestVictimResolution:
@@ -177,10 +202,10 @@ class TestVictimResolution:
             cache.fill(addr)
         cache.lookup(0)
         victim_slot = cache._stamps.index(min(cache._stamps))
-        victim_addr = cache._way_blocks[victim_slot].block_addr
+        victim_addr = cache._tags[victim_slot]
         eviction = cache.fill(4)
         assert eviction.block_addr == victim_addr == 1
-        assert cache.get_block(4).slot == victim_slot
+        assert cache.find(4) == victim_slot
 
     def test_addr_in_way_tracks_fills_and_evictions(self):
         cache = tiny_cache(sets=1, ways=2)
@@ -285,7 +310,7 @@ def test_matches_reference_lru(sets, ways, data):
     evicted = invalidated = 0
     for op, addr in ops:
         if op in ("read", "write"):
-            assert cache.lookup(addr, is_write=op == "write") == (
+            assert (cache.lookup(addr, is_write=op == "write") is not None) == (
                 reference.lookup(addr)
             )
         elif op == "invalidate":
@@ -308,6 +333,62 @@ def test_matches_reference_lru(sets, ways, data):
     check_flat_layout(cache)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_slot_metadata_matches_reference(sets, ways, data):
+    """Flags, ready cycle and source level follow their block slot by slot
+    through hits, refills, evictions and invalidations."""
+    address = st.integers(min_value=0, max_value=2 * sets * ways - 1)
+    ops = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from(OPS), address,
+            st.integers(min_value=0, max_value=500), st.sampled_from((0, 1, 2, 3)),
+        ),
+        min_size=20, max_size=200,
+    ))
+    cache = tiny_cache(sets=sets, ways=ways)
+    reference = ReferenceLRU(sets, ways)
+    meta = {}  # block -> [flags, ready cycle, source level]
+    for op, addr, ready, source in ops:
+        if op in ("read", "write"):
+            hit = cache.lookup(addr, is_write=op == "write")
+            assert (hit is not None) == reference.lookup(addr)
+            if hit is not None:
+                first_use = meta[addr][0] & (PREFETCHED | PREFETCH_USEFUL) == PREFETCHED
+                assert hit == (meta[addr][1], first_use)
+                meta[addr][0] |= (PREFETCH_USEFUL if first_use else 0) | (
+                    DIRTY if op == "write" else 0
+                )
+        elif op == "invalidate":
+            if reference.invalidate(addr):
+                del meta[addr]
+            cache.invalidate(addr)
+        else:
+            prefetched = op == "prefetch_fill"
+            level = source if prefetched else None
+            cache.fill(addr, prefetched=prefetched, prefetch_source_level=level,
+                       ready_cycle=ready)
+            victim = reference.fill(addr)
+            meta.pop(victim, None)
+            if addr in meta:
+                if not prefetched:
+                    meta[addr][0] &= ~PREFETCHED
+                meta[addr][1] = min(meta[addr][1], ready)
+            else:
+                meta[addr] = [PREFETCHED if prefetched else 0, ready,
+                              -1 if level is None else level]
+        assert {
+            tag: [cache._flags[slot], cache._ready[slot], cache._source[slot]]
+            for slot in cache.resident_slots()
+            for tag in (cache._tags[slot],)
+        } == meta
+        check_flat_layout(cache)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=300))
 def test_cache_never_exceeds_capacity(block_stream):
@@ -326,4 +407,4 @@ def test_immediate_rereference_always_hits(block_stream):
     for block in block_stream:
         if not cache.lookup(block):
             cache.fill(block)
-        assert cache.lookup(block) is True
+        assert cache.lookup(block) is not None

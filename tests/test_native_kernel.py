@@ -5,14 +5,16 @@ the kernel computes.  These tests pin how it is built and loaded (a cached
 build is reused without the compiler; concurrent builds publish complete
 files), what happens without it (the scalar reference runs and one
 ``sim.batch.fallback`` event says why), and the C-API contract (no model
-object outlives a run, and exceptions raised inside Python callouts
-propagate out of the kernel unchanged).
+object outlives a run, exceptions raised inside Python callouts
+propagate out of the kernel unchanged, and a cache whose state arrays do
+not fit its geometry is refused).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+from array import array
 import os
 import subprocess
 import sys
@@ -27,7 +29,7 @@ from repro.common.config import (
     cascade_lake_single_core,
 )
 from repro.cpu.core import CoreRunner
-from repro.memory.cache import CacheBlock, EvictionInfo
+from repro.memory.cache import EvictionInfo
 from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
 from repro.obs import tracer
 from repro.sim import native
@@ -39,7 +41,7 @@ from repro.sim.single_core import run_single_core
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MIX = ("bfs.urand", "spec.mcf_like", "spec.lbm_like", "cc.road")
-MODEL_TYPES = (CacheBlock, EvictionInfo, PrefetchRecord)
+MODEL_TYPES = (EvictionInfo, PrefetchRecord)
 
 
 def _single(core: str):
@@ -278,3 +280,40 @@ class TestRefcounts:
         assert cycles == sorted(cycles)
         assert next(stepper, None) is None
         assert runner.instructions == len(traces["cc.road"])
+
+
+# ----------------------------------------------------------------------
+# Cache state layout
+# ----------------------------------------------------------------------
+def _stepper_for(hierarchy, trace):
+    runner = CoreRunner(_single("batch").core, hierarchy.demand_access)
+    return fused_core_stepper(runner, trace, hierarchy, 61)
+
+
+class TestCacheLayout:
+    """The kernel uses each cache's arrays in place, so it refuses arrays
+    of the wrong typecode or length instead of reading past them."""
+
+    @pytest.mark.parametrize("level,name,replacement", [
+        ("l1d", "_tags", lambda a: array("l", a)),
+        ("l2c", "_flags", lambda a: array("b", a)),
+        ("llc", "_source", lambda a: array("B", [0]) * len(a)),
+        ("l1d", "_stamps", list),
+        ("llc", "_clock", lambda a: array("d", [0.0])),
+    ])
+    def test_wrong_typecode_is_rejected(self, traces, level, name, replacement):
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
+        cache = getattr(hierarchy, level)
+        setattr(cache, name, replacement(getattr(cache, name)))
+        with pytest.raises(TypeError, match="unexpected cache state layout"):
+            _stepper_for(hierarchy, traces["cc.road"])
+
+    @pytest.mark.parametrize("level,name", [
+        ("l1d", "_tags"), ("l2c", "_ready"), ("llc", "_flags"),
+        ("l1d", "_set_fill"), ("l2c", "_clock"),
+    ])
+    def test_wrong_length_is_rejected(self, traces, level, name):
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
+        getattr(getattr(hierarchy, level), name).append(0)
+        with pytest.raises(ValueError, match="cache state does not match its geometry"):
+            _stepper_for(hierarchy, traces["cc.road"])
