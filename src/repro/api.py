@@ -6,14 +6,15 @@ result/config/trace types they produce and consume -- are the supported API
 and keep their signatures across refactors of the internals.  Everything
 else under :mod:`repro` is implementation and may move between releases.
 
-The entry points mirror the CLI one-to-one:
+The entry points and their CLI twins:
 
 ===================  =====================================================
 ``load_trace``       ``repro trace build`` -- one workload trace
 ``simulate_point``   one (workload, scheme, prefetcher) simulation
 ``run_sweep``        ``repro sweep`` -- a user-defined point grid
 ``run_figure``       ``repro figure`` -- one registered paper figure
-``run_campaign``     ``repro campaign`` -- the full paper point set
+``run_campaign``     the full paper point set (no CLI twin; ``repro
+                     figure all`` runs every figure's points)
 ===================  =====================================================
 
 Every entry point takes ``core=`` to select the simulator core
@@ -58,7 +59,6 @@ from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.spp import SPPPrefetcher
 from repro.sim.engine import (
     CampaignPoint,
-    RetryPolicy,
     build_workload_trace,
     execute_point,
     single_core_point,
@@ -90,7 +90,6 @@ __all__ = [
     "CampaignPoint",
     "CampaignCache",
     "ExperimentConfig",
-    "RetryPolicy",
     "SCHEMES",
     "Scenario",
     "build_scenario",
@@ -200,7 +199,6 @@ def run_sweep(
     config: Optional[ExperimentConfig] = None,
     cache: Optional[CampaignCache] = None,
     jobs: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
     core: Optional[str] = None,
     use_result_cache: bool = True,
     trace_store: Optional[TraceStore] = None,
@@ -223,7 +221,7 @@ def run_sweep(
     points = spec.compile(
         campaign.config, trace_store=campaign.engine.trace_store
     )
-    results = campaign.run_points(points, jobs=jobs, policy=policy)
+    results = campaign.run_points(points, jobs=jobs)
     return SweepResults(
         campaign.config, results, trace_store=campaign.engine.trace_store
     )
@@ -234,7 +232,6 @@ def run_figure(
     config: Optional[ExperimentConfig] = None,
     cache: Optional[CampaignCache] = None,
     jobs: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
     core: Optional[str] = None,
     use_result_cache: bool = True,
     trace_store: Optional[TraceStore] = None,
@@ -252,7 +249,7 @@ def run_figure(
 
     campaign = _campaign(config, cache, core, use_result_cache, trace_store)
     return run_experiment(
-        get_experiment(name), cache=campaign, jobs=jobs, policy=policy, **params
+        get_experiment(name), cache=campaign, jobs=jobs, **params
     )
 
 
@@ -262,7 +259,6 @@ def run_campaign(
     config: Optional[ExperimentConfig] = None,
     cache: Optional[CampaignCache] = None,
     jobs: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
     core: Optional[str] = None,
     use_result_cache: bool = True,
     trace_store: Optional[TraceStore] = None,
@@ -277,7 +273,5 @@ def run_campaign(
     hand it back to :func:`run_figure` for cache-hit figure rendering.
     """
     campaign = _campaign(config, cache, core, use_result_cache, trace_store)
-    campaign.run_campaign(
-        schemes, include_multicore=include_multicore, jobs=jobs, policy=policy
-    )
+    campaign.run_campaign(schemes, include_multicore=include_multicore, jobs=jobs)
     return campaign

@@ -5,8 +5,8 @@ Examples::
     # Compare schemes on one workload
     python -m repro.cli run --workload bfs.urand --schemes baseline hermes tlp
 
-    # Regenerate figures through the experiment registry (one parallel
-    # engine batch per figure)
+    # Regenerate figures through the experiment registry (``all`` runs
+    # every figure's points as one deduplicated batch on one process pool)
     python -m repro.cli figure fig01
     python -m repro.cli figure all --jobs 8
     python -m repro.cli figure fig10 --quick --jobs 4
@@ -15,13 +15,6 @@ Examples::
     python -m repro.cli sweep --workloads bfs.urand spec.mcf_like \
         --schemes baseline hermes tlp --jobs 4
     python -m repro.cli sweep --spec-json my_sweep.json --list
-
-    # Simulate the full campaign in parallel with a persistent result cache
-    python -m repro.cli campaign --jobs 8
-    python -m repro.cli campaign --list
-
-    # Fold result caches built elsewhere into the local one
-    python -m repro.cli cache merge other0 other1
 
     # Bound the result cache / trace store size
     python -m repro.cli cache gc --max-mb 64
@@ -36,8 +29,9 @@ Examples::
     python -m repro.cli trace info imported.astar
     python -m repro.cli trace rm imported.astar
 
-    # Run the campaign over the imported traces too
-    python -m repro.cli campaign --include-imported
+    # Sweep (or regenerate a figure over) the imported traces too
+    python -m repro.cli sweep --include-imported --schemes baseline tlp
+    python -m repro.cli figure fig10 --include-imported
 
     # List available workloads and schemes
     python -m repro.cli list
@@ -46,6 +40,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -56,9 +51,9 @@ from repro.experiments import CampaignCache
 from repro.experiments.common import (
     ExperimentConfig,
     format_rows,
-    geomean_speedup_percent,
     quick_experiment_config,
 )
+from repro.sim.engine import PointFailedError
 from repro.sim.scenarios import SCHEMES, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.stats.metrics import percent_change, speedup_percent
@@ -176,16 +171,6 @@ def _cache_from_config(
     return CampaignCache(config, engine=engine)
 
 
-def _build_campaign_cache(args: argparse.Namespace) -> CampaignCache:
-    trace_store = _resolve_trace_store(args)
-    config = ExperimentConfig(
-        memory_accesses=args.accesses,
-        l1d_prefetchers=tuple(args.prefetchers),
-        imported_workloads=_imported_workloads(args, trace_store),
-    )
-    return _cache_from_config(args, config, trace_store)
-
-
 def _experiment_config_from_args(
     args: argparse.Namespace, trace_store
 ) -> ExperimentConfig:
@@ -220,56 +205,43 @@ def _print_point_status(label: str, rows) -> None:
 
 def _run_summary(label: str, elapsed: float, engine, jobs) -> str:
     """The shared simulated/cache-hits/jobs run-summary line."""
-    health = ""
-    report = _merged_report(engine)
-    if report is not None and (report.total_retries or report.quarantined):
-        health = (f", {report.total_retries} retries, "
-                  f"{report.quarantined} quarantined")
     return (f"{label} in {elapsed:.1f}s "
             f"({engine.simulations_run} simulated, {engine.cache_hits} cache hits, "
-            f"jobs={engine.resolve_jobs(jobs)}{health})")
+            f"jobs={engine.resolve_jobs(jobs)})")
 
 
-def _policy_from_args(args: argparse.Namespace):
-    """The :class:`~repro.sim.engine.RetryPolicy` described by the CLI flags."""
-    from repro.sim.engine import RetryPolicy
+@contextlib.contextmanager
+def _progress(args: argparse.Namespace, label: str):
+    """Yield the engine progress callback for ``--progress``.
 
-    defaults = RetryPolicy()
-    return RetryPolicy(
-        retries=args.retries if args.retries is not None else defaults.retries,
-        timeout_s=args.timeout_s,
-        strict=args.strict,
-    )
-
-
-def _progress_from_args(args: argparse.Namespace, label: str):
-    """``(ProgressLine, engine progress callback)`` for ``--progress``.
-
-    ``(None, None)`` when progress is off -- explicitly via
-    ``--no-progress``, or by default when stderr is not a terminal.
+    Yields None when progress is off -- explicitly via ``--no-progress``,
+    or by default when stderr is not a terminal.  The line is finished on
+    exit, also when the run fails.
     """
     import sys
 
-    enabled = getattr(args, "progress", None)
+    enabled = args.progress
     if enabled is None:
         enabled = sys.stderr.isatty()
     if not enabled:
-        return None, None
-    from repro.fabric.progress import ProgressLine, campaign_progress
+        yield None
+        return
+    from repro.obs.progress import ProgressLine, campaign_progress
 
     line = ProgressLine(enabled=True)
-    return line, campaign_progress(line, label)
+    try:
+        yield campaign_progress(line, label)
+    finally:
+        line.finish()
 
 
 def _setup_observability(args: argparse.Namespace) -> None:
     """Configure logging and telemetry from the parsed flags, then install.
 
-    Telemetry flags are exported through the environment so every child
-    process of the run -- engine pool workers and spawned ``repro fabric
-    worker`` processes alike -- inherits the same configuration via
-    ``install_from_env``.  Commands without the flags (``obs``, ``list``,
-    ``fabric worker``) still honour a pre-set environment, which is
-    exactly how fabric workers join the driver's telemetry run.
+    Telemetry flags are exported through the environment so every engine
+    pool worker of the run inherits the same configuration via
+    ``install_from_env``.  Commands without the flags (``obs``, ``list``)
+    still honour a pre-set environment.
     """
     from repro.obs import profile as obs_profile
     from repro.obs import sample as obs_sample
@@ -342,35 +314,10 @@ def _telemetry_metrics() -> dict:
     return merged if any(merged.values()) else {}
 
 
-def _merged_report(engine):
-    """Every engine run of this invocation folded into one report, or None."""
-    from repro.sim.engine import CampaignReport
-
-    if not engine.reports:
-        return None
-    return CampaignReport.merged(engine.reports)
-
-
 def _finish_run(args: argparse.Namespace, engine) -> int:
-    """Shared post-run reporting: quarantine listing, --report dump, --strict.
-
-    Returns the exit code the robustness flags impose (0 when every point
-    succeeded, or when quarantined points exist but --strict is off).
-    """
-    report = _merged_report(engine)
-    if report is None:
-        return 0
-    quarantined = report.quarantined_outcomes()
-    if quarantined:
-        print(f"{len(quarantined)} points quarantined "
-              f"(re-run the same command to retry just these):")
-        for outcome in quarantined:
-            detail = outcome.error_kind or "error"
-            if outcome.timed_out:
-                detail += ", timed out"
-            print(f"  [{detail}] {outcome.label} "
-                  f"after {outcome.attempts} attempts: {outcome.error}")
-    if args.report:
+    """Shared post-run reporting: the ``--report`` dump and telemetry."""
+    report = engine.last_report
+    if args.report and report is not None:
         report_dict = report.to_dict()
         metrics = _telemetry_metrics()
         if metrics:
@@ -383,63 +330,15 @@ def _finish_run(args: argparse.Namespace, engine) -> int:
                 fh.write(payload + "\n")
             print(f"report written to {args.report}")
     _finish_telemetry()
-    if quarantined and args.strict:
-        return 1
     return 0
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    cache = _build_campaign_cache(args)
-    schemes = tuple(args.schemes)
-    points = cache.enumerate_points(schemes, include_multicore=args.multicore)
-
-    if args.list:
-        _print_point_status("campaign", cache.engine.status(points))
-        return 0
-
-    policy = _policy_from_args(args)
-    line, progress = _progress_from_args(args, "campaign")
-    start = time.perf_counter()
-    cache.run_campaign(
-        schemes, include_multicore=args.multicore, jobs=args.jobs,
-        policy=policy, progress=progress,
-    )
-    if line is not None:
-        line.finish()
-    elapsed = time.perf_counter() - start
-    print(_run_summary(f"campaign: {len(points)} points", elapsed,
-                       cache.engine, args.jobs))
-    exit_code = _finish_run(args, cache.engine)
-
-    report = _merged_report(cache.engine)
-    if report is not None and report.quarantined:
-        # The speedup summary would re-execute the quarantined points
-        # serially (and presumably fail the same way); skip it.
-        print("skipping the speedup summary (quarantined points)")
-        return exit_code
-
-    rows = []
-    for prefetcher in cache.config.l1d_prefetchers:
-        baseline_results = {
-            workload: cache.single_core(workload, "baseline", prefetcher)
-            for workload in cache.config.workloads()
-        }
-        for scheme in schemes:
-            if scheme == "baseline":
-                continue
-            scheme_results = {
-                workload: cache.single_core(workload, scheme, prefetcher)
-                for workload in cache.config.workloads()
-            }
-            speedup = geomean_speedup_percent(
-                [scheme_results[w].ipc for w in cache.config.workloads()],
-                [baseline_results[w].ipc for w in cache.config.workloads()],
-            )
-            rows.append(f"  {scheme}/{prefetcher:<8} geomean speedup {speedup:+6.2f}%")
-    if rows:
-        print("single-core campaign summary (speedup over baseline):")
-        print("\n".join(rows))
-    return exit_code
+def _run_failed(error: Exception) -> int:
+    """Report a failed engine run; finished points stay in the result cache."""
+    print(error)
+    print("re-run the same command to resume from the result cache")
+    _finish_telemetry()
+    return 1
 
 
 def _format_bytes(count: int) -> str:
@@ -455,35 +354,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.sim.result_cache import ResultCache
 
     cache = ResultCache(args.dir) if args.dir else ResultCache()
-    if args.cache_command == "merge":
-        total_copied = 0
-        total_skipped = 0
-        total_unreadable = 0
-        total_bytes = 0
-        for source in args.sources:
-            try:
-                copied, skipped, unreadable, bytes_copied = cache.merge_from(source)
-            except FileNotFoundError as error:
-                print(error)
-                return 1
-            unreadable_note = (
-                f", {unreadable} unreadable skipped" if unreadable else ""
-            )
-            print(f"  {source}: {copied} copied "
-                  f"({_format_bytes(bytes_copied)}), {skipped} already present"
-                  f"{unreadable_note}")
-            total_copied += copied
-            total_skipped += skipped
-            total_unreadable += unreadable
-            total_bytes += bytes_copied
-        print(
-            f"merged {total_copied} entries ({_format_bytes(total_bytes)}) "
-            f"into {cache.directory} ({total_skipped} duplicates skipped, "
-            f"{total_unreadable} unreadable skipped, "
-            f"{len(cache.entries())} entries total)"
-        )
-        return 0
-    # argparse's required subparser guarantees merge/gc are the only commands.
+    # argparse's required subparser guarantees gc is the only command.
     max_bytes = int(args.max_mb * 1024 * 1024)
     before = cache.size_bytes()
     removed, freed = cache.gc(max_bytes, dry_run=args.dry_run)
@@ -539,7 +410,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               f"{len(trace)} records, "
               f"{_format_bytes(store.entry_size_bytes(key))}) "
               f"under {key[:12]} in {store.directory}")
-        print(f"run it with: repro campaign --include-imported")
+        print("run it with: repro sweep --include-imported "
+              "(or repro figure <name> --include-imported)")
         return 0
 
     if args.trace_command == "gc":
@@ -613,7 +485,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.spec import (
         get_experiment,
         registered_experiments,
-        run_experiment,
+        run_experiments,
     )
 
     if args.name == "all":
@@ -629,11 +501,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     trace_store = _resolve_trace_store(args)
     config = _experiment_config_from_args(args, trace_store)
     cache = _cache_from_config(args, config, trace_store)
-    policy = _policy_from_args(args)
-    incomplete = []
+    specs = [get_experiment(name) for name in names]
     start = time.perf_counter()
-    for index, name in enumerate(names):
-        spec = get_experiment(name)
+    try:
+        # Every figure's points in one deduplicated batch: one pool per run.
+        with _progress(args, args.name) as progress:
+            results = run_experiments(specs, cache=cache, jobs=args.jobs,
+                                      progress=progress)
+    except PointFailedError as error:
+        return _run_failed(error)
+    for index, (spec, result) in enumerate(zip(specs, results)):
         if args.prefetchers:
             # Some figures pin their prefetcher axis (the paper fixes IPCP
             # for the motivation/multi-core figures); say so instead of
@@ -645,36 +522,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             # swept is empty for experiments that simulate nothing
             # (table02 is pure arithmetic) -- nothing to warn about.
             if swept and ignored:
-                print(f"note: {name} pins its L1D prefetcher sweep to "
+                print(f"note: {spec.name} pins its L1D prefetcher sweep to "
                       f"{sorted(swept)}; --prefetchers {' '.join(ignored)} "
                       f"has no effect on it")
         if index:
             print()
-        line, progress = _progress_from_args(args, name)
-        try:
-            result = run_experiment(spec, cache=cache, jobs=args.jobs,
-                                    policy=policy, progress=progress)
-        except KeyError as error:
-            # A quarantined point left a hole the reducer tripped over;
-            # the healthy points are committed, so a re-run only executes
-            # the quarantined remainder.
-            if line is not None:
-                line.finish()
-            incomplete.append(name)
-            print(f"{name}: incomplete -- {error.args[0] if error.args else error}")
-            print(f"{name}: re-run the same command to retry the failed points")
-            continue
-        if line is not None:
-            line.finish()
         print(spec.title)
         print(spec.format_table(result))
     elapsed = time.perf_counter() - start
     print("\n" + _run_summary(f"figures: {len(names)}", elapsed,
                               cache.engine, args.jobs))
-    exit_code = _finish_run(args, cache.engine)
-    if incomplete:
-        return 1
-    return exit_code
+    return _finish_run(args, cache.engine)
 
 
 def _sweep_spec_from_args(args: argparse.Namespace):
@@ -780,21 +638,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _print_point_status("sweep", cache.engine.status(points))
         return 0
 
-    line, progress = _progress_from_args(args, "sweep")
     start = time.perf_counter()
-    results = cache.run_points(points, jobs=args.jobs,
-                               policy=_policy_from_args(args),
-                               progress=progress)
-    if line is not None:
-        line.finish()
+    try:
+        with _progress(args, "sweep") as progress:
+            results = cache.run_points(points, jobs=args.jobs,
+                                       progress=progress)
+    except PointFailedError as error:
+        return _run_failed(error)
     elapsed = time.perf_counter() - start
 
     rows = []
     for point in points:
-        result = results.get(point.key())
-        if result is None:
-            rows.append([point.label, point.kind, "quarantined", "-", "-"])
-            continue
+        result = results[point.key()]
         ipc = result.ipc if point.kind == "single_core" else sum(result.ipcs)
         row = [point.label, point.kind, ipc, result.dram_transactions]
         if point.scheme != "baseline":
@@ -819,214 +674,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print("\n" + _run_summary(f"sweep: {len(points)} points", elapsed,
                               cache.engine, args.jobs))
     return _finish_run(args, cache.engine)
-
-
-def _fabric_points(args: argparse.Namespace, cache: CampaignCache, trace_store):
-    """Compile the point set of a ``repro fabric run`` target.
-
-    ``campaign`` enumerates the evaluation campaign (respecting
-    ``--schemes``/``--multicore``); a figure id compiles that experiment's
-    sweep -- both through the exact code paths the single-node commands
-    use, so the fabric's task keys are the same cache keys and warm caches
-    transfer in both directions.
-    """
-    from repro.experiments.spec import get_experiment
-
-    if args.target == "campaign":
-        return cache.enumerate_points(
-            tuple(args.schemes), include_multicore=args.multicore
-        )
-    canonical = FIGURES.get(args.target)
-    if canonical is None:
-        raise SystemExit(
-            f"unknown fabric target {args.target!r}; use 'campaign' or a "
-            f"figure id from {sorted(FIGURES)}"
-        )
-    spec = get_experiment(canonical)
-    sweep = spec.build_sweep(cache.config)
-    return sweep.compile(cache.config, trace_store=trace_store)
-
-
-def _fabric_worker_args(args: argparse.Namespace) -> list[str]:
-    """CLI argv forwarded to every spawned ``repro fabric worker``."""
-    argv: list[str] = []
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.trace_dir:
-        argv += ["--trace-dir", args.trace_dir]
-    if args.no_trace_store:
-        argv += ["--no-trace-store"]
-    if args.retries is not None:
-        argv += ["--retries", str(args.retries)]
-    if args.timeout_s is not None:
-        argv += ["--timeout-s", f"{args.timeout_s:g}"]
-    return argv
-
-
-def _cmd_fabric_run(args: argparse.Namespace) -> int:
-    import pathlib
-    import shutil
-
-    from repro.fabric import (
-        FabricDriver,
-        ProgressLine,
-        TaskQueue,
-        points_queue_slug,
-    )
-    from repro.sim.engine import CampaignReport
-
-    if args.no_cache:
-        # The shared result cache is how workers hand results back; a
-        # fabric without one would simulate everything and keep nothing.
-        print("the fabric requires the persistent result cache "
-              "(drop --no-cache)")
-        return 2
-    trace_store = _resolve_trace_store(args)
-    config = _experiment_config_from_args(args, trace_store)
-    cache = _cache_from_config(args, config, trace_store)
-    points = _fabric_points(args, cache, trace_store)
-    if not points:
-        print(f"target {args.target!r} compiled to zero points")
-        return 1
-    if args.list:
-        _print_point_status("fabric", cache.engine.status(points))
-        return 0
-
-    # Default queue location: keyed by the compiled point set, so the same
-    # command resumes its queue while different flags get a fresh one.
-    queue_dir = pathlib.Path(
-        args.queue_dir
-        if args.queue_dir
-        else pathlib.Path(".repro_fabric") / points_queue_slug(args.target, points)
-    )
-    queue = TaskQueue(queue_dir)
-    progress_enabled = args.progress if args.progress is not None else True
-    driver = FabricDriver(
-        queue,
-        workers=args.workers,
-        heartbeat_s=args.heartbeat_s,
-        lease_loss_budget=args.lease_loss_budget,
-        worker_args=_fabric_worker_args(args),
-        progress=ProgressLine(enabled=progress_enabled),
-    )
-    result = driver.run(points)
-
-    counts = result.counts
-    print(f"fabric: {counts.done} done, {counts.quarantined} quarantined of "
-          f"{counts.tasks} points in {result.elapsed_s:.1f}s "
-          f"(workers spawned {result.workers_spawned}, "
-          f"leases reclaimed {result.leases_reclaimed}, "
-          f"queue {queue.directory})")
-    report = result.report
-    quarantined = report.quarantined_outcomes()
-    if quarantined:
-        print(f"{len(quarantined)} points quarantined "
-              f"(re-run the same command to retry just these):")
-        for outcome in quarantined:
-            print(f"  [{outcome.error_kind or 'error'}] {outcome.label}: "
-                  f"{outcome.error}")
-    if args.report:
-        payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-        if args.report == "-":
-            print(payload)
-        else:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            print(f"report written to {args.report}")
-    _finish_telemetry()
-
-    if not result.settled:
-        print("fabric run did not settle every point (out of worker "
-              "respawns); re-run the same command to resume the remainder")
-        return 1
-
-    rendered = True
-    if args.target != "campaign" and not quarantined:
-        # Every point is committed to the shared cache; rendering the
-        # figure is now a warm-cache reduction.
-        from repro.experiments.spec import get_experiment, run_experiment
-
-        spec = get_experiment(FIGURES[args.target])
-        try:
-            figure_result = run_experiment(spec, cache=cache, jobs=1)
-        except KeyError as error:
-            rendered = False
-            print(f"{args.target}: incomplete -- "
-                  f"{error.args[0] if error.args else error}")
-        else:
-            print(spec.title)
-            print(spec.format_table(figure_result))
-
-    if not quarantined and rendered and not args.keep_queue:
-        shutil.rmtree(queue.directory, ignore_errors=True)
-    elif quarantined:
-        print(f"keeping queue {queue.directory} (quarantined points; "
-              f"re-run to retry)")
-    if quarantined and args.strict:
-        return 1
-    return 0 if rendered else 1
-
-
-def _cmd_fabric_worker(args: argparse.Namespace) -> int:
-    from repro.fabric import FabricWorker, TaskQueue
-    from repro.sim.result_cache import ResultCache
-
-    queue = TaskQueue(args.queue_dir)
-    if not queue.exists():
-        print(f"no fabric queue at {queue.directory} "
-              f"(start one with 'repro fabric run')")
-        return 2
-    cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-    worker = FabricWorker(
-        queue,
-        cache,
-        trace_store=_resolve_trace_store(args),
-        owner=args.owner,
-        policy=_policy_from_args(args),
-        heartbeat_s=args.heartbeat_s,
-        max_points=args.max_points,
-    )
-    report = worker.run()
-    note = " (drained)" if worker.drained else ""
-    print(f"worker {worker.owner}: {worker.settled} points settled, "
-          f"{report.cache_hits} cache hits{note}")
-    return 0
-
-
-def _cmd_fabric_status(args: argparse.Namespace) -> int:
-    from repro.fabric import TaskQueue
-
-    queue = TaskQueue(args.queue_dir)
-    if not queue.exists():
-        print(f"no fabric queue at {queue.directory}")
-        return 2
-    counts = queue.counts()
-    print(f"queue {queue.directory}: {counts.tasks} points -- "
-          f"{counts.pending} pending, {counts.leased} leased, "
-          f"{counts.done} done, {counts.quarantined} quarantined")
-    import time as _time
-
-    now = _time.time()
-    for lease in queue.lease_records():
-        deadline = lease.get("deadline")
-        if deadline is None:
-            state = "claiming"
-        else:
-            delta = float(deadline) - now
-            state = (f"heartbeat in {delta:.1f}s" if delta >= 0
-                     else f"EXPIRED {-delta:.1f}s ago")
-        print(f"  leased {lease.get('key', '?')[:12]} by "
-              f"{lease.get('owner', '?')} "
-              f"(attempt {lease.get('attempts', '?')}, {state})")
-    return 0
-
-
-def _cmd_fabric(args: argparse.Namespace) -> int:
-    if args.fabric_command == "worker":
-        return _cmd_fabric_worker(args)
-    if args.fabric_command == "status":
-        return _cmd_fabric_status(args)
-    return _cmd_fabric_run(args)
 
 
 def _load_obs_run(run: str):
@@ -1155,8 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="memory accesses to simulate")
     run_parser.set_defaults(func=_cmd_run)
 
-    def add_executor_flags(sub_parser: argparse.ArgumentParser) -> None:
-        """Executor/storage flags shared by every campaign-running command."""
+    def add_engine_flags(sub_parser: argparse.ArgumentParser) -> None:
+        """Engine, caching and telemetry flags shared by figure and sweep."""
         sub_parser.add_argument("--jobs", type=int, default=None,
                                 help="parallel worker processes "
                                      "(default: os.cpu_count())")
@@ -1174,10 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--include-imported", action="store_true",
                                 help="also sweep every trace imported into the "
                                      "store ('repro trace import')")
-
-    def add_engine_flags(sub_parser: argparse.ArgumentParser) -> None:
-        """Engine/caching flags shared by figure and sweep execution."""
-        add_executor_flags(sub_parser)
         sub_parser.add_argument("--quick", action="store_true",
                                 help="use the small test configuration instead "
                                      "of the full-scale defaults")
@@ -1187,28 +830,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--multicore-accesses", type=int, default=None,
                                 help="memory accesses per core of a multi-core "
                                      "point (default: the configuration's budget)")
-        add_robustness_flags(sub_parser)
-
-    def add_robustness_flags(sub_parser: argparse.ArgumentParser) -> None:
-        """Retry/timeout/quarantine flags shared by campaign execution."""
-        sub_parser.add_argument("--retries", type=int, default=None,
-                                help="retries per point for transient failures "
-                                     "(worker crash, timeout; default: 2)")
-        sub_parser.add_argument("--timeout-s", type=float, default=None,
-                                help="per-point timeout in seconds; a point "
-                                     "exceeding it is retried, then quarantined "
-                                     "(default: none)")
-        sub_parser.add_argument("--strict", action="store_true",
-                                help="exit nonzero when any point was "
-                                     "quarantined (default: report and exit 0)")
         sub_parser.add_argument("--report", default=None, metavar="PATH",
-                                help="write the JSON campaign report "
-                                     "(succeeded/retried/quarantined, wall-time "
-                                     "percentiles) to PATH ('-' for stdout)")
+                                help="write the JSON run report (succeeded/"
+                                     "cached points, wall-time percentiles) "
+                                     "to PATH ('-' for stdout)")
         sub_parser.add_argument("--progress", action=argparse.BooleanOptionalAction,
                                 default=None,
-                                help="stream a live points/ok/quarantined/ETA "
-                                     "line to stderr while the campaign runs "
+                                help="stream a live points/ok/cached/ETA "
+                                     "line to stderr while the points run "
                                      "(default: on when stderr is a terminal)")
         sub_parser.add_argument("--telemetry", nargs="?", const="",
                                 default=None, metavar="DIR",
@@ -1276,108 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_flags(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
 
-    campaign_parser = subparsers.add_parser(
-        "campaign",
-        help="simulate the evaluation campaign in parallel with a result cache",
-    )
-    campaign_parser.add_argument(
-        "--schemes", nargs="+", default=["ppf", "hermes", "hermes_ppf", "tlp"],
-        choices=list(SCHEMES),
-        help="schemes to simulate (the baseline is always included)")
-    campaign_parser.add_argument(
-        "--prefetchers", nargs="+", default=["ipcp", "berti"],
-        choices=PREFETCHER_CHOICES,
-        help="L1D prefetchers to sweep")
-    campaign_parser.add_argument("--accesses", type=int, default=12_000,
-                                 help="memory accesses per single-core point")
-    campaign_parser.add_argument("--multicore", action="store_true",
-                                 help="also simulate the multi-core mixes")
-    campaign_parser.add_argument("--list", action="store_true",
-                                 help="print the enumerated points and their "
-                                      "cache status without simulating")
-    add_executor_flags(campaign_parser)
-    add_robustness_flags(campaign_parser)
-    campaign_parser.set_defaults(func=_cmd_campaign)
-
-    fabric_parser = subparsers.add_parser(
-        "fabric",
-        help="drain a campaign with lease-based cooperating worker processes",
-    )
-    fabric_sub = fabric_parser.add_subparsers(dest="fabric_command", required=True)
-
-    fabric_run = fabric_sub.add_parser(
-        "run",
-        help="enqueue a campaign/figure and drain it with supervised local "
-             "workers (crash-resumable: re-run to resume)",
-    )
-    fabric_run.add_argument(
-        "target", help="'campaign' or a figure id (e.g. fig01)")
-    fabric_run.add_argument("--workers", type=int, default=2,
-                            help="local worker processes to spawn (default 2)")
-    fabric_run.add_argument("--heartbeat-s", type=float, default=15.0,
-                            help="lease heartbeat TTL in seconds; a lease "
-                                 "unrenewed this long is reclaimed (default 15)")
-    fabric_run.add_argument("--lease-loss-budget", type=int, default=2,
-                            help="leases a point may lose to dead workers "
-                                 "before it is quarantined (default 2)")
-    fabric_run.add_argument("--queue-dir", default=None,
-                            help="queue directory (default: .repro_fabric/"
-                                 "<target>-<hash of the point set>; shared "
-                                 "over NFS for multi-host runs)")
-    fabric_run.add_argument("--keep-queue", action="store_true",
-                            help="keep the queue directory after a fully "
-                                 "successful run (default: remove it)")
-    fabric_run.add_argument("--list", action="store_true",
-                            help="print the compiled points and their cache "
-                                 "status without running")
-    fabric_run.add_argument("--schemes", nargs="+",
-                            default=["ppf", "hermes", "hermes_ppf", "tlp"],
-                            choices=list(SCHEMES),
-                            help="schemes for the 'campaign' target")
-    fabric_run.add_argument("--multicore", action="store_true",
-                            help="include the multi-core mixes in the "
-                                 "'campaign' target")
-    fabric_run.add_argument("--prefetchers", nargs="+", default=None,
-                            choices=PREFETCHER_CHOICES,
-                            help="L1D prefetchers to sweep "
-                                 "(default: the configuration's sweep)")
-    add_engine_flags(fabric_run)
-    fabric_run.set_defaults(func=_cmd_fabric)
-
-    fabric_worker = fabric_sub.add_parser(
-        "worker",
-        help="drain one fabric queue from this process (start by hand on "
-             "other hosts against a shared --queue-dir)",
-    )
-    fabric_worker.add_argument("--queue-dir", required=True,
-                               help="queue directory created by 'fabric run'")
-    fabric_worker.add_argument("--owner", default=None,
-                               help="lease owner id (default: worker-<pid>)")
-    fabric_worker.add_argument("--heartbeat-s", type=float, default=15.0,
-                               help="lease heartbeat TTL in seconds")
-    fabric_worker.add_argument("--max-points", type=int, default=None,
-                               help="exit after settling this many points")
-    fabric_worker.add_argument("--cache-dir", default=None,
-                               help="result cache directory (must be shared "
-                                    "with the driver)")
-    fabric_worker.add_argument("--trace-dir", default=None,
-                               help="trace store directory")
-    fabric_worker.add_argument("--no-trace-store", action="store_true",
-                               help="regenerate traces instead of using the "
-                                    "store")
-    fabric_worker.add_argument("--retries", type=int, default=None,
-                               help="in-worker retries per point (default: 2)")
-    fabric_worker.add_argument("--timeout-s", type=float, default=None,
-                               help="per-point timeout in seconds")
-    fabric_worker.set_defaults(func=_cmd_fabric, strict=False)
-
-    fabric_status = fabric_sub.add_parser(
-        "status", help="print a fabric queue's point and lease state"
-    )
-    fabric_status.add_argument("--queue-dir", required=True,
-                               help="queue directory to inspect")
-    fabric_status.set_defaults(func=_cmd_fabric)
-
     obs_parser = subparsers.add_parser(
         "obs", help="analyze telemetry recorded by --telemetry runs"
     )
@@ -1385,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report = obs_sub.add_parser(
         "report",
         help="summarize a recorded run: worker utilization, straggler "
-             "percentiles, cache-hit rate, retries",
+             "percentiles, cache-hit rate",
     )
     obs_report.add_argument("run", help="telemetry directory or merged "
                                         "run.jsonl file")
@@ -1428,11 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="cache directory to operate on "
                                    "(default: $REPRO_CACHE_DIR or .repro_cache)")
     cache_sub = cache_parser.add_subparsers(dest="cache_command", required=True)
-    merge_parser = cache_sub.add_parser(
-        "merge", help="copy entries from other cache directories"
-    )
-    merge_parser.add_argument("sources", nargs="+",
-                              help="cache directories to merge from")
     gc_parser = cache_sub.add_parser(
         "gc", help="evict oldest entries until the cache fits a size cap"
     )

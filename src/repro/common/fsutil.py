@@ -1,14 +1,12 @@
-"""Atomic filesystem primitives shared by the on-disk stores.
+"""Atomic file writes for the on-disk stores.
 
-Every durable artifact in the reproduction -- result-cache entries, trace
-store columns, fabric task/lease records -- lives in a shared directory
-that several processes (and, over NFS, several hosts) read and write
-concurrently.  The only coordination primitive those substrates all offer
-is an atomic rename, so every writer follows the same discipline: write to
-a uniquely named temp file in the destination directory, then
-``os.replace`` it into place.  A reader can then never observe a torn
-entry, and two racing writers of the same path each install a complete
-payload (last one wins) instead of interleaving bytes.
+Result-cache entries live in a directory that several processes (engine
+pool workers, overlapping runs) may write concurrently.  Every writer
+follows the same discipline: write to a uniquely named temp file in the
+destination directory, then ``os.replace`` it into place.  A reader can
+then never observe a torn entry, and two racing writers of the same path
+each install a complete payload (last one wins) instead of interleaving
+bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Optional
 
 
 def atomic_write_json(path: Path | str, payload: dict, *, sort_keys: bool = True) -> int:
@@ -40,17 +37,3 @@ def atomic_write_json(path: Path | str, payload: dict, *, sort_keys: bool = True
         raise
     return len(encoded)
 
-
-def read_json(path: Path | str) -> Optional[dict]:
-    """Read a JSON object from ``path``; None when missing or undecodable.
-
-    Tolerant by design: callers racing on rename-claimed files (fabric
-    leases, reclaim tokens) treat a vanished or torn record the same way --
-    as not theirs to act on.
-    """
-    try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None

@@ -10,7 +10,7 @@ schemes are what the figures check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -23,7 +23,6 @@ from repro.experiments.spec import multicore_mixes
 from repro.sim.engine import (
     CampaignEngine,
     CampaignPoint,
-    RetryPolicy,
     multi_core_point,
     single_core_point,
 )
@@ -382,7 +381,6 @@ class CampaignCache:
         self,
         points: Iterable[CampaignPoint],
         jobs: Optional[int] = None,
-        policy: Optional[RetryPolicy] = None,
         progress=None,
     ) -> dict[str, SingleCoreResult | MultiCoreResult]:
         """Run a point batch through one engine fan-out, memo layered on top.
@@ -390,14 +388,10 @@ class CampaignCache:
         The in-process memo filters out points this cache has already seen
         (any path: a previous batch, :meth:`single_core`, ...); only the
         remainder goes to :meth:`CampaignEngine.run`, which fans cache
-        misses out across ``jobs`` worker processes under ``policy``
-        (retry/timeout/quarantine; engine defaults when None).  Returns
-        ``{point key: result}`` for every requested point that produced a
-        result and populates the semantic memos, so figure reducers and the
-        legacy per-point calls all hit.  Points the engine quarantined are
-        simply absent from the returned dict -- idempotent cache keys make
-        a re-run execute only that remainder; check
-        ``self.engine.last_report`` for what failed and why.
+        misses out across ``jobs`` worker processes and raises when a point
+        fails.  Returns ``{point key: result}`` for every requested point
+        and populates the semantic memos, so figure reducers and the legacy
+        per-point calls all hit.
         """
         ordered: list[tuple[str, CampaignPoint]] = []
         seen: set[str] = set()
@@ -409,36 +403,25 @@ class CampaignCache:
         missing = [(key, point) for key, point in ordered if key not in self._by_key]
         if missing:
             fresh = self.engine.run(
-                [point for _, point in missing], jobs=jobs, policy=policy,
-                progress=progress,
+                [point for _, point in missing], jobs=jobs, progress=progress
             )
             for key, point in missing:
-                if key in fresh:
-                    self._record(point, fresh[key])
-        return {
-            key: self._by_key[key] for key, _ in ordered if key in self._by_key
-        }
+                self._record(point, fresh[key])
+        return {key: self._by_key[key] for key, _ in ordered}
 
     def run_campaign(
         self,
         schemes: Optional[tuple[str, ...]] = None,
         include_multicore: bool = False,
         jobs: Optional[int] = None,
-        policy: Optional[RetryPolicy] = None,
-        progress=None,
     ) -> int:
         """Simulate the whole campaign, fanning points out across ``jobs``.
 
         Populates the in-memory memos so subsequent :meth:`single_core` /
-        :meth:`multi_core` calls are hits.  Returns the number of points
-        that produced results (quarantined points are not counted).
-        ``progress`` is forwarded to :meth:`CampaignEngine.run` (the
-        ``--progress`` live line).
+        :meth:`multi_core` calls are hits.  Returns the number of points.
         """
         points = self.enumerate_points(schemes, include_multicore=include_multicore)
-        results = self.run_points(points, jobs=jobs, policy=policy,
-                                  progress=progress)
-        return len(results)
+        return len(self.run_points(points, jobs=jobs))
 
 
 @lru_cache(maxsize=1)

@@ -554,39 +554,64 @@ def get_experiment(name: str) -> ExperimentSpec:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
+def run_experiments(
+    specs: Sequence[ExperimentSpec | str],
+    cache=None,
+    config=None,
+    jobs: Optional[int] = None,
+    progress=None,
+    **params,
+) -> list:
+    """Execute several experiment specs as one batch; return their results.
+
+    Compiles every spec's sweep against the campaign's configuration, runs
+    the deduplicated union of their points through one
+    :meth:`~repro.experiments.common.CampaignCache.run_points` call (one
+    process pool at ``jobs`` > 1), then reduces each spec over its own
+    points.  ``params`` go to every spec's sweep builder and reducer.
+    ``cache`` is any :class:`~repro.experiments.common.CampaignCache`; one
+    cache shared across calls deduplicates their points in-process.  A
+    failing point raises :class:`~repro.sim.engine.PointFailedError` naming
+    it; finished points are in the result cache, so a re-run executes only
+    the remainder.
+    """
+    from repro.experiments.common import CampaignCache
+
+    campaign = cache if cache is not None else CampaignCache(config)
+    trace_store = campaign.engine.trace_store
+    compiled = []
+    for spec in specs:
+        if isinstance(spec, str):
+            spec = get_experiment(spec)
+        sweep = spec.build_sweep(campaign.config, **params)
+        compiled.append((spec, sweep.compile(campaign.config, trace_store=trace_store)))
+    results = campaign.run_points(
+        [point for _, points in compiled for point in points],
+        jobs=jobs,
+        progress=progress,
+    )
+    reduced = []
+    for spec, points in compiled:
+        view = SweepResults(
+            campaign.config,
+            {point.key(): results[point.key()] for point in points},
+            trace_store=trace_store,
+        )
+        reduced.append(spec.reduce(campaign.config, view, **params))
+    return reduced
+
+
 def run_experiment(
     spec: ExperimentSpec | str,
     cache=None,
     config=None,
     jobs: Optional[int] = None,
-    policy=None,
     progress=None,
     **params,
 ):
-    """Execute one experiment spec end to end.
-
-    Compiles the sweep against the campaign's configuration, pushes the
-    whole point batch through the engine in one
-    :meth:`~repro.experiments.common.CampaignCache.run_points` fan-out
-    (``jobs`` workers, retry/timeout behaviour from ``policy`` -- a
-    :class:`~repro.sim.engine.RetryPolicy` or None for engine defaults),
-    and reduces the results.  ``cache`` is any
-    :class:`~repro.experiments.common.CampaignCache`; one cache shared
-    across experiments deduplicates their overlapping points in-process.
-    If points were quarantined, the reducer's lookup raises a KeyError
-    naming the missing point -- re-run the same command to execute just
-    that remainder.
-    """
-    from repro.experiments.common import CampaignCache
-
-    if isinstance(spec, str):
-        spec = get_experiment(spec)
-    campaign = cache if cache is not None else CampaignCache(config)
-    sweep = spec.build_sweep(campaign.config, **params)
-    points = sweep.compile(campaign.config, trace_store=campaign.engine.trace_store)
-    results = campaign.run_points(points, jobs=jobs, policy=policy,
-                                  progress=progress)
-    view = SweepResults(
-        campaign.config, results, trace_store=campaign.engine.trace_store
+    """Execute one experiment spec end to end (see :func:`run_experiments`)."""
+    (result,) = run_experiments(
+        [spec], cache=cache, config=config, jobs=jobs, progress=progress,
+        **params,
     )
-    return spec.reduce(campaign.config, view, **params)
+    return result

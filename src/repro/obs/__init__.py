@@ -26,6 +26,8 @@ Layout:
 ``sample``
     Opt-in per-N-accesses simulator interval snapshots
     (``REPRO_SIM_SAMPLE=<N>``), emitted as telemetry events.
+``progress``
+    The throttled live ``--progress`` line of ``repro figure/sweep``.
 ``logs``
     ``repro.*`` named-logger setup behind ``--log-level`` / ``REPRO_LOG``.
 """

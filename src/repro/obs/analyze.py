@@ -1,11 +1,10 @@
 """Run-level summaries for ``repro obs report``.
 
-Works from the merged telemetry JSONL of any run (engine-local or
-fabric): per-process busy time from ``simulate``/``trace_load``/
-``cache_put`` spans gives worker utilization over the run's wall span;
-``simulate`` span durations give straggler percentiles; cache events
-and merged metrics snapshots give the hit-rate and retry summaries;
-lease and idle events summarize fabric churn.
+Works from the merged telemetry JSONL of a run: per-process busy time
+from ``simulate``/``trace_load``/``cache_put`` spans gives worker
+utilization over the run's wall span; ``simulate`` span durations give
+straggler percentiles; cache events and merged metrics snapshots give the
+hit-rate summary.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from typing import Optional, Sequence
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer
 
-#: Span names counted as "busy" for utilization purposes.  Only the leaf
-#: work spans -- the enclosing "lease" span overlaps them and would double
-#: count.
+#: Span names counted as "busy" for utilization purposes.
 BUSY_SPANS = frozenset({"trace_load", "simulate", "cache_put"})
 
 
@@ -98,17 +95,6 @@ def summarize(records: Sequence[dict]) -> dict:
         ),
     }
 
-    leases = {
-        "acquired": event_counts.get("lease_acquire", 0),
-        "renewed": event_counts.get("lease_renew", 0),
-        "lost": event_counts.get("lease_lost", 0),
-    }
-    idle_gaps = [
-        e.get("attrs", {}).get("idle_s", 0.0)
-        for e in events
-        if e.get("name") == "worker_idle"
-    ]
-
     return {
         "wall_s": round(wall_s, 6),
         "processes": procs,
@@ -123,14 +109,6 @@ def summarize(records: Sequence[dict]) -> dict:
         ),
         "stragglers": stragglers,
         "cache": cache,
-        "retries": int(
-            counters.get("point.retries", event_counts.get("retry", 0))
-        ),
-        "leases": leases,
-        "idle": {
-            "gaps": len(idle_gaps),
-            "total_s": round(sum(idle_gaps), 6),
-        },
         "events": event_counts,
         "samples": event_counts.get("sim_sample", 0),
         "metrics": merged,
@@ -176,19 +154,6 @@ def format_report(summary: dict, title: Optional[str] = None) -> str:
         f"miss(es) ({cache['hit_rate'] * 100:.1f}% hit rate), "
         f"{cache['puts']} put(s)"
     )
-    lines.append(f"retries             : {summary['retries']}")
-    leases = summary["leases"]
-    if any(leases.values()):
-        lines.append(
-            f"leases              : {leases['acquired']} acquired, "
-            f"{leases['renewed']} renewed, {leases['lost']} lost"
-        )
-    idle = summary["idle"]
-    if idle["gaps"]:
-        lines.append(
-            f"worker idle         : {idle['gaps']} gap(s), "
-            f"{idle['total_s']:.3f} s total"
-        )
     if summary["samples"]:
         lines.append(f"sim samples         : {summary['samples']}")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Optional cProfile accumulation around per-point execution.
 
 ``--profile cprofile`` sets ``REPRO_PROFILE=cprofile``; every process of
-the run (CLI, engine pool workers, fabric workers — they all inherit the
+the run (the CLI and its engine pool workers, which inherit the
 environment) then accumulates one :class:`cProfile.Profile` across its
 points via :func:`profiled_point` and dumps it to
 ``profile-<proc>.prof`` in the telemetry directory at exit.

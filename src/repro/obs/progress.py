@@ -1,19 +1,18 @@
-"""Single-line live progress rendering for campaigns and the fabric.
+"""Single-line live progress rendering for ``repro figure/sweep --progress``.
 
-One renderer serves both consumers: the in-process engine progress hook
-(``repro campaign/figure/sweep --progress``) and the fabric driver's
-leased/done/quarantined line.  On a TTY the line redraws in place via
-carriage return; piped to a file or CI log it degrades to occasional plain
-lines, throttled harder so logs stay readable.
+On a TTY the line redraws in place via carriage return; piped to a file or
+CI log it degrades to occasional plain lines, throttled harder so logs stay
+readable.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.sim.engine import CampaignReport
+if TYPE_CHECKING:
+    from repro.sim.engine import CampaignReport
 
 
 def format_eta(seconds: Optional[float]) -> str:
@@ -108,13 +107,8 @@ def campaign_progress(line: ProgressLine, label: str = "campaign"):
             parts.append(f"{report.succeeded} ok")
         if report.cached:
             parts.append(f"{report.cached} cached")
-        if report.quarantined:
-            parts.append(f"{report.quarantined} quarantined")
         if done:
             parts.append(f"hit {report.cached / done:.0%}")
-        retries = report.total_retries
-        if retries:
-            parts.append(f"{retries} retries")
         parts.append(
             f"eta {format_eta(campaign_eta_s(report, total, report.jobs))}"
         )

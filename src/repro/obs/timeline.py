@@ -5,8 +5,7 @@ Format": ``{"traceEvents": [...], "displayTimeUnit": "ms"}``.  Each
 telemetry process becomes one synthetic pid with a ``process_name``
 metadata ("M") record; spans become complete ("X") events with
 microsecond timestamps relative to the earliest record, so Perfetto
-renders worker occupancy, stragglers and lease lifetimes on one
-timeline.  ``sim_sample`` events become counter ("C") tracks (IPC and
+renders worker occupancy and stragglers on one timeline.  ``sim_sample`` events become counter ("C") tracks (IPC and
 LLC MPKI over time); other instantaneous events become instant ("i")
 markers.
 """

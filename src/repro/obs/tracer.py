@@ -5,9 +5,8 @@ shared no-op context manager and :func:`event` is a single-branch early
 return, so instrumentation sites cost one global load on the hot path.
 Enabled -- ``--telemetry`` on the CLI or ``REPRO_TELEMETRY=<dir>`` in the
 environment -- every span and event is buffered and appended to
-``<dir>/events-<pid>.jsonl``.  Worker processes (engine pool workers,
-fabric workers) inherit the environment variable and write their own
-sinks into the same directory; :func:`merge_run` folds them into one
+``<dir>/events-<pid>.jsonl``.  Engine pool workers inherit the
+environment variable and write their own sinks into the same directory; :func:`merge_run` folds them into one
 time-ordered ``run.jsonl`` for ``repro obs report`` / ``export-chrome``.
 
 Record shapes (one JSON object per line)::
@@ -158,9 +157,8 @@ def disable() -> None:
 def install_from_env() -> bool:
     """Configure the tracer from ``REPRO_TELEMETRY``, if set.
 
-    Called by the CLI, the engine's pool-worker initializer and the fabric
-    worker entry point, so any process of a telemetry-enabled run records
-    into the shared directory.  Returns whether telemetry is now enabled.
+    Called by the CLI and the engine's pool-worker initializer, so any
+    process of a telemetry-enabled run records into the shared directory.  Returns whether telemetry is now enabled.
     """
     raw = os.environ.get(TELEMETRY_ENV)
     if raw:

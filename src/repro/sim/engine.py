@@ -7,21 +7,12 @@ every result to the on-disk :class:`~repro.sim.result_cache.ResultCache`,
 keyed by a content hash of everything that determines the outcome.  A warm
 cache means re-running a figure harness performs zero simulations.
 
-Execution is *supervised* by one loop over one of two executors: a
-:class:`concurrent.futures.ProcessPoolExecutor` when more than one worker
-is useful (``--jobs N``), or an in-process executor that runs each attempt
-on the calling thread (``--jobs 1``, or a single cache miss).  Each point
-runs as its own future, every result is committed to the result cache the
-moment it lands, per-point failures are classified transient vs
-deterministic, transient failures are retried with capped exponential
-backoff (and an optional per-point timeout), a crashed worker pool
-(``BrokenProcessPool``) is respawned with only the unfinished points
-re-submitted, and points that exhaust their retries are *quarantined* into
-a structured :class:`CampaignReport` instead of aborting the batch.
-Idempotent cache keys make every campaign resumable by construction:
-re-running a partially-failed batch executes only the quarantined
-remainder.  The failure paths are exercised deterministically via
-:mod:`repro.sim.faults` (``REPRO_FAULT_SPEC``).
+Cache misses run in-process at ``--jobs 1`` (or when only one point
+misses) and otherwise on one :class:`concurrent.futures.ProcessPoolExecutor`.
+Every result is committed to the result cache the moment it lands, and the
+first point that raises fails the run with an error naming it.  Idempotent
+cache keys make every batch resumable: re-running it after a failure
+executes only the points that had not finished.
 
 Layering: the engine sits between the raw simulation drivers
 (:mod:`repro.sim.single_core` / :mod:`repro.sim.multi_core`) and the
@@ -32,28 +23,16 @@ thin per-process memo on top of it.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
-import signal
-import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import tracer as obs_tracer
-from repro.sim import faults
 
 from repro.common.config import (
     SystemConfig,
@@ -146,22 +125,6 @@ class CampaignPoint:
         payload["schema"] = CACHE_SCHEMA_VERSION
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
-
-
-def point_from_dict(payload: dict) -> CampaignPoint:
-    """Rebuild a :class:`CampaignPoint` from its ``asdict`` form.
-
-    The inverse of ``dataclasses.asdict`` modulo JSON round-tripping: the
-    tuple fields come back as lists and must be re-tupled or the rebuilt
-    point would hash to a different cache key than the original.  Used by
-    the fabric task queue, whose on-disk task records carry the point
-    across worker processes (and machines) as plain JSON.
-    """
-    data = dict(payload)
-    data["workloads"] = tuple(data["workloads"])
-    if data.get("trace_keys") is not None:
-        data["trace_keys"] = tuple(data["trace_keys"])
-    return CampaignPoint(**data)
 
 
 def imported_trace_keys(
@@ -397,215 +360,69 @@ _worker_trace_store: Optional[TraceStore] = None
 
 
 def _init_pool_worker(trace_store_dir: Optional[str]) -> None:
-    """Pool initializer: point the worker at the engine's trace store.
-
-    Also (re)installs the fault-injection spec from the environment, so a
-    respawned pool keeps injecting the configured faults.
-    """
+    """Pool initializer: point the worker at the engine's trace store."""
     global _worker_trace_store
     _worker_trace_store = (
         TraceStore(trace_store_dir) if trace_store_dir is not None else None
     )
-    faults.install_from_env()
     obs_tracer.install_from_env()
     obs_profile.install_from_env()
 
 
-class PointTimeoutError(RuntimeError):
-    """A point exceeded the policy's per-point timeout."""
-
-
-@contextmanager
-def _point_deadline(timeout_s: Optional[float]):
-    """Raise :class:`PointTimeoutError` if the body outlives ``timeout_s``.
-
-    Implemented with ``SIGALRM`` (sub-second via ``setitimer``), which only
-    works in a main thread on POSIX; elsewhere the deadline is a no-op and
-    the supervisor's hard-deadline pool kill is the only timeout backstop.
-    Pool workers execute tasks in their main thread, so the common paths
-    are covered.
-    """
-    if (
-        not timeout_s
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _on_alarm(signum, frame):
-        raise PointTimeoutError(f"point exceeded timeout of {timeout_s:g}s")
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def classify_failure(error: BaseException) -> tuple[bool, str]:
-    """Classify a per-point failure as ``(transient, kind)``.
-
-    Transient failures (worker crash, timeout, OOM, I/O hiccups, corrupted
-    payloads) are worth retrying; deterministic ones (a genuine bug raising
-    ``ValueError``, an unknown workload raising ``KeyError``) would fail
-    identically on every attempt and are quarantined immediately to avoid
-    retry storms.
-    """
-    if isinstance(error, PointTimeoutError):
-        return True, "timeout"
-    if isinstance(error, BrokenProcessPool):
-        return True, "worker-crash"
-    if isinstance(error, faults.FaultInjectedError):
-        return error.transient, "fault-injected"
-    if isinstance(error, (MemoryError, ConnectionError, OSError)):
-        return True, type(error).__name__
-    return False, type(error).__name__
-
-
-def _attempt_point(
+def _run_point(
     point: CampaignPoint,
-    attempt: int,
-    timeout_s: Optional[float],
     sim_core: Optional[str],
     traces: Optional[dict[tuple[str, int, str], Trace]] = None,
     trace_store: Optional[TraceStore] = None,
-    serialize: bool = True,
-) -> tuple[SingleCoreResult | MultiCoreResult | dict, int]:
-    """One attempt at one point: ``(result or payload, generator runs)``.
+) -> tuple[SingleCoreResult | MultiCoreResult, int, float]:
+    """Run one point: ``(result, generator runs, wall seconds)``.
 
-    Both executors run this.  ``attempt`` is the 0-based attempt index the
-    supervisor is on for this point; fault-injection rules key off it.  A
-    pool worker passes no ``traces``/``trace_store`` (it maps the store its
-    initializer installed) and ``serialize``s the result into a dict
-    payload, which is where ``corrupt``-mode faults strike.  The in-process
-    executor passes the engine's trace memo and store and serializes only
-    while a fault spec is active, so healthy runs never pay for JSON.  The
-    generator-invocation delta rides back so the campaign report can
-    aggregate generator work across worker processes.
+    Pool workers pass no ``traces``/``trace_store`` and map the store their
+    initializer installed; the in-process path passes the engine's trace
+    memo and store.  The generator-invocation delta rides back so the
+    campaign report can count generator work across worker processes.
     """
-    from repro.sim.result_cache import result_to_dict
-
-    key = point.key()
     before = _generator_invocations
-    with _point_deadline(timeout_s):
-        faults.inject_before(key, point.label, attempt)
-        with obs_profile.profiled_point():
-            result = execute_point(
-                point,
-                traces=traces,
-                trace_store=(
-                    trace_store if trace_store is not None else _worker_trace_store
-                ),
-                sim_core=sim_core,
-            )
-    if serialize:
-        result = faults.corrupt_payload(
-            key, point.label, attempt, result_to_dict(result)
+    start = time.perf_counter()
+    with obs_profile.profiled_point():
+        result = execute_point(
+            point,
+            traces=traces,
+            trace_store=(
+                trace_store if trace_store is not None else _worker_trace_store
+            ),
+            sim_core=sim_core,
         )
-    return result, _generator_invocations - before
+    return result, _generator_invocations - before, time.perf_counter() - start
 
 
-class _InlineExecutor(Executor):
-    """Runs each submitted call on the calling thread.
+class PointFailedError(RuntimeError):
+    """A campaign point raised; the message names the point, the cause is
+    chained."""
 
-    ``submit`` returns an already-completed future.  Only ``Exception`` is
-    captured into it: ``KeyboardInterrupt`` and the fabric worker's drain
-    signal (``BaseException`` subclasses) propagate out of the supervisor.
-    """
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as error:  # noqa: BLE001 -- supervised boundary
-            future.set_exception(error)
-        return future
+    def __init__(self, point: CampaignPoint, error: Exception) -> None:
+        super().__init__(f"point {point.label} failed: {error}")
 
 
 # ----------------------------------------------------------------------
-# Retry policy and campaign report
+# Campaign report
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the supervised engine treats per-point failures.
-
-    ``retries`` bounds *re*-executions: a point runs at most ``1 + retries``
-    times.  Transient failures back off exponentially (``backoff_s * 2**n``
-    capped at ``backoff_cap_s``) before re-submission; deterministic
-    failures are quarantined without retrying.  ``timeout_s`` bounds one
-    attempt's wall time (None: unbounded); a timed-out attempt counts as a
-    transient failure.  ``strict`` is carried for CLI convenience: the
-    engine itself never aborts on quarantine.
-    """
-
-    retries: int = 2
-    timeout_s: Optional[float] = None
-    backoff_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    strict: bool = False
-
-    def backoff(self, failed_attempts: int) -> float:
-        """Delay before re-submitting after ``failed_attempts`` failures."""
-        return min(
-            self.backoff_cap_s,
-            self.backoff_s * (2 ** max(0, failed_attempts - 1)),
-        )
-
-
 @dataclass
 class PointOutcome:
-    """What happened to one campaign point during a supervised run."""
+    """What happened to one campaign point during a run."""
 
     key: str
     label: str
-    status: str  # "ok" | "cached" | "quarantined"
-    attempts: int = 1
-    retries: int = 0
+    status: str  # "ok" | "cached"
     wall_s: float = 0.0
-    error: Optional[str] = None
-    error_kind: Optional[str] = None
-    transient: Optional[bool] = None
-    timed_out: bool = False
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "key": self.key,
             "label": self.label,
             "status": self.status,
-            "attempts": self.attempts,
-            "retries": self.retries,
             "wall_s": round(self.wall_s, 6),
         }
-        if self.error is not None:
-            payload["error"] = self.error
-            payload["error_kind"] = self.error_kind
-            payload["transient"] = self.transient
-        if self.timed_out:
-            payload["timed_out"] = True
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PointOutcome":
-        """Rebuild an outcome from its :meth:`to_dict` form.
-
-        Tolerates the extra fields fabric outcome records carry (owner,
-        queue attempt counters) -- only the outcome fields are read.
-        """
-        return cls(
-            key=payload["key"],
-            label=payload.get("label", payload["key"]),
-            status=payload.get("status", "ok"),
-            attempts=int(payload.get("attempts", 1)),
-            retries=int(payload.get("retries", 0)),
-            wall_s=float(payload.get("wall_s", 0.0)),
-            error=payload.get("error"),
-            error_kind=payload.get("error_kind"),
-            transient=payload.get("transient"),
-            timed_out=bool(payload.get("timed_out", False)),
-        )
 
 
 def _percentile(ordered: list[float], fraction: float) -> float:
@@ -616,11 +433,10 @@ def _percentile(ordered: list[float], fraction: float) -> float:
 
 @dataclass
 class CampaignReport:
-    """Structured health report of one (or several merged) campaign runs.
+    """Structured report of one :meth:`CampaignEngine.run` batch.
 
-    The machine-readable surface the CLI dumps with ``--report`` and the
-    future distributed fabric will stream: per-point outcomes plus the
-    aggregate counters a progress/health dashboard needs.
+    The machine-readable surface the CLI dumps with ``--report``: per-point
+    outcomes plus the aggregate counters a progress line needs.
     """
 
     outcomes: list[PointOutcome] = field(default_factory=list)
@@ -628,7 +444,6 @@ class CampaignReport:
     jobs: int = 1
     generator_invocations: int = 0
     cache_hits: int = 0
-    pool_respawns: int = 0
 
     @property
     def succeeded(self) -> int:
@@ -637,25 +452,6 @@ class CampaignReport:
     @property
     def cached(self) -> int:
         return sum(1 for o in self.outcomes if o.status == "cached")
-
-    @property
-    def quarantined(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "quarantined")
-
-    @property
-    def retried(self) -> int:
-        return sum(1 for o in self.outcomes if o.retries > 0)
-
-    @property
-    def total_retries(self) -> int:
-        return sum(o.retries for o in self.outcomes)
-
-    @property
-    def timed_out(self) -> int:
-        return sum(1 for o in self.outcomes if o.timed_out)
-
-    def quarantined_outcomes(self) -> list[PointOutcome]:
-        return [o for o in self.outcomes if o.status == "quarantined"]
 
     def wall_time_percentiles(self) -> dict:
         """p50/p90/p99/max of per-point wall time over executed points."""
@@ -676,60 +472,13 @@ class CampaignReport:
             "points": len(self.outcomes),
             "succeeded": self.succeeded,
             "cached": self.cached,
-            "quarantined": self.quarantined,
-            "retried": self.retried,
-            "total_retries": self.total_retries,
-            "timed_out": self.timed_out,
             "elapsed_s": round(self.elapsed_s, 6),
             "jobs": self.jobs,
             "generator_invocations": self.generator_invocations,
             "cache_hits": self.cache_hits,
-            "pool_respawns": self.pool_respawns,
             "wall_time_s": self.wall_time_percentiles(),
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
-
-    @classmethod
-    def merged(cls, reports: Sequence["CampaignReport"]) -> "CampaignReport":
-        """Fold several per-batch reports into one (``repro figure all``,
-        the fabric driver's per-worker reports).
-
-        Per-point outcomes are deduplicated by cache key, keeping the
-        *latest* occurrence: when a fabric point is leased twice after a
-        reclamation (or a ``figure all`` session touches the same point in
-        two batches), the merged report counts it once, with its final
-        status, instead of double-counting.  The aggregate counters
-        (elapsed, cache hits, generator runs, respawns) remain sums -- they
-        measure work performed, which really did happen twice.
-        """
-        merged = cls()
-        by_key: dict[str, PointOutcome] = {}
-        for report in reports:
-            for outcome in report.outcomes:
-                by_key[outcome.key] = outcome
-            merged.elapsed_s += report.elapsed_s
-            merged.jobs = max(merged.jobs, report.jobs)
-            merged.generator_invocations += report.generator_invocations
-            merged.cache_hits += report.cache_hits
-            merged.pool_respawns += report.pool_respawns
-        merged.outcomes.extend(by_key.values())
-        return merged
-
-
-class _PointState:
-    """Supervisor-side mutable bookkeeping for one in-flight point."""
-
-    __slots__ = ("point", "attempts", "wall_s", "error", "error_kind",
-                 "transient", "timed_out")
-
-    def __init__(self, point: CampaignPoint) -> None:
-        self.point = point
-        self.attempts = 0  # completed (finished or failed) attempts
-        self.wall_s = 0.0
-        self.error: Optional[str] = None
-        self.error_kind: Optional[str] = None
-        self.transient: Optional[bool] = None
-        self.timed_out = False
 
 
 # ----------------------------------------------------------------------
@@ -769,13 +518,9 @@ class CampaignEngine:
         self.cache_hits = 0
         #: Report of the most recent :meth:`run` batch.
         self.last_report: Optional[CampaignReport] = None
-        #: Reports of every :meth:`run` batch this engine executed, in
-        #: order; merge with :meth:`CampaignReport.merged` for a session
-        #: view (``repro figure all`` runs one batch per figure).
+        #: Reports of every :meth:`run` batch this engine executed, in order.
         self.reports: list[CampaignReport] = []
         self._traces: dict[tuple[str, int, str], Trace] = {}
-        #: Per-run progress callback (set by :meth:`run`, cleared after).
-        self._progress: Optional[callable] = None
 
     def trace(
         self, workload: str, memory_accesses: int, gap_scale: str = "medium"
@@ -807,116 +552,115 @@ class CampaignEngine:
     # Execution
     # ------------------------------------------------------------------
     def run_point(self, point: CampaignPoint) -> SingleCoreResult | MultiCoreResult:
-        """Run (or fetch from cache) one point in-process, supervised.
-
-        A one-point :meth:`run`; raises ``RuntimeError`` when the point is
-        quarantined.
-        """
-        result = self.run([point], jobs=1).get(point.key())
-        if result is None:
-            (outcome,) = self.last_report.quarantined_outcomes()
-            raise RuntimeError(
-                f"point {outcome.label} quarantined "
-                f"({outcome.error_kind}): {outcome.error}"
-            )
-        return result
+        """Run (or fetch from cache) one point in-process."""
+        return self.run([point], jobs=1)[point.key()]
 
     def run(
         self,
         points: Iterable[CampaignPoint],
         jobs: Optional[int] = None,
-        policy: Optional[RetryPolicy] = None,
         progress: Optional[callable] = None,
     ) -> dict[str, SingleCoreResult | MultiCoreResult]:
-        """Run a batch of points under supervision, committing as they land.
+        """Run a batch of points, committing each result as it lands.
+
+        Returns ``{point key: result}`` for every point.  Cache misses run
+        in-process when ``jobs`` resolves to 1 (or only one point misses),
+        otherwise on one process pool.  Every simulated result is committed
+        to the result cache the moment it finishes, so re-running a batch
+        after a failure (or Ctrl-C) executes only the remainder.  The first
+        point that raises cancels the points not yet started and fails the
+        run with :class:`PointFailedError` (``point <label> failed: ...``)
+        chained to the cause.
 
         ``progress``, when given, is called as ``progress(report, total)``
-        every time a point settles (cached, succeeded or quarantined) --
-        the hook behind the live progress line of ``--progress`` and the
-        fabric driver.  It runs on the supervisor thread and should be
-        cheap (the renderers throttle themselves).
-
-        Returns ``{point key: result}`` for every point that produced a
-        result (cache hit or fresh simulation).  Workers are only spawned
-        for points that miss the cache; with one miss (or ``jobs == 1``)
-        the same supervision loop drives the in-process executor instead,
-        avoiding fork overhead.
-
-        Every completed simulation is committed to the result cache the
-        moment it finishes, so a later crash (or Ctrl-C) never discards
-        finished work.  Points whose failures exhaust ``policy.retries``
-        (or fail deterministically) are *quarantined*: they are absent from
-        the returned dict and recorded in :attr:`last_report` instead of
-        aborting the batch.  Re-running the same batch executes only the
-        quarantined remainder (idempotent cache keys).
+        every time a point settles (cached or simulated) -- the hook behind
+        the live ``--progress`` line.  It should be cheap.
         """
-        ordered: list[CampaignPoint] = []
-        seen: set[str] = set()
+        ordered: dict[str, CampaignPoint] = {}
         for point in points:
-            key = point.key()
-            if key not in seen:
-                seen.add(key)
-                ordered.append(point)
+            ordered.setdefault(point.key(), point)
 
-        effective_policy = policy if policy is not None else RetryPolicy()
-        faults.install_from_env()
         report = CampaignReport(jobs=self.resolve_jobs(jobs))
         start = time.perf_counter()
-        if progress is not None:
-            total = len(ordered)
-            self._progress = lambda: progress(report, total)
+        results: dict[str, SingleCoreResult | MultiCoreResult] = {}
 
-        try:
-            results: dict[str, SingleCoreResult | MultiCoreResult] = {}
-            missing: list[tuple[str, CampaignPoint]] = []
-            for point in ordered:
-                key = point.key()
-                if self.result_cache is not None:
-                    cached = self.result_cache.get(key)
-                    if cached is not None:
-                        self.cache_hits += 1
-                        report.cache_hits += 1
-                        if obs_tracer.enabled():
-                            obs_metrics.registry().counter("cache.hits")
-                            obs_tracer.event("cache_hit", point=point.label)
-                        results[key] = cached
-                        report.outcomes.append(
-                            PointOutcome(key, point.label, "cached", attempts=0)
-                        )
-                        self._notify_progress()
-                        continue
+        def settle(outcome: PointOutcome) -> None:
+            report.outcomes.append(outcome)
+            if progress is not None:
+                progress(report, len(ordered))
+
+        missing: list[tuple[str, CampaignPoint]] = []
+        for key, point in ordered.items():
+            if self.result_cache is not None:
+                cached = self.result_cache.get(key)
+                if cached is not None:
+                    self.cache_hits += 1
+                    report.cache_hits += 1
                     if obs_tracer.enabled():
-                        obs_metrics.registry().counter("cache.misses")
-                        obs_tracer.event("cache_miss", point=point.label)
-                missing.append((key, point))
+                        obs_metrics.registry().counter("cache.hits")
+                        obs_tracer.event("cache_hit", point=point.label)
+                    results[key] = cached
+                    settle(PointOutcome(key, point.label, "cached"))
+                    continue
+                if obs_tracer.enabled():
+                    obs_metrics.registry().counter("cache.misses")
+                    obs_tracer.event("cache_miss", point=point.label)
+            missing.append((key, point))
 
-            if missing:
-                self._supervise(
-                    missing, min(report.jobs, len(missing)),
-                    effective_policy, report, results,
-                )
-        finally:
-            self._progress = None
+        for key, point, (result, generator_runs, wall_s) in self._execute(
+            missing, min(report.jobs, len(missing))
+        ):
+            report.generator_invocations += generator_runs
+            self._commit(key, point, result)
+            results[key] = result
+            settle(PointOutcome(key, point.label, "ok", wall_s=wall_s))
 
         report.elapsed_s = time.perf_counter() - start
         self.last_report = report
         self.reports.append(report)
         return results
 
-    # ------------------------------------------------------------------
-    # Supervised execution paths
-    # ------------------------------------------------------------------
-    def _notify_progress(self) -> None:
-        """Invoke the per-run progress callback, if one is installed."""
-        if self._progress is not None:
-            self._progress()
+    def _execute(self, missing: list[tuple[str, CampaignPoint]], workers: int):
+        """Yield ``(key, point, (result, generator runs, wall_s))`` per point,
+        in completion order."""
+        if workers <= 1:
+            for key, point in missing:
+                try:
+                    outcome = _run_point(
+                        point, self.sim_core, self._traces, self.trace_store
+                    )
+                except Exception as error:
+                    raise PointFailedError(point, error) from error
+                yield key, point, outcome
+            return
+        store_dir = (
+            str(self.trace_store.directory) if self.trace_store is not None else None
+        )
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_pool_worker,
+            initargs=(store_dir,),
+        ) as pool:
+            futures = {
+                pool.submit(_run_point, point, self.sim_core): (key, point)
+                for key, point in missing
+            }
+            try:
+                for future in as_completed(futures):
+                    key, point = futures[future]
+                    try:
+                        outcome = future.result()
+                    except Exception as error:
+                        raise PointFailedError(point, error) from error
+                    yield key, point, outcome
+            finally:
+                pool.shutdown(cancel_futures=True)
 
     def _commit(
         self,
         key: str,
         point: CampaignPoint,
         result: SingleCoreResult | MultiCoreResult,
-        results: dict,
     ) -> None:
         """Count and persist one freshly simulated result immediately."""
         self.simulations_run += 1
@@ -927,256 +671,6 @@ class CampaignEngine:
                 self.result_cache.put(key, result, point=asdict(point))
             if obs_tracer.enabled():
                 obs_metrics.registry().counter("cache.puts")
-        results[key] = result
-
-    @staticmethod
-    def _quarantine_outcome(key: str, state: _PointState) -> PointOutcome:
-        return PointOutcome(
-            key,
-            state.point.label,
-            "quarantined",
-            attempts=state.attempts,
-            retries=max(0, state.attempts - 1),
-            wall_s=state.wall_s,
-            error=state.error,
-            error_kind=state.error_kind,
-            transient=state.transient,
-            timed_out=state.timed_out,
-        )
-
-    def _spawn_pool(self, workers: int) -> ProcessPoolExecutor:
-        store_dir = (
-            str(self.trace_store.directory)
-            if self.trace_store is not None
-            else None
-        )
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_pool_worker,
-            initargs=(store_dir,),
-        )
-
-    def _supervise(
-        self,
-        missing: list[tuple[str, CampaignPoint]],
-        workers: int,
-        policy: RetryPolicy,
-        report: CampaignReport,
-        results: dict,
-    ) -> None:
-        """The supervision loop: per-point futures, drained as completed.
-
-        With one worker the futures come from the in-process executor,
-        one in flight at a time, so each result is committed before the
-        next point starts and an interrupt never discards finished work.
-        Otherwise submission to the process pool is windowed (at most
-        ``2 * workers`` futures in flight) so a pool crash only charges an
-        attempt to the points that could actually have caused it.
-        ``BrokenProcessPool`` respawns the pool and re-submits the
-        unfinished points; a point overrunning the supervisor's hard
-        deadline (the worker-side alarm plus grace) terminates the stuck
-        workers, charges only the overdue point, and re-submits the
-        innocent bystanders uncharged.  Neither can happen in-process,
-        where every future is complete by the time it is waited on.
-        """
-        from repro.sim.result_cache import result_from_dict
-
-        state: dict[str, _PointState] = {
-            key: _PointState(point) for key, point in missing
-        }
-        ready: list[str] = [key for key, _ in missing]
-        waiting: list[tuple[float, str]] = []  # (eligible monotonic time, key)
-        inflight: dict = {}  # future -> (key, submit monotonic time)
-        grace_s = (
-            max(5.0, 0.5 * policy.timeout_s) if policy.timeout_s else None
-        )
-        if workers > 1:
-            spawn, window, attempt_kwargs = (
-                lambda: self._spawn_pool(workers), 2 * workers, {}
-            )
-        else:
-            spawn, window, attempt_kwargs = _InlineExecutor, 1, {
-                "traces": self._traces,
-                "trace_store": self.trace_store,
-                "serialize": bool(faults.active_spec()),
-            }
-        executor: Executor = spawn()
-        try:
-            while ready or waiting or inflight:
-                now = time.monotonic()
-                while waiting and waiting[0][0] <= now:
-                    _, key = heapq.heappop(waiting)
-                    ready.append(key)
-                while ready and len(inflight) < window:
-                    key = ready.pop(0)
-                    point_state = state[key]
-                    submitted = time.monotonic()
-                    try:
-                        future = executor.submit(
-                            _attempt_point,
-                            point_state.point,
-                            point_state.attempts,
-                            policy.timeout_s,
-                            self.sim_core,
-                            **attempt_kwargs,
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        # The pool broke between our draining it and this
-                        # submit; put the point back and let the broken
-                        # branch below respawn.
-                        ready.insert(0, key)
-                        break
-                    inflight[future] = (key, submitted)
-
-                if not inflight:
-                    if waiting:
-                        time.sleep(
-                            max(0.0, min(waiting[0][0] - time.monotonic(), 0.25))
-                        )
-                        continue
-                    if ready:
-                        # Submission failed on a broken pool; respawn.
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        executor = spawn()
-                        report.pool_respawns += 1
-                        continue
-                    break
-
-                done, _ = wait(
-                    set(inflight), timeout=0.25, return_when=FIRST_COMPLETED
-                )
-
-                broken = False
-                overdue: set[str] = set()
-                for future in done:
-                    key, submitted = inflight.pop(future)
-                    point_state = state[key]
-                    duration = time.monotonic() - submitted
-                    failure: Optional[tuple[bool, str, str]] = None
-                    try:
-                        result, generator_delta = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        failure = (True, "worker-crash", str(exc))
-                    except Exception as exc:  # noqa: BLE001 -- supervised boundary
-                        transient, kind = classify_failure(exc)
-                        failure = (transient, kind, str(exc))
-                    else:
-                        report.generator_invocations += generator_delta
-                        if isinstance(result, dict):
-                            try:
-                                result = result_from_dict(result)
-                            except (ValueError, TypeError, KeyError) as exc:
-                                # The attempt finished but its payload does
-                                # not decode -- corruption is worth retrying.
-                                failure = (True, "corrupt-payload", str(exc))
-                    if failure is None:
-                        point_state.attempts += 1
-                        point_state.wall_s += duration
-                        self._commit(key, point_state.point, result, results)
-                        report.outcomes.append(
-                            PointOutcome(
-                                key, point_state.point.label, "ok",
-                                attempts=point_state.attempts,
-                                retries=point_state.attempts - 1,
-                                wall_s=point_state.wall_s,
-                            )
-                        )
-                        self._notify_progress()
-                        continue
-                    self._charge_failure(
-                        key, point_state, duration, *failure,
-                        policy, report, ready, waiting,
-                    )
-
-                # Hard deadline: the worker-side alarm should end an
-                # attempt at timeout_s; a worker stuck in uninterruptible
-                # code is terminated here instead.
-                if grace_s is not None and not broken:
-                    now = time.monotonic()
-                    for future, (key, submitted) in list(inflight.items()):
-                        if now - submitted > policy.timeout_s + grace_s:
-                            overdue.add(key)
-                    if overdue:
-                        broken = True
-                        for process in getattr(executor, "_processes", {}).values():
-                            try:
-                                process.terminate()
-                            except OSError:
-                                pass
-
-                if broken:
-                    # Every in-flight future dies with the pool.  Charge an
-                    # attempt to the points that could have caused it (all
-                    # of them for a spontaneous crash, just the overdue
-                    # ones for an induced kill); re-submit the rest
-                    # uncharged.
-                    for future, (key, submitted) in inflight.items():
-                        point_state = state[key]
-                        duration = time.monotonic() - submitted
-                        if overdue:
-                            if key in overdue:
-                                self._charge_failure(
-                                    key, point_state, duration, True,
-                                    "timeout",
-                                    f"hard deadline exceeded "
-                                    f"({policy.timeout_s:g}s + {grace_s:g}s "
-                                    f"grace); worker terminated",
-                                    policy, report, ready, waiting,
-                                )
-                            else:
-                                ready.append(key)
-                        else:
-                            self._charge_failure(
-                                key, point_state, duration, True,
-                                "worker-crash",
-                                "worker process pool broke mid-attempt",
-                                policy, report, ready, waiting,
-                            )
-                    inflight.clear()
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = spawn()
-                    report.pool_respawns += 1
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _charge_failure(
-        self,
-        key: str,
-        point_state: _PointState,
-        duration: float,
-        transient: bool,
-        kind: str,
-        message: str,
-        policy: RetryPolicy,
-        report: CampaignReport,
-        ready: list[str],
-        waiting: list[tuple[float, str]],
-    ) -> None:
-        """Record one failed attempt; schedule a retry or quarantine."""
-        point_state.attempts += 1
-        point_state.wall_s += duration
-        point_state.error = message
-        point_state.error_kind = kind
-        point_state.transient = transient
-        point_state.timed_out = point_state.timed_out or kind == "timeout"
-        if transient and point_state.attempts <= policy.retries:
-            if obs_tracer.enabled():
-                obs_metrics.registry().counter("point.retries")
-                obs_tracer.event(
-                    "retry", point=point_state.point.label,
-                    attempt=point_state.attempts, kind=kind,
-                )
-            heapq.heappush(
-                waiting,
-                (
-                    time.monotonic() + policy.backoff(point_state.attempts),
-                    key,
-                ),
-            )
-            return
-        report.outcomes.append(self._quarantine_outcome(key, point_state))
-        self._notify_progress()
 
     # ------------------------------------------------------------------
     # Introspection

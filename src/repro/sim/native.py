@@ -8,8 +8,8 @@ source, the interpreter ABI (``EXT_SUFFIX``) and the compiler flags, so an
 edited source, another interpreter or other flags build a new file and a
 matching one is loaded without looking for a compiler.  Deleting the file
 forces a rebuild.  A build writes a private temporary file and publishes it
-with :func:`os.replace`, so processes that build at the same time (pool or
-fabric workers) each end up loading a complete file.  After a build, the
+with :func:`os.replace`, so processes that build at the same time (engine
+pool workers) each end up loading a complete file.  After a build, the
 files of other keys (earlier sources) are deleted.
 
 :func:`load` returns the module, or raises :class:`NativeUnavailable` saying

@@ -11,10 +11,7 @@ point that has already been simulated -- across processes and across runs.
 The cache directory defaults to ``.repro_cache`` in the working directory
 and can be redirected with the ``REPRO_CACHE_DIR`` environment variable.
 
-Caches filled elsewhere (another machine, another cache directory) fold
-into one with :meth:`ResultCache.merge_from` (exposed as
-``repro cache merge``).  Size is bounded by
-an explicit ``repro cache gc --max-mb N`` sweep or, opportunistically on
+Size is bounded by an explicit ``repro cache gc --max-mb N`` sweep or, opportunistically on
 writes, by the ``REPRO_CACHE_MAX_MB`` environment variable; both evict the
 oldest entries (by file modification time) first.
 """
@@ -24,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import uuid
 from pathlib import Path
 from typing import Optional
 
@@ -192,9 +188,9 @@ class ResultCache:
         self-describing and debuggable with a text editor.  The write goes
         through :func:`~repro.common.fsutil.atomic_write_json` (unique temp
         file, then ``os.replace``), so concurrent writers of the same key
-        (overlapping shard runs, several fabric workers re-executing a
-        reclaimed point) each replace the entry atomically with identical
-        content instead of tearing each other's writes.
+        (two overlapping runs simulating the same point) each replace the
+        entry atomically with identical content instead of tearing each
+        other's writes.
         """
         payload = {"key": key, "point": point, "result": result_to_dict(result)}
         path = self._path(key)
@@ -234,7 +230,7 @@ class ResultCache:
         return removed
 
     # ------------------------------------------------------------------
-    # Size accounting, garbage collection and shard merging
+    # Size accounting and garbage collection
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
         """Total size of every stored entry, in bytes (directory scan)."""
@@ -266,8 +262,7 @@ class ResultCache:
     def gc(self, max_bytes: int, dry_run: bool = False) -> tuple[int, int]:
         """Evict oldest entries until the cache fits in ``max_bytes``.
 
-        Age is the file modification time (merge preserves source entry
-        content but not mtimes, so post-merge age is merge order).  With
+        Age is the file modification time.  With
         ``dry_run`` nothing is deleted; the return value reports what a real
         sweep would do.  Returns ``(entries_removed, bytes_freed)``.
         """
@@ -298,49 +293,3 @@ class ResultCache:
         if not dry_run:
             self._approx_size = total - freed
         return (removed, freed)
-
-    def merge_from(self, source: Path | str) -> tuple[int, int, int, int]:
-        """Copy entries from another cache directory into this one.
-
-        Entries whose key already exists here are skipped (keys are content
-        hashes of everything that determines the result, so an existing
-        entry is the same result).  Unreadable or undecodable source
-        entries -- a shard that crashed mid-write on a filesystem without
-        atomic rename, a truncated copy -- are skipped with a warning and
-        counted instead of aborting the merge.  Returns
-        ``(copied, skipped, unreadable, bytes_copied)``.
-        """
-        source_dir = Path(source)
-        if not source_dir.is_dir():
-            raise FileNotFoundError(f"cache directory {source_dir} does not exist")
-        copied = 0
-        skipped = 0
-        unreadable = 0
-        bytes_copied = 0
-        self.directory.mkdir(parents=True, exist_ok=True)
-        for entry in sorted(source_dir.glob("*.json")):
-            destination = self.directory / entry.name
-            if destination.exists():
-                skipped += 1
-                continue
-            try:
-                payload = entry.read_bytes()
-                json.loads(payload.decode("utf-8"))
-            except (OSError, ValueError) as error:
-                unreadable += 1
-                logger.warning(
-                    "skipping unreadable cache entry %s during merge: %s",
-                    entry,
-                    error,
-                )
-                continue
-            tmp_path = destination.with_name(
-                f".{destination.stem}-{uuid.uuid4().hex[:8]}.tmp"
-            )
-            tmp_path.write_bytes(payload)
-            tmp_path.replace(destination)
-            if self._approx_size is not None:
-                self._approx_size += len(payload)
-            copied += 1
-            bytes_copied += len(payload)
-        return (copied, skipped, unreadable, bytes_copied)

@@ -165,78 +165,38 @@ class TestSweepCommand:
         assert "invalid sweep spec" in capsys.readouterr().out
 
 
-class TestCampaignCommand:
-    def test_campaign_parser_defaults(self):
-        args = build_parser().parse_args(["campaign"])
-        assert args.command == "campaign"
-        assert args.jobs is None
-        assert not args.no_cache
-        assert not args.list
+class TestRunReport:
+    def run_sweep(self, tmp_path, *extra):
+        return main([
+            "sweep", "--workloads", "bfs.urand", "--schemes", "baseline", "tlp",
+            "--prefetchers", "ipcp", "--accesses", "600", "--jobs", "1",
+            "--cache-dir", str(tmp_path / "rc"),
+            "--trace-dir", str(tmp_path / "ts"),
+            *extra,
+        ])
 
-    def test_campaign_list_prints_points_without_simulating(self, capsys, tmp_path):
-        assert main([
-            "campaign", "--list", "--schemes", "tlp", "--prefetchers", "ipcp",
-            "--accesses", "1000", "--cache-dir", str(tmp_path),
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "campaign points" in output
-        assert "bfs.urand/tlp/ipcp" in output
-        assert "missing" in output
-        # Listing must not simulate anything (no cache entries created).
-        assert list(tmp_path.glob("*.json")) == []
+    def test_report_json_is_written(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        assert self.run_sweep(tmp_path, "--report", str(report_path)) == 0
+        payload = json.loads(report_path.read_text(encoding="utf-8"))
+        assert payload["succeeded"] == 2
+        assert payload["cached"] == 0
+        assert "generator_invocations" in payload and "wall_time_s" in payload
 
-    def test_campaign_simulates_then_lists_cached(self, capsys, tmp_path):
-        common = ["--schemes", "tlp", "--prefetchers", "ipcp",
-                  "--accesses", "600", "--cache-dir", str(tmp_path), "--jobs", "1"]
-        assert main(["campaign"] + common) == 0
-        output = capsys.readouterr().out
-        assert "simulated" in output
-        assert "geomean speedup" in output
-        assert main(["campaign", "--list"] + common) == 0
-        output = capsys.readouterr().out
-        assert "missing" not in output
-        assert "cached" in output
-
-
-class TestCacheMerge:
-    def test_merge_combines_shard_caches_with_per_source_summary(
-        self, capsys, tmp_path
+    def test_failed_point_exits_nonzero_naming_it(
+        self, tmp_path, monkeypatch, capsys
     ):
-        shard_a = tmp_path / "shard0"
-        shard_b = tmp_path / "shard1"
-        merged = tmp_path / "merged"
-        common = ["--prefetchers", "ipcp", "--accesses", "600", "--jobs", "1",
-                  "--no-trace-store"]
-        # Disjoint schemes; both caches also hold the shared baseline points.
-        assert main(["campaign", "--schemes", "tlp",
-                     "--cache-dir", str(shard_a)] + common) == 0
-        assert main(["campaign", "--schemes", "hermes",
-                     "--cache-dir", str(shard_b)] + common) == 0
-        capsys.readouterr()
+        from repro.sim import engine as engine_module
 
-        assert main(["cache", "--dir", str(merged), "merge",
-                     str(shard_a), str(shard_b)]) == 0
+        execute_point = engine_module.execute_point
+
+        def failing_tlp(point, **kwargs):
+            if point.scheme == "tlp":
+                raise ValueError("injected")
+            return execute_point(point, **kwargs)
+
+        monkeypatch.setattr(engine_module, "execute_point", failing_tlp)
+        assert self.run_sweep(tmp_path) == 1
         output = capsys.readouterr().out
-        # One summary line per source, plus the combined total.
-        assert f"{shard_a}:" in output
-        assert f"{shard_b}:" in output
-        assert "merged" in output
-        expected = ({p.name for p in shard_a.glob("*.json")}
-                    | {p.name for p in shard_b.glob("*.json")})
-        assert expected
-        assert {p.name for p in merged.glob("*.json")} == expected
-
-        # Merging a source again copies nothing (duplicates are skipped).
-        assert main(["cache", "--dir", str(merged), "merge",
-                     str(shard_a)]) == 0
-        output = capsys.readouterr().out
-        assert "0 copied" in output
-
-        # The merged cache serves the campaign over both schemes.
-        assert main(["campaign", "--list", "--schemes", "tlp", "hermes",
-                     "--cache-dir", str(merged)] + common) == 0
-        assert "missing" not in capsys.readouterr().out
-
-    def test_merge_missing_source_is_an_error(self, capsys, tmp_path):
-        assert main(["cache", "--dir", str(tmp_path / "dst"), "merge",
-                     str(tmp_path / "nope")]) == 1
+        assert "point bfs.urand/tlp/ipcp failed: injected" in output
+        assert "re-run the same command" in output

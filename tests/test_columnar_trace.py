@@ -8,8 +8,6 @@ Pins the tentpole guarantees of the struct-of-arrays trace representation:
   columnar :class:`Trace` or a plain object list of records (single-core
   and multi-core);
 * ``split()``/``truncated()`` are zero-copy views;
-* result caches filled from disjoint point subsets merge into the cache
-  one run over every point produces;
 * the result cache GC policy evicts oldest-first, explicitly and
   opportunistically via ``REPRO_CACHE_MAX_MB``.
 """
@@ -22,7 +20,7 @@ import pytest
 from repro.common.addresses import BLOCK_SIZE
 from repro.common.config import cascade_lake_multi_core, cascade_lake_single_core
 from repro.common.types import AccessKind, MemoryAccess
-from repro.sim.engine import CampaignEngine, build_workload_trace
+from repro.sim.engine import build_workload_trace
 from repro.sim.multi_core import run_multicore_mix
 from repro.sim.result_cache import CACHE_MAX_MB_ENV, ResultCache
 from repro.sim.results import SingleCoreResult
@@ -256,64 +254,6 @@ class TestColumnarContainer:
         trace = spec_like_trace("wrf_like", num_memory_accesses=100)
         shim = ObjectTrace(trace.name, list(trace))
         assert list(trace_lists(shim)) == list(trace.as_lists())
-
-
-# ----------------------------------------------------------------------
-# Cache merge
-# ----------------------------------------------------------------------
-def _tiny_points():
-    from repro.experiments.common import CampaignCache, ExperimentConfig
-
-    config = ExperimentConfig(
-        gap_workloads=("bfs.urand",),
-        spec_workloads=("spec.mcf_like",),
-        memory_accesses=500,
-        multicore_memory_accesses=400,
-        l1d_prefetchers=("ipcp",),
-        gap_scale="tiny",
-    )
-    cache = CampaignCache(config, engine=CampaignEngine(result_cache=None, jobs=1))
-    return cache.enumerate_points(schemes=("tlp",))
-
-
-def test_sharded_caches_merge_to_unsharded_cache(tmp_path):
-    points = _tiny_points()
-
-    unsharded = CampaignEngine(result_cache=ResultCache(tmp_path / "full"), jobs=1)
-    unsharded.run(points)
-
-    shard_dirs = []
-    for index in range(2):
-        directory = tmp_path / f"shard{index}"
-        shard_dirs.append(directory)
-        engine = CampaignEngine(result_cache=ResultCache(directory), jobs=1)
-        engine.run(points[index::2])
-
-    merged = ResultCache(tmp_path / "merged")
-    for directory in shard_dirs:
-        merged.merge_from(directory)
-
-    full_keys = ResultCache(tmp_path / "full").entries()
-    assert merged.entries() == full_keys
-    assert len(full_keys) == len(points)
-    # Merged entries deserialize to the same results the unsharded run got.
-    full = ResultCache(tmp_path / "full")
-    for key in full_keys:
-        assert dataclasses.asdict(merged.get(key)) == dataclasses.asdict(full.get(key))
-
-
-def test_merge_skips_existing_entries(tmp_path):
-    source = ResultCache(tmp_path / "src")
-    source.put("k1", _dummy_result("a"))
-    destination = ResultCache(tmp_path / "dst")
-    destination.put("k1", _dummy_result("b"))
-    copied, skipped, unreadable, bytes_copied = destination.merge_from(
-        tmp_path / "src"
-    )
-    assert (copied, skipped, unreadable, bytes_copied) == (0, 1, 0, 0)
-    assert destination.get("k1").workload == "b"
-    with pytest.raises(FileNotFoundError):
-        destination.merge_from(tmp_path / "missing")
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.experiments.common import quick_experiment_config
 from repro.experiments import fig10_12_singlecore
 from repro.sim.engine import (
     CampaignEngine,
+    CampaignReport,
+    PointOutcome,
     execute_point,
     multi_core_point,
     single_core_point,
@@ -209,3 +212,114 @@ class TestCampaignEnumeration:
         # Every figure-harness lookup is now a memo hit: no further runs.
         campaign.single_core(config.workloads()[0], "tlp", config.l1d_prefetchers[0])
         assert engine.simulations_run == simulated
+
+
+class TestFailFast:
+    """The first failing point fails the run and names itself."""
+
+    BAD = "spec.no_such_workload"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_point_fails_run_naming_its_label(self, jobs):
+        points = [tiny_point(), tiny_point(scheme="tlp"),
+                  tiny_point(workload=self.BAD)]
+        engine = CampaignEngine(result_cache=None)
+        with pytest.raises(RuntimeError) as excinfo:
+            engine.run(points, jobs=jobs)
+        assert str(excinfo.value).startswith(
+            f"point {self.BAD}/baseline/ipcp failed: "
+        )
+        assert excinfo.value.__cause__ is not None
+
+    def test_points_finished_before_a_failure_are_in_the_result_cache(
+        self, tmp_path
+    ):
+        healthy = [tiny_point(), tiny_point(scheme="tlp")]
+        cache = ResultCache(tmp_path)
+        engine = CampaignEngine(result_cache=cache)
+        with pytest.raises(RuntimeError, match=self.BAD):
+            engine.run(healthy + [tiny_point(workload=self.BAD)], jobs=1)
+        assert engine.simulations_run == len(healthy)
+        assert all(cache.contains(point.key()) for point in healthy)
+        # Re-running resumes from the result cache: nothing is re-simulated.
+        rerun = CampaignEngine(result_cache=ResultCache(tmp_path))
+        rerun.run(healthy, jobs=1)
+        assert rerun.simulations_run == 0
+        assert rerun.cache_hits == len(healthy)
+
+
+class TestFigureAllPool:
+    def test_figure_all_builds_one_process_pool(self, monkeypatch, capsys):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.cli import main
+        from repro.sim import engine as engine_module
+
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", CountingPool)
+        assert main(["figure", "all", "--quick", "--jobs", "2",
+                     "--no-cache"]) == 0
+        assert pools == [2]
+        assert "figures: 10" in capsys.readouterr().out
+
+
+class TestCampaignReport:
+    def test_percentiles_ignore_cached_points(self):
+        report = CampaignReport(
+            outcomes=[
+                PointOutcome("a", "a", "cached"),
+                PointOutcome("b", "b", "ok", wall_s=2.0),
+            ]
+        )
+        assert report.wall_time_percentiles()["p50"] == 2.0
+
+    def test_report_counts_simulated_then_cached_points(self, tmp_path):
+        engine = CampaignEngine(result_cache=ResultCache(tmp_path))
+        points = [tiny_point(), tiny_point(scheme="tlp")]
+        engine.run(points, jobs=1)
+        engine.run(points, jobs=1)
+        first, second = (report.to_dict() for report in engine.reports)
+        assert (first["succeeded"], first["cached"]) == (2, 0)
+        assert (second["succeeded"], second["cached"]) == (0, 2)
+        assert second["cache_hits"] == 2
+        assert set(first) == {
+            "points", "succeeded", "cached", "elapsed_s", "jobs",
+            "generator_invocations", "cache_hits", "wall_time_s", "outcomes",
+        }
+        assert {o["status"] for o in first["outcomes"]} == {"ok"}
+
+
+# ----------------------------------------------------------------------
+# Storage robustness
+# ----------------------------------------------------------------------
+class TestCorruptStorage:
+    def test_corrupt_cache_entry_is_quarantined_with_warning(
+        self, tmp_path, caplog
+    ):
+        cache = ResultCache(tmp_path)
+        point = tiny_point()
+        engine = CampaignEngine(result_cache=cache)
+        engine.run([point], jobs=1)
+        entry = tmp_path / f"{point.key()}.json"
+        entry.write_text("{torn", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="repro.cache"):
+            assert cache.get(point.key()) is None
+        assert "quarantined corrupt" in caplog.text
+        assert not entry.exists()
+        assert [p.name for p in cache.quarantined_files()] == [
+            f"{point.key()}.json.corrupt"
+        ]
+        # The engine transparently re-simulates a torn point.
+        entry.write_text("{torn again", encoding="utf-8")
+        caplog.clear()
+        fresh = CampaignEngine(result_cache=ResultCache(tmp_path))
+        with caplog.at_level(logging.WARNING, logger="repro.cache"):
+            results = fresh.run([point], jobs=1)
+        assert "quarantined corrupt" in caplog.text
+        assert point.key() in results and fresh.simulations_run == 1

@@ -190,11 +190,10 @@ class TestBatchExecution:
         calls = []
         original = cache.engine.run
 
-        def counting_run(points, jobs=None, policy=None, progress=None):
+        def counting_run(points, jobs=None, progress=None):
             points = list(points)
             calls.append(len(points))
-            return original(points, jobs=jobs, policy=policy,
-                            progress=progress)
+            return original(points, jobs=jobs, progress=progress)
 
         monkeypatch.setattr(cache.engine, "run", counting_run)
         fig01_mpki.run(cache=cache)

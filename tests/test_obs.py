@@ -15,7 +15,13 @@ import pytest
 from repro.cli import main
 from repro.obs import analyze, metrics, profile, sample, timeline, tracer
 from repro.obs.logs import get_logger, resolve_level
-from repro.sim.engine import CampaignEngine, single_core_point
+from repro.obs.progress import ProgressLine, campaign_progress, format_eta
+from repro.sim.engine import (
+    CampaignEngine,
+    CampaignReport,
+    PointOutcome,
+    single_core_point,
+)
 from repro.sim.result_cache import ResultCache
 
 #: Tiny trace budget so each simulated point costs ~10ms.
@@ -288,7 +294,7 @@ class TestSimSampling:
 # Chrome trace export
 # ----------------------------------------------------------------------
 def _synthetic_run():
-    """A two-process run: spans, a lease, an idle gap, samples, metrics."""
+    """A two-process run: spans, a cache hit, samples, metrics."""
     registry = metrics.MetricsRegistry()
     registry.counter("cache.hits", 1)
     registry.counter("cache.misses", 3)
@@ -304,10 +310,6 @@ def _synthetic_run():
          "pid": 1, "proc": "w1", "attrs": {"point": "a"}},
         {"type": "event", "name": "cache_hit", "ts": 10.1,
          "pid": 2, "proc": "w2", "attrs": {"point": "c"}},
-        {"type": "event", "name": "lease_acquire", "ts": 10.05,
-         "pid": 1, "proc": "w1", "attrs": {"key": "k", "owner": "w1"}},
-        {"type": "event", "name": "worker_idle", "ts": 11.4,
-         "pid": 2, "proc": "w2", "attrs": {"owner": "w2", "idle_s": 0.2}},
         {"type": "event", "name": "sim_sample", "ts": 11.0,
          "pid": 1, "proc": "w1",
          "attrs": {"ipc": 0.8, "l1d_mpki": 50.0, "l2c_mpki": 40.0,
@@ -363,8 +365,6 @@ class TestAnalyze:
         assert summary["cache"]["hits"] == 1
         assert summary["cache"]["misses"] == 3
         assert summary["cache"]["hit_rate"] == pytest.approx(0.25)
-        assert summary["leases"]["acquired"] == 1
-        assert summary["idle"]["total_s"] == pytest.approx(0.2)
         assert summary["samples"] == 1
 
     def test_percentile_interpolates(self):
@@ -393,7 +393,6 @@ class TestObsCli:
         assert "overall utilization" in out
         assert "p50" in out and "p90" in out and "p99" in out
         assert "hit rate" in out
-        assert "leases" in out
 
     def test_report_json(self, run_dir, capsys):
         assert main(["obs", "report", str(run_dir), "--json"]) == 0
@@ -414,6 +413,84 @@ class TestObsCli:
 
     def test_report_on_missing_run(self, tmp_path, capsys):
         assert main(["obs", "report", str(tmp_path / "nope")]) == 2
+
+
+# ----------------------------------------------------------------------
+# Progress rendering
+# ----------------------------------------------------------------------
+class TestProgress:
+    def test_format_eta(self):
+        assert format_eta(None) == "--"
+        assert format_eta(42) == "42s"
+        assert format_eta(90) == "1m30s"
+        assert format_eta(3700) == "1h01m"
+
+    def test_progress_line_writes_plain_lines_off_tty(self):
+        import io
+
+        stream = io.StringIO()
+        line = ProgressLine(stream=stream, enabled=True, min_interval_s=0.0)
+        line.update("1/4 points")
+        line.update("2/4 points")
+        line.finish("4/4 points")
+        emitted = stream.getvalue().splitlines()
+        assert emitted == ["1/4 points", "2/4 points", "4/4 points"]
+
+    def test_progress_line_disabled_writes_nothing(self):
+        import io
+
+        stream = io.StringIO()
+        line = ProgressLine(stream=stream, enabled=False)
+        line.update("anything", force=True)
+        line.finish()
+        assert stream.getvalue() == ""
+
+    def test_engine_invokes_progress_per_settled_point(self, tmp_path):
+        engine = CampaignEngine(result_cache=ResultCache(tmp_path / "rc"))
+        points = [tiny_point(), tiny_point(scheme="tlp"),
+                  tiny_point(scheme="hermes"), tiny_point(workload="spec.mcf_like")]
+        calls: list[tuple[int, int]] = []
+        engine.run(
+            points, jobs=1,
+            progress=lambda report, total: calls.append(
+                (len(report.outcomes), total)
+            ),
+        )
+        assert calls == [(i + 1, len(points)) for i in range(len(points))]
+        # Cached points notify too (the second run is all cache hits).
+        calls.clear()
+        engine.run(
+            points, jobs=1,
+            progress=lambda report, total: calls.append(
+                (len(report.outcomes), total)
+            ),
+        )
+        assert len(calls) == len(points)
+
+    def test_campaign_progress_renders_counts_and_eta(self):
+        import io
+
+        stream = io.StringIO()
+        line = ProgressLine(stream=stream, enabled=True, min_interval_s=0.0)
+        callback = campaign_progress(line, "sweep")
+        report = CampaignReport(jobs=2)
+        report.outcomes.append(PointOutcome("a", "a", "ok", wall_s=0.5))
+        callback(report, 4)
+        report.outcomes.append(PointOutcome("b", "b", "cached"))
+        callback(report, 4)
+        output = stream.getvalue()
+        assert "sweep: 1/4 points" in output
+        assert "1 ok" in output
+        assert "1 cached" in output
+        assert "eta" in output
+
+    def test_progress_flag_parses_on_run_commands(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["sweep"]).progress is None
+        assert parser.parse_args(["figure", "fig01", "--no-progress"]).progress is False
+        assert parser.parse_args(["sweep", "--progress"]).progress is True
 
 
 # ----------------------------------------------------------------------

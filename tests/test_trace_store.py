@@ -18,6 +18,7 @@ Pins the tentpole guarantees of the persistent memory-mapped trace store:
 
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -565,7 +566,7 @@ class TestTraceCli:
 
         assert main(["trace", "--dir", str(tmp_path / "s"), "info", "nope"]) == 1
 
-    def test_campaign_include_imported_smoke(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_include_imported_smoke(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
         from repro.traces.store import TRACE_DIR_ENV
         from repro.sim.result_cache import CACHE_DIR_ENV
@@ -574,12 +575,58 @@ class TestTraceCli:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "rc"))
         assert main(["trace", "import", str(CHAMPSIM_FIXTURE),
                      "--name", "fixture", "--compute-per-access", "2"]) == 0
-        capsys.readouterr()
-        assert main(["campaign", "--include-imported", "--accesses", "200",
+        output = capsys.readouterr().out
+        assert "run it with: repro sweep --include-imported" in output
+        assert main(["sweep", "--include-imported", "--accesses", "200",
                      "--schemes", "tlp", "--prefetchers", "ipcp",
                      "--jobs", "1", "--list"]) == 0
         output = capsys.readouterr().out
         assert "imported.fixture/tlp/ipcp" in output
+
+
+# ----------------------------------------------------------------------
+# Storage robustness
+# ----------------------------------------------------------------------
+#: Trace budget of the corrupt-storage tests.
+BUDGET = 600
+
+
+class TestCorruptStorage:
+    def test_truncated_trace_column_regenerates_with_warning(
+        self, tmp_path, caplog
+    ):
+        from repro.sim.engine import build_workload_trace
+        from repro.traces.store import TraceStore, workload_key
+
+        store = TraceStore(tmp_path)
+        build_workload_trace("bfs.urand", BUDGET, trace_store=store)
+        key = workload_key("bfs.urand", BUDGET, "medium")
+        assert store.contains(key)
+        (tmp_path / key / "pc.bin").write_bytes(b"\x00" * 8)
+        with caplog.at_level(logging.WARNING, logger="repro.traces"):
+            rebuilt = build_workload_trace("bfs.urand", BUDGET, trace_store=store)
+        assert "quarantined corrupt trace" in caplog.text
+        assert rebuilt.num_memory_accesses >= BUDGET
+        assert store.contains(key)  # regenerated entry replaces the corrupt one
+        assert key not in [p.name for p in store.quarantined_entries()]
+
+    def test_bitrot_detected_by_digest(self, tmp_path, caplog):
+        from repro.sim.engine import build_workload_trace
+        from repro.traces.store import TraceStore, workload_key
+
+        store = TraceStore(tmp_path)
+        build_workload_trace("bfs.urand", BUDGET, trace_store=store)
+        key = workload_key("bfs.urand", BUDGET, "medium")
+        column = tmp_path / key / "vaddr.bin"
+        blob = bytearray(column.read_bytes())
+        blob[3] ^= 0xFF  # same length, different bytes
+        column.write_bytes(bytes(blob))
+        # A fresh store (a later process) digest-verifies on first load;
+        # the instance above would skip the check, having already verified
+        # this key once.
+        with caplog.at_level(logging.WARNING, logger="repro.traces"):
+            assert TraceStore(tmp_path).get(key) is None
+        assert "digest mismatch" in caplog.text
 
 
 # ----------------------------------------------------------------------
@@ -769,18 +816,3 @@ def test_result_cache_gc_dry_run_reports_without_deleting(tmp_path):
     # A real sweep then evicts exactly what the dry run predicted.
     assert cache.gc(3 * entry_size) == (removed, freed)
     assert cache.entries() == ["k3", "k4", "k5"]
-
-
-def test_merge_reports_bytes_copied(tmp_path):
-    source = ResultCache(tmp_path / "src")
-    source.put("k1", _dummy_result("a"))
-    source.put("k2", _dummy_result("b"))
-    expected = sum(
-        (tmp_path / "src" / f"{key}.json").stat().st_size for key in ("k1", "k2")
-    )
-    destination = ResultCache(tmp_path / "dst")
-    copied, skipped, unreadable, bytes_copied = destination.merge_from(
-        tmp_path / "src"
-    )
-    assert (copied, skipped, unreadable) == (2, 0, 0)
-    assert bytes_copied == expected
