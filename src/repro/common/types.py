@@ -27,11 +27,6 @@ class MemLevel(enum.IntEnum):
     LLC = 2
     DRAM = 3
 
-    @property
-    def is_off_chip(self) -> bool:
-        """True when the level is DRAM (i.e. the request went off-chip)."""
-        return self is MemLevel.DRAM
-
 
 class RequestSource(enum.IntEnum):
     """Who generated a request entering the cache hierarchy."""
@@ -88,8 +83,3 @@ class AccessOutcome:
     speculative_dram_issued: bool = False
     prefetch_hit: bool = False
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def went_off_chip(self) -> bool:
-        """True when the demand access was ultimately served by DRAM."""
-        return self.served_by is MemLevel.DRAM

@@ -45,13 +45,6 @@ class CacheStats:
             return 0.0
         return self.demand_hits / self.demand_accesses
 
-    @property
-    def demand_miss_rate(self) -> float:
-        """Fraction of demand accesses that miss."""
-        if self.demand_accesses == 0:
-            return 0.0
-        return self.demand_misses / self.demand_accesses
-
 
 @dataclass
 class EvictionInfo:

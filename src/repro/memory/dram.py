@@ -16,7 +16,8 @@ observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from repro.common.config import DRAMConfig
 from repro.common.types import RequestSource
@@ -50,7 +51,9 @@ class DRAMModel:
     def __init__(self, config: DRAMConfig) -> None:
         self.config = config
         self.stats = DRAMStats()
-        self._busy_until = 0.0
+        #: The cycle the channel frees up: a one-element array that the
+        #: batch core's kernel uses in place.
+        self._busy_until = array("d", [0.0])
         self._cycles_per_transaction = config.cycles_per_transaction
 
     @property
@@ -75,9 +78,9 @@ class DRAMModel:
         else:
             self.stats.speculative_transactions += 1
 
-        queue_delay = max(0.0, self._busy_until - cycle)
-        start = cycle + queue_delay
-        self._busy_until = start + self._cycles_per_transaction
+        busy_until = self._busy_until
+        queue_delay = max(0.0, busy_until[0] - cycle)
+        busy_until[0] = cycle + queue_delay + self._cycles_per_transaction
         queue_cycles = int(queue_delay)
         self.stats.total_queue_cycles += queue_cycles
         self.stats.max_queue_cycles = max(self.stats.max_queue_cycles, queue_cycles)
@@ -85,7 +88,7 @@ class DRAMModel:
 
     def queue_delay(self, cycle: int) -> float:
         """Queuing delay a request issued at ``cycle`` would currently see."""
-        return max(0.0, self._busy_until - cycle)
+        return max(0.0, self._busy_until[0] - cycle)
 
     def average_queue_delay(self) -> float:
         """Average queuing delay over all transactions, in cycles."""
@@ -95,7 +98,7 @@ class DRAMModel:
 
     def reset_timing(self) -> None:
         """Forget channel occupancy (used when replaying warm-up phases)."""
-        self._busy_until = 0.0
+        self._busy_until[0] = 0.0
 
     def reset_stats(self) -> None:
         """Zero the transaction counters (post warm-up)."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
-from repro.obs import tracer
 
 #: Span names counted as "busy" for utilization purposes.
 BUSY_SPANS = frozenset({"trace_load", "simulate", "cache_put"})
@@ -113,11 +112,6 @@ def summarize(records: Sequence[dict]) -> dict:
         "samples": event_counts.get("sim_sample", 0),
         "metrics": merged,
     }
-
-
-def summarize_run(run) -> dict:
-    """Load a run directory / merged JSONL and summarize it."""
-    return summarize(tracer.load_run(run))
 
 
 def format_report(summary: dict, title: Optional[str] = None) -> str:

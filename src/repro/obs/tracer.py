@@ -61,13 +61,6 @@ def directory() -> Optional[Path]:
     return _directory
 
 
-def sink_path() -> Optional[Path]:
-    """This process's own JSONL sink file (None when disabled)."""
-    if _directory is None:
-        return None
-    return _directory / f"events-{_proc}.jsonl"
-
-
 def configure(directory_path: Path | str, proc: Optional[str] = None) -> Path:
     """Enable the tracer, appending to a per-process sink under ``dir``.
 

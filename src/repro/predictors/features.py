@@ -74,11 +74,6 @@ class FeatureContext:
         return cacheline_offset_in_page(self.address)
 
     @property
-    def byte_offset(self) -> int:
-        """Offset of the access within its 64B block (0..63)."""
-        return block_offset(self.address)
-
-    @property
     def last_pcs_hash(self) -> int:
         """Folded hash of ``last_load_pcs`` (computed lazily, cached)."""
         if self._pcs_hash is None:

@@ -118,10 +118,6 @@ class HashedPerceptron:
             total += table[index]
         return total, indices
 
-    def indices_for(self, context: FeatureContext) -> list[int]:
-        """Compute the weight-table index selected by each feature."""
-        return self._compute(context)[1]
-
     def confidence(self, indices: list[int]) -> int:
         """Sum the weights selected by ``indices``."""
         total = 0
@@ -188,14 +184,3 @@ class HashedPerceptron:
         """
         self._weights[:] = 0
         self.stats = PerceptronStats()
-
-    def saturation_fraction(self) -> float:
-        """Fraction of weights currently pinned at a saturation bound."""
-        saturated = 0
-        total = 0
-        for table, (minimum, maximum) in zip(self._tables, self._weight_limits):
-            for weight in table:
-                total += 1
-                if weight in (minimum, maximum):
-                    saturated += 1
-        return saturated / total if total else 0.0

@@ -15,13 +15,16 @@ State layout
 
 The signature table packs ``(signature, last_offset)`` into one int per
 tracked page (a FIFO-bounded dict).  The pattern table is direct-mapped by
-``signature % pattern_table_entries``, so its state lives in preallocated
-parallel rows: a numpy ``int64`` total row (memoryview-indexed), a list of
-per-entry delta-counter dicts (None = never trained) and a list of memoized
-best-prediction tuples.  The order-dependent kernel is :meth:`step`, which
-returns plain prediction tuples; :meth:`on_access` wraps them in
-:class:`PrefetchRequest` objects for the scalar reference path, while the
-batch simulator core consumes the tuples directly.
+``signature % pattern_table_entries`` and lives in flat one-byte arrays
+(memoryviews over ``np.zeros`` buffers) that the batch core's kernel uses
+in place.  Per entry: a count per in-page delta
+(indexed ``entry * 127 + delta + 63``), the deltas in insertion order with
+their number, the counts' total and a memo of the first maximal delta and
+its count (count 0: not memoized).  Training halves every count once the
+total reaches 64, so no count or total exceeds 64.  The order-dependent
+kernel is :meth:`step`, which returns plain prediction tuples;
+:meth:`on_access` wraps them in :class:`PrefetchRequest` objects for the
+scalar reference path.
 """
 
 from __future__ import annotations
@@ -32,13 +35,18 @@ from repro.common.addresses import BLOCK_SIZE
 from repro.common.types import MemLevel
 from repro.prefetchers.base import L2Prefetcher, PrefetchRequest
 
+#: In-page deltas lie in -63..63.
+DELTA_SPAN = 127
+
+
+def _table(items: int, dtype) -> memoryview:
+    return memoryview(np.zeros(items, dtype=dtype))
+
 
 class SPPPrefetcher(L2Prefetcher):
     """Signature path prefetcher with lookahead and confidence-based fill level."""
 
     name = "spp"
-
-    SIGNATURE_BITS = 12
 
     def __init__(
         self,
@@ -64,15 +72,7 @@ class SPPPrefetcher(L2Prefetcher):
         #: page -> (signature << 6) | last_offset, FIFO-bounded.
         self._signatures: dict[int, int] = {}
         self._signature_order: list[int] = []
-        m = pattern_table_entries
-        #: delta -> count per pattern entry; None = never trained.
-        self._pattern_deltas: list[dict[int, int] | None] = [None] * m
-        self._pattern_total_buf = np.zeros(m, dtype=np.int64)
-        self._pattern_totals = memoryview(self._pattern_total_buf)
-        #: Cached (delta, count) of the strongest prediction per entry;
-        #: invalidated by training so repeated lookahead queries between
-        #: trains avoid the scan.
-        self._pattern_best: list[tuple[int, int] | None] = [None] * m
+        self._clear_pattern_table()
         self.lookahead_prefetches = 0
 
     # ------------------------------------------------------------------
@@ -135,24 +135,34 @@ class SPPPrefetcher(L2Prefetcher):
         # Train the pattern table with the observed delta for the previous
         # signature, then advance the signature.
         m = self.pattern_table_entries
-        pattern_deltas = self._pattern_deltas
-        pattern_totals = self._pattern_totals
-        pattern_best = self._pattern_best
+        counts = self._pattern_counts
+        deltas = self._pattern_deltas
+        lengths = self._pattern_lengths
+        totals = self._pattern_totals
+        best_deltas = self._pattern_best_delta
+        best_counts = self._pattern_best_count
         key = signature % m
-        deltas = pattern_deltas[key]
-        if deltas is None:
-            pattern_deltas[key] = {delta: 1}
-            total = 1
-        else:
-            deltas[delta] = deltas.get(delta, 0) + 1
-            total = pattern_totals[key] + 1
+        row = key * DELTA_SPAN
+        at = row + delta + 63
+        if counts[at] == 0:
+            deltas[row + lengths[key]] = delta
+            lengths[key] += 1
+        counts[at] += 1
+        total = totals[key] + 1
+        if total >= 64:
             # Periodically halve the counters so stale deltas fade away.
-            if total >= 64:
-                deltas = {d: c // 2 for d, c in deltas.items() if c > 1}
-                pattern_deltas[key] = deltas
-                total = sum(deltas.values())
-        pattern_best[key] = None
-        pattern_totals[key] = total
+            kept = total = 0
+            for i in range(row, row + lengths[key]):
+                d = deltas[i]
+                count = counts[row + d + 63] // 2
+                counts[row + d + 63] = count
+                if count:
+                    deltas[row + kept] = d
+                    kept += 1
+                    total += count
+            lengths[key] = kept
+        best_counts[key] = 0
+        totals[key] = total
 
         signature = ((signature << 3) ^ (delta & 0x7F)) & 0xFFF
         signatures[page] = (signature << 6) | offset
@@ -165,25 +175,19 @@ class SPPPrefetcher(L2Prefetcher):
         l2_fill_confidence = self.l2_fill_confidence
         for depth in range(self.max_lookahead_depth):
             key = signature % m
-            deltas = pattern_deltas[key]
-            if not deltas:
-                break
-            total = pattern_totals[key]
+            total = totals[key]
             if total == 0:
                 break
-            best = pattern_best[key]
-            if best is None:
-                # First maximal count in insertion order, matching
-                # max(items, key=count) exactly.
-                best_delta = 0
-                best_count = -1
-                for d, c in deltas.items():
-                    if c > best_count:
-                        best_count = c
-                        best_delta = d
-                best = pattern_best[key] = (best_delta, best_count)
-            predicted_delta = best[0]
-            path_confidence *= best[1] / total
+            if best_counts[key] == 0:
+                # The first maximal count in insertion order.
+                row = key * DELTA_SPAN
+                for i in range(row, row + lengths[key]):
+                    count = counts[row + deltas[i] + 63]
+                    if count > best_counts[key]:
+                        best_counts[key] = count
+                        best_deltas[key] = deltas[i]
+            predicted_delta = best_deltas[key]
+            path_confidence *= best_counts[key] / total
             if path_confidence < lookahead_confidence:
                 break
             predicted_block = predicted_block + predicted_delta
@@ -206,19 +210,17 @@ class SPPPrefetcher(L2Prefetcher):
             signature = ((signature << 3) ^ (predicted_delta & 0x7F)) & 0xFFF
         return predictions
 
-    # ------------------------------------------------------------------
-    # Signature machinery
-    # ------------------------------------------------------------------
-    @classmethod
-    def _advance_signature(cls, signature: int, delta: int) -> int:
-        return ((signature << 3) ^ (delta & 0x7F)) & ((1 << cls.SIGNATURE_BITS) - 1)
-
     def reset(self) -> None:
         self._signatures.clear()
         self._signature_order.clear()
-        m = self.pattern_table_entries
-        for i in range(m):
-            self._pattern_deltas[i] = None
-            self._pattern_best[i] = None
-        self._pattern_total_buf[:] = 0
+        self._clear_pattern_table()
         self.lookahead_prefetches = 0
+
+    def _clear_pattern_table(self) -> None:
+        m = self.pattern_table_entries
+        self._pattern_counts = _table(m * DELTA_SPAN, np.uint8)
+        self._pattern_deltas = _table(m * DELTA_SPAN, np.int8)
+        self._pattern_lengths = _table(m, np.uint8)
+        self._pattern_totals = _table(m, np.uint8)
+        self._pattern_best_delta = _table(m, np.int8)
+        self._pattern_best_count = _table(m, np.uint8)

@@ -1,5 +1,6 @@
 """Simulation drivers: scenario builders, single-core and multi-core runs,
-and the parallel campaign engine with its persistent result cache."""
+their conservation checks, and the parallel campaign engine with its
+persistent result cache."""
 
 from repro.sim.engine import (
     CampaignEngine,
@@ -11,7 +12,7 @@ from repro.sim.engine import (
 )
 from repro.sim.multi_core import MultiCoreResult, run_multicore_mix
 from repro.sim.result_cache import ResultCache, default_cache_dir
-from repro.sim.results import SingleCoreResult
+from repro.sim.results import SingleCoreResult, check_invariants
 from repro.sim.scenarios import (
     SCHEMES,
     Scenario,
@@ -31,6 +32,7 @@ __all__ = [
     "build_hierarchy",
     "build_scenario",
     "build_workload_trace",
+    "check_invariants",
     "default_cache_dir",
     "execute_point",
     "multi_core_point",

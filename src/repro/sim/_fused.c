@@ -9,38 +9,35 @@
  * stock prefetchers and filters: IPCP or Berti at the L1D, SPP at the L2C,
  * the SLP filter above the L1D and the PPF filter behind SPP.  It works on
  * the very state the scalar reference uses, in the same order and with the
- * same arithmetic.  Each cache is a set of flat typed arrays (_tags,
- * _stamps, _ready, _flags, _source, _set_fill and the one-element _clock;
- * see repro.memory.cache.Cache), read and written in place through the
- * buffer protocol, so a lookup, probe, fill or victim scan is a C loop over
- * one set.  Component tables held in numpy arrays are used in place the
- * same way: IPCP _ip_buf/_cplx_buf, Berti _page_buf/_total_buf, SPP
- * _pattern_total_buf and the perceptron weights of FLP, Hermes, PPF and
- * SLP.  The page table's _mapping, _allocated_frames and page_faults, DRAM
- * _busy_until, the pending-prefetch dicts and every stats object stay
+ * same arithmetic.  Flat state is read and written in place through the
+ * buffer protocol: each cache's typed arrays (_tags, _stamps, _ready,
+ * _flags, _source, _set_fill and the one-element _clock; see
+ * repro.memory.cache.Cache), the DRAM channel's one-element _busy_until,
+ * SPP's pattern table (per-delta counts, deltas in insertion order, their
+ * number, totals and the best-delta memo), IPCP _ip_buf/_cplx_buf, Berti
+ * _page_buf/_total_buf and the perceptron weights of FLP, Hermes, PPF and
+ * SLP.  So every core of a mix sees the others' DRAM and LLC updates with
+ * no copy to refresh.  The page table's _mapping, _allocated_frames and
+ * page_faults, the pending-prefetch dicts and every stats object stay
  * Python objects; a block address is boxed only to key a pending-prefetch
  * dict or an EvictionInfo.  Dict- and list-backed component state (IPCP's
  * region FIFO, Berti's histories, delta counters and confirmed lists, SPP's
- * signature FIFO and pattern delta counters, the page buffers and PC
- * histories of the FLP/Hermes and SLP feature histories) is copied into
- * flat tables when the Stepper is built and written back into the same
- * containers, in the same order, when the trace ends (a run that raises
- * leaves them as loaded); index memos are caches and are left alone (SPP's
- * best-prediction memo is reset to None).  PPF training on prefetch use and
- * L2C eviction stays a Python call.  A hierarchy with any component the
- * kernel does not model runs the scalar reference instead
- * (repro.sim.batch.batch_unsupported_reason).
+ * signature FIFO, the page buffers and PC histories of the FLP/Hermes and
+ * SLP feature histories) is copied into flat tables when the Stepper is
+ * built and written back into the same containers, in the same order, when
+ * the trace ends (a run that raises leaves them as loaded).  PPF training
+ * on prefetch use and L2C eviction stays a Python call.  A hierarchy with
+ * any component the kernel does not model runs the scalar reference
+ * instead (repro.sim.batch.batch_unsupported_reason).  Pure counters
+ * accumulate per chunk and are added to their stats objects at the end of
+ * each chunk.
  *
- * The DRAM channel's _busy_until is written through to its object on every
- * change, so it is current at every yield and every Python call, and it is
- * re-read after a yield (another core of a mix may have moved it) and
- * after the sample hook.  Pure counters accumulate per chunk and are added
- * to their stats objects at the end of each chunk.
- *
- * The Stepper is an iterator: it runs compute records on its own and yields
- * each load/store's dispatch cycle before performing it, so a multi-core
- * driver can merge several cores on one heap.  Stepper.run() drains it
- * without yielding.  Built on first use by repro.sim.native.
+ * Stepper.run() runs one core's trace to its end.  run_mix() interleaves
+ * the cores of a multi-core mix: it pauses each Stepper before every
+ * load/store and resumes the core with the smallest (dispatch cycle, core
+ * id), advancing a Stepper by a direct call and a scalar-reference core
+ * (a Python iterator) by PyIter_Next.  Built on first use by
+ * repro.sim.native.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -111,8 +108,9 @@ static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
     /* SPP */                                                                \
     X(signature_table_entries) X(pattern_table_entries)                      \
     X(lookahead_confidence) X(l2_fill_confidence) X(max_lookahead_depth)     \
-    X(_signatures) X(_signature_order) X(_pattern_deltas)                    \
-    X(_pattern_total_buf) X(_pattern_best) X(lookahead_prefetches)           \
+    X(_signatures) X(_signature_order) X(_pattern_counts) X(_pattern_deltas) \
+    X(_pattern_lengths) X(_pattern_totals) X(_pattern_best_delta)            \
+    X(_pattern_best_count) X(lookahead_prefetches)                           \
     /* PPF and SLP */                                                        \
     X(_weights) X(_index_bits) X(issue_threshold) X(consultations)           \
     X(accepted) X(rejected) X(tau_pref) X(use_leveling_feature) X(history)   \
@@ -486,6 +484,34 @@ view_release(View *v)
         PyBuffer_Release(&v->view);
         v->held = 0;
     }
+}
+
+/* One of a model object's flat state arrays, used in place: ``length``
+ * items of array typecode ``code``; ``what`` names the owner in errors. */
+static void *
+state_array(View *v, PyObject *obj, PyObject *name, char code, Py_ssize_t length,
+            const char *what)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return NULL;
+    int rc = PyObject_GetBuffer(value, &v->view,
+                                PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT);
+    Py_DECREF(value);
+    if (rc == 0)
+        v->held = 1;
+    if (rc < 0 || v->view.ndim != 1 || v->view.format == NULL
+        || v->view.format[0] != code || v->view.format[1] != '\0'
+        || v->view.itemsize != (code == 'B' || code == 'b' ? 1 : 8)) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_TypeError, "unexpected %s state layout", what);
+        return NULL;
+    }
+    if (v->view.shape[0] != length) {
+        PyErr_Format(PyExc_ValueError, "%s state does not match its geometry", what);
+        return NULL;
+    }
+    return v->view.buf;
 }
 
 static PyObject *
@@ -1142,7 +1168,7 @@ ipcp_release(IPCP *p)
 }
 
 /* ------------------------------------------------------------------ */
-/* Insertion-ordered in-page delta counters (Berti, SPP)               */
+/* Insertion-ordered in-page delta counters (Berti)                    */
 /* ------------------------------------------------------------------ */
 
 /* Deltas between blocks of one 4KB page lie in -63..63.  A table entry's
@@ -1548,18 +1574,16 @@ typedef struct {
     double confidence;
 } Prediction;
 
+/* The pattern table is SPPPrefetcher's own flat arrays, used in place; the
+ * signature FIFO is copied in and written back. */
 typedef struct {
-    View total_view;
-    int64_t *totals;
+    View views[6];
+    uint8_t *counts, *lengths, *totals, *best_count; /* best_count 0: no memo */
+    int8_t *deltas, *best_delta;
     long long m, max_depth;
     double lookahead_confidence, l2_fill_confidence;
     OrderedKeys signatures; /* page FIFO, oldest first */
     int64_t *packed;        /* per signature slot: (signature << 6) | offset */
-    uint8_t *trained;       /* 0: the pattern entry is None */
-    Deltas *patterns;
-    uint8_t *best_valid;    /* memo of the first maximal delta */
-    int8_t *best_delta;
-    int32_t *best_count;
     long long lookahead_prefetches;
     Prediction *predictions;
 } SPP;
@@ -1578,23 +1602,23 @@ spp_load(SPP *p, PyObject *obj)
         PyErr_SetString(PyExc_ValueError, "SPP tables must have at least one entry");
         return -1;
     }
-    if ((p->totals = attr_ints(&p->total_view, obj, S__pattern_total_buf, 8, p->m,
-                               "SPP _pattern_total_buf")) == NULL
+    View *v = p->views;
+    Py_ssize_t cells = p->m * DELTA_SPAN;
+    if ((p->counts = state_array(v++, obj, S__pattern_counts, 'B', cells, "SPP")) == NULL
+        || (p->deltas = state_array(v++, obj, S__pattern_deltas, 'b', cells, "SPP")) == NULL
+        || (p->lengths = state_array(v++, obj, S__pattern_lengths, 'B', p->m, "SPP")) == NULL
+        || (p->totals = state_array(v++, obj, S__pattern_totals, 'B', p->m, "SPP")) == NULL
+        || (p->best_delta = state_array(v++, obj, S__pattern_best_delta, 'b', p->m, "SPP")) == NULL
+        || (p->best_count = state_array(v++, obj, S__pattern_best_count, 'B', p->m, "SPP")) == NULL
         || keys_init(&p->signatures, (Py_ssize_t)cap) < 0
         || (p->packed = mem_calloc(cap, sizeof(int64_t))) == NULL
-        || (p->trained = mem_calloc(p->m, 1)) == NULL
-        || (p->patterns = mem_calloc(p->m, sizeof(Deltas))) == NULL
-        || (p->best_valid = mem_calloc(p->m, 1)) == NULL
-        || (p->best_delta = mem_calloc(p->m, 1)) == NULL
-        || (p->best_count = mem_calloc(p->m, sizeof(int32_t))) == NULL
         || (p->predictions = mem_calloc(p->max_depth, sizeof(Prediction))) == NULL)
         return -1;
     int rc = -1;
     PyObject *signatures = attr_exact(obj, S__signatures, &PyDict_Type, -1);
     PyObject *order = signatures ? attr_exact(obj, S__signature_order, &PyList_Type,
                                               PyDict_GET_SIZE(signatures)) : NULL;
-    PyObject *patterns = order ? attr_exact(obj, S__pattern_deltas, &PyList_Type, p->m) : NULL;
-    if (patterns == NULL)
+    if (order == NULL)
         goto done;
     if (PyList_GET_SIZE(order) > cap) {
         PyErr_SetString(PyExc_ValueError, "SPP holds more signatures than its table");
@@ -1617,19 +1641,10 @@ spp_load(SPP *p, PyObject *obj)
         }
         p->packed[keys_append(&p->signatures, page)] = value;
     }
-    for (Py_ssize_t key = 0; key < p->m; key++) {
-        PyObject *deltas = PyList_GET_ITEM(patterns, key);
-        if (deltas == Py_None)
-            continue;
-        p->trained[key] = 1;
-        if (deltas_load(&p->patterns[key], deltas) < 0)
-            goto done;
-    }
     rc = 0;
 done:
     Py_XDECREF(signatures);
     Py_XDECREF(order);
-    Py_XDECREF(patterns);
     return rc;
 }
 
@@ -1640,7 +1655,7 @@ spp_signature(uint64_t signature, int64_t delta)
 }
 
 /* Observe one L2 access (by block address) and predict ahead; leaves the
- * predictions in p->predictions and returns their count, or -1. */
+ * predictions in p->predictions and returns their count. */
 static Py_ssize_t
 spp_step(SPP *p, int64_t block)
 {
@@ -1657,22 +1672,27 @@ spp_step(SPP *p, int64_t block)
     uint64_t signature = (uint64_t)(packed >> 6);
 
     /* Train the previous signature's entry with the observed delta. */
-    int64_t m = p->m, key = py_mod((int64_t)signature, m), total;
-    Deltas *d = &p->patterns[key];
-    if (deltas_bump(d, delta) < 0)
-        return -1;
-    if (!p->trained[key]) {
-        p->trained[key] = 1;
-        total = 1;
-    }
-    else {
-        total = p->totals[key] + 1;
+    int64_t m = p->m, key = py_mod((int64_t)signature, m), total = p->totals[key] + 1;
+    uint8_t *counts = p->counts + key * DELTA_SPAN;
+    int8_t *deltas = p->deltas + key * DELTA_SPAN;
+    if (counts[delta + 63]++ == 0)
+        deltas[p->lengths[key]++] = (int8_t)delta;
+    if (total >= 64) {
         /* Periodically halve the counters so stale deltas fade away. */
-        if (total >= 64)
-            total = deltas_halve(d);
+        int kept = 0;
+        total = 0;
+        for (int i = 0; i < p->lengths[key]; i++) {
+            uint8_t *count = &counts[deltas[i] + 63];
+            *count /= 2;
+            if (*count) {
+                deltas[kept++] = deltas[i];
+                total += *count;
+            }
+        }
+        p->lengths[key] = (uint8_t)kept;
     }
-    p->best_valid[key] = 0;
-    p->totals[key] = total;
+    p->best_count[key] = 0;
+    p->totals[key] = (uint8_t)total;
     signature = spp_signature(signature, delta);
     p->packed[slot] = (int64_t)((signature << 6) | (uint64_t)offset);
 
@@ -1682,22 +1702,18 @@ spp_step(SPP *p, int64_t block)
     int64_t predicted = block;
     for (long long depth = 0; depth < p->max_depth; depth++) {
         key = py_mod((int64_t)signature, m);
-        d = &p->patterns[key];
-        if (!p->trained[key] || d->len == 0 || (total = p->totals[key]) == 0)
+        if ((total = p->totals[key]) == 0)
             break;
-        if (!p->best_valid[key]) {
+        if (p->best_count[key] == 0) {
             /* The first maximal count in insertion order. */
-            int best_delta = 0;
-            int32_t best_count = -1;
-            for (int i = 0; i < d->len; i++) {
-                if (d->count[i] > best_count) {
-                    best_count = d->count[i];
-                    best_delta = d->delta[i];
+            counts = p->counts + key * DELTA_SPAN;
+            deltas = p->deltas + key * DELTA_SPAN;
+            for (int i = 0; i < p->lengths[key]; i++) {
+                if (counts[deltas[i] + 63] > p->best_count[key]) {
+                    p->best_count[key] = counts[deltas[i] + 63];
+                    p->best_delta[key] = deltas[i];
                 }
             }
-            p->best_valid[key] = 1;
-            p->best_delta[key] = (int8_t)best_delta;
-            p->best_count[key] = best_count;
         }
         int64_t predicted_delta = p->best_delta[key];
         path_confidence *= (double)p->best_count[key] / (double)total;
@@ -1720,20 +1736,16 @@ spp_step(SPP *p, int64_t block)
     return count;
 }
 
+/* Hand the signature FIFO back to its dict and order list. */
 static int
 spp_write_back(SPP *p, PyObject *obj)
 {
     int rc = -1;
     PyObject *signatures = PyObject_GetAttr(obj, S__signatures);
     PyObject *order = signatures ? PyObject_GetAttr(obj, S__signature_order) : NULL;
-    PyObject *patterns = order ? PyObject_GetAttr(obj, S__pattern_deltas) : NULL;
-    PyObject *best = patterns ? PyObject_GetAttr(obj, S__pattern_best) : NULL;
-    PyObject *pages = best ? PyList_New(0) : NULL;
-    if (pages == NULL || !PyList_CheckExact(best) || PyList_GET_SIZE(best) != p->m) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "SPP _pattern_best must be a list per entry");
+    PyObject *pages = order ? PyList_New(0) : NULL;
+    if (pages == NULL)
         goto done;
-    }
     PyDict_Clear(signatures);
     for (Py_ssize_t slot = p->signatures.head; slot >= 0; slot = p->signatures.next[slot]) {
         PyObject *page = PyLong_FromLongLong(p->signatures.keys[slot]);
@@ -1745,24 +1757,10 @@ spp_write_back(SPP *p, PyObject *obj)
         if (!ok)
             goto done;
     }
-    if (PyList_SetSlice(order, 0, PY_SSIZE_T_MAX, pages) < 0)
-        goto done;
-    for (Py_ssize_t key = 0; key < p->m; key++) {
-        /* Only trained entries changed; the memo is a cache. */
-        if (PyList_SetItem(best, key, Py_NewRef(Py_None)) < 0)
-            goto done;
-        if (!p->trained[key])
-            continue;
-        PyObject *deltas = deltas_dict(&p->patterns[key]);
-        if (deltas == NULL || PyList_SetItem(patterns, key, deltas) < 0)
-            goto done;
-    }
-    rc = 0;
+    rc = PyList_SetSlice(order, 0, PY_SSIZE_T_MAX, pages);
 done:
     Py_XDECREF(signatures);
     Py_XDECREF(order);
-    Py_XDECREF(patterns);
-    Py_XDECREF(best);
     Py_XDECREF(pages);
     return rc;
 }
@@ -1770,22 +1768,12 @@ done:
 static void
 spp_release(SPP *p)
 {
-    for (long long key = 0; p->patterns != NULL && key < p->m; key++)
-        deltas_free(&p->patterns[key]);
-    view_release(&p->total_view);
+    for (int i = 0; i < 6; i++)
+        view_release(&p->views[i]);
     keys_free(&p->signatures);
     PyMem_Free(p->packed);
-    PyMem_Free(p->trained);
-    PyMem_Free(p->patterns);
-    PyMem_Free(p->best_valid);
-    PyMem_Free(p->best_delta);
-    PyMem_Free(p->best_count);
     PyMem_Free(p->predictions);
     p->packed = NULL;
-    p->trained = p->best_valid = NULL;
-    p->patterns = NULL;
-    p->best_delta = NULL;
-    p->best_count = NULL;
     p->predictions = NULL;
 }
 
@@ -2249,7 +2237,8 @@ typedef struct {
     /* Hierarchy constants and the DRAM channel. */
     long long predictor_latency, dram_access_latency;
     double cycles_per_transaction, drop_cycles;
-    double busy_until; /* mirror of dram._busy_until, written through */
+    View busy_view;
+    double *busy_until; /* dram._busy_until, in place */
 
     /* Core timing: the ROB's retire times as a ring buffer. */
     double *retire;
@@ -2284,33 +2273,6 @@ typedef struct {
 /* One cache level                                                     */
 /* ------------------------------------------------------------------ */
 
-/* One of a cache's state arrays: ``length`` items of array typecode
- * ``code``. */
-static void *
-cache_array(View *v, PyObject *cache, PyObject *name, char code, Py_ssize_t length)
-{
-    PyObject *value = PyObject_GetAttr(cache, name);
-    if (value == NULL)
-        return NULL;
-    int rc = PyObject_GetBuffer(value, &v->view,
-                                PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT);
-    Py_DECREF(value);
-    if (rc == 0)
-        v->held = 1;
-    if (rc < 0 || v->view.ndim != 1 || v->view.format == NULL
-        || v->view.format[0] != code || v->view.format[1] != '\0'
-        || v->view.itemsize != (code == 'q' ? 8 : 1)) {
-        PyErr_Clear();
-        PyErr_SetString(PyExc_TypeError, "unexpected cache state layout");
-        return NULL;
-    }
-    if (v->view.shape[0] != length) {
-        PyErr_SetString(PyExc_ValueError, "cache state does not match its geometry");
-        return NULL;
-    }
-    return v->view.buf;
-}
-
 static int
 cache_init(CacheState *c, PyObject *cache, int level)
 {
@@ -2326,13 +2288,13 @@ cache_init(CacheState *c, PyObject *cache, int level)
         return -1;
     Py_ssize_t slots = c->num_sets * c->ways;
     View *v = c->views;
-    if ((c->tags = cache_array(v++, cache, S__tags, 'q', slots)) == NULL
-        || (c->stamps = cache_array(v++, cache, S__stamps, 'q', slots)) == NULL
-        || (c->ready = cache_array(v++, cache, S__ready, 'q', slots)) == NULL
-        || (c->flags = cache_array(v++, cache, S__flags, 'B', slots)) == NULL
-        || (c->source = cache_array(v++, cache, S__source, 'b', slots)) == NULL
-        || (c->set_fill = cache_array(v++, cache, S__set_fill, 'q', c->num_sets)) == NULL
-        || (c->clock = cache_array(v++, cache, S__clock, 'q', 1)) == NULL)
+    if ((c->tags = state_array(v++, cache, S__tags, 'q', slots, "cache")) == NULL
+        || (c->stamps = state_array(v++, cache, S__stamps, 'q', slots, "cache")) == NULL
+        || (c->ready = state_array(v++, cache, S__ready, 'q', slots, "cache")) == NULL
+        || (c->flags = state_array(v++, cache, S__flags, 'B', slots, "cache")) == NULL
+        || (c->source = state_array(v++, cache, S__source, 'b', slots, "cache")) == NULL
+        || (c->set_fill = state_array(v++, cache, S__set_fill, 'q', c->num_sets, "cache")) == NULL
+        || (c->clock = state_array(v++, cache, S__clock, 'q', 1, "cache")) == NULL)
         return -1;
     return 0;
 }
@@ -2565,61 +2527,28 @@ cache_flush(CacheState *c)
 /* DRAM and translation                                                */
 /* ------------------------------------------------------------------ */
 
-static int
-set_busy(Stepper *s, double value)
+/* DRAMModel.access: one transaction issued at ``issue_at``, counted in
+ * ``*counter``; returns the latency until the data. */
+static long long
+dram_access(Stepper *s, long long issue_at, long long *counter)
 {
-    PyObject *boxed = PyFloat_FromDouble(value);
-    if (boxed == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(s->dram, S__busy_until, boxed);
-    Py_DECREF(boxed);
-    if (rc == 0)
-        s->busy_until = value;
-    return rc;
-}
-
-/* Re-read the DRAM channel a Python call or another core may have moved. */
-static int
-reload_busy(Stepper *s)
-{
-    return get_double(s->dram, S__busy_until, &s->busy_until);
-}
-
-/* One queued DRAM transaction issued at ``issue_at`` (DRAMModel.access's
- * timing); returns its queue delay and counts the queue cycles. */
-static int
-dram_transaction(Stepper *s, long long issue_at, double *queue_delay)
-{
-    double delay = s->busy_until - (double)issue_at;
+    double delay = *s->busy_until - (double)issue_at;
     if (delay < 0.0)
         delay = 0.0;
-    if (set_busy(s, (double)issue_at + delay + s->cycles_per_transaction) < 0)
-        return -1;
+    *s->busy_until = (double)issue_at + delay + s->cycles_per_transaction;
     s->dram_transactions++;
+    (*counter)++;
     long long queue_cycles = (long long)delay;
     s->dram_queue_cycles += queue_cycles;
     if (queue_cycles > s->dram_max_queue)
         s->dram_max_queue = queue_cycles;
-    *queue_delay = delay;
-    return 0;
-}
-
-/* DRAMModel.access for a prefetch: returns the latency until the data. */
-static int
-dram_prefetch(Stepper *s, long long cycle, long long *counter, long long *latency)
-{
-    double delay;
-    if (dram_transaction(s, cycle, &delay) < 0)
-        return -1;
-    (*counter)++;
-    *latency = (long long)(delay + (double)s->dram_access_latency);
-    return 0;
+    return (long long)(delay + (double)s->dram_access_latency);
 }
 
 static inline int
 dram_backed_up(Stepper *s, long long cycle)
 {
-    return s->busy_until - (double)cycle > s->drop_cycles;
+    return *s->busy_until - (double)cycle > s->drop_cycles;
 }
 
 /* PageTable._allocate_frame for an unmapped ``vpage``: a hashed first
@@ -2702,8 +2631,6 @@ static int
 spp_issue(Stepper *s, long long pc, long long block, long long cycle)
 {
     Py_ssize_t n = spp_step(&s->spp, block);
-    if (n < 0)
-        return -1;
     for (Py_ssize_t i = 0; i < n; i++) {
         const Prediction *prediction = &s->spp.predictions[i];
         long long pblock = prediction->block;
@@ -2724,10 +2651,7 @@ spp_issue(Stepper *s, long long pc, long long block, long long cycle)
                 s->l2_pf_dropped_queue++;
                 continue;
             }
-            long long dram_latency;
-            if (dram_prefetch(s, cycle, &s->dram_l2c_prefetch, &dram_latency) < 0)
-                return -1;
-            fill_latency += dram_latency;
+            fill_latency += dram_access(s, cycle, &s->dram_l2c_prefetch);
             if (cache_fill(s, &s->llc, pblock, cycle + fill_latency, 1, LEVEL_DRAM) < 0)
                 return -1;
         }
@@ -2804,10 +2728,8 @@ l1_prefetch_target(Stepper *s, long long tvaddr, long long pc, long long cycle)
             return 0;
         }
         served = LEVEL_DRAM;
-        long long dram_latency;
-        if (dram_prefetch(s, cycle, &s->dram_l1d_prefetch, &dram_latency) < 0)
-            return -1;
-        fetch_latency = s->l1.latency + s->l2.latency + s->llc.latency + dram_latency;
+        fetch_latency = s->l1.latency + s->l2.latency + s->llc.latency
+                        + dram_access(s, cycle, &s->dram_l1d_prefetch);
         long long ready = cycle + fetch_latency;
         if (cache_fill(s, &s->llc, tblock, ready, 0, -1) < 0
             || cache_fill(s, &s->l2, tblock, ready, 0, -1) < 0)
@@ -2878,19 +2800,6 @@ l1_prefetch(Stepper *s, long long pc, long long vaddr, int l1d_hit, long long cy
 /* ------------------------------------------------------------------ */
 /* One demand access                                                   */
 /* ------------------------------------------------------------------ */
-
-/* A speculative off-chip request issued at ``issue_at``; returns the
- * queue-plus-access part of its latency. */
-static int
-speculative_request(Stepper *s, long long issue_at, long long *latency)
-{
-    double delay;
-    if (dram_transaction(s, issue_at, &delay) < 0)
-        return -1;
-    s->dram_speculative++;
-    *latency = (long long)(delay + (double)s->dram_access_latency);
-    return 0;
-}
 
 /* _record_offchip_prediction_location: where the block is when a
  * speculative request fires. */
@@ -2970,11 +2879,9 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     if (action == 1) {
         s->speculative_requests++;
         record_location(s, block, 0);
-        long long dram_latency;
-        if (speculative_request(s, cycle + s->predictor_latency, &dram_latency) < 0)
-            return -1;
         speculative = 1;
-        speculative_ready = s->predictor_latency + dram_latency;
+        speculative_ready = s->predictor_latency
+                            + dram_access(s, cycle + s->predictor_latency, &s->dram_speculative);
     }
 
     /* -- L1D lookup -- */
@@ -2997,12 +2904,9 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
             s->speculative_requests++;
             s->delayed_speculative++;
             record_location(s, block, 1);
-            long long dram_latency;
-            if (speculative_request(s, cycle + s->l1.latency + s->predictor_latency,
-                                    &dram_latency) < 0)
-                return -1;
+            long long wait = s->l1.latency + s->predictor_latency;
             speculative = 1;
-            speculative_ready = s->l1.latency + s->predictor_latency + dram_latency;
+            speculative_ready = wait + dram_access(s, cycle + wait, &s->dram_speculative);
         }
     }
 
@@ -3045,11 +2949,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
                     dram_latency = s->dram_access_latency;
                 }
                 else {
-                    double delay;
-                    if (dram_transaction(s, cycle + latency, &delay) < 0)
-                        return -1;
-                    s->dram_demand++;
-                    dram_latency = (long long)(delay + (double)s->dram_access_latency);
+                    dram_latency = dram_access(s, cycle + latency, &s->dram_demand);
                 }
                 latency += dram_latency;
                 long long ready = cycle + latency;
@@ -3084,7 +2984,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
 }
 
 /* ------------------------------------------------------------------ */
-/* Chunks, core timing and the iterator protocol                       */
+/* Chunks, core timing and the mix driver                              */
 /* ------------------------------------------------------------------ */
 
 static void
@@ -3212,8 +3112,7 @@ end_chunk(Stepper *s)
     PyObject *cycles = PyFloat_FromDouble(s->last_retire);
     int rc = -1;
     if (accesses_obj && instructions && cycles
-        && discard(call3(s->sample_hook, accesses_obj, instructions, cycles)) == 0
-        && reload_busy(s) == 0)
+        && discard(call3(s->sample_hook, accesses_obj, instructions, cycles)) == 0)
         rc = 0;
     Py_XDECREF(accesses_obj);
     Py_XDECREF(done_obj);
@@ -3299,22 +3198,19 @@ retire_record(Stepper *s, double dispatch, long long latency)
 
 static void release_components(Stepper *s);
 
-/* Advance to the next load/store (returning its dispatch cycle, when
- * ``yield_memory``) or to the end of the trace (returning NULL without an
- * exception).  NULL with an exception set on error. */
-static PyObject *
-advance(Stepper *s, int yield_memory)
+/* Advance to the next load/store, pausing before it with its dispatch
+ * cycle in *pause (when ``pause`` is not NULL), or to the end of the trace.
+ * Returns 1 when paused, 0 at the end and -1 on error. */
+static int
+advance(Stepper *s, double *pause)
 {
     if (s->finished)
-        return NULL;
+        return 0;
     for (;;) {
         double dispatch;
         if (s->pending) {
             s->pending = 0;
             dispatch = s->pending_dispatch;
-            /* Other cores of a mix ran while this one was paused. */
-            if (reload_busy(s) < 0)
-                goto error;
         }
         else {
             if (s->pos == s->chunk_stop) {
@@ -3322,9 +3218,9 @@ advance(Stepper *s, int yield_memory)
                     goto error;
                 if (s->pos == s->total) {
                     s->finished = 1;
-                    finish(s); /* NULL either way; an error stays set */
+                    int rc = finish(s);
                     release_components(s);
-                    return NULL;
+                    return rc;
                 }
                 start_chunk(s);
             }
@@ -3341,10 +3237,10 @@ advance(Stepper *s, int yield_memory)
                 s->pos++;
                 continue;
             }
-            if (yield_memory) {
+            if (pause != NULL) {
                 s->pending = 1;
-                s->pending_dispatch = dispatch;
-                return PyFloat_FromDouble(dispatch);
+                *pause = s->pending_dispatch = dispatch;
+                return 1;
             }
         }
         long long latency;
@@ -3357,19 +3253,78 @@ advance(Stepper *s, int yield_memory)
 error:
     s->finished = 1;
     release_components(s);
-    return NULL;
-}
-
-static PyObject *
-stepper_next(Stepper *s)
-{
-    return advance(s, 1);
+    return -1;
 }
 
 static PyObject *
 stepper_run(Stepper *s, PyObject *Py_UNUSED(ignored))
 {
-    if (advance(s, 0) != NULL || PyErr_Occurred())
+    if (advance(s, NULL) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyTypeObject StepperType;
+
+/* run_mix(steppers): the measured phase of a multi-core mix.  Each step
+ * resumes the live core with the smallest (paused dispatch cycle, core id);
+ * every core starts paused at -inf.  A Stepper is advanced by a direct
+ * call; any other iterator (a core on the scalar reference) by
+ * PyIter_Next, and it yields each load/store's dispatch cycle before
+ * performing it. */
+static PyObject *
+run_mix(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    PyObject *steppers = PySequence_Tuple(arg);
+    if (steppers == NULL)
+        return NULL;
+    Py_ssize_t live = PyTuple_GET_SIZE(steppers);
+    double *cycles = mem_calloc(live, sizeof(double));
+    Py_ssize_t *cores = mem_calloc(live, sizeof(Py_ssize_t));
+    int rc = cycles && cores ? 0 : -1;
+    for (Py_ssize_t i = 0; rc == 0 && i < live; i++) {
+        PyObject *item = PyTuple_GET_ITEM(steppers, i);
+        if (!Py_IS_TYPE(item, &StepperType) && !PyIter_Check(item)) {
+            PyErr_SetString(PyExc_TypeError, "run_mix needs Steppers or iterators");
+            rc = -1;
+        }
+        cycles[i] = -Py_HUGE_VAL;
+        cores[i] = i;
+    }
+    while (rc == 0 && live > 0) {
+        /* cores[] stays in ascending order, so ties go to the lower id. */
+        Py_ssize_t at = 0;
+        for (Py_ssize_t i = 1; i < live; i++) {
+            if (cycles[cores[i]] < cycles[cores[at]])
+                at = i;
+        }
+        Py_ssize_t core = cores[at];
+        PyObject *item = PyTuple_GET_ITEM(steppers, core);
+        if (Py_IS_TYPE(item, &StepperType)) {
+            rc = advance((Stepper *)item, &cycles[core]);
+        }
+        else {
+            PyObject *cycle = PyIter_Next(item);
+            rc = cycle != NULL ? 1 : PyErr_Occurred() ? -1 : 0;
+            if (cycle != NULL) {
+                cycles[core] = PyFloat_AsDouble(cycle);
+                Py_DECREF(cycle);
+                if (cycles[core] == -1.0 && PyErr_Occurred())
+                    rc = -1;
+            }
+        }
+        if (rc == 0) {
+            live--;
+            memmove(&cores[at], &cores[at + 1], (live - at) * sizeof(Py_ssize_t));
+        }
+        else if (rc == 1) {
+            rc = 0;
+        }
+    }
+    PyMem_Free(cycles);
+    PyMem_Free(cores);
+    Py_DECREF(steppers);
+    if (rc < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3472,7 +3427,8 @@ init_hierarchy(Stepper *s, PyObject *h)
         || (llc = PyObject_GetAttr(h, S_llc)) == NULL || cache_init(&s->llc, llc, LEVEL_LLC) < 0
         || (s->dram = PyObject_GetAttr(h, S_dram)) == NULL
         || (s->dram_stats = PyObject_GetAttr(s->dram, S_stats)) == NULL
-        || get_double(s->dram, S__busy_until, &s->busy_until) < 0
+        || (s->busy_until = state_array(&s->busy_view, s->dram, S__busy_until, 'd', 1,
+                                        "DRAM")) == NULL
         || get_double(s->dram, S__cycles_per_transaction, &s->cycles_per_transaction) < 0
         || (config = PyObject_GetAttr(s->dram, S_config)) == NULL
         || get_ll(config, S_access_latency, &s->dram_access_latency) < 0
@@ -3536,8 +3492,6 @@ release_components(Stepper *s)
     keys_free(&s->history.pages);
     frames_free(&s->pages);
 }
-
-static PyTypeObject StepperType;
 
 static PyObject *
 stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
@@ -3624,6 +3578,7 @@ release_buffers(Stepper *s)
     cache_release(&s->l1);
     cache_release(&s->l2);
     cache_release(&s->llc);
+    view_release(&s->busy_view);
     perceptron_release(&s->flp);
     release_components(s);
 }
@@ -3686,22 +3641,27 @@ static PyMethodDef stepper_methods[] = {
 static PyTypeObject StepperType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.sim._fused.Stepper",
-    .tp_doc = "One core's trace through its hierarchy; yields each load/store's "
-              "dispatch cycle before performing it.",
+    .tp_doc = "One core's trace through its hierarchy; run() runs it to the end, "
+              "run_mix() interleaves several.",
     .tp_basicsize = sizeof(Stepper),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_new = stepper_new,
     .tp_dealloc = (destructor)stepper_dealloc,
     .tp_traverse = (traverseproc)stepper_traverse,
     .tp_clear = (inquiry)stepper_clear,
-    .tp_iter = PyObject_SelfIter,
-    .tp_iternext = (iternextfunc)stepper_next,
     .tp_methods = stepper_methods,
+};
+
+static PyMethodDef module_methods[] = {
+    {"run_mix", run_mix, METH_O,
+     "Interleave the steppers of a multi-core mix on (dispatch cycle, core id)."},
+    {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fused_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_fused",
+    .m_methods = module_methods,
     .m_doc = "Compiled fused access kernel of the batch simulator core.",
     .m_size = -1,
 };

@@ -16,30 +16,24 @@ record.  The batch core runs the same steps for a whole trace in C
    helper over its prefetch candidates.
 
 2. **Compiled fused loop** -- core dispatch/ROB timing, page translation
-   (a page fault allocates its frame in C: the hashed first choice,
-   linearly probed over the page table's allocated-frame set), the
-   L1D->L2C->LLC->DRAM walk with its LRU updates, fills and evictions,
-   speculative and prefetch DRAM requests, the perceptron weight sums and
-   saturating training, the L1D/L2C prefetch issue paths and the
-   order-dependent kernels of stock IPCP or Berti, SPP, PPF and SLP (with
-   SLP training and the L1D eviction/prefetch-use bookkeeping).  It reads
-   the trace columns and each cache's flat state arrays
-   (``_tags``/``_stamps``/``_ready``/``_flags``/``_source``/``_set_fill``/
-   ``_clock``, the one representation :class:`Cache` itself uses) through
-   the buffer protocol, and updates in place the very objects the scalar
-   reference uses -- those arrays, the page table's ``_mapping``/
-   ``_allocated_frames``/``page_faults``, DRAM ``_busy_until``, every numpy
-   component table and every stats object -- in the same order with the
-   same arithmetic.  The dict- and list-backed state of the components and
-   feature histories is copied into flat C tables when the stepper is built
-   and written back into the same containers when its trace ends.  PPF
-   training on prefetch use and L2C eviction stays a Python call.
+   (a page fault allocates its frame in C), the L1D->L2C->LLC->DRAM walk
+   with its LRU updates, fills and evictions, speculative and prefetch DRAM
+   requests, the perceptron weight sums and saturating training, the
+   L1D/L2C prefetch issue paths and the order-dependent kernels of stock
+   IPCP or Berti, SPP, PPF and SLP.  It updates in place the very state the
+   scalar reference uses, in the same order with the same arithmetic: the
+   flat arrays of each :class:`Cache`, DRAM ``_busy_until``, SPP's pattern
+   table and every numpy component table through the buffer protocol, and
+   the page table and every stats object as Python objects.  The dict- and
+   list-backed state of the other components and of the feature histories
+   is copied into C tables when the stepper is built and written back when
+   its trace ends.  PPF training on prefetch use and L2C eviction stays a
+   Python call.
 
 3. **Scheduling and fallback** -- :func:`fused_core_stepper` returns the
-   kernel's per-core stepper, an iterator that pauses before each
-   load/store, so a multi-core mix interleaves its cores on the same kernel
-   (:mod:`repro.sim.multi_core`).  A hierarchy runs fused only when every
-   component is one the kernel models exactly (stock
+   kernel's per-core stepper; a multi-core mix interleaves its cores in the
+   kernel's ``run_mix`` (:mod:`repro.sim.multi_core`).  A hierarchy runs
+   fused only when every component is one the kernel models exactly (stock
    :class:`MemoryHierarchy`/:class:`Cache`, a Null / Hermes / FLP off-chip
    predictor over the Table I feature set, and stock IPCP or Berti, SPP,
    PPF and SLP) and the kernel is available; a core of a mix also runs
@@ -279,10 +273,10 @@ def fused_core_stepper(
 ):
     """The compiled kernel's per-core stepper (supported hierarchies only).
 
-    An iterator that runs compute records on its own and yields each
-    load/store's dispatch cycle before performing it, so the shared
-    LLC/DRAM is touched only after the driver resumes it; its ``run()``
-    drains it without yielding.  Runner state is written back at the end.
+    Its ``run()`` runs the whole trace; the kernel's ``run_mix`` instead
+    pauses it before each load/store, so the shared LLC/DRAM is touched in
+    (dispatch cycle, core id) order.  Runner state is written back at the
+    end.
     """
     pc_col, vaddr_col, kind_col = trace.columns()
     predictor = hierarchy.offchip_predictor

@@ -7,7 +7,10 @@ configuration (3.2 GB/s per core, Table III).  The driver below builds one
 and one incremental core model per trace, and merges the cores' loads and
 stores on (dispatch cycle, core id) so that they contend for DRAM bandwidth
 in time order.  Compute records touch only their own core's ROB, so this is
-the order of stepping the earliest-dispatching core per instruction.
+the order of stepping the earliest-dispatching core per instruction.  A
+batch mix runs that merge in the compiled kernel (``run_mix``), which
+advances its fused cores by direct calls and any scalar-fallback core as a
+Python iterator; the Python heap below drives the scalar reference.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.common.config import SystemConfig, cascade_lake_multi_core
 from repro.common.types import MemLevel
 from repro.cpu.core import CoreResult, CoreRunner
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
+from repro.sim import native
 from repro.sim.batch import (
     DEFAULT_CHUNK_RECORDS,
     _note_scalar_fallback,
@@ -77,9 +81,10 @@ def run_multicore_mix(
     :func:`~repro.sim.batch.mix_unsupported_reasons` accepts runs its fused
     stepper; any other core -- an unmodelled component, or one shared with
     another core -- runs a scalar stepper, and a ``sim.batch.fallback``
-    event names it.  Without the compiled kernel every core runs scalar and
-    one event says why.  ``hierarchies`` optionally supplies
-    :func:`build_mix_hierarchies`.
+    event names it; the kernel's ``run_mix`` interleaves both kinds.
+    Without the compiled kernel every core runs scalar and one event says
+    why.  ``hierarchies`` optionally supplies :func:`build_mix_hierarchies`,
+    one per trace.
     """
     if not traces:
         raise ValueError("a multi-core mix needs at least one trace")
@@ -90,6 +95,10 @@ def run_multicore_mix(
     )
     if hierarchies is None:
         hierarchies = build_mix_hierarchies(scenario, system, len(traces))
+    if len(hierarchies) != len(traces):
+        raise ValueError(
+            f"{len(traces)} traces need {len(traces)} hierarchies, got {len(hierarchies)}"
+        )
     fused = [False] * len(hierarchies)
     native_reason = (
         native_unavailable_reason() if system.sim_core == "batch" else None
@@ -125,14 +134,17 @@ def run_multicore_mix(
             zip(runners, hierarchies, splits)
         )
     ]
-    heap = [(float("-inf"), core_id) for core_id in range(len(steppers))]
-    while heap:
-        core_id = heap[0][1]
-        cycle = next(steppers[core_id], None)
-        if cycle is None:
-            heappop(heap)
-        else:
-            heapreplace(heap, (cycle, core_id))
+    if system.sim_core == "batch" and native_reason is None:
+        native.kernel().run_mix(steppers)
+    else:
+        heap = [(float("-inf"), core_id) for core_id in range(len(steppers))]
+        while heap:
+            core_id = heap[0][1]
+            cycle = next(steppers[core_id], None)
+            if cycle is None:
+                heappop(heap)
+            else:
+                heapreplace(heap, (cycle, core_id))
 
     results: list[CoreResult] = [runner.finish() for runner in runners]
     for hierarchy in hierarchies:

@@ -94,3 +94,38 @@ def collect_single_core_result(
         delayed_predictions_saved=stats.delayed_predictions_saved,
         served_by={level.name: count for level, count in stats.served_by.items()},
     )
+
+
+def check_invariants(result, hierarchies=()) -> list[str]:
+    """Conservation laws ``result`` breaks (empty when it is consistent).
+
+    ``hierarchies``, the hierarchies that produced ``result`` (one per
+    core), add the per-core checks.
+    """
+    by_source = sum(result.dram_transactions_by_source.values())
+    problems = [] if by_source == result.dram_transactions else [
+        f"DRAM total {result.dram_transactions} != sum by source {by_source}"
+    ]
+    counters = [("", result)] if isinstance(result, SingleCoreResult) else []
+    for core_id, hierarchy in enumerate(hierarchies):
+        stats = hierarchy.stats
+        counters.append((f"core {core_id}: ", stats))
+        served = sum(stats.served_by.values())
+        demand = stats.demand_loads + stats.demand_stores
+        if served != demand:
+            problems.append(f"core {core_id}: served_by sums to {served}, not {demand}")
+        for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
+            c = cache.stats
+            if c.demand_hits + c.demand_misses != c.demand_accesses:
+                problems.append(
+                    f"core {core_id}: {cache.name} hits {c.demand_hits} + "
+                    f"misses {c.demand_misses} != {c.demand_accesses}"
+                )
+    for label, c in counters:
+        resolved = c.useful_l1d_prefetches + c.useless_l1d_prefetches
+        if resolved > c.l1d_prefetches_issued:
+            problems.append(
+                f"{label}useful + useless L1D prefetches {resolved} > "
+                f"issued {c.l1d_prefetches_issued}"
+            )
+    return problems

@@ -595,15 +595,6 @@ class TraceStore:
             self._write_index(index)
         return removed
 
-    def unregister_imported(self, workload: str) -> bool:
-        """Drop ``workload`` from the registry; True when it was present."""
-        index = self._read_index()
-        if workload not in index:
-            return False
-        del index[workload]
-        self._write_index(index)
-        return True
-
     def imported_workloads(self) -> dict[str, dict]:
         """``{workload name: registry entry}`` of every imported trace."""
         return {

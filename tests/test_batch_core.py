@@ -48,7 +48,7 @@ from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
 from repro.sim import batch as batch_module
-from repro.sim import multi_core
+from repro.sim import check_invariants, multi_core, native
 from repro.sim.batch import (
     DEFAULT_CHUNK_RECORDS,
     batch_supported,
@@ -82,10 +82,17 @@ def _system(core: str) -> SystemConfig:
 
 
 def _run_pair(trace, scheme: str, l1d_prefetcher: str = "ipcp"):
+    """Scalar and batch results, each checked for conservation."""
     scenario = build_scenario(scheme, l1d_prefetcher=l1d_prefetcher)
-    scalar = run_single_core(trace, scenario, config=_system("scalar"))
-    batch = run_single_core(trace, scenario, config=_system("batch"))
-    return scalar, batch
+    results = []
+    for core in ("scalar", "batch"):
+        hierarchy = build_hierarchy(scenario, config=_system(core))
+        result = run_single_core(
+            trace, scenario, config=_system(core), hierarchy=hierarchy
+        )
+        assert check_invariants(result, [hierarchy]) == [], core
+        results.append(result)
+    return results
 
 
 def _assert_identical(scalar, batch) -> None:
@@ -126,7 +133,7 @@ def _component_state(hierarchy: MemoryHierarchy) -> dict:
     run, and the page table's.
 
     Dicts are listed item by item, so their insertion order counts.  Index
-    memos and SPP's best-prediction memo are caches and are left out.
+    memos and SPP's best-delta memo are caches and are left out.
     """
     state = {}
     prefetcher = hierarchy.l1d_prefetcher
@@ -152,8 +159,10 @@ def _component_state(hierarchy: MemoryHierarchy) -> dict:
         state["spp"] = (
             list(spp._signatures.items()),
             list(spp._signature_order),
-            [None if d is None else list(d.items()) for d in spp._pattern_deltas],
-            spp._pattern_total_buf.tolist(),
+            spp._pattern_counts.tolist(),
+            spp._pattern_deltas.tolist(),
+            spp._pattern_lengths.tolist(),
+            spp._pattern_totals.tolist(),
             spp.lookahead_prefetches,
         )
     ppf = hierarchy.l2_prefetch_filter
@@ -864,6 +873,21 @@ def fused_cores(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def mix_drivers(monkeypatch):
+    """Per call of the kernel's mix driver, the types of its steppers."""
+    calls = []
+    kernel = native.kernel()
+    real = kernel.run_mix
+
+    def spy(steppers):
+        calls.append([type(stepper).__name__ for stepper in steppers])
+        return real(steppers)
+
+    monkeypatch.setattr(kernel, "run_mix", spy)
+    return calls
+
+
 class TestMultiCoreEquivalence:
     """Both cores' memory-event merge == the per-instruction oracle."""
 
@@ -876,12 +900,14 @@ class TestMultiCoreEquivalence:
         )
         assert oracle.dram_transactions > 0
         for core in ("scalar", "batch"):
+            system = _mix_system(core, len(traces), bandwidth)
+            hierarchies = build_mix_hierarchies(scenario, system, len(traces))
             result = run_multicore_mix(
-                traces, build_scenario(scheme, l1d_prefetcher=prefetcher),
-                config=_mix_system(core, len(traces), bandwidth),
-                warmup_fraction=warmup_fraction,
+                traces, scenario, config=system,
+                warmup_fraction=warmup_fraction, hierarchies=hierarchies,
             )
             assert dataclasses.asdict(result) == dataclasses.asdict(oracle), core
+            assert check_invariants(result, hierarchies) == [], core
 
     @pytest.mark.parametrize("scheme,prefetcher", [
         ("baseline", "ipcp"), ("hermes", "ipcp"), ("tlp", "ipcp"),
@@ -960,7 +986,17 @@ class TestMultiCoreEquivalence:
                     check_flat_layout(cache)
         assert fused_cores == [0, 1, 2, 3]
 
-    def test_per_core_fallback(self, tmp_path, mix_traces, fused_cores):
+    def test_hierarchy_count_must_match(self, mix_traces):
+        """Three hierarchies for four traces would silently drop cc.road."""
+        system = _mix_system("batch")
+        hierarchies = build_mix_hierarchies(build_scenario("tlp"), system, 3)
+        with pytest.raises(ValueError, match="4 traces need 4 hierarchies, got 3"):
+            run_multicore_mix(
+                [mix_traces[w] for w in HETERO_MIX], build_scenario("tlp"),
+                config=system, hierarchies=hierarchies,
+            )
+
+    def test_per_core_fallback(self, tmp_path, mix_traces, fused_cores, mix_drivers):
         """Core 2 runs an unmodelled predictor: only it drops to scalar."""
         traces = [mix_traces[w] for w in HETERO_MIX]
 
@@ -995,6 +1031,7 @@ class TestMultiCoreEquivalence:
             tracer.disable()
         assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
         assert fused_cores == [0, 1, 3]
+        assert mix_drivers == [["Stepper", "Stepper", "generator", "Stepper"]]
         events = [
             record for record in tracer.load_run(tmp_path)
             if record.get("name") == "sim.batch.fallback"
@@ -1006,13 +1043,13 @@ class TestMultiCoreEquivalence:
 
     @pytest.mark.parametrize("component", ["offchip_predictor", "l2_prefetcher"])
     def test_shared_component_runs_scalar(
-        self, tmp_path, mix_traces, fused_cores, component
+        self, tmp_path, mix_traces, fused_cores, mix_drivers, component
     ):
         """Cores 0 and 1 share one FLP (or one SPP): both run the scalar
         reference, each under a reason naming the other; core 2 owns its
-        components and runs fused.  Results and every component's state
-        match the oracle (two fused copies of the shared state would
-        drift apart)."""
+        components and runs fused, and the kernel's mix driver interleaves
+        all three.  Results and every component's state match the oracle
+        (two fused copies of the shared state would drift apart)."""
         traces = [mix_traces[w] for w in ("bfs.urand", "spec.mcf_like", "cc.road")]
 
         def hierarchies(system):
@@ -1061,12 +1098,35 @@ class TestMultiCoreEquivalence:
             _component_state(h) for h in oracle_hierarchies
         ]
         assert fused_cores == [2]
+        assert mix_drivers == [["generator", "generator", "Stepper"]]
         assert sorted(
             record["attrs"]["reason"] for record in tracer.load_run(tmp_path)
             if record.get("name") == "sim.batch.fallback"
         ) == [
             f"core 0: shares {component} with core 1",
             f"core 1: shares {component} with core 0",
+        ]
+
+
+class TestCheckInvariants:
+    def test_broken_counts_are_reported(self, mix_traces):
+        """Each of the four laws, broken on its own core, is named."""
+        system = _mix_system("batch")
+        hierarchies = build_mix_hierarchies(build_scenario("tlp"), system, 4)
+        result = run_multicore_mix(
+            [mix_traces[w] for w in HETERO_MIX], build_scenario("tlp"),
+            config=system, hierarchies=hierarchies,
+        )
+        assert check_invariants(result, hierarchies) == []
+        result.dram_transactions += 1
+        hierarchies[1].stats.served_by[MemLevel.LLC] += 1
+        hierarchies[2].l2c.stats.demand_hits += 1
+        stats = hierarchies[3].stats
+        stats.useful_l1d_prefetches = stats.l1d_prefetches_issued + 1
+        problems = check_invariants(result, hierarchies)
+        assert problems[0].startswith("DRAM total")
+        assert [problem.split(":")[0] for problem in problems[1:]] == [
+            "core 1", "core 2", "core 3",
         ]
 
 

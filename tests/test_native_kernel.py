@@ -6,8 +6,8 @@ build is reused without the compiler; concurrent builds publish complete
 files), what happens without it (the scalar reference runs and one
 ``sim.batch.fallback`` event says why), and the C-API contract (no model
 object outlives a run, exceptions raised inside Python callouts
-propagate out of the kernel unchanged, and a cache whose state arrays do
-not fit its geometry is refused).
+propagate out of the kernel unchanged, and a cache or DRAM channel whose
+state arrays do not fit its geometry is refused).
 """
 
 from __future__ import annotations
@@ -275,11 +275,14 @@ class TestRefcounts:
         hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
         runner = CoreRunner(_single("batch").core, hierarchy.demand_access)
         stepper = fused_core_stepper(runner, traces["cc.road"], hierarchy, 61)
-        cycles = list(stepper)
-        assert len(cycles) == traces["cc.road"].num_memory_accesses
-        assert cycles == sorted(cycles)
-        assert next(stepper, None) is None
+        assert not hasattr(stepper, "__next__")
+        stepper.run()
         assert runner.instructions == len(traces["cc.road"])
+        cycles = runner.next_dispatch_cycle
+        stepper.run()
+        native.kernel().run_mix([stepper])
+        assert runner.instructions == len(traces["cc.road"])
+        assert runner.next_dispatch_cycle == cycles
 
 
 # ----------------------------------------------------------------------
@@ -317,3 +320,32 @@ class TestCacheLayout:
         getattr(getattr(hierarchy, level), name).append(0)
         with pytest.raises(ValueError, match="cache state does not match its geometry"):
             _stepper_for(hierarchy, traces["cc.road"])
+
+
+class TestDramLayout:
+    """The kernel uses the DRAM channel's one-element ``_busy_until`` in
+    place, so it refuses one of the wrong typecode or length."""
+
+    @pytest.mark.parametrize("replacement", [
+        array("q", [0]), array("f", [0.0]), [0.0], 0.0,
+    ])
+    def test_wrong_typecode_is_rejected(self, traces, replacement):
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
+        hierarchy.dram._busy_until = replacement
+        with pytest.raises(TypeError, match="unexpected DRAM state layout"):
+            _stepper_for(hierarchy, traces["cc.road"])
+
+    @pytest.mark.parametrize("items", [0, 2])
+    def test_wrong_length_is_rejected(self, traces, items):
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
+        hierarchy.dram._busy_until = array("d", [0.0] * items)
+        with pytest.raises(ValueError, match="DRAM state does not match its geometry"):
+            _stepper_for(hierarchy, traces["cc.road"])
+
+    def test_mix_cores_share_one_channel(self, traces):
+        """Every core of a mix uses the same array, so none keeps a copy."""
+        hierarchies = build_mix_hierarchies(build_scenario("tlp"), _mix("batch"), 4)
+        assert len({id(h.dram._busy_until) for h in hierarchies}) == 1
+        run_multicore_mix([traces[w] for w in MIX], build_scenario("tlp"),
+                          config=_mix("batch"), hierarchies=hierarchies)
+        assert hierarchies[0].dram._busy_until[0] > 0.0

@@ -1,6 +1,8 @@
 """Tests for the prefetchers (next-line, stride, IPCP, Berti, SPP) and PPF."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.addresses import BLOCK_SIZE
 from repro.common.types import MemLevel
@@ -10,7 +12,7 @@ from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.next_line import NextLinePrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
-from repro.prefetchers.spp import SPPPrefetcher
+from repro.prefetchers.spp import DELTA_SPAN, SPPPrefetcher
 from repro.prefetchers.stride import StridePrefetcher
 
 BASE = 0x10_0000
@@ -156,6 +158,149 @@ class TestSPP:
             spp.on_access(BASE + i * BLOCK_SIZE, 0x400, False, 0)
         spp.reset()
         assert spp.on_access(BASE, 0x400, False, 0) == []
+
+    def test_reset_zeroes_every_table(self):
+        spp = SPPPrefetcher(pattern_table_entries=4)
+        for i in range(200):
+            spp.step(((i % 3) << 6) | (i * 7 % 64), 0)
+        assert all(np.asarray(table).any() for table in _pattern_tables(spp))
+        spp.reset()
+        assert not any(np.asarray(table).any() for table in _pattern_tables(spp))
+        assert spp.lookahead_prefetches == 0
+        assert spp._signatures == {} and spp._signature_order == []
+
+
+def _pattern_tables(spp: SPPPrefetcher) -> list:
+    return [
+        spp._pattern_counts, spp._pattern_deltas, spp._pattern_lengths,
+        spp._pattern_totals, spp._pattern_best_count, spp._pattern_best_delta,
+    ]
+
+
+class ReferenceSPP(SPPPrefetcher):
+    """SPP's pattern table as a list of insertion-ordered delta -> count
+    dicts (None: never trained), the oracle of the flat arrays.  Counts the
+    halvings it makes and the best-delta scans that meet a tie."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        m = self.pattern_table_entries
+        self._pattern_dicts: list[dict[int, int] | None] = [None] * m
+        self._pattern_sums = [0] * m
+        self._pattern_best: list[tuple[int, int] | None] = [None] * m
+        self.halvings = self.ties = 0
+
+    def step(self, block: int, pc: int):
+        page = block >> 6
+        offset = block & 0x3F
+        signatures = self._signatures
+        packed = signatures.get(page)
+        if packed is None:
+            signatures[page] = offset
+            order = self._signature_order
+            order.append(page)
+            if len(order) > self.signature_table_entries:
+                signatures.pop(order.pop(0), None)
+            return None
+        delta = offset - (packed & 0x3F)
+        if delta == 0:
+            return None
+        signature = packed >> 6
+        m = self.pattern_table_entries
+        key = signature % m
+        deltas = self._pattern_dicts[key]
+        if deltas is None:
+            self._pattern_dicts[key] = {delta: 1}
+            total = 1
+        else:
+            deltas[delta] = deltas.get(delta, 0) + 1
+            total = self._pattern_sums[key] + 1
+            if total >= 64:
+                self.halvings += 1
+                deltas = {d: c // 2 for d, c in deltas.items() if c > 1}
+                self._pattern_dicts[key] = deltas
+                total = sum(deltas.values())
+        self._pattern_best[key] = None
+        self._pattern_sums[key] = total
+        signature = ((signature << 3) ^ (delta & 0x7F)) & 0xFFF
+        signatures[page] = (signature << 6) | offset
+
+        predictions = None
+        path_confidence = 1.0
+        predicted_block = block
+        for depth in range(self.max_lookahead_depth):
+            key = signature % m
+            deltas = self._pattern_dicts[key]
+            if not deltas:
+                break
+            total = self._pattern_sums[key]
+            if total == 0:
+                break
+            best = self._pattern_best[key]
+            if best is None:
+                best = max(deltas.items(), key=lambda item: item[1])
+                self.ties += list(deltas.values()).count(best[1]) > 1
+                self._pattern_best[key] = best
+            predicted_delta = best[0]
+            path_confidence *= best[1] / total
+            if path_confidence < self.lookahead_confidence:
+                break
+            predicted_block = predicted_block + predicted_delta
+            if predicted_block <= 0:
+                break
+            if predictions is None:
+                predictions = []
+            predictions.append((
+                predicted_block, path_confidence >= self.l2_fill_confidence,
+                signature, predicted_delta, depth, path_confidence,
+            ))
+            if depth > 0:
+                self.lookahead_prefetches += 1
+            signature = ((signature << 3) ^ (predicted_delta & 0x7F)) & 0xFFF
+        return predictions
+
+
+def _live_entries(spp: SPPPrefetcher) -> list:
+    """Each pattern entry's (delta, count) pairs in insertion order."""
+    entries = []
+    for key in range(spp.pattern_table_entries):
+        row = key * DELTA_SPAN
+        deltas = spp._pattern_deltas[row:row + spp._pattern_lengths[key]].tolist()
+        entries.append([(d, spp._pattern_counts[row + d + 63]) for d in deltas])
+    assert sum(spp._pattern_counts.tolist()) == sum(spp._pattern_totals.tolist())
+    return entries
+
+
+class TestSPPPatternTable:
+    """The flat pattern table against the dict-based oracle.  Every stream
+    ends in a page stepping 0, 1, 0, 1, ...: the alternating deltas push
+    totals to 64 (halving) and, with one pattern entry, tie in count, where
+    the earliest-inserted delta must win."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.sampled_from([1, 1, 2, 5, 512]),
+        aggressive=st.booleans(),
+        blocks=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 63)), max_size=300
+        ),
+    )
+    def test_matches_reference(self, entries, aggressive, blocks):
+        options = dict(signature_table_entries=2, pattern_table_entries=entries,
+                       aggressive=aggressive)
+        flat, reference = SPPPrefetcher(**options), ReferenceSPP(**options)
+        stream = [(page << 6) | offset for page, offset in blocks]
+        stream += [(5 << 6) | (i % 2) for i in range(140)]
+        for block in stream:
+            assert flat.step(block, 0) == reference.step(block, 0)
+        assert flat.lookahead_prefetches == reference.lookahead_prefetches
+        assert flat._signatures == reference._signatures
+        assert _live_entries(flat) == [
+            list(deltas.items()) if deltas else [] for deltas in reference._pattern_dicts
+        ]
+        assert reference.halvings > 0
+        if entries == 1:
+            assert reference.ties > 0
 
 
 class TestPPF:
