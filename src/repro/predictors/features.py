@@ -19,17 +19,19 @@ the first-access bit, last-4 load PC history).
 Feature extraction sits on the per-access hot path (one context per demand
 load per predictor), so :class:`FeatureContext` is a ``__slots__`` class and
 each :class:`FeatureHistory` reuses a single instance instead of allocating
-one per access.  The last-4 PC tuple and its folded hash are cached and only
-invalidated by :meth:`FeatureHistory.observe`.
+one per access.  Each last-4 PC window and its folded hash are memoized by
+the window's value, so the memo never depends on the history's state.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.common.addresses import (
+    PAGE_BITS,
     block_offset,
     cacheline_offset_in_page,
     page_number,
@@ -231,7 +233,21 @@ class FeatureHistory:
     """Per-predictor state backing the feature extractors.
 
     Maintains the *page buffer* used to derive the first-access bit (the
-    0.63KB structure of Table II) and the last-4 load PC history.
+    0.63KB structure of Table II) and the last load PCs, as flat typed
+    arrays that the batch core's compiled kernel uses in place:
+
+    * the page buffer, an LRU set of ``page_buffer_entries`` pages: slot
+      ``i`` holds page ``_pages[i]`` (-1: free) and its last-use stamp
+      ``_stamps[i]`` (0: free), taken from the one-element ``_clock`` on
+      every :meth:`observe`.  A new page takes the first free slot while
+      there is one, so the occupied slots stay a prefix, then the least
+      recently used page's (the smallest stamp);
+    * the last ``pc_history_length`` load PCs, oldest first, of which
+      ``_pc_count[0]`` are valid: ``_pcs``.
+
+    Lookups go through a private page -> slot index in recency order,
+    rebuilt from the arrays whenever the clock has moved without it (the
+    kernel observed accesses), so it never goes stale.
     """
 
     def __init__(self, page_buffer_entries: int = 128, pc_history_length: int = 4) -> None:
@@ -239,55 +255,67 @@ class FeatureHistory:
             raise ValueError(
                 f"page_buffer_entries must be positive, got {page_buffer_entries}"
             )
+        if pc_history_length < 0:
+            raise ValueError(
+                f"pc_history_length must be non-negative, got {pc_history_length}"
+            )
         self.page_buffer_entries = page_buffer_entries
         self.pc_history_length = pc_history_length
-        self._page_buffer: OrderedDict[int, None] = OrderedDict()
-        self._pc_history: deque[int] = deque(maxlen=pc_history_length)
-        # Cached view of the PC history, invalidated by observe().
-        self._pcs_tuple: Optional[tuple[int, ...]] = None
-        self._pcs_hash: Optional[int] = None
-        self._pcs_hash_memo: dict[tuple[int, ...], int] = {}
+        self._clear()
+        #: PC window -> (that window, its folded hash), by value.
+        self._pcs_memo: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         # One reusable context per history: the extractors consume it
         # synchronously inside predict(), so no per-access allocation is
         # needed.
         self._context = FeatureContext()
 
+    def _clear(self) -> None:
+        self._pages = array("q", [-1]) * self.page_buffer_entries
+        self._stamps = array("q", [0]) * self.page_buffer_entries
+        self._clock = array("q", [0])
+        self._pcs = array("q", [0]) * self.pc_history_length
+        self._pc_count = array("q", [0])
+        self._synced = -1  # the clock value the index below follows
+        self._slots: OrderedDict[int, int] = OrderedDict()
+
+    def _recency(self) -> OrderedDict[int, int]:
+        """Page -> slot, least recently used first."""
+        if self._synced == self._clock[0]:
+            return self._slots
+        used = [slot for slot, page in enumerate(self._pages) if page != -1]
+        used.sort(key=self._stamps.__getitem__)
+        self._slots = OrderedDict((self._pages[slot], slot) for slot in used)
+        self._synced = self._clock[0]
+        return self._slots
+
     def observe(self, pc: int, address: int) -> None:
         """Record an access so future contexts see updated history."""
-        page = page_number(address)
-        page_buffer = self._page_buffer
-        if page in page_buffer:
-            page_buffer.move_to_end(page)
+        page = address >> PAGE_BITS
+        slots = self._recency()
+        slot = slots.get(page)
+        if slot is not None:
+            slots.move_to_end(page)
         else:
-            page_buffer[page] = None
-            if len(page_buffer) > self.page_buffer_entries:
-                page_buffer.popitem(last=False)
-        self._pc_history.append(pc)
-        self._pcs_tuple = None
-        self._pcs_hash = None
+            slot = len(slots)
+            if slot == self.page_buffer_entries:
+                slot = slots.popitem(last=False)[1]
+            self._pages[slot] = page
+            slots[page] = slot
+        clock = self._clock[0] + 1
+        self._clock[0] = self._synced = clock
+        self._stamps[slot] = clock
+        count = self._pc_count[0]
+        if count < self.pc_history_length:
+            self._pcs[count] = pc
+            self._pc_count[0] = count + 1
+        elif count:
+            pcs = self._pcs
+            pcs[:-1] = pcs[1:]
+            pcs[-1] = pc
 
     def is_first_access(self, address: int) -> bool:
         """True when the page of ``address`` is not in the page buffer."""
-        return page_number(address) not in self._page_buffer
-
-    def _current_pcs(self) -> tuple[int, ...]:
-        pcs = self._pcs_tuple
-        if pcs is None:
-            pcs = self._pcs_tuple = tuple(self._pc_history)
-        return pcs
-
-    def _current_pcs_hash(self, pcs: tuple[int, ...]) -> int:
-        folded = self._pcs_hash
-        if folded is None:
-            memo = self._pcs_hash_memo
-            folded = memo.get(pcs)
-            if folded is None:
-                if len(memo) >= _PCS_HASH_MEMO_LIMIT:
-                    memo.clear()
-                folded = hash_combine(*pcs) if pcs else 0
-                memo[pcs] = folded
-            self._pcs_hash = folded
-        return folded
+        return page_number(address) not in self._recency()
 
     def context(
         self, pc: int, address: int, flp_prediction: bool = False
@@ -297,23 +325,27 @@ class FeatureHistory:
         The returned context is owned by this history and reused on the next
         call; consumers must not hold on to it across accesses.
         """
-        pcs = self._current_pcs()
+        count = self._pc_count[0]
+        pcs = tuple(self._pcs if count == self.pc_history_length else self._pcs[:count])
+        memo = self._pcs_memo
+        entry = memo.get(pcs)
+        if entry is None:
+            if len(memo) >= _PCS_HASH_MEMO_LIMIT:
+                memo.clear()
+            entry = memo[pcs] = (pcs, hash_combine(*pcs) if pcs else 0)
+        pcs, folded = entry
         ctx = self._context
         ctx.pc = pc
         ctx.address = address
-        ctx.first_access = page_number(address) not in self._page_buffer
+        ctx.first_access = address >> PAGE_BITS not in self._recency()
         ctx.last_load_pcs = pcs
         ctx.flp_prediction = flp_prediction
-        ctx._pcs_hash = self._current_pcs_hash(pcs)
+        ctx._pcs_hash = folded
         return ctx
 
     def reset(self) -> None:
         """Clear the page buffer and the PC history."""
-        self._page_buffer.clear()
-        self._pc_history.clear()
-        self._pcs_tuple = None
-        self._pcs_hash = None
-        self._pcs_hash_memo.clear()
+        self._clear()
 
     def storage_bits(self, page_tag_bits: int = 36) -> int:
         """Approximate storage of the page buffer, in bits."""

@@ -3,10 +3,61 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from repro.common.types import MemLevel
+
+#: In-page deltas lie in -63..63 (SPP's pattern table, Berti's counters).
+DELTA_SPAN = 127
+
+
+def flat_table(items: int, dtype) -> memoryview:
+    """A zeroed flat state table; subscripts return plain Python ints."""
+    return memoryview(np.zeros(items, dtype=dtype))
+
+
+class FifoTable:
+    """A FIFO of page keys in flat arrays that the batch simulator core's
+    kernel uses in place: ``pages[slot]`` (-1: free) and the one-element
+    ``inserted``, the number of pages inserted so far -- page ``n`` takes
+    slot ``n % size``, the oldest page's once the table is full.  Lookups go
+    through a private page -> slot dict, rebuilt from ``pages`` whenever
+    ``inserted`` has moved without it (the kernel inserted pages), so it
+    never goes stale."""
+
+    def __init__(self, size: int) -> None:
+        self.pages = array("q", [-1]) * size
+        self.inserted = array("q", [0])
+        self._slots: dict[int, int] = {}
+        self._synced = 0
+
+    def find(self, page: int) -> int:
+        """The slot holding ``page``, or -1."""
+        if self._synced != self.inserted[0]:
+            self._slots = {key: slot for slot, key in enumerate(self.pages) if key != -1}
+            self._synced = self.inserted[0]
+        return self._slots.get(page, -1)
+
+    def insert(self, page: int) -> int:
+        """Store a page :meth:`find` did not find; returns its slot."""
+        count = self.inserted[0]
+        slot = count % len(self.pages)
+        self._slots.pop(self.pages[slot], None)
+        self.pages[slot] = page
+        self._slots[page] = slot
+        self.inserted[0] = self._synced = count + 1
+        return slot
+
+
+def check_table_sizes(owner: str, **sizes: int) -> None:
+    """Raise ValueError unless every named table size is at least 1."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{owner}: {name} must be at least 1, got {size}")
 
 
 @dataclass(slots=True)

@@ -19,27 +19,35 @@ downstream filters -- which is exactly the property TLP's SLP exploits.
 State layout
 ------------
 
-The IP and CPLX tables live in preallocated flat numpy ``int64`` buffers
-indexed through :class:`memoryview` rows (the :class:`HashedPerceptron`
-pattern): subscripts return plain Python ints, so the scalar update loop
-stays cheap, while the buffers zero in place on :meth:`reset` keeping every
-row alias valid.  The per-page region tracker packs the touched-block set
-into one Python int bitmask (``bit_count()`` is the density popcount).
+Every table is flat and shared in place with the batch simulator core's
+compiled kernel (``repro/sim/_fused.c``), which runs its own port of
+:meth:`_step`, bit-identical.  The IP and CPLX tables live in preallocated
+flat ``int64`` arrays indexed through :class:`memoryview` rows (the
+:class:`HashedPerceptron` pattern): subscripts return plain Python ints, so
+the scalar update loop stays cheap, while the arrays clear in place on
+:meth:`reset` keeping every row alias valid.  The region tracker is a
+:class:`FifoTable` of ``region_entries`` pages, ``_regions``, with typed
+payload arrays by slot: the touched-block bitmask (``bit_count()`` is the
+density popcount), the last offset (-1: none yet) and the stream
+direction.
 
 The prefetch logic itself is factored into :meth:`_step`, which works on
-``(key, block, page, offset)`` and returns raw target virtual addresses;
-:meth:`on_demand_access` wraps those in :class:`PrefetchRequest` objects.
-This is the scalar reference path.  The batch simulator core runs its own
-port of :meth:`_step` in ``repro/sim/_fused.c`` over the same ``_ip_buf``/
-``_cplx_buf`` tables and a flat copy of the region FIFO, bit-identical.
+``(key, block, page, offset)`` and returns raw target virtual addresses with
+the class that produced them; :meth:`on_demand_access` wraps those in
+:class:`PrefetchRequest` objects.  This is the scalar reference path.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
 from repro.common.addresses import PAGE_BITS
-from repro.prefetchers.base import L1DPrefetcher, PrefetchRequest
+from repro.prefetchers.base import (
+    FifoTable,
+    L1DPrefetcher,
+    PrefetchRequest,
+    check_table_sizes,
+)
 
 _BLOCKS_PER_PAGE = 1 << (PAGE_BITS - 6)
 
@@ -64,6 +72,10 @@ class IPCPPrefetcher(L1DPrefetcher):
         cs_confidence_threshold: int = 2,
         gs_density_threshold: float = 0.30,
     ) -> None:
+        check_table_sizes(
+            "IPCP", ip_table_entries=ip_table_entries,
+            cplx_table_entries=cplx_table_entries, region_entries=region_entries,
+        )
         self.ip_table_entries = ip_table_entries
         self.cplx_table_entries = cplx_table_entries
         self.region_entries = region_entries
@@ -78,8 +90,7 @@ class IPCPPrefetcher(L1DPrefetcher):
         # sentinel (block addresses are non-negative), replacing the old
         # per-entry valid flag.
         n = ip_table_entries
-        self._ip_buf = np.zeros(4 * n, dtype=np.int64)
-        self._ip_buf[:n] = -1
+        self._ip_buf = array("q", [-1]) * n + array("q", [0]) * (3 * n)
         buf = memoryview(self._ip_buf)
         self._ip_last = buf[0 * n:1 * n]
         self._ip_stride = buf[1 * n:2 * n]
@@ -89,17 +100,12 @@ class IPCPPrefetcher(L1DPrefetcher):
         # confidence == 0 means "never trained" (trained entries always
         # store confidence >= 1).
         m = cplx_table_entries
-        self._cplx_buf = np.zeros(2 * m, dtype=np.int64)
+        self._cplx_buf = array("q", [0]) * (2 * m)
         cbuf = memoryview(self._cplx_buf)
         self._cplx_stride = cbuf[0 * m:1 * m]
         self._cplx_conf = cbuf[1 * m:2 * m]
-        # Region tracker: page -> [touched bitmask, last offset, direction].
-        self._regions: dict[int, list[int]] = {}
-        self._region_order: list[int] = []
+        self._clear_regions()
         self.class_counts = {"cs": 0, "cplx": 0, "gs": 0, "nl": 0, "none": 0}
-        #: Class/confidence of the most recent _step() that produced targets
-        #: (consumed by the on_demand_access wrapper only).
-        self._last_class = "none"
 
     # ------------------------------------------------------------------
     # Main hook (scalar reference path)
@@ -108,7 +114,7 @@ class IPCPPrefetcher(L1DPrefetcher):
         self, pc: int, vaddr: int, hit: bool, cycle: int
     ) -> list[PrefetchRequest]:
         block = vaddr >> 6
-        targets = self._step(
+        targets, cls = self._step(
             pc % self.ip_table_entries,
             block,
             vaddr >> PAGE_BITS,
@@ -117,7 +123,6 @@ class IPCPPrefetcher(L1DPrefetcher):
         )
         if not targets:
             return []
-        cls = self._last_class
         confidence = _CLASS_CONFIDENCE[cls]
         return [
             PrefetchRequest(
@@ -135,28 +140,16 @@ class IPCPPrefetcher(L1DPrefetcher):
     # ------------------------------------------------------------------
     def _step(
         self, key: int, block: int, page: int, offset: int, hit: bool
-    ) -> list[int] | None:
+    ) -> tuple[list[int] | None, str | None]:
         """One access: region tracking, classification, training.
 
         Returns the list of prefetch target *virtual addresses* (empty/None
-        when no class fired), with ``self._last_class`` naming the class
-        that produced them.
+        when no class fired) and the name of the class that produced them.
         """
         # Region (global stream) tracking -- always runs first.
-        regions = self._regions
-        region = regions.get(page)
-        if region is None:
-            region = regions[page] = [0, -1, 1]
-            order = self._region_order
-            order.append(page)
-            if len(order) > self.region_entries:
-                regions.pop(order.pop(0), None)
-        last_offset = region[1]
-        if last_offset >= 0 and offset != last_offset:
-            region[2] = 1 if offset > last_offset else -1
-        region[1] = offset
-        region[0] |= 1 << offset
+        touched, direction = self._track_region(page, offset)
 
+        cls = None
         ip_last = self._ip_last
         last_block = ip_last[key]
         targets: list[int] | None = None
@@ -180,7 +173,7 @@ class IPCPPrefetcher(L1DPrefetcher):
                     and confidence >= self.cs_confidence_threshold
                 ):
                     class_counts["cs"] += 1
-                    self._last_class = "cs"
+                    cls = "cs"
                     targets = []
                     append = targets.append
                     target_block = block
@@ -189,13 +182,12 @@ class IPCPPrefetcher(L1DPrefetcher):
                         if target_block > 0:
                             append(target_block << 6)
                 else:
-                    density = region[0].bit_count() / _BLOCKS_PER_PAGE
+                    density = touched.bit_count() / _BLOCKS_PER_PAGE
                     if density >= self.gs_density_threshold:
                         class_counts["gs"] += 1
-                        self._last_class = "gs"
+                        cls = "gs"
                         targets = []
                         append = targets.append
-                        direction = region[2]
                         target_block = block
                         for _ in range(self.gs_degree):
                             target_block += direction
@@ -203,7 +195,7 @@ class IPCPPrefetcher(L1DPrefetcher):
                                 append(target_block << 6)
                     elif cplx_conf[signature % m] >= 2:
                         class_counts["cplx"] += 1
-                        self._last_class = "cplx"
+                        cls = "cplx"
                         targets = []
                         append = targets.append
                         chained_block = block
@@ -255,7 +247,7 @@ class IPCPPrefetcher(L1DPrefetcher):
             # IPCP an aggressive prefetcher with a long inaccurate tail
             # (Figure 5a of the paper).
             self.class_counts["nl"] += 1
-            self._last_class = "nl"
+            cls = "nl"
             targets = []
             target_block = block
             for _ in range(self.nl_degree):
@@ -263,13 +255,38 @@ class IPCPPrefetcher(L1DPrefetcher):
                 targets.append(target_block << 6)
 
         ip_last[key] = block
-        return targets
+        return targets, cls
+
+    def _track_region(self, page: int, offset: int) -> tuple[int, int]:
+        """Record an access at block ``offset`` of ``page`` in the region
+        FIFO; returns the region's touched-block mask and stream direction."""
+        slot = self._regions.find(page)
+        if slot < 0:
+            slot = self._regions.insert(page)
+            self._region_touched[slot] = 0
+            self._region_offset[slot] = -1
+            self._region_direction[slot] = 1
+        last_offset = self._region_offset[slot]
+        direction = self._region_direction[slot]
+        if last_offset >= 0 and offset != last_offset:
+            direction = 1 if offset > last_offset else -1
+            self._region_direction[slot] = direction
+        self._region_offset[slot] = offset
+        touched = self._region_touched[slot] | (1 << offset)
+        self._region_touched[slot] = touched
+        return touched, direction
 
     def reset(self) -> None:
         n = self.ip_table_entries
-        self._ip_buf[:] = 0
-        self._ip_buf[:n] = -1
-        self._cplx_buf[:] = 0
-        self._regions.clear()
-        self._region_order.clear()
+        self._ip_buf[:] = array("q", [-1]) * n + array("q", [0]) * (3 * n)
+        self._cplx_buf[:] = array("q", [0]) * len(self._cplx_buf)
+        self._clear_regions()
         self.class_counts = {"cs": 0, "cplx": 0, "gs": 0, "nl": 0, "none": 0}
+
+    def _clear_regions(self) -> None:
+        """An empty region FIFO (see the module docstring)."""
+        r = self.region_entries
+        self._regions = FifoTable(r)
+        self._region_touched = array("Q", [0]) * r
+        self._region_offset = array("b", [-1]) * r
+        self._region_direction = array("b", [1]) * r

@@ -28,7 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.hashing import fold_xor, hash_combine, jenkins32
-from repro.prefetchers.base import FilterDecision, PrefetchFilter, PrefetchRequest
+from repro.prefetchers.base import (
+    FilterDecision,
+    PrefetchFilter,
+    PrefetchRequest,
+    check_table_sizes,
+)
 
 #: Per-feature memo entries kept before the memo is cleared (matches
 #: HashedPerceptron's cap).
@@ -61,6 +66,7 @@ class PerceptronPrefetchFilter(PrefetchFilter):
         issue_threshold: int = -8,
         training_threshold: int = 40,
     ) -> None:
+        check_table_sizes("PPF", table_entries=table_entries)
         self.table_entries = table_entries
         self.weight_bits = weight_bits
         self.issue_threshold = issue_threshold

@@ -13,13 +13,15 @@ depending on its internal prefetch logic".
 State layout
 ------------
 
-The signature table packs ``(signature, last_offset)`` into one int per
-tracked page (a FIFO-bounded dict).  The pattern table is direct-mapped by
+Both tables are flat typed arrays that the batch simulator core's compiled
+kernel (``repro/sim/_fused.c``) uses in place.  The signature table is a
+:class:`FifoTable` of ``signature_table_entries`` pages, ``_signatures``,
+with each slot's ``(signature << 6) | last_offset`` in
+``_signature_packed``.  The pattern table is direct-mapped by
 ``signature % pattern_table_entries`` and lives in flat one-byte arrays
-(memoryviews over ``np.zeros`` buffers) that the batch core's kernel uses
-in place.  Per entry: a count per in-page delta
-(indexed ``entry * 127 + delta + 63``), the deltas in insertion order with
-their number, the counts' total and a memo of the first maximal delta and
+(memoryviews over ``np.zeros`` buffers).  Per entry: a count per in-page
+delta (indexed ``entry * 127 + delta + 63``), the deltas in insertion order
+with their number, the counts' total and a memo of the first maximal delta and
 its count (count 0: not memoized).  Training halves every count once the
 total reaches 64, so no count or total exceeds 64.  The order-dependent
 kernel is :meth:`step`, which returns plain prediction tuples;
@@ -29,18 +31,20 @@ scalar reference path.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.common.addresses import BLOCK_SIZE
 from repro.common.types import MemLevel
-from repro.prefetchers.base import L2Prefetcher, PrefetchRequest
-
-#: In-page deltas lie in -63..63.
-DELTA_SPAN = 127
-
-
-def _table(items: int, dtype) -> memoryview:
-    return memoryview(np.zeros(items, dtype=dtype))
+from repro.prefetchers.base import (
+    DELTA_SPAN,
+    FifoTable,
+    L2Prefetcher,
+    PrefetchRequest,
+    check_table_sizes,
+    flat_table,
+)
 
 
 class SPPPrefetcher(L2Prefetcher):
@@ -57,6 +61,10 @@ class SPPPrefetcher(L2Prefetcher):
         max_lookahead_depth: int = 4,
         aggressive: bool = False,
     ) -> None:
+        check_table_sizes(
+            "SPP", signature_table_entries=signature_table_entries,
+            pattern_table_entries=pattern_table_entries,
+        )
         self.signature_table_entries = signature_table_entries
         self.pattern_table_entries = pattern_table_entries
         self.lookahead_confidence = lookahead_confidence
@@ -69,10 +77,7 @@ class SPPPrefetcher(L2Prefetcher):
             self.lookahead_confidence = 0.10
             self.l2_fill_confidence = 0.25
             self.max_lookahead_depth = 8
-        #: page -> (signature << 6) | last_offset, FIFO-bounded.
-        self._signatures: dict[int, int] = {}
-        self._signature_order: list[int] = []
-        self._clear_pattern_table()
+        self._clear_tables()
         self.lookahead_prefetches = 0
 
     # ------------------------------------------------------------------
@@ -117,16 +122,13 @@ class SPPPrefetcher(L2Prefetcher):
         page = block >> 6
         offset = block & 0x3F
 
-        signatures = self._signatures
-        packed = signatures.get(page)
-        if packed is None:
-            signatures[page] = offset  # signature starts at 0
-            order = self._signature_order
-            order.append(page)
-            if len(order) > self.signature_table_entries:
-                signatures.pop(order.pop(0), None)
+        slot = self._signatures.find(page)
+        if slot < 0:
+            slot = self._signatures.insert(page)
+            self._signature_packed[slot] = offset  # signature starts at 0
             return None
 
+        packed = self._signature_packed[slot]
         delta = offset - (packed & 0x3F)
         if delta == 0:
             return None
@@ -165,7 +167,7 @@ class SPPPrefetcher(L2Prefetcher):
         totals[key] = total
 
         signature = ((signature << 3) ^ (delta & 0x7F)) & 0xFFF
-        signatures[page] = (signature << 6) | offset
+        self._signature_packed[slot] = (signature << 6) | offset
 
         # Lookahead prediction along the signature path.
         predictions: list[tuple[int, bool, int, int, int, float]] | None = None
@@ -211,16 +213,16 @@ class SPPPrefetcher(L2Prefetcher):
         return predictions
 
     def reset(self) -> None:
-        self._signatures.clear()
-        self._signature_order.clear()
-        self._clear_pattern_table()
+        self._clear_tables()
         self.lookahead_prefetches = 0
 
-    def _clear_pattern_table(self) -> None:
+    def _clear_tables(self) -> None:
+        self._signatures = FifoTable(self.signature_table_entries)
+        self._signature_packed = array("q", [0]) * self.signature_table_entries
         m = self.pattern_table_entries
-        self._pattern_counts = _table(m * DELTA_SPAN, np.uint8)
-        self._pattern_deltas = _table(m * DELTA_SPAN, np.int8)
-        self._pattern_lengths = _table(m, np.uint8)
-        self._pattern_totals = _table(m, np.uint8)
-        self._pattern_best_delta = _table(m, np.int8)
-        self._pattern_best_count = _table(m, np.uint8)
+        self._pattern_counts = flat_table(m * DELTA_SPAN, np.uint8)
+        self._pattern_deltas = flat_table(m * DELTA_SPAN, np.int8)
+        self._pattern_lengths = flat_table(m, np.uint8)
+        self._pattern_totals = flat_table(m, np.uint8)
+        self._pattern_best_delta = flat_table(m, np.int8)
+        self._pattern_best_count = flat_table(m, np.uint8)

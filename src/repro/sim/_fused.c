@@ -9,28 +9,28 @@
  * stock prefetchers and filters: IPCP or Berti at the L1D, SPP at the L2C,
  * the SLP filter above the L1D and the PPF filter behind SPP.  It works on
  * the very state the scalar reference uses, in the same order and with the
- * same arithmetic.  Flat state is read and written in place through the
- * buffer protocol: each cache's typed arrays (_tags, _stamps, _ready,
- * _flags, _source, _set_fill and the one-element _clock; see
- * repro.memory.cache.Cache), the DRAM channel's one-element _busy_until,
- * SPP's pattern table (per-delta counts, deltas in insertion order, their
- * number, totals and the best-delta memo), IPCP _ip_buf/_cplx_buf, Berti
- * _page_buf/_total_buf and the perceptron weights of FLP, Hermes, PPF and
- * SLP.  So every core of a mix sees the others' DRAM and LLC updates with
- * no copy to refresh.  The page table's _mapping, _allocated_frames and
- * page_faults, the pending-prefetch dicts and every stats object stay
- * Python objects; a block address is boxed only to key a pending-prefetch
- * dict or an EvictionInfo.  Dict- and list-backed component state (IPCP's
- * region FIFO, Berti's histories, delta counters and confirmed lists, SPP's
- * signature FIFO, the page buffers and PC histories of the FLP/Hermes and
- * SLP feature histories) is copied into flat tables when the Stepper is
- * built and written back into the same containers, in the same order, when
- * the trace ends (a run that raises leaves them as loaded).  PPF training
- * on prefetch use and L2C eviction stays a Python call.  A hierarchy with
- * any component the kernel does not model runs the scalar reference
- * instead (repro.sim.batch.batch_unsupported_reason).  Pure counters
- * accumulate per chunk and are added to their stats objects at the end of
- * each chunk.
+ * same arithmetic.  All model state that is not a Python object is flat
+ * typed arrays, read and written in place through the buffer protocol
+ * (state_array): each cache's _tags, _stamps, _ready, _flags, _source,
+ * _set_fill and one-element _clock (repro.memory.cache.Cache), the DRAM
+ * channel's one-element _busy_until, the perceptron weights of FLP,
+ * Hermes, PPF and SLP, IPCP's IP/CPLX tables and region FIFO, Berti's
+ * per-entry rows (page, total, history, delta counters, confirmed deltas),
+ * SPP's signature FIFO and pattern table, and each feature history's page
+ * buffer (an LRU of page keys, last-use stamps and a clock) and last PCs.
+ * Nothing is copied in or written back, so every core of a mix sees the
+ * others' DRAM and LLC updates with no copy to refresh, and the scalar
+ * reference can pick up a table wherever the kernel left it.  The kernel
+ * keeps only private lookup indexes beside the FIFO and LRU keys (KeyIndex
+ * and the page buffer's recency list), built when the Stepper is built and
+ * updated alongside the keys.  The page table's _mapping,
+ * _allocated_frames and page_faults, the pending-prefetch dicts and every
+ * stats object stay Python objects; a block address is boxed only to key a
+ * pending-prefetch dict or an EvictionInfo.  PPF training on prefetch use
+ * and L2C eviction stays a Python call.  A hierarchy with any component
+ * the kernel does not model runs the scalar reference instead
+ * (repro.sim.batch.batch_unsupported_reason).  Pure counters accumulate
+ * per chunk and are added to their stats objects at the end of each chunk.
  *
  * Stepper.run() runs one core's trace to its end.  run_mix() interleaves
  * the cores of a multi-core mix: it pauses each Stepper before every
@@ -99,23 +99,25 @@ static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
     X(ip_table_entries) X(cplx_table_entries) X(region_entries)              \
     X(cs_degree) X(cplx_degree) X(gs_degree) X(nl_degree)                    \
     X(cs_confidence_threshold) X(gs_density_threshold) X(_ip_buf)            \
-    X(_cplx_buf) X(_regions) X(_region_order) X(class_counts) X(_last_class) \
+    X(_cplx_buf) X(_regions) X(_region_touched) X(_region_offset)            \
+    X(_region_direction) X(class_counts) X(pages) X(inserted)                \
     X(cs) X(cplx) X(gs) X(nl) X(none)                                        \
     /* Berti */                                                              \
     X(table_entries) X(low_coverage) X(max_prefetch_degree)                  \
-    X(relearn_interval) X(_page_buf) X(_total_buf) X(_histories)             \
-    X(_delta_hits) X(_confirmed)                                             \
+    X(relearn_interval) X(_pages) X(_totals) X(_history) X(_history_lengths) \
+    X(_delta_counts) X(_delta_order) X(_delta_lengths) X(_confirmed_deltas)  \
+    X(_confirmed_coverage) X(_confirmed_lengths)                             \
     /* SPP */                                                                \
     X(signature_table_entries) X(pattern_table_entries)                      \
     X(lookahead_confidence) X(l2_fill_confidence) X(max_lookahead_depth)     \
-    X(_signatures) X(_signature_order) X(_pattern_counts) X(_pattern_deltas) \
-    X(_pattern_lengths) X(_pattern_totals) X(_pattern_best_delta)            \
-    X(_pattern_best_count) X(lookahead_prefetches)                           \
-    /* PPF and SLP */                                                        \
+    X(_signatures) X(_signature_packed)                                      \
+    X(_pattern_counts) X(_pattern_deltas) X(_pattern_lengths)                \
+    X(_pattern_totals) X(_pattern_best_delta) X(_pattern_best_count)         \
+    X(lookahead_prefetches)                                                  \
+    /* PPF, SLP and the feature histories */                                 \
     X(_weights) X(_index_bits) X(issue_threshold) X(consultations)           \
     X(accepted) X(rejected) X(tau_pref) X(use_leveling_feature) X(history)   \
-    X(_page_buffer) X(page_buffer_entries) X(pc_history_length)              \
-    X(_pc_history) X(_pcs_tuple) X(_pcs_hash) X(issued) X(discarded)
+    X(page_buffer_entries) X(_pcs) X(_pc_count) X(issued) X(discarded)
 
 #define DECLARE_NAME(n) static PyObject *S_##n;
 NAMES(DECLARE_NAME)
@@ -438,44 +440,11 @@ mem_calloc(Py_ssize_t count, size_t size)
     return memory;
 }
 
-/* A held buffer view of a numpy table. */
+/* A held buffer view of a state array. */
 typedef struct {
     Py_buffer view;
     int held;
 } View;
-
-/* A writable C-contiguous 1-D buffer of signed ``itemsize``-byte integers
- * (``length`` items unless negative); NULL with TypeError otherwise. */
-static void *
-view_ints(View *v, PyObject *obj, Py_ssize_t itemsize, Py_ssize_t length, const char *what)
-{
-    if (PyObject_GetBuffer(obj, &v->view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return NULL;
-    v->held = 1;
-    const char *format = v->view.format ? v->view.format : "B";
-    if (*format == '@' || *format == '=')
-        format++;
-    if (v->view.ndim != 1 || v->view.itemsize != itemsize || format[0] == '\0'
-        || format[1] != '\0' || strchr("ilq", format[0]) == NULL
-        || (length >= 0 && v->view.shape[0] != length)) {
-        PyErr_Format(PyExc_TypeError, "%s must be a 1-D int%zd array of %zd items",
-                     what, 8 * itemsize, length);
-        return NULL;
-    }
-    return v->view.buf;
-}
-
-static void *
-attr_ints(View *v, PyObject *obj, PyObject *name, Py_ssize_t itemsize, Py_ssize_t length,
-          const char *what)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL)
-        return NULL;
-    void *data = view_ints(v, value, itemsize, length, what);
-    Py_DECREF(value);
-    return data;
-}
 
 static void
 view_release(View *v)
@@ -487,7 +456,8 @@ view_release(View *v)
 }
 
 /* One of a model object's flat state arrays, used in place: ``length``
- * items of array typecode ``code``; ``what`` names the owner in errors. */
+ * items (any number when negative) of array typecode ``code``; ``what``
+ * names the owner in errors. */
 static void *
 state_array(View *v, PyObject *obj, PyObject *name, char code, Py_ssize_t length,
             const char *what)
@@ -500,33 +470,19 @@ state_array(View *v, PyObject *obj, PyObject *name, char code, Py_ssize_t length
     Py_DECREF(value);
     if (rc == 0)
         v->held = 1;
+    Py_ssize_t itemsize = code == 'b' || code == 'B' ? 1 : code == 'i' ? 4 : 8;
     if (rc < 0 || v->view.ndim != 1 || v->view.format == NULL
         || v->view.format[0] != code || v->view.format[1] != '\0'
-        || v->view.itemsize != (code == 'B' || code == 'b' ? 1 : 8)) {
+        || v->view.itemsize != itemsize) {
         PyErr_Clear();
         PyErr_Format(PyExc_TypeError, "unexpected %s state layout", what);
         return NULL;
     }
-    if (v->view.shape[0] != length) {
+    if (length >= 0 && v->view.shape[0] != length) {
         PyErr_Format(PyExc_ValueError, "%s state does not match its geometry", what);
         return NULL;
     }
     return v->view.buf;
-}
-
-static PyObject *
-attr_exact(PyObject *obj, PyObject *name, PyTypeObject *type, Py_ssize_t length)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL)
-        return NULL;
-    if (!Py_IS_TYPE(value, type) || (length >= 0 && PyObject_Length(value) != length)) {
-        PyErr_Format(PyExc_TypeError, "%U must be a %s of %zd items", name, type->tp_name,
-                     length);
-        Py_DECREF(value);
-        return NULL;
-    }
-    return value;
 }
 
 /* ------------------------------------------------------------------ */
@@ -592,23 +548,71 @@ index_bits(Py_ssize_t entries)
 }
 
 /* ------------------------------------------------------------------ */
-/* Ordered keys: a bounded insertion-ordered set of int64 keys         */
+/* Key indexes over the shared FIFO and LRU tables                     */
 /* ------------------------------------------------------------------ */
 
 /* The FIFO and LRU tables of the components (IPCP regions, SPP signatures,
- * the SLP page buffer): keys live in slots chained oldest to newest, found
- * through an open-addressing index (linear probing, backward-shift
- * deletion).  Payload arrays are indexed by slot. */
+ * the feature histories' page buffers) keep one int64 key per slot in a
+ * shared array, -1 in a free slot.  The kernel finds a key's slot through a
+ * private open-addressing index (linear probing, backward-shift deletion),
+ * built from the shared keys when the Stepper is built and updated
+ * alongside them. */
 typedef struct {
-    Py_ssize_t cap, len, head, tail, free_slot;
-    int64_t *keys;
-    Py_ssize_t *prev, *next, *index;
+    int64_t *keys;     /* shared */
+    Py_ssize_t *index; /* slots by key hash, -1 when empty */
     size_t mask;
     int shift;
-} OrderedKeys;
+} KeyIndex;
 
+static inline size_t
+index_home(const KeyIndex *x, int64_t key)
+{
+    return (size_t)(((uint64_t)key * 0x9E3779B97F4A7C15ull) >> x->shift);
+}
+
+/* The slot holding ``key``, or -1. */
+static inline Py_ssize_t
+index_find(const KeyIndex *x, int64_t key)
+{
+    for (size_t i = index_home(x, key);; i = (i + 1) & x->mask) {
+        Py_ssize_t slot = x->index[i];
+        if (slot < 0 || x->keys[slot] == key)
+            return slot;
+    }
+}
+
+/* Index the key just stored in ``slot``. */
+static inline void
+index_add(KeyIndex *x, Py_ssize_t slot)
+{
+    size_t i = index_home(x, x->keys[slot]);
+    while (x->index[i] >= 0)
+        i = (i + 1) & x->mask;
+    x->index[i] = slot;
+}
+
+/* Drop the key still stored in ``slot`` from the index. */
+static void
+index_remove(KeyIndex *x, Py_ssize_t slot)
+{
+    size_t hole = index_home(x, x->keys[slot]);
+    while (x->index[hole] != slot)
+        hole = (hole + 1) & x->mask;
+    for (size_t j = (hole + 1) & x->mask; x->index[j] >= 0; j = (j + 1) & x->mask) {
+        size_t home = index_home(x, x->keys[x->index[j]]);
+        /* An entry whose home lies cyclically in (hole, j] stays put. */
+        int stays = hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
+        if (!stays) {
+            x->index[hole] = x->index[j];
+            hole = j;
+        }
+    }
+    x->index[hole] = -1;
+}
+
+/* Index the occupied slots of ``cap`` shared keys. */
 static int
-keys_init(OrderedKeys *m, Py_ssize_t cap)
+index_init(KeyIndex *x, int64_t *keys, Py_ssize_t cap, const char *what)
 {
     size_t size = 4;
     int bits = 2;
@@ -616,133 +620,80 @@ keys_init(OrderedKeys *m, Py_ssize_t cap)
         size <<= 1;
         bits++;
     }
-    m->cap = cap;
-    m->len = 0;
-    m->head = m->tail = -1;
-    m->mask = size - 1;
-    m->shift = 64 - bits;
-    m->keys = mem_calloc(cap, sizeof(int64_t));
-    m->prev = mem_calloc(cap, sizeof(Py_ssize_t));
-    m->next = mem_calloc(cap, sizeof(Py_ssize_t));
-    m->index = mem_calloc((Py_ssize_t)size, sizeof(Py_ssize_t));
-    if (m->keys == NULL || m->prev == NULL || m->next == NULL || m->index == NULL)
+    x->keys = keys;
+    x->mask = size - 1;
+    x->shift = 64 - bits;
+    if ((x->index = mem_calloc((Py_ssize_t)size, sizeof(Py_ssize_t))) == NULL)
         return -1;
-    for (size_t i = 0; i < size; i++)
-        m->index[i] = -1;
-    for (Py_ssize_t i = 0; i < cap; i++)
-        m->next[i] = i + 1 < cap ? i + 1 : -1;
-    m->free_slot = cap > 0 ? 0 : -1;
+    memset(x->index, 0xff, size * sizeof(Py_ssize_t));
+    for (Py_ssize_t slot = 0; slot < cap; slot++) {
+        if (keys[slot] == -1)
+            continue;
+        if (index_find(x, keys[slot]) >= 0) {
+            PyErr_Format(PyExc_ValueError, "%s table repeats a key", what);
+            return -1;
+        }
+        index_add(x, slot);
+    }
     return 0;
 }
 
 static void
-keys_free(OrderedKeys *m)
+index_free(KeyIndex *x)
 {
-    PyMem_Free(m->keys);
-    PyMem_Free(m->prev);
-    PyMem_Free(m->next);
-    PyMem_Free(m->index);
-    memset(m, 0, sizeof(*m));
+    PyMem_Free(x->index);
+    x->index = NULL;
 }
 
-static inline size_t
-keys_home(const OrderedKeys *m, int64_t key)
-{
-    return (size_t)(((uint64_t)key * 0x9E3779B97F4A7C15ull) >> m->shift);
-}
+/* A FIFO table (repro.prefetchers.base.FifoTable): the shared keys and
+ * one-element insertion count; key n takes slot n % cap, the oldest key's
+ * once the table is full. */
+typedef struct {
+    View views[2];
+    KeyIndex index;
+    int64_t *inserted;
+    Py_ssize_t cap;
+} Fifo;
 
-/* The slot holding ``key``, or -1. */
-static inline Py_ssize_t
-keys_find(const OrderedKeys *m, int64_t key)
+/* Bind the FifoTable ``obj.name`` of ``cap`` keys. */
+static int
+fifo_bind(Fifo *f, PyObject *obj, PyObject *name, Py_ssize_t cap, const char *what)
 {
-    for (size_t i = keys_home(m, key);; i = (i + 1) & m->mask) {
-        Py_ssize_t slot = m->index[i];
-        if (slot < 0 || m->keys[slot] == key)
-            return slot;
+    PyObject *table = PyObject_GetAttr(obj, name);
+    if (table == NULL)
+        return -1;
+    int64_t *keys = state_array(&f->views[0], table, S_pages, 'q', cap, what);
+    f->inserted = keys ? state_array(&f->views[1], table, S_inserted, 'q', 1, what) : NULL;
+    Py_DECREF(table);
+    if (f->inserted == NULL)
+        return -1;
+    if (*f->inserted < 0) {
+        PyErr_Format(PyExc_ValueError, "%s FIFO insertion count is negative", what);
+        return -1;
     }
+    f->cap = cap;
+    return index_init(&f->index, keys, cap, what);
 }
 
-static inline void
-keys_link_tail(OrderedKeys *m, Py_ssize_t slot)
+/* Store an absent ``key`` over the oldest; returns its slot. */
+static inline Py_ssize_t
+fifo_push(Fifo *f, int64_t key)
 {
-    m->prev[slot] = m->tail;
-    m->next[slot] = -1;
-    if (m->tail >= 0)
-        m->next[m->tail] = slot;
-    else
-        m->head = slot;
-    m->tail = slot;
-}
-
-static inline void
-keys_unlink(OrderedKeys *m, Py_ssize_t slot)
-{
-    Py_ssize_t before = m->prev[slot], after = m->next[slot];
-    if (before >= 0)
-        m->next[before] = after;
-    else
-        m->head = after;
-    if (after >= 0)
-        m->prev[after] = before;
-    else
-        m->tail = before;
-}
-
-/* Append an absent ``key`` as the newest; the caller keeps len < cap. */
-static Py_ssize_t
-keys_append(OrderedKeys *m, int64_t key)
-{
-    Py_ssize_t slot = m->free_slot;
-    m->free_slot = m->next[slot];
-    m->keys[slot] = key;
-    keys_link_tail(m, slot);
-    m->len++;
-    size_t i = keys_home(m, key);
-    while (m->index[i] >= 0)
-        i = (i + 1) & m->mask;
-    m->index[i] = slot;
+    Py_ssize_t slot = (Py_ssize_t)(*f->inserted % f->cap);
+    if (f->index.keys[slot] != -1)
+        index_remove(&f->index, slot);
+    f->index.keys[slot] = key;
+    index_add(&f->index, slot);
+    ++*f->inserted;
     return slot;
 }
 
 static void
-keys_remove(OrderedKeys *m, Py_ssize_t slot)
+fifo_release(Fifo *f)
 {
-    size_t hole = keys_home(m, m->keys[slot]);
-    while (m->index[hole] != slot)
-        hole = (hole + 1) & m->mask;
-    for (size_t j = (hole + 1) & m->mask; m->index[j] >= 0; j = (j + 1) & m->mask) {
-        size_t home = keys_home(m, m->keys[m->index[j]]);
-        /* An entry whose home lies cyclically in (hole, j] stays put. */
-        int stays = hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
-        if (!stays) {
-            m->index[hole] = m->index[j];
-            hole = j;
-        }
-    }
-    m->index[hole] = -1;
-    keys_unlink(m, slot);
-    m->next[slot] = m->free_slot;
-    m->free_slot = slot;
-    m->len--;
-}
-
-/* FIFO/LRU insertion of an absent key: with the table full the oldest key
- * goes first (Python inserts, then pops the oldest past capacity). */
-static Py_ssize_t
-keys_push(OrderedKeys *m, int64_t key)
-{
-    if (m->len == m->cap)
-        keys_remove(m, m->head);
-    return keys_append(m, key);
-}
-
-static void
-keys_move_to_end(OrderedKeys *m, Py_ssize_t slot)
-{
-    if (slot != m->tail) {
-        keys_unlink(m, slot);
-        keys_link_tail(m, slot);
-    }
+    view_release(&f->views[0]);
+    view_release(&f->views[1]);
+    index_free(&f->index);
 }
 
 /* ------------------------------------------------------------------ */
@@ -753,7 +704,7 @@ keys_move_to_end(OrderedKeys *m, Py_ssize_t slot)
 
 typedef struct {
     int features;
-    View views[MAX_FEATURES];
+    View view;
     int32_t *tables[MAX_FEATURES];
     Py_ssize_t entries[MAX_FEATURES];
     int bits[MAX_FEATURES];
@@ -764,7 +715,8 @@ typedef struct {
     long long predictions, positive, training_events, correct, weight_updates;
 } Perceptron;
 
-/* Bind a HashedPerceptron's weight tables (in place) and limits. */
+/* Bind a HashedPerceptron's flat weights (in place; each feature's table
+ * follows the previous one's) and limits. */
 static int
 perceptron_init(Perceptron *p, PyObject *perceptron, int features)
 {
@@ -781,25 +733,32 @@ perceptron_init(Perceptron *p, PyObject *perceptron, int features)
                          features);
         goto done;
     }
+    Py_ssize_t total = 0;
     for (int f = 0; f < features; f++) {
         PyObject *table = PySequence_GetItem(tables, f);
         PyObject *bound = PySequence_GetItem(limits, f);
-        int ok = table && bound && PyArg_ParseTuple(bound, "LL", &p->lo[f], &p->hi[f]);
-        p->features = f + 1;
-        if (ok && (p->tables[f] = view_ints(&p->views[f], table, 4, -1,
-                                            "perceptron weights")) == NULL)
-            ok = 0;
+        p->entries[f] = table ? PyObject_Length(table) : -1;
+        int ok = p->entries[f] >= 0 && bound
+                 && PyArg_ParseTuple(bound, "LL", &p->lo[f], &p->hi[f]);
         Py_XDECREF(table);
         Py_XDECREF(bound);
         if (!ok)
             goto done;
-        p->entries[f] = p->views[f].view.shape[0];
         if (p->entries[f] < 1) {
             PyErr_SetString(PyExc_ValueError, "empty perceptron weight table");
             goto done;
         }
         p->bits[f] = index_bits(p->entries[f]);
+        total += p->entries[f];
     }
+    int32_t *weights = state_array(&p->view, perceptron, S__weights, 'i', total, "perceptron");
+    if (weights == NULL)
+        goto done;
+    for (int f = 0; f < features; f++) {
+        p->tables[f] = weights;
+        weights += p->entries[f];
+    }
+    p->features = features;
     rc = 0;
 done:
     Py_XDECREF(tables);
@@ -810,8 +769,7 @@ done:
 static void
 perceptron_release(Perceptron *p)
 {
-    for (int f = 0; f < p->features; f++)
-        view_release(&p->views[f]);
+    view_release(&p->view);
     p->features = 0;
 }
 
@@ -867,14 +825,13 @@ perceptron_flush(Perceptron *p)
 enum { CLASS_CS, CLASS_CPLX, CLASS_GS, CLASS_NL, CLASS_NONE, NUM_CLASSES };
 
 typedef struct {
-    View ip_view, cplx_view;
+    View views[5];
     int64_t *ip_last, *ip_stride, *ip_conf, *ip_sig, *cplx_stride, *cplx_conf;
     long long n, m, cs_degree, cplx_degree, gs_degree, nl_degree, cs_threshold;
     double gs_density;
-    OrderedKeys regions; /* page FIFO, oldest first */
-    uint64_t *touched;   /* per region slot: touched-block bitmask */
-    int64_t *last_offset, *direction;
-    int last_class;
+    Fifo regions;      /* the page FIFO */
+    uint64_t *touched; /* per region slot: touched-block bitmask */
+    int8_t *last_offset, *direction;
     long long class_counts[NUM_CLASSES];
     int64_t *targets;
 } IPCP;
@@ -886,8 +843,9 @@ class_name(int cls)
     return names[cls];
 }
 
+/* Bind IPCP's tables and region FIFO (in place). */
 static int
-ipcp_load(IPCP *p, PyObject *obj)
+ipcp_bind(IPCP *p, PyObject *obj)
 {
     long long cap;
     if (get_ll(obj, S_ip_table_entries, &p->n) < 0
@@ -904,10 +862,19 @@ ipcp_load(IPCP *p, PyObject *obj)
         PyErr_SetString(PyExc_ValueError, "IPCP tables must have at least one entry");
         return -1;
     }
+    long long most = 1;
+    long long degrees[4] = {p->cs_degree, p->cplx_degree, p->gs_degree, p->nl_degree};
+    for (int i = 0; i < 4; i++)
+        most = degrees[i] > most ? degrees[i] : most;
+    View *v = p->views;
     int64_t *ip, *cplx;
-    if ((ip = attr_ints(&p->ip_view, obj, S__ip_buf, 8, 4 * p->n, "IPCP _ip_buf")) == NULL
-        || (cplx = attr_ints(&p->cplx_view, obj, S__cplx_buf, 8, 2 * p->m,
-                             "IPCP _cplx_buf")) == NULL)
+    if ((ip = state_array(v++, obj, S__ip_buf, 'q', 4 * p->n, "IPCP")) == NULL
+        || (cplx = state_array(v++, obj, S__cplx_buf, 'q', 2 * p->m, "IPCP")) == NULL
+        || fifo_bind(&p->regions, obj, S__regions, cap, "IPCP") < 0
+        || (p->touched = state_array(v++, obj, S__region_touched, 'Q', cap, "IPCP")) == NULL
+        || (p->last_offset = state_array(v++, obj, S__region_offset, 'b', cap, "IPCP")) == NULL
+        || (p->direction = state_array(v++, obj, S__region_direction, 'b', cap, "IPCP")) == NULL
+        || (p->targets = mem_calloc(most, sizeof(int64_t))) == NULL)
         return -1;
     p->ip_last = ip;
     p->ip_stride = ip + p->n;
@@ -915,71 +882,7 @@ ipcp_load(IPCP *p, PyObject *obj)
     p->ip_sig = ip + 3 * p->n;
     p->cplx_stride = cplx;
     p->cplx_conf = cplx + p->m;
-    long long most = 1;
-    long long degrees[4] = {p->cs_degree, p->cplx_degree, p->gs_degree, p->nl_degree};
-    for (int i = 0; i < 4; i++)
-        most = degrees[i] > most ? degrees[i] : most;
-    if (keys_init(&p->regions, (Py_ssize_t)cap) < 0
-        || (p->touched = mem_calloc(cap, sizeof(uint64_t))) == NULL
-        || (p->last_offset = mem_calloc(cap, sizeof(int64_t))) == NULL
-        || (p->direction = mem_calloc(cap, sizeof(int64_t))) == NULL
-        || (p->targets = mem_calloc(most, sizeof(int64_t))) == NULL)
-        return -1;
-
-    int rc = -1;
-    PyObject *regions = attr_exact(obj, S__regions, &PyDict_Type, -1);
-    PyObject *order = regions ? attr_exact(obj, S__region_order, &PyList_Type,
-                                           PyDict_GET_SIZE(regions)) : NULL;
-    PyObject *last = order ? PyObject_GetAttr(obj, S__last_class) : NULL;
-    if (last == NULL)
-        goto done;
-    if (PyList_GET_SIZE(order) > cap) {
-        PyErr_SetString(PyExc_ValueError, "IPCP holds more regions than region_entries");
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(order); i++) {
-        PyObject *page_obj = PyList_GET_ITEM(order, i);
-        PyObject *region = PyDict_GetItemWithError(regions, page_obj);
-        long long page, offset, direction;
-        unsigned long long touched;
-        if (region == NULL || !PyList_CheckExact(region) || PyList_GET_SIZE(region) != 3) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError, "IPCP regions must be [mask, offset, direction]");
-            goto done;
-        }
-        touched = PyLong_AsUnsignedLongLong(PyList_GET_ITEM(region, 0));
-        if ((touched == (unsigned long long)-1 && PyErr_Occurred())
-            || as_ll(page_obj, &page) < 0
-            || as_ll(PyList_GET_ITEM(region, 1), &offset) < 0
-            || as_ll(PyList_GET_ITEM(region, 2), &direction) < 0)
-            goto done;
-        if (keys_find(&p->regions, page) >= 0) {
-            PyErr_SetString(PyExc_ValueError, "IPCP region order repeats a page");
-            goto done;
-        }
-        Py_ssize_t slot = keys_append(&p->regions, page);
-        p->touched[slot] = touched;
-        p->last_offset[slot] = offset;
-        p->direction[slot] = direction;
-    }
-    p->last_class = -1;
-    for (int cls = 0; cls < NUM_CLASSES; cls++) {
-        int same = PyObject_RichCompareBool(last, *class_name(cls), Py_EQ);
-        if (same < 0)
-            goto done;
-        if (same)
-            p->last_class = cls;
-    }
-    if (p->last_class < 0) {
-        PyErr_SetString(PyExc_ValueError, "unknown IPCP class");
-        goto done;
-    }
-    rc = 0;
-done:
-    Py_XDECREF(regions);
-    Py_XDECREF(order);
-    Py_XDECREF(last);
-    return rc;
+    return 0;
 }
 
 static int
@@ -995,16 +898,16 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
 {
     int64_t key = py_mod(pc, p->n);
     int64_t block = vaddr >> 6, page = vaddr >> 12, offset = block & 63;
-    Py_ssize_t r = keys_find(&p->regions, page);
+    Py_ssize_t r = index_find(&p->regions.index, page);
     if (r < 0) {
-        r = keys_push(&p->regions, page);
+        r = fifo_push(&p->regions, page);
         p->touched[r] = 0;
         p->last_offset[r] = -1;
         p->direction[r] = 1;
     }
     if (p->last_offset[r] >= 0 && offset != p->last_offset[r])
         p->direction[r] = offset > p->last_offset[r] ? 1 : -1;
-    p->last_offset[r] = offset;
+    p->last_offset[r] = (int8_t)offset;
     p->touched[r] |= (uint64_t)1 << offset;
 
     Py_ssize_t count = 0;
@@ -1016,7 +919,6 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
         int64_t m = p->m, target;
         if (stride == last_stride && confidence >= p->cs_threshold) {
             p->class_counts[CLASS_CS]++;
-            p->last_class = CLASS_CS;
             target = block;
             for (long long k = 0; k < p->cs_degree; k++) {
                 if (add_checked(target, stride, &target) < 0
@@ -1026,7 +928,6 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
         }
         else if ((double)__builtin_popcountll(p->touched[r]) / 64.0 >= p->gs_density) {
             p->class_counts[CLASS_GS]++;
-            p->last_class = CLASS_GS;
             target = block;
             for (long long k = 0; k < p->gs_degree; k++) {
                 if (add_checked(target, p->direction[r], &target) < 0
@@ -1036,7 +937,6 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
         }
         else if (p->cplx_conf[py_mod(signature, m)] >= 2) {
             p->class_counts[CLASS_CPLX]++;
-            p->last_class = CLASS_CPLX;
             target = block;
             uint64_t chained = (uint64_t)signature;
             for (long long k = 0; k < p->cplx_degree; k++) {
@@ -1092,7 +992,6 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
     if (count == 0 && !hit) {
         /* NL: a miss no other class covered falls back to next-line. */
         p->class_counts[CLASS_NL]++;
-        p->last_class = CLASS_NL;
         int64_t target = block;
         for (long long k = 0; k < p->nl_degree; k++) {
             if (add_checked(target, 1, &target) < 0 || ipcp_emit(p, target, &count) < 0)
@@ -1119,216 +1018,51 @@ ipcp_flush(IPCP *p, PyObject *obj)
     return rc;
 }
 
-static int
-ipcp_write_back(IPCP *p, PyObject *obj)
-{
-    PyObject *regions = PyObject_GetAttr(obj, S__regions);
-    PyObject *order = regions ? PyObject_GetAttr(obj, S__region_order) : NULL;
-    PyObject *pages = order ? PyList_New(0) : NULL;
-    int rc = -1;
-    if (pages == NULL)
-        goto done;
-    PyDict_Clear(regions);
-    for (Py_ssize_t slot = p->regions.head; slot >= 0; slot = p->regions.next[slot]) {
-        PyObject *page = PyLong_FromLongLong(p->regions.keys[slot]);
-        PyObject *region = page ? Py_BuildValue("[KLL]", (unsigned long long)p->touched[slot],
-                                                (long long)p->last_offset[slot],
-                                                (long long)p->direction[slot]) : NULL;
-        int ok = region && PyDict_SetItem(regions, page, region) == 0
-                 && PyList_Append(pages, page) == 0;
-        Py_XDECREF(page);
-        Py_XDECREF(region);
-        if (!ok)
-            goto done;
-    }
-    if (PyList_SetSlice(order, 0, PY_SSIZE_T_MAX, pages) < 0
-        || PyObject_SetAttr(obj, S__last_class, *class_name(p->last_class)) < 0)
-        goto done;
-    rc = 0;
-done:
-    Py_XDECREF(regions);
-    Py_XDECREF(order);
-    Py_XDECREF(pages);
-    return rc;
-}
-
 static void
 ipcp_release(IPCP *p)
 {
-    view_release(&p->ip_view);
-    view_release(&p->cplx_view);
-    keys_free(&p->regions);
-    PyMem_Free(p->touched);
-    PyMem_Free(p->last_offset);
-    PyMem_Free(p->direction);
+    for (int i = 0; i < 5; i++)
+        view_release(&p->views[i]);
+    fifo_release(&p->regions);
     PyMem_Free(p->targets);
-    p->touched = NULL;
     p->targets = NULL;
-    p->last_offset = p->direction = NULL;
-}
-
-/* ------------------------------------------------------------------ */
-/* Insertion-ordered in-page delta counters (Berti)                    */
-/* ------------------------------------------------------------------ */
-
-/* Deltas between blocks of one 4KB page lie in -63..63.  A table entry's
- * delta -> count dict keeps its deltas and counts in insertion order in
- * small arrays, found through a per-delta position index. */
-#define DELTA_SPAN 127
-
-typedef struct {
-    uint8_t at[DELTA_SPAN]; /* by delta + 63: 1 + position, 0 when absent */
-    int8_t *delta;
-    int32_t *count;
-    int len, cap;
-} Deltas;
-
-static inline int
-delta_in_page(long long delta)
-{
-    if (delta < -63 || delta > 63) {
-        PyErr_SetString(PyExc_ValueError, "delta outside one page");
-        return 0;
-    }
-    return 1;
-}
-
-/* Grow a pair of parallel arrays to hold ``need`` items. */
-static int
-grow(int8_t **small, void **wide, size_t wide_size, int *cap, int need)
-{
-    if (need <= *cap)
-        return 0;
-    int size = *cap ? 2 * *cap : 4;
-    size = size < need ? need : size;
-    size = size < DELTA_SPAN ? size : DELTA_SPAN;
-    int8_t *grown_small = PyMem_Realloc(*small, size);
-    if (grown_small == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    *small = grown_small;
-    void *grown_wide = PyMem_Realloc(*wide, size * wide_size);
-    if (grown_wide == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    *wide = grown_wide;
-    *cap = size;
-    return 0;
-}
-
-/* counts[delta] += 1 */
-static inline int
-deltas_bump(Deltas *d, int64_t delta)
-{
-    int at = d->at[delta + 63];
-    if (at) {
-        d->count[at - 1]++;
-        return 0;
-    }
-    if (grow(&d->delta, (void **)&d->count, sizeof(int32_t), &d->cap, d->len + 1) < 0)
-        return -1;
-    d->delta[d->len] = (int8_t)delta;
-    d->count[d->len] = 1;
-    d->at[delta + 63] = (uint8_t)++d->len;
-    return 0;
-}
-
-/* {delta: count // 2 for delta, count in counts.items() if count > 1};
- * returns the new sum. */
-static int64_t
-deltas_halve(Deltas *d)
-{
-    int kept = 0;
-    int64_t total = 0;
-    for (int i = 0; i < d->len; i++) {
-        int8_t delta = d->delta[i];
-        if (d->count[i] > 1) {
-            d->delta[kept] = delta;
-            d->count[kept] = d->count[i] / 2;
-            total += d->count[kept];
-            d->at[delta + 63] = (uint8_t)++kept;
-        }
-        else {
-            d->at[delta + 63] = 0;
-        }
-    }
-    d->len = kept;
-    return total;
-}
-
-static void
-deltas_free(Deltas *d)
-{
-    PyMem_Free(d->delta);
-    PyMem_Free(d->count);
-}
-
-static int
-deltas_load(Deltas *d, PyObject *dict)
-{
-    if (!PyDict_CheckExact(dict)) {
-        PyErr_SetString(PyExc_TypeError, "delta counters must be dicts");
-        return -1;
-    }
-    Py_ssize_t pos = 0;
-    PyObject *key, *value;
-    while (PyDict_Next(dict, &pos, &key, &value)) {
-        long long delta, count;
-        if (as_ll(key, &delta) < 0 || as_ll(value, &count) < 0 || !delta_in_page(delta))
-            return -1;
-        if (count < INT32_MIN || count > INT32_MAX) {
-            PyErr_SetString(PyExc_ValueError, "delta counter out of range");
-            return -1;
-        }
-        if (deltas_bump(d, delta) < 0)
-            return -1;
-        d->count[d->at[delta + 63] - 1] = (int32_t)count;
-    }
-    return 0;
-}
-
-static PyObject *
-deltas_dict(const Deltas *d)
-{
-    PyObject *dict = PyDict_New();
-    for (int i = 0; dict != NULL && i < d->len; i++) {
-        PyObject *key = PyLong_FromLong(d->delta[i]);
-        PyObject *value = key ? PyLong_FromLong(d->count[i]) : NULL;
-        if (value == NULL || PyDict_SetItem(dict, key, value) < 0)
-            Py_CLEAR(dict);
-        Py_XDECREF(key);
-        Py_XDECREF(value);
-    }
-    return dict;
 }
 
 /* ------------------------------------------------------------------ */
 /* Berti (repro.prefetchers.berti.BertiPrefetcher._step)                */
 /* ------------------------------------------------------------------ */
 
-typedef struct {
-    int8_t *delta;
-    double *coverage;
-    int len, cap;
-} Confirmed;
+/* Deltas between blocks of one 4KB page lie in -63..63. */
+#define DELTA_SPAN 127
 
+/* Per table entry, rows of shared flat tables (see berti.py): the current
+ * page and observation total, the in-page offsets of the recent accesses,
+ * the delta counters in SPP's pattern-table layout and the confirmed
+ * deltas with their coverage. */
 typedef struct {
-    View page_view, total_view;
+    View views[10];
     int64_t *pages, *totals;
+    int8_t *history, *order, *confirmed;
+    uint8_t *history_len, *order_len, *confirmed_len;
+    int32_t *counts;
+    double *coverage;
     long long n, relearn, max_degree;
     double low;
-    int64_t *history; /* n x BertiHistoryDepth, oldest first */
-    uint8_t *history_len;
-    Deltas *hits;
-    Confirmed *confirmed;
-    uint8_t *dirty; /* entries to write back */
     int64_t targets[DELTA_SPAN];
 } Berti;
 
 static int
-berti_load(Berti *b, PyObject *obj)
+in_range(const int8_t *values, int count, int lo, int hi)
+{
+    for (int i = 0; i < count; i++) {
+        if (values[i] < lo || values[i] > hi)
+            return 0;
+    }
+    return 1;
+}
+
+static int
+berti_bind(Berti *b, PyObject *obj)
 {
     if (get_ll(obj, S_table_entries, &b->n) < 0
         || get_ll(obj, S_relearn_interval, &b->relearn) < 0
@@ -1339,97 +1073,75 @@ berti_load(Berti *b, PyObject *obj)
         PyErr_SetString(PyExc_ValueError, "Berti needs at least one table entry");
         return -1;
     }
-    if ((b->pages = attr_ints(&b->page_view, obj, S__page_buf, 8, b->n, "Berti _page_buf")) == NULL
-        || (b->totals = attr_ints(&b->total_view, obj, S__total_buf, 8, b->n,
-                                  "Berti _total_buf")) == NULL
-        || (b->history = mem_calloc(b->n * BertiHistoryDepth, sizeof(int64_t))) == NULL
-        || (b->history_len = mem_calloc(b->n, 1)) == NULL
-        || (b->hits = mem_calloc(b->n, sizeof(Deltas))) == NULL
-        || (b->confirmed = mem_calloc(b->n, sizeof(Confirmed))) == NULL
-        || (b->dirty = mem_calloc(b->n, 1)) == NULL)
+    View *v = b->views;
+    Py_ssize_t n = b->n, rows = b->n * DELTA_SPAN;
+    if ((b->pages = state_array(v++, obj, S__pages, 'q', n, "Berti")) == NULL
+        || (b->totals = state_array(v++, obj, S__totals, 'q', n, "Berti")) == NULL
+        || (b->history = state_array(v++, obj, S__history, 'b', n * BertiHistoryDepth,
+                                     "Berti")) == NULL
+        || (b->history_len = state_array(v++, obj, S__history_lengths, 'B', n, "Berti")) == NULL
+        || (b->counts = state_array(v++, obj, S__delta_counts, 'i', rows, "Berti")) == NULL
+        || (b->order = state_array(v++, obj, S__delta_order, 'b', rows, "Berti")) == NULL
+        || (b->order_len = state_array(v++, obj, S__delta_lengths, 'B', n, "Berti")) == NULL
+        || (b->confirmed = state_array(v++, obj, S__confirmed_deltas, 'b', rows, "Berti")) == NULL
+        || (b->coverage = state_array(v++, obj, S__confirmed_coverage, 'd', rows, "Berti")) == NULL
+        || (b->confirmed_len = state_array(v++, obj, S__confirmed_lengths, 'B', n, "Berti")) == NULL)
         return -1;
-    int rc = -1;
-    PyObject *histories = attr_exact(obj, S__histories, &PyList_Type, b->n);
-    PyObject *hits = histories ? attr_exact(obj, S__delta_hits, &PyList_Type, b->n) : NULL;
-    PyObject *confirmed = hits ? attr_exact(obj, S__confirmed, &PyList_Type, b->n) : NULL;
-    if (confirmed == NULL)
-        goto done;
-    for (Py_ssize_t key = 0; key < b->n; key++) {
-        PyObject *history = PyList_GET_ITEM(histories, key);
-        PyObject *deltas = PyList_GET_ITEM(confirmed, key);
-        if (!PyList_CheckExact(history) || PyList_GET_SIZE(history) > BertiHistoryDepth
-            || !PyList_CheckExact(deltas) || PyList_GET_SIZE(deltas) > DELTA_SPAN) {
-            PyErr_SetString(PyExc_ValueError, "Berti history or confirmed list out of range");
-            goto done;
-        }
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(history); i++) {
-            long long block;
-            if (as_ll(PyList_GET_ITEM(history, i), &block) < 0)
-                goto done;
-            if ((block >> 6) != b->pages[key]) {
-                PyErr_SetString(PyExc_ValueError, "Berti history leaves its page");
-                goto done;
-            }
-            b->history[key * BertiHistoryDepth + i] = block;
-        }
-        b->history_len[key] = (uint8_t)PyList_GET_SIZE(history);
-        if (deltas_load(&b->hits[key], PyList_GET_ITEM(hits, key)) < 0)
-            goto done;
-        Confirmed *c = &b->confirmed[key];
-        if (grow(&c->delta, (void **)&c->coverage, sizeof(double), &c->cap,
-                 (int)PyList_GET_SIZE(deltas)) < 0)
-            goto done;
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(deltas); i++) {
-            long long delta;
-            double coverage;
-            if (!PyArg_ParseTuple(PyList_GET_ITEM(deltas, i), "Ld", &delta, &coverage)
-                || !delta_in_page(delta))
-                goto done;
-            c->delta[c->len] = (int8_t)delta;
-            c->coverage[c->len++] = coverage;
+    /* Every length, offset and delta is used as an index. */
+    for (Py_ssize_t key = 0; key < n; key++) {
+        int ok = b->history_len[key] <= BertiHistoryDepth && b->order_len[key] < DELTA_SPAN
+                 && b->confirmed_len[key] < DELTA_SPAN
+                 && in_range(b->history + key * BertiHistoryDepth, b->history_len[key], 0, 63)
+                 && in_range(b->order + key * DELTA_SPAN, b->order_len[key], -63, 63)
+                 && in_range(b->confirmed + key * DELTA_SPAN, b->confirmed_len[key], -63, 63);
+        if (!ok) {
+            PyErr_SetString(PyExc_ValueError, "Berti state out of range");
+            return -1;
         }
     }
-    rc = 0;
-done:
-    Py_XDECREF(histories);
-    Py_XDECREF(hits);
-    Py_XDECREF(confirmed);
-    return rc;
+    return 0;
 }
 
-/* _promote_deltas: the confirmed list from the counters, then aging. */
-static int
+/* _promote_deltas: the confirmed deltas from the counters, then aging. */
+static void
 berti_promote(Berti *b, int64_t key, int64_t total)
 {
-    Deltas *d = &b->hits[key];
-    Confirmed *c = &b->confirmed[key];
-    c->len = 0;
+    int32_t *counts = b->counts + key * DELTA_SPAN;
+    int8_t *order = b->order + key * DELTA_SPAN, *deltas = b->confirmed + key * DELTA_SPAN;
+    double *coverage = b->coverage + key * DELTA_SPAN;
+    int len = b->order_len[key], kept = 0;
     if (total > 0) {
-        if (grow(&c->delta, (void **)&c->coverage, sizeof(double), &c->cap, d->len) < 0)
-            return -1;
-        for (int i = 0; i < d->len; i++) {
-            double coverage = (double)d->count[i] / (double)total;
-            if (coverage >= b->low) {
-                c->delta[c->len] = d->delta[i];
-                c->coverage[c->len++] = coverage < 1.0 ? coverage : 1.0;
+        for (int i = 0; i < len; i++) {
+            double share = (double)counts[order[i] + 63] / (double)total;
+            if (share >= b->low) {
+                deltas[kept] = order[i];
+                coverage[kept++] = share < 1.0 ? share : 1.0;
             }
         }
     }
     /* Stable sort by descending coverage. */
-    for (int i = 1; i < c->len; i++) {
-        int8_t delta = c->delta[i];
-        double coverage = c->coverage[i];
+    for (int i = 1; i < kept; i++) {
+        int8_t delta = deltas[i];
+        double share = coverage[i];
         int j = i;
-        for (; j > 0 && c->coverage[j - 1] < coverage; j--) {
-            c->delta[j] = c->delta[j - 1];
-            c->coverage[j] = c->coverage[j - 1];
+        for (; j > 0 && coverage[j - 1] < share; j--) {
+            deltas[j] = deltas[j - 1];
+            coverage[j] = coverage[j - 1];
         }
-        c->delta[j] = delta;
-        c->coverage[j] = coverage;
+        deltas[j] = delta;
+        coverage[j] = share;
     }
-    deltas_halve(d);
+    b->confirmed_len[key] = (uint8_t)kept;
+    /* Halve each count, dropping the deltas that reach 0. */
+    kept = 0;
+    for (int i = 0; i < len; i++) {
+        int32_t *count = &counts[order[i] + 63];
+        *count /= 2;
+        if (*count)
+            order[kept++] = order[i];
+    }
+    b->order_len[key] = (uint8_t)kept;
     b->totals[key] = py_half(total);
-    return 0;
 }
 
 /* One access; leaves the target addresses in b->targets and returns their
@@ -1438,8 +1150,7 @@ static Py_ssize_t
 berti_step(Berti *b, int64_t pc, int64_t vaddr)
 {
     int64_t key = py_mod(pc, b->n), block = vaddr >> 6, page = vaddr >> 12;
-    int64_t *history = b->history + key * BertiHistoryDepth;
-    b->dirty[key] = 1;
+    int8_t offset = (int8_t)(block & 63), *history = b->history + key * BertiHistoryDepth;
     if (b->pages[key] != page) {
         /* New page for this PC: the local-delta history restarts. */
         b->pages[key] = page;
@@ -1448,120 +1159,55 @@ berti_step(Berti *b, int64_t pc, int64_t vaddr)
     int64_t total = b->totals[key];
     int len = b->history_len[key];
     if (len) {
+        int32_t *counts = b->counts + key * DELTA_SPAN;
+        int8_t *order = b->order + key * DELTA_SPAN;
         uint64_t seen[2] = {0, 0};
         for (int i = 0; i < len; i++) {
-            int64_t delta = block - history[i];
+            int delta = offset - history[i];
             if (delta == 0)
                 continue;
-            int at = (int)delta + 63;
+            int at = delta + 63;
             if ((seen[at >> 6] >> (at & 63)) & 1)
                 continue;
             seen[at >> 6] |= (uint64_t)1 << (at & 63);
-            if (deltas_bump(&b->hits[key], delta) < 0)
-                return -1;
+            if (counts[at]++ == 0)
+                order[b->order_len[key]++] = (int8_t)delta;
         }
         total += 1;
     }
     if (len == BertiHistoryDepth) {
-        memmove(history, history + 1, (len - 1) * sizeof(int64_t));
-        history[len - 1] = block;
+        memmove(history, history + 1, len - 1);
+        history[len - 1] = offset;
     }
     else {
-        history[len] = block;
+        history[len] = offset;
         b->history_len[key] = (uint8_t)(len + 1);
     }
-    if (total >= b->relearn) {
-        if (berti_promote(b, key, total) < 0)
-            return -1;
-    }
-    else {
+    if (total >= b->relearn)
+        berti_promote(b, key, total);
+    else
         b->totals[key] = total;
-    }
 
     /* confirmed[:max_prefetch_degree] */
-    Confirmed *c = &b->confirmed[key];
-    long long limit = b->max_degree >= 0 ? b->max_degree : c->len + b->max_degree;
-    if (limit > c->len)
-        limit = c->len;
+    const int8_t *confirmed = b->confirmed + key * DELTA_SPAN;
+    long long len_confirmed = b->confirmed_len[key];
+    long long limit = b->max_degree >= 0 ? b->max_degree : len_confirmed + b->max_degree;
+    if (limit > len_confirmed)
+        limit = len_confirmed;
     Py_ssize_t count = 0;
     for (long long i = 0; i < limit; i++) {
-        int64_t target = block + c->delta[i];
+        int64_t target = block + confirmed[i];
         if (target > 0 && block_address(target, &b->targets[count++]) < 0)
             return -1;
     }
     return count;
 }
 
-static int
-berti_write_back(Berti *b, PyObject *obj)
-{
-    int rc = -1;
-    PyObject *histories = PyObject_GetAttr(obj, S__histories);
-    PyObject *hits = histories ? PyObject_GetAttr(obj, S__delta_hits) : NULL;
-    PyObject *confirmed = hits ? PyObject_GetAttr(obj, S__confirmed) : NULL;
-    if (confirmed == NULL)
-        goto done;
-    for (Py_ssize_t key = 0; key < b->n; key++) {
-        if (!b->dirty[key])
-            continue;
-        int len = b->history_len[key];
-        PyObject *blocks = PyList_New(len);
-        for (int i = 0; blocks != NULL && i < len; i++) {
-            PyObject *block = PyLong_FromLongLong(b->history[key * BertiHistoryDepth + i]);
-            if (block == NULL)
-                Py_CLEAR(blocks);
-            else
-                PyList_SET_ITEM(blocks, i, block);
-        }
-        Confirmed *c = &b->confirmed[key];
-        PyObject *deltas = blocks ? PyList_New(c->len) : NULL;
-        for (int i = 0; deltas != NULL && i < c->len; i++) {
-            PyObject *item = Py_BuildValue("(id)", (int)c->delta[i], c->coverage[i]);
-            if (item == NULL)
-                Py_CLEAR(deltas);
-            else
-                PyList_SET_ITEM(deltas, i, item);
-        }
-        PyObject *counts = deltas ? deltas_dict(&b->hits[key]) : NULL;
-        PyObject *history = PyList_GET_ITEM(histories, key);
-        int ok = counts != NULL
-                 && PyList_SetSlice(history, 0, PY_SSIZE_T_MAX, blocks) == 0
-                 && PyList_SetItem(hits, key, Py_NewRef(counts)) == 0
-                 && PyList_SetItem(confirmed, key, Py_NewRef(deltas)) == 0;
-        Py_XDECREF(blocks);
-        Py_XDECREF(deltas);
-        Py_XDECREF(counts);
-        if (!ok)
-            goto done;
-    }
-    rc = 0;
-done:
-    Py_XDECREF(histories);
-    Py_XDECREF(hits);
-    Py_XDECREF(confirmed);
-    return rc;
-}
-
 static void
 berti_release(Berti *b)
 {
-    view_release(&b->page_view);
-    view_release(&b->total_view);
-    for (long long key = 0; b->hits != NULL && key < b->n; key++)
-        deltas_free(&b->hits[key]);
-    for (long long key = 0; b->confirmed != NULL && key < b->n; key++) {
-        PyMem_Free(b->confirmed[key].delta);
-        PyMem_Free(b->confirmed[key].coverage);
-    }
-    PyMem_Free(b->history);
-    PyMem_Free(b->history_len);
-    PyMem_Free(b->hits);
-    PyMem_Free(b->confirmed);
-    PyMem_Free(b->dirty);
-    b->history = NULL;
-    b->history_len = b->dirty = NULL;
-    b->hits = NULL;
-    b->confirmed = NULL;
+    for (int i = 0; i < 10; i++)
+        view_release(&b->views[i]);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1574,22 +1220,21 @@ typedef struct {
     double confidence;
 } Prediction;
 
-/* The pattern table is SPPPrefetcher's own flat arrays, used in place; the
- * signature FIFO is copied in and written back. */
+/* SPPPrefetcher's signature FIFO and pattern table, used in place. */
 typedef struct {
-    View views[6];
+    View views[7];
     uint8_t *counts, *lengths, *totals, *best_count; /* best_count 0: no memo */
     int8_t *deltas, *best_delta;
     long long m, max_depth;
     double lookahead_confidence, l2_fill_confidence;
-    OrderedKeys signatures; /* page FIFO, oldest first */
-    int64_t *packed;        /* per signature slot: (signature << 6) | offset */
+    Fifo signatures; /* the page FIFO */
+    int64_t *packed; /* per signature slot: (signature << 6) | offset */
     long long lookahead_prefetches;
     Prediction *predictions;
 } SPP;
 
 static int
-spp_load(SPP *p, PyObject *obj)
+spp_bind(SPP *p, PyObject *obj)
 {
     long long cap;
     if (get_ll(obj, S_signature_table_entries, &cap) < 0
@@ -1610,42 +1255,19 @@ spp_load(SPP *p, PyObject *obj)
         || (p->totals = state_array(v++, obj, S__pattern_totals, 'B', p->m, "SPP")) == NULL
         || (p->best_delta = state_array(v++, obj, S__pattern_best_delta, 'b', p->m, "SPP")) == NULL
         || (p->best_count = state_array(v++, obj, S__pattern_best_count, 'B', p->m, "SPP")) == NULL
-        || keys_init(&p->signatures, (Py_ssize_t)cap) < 0
-        || (p->packed = mem_calloc(cap, sizeof(int64_t))) == NULL
+        || (p->packed = state_array(v++, obj, S__signature_packed, 'q', cap, "SPP")) == NULL
+        || fifo_bind(&p->signatures, obj, S__signatures, cap, "SPP") < 0
         || (p->predictions = mem_calloc(p->max_depth, sizeof(Prediction))) == NULL)
         return -1;
-    int rc = -1;
-    PyObject *signatures = attr_exact(obj, S__signatures, &PyDict_Type, -1);
-    PyObject *order = signatures ? attr_exact(obj, S__signature_order, &PyList_Type,
-                                              PyDict_GET_SIZE(signatures)) : NULL;
-    if (order == NULL)
-        goto done;
-    if (PyList_GET_SIZE(order) > cap) {
-        PyErr_SetString(PyExc_ValueError, "SPP holds more signatures than its table");
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(order); i++) {
-        PyObject *page_obj = PyList_GET_ITEM(order, i);
-        PyObject *packed = PyDict_GetItemWithError(signatures, page_obj);
-        long long page, value;
-        if (packed == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "SPP signature order and table differ");
-            goto done;
+    /* Every length and delta is used as an index. */
+    for (Py_ssize_t key = 0; key < p->m; key++) {
+        if (p->lengths[key] >= DELTA_SPAN
+            || !in_range(p->deltas + key * DELTA_SPAN, p->lengths[key], -63, 63)) {
+            PyErr_SetString(PyExc_ValueError, "SPP state out of range");
+            return -1;
         }
-        if (as_ll(page_obj, &page) < 0 || as_ll(packed, &value) < 0)
-            goto done;
-        if (keys_find(&p->signatures, page) >= 0) {
-            PyErr_SetString(PyExc_ValueError, "SPP signature order repeats a page");
-            goto done;
-        }
-        p->packed[keys_append(&p->signatures, page)] = value;
     }
-    rc = 0;
-done:
-    Py_XDECREF(signatures);
-    Py_XDECREF(order);
-    return rc;
+    return 0;
 }
 
 static inline uint64_t
@@ -1660,9 +1282,9 @@ static Py_ssize_t
 spp_step(SPP *p, int64_t block)
 {
     int64_t page = block >> 6, offset = block & 0x3F;
-    Py_ssize_t slot = keys_find(&p->signatures, page);
+    Py_ssize_t slot = index_find(&p->signatures.index, page);
     if (slot < 0) {
-        p->packed[keys_push(&p->signatures, page)] = offset; /* signature 0 */
+        p->packed[fifo_push(&p->signatures, page)] = offset; /* signature 0 */
         return 0;
     }
     int64_t packed = p->packed[slot];
@@ -1736,44 +1358,13 @@ spp_step(SPP *p, int64_t block)
     return count;
 }
 
-/* Hand the signature FIFO back to its dict and order list. */
-static int
-spp_write_back(SPP *p, PyObject *obj)
-{
-    int rc = -1;
-    PyObject *signatures = PyObject_GetAttr(obj, S__signatures);
-    PyObject *order = signatures ? PyObject_GetAttr(obj, S__signature_order) : NULL;
-    PyObject *pages = order ? PyList_New(0) : NULL;
-    if (pages == NULL)
-        goto done;
-    PyDict_Clear(signatures);
-    for (Py_ssize_t slot = p->signatures.head; slot >= 0; slot = p->signatures.next[slot]) {
-        PyObject *page = PyLong_FromLongLong(p->signatures.keys[slot]);
-        PyObject *packed = page ? PyLong_FromLongLong(p->packed[slot]) : NULL;
-        int ok = packed && PyDict_SetItem(signatures, page, packed) == 0
-                 && PyList_Append(pages, page) == 0;
-        Py_XDECREF(page);
-        Py_XDECREF(packed);
-        if (!ok)
-            goto done;
-    }
-    rc = PyList_SetSlice(order, 0, PY_SSIZE_T_MAX, pages);
-done:
-    Py_XDECREF(signatures);
-    Py_XDECREF(order);
-    Py_XDECREF(pages);
-    return rc;
-}
-
 static void
 spp_release(SPP *p)
 {
-    for (int i = 0; i < 6; i++)
+    for (int i = 0; i < 7; i++)
         view_release(&p->views[i]);
-    keys_free(&p->signatures);
-    PyMem_Free(p->packed);
+    fifo_release(&p->signatures);
     PyMem_Free(p->predictions);
-    p->packed = NULL;
     p->predictions = NULL;
 }
 
@@ -1793,7 +1384,7 @@ typedef struct {
 } PPF;
 
 static int
-ppf_load(PPF *p, PyObject *obj)
+ppf_bind(PPF *p, PyObject *obj)
 {
     long long bits;
     if (get_ll(obj, S_table_entries, &p->entries) < 0 || get_ll(obj, S__index_bits, &bits) < 0
@@ -1804,8 +1395,7 @@ ppf_load(PPF *p, PyObject *obj)
         return -1;
     }
     p->bits = (int)bits;
-    p->weights = attr_ints(&p->view, obj, S__weights, 4, PPF_FEATURES * p->entries,
-                           "PPF _weights");
+    p->weights = state_array(&p->view, obj, S__weights, 'i', PPF_FEATURES * p->entries, "PPF");
     return p->weights == NULL ? -1 : 0;
 }
 
@@ -1863,60 +1453,108 @@ ppf_flush(PPF *p, PyObject *obj)
 /* The Table I features, shared by FLP/Hermes (virtual addresses) and SLP
  * (physical addresses). */
 #define NUM_FEATURES 5
-#define PC_HISTORY 4
 
+/* A FeatureHistory's page buffer (an LRU set of pages: shared keys, last-use
+ * stamps and clock, with a private recency list) and its last PCs. */
 typedef struct {
-    PyObject *obj;     /* the FeatureHistory */
-    OrderedKeys pages; /* the page buffer, least recent first */
-    int64_t pcs[PC_HISTORY];
-    int npcs;
+    View views[5];
+    KeyIndex pages;
+    int64_t *stamps, *clock;
+    Py_ssize_t cap, fill;                /* occupied slots: a prefix of ``fill`` */
+    Py_ssize_t *prev, *next, head, tail; /* occupied slots, least recent first */
+    int64_t *pcs, *npcs;                 /* the last PCs, oldest first; their count */
+    Py_ssize_t pc_window;
 } History;
 
-/* Copy a FeatureHistory's page buffer and last-4 PCs. */
+typedef struct {
+    int64_t stamp;
+    Py_ssize_t slot;
+} Use;
+
 static int
-history_load(History *h, PyObject *obj)
+use_order(const void *a, const void *b)
 {
-    long long capacity, pc_window;
-    h->obj = Py_NewRef(obj);
-    if (get_ll(obj, S_page_buffer_entries, &capacity) < 0
-        || get_ll(obj, S_pc_history_length, &pc_window) < 0)
+    const Use *x = a, *y = b;
+    if (x->stamp != y->stamp)
+        return x->stamp < y->stamp ? -1 : 1;
+    return (x->slot > y->slot) - (x->slot < y->slot);
+}
+
+static inline void
+lru_link_tail(History *h, Py_ssize_t slot)
+{
+    h->prev[slot] = h->tail;
+    h->next[slot] = -1;
+    if (h->tail >= 0)
+        h->next[h->tail] = slot;
+    else
+        h->head = slot;
+    h->tail = slot;
+}
+
+static inline void
+lru_unlink(History *h, Py_ssize_t slot)
+{
+    Py_ssize_t before = h->prev[slot], after = h->next[slot];
+    if (before >= 0)
+        h->next[before] = after;
+    else
+        h->head = after;
+    if (after >= 0)
+        h->prev[after] = before;
+    else
+        h->tail = before;
+}
+
+/* Bind a FeatureHistory's arrays (in place) and order its occupied slots
+ * by last use. */
+static int
+history_bind(History *h, PyObject *obj)
+{
+    long long cap;
+    if (get_ll(obj, S_page_buffer_entries, &cap) < 0)
         return -1;
-    if (capacity < 1 || pc_window != PC_HISTORY) {
-        PyErr_SetString(PyExc_ValueError, "feature history outside the modelled shape");
+    if (cap < 1) {
+        PyErr_SetString(PyExc_ValueError, "the page buffer needs at least one entry");
         return -1;
     }
-    if (keys_init(&h->pages, (Py_ssize_t)capacity) < 0)
+    View *v = h->views;
+    int64_t *keys;
+    if ((keys = state_array(v++, obj, S__pages, 'q', cap, "feature history")) == NULL
+        || (h->stamps = state_array(v++, obj, S__stamps, 'q', cap, "feature history")) == NULL
+        || (h->clock = state_array(v++, obj, S__clock, 'q', 1, "feature history")) == NULL
+        || (h->npcs = state_array(v++, obj, S__pc_count, 'q', 1, "feature history")) == NULL
+        || (h->pcs = state_array(v, obj, S__pcs, 'q', -1, "feature history")) == NULL
+        || index_init(&h->pages, keys, (Py_ssize_t)cap, "feature history") < 0)
         return -1;
-    int rc = -1;
-    PyObject *buffer = PyObject_GetAttr(obj, S__page_buffer);
-    PyObject *pages = buffer ? PySequence_List(buffer) : NULL;
-    PyObject *pcs_obj = pages ? PyObject_GetAttr(obj, S__pc_history) : NULL;
-    PyObject *pcs = pcs_obj ? PySequence_List(pcs_obj) : NULL;
-    if (pcs == NULL)
-        goto done;
-    if (PyList_GET_SIZE(pages) > capacity || PyList_GET_SIZE(pcs) > PC_HISTORY) {
-        PyErr_SetString(PyExc_ValueError, "feature history exceeds its capacity");
-        goto done;
+    h->pc_window = v->view.shape[0];
+    h->cap = (Py_ssize_t)cap;
+    for (h->fill = 0; h->fill < h->cap && keys[h->fill] != -1; h->fill++)
+        ;
+    for (Py_ssize_t slot = h->fill; slot < h->cap; slot++) {
+        if (keys[slot] != -1) {
+            PyErr_SetString(PyExc_ValueError, "page buffer slots in use are not a prefix");
+            return -1;
+        }
     }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(pages); i++) {
-        long long page;
-        if (as_ll(PyList_GET_ITEM(pages, i), &page) < 0)
-            goto done;
-        keys_append(&h->pages, page);
+    if (*h->npcs < 0 || *h->npcs > h->pc_window) {
+        PyErr_SetString(PyExc_ValueError, "PC history count out of range");
+        return -1;
     }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(pcs); i++) {
-        long long pc;
-        if (as_ll(PyList_GET_ITEM(pcs, i), &pc) < 0)
-            goto done;
-        h->pcs[h->npcs++] = pc;
+    Use *uses = mem_calloc(h->fill, sizeof(Use));
+    if (uses == NULL || (h->prev = mem_calloc(h->cap, sizeof(Py_ssize_t))) == NULL
+        || (h->next = mem_calloc(h->cap, sizeof(Py_ssize_t))) == NULL) {
+        PyMem_Free(uses);
+        return -1;
     }
-    rc = 0;
-done:
-    Py_XDECREF(buffer);
-    Py_XDECREF(pages);
-    Py_XDECREF(pcs_obj);
-    Py_XDECREF(pcs);
-    return rc;
+    for (Py_ssize_t slot = 0; slot < h->fill; slot++)
+        uses[slot] = (Use){h->stamps[slot], slot};
+    qsort(uses, (size_t)h->fill, sizeof(Use), use_order);
+    h->head = h->tail = -1;
+    for (Py_ssize_t i = 0; i < h->fill; i++)
+        lru_link_tail(h, uses[i].slot);
+    PyMem_Free(uses);
+    return 0;
 }
 
 /* The Table I feature values of an access at (pc, addr), as the extractors
@@ -1925,12 +1563,12 @@ static void
 history_step(History *h, int64_t pc, int64_t addr, uint64_t *values)
 {
     int64_t page = addr >> 12;
-    Py_ssize_t slot = keys_find(&h->pages, page);
+    Py_ssize_t slot = index_find(&h->pages, page), npcs = (Py_ssize_t)*h->npcs;
     uint64_t first = slot < 0, offset = ((uint64_t)addr >> 6) & 63;
     uint64_t pcs_hash = 0;
-    if (h->npcs) {
+    if (npcs) {
         pcs_hash = 0x9E3779B9ull;
-        for (int i = 0; i < h->npcs; i++)
+        for (Py_ssize_t i = 0; i < npcs; i++)
             pcs_hash = hash_step(pcs_hash, (uint64_t)h->pcs[i]);
     }
     values[0] = (uint64_t)pc ^ (offset << 2);
@@ -1939,53 +1577,43 @@ history_step(History *h, int64_t pc, int64_t addr, uint64_t *values)
     values[3] = hash_pair(offset, first);
     values[4] = pcs_hash;
 
-    if (slot >= 0)
-        keys_move_to_end(&h->pages, slot);
-    else
-        keys_push(&h->pages, page);
-    if (h->npcs == PC_HISTORY) {
-        memmove(h->pcs, h->pcs + 1, (PC_HISTORY - 1) * sizeof(int64_t));
-        h->pcs[PC_HISTORY - 1] = pc;
+    if (slot >= 0) {
+        lru_unlink(h, slot);
     }
     else {
-        h->pcs[h->npcs++] = pc;
+        /* The first free slot, else the least recently used page's. */
+        if (h->fill < h->cap) {
+            slot = h->fill++;
+        }
+        else {
+            slot = h->head;
+            lru_unlink(h, slot);
+            index_remove(&h->pages, slot);
+        }
+        h->pages.keys[slot] = page;
+        index_add(&h->pages, slot);
+    }
+    lru_link_tail(h, slot);
+    h->stamps[slot] = ++*h->clock;
+    if (npcs < h->pc_window) {
+        h->pcs[npcs] = pc;
+        *h->npcs = npcs + 1;
+    }
+    else if (npcs) {
+        memmove(h->pcs, h->pcs + 1, (npcs - 1) * sizeof(int64_t));
+        h->pcs[npcs - 1] = pc;
     }
 }
 
-/* Hand the page buffer (in LRU order) and the PC history back. */
-static int
-history_write_back(History *h)
+static void
+history_release(History *h)
 {
-    int rc = -1;
-    PyObject *buffer = PyObject_GetAttr(h->obj, S__page_buffer);
-    PyObject *pcs = buffer ? PyObject_GetAttr(h->obj, S__pc_history) : NULL;
-    PyObject *recent = pcs ? PyList_New(h->npcs) : NULL;
-    if (recent == NULL || discard(PyObject_CallMethodNoArgs(buffer, S_clear)) < 0)
-        goto done;
-    for (Py_ssize_t slot = h->pages.head; slot >= 0; slot = h->pages.next[slot]) {
-        PyObject *page = PyLong_FromLongLong(h->pages.keys[slot]);
-        int ok = page && PyObject_SetItem(buffer, page, Py_None) == 0;
-        Py_XDECREF(page);
-        if (!ok)
-            goto done;
-    }
-    for (int i = 0; i < h->npcs; i++) {
-        PyObject *pc = PyLong_FromLongLong(h->pcs[i]);
-        if (pc == NULL)
-            goto done;
-        PyList_SET_ITEM(recent, i, pc);
-    }
-    if (discard(PyObject_CallMethodNoArgs(pcs, S_clear)) < 0
-        || discard(PyObject_CallMethodOneArg(pcs, S_extend, recent)) < 0
-        || PyObject_SetAttr(h->obj, S__pcs_tuple, Py_None) < 0
-        || PyObject_SetAttr(h->obj, S__pcs_hash, Py_None) < 0)
-        goto done;
-    rc = 0;
-done:
-    Py_XDECREF(buffer);
-    Py_XDECREF(pcs);
-    Py_XDECREF(recent);
-    return rc;
+    for (int i = 0; i < 5; i++)
+        view_release(&h->views[i]);
+    index_free(&h->pages);
+    PyMem_Free(h->prev);
+    PyMem_Free(h->next);
+    h->prev = h->next = NULL;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2003,7 +1631,7 @@ typedef struct {
 } SLP;
 
 static int
-slp_load(SLP *s, PyObject *obj)
+slp_bind(SLP *s, PyObject *obj)
 {
     PyObject *perceptron = PyObject_GetAttr(obj, S_perceptron);
     if (perceptron == NULL)
@@ -2016,7 +1644,7 @@ slp_load(SLP *s, PyObject *obj)
     PyObject *history = PyObject_GetAttr(obj, S_history);
     if (history == NULL)
         return -1;
-    int rc = history_load(&s->history, history);
+    int rc = history_bind(&s->history, history);
     Py_DECREF(history);
     return rc;
 }
@@ -2063,7 +1691,7 @@ static void
 slp_release(SLP *s)
 {
     perceptron_release(&s->p);
-    keys_free(&s->history.pages);
+    history_release(&s->history);
 }
 
 /* ------------------------------------------------------------------ */
@@ -3123,23 +2751,7 @@ end_chunk(Stepper *s)
     return rc;
 }
 
-/* Hand the flat component state back to its Python containers. */
-static int
-write_back_components(Stepper *s)
-{
-    if (s->predictor_kind != PK_NULL && history_write_back(&s->history) < 0)
-        return -1;
-    if (s->prefetch_kind == PF_IPCP && ipcp_write_back(&s->ipcp, s->prefetcher) < 0)
-        return -1;
-    if (s->prefetch_kind == PF_BERTI && berti_write_back(&s->berti, s->prefetcher) < 0)
-        return -1;
-    if (s->have_spp && spp_write_back(&s->spp, s->l2_prefetcher) < 0)
-        return -1;
-    return s->have_slp ? history_write_back(&s->slp.history) : 0;
-}
-
-/* Write the core runner's and the components' state back (end of the
- * trace). */
+/* Write the core runner's state back (end of the trace). */
 static int
 finish(Stepper *s)
 {
@@ -3168,8 +2780,7 @@ finish(Stepper *s)
         && add_attr(s->runner, S_instructions, s->instructions) == 0
         && add_attr(s->runner, S_loads, s->loads) == 0
         && add_attr(s->runner, S_stores, s->stores) == 0
-        && PyObject_SetAttr(s->runner, S_total_load_latency, total) == 0
-        && write_back_components(s) == 0)
+        && PyObject_SetAttr(s->runner, S_total_load_latency, total) == 0)
         rc = 0;
     Py_DECREF(times);
     Py_XDECREF(cleared);
@@ -3363,7 +2974,7 @@ init_predictor(Stepper *s, PyObject *predictor)
     PyObject *history = PyObject_GetAttr(predictor, S_history);
     if (history == NULL)
         return -1;
-    bound = history_load(&s->history, history);
+    bound = history_bind(&s->history, history);
     Py_DECREF(history);
     if (bound < 0)
         return -1;
@@ -3455,7 +3066,7 @@ done:
     return rc;
 }
 
-/* Bind the prefetch path: flat copies of the components' state. */
+/* Bind the prefetch path's components (their state in place). */
 static int
 init_prefetch(Stepper *s, PyObject *h)
 {
@@ -3472,11 +3083,11 @@ init_prefetch(Stepper *s, PyObject *h)
     s->have_spp = s->l2_prefetcher != Py_None;
     s->have_ppf = s->l2_filter != Py_None;
     s->have_slp = s->l1_filter != Py_None;
-    if ((s->prefetch_kind == PF_IPCP && ipcp_load(&s->ipcp, s->prefetcher) < 0)
-        || (s->prefetch_kind == PF_BERTI && berti_load(&s->berti, s->prefetcher) < 0)
-        || (s->have_spp && spp_load(&s->spp, s->l2_prefetcher) < 0)
-        || (s->have_ppf && ppf_load(&s->ppf, s->l2_filter) < 0)
-        || (s->have_slp && slp_load(&s->slp, s->l1_filter) < 0))
+    if ((s->prefetch_kind == PF_IPCP && ipcp_bind(&s->ipcp, s->prefetcher) < 0)
+        || (s->prefetch_kind == PF_BERTI && berti_bind(&s->berti, s->prefetcher) < 0)
+        || (s->have_spp && spp_bind(&s->spp, s->l2_prefetcher) < 0)
+        || (s->have_ppf && ppf_bind(&s->ppf, s->l2_filter) < 0)
+        || (s->have_slp && slp_bind(&s->slp, s->l1_filter) < 0))
         return -1;
     return 0;
 }
@@ -3489,7 +3100,7 @@ release_components(Stepper *s)
     spp_release(&s->spp);
     view_release(&s->ppf.view);
     slp_release(&s->slp);
-    keys_free(&s->history.pages);
+    history_release(&s->history);
     frames_free(&s->pages);
 }
 
@@ -3594,8 +3205,6 @@ stepper_traverse(Stepper *s, visitproc visit, void *arg)
 #undef VISIT_CACHE
     Py_VISIT(s->flp.stats);
     Py_VISIT(s->slp.p.stats);
-    Py_VISIT(s->slp.history.obj);
-    Py_VISIT(s->history.obj);
     Py_VISIT(s->pages.obj);
     Py_VISIT(s->pages.mapping);
     Py_VISIT(s->pages.allocated);
@@ -3615,8 +3224,6 @@ stepper_clear(Stepper *s)
 #undef CLEAR_CACHE
     Py_CLEAR(s->flp.stats);
     Py_CLEAR(s->slp.p.stats);
-    Py_CLEAR(s->slp.history.obj);
-    Py_CLEAR(s->history.obj);
     Py_CLEAR(s->pages.obj);
     Py_CLEAR(s->pages.mapping);
     Py_CLEAR(s->pages.allocated);

@@ -9,10 +9,10 @@ record.  The batch core runs the same steps for a whole trace in C
 
 1. **History replay in the kernel** -- at each demand access the kernel
    computes the off-chip predictor's five Table I feature values (the
-   page-buffer first-access bit, the PC/offset XORs and the last-4-PC hash)
-   and their Jenkins/folded-XOR weight-table indices from a C copy of the
-   predictor's :class:`FeatureHistory`, then observes the access, exactly
-   as ``context()``/``observe()`` do.  SLP's history runs on the same C
+   page-buffer first-access bit, the PC/offset XORs and the last-PC hash)
+   and their Jenkins/folded-XOR weight-table indices from the predictor's
+   :class:`FeatureHistory`, then observes the access, exactly as
+   ``context()``/``observe()`` do.  SLP's history runs on the same C
    helper over its prefetch candidates.
 
 2. **Compiled fused loop** -- core dispatch/ROB timing, page translation
@@ -22,13 +22,16 @@ record.  The batch core runs the same steps for a whole trace in C
    L1D/L2C prefetch issue paths and the order-dependent kernels of stock
    IPCP or Berti, SPP, PPF and SLP.  It updates in place the very state the
    scalar reference uses, in the same order with the same arithmetic: the
-   flat arrays of each :class:`Cache`, DRAM ``_busy_until``, SPP's pattern
-   table and every numpy component table through the buffer protocol, and
-   the page table and every stats object as Python objects.  The dict- and
-   list-backed state of the other components and of the feature histories
-   is copied into C tables when the stepper is built and written back when
-   its trace ends.  PPF training on prefetch use and L2C eviction stays a
-   Python call.
+   flat arrays of each :class:`Cache`, DRAM ``_busy_until``, every
+   component's tables (IPCP's IP/CPLX tables and region FIFO, Berti's
+   rows, SPP's signature FIFO and pattern table, the perceptron weights)
+   and the page buffers and PC histories of the feature histories, all
+   through the buffer protocol, and the page table and every stats object
+   as Python objects.  No component state is copied in or written back
+   (only the core runner's timing state is, at the end of the trace); the
+   kernel keeps just private lookup indexes over the shared FIFO and LRU
+   keys, built when a stepper is built.  PPF training on prefetch use and L2C
+   eviction stays a Python call.
 
 3. **Scheduling and fallback** -- :func:`fused_core_stepper` returns the
    kernel's per-core stepper; a multi-core mix interleaves its cores in the
@@ -100,24 +103,19 @@ _PK_FLP = 2
 #: The L1D prefetcher kernel the compiled loop runs, by prefetcher type.
 _PREFETCH_KINDS = {type(None): 0, IPCPPrefetcher: 1, BertiPrefetcher: 2}
 
-#: (label, hierarchy attribute, {modelled type: table sizes that must be
-#: positive}) of each prefetch-path component.
+#: (label, hierarchy attribute, modelled types) of each prefetch-path
+#: component.
 _PREFETCH_PATH = (
-    ("L1D prefetcher", "l1d_prefetcher", {
-        IPCPPrefetcher: ("ip_table_entries", "cplx_table_entries", "region_entries"),
-        BertiPrefetcher: ("table_entries",),
-    }),
-    ("L2 prefetcher", "l2_prefetcher", {
-        SPPPrefetcher: ("signature_table_entries", "pattern_table_entries"),
-    }),
-    ("L2 prefetch filter", "l2_prefetch_filter", {
-        PerceptronPrefetchFilter: ("table_entries",),
-    }),
-    ("L1D prefetch filter", "l1d_prefetch_filter", {SecondLevelPerceptron: ()}),
+    ("L1D prefetcher", "l1d_prefetcher", (IPCPPrefetcher, BertiPrefetcher)),
+    ("L2 prefetcher", "l2_prefetcher", (SPPPrefetcher,)),
+    ("L2 prefetch filter", "l2_prefetch_filter", (PerceptronPrefetchFilter,)),
+    ("L1D prefetch filter", "l1d_prefetch_filter", (SecondLevelPerceptron,)),
 )
 
-#: Per-core components of a hierarchy; the kernel keeps its own copy of
-#: their state while a core runs, so a mix's cores must not share them.
+#: Per-core components of a hierarchy.  While a core runs, the kernel keeps
+#: private state beside theirs (lookup indexes over the FIFO and LRU keys,
+#: the page table's frame cache, chunk-local counters), so a mix's cores
+#: must not share them.
 _PRIVATE_COMPONENTS = (
     "l1d", "l2c", "page_table", "offchip_predictor", "l1d_prefetcher",
     "l2_prefetcher", "l1d_prefetch_filter", "l2_prefetch_filter",
@@ -130,26 +128,20 @@ def _feature_set_reason(label: str, perceptron, history, names) -> Optional[str]
         return f"{label}: non-standard feature set"
     if type(history) is not FeatureHistory:
         return f"{label}: feature history subclass {type(history).__name__}"
-    if history.pc_history_length != 4:
-        return f"{label}: pc_history_length {history.pc_history_length}"
     return None
 
 
 def _prefetch_path_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
     """Why a prefetcher or filter is not one the kernel models, or None.
 
-    The kernel runs stock IPCP or Berti, SPP, PPF and SLP itself, each with
-    non-empty tables; a subclass is never assumed to behave like its base.
+    The kernel runs stock IPCP or Berti, SPP, PPF and SLP itself (their
+    constructors refuse empty tables); a subclass is never assumed to
+    behave like its base.
     """
     for label, name, modelled in _PREFETCH_PATH:
         component = getattr(hierarchy, name)
-        if component is None:
-            continue
-        sizes = modelled.get(type(component))
-        if sizes is None:
+        if component is not None and type(component) not in modelled:
             return f"unmodelled {label} {type(component).__name__}"
-        if any(getattr(component, size) < 1 for size in sizes):
-            return f"{type(component).__name__}: empty table"
     slp = hierarchy.l1d_prefetch_filter
     if slp is None:
         return None
@@ -194,8 +186,8 @@ def mix_unsupported_reasons(
 
     Besides :func:`batch_unsupported_reason`, a core that shares a
     per-core component object with another core runs the scalar reference:
-    each fused core works on its own copy of that component's state, so
-    the copies would drift apart.
+    each fused core keeps private lookup indexes and counters beside that
+    component's state, which the other core's updates would leave stale.
     """
     owners: dict[int, tuple[int, str]] = {}
     shared: dict[int, str] = {}

@@ -114,6 +114,17 @@ def check_invariants(result, hierarchies=()) -> list[str]:
         demand = stats.demand_loads + stats.demand_stores
         if served != demand:
             problems.append(f"core {core_id}: served_by sums to {served}, not {demand}")
+        for level in ("l1d", "l2c"):
+            candidates = getattr(stats, f"{level}_prefetch_candidates")
+            fates = sum(
+                getattr(stats, f"{level}_prefetches_{fate}")
+                for fate in ("dropped_resident", "filtered", "dropped_queue_full", "issued")
+            )
+            if candidates != fates:
+                problems.append(
+                    f"core {core_id}: {level.upper()} prefetch candidates "
+                    f"{candidates} != dropped + filtered + issued {fates}"
+                )
         for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
             c = cache.stats
             if c.demand_hits + c.demand_misses != c.demand_accesses:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,7 @@ from repro.sim import check_invariants, multi_core, native
 from repro.sim.batch import (
     DEFAULT_CHUNK_RECORDS,
     batch_supported,
+    run_core_trace_batched,
     batch_unsupported_reason,
     mix_unsupported_reasons,
     run_single_core_batched,
@@ -128,43 +130,48 @@ def _lru_state(hierarchy: MemoryHierarchy) -> list:
     ]
 
 
+#: The flat state arrays of each kind of component, which the kernel uses in
+#: place.
+IPCP_STATE = (
+    "_ip_buf", "_cplx_buf", "_regions.pages", "_regions.inserted",
+    "_region_touched", "_region_offset", "_region_direction",
+)
+BERTI_STATE = (
+    "_pages", "_totals", "_history", "_history_lengths", "_delta_counts",
+    "_delta_order", "_delta_lengths", "_confirmed_deltas",
+    "_confirmed_coverage", "_confirmed_lengths",
+)
+SPP_STATE = (
+    "_signatures.pages", "_signatures.inserted", "_signature_packed",
+    "_pattern_counts", "_pattern_deltas", "_pattern_lengths",
+    "_pattern_totals", "_pattern_best_delta", "_pattern_best_count",
+)
+HISTORY_STATE = ("_pages", "_stamps", "_clock", "_pcs", "_pc_count")
+
+
+def _arrays(component, names) -> dict:
+    return {name: attrgetter(name)(component).tolist() for name in names}
+
+
 def _component_state(hierarchy: MemoryHierarchy) -> dict:
     """Every prefetcher's, filter's and feature history's full state after a
     run, and the page table's.
 
-    Dicts are listed item by item, so their insertion order counts.  Index
-    memos and SPP's best-delta memo are caches and are left out.
+    Each state array is listed element by element, free slots and entries
+    past a row's length included; dicts are listed item by item, so their
+    insertion order counts.
     """
     state = {}
     prefetcher = hierarchy.l1d_prefetcher
     if isinstance(prefetcher, IPCPPrefetcher):
         state["ipcp"] = (
-            list(prefetcher._regions.items()),
-            list(prefetcher._region_order),
-            prefetcher._ip_buf.tolist(),
-            prefetcher._cplx_buf.tolist(),
-            list(prefetcher.class_counts.items()),
-            prefetcher._last_class,
+            _arrays(prefetcher, IPCP_STATE), list(prefetcher.class_counts.items()),
         )
     elif isinstance(prefetcher, BertiPrefetcher):
-        state["berti"] = (
-            prefetcher._page_buf.tolist(),
-            prefetcher._total_buf.tolist(),
-            prefetcher._histories,
-            [list(hits.items()) for hits in prefetcher._delta_hits],
-            prefetcher._confirmed,
-        )
+        state["berti"] = _arrays(prefetcher, BERTI_STATE)
     spp = hierarchy.l2_prefetcher
     if spp is not None:
-        state["spp"] = (
-            list(spp._signatures.items()),
-            list(spp._signature_order),
-            spp._pattern_counts.tolist(),
-            spp._pattern_deltas.tolist(),
-            spp._pattern_lengths.tolist(),
-            spp._pattern_totals.tolist(),
-            spp.lookahead_prefetches,
-        )
+        state["spp"] = (_arrays(spp, SPP_STATE), spp.lookahead_prefetches)
     ppf = hierarchy.l2_prefetch_filter
     if ppf is not None:
         state["ppf"] = (
@@ -175,19 +182,16 @@ def _component_state(hierarchy: MemoryHierarchy) -> dict:
         state["slp"] = (
             slp.perceptron._weights.tolist(),
             dataclasses.asdict(slp.perceptron.stats),
-            list(slp.history._page_buffer),
-            list(slp.history._pc_history),
+            _arrays(slp.history, HISTORY_STATE),
             slp.consultations,
             slp.issued,
             slp.discarded,
         )
     perceptron = getattr(hierarchy.offchip_predictor, "perceptron", None)
     if perceptron is not None:
-        history = hierarchy.offchip_predictor.history
         state["offchip"] = (
             perceptron._weights.tolist(), dataclasses.asdict(perceptron.stats),
-            list(history._page_buffer),
-            list(history._pc_history),
+            _arrays(hierarchy.offchip_predictor.history, HISTORY_STATE),
         )
     state["page_table"] = _page_table_state(hierarchy.page_table)
     return state
@@ -290,7 +294,14 @@ STATE_CASES = {
     "small-page-buffer": lambda: _tlp_hierarchy(
         IPCPPrefetcher(), page_buffer_entries=SMALL_PAGE_BUFFER
     ),
+    # The kernel hashes as many PCs as SLP's history holds.
+    "slp-pc-history-3": lambda: _short_pc_history(_tlp_hierarchy(BertiPrefetcher())),
 }
+
+
+def _short_pc_history(hierarchy: MemoryHierarchy) -> MemoryHierarchy:
+    hierarchy.l1d_prefetch_filter.history = FeatureHistory(pc_history_length=3)
+    return hierarchy
 
 
 def _strided_trace(records: int = 3_000, seed: int = 3) -> Trace:
@@ -314,8 +325,8 @@ def _strided_trace(records: int = 3_000, seed: int = 3) -> Trace:
 
 
 class TestComponentState:
-    """The kernel's flat copies of the prefetcher and filter state are
-    written back exactly: same containers, same values, same order."""
+    """The kernel leaves every flat state array of the prefetchers, filters
+    and feature histories exactly as the scalar reference does."""
 
     @pytest.mark.parametrize("case", sorted(STATE_CASES))
     @pytest.mark.parametrize("chunk_records", (7, DEFAULT_CHUNK_RECORDS))
@@ -336,6 +347,37 @@ class TestComponentState:
         _, vaddrs, kinds = trace.columns()
         pages = np.unique(vaddrs[kinds != KIND_NON_MEM] >> 12)
         assert len(pages) > 4 * SMALL_PAGE_BUFFER
+
+    @pytest.mark.parametrize("case", sorted(STATE_CASES))
+    def test_batch_warmup_then_scalar_measured(self, spec_mcf_trace, case):
+        """A batch warm-up followed by a scalar measured phase on the same
+        hierarchy equals scalar-then-scalar.  The first records run scalar,
+        so a Python memo over the shared state would exist before the kernel
+        changes that state under it, and would show up here as stale."""
+        cuts = (len(spec_mcf_trace) // 10, len(spec_mcf_trace) // 2)
+        phases = (
+            spec_mcf_trace[:cuts[0]], spec_mcf_trace[cuts[0]:cuts[1]],
+            spec_mcf_trace[cuts[1]:],
+        )
+        core = _system("scalar").core
+        runs = []
+        for warmup_core in ("batch", "scalar"):
+            hierarchy = STATE_CASES[case]()
+            CoreRunner(core, hierarchy.demand_access).run_trace(phases[0])
+            runner = CoreRunner(core, hierarchy.demand_access)
+            if warmup_core == "batch":
+                run_core_trace_batched(runner, phases[1], hierarchy)
+            else:
+                runner.run_trace(phases[1])
+            hierarchy.reset_stats(include_shared=True)
+            runner = CoreRunner(core, hierarchy.demand_access)
+            runner.run_trace(phases[2])
+            runs.append((
+                dataclasses.asdict(runner.finish()),
+                dataclasses.asdict(hierarchy.stats),
+                _component_state(hierarchy),
+            ))
+        assert runs[0] == runs[1]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -400,12 +442,6 @@ class _SubclassedSLP(SecondLevelPerceptron):
     """A filter subclass: the kernel must not assume its behaviour."""
 
 
-def _short_pc_history_slp() -> SecondLevelPerceptron:
-    slp = SecondLevelPerceptron()
-    slp.history = FeatureHistory(pc_history_length=3)
-    return slp
-
-
 class _SubclassedSPP(SPPPrefetcher):
     """A prefetcher subclass: the kernel must not assume its behaviour."""
 
@@ -416,10 +452,6 @@ UNMODELLED = {
     "slp-subclass": (
         lambda: dict(l1d_prefetch_filter=_SubclassedSLP()),
         "unmodelled L1D prefetch filter _SubclassedSLP",
-    ),
-    "slp-pc-history-3": (
-        lambda: dict(l1d_prefetch_filter=_short_pc_history_slp()),
-        "SLP: pc_history_length 3",
     ),
     "spp-subclass": (
         lambda: dict(l2_prefetcher=_SubclassedSPP()),
@@ -1128,6 +1160,23 @@ class TestCheckInvariants:
         assert [problem.split(":")[0] for problem in problems[1:]] == [
             "core 1", "core 2", "core 3",
         ]
+
+    def test_broken_prefetch_candidates_are_reported(self, mix_traces):
+        """Every L1D and L2C prefetch candidate is dropped, filtered or
+        issued; a count that breaks this is named with its core and level."""
+        system = _mix_system("batch")
+        hierarchies = build_mix_hierarchies(build_scenario("tlp"), system, 4)
+        result = run_multicore_mix(
+            [mix_traces[w] for w in HETERO_MIX], build_scenario("tlp"),
+            config=system, hierarchies=hierarchies,
+        )
+        assert all(h.stats.l1d_prefetch_candidates > 0 for h in hierarchies)
+        assert check_invariants(result, hierarchies) == []
+        hierarchies[0].stats.l1d_prefetches_filtered += 1
+        hierarchies[2].stats.l2c_prefetch_candidates += 1
+        assert [problem.split(" prefetch")[0] for problem in check_invariants(
+            result, hierarchies
+        )] == ["core 0: L1D", "core 2: L2C"]
 
 
 class TestRegistryRunsFused:

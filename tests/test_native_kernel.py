@@ -6,8 +6,8 @@ build is reused without the compiler; concurrent builds publish complete
 files), what happens without it (the scalar reference runs and one
 ``sim.batch.fallback`` event says why), and the C-API contract (no model
 object outlives a run, exceptions raised inside Python callouts
-propagate out of the kernel unchanged, and a cache or DRAM channel whose
-state arrays do not fit its geometry is refused).
+propagate out of the kernel unchanged, and a cache, DRAM channel or
+component whose state arrays do not fit its geometry is refused).
 """
 
 from __future__ import annotations
@@ -349,3 +349,50 @@ class TestDramLayout:
         run_multicore_mix([traces[w] for w in MIX], build_scenario("tlp"),
                           config=_mix("batch"), hierarchies=hierarchies)
         assert hierarchies[0].dram._busy_until[0] > 0.0
+
+
+def _poke(table, index, value):
+    table[index] = value
+    return table
+
+
+class TestComponentLayout:
+    """The kernel uses each prefetcher's, filter's and feature history's
+    arrays in place, so it refuses arrays of the wrong typecode or length,
+    and FIFO or page-buffer state that its lookup indexes cannot follow."""
+
+    @staticmethod
+    def _component(hierarchy, path):
+        for name in path.split("."):
+            hierarchy = getattr(hierarchy, name)
+        return hierarchy
+
+    @pytest.mark.parametrize("l1d,path,name,replacement,error", [
+        ("ipcp", "l1d_prefetcher._regions", "pages", lambda a: array("l", a),
+         "unexpected IPCP state layout"),
+        ("berti", "l1d_prefetcher", "_delta_counts", lambda a: array("q", a),
+         "unexpected Berti state layout"),
+        ("ipcp", "l2_prefetcher", "_signature_packed", lambda a: a[1:],
+         "SPP state does not match its geometry"),
+        ("ipcp", "l1d_prefetch_filter.history", "_stamps", lambda a: a + a[:1],
+         "feature history state does not match its geometry"),
+        ("berti", "offchip_predictor.history", "_pcs", list,
+         "unexpected feature history state layout"),
+        ("ipcp", "l2_prefetcher._signatures", "inserted", lambda a: array("q", [-1]),
+         "SPP FIFO insertion count is negative"),
+        ("ipcp", "l1d_prefetcher._regions", "pages", lambda a: array("q", [7, 7]) + a[2:],
+         "IPCP table repeats a key"),
+        ("berti", "offchip_predictor.history", "_pages", lambda a: a[:1] + array("q", [5]) + a[2:],
+         "page buffer slots in use are not a prefix"),
+        ("berti", "l1d_prefetcher", "_history_lengths", lambda a: _poke(a, 3, 17),
+         "Berti state out of range"),
+        ("ipcp", "l2_prefetcher", "_pattern_lengths", lambda a: _poke(a, 0, 200),
+         "SPP state out of range"),
+    ])
+    def test_bad_state_is_refused(self, traces, l1d, path, name, replacement, error):
+        hierarchy = build_hierarchy(build_scenario("tlp", l1d_prefetcher=l1d),
+                                    config=_single("batch"))
+        component = self._component(hierarchy, path)
+        setattr(component, name, replacement(getattr(component, name)))
+        with pytest.raises((TypeError, ValueError), match=error):
+            _stepper_for(hierarchy, traces["cc.road"])

@@ -1,5 +1,7 @@
 """Tests for the hashed perceptron machinery and feature extraction."""
 
+from collections import OrderedDict, deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,6 +117,70 @@ class TestFeatureHistory:
         assert context.last_pcs_hash == hash_combine(4, 5)
         assert FeatureContext(pc=1, address=2, first_access=False,
                               last_load_pcs=()).last_pcs_hash == 0
+
+
+class ReferenceFeatureHistory:
+    """The page buffer as an LRU OrderedDict and the PC history as a bounded
+    deque, the oracle of the flat arrays.  Counts the pages it evicts."""
+
+    def __init__(self, page_buffer_entries, pc_history_length) -> None:
+        self.page_buffer_entries = page_buffer_entries
+        self.pages: OrderedDict[int, None] = OrderedDict()
+        self.pcs: deque[int] = deque(maxlen=pc_history_length)
+        self.evictions = 0
+
+    def context(self, address) -> tuple:
+        return (address >> 12) not in self.pages, tuple(self.pcs)
+
+    def observe(self, pc, address) -> None:
+        page = address >> 12
+        if page in self.pages:
+            self.pages.move_to_end(page)
+        else:
+            self.pages[page] = None
+            if len(self.pages) > self.page_buffer_entries:
+                self.evictions += 1
+                self.pages.popitem(last=False)
+        self.pcs.append(pc)
+
+
+def _lru_pages(history: FeatureHistory) -> list:
+    """The page buffer's pages, least recently used first."""
+    used = [slot for slot, page in enumerate(history._pages) if page != -1]
+    assert used == list(range(len(used)))
+    return [history._pages[slot] for slot in sorted(used, key=history._stamps.__getitem__)]
+
+
+class TestFeatureHistoryOracle:
+    """The flat page buffer and PC history against the container-based
+    oracle: the same first-access bits, PC windows and hashes, and the same
+    pages in LRU order, with the page buffer evicting."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        page_buffer_entries=st.sampled_from([1, 2, 3, 8]),
+        pc_history_length=st.integers(0, 5),
+        accesses=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 12)),
+                          max_size=200),
+    )
+    def test_matches_reference(self, page_buffer_entries, pc_history_length, accesses):
+        from repro.common.hashing import hash_combine
+
+        flat = FeatureHistory(page_buffer_entries, pc_history_length)
+        reference = ReferenceFeatureHistory(page_buffer_entries, pc_history_length)
+        # A final sweep of nine fresh pages always overflows the buffer.
+        for pc, page in accesses + [(1, 20 + page) for page in range(9)]:
+            address = (page << 12) | 0x40
+            context = flat.context(pc, address)
+            first, pcs = reference.context(address)
+            assert (context.first_access, context.last_load_pcs) == (first, pcs)
+            assert flat.is_first_access(address) == first
+            assert context.last_pcs_hash == (hash_combine(*pcs) if pcs else 0)
+            flat.observe(pc, address)
+            reference.observe(pc, address)
+        assert _lru_pages(flat) == list(reference.pages)
+        assert flat._pcs[:flat._pc_count[0]].tolist() == list(reference.pcs)
+        assert reference.evictions > 0
 
 
 class TestHashedPerceptron:

@@ -114,16 +114,199 @@ class TestBerti:
         prefetcher.on_demand_access(0x400, BASE, False, 0)
         prefetcher.on_demand_access(0x400, BASE + (1 << 20), False, 0)
         key = 0x400 % prefetcher.table_entries
-        assert len(prefetcher._histories[key]) == 1
+        assert prefetcher._history_lengths[key] == 1
 
     def test_reset(self):
         prefetcher = BertiPrefetcher()
         prefetcher.on_demand_access(0x400, BASE, False, 0)
         prefetcher.reset()
         key = 0x400 % prefetcher.table_entries
-        assert prefetcher._histories[key] == []
+        assert prefetcher._history_lengths[key] == 0
         assert prefetcher._pages[key] == -1
         assert prefetcher._totals[key] == 0
+
+
+class ReferenceIPCP(IPCPPrefetcher):
+    """IPCP's region tracker as a FIFO-bounded dict of
+    ``[touched mask, last offset, direction]`` lists, the oracle of the
+    flat region FIFO.  Counts the regions it evicts."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._regions: dict[int, list[int]] = {}
+        self._region_order: list[int] = []
+        self.evictions = 0
+
+    def _track_region(self, page: int, offset: int) -> tuple[int, int]:
+        region = self._regions.get(page)
+        if region is None:
+            region = self._regions[page] = [0, -1, 1]
+            self._region_order.append(page)
+            if len(self._region_order) > self.region_entries:
+                self.evictions += 1
+                self._regions.pop(self._region_order.pop(0), None)
+        if region[1] >= 0 and offset != region[1]:
+            region[2] = 1 if offset > region[1] else -1
+        region[1] = offset
+        region[0] |= 1 << offset
+        return region[0], region[2]
+
+
+def _ipcp_requests(prefetcher, pc, vaddr, hit) -> list:
+    return [
+        (r.vaddr, r.confidence, r.metadata)
+        for r in prefetcher.on_demand_access(pc, vaddr, hit, 0)
+    ]
+
+
+class TestIPCPRegions:
+    """The flat region FIFO against the dict-based oracle: the same
+    requests, class counts and regions in the same order, with the FIFO
+    evicting."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        region_entries=st.sampled_from([1, 2, 3, 8]),
+        accesses=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 63),
+                      st.booleans()),
+            min_size=1, max_size=300,
+        ),
+    )
+    def test_matches_reference(self, region_entries, accesses):
+        options = dict(ip_table_entries=4, cplx_table_entries=8,
+                       region_entries=region_entries, gs_density_threshold=0.1)
+        flat, reference = IPCPPrefetcher(**options), ReferenceIPCP(**options)
+        # A final sweep of twelve fresh pages always overflows the FIFO.
+        stream = accesses + [(0, 10 + page, 5, False) for page in range(12)]
+        for pc, page, offset, hit in stream:
+            vaddr = (page << 12) | (offset << 6)
+            assert _ipcp_requests(flat, pc, vaddr, hit) == _ipcp_requests(
+                reference, pc, vaddr, hit
+            )
+        assert flat.class_counts == reference.class_counts
+        assert flat._ip_buf == reference._ip_buf
+        assert _fifo_items(
+            flat._regions, flat._region_touched, flat._region_offset,
+            flat._region_direction,
+        ) == [(page, *reference._regions[page]) for page in reference._region_order]
+        assert reference.evictions > 0
+
+
+class ReferenceBerti:
+    """Berti's per-entry state as Python containers -- block histories,
+    insertion-ordered delta -> count dicts and ``(delta, coverage)`` lists --
+    the oracle of the flat rows.  Counts the counter halvings it makes."""
+
+    def __init__(self, table_entries, low_coverage, max_prefetch_degree,
+                 relearn_interval) -> None:
+        self.table_entries = table_entries
+        self.low_coverage = low_coverage
+        self.max_prefetch_degree = max_prefetch_degree
+        self.relearn_interval = relearn_interval
+        self.pages = [-1] * table_entries
+        self.totals = [0] * table_entries
+        self.histories = [[] for _ in range(table_entries)]
+        self.delta_hits = [{} for _ in range(table_entries)]
+        self.confirmed = [[] for _ in range(table_entries)]
+        self.halvings = 0
+
+    def on_demand_access(self, pc, vaddr) -> list:
+        key, block, page = pc % self.table_entries, vaddr >> 6, vaddr >> 12
+        history = self.histories[key]
+        if self.pages[key] != page:
+            self.pages[key] = page
+            history.clear()
+        total = self.totals[key]
+        if history:
+            hits = self.delta_hits[key]
+            for delta in dict.fromkeys(block - previous for previous in history):
+                if delta:
+                    hits[delta] = hits.get(delta, 0) + 1
+            total += 1
+        history.append(block)
+        if len(history) > 16:
+            del history[0]
+        if total >= self.relearn_interval:
+            hits = self.delta_hits[key]
+            confirmed = [
+                (delta, min(count / total, 1.0)) for delta, count in hits.items()
+                if total > 0 and count / total >= self.low_coverage
+            ]
+            confirmed.sort(key=lambda item: item[1], reverse=True)
+            self.confirmed[key] = confirmed
+            self.halvings += bool(hits)
+            self.delta_hits[key] = {d: c // 2 for d, c in hits.items() if c > 1}
+            self.totals[key] = total // 2
+        else:
+            self.totals[key] = total
+        return [
+            ((block + delta) << 6, coverage, {"delta": delta})
+            for delta, coverage in self.confirmed[key][: self.max_prefetch_degree]
+            if block + delta > 0
+        ]
+
+
+def _berti_state(berti: BertiPrefetcher) -> list:
+    """Each entry's page, total, history blocks, (delta, count) pairs in
+    insertion order and confirmed (delta, coverage) pairs."""
+    entries = []
+    for key in range(berti.table_entries):
+        page, row = berti._pages[key], key * DELTA_SPAN
+        depth = len(berti._history) // berti.table_entries
+        offsets = berti._history[key * depth:key * depth + berti._history_lengths[key]]
+        order = berti._delta_order[row:row + berti._delta_lengths[key]].tolist()
+        confirmed = range(row, row + berti._confirmed_lengths[key])
+        entries.append((
+            page,
+            berti._totals[key],
+            [(page << 6) | offset for offset in offsets.tolist()],
+            [(delta, berti._delta_counts[row + delta + 63]) for delta in order],
+            [(berti._confirmed_deltas[i], berti._confirmed_coverage[i]) for i in confirmed],
+        ))
+    assert sum(berti._delta_counts.tolist()) == sum(
+        count for entry in entries for _, count in entry[3]
+    )
+    return entries
+
+
+class TestBertiTables:
+    """The flat Berti rows against the container-based oracle: the same
+    requests and the same state, through history wrap-around, page changes
+    and counter halving."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.sampled_from([1, 2, 5]),
+        relearn_interval=st.sampled_from([1, 4, 16]),
+        low_coverage=st.sampled_from([0.0, 0.2, 0.35]),
+        max_prefetch_degree=st.sampled_from([-1, 2, 200]),
+        accesses=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 63)),
+            max_size=300,
+        ),
+    )
+    def test_matches_reference(self, entries, relearn_interval, low_coverage,
+                               max_prefetch_degree, accesses):
+        options = dict(table_entries=entries, relearn_interval=relearn_interval,
+                       low_coverage=low_coverage,
+                       max_prefetch_degree=max_prefetch_degree)
+        flat, reference = BertiPrefetcher(**options), ReferenceBerti(**options)
+        # A final walk of one page by one PC fills its history past 16
+        # blocks and halves its counters.
+        stream = accesses + [(3, 9, offset) for offset in range(0, 60, 2)]
+        for pc, page, offset in stream:
+            vaddr = (page << 12) | (offset << 6)
+            assert [
+                (r.vaddr, r.confidence, r.metadata)
+                for r in flat.on_demand_access(pc, vaddr, False, 0)
+            ] == reference.on_demand_access(pc, vaddr)
+        assert _berti_state(flat) == [
+            (reference.pages[k], reference.totals[k], reference.histories[k],
+             list(reference.delta_hits[k].items()), reference.confirmed[k])
+            for k in range(entries)
+        ]
+        assert reference.halvings > 0
 
 
 class TestSPP:
@@ -167,7 +350,19 @@ class TestSPP:
         spp.reset()
         assert not any(np.asarray(table).any() for table in _pattern_tables(spp))
         assert spp.lookahead_prefetches == 0
-        assert spp._signatures == {} and spp._signature_order == []
+        assert _fifo_items(spp._signatures, spp._signature_packed) == []
+
+
+def _fifo_items(table, *payloads) -> list:
+    """A :class:`FifoTable`'s ``(page, payload...)`` items, oldest first (the
+    next insertion's slot holds the oldest page once the table is full)."""
+    pages = table.pages
+    start = table.inserted[0] % len(pages)
+    slots = list(range(start, len(pages))) + list(range(start))
+    return [
+        (pages[slot], *(payload[slot] for payload in payloads))
+        for slot in slots if pages[slot] != -1
+    ]
 
 
 def _pattern_tables(spp: SPPPrefetcher) -> list:
@@ -178,12 +373,15 @@ def _pattern_tables(spp: SPPPrefetcher) -> list:
 
 
 class ReferenceSPP(SPPPrefetcher):
-    """SPP's pattern table as a list of insertion-ordered delta -> count
-    dicts (None: never trained), the oracle of the flat arrays.  Counts the
-    halvings it makes and the best-delta scans that meet a tie."""
+    """SPP's signature table as a FIFO-bounded dict and its pattern table as
+    a list of insertion-ordered delta -> count dicts (None: never trained),
+    the oracle of the flat arrays.  Counts the halvings it makes and the
+    best-delta scans that meet a tie."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
+        self._signatures: dict[int, int] = {}
+        self._signature_order: list[int] = []
         m = self.pattern_table_entries
         self._pattern_dicts: list[dict[int, int] | None] = [None] * m
         self._pattern_sums = [0] * m
@@ -294,7 +492,9 @@ class TestSPPPatternTable:
         for block in stream:
             assert flat.step(block, 0) == reference.step(block, 0)
         assert flat.lookahead_prefetches == reference.lookahead_prefetches
-        assert flat._signatures == reference._signatures
+        assert _fifo_items(flat._signatures, flat._signature_packed) == list(
+            reference._signatures.items()
+        )
         assert _live_entries(flat) == [
             list(deltas.items()) if deltas else [] for deltas in reference._pattern_dicts
         ]
@@ -365,3 +565,21 @@ class TestFactoryAndFilters:
         filt = AlwaysIssueFilter()
         request = PrefetchRequest(vaddr=BASE, trigger_pc=1, trigger_vaddr=2)
         assert filt.consult(request, BASE, False, 0).issue
+
+
+class TestTableSizes:
+    @pytest.mark.parametrize("make,argument", [
+        (IPCPPrefetcher, "ip_table_entries"),
+        (IPCPPrefetcher, "cplx_table_entries"),
+        (IPCPPrefetcher, "region_entries"),
+        (BertiPrefetcher, "table_entries"),
+        (SPPPrefetcher, "signature_table_entries"),
+        (SPPPrefetcher, "pattern_table_entries"),
+        (PerceptronPrefetchFilter, "table_entries"),
+    ])
+    @pytest.mark.parametrize("size", (0, -3))
+    def test_empty_table_is_refused(self, make, argument, size):
+        """A table below one entry is refused when the component is built,
+        instead of dividing by zero on the first access."""
+        with pytest.raises(ValueError, match=f"{argument} must be at least 1, got {size}"):
+            make(**{argument: size})
