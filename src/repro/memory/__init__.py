@@ -2,7 +2,7 @@
 
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.dram import DRAMModel
-from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.paging import PageTable
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "CacheStats",
     "DRAMModel",
     "MemoryHierarchy",
-    "PrefetchRecord",
     "PageTable",
 ]

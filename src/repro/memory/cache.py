@@ -15,12 +15,16 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.common.config import CacheConfig
 
-#: Bits of a slot's ``_flags`` byte.
+#: Bits of a slot's ``_flags`` byte.  :data:`PREFETCH_PENDING` marks an
+#: issued L1D prefetch whose usefulness the hierarchy has not counted yet.
 DIRTY = 1
 PREFETCHED = 2
 PREFETCH_USEFUL = 4
+PREFETCH_PENDING = 8
 
 
 @dataclass
@@ -54,6 +58,8 @@ class EvictionInfo:
     was_prefetched: bool
     prefetch_was_useful: bool
     was_dirty: bool
+    #: The level that served the block's still-pending L1D prefetch, or -1.
+    pending_source: int = -1
 
 
 class Cache:
@@ -168,12 +174,14 @@ class Cache:
         prefetch_source_level: Optional[int] = None,
         dirty: bool = False,
         ready_cycle: Optional[int] = None,
+        pending: bool = False,
     ) -> Optional[EvictionInfo]:
         """Install a block, evicting a victim if the set is full.
 
         ``ready_cycle`` is when the data actually arrives (defaults to
         ``cycle``, i.e. immediately).  Returns information about the evicted
         block (or None if a way was free or the block was already resident).
+        ``pending`` marks a newly installed block :data:`PREFETCH_PENDING`.
         """
         if ready_cycle is None:
             ready_cycle = cycle
@@ -204,7 +212,7 @@ class Cache:
 
         self._tags[slot] = block_addr
         self._ready[slot] = ready_cycle
-        self._flags[slot] = (PREFETCHED if prefetched else 0) | (DIRTY if dirty else 0)
+        self._flags[slot] = PREFETCHED * prefetched | DIRTY * dirty | PREFETCH_PENDING * pending
         self._source[slot] = -1 if prefetch_source_level is None else prefetch_source_level
         clock = self._clock
         clock[0] += 1
@@ -254,6 +262,7 @@ class Cache:
             was_prefetched=bool(flags & PREFETCHED),
             prefetch_was_useful=bool(flags & PREFETCH_USEFUL),
             was_dirty=bool(flags & DIRTY),
+            pending_source=self._source[slot] if flags & PREFETCH_PENDING else -1,
         )
         if self._eviction_listener is not None:
             self._eviction_listener(info)
@@ -265,6 +274,25 @@ class Cache:
     def reset_stats(self) -> None:
         """Zero the counters without touching cache contents (post warm-up)."""
         self.stats = CacheStats()
+
+    def take_pending(self, block_addr: int) -> int:
+        """Clear a block's :data:`PREFETCH_PENDING` bit; return the level its
+        prefetch was served from, or -1 when it carried none."""
+        slot = self.find(block_addr)
+        if slot < 0 or not self._flags[slot] & PREFETCH_PENDING:
+            return -1
+        self._flags[slot] &= ~PREFETCH_PENDING
+        return self._source[slot]
+
+    def take_all_pending(self) -> list[int]:
+        """Clear every :data:`PREFETCH_PENDING` bit; return how many slots
+        carried it per level their prefetch was served from (L1D to DRAM).
+        Vector operations over the flat arrays, not a loop over the slots."""
+        flags = np.frombuffer(self._flags, dtype=np.uint8)
+        pending = (flags & PREFETCH_PENDING) != 0
+        flags &= 0xFF ^ PREFETCH_PENDING
+        sources = np.frombuffer(self._source, dtype=np.int8)[pending]
+        return np.bincount(sources, minlength=4).tolist()
 
     def occupancy(self) -> float:
         """Fraction of cache capacity currently valid."""

@@ -48,23 +48,6 @@ from repro.prefetchers.base import (
 )
 
 
-@dataclass(slots=True)
-class PrefetchRecord:
-    """Tracking record for one issued L1D prefetch.
-
-    Used to attribute prefetch accuracy (Figures 5, 6 and 12) and to train
-    SLP: ``served_by`` says where the prefetch was served from, ``useful``
-    is resolved when the block is either demanded (True) or evicted unused
-    (False).
-    """
-
-    block_addr: int
-    served_by: MemLevel
-    issue_cycle: int
-    useful: Optional[bool] = None
-    filter_metadata: dict = field(default_factory=dict)
-
-
 @dataclass
 class HierarchyStats:
     """Aggregate statistics of one core's view of the hierarchy."""
@@ -168,8 +151,6 @@ class MemoryHierarchy:
         # backlog exceeds this many cycles, modelling ChampSim's finite
         # prefetch queues (prefetchers cannot swamp a saturated channel).
         self._prefetch_drop_queue_cycles = 8 * self.shared.dram.cycles_per_transaction
-        # Pending prefetch accuracy/training records keyed by block address.
-        self._pending_l1d_prefetches: dict[int, PrefetchRecord] = {}
         # PPF training metadata for blocks prefetched into L2/LLC by SPP.
         self._pending_l2c_prefetches: dict[int, dict] = {}
 
@@ -378,14 +359,10 @@ class MemoryHierarchy:
         candidates = self.l1d_prefetcher.on_demand_access(pc, vaddr, hit, cycle)
         if not candidates:
             return
-        trigger_prediction = self._last_offchip_prediction()
+        trigger_prediction = bool(getattr(self.offchip_predictor, "last_prediction", False))
         for request in candidates:
             self.stats.l1d_prefetch_candidates += 1
             self._issue_l1d_prefetch(request, trigger_prediction, cycle)
-
-    def _last_offchip_prediction(self) -> bool:
-        predictor = self.offchip_predictor
-        return bool(getattr(predictor, "last_prediction", False))
 
     def _issue_l1d_prefetch(
         self, request: PrefetchRequest, trigger_offchip_prediction: bool, cycle: int
@@ -422,12 +399,14 @@ class MemoryHierarchy:
         served_by, fetch_latency = fetched
         self.stats.l1d_prefetches_issued += 1
         self.stats.l1d_prefetch_served_by[served_by] += 1
+        # Pending until its first demand use (useful) or eviction (useless).
         self.l1d.fill(
             block,
             cycle=cycle,
             prefetched=True,
             prefetch_source_level=int(served_by),
             ready_cycle=cycle + fetch_latency,
+            pending=True,
         )
         if self.l1d_prefetcher is not None:
             self.l1d_prefetcher.on_fill(request.vaddr, prefetched=True, cycle=cycle)
@@ -438,16 +417,6 @@ class MemoryHierarchy:
             self.l1d_prefetch_filter.train(
                 filter_metadata, served_by is MemLevel.DRAM
             )
-
-        previous = self._pending_l1d_prefetches.get(block)
-        if previous is not None:
-            self._finalize_l1d_prefetch(previous, useful=False)
-        self._pending_l1d_prefetches[block] = PrefetchRecord(
-            block_addr=block,
-            served_by=served_by,
-            issue_cycle=cycle,
-            filter_metadata=filter_metadata,
-        )
 
     def _fetch_for_prefetch(
         self, block: int, cycle: int, source: RequestSource
@@ -481,27 +450,15 @@ class MemoryHierarchy:
         return MemLevel.DRAM, latency
 
     def _resolve_l1d_prefetch_use(self, block: int) -> None:
-        record = self._pending_l1d_prefetches.pop(block, None)
-        if record is None:
-            return
-        self._finalize_l1d_prefetch(record, useful=True)
-
-    def _finalize_l1d_prefetch(self, record: PrefetchRecord, useful: bool) -> None:
-        record.useful = useful
-        if useful:
+        source = self.l1d.take_pending(block)
+        if source >= 0:
             self.stats.useful_l1d_prefetches += 1
-            self.stats.accurate_prefetch_source[record.served_by] += 1
-        else:
-            self.stats.useless_l1d_prefetches += 1
-            self.stats.inaccurate_prefetch_source[record.served_by] += 1
+            self.stats.accurate_prefetch_source[MemLevel(source)] += 1
 
     def _on_l1d_eviction(self, info: EvictionInfo) -> None:
-        if not info.was_prefetched:
-            return
-        record = self._pending_l1d_prefetches.pop(info.block_addr, None)
-        if record is None:
-            return
-        self._finalize_l1d_prefetch(record, useful=info.prefetch_was_useful)
+        if info.pending_source >= 0:
+            self.stats.useless_l1d_prefetches += 1
+            self.stats.inaccurate_prefetch_source[MemLevel(info.pending_source)] += 1
 
     # ------------------------------------------------------------------
     # L2 prefetch path (SPP + PPF)
@@ -593,7 +550,8 @@ class MemoryHierarchy:
             self.llc.reset_stats()
             self.dram.reset_stats()
             self.dram.reset_timing()
-        self._pending_l1d_prefetches.clear()
+        # Warm-up prefetches are never counted.
+        self.l1d.take_all_pending()
         self._pending_l2c_prefetches.clear()
 
     def finalize(self) -> None:
@@ -602,9 +560,10 @@ class MemoryHierarchy:
         Blocks that were prefetched but never demanded count as inaccurate,
         matching the conservative accounting used in the paper's analysis.
         """
-        for record in list(self._pending_l1d_prefetches.values()):
-            self._finalize_l1d_prefetch(record, useful=False)
-        self._pending_l1d_prefetches.clear()
+        stats = self.stats
+        for level, count in zip(MemLevel, self.l1d.take_all_pending()):
+            stats.useless_l1d_prefetches += count
+            stats.inaccurate_prefetch_source[level] += count
 
     # ------------------------------------------------------------------
     # Derived metrics

@@ -23,11 +23,13 @@
  * reference can pick up a table wherever the kernel left it.  The kernel
  * keeps only private lookup indexes beside the FIFO and LRU keys (KeyIndex
  * and the page buffer's recency list), built when the Stepper is built and
- * updated alongside the keys.  The page table's _mapping,
- * _allocated_frames and page_faults, the pending-prefetch dicts and every
- * stats object stay Python objects; a block address is boxed only to key a
- * pending-prefetch dict or an EvictionInfo.  PPF training on prefetch use
- * and L2C eviction stays a Python call.  A hierarchy with any component
+ * updated alongside the keys.  An issued L1D prefetch is tracked by the
+ * PREFETCH_PENDING bit of its L1D slot's flags, with its serve level in
+ * _source, so it boxes nothing.  The page table's _mapping,
+ * _allocated_frames and page_faults, PPF's pending-prefetch dict and every
+ * stats object stay Python objects; a block address is boxed only to key
+ * PPF's pending dict or an EvictionInfo.  PPF training on prefetch use and
+ * L2C eviction stays a Python call.  A hierarchy with any component
  * the kernel does not model runs the scalar reference instead
  * (repro.sim.batch.batch_unsupported_reason).  Pure counters accumulate
  * per chunk and are added to their stats objects at the end of each chunk.
@@ -50,13 +52,9 @@
 /* Interned names and the model's Python types                         */
 /* ------------------------------------------------------------------ */
 
-static PyObject *EvictionInfoType, *PrefetchRecordType;
+static PyObject *EvictionInfoType;
 static PyObject *Levels[4]; /* MemLevel.L1D .. MemLevel.DRAM */
 static long long BertiHistoryDepth;
-
-/* PrefetchRecord slot offsets. */
-static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
-    PR_filter_metadata;
 
 #define NAMES(X)                                                             \
     X(_clock) X(_busy_until) X(_tags) X(_stamps) X(_ready) X(_flags)         \
@@ -64,8 +62,8 @@ static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
     X(associativity)                                                         \
     X(latency) X(l1d) X(l2c) X(llc) X(dram) X(page_table) X(_mapping)        \
     X(_allocated_frames) X(core_id) X(memory_frames) X(page_faults)          \
-    X(_resolve_l2c_prefetch_use) X(_pending_l1d_prefetches)                  \
-    X(_pending_l2c_prefetches) X(_predictor_latency)                         \
+    X(_resolve_l2c_prefetch_use) X(_pending_l2c_prefetches)                  \
+    X(_predictor_latency)                                                    \
     X(_prefetch_drop_queue_cycles) X(_cycles_per_transaction) X(config)      \
     X(access_latency)                                                        \
     X(offchip_predictor) X(l1d_prefetcher) X(l2_prefetcher)                  \
@@ -123,28 +121,6 @@ static Py_ssize_t PR_block_addr, PR_served_by, PR_issue_cycle, PR_useful,
 NAMES(DECLARE_NAME)
 #undef DECLARE_NAME
 
-#define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
-
-/* Store ``value`` (borrowed) into a __slots__ member. */
-static inline void
-slot_set(PyObject *obj, Py_ssize_t off, PyObject *value)
-{
-    PyObject *old = SLOT(obj, off);
-    Py_INCREF(value);
-    SLOT(obj, off) = value;
-    Py_XDECREF(old);
-}
-
-/* Read a __slots__ member; NULL with AttributeError when unset. */
-static inline PyObject *
-slot_get(PyObject *obj, Py_ssize_t off)
-{
-    PyObject *value = SLOT(obj, off);
-    if (value == NULL)
-        PyErr_SetString(PyExc_AttributeError, "unset slot in a model object");
-    return value;
-}
-
 static inline int
 truth(PyObject *value)
 {
@@ -153,20 +129,6 @@ truth(PyObject *value)
     if (value == Py_False || value == Py_None)
         return 0;
     return PyObject_IsTrue(value);
-}
-
-static Py_ssize_t
-slot_offset(PyObject *type, const char *name)
-{
-    PyObject *dict = ((PyTypeObject *)type)->tp_dict;
-    PyObject *descr = PyDict_GetItemString(dict, name);
-    if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
-        || ((PyMemberDescrObject *)descr)->d_member->type != T_OBJECT_EX) {
-        PyErr_Format(PyExc_TypeError, "%s.%s is not a __slots__ member",
-                     ((PyTypeObject *)type)->tp_name, name);
-        return -1;
-    }
-    return ((PyMemberDescrObject *)descr)->d_member->offset;
 }
 
 static PyObject *
@@ -187,27 +149,16 @@ load_model_types(void)
     if (EvictionInfoType != NULL)
         return 0;
     PyObject *info = import_attr("repro.memory.cache", "EvictionInfo");
-    PyObject *record = import_attr("repro.memory.hierarchy", "PrefetchRecord");
     PyObject *level = import_attr("repro.common.types", "MemLevel");
     PyObject *depth = import_attr("repro.prefetchers.berti", "_HISTORY_DEPTH");
-    if (info == NULL || record == NULL || level == NULL || depth == NULL)
+    if (info == NULL || level == NULL || depth == NULL)
         goto error;
-    if (!PyType_Check(record)) {
-        PyErr_SetString(PyExc_TypeError, "PrefetchRecord must be a class");
-        goto error;
-    }
     BertiHistoryDepth = PyLong_AsLongLong(depth);
     if (BertiHistoryDepth < 1 || BertiHistoryDepth > 255) {
         if (!PyErr_Occurred())
             PyErr_SetString(PyExc_ValueError, "Berti history depth out of range");
         goto error;
     }
-    if ((PR_block_addr = slot_offset(record, "block_addr")) < 0
-        || (PR_served_by = slot_offset(record, "served_by")) < 0
-        || (PR_issue_cycle = slot_offset(record, "issue_cycle")) < 0
-        || (PR_useful = slot_offset(record, "useful")) < 0
-        || (PR_filter_metadata = slot_offset(record, "filter_metadata")) < 0)
-        goto error;
     static const char *level_names[4] = {"L1D", "L2C", "LLC", "DRAM"};
     for (int i = 0; i < 4; i++) {
         Levels[i] = PyObject_GetAttrString(level, level_names[i]);
@@ -217,25 +168,14 @@ load_model_types(void)
     Py_DECREF(level);
     Py_DECREF(depth);
     EvictionInfoType = info;
-    PrefetchRecordType = record;
     return 0;
 error:
     for (int i = 0; i < 4; i++)
         Py_CLEAR(Levels[i]);
     Py_XDECREF(info);
-    Py_XDECREF(record);
     Py_XDECREF(level);
     Py_XDECREF(depth);
     return -1;
-}
-
-/* Allocate an instance of a __slots__ dataclass without running __init__;
- * the caller fills every slot. */
-static inline PyObject *
-alloc_slots(PyObject *type)
-{
-    PyTypeObject *tp = (PyTypeObject *)type;
-    return tp->tp_alloc(tp, 0);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1806,7 +1746,7 @@ enum { LEVEL_L1D = 0, LEVEL_L2C = 1, LEVEL_LLC = 2, LEVEL_DRAM = 3 };
 #define CACHE_OBJECTS(X) X(stats) X(listener)
 
 /* Bits of a cache slot's flags byte (repro.memory.cache). */
-enum { F_DIRTY = 1, F_PREFETCHED = 2, F_USEFUL = 4 };
+enum { F_DIRTY = 1, F_PREFETCHED = 2, F_USEFUL = 4, F_PENDING = 8 };
 
 /* One cache level: its flat state arrays, used in place. */
 typedef struct {
@@ -1827,7 +1767,7 @@ typedef struct {
 
 #define STEPPER_OBJECTS(X)                                                    \
     X(runner) X(hierarchy) X(hstats) X(sample_hook) X(resolve_l2)             \
-    X(pending_l1) X(pending_l2c) X(predictor) X(dram) X(dram_stats)           \
+    X(pending_l2c) X(predictor) X(dram) X(dram_stats)                         \
     X(retire_deque) X(prefetcher) X(l2_prefetcher) X(l1_filter) X(l2_filter)
 
 typedef struct {
@@ -1948,10 +1888,10 @@ cache_find(const CacheState *c, long long block)
 }
 
 /* Demand lookup (Cache.lookup plus the ready-cycle wait of the walk).
- * Returns 1 on a hit, 0 on a miss; *latency grows to the remaining fill
- * time of an in-flight block, *prefetch_hit reports a first demand use of a
- * prefetched block. */
-static int
+ * Returns the hit slot, or -1 on a miss; *latency grows to the remaining
+ * fill time of an in-flight block, *prefetch_hit reports a first demand use
+ * of a prefetched block. */
+static Py_ssize_t
 cache_lookup(CacheState *c, long long block, long long cycle, int is_write,
              long long *latency, int *prefetch_hit)
 {
@@ -1960,7 +1900,7 @@ cache_lookup(CacheState *c, long long block, long long cycle, int is_write,
     if (slot < 0) {
         c->misses++;
         *prefetch_hit = 0;
-        return 0;
+        return -1;
     }
     c->hits++;
     long long ready = c->ready[slot];
@@ -1976,23 +1916,21 @@ cache_lookup(CacheState *c, long long block, long long cycle, int is_write,
         flags |= F_DIRTY;
     c->flags[slot] = (uint8_t)flags;
     c->stamps[slot] = ++*c->clock;
-    return 1;
+    return slot;
 }
 
-/* MemoryHierarchy._finalize_l1d_prefetch */
+/* Count the L1D prefetch pending in ``slot`` as useful or useless under its
+ * serve level and clear its bit (_resolve_l1d_prefetch_use and the L1D
+ * eviction listener). */
 static int
-finalize_l1_prefetch(Stepper *s, PyObject *record, int useful)
+count_l1_prefetch(Stepper *s, Py_ssize_t slot, int useful)
 {
-    PyObject *served = slot_get(record, PR_served_by);
-    if (served == NULL)
-        return -1;
-    long level = PyLong_AsLong(served);
-    if (level < 0 || level > 3) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "prefetch record served by no level");
+    int level = s->l1.source[slot];
+    if (level < LEVEL_L1D || level > LEVEL_DRAM) {
+        PyErr_SetString(PyExc_ValueError, "pending L1D prefetch served by no level");
         return -1;
     }
-    slot_set(record, PR_useful, py_bool(useful));
+    s->l1.flags[slot] &= (uint8_t)~F_PENDING;
     if (useful) {
         s->useful_l1_prefetches++;
         s->accurate_source[level]++;
@@ -2002,32 +1940,6 @@ finalize_l1_prefetch(Stepper *s, PyObject *record, int useful)
         s->inaccurate_source[level]++;
     }
     return 0;
-}
-
-/* pending_l1d_prefetches.pop(block) finalized as ``useful``, if present
- * (_resolve_l1d_prefetch_use and the L1D eviction listener). */
-static int
-resolve_l1_prefetch(Stepper *s, long long block, int useful)
-{
-    if (PyDict_GET_SIZE(s->pending_l1) == 0)
-        return 0;
-    PyObject *key = PyLong_FromLongLong(block);
-    if (key == NULL)
-        return -1;
-    int rc = 0;
-    PyObject *record = PyDict_GetItemWithError(s->pending_l1, key);
-    if (record != NULL) {
-        Py_INCREF(record);
-        rc = PyDict_DelItem(s->pending_l1, key);
-        if (rc == 0)
-            rc = finalize_l1_prefetch(s, record, useful);
-        Py_DECREF(record);
-    }
-    else if (PyErr_Occurred()) {
-        rc = -1;
-    }
-    Py_DECREF(key);
-    return rc;
 }
 
 /* Whether a PPF record is pending for ``key``. */
@@ -2051,19 +1963,21 @@ resolve_l2_prefetch(Stepper *s, long long block)
     return rc;
 }
 
-/* The eviction listeners: the L1D's is inlined, the L2C's Python one runs
- * only when it has a pending PPF record to train. */
+/* The eviction listeners of the block in ``slot``: the L1D's is inlined
+ * (a still-pending prefetch was useless), the L2C's Python one runs only
+ * when it has a pending PPF record to train. */
 static int
-evicted(Stepper *s, CacheState *c, long long block, int flags)
+evicted(Stepper *s, CacheState *c, Py_ssize_t slot)
 {
     if (c->listener == NULL)
         return 0;
-    int was_prefetched = (flags & F_PREFETCHED) != 0, was_useful = (flags & F_USEFUL) != 0;
+    int flags = c->flags[slot];
     if (c->level == LEVEL_L1D)
-        return was_prefetched ? resolve_l1_prefetch(s, block, was_useful) : 0;
+        return flags & F_PENDING ? count_l1_prefetch(s, slot, 0) : 0;
+    int was_prefetched = (flags & F_PREFETCHED) != 0, was_useful = (flags & F_USEFUL) != 0;
     if (c->level == LEVEL_L2C && (!was_prefetched || was_useful))
         return 0;
-    PyObject *key = PyLong_FromLongLong(block);
+    PyObject *key = PyLong_FromLongLong(c->tags[slot]);
     if (key == NULL)
         return -1;
     int rc = c->level == LEVEL_L2C ? l2_pending(s, key) : 1;
@@ -2078,11 +1992,14 @@ evicted(Stepper *s, CacheState *c, long long block, int flags)
 }
 
 /* Cache.fill for a fill that never sets ``dirty`` (every fill the kernel
- * drives); ``source`` is the prefetch source level (-1 for None). */
+ * drives); ``fill_flags`` is a new block's flags (0, F_PREFETCHED or
+ * F_PREFETCHED | F_PENDING) and ``source`` the prefetch source level (-1
+ * for None). */
 static int
-cache_fill(Stepper *s, CacheState *c, long long block, long long ready, int prefetched,
+cache_fill(Stepper *s, CacheState *c, long long block, long long ready, int fill_flags,
            int source)
 {
+    int prefetched = (fill_flags & F_PREFETCHED) != 0;
     Py_ssize_t slot = cache_find(c, block);
     if (slot >= 0) {
         /* Fill races with an earlier fill of the same block: keep the
@@ -2115,12 +2032,12 @@ cache_fill(Stepper *s, CacheState *c, long long block, long long ready, int pref
             else
                 c->useless_evictions++;
         }
-        if (evicted(s, c, c->tags[slot], flags) < 0)
+        if (evicted(s, c, slot) < 0)
             return -1;
     }
     c->tags[slot] = block;
     c->ready[slot] = ready;
-    c->flags[slot] = prefetched ? F_PREFETCHED : 0;
+    c->flags[slot] = (uint8_t)fill_flags;
     c->source[slot] = (int8_t)source;
     c->stamps[slot] = ++*c->clock;
     if (prefetched)
@@ -2280,12 +2197,14 @@ spp_issue(Stepper *s, long long pc, long long block, long long cycle)
                 continue;
             }
             fill_latency += dram_access(s, cycle, &s->dram_l2c_prefetch);
-            if (cache_fill(s, &s->llc, pblock, cycle + fill_latency, 1, LEVEL_DRAM) < 0)
+            if (cache_fill(s, &s->llc, pblock, cycle + fill_latency, F_PREFETCHED,
+                           LEVEL_DRAM) < 0)
                 return -1;
         }
         s->l2_pf_issued++;
         if (prediction->fill_l2
-            && cache_fill(s, &s->l2, pblock, cycle + fill_latency, 1, LEVEL_DRAM) < 0)
+            && cache_fill(s, &s->l2, pblock, cycle + fill_latency, F_PREFETCHED,
+                          LEVEL_DRAM) < 0)
             return -1;
         if (s->have_ppf) {
             /* PPF training metadata travels as a raw (indices, confidence)
@@ -2365,43 +2284,15 @@ l1_prefetch_target(Stepper *s, long long tvaddr, long long pc, long long cycle)
     }
     s->l1_pf_issued++;
     s->pf_served[served]++;
-    if (cache_fill(s, &s->l1, tblock, cycle + fetch_latency, 1, served) < 0)
+    /* The block stays pending until its first demand use or eviction. */
+    if (cache_fill(s, &s->l1, tblock, cycle + fetch_latency, F_PREFETCHED | F_PENDING,
+                   served) < 0)
         return -1;
     /* on_fill is the L1DPrefetcher base no-op for IPCP/Berti; SLP trains as
      * soon as the serve level is known. */
     if (s->have_slp)
         perceptron_train(&s->slp.p, indices, served == LEVEL_DRAM, confidence);
-    PyObject *tblock_obj = PyLong_FromLongLong(tblock);
-    if (tblock_obj == NULL)
-        return -1;
-    int rc = -1;
-    PyObject *record = NULL;
-    PyObject *previous = PyDict_GetItemWithError(s->pending_l1, tblock_obj);
-    if (previous != NULL) {
-        if (finalize_l1_prefetch(s, previous, 0) < 0)
-            goto done;
-    }
-    else if (PyErr_Occurred())
-        goto done;
-    record = alloc_slots(PrefetchRecordType);
-    PyObject *cycle_obj = record ? PyLong_FromLongLong(cycle) : NULL;
-    PyObject *metadata = cycle_obj ? PyDict_New() : NULL;
-    if (metadata == NULL) {
-        Py_XDECREF(cycle_obj);
-        goto done;
-    }
-    slot_set(record, PR_block_addr, tblock_obj);
-    slot_set(record, PR_served_by, Levels[served]);
-    SLOT(record, PR_issue_cycle) = cycle_obj;
-    slot_set(record, PR_useful, Py_None);
-    SLOT(record, PR_filter_metadata) = metadata;
-    if (PyDict_SetItem(s->pending_l1, tblock_obj, record) < 0)
-        goto done;
-    rc = 0;
-done:
-    Py_XDECREF(record);
-    Py_DECREF(tblock_obj);
-    return rc;
+    return 0;
 }
 
 /* The L1D prefetcher observes a demand access and its targets are issued. */
@@ -2515,8 +2406,10 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     /* -- L1D lookup -- */
     long long latency = s->l1.latency;
     int prefetch_hit;
-    int l1d_hit = cache_lookup(&s->l1, block, cycle, is_write, &latency, &prefetch_hit);
-    if (prefetch_hit && resolve_l1_prefetch(s, block, 1) < 0)
+    Py_ssize_t l1_slot = cache_lookup(&s->l1, block, cycle, is_write, &latency, &prefetch_hit);
+    int l1d_hit = l1_slot >= 0;
+    if (prefetch_hit && (s->l1.flags[l1_slot] & F_PENDING)
+        && count_l1_prefetch(s, l1_slot, 1) < 0)
         return -1;
 
     /* -- L1D prefetcher -- */
@@ -2547,7 +2440,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         /* -- below-L1D walk -- */
         latency += s->l2.latency;
         int l2_prefetch_hit;
-        int l2_hit = cache_lookup(&s->l2, block, cycle, is_write, &latency, &l2_prefetch_hit);
+        int l2_hit = cache_lookup(&s->l2, block, cycle, is_write, &latency, &l2_prefetch_hit) >= 0;
         if (l2_prefetch_hit && resolve_l2_prefetch(s, block) < 0)
             return -1;
 
@@ -2563,7 +2456,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         else {
             latency += s->llc.latency;
             int llc_prefetch_hit;
-            if (cache_lookup(&s->llc, block, cycle, is_write, &latency, &llc_prefetch_hit)) {
+            if (cache_lookup(&s->llc, block, cycle, is_write, &latency, &llc_prefetch_hit) >= 0) {
                 if (cache_fill(s, &s->l1, block, cycle + latency, 0, -1) < 0
                     || cache_fill(s, &s->l2, block, cycle + latency, 0, -1) < 0)
                     return -1;
@@ -3047,13 +2940,12 @@ init_hierarchy(Stepper *s, PyObject *h)
         || page_table_init(&s->pages, page_table) < 0
         || (s->hstats = PyObject_GetAttr(h, S_stats)) == NULL
         || (s->resolve_l2 = PyObject_GetAttr(h, S__resolve_l2c_prefetch_use)) == NULL
-        || (s->pending_l1 = PyObject_GetAttr(h, S__pending_l1d_prefetches)) == NULL
         || (s->pending_l2c = PyObject_GetAttr(h, S__pending_l2c_prefetches)) == NULL
         || get_ll(h, S__predictor_latency, &s->predictor_latency) < 0
         || get_double(h, S__prefetch_drop_queue_cycles, &s->drop_cycles) < 0)
         goto done;
-    if (!PyDict_CheckExact(s->pending_l1) || !PyDict_CheckExact(s->pending_l2c)) {
-        PyErr_SetString(PyExc_TypeError, "pending prefetches must be dicts");
+    if (!PyDict_CheckExact(s->pending_l2c)) {
+        PyErr_SetString(PyExc_TypeError, "pending prefetches must be a dict");
         goto done;
     }
     rc = 0;

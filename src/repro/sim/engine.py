@@ -28,6 +28,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
@@ -118,7 +119,11 @@ class CampaignPoint:
         return f"{target}/{self.scheme}/{self.l1d_prefetcher}"
 
     def key(self) -> str:
-        """Content-hash cache key of this point."""
+        """Content-hash cache key of this point (hashed once: it is frozen)."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         payload = asdict(self)
         if payload.get("trace_keys") is None:
             payload.pop("trace_keys", None)

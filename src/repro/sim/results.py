@@ -100,7 +100,8 @@ def check_invariants(result, hierarchies=()) -> list[str]:
     """Conservation laws ``result`` breaks (empty when it is consistent).
 
     ``hierarchies``, the hierarchies that produced ``result`` (one per
-    core), add the per-core checks.
+    core), add the per-core checks.  Both must be finalized: then no L1D
+    prefetch is pending, so every issued one was counted useful or useless.
     """
     by_source = sum(result.dram_transactions_by_source.values())
     problems = [] if by_source == result.dram_transactions else [
@@ -125,6 +126,14 @@ def check_invariants(result, hierarchies=()) -> list[str]:
                     f"core {core_id}: {level.upper()} prefetch candidates "
                     f"{candidates} != dropped + filtered + issued {fates}"
                 )
+        for level, served in stats.l1d_prefetch_served_by.items():
+            resolved = stats.accurate_prefetch_source[level]
+            resolved += stats.inaccurate_prefetch_source[level]
+            if resolved != served:
+                problems.append(
+                    f"core {core_id}: accurate + inaccurate {level.name} L1D "
+                    f"prefetches {resolved} != served {served}"
+                )
         for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
             c = cache.stats
             if c.demand_hits + c.demand_misses != c.demand_accesses:
@@ -134,9 +143,9 @@ def check_invariants(result, hierarchies=()) -> list[str]:
                 )
     for label, c in counters:
         resolved = c.useful_l1d_prefetches + c.useless_l1d_prefetches
-        if resolved > c.l1d_prefetches_issued:
+        if resolved != c.l1d_prefetches_issued:
             problems.append(
-                f"{label}useful + useless L1D prefetches {resolved} > "
+                f"{label}useful + useless L1D prefetches {resolved} != "
                 f"issued {c.l1d_prefetches_issued}"
             )
     return problems

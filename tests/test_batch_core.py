@@ -1178,6 +1178,40 @@ class TestCheckInvariants:
             result, hierarchies
         )] == ["core 0: L1D", "core 2: L2C"]
 
+    def test_broken_prefetch_resolution_is_reported(self, mix_traces):
+        """After finalize every issued L1D prefetch was counted useful or
+        useless, under the level that served it; a prefetch left
+        uncounted or a level whose split drifts is named with its core."""
+        system = _mix_system("batch")
+        hierarchies = build_mix_hierarchies(build_scenario("tlp"), system, 4)
+        result = run_multicore_mix(
+            [mix_traces[w] for w in HETERO_MIX], build_scenario("tlp"),
+            config=system, hierarchies=hierarchies,
+        )
+        assert all(h.stats.l1d_prefetches_issued > 0 for h in hierarchies)
+        assert check_invariants(result, hierarchies) == []
+        hierarchies[0].stats.useless_l1d_prefetches -= 1
+        hierarchies[2].stats.accurate_prefetch_source[MemLevel.LLC] += 1
+        assert [problem.split(" L1D")[0] for problem in check_invariants(
+            result, hierarchies
+        )] == ["core 2: accurate + inaccurate LLC", "core 0: useful + useless"]
+
+    def test_single_core_prefetches_all_resolved(self):
+        """The single-core result's counts obey the same law."""
+        system = _system("batch")
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=system)
+        trace = build_workload_trace("bfs.urand", 1_500, "tiny")
+        result = run_single_core(
+            trace, build_scenario("tlp"), config=system, hierarchy=hierarchy
+        )
+        assert result.l1d_prefetches_issued > 0
+        assert check_invariants(result, [hierarchy]) == []
+        result.useful_l1d_prefetches -= 1
+        assert check_invariants(result) == [
+            f"useful + useless L1D prefetches {result.l1d_prefetches_issued - 1} "
+            f"!= issued {result.l1d_prefetches_issued}"
+        ]
+
 
 class TestRegistryRunsFused:
     def test_every_figure_point_is_supported(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import pickle
 
 import pytest
 
@@ -55,6 +56,18 @@ class TestCampaignPoint:
 
     def test_label(self):
         assert tiny_point().label == "bfs.urand/baseline/ipcp"
+
+    def test_key_is_hashed_once_and_survives_pickling(self, monkeypatch):
+        point = tiny_point()
+        key = point.key()
+        monkeypatch.setattr(
+            "repro.sim.engine.asdict", lambda *_: pytest.fail("key hashed twice")
+        )
+        assert point.key() == key
+        copy = pickle.loads(pickle.dumps(point))
+        assert copy == point and copy.key() == key
+        monkeypatch.undo()
+        assert dataclasses.replace(copy, scheme="tlp").key() == tiny_point(scheme="tlp").key()
 
 
 class TestResultCacheSerialization:

@@ -30,7 +30,7 @@ from repro.common.config import (
 )
 from repro.cpu.core import CoreRunner
 from repro.memory.cache import EvictionInfo
-from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import tracer
 from repro.sim import native
 from repro.sim.batch import batch_unsupported_reason, fused_core_stepper
@@ -41,7 +41,7 @@ from repro.sim.single_core import run_single_core
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MIX = ("bfs.urand", "spec.mcf_like", "spec.lbm_like", "cc.road")
-MODEL_TYPES = (EvictionInfo, PrefetchRecord)
+MODEL_TYPES = (EvictionInfo,)
 
 
 def _single(core: str):
