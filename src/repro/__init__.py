@@ -37,7 +37,7 @@ from repro.sim.results import SingleCoreResult
 from repro.sim.scenarios import SCHEMES, Scenario, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.trace import Trace
-from repro.workloads.catalog import default_catalog, make_multicore_mixes
+from repro.workloads.catalog import default_catalog
 
 __version__ = "1.0.0"
 
@@ -66,6 +66,5 @@ __all__ = [
     "run_single_core",
     "Trace",
     "default_catalog",
-    "make_multicore_mixes",
     "__version__",
 ]

@@ -13,8 +13,8 @@ The entry points and their CLI twins:
 ``simulate_point``   one (workload, scheme, prefetcher) simulation
 ``run_sweep``        ``repro sweep`` -- a user-defined point grid
 ``run_figure``       ``repro figure`` -- one registered paper figure
-``run_campaign``     the full paper point set (no CLI twin; ``repro
-                     figure all`` runs every figure's points)
+``run_campaign``     the paper's campaign sweep preset (no CLI twin;
+                     ``repro figure all`` runs every figure's points)
 ===================  =====================================================
 
 Every entry point takes ``core=`` to select the simulator core
@@ -46,7 +46,7 @@ from repro.common.config import (
     cascade_lake_single_core,
 )
 from repro.core.slp import SecondLevelPerceptron
-from repro.experiments.common import CampaignCache, ExperimentConfig
+from repro.experiments.common import CampaignCache, ExperimentConfig, campaign_sweep
 from repro.experiments.spec import (
     MultiCoreSweep,
     SingleCoreSweep,
@@ -263,15 +263,19 @@ def run_campaign(
     use_result_cache: bool = True,
     trace_store: Optional[TraceStore] = None,
 ) -> CampaignCache:
-    """Simulate the paper's point set and return the populated campaign.
+    """Simulate the paper's campaign and return the populated campaign.
 
-    Enumerates every (workload, scheme, prefetcher) point of the campaign
-    (all schemes when ``schemes`` is None; plus the multi-core mixes with
-    ``include_multicore``), fans them out across ``jobs`` workers, and
-    returns the :class:`CampaignCache` -- query it with
+    Compiles the :func:`~repro.experiments.common.campaign_sweep` preset --
+    every configured (workload, prefetcher) under the baseline and
+    ``schemes`` (all comparison schemes when None), plus the suite mixes
+    with ``include_multicore`` -- fans its points out across ``jobs``
+    workers and returns the :class:`CampaignCache`.  Query it with
     ``campaign.single_core(workload, scheme)`` / ``campaign.multi_core`` or
     hand it back to :func:`run_figure` for cache-hit figure rendering.
     """
     campaign = _campaign(config, cache, core, use_result_cache, trace_store)
-    campaign.run_campaign(schemes, include_multicore=include_multicore, jobs=jobs)
+    points = campaign_sweep(schemes, include_multicore).compile(
+        campaign.config, trace_store=campaign.engine.trace_store
+    )
+    campaign.run_points(points, jobs=jobs)
     return campaign

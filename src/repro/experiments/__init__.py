@@ -13,10 +13,12 @@ Each ``figNN_*`` module declares its experiment as a spec (see
 
 Specs register under their figure name, so ``repro figure <name>|all``
 executes any figure through one parallel
-:meth:`~repro.sim.engine.CampaignEngine.run` fan-out, and the single-core
-and multi-core figures share their underlying simulations via
-:class:`repro.experiments.common.CampaignCache` -- regenerating all figures
-only simulates each (workload, scenario) pair once.
+:meth:`~repro.sim.engine.CampaignEngine.run` fan-out.  Every point is named
+by its cache key, and :class:`repro.experiments.common.CampaignCache` keeps
+one memo of results by that key, so the figures share their underlying
+simulations -- regenerating all figures simulates each point once.  The
+paper's whole campaign is the
+:func:`~repro.experiments.common.campaign_sweep` preset.
 """
 
 from repro.experiments.common import (

@@ -9,23 +9,18 @@ schemes are what the figures check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
-from repro.common.config import (
-    SystemConfig,
-    cascade_lake_single_core,
-    system_config_to_dict,
+from repro.common.config import SystemConfig
+from repro.experiments.spec import (
+    MultiCoreSweep,
+    SingleCoreSweep,
+    SweepSpec,
+    config_multi_core_point,
+    config_single_core_point,
 )
-from repro.experiments.spec import multicore_mixes
-from repro.sim.engine import (
-    CampaignEngine,
-    CampaignPoint,
-    multi_core_point,
-    single_core_point,
-)
+from repro.sim.engine import CampaignEngine, CampaignPoint
 from repro.sim.multi_core import MultiCoreResult
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import SingleCoreResult
@@ -136,12 +131,12 @@ def quick_experiment_config() -> ExperimentConfig:
 class CampaignCache:
     """Caches traces and simulation results across experiment modules.
 
-    A thin in-process memo (keyed by workload name / (workload, scheme,
-    prefetcher)) layered on top of the :class:`~repro.sim.engine.
-    CampaignEngine`, which adds the persistent on-disk result cache and the
-    parallel fan-out.  The Figure 10, 11 and 12 harnesses, which all need
-    the same single-core runs, simulate each configuration at most once per
-    process -- and not at all when the engine's disk cache is warm.
+    One in-process memo, keyed by point key, layered on top of the
+    :class:`~repro.sim.engine.CampaignEngine`, which adds the persistent
+    on-disk result cache and the parallel fan-out.  Batches
+    (:meth:`run_points`) and the per-point calls (:meth:`single_core`,
+    :meth:`multi_core`) share it, so a process simulates each point at
+    most once -- and not at all when the engine's disk cache is warm.
     """
 
     def __init__(
@@ -162,16 +157,8 @@ class CampaignCache:
                 sim_core=sim_core,
             )
         self.engine = engine
-        self._single_core: dict[tuple, SingleCoreResult] = {}
-        self._multi_core: dict[tuple, MultiCoreResult] = {}
-        #: Point-key memo shared by the batch path and the per-point calls:
-        #: a point simulated by any path is never re-requested from the
-        #: engine by this cache, even with the persistent result cache off.
         self._by_key: dict[str, SingleCoreResult | MultiCoreResult] = {}
 
-    # ------------------------------------------------------------------
-    # Traces
-    # ------------------------------------------------------------------
     def trace(self, workload: str, memory_accesses: Optional[int] = None) -> Trace:
         """Build (or reuse) the trace of a named workload.
 
@@ -185,28 +172,6 @@ class CampaignCache:
         )
         return self.engine.trace(workload, budget, self.config.gap_scale)
 
-    # ------------------------------------------------------------------
-    # Single-core runs
-    # ------------------------------------------------------------------
-    def _single_core_point(
-        self,
-        workload: str,
-        scheme: str,
-        l1d_prefetcher: str,
-        budget: int,
-        system: Optional[SystemConfig] = None,
-    ) -> CampaignPoint:
-        return single_core_point(
-            workload,
-            scheme,
-            l1d_prefetcher,
-            memory_accesses=budget,
-            warmup_fraction=self.config.warmup_fraction,
-            gap_scale=self.config.gap_scale,
-            system=system,
-            trace_store=self.engine.trace_store,
-        )
-
     def single_core(
         self,
         workload: str,
@@ -216,56 +181,16 @@ class CampaignCache:
         system: Optional[SystemConfig] = None,
     ) -> SingleCoreResult:
         """Run (or reuse) one single-core simulation."""
-        budget = (
-            memory_accesses
-            if memory_accesses is not None
-            else self.config.memory_accesses
-        )
-        # A custom system config participates in the memo key (the common
-        # default-system path pays no serialization cost).
-        system_token = (
-            None
-            if system is None
-            else json.dumps(system_config_to_dict(system), sort_keys=True)
-        )
-        key = (workload, scheme, l1d_prefetcher, budget, system_token)
-        if key not in self._single_core:
-            point = self._single_core_point(
-                workload, scheme, l1d_prefetcher, budget, system
-            )
-            result = self._by_key.get(point.key())
-            if result is None:
-                result = self.engine.run_point(point)
-            self._single_core[key] = result
-            self._record(point, result)
-        return self._single_core[key]
-
-    # ------------------------------------------------------------------
-    # Multi-core runs
-    # ------------------------------------------------------------------
-    def multicore_mixes(self, suite: str) -> list[tuple[str, list[str]]]:
-        """Multi-core mixes for one suite (half homogeneous, half random)."""
-        return multicore_mixes(self.config, suite)
-
-    def _multi_core_point(
-        self,
-        mix_name: str,
-        workloads: list[str],
-        scheme: str,
-        l1d_prefetcher: str,
-        per_core_bandwidth_gbps: float,
-    ) -> CampaignPoint:
-        return multi_core_point(
-            mix_name,
-            workloads,
+        point = config_single_core_point(
+            self.config,
+            workload,
             scheme,
             l1d_prefetcher,
-            memory_accesses=self.config.multicore_memory_accesses,
-            warmup_fraction=self.config.warmup_fraction,
-            gap_scale=self.config.gap_scale,
-            per_core_bandwidth_gbps=per_core_bandwidth_gbps,
+            memory_accesses=memory_accesses,
+            system=system,
             trace_store=self.engine.trace_store,
         )
+        return self.run_points([point])[point.key()]
 
     def multi_core(
         self,
@@ -276,106 +201,16 @@ class CampaignCache:
         per_core_bandwidth_gbps: float = 3.2,
     ) -> MultiCoreResult:
         """Run (or reuse) one multi-core mix simulation."""
-        # The budget participates in the key so batch-executed sweeps with
-        # a custom multi-core budget never satisfy this config-budget call.
-        key = (
+        point = config_multi_core_point(
+            self.config,
             mix_name,
+            workloads,
             scheme,
             l1d_prefetcher,
-            per_core_bandwidth_gbps,
-            self.config.multicore_memory_accesses,
+            per_core_bandwidth_gbps=per_core_bandwidth_gbps,
+            trace_store=self.engine.trace_store,
         )
-        if key not in self._multi_core:
-            point = self._multi_core_point(
-                mix_name, workloads, scheme, l1d_prefetcher, per_core_bandwidth_gbps
-            )
-            result = self._by_key.get(point.key())
-            if result is None:
-                result = self.engine.run_point(point)
-            self._multi_core[key] = result
-            self._record(point, result)
-        return self._multi_core[key]
-
-    # ------------------------------------------------------------------
-    # Campaign enumeration and parallel execution
-    # ------------------------------------------------------------------
-    def enumerate_points(
-        self,
-        schemes: Optional[tuple[str, ...]] = None,
-        include_multicore: bool = False,
-        per_core_bandwidth_gbps: float = 3.2,
-    ) -> list[CampaignPoint]:
-        """Enumerate every (workload, scheme, prefetcher) point up front.
-
-        The single-core cross product always includes the baseline scheme
-        (every figure normalises against it); multi-core mixes are appended
-        when ``include_multicore`` is set.
-        """
-        selected = schemes if schemes is not None else COMPARISON_SCHEMES
-        ordered_schemes = ("baseline",) + tuple(
-            scheme for scheme in selected if scheme != "baseline"
-        )
-        points: list[CampaignPoint] = []
-        for prefetcher in self.config.l1d_prefetchers:
-            for scheme in ordered_schemes:
-                for workload in self.config.workloads():
-                    points.append(
-                        self._single_core_point(
-                            workload, scheme, prefetcher, self.config.memory_accesses
-                        )
-                    )
-        if include_multicore:
-            mixes = self.multicore_mixes("gap") + self.multicore_mixes("spec")
-            for prefetcher in self.config.l1d_prefetchers:
-                for scheme in ordered_schemes:
-                    for mix_name, workloads in mixes:
-                        points.append(
-                            self._multi_core_point(
-                                mix_name,
-                                workloads,
-                                scheme,
-                                prefetcher,
-                                per_core_bandwidth_gbps,
-                            )
-                        )
-        return points
-
-    def _record(
-        self, point: CampaignPoint, result: SingleCoreResult | MultiCoreResult
-    ) -> None:
-        """Index ``result`` under every in-process memo the point maps to."""
-        self._by_key[point.key()] = result
-        if point.kind == "single_core":
-            # Points carrying the default system land under the ``None``
-            # system token :meth:`single_core` uses for its common path.
-            system_token = (
-                None
-                if point.system_json == _default_single_core_system_json()
-                else point.system_json
-            )
-            self._single_core[
-                (
-                    point.workloads[0],
-                    point.scheme,
-                    point.l1d_prefetcher,
-                    point.memory_accesses,
-                    system_token,
-                )
-            ] = result
-        else:
-            system = json.loads(point.system_json)
-            per_core_gbps = (
-                system["dram"]["bandwidth_gbps"] / max(1, system["num_cores"])
-            )
-            self._multi_core[
-                (
-                    point.mix_name,
-                    point.scheme,
-                    point.l1d_prefetcher,
-                    per_core_gbps,
-                    point.memory_accesses,
-                )
-            ] = result
+        return self.run_points([point])[point.key()]
 
     def run_points(
         self,
@@ -386,49 +221,42 @@ class CampaignCache:
         """Run a point batch through one engine fan-out, memo layered on top.
 
         The in-process memo filters out points this cache has already seen
-        (any path: a previous batch, :meth:`single_core`, ...); only the
-        remainder goes to :meth:`CampaignEngine.run`, which fans cache
-        misses out across ``jobs`` worker processes and raises when a point
-        fails.  Returns ``{point key: result}`` for every requested point
-        and populates the semantic memos, so figure reducers and the legacy
-        per-point calls all hit.
+        (a previous batch, :meth:`single_core`, ...); only the remainder
+        goes to :meth:`CampaignEngine.run`, which fans cache misses out
+        across ``jobs`` worker processes and raises when a point fails.
+        Returns ``{point key: result}`` for every requested point.
         """
-        ordered: list[tuple[str, CampaignPoint]] = []
-        seen: set[str] = set()
+        ordered: dict[str, CampaignPoint] = {}
         for point in points:
-            key = point.key()
-            if key not in seen:
-                seen.add(key)
-                ordered.append((key, point))
-        missing = [(key, point) for key, point in ordered if key not in self._by_key]
+            ordered.setdefault(point.key(), point)
+        missing = [point for key, point in ordered.items() if key not in self._by_key]
         if missing:
-            fresh = self.engine.run(
-                [point for _, point in missing], jobs=jobs, progress=progress
+            self._by_key.update(
+                self.engine.run(missing, jobs=jobs, progress=progress)
             )
-            for key, point in missing:
-                self._record(point, fresh[key])
-        return {key: self._by_key[key] for key, _ in ordered}
-
-    def run_campaign(
-        self,
-        schemes: Optional[tuple[str, ...]] = None,
-        include_multicore: bool = False,
-        jobs: Optional[int] = None,
-    ) -> int:
-        """Simulate the whole campaign, fanning points out across ``jobs``.
-
-        Populates the in-memory memos so subsequent :meth:`single_core` /
-        :meth:`multi_core` calls are hits.  Returns the number of points.
-        """
-        points = self.enumerate_points(schemes, include_multicore=include_multicore)
-        return len(self.run_points(points, jobs=jobs))
+        return {key: self._by_key[key] for key in ordered}
 
 
-@lru_cache(maxsize=1)
-def _default_single_core_system_json() -> str:
-    """Canonical JSON of the default single-core system (memo-token probe)."""
-    return json.dumps(
-        system_config_to_dict(cascade_lake_single_core()), sort_keys=True
+def campaign_sweep(
+    schemes: Optional[tuple[str, ...]] = None, include_multicore: bool = False
+) -> SweepSpec:
+    """The paper's campaign as a sweep: every configured workload and L1D
+    prefetcher under the baseline and ``schemes`` (the comparison schemes
+    when None), plus every suite mix when ``include_multicore`` is set.
+
+    The baseline comes first: every figure normalises against it.
+    """
+    selected = schemes if schemes is not None else COMPARISON_SCHEMES
+    ordered = ("baseline",) + tuple(
+        scheme for scheme in selected if scheme != "baseline"
+    )
+    return SweepSpec(
+        single_core=(SingleCoreSweep(schemes=ordered),),
+        multi_core=(
+            (MultiCoreSweep(schemes=ordered, isolated_baselines=False),)
+            if include_multicore
+            else ()
+        ),
     )
 
 

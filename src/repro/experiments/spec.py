@@ -2,11 +2,8 @@
 
 The paper's evaluation is one big cross product (workloads x schemes x L1D
 prefetchers x system overrides x budgets); every figure is a *view* of some
-slice of it.  Historically each ``fig*`` harness hand-rolled nested loops
-and simulated one point at a time through
-:meth:`repro.experiments.common.CampaignCache.single_core`, so the parallel
-fan-out of :meth:`repro.sim.engine.CampaignEngine.run` never helped the
-figures.  This module splits every experiment into two declarative halves:
+slice of it.  This module splits every experiment into two declarative
+halves:
 
 * a :class:`SweepSpec` -- plain data describing the swept axes.  It
   *compiles* to a flat ``list[CampaignPoint]`` which the engine executes as
@@ -20,6 +17,12 @@ registry drives ``repro figure <name>|all`` and the parity test suite.
 User-defined sweeps (``repro sweep``) build a :class:`SweepSpec` straight
 from CLI flags or JSON (:func:`sweep_spec_from_dict`) -- including
 ``imported.*`` trace-store workloads -- without writing a module.
+
+Every point is named by its cache key, built from an experiment
+configuration by :func:`config_single_core_point` /
+:func:`config_multi_core_point`.  Sweep compilation, :class:`SweepResults`
+lookups and :class:`~repro.experiments.common.CampaignCache`'s per-point
+calls all use them, so one simulation has one key whichever path asks.
 
 Layering: this module sits on :mod:`repro.sim.engine` only;
 :mod:`repro.experiments.common` layers the in-process memo
@@ -48,14 +51,74 @@ from repro.sim.results import SingleCoreResult
 
 
 # ----------------------------------------------------------------------
-# Mix enumeration (shared by sweeps, CampaignCache and reducers)
+# Points and mixes of an experiment configuration
 # ----------------------------------------------------------------------
+def config_single_core_point(
+    config,
+    workload: str,
+    scheme: str,
+    l1d_prefetcher: str = "ipcp",
+    memory_accesses: Optional[int] = None,
+    system: Optional[SystemConfig] = None,
+    trace_store=None,
+) -> CampaignPoint:
+    """One single-core point at ``config``'s warm-up and graph scale.
+
+    ``memory_accesses`` defaults to the configured single-core budget.
+    """
+    return single_core_point(
+        workload,
+        scheme,
+        l1d_prefetcher,
+        memory_accesses=(
+            memory_accesses
+            if memory_accesses is not None
+            else config.memory_accesses
+        ),
+        warmup_fraction=config.warmup_fraction,
+        gap_scale=config.gap_scale,
+        system=system,
+        trace_store=trace_store,
+    )
+
+
+def config_multi_core_point(
+    config,
+    mix_name: str,
+    workloads: Sequence[str],
+    scheme: str,
+    l1d_prefetcher: str = "ipcp",
+    per_core_bandwidth_gbps: float = 3.2,
+    memory_accesses: Optional[int] = None,
+    trace_store=None,
+) -> CampaignPoint:
+    """One multi-core mix point at ``config``'s warm-up and graph scale.
+
+    ``memory_accesses`` (per core) defaults to the configured
+    ``multicore_memory_accesses``.
+    """
+    return multi_core_point(
+        mix_name,
+        workloads,
+        scheme,
+        l1d_prefetcher,
+        memory_accesses=(
+            memory_accesses
+            if memory_accesses is not None
+            else config.multicore_memory_accesses
+        ),
+        warmup_fraction=config.warmup_fraction,
+        gap_scale=config.gap_scale,
+        per_core_bandwidth_gbps=per_core_bandwidth_gbps,
+        trace_store=trace_store,
+    )
+
+
 def multicore_mixes(config, suite: str) -> list[tuple[str, list[str]]]:
-    """Multi-core mixes of one suite (half homogeneous, half random).
+    """Multi-core mixes of one suite (half homogeneous, half rotated).
 
     Pure function of the experiment configuration, so sweep compilation and
-    reducers enumerate exactly the same mixes as
-    :meth:`~repro.experiments.common.CampaignCache.multicore_mixes`.
+    reducers enumerate exactly the same mixes.
     """
     names = list(config.workloads(suite))
     mixes: list[tuple[str, list[str]]] = []
@@ -160,13 +223,7 @@ class SweepSpec:
         return swept
 
     def compile(self, config, trace_store=None) -> list[CampaignPoint]:
-        """Flatten every axis block into a deduplicated point list.
-
-        The points are exactly the ones
-        :class:`~repro.experiments.common.CampaignCache` would build for
-        the same simulations (same cache keys), so spec-driven figures
-        share the persistent result cache with the legacy call paths.
-        """
+        """Flatten every axis block into a deduplicated point list."""
         points: list[CampaignPoint] = []
         seen: set[str] = set()
 
@@ -185,23 +242,17 @@ class SweepSpec:
                 if block.l1d_prefetchers is not None
                 else config.l1d_prefetchers
             )
-            budget = (
-                block.memory_accesses
-                if block.memory_accesses is not None
-                else config.memory_accesses
-            )
             for prefetcher in prefetchers:
                 for scheme in block.schemes:
                     for system in block.systems:
                         for workload in workloads:
                             add(
-                                single_core_point(
+                                config_single_core_point(
+                                    config,
                                     workload,
                                     scheme,
                                     prefetcher,
-                                    memory_accesses=budget,
-                                    warmup_fraction=config.warmup_fraction,
-                                    gap_scale=config.gap_scale,
+                                    memory_accesses=block.memory_accesses,
                                     system=system,
                                     trace_store=trace_store,
                                 )
@@ -224,13 +275,12 @@ class SweepSpec:
                     for _, workloads in mixes:
                         for workload in workloads:
                             add(
-                                single_core_point(
+                                config_single_core_point(
+                                    config,
                                     workload,
                                     "baseline",
                                     prefetcher,
                                     memory_accesses=budget,
-                                    warmup_fraction=config.warmup_fraction,
-                                    gap_scale=config.gap_scale,
                                     trace_store=trace_store,
                                 )
                             )
@@ -239,15 +289,14 @@ class SweepSpec:
                     for scheme in block.schemes:
                         for mix_name, workloads in mixes:
                             add(
-                                multi_core_point(
+                                config_multi_core_point(
+                                    config,
                                     mix_name,
                                     workloads,
                                     scheme,
                                     prefetcher,
-                                    memory_accesses=budget,
-                                    warmup_fraction=config.warmup_fraction,
-                                    gap_scale=config.gap_scale,
                                     per_core_bandwidth_gbps=bandwidth,
+                                    memory_accesses=budget,
                                     trace_store=trace_store,
                                 )
                             )
@@ -431,19 +480,13 @@ class SweepResults:
         system: Optional[SystemConfig] = None,
     ) -> SingleCoreResult:
         """Result of one single-core point of the sweep."""
-        budget = (
-            memory_accesses
-            if memory_accesses is not None
-            else self.config.memory_accesses
-        )
         return self._lookup(
-            single_core_point(
+            config_single_core_point(
+                self.config,
                 workload,
                 scheme,
                 l1d_prefetcher,
-                memory_accesses=budget,
-                warmup_fraction=self.config.warmup_fraction,
-                gap_scale=self.config.gap_scale,
+                memory_accesses=memory_accesses,
                 system=system,
                 trace_store=self._trace_store,
             )
@@ -459,28 +502,18 @@ class SweepResults:
         memory_accesses: Optional[int] = None,
     ) -> MultiCoreResult:
         """Result of one multi-core mix point of the sweep."""
-        budget = (
-            memory_accesses
-            if memory_accesses is not None
-            else self.config.multicore_memory_accesses
-        )
         return self._lookup(
-            multi_core_point(
+            config_multi_core_point(
+                self.config,
                 mix_name,
                 workloads,
                 scheme,
                 l1d_prefetcher,
-                memory_accesses=budget,
-                warmup_fraction=self.config.warmup_fraction,
-                gap_scale=self.config.gap_scale,
                 per_core_bandwidth_gbps=per_core_bandwidth_gbps,
+                memory_accesses=memory_accesses,
                 trace_store=self._trace_store,
             )
         )
-
-    def mixes(self, suite: str) -> list[tuple[str, list[str]]]:
-        """Suite mixes, for reducers that iterate the mix axis."""
-        return multicore_mixes(self.config, suite)
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,9 @@ executes only the points that had not finished.
 
 Layering: the engine sits between the raw simulation drivers
 (:mod:`repro.sim.single_core` / :mod:`repro.sim.multi_core`) and the
-experiment harnesses; :class:`repro.experiments.common.CampaignCache` is a
-thin per-process memo on top of it.
+experiment harnesses.  :mod:`repro.experiments.spec` compiles sweeps to its
+point batches, and :class:`repro.experiments.common.CampaignCache` is a
+per-process memo on top of it, keyed by point key.
 """
 
 from __future__ import annotations

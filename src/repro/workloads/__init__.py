@@ -4,7 +4,6 @@ from repro.workloads.catalog import (
     WorkloadCatalog,
     WorkloadSpec,
     default_catalog,
-    make_multicore_mixes,
     register_imported_workloads,
 )
 from repro.workloads.gap import GAP_KERNELS, TraceEmitter, gap_trace
@@ -15,7 +14,6 @@ __all__ = [
     "WorkloadCatalog",
     "WorkloadSpec",
     "default_catalog",
-    "make_multicore_mixes",
     "register_imported_workloads",
     "GAP_KERNELS",
     "TraceEmitter",

@@ -1,19 +1,18 @@
-"""Workload catalog: named single-core workloads and multi-core mixes.
+"""Workload catalog: named single-core workloads.
 
 The catalog mirrors the paper's workload selection methodology (Section V):
 
 * the **GAP** suite is the cross product of the six kernels with the input
   graphs (the paper keeps the 31 combinations whose baseline LLC MPKI > 1);
-* the **SPEC** suite is the set of SPEC-like synthetic workloads;
-* multi-core mixes are built per suite, half homogeneous (four copies of one
-  workload) and half heterogeneous (four distinct workloads), exactly like
-  the paper's 200-mix campaign (at smaller count).
+* the **SPEC** suite is the set of SPEC-like synthetic workloads.
+
+Multi-core mixes are enumerated from an experiment configuration by
+:func:`repro.experiments.spec.multicore_mixes`.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -190,33 +189,3 @@ def register_imported_workloads(
         added.append(workload)
     return added
 
-
-def make_multicore_mixes(
-    catalog: WorkloadCatalog,
-    suite: str,
-    num_homogeneous: int = 2,
-    num_heterogeneous: int = 2,
-    cores: int = 4,
-    seed: int = 23,
-) -> list[tuple[str, list[str]]]:
-    """Build multi-core workload mixes following the paper's methodology.
-
-    Returns ``(mix_name, [workload names])`` tuples; homogeneous mixes run
-    ``cores`` copies of the same workload, heterogeneous mixes pick ``cores``
-    distinct workloads at random from the suite.
-    """
-    names = catalog.names(suite)
-    if not names:
-        raise ValueError(f"catalog has no workloads for suite {suite!r}")
-    rng = random.Random(seed)
-    mixes: list[tuple[str, list[str]]] = []
-    for index in range(num_homogeneous):
-        workload = names[index % len(names)]
-        mixes.append((f"{suite}.homog.{workload}", [workload] * cores))
-    for index in range(num_heterogeneous):
-        if len(names) >= cores:
-            selection = rng.sample(names, cores)
-        else:
-            selection = [rng.choice(names) for _ in range(cores)]
-        mixes.append((f"{suite}.heter.{index}", selection))
-    return mixes

@@ -7,9 +7,15 @@ import pickle
 
 import pytest
 
+from repro import api
 from repro.experiments import CampaignCache
-from repro.experiments.common import quick_experiment_config
+from repro.experiments.common import (
+    campaign_sweep,
+    default_experiment_config,
+    quick_experiment_config,
+)
 from repro.experiments import fig10_12_singlecore
+from repro.experiments.spec import multicore_mixes
 from repro.sim.engine import (
     CampaignEngine,
     CampaignReport,
@@ -198,29 +204,64 @@ class TestWarmCacheSkipsFigureHarness:
 
 
 class TestCampaignEnumeration:
-    def test_enumerate_points_covers_cross_product(self):
+    """``api.run_campaign`` is the ``campaign_sweep`` preset."""
+
+    @pytest.mark.parametrize(
+        "config_name, schemes, include_multicore, expected",
+        [
+            ("quick", None, False, 20),
+            ("quick", None, True, 30),
+            ("quick", ("tlp",), False, 8),
+            ("quick", ("tlp",), True, 12),
+            ("default", None, False, 80),
+            ("default", None, True, 100),
+            ("default", ("tlp",), False, 32),
+            ("default", ("tlp",), True, 40),
+        ],
+    )
+    def test_campaign_sweep_point_counts(
+        self, config_name, schemes, include_multicore, expected
+    ):
+        config = (
+            quick_experiment_config()
+            if config_name == "quick"
+            else default_experiment_config()
+        )
+        points = campaign_sweep(schemes, include_multicore).compile(config)
+        assert len(points) == expected
+        assert points[0].scheme == "baseline"
+
+    def test_campaign_sweep_covers_cross_product(self):
         config = quick_experiment_config()
-        campaign = CampaignCache(config, use_result_cache=False)
-        points = campaign.enumerate_points(schemes=("tlp",))
+        points = campaign_sweep(("tlp",)).compile(config)
         # (baseline + tlp) x workloads x prefetchers
         expected = 2 * len(config.workloads()) * len(config.l1d_prefetchers)
         assert len(points) == expected
         assert all(point.kind == "single_core" for point in points)
 
-    def test_enumerate_points_includes_multicore_mixes(self):
+    def test_campaign_sweep_includes_multicore_mixes(self):
         config = quick_experiment_config()
-        campaign = CampaignCache(config, use_result_cache=False)
-        points = campaign.enumerate_points(schemes=("tlp",), include_multicore=True)
-        assert any(point.kind == "multi_core" for point in points)
+        points = campaign_sweep(("tlp",), include_multicore=True).compile(config)
+        mixes = [point for point in points if point.kind == "multi_core"]
+        assert {point.mix_name for point in mixes} == {
+            name
+            for suite in ("gap", "spec")
+            for name, _ in multicore_mixes(config, suite)
+        }
+        # No isolated single-core baselines at the multi-core budget.
+        assert {
+            point.memory_accesses for point in points if point.kind == "single_core"
+        } == {config.memory_accesses}
 
     def test_run_campaign_populates_memo(self, tmp_path):
-        from repro.sim import result_cache as result_cache_module
-
         config = quick_experiment_config()
         engine = CampaignEngine(result_cache=ResultCache(tmp_path), jobs=1)
-        campaign = CampaignCache(config, engine=engine)
-        count = campaign.run_campaign(schemes=("tlp",))
-        assert count == len(campaign.enumerate_points(schemes=("tlp",)))
+        campaign = api.run_campaign(
+            schemes=("tlp",), cache=CampaignCache(config, engine=engine)
+        )
+        assert engine.simulations_run == len(
+            campaign_sweep(("tlp",)).compile(config)
+        )
         simulated = engine.simulations_run
         # Every figure-harness lookup is now a memo hit: no further runs.
         campaign.single_core(config.workloads()[0], "tlp", config.l1d_prefetchers[0])

@@ -49,6 +49,7 @@ from repro.experiments.spec import (
     sweep_spec_from_dict,
     sweep_spec_to_dict,
 )
+from repro.sim.engine import single_core_point
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "expected_figures_quick.json"
 
@@ -165,9 +166,8 @@ class TestSweepCompilation:
         assert points[0].workloads == mix[1]
 
     def test_compiled_points_match_campaign_cache_keys(self):
-        """Spec-compiled points share cache keys with the legacy call path."""
+        """Spec-compiled points keep the engine's point keys."""
         config = quick_experiment_config()
-        cache = CampaignCache(config, use_result_cache=False)
         point = SweepSpec(
             single_core=(
                 SingleCoreSweep(
@@ -177,10 +177,15 @@ class TestSweepCompilation:
                 ),
             )
         ).compile(config)[0]
-        legacy = cache._single_core_point(
-            "bfs.urand", "tlp", "ipcp", config.memory_accesses
+        direct = single_core_point(
+            "bfs.urand",
+            "tlp",
+            "ipcp",
+            memory_accesses=config.memory_accesses,
+            warmup_fraction=config.warmup_fraction,
+            gap_scale=config.gap_scale,
         )
-        assert point.key() == legacy.key()
+        assert point.key() == direct.key()
 
 
 class TestBatchExecution:
@@ -223,7 +228,7 @@ class TestBatchExecution:
         """A batch at a non-config budget must not satisfy config-budget calls."""
         config = quick_experiment_config()
         cache = CampaignCache(config, use_result_cache=False)
-        mix_name, workloads = cache.multicore_mixes("gap")[0]
+        mix_name, workloads = multicore_mixes(config, "gap")[0]
         custom_budget = config.multicore_memory_accesses // 2
         points = SweepSpec(
             multi_core=(
@@ -243,6 +248,18 @@ class TestBatchExecution:
         result = cache.multi_core(mix_name, workloads, "baseline", "ipcp")
         (custom_result,) = batch.values()
         assert sum(result.instructions) > sum(custom_result.instructions)
+
+    def test_multi_core_memo_keys_on_workloads_not_mix_name(self):
+        """One mix name over two workload lists is two simulations."""
+        config = quick_experiment_config()
+        cache = CampaignCache(config, use_result_cache=False)
+        first = cache.multi_core("m", ["bfs.urand"] * 4, "baseline", "ipcp")
+        second = cache.multi_core("m", ["spec.mcf_like"] * 4, "baseline", "ipcp")
+        fresh = CampaignCache(config, use_result_cache=False).multi_core(
+            "m", ["spec.mcf_like"] * 4, "baseline", "ipcp"
+        )
+        assert second is not first
+        assert second == fresh
 
     def test_run_points_returns_every_requested_key(self):
         config = quick_experiment_config()

@@ -23,6 +23,7 @@ import logging
 import numpy as np
 import pytest
 
+from repro import api
 from repro.experiments.common import CampaignCache, ExperimentConfig
 from repro.sim.engine import (
     CampaignEngine,
@@ -478,8 +479,11 @@ class TestStoreFastPath:
                 jobs=1,
                 trace_store=store,
             )
-            cache = CampaignCache(config, engine=engine)
-            cache.run_campaign(schemes=("tlp",), include_multicore=True)
+            api.run_campaign(
+                schemes=("tlp",),
+                include_multicore=True,
+                cache=CampaignCache(config, engine=engine),
+            )
             return engine
 
         reset_generator_invocations()

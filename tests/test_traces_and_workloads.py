@@ -19,7 +19,7 @@ from repro.traces.synthetic import (
     strided_trace,
 )
 from repro.traces.trace import Trace
-from repro.workloads.catalog import WorkloadCatalog, WorkloadSpec, default_catalog, make_multicore_mixes
+from repro.workloads.catalog import WorkloadCatalog, WorkloadSpec, default_catalog
 from repro.workloads.gap import GAP_KERNELS, gap_trace
 from repro.workloads.graphs import CSRGraph, _edges_to_csr, generate_graph
 from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS, spec_like_trace
@@ -298,15 +298,6 @@ class TestCatalog:
     def test_unknown_lookup(self):
         with pytest.raises(KeyError):
             default_catalog().get("nope")
-
-    def test_multicore_mixes_shape(self):
-        catalog = default_catalog()
-        mixes = make_multicore_mixes(catalog, "gap", num_homogeneous=2, num_heterogeneous=2)
-        assert len(mixes) == 4
-        for _, workloads in mixes:
-            assert len(workloads) == 4
-        homogeneous = mixes[0][1]
-        assert len(set(homogeneous)) == 1
 
 
 @settings(max_examples=10, deadline=None)
