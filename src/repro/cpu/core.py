@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from repro.common.config import CoreConfig
-from repro.common.types import AccessOutcome, MemoryAccess
+from repro.common.types import AccessOutcome
 from repro.traces.trace import KIND_LOAD, KIND_STORE, trace_lists
 
 #: Signature of the memory callback: (pc, vaddr, cycle, is_write) -> outcome.
@@ -60,30 +60,6 @@ class CoreResult:
         return self.total_load_latency / self.loads
 
 
-class OutOfOrderCore:
-    """ROB-occupancy limited out-of-order retirement model."""
-
-    def __init__(self, config: Optional[CoreConfig] = None) -> None:
-        self.config = config if config is not None else CoreConfig()
-        if self.config.width <= 0:
-            raise ValueError(f"core width must be positive, got {self.config.width}")
-        if self.config.rob_size <= 0:
-            raise ValueError(
-                f"rob size must be positive, got {self.config.rob_size}"
-            )
-
-    def run(
-        self,
-        trace: Iterable[MemoryAccess],
-        memory: MemoryCallback,
-        start_cycle: float = 0.0,
-    ) -> CoreResult:
-        """Run a full trace to completion and return aggregate timing."""
-        runner = CoreRunner(self.config, memory, start_cycle)
-        runner.run_trace(trace)
-        return runner.finish()
-
-
 class CoreRunner:
     """Incremental core model that can be stepped one instruction at a time.
 
@@ -91,19 +67,18 @@ class CoreRunner:
     contend for the shared DRAM channel realistically.
     """
 
-    def __init__(
-        self,
-        config: CoreConfig,
-        memory: MemoryCallback,
-        start_cycle: float = 0.0,
-    ) -> None:
+    def __init__(self, config: CoreConfig, memory: MemoryCallback) -> None:
+        if config.width <= 0:
+            raise ValueError(f"core width must be positive, got {config.width}")
+        if config.rob_size <= 0:
+            raise ValueError(f"rob size must be positive, got {config.rob_size}")
         self.config = config
         self.memory = memory
         self.width = config.width
         self.rob_size = config.rob_size
         self.dispatch_interval = 1.0 / self.width
-        self._dispatch_cycle = start_cycle
-        self._last_retire = start_cycle
+        self._dispatch_cycle = 0.0
+        self._last_retire = 0.0
         self._retire_times: deque[float] = deque()
         self.instructions = 0
         self.loads = 0
@@ -155,21 +130,17 @@ class CoreRunner:
         self._dispatch_cycle = dispatch + self.dispatch_interval
         self.instructions += 1
 
-    def step(self, record: MemoryAccess) -> None:
-        """Dispatch, execute and retire one trace record."""
-        self.step_values(record.pc, record.vaddr, record.kind)
-
     def run_trace(self, trace) -> None:
         """Step every record of ``trace`` through the core.
 
-        Semantically identical to calling :meth:`step` per record, but the
-        stream is consumed as columns -- three parallel lists of plain ints
+        Semantically identical to calling :meth:`step_values` per record, but
+        the stream is consumed as columns -- three parallel lists of plain ints
         (see :func:`repro.traces.trace.trace_lists`) -- and the
         per-instruction state lives in locals for the duration of the loop.
         No record objects exist on this path: each iteration touches three
         native ints instead of three attribute loads on a dataclass.
         ``trace`` may be a columnar :class:`~repro.traces.trace.Trace` or
-        any iterable of :class:`MemoryAccess` records.
+        any iterable of :class:`~repro.common.types.MemoryAccess` records.
         """
         pcs, vaddrs, kinds = trace_lists(trace)
         retire_times = self._retire_times

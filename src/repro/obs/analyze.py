@@ -89,8 +89,12 @@ def summarize(records: Sequence[dict]) -> dict:
         "hits": int(hits),
         "misses": int(misses),
         "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
+        # The engine records each result-cache write as a ``cache_put`` span.
         "puts": int(
-            counters.get("cache.puts", event_counts.get("cache_put", 0))
+            counters.get(
+                "cache.puts",
+                sum(1 for span in spans if span.get("name") == "cache_put"),
+            )
         ),
     }
 

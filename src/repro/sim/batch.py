@@ -33,15 +33,18 @@ record.  The batch core runs the same steps for a whole trace in C
    keys, built when a stepper is built.  PPF training on prefetch use and L2C
    eviction stays a Python call.
 
-3. **Scheduling and fallback** -- :func:`fused_core_stepper` returns the
-   kernel's per-core stepper; a multi-core mix interleaves its cores in the
-   kernel's ``run_mix`` (:mod:`repro.sim.multi_core`).  A hierarchy runs
-   fused only when every component is one the kernel models exactly (stock
-   :class:`MemoryHierarchy`/:class:`Cache`, a Null / Hermes / FLP off-chip
-   predictor over the Table I feature set, and stock IPCP or Berti, SPP,
-   PPF and SLP) and the kernel is available; a core of a mix also runs
-   fused only when it shares no component with another core.  Otherwise
-   the point (or that core) runs the scalar reference path;
+3. **Phases, scheduling and fallback** -- :func:`run_phase` runs one
+   warm-up or measured phase of one core, on the kernel's per-core stepper
+   (:func:`fused_core_stepper`) or on the scalar reference's
+   ``CoreRunner.run_trace``; both drivers run every single-core phase and
+   every mix warm-up through it.  A mix's measured phases interleave their
+   cores in the kernel's ``run_mix`` (:mod:`repro.sim.multi_core`).  A
+   hierarchy runs fused only when every component is one the kernel models
+   exactly (stock :class:`MemoryHierarchy`/:class:`Cache`, a Null / Hermes /
+   FLP off-chip predictor over the Table I feature set, and stock IPCP or
+   Berti, SPP, PPF and SLP) and the kernel is available; a core of a mix
+   also runs fused only when it shares no component with another core.
+   Otherwise the point (or that core) runs the scalar reference path;
    :func:`batch_unsupported_reason` / :func:`mix_unsupported_reasons` name
    the offending component, or ``native kernel unavailable: <why>``, which
    is logged once per process and emitted as a ``sim.batch.fallback``
@@ -51,14 +54,18 @@ The kernel is compiled with the installed C compiler on first use (never
 at import) into ``repro/sim/__pycache__/_fused-<key><EXT_SUFFIX>``, keyed by
 the C source, interpreter ABI and compiler flags; delete that file to force
 a rebuild (:mod:`repro.sim.native`).  The batch core is the default
-(``SystemConfig.sim_core == "batch"``); ``"scalar"`` runs the reference
-path, which the batch-vs-scalar equivalence suite pins it to.
+(``SystemConfig.sim_core == "batch"``); ``"scalar"`` runs every phase on the
+reference path, which the batch-vs-scalar equivalence suite pins the kernel
+to.  The core is chosen once per point (per core of a mix) and runs both of
+its phases.
 """
 
 from __future__ import annotations
 
 import logging
 from typing import Optional
+
+import numpy as np
 
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
@@ -214,11 +221,6 @@ def native_unavailable_reason() -> Optional[str]:
     return None if reason is None else f"native kernel unavailable: {reason}"
 
 
-def batch_supported(hierarchy: MemoryHierarchy) -> bool:
-    """True when ``hierarchy`` can run on the fused batch path."""
-    return batch_unsupported_reason(hierarchy) is None
-
-
 #: Fallback reasons already warned about (once per reason per process; the
 #: obs event still fires on every fallback so campaigns can count them).
 _FALLBACK_LOGGED: set[str] = set()
@@ -231,32 +233,6 @@ def _note_scalar_fallback(reason: str) -> None:
         _LOG.warning(
             "batch core fell back to the scalar reference path: %s", reason
         )
-
-
-def run_core_trace_batched(
-    runner: CoreRunner,
-    trace,
-    hierarchy: MemoryHierarchy,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    sample_hook=None,
-    sample_interval: Optional[int] = None,
-) -> None:
-    """Step ``trace`` through ``runner``/``hierarchy`` on the fused kernel.
-
-    Semantically identical to ``runner.run_trace(trace)`` with the runner's
-    memory callback bound to ``hierarchy.demand_access``; the caller has
-    checked :func:`batch_unsupported_reason`.
-
-    ``sample_hook(accesses, instructions, cycles)``, when given with a
-    positive ``sample_interval``, is invoked at the first chunk boundary
-    after every ``sample_interval`` cumulative demand accesses.  The hook
-    only *reads* state, so it cannot perturb simulation metrics; callers
-    wanting per-N-accesses granularity should also shrink
-    ``chunk_records`` (chunking is result-invariant).
-    """
-    fused_core_stepper(
-        runner, trace, hierarchy, chunk_records, sample_hook, sample_interval
-    ).run()
 
 
 def fused_core_stepper(
@@ -286,51 +262,48 @@ def fused_core_stepper(
     )
 
 
-def run_single_core_batched(
+def run_phase(
+    runner: CoreRunner,
     trace,
     hierarchy: MemoryHierarchy,
-    core_config,
-    warmup_fraction: float,
-    chunk_records: Optional[int] = None,
+    fused: bool,
     sample_hook=None,
     sample_interval: Optional[int] = None,
-) -> CoreRunner:
-    """Warm-up + measured run of one trace on the batch core.
+) -> None:
+    """Step one phase (warm-up or measured) of ``trace`` through ``runner``.
 
-    Mirrors the scalar driver exactly: a fresh runner per phase, statistics
-    reset after warm-up, returns the measured-phase runner (call
-    ``finish()`` for the :class:`~repro.cpu.core.CoreResult`).  A hierarchy
-    :func:`batch_unsupported_reason` rejects runs both phases on the scalar
-    reference path and emits one ``sim.batch.fallback`` event.
+    ``fused`` runs the compiled kernel (the caller has checked
+    :func:`batch_unsupported_reason`); otherwise the scalar reference's
+    ``runner.run_trace`` runs, with the runner's memory callback bound to
+    ``hierarchy.demand_access``.  Both leave the runner and the hierarchy in
+    the same state.
 
-    ``sample_hook``/``sample_interval`` apply to the measured phase only
-    (warm-up statistics are discarded); with sampling active the chunk
-    size is capped near the interval so snapshots land close to every
-    ``sample_interval`` demand accesses.  Chunking is result-invariant,
-    so sampling never changes metrics.
+    ``sample_hook(accesses, instructions, cycles)``, given with a positive
+    ``sample_interval``, reads the cumulative state of the phase about every
+    ``sample_interval`` demand accesses: the scalar path cuts the trace just
+    after every ``sample_interval``-th load/store, and the kernel calls the
+    hook at the first chunk end past each multiple, with chunks capped near
+    the interval.  Cutting and chunking are result-invariant, so sampling
+    never changes metrics.
     """
-    chunk = chunk_records if chunk_records else DEFAULT_CHUNK_RECORDS
-    reason = batch_unsupported_reason(hierarchy)
-    if reason is not None:
-        _note_scalar_fallback(reason)
-    warmup, measured = trace.split(warmup_fraction)
-    if len(warmup):
-        warmup_runner = CoreRunner(core_config, hierarchy.demand_access)
-        if reason is None:
-            run_core_trace_batched(warmup_runner, warmup, hierarchy, chunk)
-        else:
-            warmup_runner.run_trace(warmup)
-        hierarchy.reset_stats(include_shared=True)
-
-    measured_chunk = chunk
-    if sample_hook is not None and sample_interval:
-        measured_chunk = max(1024, min(chunk, sample_interval))
-    runner = CoreRunner(core_config, hierarchy.demand_access)
-    if reason is None:
-        run_core_trace_batched(
-            runner, measured, hierarchy, measured_chunk,
-            sample_hook=sample_hook, sample_interval=sample_interval,
-        )
-    else:
-        runner.run_trace(measured)
-    return runner
+    sampling = sample_hook is not None and bool(sample_interval)
+    if fused:
+        chunk = DEFAULT_CHUNK_RECORDS
+        if sampling:
+            chunk = min(chunk, max(1024, sample_interval))
+        fused_core_stepper(
+            runner, trace, hierarchy, chunk, sample_hook, sample_interval
+        ).run()
+        return
+    if not sampling:
+        runner.run_trace(trace)
+        return
+    _, _, kinds = trace.columns()
+    accesses = np.flatnonzero(kinds != KIND_NON_MEM)
+    cuts = (accesses[sample_interval - 1 :: sample_interval] + 1).tolist()
+    start = 0
+    for count, cut in enumerate(cuts, 1):
+        runner.run_trace(trace[start:cut])
+        start = cut
+        sample_hook(count * sample_interval, runner.instructions, runner.done_cycles)
+    runner.run_trace(trace[start:])

@@ -23,14 +23,13 @@ from repro.common.config import SystemConfig, cascade_lake_multi_core
 from repro.common.types import MemLevel
 from repro.cpu.core import CoreResult, CoreRunner
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
-from repro.sim import native
+from repro.sim import batch, native
 from repro.sim.batch import (
-    DEFAULT_CHUNK_RECORDS,
     _note_scalar_fallback,
     fused_core_stepper,
     mix_unsupported_reasons,
     native_unavailable_reason,
-    run_core_trace_batched,
+    run_phase,
 )
 from repro.sim.scenarios import Scenario, build_hierarchy
 from repro.stats.metrics import weighted_speedup
@@ -83,8 +82,11 @@ def run_multicore_mix(
     another core -- runs a scalar stepper, and a ``sim.batch.fallback``
     event names it; the kernel's ``run_mix`` interleaves both kinds.
     Without the compiled kernel every core runs scalar and one event says
-    why.  ``hierarchies`` optionally supplies :func:`build_mix_hierarchies`,
-    one per trace.
+    why.  Each core's warm-up runs on its own, through
+    :func:`~repro.sim.batch.run_phase` on the core it was given; the
+    statistics are then reset and the measured phases interleave.
+    ``hierarchies`` optionally supplies :func:`build_mix_hierarchies`, one
+    per trace.
     """
     if not traces:
         raise ValueError("a multi-core mix needs at least one trace")
@@ -116,10 +118,7 @@ def run_multicore_mix(
     # predictors learn; timing contention during warm-up is irrelevant).
     for core_id, (hierarchy, (warm, _)) in enumerate(zip(hierarchies, splits)):
         runner = CoreRunner(system.core, hierarchy.demand_access)
-        if fused[core_id]:
-            run_core_trace_batched(runner, warm, hierarchy, DEFAULT_CHUNK_RECORDS)
-        else:
-            runner.run_trace(warm)
+        run_phase(runner, warm, hierarchy, fused[core_id])
     for index, hierarchy in enumerate(hierarchies):
         hierarchy.reset_stats(include_shared=(index == 0))
 
@@ -128,7 +127,7 @@ def run_multicore_mix(
     # its first resume only runs compute records up to its first load/store.
     runners = [CoreRunner(system.core, h.demand_access) for h in hierarchies]
     steppers = [
-        fused_core_stepper(runner, measured, hierarchy, DEFAULT_CHUNK_RECORDS)
+        fused_core_stepper(runner, measured, hierarchy, batch.DEFAULT_CHUNK_RECORDS)
         if fused[core_id] else _scalar_stepper(runner, measured)
         for core_id, (runner, hierarchy, (_, measured)) in enumerate(
             zip(runners, hierarchies, splits)

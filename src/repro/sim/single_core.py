@@ -15,16 +15,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.common.config import SystemConfig, cascade_lake_single_core
-from repro.cpu.core import CoreRunner, OutOfOrderCore
+from repro.cpu.core import CoreRunner
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import sample as obs_sample
-from repro.sim.batch import run_single_core_batched
+from repro.sim.batch import _note_scalar_fallback, batch_unsupported_reason, run_phase
 from repro.sim.results import SingleCoreResult, collect_single_core_result
 from repro.sim.scenarios import Scenario, build_hierarchy
-from repro.traces.trace import KIND_NON_MEM, Trace
+from repro.traces.trace import Trace
 
 
 def run_single_core(
@@ -46,12 +44,16 @@ def run_single_core(
         hierarchy: optionally, a pre-built hierarchy (used by tests that want
             to inspect or instrument specific components).
 
-    With ``config.sim_core == "batch"`` (the default), the trace is stepped
-    through the compiled kernel of :mod:`repro.sim.batch`; ``"scalar"``
-    runs the per-record reference path.  Both produce bit-identical
-    results; the batch core gets there faster and drops back to the
-    reference, with a named ``sim.batch.fallback`` event, for component
-    combinations it does not model.
+    The core is chosen once per point.  With ``config.sim_core == "batch"``
+    (the default) the trace is stepped through the compiled kernel of
+    :mod:`repro.sim.batch`, unless
+    :func:`~repro.sim.batch.batch_unsupported_reason` names a component it
+    does not model: then the point runs the per-record reference path, as
+    with ``"scalar"``, and a ``sim.batch.fallback`` event names the reason.
+    Both cores produce bit-identical results.  Either way the warm-up (on
+    its own runner), the statistics reset and the measured phase run
+    through :func:`~repro.sim.batch.run_phase`; ``sim_sample`` snapshots,
+    when on, report the core that actually ran.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
@@ -62,47 +64,38 @@ def run_single_core(
         else build_hierarchy(scenario, config=system)
     )
 
-    # Opt-in per-N-accesses telemetry snapshots (None when off).  The
-    # sampling paths below are stepped restructurings of the plain runs --
-    # state accumulates identically, so metrics stay bit-identical; the
-    # samples themselves go to the tracer sink, never into the result.
+    fused = False
+    if system.sim_core == "batch":
+        reason = batch_unsupported_reason(memory)
+        fused = reason is None
+        if not fused:
+            _note_scalar_fallback(reason)
+
+    # Opt-in per-N-accesses telemetry snapshots of the measured phase (None
+    # when off); they go to the tracer sink, never into the result.
     sample_interval = obs_sample.sample_interval()
 
     def emit_sample(accesses: int, instructions: int, cycles: float) -> None:
         obs_sample.emit(
             trace_name=trace.name,
             scenario=scenario.name,
-            core=system.sim_core,
+            core="batch" if fused else "scalar",
             accesses=accesses,
             instructions=instructions,
             cycles=cycles,
             hierarchy=memory,
         )
 
-    if system.sim_core == "batch":
-        runner = run_single_core_batched(
-            trace, memory, system.core, warmup_fraction,
-            sample_hook=emit_sample if sample_interval else None,
-            sample_interval=sample_interval,
-        )
-        result = runner.finish()
-    else:
-        core = OutOfOrderCore(system.core)
-
-        def access(pc: int, vaddr: int, cycle: int, is_write: bool):
-            return memory.demand_access(pc, vaddr, cycle, is_write=is_write)
-
-        warmup, measured = trace.split(warmup_fraction)
-        if len(warmup):
-            core.run(warmup, access)
-            memory.reset_stats(include_shared=True)
-
-        if sample_interval:
-            result = _run_scalar_sampled(
-                core, measured, access, sample_interval, emit_sample
-            )
-        else:
-            result = core.run(measured, access)
+    warmup, measured = trace.split(warmup_fraction)
+    if len(warmup):
+        run_phase(CoreRunner(system.core, memory.demand_access), warmup, memory, fused)
+        memory.reset_stats(include_shared=True)
+    runner = CoreRunner(system.core, memory.demand_access)
+    run_phase(
+        runner, measured, memory, fused,
+        emit_sample if sample_interval else None, sample_interval,
+    )
+    result = runner.finish()
     memory.finalize()
     if sample_interval:
         # A final snapshot at the end of the measured phase closes the
@@ -120,34 +113,3 @@ def run_single_core(
         average_load_latency=result.average_load_latency,
         hierarchy=memory,
     )
-
-
-def _run_scalar_sampled(
-    core: OutOfOrderCore,
-    measured: Trace,
-    access,
-    interval: int,
-    emit_sample,
-):
-    """Measured-phase scalar run emitting a snapshot every ``interval``
-    memory accesses.
-
-    Bit-identical to ``core.run(measured, access)``: one persistent
-    :class:`CoreRunner` steps zero-copy trace slices cut just after every
-    ``interval``-th load/store, and ``run_trace`` accumulates across
-    slices exactly as it does across one whole trace.
-    """
-    runner = CoreRunner(core.config, access, 0.0)
-    _, _, kind = measured.columns()
-    positions = np.flatnonzero(kind != KIND_NON_MEM)
-    cuts = (positions[interval - 1 :: interval] + 1).tolist()
-    previous = 0
-    accesses = 0
-    for cut in cuts:
-        runner.run_trace(measured[previous:cut])
-        previous = cut
-        accesses += interval
-        emit_sample(accesses, runner.instructions, runner.done_cycles)
-    if previous < len(measured):
-        runner.run_trace(measured[previous:])
-    return runner.finish()

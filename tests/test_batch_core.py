@@ -52,11 +52,9 @@ from repro.sim import batch as batch_module
 from repro.sim import check_invariants, multi_core, native
 from repro.sim.batch import (
     DEFAULT_CHUNK_RECORDS,
-    batch_supported,
-    run_core_trace_batched,
     batch_unsupported_reason,
     mix_unsupported_reasons,
-    run_single_core_batched,
+    run_phase,
 )
 from repro.sim.engine import build_workload_trace, single_core_point
 from repro.sim.multi_core import (
@@ -205,6 +203,21 @@ def _page_table_state(table: PageTable) -> tuple:
     )
 
 
+def _patch_chunk_records(monkeypatch, chunk_records: int) -> list:
+    """Run every fused phase in ``chunk_records``-record chunks.  Returns the
+    chunk size of each phase's stepper, in the order they are built."""
+    monkeypatch.setattr(batch_module, "DEFAULT_CHUNK_RECORDS", chunk_records)
+    chunks = []
+    real = batch_module.fused_core_stepper
+
+    def spy(runner, trace, hierarchy, chunk, *args):
+        chunks.append(chunk)
+        return real(runner, trace, hierarchy, chunk, *args)
+
+    monkeypatch.setattr(batch_module, "fused_core_stepper", spy)
+    return chunks
+
+
 def _state_pair(trace, make_hierarchy, chunk_records=None, monkeypatch=None):
     """Scalar and batch runs on fresh hierarchies from ``make_hierarchy``:
     their results, then their hierarchy and component states."""
@@ -335,7 +348,7 @@ class TestComponentState:
         self, spec_mcf_trace, case, chunk_records, trace_name, monkeypatch
     ):
         trace = spec_mcf_trace if trace_name == "spec" else _strided_trace()
-        assert batch_supported(STATE_CASES[case]())
+        assert batch_unsupported_reason(STATE_CASES[case]()) is None
         scalar, batch = _state_pair(trace, STATE_CASES[case], chunk_records, monkeypatch)
         assert batch == scalar
 
@@ -366,7 +379,7 @@ class TestComponentState:
             CoreRunner(core, hierarchy.demand_access).run_trace(phases[0])
             runner = CoreRunner(core, hierarchy.demand_access)
             if warmup_core == "batch":
-                run_core_trace_batched(runner, phases[1], hierarchy)
+                run_phase(runner, phases[1], hierarchy, True)
             else:
                 runner.run_trace(phases[1])
             hierarchy.reset_stats(include_shared=True)
@@ -429,7 +442,7 @@ class TestComponentState:
                 ),
             )
 
-        assert batch_supported(hierarchy())
+        assert batch_unsupported_reason(hierarchy()) is None
         scalar, batch = _state_pair(trace, hierarchy)
         assert batch == scalar
 
@@ -516,27 +529,25 @@ class TestTraceFamilyEquivalence:
         scalar, batch = _run_pair(trace, scheme, l1d_prefetcher)
         _assert_identical(scalar, batch)
 
-    def test_tiny_chunks_hit_every_boundary(self, spec_mcf_trace):
+    def test_tiny_chunks_hit_every_boundary(self, spec_mcf_trace, monkeypatch):
         """A 7-record chunk forces lead-window/boundary code on every chunk."""
         scenario = build_scenario("tlp")
-        system = _system("scalar")
-        scalar_hierarchy = build_hierarchy(scenario, config=system)
-        scalar = run_single_core(spec_mcf_trace, scenario, config=system,
+        scalar_hierarchy = build_hierarchy(scenario, config=_system("scalar"))
+        scalar = run_single_core(spec_mcf_trace, scenario, config=_system("scalar"),
                                  hierarchy=scalar_hierarchy)
-        batch_hierarchy = build_hierarchy(scenario, config=system)
-        runner = run_single_core_batched(
-            spec_mcf_trace, batch_hierarchy, system.core, 0.2, chunk_records=7
-        )
-        result = runner.finish()
-        batch_hierarchy.finalize()
-        assert result.instructions > 0
+        chunks = _patch_chunk_records(monkeypatch, 7)
+        batch_hierarchy = build_hierarchy(scenario, config=_system("batch"))
+        batch = run_single_core(spec_mcf_trace, scenario, config=_system("batch"),
+                                hierarchy=batch_hierarchy)
+        assert chunks == [7, 7]  # the warm-up and the measured phase
+        assert batch.instructions > 0
         assert batch_hierarchy.stats.demand_loads == (
             scalar_hierarchy.stats.demand_loads
         )
         assert batch_hierarchy.dram.stats.total_transactions == (
             scalar_hierarchy.dram.stats.total_transactions
         )
-        assert result.ipc == pytest.approx(scalar.ipc)
+        _assert_identical(scalar, batch)
 
 
 class TestChunkBoundarySweep:
@@ -560,22 +571,20 @@ class TestChunkBoundarySweep:
         return trace, scenario, result, hierarchy
 
     @pytest.mark.parametrize("chunk_records", (1, 7, 61, 600, 10_000))
-    def test_chunk_size_invariance(self, scalar_reference, chunk_records):
+    def test_chunk_size_invariance(self, scalar_reference, chunk_records, monkeypatch):
         trace, scenario, scalar, scalar_hierarchy = scalar_reference
-        system = _system("scalar")
-        hierarchy = build_hierarchy(scenario, config=system)
-        runner = run_single_core_batched(
-            trace, hierarchy, system.core, 0.2, chunk_records=chunk_records
-        )
-        result = runner.finish()
-        hierarchy.finalize()
+        chunks = _patch_chunk_records(monkeypatch, chunk_records)
+        hierarchy = build_hierarchy(scenario, config=_system("batch"))
+        result = run_single_core(trace, scenario, config=_system("batch"),
+                                 hierarchy=hierarchy)
+        assert chunks == [chunk_records] * 2
         assert dataclasses.asdict(hierarchy.stats) == (
             dataclasses.asdict(scalar_hierarchy.stats)
         )
         assert dataclasses.asdict(hierarchy.dram.stats) == (
             dataclasses.asdict(scalar_hierarchy.dram.stats)
         )
-        assert result.ipc == pytest.approx(scalar.ipc)
+        _assert_identical(scalar, result)
 
 
 class TestTableCollisionStress:
@@ -604,7 +613,7 @@ class TestTableCollisionStress:
         results = {}
         for core in ("scalar", "batch"):
             hierarchy = self._hierarchy()
-            assert batch_supported(hierarchy)
+            assert batch_unsupported_reason(hierarchy) is None
             results[core] = run_single_core(
                 spec_mcf_trace, scenario, config=_system(core),
                 hierarchy=hierarchy,
@@ -716,13 +725,13 @@ class TestFallbacks:
     def test_supported_schemes(self):
         for scheme in ("baseline", "hermes", "tlp", "flp", "ppf"):
             hierarchy = build_hierarchy(build_scenario(scheme))
-            assert batch_supported(hierarchy), scheme
+            assert batch_unsupported_reason(hierarchy) is None, scheme
 
     def test_predictor_subclass_falls_back(self):
         hierarchy = MemoryHierarchy(
             cascade_lake_single_core(), offchip_predictor=_SubclassedFLP()
         )
-        assert not batch_supported(hierarchy)
+        assert batch_unsupported_reason(hierarchy) is not None
 
     def test_feature_history_subclass_falls_back(self):
         class InstrumentedHistory(FeatureHistory):
@@ -740,7 +749,7 @@ class TestFallbacks:
             pass
 
         hierarchy = InstrumentedHierarchy(cascade_lake_single_core())
-        assert not batch_supported(hierarchy)
+        assert batch_unsupported_reason(hierarchy) is not None
 
     def test_fallback_reason_names_component(self):
         for scheme in ("baseline", "hermes", "tlp", "ppf"):
@@ -971,7 +980,7 @@ class TestMultiCoreEquivalence:
 
     @pytest.mark.parametrize("chunk_records", [1, 61, DEFAULT_CHUNK_RECORDS])
     def test_chunk_sizes(self, mix_traces, chunk_records, monkeypatch):
-        monkeypatch.setattr(multi_core, "DEFAULT_CHUNK_RECORDS", chunk_records)
+        monkeypatch.setattr(batch_module, "DEFAULT_CHUNK_RECORDS", chunk_records)
         # A quarter of each trace keeps the one-record chunks affordable.
         self._check(
             [mix_traces[w][: len(mix_traces[w]) // 4] for w in HETERO_MIX],

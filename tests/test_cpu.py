@@ -1,10 +1,20 @@
 """Tests for the out-of-order core timing model."""
 
+import dataclasses
+
 import pytest
 
-from repro.common.config import CoreConfig
+from repro.api import simulate_point
+from repro.common.config import (
+    CoreConfig,
+    cascade_lake_multi_core,
+    cascade_lake_single_core,
+)
 from repro.common.types import AccessKind, AccessOutcome, MemLevel, MemoryAccess
-from repro.cpu.core import CoreRunner, OutOfOrderCore
+from repro.cpu.core import CoreRunner
+from repro.sim.multi_core import run_multicore_mix
+from repro.sim.scenarios import build_scenario
+from repro.workloads import spec_like_trace
 
 
 def fixed_latency_memory(latency):
@@ -16,6 +26,13 @@ def fixed_latency_memory(latency):
         )
 
     return access
+
+
+def run(trace, memory, config=None):
+    """Run ``trace`` to completion on a fresh runner; the aggregate timing."""
+    runner = CoreRunner(config if config is not None else CoreConfig(), memory)
+    runner.run_trace(trace)
+    return runner.finish()
 
 
 def make_trace(num_instructions, loads_every=4):
@@ -30,25 +47,24 @@ def make_trace(num_instructions, loads_every=4):
 
 class TestIdealPipeline:
     def test_non_memory_ipc_approaches_width(self):
-        core = OutOfOrderCore(CoreConfig(width=4, rob_size=224))
+        config = CoreConfig(width=4, rob_size=224)
         trace = [MemoryAccess(pc=0x400, vaddr=0, kind=AccessKind.NON_MEM)] * 4000
-        result = core.run(trace, fixed_latency_memory(1))
+        result = run(trace, fixed_latency_memory(1), config)
         assert result.ipc == pytest.approx(4.0, rel=0.05)
 
     def test_short_latency_loads_overlap(self):
-        core = OutOfOrderCore(CoreConfig(width=4, rob_size=224))
-        result = core.run(make_trace(4000), fixed_latency_memory(10))
+        config = CoreConfig(width=4, rob_size=224)
+        result = run(make_trace(4000), fixed_latency_memory(10), config)
         # A 10-cycle load every 4 instructions fits within the ROB window.
         assert result.ipc > 3.0
 
     def test_counts_loads_and_stores(self):
-        core = OutOfOrderCore()
         trace = [
             MemoryAccess(0x1, 0x100, AccessKind.LOAD),
             MemoryAccess(0x2, 0x200, AccessKind.STORE),
             MemoryAccess(0x3, 0, AccessKind.NON_MEM),
         ]
-        result = core.run(trace, fixed_latency_memory(5))
+        result = run(trace, fixed_latency_memory(5))
         assert result.loads == 1
         assert result.stores == 1
         assert result.instructions == 3
@@ -56,43 +72,41 @@ class TestIdealPipeline:
 
 class TestMemoryBoundBehaviour:
     def test_long_latency_loads_reduce_ipc(self):
-        core = OutOfOrderCore(CoreConfig(width=4, rob_size=224))
-        fast = core.run(make_trace(2000), fixed_latency_memory(10))
-        slow = core.run(make_trace(2000), fixed_latency_memory(400))
+        config = CoreConfig(width=4, rob_size=224)
+        fast = run(make_trace(2000), fixed_latency_memory(10), config)
+        slow = run(make_trace(2000), fixed_latency_memory(400), config)
         assert slow.ipc < fast.ipc
 
     def test_rob_limits_memory_level_parallelism(self):
-        small_rob = OutOfOrderCore(CoreConfig(width=4, rob_size=16))
-        large_rob = OutOfOrderCore(CoreConfig(width=4, rob_size=224))
+        small_rob = CoreConfig(width=4, rob_size=16)
+        large_rob = CoreConfig(width=4, rob_size=224)
         trace = make_trace(2000, loads_every=2)
-        slow = small_rob.run(trace, fixed_latency_memory(300))
-        fast = large_rob.run(trace, fixed_latency_memory(300))
+        slow = run(trace, fixed_latency_memory(300), small_rob)
+        fast = run(trace, fixed_latency_memory(300), large_rob)
         assert fast.ipc > slow.ipc
 
     def test_average_load_latency_reported(self):
-        core = OutOfOrderCore()
-        result = core.run(make_trace(100), fixed_latency_memory(123))
+        result = run(make_trace(100), fixed_latency_memory(123))
         assert result.average_load_latency == pytest.approx(123.0)
 
     def test_stores_do_not_stall(self):
-        core = OutOfOrderCore()
         loads = [MemoryAccess(0x1, 0x100 + i * 64, AccessKind.LOAD) for i in range(500)]
         stores = [MemoryAccess(0x1, 0x100 + i * 64, AccessKind.STORE) for i in range(500)]
-        load_result = core.run(loads, fixed_latency_memory(300))
-        store_result = core.run(stores, fixed_latency_memory(300))
+        load_result = run(loads, fixed_latency_memory(300))
+        store_result = run(stores, fixed_latency_memory(300))
         assert store_result.ipc > load_result.ipc
 
 
 class TestCoreRunner:
     def test_incremental_stepping_matches_batch_run(self):
-        # run_trace() is a fused copy of step(); this pins the two exactly
-        # equal so a timing change applied to only one copy is caught.
+        # run_trace() is a fused copy of step_values(); this pins the two
+        # exactly equal so a timing change applied to only one copy is caught.
         config = CoreConfig()
         trace = make_trace(500)
-        batch = OutOfOrderCore(config).run(trace, fixed_latency_memory(50))
+        batch = run(trace, fixed_latency_memory(50), config)
         runner = CoreRunner(config, fixed_latency_memory(50))
         for record in trace:
-            runner.step(record)
+            runner.step_values(record.pc, record.vaddr, record.kind)
         incremental = runner.finish()
         assert incremental.cycles == batch.cycles
         assert incremental.instructions == batch.instructions
@@ -105,10 +119,10 @@ class TestCoreRunner:
         # branch of both implementations.
         config = CoreConfig(rob_size=8)
         trace = make_trace(400, loads_every=2)
-        batch = OutOfOrderCore(config).run(trace, fixed_latency_memory(300))
+        batch = run(trace, fixed_latency_memory(300), config)
         runner = CoreRunner(config, fixed_latency_memory(300))
         for record in trace:
-            runner.step(record)
+            runner.step_values(record.pc, record.vaddr, record.kind)
         incremental = runner.finish()
         assert incremental.cycles == batch.cycles
         assert incremental.total_load_latency == batch.total_load_latency
@@ -117,17 +131,38 @@ class TestCoreRunner:
         runner = CoreRunner(CoreConfig(), fixed_latency_memory(20))
         previous = runner.next_dispatch_cycle
         for record in make_trace(200):
-            runner.step(record)
+            runner.step_values(record.pc, record.vaddr, record.kind)
             assert runner.next_dispatch_cycle >= previous
             previous = runner.next_dispatch_cycle
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            OutOfOrderCore(CoreConfig(width=0))
-        with pytest.raises(ValueError):
-            OutOfOrderCore(CoreConfig(rob_size=0))
+        """Both cores refuse a bad CoreConfig with the same ValueError: the
+        runner itself, a single-core point and a 2-core mix."""
+        trace = spec_like_trace("mcf_like", num_memory_accesses=200)
+        for bad, message in (
+            (dict(width=0), "core width must be positive"),
+            (dict(rob_size=0), "rob size must be positive"),
+        ):
+            core = dataclasses.replace(CoreConfig(), **bad)
+            with pytest.raises(ValueError, match=message):
+                CoreRunner(core, fixed_latency_memory(1))
+            single = dataclasses.replace(cascade_lake_single_core(), core=core)
+            mix = dataclasses.replace(
+                cascade_lake_multi_core(num_cores=2), core=core
+            )
+            for sim_core in ("scalar", "batch"):
+                with pytest.raises(ValueError, match=message):
+                    simulate_point(
+                        "spec.mcf_like", "tlp", memory_accesses=200,
+                        system=single, core=sim_core,
+                    )
+                with pytest.raises(ValueError, match=message):
+                    run_multicore_mix(
+                        [trace, trace], build_scenario("tlp"),
+                        config=dataclasses.replace(mix, sim_core=sim_core),
+                    )
 
     def test_ipc_zero_for_empty_trace(self):
-        result = OutOfOrderCore().run([], fixed_latency_memory(1))
+        result = run([], fixed_latency_memory(1))
         assert result.instructions == 0
         assert result.ipc == 0.0

@@ -246,39 +246,56 @@ class TestEngineTelemetry:
 # Sim-interval sampling: snapshots out, metrics untouched
 # ----------------------------------------------------------------------
 class TestSimSampling:
-    @pytest.mark.parametrize("core", ["scalar", "batch"])
+    @pytest.mark.parametrize(
+        "core,prefetcher,ran_on",
+        [
+            pytest.param("scalar", "ipcp", "scalar", id="scalar"),
+            pytest.param("batch", "ipcp", "batch", id="batch"),
+            # next_line is not modelled by the kernel: the batch point falls
+            # back to the scalar path and must sample just like it.
+            pytest.param("batch", "next_line", "scalar", id="batch-next_line"),
+        ],
+    )
     def test_sampling_is_bit_identical_and_emits_snapshots(
-        self, tmp_path, monkeypatch, core
+        self, tmp_path, monkeypatch, core, prefetcher, ran_on
     ):
         from repro.common.config import cascade_lake_single_core
         from repro.sim.scenarios import build_scenario
         from repro.sim.single_core import run_single_core
         from repro.workloads.spec_like import spec_like_trace
 
-        config = dataclasses.replace(
-            cascade_lake_single_core(), sim_core=core
-        )
         trace = spec_like_trace("mcf_like", num_memory_accesses=2000)
-        plain = run_single_core(
-            trace, build_scenario("tlp", l1d_prefetcher="ipcp"), config=config
-        )
 
+        def run(sim_core, telemetry_dir=None):
+            config = dataclasses.replace(
+                cascade_lake_single_core(), sim_core=sim_core
+            )
+            if telemetry_dir is not None:
+                tracer.configure(telemetry_dir, proc="t1")
+            result = run_single_core(
+                trace, build_scenario("tlp", l1d_prefetcher=prefetcher),
+                config=config,
+            )
+            if telemetry_dir is None:
+                return result, []
+            tracer.disable()  # flushes the sink
+            return result, [
+                r for r in tracer.load_run(telemetry_dir)
+                if r["type"] == "event" and r["name"] == "sim_sample"
+            ]
+
+        plain, _ = run(core)
         monkeypatch.setenv(sample.SAMPLE_ENV, "500")
-        tracer.configure(tmp_path, proc="t1")
-        sampled = run_single_core(
-            trace, build_scenario("tlp", l1d_prefetcher="ipcp"), config=config
-        )
-        tracer.flush()
+        sampled, snapshots = run(core, tmp_path / "sampled")
+        _, scalar_snapshots = run("scalar", tmp_path / "scalar")
 
         assert dataclasses.asdict(sampled) == dataclasses.asdict(plain)
-        snapshots = [
-            r for r in tracer.load_run(tmp_path)
-            if r["type"] == "event" and r["name"] == "sim_sample"
-        ]
         assert len(snapshots) >= 2
+        if ran_on == "scalar":
+            assert len(snapshots) == len(scalar_snapshots)
         for record in snapshots:
             attrs = record["attrs"]
-            assert attrs["core"] == core
+            assert attrs["core"] == ran_on
             assert attrs["ipc"] > 0
             assert "l1d_mpki" in attrs and "llc_mpki" in attrs
             assert "predictor_accuracy" in attrs  # TLP trains perceptrons
@@ -366,6 +383,16 @@ class TestAnalyze:
         assert summary["cache"]["misses"] == 3
         assert summary["cache"]["hit_rate"] == pytest.approx(0.25)
         assert summary["samples"] == 1
+
+    def test_puts_counted_from_spans_without_metrics(self):
+        """Without a metrics snapshot, puts fall back to the engine's
+        ``cache_put`` spans."""
+        records = [
+            {"type": "span", "name": "cache_put", "ts": 1.0 + index,
+             "dur": 0.1, "pid": 1, "proc": "w1", "attrs": {"point": str(index)}}
+            for index in range(3)
+        ]
+        assert analyze.summarize(records)["cache"]["puts"] == 3
 
     def test_percentile_interpolates(self):
         values = [1.0, 2.0, 3.0, 4.0]
