@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig01_mpki
+from repro.experiments import fig01_mpki, run_experiment
 
 
 def test_fig01_cache_mpki(benchmark, campaign):
-    result = run_once(benchmark, lambda: fig01_mpki.run(cache=campaign))
+    result = run_once(benchmark, lambda: run_experiment("fig01", cache=campaign))
     print()
     print("Figure 1: cache MPKI (baseline, IPCP)")
     print(fig01_mpki.format_table(result))

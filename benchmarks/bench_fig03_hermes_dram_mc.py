@@ -2,13 +2,14 @@
 
 from conftest import run_once
 
-from repro.experiments import fig13_14_multicore
+from repro.experiments import fig13_14_multicore, run_experiment
 
 
 def test_fig03_hermes_dram_increase_multicore(benchmark, campaign):
     result = run_once(
         benchmark,
-        lambda: fig13_14_multicore.run(
+        lambda: run_experiment(
+            "fig13",
             cache=campaign, schemes=("hermes",), l1d_prefetchers=("ipcp",)
         ),
     )

@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig04_offchip_breakdown
+from repro.experiments import fig04_offchip_breakdown, run_experiment
 
 
 def test_fig04_offchip_prediction_breakdown(benchmark, campaign):
-    result = run_once(benchmark, lambda: fig04_offchip_breakdown.run(cache=campaign))
+    result = run_once(benchmark, lambda: run_experiment("fig04", cache=campaign))
     print()
     print("Figure 4: block location upon a Hermes off-chip prediction")
     print(fig04_offchip_breakdown.format_table(result))

@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig10_12_singlecore
+from repro.experiments import fig10_12_singlecore, run_experiment
 
 
 def test_fig11_single_core_dram_transactions(benchmark, campaign):
-    result = run_once(benchmark, lambda: fig10_12_singlecore.run(cache=campaign))
+    result = run_once(benchmark, lambda: run_experiment("fig10", cache=campaign))
     print()
     print("Figure 11: single-core DRAM transaction change vs baseline (avg %)")
     print(fig10_12_singlecore.format_table(result))

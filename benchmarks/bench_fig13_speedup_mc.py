@@ -2,12 +2,13 @@
 
 from conftest import run_once
 
-from repro.experiments import fig13_14_multicore
+from repro.experiments import fig13_14_multicore, run_experiment
 
 
 def test_fig13_multicore_speedup(benchmark, campaign):
     result = run_once(
-        benchmark, lambda: fig13_14_multicore.run(cache=campaign, l1d_prefetchers=("ipcp",))
+        benchmark,
+        lambda: run_experiment("fig13", cache=campaign, l1d_prefetchers=("ipcp",)),
     )
     print()
     print("Figure 13: multi-core normalised weighted speedup (geomean %)")

@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig15_ablation
+from repro.experiments import fig15_ablation, run_experiment
 
 
 def test_fig15_component_ablation(benchmark, campaign):
-    result = run_once(benchmark, lambda: fig15_ablation.run(cache=campaign))
+    result = run_once(benchmark, lambda: run_experiment("fig15", cache=campaign))
     print()
     print("Figure 15: ablation of TLP components (geomean weighted speedup %)")
     print(fig15_ablation.format_table(result))

@@ -2,13 +2,14 @@
 
 from conftest import run_once
 
-from repro.experiments import fig16_bandwidth
+from repro.experiments import fig16_bandwidth, run_experiment
 
 
 def test_fig16_bandwidth_sensitivity(benchmark, campaign):
     result = run_once(
         benchmark,
-        lambda: fig16_bandwidth.run(
+        lambda: run_experiment(
+            "fig16",
             cache=campaign,
             bandwidths=(1.6, 3.2, 12.8, 25.6),
             schemes=("hermes", "tlp"),

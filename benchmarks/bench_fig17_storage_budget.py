@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig17_storage_budget
+from repro.experiments import fig17_storage_budget, run_experiment
 
 
 def test_fig17_storage_budget_designs(benchmark, campaign):
-    result = run_once(benchmark, lambda: fig17_storage_budget.run(cache=campaign))
+    result = run_once(benchmark, lambda: run_experiment("fig17", cache=campaign))
     print()
     print("Figure 17: +7KB designs vs TLP (geomean speedup %)")
     print(fig17_storage_budget.format_table(result))

@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import table02_storage
+from repro.experiments import table02_storage, run_experiment
 
 
-def test_table02_storage_breakdown(benchmark):
-    result = run_once(benchmark, table02_storage.run)
+def test_table02_storage_breakdown(benchmark, campaign):
+    result = run_once(benchmark, lambda: run_experiment("table02", cache=campaign))
     print()
     print("Table II: TLP storage overhead")
     print(table02_storage.format_table(result))

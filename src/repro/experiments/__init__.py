@@ -7,12 +7,12 @@ Each ``figNN_*`` module declares its experiment as a spec (see
   campaign-point batch;
 * ``reduce(config, results, **params)`` -- a pure fold of the executed
   batch into the figure's result object;
-* ``run(config=None, cache=None, **params)`` -- thin wrapper executing the
-  spec (unchanged public entry point);
-* ``format_table(result)`` / ``main()`` -- rendering.
+* ``format_table(result)`` -- rendering.
 
-Specs register under their figure name, so ``repro figure <name>|all``
-executes any figure through one parallel
+Specs register under their figure name, and the registry is the one way to
+run a figure: ``run_experiment(name, cache=..., **params)``,
+``repro.api.run_figure`` or ``repro figure <name>|all``.  Each executes its
+figures through one parallel
 :meth:`~repro.sim.engine.CampaignEngine.run` fan-out.  Every point is named
 by its cache key, and :class:`repro.experiments.common.CampaignCache` keeps
 one memo of results by that key, so the figures share their underlying

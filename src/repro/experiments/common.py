@@ -16,6 +16,7 @@ from repro.common.config import SystemConfig
 from repro.experiments.spec import (
     MultiCoreSweep,
     SingleCoreSweep,
+    SweepResults,
     SweepSpec,
     config_multi_core_point,
     config_single_core_point,
@@ -24,12 +25,14 @@ from repro.sim.engine import CampaignEngine, CampaignPoint
 from repro.sim.multi_core import MultiCoreResult
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import SingleCoreResult
-from repro.stats.metrics import geometric_mean
+from repro.stats.metrics import geometric_mean, percent_change, weighted_speedup
 from repro.traces.trace import Trace
 
-#: Default single-core workload selection.  Six GAP kernel/graph pairs and
-#: six SPEC-like workloads, chosen to span the MPKI range the paper targets
-#: (all have LLC MPKI > 1 in the baseline).
+#: Default single-core workload selection: four GAP kernel/graph pairs and
+#: four SPEC-like workloads, picked by hand.  Not all of them are
+#: memory-intensive: at the default configuration Figure 1 reports 0.00 LLC
+#: MPKI for ``cc.road`` and ``spec.lbm_like``.  Choosing them by a stated
+#: rule is ROADMAP open item 2.
 DEFAULT_GAP_WORKLOADS = (
     "bfs.urand",
     "bc.urand",
@@ -89,31 +92,6 @@ class ExperimentConfig:
 def default_experiment_config() -> ExperimentConfig:
     """The configuration used by the benchmark harness."""
     return ExperimentConfig()
-
-
-_GLOBAL_CACHES: dict[ExperimentConfig, "CampaignCache"] = {}
-
-
-def get_global_cache(config: Optional[ExperimentConfig] = None) -> "CampaignCache":
-    """Return a process-wide campaign cache shared by the benchmark files.
-
-    All ``benchmarks/bench_fig*.py`` modules run in the same pytest process;
-    sharing one cache means the single-core campaign behind Figures 10-12 is
-    simulated once and reused by the motivation figures (1, 2, 4, 5, 6).
-
-    The pool is keyed by the (hashable, frozen) experiment configuration:
-    callers asking for different configurations get different caches instead
-    of silently receiving whichever configuration arrived first.  The pool
-    never evicts (each cache pins its engine's trace/result memos for the
-    process lifetime) -- it is meant for a handful of shared configurations
-    like the benchmark harness; construct :class:`CampaignCache` directly
-    when sweeping over many configurations programmatically.
-    """
-    resolved = config if config is not None else default_experiment_config()
-    cache = _GLOBAL_CACHES.get(resolved)
-    if cache is None:
-        cache = _GLOBAL_CACHES[resolved] = CampaignCache(resolved)
-    return cache
 
 
 def quick_experiment_config() -> ExperimentConfig:
@@ -283,6 +261,81 @@ def average_percent_change(values: Iterable[float], baselines: Iterable[float]) 
     if not changes:
         return 0.0
     return sum(changes) / len(changes)
+
+
+@dataclass
+class MixComparison:
+    """Every scheme against the baseline design on the multi-core mixes."""
+
+    #: scheme -> mix -> normalised weighted speedup (percent).
+    speedups: dict[str, dict[str, float]]
+    #: scheme -> geometric-mean normalised weighted speedup (percent).
+    geomean_speedup: dict[str, float]
+    #: scheme -> mix -> DRAM transaction change (percent).
+    dram_change: dict[str, dict[str, float]]
+    #: scheme -> average DRAM transaction change (percent).
+    average_dram_change: dict[str, float]
+
+
+def compare_mixes(
+    config: ExperimentConfig,
+    results: SweepResults,
+    schemes: tuple[str, ...],
+    l1d_prefetcher: str,
+    per_core_bandwidth_gbps: float = 3.2,
+) -> MixComparison:
+    """Fold every configured mix under ``schemes`` against the baseline.
+
+    Isolated IPCs (baseline scheme, single core, multi-core budget) are the
+    denominators of each weighted speedup; the paper normalises a scheme's
+    weighted IPC to the baseline design's weighted IPC on the same mix.
+    """
+    speedups: dict[str, dict[str, float]] = {scheme: {} for scheme in schemes}
+    dram_change: dict[str, dict[str, float]] = {scheme: {} for scheme in schemes}
+    ratios: dict[str, list[float]] = {scheme: [] for scheme in schemes}
+    dram_values: dict[str, tuple[list[float], list[float]]] = {
+        scheme: ([], []) for scheme in schemes
+    }
+    for mix_name, workloads in MultiCoreSweep().resolved_mixes(config):
+        isolated = [
+            results.single_core(
+                workload,
+                "baseline",
+                l1d_prefetcher,
+                memory_accesses=config.multicore_memory_accesses,
+            ).ipc
+            for workload in workloads
+        ]
+        baseline_mix = results.multi_core(
+            mix_name, workloads, "baseline", l1d_prefetcher, per_core_bandwidth_gbps
+        )
+        baseline_ws = weighted_speedup(baseline_mix.ipcs, isolated)
+        for scheme in schemes:
+            scheme_mix = results.multi_core(
+                mix_name, workloads, scheme, l1d_prefetcher, per_core_bandwidth_gbps
+            )
+            scheme_ws = weighted_speedup(scheme_mix.ipcs, isolated)
+            normalised = scheme_ws / baseline_ws if baseline_ws > 0 else 1.0
+            speedups[scheme][mix_name] = 100.0 * (normalised - 1.0)
+            ratios[scheme].append(normalised)
+            dram_change[scheme][mix_name] = percent_change(
+                scheme_mix.dram_transactions, baseline_mix.dram_transactions
+            )
+            values, bases = dram_values[scheme]
+            values.append(scheme_mix.dram_transactions)
+            bases.append(baseline_mix.dram_transactions)
+    return MixComparison(
+        speedups=speedups,
+        geomean_speedup={
+            scheme: 100.0 * (geometric_mean(values) - 1.0) if values else 0.0
+            for scheme, values in ratios.items()
+        },
+        dram_change=dram_change,
+        average_dram_change={
+            scheme: average_percent_change(values, bases)
+            for scheme, (values, bases) in dram_values.items()
+        },
+    )
 
 
 def format_rows(headers: list[str], rows: list[list]) -> str:

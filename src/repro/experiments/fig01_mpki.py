@@ -8,16 +8,14 @@ graph-processing (GAP) workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.experiments.common import CampaignCache, ExperimentConfig, format_rows
+from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
     ExperimentSpec,
     SingleCoreSweep,
     SweepResults,
     SweepSpec,
     register,
-    run_experiment,
 )
 
 
@@ -68,14 +66,6 @@ def reduce(config: ExperimentConfig, results: SweepResults) -> Figure1Result:
     return result
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-) -> Figure1Result:
-    """Measure baseline (IPCP + SPP, no off-chip prediction) MPKIs."""
-    return run_experiment(SPEC, cache=cache, config=config)
-
-
 def format_table(result: Figure1Result) -> str:
     """Render the figure as a text table (per suite + overall)."""
     rows = []
@@ -96,18 +86,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="MPKI of L1D/L2C/LLC across SPEC and GAP workloads",
     )
 )
 
-
-def main() -> Figure1Result:
-    """Run and print Figure 1."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -8,10 +8,8 @@ average), especially for GAP workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.experiments.common import (
-    CampaignCache,
     ExperimentConfig,
     average_percent_change,
     format_rows,
@@ -22,7 +20,6 @@ from repro.experiments.spec import (
     SweepResults,
     SweepSpec,
     register,
-    run_experiment,
 )
 from repro.stats.metrics import percent_change
 
@@ -73,15 +70,6 @@ def reduce(
     return result
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-    scheme: str = "hermes",
-) -> Figure2Result:
-    """Compare ``scheme`` against the baseline on DRAM transactions."""
-    return run_experiment(SPEC, cache=cache, config=config, scheme=scheme)
-
-
 def format_table(result: Figure2Result) -> str:
     """Render the per-workload increases plus suite averages."""
     rows = [[name, value] for name, value in sorted(result.per_workload.items())]
@@ -98,18 +86,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="DRAM transaction increase of Hermes over the baseline",
     )
 )
 
-
-def main() -> Figure2Result:
-    """Run and print Figure 2."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

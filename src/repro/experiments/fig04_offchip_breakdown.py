@@ -9,16 +9,14 @@ of them are served by the L1D motivates FLP's selective delay mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.experiments.common import CampaignCache, ExperimentConfig, format_rows
+from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
     ExperimentSpec,
     SingleCoreSweep,
     SweepResults,
     SweepSpec,
     register,
-    run_experiment,
 )
 
 _LEVELS = ("L1D", "L2C", "LLC", "DRAM")
@@ -75,14 +73,6 @@ def reduce(config: ExperimentConfig, results: SweepResults) -> Figure4Result:
     return result
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-) -> Figure4Result:
-    """Run Hermes and break its off-chip predictions down by block location."""
-    return run_experiment(SPEC, cache=cache, config=config)
-
-
 def format_table(result: Figure4Result) -> str:
     """Render the location shares as percentages."""
     rows = []
@@ -101,18 +91,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="Where the block lives when Hermes predicts off-chip",
     )
 )
 
-
-def main() -> Figure4Result:
-    """Run and print Figure 4."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -10,16 +10,14 @@ a prefetch filter (SLP).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.experiments.common import CampaignCache, ExperimentConfig, format_rows
+from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
     ExperimentSpec,
     SingleCoreSweep,
     SweepResults,
     SweepSpec,
     register,
-    run_experiment,
 )
 
 _LEVELS = ("L2C", "LLC", "DRAM")
@@ -87,14 +85,6 @@ def reduce(
     return result
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-) -> PrefetchLocationResult:
-    """Measure prefetch-serving locations in the baseline system."""
-    return run_experiment(SPEC, cache=cache, config=config)
-
-
 def format_table(result: PrefetchLocationResult) -> str:
     """Render the average accurate/inaccurate PPKI per level and prefetcher."""
     rows = []
@@ -123,18 +113,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="Accurate vs inaccurate L1D prefetches by serving level",
     )
 )
 
-
-def main() -> PrefetchLocationResult:
-    """Run and print Figures 5 and 6."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -12,11 +12,9 @@ the three figures are different views of its results:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.experiments.common import (
     COMPARISON_SCHEMES,
-    CampaignCache,
     ExperimentConfig,
     average_percent_change,
     format_rows,
@@ -28,7 +26,6 @@ from repro.experiments.spec import (
     SweepResults,
     SweepSpec,
     register,
-    run_experiment,
 )
 from repro.stats.metrics import percent_change, speedup_percent
 
@@ -138,15 +135,6 @@ def reduce(
     return result
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-    schemes: tuple[str, ...] = COMPARISON_SCHEMES,
-) -> SingleCoreCampaignResult:
-    """Run the full single-core campaign."""
-    return run_experiment(SPEC, cache=cache, config=config, schemes=schemes)
-
-
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
@@ -185,18 +173,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="Single-core speedup, DRAM traffic and prefetch accuracy",
     )
 )
 
-
-def main() -> SingleCoreCampaignResult:
-    """Run and print the single-core campaign (Figures 10, 11, 12)."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -17,9 +17,8 @@ from typing import Optional
 
 from repro.experiments.common import (
     COMPARISON_SCHEMES,
-    CampaignCache,
     ExperimentConfig,
-    average_percent_change,
+    compare_mixes,
     format_rows,
 )
 from repro.experiments.spec import (
@@ -27,11 +26,8 @@ from repro.experiments.spec import (
     MultiCoreSweep,
     SweepResults,
     SweepSpec,
-    multicore_mixes,
     register,
-    run_experiment,
 )
-from repro.stats.metrics import geometric_mean, percent_change, weighted_speedup
 
 
 @dataclass
@@ -77,73 +73,16 @@ def reduce(
     prefetchers = (
         l1d_prefetchers if l1d_prefetchers is not None else config.l1d_prefetchers
     )
-    mixes = multicore_mixes(config, "gap") + multicore_mixes(config, "spec")
     result = MultiCoreCampaignResult()
     for prefetcher in prefetchers:
-        result.speedups[prefetcher] = {scheme: {} for scheme in schemes}
-        result.dram_change[prefetcher] = {scheme: {} for scheme in schemes}
-        geomean_ratios: dict[str, list[float]] = {scheme: [] for scheme in schemes}
-        dram_values: dict[str, tuple[list[float], list[float]]] = {
-            scheme: ([], []) for scheme in schemes
-        }
-        for mix_name, workloads in mixes:
-            # Isolated IPCs (baseline scheme, single core) provide the
-            # denominators of the weighted speedup; the paper normalises each
-            # scheme's weighted IPC to the baseline design's weighted IPC.
-            isolated = [
-                results.single_core(
-                    workload,
-                    "baseline",
-                    prefetcher,
-                    memory_accesses=config.multicore_memory_accesses,
-                ).ipc
-                for workload in workloads
-            ]
-            baseline_mix = results.multi_core(
-                mix_name, workloads, "baseline", prefetcher, per_core_bandwidth_gbps
-            )
-            baseline_ws = weighted_speedup(baseline_mix.ipcs, isolated)
-            for scheme in schemes:
-                scheme_mix = results.multi_core(
-                    mix_name, workloads, scheme, prefetcher, per_core_bandwidth_gbps
-                )
-                scheme_ws = weighted_speedup(scheme_mix.ipcs, isolated)
-                normalised = scheme_ws / baseline_ws if baseline_ws > 0 else 1.0
-                result.speedups[prefetcher][scheme][mix_name] = 100.0 * (normalised - 1.0)
-                geomean_ratios[scheme].append(normalised)
-                result.dram_change[prefetcher][scheme][mix_name] = percent_change(
-                    scheme_mix.dram_transactions, baseline_mix.dram_transactions
-                )
-                values, bases = dram_values[scheme]
-                values.append(scheme_mix.dram_transactions)
-                bases.append(baseline_mix.dram_transactions)
-        result.geomean_speedup[prefetcher] = {
-            scheme: 100.0 * (geometric_mean(ratios) - 1.0) if ratios else 0.0
-            for scheme, ratios in geomean_ratios.items()
-        }
-        result.average_dram_change[prefetcher] = {
-            scheme: average_percent_change(values, bases)
-            for scheme, (values, bases) in dram_values.items()
-        }
+        comparison = compare_mixes(
+            config, results, schemes, prefetcher, per_core_bandwidth_gbps
+        )
+        result.speedups[prefetcher] = comparison.speedups
+        result.geomean_speedup[prefetcher] = comparison.geomean_speedup
+        result.dram_change[prefetcher] = comparison.dram_change
+        result.average_dram_change[prefetcher] = comparison.average_dram_change
     return result
-
-
-def run(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-    schemes: tuple[str, ...] = COMPARISON_SCHEMES,
-    l1d_prefetchers: Optional[tuple[str, ...]] = None,
-    per_core_bandwidth_gbps: float = 3.2,
-) -> MultiCoreCampaignResult:
-    """Run the full multi-core campaign."""
-    return run_experiment(
-        SPEC,
-        cache=cache,
-        config=config,
-        schemes=schemes,
-        l1d_prefetchers=l1d_prefetchers,
-        per_core_bandwidth_gbps=per_core_bandwidth_gbps,
-    )
 
 
 def format_table(result: MultiCoreCampaignResult) -> str:
@@ -170,18 +109,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="Multi-core weighted speedup and DRAM traffic",
     )
 )
 
-
-def main() -> MultiCoreCampaignResult:
-    """Run and print the multi-core campaign (Figures 3, 13, 14)."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

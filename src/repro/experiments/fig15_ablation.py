@@ -9,19 +9,15 @@ multi-core mixes and reports their normalised weighted speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.experiments.common import CampaignCache, ExperimentConfig, format_rows
+from repro.experiments.common import ExperimentConfig, compare_mixes, format_rows
 from repro.experiments.spec import (
     ExperimentSpec,
     MultiCoreSweep,
     SweepResults,
     SweepSpec,
-    multicore_mixes,
     register,
-    run_experiment,
 )
-from repro.stats.metrics import geometric_mean, weighted_speedup
 
 #: The six designs in the order the paper plots them.
 ABLATION_ORDER = ("flp", "slp", "tsp", "delayed_tsp", "selective_tsp", "tlp")
@@ -51,44 +47,12 @@ def reduce(
     config: ExperimentConfig, results: SweepResults, l1d_prefetcher: str = "ipcp"
 ) -> Figure15Result:
     """Fold the ablation campaign into normalised weighted speedups."""
-    mixes = multicore_mixes(config, "gap") + multicore_mixes(config, "spec")
-    result = Figure15Result()
-    ratios: dict[str, list[float]] = {scheme: [] for scheme in ABLATION_ORDER}
-    for mix_name, workloads in mixes:
-        isolated = [
-            results.single_core(
-                workload,
-                "baseline",
-                l1d_prefetcher,
-                memory_accesses=config.multicore_memory_accesses,
-            ).ipc
-            for workload in workloads
-        ]
-        baseline_mix = results.multi_core(mix_name, workloads, "baseline", l1d_prefetcher)
-        baseline_ws = weighted_speedup(baseline_mix.ipcs, isolated)
-        result.per_mix[mix_name] = {}
-        for scheme in ABLATION_ORDER:
-            scheme_mix = results.multi_core(mix_name, workloads, scheme, l1d_prefetcher)
-            scheme_ws = weighted_speedup(scheme_mix.ipcs, isolated)
-            normalised = scheme_ws / baseline_ws if baseline_ws > 0 else 1.0
-            result.per_mix[mix_name][scheme] = 100.0 * (normalised - 1.0)
-            ratios[scheme].append(normalised)
-    result.geomean = {
-        scheme: 100.0 * (geometric_mean(values) - 1.0) if values else 0.0
-        for scheme, values in ratios.items()
-    }
+    comparison = compare_mixes(config, results, ABLATION_ORDER, l1d_prefetcher)
+    result = Figure15Result(geomean=comparison.geomean_speedup)
+    for scheme, by_mix in comparison.speedups.items():
+        for mix_name, speedup in by_mix.items():
+            result.per_mix.setdefault(mix_name, {})[scheme] = speedup
     return result
-
-
-def run(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-    l1d_prefetcher: str = "ipcp",
-) -> Figure15Result:
-    """Run the ablation campaign on the multi-core mixes."""
-    return run_experiment(
-        SPEC, cache=cache, config=config, l1d_prefetcher=l1d_prefetcher
-    )
 
 
 def format_table(result: Figure15Result) -> str:
@@ -104,18 +68,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="Ablation: FLP/SLP/TSP variants vs full TLP",
     )
 )
 
-
-def main() -> Figure15Result:
-    """Run and print Figure 15."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -10,13 +10,11 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.experiments.common import (
     COMPARISON_SCHEMES,
-    CampaignCache,
     ExperimentConfig,
-    average_percent_change,
+    compare_mixes,
     format_rows,
 )
 from repro.experiments.spec import (
@@ -24,11 +22,8 @@ from repro.experiments.spec import (
     MultiCoreSweep,
     SweepResults,
     SweepSpec,
-    multicore_mixes,
     register,
-    run_experiment,
 )
-from repro.stats.metrics import geometric_mean, percent_change, weighted_speedup
 
 #: Per-core bandwidth points of the paper's sweep (GB/s).
 DEFAULT_BANDWIDTHS = (1.6, 3.2, 6.4, 12.8, 25.6)
@@ -70,65 +65,12 @@ def reduce(
     l1d_prefetcher: str = "ipcp",
 ) -> Figure16Result:
     """Fold the bandwidth sweep into per-point speedups and DRAM changes."""
-    mixes = multicore_mixes(config, "gap") + multicore_mixes(config, "spec")
     result = Figure16Result()
     for bandwidth in bandwidths:
-        ratios: dict[str, list[float]] = {scheme: [] for scheme in schemes}
-        dram_values: dict[str, tuple[list[float], list[float]]] = {
-            scheme: ([], []) for scheme in schemes
-        }
-        for mix_name, workloads in mixes:
-            isolated = [
-                results.single_core(
-                    workload,
-                    "baseline",
-                    l1d_prefetcher,
-                    memory_accesses=config.multicore_memory_accesses,
-                ).ipc
-                for workload in workloads
-            ]
-            baseline_mix = results.multi_core(
-                mix_name, workloads, "baseline", l1d_prefetcher, bandwidth
-            )
-            baseline_ws = weighted_speedup(baseline_mix.ipcs, isolated)
-            for scheme in schemes:
-                scheme_mix = results.multi_core(
-                    mix_name, workloads, scheme, l1d_prefetcher, bandwidth
-                )
-                scheme_ws = weighted_speedup(scheme_mix.ipcs, isolated)
-                ratios[scheme].append(
-                    scheme_ws / baseline_ws if baseline_ws > 0 else 1.0
-                )
-                values, bases = dram_values[scheme]
-                values.append(scheme_mix.dram_transactions)
-                bases.append(baseline_mix.dram_transactions)
-        result.speedup[bandwidth] = {
-            scheme: 100.0 * (geometric_mean(values) - 1.0) if values else 0.0
-            for scheme, values in ratios.items()
-        }
-        result.dram_change[bandwidth] = {
-            scheme: average_percent_change(values, bases)
-            for scheme, (values, bases) in dram_values.items()
-        }
+        comparison = compare_mixes(config, results, schemes, l1d_prefetcher, bandwidth)
+        result.speedup[bandwidth] = comparison.geomean_speedup
+        result.dram_change[bandwidth] = comparison.average_dram_change
     return result
-
-
-def run(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-    bandwidths: tuple[float, ...] = DEFAULT_BANDWIDTHS,
-    schemes: tuple[str, ...] = COMPARISON_SCHEMES,
-    l1d_prefetcher: str = "ipcp",
-) -> Figure16Result:
-    """Run the bandwidth sweep on the multi-core mixes."""
-    return run_experiment(
-        SPEC,
-        cache=cache,
-        config=config,
-        bandwidths=bandwidths,
-        schemes=schemes,
-        l1d_prefetcher=l1d_prefetcher,
-    )
 
 
 def format_table(result: Figure16Result) -> str:
@@ -156,18 +98,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="Weighted speedup and DRAM traffic across bandwidths",
     )
 )
 
-
-def main() -> Figure16Result:
-    """Run and print Figure 16."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

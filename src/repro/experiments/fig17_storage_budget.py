@@ -9,10 +9,8 @@ compares ``prefetcher_7kb`` (enlarged IPCP/Berti tables), ``hermes_7kb``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.experiments.common import (
-    CampaignCache,
     ExperimentConfig,
     format_rows,
     geomean_speedup_percent,
@@ -23,7 +21,6 @@ from repro.experiments.spec import (
     SweepResults,
     SweepSpec,
     register,
-    run_experiment,
 )
 
 #: The designs compared in Figure 17.
@@ -71,15 +68,6 @@ def reduce(
     return result
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-    schemes: tuple[str, ...] = STORAGE_SCHEMES,
-) -> Figure17Result:
-    """Run the storage-budget comparison on the single-core workloads."""
-    return run_experiment(SPEC, cache=cache, config=config, schemes=schemes)
-
-
 def format_table(result: Figure17Result) -> str:
     """Render the geomean speedup of each +7KB design."""
     rows = []
@@ -96,18 +84,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="+7KB prefetcher/Hermes variants vs TLP",
     )
 )
 
-
-def main() -> Figure17Result:
-    """Run and print Figure 17."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -527,8 +527,8 @@ class ExperimentSpec:
     ``reduce(config, results, **params)`` folds the executed
     :class:`SweepResults` into the figure's result object.  Both receive
     the same keyword parameters (a figure's knobs, e.g. Figure 16's
-    bandwidth points), so one spec covers the parameterized ``run()``
-    entry points too.
+    bandwidth points); :func:`run_experiment` forwards them from its
+    caller.
     """
 
     name: str
@@ -536,7 +536,6 @@ class ExperimentSpec:
     build_sweep: Callable[..., SweepSpec]
     reduce: Callable[..., Any]
     format_table: Callable[[Any], str]
-    description: str = ""
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}

@@ -40,12 +40,6 @@ def reduce(
     return tlp_storage_breakdown(tlp)
 
 
-def run(tlp_config: Optional[TLPConfig] = None) -> StorageBreakdown:
-    """Compute the storage breakdown of a (default) TLP instance."""
-    return reduce(ExperimentConfig(), SweepResults(ExperimentConfig(), {}),
-                  tlp_config=tlp_config)
-
-
 def format_table(result: StorageBreakdown) -> str:
     """Render the Table II rows."""
     rows = [[component, kib] for component, kib in result.as_table()]
@@ -59,18 +53,6 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
-        description="Storage breakdown of TLP's hardware state",
     )
 )
 
-
-def main() -> StorageBreakdown:
-    """Run and print Table II."""
-    result = run()
-    print(SPEC.title)
-    print(format_table(result))
-    return result
-
-
-if __name__ == "__main__":
-    main()

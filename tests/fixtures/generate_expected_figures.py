@@ -18,19 +18,8 @@ import dataclasses
 import json
 from pathlib import Path
 
-from repro.experiments import (
-    fig01_mpki,
-    fig02_hermes_dram_sc,
-    fig04_offchip_breakdown,
-    fig05_06_prefetch_location,
-    fig10_12_singlecore,
-    fig13_14_multicore,
-    fig15_ablation,
-    fig16_bandwidth,
-    fig17_storage_budget,
-    table02_storage,
-)
 from repro.experiments.common import CampaignCache, quick_experiment_config
+from repro.experiments.spec import registered_experiments, run_experiment
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "expected_figures_quick.json"
 
@@ -52,21 +41,16 @@ def json_ready(result) -> dict:
 def generate() -> dict:
     """Run every figure at the quick configuration and collect the outputs."""
     cache = CampaignCache(quick_experiment_config(), use_result_cache=False)
-    runs = {
-        "fig01": lambda: fig01_mpki.run(cache=cache),
-        "fig02": lambda: fig02_hermes_dram_sc.run(cache=cache),
-        "fig04": lambda: fig04_offchip_breakdown.run(cache=cache),
-        "fig05": lambda: fig05_06_prefetch_location.run(cache=cache),
-        "fig10": lambda: fig10_12_singlecore.run(cache=cache),
-        "fig13": lambda: fig13_14_multicore.run(cache=cache),
-        "fig15": lambda: fig15_ablation.run(cache=cache),
-        "fig16": lambda: fig16_bandwidth.run(
-            cache=cache, bandwidths=FIG16_BANDWIDTHS
-        ),
-        "fig17": lambda: fig17_storage_budget.run(cache=cache),
-        "table02": lambda: table02_storage.run(),
+    return {
+        name: json_ready(
+            run_experiment(
+                name,
+                cache=cache,
+                **({"bandwidths": FIG16_BANDWIDTHS} if name == "fig16" else {}),
+            )
+        )
+        for name in registered_experiments()
     }
-    return {name: json_ready(run()) for name, run in runs.items()}
 
 
 def main() -> int:

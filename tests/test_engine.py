@@ -14,8 +14,7 @@ from repro.experiments.common import (
     default_experiment_config,
     quick_experiment_config,
 )
-from repro.experiments import fig10_12_singlecore
-from repro.experiments.spec import multicore_mixes
+from repro.experiments.spec import multicore_mixes, run_experiment
 from repro.sim.engine import (
     CampaignEngine,
     CampaignReport,
@@ -193,11 +192,11 @@ class TestWarmCacheSkipsFigureHarness:
         config = quick_experiment_config()
 
         cold = CampaignCache(config)
-        fig10_12_singlecore.run(cache=cold, schemes=("tlp",))
+        run_experiment("fig10", cache=cold, schemes=("tlp",))
         assert cold.engine.simulations_run > 0
 
         warm = CampaignCache(config)
-        result = fig10_12_singlecore.run(cache=warm, schemes=("tlp",))
+        result = run_experiment("fig10", cache=warm, schemes=("tlp",))
         assert warm.engine.simulations_run == 0
         assert warm.engine.cache_hits > 0
         assert set(result.geomean_speedup["ipcp"]) == {"tlp"}

@@ -9,8 +9,7 @@ hand-rolled harness loops at the quick configuration; see
 
 The rest pins the batch machinery: one engine fan-out per figure, the
 in-process memo deduplicating across specs, parallel (``jobs > 1``)
-execution matching serial, the sweep-spec JSON round trip, and the
-config-keyed global cache.
+execution matching serial and the sweep-spec JSON round trip.
 """
 
 import dataclasses
@@ -19,24 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import (
-    fig01_mpki,
-    fig02_hermes_dram_sc,
-    fig04_offchip_breakdown,
-    fig05_06_prefetch_location,
-    fig10_12_singlecore,
-    fig13_14_multicore,
-    fig15_ablation,
-    fig16_bandwidth,
-    fig17_storage_budget,
-    table02_storage,
-)
-from repro.experiments.common import (
-    CampaignCache,
-    ExperimentConfig,
-    get_global_cache,
-    quick_experiment_config,
-)
+from repro.experiments.common import CampaignCache, quick_experiment_config
 from repro.experiments.spec import (
     MultiCoreSweep,
     SingleCoreSweep,
@@ -73,20 +55,18 @@ def campaign():
     return CampaignCache(quick_experiment_config(), use_result_cache=False)
 
 
-#: Figure name -> spec-driven run at the pinned parameters.
+#: Figure name -> the parameters its parity run pins.
 PARITY_RUNS = {
-    "fig01": lambda cache: fig01_mpki.run(cache=cache),
-    "fig02": lambda cache: fig02_hermes_dram_sc.run(cache=cache),
-    "fig04": lambda cache: fig04_offchip_breakdown.run(cache=cache),
-    "fig05": lambda cache: fig05_06_prefetch_location.run(cache=cache),
-    "fig10": lambda cache: fig10_12_singlecore.run(cache=cache),
-    "fig13": lambda cache: fig13_14_multicore.run(cache=cache),
-    "fig15": lambda cache: fig15_ablation.run(cache=cache),
-    "fig16": lambda cache: fig16_bandwidth.run(
-        cache=cache, bandwidths=FIG16_BANDWIDTHS
-    ),
-    "fig17": lambda cache: fig17_storage_budget.run(cache=cache),
-    "table02": lambda cache: table02_storage.run(),
+    "fig01": {},
+    "fig02": {},
+    "fig04": {},
+    "fig05": {},
+    "fig10": {},
+    "fig13": {},
+    "fig15": {},
+    "fig16": {"bandwidths": FIG16_BANDWIDTHS},
+    "fig17": {},
+    "table02": {},
 }
 
 
@@ -95,7 +75,7 @@ class TestRegistryParity:
 
     @pytest.mark.parametrize("name", sorted(PARITY_RUNS))
     def test_bit_identical_to_pre_refactor(self, name, campaign, expected):
-        result = PARITY_RUNS[name](campaign)
+        result = run_experiment(name, cache=campaign, **PARITY_RUNS[name])
         assert json_ready(result) == expected[name]
 
     def test_fixture_covers_every_registered_experiment(self, expected):
@@ -201,18 +181,18 @@ class TestBatchExecution:
             return original(points, jobs=jobs, progress=progress)
 
         monkeypatch.setattr(cache.engine, "run", counting_run)
-        fig01_mpki.run(cache=cache)
+        run_experiment("fig01", cache=cache)
         assert len(calls) == 1
         assert calls[0] == len(cache.config.workloads())
 
     def test_memo_dedupes_across_specs(self):
         """A second figure over the same points simulates nothing new."""
         cache = CampaignCache(quick_experiment_config(), use_result_cache=False)
-        fig01_mpki.run(cache=cache)
+        run_experiment("fig01", cache=cache)
         simulated = cache.engine.simulations_run
         assert simulated > 0
         # Figure 1's baseline points are a subset of Figure 2's sweep.
-        fig02_hermes_dram_sc.run(cache=cache)
+        run_experiment("fig02", cache=cache)
         assert (
             cache.engine.simulations_run - simulated
             == len(cache.config.workloads())  # only the hermes points
@@ -377,16 +357,3 @@ class TestSweepSpecJson:
             "multi_core": [],
         }
 
-
-class TestGlobalCacheKeying:
-    def test_distinct_configs_get_distinct_caches(self):
-        default = get_global_cache()
-        quick = get_global_cache(quick_experiment_config())
-        assert default is not quick
-        assert quick.config == quick_experiment_config()
-
-    def test_equal_configs_share_one_cache(self):
-        assert get_global_cache(quick_experiment_config()) is get_global_cache(
-            quick_experiment_config()
-        )
-        assert get_global_cache() is get_global_cache(ExperimentConfig())

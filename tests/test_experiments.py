@@ -4,13 +4,13 @@ These tests run the per-figure harnesses with a drastically reduced workload
 set and trace length.  They check structural invariants (every workload gets
 a row, shares sum to 100%, etc.) and a few qualitative expectations that are
 robust even at tiny scale (e.g. L1D MPKI >= LLC MPKI, TLP filters
-prefetches).  The full-scale shape comparison against the paper lives in the
-benchmark harness and EXPERIMENTS.md.
+prefetches).  The full-scale shape comparisons against the paper live in the
+figure harnesses, ``benchmarks/bench_fig*.py``.
 """
 
 import pytest
 
-from repro.experiments import CampaignCache
+from repro.experiments import CampaignCache, run_experiment
 from repro.experiments.common import quick_experiment_config
 from repro.experiments import (
     fig01_mpki,
@@ -34,7 +34,7 @@ def campaign():
 
 class TestFigure1:
     def test_rows_and_ordering(self, campaign):
-        result = fig01_mpki.run(cache=campaign)
+        result = run_experiment("fig01", cache=campaign)
         assert set(result.per_workload) == set(campaign.config.workloads())
         for mpki in result.per_workload.values():
             assert mpki["L1D"] >= mpki["L2C"] >= mpki["LLC"] >= 0.0
@@ -44,7 +44,7 @@ class TestFigure1:
 
 class TestFigure2:
     def test_per_workload_changes_present(self, campaign):
-        result = fig02_hermes_dram_sc.run(cache=campaign)
+        result = run_experiment("fig02", cache=campaign)
         assert set(result.per_workload) == set(campaign.config.workloads())
         assert isinstance(result.overall, float)
         assert "DRAM" in fig02_hermes_dram_sc.format_table(result)
@@ -52,7 +52,7 @@ class TestFigure2:
 
 class TestFigure4:
     def test_shares_sum_to_100(self, campaign):
-        result = fig04_offchip_breakdown.run(cache=campaign)
+        result = run_experiment("fig04", cache=campaign)
         for shares in result.per_workload.values():
             total = sum(shares.values())
             assert total == pytest.approx(100.0, abs=0.1) or total == 0.0
@@ -61,7 +61,7 @@ class TestFigure4:
 
 class TestFigures5and6:
     def test_ppki_non_negative(self, campaign):
-        result = fig05_06_prefetch_location.run(cache=campaign)
+        result = run_experiment("fig05", cache=campaign)
         for prefetcher, rows in result.inaccurate.items():
             for ppki in rows.values():
                 assert all(value >= 0.0 for value in ppki.values())
@@ -71,7 +71,7 @@ class TestFigures5and6:
 
 class TestFigures10to12:
     def test_campaign_structure(self, campaign):
-        result = fig10_12_singlecore.run(cache=campaign, schemes=("hermes", "tlp"))
+        result = run_experiment("fig10", cache=campaign, schemes=("hermes", "tlp"))
         for prefetcher in campaign.config.l1d_prefetchers:
             assert set(result.geomean_speedup[prefetcher]) == {"hermes", "tlp"}
             for scheme in ("hermes", "tlp"):
@@ -82,7 +82,7 @@ class TestFigures10to12:
         assert "geomean" in fig10_12_singlecore.format_table(result)
 
     def test_tlp_reduces_dram_relative_to_hermes(self, campaign):
-        result = fig10_12_singlecore.run(cache=campaign, schemes=("hermes", "tlp"))
+        result = run_experiment("fig10", cache=campaign, schemes=("hermes", "tlp"))
         prefetcher = campaign.config.l1d_prefetchers[0]
         assert (
             result.average_dram_change[prefetcher]["tlp"]
@@ -92,21 +92,24 @@ class TestFigures10to12:
 
 class TestMultiCoreFigures:
     def test_fig13_14_structure(self, campaign):
-        result = fig13_14_multicore.run(
-            cache=campaign, schemes=("hermes", "tlp"), l1d_prefetchers=("ipcp",)
+        result = run_experiment(
+            "fig13",
+            cache=campaign,
+            schemes=("hermes", "tlp"),
+            l1d_prefetchers=("ipcp",),
         )
         assert set(result.geomean_speedup["ipcp"]) == {"hermes", "tlp"}
         assert set(result.average_dram_change["ipcp"]) == {"hermes", "tlp"}
         assert "weighted" in fig13_14_multicore.format_table(result)
 
     def test_fig15_covers_all_variants(self, campaign):
-        result = fig15_ablation.run(cache=campaign)
+        result = run_experiment("fig15", cache=campaign)
         assert set(result.geomean) == set(fig15_ablation.ABLATION_ORDER)
         assert "design" in fig15_ablation.format_table(result)
 
     def test_fig16_bandwidth_sweep(self, campaign):
-        result = fig16_bandwidth.run(
-            cache=campaign, bandwidths=(1.6, 12.8), schemes=("tlp",)
+        result = run_experiment(
+            "fig16", cache=campaign, bandwidths=(1.6, 12.8), schemes=("tlp",)
         )
         assert set(result.speedup) == {1.6, 12.8}
         assert "GB/s" in fig16_bandwidth.format_table(result)
@@ -114,12 +117,12 @@ class TestMultiCoreFigures:
 
 class TestFigure17AndTable2:
     def test_fig17_structure(self, campaign):
-        result = fig17_storage_budget.run(cache=campaign, schemes=("hermes_7kb", "tlp"))
+        result = run_experiment("fig17", cache=campaign, schemes=("hermes_7kb", "tlp"))
         prefetcher = campaign.config.l1d_prefetchers[0]
         assert set(result.geomean_speedup[prefetcher]) == {"hermes_7kb", "tlp"}
 
-    def test_table2_storage_near_7kb(self):
-        breakdown = table02_storage.run()
+    def test_table2_storage_near_7kb(self, campaign):
+        breakdown = run_experiment("table02", cache=campaign)
         assert 5.0 < breakdown.total < 9.0
         assert "Total" in table02_storage.format_table(breakdown)
 
