@@ -46,7 +46,12 @@ from repro.common.config import (
     cascade_lake_single_core,
 )
 from repro.core.slp import SecondLevelPerceptron
-from repro.experiments.common import CampaignCache, ExperimentConfig, campaign_sweep
+from repro.experiments.common import (
+    CampaignCache,
+    ExperimentConfig,
+    campaign_for,
+    campaign_sweep,
+)
 from repro.experiments.spec import (
     MultiCoreSweep,
     SingleCoreSweep,
@@ -177,23 +182,6 @@ def simulate_point(
     return execute_point(point, trace_store=trace_store, sim_core=core)
 
 
-def _campaign(
-    config: Optional[ExperimentConfig],
-    cache: Optional[CampaignCache],
-    core: Optional[str],
-    use_result_cache: bool,
-    trace_store: Optional[TraceStore],
-) -> CampaignCache:
-    if cache is not None:
-        return cache
-    return CampaignCache(
-        config,
-        use_result_cache=use_result_cache,
-        trace_store=trace_store,
-        sim_core=core,
-    )
-
-
 def run_sweep(
     spec: SweepSpec,
     config: Optional[ExperimentConfig] = None,
@@ -215,9 +203,13 @@ def run_sweep(
     Pass an existing ``cache`` (any :class:`CampaignCache`) to share its
     in-process memo and engine across several sweeps/figures; otherwise one
     is built here (``core`` and ``trace_store`` configure it and are
-    ignored when ``cache`` is given).
+    ignored when ``cache`` is given; ``config`` must then be None or equal
+    ``cache.config``).
     """
-    campaign = _campaign(config, cache, core, use_result_cache, trace_store)
+    campaign = campaign_for(
+        config, cache,
+        use_result_cache=use_result_cache, trace_store=trace_store, sim_core=core,
+    )
     points = spec.compile(
         campaign.config, trace_store=campaign.engine.trace_store
     )
@@ -247,7 +239,10 @@ def run_figure(
     """
     from repro.experiments.spec import get_experiment, run_experiment
 
-    campaign = _campaign(config, cache, core, use_result_cache, trace_store)
+    campaign = campaign_for(
+        config, cache,
+        use_result_cache=use_result_cache, trace_store=trace_store, sim_core=core,
+    )
     return run_experiment(
         get_experiment(name), cache=campaign, jobs=jobs, **params
     )
@@ -273,7 +268,10 @@ def run_campaign(
     ``campaign.single_core(workload, scheme)`` / ``campaign.multi_core`` or
     hand it back to :func:`run_figure` for cache-hit figure rendering.
     """
-    campaign = _campaign(config, cache, core, use_result_cache, trace_store)
+    campaign = campaign_for(
+        config, cache,
+        use_result_cache=use_result_cache, trace_store=trace_store, sim_core=core,
+    )
     points = campaign_sweep(schemes, include_multicore).compile(
         campaign.config, trace_store=campaign.engine.trace_store
     )

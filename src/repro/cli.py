@@ -268,10 +268,10 @@ def _setup_observability(args: argparse.Namespace) -> None:
 
 
 def _finish_telemetry() -> None:
-    """Seal this run's telemetry: snapshot, merge sinks, print pointers.
+    """Seal this run's telemetry: flush, merge sinks, print pointers.
 
-    No-op unless the tracer is recording.  Emits the supervisor's final
-    metrics snapshot now (so the merged ``run.jsonl`` is complete without
+    No-op unless the tracer is recording.  Flushes the supervisor's
+    buffered records now (so the merged ``run.jsonl`` is complete without
     waiting for interpreter exit), folds every per-process sink into
     ``run.jsonl``, and -- when profiling -- dumps and renders the hotspot
     table across all recorded profiles.
@@ -293,36 +293,11 @@ def _finish_telemetry() -> None:
         print(obs_profile.hotspot_table(profiles, top=15), end="")
 
 
-def _telemetry_metrics() -> dict:
-    """Run-total metric snapshot for ``--report`` (empty when disabled).
-
-    Folds the supervisor's live registry with the snapshot records the
-    worker processes appended to their sinks at shutdown.
-    """
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import tracer as obs_tracer
-
-    if not obs_tracer.enabled():
-        return {}
-    obs_tracer.flush()
-    snapshots = [obs_metrics.registry().snapshot()]
-    for record in obs_tracer.load_run(obs_tracer.directory()):
-        if (record.get("type") == "metrics"
-                and isinstance(record.get("snapshot"), dict)):
-            snapshots.append(record["snapshot"])
-    merged = obs_metrics.merge_snapshots(snapshots)
-    return merged if any(merged.values()) else {}
-
-
 def _finish_run(args: argparse.Namespace, engine) -> int:
     """Shared post-run reporting: the ``--report`` dump and telemetry."""
     report = engine.last_report
     if args.report and report is not None:
-        report_dict = report.to_dict()
-        metrics = _telemetry_metrics()
-        if metrics:
-            report_dict["metrics"] = metrics
-        payload = json.dumps(report_dict, indent=2, sort_keys=True)
+        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
         if args.report == "-":
             print(payload)
         else:
@@ -735,25 +710,6 @@ def _cmd_obs_export_chrome(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_prom(args: argparse.Namespace) -> int:
-    from repro.obs import metrics as obs_metrics
-
-    records = _load_obs_run(args.run)
-    if records is None:
-        return 2
-    snapshots = [
-        record["snapshot"] for record in records
-        if record.get("type") == "metrics"
-        and isinstance(record.get("snapshot"), dict)
-    ]
-    if not snapshots:
-        print(f"no metrics snapshots recorded in {args.run}")
-        return 2
-    print(obs_metrics.to_prometheus(obs_metrics.merge_snapshots(snapshots)),
-          end="")
-    return 0
-
-
 def _cmd_obs_hotspots(args: argparse.Namespace) -> int:
     from repro.obs import profile as obs_profile
 
@@ -772,8 +728,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return _cmd_obs_report(args)
     if args.obs_command == "export-chrome":
         return _cmd_obs_export_chrome(args)
-    if args.obs_command == "prom":
-        return _cmd_obs_prom(args)
     return _cmd_obs_hotspots(args)
 
 
@@ -841,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(default: on when stderr is a terminal)")
         sub_parser.add_argument("--telemetry", nargs="?", const="",
                                 default=None, metavar="DIR",
-                                help="record structured spans/events/metrics "
+                                help="record structured spans and events "
                                      "to per-process JSONL sinks under DIR "
                                      "(default: .repro_telemetry/<timestamp>); "
                                      "analyze with 'repro obs report DIR'")
@@ -928,12 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "run.jsonl file")
     obs_chrome.add_argument("-o", "--output", default=None, metavar="PATH",
                             help="output file (default: <run>/trace.json)")
-    obs_prom = obs_sub.add_parser(
-        "prom",
-        help="print a run's merged metrics in Prometheus text format",
-    )
-    obs_prom.add_argument("run", help="telemetry directory or merged "
-                                      "run.jsonl file")
     obs_hotspots = obs_sub.add_parser(
         "hotspots",
         help="merge a run's cProfile dumps (--profile cprofile) and print "

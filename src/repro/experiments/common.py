@@ -215,6 +215,27 @@ class CampaignCache:
         return {key: self._by_key[key] for key in ordered}
 
 
+def campaign_for(
+    config: Optional[ExperimentConfig],
+    cache: Optional[CampaignCache],
+    **kwargs,
+) -> CampaignCache:
+    """``cache`` when given, else a new ``CampaignCache(config, **kwargs)``.
+
+    A ``cache`` runs every point at its own configuration, so a ``config``
+    given alongside it must equal ``cache.config``; a different one raises
+    ``ValueError`` rather than being silently ignored.
+    """
+    if cache is None:
+        return CampaignCache(config, **kwargs)
+    if config is not None and config != cache.config:
+        raise ValueError(
+            f"config {config!r} differs from the given cache's config "
+            f"{cache.config!r}; pass one or the other"
+        )
+    return cache
+
+
 def campaign_sweep(
     schemes: Optional[tuple[str, ...]] = None, include_multicore: bool = False
 ) -> SweepSpec:

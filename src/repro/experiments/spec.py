@@ -602,14 +602,15 @@ def run_experiments(
     process pool at ``jobs`` > 1), then reduces each spec over its own
     points.  ``params`` go to every spec's sweep builder and reducer.
     ``cache`` is any :class:`~repro.experiments.common.CampaignCache`; one
-    cache shared across calls deduplicates their points in-process.  A
-    failing point raises :class:`~repro.sim.engine.PointFailedError` naming
-    it; finished points are in the result cache, so a re-run executes only
-    the remainder.
+    cache shared across calls deduplicates their points in-process; a
+    ``config`` given with it must equal ``cache.config``.  A failing point
+    raises :class:`~repro.sim.engine.PointFailedError` naming it; finished
+    points are in the result cache, so a re-run executes only the
+    remainder.
     """
-    from repro.experiments.common import CampaignCache
+    from repro.experiments.common import campaign_for
 
-    campaign = cache if cache is not None else CampaignCache(config)
+    campaign = campaign_for(config, cache)
     trace_store = campaign.engine.trace_store
     compiled = []
     for spec in specs:

@@ -2,24 +2,22 @@
 
 Everything under this package is *off by default* and bit-neutral: with
 telemetry disabled the tracer's ``span``/``event`` calls are single-branch
-no-ops, the metrics registry is never touched by the hot paths, and no
-simulation metric changes either way (``CACHE_SCHEMA_VERSION`` is
-untouched -- spans, events and interval samples ride in side-channel JSONL
-sinks, never in cached results).
+no-ops, and no simulation metric changes either way
+(``CACHE_SCHEMA_VERSION`` is untouched -- spans, events and interval
+samples ride in side-channel JSONL sinks, never in cached results).
 
 Layout:
 
 ``tracer``
     Process-local structured spans and events appended to a per-process
     JSONL sink; enabled by ``--telemetry`` / ``REPRO_TELEMETRY=<dir>``.
-``metrics``
-    Named counters/gauges/histograms with snapshot + merge (per-worker
-    snapshots sum to run totals) and Prometheus text exposition.
+    These records are the only telemetry channel: counts and durations
+    are folded from them when a run is read.
 ``timeline``
     Merged run JSONL -> Chrome trace-event JSON (Perfetto/chrome://tracing).
 ``analyze``
-    Worker utilization, straggler percentiles and cache-hit summaries for
-    ``repro obs report``.
+    Worker utilization, straggler percentiles, cache hits/misses/puts and
+    per-span-name count/sum/max for ``repro obs report``.
 ``profile``
     Optional cProfile accumulation around per-point execution
     (``--profile cprofile``) with merged top-N hotspot tables.
@@ -34,9 +32,8 @@ Layout:
 
 from __future__ import annotations
 
-from repro.obs import metrics, profile, sample, tracer
+from repro.obs import profile, sample, tracer
 from repro.obs.logs import get_logger, setup_logging
-from repro.obs.metrics import merge_snapshots, registry, to_prometheus
 from repro.obs.tracer import (
     TELEMETRY_ENV,
     enabled,
@@ -53,12 +50,8 @@ __all__ = [
     "span",
     "install_from_env",
     "merge_run",
-    "registry",
-    "merge_snapshots",
-    "to_prometheus",
     "setup_logging",
     "get_logger",
-    "metrics",
     "tracer",
     "profile",
     "sample",

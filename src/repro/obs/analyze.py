@@ -3,15 +3,15 @@
 Works from the merged telemetry JSONL of a run: per-process busy time
 from ``simulate``/``trace_load``/``cache_put`` spans gives worker
 utilization over the run's wall span; ``simulate`` span durations give
-straggler percentiles; cache events and merged metrics snapshots give the
-hit-rate summary.
+straggler percentiles; ``cache_hit``/``cache_miss`` events and
+``cache_put`` spans give the result-cache summary; every span name gets
+its count, summed and longest duration.  All of it is folded from the
+span and event records -- there is no second telemetry channel.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
-
-from repro.obs import metrics as obs_metrics
 
 #: Span names counted as "busy" for utilization purposes.
 BUSY_SPANS = frozenset({"trace_load", "simulate", "cache_put"})
@@ -35,10 +35,6 @@ def summarize(records: Sequence[dict]) -> dict:
     """Fold a run's telemetry records into the report dictionary."""
     spans = [r for r in records if r.get("type") == "span"]
     events = [r for r in records if r.get("type") == "event"]
-    snapshots = [
-        r.get("snapshot") for r in records if r.get("type") == "metrics"
-    ]
-    merged = obs_metrics.merge_snapshots(s for s in snapshots if s)
 
     timestamps = [r["ts"] for r in records if isinstance(r.get("ts"), (int, float))]
     ends = timestamps + [
@@ -49,16 +45,25 @@ def summarize(records: Sequence[dict]) -> dict:
     wall_s = (max(ends) - min(timestamps)) if timestamps else 0.0
 
     procs: dict[str, dict] = {}
+    span_totals: dict[str, dict] = {}
     for span in spans:
+        name = str(span.get("name", "span"))
+        dur = span.get("dur", 0.0) or 0.0
         proc = str(span.get("proc") or span.get("pid") or "unknown")
         entry = procs.setdefault(
             proc, {"busy_s": 0.0, "points": 0, "spans": 0}
         )
         entry["spans"] += 1
-        if span.get("name") in BUSY_SPANS:
-            entry["busy_s"] += span.get("dur", 0.0) or 0.0
-        if span.get("name") == "simulate":
+        if name in BUSY_SPANS:
+            entry["busy_s"] += dur
+        if name == "simulate":
             entry["points"] += 1
+        total = span_totals.setdefault(
+            name, {"count": 0, "sum_s": 0.0, "max_s": 0.0}
+        )
+        total["count"] += 1
+        total["sum_s"] += dur
+        total["max_s"] = max(total["max_s"], dur)
     for entry in procs.values():
         entry["busy_s"] = round(entry["busy_s"], 6)
         entry["utilization"] = (
@@ -77,25 +82,19 @@ def summarize(records: Sequence[dict]) -> dict:
         "sum_s": round(sum(simulate_durs), 6),
     }
 
-    counters = merged.get("counters", {})
     event_counts: dict[str, int] = {}
     for event in events:
         name = str(event.get("name", "event"))
         event_counts[name] = event_counts.get(name, 0) + 1
-    hits = counters.get("cache.hits", event_counts.get("cache_hit", 0))
-    misses = counters.get("cache.misses", event_counts.get("cache_miss", 0))
+    hits = event_counts.get("cache_hit", 0)
+    misses = event_counts.get("cache_miss", 0)
     lookups = hits + misses
     cache = {
-        "hits": int(hits),
-        "misses": int(misses),
+        "hits": hits,
+        "misses": misses,
         "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
         # The engine records each result-cache write as a ``cache_put`` span.
-        "puts": int(
-            counters.get(
-                "cache.puts",
-                sum(1 for span in spans if span.get("name") == "cache_put"),
-            )
-        ),
+        "puts": span_totals.get("cache_put", {}).get("count", 0),
     }
 
     return {
@@ -114,7 +113,7 @@ def summarize(records: Sequence[dict]) -> dict:
         "cache": cache,
         "events": event_counts,
         "samples": event_counts.get("sim_sample", 0),
-        "metrics": merged,
+        "spans": span_totals,
     }
 
 

@@ -1,11 +1,12 @@
 """Named ``repro.*`` loggers behind ``--log-level`` / ``REPRO_LOG``.
 
-All operational diagnostics (cache quarantine, trace-store quarantine,
-fault-injection installs, telemetry lifecycle) go through loggers from
-:func:`get_logger`.  Without :func:`setup_logging`, Python's last-resort
-handler still prints WARNING and above to stderr, so converting the old
-ad-hoc ``warnings.warn`` sites loses nothing for bare library users;
-the CLI calls :func:`setup_logging` early so ``--log-level debug`` (or
+All operational diagnostics (result-cache and trace-store quarantine, an
+invalid cache size cap, batch-core fallbacks) go through ``repro.*``
+loggers such as those from :func:`get_logger`.  Without
+:func:`setup_logging`, Python's last-resort handler still prints WARNING
+and above to stderr, so converting the old ad-hoc ``warnings.warn``
+sites loses nothing for bare library users; the CLI calls
+:func:`setup_logging` early so ``--log-level debug`` (or
 ``REPRO_LOG=debug``) surfaces the full stream with timestamps.
 """
 

@@ -4,7 +4,7 @@ Enabled by ``REPRO_SIM_SAMPLE=<N>`` (or ``--sample-interval N`` on the
 CLI, which sets the variable) *and* an active telemetry sink: samples
 are emitted as ``sim_sample`` tracer events, never stored in results or
 cache entries, so metric bit-identity and ``CACHE_SCHEMA_VERSION`` are
-untouched.  Both the scalar and batch cores call :func:`emit` at every
+untouched.  Both the scalar and batch cores call a :func:`hook` at every
 interval boundary of the measured phase with their cumulative state,
 yielding a time series of IPC, per-level MPKI and off-chip prediction
 accuracy/coverage that exposes predictor warm-up inside a point.
@@ -40,51 +40,49 @@ def sample_interval() -> Optional[int]:
     return interval if interval > 0 else None
 
 
-def emit(
-    *,
-    trace_name: str,
-    scenario: str,
-    core: str,
-    accesses: int,
-    instructions: int,
-    cycles: float,
-    hierarchy,
-) -> None:
-    """Record one ``sim_sample`` event from cumulative simulator state.
+def hook(trace_name: str, scenario: str, core: str, hierarchy, **context):
+    """One core's ``sample_hook(accesses, instructions, cycles)``.
 
-    ``hierarchy`` is a ``repro.memory.hierarchy.MemoryHierarchy``; all
-    stats read from it are the same cumulative counters the end-of-run
+    Each call records one ``sim_sample`` event from cumulative simulator
+    state.  ``hierarchy`` is a ``repro.memory.hierarchy.MemoryHierarchy``;
+    all stats read from it are the same cumulative counters the end-of-run
     result collection uses, so the final sample matches the reported
-    metrics.
+    metrics.  ``context`` adds attributes as given (a mix's ``mix`` and
+    ``core_id``).
     """
+    from repro.common.types import MemLevel
     from repro.stats.metrics import mpki
 
-    stats = hierarchy.stats
-    predictions = getattr(stats, "offchip_predictions", 0)
-    speculative = getattr(stats, "speculative_requests", 0)
-    attrs = {
-        "trace": trace_name,
-        "scenario": scenario,
-        "core": core,
-        "accesses": accesses,
-        "instructions": instructions,
-        "cycles": cycles,
-        "ipc": (instructions / cycles) if cycles else 0.0,
-        "l1d_mpki": mpki(hierarchy.l1d.stats.demand_misses, instructions),
-        "l2c_mpki": mpki(hierarchy.l2c.stats.demand_misses, instructions),
-        "llc_mpki": mpki(hierarchy.llc.stats.demand_misses, instructions),
-        "offchip_predictions": predictions,
-        "speculative_requests": speculative,
-    }
-    perceptron = getattr(
-        getattr(hierarchy, "offchip_predictor", None), "perceptron", None
-    )
-    if perceptron is not None:
-        pstats = perceptron.stats
-        trained = pstats.training_events
-        attrs["predictor_accuracy"] = (
-            pstats.correct_predictions / trained if trained else 0.0
+    def emit(accesses: int, instructions: int, cycles: float) -> None:
+        stats = hierarchy.stats
+        attrs = {
+            "trace": trace_name,
+            "scenario": scenario,
+            "core": core,
+            "accesses": accesses,
+            "instructions": instructions,
+            "cycles": cycles,
+            "ipc": (instructions / cycles) if cycles else 0.0,
+            "l1d_mpki": mpki(hierarchy.l1d.stats.demand_misses, instructions),
+            "l2c_mpki": mpki(hierarchy.l2c.stats.demand_misses, instructions),
+            # This core's LLC demand misses: each one is served by DRAM.  A
+            # mix's LLC is shared, so its own miss count spans every core.
+            "llc_mpki": mpki(stats.served_by[MemLevel.DRAM], instructions),
+            "offchip_predictions": getattr(stats, "offchip_predictions", 0),
+            "speculative_requests": getattr(stats, "speculative_requests", 0),
+            **context,
+        }
+        perceptron = getattr(
+            getattr(hierarchy, "offchip_predictor", None), "perceptron", None
         )
-        attrs["predictor_predictions"] = pstats.predictions
-        attrs["predictor_training_events"] = trained
-    tracer.event("sim_sample", **attrs)
+        if perceptron is not None:
+            pstats = perceptron.stats
+            trained = pstats.training_events
+            attrs["predictor_accuracy"] = (
+                pstats.correct_predictions / trained if trained else 0.0
+            )
+            attrs["predictor_predictions"] = pstats.predictions
+            attrs["predictor_training_events"] = trained
+        tracer.event("sim_sample", **attrs)
+
+    return emit

@@ -94,7 +94,6 @@ def chrome_trace(records: Iterable[dict]) -> dict:
                 "tid": 1,
                 "args": attrs,
             })
-        # "metrics" records carry no timeline geometry; skipped here.
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

@@ -15,12 +15,12 @@ Record shapes (one JSON object per line)::
      "pid": 1234, "proc": "worker-1234", "attrs": {...}}
     {"type": "event", "name": "cache_hit", "ts": <epoch s>,
      "pid": 1234, "proc": "worker-1234", "attrs": {...}}
-    {"type": "metrics", "ts": <epoch s>, "proc": "worker-1234",
-     "snapshot": {"counters": ..., "gauges": ..., "histograms": ...}}
 
 Timestamps are wall-clock (``time.time``) so sinks from different
 processes merge onto one timeline; durations are measured with
-``time.perf_counter``.
+``time.perf_counter``.  These records are the only telemetry channel:
+counts and durations (cache hits, per-span-name totals) are folded from
+them when a run is read (:mod:`repro.obs.analyze`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ _proc: str = ""
 _buffer: list[dict] = []
 _lock = threading.Lock()
 _atexit_registered = False
-_snapshot_emitted = False
 
 
 def enabled() -> bool:
@@ -66,10 +65,10 @@ def configure(directory_path: Path | str, proc: Optional[str] = None) -> Path:
 
     Idempotent per process: reconfiguring with the same directory is a
     no-op; a different directory flushes the old sink first.  Registers an
-    atexit hook that emits a final metrics-snapshot record and flushes, so
-    cleanly exiting workers always leave complete sinks behind.
+    exit hook that flushes, so cleanly exiting workers always leave
+    complete sinks behind.
     """
-    global _enabled, _directory, _proc, _atexit_registered, _snapshot_emitted
+    global _enabled, _directory, _proc
     target = Path(directory_path)
     with _lock:
         if _enabled and _directory == target:
@@ -85,7 +84,6 @@ def configure(directory_path: Path | str, proc: Optional[str] = None) -> Path:
         _directory = target
         _proc = proc or f"{os.uname().nodename}-{os.getpid()}"
         _enabled = True
-        _snapshot_emitted = False
         _register_exit_hooks()
     return target
 
@@ -112,25 +110,20 @@ def _reset_after_fork() -> None:
     """Give a forked child its own tracer identity and exit hooks.
 
     A fork while the tracer is live inherits the parent's buffered
-    records, sink name, metric counters and exit-hook registration;
-    without this reset a pool worker would append under the parent's
-    identity, double-count the parent's metrics in its exit snapshot,
-    and never flush at all.  Exit hooks are deliberately *not*
-    re-registered here -- multiprocessing clears its finalizer registry
+    records, sink name and exit-hook registration; without this reset a
+    pool worker would write the parent's buffered records again, append
+    under the parent's identity, and never flush at all.  Exit hooks are
+    deliberately *not* re-registered here -- multiprocessing clears its finalizer registry
     after this hook runs, so registration is deferred to the worker
     initializer's ``install_from_env`` (see :func:`configure`).
     """
-    global _lock, _proc, _atexit_registered, _snapshot_emitted
+    global _lock, _proc, _atexit_registered
     _lock = threading.Lock()  # the parent's lock may be held mid-fork
     _buffer.clear()
     if not _enabled:
         return
     _proc = f"{os.uname().nodename}-{os.getpid()}"
-    _snapshot_emitted = False
     _atexit_registered = False
-    from repro.obs import metrics
-
-    metrics.registry().reset()
 
 
 if hasattr(os, "register_at_fork"):
@@ -190,29 +183,13 @@ def flush() -> None:
 
 
 def shutdown() -> None:
-    """Final flush: append this process's metrics snapshot, then drain.
+    """Final flush of this process's buffered records.
 
-    Safe to call multiple times (the snapshot record is emitted once per
-    configuration); runs automatically at process exit once
+    Safe to call multiple times; runs automatically at process exit once
     :func:`configure` has been called.
     """
-    global _snapshot_emitted
-    if not _enabled:
-        return
-    from repro.obs import metrics
-
-    if not _snapshot_emitted:
-        snapshot = metrics.registry().snapshot()
-        if any(snapshot.values()):
-            _snapshot_emitted = True
-            _emit({
-                "type": "metrics",
-                "ts": time.time(),
-                "pid": os.getpid(),
-                "proc": _proc,
-                "snapshot": snapshot,
-            })
-    flush()
+    if _enabled:
+        flush()
 
 
 def event(name: str, **attrs) -> None:
@@ -245,17 +222,13 @@ _NOOP = _NoopSpan()
 
 
 @contextmanager
-def _live_span(name: str, metric: Optional[str], attrs: dict) -> Iterator[dict]:
+def _live_span(name: str, attrs: dict) -> Iterator[dict]:
     start_wall = time.time()
     start = time.perf_counter()
     try:
         yield attrs
     finally:
         duration = time.perf_counter() - start
-        if metric is not None:
-            from repro.obs import metrics
-
-            metrics.registry().histogram(metric).observe(duration)
         _emit({
             "type": "span",
             "name": name,
@@ -267,19 +240,16 @@ def _live_span(name: str, metric: Optional[str], attrs: dict) -> Iterator[dict]:
         })
 
 
-def span(name: str, metric: Optional[str] = None, **attrs):
+def span(name: str, **attrs):
     """Context manager timing one operation as a structured span.
 
-    ``metric`` optionally names a histogram in the process-local metrics
-    registry that the span's duration is folded into, so spans double as
-    the source of duration distributions without a second timing call.
     Entering a live span yields its ``attrs`` dict, so the body can stamp
     attributes it only learns while running.  Disabled, this returns a
     shared no-op context manager (no allocation) that yields None.
     """
     if not _enabled:
         return _NOOP
-    return _live_span(name, metric, attrs)
+    return _live_span(name, attrs)
 
 
 # ----------------------------------------------------------------------
@@ -317,11 +287,14 @@ def load_run(run: Path | str) -> list[dict]:
     merged = target / "run.jsonl"
     if merged.is_file():
         return read_events(merged)
-    records: list[dict] = []
-    for sink in sorted(target.glob("events-*.jsonl")):
-        records.extend(read_events(sink))
-    records.sort(key=lambda record: record.get("ts", 0.0))
-    return records
+    return _read_sinks(target)
+
+
+def _read_sinks(directory: Path) -> list[dict]:
+    """Every per-process sink's records, ordered by timestamp."""
+    sinks = sorted(directory.glob("events-*.jsonl"))
+    records = [record for sink in sinks for record in read_events(sink)]
+    return sorted(records, key=lambda record: record.get("ts", 0.0))
 
 
 def merge_run(
@@ -334,10 +307,7 @@ def merge_run(
     more sinks appear simply rewrites the merged view.
     """
     source = Path(directory_path)
-    records: list[dict] = []
-    for sink in sorted(source.glob("events-*.jsonl")):
-        records.extend(read_events(sink))
-    records.sort(key=lambda record: record.get("ts", 0.0))
+    records = _read_sinks(source)
     target = Path(out_path) if out_path is not None else source / "run.jsonl"
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")

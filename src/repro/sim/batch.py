@@ -262,6 +262,15 @@ def fused_core_stepper(
     )
 
 
+def chunk_size(sample_interval: Optional[int] = None) -> int:
+    """Records per fused-stepper chunk: :data:`DEFAULT_CHUNK_RECORDS`, capped
+    to ``max(1024, sample_interval)`` when sampling so each sample lands
+    near its multiple of the interval."""
+    if sample_interval:
+        return min(DEFAULT_CHUNK_RECORDS, max(1024, sample_interval))
+    return DEFAULT_CHUNK_RECORDS
+
+
 def run_phase(
     runner: CoreRunner,
     trace,
@@ -288,11 +297,10 @@ def run_phase(
     """
     sampling = sample_hook is not None and bool(sample_interval)
     if fused:
-        chunk = DEFAULT_CHUNK_RECORDS
-        if sampling:
-            chunk = min(chunk, max(1024, sample_interval))
         fused_core_stepper(
-            runner, trace, hierarchy, chunk, sample_hook, sample_interval
+            runner, trace, hierarchy,
+            chunk_size(sample_interval if sampling else None),
+            sample_hook, sample_interval,
         ).run()
         return
     if not sampling:

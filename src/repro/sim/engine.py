@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import tracer as obs_tracer
 
@@ -246,8 +245,7 @@ def build_workload_trace(
     truncated to the requested memory-access budget.
     """
     with obs_tracer.span(
-        "trace_load", metric="point.trace_load_s", workload=workload,
-        budget=memory_accesses,
+        "trace_load", workload=workload, budget=memory_accesses,
     ):
         return _build_workload_trace(
             workload, memory_accesses, gap_scale, trace_store
@@ -326,8 +324,8 @@ def execute_point(
     if point.kind == "single_core":
         trace = trace_for(point.workloads[0])
         with obs_tracer.span(
-            "simulate", metric="point.simulate_s", point=point.label,
-            kind=point.kind, core=system.sim_core,
+            "simulate", point=point.label, kind=point.kind,
+            core=system.sim_core,
         ) as attrs:
             hierarchy = build_hierarchy(scenario, config=system)
             if attrs is not None and batch_unsupported_reason(hierarchy):
@@ -342,8 +340,8 @@ def execute_point(
     if point.kind == "multi_core":
         traces_for_mix = [trace_for(workload) for workload in point.workloads]
         with obs_tracer.span(
-            "simulate", metric="point.simulate_s", point=point.label,
-            kind=point.kind, core=system.sim_core,
+            "simulate", point=point.label, kind=point.kind,
+            core=system.sim_core,
         ) as attrs:
             hierarchies = build_mix_hierarchies(scenario, system, len(traces_for_mix))
             if attrs is not None and any(mix_unsupported_reasons(hierarchies)):
@@ -602,15 +600,11 @@ class CampaignEngine:
                 if cached is not None:
                     self.cache_hits += 1
                     report.cache_hits += 1
-                    if obs_tracer.enabled():
-                        obs_metrics.registry().counter("cache.hits")
-                        obs_tracer.event("cache_hit", point=point.label)
+                    obs_tracer.event("cache_hit", point=point.label)
                     results[key] = cached
                     settle(PointOutcome(key, point.label, "cached"))
                     continue
-                if obs_tracer.enabled():
-                    obs_metrics.registry().counter("cache.misses")
-                    obs_tracer.event("cache_miss", point=point.label)
+                obs_tracer.event("cache_miss", point=point.label)
             missing.append((key, point))
 
         for key, point, (result, generator_runs, wall_s) in self._execute(
@@ -671,12 +665,8 @@ class CampaignEngine:
         """Count and persist one freshly simulated result immediately."""
         self.simulations_run += 1
         if self.result_cache is not None:
-            with obs_tracer.span(
-                "cache_put", metric="point.cache_put_s", point=point.label
-            ):
+            with obs_tracer.span("cache_put", point=point.label):
                 self.result_cache.put(key, result, point=asdict(point))
-            if obs_tracer.enabled():
-                obs_metrics.registry().counter("cache.puts")
 
     # ------------------------------------------------------------------
     # Introspection

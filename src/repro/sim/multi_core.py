@@ -23,9 +23,11 @@ from repro.common.config import SystemConfig, cascade_lake_multi_core
 from repro.common.types import MemLevel
 from repro.cpu.core import CoreResult, CoreRunner
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
-from repro.sim import batch, native
+from repro.obs import sample as obs_sample
+from repro.sim import native
 from repro.sim.batch import (
     _note_scalar_fallback,
+    chunk_size,
     fused_core_stepper,
     mix_unsupported_reasons,
     native_unavailable_reason,
@@ -86,7 +88,9 @@ def run_multicore_mix(
     :func:`~repro.sim.batch.run_phase` on the core it was given; the
     statistics are then reset and the measured phases interleave.
     ``hierarchies`` optionally supplies :func:`build_mix_hierarchies`, one
-    per trace.
+    per trace.  With sampling on, each core's measured phase emits
+    ``sim_sample`` snapshots as a single core's does, plus one closing
+    snapshot per core, each tagged with ``mix`` and ``core_id``.
     """
     if not traces:
         raise ValueError("a multi-core mix needs at least one trace")
@@ -113,6 +117,7 @@ def run_multicore_mix(
                 _note_scalar_fallback(reason)
             fused[core_id] = reason is None
     splits = [trace.split(warmup_fraction) for trace in traces]
+    label = mix_name or "+".join(trace.name for trace in traces)
 
     # Warm-up: run each core's warm-up slice in turn (shared caches and
     # predictors learn; timing contention during warm-up is irrelevant).
@@ -126,11 +131,24 @@ def run_multicore_mix(
     # first (ties to the lower core id).  Every core starts pending at -inf:
     # its first resume only runs compute records up to its first load/store.
     runners = [CoreRunner(system.core, h.demand_access) for h in hierarchies]
+    # Opt-in per-N-accesses snapshots of each core (None when off); they go
+    # to the tracer sink, never into the result.
+    interval = obs_sample.sample_interval()
+    hooks = [
+        obs_sample.hook(
+            trace.name, scenario.name, "batch" if fused[core_id] else "scalar",
+            hierarchy, mix=label, core_id=core_id,
+        )
+        if interval else None
+        for core_id, (trace, hierarchy) in enumerate(zip(traces, hierarchies))
+    ]
     steppers = [
-        fused_core_stepper(runner, measured, hierarchy, batch.DEFAULT_CHUNK_RECORDS)
-        if fused[core_id] else _scalar_stepper(runner, measured)
-        for core_id, (runner, hierarchy, (_, measured)) in enumerate(
-            zip(runners, hierarchies, splits)
+        fused_core_stepper(
+            runner, measured, hierarchy, chunk_size(interval), hook, interval
+        )
+        if fused[core_id] else _scalar_stepper(runner, measured, hook, interval)
+        for core_id, (runner, hierarchy, hook, (_, measured)) in enumerate(
+            zip(runners, hierarchies, hooks, splits)
         )
     ]
     if system.sim_core == "batch" and native_reason is None:
@@ -148,10 +166,16 @@ def run_multicore_mix(
     results: list[CoreResult] = [runner.finish() for runner in runners]
     for hierarchy in hierarchies:
         hierarchy.finalize()
+    if interval:
+        # One closing snapshot per core, at its end-of-run metrics.
+        for hook, hierarchy, result in zip(hooks, hierarchies, results):
+            stats = hierarchy.stats
+            hook(stats.demand_loads + stats.demand_stores,
+                 result.instructions, result.cycles)
 
     dram_stats = hierarchies[0].dram.stats
     return MultiCoreResult(
-        mix_name=mix_name or "+".join(trace.name for trace in traces),
+        mix_name=label,
         scenario=scenario.name,
         workloads=[trace.name for trace in traces],
         ipcs=[result.ipc for result in results],
@@ -164,11 +188,24 @@ def run_multicore_mix(
     )
 
 
-def _scalar_stepper(runner: CoreRunner, trace):
-    """Scalar reference stepper: pauses before each load/store."""
+def _scalar_stepper(runner: CoreRunner, trace, sample_hook=None, sample_interval=None):
+    """Scalar reference stepper: pauses before each load/store.
+
+    With a ``sample_hook`` it calls the hook just after every
+    ``sample_interval``-th load/store, where the single-core scalar path
+    cuts its trace.
+    """
     step = runner.step_values
+    accesses = 0
+    next_sample = sample_interval if sample_hook is not None else -1
     for pc, vaddr, kind in zip(*trace_lists(trace)):
-        if kind != KIND_NON_MEM:
-            yield runner.next_dispatch_cycle
+        if kind == KIND_NON_MEM:
+            step(pc, vaddr, kind)
+            continue
+        yield runner.next_dispatch_cycle
         step(pc, vaddr, kind)
+        accesses += 1
+        if accesses == next_sample:
+            sample_hook(accesses, runner.instructions, runner.done_cycles)
+            next_sample += sample_interval
 

@@ -74,30 +74,22 @@ def run_single_core(
     # Opt-in per-N-accesses telemetry snapshots of the measured phase (None
     # when off); they go to the tracer sink, never into the result.
     sample_interval = obs_sample.sample_interval()
-
-    def emit_sample(accesses: int, instructions: int, cycles: float) -> None:
-        obs_sample.emit(
-            trace_name=trace.name,
-            scenario=scenario.name,
-            core="batch" if fused else "scalar",
-            accesses=accesses,
-            instructions=instructions,
-            cycles=cycles,
-            hierarchy=memory,
+    emit_sample = (
+        obs_sample.hook(
+            trace.name, scenario.name, "batch" if fused else "scalar", memory
         )
+        if sample_interval else None
+    )
 
     warmup, measured = trace.split(warmup_fraction)
     if len(warmup):
         run_phase(CoreRunner(system.core, memory.demand_access), warmup, memory, fused)
         memory.reset_stats(include_shared=True)
     runner = CoreRunner(system.core, memory.demand_access)
-    run_phase(
-        runner, measured, memory, fused,
-        emit_sample if sample_interval else None, sample_interval,
-    )
+    run_phase(runner, measured, memory, fused, emit_sample, sample_interval)
     result = runner.finish()
     memory.finalize()
-    if sample_interval:
+    if emit_sample:
         # A final snapshot at the end of the measured phase closes the
         # time series at exactly the reported end-of-run metrics.
         emit_sample(

@@ -198,6 +198,28 @@ class TestBatchExecution:
             == len(cache.config.workloads())  # only the hermes points
         )
 
+    def test_config_differing_from_cache_config_is_rejected(self):
+        """A ``config`` the given cache would not run at raises, naming both."""
+        from repro import api
+        from repro.experiments.common import default_experiment_config
+
+        cache = CampaignCache(quick_experiment_config(), use_result_cache=False)
+        default = default_experiment_config()
+        with pytest.raises(ValueError) as error:
+            run_experiment("fig01", cache=cache, config=default)
+        assert repr(default) in str(error.value)
+        assert repr(cache.config) in str(error.value)
+        for call in (
+            lambda: api.run_figure("fig01", config=default, cache=cache),
+            lambda: api.run_sweep(SweepSpec(), config=default, cache=cache),
+            lambda: api.run_campaign(config=default, cache=cache),
+        ):
+            with pytest.raises(ValueError, match="differs from the given cache"):
+                call()
+        assert cache.engine.simulations_run == 0
+        # The cache's own config (or none) is accepted.
+        run_experiment("fig01", cache=cache, config=quick_experiment_config())
+
     def test_parallel_jobs_bit_identical_to_serial(self, expected):
         """The pool fan-out path produces the exact pre-refactor outputs."""
         cache = CampaignCache(quick_experiment_config(), use_result_cache=False)

@@ -1,4 +1,4 @@
-"""Tests for the telemetry layer: tracer, metrics, timeline, analysis, CLI.
+"""Tests for the telemetry layer: tracer, timeline, analysis, CLI.
 
 The overriding invariant is that telemetry is a pure side channel: with it
 off nothing is recorded and nothing allocates on the hot path; with it on
@@ -13,7 +13,7 @@ import logging
 import pytest
 
 from repro.cli import main
-from repro.obs import analyze, metrics, profile, sample, timeline, tracer
+from repro.obs import analyze, profile, sample, timeline, tracer
 from repro.obs.logs import get_logger, resolve_level
 from repro.obs.progress import ProgressLine, campaign_progress, format_eta
 from repro.sim.engine import (
@@ -36,15 +36,21 @@ def tiny_point(workload="bfs.urand", scheme="baseline", budget=BUDGET):
 
 @pytest.fixture(autouse=True)
 def _isolated_telemetry(monkeypatch):
-    """Keep tracer/metrics/sampling state from leaking across tests."""
+    """Keep tracer/sampling state from leaking across tests."""
     monkeypatch.delenv(tracer.TELEMETRY_ENV, raising=False)
     monkeypatch.delenv(profile.PROFILE_ENV, raising=False)
     monkeypatch.delenv(sample.SAMPLE_ENV, raising=False)
     tracer.disable()
-    metrics.registry().reset()
     yield
     tracer.disable()
-    metrics.registry().reset()
+
+
+def folded(run_dir):
+    """Per-span-name counts and cache hits/misses/puts of a recorded run."""
+    summary = analyze.summarize(tracer.load_run(run_dir))
+    counts = {name: total["count"] for name, total in summary["spans"].items()}
+    cache = {k: summary["cache"][k] for k in ("hits", "misses", "puts")}
+    return counts, cache
 
 
 # ----------------------------------------------------------------------
@@ -55,42 +61,32 @@ class TestTracer:
         assert not tracer.enabled()
         # The disabled span is one shared object -- no per-call allocation.
         assert tracer.span("simulate") is tracer.span("trace_load")
-        with tracer.span("simulate", metric="point.simulate_s"):
+        with tracer.span("simulate", point="x"):
             pass
         tracer.event("cache_hit", point="x")
         tracer.flush()
-        assert metrics.registry().snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
         assert list(tmp_path.iterdir()) == []
 
-    def test_span_event_metrics_roundtrip(self, tmp_path):
+    def test_span_event_roundtrip(self, tmp_path):
         tracer.configure(tmp_path, proc="t1")
-        with tracer.span("simulate", metric="point.simulate_s", point="p"):
+        with tracer.span("simulate", point="p"):
             pass
         tracer.event("cache_hit", point="p")
-        metrics.registry().counter("cache.hits")
         tracer.shutdown()
         records = tracer.load_run(tmp_path)
-        kinds = [record["type"] for record in records]
-        assert kinds.count("span") == 1
-        assert kinds.count("event") == 1
-        assert kinds.count("metrics") == 1
+        # Spans and events are the only record types a sink holds.
+        assert sorted(record["type"] for record in records) == ["event", "span"]
         span = next(r for r in records if r["type"] == "span")
         assert span["name"] == "simulate"
         assert span["attrs"] == {"point": "p"}
         assert span["dur"] >= 0.0
-        snapshot = next(r for r in records if r["type"] == "metrics")["snapshot"]
-        assert snapshot["counters"]["cache.hits"] == 1.0
-        assert snapshot["histograms"]["point.simulate_s"]["count"] == 1
 
-    def test_shutdown_emits_the_snapshot_once(self, tmp_path):
+    def test_shutdown_is_idempotent(self, tmp_path):
         tracer.configure(tmp_path, proc="t1")
-        metrics.registry().counter("cache.hits")
+        tracer.event("cache_hit", point="p")
         tracer.shutdown()
         tracer.shutdown()
-        records = tracer.load_run(tmp_path)
-        assert [r["type"] for r in records].count("metrics") == 1
+        assert len(tracer.load_run(tmp_path)) == 1
 
     def test_merge_run_orders_across_sinks(self, tmp_path):
         (tmp_path / "events-b.jsonl").write_text(
@@ -113,57 +109,41 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# Metrics registry and merge
+# Folding counts and durations from the records on read
 # ----------------------------------------------------------------------
-class TestMetrics:
-    def test_worker_snapshot_merge_equals_single_process_totals(self):
-        # One registry observing everything...
-        single = metrics.MetricsRegistry()
-        # ...versus the same observations split over per-worker registries.
-        workers = [metrics.MetricsRegistry() for _ in range(3)]
-        observations = [0.002, 0.04, 0.7, 12.0, 0.0004, 2.5]
-        for index, value in enumerate(observations):
-            single.counter("cache.hits")
-            single.observe("point.simulate_s", value)
-            workers[index % 3].counter("cache.hits")
-            workers[index % 3].observe("point.simulate_s", value)
-        single.gauge("queue.depth", 7)
-        workers[-1].gauge("queue.depth", 7)
-        merged = metrics.merge_snapshots([w.snapshot() for w in workers])
-        expected = single.snapshot()
-        # Histogram sums accumulate in a different order across workers;
-        # everything else (counts, buckets, counters, gauges) is exact.
-        merged_sum = merged["histograms"]["point.simulate_s"].pop("sum")
-        expected_sum = expected["histograms"]["point.simulate_s"].pop("sum")
-        assert merged_sum == pytest.approx(expected_sum)
-        assert merged == expected
+class TestFoldOnRead:
+    def test_parallel_run_folds_to_serial_totals(self, tmp_path, monkeypatch):
+        """Sinks written by pool workers fold to the totals of one process.
 
-    def test_histogram_tracks_count_sum_min_max(self):
-        hist = metrics.Histogram()
-        for value in (0.5, 1.5, 3.0):
-            hist.observe(value)
-        payload = hist.to_dict()
-        assert payload["count"] == 3
-        assert payload["sum"] == pytest.approx(5.0)
-        assert payload["min"] == 0.5
-        assert payload["max"] == 3.0
+        Each point has its own workload, so the serial engine's trace memo
+        loads exactly the traces the workers load.
+        """
+        points = [
+            tiny_point(),
+            tiny_point(workload="spec.mcf_like", scheme="tlp"),
+            tiny_point(workload="pr.urand", scheme="hermes"),
+        ]
 
-    def test_merge_skips_malformed_snapshots(self):
-        registry = metrics.MetricsRegistry()
-        registry.counter("cache.hits", 2)
-        merged = metrics.merge_snapshots(
-            [registry.snapshot(), {"bogus": True}, None]
-        )
-        assert merged["counters"]["cache.hits"] == 2.0
+        def record(jobs):
+            tele = tmp_path / f"tele{jobs}"
+            monkeypatch.setenv(tracer.TELEMETRY_ENV, str(tele))
+            tracer.configure(tele, proc="supervisor")
+            cache = ResultCache(tmp_path / f"cache{jobs}")
+            for _ in ("cold", "warm"):
+                CampaignEngine(result_cache=cache).run(points, jobs=jobs)
+            tracer.disable()
+            return tele
 
-    def test_prometheus_rendering(self):
-        registry = metrics.MetricsRegistry()
-        registry.counter("cache.hits", 3)
-        registry.observe("point.simulate_s", 0.002)
-        text = metrics.to_prometheus(registry.snapshot())
-        assert "repro_cache_hits_total 3" in text
-        assert 'repro_point_simulate_s_bucket{le="+Inf"} 1' in text
-        assert "repro_point_simulate_s_count 1" in text
+        serial, parallel = record(1), record(2)
+        assert folded(parallel) == folded(serial)
+        counts, cache = folded(serial)
+        assert counts == {"trace_load": 3, "simulate": 3, "cache_put": 3}
+        assert cache == {"hits": 3, "misses": 3, "puts": 3}
+        # The parallel run's simulate spans really came from the workers.
+        assert {
+            r["proc"] for r in tracer.load_run(parallel)
+            if r["type"] == "span" and r["name"] == "simulate"
+        }.isdisjoint({"supervisor"})
 
 
 # ----------------------------------------------------------------------
@@ -180,10 +160,9 @@ class TestEngineTelemetry:
         assert {"trace_load", "simulate", "cache_put"} <= spans
         events = {r["name"] for r in records if r["type"] == "event"}
         assert "cache_miss" in events
-        snapshot = metrics.registry().snapshot()
-        assert snapshot["counters"]["cache.misses"] == 1.0
-        assert snapshot["counters"]["cache.puts"] == 1.0
-        assert snapshot["histograms"]["point.simulate_s"]["count"] == 1
+        counts, cache = folded(tmp_path / "tele")
+        assert counts["simulate"] == 1
+        assert cache == {"hits": 0, "misses": 1, "puts": 1}
 
     def test_cache_hit_recorded_on_warm_run(self, tmp_path):
         engine = CampaignEngine(result_cache=ResultCache(tmp_path / "cache"))
@@ -192,12 +171,7 @@ class TestEngineTelemetry:
         warm = CampaignEngine(result_cache=ResultCache(tmp_path / "cache"))
         warm.run([tiny_point()], jobs=1)
         tracer.flush()
-        assert "cache_hit" in {
-            r["name"]
-            for r in tracer.load_run(tmp_path / "tele")
-            if r["type"] == "event"
-        }
-        assert metrics.registry().snapshot()["counters"]["cache.hits"] == 1.0
+        assert folded(tmp_path / "tele")[1] == {"hits": 1, "misses": 0, "puts": 0}
 
     def test_simulate_span_records_effective_core(self, tmp_path):
         from repro.sim.engine import multi_core_point
@@ -302,6 +276,47 @@ class TestSimSampling:
         accesses = [r["attrs"]["accesses"] for r in snapshots]
         assert accesses == sorted(accesses)
 
+    @pytest.mark.parametrize("core", ["batch", "scalar"])
+    def test_mix_sampling_is_bit_identical_and_samples_every_core(
+        self, tmp_path, monkeypatch, core
+    ):
+        from repro.common.config import cascade_lake_multi_core
+        from repro.sim.engine import build_workload_trace
+        from repro.sim.multi_core import run_multicore_mix
+        from repro.sim.scenarios import build_scenario
+
+        workloads = ("bfs.urand", "spec.mcf_like", "spec.lbm_like", "cc.road")
+        traces = [build_workload_trace(w, 2000, "tiny") for w in workloads]
+        config = dataclasses.replace(cascade_lake_multi_core(), sim_core=core)
+
+        def run():
+            return dataclasses.asdict(run_multicore_mix(
+                traces, build_scenario("tlp"), config=config, mix_name="m",
+            ))
+
+        plain = run()
+        monkeypatch.setenv(sample.SAMPLE_ENV, "500")
+        tracer.configure(tmp_path, proc="t1")
+        sampled = run()
+        tracer.disable()
+        assert sampled == plain
+        samples = [
+            r["attrs"] for r in tracer.load_run(tmp_path)
+            if r["type"] == "event" and r["name"] == "sim_sample"
+        ]
+        for core_id, trace in enumerate(traces):
+            mine = [a for a in samples if a["core_id"] == core_id]
+            assert len(mine) >= 2
+            assert {(a["mix"], a["trace"], a["core"]) for a in mine} == {
+                ("m", trace.name, core)
+            }
+            accesses = [a["accesses"] for a in mine]
+            assert accesses == sorted(accesses)
+            # The closing snapshot reports the core's end-of-run IPC, and
+            # its LLC misses are this core's, not the shared LLC's.
+            assert mine[-1]["ipc"] == pytest.approx(plain["ipcs"][core_id])
+            assert mine[-1]["llc_mpki"] <= mine[-1]["l2c_mpki"]
+
     def test_sampling_requires_telemetry(self, monkeypatch):
         monkeypatch.setenv(sample.SAMPLE_ENV, "500")
         assert sample.sample_interval() is None  # tracer off -> no sampling
@@ -311,11 +326,7 @@ class TestSimSampling:
 # Chrome trace export
 # ----------------------------------------------------------------------
 def _synthetic_run():
-    """A two-process run: spans, a cache hit, samples, metrics."""
-    registry = metrics.MetricsRegistry()
-    registry.counter("cache.hits", 1)
-    registry.counter("cache.misses", 3)
-    registry.counter("cache.puts", 3)
+    """A two-process run: spans, cache hit/misses, a sample."""
     records = [
         {"type": "span", "name": "trace_load", "ts": 10.0, "dur": 0.5,
          "pid": 1, "proc": "w1", "attrs": {"workload": "bfs.urand"}},
@@ -327,12 +338,15 @@ def _synthetic_run():
          "pid": 1, "proc": "w1", "attrs": {"point": "a"}},
         {"type": "event", "name": "cache_hit", "ts": 10.1,
          "pid": 2, "proc": "w2", "attrs": {"point": "c"}},
+        *(
+            {"type": "event", "name": "cache_miss", "ts": 10.05,
+             "pid": 2, "proc": "w2", "attrs": {"point": point}}
+            for point in ("a", "b", "d")
+        ),
         {"type": "event", "name": "sim_sample", "ts": 11.0,
          "pid": 1, "proc": "w1",
          "attrs": {"ipc": 0.8, "l1d_mpki": 50.0, "l2c_mpki": 40.0,
                    "llc_mpki": 30.0, "accesses": 1000}},
-        {"type": "metrics", "ts": 12.9, "pid": 1, "proc": "w1",
-         "snapshot": registry.snapshot()},
     ]
     return sorted(records, key=lambda r: r["ts"])
 
@@ -374,7 +388,7 @@ class TestChromeExport:
 class TestAnalyze:
     def test_summary_fields(self):
         summary = analyze.summarize(_synthetic_run())
-        assert summary["wall_s"] == pytest.approx(2.9)
+        assert summary["wall_s"] == pytest.approx(2.6)
         assert set(summary["processes"]) == {"w1", "w2"}
         assert summary["processes"]["w1"]["busy_s"] == pytest.approx(2.6)
         assert summary["stragglers"]["points"] == 2
@@ -384,9 +398,16 @@ class TestAnalyze:
         assert summary["cache"]["hit_rate"] == pytest.approx(0.25)
         assert summary["samples"] == 1
 
+    def test_span_sums_equal_summed_durations(self):
+        records = _synthetic_run()
+        for name, total in analyze.summarize(records)["spans"].items():
+            durs = [r["dur"] for r in records
+                    if r["type"] == "span" and r["name"] == name]
+            assert total == {"count": len(durs), "sum_s": sum(durs),
+                             "max_s": max(durs)}
+
     def test_puts_counted_from_spans_without_metrics(self):
-        """Without a metrics snapshot, puts fall back to the engine's
-        ``cache_put`` spans."""
+        """Each engine result-cache write is one ``cache_put`` span."""
         records = [
             {"type": "span", "name": "cache_put", "ts": 1.0 + index,
              "dur": 0.1, "pid": 1, "proc": "w1", "attrs": {"point": str(index)}}
@@ -425,7 +446,8 @@ class TestObsCli:
         assert main(["obs", "report", str(run_dir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cache"]["hit_rate"] == pytest.approx(0.25)
-        assert payload["metrics"]["counters"]["cache.puts"] == 3.0
+        assert payload["cache"]["puts"] == 1
+        assert payload["spans"]["cache_put"]["count"] == 1
 
     def test_export_chrome(self, run_dir, capsys, tmp_path):
         out_file = tmp_path / "out" / "trace.json"
@@ -433,10 +455,6 @@ class TestObsCli:
         assert main(["obs", "export-chrome", str(run_dir),
                      "-o", str(out_file)]) == 0
         assert json.loads(out_file.read_text())["traceEvents"]
-
-    def test_prom(self, run_dir, capsys):
-        assert main(["obs", "prom", str(run_dir)]) == 0
-        assert "repro_cache_hits_total 1" in capsys.readouterr().out
 
     def test_report_on_missing_run(self, tmp_path, capsys):
         assert main(["obs", "report", str(tmp_path / "nope")]) == 2
@@ -569,7 +587,6 @@ class TestTelemetryFlags:
         for argv in (["obs", "report", "d"],
                      ["obs", "report", "d", "--json"],
                      ["obs", "export-chrome", "d", "-o", "t.json"],
-                     ["obs", "prom", "d"],
                      ["obs", "hotspots", "d", "--top", "5"]):
             args = build_parser().parse_args(argv)
             assert args.command == "obs"
