@@ -37,7 +37,6 @@ from repro.sim.results import SingleCoreResult
 from repro.sim.scenarios import SCHEMES, Scenario, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.trace import Trace
-from repro.workloads.catalog import default_catalog
 
 __version__ = "1.0.0"
 
@@ -65,6 +64,5 @@ __all__ = [
     "build_scenario",
     "run_single_core",
     "Trace",
-    "default_catalog",
     "__version__",
 ]

@@ -135,8 +135,9 @@ def load_trace(
 ) -> Trace:
     """Build (or load) the trace of a named workload.
 
-    ``workload`` is a catalog name: ``<kernel>.<graph>`` for the GAP suite
-    (e.g. ``bfs.urand``), ``spec.<name>`` for the SPEC-like generators, or
+    ``workload`` is a workload name: ``<kernel>.<graph>`` for the GAP suite
+    (e.g. ``bfs.urand``), ``spec.<name>`` for the SPEC-like generators
+    (:data:`repro.workloads.CATALOG_WORKLOADS` lists both), or
     ``imported.<name>`` for a trace ingested with ``repro trace import``.
     With a ``trace_store`` the generator runs only on a store miss and the
     trace comes back memory-mapped.

@@ -57,6 +57,7 @@ from repro.sim.engine import PointFailedError
 from repro.sim.scenarios import SCHEMES, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.stats.metrics import percent_change, speedup_percent
+from repro.workloads.catalog import CATALOG_WORKLOADS
 from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS
 
 #: L1D prefetcher names accepted by every --prefetchers flag (must match
@@ -88,11 +89,10 @@ def _cmd_list(_: argparse.Namespace) -> int:
     print("Schemes:")
     for scheme in SCHEMES:
         print(f"  {scheme}")
-    print("\nGAP workloads: <kernel>.<graph> with kernel in "
-          "{bfs, pr, cc, bc, tc, sssp} and graph in {urand, kron, road, ...}")
-    print("\nSPEC-like workloads:")
-    for name, spec in sorted(SPEC_LIKE_WORKLOADS.items()):
-        print(f"  spec.{name:<18} {spec.description}")
+    print("\nCatalog workloads:")
+    for name in CATALOG_WORKLOADS:
+        spec = SPEC_LIKE_WORKLOADS.get(name.removeprefix("spec."))
+        print(f"  {name:<23} {spec.description}" if spec else f"  {name}")
     from repro.traces.store import TraceStore
 
     imported = TraceStore.default().imported_workloads()
@@ -731,6 +731,14 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return _cmd_obs_hotspots(args)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a memory-access budget: an integer >= 1."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -752,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=list(SCHEMES))
     run_parser.add_argument("--prefetcher", default="ipcp",
                             choices=PREFETCHER_CHOICES)
-    run_parser.add_argument("--accesses", type=int, default=10_000,
+    run_parser.add_argument("--accesses", type=_positive_int, default=10_000,
                             help="memory accesses to simulate")
     run_parser.set_defaults(func=_cmd_run)
 
@@ -778,10 +786,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--quick", action="store_true",
                                 help="use the small test configuration instead "
                                      "of the full-scale defaults")
-        sub_parser.add_argument("--accesses", type=int, default=None,
+        sub_parser.add_argument("--accesses", type=_positive_int, default=None,
                                 help="memory accesses per single-core point "
                                      "(default: the configuration's budget)")
-        sub_parser.add_argument("--multicore-accesses", type=int, default=None,
+        sub_parser.add_argument("--multicore-accesses", type=_positive_int,
+                                default=None,
                                 help="memory accesses per core of a multi-core "
                                      "point (default: the configuration's budget)")
         sub_parser.add_argument("--report", default=None, metavar="PATH",
@@ -926,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_build.add_argument("--workload", required=True,
                              help="workload name (e.g. bfs.urand, spec.mcf_like)")
-    trace_build.add_argument("--accesses", type=int, default=12_000,
+    trace_build.add_argument("--accesses", type=_positive_int, default=12_000,
                              help="memory-access budget of the stored trace")
     trace_build.add_argument("--gap-scale", default="medium",
                              choices=["tiny", "small", "medium"],

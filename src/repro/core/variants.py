@@ -53,13 +53,9 @@ ABLATION_VARIANTS = (
 )
 
 
-def build_ablation_variant(
-    name: str,
-    tau_high: int = 16,
-    tau_low: int = 2,
-    tau_pref: int = 8,
-) -> AblationVariant:
-    """Instantiate one of the Figure 15 designs by name."""
+def build_ablation_variant(name: str) -> AblationVariant:
+    """Instantiate one of the Figure 15 designs by name, at FLP's and SLP's
+    default thresholds."""
     normalized = name.lower()
     if normalized not in ABLATION_VARIANTS:
         raise ValueError(
@@ -67,14 +63,10 @@ def build_ablation_variant(
         )
 
     def flp(selective: bool) -> FirstLevelPerceptron:
-        return FirstLevelPerceptron(
-            tau_high=tau_high, tau_low=tau_low, selective_delay=selective
-        )
+        return FirstLevelPerceptron(selective_delay=selective)
 
     def slp(leveling: bool) -> SecondLevelPerceptron:
-        return SecondLevelPerceptron(
-            tau_pref=tau_pref, use_leveling_feature=leveling
-        )
+        return SecondLevelPerceptron(use_leveling_feature=leveling)
 
     if normalized == "flp":
         # FLP without selective delay, no prefetch filtering.
@@ -87,9 +79,7 @@ def build_ablation_variant(
     if normalized == "delayed_tsp":
         # No immediate threshold: every positive prediction waits for the
         # L1D lookup.
-        predictor = FirstLevelPerceptron(
-            tau_high=math.inf, tau_low=tau_low, selective_delay=True
-        )
+        predictor = FirstLevelPerceptron(tau_high=math.inf, selective_delay=True)
         return AblationVariant("delayed_tsp", predictor, slp(leveling=False))
     if normalized == "selective_tsp":
         return AblationVariant("selective_tsp", flp(selective=True), slp(leveling=False))

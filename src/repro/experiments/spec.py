@@ -343,6 +343,24 @@ def _lists_to_tuples(value):
     return value
 
 
+def _parse_system(cls, system) -> Optional[SystemConfig]:
+    """One ``systems`` entry: null or a serialized system config."""
+    if system is None:
+        return None
+    if not isinstance(system, dict):
+        raise ValueError(
+            f"{cls.__name__} axis 'systems' entries must be null or system "
+            f"config objects, got {system!r}"
+        )
+    try:
+        return system_config_from_dict(system)
+    except (KeyError, TypeError) as error:
+        raise ValueError(
+            f"{cls.__name__} axis 'systems' entry {system!r} is not a "
+            f"system config: {error!r}"
+        ) from error
+
+
 def sweep_spec_from_dict(payload: dict) -> SweepSpec:
     """Parse the JSON form of a sweep spec (see ``repro sweep --spec-json``).
 
@@ -371,10 +389,14 @@ def sweep_spec_from_dict(payload: dict) -> SweepSpec:
         kwargs = {}
         for name, value in block.items():
             if name == "memory_accesses":
-                if isinstance(value, bool) or not isinstance(value, int):
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, int)
+                    or value <= 0
+                ):
                     raise ValueError(
                         f"{cls.__name__} axis 'memory_accesses' must be an "
-                        f"integer, got {value!r}"
+                        f"integer >= 1, got {value!r}"
                     )
             elif name == "isolated_baselines":
                 if not isinstance(value, bool):
@@ -415,10 +437,7 @@ def sweep_spec_from_dict(payload: dict) -> SweepSpec:
                             f"[name, [workload, ...]] pairs, got {mix!r}"
                         )
             if name == "systems":
-                value = tuple(
-                    None if system is None else system_config_from_dict(system)
-                    for system in value
-                )
+                value = tuple(_parse_system(cls, system) for system in value)
             else:
                 value = _lists_to_tuples(value)
             kwargs[name] = value

@@ -281,18 +281,40 @@ def _build_workload_trace(
     return _generate_workload_trace(workload, memory_accesses, gap_scale)
 
 
+#: A process's trace memo: (workload, budget, gap_scale) -> Trace.
+TraceMemo = dict[tuple[str, int, str], Trace]
+
+
+def _memo_trace(
+    memo: TraceMemo,
+    workload: str,
+    memory_accesses: int,
+    gap_scale: str,
+    trace_store: Optional[TraceStore],
+) -> Trace:
+    """The trace of a named workload, built into ``memo`` on a memo miss."""
+    key = (workload, memory_accesses, gap_scale)
+    trace = memo.get(key)
+    if trace is None:
+        trace = memo[key] = build_workload_trace(
+            workload, memory_accesses, gap_scale, trace_store=trace_store
+        )
+    return trace
+
+
 def execute_point(
     point: CampaignPoint,
-    traces: Optional[dict[tuple[str, int, str], Trace]] = None,
+    traces: Optional[TraceMemo] = None,
     trace_store: Optional[TraceStore] = None,
     sim_core: Optional[str] = None,
 ) -> SingleCoreResult | MultiCoreResult:
     """Run the simulation described by ``point``.
 
-    ``traces`` is an optional (workload, budget, gap_scale) -> Trace memo
-    used by the in-process execution path; worker processes rebuild traces
-    from the workload name (or map them from the shared ``trace_store``),
-    which is deterministic, so both paths produce identical results.
+    ``traces`` is the trace memo the point's traces are looked up in (and
+    built into): the engine's own memo in-process, the pool's per-worker
+    memo in a worker process, a fresh one when None.  Traces are
+    deterministic functions of their names, so every memo yields
+    identical results.
 
     ``sim_core`` overrides the simulator core of the point's system config
     ("batch", the default, or "scalar", the reference path).  Because the
@@ -302,20 +324,12 @@ def execute_point(
     point whose hierarchy (or, for a mix, any core) the batch core rejects
     is stamped ``scalar``.
     """
+    memo = traces if traces is not None else {}
+
     def trace_for(workload: str) -> Trace:
-        if traces is None:
-            return build_workload_trace(
-                workload, point.memory_accesses, point.gap_scale,
-                trace_store=trace_store,
-            )
-        key = (workload, point.memory_accesses, point.gap_scale)
-        cached = traces.get(key)
-        if cached is None:
-            cached = traces[key] = build_workload_trace(
-                workload, point.memory_accesses, point.gap_scale,
-                trace_store=trace_store,
-            )
-        return cached
+        return _memo_trace(
+            memo, workload, point.memory_accesses, point.gap_scale, trace_store
+        )
 
     system = system_config_from_dict(json.loads(point.system_json))
     if sim_core is not None and sim_core != system.sim_core:
@@ -357,18 +371,22 @@ def execute_point(
     raise ValueError(f"unknown campaign point kind {point.kind!r}")
 
 
-#: Worker-process trace store, installed by the pool initializer so every
-#: point executed in this worker maps shared prebuilt traces instead of
-#: regenerating them.
+#: Worker-process trace store and trace memo, installed by the pool
+#: initializer.  Every point a worker executes maps shared prebuilt traces
+#: from the store instead of regenerating them, and each distinct trace is
+#: loaded once per worker for as long as the pool lasts.
 _worker_trace_store: Optional[TraceStore] = None
+_worker_traces: TraceMemo = {}
 
 
 def _init_pool_worker(trace_store_dir: Optional[str]) -> None:
-    """Pool initializer: point the worker at the engine's trace store."""
-    global _worker_trace_store
+    """Pool initializer: point the worker at the engine's trace store and
+    give it an empty trace memo."""
+    global _worker_trace_store, _worker_traces
     _worker_trace_store = (
         TraceStore(trace_store_dir) if trace_store_dir is not None else None
     )
+    _worker_traces = {}
     obs_tracer.install_from_env()
     obs_profile.install_from_env()
 
@@ -376,28 +394,28 @@ def _init_pool_worker(trace_store_dir: Optional[str]) -> None:
 def _run_point(
     point: CampaignPoint,
     sim_core: Optional[str],
-    traces: Optional[dict[tuple[str, int, str], Trace]] = None,
-    trace_store: Optional[TraceStore] = None,
+    traces: TraceMemo,
+    trace_store: Optional[TraceStore],
 ) -> tuple[SingleCoreResult | MultiCoreResult, int, float]:
     """Run one point: ``(result, generator runs, wall seconds)``.
 
-    Pool workers pass no ``traces``/``trace_store`` and map the store their
-    initializer installed; the in-process path passes the engine's trace
-    memo and store.  The generator-invocation delta rides back so the
-    campaign report can count generator work across worker processes.
+    The generator-invocation delta rides back so the campaign report can
+    count generator work across worker processes.
     """
     before = _generator_invocations
     start = time.perf_counter()
     with obs_profile.profiled_point():
         result = execute_point(
-            point,
-            traces=traces,
-            trace_store=(
-                trace_store if trace_store is not None else _worker_trace_store
-            ),
-            sim_core=sim_core,
+            point, traces=traces, trace_store=trace_store, sim_core=sim_core
         )
     return result, _generator_invocations - before, time.perf_counter() - start
+
+
+def _run_worker_point(
+    point: CampaignPoint, sim_core: Optional[str]
+) -> tuple[SingleCoreResult | MultiCoreResult, int, float]:
+    """:func:`_run_point` in a pool worker, on the worker's memo and store."""
+    return _run_point(point, sim_core, _worker_traces, _worker_trace_store)
 
 
 class PointFailedError(RuntimeError):
@@ -495,8 +513,7 @@ class CampaignEngine:
         result_cache: the on-disk cache consulted before simulating (None
             disables persistence).
         trace_store: the persistent memory-mapped trace store shared with
-            worker processes (None regenerates traces per process, the
-            pre-store behaviour).
+            worker processes (None generates each trace once per process).
         jobs: default worker count for :meth:`run` (``os.cpu_count()`` when
             None; 1 forces in-process serial execution).
         simulations_run: number of points actually simulated by this engine
@@ -524,7 +541,7 @@ class CampaignEngine:
         self.last_report: Optional[CampaignReport] = None
         #: Reports of every :meth:`run` batch this engine executed, in order.
         self.reports: list[CampaignReport] = []
-        self._traces: dict[tuple[str, int, str], Trace] = {}
+        self._traces: TraceMemo = {}
 
     def trace(
         self, workload: str, memory_accesses: int, gap_scale: str = "medium"
@@ -536,14 +553,9 @@ class CampaignEngine:
         trace store attached, a memo miss maps the stored trace (building
         and persisting it first when the store misses too).
         """
-        key = (workload, memory_accesses, gap_scale)
-        cached = self._traces.get(key)
-        if cached is None:
-            cached = self._traces[key] = build_workload_trace(
-                workload, memory_accesses, gap_scale,
-                trace_store=self.trace_store,
-            )
-        return cached
+        return _memo_trace(
+            self._traces, workload, memory_accesses, gap_scale, self.trace_store
+        )
 
     def resolve_jobs(self, jobs: Optional[int] = None) -> int:
         """Effective worker count for a run."""
@@ -642,7 +654,7 @@ class CampaignEngine:
             initargs=(store_dir,),
         ) as pool:
             futures = {
-                pool.submit(_run_point, point, self.sim_core): (key, point)
+                pool.submit(_run_worker_point, point, self.sim_core): (key, point)
                 for key, point in missing
             }
             try:

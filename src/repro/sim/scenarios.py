@@ -22,12 +22,12 @@ A :class:`Scenario` names one point of the paper's design space:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.config import SystemConfig, cascade_lake_single_core
-from repro.core.tlp import TLPConfig, TwoLevelPerceptron
-from repro.core.variants import build_ablation_variant
+from repro.core.tlp import TwoLevelPerceptron
+from repro.core.variants import ABLATION_VARIANTS, build_ablation_variant
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers import make_l1d_prefetcher
@@ -52,7 +52,9 @@ SCHEMES = (
     "prefetcher_7kb",
 )
 
-_ABLATION_SCHEMES = ("flp", "slp", "tsp", "delayed_tsp", "selective_tsp")
+#: Figure 15 designs built by :func:`build_ablation_variant`; the full TLP
+#: is built as ``tlp``.
+_ABLATION_SCHEMES = tuple(name for name in ABLATION_VARIANTS if name != "tlp")
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class Scenario:
     scheme: str = "baseline"
     l1d_prefetcher: str = "ipcp"
     l2_prefetcher: str = "spp"
-    tlp_config: TLPConfig = field(default_factory=TLPConfig)
 
     @property
     def name(self) -> str:
@@ -123,16 +124,11 @@ def build_hierarchy(
         # Double every weight table: roughly +7KB of state.
         offchip_predictor = HermesPredictor(table_entries=2048)
     if scheme == "tlp":
-        tlp = TwoLevelPerceptron(scenario.tlp_config)
+        tlp = TwoLevelPerceptron()
         offchip_predictor = tlp.flp
         l1d_filter = tlp.slp
     if scheme in _ABLATION_SCHEMES:
-        variant = build_ablation_variant(
-            scheme,
-            tau_high=scenario.tlp_config.tau_high,
-            tau_low=scenario.tlp_config.tau_low,
-            tau_pref=scenario.tlp_config.tau_pref,
-        )
+        variant = build_ablation_variant(scheme)
         offchip_predictor = variant.offchip_predictor
         l1d_filter = variant.l1d_prefetch_filter
 

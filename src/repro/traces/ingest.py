@@ -6,9 +6,11 @@ access per line, optionally gzip- (``.gz``) or xz-compressed (``.xz``,
 decoded via :mod:`lzma`) -- converts them to the columnar
 :class:`~repro.traces.trace.Trace` representation, persists them in a
 :class:`~repro.traces.store.TraceStore` and registers them in the store's
-imported-workload registry, where they become first-class catalog workloads
-in the ``imported`` suite (``imported.<name>``) runnable through ``repro
-campaign`` and every figure harness.
+imported-workload registry.  There they become workloads of the
+``imported`` suite (``imported.<name>``), which
+:func:`repro.sim.engine.build_workload_trace` resolves like a generated
+workload, runnable through ``repro sweep`` and ``repro figure`` with
+``--include-imported``.
 
 Accepted line format (whitespace separated)::
 
@@ -200,7 +202,7 @@ def import_champsim_trace(
     """Import one ChampSim-style trace file into the store.
 
     Parses the file, persists the columnar trace under its content-hash key
-    and registers it as catalog workload ``imported.<name>``.  Returns
+    and registers it as imported workload ``imported.<name>``.  Returns
     ``(workload name, store key, memory-mapped trace)``.
     """
     path = Path(path)

@@ -47,6 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.common.fsutil import atomic_write_json
 from repro.obs.logs import get_logger
 from repro.traces.trace import ADDR_DTYPE, KIND_DTYPE, Trace
 
@@ -327,7 +328,7 @@ class TraceStore:
     One instance wraps one directory; entries are self-describing
     sub-directories (see the module docstring for the layout).  The store
     also carries the imported-workload registry (``index.json``) that maps
-    ``imported.<name>`` catalog workloads to their entries -- see
+    ``imported.<name>`` workloads to their entries -- see
     :mod:`repro.traces.ingest`.
     """
 
@@ -538,7 +539,7 @@ class TraceStore:
         # The registry is consulted on every campaign-point build over an
         # imported workload (sweep compilation, reducer lookups); an
         # mtime/size-validated memo turns the repeated open+parse into one
-        # stat.  Every writer funnels through _write_index's atomic
+        # stat.  Every writer funnels through atomic_write_json's atomic
         # replace, which bumps the mtime, so stale hits are impossible --
         # including writes by other processes.
         try:
@@ -566,18 +567,11 @@ class TraceStore:
             for workload, entry in index.items()
         }
 
-    def _write_index(self, index: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp_path = self._index_path().with_suffix(".tmp")
-        with tmp_path.open("w", encoding="utf-8") as fh:
-            json.dump(index, fh, sort_keys=True, indent=1)
-        tmp_path.replace(self._index_path())
-
     def register_imported(self, workload: str, key: str, info: dict) -> None:
-        """Register entry ``key`` as catalog workload ``workload``."""
+        """Register entry ``key`` as imported workload ``workload``."""
         index = self._read_index()
         index[workload] = {"key": key, **_json_safe(info)}
-        self._write_index(index)
+        atomic_write_json(self._index_path(), index)
 
     def unregister_key(self, key: str) -> list[str]:
         """Drop every imported workload registered under entry ``key``.
@@ -592,7 +586,7 @@ class TraceStore:
         if removed:
             for workload in removed:
                 del index[workload]
-            self._write_index(index)
+            atomic_write_json(self._index_path(), index)
         return removed
 
     def imported_workloads(self) -> dict[str, dict]:

@@ -46,6 +46,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--schemes", "magic"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--accesses", "0"],
+        ["sweep", "--accesses", "-5"],
+        ["figure", "fig01", "--multicore-accesses", "0"],
+        ["trace", "build", "--workload", "bfs.urand", "--accesses", "0"],
+    ])
+    def test_access_budgets_must_be_positive(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -157,6 +167,21 @@ class TestSweepCommand:
                      "--suites", "imported",
                      "--trace-dir", str(tmp_path / "empty_store")]) == 2
         assert "no imported traces" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("axes", [
+        {"memory_accesses": 0},
+        {"memory_accesses": -5},
+        {"systems": [5]},
+        {"systems": [{"bogus": 1}]},
+    ], ids=["zero_budget", "negative_budget", "scalar_system", "bogus_system"])
+    def test_sweep_rejects_invalid_spec_values(self, capsys, tmp_path, axes):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({"single_core": [{
+            "workloads": ["spec.sphinx_like"], "schemes": ["baseline"], **axes,
+        }]}))
+        assert main(["sweep", "--quick", "--no-cache",
+                     "--spec-json", str(spec_path)]) == 2
+        assert "invalid sweep spec" in capsys.readouterr().out
 
     def test_sweep_invalid_spec_json_is_an_error(self, capsys, tmp_path):
         spec_path = tmp_path / "bad.json"

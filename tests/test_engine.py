@@ -162,6 +162,27 @@ class TestEngineCaching:
         assert [cached for _, _, cached in rows] == [True, False]
 
 
+class TestTraceMemo:
+    def test_pool_workers_build_each_trace_once(self):
+        # Every pool worker keeps a trace memo for the pool's lifetime, so
+        # six points on one workload run its generator at most once per
+        # worker, even with no trace store to map it from.
+        points = [
+            tiny_point(scheme=scheme)
+            for scheme in ("baseline", "hermes", "tlp", "flp", "slp", "ppf")
+        ]
+        engine = CampaignEngine(result_cache=None, jobs=2, trace_store=None)
+        engine.run(points)
+        assert engine.last_report.generator_invocations <= 2
+
+    def test_in_process_points_share_the_engine_memo(self):
+        engine = CampaignEngine(result_cache=None, jobs=1)
+        trace = engine.trace("bfs.urand", BUDGET)
+        engine.run([tiny_point(), tiny_point(scheme="tlp")])
+        assert engine.last_report.generator_invocations == 0
+        assert engine.trace("bfs.urand", BUDGET) is trace
+
+
 class TestEngineDeterminism:
     def test_serial_and_parallel_results_identical(self, tmp_path):
         points = [tiny_point(w, s) for w in ("bfs.urand", "spec.mcf_like")

@@ -228,9 +228,8 @@ class TestAblationVariants:
         assert variant.l1d_prefetch_filter.use_leveling_feature is True
 
     def test_always_delayed_flp_never_immediate(self):
-        predictor = build_ablation_variant(
-            "delayed_tsp", tau_high=-100, tau_low=-200
-        ).offchip_predictor
+        predictor = build_ablation_variant("delayed_tsp").offchip_predictor
+        predictor.tau_low = -200  # every confidence flags the load
         decision = predictor.predict(0x400, 0x1000, 0)
         assert decision.action is OffChipAction.DELAYED
         assert predictor.immediate_decisions == 0

@@ -50,7 +50,6 @@ from repro.traces.store import (
     workload_key,
 )
 from repro.traces.trace import KIND_LOAD, KIND_NON_MEM, KIND_STORE, Trace
-from repro.workloads.catalog import default_catalog, register_imported_workloads
 from repro.workloads.spec_like import spec_like_trace
 
 from pathlib import Path
@@ -296,6 +295,16 @@ class TestChampsimIngestion:
         assert _is_memory_mapped(trace.columns()[0])
         assert store.resolve("imported.fixture") == key
 
+    def test_index_write_survives_a_squatted_temp_name(self, tmp_path):
+        # Index writes go through a uniquely named temp file, so a stale
+        # (or concurrent writer's) <store>/index.tmp cannot block or tear
+        # the registry.
+        store = TraceStore(tmp_path / "store")
+        (tmp_path / "store" / "index.tmp").mkdir(parents=True)
+        import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="a")
+        import_champsim_trace(CHAMPSIM_FIXTURE_GZ, trace_store=store, name="b")
+        assert sorted(store.imported_workloads()) == ["imported.a", "imported.b"]
+
     def test_imported_workload_runs_through_engine(self, tmp_path):
         store = TraceStore(tmp_path / "store")
         import_champsim_trace(CHAMPSIM_FIXTURE_GZ, trace_store=store, name="fixture",
@@ -408,35 +417,34 @@ class TestChampsimIngestion:
 
 
 # ----------------------------------------------------------------------
-# Catalog / engine store fast path
+# Engine store fast path
 # ----------------------------------------------------------------------
 class TestStoreFastPath:
     def test_catalog_build_hits_store_second_time(self, tmp_path):
         store = TraceStore(tmp_path / "store")
-        catalog = default_catalog(gap_scale="tiny")
-        first = catalog.build("spec.mcf_like", 500, trace_store=store)
+        first = build_workload_trace("spec.mcf_like", 500, trace_store=store)
         # The miss built and persisted the trace, then served the stored
         # copy (one miss, one hit).
         assert store.misses == 1
         hits_after_build = store.hits
-        second = catalog.build("spec.mcf_like", 500, trace_store=store)
+        second = build_workload_trace("spec.mcf_like", 500, trace_store=store)
         assert store.misses == 1
         assert store.hits == hits_after_build + 1
         assert _is_memory_mapped(second.columns()[0])
         for a, b in zip(first.columns(), second.columns()):
             assert np.array_equal(a, b)
-        plain = catalog.build("spec.mcf_like", 500)
+        plain = build_workload_trace("spec.mcf_like", 500)
         assert np.array_equal(plain.columns()[1], second.columns()[1])
 
-    def test_catalog_registers_imported_suite(self, tmp_path):
+    def test_store_registers_imported_suite(self, tmp_path):
         store = TraceStore(tmp_path / "store")
         import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="fixture")
-        catalog = default_catalog(gap_scale="tiny", trace_store=store)
-        assert "imported.fixture" in catalog.names("imported")
-        trace = catalog.build("imported.fixture", 64, trace_store=store)
+        assert list(store.imported_workloads()) == ["imported.fixture"]
+        trace = api.load_trace("imported.fixture", 64, trace_store=store)
         assert trace.num_memory_accesses == 64
-        assert catalog.get("imported.fixture").suite == "imported"
-        assert "imported" in catalog.suites()
+        # A budget past the stored trace yields the whole trace.
+        whole = api.load_trace("imported.fixture", 10_000, trace_store=store)
+        assert whole.num_memory_accesses == 240
 
     def test_workload_key_distinguishes_scale_but_not_for_spec(self):
         assert workload_key("bfs.urand", 1000, "tiny") != workload_key(

@@ -4,11 +4,14 @@ import hashlib
 import json
 import pickle
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import api
+from repro.cli import _unknown_workloads
 from repro.common.types import AccessKind, MemoryAccess
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
@@ -19,7 +22,7 @@ from repro.traces.synthetic import (
     strided_trace,
 )
 from repro.traces.trace import Trace
-from repro.workloads.catalog import WorkloadCatalog, WorkloadSpec, default_catalog
+from repro.workloads.catalog import CATALOG_WORKLOADS
 from repro.workloads.gap import GAP_KERNELS, gap_trace
 from repro.workloads.graphs import CSRGraph, _edges_to_csr, generate_graph
 from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS, spec_like_trace
@@ -276,28 +279,28 @@ class TestSpecLikeWorkloads:
 
 
 class TestCatalog:
-    def test_default_catalog_contents(self):
-        catalog = default_catalog()
-        assert len(catalog) >= 24
-        assert "bfs.kron" in catalog.names("gap")
-        assert "spec.mcf_like" in catalog.names("spec")
-        assert set(catalog.suites()) == {"gap", "spec"}
+    def test_catalog_workloads_contents(self):
+        assert len(CATALOG_WORKLOADS) == len(set(CATALOG_WORKLOADS)) == 30
+        gap = [name for name in CATALOG_WORKLOADS if not name.startswith("spec.")]
+        assert len(gap) == 6 * 3
+        assert "bfs.kron" in gap and "sssp.road" in gap
+        assert "spec.mcf_like" in CATALOG_WORKLOADS
+        # Every catalog name passes the CLI's up-front workload check.
+        points = [SimpleNamespace(workloads=CATALOG_WORKLOADS)]
+        assert _unknown_workloads(points, None) == []
 
     def test_build_trace_by_name(self):
-        catalog = default_catalog(gap_scale="tiny")
-        trace = catalog.build("bfs.urand", num_memory_accesses=500)
+        trace = api.load_trace("bfs.urand", 500, gap_scale="tiny")
         assert trace.num_memory_accesses <= 500
-
-    def test_duplicate_names_rejected(self):
-        catalog = WorkloadCatalog()
-        spec = WorkloadSpec("x", "gap", lambda budget: Trace("x"))
-        catalog.add(spec)
-        with pytest.raises(ValueError):
-            catalog.add(spec)
+        direct = gap_trace("bfs", graph="urand", scale="tiny", max_memory_accesses=500)
+        for a, b in zip(trace.columns(), direct.columns()):
+            assert np.array_equal(a, b)
 
     def test_unknown_lookup(self):
-        with pytest.raises(KeyError):
-            default_catalog().get("nope")
+        with pytest.raises(ValueError, match="unknown GAP kernel"):
+            api.load_trace("nope", 100)
+        with pytest.raises(ValueError, match="unknown SPEC-like"):
+            api.load_trace("spec.nope", 100)
 
 
 @settings(max_examples=10, deadline=None)
