@@ -4,7 +4,10 @@ The SLP component of TLP is just one implementation of the
 :class:`repro.prefetchers.base.PrefetchFilter` interface.  This example shows
 how a downstream user can experiment with their own filtering policy -- here,
 a simple confidence-threshold filter that drops low-confidence IPCP
-candidates -- and compare it against SLP on the same workload.
+candidates -- and compare it against SLP on the same workload.  The compiled
+batch core models only the stock components and refuses any other, so the
+example runs on the scalar reference core (``sim_core="scalar"``), which
+calls the filter's Python methods directly.
 
 Run with::
 
@@ -12,6 +15,8 @@ Run with::
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.api import (
     FilterDecision,
@@ -50,13 +55,16 @@ class ConfidenceThresholdFilter(PrefetchFilter):
 
 
 def run_with_filter(trace, prefetch_filter, label: str) -> None:
+    system = replace(cascade_lake_single_core(), sim_core="scalar")
     hierarchy = MemoryHierarchy(
-        cascade_lake_single_core(),
+        system,
         l1d_prefetcher=IPCPPrefetcher(),
         l2_prefetcher=SPPPrefetcher(),
         l1d_prefetch_filter=prefetch_filter,
     )
-    result = run_single_core(trace, build_scenario("baseline"), hierarchy=hierarchy)
+    result = run_single_core(
+        trace, build_scenario("baseline"), config=system, hierarchy=hierarchy
+    )
     print(
         f"{label:<24} ipc={result.ipc:.3f} dram={result.dram_transactions:>6d} "
         f"issued={result.l1d_prefetches_issued:>5d} "

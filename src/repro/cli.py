@@ -54,15 +54,14 @@ from repro.experiments.common import (
     quick_experiment_config,
 )
 from repro.sim.engine import PointFailedError
-from repro.sim.scenarios import SCHEMES, build_scenario
-from repro.sim.single_core import run_single_core
+from repro.sim.scenarios import SCHEMES
 from repro.stats.metrics import percent_change, speedup_percent
 from repro.workloads.catalog import CATALOG_WORKLOADS
 from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS
 
 #: L1D prefetcher names accepted by every --prefetchers flag (must match
 #: repro.prefetchers.make_l1d_prefetcher).
-PREFETCHER_CHOICES = ("ipcp", "berti", "next_line", "stride", "none")
+PREFETCHER_CHOICES = ("ipcp", "berti", "none")
 
 #: CLI figure id -> registered experiment name.  Figures that are views of
 #: one shared campaign (10/11/12, 3/13/14, 5/6) alias the same spec.
@@ -113,9 +112,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"workload: {trace.summary()}")
     baseline = None
     for scheme in args.schemes:
-        result = run_single_core(
-            trace, build_scenario(scheme, l1d_prefetcher=args.prefetcher)
-        )
+        result = cache.single_core(args.workload, scheme, args.prefetcher)
         if baseline is None:
             baseline = result
         print(

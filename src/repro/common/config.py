@@ -102,10 +102,10 @@ class SystemConfig:
     dram: DRAMConfig = field(default_factory=DRAMConfig)
     num_cores: int = 1
     #: Simulator core implementation: ``"batch"`` (the default) runs the
-    #: compiled kernel of :mod:`repro.sim.batch`, falling back to the
-    #: reference per point with a named reason; ``"scalar"`` steps one
-    #: record at a time through the reference path the equivalence suite
-    #: compares against.  The two are bit-identical, so this field does not
+    #: whole run on the compiled kernel of :mod:`repro.sim.batch` (all
+    #: scalar only when no C compiler exists; a component the kernel does
+    #: not model raises); ``"scalar"`` steps one record at a time through
+    #: the reference path the equivalence suite compares against.  The two are bit-identical, so this field does not
     #: participate in result-cache keys (see :func:`system_config_to_dict`).
     sim_core: str = "batch"
 

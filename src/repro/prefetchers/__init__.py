@@ -1,8 +1,7 @@
 """Hardware prefetchers and prefetch filters.
 
-L1D prefetchers: IPCP and Berti (the two used in the paper's evaluation) plus
-next-line and stride reference prefetchers.  L2 prefetcher: SPP.  Prefetch
-filter baseline: PPF.
+L1D prefetchers: IPCP and Berti, the two used in the paper's evaluation.
+L2 prefetcher: SPP.  Prefetch filter baseline: PPF.
 """
 
 from repro.prefetchers.base import (
@@ -13,10 +12,8 @@ from repro.prefetchers.base import (
 )
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
-from repro.prefetchers.next_line import NextLinePrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
-from repro.prefetchers.stride import StridePrefetcher
 
 __all__ = [
     "L1DPrefetcher",
@@ -25,18 +22,15 @@ __all__ = [
     "PrefetchRequest",
     "BertiPrefetcher",
     "IPCPPrefetcher",
-    "NextLinePrefetcher",
     "PerceptronPrefetchFilter",
     "SPPPrefetcher",
-    "StridePrefetcher",
 ]
 
 
 def make_l1d_prefetcher(name: str) -> L1DPrefetcher | None:
     """Instantiate an L1D prefetcher by name.
 
-    Recognised names: ``"ipcp"``, ``"berti"``, ``"next_line"``, ``"stride"``
-    and ``"none"`` (returns None).
+    Recognised names: ``"ipcp"``, ``"berti"`` and ``"none"`` (returns None).
     """
     normalized = name.lower()
     if normalized == "none":
@@ -44,8 +38,6 @@ def make_l1d_prefetcher(name: str) -> L1DPrefetcher | None:
     factories = {
         "ipcp": IPCPPrefetcher,
         "berti": BertiPrefetcher,
-        "next_line": NextLinePrefetcher,
-        "stride": StridePrefetcher,
     }
     try:
         return factories[normalized]()

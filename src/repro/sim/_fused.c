@@ -29,17 +29,16 @@
  * _allocated_frames and page_faults, PPF's pending-prefetch dict and every
  * stats object stay Python objects; a block address is boxed only to key
  * PPF's pending dict or an EvictionInfo.  PPF training on prefetch use and
- * L2C eviction stays a Python call.  A hierarchy with any component
- * the kernel does not model runs the scalar reference instead
- * (repro.sim.batch.batch_unsupported_reason).  Pure counters accumulate
- * per chunk and are added to their stats objects at the end of each chunk.
+ * L2C eviction stays a Python call.  Only hierarchies of those stock
+ * components run here; the batch core rejects any other with a ValueError
+ * before building a Stepper (repro.sim.batch.use_kernel), and a run is all
+ * Steppers or all scalar reference.  Pure counters accumulate per chunk
+ * and are added to their stats objects at the end of each chunk.
  *
  * Stepper.run() runs one core's trace to its end.  run_mix() interleaves
- * the cores of a multi-core mix: it pauses each Stepper before every
- * load/store and resumes the core with the smallest (dispatch cycle, core
- * id), advancing a Stepper by a direct call and a scalar-reference core
- * (a Python iterator) by PyIter_Next.  Built on first use by
- * repro.sim.native.
+ * the Steppers of a multi-core mix: it pauses each before every load/store
+ * and resumes the core with the smallest (dispatch cycle, core id).  Built
+ * on first use by repro.sim.native.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -2771,11 +2770,8 @@ stepper_run(Stepper *s, PyObject *Py_UNUSED(ignored))
 static PyTypeObject StepperType;
 
 /* run_mix(steppers): the measured phase of a multi-core mix.  Each step
- * resumes the live core with the smallest (paused dispatch cycle, core id);
- * every core starts paused at -inf.  A Stepper is advanced by a direct
- * call; any other iterator (a core on the scalar reference) by
- * PyIter_Next, and it yields each load/store's dispatch cycle before
- * performing it. */
+ * resumes the live Stepper with the smallest (paused dispatch cycle, core
+ * id); every core starts paused at -inf. */
 static PyObject *
 run_mix(PyObject *Py_UNUSED(module), PyObject *arg)
 {
@@ -2787,9 +2783,8 @@ run_mix(PyObject *Py_UNUSED(module), PyObject *arg)
     Py_ssize_t *cores = mem_calloc(live, sizeof(Py_ssize_t));
     int rc = cycles && cores ? 0 : -1;
     for (Py_ssize_t i = 0; rc == 0 && i < live; i++) {
-        PyObject *item = PyTuple_GET_ITEM(steppers, i);
-        if (!Py_IS_TYPE(item, &StepperType) && !PyIter_Check(item)) {
-            PyErr_SetString(PyExc_TypeError, "run_mix needs Steppers or iterators");
+        if (!Py_IS_TYPE(PyTuple_GET_ITEM(steppers, i), &StepperType)) {
+            PyErr_SetString(PyExc_TypeError, "run_mix needs Steppers");
             rc = -1;
         }
         cycles[i] = -Py_HUGE_VAL;
@@ -2803,20 +2798,7 @@ run_mix(PyObject *Py_UNUSED(module), PyObject *arg)
                 at = i;
         }
         Py_ssize_t core = cores[at];
-        PyObject *item = PyTuple_GET_ITEM(steppers, core);
-        if (Py_IS_TYPE(item, &StepperType)) {
-            rc = advance((Stepper *)item, &cycles[core]);
-        }
-        else {
-            PyObject *cycle = PyIter_Next(item);
-            rc = cycle != NULL ? 1 : PyErr_Occurred() ? -1 : 0;
-            if (cycle != NULL) {
-                cycles[core] = PyFloat_AsDouble(cycle);
-                Py_DECREF(cycle);
-                if (cycles[core] == -1.0 && PyErr_Occurred())
-                    rc = -1;
-            }
-        }
+        rc = advance((Stepper *)PyTuple_GET_ITEM(steppers, core), &cycles[core]);
         if (rc == 0) {
             live--;
             memmove(&cores[at], &cores[at + 1], (live - at) * sizeof(Py_ssize_t));

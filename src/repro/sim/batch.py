@@ -33,22 +33,21 @@ record.  The batch core runs the same steps for a whole trace in C
    keys, built when a stepper is built.  PPF training on prefetch use and L2C
    eviction stays a Python call.
 
-3. **Phases, scheduling and fallback** -- :func:`run_phase` runs one
-   warm-up or measured phase of one core, on the kernel's per-core stepper
-   (:func:`fused_core_stepper`) or on the scalar reference's
+3. **Phases, scheduling and the one core per run** -- :func:`run_phase`
+   runs one warm-up or measured phase of one core, on the kernel's per-core
+   stepper (:func:`fused_core_stepper`) or on the scalar reference's
    ``CoreRunner.run_trace``; both drivers run every single-core phase and
    every mix warm-up through it.  A mix's measured phases interleave their
-   cores in the kernel's ``run_mix`` (:mod:`repro.sim.multi_core`).  A
-   hierarchy runs fused only when every component is one the kernel models
-   exactly (stock :class:`MemoryHierarchy`/:class:`Cache`, a Null / Hermes /
-   FLP off-chip predictor over the Table I feature set, and stock IPCP or
-   Berti, SPP, PPF and SLP) and the kernel is available; a core of a mix
-   also runs fused only when it shares no component with another core.
-   Otherwise the point (or that core) runs the scalar reference path;
-   :func:`batch_unsupported_reason` / :func:`mix_unsupported_reasons` name
-   the offending component, or ``native kernel unavailable: <why>``, which
-   is logged once per process and emitted as a ``sim.batch.fallback``
-   observability event.
+   cores in the kernel's ``run_mix`` (:mod:`repro.sim.multi_core`).  A run
+   is all kernel or all scalar (:func:`use_kernel`): the kernel models stock
+   :class:`MemoryHierarchy`/:class:`Cache`, a Null / Hermes / FLP off-chip
+   predictor over the Table I feature set, and stock IPCP or Berti, SPP,
+   PPF and SLP, each owned by one core.  Any other hierarchy raises
+   :class:`ValueError` on the batch core, naming the component
+   (:func:`batch_unsupported_reason`); it runs with ``sim_core="scalar"``.
+   Without the compiled kernel every run goes scalar, with the reason
+   ``native kernel unavailable: <why>`` logged once per process and
+   emitted as a ``sim.batch.fallback`` observability event.
 
 The kernel is compiled with the installed C compiler on first use (never
 at import) into ``repro/sim/__pycache__/_fused-<key><EXT_SUFFIX>``, keyed by
@@ -56,8 +55,7 @@ the C source, interpreter ABI and compiler flags; delete that file to force
 a rebuild (:mod:`repro.sim.native`).  The batch core is the default
 (``SystemConfig.sim_core == "batch"``); ``"scalar"`` runs every phase on the
 reference path, which the batch-vs-scalar equivalence suite pins the kernel
-to.  The core is chosen once per point (per core of a mix) and runs both of
-its phases.
+to.  The core is chosen once per run and runs every phase of every core.
 """
 
 from __future__ import annotations
@@ -157,13 +155,8 @@ def _prefetch_path_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
     return _feature_set_reason("SLP", slp.perceptron, slp.history, _SLP_FEATURE_NAMES)
 
 
-def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
-    """Why ``hierarchy`` cannot run fused, or None when it can.
-
-    The reason string names the offending component so the fallback event
-    and warning are actionable.  Anything rejected here still simulates
-    correctly -- the batch runner falls back to the scalar reference path.
-    """
+def _model_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
+    """Why the kernel does not model ``hierarchy``, or None when it does."""
     if type(hierarchy) is not MemoryHierarchy:
         return f"hierarchy subclass {type(hierarchy).__name__}"
     for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
@@ -183,33 +176,65 @@ def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
             return reason
     elif type(predictor) is not NullOffChipPredictor:
         return f"unmodelled off-chip predictor {type(predictor).__name__}"
-    return _prefetch_path_reason(hierarchy) or native_unavailable_reason()
+    return _prefetch_path_reason(hierarchy)
 
 
-def mix_unsupported_reasons(
+def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
+    """Why ``hierarchy`` cannot run fused, or None when it can.
+
+    The reason names the offending component, or reads ``native kernel
+    unavailable: <why>`` when the kernel cannot run in this process.
+    """
+    return _model_reason(hierarchy) or native_unavailable_reason()
+
+
+def _shared_component_reason(
     hierarchies: list[MemoryHierarchy],
-) -> list[Optional[str]]:
-    """Per core of a mix, why it cannot run fused (``"core N: ..."``), or None.
+) -> Optional[str]:
+    """Why a mix's cores cannot run fused side by side, or None.
 
-    Besides :func:`batch_unsupported_reason`, a core that shares a
-    per-core component object with another core runs the scalar reference:
-    each fused core keeps private lookup indexes and counters beside that
-    component's state, which the other core's updates would leave stale.
+    Each fused core keeps private lookup indexes and counters beside its
+    components' state, which another core's updates would leave stale.
     """
     owners: dict[int, tuple[int, str]] = {}
-    shared: dict[int, str] = {}
     for core_id, hierarchy in enumerate(hierarchies):
         for name in _PRIVATE_COMPONENTS:
             component = getattr(hierarchy, name)
+            if component is None:
+                continue
             owner, owner_name = owners.setdefault(id(component), (core_id, name))
-            if component is not None and owner != core_id:
-                shared.setdefault(core_id, f"shares {name} with core {owner}")
-                shared.setdefault(owner, f"shares {owner_name} with core {core_id}")
-    reasons = []
+            if owner != core_id:
+                return f"core {core_id}: shares {name} with core {owner}"
+    return None
+
+
+def use_kernel(sim_core: str, hierarchies: list[MemoryHierarchy]) -> bool:
+    """Whether a run over ``hierarchies`` (one per core) steps the kernel.
+
+    ``sim_core="scalar"`` runs the scalar reference.  On the batch core a
+    hierarchy the kernel does not model raises :class:`ValueError` naming
+    the component; without the compiled kernel the whole run goes scalar
+    and a ``sim.batch.fallback`` event says why.
+    """
+    if sim_core != "batch":
+        return False
     for core_id, hierarchy in enumerate(hierarchies):
-        reason = shared.get(core_id) or batch_unsupported_reason(hierarchy)
-        reasons.append(reason and f"core {core_id}: {reason}")
-    return reasons
+        reason = _model_reason(hierarchy)
+        if reason is not None:
+            if len(hierarchies) > 1:
+                reason = f"core {core_id}: {reason}"
+            break
+    else:
+        reason = _shared_component_reason(hierarchies)
+    if reason is not None:
+        raise ValueError(
+            f"{reason}: the batch core does not model it; pass "
+            f'core="scalar" to run it on the scalar reference'
+        )
+    reason = native_unavailable_reason()
+    if reason is not None:
+        _note_scalar_fallback(reason)
+    return reason is None
 
 
 def native_unavailable_reason() -> Optional[str]:
@@ -282,7 +307,7 @@ def run_phase(
     """Step one phase (warm-up or measured) of ``trace`` through ``runner``.
 
     ``fused`` runs the compiled kernel (the caller has checked
-    :func:`batch_unsupported_reason`); otherwise the scalar reference's
+    :func:`use_kernel`); otherwise the scalar reference's
     ``runner.run_trace`` runs, with the runner's memory callback bound to
     ``hierarchy.demand_access``.  Both leave the runner and the hierarchy in
     the same state.

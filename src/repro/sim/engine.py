@@ -42,15 +42,10 @@ from repro.common.config import (
     system_config_from_dict,
     system_config_to_dict,
 )
-from repro.sim.multi_core import (
-    MultiCoreResult,
-    build_mix_hierarchies,
-    run_multicore_mix,
-)
-from repro.sim.batch import batch_unsupported_reason, mix_unsupported_reasons
+from repro.sim.multi_core import MultiCoreResult, run_multicore_mix
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import SingleCoreResult
-from repro.sim.scenarios import build_hierarchy, build_scenario
+from repro.sim.scenarios import build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.ingest import IMPORTED_PREFIX
 from repro.traces.store import TraceStore, workload_key
@@ -320,9 +315,8 @@ def execute_point(
     ("batch", the default, or "scalar", the reference path).  Because the
     batch core is bit-identical to the scalar reference, the override does
     not affect the point's cache key -- results are shared between both
-    cores.  The ``simulate`` span records the core that actually ran: a
-    point whose hierarchy (or, for a mix, any core) the batch core rejects
-    is stamped ``scalar``.
+    cores.  The ``simulate`` span records the core the point asked for; a
+    run without the compiled kernel also emits ``sim.batch.fallback``.
     """
     memo = traces if traces is not None else {}
 
@@ -340,33 +334,25 @@ def execute_point(
         with obs_tracer.span(
             "simulate", point=point.label, kind=point.kind,
             core=system.sim_core,
-        ) as attrs:
-            hierarchy = build_hierarchy(scenario, config=system)
-            if attrs is not None and batch_unsupported_reason(hierarchy):
-                attrs["core"] = "scalar"
+        ):
             return run_single_core(
                 trace,
                 scenario,
                 config=system,
                 warmup_fraction=point.warmup_fraction,
-                hierarchy=hierarchy,
             )
     if point.kind == "multi_core":
         traces_for_mix = [trace_for(workload) for workload in point.workloads]
         with obs_tracer.span(
             "simulate", point=point.label, kind=point.kind,
             core=system.sim_core,
-        ) as attrs:
-            hierarchies = build_mix_hierarchies(scenario, system, len(traces_for_mix))
-            if attrs is not None and any(mix_unsupported_reasons(hierarchies)):
-                attrs["core"] = "scalar"
+        ):
             return run_multicore_mix(
                 traces_for_mix,
                 scenario,
                 config=system,
                 warmup_fraction=point.warmup_fraction,
                 mix_name=point.mix_name,
-                hierarchies=hierarchies,
             )
     raise ValueError(f"unknown campaign point kind {point.kind!r}")
 

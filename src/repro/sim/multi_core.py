@@ -8,9 +8,8 @@ and one incremental core model per trace, and merges the cores' loads and
 stores on (dispatch cycle, core id) so that they contend for DRAM bandwidth
 in time order.  Compute records touch only their own core's ROB, so this is
 the order of stepping the earliest-dispatching core per instruction.  A
-batch mix runs that merge in the compiled kernel (``run_mix``), which
-advances its fused cores by direct calls and any scalar-fallback core as a
-Python iterator; the Python heap below drives the scalar reference.
+batch mix runs that merge over its cores' steppers in the compiled kernel
+(``run_mix``); the Python heap below drives the scalar reference.
 """
 
 from __future__ import annotations
@@ -25,14 +24,7 @@ from repro.cpu.core import CoreResult, CoreRunner
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.obs import sample as obs_sample
 from repro.sim import native
-from repro.sim.batch import (
-    _note_scalar_fallback,
-    chunk_size,
-    fused_core_stepper,
-    mix_unsupported_reasons,
-    native_unavailable_reason,
-    run_phase,
-)
+from repro.sim.batch import chunk_size, fused_core_stepper, run_phase, use_kernel
 from repro.sim.scenarios import Scenario, build_hierarchy
 from repro.stats.metrics import weighted_speedup
 from repro.traces.trace import KIND_NON_MEM, Trace, trace_lists
@@ -78,15 +70,14 @@ def run_multicore_mix(
 ) -> MultiCoreResult:
     """Simulate one multi-core mix (one trace per core).
 
-    With ``config.sim_core == "batch"`` (the default) each core that
-    :func:`~repro.sim.batch.mix_unsupported_reasons` accepts runs its fused
-    stepper; any other core -- an unmodelled component, or one shared with
-    another core -- runs a scalar stepper, and a ``sim.batch.fallback``
-    event names it; the kernel's ``run_mix`` interleaves both kinds.
-    Without the compiled kernel every core runs scalar and one event says
-    why.  Each core's warm-up runs on its own, through
-    :func:`~repro.sim.batch.run_phase` on the core it was given; the
-    statistics are then reset and the measured phases interleave.
+    With ``config.sim_core == "batch"`` (the default) every core runs its
+    fused stepper and the kernel's ``run_mix`` interleaves them.  A core
+    with a component the kernel does not model, or one shared with another
+    core, raises :class:`ValueError` naming it (run such a mix with
+    ``sim_core="scalar"``).  Without the compiled kernel every core runs
+    scalar and one ``sim.batch.fallback`` event says why.  Each core's
+    warm-up runs on its own, through :func:`~repro.sim.batch.run_phase`;
+    the statistics are then reset and the measured phases interleave.
     ``hierarchies`` optionally supplies :func:`build_mix_hierarchies`, one
     per trace.  With sampling on, each core's measured phase emits
     ``sim_sample`` snapshots as a single core's does, plus one closing
@@ -105,25 +96,15 @@ def run_multicore_mix(
         raise ValueError(
             f"{len(traces)} traces need {len(traces)} hierarchies, got {len(hierarchies)}"
         )
-    fused = [False] * len(hierarchies)
-    native_reason = (
-        native_unavailable_reason() if system.sim_core == "batch" else None
-    )
-    if native_reason is not None:
-        _note_scalar_fallback(native_reason)
-    elif system.sim_core == "batch":
-        for core_id, reason in enumerate(mix_unsupported_reasons(hierarchies)):
-            if reason is not None:
-                _note_scalar_fallback(reason)
-            fused[core_id] = reason is None
+    fused = use_kernel(system.sim_core, hierarchies)
     splits = [trace.split(warmup_fraction) for trace in traces]
     label = mix_name or "+".join(trace.name for trace in traces)
 
     # Warm-up: run each core's warm-up slice in turn (shared caches and
     # predictors learn; timing contention during warm-up is irrelevant).
-    for core_id, (hierarchy, (warm, _)) in enumerate(zip(hierarchies, splits)):
+    for hierarchy, (warm, _) in zip(hierarchies, splits):
         runner = CoreRunner(system.core, hierarchy.demand_access)
-        run_phase(runner, warm, hierarchy, fused[core_id])
+        run_phase(runner, warm, hierarchy, fused)
     for index, hierarchy in enumerate(hierarchies):
         hierarchy.reset_stats(include_shared=(index == 0))
 
@@ -136,24 +117,26 @@ def run_multicore_mix(
     interval = obs_sample.sample_interval()
     hooks = [
         obs_sample.hook(
-            trace.name, scenario.name, "batch" if fused[core_id] else "scalar",
+            trace.name, scenario.name, "batch" if fused else "scalar",
             hierarchy, mix=label, core_id=core_id,
         )
         if interval else None
         for core_id, (trace, hierarchy) in enumerate(zip(traces, hierarchies))
     ]
-    steppers = [
-        fused_core_stepper(
-            runner, measured, hierarchy, chunk_size(interval), hook, interval
-        )
-        if fused[core_id] else _scalar_stepper(runner, measured, hook, interval)
-        for core_id, (runner, hierarchy, hook, (_, measured)) in enumerate(
-            zip(runners, hierarchies, hooks, splits)
-        )
-    ]
-    if system.sim_core == "batch" and native_reason is None:
-        native.kernel().run_mix(steppers)
+    measured = [phase for _, phase in splits]
+    if fused:
+        native.kernel().run_mix([
+            fused_core_stepper(runner, trace, hierarchy, chunk_size(interval),
+                               hook, interval)
+            for runner, trace, hierarchy, hook in zip(
+                runners, measured, hierarchies, hooks
+            )
+        ])
     else:
+        steppers = [
+            _scalar_stepper(runner, trace, hook, interval)
+            for runner, trace, hook in zip(runners, measured, hooks)
+        ]
         heap = [(float("-inf"), core_id) for core_id in range(len(steppers))]
         while heap:
             core_id = heap[0][1]

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.common.types import MemLevel
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.predictors.perceptron import HashedPerceptron
+from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.stats.metrics import accuracy, mpki, ppki
 
 
@@ -100,7 +104,8 @@ def check_invariants(result, hierarchies=()) -> list[str]:
     """Conservation laws ``result`` breaks (empty when it is consistent).
 
     ``hierarchies``, the hierarchies that produced ``result`` (one per
-    core), add the per-core checks.  Both must be finalized: then no L1D
+    core), add the per-core checks, every perceptron weight within its
+    saturation limits among them.  Both must be finalized: then no L1D
     prefetch is pending, so every issued one was counted useful or useless.
     """
     by_source = sum(result.dram_transactions_by_source.values())
@@ -141,6 +146,13 @@ def check_invariants(result, hierarchies=()) -> list[str]:
                     f"core {core_id}: {cache.name} hits {c.demand_hits} + "
                     f"misses {c.demand_misses} != {c.demand_accesses}"
                 )
+        for table, weights, (low, high) in _weight_tables(hierarchy):
+            weights = np.asarray(weights)
+            if len(weights) and (weights.min() < low or weights.max() > high):
+                problems.append(
+                    f"core {core_id}: {table} weights span "
+                    f"[{weights.min()}, {weights.max()}], outside [{low}, {high}]"
+                )
     for label, c in counters:
         resolved = c.useful_l1d_prefetches + c.useless_l1d_prefetches
         if resolved != c.l1d_prefetches_issued:
@@ -149,3 +161,23 @@ def check_invariants(result, hierarchies=()) -> list[str]:
                 f"issued {c.l1d_prefetches_issued}"
             )
     return problems
+
+
+def _weight_tables(hierarchy: MemoryHierarchy) -> list[tuple]:
+    """``(label, weights, (min, max))`` of each perceptron weight table of
+    ``hierarchy``: FLP/Hermes and SLP per feature, PPF as one table."""
+    tables = []
+    for role in ("offchip_predictor", "l1d_prefetch_filter"):
+        component = getattr(hierarchy, role)
+        perceptron = getattr(component, "perceptron", None)
+        if isinstance(perceptron, HashedPerceptron):
+            for spec, table, limits in zip(
+                perceptron.features, perceptron._tables, perceptron._weight_limits
+            ):
+                tables.append((
+                    f"{type(component).__name__} {spec.name}", table, limits,
+                ))
+    ppf = hierarchy.l2_prefetch_filter
+    if isinstance(ppf, PerceptronPrefetchFilter):
+        tables.append(("PPF", ppf._weights, (ppf._min_weight, ppf._max_weight)))
+    return tables

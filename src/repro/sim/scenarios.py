@@ -2,8 +2,8 @@
 
 A :class:`Scenario` names one point of the paper's design space:
 
-* the L1D prefetcher (IPCP or Berti, the two evaluated in the paper; plus the
-  reference prefetchers for library users);
+* the L1D prefetcher (IPCP or Berti, the two evaluated in the paper, or
+  none);
 * the L2 prefetcher (SPP in every paper configuration);
 * the *scheme*, i.e. the off-chip-prediction / prefetch-filtering proposal
   under test:

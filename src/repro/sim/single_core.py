@@ -19,7 +19,7 @@ from repro.common.config import SystemConfig, cascade_lake_single_core
 from repro.cpu.core import CoreRunner
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import sample as obs_sample
-from repro.sim.batch import _note_scalar_fallback, batch_unsupported_reason, run_phase
+from repro.sim.batch import run_phase, use_kernel
 from repro.sim.results import SingleCoreResult, collect_single_core_result
 from repro.sim.scenarios import Scenario, build_hierarchy
 from repro.traces.trace import Trace
@@ -46,14 +46,14 @@ def run_single_core(
 
     The core is chosen once per point.  With ``config.sim_core == "batch"``
     (the default) the trace is stepped through the compiled kernel of
-    :mod:`repro.sim.batch`, unless
-    :func:`~repro.sim.batch.batch_unsupported_reason` names a component it
-    does not model: then the point runs the per-record reference path, as
-    with ``"scalar"``, and a ``sim.batch.fallback`` event names the reason.
-    Both cores produce bit-identical results.  Either way the warm-up (on
-    its own runner), the statistics reset and the measured phase run
-    through :func:`~repro.sim.batch.run_phase`; ``sim_sample`` snapshots,
-    when on, report the core that actually ran.
+    :mod:`repro.sim.batch`; a hierarchy with a component the kernel does
+    not model raises :class:`ValueError` naming it (run it with
+    ``sim_core="scalar"``, the per-record reference path).  Without the
+    compiled kernel the point runs scalar and a ``sim.batch.fallback``
+    event says why.  Both cores produce bit-identical results.  Either way
+    the warm-up (on its own runner), the statistics reset and the measured
+    phase run through :func:`~repro.sim.batch.run_phase`; ``sim_sample``
+    snapshots, when on, report the core that actually ran.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
@@ -64,12 +64,7 @@ def run_single_core(
         else build_hierarchy(scenario, config=system)
     )
 
-    fused = False
-    if system.sim_core == "batch":
-        reason = batch_unsupported_reason(memory)
-        fused = reason is None
-        if not fused:
-            _note_scalar_fallback(reason)
+    fused = use_kernel(system.sim_core, [memory])
 
     # Opt-in per-N-accesses telemetry snapshots of the measured phase (None
     # when off); they go to the tracer sink, never into the result.

@@ -14,6 +14,7 @@ On-disk layout (one directory per stored trace)::
 
     .repro_traces/
         index.json              # imported-workload registry (see ingest.py)
+        .index.lock             # flock held while the registry is rewritten
         <key>/
             meta.json           # versioned header (format, dtypes, counts)
             pc.bin              # raw little-endian int64 column
@@ -36,12 +37,14 @@ silently mis-decoding foreign bytes.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import shutil
 import sys
 import uuid
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -84,6 +87,8 @@ _COLUMNS = (
 
 _META_NAME = "meta.json"
 _INDEX_NAME = "index.json"
+#: Lock file that serializes registry writers (``flock``).
+_INDEX_LOCK_NAME = ".index.lock"
 
 
 class TraceStoreError(RuntimeError):
@@ -535,13 +540,22 @@ class TraceStore:
     def _index_path(self) -> Path:
         return self.directory / _INDEX_NAME
 
+    def _load_index(self) -> dict:
+        """The registry as it is on disk now ({} when missing or unreadable)."""
+        try:
+            with self._index_path().open("r", encoding="utf-8") as fh:
+                index = json.load(fh)
+        except (OSError, ValueError):
+            return {}
+        return index if isinstance(index, dict) else {}
+
     def _read_index(self) -> dict:
         # The registry is consulted on every campaign-point build over an
         # imported workload (sweep compilation, reducer lookups); an
         # mtime/size-validated memo turns the repeated open+parse into one
         # stat.  Every writer funnels through atomic_write_json's atomic
-        # replace, which bumps the mtime, so stale hits are impossible --
-        # including writes by other processes.
+        # replace, which bumps the mtime, so a reader sees other processes'
+        # writes; writers re-read the file under the lock instead.
         try:
             stat = self._index_path().stat()
             state = (stat.st_mtime_ns, stat.st_size)
@@ -552,13 +566,7 @@ class TraceStore:
         if cached is not None and cached[0] == state:
             index = cached[1]
         else:
-            try:
-                with self._index_path().open("r", encoding="utf-8") as fh:
-                    index = json.load(fh)
-            except (OSError, ValueError):
-                return {}
-            if not isinstance(index, dict):
-                index = {}
+            index = self._load_index()
             self._index_cache = (state, index)
         # Callers mutate the returned dict before writing it back; hand out
         # a copy so the memo never sees half-applied mutations.
@@ -567,11 +575,22 @@ class TraceStore:
             for workload, entry in index.items()
         }
 
+    @contextmanager
+    def _locked_index(self):
+        """The registry, read from disk under an exclusive lock on
+        :data:`_INDEX_LOCK_NAME` held until the block ends, so concurrent
+        read-modify-write cycles (other processes included) never lose an
+        update."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        with (self.directory / _INDEX_LOCK_NAME).open("a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            yield self._load_index()
+
     def register_imported(self, workload: str, key: str, info: dict) -> None:
         """Register entry ``key`` as imported workload ``workload``."""
-        index = self._read_index()
-        index[workload] = {"key": key, **_json_safe(info)}
-        atomic_write_json(self._index_path(), index)
+        with self._locked_index() as index:
+            index[workload] = {"key": key, **_json_safe(info)}
+            atomic_write_json(self._index_path(), index)
 
     def unregister_key(self, key: str) -> list[str]:
         """Drop every imported workload registered under entry ``key``.
@@ -579,14 +598,15 @@ class TraceStore:
         Returns the workload names removed (used when the entry itself is
         deleted, so the registry never dangles).
         """
-        index = self._read_index()
-        removed = [
-            workload for workload, entry in index.items() if entry.get("key") == key
-        ]
-        if removed:
-            for workload in removed:
-                del index[workload]
-            atomic_write_json(self._index_path(), index)
+        with self._locked_index() as index:
+            removed = [
+                workload for workload, entry in index.items()
+                if entry.get("key") == key
+            ]
+            if removed:
+                for workload in removed:
+                    del index[workload]
+                atomic_write_json(self._index_path(), index)
         return removed
 
     def imported_workloads(self) -> dict[str, dict]:

@@ -2,9 +2,10 @@
 
 The batch core of :mod:`repro.sim.batch` is an optimization, not a model
 change: for every supported component combination it must produce results
-**bit-identical** to the record-at-a-time scalar path, and it must silently
-fall back to that path for combinations it does not model.  These tests pin
-both properties across every scheme, every L1D prefetcher, every trace
+**bit-identical** to the record-at-a-time scalar path, and it must refuse,
+naming the component, any combination it does not model (those run with
+``sim_core="scalar"``).  These tests pin both properties across every
+scheme, every L1D prefetcher, every trace
 family (GAP generator, SPEC-like generator, imported ChampSim fixture),
 multi-core mixes on both cores against the per-instruction interleave they
 replaced, the kernel's page-fault allocation, and the plumbing that routes
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from operator import attrgetter
 from pathlib import Path
 
@@ -43,7 +45,8 @@ from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.memory.paging import PageTable
 from repro.obs import tracer
-from repro.predictors.features import FeatureHistory
+from repro.predictors.features import FeatureHistory, legacy_hermes_features
+from repro.predictors.perceptron import HashedPerceptron
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
@@ -53,8 +56,8 @@ from repro.sim import check_invariants, multi_core, native
 from repro.sim.batch import (
     DEFAULT_CHUNK_RECORDS,
     batch_unsupported_reason,
-    mix_unsupported_reasons,
     run_phase,
+    use_kernel,
 )
 from repro.sim.engine import build_workload_trace, single_core_point
 from repro.sim.multi_core import (
@@ -72,7 +75,7 @@ from test_cache import STATE_ARRAYS, check_flat_layout
 FIXTURES = Path(__file__).parent / "fixtures"
 CHAMPSIM_FIXTURE = FIXTURES / "champsim_small.trace"
 
-L1D_PREFETCHERS = ("ipcp", "berti", "next_line", "stride", "none")
+L1D_PREFETCHERS = ("ipcp", "berti", "none")
 
 ACCESSES = 1_500
 
@@ -250,12 +253,7 @@ def spec_mcf_trace():
 
 
 class TestSchemePrefetcherEquivalence:
-    """Every scheme x every L1D prefetcher: batch == scalar, bit for bit.
-
-    Prefetchers the batch core does not model (``next_line``, ``stride``)
-    exercise the scalar fallback here -- the equality then pins that the
-    fallback is complete, not partial.
-    """
+    """Every scheme x every L1D prefetcher: batch == scalar, bit for bit."""
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     @pytest.mark.parametrize("l1d_prefetcher", L1D_PREFETCHERS)
@@ -459,8 +457,15 @@ class _SubclassedSPP(SPPPrefetcher):
     """A prefetcher subclass: the kernel must not assume its behaviour."""
 
 
-#: Prefetch-path components the kernel does not model, with the fallback
-#: reason each one names.
+class _SubclassedIPCP(IPCPPrefetcher):
+    """An L1D prefetcher subclass: the kernel must not assume its behaviour."""
+
+
+#: The hint every batch-core rejection ends with.
+SCALAR_HINT = 'the batch core does not model it; pass core="scalar"'
+
+#: Prefetch-path components the kernel does not model, with the reason
+#: each one names.
 UNMODELLED = {
     "slp-subclass": (
         lambda: dict(l1d_prefetch_filter=_SubclassedSLP()),
@@ -476,23 +481,37 @@ UNMODELLED = {
 class TestUnmodelledComponents:
     @pytest.mark.parametrize("case", sorted(UNMODELLED))
     def test_object_path_matches_scalar(self, spec_mcf_trace, case):
-        """An unmodelled filter or prefetcher runs the whole point on the
-        Python objects of the scalar reference, under a fallback reason
-        that names the component."""
+        """An unmodelled filter or prefetcher raises on the batch core, the
+        reason naming the component.  On the scalar reference it runs on
+        its own Python objects, and a subclass that changes nothing leaves
+        the state the stock component leaves."""
         parts_for, expected_reason = UNMODELLED[case]
 
-        def hierarchy():
+        def hierarchy(unmodelled=True):
             parts = dict(
                 l1d_prefetcher=IPCPPrefetcher(), l2_prefetcher=SPPPrefetcher(),
                 l1d_prefetch_filter=SecondLevelPerceptron(),
                 offchip_predictor=FirstLevelPerceptron(),
             )
-            parts.update(parts_for())
+            if unmodelled:
+                parts.update(parts_for())
             return MemoryHierarchy(cascade_lake_single_core(), **parts)
 
         assert batch_unsupported_reason(hierarchy()) == expected_reason
-        scalar, batch = _state_pair(spec_mcf_trace, hierarchy)
-        assert batch == scalar
+        with pytest.raises(ValueError) as error:
+            run_single_core(spec_mcf_trace, build_scenario("baseline"),
+                            config=_system("batch"), hierarchy=hierarchy())
+        assert str(error.value).startswith(f"{expected_reason}: {SCALAR_HINT}")
+        states = []
+        for unmodelled in (True, False):
+            scalar_hierarchy = hierarchy(unmodelled)
+            result = run_single_core(
+                spec_mcf_trace, build_scenario("baseline"),
+                config=_system("scalar"), hierarchy=scalar_hierarchy,
+            )
+            assert check_invariants(result, [scalar_hierarchy]) == []
+            states.append((dataclasses.asdict(result), _component_state(scalar_hierarchy)))
+        assert states[0] == states[1]
 
 
 class TestTraceFamilyEquivalence:
@@ -721,6 +740,72 @@ class TestPaging:
         assert hierarchy.page_table.page_faults > 0
 
 
+class _InstrumentedHierarchy(MemoryHierarchy):
+    """A hierarchy subclass: the kernel must not assume its behaviour."""
+
+
+class _InstrumentedCache(Cache):
+    """A cache subclass: the kernel must not assume its behaviour."""
+
+
+class _InstrumentedHistory(FeatureHistory):
+    """A feature history subclass: the kernel must not assume its behaviour."""
+
+
+def _cache_subclass() -> MemoryHierarchy:
+    hierarchy = build_hierarchy(build_scenario("tlp"))
+    hierarchy.shared.llc = _InstrumentedCache(hierarchy.llc.config)
+    return hierarchy
+
+
+def _history_subclass() -> MemoryHierarchy:
+    hierarchy = build_hierarchy(build_scenario("tlp"))
+    hierarchy.offchip_predictor.history = _InstrumentedHistory()
+    return hierarchy
+
+
+def _four_features() -> MemoryHierarchy:
+    hierarchy = build_hierarchy(build_scenario("tlp"))
+    hierarchy.offchip_predictor.perceptron = HashedPerceptron(
+        legacy_hermes_features()[:4]
+    )
+    return hierarchy
+
+
+#: Single-core hierarchies the kernel does not model, one per kind of
+#: component, with the reason each one names.
+UNMODELLED_HIERARCHIES = {
+    "hierarchy-subclass": (
+        lambda: _InstrumentedHierarchy(cascade_lake_single_core()),
+        "hierarchy subclass _InstrumentedHierarchy",
+    ),
+    "cache-subclass": (
+        _cache_subclass, "LLC: unmodelled cache shape (_InstrumentedCache)",
+    ),
+    "predictor-subclass": (
+        lambda: MemoryHierarchy(
+            cascade_lake_single_core(), offchip_predictor=_SubclassedFLP()
+        ),
+        "unmodelled off-chip predictor _SubclassedFLP",
+    ),
+    "feature-history-subclass": (
+        _history_subclass,
+        "off-chip predictor FirstLevelPerceptron: feature history subclass"
+        " _InstrumentedHistory",
+    ),
+    "feature-set": (
+        _four_features,
+        "off-chip predictor FirstLevelPerceptron: non-standard feature set",
+    ),
+    "l1d-prefetcher-subclass": (
+        lambda: MemoryHierarchy(
+            cascade_lake_single_core(), l1d_prefetcher=_SubclassedIPCP()
+        ),
+        "unmodelled L1D prefetcher _SubclassedIPCP",
+    ),
+}
+
+
 class TestFallbacks:
     def test_supported_schemes(self):
         for scheme in ("baseline", "hermes", "tlp", "flp", "ppf"):
@@ -761,10 +846,10 @@ class TestFallbacks:
         ))
         assert reason == "unmodelled off-chip predictor _SubclassedFLP"
 
-        reason = batch_unsupported_reason(
-            build_hierarchy(build_scenario("tlp", l1d_prefetcher="next_line"))
-        )
-        assert reason == "unmodelled L1D prefetcher NextLinePrefetcher"
+        reason = batch_unsupported_reason(MemoryHierarchy(
+            cascade_lake_single_core(), l1d_prefetcher=_SubclassedIPCP()
+        ))
+        assert reason == "unmodelled L1D prefetcher _SubclassedIPCP"
 
         class InstrumentedHierarchy(MemoryHierarchy):
             pass
@@ -784,18 +869,21 @@ class TestFallbacks:
         assert reason == "LLC: unmodelled cache shape (InstrumentedCache)"
 
     def test_fallback_emits_obs_event_and_warns_once(
-        self, tmp_path, spec_mcf_trace, caplog
+        self, tmp_path, spec_mcf_trace, caplog, monkeypatch
     ):
-        """A batch-core fallback is never silent: it emits one
-        ``sim.batch.fallback`` obs event per run naming the offending
-        component, and logs a warning once per reason per process."""
+        """The one fallback left, a missing kernel, is never silent: each
+        run emits one ``sim.batch.fallback`` obs event naming it, and a
+        warning is logged once per reason per process."""
+        monkeypatch.setattr(
+            native, "unavailable_reason", lambda: "no C compiler (test)"
+        )
         tracer.configure(tmp_path, proc="t-fallback")
         try:
-            scenario = build_scenario("baseline", l1d_prefetcher="next_line")
             with caplog.at_level("WARNING", logger="repro.sim.batch"):
                 for _ in range(2):
                     run_single_core(
-                        spec_mcf_trace, scenario, config=_system("batch")
+                        spec_mcf_trace, build_scenario("tlp"),
+                        config=_system("batch"),
                     )
             tracer.shutdown()
         finally:
@@ -804,18 +892,31 @@ class TestFallbacks:
             record for record in tracer.load_run(tmp_path)
             if record.get("name") == "sim.batch.fallback"
         ]
-        # One event per fallback occurrence (the warmup and measured phases
-        # fall back separately), so two runs emit at least two events.
-        assert len(events) >= 2
-        for event in events:
-            assert event["attrs"]["reason"] == (
-                "unmodelled L1D prefetcher NextLinePrefetcher"
-            )
+        assert [event["attrs"]["reason"] for event in events] == [
+            "native kernel unavailable: no C compiler (test)"
+        ] * 2
         warning_lines = [
             message for message in caplog.messages
             if "fell back to the scalar reference path" in message
         ]
-        assert len(warning_lines) <= 1
+        assert len(warning_lines) == 1
+
+    @pytest.mark.parametrize("case", sorted(UNMODELLED_HIERARCHIES))
+    def test_unmodelled_point_raises_on_batch_core(self, spec_mcf_trace, case):
+        """A run is all kernel or all scalar: an unmodelled component
+        raises on the batch core (its reason plus a hint) instead of
+        rerouting the point, and runs when the caller asks for scalar."""
+        make_hierarchy, reason = UNMODELLED_HIERARCHIES[case]
+        with pytest.raises(ValueError) as error:
+            run_single_core(spec_mcf_trace, build_scenario("baseline"),
+                            config=_system("batch"), hierarchy=make_hierarchy())
+        assert str(error.value) == (
+            f"{reason}: {SCALAR_HINT} to run it on the scalar reference"
+        )
+        hierarchy = make_hierarchy()
+        result = run_single_core(spec_mcf_trace, build_scenario("baseline"),
+                                 config=_system("scalar"), hierarchy=hierarchy)
+        assert check_invariants(result, [hierarchy]) == []
 
     def test_warning_fires_once_per_reason(self, caplog):
         from repro.sim.batch import _note_scalar_fallback
@@ -912,21 +1013,6 @@ def fused_cores(monkeypatch):
 
     monkeypatch.setattr(multi_core, "fused_core_stepper", spy)
     return seen
-
-
-@pytest.fixture
-def mix_drivers(monkeypatch):
-    """Per call of the kernel's mix driver, the types of its steppers."""
-    calls = []
-    kernel = native.kernel()
-    real = kernel.run_mix
-
-    def spy(steppers):
-        calls.append([type(stepper).__name__ for stepper in steppers])
-        return real(steppers)
-
-    monkeypatch.setattr(kernel, "run_mix", spy)
-    return calls
 
 
 class TestMultiCoreEquivalence:
@@ -1037,60 +1123,32 @@ class TestMultiCoreEquivalence:
                 config=system, hierarchies=hierarchies,
             )
 
-    def test_per_core_fallback(self, tmp_path, mix_traces, fused_cores, mix_drivers):
-        """Core 2 runs an unmodelled predictor: only it drops to scalar."""
-        traces = [mix_traces[w] for w in HETERO_MIX]
-
-        def hierarchies(system):
-            shared = SharedMemory(system)
-            built = [
-                build_hierarchy(
-                    build_scenario("tlp"), config=system, shared=shared,
-                    core_id=core_id,
-                )
-                for core_id in range(4)
-            ]
-            built[2] = MemoryHierarchy(
-                system, shared=shared, core_id=2,
-                l1d_prefetcher=IPCPPrefetcher(), l2_prefetcher=SPPPrefetcher(),
-                offchip_predictor=_SubclassedFLP(),
-            )
-            return built
-
-        oracle = _oracle_multicore_mix(
-            traces, build_scenario("tlp"), _mix_system("scalar"),
-            hierarchies=hierarchies(_mix_system("scalar")),
+    def test_unmodelled_core_raises(self, mix_traces):
+        """Core 2 runs an unmodelled predictor: the batch core refuses the
+        whole mix, naming the core, instead of running that core scalar."""
+        system = _mix_system("batch")
+        hierarchies = build_mix_hierarchies(build_scenario("tlp"), system, 4)
+        hierarchies[2] = MemoryHierarchy(
+            system, shared=hierarchies[0].shared, core_id=2,
+            l1d_prefetcher=IPCPPrefetcher(), l2_prefetcher=SPPPrefetcher(),
+            offchip_predictor=_SubclassedFLP(),
         )
-        tracer.configure(tmp_path, proc="t-mix-fallback")
-        try:
-            result = run_multicore_mix(
-                traces, build_scenario("tlp"), config=_mix_system("batch"),
-                hierarchies=hierarchies(_mix_system("batch")),
+        with pytest.raises(ValueError) as error:
+            run_multicore_mix(
+                [mix_traces[w] for w in HETERO_MIX], build_scenario("tlp"),
+                config=system, hierarchies=hierarchies,
             )
-            tracer.shutdown()
-        finally:
-            tracer.disable()
-        assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
-        assert fused_cores == [0, 1, 3]
-        assert mix_drivers == [["Stepper", "Stepper", "generator", "Stepper"]]
-        events = [
-            record for record in tracer.load_run(tmp_path)
-            if record.get("name") == "sim.batch.fallback"
-        ]
-        assert len(events) == 1
-        assert events[0]["attrs"]["reason"] == (
-            "core 2: unmodelled off-chip predictor _SubclassedFLP"
+        assert str(error.value).startswith(
+            f"core 2: unmodelled off-chip predictor _SubclassedFLP: {SCALAR_HINT}"
         )
 
     @pytest.mark.parametrize("component", ["offchip_predictor", "l2_prefetcher"])
-    def test_shared_component_runs_scalar(
-        self, tmp_path, mix_traces, fused_cores, mix_drivers, component
-    ):
-        """Cores 0 and 1 share one FLP (or one SPP): both run the scalar
-        reference, each under a reason naming the other; core 2 owns its
-        components and runs fused, and the kernel's mix driver interleaves
-        all three.  Results and every component's state match the oracle
-        (two fused copies of the shared state would drift apart)."""
+    def test_shared_component_runs_scalar(self, mix_traces, component):
+        """Cores 0 and 1 share one FLP (or one SPP): such a mix runs on the
+        scalar reference only.  The batch core refuses it, since each fused
+        core keeps private indexes beside its components' state; on the
+        scalar core its results and every component's state match the
+        per-instruction oracle."""
         traces = [mix_traces[w] for w in ("bfs.urand", "spec.mcf_like", "cc.road")]
 
         def hierarchies(system):
@@ -1114,38 +1172,27 @@ class TestMultiCoreEquivalence:
             return built
 
         scenario = build_scenario("flp")
+        with pytest.raises(ValueError) as error:
+            run_multicore_mix(
+                traces, scenario, config=_mix_system("batch", 3),
+                hierarchies=hierarchies(_mix_system("batch", 3)),
+            )
+        assert str(error.value).startswith(
+            f"core 1: shares {component} with core 0: {SCALAR_HINT}"
+        )
         oracle_hierarchies = hierarchies(_mix_system("scalar", 3))
         oracle = _oracle_multicore_mix(
             traces, scenario, _mix_system("scalar", 3),
             hierarchies=oracle_hierarchies,
         )
-        batch_hierarchies = hierarchies(_mix_system("batch", 3))
-        assert mix_unsupported_reasons(batch_hierarchies) == [
-            f"core 0: shares {component} with core 1",
-            f"core 1: shares {component} with core 0",
-            None,
-        ]
-        tracer.configure(tmp_path, proc="t-mix-shared")
-        try:
-            result = run_multicore_mix(
-                traces, scenario, config=_mix_system("batch", 3),
-                hierarchies=batch_hierarchies,
-            )
-            tracer.shutdown()
-        finally:
-            tracer.disable()
+        scalar_hierarchies = hierarchies(_mix_system("scalar", 3))
+        result = run_multicore_mix(
+            traces, scenario, config=_mix_system("scalar", 3),
+            hierarchies=scalar_hierarchies,
+        )
         assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
-        assert [_component_state(h) for h in batch_hierarchies] == [
+        assert [_component_state(h) for h in scalar_hierarchies] == [
             _component_state(h) for h in oracle_hierarchies
-        ]
-        assert fused_cores == [2]
-        assert mix_drivers == [["generator", "generator", "Stepper"]]
-        assert sorted(
-            record["attrs"]["reason"] for record in tracer.load_run(tmp_path)
-            if record.get("name") == "sim.batch.fallback"
-        ) == [
-            f"core 0: shares {component} with core 1",
-            f"core 1: shares {component} with core 0",
         ]
 
 
@@ -1222,11 +1269,40 @@ class TestCheckInvariants:
         ]
 
 
+    @pytest.mark.parametrize("scheme,role,table", [
+        pytest.param("tlp", "offchip_predictor",
+                     "FirstLevelPerceptron last_four_load_pcs", id="flp"),
+        pytest.param("tlp", "l1d_prefetch_filter",
+                     "SecondLevelPerceptron flp_prediction_plus_offset", id="slp"),
+        pytest.param("hermes", "offchip_predictor",
+                     "HermesPredictor last_four_load_pcs", id="hermes"),
+        pytest.param("ppf", "l2_prefetch_filter", "PPF", id="ppf"),
+    ])
+    def test_weight_out_of_range_is_reported(self, scheme, role, table):
+        """Every perceptron weight stays within its saturation limits; one
+        forced past them is named with its core and table."""
+        system = _system("batch")
+        hierarchy = build_hierarchy(build_scenario(scheme), config=system)
+        trace = build_workload_trace("bfs.urand", 1_500, "tiny")
+        result = run_single_core(
+            trace, build_scenario(scheme), config=system, hierarchy=hierarchy
+        )
+        assert check_invariants(result, [hierarchy]) == []
+        component = getattr(hierarchy, role)
+        getattr(component, "perceptron", component)._weights[-1] = 99
+        problems = check_invariants(result, [hierarchy])
+        assert len(problems) == 1
+        assert re.fullmatch(
+            rf"core 0: {table} weights span \[-?\d+, 99\], outside \[-\d+, \d+\]",
+            problems[0],
+        )
+
+
 class TestRegistryRunsFused:
     def test_every_figure_point_is_supported(self):
         """Every point of every registered figure, at the quick config,
         builds hierarchies the batch core runs fused: no figure point
-        falls back to the scalar reference.  Builds only, no simulation."""
+        is refused by it.  Builds only, no simulation."""
         config = quick_experiment_config()
         points = {
             point.key(): point
@@ -1234,21 +1310,16 @@ class TestRegistryRunsFused:
             for point in spec.build_sweep(config).compile(config)
         }
         assert len(points) == 90
-        rejected = {}
         for point in points.values():
             system = system_config_from_dict(json.loads(point.system_json))
             scenario = build_scenario(point.scheme, point.l1d_prefetcher)
             if point.kind == "single_core":
-                reasons = [batch_unsupported_reason(
-                    build_hierarchy(scenario, config=system)
-                )]
+                hierarchies = [build_hierarchy(scenario, config=system)]
             else:
-                reasons = mix_unsupported_reasons(
-                    build_mix_hierarchies(scenario, system, len(point.workloads))
+                hierarchies = build_mix_hierarchies(
+                    scenario, system, len(point.workloads)
                 )
-            if any(reasons):
-                rejected[point.label] = reasons
-        assert rejected == {}
+            assert use_kernel("batch", hierarchies), point.label
 
 
 class TestSimCoreConfig:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -81,6 +82,32 @@ class TestExecution:
                      "--accesses", "1500"]) == 0
         output = capsys.readouterr().out
         assert "ipc=" in output
+
+    @pytest.mark.parametrize("prefetcher", ["ipcp", "berti"])
+    def test_run_prints_the_sweep_numbers(self, capsys, prefetcher):
+        """``repro run`` simulates the same points as ``repro sweep``: one
+        point, one answer, at the experiment config's warm-up fraction."""
+        from repro import api
+
+        assert main(["run", "--workload", "bfs.urand", "--schemes", "baseline", "tlp",
+                     "--prefetcher", prefetcher, "--accesses", "2000"]) == 0
+        printed = re.findall(
+            r"^\s*(\S+)\s+ipc=\s*([\d.]+).*dram=\s*(\d+)",
+            capsys.readouterr().out, re.MULTILINE,
+        )
+        results = api.run_sweep(
+            api.SweepSpec(single_core=(api.SingleCoreSweep(
+                workloads=("bfs.urand",), schemes=("baseline", "tlp"),
+                l1d_prefetchers=(prefetcher,),
+            ),)),
+            config=api.ExperimentConfig(memory_accesses=2000),
+            use_result_cache=False,
+        )
+        expected = []
+        for scheme in ("baseline", "tlp"):
+            result = results.single_core("bfs.urand", scheme, prefetcher)
+            expected.append((scheme, f"{result.ipc:.3f}", str(result.dram_transactions)))
+        assert printed == expected
 
 
 class TestFigureCommand:

@@ -22,7 +22,6 @@ from repro.predictors.base import (
     OffChipPredictor,
 )
 from repro.prefetchers.base import L1DPrefetcher, PrefetchRequest
-from repro.prefetchers.next_line import NextLinePrefetcher
 
 
 class ForcedPredictor(OffChipPredictor):
@@ -45,6 +44,15 @@ class ForcedPredictor(OffChipPredictor):
 
     def train(self, metadata, went_offchip):
         self.trained.append((metadata.get("token"), went_offchip))
+
+
+class NextBlockPrefetcher(L1DPrefetcher):
+    """Test double that prefetches the next block on every demand access."""
+
+    name = "next_block"
+
+    def on_demand_access(self, pc, vaddr, hit, cycle):
+        return [PrefetchRequest(vaddr=vaddr + BLOCK_SIZE, trigger_pc=pc, trigger_vaddr=vaddr)]
 
 
 def make_hierarchy(**kwargs):
@@ -161,13 +169,13 @@ class TestSpeculativeRequests:
 
 class TestPrefetchPath:
     def test_next_line_prefetch_issued_and_tracked(self):
-        hierarchy = make_hierarchy(l1d_prefetcher=NextLinePrefetcher(degree=1))
+        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
         hierarchy.demand_access(0x400, 0xB0_0000, cycle=0)
         assert hierarchy.stats.l1d_prefetches_issued == 1
         assert hierarchy.dram.stats.l1d_prefetch_transactions >= 1
 
     def test_prefetch_hit_marks_useful(self):
-        hierarchy = make_hierarchy(l1d_prefetcher=NextLinePrefetcher(degree=1))
+        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
         hierarchy.demand_access(0x400, 0xB0_0000, cycle=0)
         outcome = hierarchy.demand_access(0x400, 0xB0_0040, cycle=1000)
         assert outcome.served_by is MemLevel.L1D
@@ -175,19 +183,19 @@ class TestPrefetchPath:
         assert hierarchy.stats.useful_l1d_prefetches == 1
 
     def test_unused_prefetch_counts_inaccurate_at_finalize(self):
-        hierarchy = make_hierarchy(l1d_prefetcher=NextLinePrefetcher(degree=1))
+        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
         hierarchy.demand_access(0x400, 0xC0_0000, cycle=0)
         hierarchy.finalize()
         assert hierarchy.stats.useless_l1d_prefetches == 1
 
     def test_prefetch_already_resident_dropped(self):
-        hierarchy = make_hierarchy(l1d_prefetcher=NextLinePrefetcher(degree=1))
+        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
         hierarchy.demand_access(0x400, 0xD0_0040, cycle=0)
         hierarchy.demand_access(0x400, 0xD0_0000, cycle=100)
         assert hierarchy.stats.l1d_prefetches_dropped_resident >= 1
 
     def test_in_flight_prefetch_charges_remaining_latency(self):
-        hierarchy = make_hierarchy(l1d_prefetcher=NextLinePrefetcher(degree=1))
+        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
         hierarchy.demand_access(0x400, 0xE0_0000, cycle=0)
         # Access the prefetched block immediately: the fill has not arrived.
         outcome = hierarchy.demand_access(0x400, 0xE0_0040, cycle=1)
@@ -197,7 +205,7 @@ class TestPrefetchPath:
     def test_slp_filter_blocks_prefetches_when_trained(self):
         slp = SecondLevelPerceptron(tau_pref=0)
         hierarchy = make_hierarchy(
-            l1d_prefetcher=NextLinePrefetcher(degree=1), l1d_prefetch_filter=slp
+            l1d_prefetcher=NextBlockPrefetcher(), l1d_prefetch_filter=slp
         )
         base = 0xF0_0000
         for index in range(60):
@@ -205,7 +213,7 @@ class TestPrefetchPath:
         assert hierarchy.stats.l1d_prefetches_filtered > 0
 
     def test_prefetch_accuracy_sources_tracked(self):
-        hierarchy = make_hierarchy(l1d_prefetcher=NextLinePrefetcher(degree=1))
+        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
         hierarchy.demand_access(0x400, 0x11_0000, cycle=0)
         hierarchy.demand_access(0x400, 0x11_0040, cycle=1000)
         hierarchy.finalize()
@@ -241,7 +249,7 @@ class TestSharedMemory:
 class TestTLPIntegration:
     def test_tlp_attached_hierarchy_runs(self):
         tlp = TwoLevelPerceptron()
-        hierarchy = make_hierarchy(l1d_prefetcher=NextLinePrefetcher(degree=1))
+        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
         tlp.attach(hierarchy)
         for index in range(50):
             hierarchy.demand_access(0x400 + index % 3, 0x20_0000 + index * 0x1000, cycle=index * 50)
@@ -431,7 +439,7 @@ class TestPendingPrefetches:
         assert counts["inaccurate"][MemLevel.DRAM] == 1
 
     def test_invalidating_a_pending_block_counts_it_useless(self):
-        hierarchy = make_hierarchy(l1d_prefetcher=NextLinePrefetcher(degree=1))
+        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
         hierarchy.demand_access(0x400, BASE, cycle=0)
         target = block_address(hierarchy.page_table.translate(BASE + BLOCK_SIZE))
         assert hierarchy.l1d.invalidate(target)
@@ -442,7 +450,7 @@ class TestPendingPrefetches:
         assert stats.useless_l1d_prefetches == 1
 
     def test_reset_drops_warm_up_prefetches(self):
-        hierarchy = make_hierarchy(l1d_prefetcher=NextLinePrefetcher(degree=1))
+        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
         hierarchy.demand_access(0x400, BASE, cycle=0)
         hierarchy.reset_stats()
         hierarchy.demand_access(0x400, BASE + 8 * BLOCK_SIZE, cycle=1_000)

@@ -284,6 +284,16 @@ class TestRefcounts:
         assert runner.instructions == len(traces["cc.road"])
         assert runner.next_dispatch_cycle == cycles
 
+    def test_run_mix_takes_only_steppers(self, traces):
+        """A mix is all kernel or all scalar: the kernel's driver refuses a
+        Python iterator beside a Stepper before advancing either."""
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
+        runner = CoreRunner(_single("batch").core, hierarchy.demand_access)
+        stepper = fused_core_stepper(runner, traces["cc.road"], hierarchy, 61)
+        with pytest.raises(TypeError, match="run_mix needs Steppers"):
+            native.kernel().run_mix([stepper, iter([0.0])])
+        assert runner.instructions == 0
+
 
 # ----------------------------------------------------------------------
 # Cache state layout

@@ -174,37 +174,28 @@ class TestEngineTelemetry:
         assert folded(tmp_path / "tele")[1] == {"hits": 1, "misses": 0, "puts": 0}
 
     def test_simulate_span_records_effective_core(self, tmp_path):
+        """A run is all kernel or all scalar, so every ``simulate`` span,
+        single-core or mix, carries the core the engine was asked for."""
         from repro.sim.engine import multi_core_point
 
-        fused = tiny_point()
-        fallback = single_core_point(  # unmodelled prefetcher
-            "bfs.urand", "baseline", "next_line", memory_accesses=BUDGET,
-            warmup_fraction=0.25,
-        )
+        single = tiny_point()
         mix = multi_core_point(
             "mix", ["bfs.urand", "spec.mcf_like"], "baseline", "ipcp",
             memory_accesses=300, warmup_fraction=0.25,
         )
-        mix_fallback = multi_core_point(
-            "mix", ["bfs.urand", "spec.mcf_like"], "baseline", "next_line",
-            memory_accesses=300, warmup_fraction=0.25,
-        )
         tracer.configure(tmp_path / "tele", proc="t1")
-        CampaignEngine(result_cache=None).run(
-            [fused, fallback, mix, mix_fallback], jobs=1
-        )
+        for core in ("batch", "scalar"):
+            CampaignEngine(result_cache=None, sim_core=core).run([single, mix], jobs=1)
         tracer.flush()
-        cores = {
-            r["attrs"]["point"]: r["attrs"]["core"]
+        cores = [
+            (r["attrs"]["point"], r["attrs"]["core"])
             for r in tracer.load_run(tmp_path / "tele")
             if r["type"] == "span" and r["name"] == "simulate"
-        }
-        assert cores == {
-            fused.label: "batch",
-            fallback.label: "scalar",
-            mix.label: "batch",
-            mix_fallback.label: "scalar",
-        }
+        ]
+        assert sorted(cores) == sorted(
+            (point.label, core)
+            for point in (single, mix) for core in ("batch", "scalar")
+        )
 
     def test_results_bit_identical_with_telemetry(self, tmp_path):
         plain = CampaignEngine(result_cache=None).run([tiny_point()], jobs=1)
@@ -220,18 +211,9 @@ class TestEngineTelemetry:
 # Sim-interval sampling: snapshots out, metrics untouched
 # ----------------------------------------------------------------------
 class TestSimSampling:
-    @pytest.mark.parametrize(
-        "core,prefetcher,ran_on",
-        [
-            pytest.param("scalar", "ipcp", "scalar", id="scalar"),
-            pytest.param("batch", "ipcp", "batch", id="batch"),
-            # next_line is not modelled by the kernel: the batch point falls
-            # back to the scalar path and must sample just like it.
-            pytest.param("batch", "next_line", "scalar", id="batch-next_line"),
-        ],
-    )
+    @pytest.mark.parametrize("core", ["scalar", "batch"])
     def test_sampling_is_bit_identical_and_emits_snapshots(
-        self, tmp_path, monkeypatch, core, prefetcher, ran_on
+        self, tmp_path, monkeypatch, core
     ):
         from repro.common.config import cascade_lake_single_core
         from repro.sim.scenarios import build_scenario
@@ -247,8 +229,7 @@ class TestSimSampling:
             if telemetry_dir is not None:
                 tracer.configure(telemetry_dir, proc="t1")
             result = run_single_core(
-                trace, build_scenario("tlp", l1d_prefetcher=prefetcher),
-                config=config,
+                trace, build_scenario("tlp"), config=config,
             )
             if telemetry_dir is None:
                 return result, []
@@ -261,15 +242,12 @@ class TestSimSampling:
         plain, _ = run(core)
         monkeypatch.setenv(sample.SAMPLE_ENV, "500")
         sampled, snapshots = run(core, tmp_path / "sampled")
-        _, scalar_snapshots = run("scalar", tmp_path / "scalar")
 
         assert dataclasses.asdict(sampled) == dataclasses.asdict(plain)
         assert len(snapshots) >= 2
-        if ran_on == "scalar":
-            assert len(snapshots) == len(scalar_snapshots)
         for record in snapshots:
             attrs = record["attrs"]
-            assert attrs["core"] == ran_on
+            assert attrs["core"] == core
             assert attrs["ipc"] > 0
             assert "l1d_mpki" in attrs and "llc_mpki" in attrs
             assert "predictor_accuracy" in attrs  # TLP trains perceptrons

@@ -1,4 +1,4 @@
-"""Tests for the prefetchers (next-line, stride, IPCP, Berti, SPP) and PPF."""
+"""Tests for the prefetchers (IPCP, Berti, SPP) and PPF."""
 
 import numpy as np
 import pytest
@@ -10,48 +10,10 @@ from repro.prefetchers import make_l1d_prefetcher
 from repro.prefetchers.base import AlwaysIssueFilter, PrefetchRequest
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
-from repro.prefetchers.next_line import NextLinePrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import DELTA_SPAN, SPPPrefetcher
-from repro.prefetchers.stride import StridePrefetcher
 
 BASE = 0x10_0000
-
-
-class TestNextLine:
-    def test_prefetches_next_blocks(self):
-        prefetcher = NextLinePrefetcher(degree=2)
-        requests = prefetcher.on_demand_access(0x400, BASE, hit=False, cycle=0)
-        assert [r.vaddr for r in requests] == [BASE + 64, BASE + 128]
-
-    def test_invalid_degree(self):
-        with pytest.raises(ValueError):
-            NextLinePrefetcher(degree=0)
-
-
-class TestStride:
-    def test_detects_constant_stride(self):
-        prefetcher = StridePrefetcher(degree=1)
-        requests = []
-        for i in range(6):
-            requests = prefetcher.on_demand_access(0x400, BASE + i * 256, False, 0)
-        assert requests, "a trained stride entry should prefetch"
-        assert requests[0].vaddr == BASE + 6 * 256
-
-    def test_no_prefetch_on_random_pattern(self):
-        prefetcher = StridePrefetcher()
-        addresses = [BASE, BASE + 640, BASE + 64, BASE + 8192, BASE + 320]
-        requests = []
-        for address in addresses:
-            requests = prefetcher.on_demand_access(0x400, address, False, 0)
-        assert requests == []
-
-    def test_reset(self):
-        prefetcher = StridePrefetcher()
-        for i in range(6):
-            prefetcher.on_demand_access(0x400, BASE + i * 128, False, 0)
-        prefetcher.reset()
-        assert prefetcher.on_demand_access(0x400, BASE, False, 0) == []
 
 
 class TestIPCP:

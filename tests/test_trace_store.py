@@ -19,6 +19,9 @@ Pins the tentpole guarantees of the persistent memory-mapped trace store:
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +57,7 @@ from repro.workloads.spec_like import spec_like_trace
 
 from pathlib import Path
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 CHAMPSIM_FIXTURE = FIXTURES / "champsim_small.trace"
 CHAMPSIM_FIXTURE_GZ = FIXTURES / "champsim_small.trace.gz"
@@ -304,6 +308,39 @@ class TestChampsimIngestion:
         import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="a")
         import_champsim_trace(CHAMPSIM_FIXTURE_GZ, trace_store=store, name="b")
         assert sorted(store.imported_workloads()) == ["imported.a", "imported.b"]
+
+    def test_concurrent_registrations_are_all_kept(self, tmp_path):
+        """Two processes registering 100 names each on one store keep all
+        200: each read-modify-write of the registry runs under its lock."""
+        store = TraceStore(tmp_path / "store")
+        _, key, _ = import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="seed")
+        script = (
+            "import sys\n"
+            "from repro.traces.store import TraceStore\n"
+            "store = TraceStore(sys.argv[1])\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "for i in range(100):\n"
+            "    store.register_imported(f'imported.{sys.argv[2]}{i}', sys.argv[3], {})\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        processes = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(store.directory), prefix, key],
+                env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            )
+            for prefix in ("a", "b")
+        ]
+        # Start both loops together, once both processes are up.
+        for process in processes:
+            assert process.stdout.readline().strip() == "ready"
+        for process in processes:
+            process.stdin.write("go\n")
+            process.stdin.flush()
+        for process in processes:
+            process.communicate(timeout=120)
+            assert process.returncode == 0
+        assert len(store.imported_workloads()) == 201
 
     def test_imported_workload_runs_through_engine(self, tmp_path):
         store = TraceStore(tmp_path / "store")
