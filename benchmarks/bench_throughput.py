@@ -1,70 +1,50 @@
 """Simulator throughput benchmark: simulated memory-accesses per second.
 
-Measures the hot-path speed of the simulator itself (not the modelled
-system) on the quick configuration: one cache-hostile GAP workload and one
-SPEC-like workload, each under the baseline scenario (prefetchers only) and
-under TLP (the heaviest scheme: FLP + SLP perceptrons on every access).
+The CI tripwire for the simulator's hot path.  Performance claims are made
+against the repository benchmark (``BENCHMARK.json``'s command,
+``perfbench/run.py``), which also measures trace generation and load and
+the figure sweeps; this script keeps only the gated rows.  It runs one
+cache-hostile GAP workload and one SPEC-like workload under the baseline
+scenario (prefetchers only), TLP (FLP + SLP perceptrons on every access)
+and PPF:
 
-Three metrics per scenario:
-
-* ``accesses_per_sec`` -- scalar reference throughput over a prebuilt
-  trace;
-* ``construction`` (per workload) -- trace-build throughput in records/sec.
-  ``seconds``/``records_per_sec`` are steady-state campaign behaviour
-  (input graphs memoized per process, i.e. every point after the first
-  sharing a graph); ``first_build_seconds`` is the true cold first build,
-  measured with a cleared graph memo, so the one-time per-process graph
-  generation cost stays visible;
-* ``cold_point_seconds`` -- campaign-point wall time on a cold *result*
-  cache (steady-state trace build + simulate; the per-process graph build
-  is amortized across the campaign and reported via
-  ``first_build_seconds``);
+* ``scenarios`` -- scalar reference throughput (``accesses_per_sec``)
+  over a prebuilt trace;
 * ``core_batch`` (per scenario) -- the same simulation through the
   batch core's compiled kernel (the default core), which is bit-identical
   to the scalar path; ``speedup_vs_scalar`` is the per-scenario ratio and
-  ``batch_speedup_vs_scalar`` its geomean.  ``--check`` additionally
-  fails when that geomean drops below 1.0 (the batch core must never be
-  slower than the scalar reference it replaces) -- a same-machine,
-  same-run comparison, so no calibration scaling applies -- and when the
-  batch geomean falls more than ``--tolerance`` below the committed
-  batch baseline, scaled by ``core_batch_calibration_score``;
+  ``batch_speedup_vs_scalar`` its geomean;
 * ``multi_core`` (per mix) -- 4-core TLP/IPCP mixes (homogeneous
   bfs.urand and a heterogeneous bfs/mcf/lbm/road mix, ``--accesses / 4``
-  per core) on both cores; ``speedup_vs_scalar`` is the per-mix ratio and
-  ``--check`` fails when any mix's batch run is slower than its scalar
-  run (same machine, same run, no calibration scaling);
+  per core) on both cores;
 * ``hierarchy_build`` -- median milliseconds to build the single-core
   TLP/IPCP hierarchy and the 4-core hierarchy set over one shared LLC
-  (the fixed cost every point pays before its first access); ``--check``
-  fails when either exceeds 3x its baseline, scaled by machine speed;
+  (the fixed cost every point pays before its first access);
 * ``graph_build`` -- median milliseconds of 5 cold builds (graph memo
   cleared before each) of the ``medium`` urand and road input graphs, the
-  set-up cost of every process that generates a GAP trace; ``--check``
-  gates it like ``hierarchy_build``;
-* ``store_load`` (per workload) -- trace-store load throughput in
-  records/sec: memory-mapping a stored trace back (header parse + mmap +
-  touching every column element), i.e. what a campaign worker pays instead
-  of ``construction`` when the persistent trace store is warm;
-* ``figure_campaign`` -- registry-driven figure execution (PR 4): the
-  Figure 10/11/12 sweep spec compiled to one point batch and pushed
-  through ``CampaignEngine.run`` serially and with ``--jobs 2``, on a cold
-  in-process cache with the persistent caches off.  Serial points/sec is
-  the figure-layer regression signal; the parallel ratio shows what the
-  one-fan-out-per-figure refactor buys (``repro figure all --jobs N``).
+  set-up cost of every process that generates a GAP trace.
+
+``--check`` exits non-zero when any gate fails:
+
+* the scalar geomean falls more than ``--tolerance`` (default 30%) below
+  the committed baseline, scaled by the host's calibration score;
+* the batch geomean falls more than ``--tolerance`` below the committed
+  batch baseline, scaled by ``core_batch_calibration_score``;
+* the batch geomean is below the scalar geomean of the same run, or any
+  mix's batch run is slower than its scalar run (same host, same run: no
+  calibration scaling);
+* a ``hierarchy_build`` or ``graph_build`` row exceeds 3x its baseline,
+  scaled by the row's calibration score.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_throughput.py
     PYTHONPATH=src python benchmarks/bench_throughput.py --check
 
-Writes ``BENCH_throughput.json`` with the per-scenario numbers plus
-geometric means, and compares against the committed reference numbers in
-``benchmarks/throughput_baseline.json`` (recorded on the CI reference
-machine; the ``seed`` block preserves the pre-optimization numbers the
-hot-path and columnar-trace speedups are measured against).  With
-``--check`` the script exits non-zero when the simulation geometric mean
-regresses more than ``--tolerance`` (default 30%) below the committed
-baseline -- the CI throughput smoke.
+Writes ``BENCH_throughput.json`` and compares against the committed
+reference numbers in ``benchmarks/throughput_baseline.json`` (its ``seed``
+block holds the pre-optimization scalar numbers the ``vs seed`` ratios
+compare against).
 """
 
 from __future__ import annotations
@@ -150,78 +130,6 @@ def _geomean(values) -> float:
     return math.exp(sum(math.log(value) for value in values) / len(values))
 
 
-def _measure_store_load(trace, repeats: int) -> dict:
-    """Time memory-mapping ``trace`` back from a throwaway trace store."""
-    import tempfile
-
-    from repro.traces.store import TraceStore
-
-    with tempfile.TemporaryDirectory(prefix="repro_bench_store") as tmp:
-        store = TraceStore(tmp)
-        store.put("bench", trace)
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            loaded = store.get("bench")
-            pc, vaddr, kind = loaded.columns()
-            # Touch every element so the page cache is actually read --
-            # otherwise an mmap open is O(1) and the number meaningless.
-            checksum = int(pc.sum()) ^ int(vaddr.sum()) ^ int(kind.sum())
-            best = min(best, time.perf_counter() - start)
-        assert checksum is not None
-    return {
-        "seconds": round(best, 4),
-        "records": len(trace),
-        "records_per_sec": round(len(trace) / best, 1),
-    }
-
-
-def measure_figure_campaign(parallel_jobs: int = 2) -> dict:
-    """Time one registry figure executed as a single engine batch.
-
-    Runs the Figure 10/11/12 experiment spec (the densest single-core
-    sweep: every workload x every comparison scheme) at the quick
-    configuration on a fresh in-process cache each time, with the
-    persistent result cache off and a prewarmed throwaway trace store (the
-    `repro figure` default: workers mmap traces instead of regenerating
-    input graphs per process), so serial and parallel runs simulate the
-    identical cold point set.
-    """
-    import tempfile
-
-    from repro.experiments.common import CampaignCache, quick_experiment_config
-    from repro.experiments.spec import get_experiment, run_experiment
-    from repro.traces.store import TraceStore
-
-    spec = get_experiment("fig10")
-    series: dict[str, dict] = {}
-    with tempfile.TemporaryDirectory(prefix="repro_bench_figure") as tmp:
-        store = TraceStore(tmp)
-        runs = (("warmup", 1), ("serial", 1), (f"jobs{parallel_jobs}", parallel_jobs))
-        for label, jobs in runs:
-            cache = CampaignCache(
-                quick_experiment_config(),
-                use_result_cache=False,
-                trace_store=store,
-            )
-            start = time.perf_counter()
-            run_experiment(spec, cache=cache, jobs=jobs)
-            seconds = time.perf_counter() - start
-            if label == "warmup":  # fills the trace store, not measured
-                continue
-            points = cache.engine.simulations_run
-            series[label] = {
-                "seconds": round(seconds, 4),
-                "points": points,
-                "points_per_sec": round(points / seconds, 2),
-            }
-    report = {"experiment": spec.name, **series}
-    report["parallel_speedup"] = round(
-        series["serial"]["seconds"] / series[f"jobs{parallel_jobs}"]["seconds"], 2
-    )
-    return report
-
-
 def measure_multi_core(accesses: int, repeats: int, warmup_fraction: float) -> dict:
     """Best-of-``repeats`` mix throughput on both cores, interleaved per
     repeat so host-speed drift hits the scalar and batch runs alike."""
@@ -300,29 +208,11 @@ def measure_graph_build(repeats: int = 5) -> dict:
 def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0.25) -> dict:
     """Run every scenario ``repeats`` times and report the best throughput."""
     traces = {}
-    construction = {}
-    store_load = {}
     results = {}
     core_batch = {}
     for workload, scheme, prefetcher in SCENARIOS:
         if workload not in traces:
-            clear_graph_memo()
-            start = time.perf_counter()
-            trace = _build_trace(workload, accesses)
-            first_build = time.perf_counter() - start
-            best = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                trace = _build_trace(workload, accesses)
-                best = min(best, time.perf_counter() - start)
-            traces[workload] = trace
-            construction[workload] = {
-                "seconds": round(best, 4),
-                "first_build_seconds": round(first_build, 4),
-                "records": len(trace),
-                "records_per_sec": round(len(trace) / best, 1),
-            }
-            store_load[workload] = _measure_store_load(trace, repeats)
+            traces[workload] = _build_trace(workload, accesses)
         trace = traces[workload]
         name = f"{workload}/{scheme}"
         if prefetcher != "ipcp":
@@ -348,9 +238,6 @@ def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0
         results[name] = {
             "seconds": round(best, 4),
             "accesses_per_sec": round(accesses / best, 1),
-            "cold_point_seconds": round(
-                construction[workload]["seconds"] + best, 4
-            ),
         }
         core_batch[name] = {
             "seconds": round(batch_best, 4),
@@ -365,9 +252,6 @@ def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0
         "multi_core": measure_multi_core(accesses, repeats, warmup_fraction),
         "hierarchy_build": measure_hierarchy_build(),
         "graph_build": measure_graph_build(),
-        "construction": construction,
-        "store_load": store_load,
-        "figure_campaign": measure_figure_campaign(),
         "geomean_accesses_per_sec": round(
             _geomean(entry["accesses_per_sec"] for entry in results.values()), 1
         ),
@@ -380,12 +264,6 @@ def measure(accesses: int = 12_000, repeats: int = 3, warmup_fraction: float = 0
             _geomean(
                 entry["speedup_vs_scalar"] for entry in core_batch.values()
             ), 2
-        ),
-        "construction_geomean_records_per_sec": round(
-            _geomean(entry["records_per_sec"] for entry in construction.values()), 1
-        ),
-        "store_load_geomean_records_per_sec": round(
-            _geomean(entry["records_per_sec"] for entry in store_load.values()), 1
         ),
     }
 
@@ -479,80 +357,6 @@ def main(argv=None) -> int:
             if baseline_build.get(name):
                 line += f"  (baseline {baseline_build[name]:.2f} ms)"
             print(line)
-
-    print(f"trace construction ({args.accesses} memory accesses, best of {args.repeats}):")
-    seed_construction = (baseline or {}).get("seed", {}).get("construction", {})
-    for name, entry in report["construction"].items():
-        line = f"  {name:<24} {entry['records_per_sec']:>10,.0f} rec/s"
-        seed_entry = seed_construction.get(name)
-        if seed_entry:
-            line += f"  ({entry['records_per_sec'] / seed_entry['records_per_sec']:.2f}x vs seed)"
-        print(line)
-    print(
-        f"  {'geomean':<24} "
-        f"{report['construction_geomean_records_per_sec']:>10,.0f} rec/s"
-    )
-
-    print(f"trace store load (mmap + full column read, best of {args.repeats}):")
-    baseline_store = (baseline or {}).get("store_load", {})
-    for name, entry in report["store_load"].items():
-        line = f"  {name:<24} {entry['records_per_sec']:>10,.0f} rec/s"
-        build_entry = report["construction"].get(name)
-        if build_entry and entry["seconds"]:
-            line += (f"  ({build_entry['seconds'] / entry['seconds']:.2f}x "
-                     f"vs rebuild)")
-        baseline_entry = baseline_store.get(name)
-        if baseline_entry and baseline_entry.get("records_per_sec"):
-            line += (f"  ({entry['records_per_sec'] / baseline_entry['records_per_sec']:.2f}x"
-                     f" vs baseline)")
-        print(line)
-    print(
-        f"  {'geomean':<24} "
-        f"{report['store_load_geomean_records_per_sec']:>10,.0f} rec/s"
-    )
-
-    figure = report["figure_campaign"]
-    print(f"figure campaign ({figure['experiment']} spec, quick config, "
-          f"cold in-process cache):")
-    baseline_figure = (baseline or {}).get("figure_campaign", {})
-    for label, entry in figure.items():
-        if not isinstance(entry, dict):
-            continue
-        line = (f"  {label:<24} {entry['points_per_sec']:>10,.1f} pts/s "
-                f"({entry['points']} points in {entry['seconds']:.2f}s)")
-        baseline_entry = baseline_figure.get(label)
-        if baseline_entry and baseline_entry.get("points_per_sec"):
-            line += (f"  ({entry['points_per_sec'] / baseline_entry['points_per_sec']:.2f}x"
-                     f" vs baseline)")
-        print(line)
-    print(f"  {'parallel speedup':<24} {figure['parallel_speedup']:>10.2f}x")
-
-    construction_ratios = [
-        report["construction"][name]["records_per_sec"] / entry["records_per_sec"]
-        for name, entry in seed_construction.items()
-        if name in report["construction"] and entry.get("records_per_sec")
-    ]
-    if construction_ratios:
-        speedup = _geomean(construction_ratios)
-        report["construction_speedup_vs_seed"] = round(speedup, 2)
-        print(f"  construction geomean speedup vs seed: {speedup:.2f}x")
-
-    # Campaign-point wall time on a cold result cache: steady-state trace
-    # build + simulate.  The seed reference rebuilt its input graph on every
-    # point, so this ratio credits the graph memo; the one-time cold build
-    # is reported separately as construction.first_build_seconds.
-    cold_ratios = []
-    for name, entry in report["scenarios"].items():
-        seed_entry = seed.get(name)
-        if seed_entry and seed_entry.get("cold_point_seconds"):
-            cold_ratios.append(
-                seed_entry["cold_point_seconds"] / entry["cold_point_seconds"]
-            )
-    if cold_ratios:
-        speedup = _geomean(cold_ratios)
-        report["cold_point_speedup_vs_seed"] = round(speedup, 2)
-        print(f"  campaign point (steady-state build+sim, cold result cache) "
-              f"geomean speedup vs seed: {speedup:.2f}x")
 
     if baseline:
         reference = baseline.get("geomean_accesses_per_sec")

@@ -16,10 +16,17 @@ Run with::
 
 from __future__ import annotations
 
-from repro.api import CampaignCache, ExperimentConfig
+from repro.api import (
+    CampaignCache,
+    ExperimentConfig,
+    SingleCoreSweep,
+    SweepSpec,
+    run_sweep,
+)
 
 WORKLOAD = "bfs.kron"
 ACCESSES = 12_000
+SCHEMES = ("baseline", "hermes", "tlp")
 
 
 def main() -> None:
@@ -29,13 +36,18 @@ def main() -> None:
         ExperimentConfig(memory_accesses=ACCESSES, warmup_fraction=0.2)
     )
     print("Generating a BFS trace over a synthetic power-law (kron-like) graph...")
-    trace = campaign.trace(WORKLOAD)
+    # The engine's trace memo: the simulations below reuse this trace.
+    trace = campaign.engine.trace(WORKLOAD, ACCESSES, campaign.config.gap_scale)
     print(f"  trace: {trace.summary()}")
 
-    results = {}
-    for scheme in ("baseline", "hermes", "tlp"):
+    for scheme in SCHEMES:
         print(f"Simulating scheme {scheme!r}...")
-        results[scheme] = campaign.single_core(WORKLOAD, scheme)
+    spec = SweepSpec(single_core=(
+        SingleCoreSweep(workloads=(WORKLOAD,), schemes=SCHEMES,
+                        l1d_prefetchers=("ipcp",)),
+    ))
+    view = run_sweep(spec, cache=campaign)
+    results = {scheme: view.single_core(WORKLOAD, scheme) for scheme in SCHEMES}
     engine = campaign.engine
     if engine.cache_hits:
         print(f"  ({engine.cache_hits} of {len(results)} runs served from the "

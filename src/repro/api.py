@@ -1,7 +1,7 @@
 """repro.api: the stable Python surface of the library.
 
 Downstream scripts should import from here (and only here) rather than
-reaching into submodules: the five entry points below -- plus the re-exported
+reaching into submodules: the four entry points below -- plus the re-exported
 result/config/trace types they produce and consume -- are the supported API
 and keep their signatures across refactors of the internals.  Everything
 else under :mod:`repro` is implementation and may move between releases.
@@ -13,9 +13,14 @@ The entry points and their CLI twins:
 ``simulate_point``   one (workload, scheme, prefetcher) simulation
 ``run_sweep``        ``repro sweep`` -- a user-defined point grid
 ``run_figure``       ``repro figure`` -- one registered paper figure
-``run_campaign``     the paper's campaign sweep preset (no CLI twin;
-                     ``repro figure all`` runs every figure's points)
 ===================  =====================================================
+
+``simulate_point`` and ``load_trace`` default to the budget, warm-up and
+graph scale of :class:`ExperimentConfig`, so a one-off point gives the
+answer ``run_sweep`` gives for the same point.  ``run_sweep`` and
+``run_figure`` are the cached path: both run their points through
+:meth:`CampaignCache.run_points` and read them back through a
+:class:`SweepResults` view (``results.single_core(workload, scheme)``).
 
 Every entry point takes ``core=`` to select the simulator core
 implementation: "batch" (the default), the compiled kernel of
@@ -27,7 +32,7 @@ Example::
 
     from repro import api
 
-    trace = api.load_trace("bfs.urand", memory_accesses=20_000)
+    trace = api.load_trace("bfs.urand")
     baseline = api.simulate_point("bfs.urand", "baseline")
     tlp = api.simulate_point("bfs.urand", "tlp")
     print(tlp.ipc / baseline.ipc, tlp.dram_transactions)
@@ -46,12 +51,7 @@ from repro.common.config import (
     cascade_lake_single_core,
 )
 from repro.core.slp import SecondLevelPerceptron
-from repro.experiments.common import (
-    CampaignCache,
-    ExperimentConfig,
-    campaign_for,
-    campaign_sweep,
-)
+from repro.experiments.common import CampaignCache, ExperimentConfig, campaign_for
 from repro.experiments.spec import (
     MultiCoreSweep,
     SingleCoreSweep,
@@ -83,7 +83,6 @@ __all__ = [
     "simulate_point",
     "run_sweep",
     "run_figure",
-    "run_campaign",
     # Sweep description
     "SweepSpec",
     "SingleCoreSweep",
@@ -129,8 +128,8 @@ __all__ = [
 
 def load_trace(
     workload: str,
-    memory_accesses: int = 40_000,
-    gap_scale: str = "medium",
+    memory_accesses: int = ExperimentConfig.memory_accesses,
+    gap_scale: str = ExperimentConfig.gap_scale,
     trace_store: Optional[TraceStore] = None,
 ) -> Trace:
     """Build (or load) the trace of a named workload.
@@ -151,9 +150,9 @@ def simulate_point(
     workload: str,
     scheme: str,
     l1d_prefetcher: str = "ipcp",
-    memory_accesses: int = 40_000,
-    warmup_fraction: float = 0.2,
-    gap_scale: str = "medium",
+    memory_accesses: int = ExperimentConfig.memory_accesses,
+    warmup_fraction: float = ExperimentConfig.warmup_fraction,
+    gap_scale: str = ExperimentConfig.gap_scale,
     system: Optional[SystemConfig] = None,
     core: Optional[str] = None,
     trace_store: Optional[TraceStore] = None,
@@ -161,10 +160,11 @@ def simulate_point(
     """Simulate one (workload, scheme, prefetcher) single-core point.
 
     The one-shot entry point: builds the trace, runs the simulation, and
-    returns the :class:`SingleCoreResult` -- no persistent caching.  For
-    repeated or overlapping runs, go through :func:`run_sweep` /
-    :func:`run_figure` / :func:`run_campaign`, which share the campaign
-    engine's result cache.
+    returns the :class:`SingleCoreResult` -- no persistent caching.  The
+    budget, warm-up and graph scale default to :class:`ExperimentConfig`'s,
+    so the result equals what :func:`run_sweep` returns for the same
+    point.  For repeated or overlapping runs, go through :func:`run_sweep`
+    / :func:`run_figure`, which share the campaign engine's result cache.
 
     ``scheme`` is one of :data:`SCHEMES` (``baseline``, ``hermes``,
     ``tlp``, ...); ``core`` selects the simulator core implementation
@@ -248,33 +248,3 @@ def run_figure(
         get_experiment(name), cache=campaign, jobs=jobs, **params
     )
 
-
-def run_campaign(
-    schemes: Optional[tuple[str, ...]] = None,
-    include_multicore: bool = False,
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[CampaignCache] = None,
-    jobs: Optional[int] = None,
-    core: Optional[str] = None,
-    use_result_cache: bool = True,
-    trace_store: Optional[TraceStore] = None,
-) -> CampaignCache:
-    """Simulate the paper's campaign and return the populated campaign.
-
-    Compiles the :func:`~repro.experiments.common.campaign_sweep` preset --
-    every configured (workload, prefetcher) under the baseline and
-    ``schemes`` (all comparison schemes when None), plus the suite mixes
-    with ``include_multicore`` -- fans its points out across ``jobs``
-    workers and returns the :class:`CampaignCache`.  Query it with
-    ``campaign.single_core(workload, scheme)`` / ``campaign.multi_core`` or
-    hand it back to :func:`run_figure` for cache-hit figure rendering.
-    """
-    campaign = campaign_for(
-        config, cache,
-        use_result_cache=use_result_cache, trace_store=trace_store, sim_core=core,
-    )
-    points = campaign_sweep(schemes, include_multicore).compile(
-        campaign.config, trace_store=campaign.engine.trace_store
-    )
-    campaign.run_points(points, jobs=jobs)
-    return campaign

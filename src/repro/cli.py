@@ -107,12 +107,23 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cache = CampaignCache(ExperimentConfig(memory_accesses=args.accesses))
-    trace = cache.trace(args.workload, args.accesses)
+    from repro import api
+
+    campaign = CampaignCache(ExperimentConfig(memory_accesses=args.accesses))
+    # The engine's trace memo: the simulations below reuse this trace.
+    trace = campaign.engine.trace(
+        args.workload, args.accesses, campaign.config.gap_scale
+    )
     print(f"workload: {trace.summary()}")
+    spec = api.SweepSpec(single_core=(api.SingleCoreSweep(
+        workloads=(args.workload,),
+        schemes=tuple(args.schemes),
+        l1d_prefetchers=(args.prefetcher,),
+    ),))
+    results = api.run_sweep(spec, cache=campaign)
     baseline = None
     for scheme in args.schemes:
-        result = cache.single_core(args.workload, scheme, args.prefetcher)
+        result = results.single_core(args.workload, scheme, args.prefetcher)
         if baseline is None:
             baseline = result
         print(
@@ -623,7 +634,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for point in points:
         result = results[point.key()]
         ipc = result.ipc if point.kind == "single_core" else sum(result.ipcs)
-        row = [point.label, point.kind, ipc, result.dram_transactions]
+        row = [point.label, point.kind, point.memory_accesses, ipc,
+               result.dram_transactions]
         if point.scheme != "baseline":
             baseline_key = dataclasses.replace(point, scheme="baseline").key()
             baseline = results.get(baseline_key)
@@ -642,7 +654,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             row.append("-")
         rows.append(row)
-    print(format_rows(["point", "kind", "ipc", "dram tx", "speedup (%)"], rows))
+    # A label alone does not name a point: a sweep's point and a mix's
+    # isolated baseline share it at different budgets.
+    print(format_rows(
+        ["point", "kind", "accesses", "ipc", "dram tx", "speedup (%)"], rows
+    ))
     print("\n" + _run_summary(f"sweep: {len(points)} points", elapsed,
                               cache.engine, args.jobs))
     return _finish_run(args, cache.engine)

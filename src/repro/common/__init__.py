@@ -10,57 +10,3 @@ This package contains the pieces that every other subsystem depends on:
 * :mod:`repro.common.config` -- configuration dataclasses mirroring Table III
   of the paper.
 """
-
-from repro.common.addresses import (
-    BLOCK_BITS,
-    BLOCK_SIZE,
-    PAGE_BITS,
-    PAGE_SIZE,
-    block_address,
-    block_offset,
-    cacheline_offset_in_page,
-    page_number,
-    page_offset,
-)
-from repro.common.config import (
-    CacheConfig,
-    CoreConfig,
-    DRAMConfig,
-    SystemConfig,
-    cascade_lake_single_core,
-    cascade_lake_multi_core,
-)
-from repro.common.hashing import fold_xor, hash_combine, jenkins32
-from repro.common.types import (
-    AccessKind,
-    AccessOutcome,
-    MemLevel,
-    MemoryAccess,
-    RequestSource,
-)
-
-__all__ = [
-    "BLOCK_BITS",
-    "BLOCK_SIZE",
-    "PAGE_BITS",
-    "PAGE_SIZE",
-    "block_address",
-    "block_offset",
-    "cacheline_offset_in_page",
-    "page_number",
-    "page_offset",
-    "CacheConfig",
-    "CoreConfig",
-    "DRAMConfig",
-    "SystemConfig",
-    "cascade_lake_single_core",
-    "cascade_lake_multi_core",
-    "fold_xor",
-    "hash_combine",
-    "jenkins32",
-    "AccessKind",
-    "AccessOutcome",
-    "MemLevel",
-    "MemoryAccess",
-    "RequestSource",
-]

@@ -10,24 +10,3 @@
   (FLP-only, SLP-only, TSP, Delayed TSP, Selective TSP).
 * :mod:`repro.core.storage` -- the Table II storage accounting.
 """
-
-from repro.core.flp import FirstLevelPerceptron
-from repro.core.slp import SecondLevelPerceptron
-from repro.core.storage import StorageBreakdown, tlp_storage_breakdown
-from repro.core.tlp import TwoLevelPerceptron
-from repro.core.variants import (
-    AblationVariant,
-    build_ablation_variant,
-    ABLATION_VARIANTS,
-)
-
-__all__ = [
-    "FirstLevelPerceptron",
-    "SecondLevelPerceptron",
-    "TwoLevelPerceptron",
-    "StorageBreakdown",
-    "tlp_storage_breakdown",
-    "AblationVariant",
-    "build_ablation_variant",
-    "ABLATION_VARIANTS",
-]

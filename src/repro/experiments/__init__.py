@@ -16,9 +16,11 @@ figures through one parallel
 :meth:`~repro.sim.engine.CampaignEngine.run` fan-out.  Every point is named
 by its cache key, and :class:`repro.experiments.common.CampaignCache` keeps
 one memo of results by that key, so the figures share their underlying
-simulations -- regenerating all figures simulates each point once.  The
-paper's whole campaign is the
-:func:`~repro.experiments.common.campaign_sweep` preset.
+simulations -- regenerating all figures simulates each point once.
+User-defined sweeps take the same path (``repro.api.run_sweep``): every
+result comes from :meth:`~repro.experiments.common.CampaignCache.run_points`
+and is read back through a :class:`~repro.experiments.spec.SweepResults`
+view.
 """
 
 from repro.experiments.common import (

@@ -12,21 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.common.config import SystemConfig
-from repro.experiments.spec import (
-    MultiCoreSweep,
-    SingleCoreSweep,
-    SweepResults,
-    SweepSpec,
-    config_multi_core_point,
-    config_single_core_point,
-)
+from repro.experiments.spec import MultiCoreSweep, SweepResults
 from repro.sim.engine import CampaignEngine, CampaignPoint
 from repro.sim.multi_core import MultiCoreResult
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import SingleCoreResult
 from repro.stats.metrics import geometric_mean, percent_change, weighted_speedup
-from repro.traces.trace import Trace
 
 #: Default single-core workload selection: four GAP kernel/graph pairs and
 #: four SPEC-like workloads, picked by hand.  Not all of them are
@@ -107,14 +98,16 @@ def quick_experiment_config() -> ExperimentConfig:
 
 
 class CampaignCache:
-    """Caches traces and simulation results across experiment modules.
+    """Caches simulation results across experiment modules.
 
     One in-process memo, keyed by point key, layered on top of the
-    :class:`~repro.sim.engine.CampaignEngine`, which adds the persistent
-    on-disk result cache and the parallel fan-out.  Batches
-    (:meth:`run_points`) and the per-point calls (:meth:`single_core`,
-    :meth:`multi_core`) share it, so a process simulates each point at
+    :class:`~repro.sim.engine.CampaignEngine`, which adds the trace memo,
+    the persistent on-disk result cache and the parallel fan-out.
+    :meth:`run_points` is its one way in: every batch (a sweep, a figure,
+    several figures) goes through it, so a process simulates each point at
     most once -- and not at all when the engine's disk cache is warm.
+    Results are read back by point key, or semantically through a
+    :class:`~repro.experiments.spec.SweepResults` view.
     """
 
     def __init__(
@@ -137,59 +130,6 @@ class CampaignCache:
         self.engine = engine
         self._by_key: dict[str, SingleCoreResult | MultiCoreResult] = {}
 
-    def trace(self, workload: str, memory_accesses: Optional[int] = None) -> Trace:
-        """Build (or reuse) the trace of a named workload.
-
-        Delegates to the engine's trace memo so a trace built here is
-        reused by in-process point execution rather than regenerated.
-        """
-        budget = (
-            memory_accesses
-            if memory_accesses is not None
-            else self.config.memory_accesses
-        )
-        return self.engine.trace(workload, budget, self.config.gap_scale)
-
-    def single_core(
-        self,
-        workload: str,
-        scheme: str,
-        l1d_prefetcher: str = "ipcp",
-        memory_accesses: Optional[int] = None,
-        system: Optional[SystemConfig] = None,
-    ) -> SingleCoreResult:
-        """Run (or reuse) one single-core simulation."""
-        point = config_single_core_point(
-            self.config,
-            workload,
-            scheme,
-            l1d_prefetcher,
-            memory_accesses=memory_accesses,
-            system=system,
-            trace_store=self.engine.trace_store,
-        )
-        return self.run_points([point])[point.key()]
-
-    def multi_core(
-        self,
-        mix_name: str,
-        workloads: list[str],
-        scheme: str,
-        l1d_prefetcher: str = "ipcp",
-        per_core_bandwidth_gbps: float = 3.2,
-    ) -> MultiCoreResult:
-        """Run (or reuse) one multi-core mix simulation."""
-        point = config_multi_core_point(
-            self.config,
-            mix_name,
-            workloads,
-            scheme,
-            l1d_prefetcher,
-            per_core_bandwidth_gbps=per_core_bandwidth_gbps,
-            trace_store=self.engine.trace_store,
-        )
-        return self.run_points([point])[point.key()]
-
     def run_points(
         self,
         points: Iterable[CampaignPoint],
@@ -199,9 +139,9 @@ class CampaignCache:
         """Run a point batch through one engine fan-out, memo layered on top.
 
         The in-process memo filters out points this cache has already seen
-        (a previous batch, :meth:`single_core`, ...); only the remainder
-        goes to :meth:`CampaignEngine.run`, which fans cache misses out
-        across ``jobs`` worker processes and raises when a point fails.
+        in a previous batch; only the remainder goes to
+        :meth:`CampaignEngine.run`, which fans cache misses out across
+        ``jobs`` worker processes and raises when a point fails.
         Returns ``{point key: result}`` for every requested point.
         """
         ordered: dict[str, CampaignPoint] = {}
@@ -234,29 +174,6 @@ def campaign_for(
             f"{cache.config!r}; pass one or the other"
         )
     return cache
-
-
-def campaign_sweep(
-    schemes: Optional[tuple[str, ...]] = None, include_multicore: bool = False
-) -> SweepSpec:
-    """The paper's campaign as a sweep: every configured workload and L1D
-    prefetcher under the baseline and ``schemes`` (the comparison schemes
-    when None), plus every suite mix when ``include_multicore`` is set.
-
-    The baseline comes first: every figure normalises against it.
-    """
-    selected = schemes if schemes is not None else COMPARISON_SCHEMES
-    ordered = ("baseline",) + tuple(
-        scheme for scheme in selected if scheme != "baseline"
-    )
-    return SweepSpec(
-        single_core=(SingleCoreSweep(schemes=ordered),),
-        multi_core=(
-            (MultiCoreSweep(schemes=ordered, isolated_baselines=False),)
-            if include_multicore
-            else ()
-        ),
-    )
 
 
 # ----------------------------------------------------------------------

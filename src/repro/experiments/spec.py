@@ -20,9 +20,9 @@ from CLI flags or JSON (:func:`sweep_spec_from_dict`) -- including
 
 Every point is named by its cache key, built from an experiment
 configuration by :func:`config_single_core_point` /
-:func:`config_multi_core_point`.  Sweep compilation, :class:`SweepResults`
-lookups and :class:`~repro.experiments.common.CampaignCache`'s per-point
-calls all use them, so one simulation has one key whichever path asks.
+:func:`config_multi_core_point`.  Sweep compilation and
+:class:`SweepResults` lookups both use them, so a lookup finds the point
+the sweep ran.
 
 Layering: this module sits on :mod:`repro.sim.engine` only;
 :mod:`repro.experiments.common` layers the in-process memo

@@ -1,22 +1,1 @@
 """Off-chip predictors and the shared hashed-perceptron machinery."""
-
-from repro.predictors.base import (
-    OffChipAction,
-    OffChipDecision,
-    OffChipPredictor,
-    NullOffChipPredictor,
-)
-from repro.predictors.features import FeatureSpec, legacy_hermes_features
-from repro.predictors.hermes import HermesPredictor
-from repro.predictors.perceptron import HashedPerceptron
-
-__all__ = [
-    "OffChipAction",
-    "OffChipDecision",
-    "OffChipPredictor",
-    "NullOffChipPredictor",
-    "FeatureSpec",
-    "legacy_hermes_features",
-    "HermesPredictor",
-    "HashedPerceptron",
-]

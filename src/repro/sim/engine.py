@@ -333,7 +333,7 @@ def execute_point(
         trace = trace_for(point.workloads[0])
         with obs_tracer.span(
             "simulate", point=point.label, kind=point.kind,
-            core=system.sim_core,
+            accesses=point.memory_accesses, core=system.sim_core,
         ):
             return run_single_core(
                 trace,
@@ -345,7 +345,7 @@ def execute_point(
         traces_for_mix = [trace_for(workload) for workload in point.workloads]
         with obs_tracer.span(
             "simulate", point=point.label, kind=point.kind,
-            core=system.sim_core,
+            accesses=point.memory_accesses, core=system.sim_core,
         ):
             return run_multicore_mix(
                 traces_for_mix,
@@ -405,11 +405,15 @@ def _run_worker_point(
 
 
 class PointFailedError(RuntimeError):
-    """A campaign point raised; the message names the point, the cause is
-    chained."""
+    """A campaign point raised; the message names the point, its kind and
+    budget (the label alone does not tell a sweep's point from a mix's
+    isolated baseline at the multi-core budget); the cause is chained."""
 
     def __init__(self, point: CampaignPoint, error: Exception) -> None:
-        super().__init__(f"point {point.label} failed: {error}")
+        super().__init__(
+            f"point {point.label} ({point.kind}, {point.memory_accesses} "
+            f"accesses) failed: {error}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -553,10 +557,6 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_point(self, point: CampaignPoint) -> SingleCoreResult | MultiCoreResult:
-        """Run (or fetch from cache) one point in-process."""
-        return self.run([point], jobs=1)[point.key()]
-
     def run(
         self,
         points: Iterable[CampaignPoint],
@@ -571,8 +571,8 @@ class CampaignEngine:
         to the result cache the moment it finishes, so re-running a batch
         after a failure (or Ctrl-C) executes only the remainder.  The first
         point that raises cancels the points not yet started and fails the
-        run with :class:`PointFailedError` (``point <label> failed: ...``)
-        chained to the cause.
+        run with :class:`PointFailedError` (``point <label> (<kind>,
+        <budget> accesses) failed: ...``) chained to the cause.
 
         ``progress``, when given, is called as ``progress(report, total)``
         every time a point settles (cached or simulated) -- the hook behind

@@ -1,23 +1,1 @@
 """Metrics used by the paper's evaluation."""
-
-from repro.stats.metrics import (
-    accuracy,
-    geometric_mean,
-    geometric_mean_speedup,
-    mpki,
-    percent_change,
-    ppki,
-    speedup_percent,
-    weighted_speedup,
-)
-
-__all__ = [
-    "accuracy",
-    "geometric_mean",
-    "geometric_mean_speedup",
-    "mpki",
-    "percent_change",
-    "ppki",
-    "speedup_percent",
-    "weighted_speedup",
-]

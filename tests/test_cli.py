@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import re
 
@@ -85,12 +86,19 @@ class TestExecution:
 
     @pytest.mark.parametrize("prefetcher", ["ipcp", "berti"])
     def test_run_prints_the_sweep_numbers(self, capsys, prefetcher):
-        """``repro run`` simulates the same points as ``repro sweep``: one
-        point, one answer, at the experiment config's warm-up fraction."""
+        """``repro run``, ``api.run_sweep`` and ``api.simulate_point`` give
+        one point one answer, at the experiment config's warm-up fraction;
+        ``repro run`` builds its trace once."""
         from repro import api
+        from repro.sim.engine import (
+            generator_invocations,
+            reset_generator_invocations,
+        )
 
+        reset_generator_invocations()
         assert main(["run", "--workload", "bfs.urand", "--schemes", "baseline", "tlp",
                      "--prefetcher", prefetcher, "--accesses", "2000"]) == 0
+        assert generator_invocations() == 1
         printed = re.findall(
             r"^\s*(\S+)\s+ipc=\s*([\d.]+).*dram=\s*(\d+)",
             capsys.readouterr().out, re.MULTILINE,
@@ -107,6 +115,10 @@ class TestExecution:
         for scheme in ("baseline", "tlp"):
             result = results.single_core("bfs.urand", scheme, prefetcher)
             expected.append((scheme, f"{result.ipc:.3f}", str(result.dram_transactions)))
+            one_off = api.simulate_point(
+                "bfs.urand", scheme, prefetcher, memory_accesses=2000
+            )
+            assert dataclasses.asdict(one_off) == dataclasses.asdict(result)
         assert printed == expected
 
 
@@ -150,6 +162,19 @@ class TestSweepCommand:
         assert "bfs.urand/tlp/ipcp" in output
         assert "speedup (%)" in output
         assert "sweep: 4 points" in output
+
+    def test_sweep_rows_name_their_budget(self, capsys):
+        """A mix's isolated baseline shares its label with the sweep's own
+        point at another budget; the accesses column tells the rows apart."""
+        assert main(["sweep", "--quick", "--no-cache", "--workloads", "bfs.urand",
+                     "--schemes", "baseline", "tlp", "--prefetchers", "ipcp",
+                     "--multicore", "--suites", "gap", "--accesses", "900",
+                     "--multicore-accesses", "600", "--jobs", "1"]) == 0
+        rows = re.findall(
+            r"^bfs\.urand/baseline/ipcp\s+(\S+)\s+(\d+)\s",
+            capsys.readouterr().out, re.MULTILINE,
+        )
+        assert sorted(rows) == [("single_core", "600"), ("single_core", "900")]
 
     def test_sweep_list_prints_points_without_simulating(self, capsys):
         assert main(["sweep", "--quick", "--no-cache", "--list",
@@ -250,5 +275,6 @@ class TestRunReport:
         monkeypatch.setattr(engine_module, "execute_point", failing_tlp)
         assert self.run_sweep(tmp_path) == 1
         output = capsys.readouterr().out
-        assert "point bfs.urand/tlp/ipcp failed: injected" in output
+        assert ("point bfs.urand/tlp/ipcp (single_core, 600 accesses) "
+                "failed: injected") in output
         assert "re-run the same command" in output

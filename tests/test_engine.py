@@ -7,14 +7,9 @@ import pickle
 
 import pytest
 
-from repro import api
 from repro.experiments import CampaignCache
-from repro.experiments.common import (
-    campaign_sweep,
-    default_experiment_config,
-    quick_experiment_config,
-)
-from repro.experiments.spec import multicore_mixes, run_experiment
+from repro.experiments.common import quick_experiment_config
+from repro.experiments.spec import run_experiment
 from repro.sim.engine import (
     CampaignEngine,
     CampaignReport,
@@ -35,6 +30,11 @@ def tiny_point(workload="bfs.urand", scheme="baseline", budget=BUDGET):
     return single_core_point(
         workload, scheme, "ipcp", memory_accesses=budget, warmup_fraction=0.25
     )
+
+
+def run_one(engine, point):
+    """Run (or fetch from the result cache) one point in-process."""
+    return engine.run([point], jobs=1)[point.key()]
 
 
 class TestCampaignPoint:
@@ -130,11 +130,11 @@ class TestEngineCaching:
     def test_cache_hit_short_circuits_simulation(self, tmp_path):
         point = tiny_point()
         first = CampaignEngine(result_cache=ResultCache(tmp_path))
-        result = first.run_point(point)
+        result = run_one(first, point)
         assert first.simulations_run == 1
 
         second = CampaignEngine(result_cache=ResultCache(tmp_path))
-        cached = second.run_point(point)
+        cached = run_one(second, point)
         assert second.simulations_run == 0
         assert second.cache_hits == 1
         assert dataclasses.asdict(cached) == dataclasses.asdict(result)
@@ -147,8 +147,8 @@ class TestEngineCaching:
 
     def test_no_cache_engine_always_simulates(self):
         engine = CampaignEngine(result_cache=None)
-        engine.run_point(tiny_point())
-        engine.run_point(tiny_point())
+        run_one(engine, tiny_point())
+        run_one(engine, tiny_point())
         assert engine.simulations_run == 2
 
     def test_status_reports_cache_state_without_simulating(self, tmp_path):
@@ -157,7 +157,7 @@ class TestEngineCaching:
         rows = engine.status(points)
         assert [cached for _, _, cached in rows] == [False, False]
         assert engine.simulations_run == 0
-        engine.run_point(points[0])
+        run_one(engine, points[0])
         rows = engine.status(points)
         assert [cached for _, _, cached in rows] == [True, False]
 
@@ -198,8 +198,8 @@ class TestEngineDeterminism:
     def test_cached_result_metrics_identical_to_fresh(self, tmp_path):
         point = tiny_point(scheme="tlp")
         engine = CampaignEngine(result_cache=ResultCache(tmp_path))
-        fresh = engine.run_point(point)
-        warm = CampaignEngine(result_cache=ResultCache(tmp_path)).run_point(point)
+        fresh = run_one(engine, point)
+        warm = run_one(CampaignEngine(result_cache=ResultCache(tmp_path)), point)
         assert warm.ipc == fresh.ipc
         assert warm.mpki_by_level == fresh.mpki_by_level
         assert warm.dram_transactions == fresh.dram_transactions
@@ -223,71 +223,6 @@ class TestWarmCacheSkipsFigureHarness:
         assert set(result.geomean_speedup["ipcp"]) == {"tlp"}
 
 
-class TestCampaignEnumeration:
-    """``api.run_campaign`` is the ``campaign_sweep`` preset."""
-
-    @pytest.mark.parametrize(
-        "config_name, schemes, include_multicore, expected",
-        [
-            ("quick", None, False, 20),
-            ("quick", None, True, 30),
-            ("quick", ("tlp",), False, 8),
-            ("quick", ("tlp",), True, 12),
-            ("default", None, False, 80),
-            ("default", None, True, 100),
-            ("default", ("tlp",), False, 32),
-            ("default", ("tlp",), True, 40),
-        ],
-    )
-    def test_campaign_sweep_point_counts(
-        self, config_name, schemes, include_multicore, expected
-    ):
-        config = (
-            quick_experiment_config()
-            if config_name == "quick"
-            else default_experiment_config()
-        )
-        points = campaign_sweep(schemes, include_multicore).compile(config)
-        assert len(points) == expected
-        assert points[0].scheme == "baseline"
-
-    def test_campaign_sweep_covers_cross_product(self):
-        config = quick_experiment_config()
-        points = campaign_sweep(("tlp",)).compile(config)
-        # (baseline + tlp) x workloads x prefetchers
-        expected = 2 * len(config.workloads()) * len(config.l1d_prefetchers)
-        assert len(points) == expected
-        assert all(point.kind == "single_core" for point in points)
-
-    def test_campaign_sweep_includes_multicore_mixes(self):
-        config = quick_experiment_config()
-        points = campaign_sweep(("tlp",), include_multicore=True).compile(config)
-        mixes = [point for point in points if point.kind == "multi_core"]
-        assert {point.mix_name for point in mixes} == {
-            name
-            for suite in ("gap", "spec")
-            for name, _ in multicore_mixes(config, suite)
-        }
-        # No isolated single-core baselines at the multi-core budget.
-        assert {
-            point.memory_accesses for point in points if point.kind == "single_core"
-        } == {config.memory_accesses}
-
-    def test_run_campaign_populates_memo(self, tmp_path):
-        config = quick_experiment_config()
-        engine = CampaignEngine(result_cache=ResultCache(tmp_path), jobs=1)
-        campaign = api.run_campaign(
-            schemes=("tlp",), cache=CampaignCache(config, engine=engine)
-        )
-        assert engine.simulations_run == len(
-            campaign_sweep(("tlp",)).compile(config)
-        )
-        simulated = engine.simulations_run
-        # Every figure-harness lookup is now a memo hit: no further runs.
-        campaign.single_core(config.workloads()[0], "tlp", config.l1d_prefetchers[0])
-        assert engine.simulations_run == simulated
-
-
 class TestFailFast:
     """The first failing point fails the run and names itself."""
 
@@ -301,7 +236,8 @@ class TestFailFast:
         with pytest.raises(RuntimeError) as excinfo:
             engine.run(points, jobs=jobs)
         assert str(excinfo.value).startswith(
-            f"point {self.BAD}/baseline/ipcp failed: "
+            f"point {self.BAD}/baseline/ipcp (single_core, {BUDGET} accesses) "
+            "failed: "
         )
         assert excinfo.value.__cause__ is not None
 

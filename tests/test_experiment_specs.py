@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.experiments.common import CampaignCache, quick_experiment_config
 from repro.experiments.spec import (
     MultiCoreSweep,
@@ -32,6 +33,18 @@ from repro.experiments.spec import (
     sweep_spec_to_dict,
 )
 from repro.sim.engine import single_core_point
+
+
+def baseline_mix(cache, mix_name, workloads):
+    """One baseline/IPCP mix at the config budget, through ``api.run_sweep``."""
+    spec = SweepSpec(multi_core=(MultiCoreSweep(
+        mixes=((mix_name, tuple(workloads)),),
+        l1d_prefetchers=("ipcp",),
+        isolated_baselines=False,
+    ),))
+    results = api.run_sweep(spec, cache=cache)
+    return results.multi_core(mix_name, workloads, "baseline", "ipcp")
+
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "expected_figures_quick.json"
 
@@ -200,7 +213,6 @@ class TestBatchExecution:
 
     def test_config_differing_from_cache_config_is_rejected(self):
         """A ``config`` the given cache would not run at raises, naming both."""
-        from repro import api
         from repro.experiments.common import default_experiment_config
 
         cache = CampaignCache(quick_experiment_config(), use_result_cache=False)
@@ -212,7 +224,6 @@ class TestBatchExecution:
         for call in (
             lambda: api.run_figure("fig01", config=default, cache=cache),
             lambda: api.run_sweep(SweepSpec(), config=default, cache=cache),
-            lambda: api.run_campaign(config=default, cache=cache),
         ):
             with pytest.raises(ValueError, match="differs from the given cache"):
                 call()
@@ -245,9 +256,11 @@ class TestBatchExecution:
         ).compile(config)
         batch = cache.run_points(points)
         assert len(batch) == 1
-        # The legacy call simulates at the config budget: a fresh run, not
-        # the memoized half-budget result.
-        result = cache.multi_core(mix_name, workloads, "baseline", "ipcp")
+        # A lookup at the config budget is a fresh run, not the memoized
+        # half-budget result.
+        simulated = cache.engine.simulations_run
+        result = baseline_mix(cache, mix_name, workloads)
+        assert cache.engine.simulations_run == simulated + 1
         (custom_result,) = batch.values()
         assert sum(result.instructions) > sum(custom_result.instructions)
 
@@ -255,11 +268,13 @@ class TestBatchExecution:
         """One mix name over two workload lists is two simulations."""
         config = quick_experiment_config()
         cache = CampaignCache(config, use_result_cache=False)
-        first = cache.multi_core("m", ["bfs.urand"] * 4, "baseline", "ipcp")
-        second = cache.multi_core("m", ["spec.mcf_like"] * 4, "baseline", "ipcp")
-        fresh = CampaignCache(config, use_result_cache=False).multi_core(
-            "m", ["spec.mcf_like"] * 4, "baseline", "ipcp"
+        first = baseline_mix(cache, "m", ["bfs.urand"] * 4)
+        second = baseline_mix(cache, "m", ["spec.mcf_like"] * 4)
+        fresh = baseline_mix(
+            CampaignCache(config, use_result_cache=False),
+            "m", ["spec.mcf_like"] * 4,
         )
+        assert cache.engine.simulations_run == 2
         assert second is not first
         assert second == fresh
 
@@ -273,10 +288,20 @@ class TestBatchExecution:
         ).compile(config)
         results = cache.run_points(points)
         assert set(results) == {point.key() for point in points}
-        # The semantic memo was populated: per-point calls are free now.
+        # The memo was populated: a later sweep over one of the points is
+        # free now.
         simulated = cache.engine.simulations_run
-        cache.single_core(config.workloads()[0], "baseline", "ipcp")
+        workload = config.workloads()[0]
+        view = api.run_sweep(
+            SweepSpec(single_core=(SingleCoreSweep(
+                workloads=(workload,), l1d_prefetchers=("ipcp",),
+            ),)),
+            cache=cache,
+        )
         assert cache.engine.simulations_run == simulated
+        assert view.single_core(workload, "baseline", "ipcp") is results[
+            points[0].key()
+        ]
 
 
 class TestSweepResults:

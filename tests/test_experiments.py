@@ -10,6 +10,7 @@ figure harnesses, ``benchmarks/bench_fig*.py``.
 
 import pytest
 
+from repro import api
 from repro.experiments import CampaignCache, run_experiment
 from repro.experiments.common import quick_experiment_config
 from repro.experiments import (
@@ -130,13 +131,22 @@ class TestFigure17AndTable2:
 class TestCampaignCache:
     def test_results_are_cached(self, campaign):
         workload = campaign.config.workloads()[0]
-        first = campaign.single_core(workload, "baseline", "ipcp")
-        second = campaign.single_core(workload, "baseline", "ipcp")
+        spec = api.SweepSpec(single_core=(api.SingleCoreSweep(
+            workloads=(workload,), l1d_prefetchers=("ipcp",),
+        ),))
+        first, second = (
+            api.run_sweep(spec, cache=campaign).single_core(
+                workload, "baseline", "ipcp"
+            )
+            for _ in range(2)
+        )
         assert first is second
 
     def test_traces_are_cached(self, campaign):
         workload = campaign.config.workloads()[0]
-        assert campaign.trace(workload) is campaign.trace(workload)
+        budget, scale = campaign.config.memory_accesses, campaign.config.gap_scale
+        trace = campaign.engine.trace(workload, budget, scale)
+        assert campaign.engine.trace(workload, budget, scale) is trace
 
     def test_config_suite_of(self, campaign):
         assert campaign.config.suite_of("spec.mcf_like") == "spec"

@@ -197,6 +197,33 @@ class TestEngineTelemetry:
             for point in (single, mix) for core in ("batch", "scalar")
         )
 
+    def test_simulate_span_names_kind_and_budget(self, tmp_path):
+        """Two points may share a label (a sweep's point and a mix's
+        isolated baseline at the multi-core budget); the span's ``kind``
+        and ``accesses`` attributes tell them apart."""
+        from repro.sim.engine import multi_core_point
+
+        points = [
+            tiny_point(),
+            tiny_point(budget=BUDGET // 2),
+            multi_core_point(
+                "mix", ["bfs.urand", "spec.mcf_like"], "baseline", "ipcp",
+                memory_accesses=300, warmup_fraction=0.25,
+            ),
+        ]
+        tracer.configure(tmp_path / "tele", proc="t1")
+        CampaignEngine(result_cache=None).run(points, jobs=1)
+        tracer.flush()
+        spans = [
+            (r["attrs"]["point"], r["attrs"]["kind"], r["attrs"]["accesses"])
+            for r in tracer.load_run(tmp_path / "tele")
+            if r["type"] == "span" and r["name"] == "simulate"
+        ]
+        assert sorted(spans) == sorted(
+            (point.label, point.kind, point.memory_accesses) for point in points
+        )
+        assert points[0].label == points[1].label
+
     def test_results_bit_identical_with_telemetry(self, tmp_path):
         plain = CampaignEngine(result_cache=None).run([tiny_point()], jobs=1)
         tracer.configure(tmp_path / "tele", proc="t1")

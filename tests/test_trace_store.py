@@ -431,8 +431,8 @@ class TestChampsimIngestion:
         assert point.key() == legacy_key
 
     def test_imported_workload_through_campaign_cache(self, tmp_path):
-        """An imported trace is a first-class workload for the figure
-        harness machinery (CampaignCache.single_core)."""
+        """An imported trace is a first-class workload for the campaign
+        machinery (``api.run_sweep`` over a CampaignCache)."""
         store = TraceStore(tmp_path / "store")
         import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="fixture",
                               compute_per_access=2)
@@ -448,8 +448,15 @@ class TestChampsimIngestion:
         )
         cache = CampaignCache(config, engine=engine)
         assert cache.config.suite_of("imported.fixture") == "imported"
-        baseline = cache.single_core("imported.fixture", "baseline")
-        tlp = cache.single_core("imported.fixture", "tlp")
+        results = api.run_sweep(
+            api.SweepSpec(single_core=(api.SingleCoreSweep(
+                schemes=("baseline", "tlp"),
+            ),)),
+            cache=cache,
+        )
+        assert len(results) == 2
+        baseline = results.single_core("imported.fixture", "baseline")
+        tlp = results.single_core("imported.fixture", "tlp")
         assert baseline.instructions == tlp.instructions > 0
 
 
@@ -518,26 +525,30 @@ class TestStoreFastPath:
             gap_scale="tiny",
         )
 
-        def run_campaign(result_dir):
+        schemes = ("baseline", "tlp")
+        spec = api.SweepSpec(
+            single_core=(api.SingleCoreSweep(schemes=schemes),),
+            multi_core=(
+                api.MultiCoreSweep(schemes=schemes, isolated_baselines=False),
+            ),
+        )
+
+        def run(result_dir):
             engine = CampaignEngine(
                 result_cache=ResultCache(tmp_path / result_dir),
                 jobs=1,
                 trace_store=store,
             )
-            api.run_campaign(
-                schemes=("tlp",),
-                include_multicore=True,
-                cache=CampaignCache(config, engine=engine),
-            )
+            api.run_sweep(spec, cache=CampaignCache(config, engine=engine))
             return engine
 
         reset_generator_invocations()
-        first = run_campaign("rc1")
+        first = run("rc1")
         assert first.simulations_run > 0
         assert generator_invocations() > 0
 
         reset_generator_invocations()
-        second = run_campaign("rc2")  # fresh result cache: all points simulate
+        second = run("rc2")  # fresh result cache: all points simulate
         assert second.simulations_run == first.simulations_run
         assert generator_invocations() == 0
 
@@ -555,10 +566,16 @@ class TestStoreFastPath:
         without_store = CampaignCache(config, engine=CampaignEngine(
             result_cache=None, jobs=1
         ))
+        spec = api.SweepSpec(single_core=(api.SingleCoreSweep(
+            schemes=("baseline", "tlp"),
+        ),))
+        a_results = api.run_sweep(spec, cache=with_store)
+        b_results = api.run_sweep(spec, cache=without_store)
+        assert len(a_results) == len(b_results) == 2 * len(config.workloads())
         for workload in config.workloads():
             for scheme in ("baseline", "tlp"):
-                a = with_store.single_core(workload, scheme)
-                b = without_store.single_core(workload, scheme)
+                a = a_results.single_core(workload, scheme)
+                b = b_results.single_core(workload, scheme)
                 assert dataclasses.asdict(a) == dataclasses.asdict(b), (
                     workload, scheme
                 )
