@@ -375,7 +375,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.trace_command == "import":
-        from repro.traces.ingest import TraceParseError, import_champsim_trace
+        from repro.traces.ingest import import_champsim_trace
 
         try:
             workload, key, trace = import_champsim_trace(
@@ -385,14 +385,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 compute_per_access=args.compute_per_access,
                 max_records=args.max_records,
             )
-        except (OSError, TraceParseError) as error:
+        # TraceParseError and a bad --name are ValueErrors.
+        except (OSError, ValueError) as error:
             print(f"import failed: {error}")
             return 1
         print(f"imported {args.path} as {workload} "
               f"({trace.num_memory_accesses} memory accesses, "
               f"{len(trace)} records, "
-              f"{_format_bytes(store.entry_size_bytes(key))}) "
-              f"under {key[:12]} in {store.directory}")
+              f"{_format_bytes(store.entry_size_bytes(workload))}, "
+              f"content key {key[:12]}) in {store.directory}")
         print("run it with: repro sweep --include-imported "
               "(or repro figure <name> --include-imported)")
         return 0
@@ -412,55 +413,45 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.trace_command == "ls":
         keys = store.keys()
-        imported = {
-            entry["key"]: workload
-            for workload, entry in store.imported_workloads().items()
-        }
         print(f"{len(keys)} traces in {store.directory} "
               f"({_format_bytes(store.size_bytes())})")
         for key in keys:
             try:
                 meta = store.info(key)
             except TraceStoreError as error:
-                print(f"  {key[:12]}  <unreadable: {error}>")
+                print(f"  {key}  <unreadable: {error}>")
                 continue
-            label = imported.get(key) or meta.get("workload") or meta.get("name")
-            print(f"  {key[:12]}  {label:<28} {meta['records']:>9} records  "
+            label = meta.get("workload") or meta.get("name")
+            # The full entry name: what `trace info|rm` take.
+            print(f"  {key:<32}  {label:<28} {meta['records']:>9} records  "
                   f"{_format_bytes(meta['size_bytes']):>10}")
         return 0
 
+    if args.name not in store.keys():
+        print(f"no trace {args.name!r} in {store.directory}")
+        return 1
+
     if args.trace_command == "info":
-        key = store.resolve(args.name)
-        if key is None:
-            print(f"no trace {args.name!r} in {store.directory}")
-            return 1
         try:
-            meta = store.info(key)
+            meta = store.info(args.name)
         except TraceStoreError as error:
             print(error)
             return 1
         for field in ("key", "name", "workload", "records", "memory_accesses",
                       "format_version", "endianness", "size_bytes",
-                      "imported_from"):
+                      "content_key", "source", "compute_per_access"):
             if field in meta:
-                print(f"  {field:<16} {meta[field]}")
+                print(f"  {field:<18} {meta[field]}")
         metadata = meta.get("metadata") or {}
         if metadata:
-            print(f"  {'metadata':<16} "
+            print(f"  {'metadata':<18} "
                   + ", ".join(f"{k}={v}" for k, v in sorted(metadata.items())))
         return 0
 
     # argparse's required subparser guarantees rm is the only other command.
-    key = store.resolve(args.name)
-    if key is None:
-        print(f"no trace {args.name!r} in {store.directory}")
-        return 1
-    freed = store.entry_size_bytes(key)
-    store.remove(key)
-    removed_names = store.unregister_key(key)
-    print(f"removed {args.name} ({key[:12]}, {_format_bytes(freed)} freed"
-          + (f", unregistered {', '.join(removed_names)}" if removed_names else "")
-          + ")")
+    freed = store.entry_size_bytes(args.name)
+    store.remove(args.name)
+    print(f"removed {args.name} ({_format_bytes(freed)} freed)")
     return 0
 
 
@@ -929,9 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="evict oldest entries until the cache fits a size cap"
     )
     gc_parser.add_argument("--max-mb", type=float, required=True,
-                           help="target cache size in MB "
-                                "(also enforceable on writes via "
-                                "$REPRO_CACHE_MAX_MB)")
+                           help="target cache size in MB (the one bound "
+                                "on the cache's size)")
     gc_parser.add_argument("--dry-run", action="store_true",
                            help="report what would be evicted without deleting")
     cache_parser.set_defaults(func=_cmd_cache)
@@ -978,9 +968,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace_info = trace_sub.add_parser(
         "info", help="print the header of one stored trace"
     )
-    trace_info.add_argument("name", help="store key or imported workload name")
+    trace_info.add_argument("name", help="entry name: a generated trace's "
+                                         "key or imported.<name>")
     trace_rm = trace_sub.add_parser("rm", help="delete one stored trace")
-    trace_rm.add_argument("name", help="store key or imported workload name")
+    trace_rm.add_argument("name", help="entry name: a generated trace's "
+                                       "key or imported.<name>")
     trace_parser.set_defaults(func=_cmd_trace)
     return parser
 

@@ -34,6 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.obs import profile as obs_profile
 from repro.obs import tracer as obs_tracer
+from repro.obs.analyze import percentile
 
 from repro.common.config import (
     SystemConfig,
@@ -47,8 +48,7 @@ from repro.sim.result_cache import ResultCache
 from repro.sim.results import SingleCoreResult
 from repro.sim.scenarios import build_scenario
 from repro.sim.single_core import run_single_core
-from repro.traces.ingest import IMPORTED_PREFIX
-from repro.traces.store import TraceStore, workload_key
+from repro.traces.store import IMPORTED_PREFIX, TraceStore, workload_key
 from repro.traces.trace import Trace
 from repro.workloads.gap import gap_trace
 from repro.workloads.spec_like import spec_like_trace
@@ -255,7 +255,7 @@ def _build_workload_trace(
 ) -> Trace:
     if workload.startswith(IMPORTED_PREFIX):
         store = trace_store if trace_store is not None else TraceStore.default()
-        trace = store.load_imported(workload)
+        trace = store.get(workload)
         if trace is None:
             raise KeyError(
                 f"imported workload {workload!r} is not in the trace store at "
@@ -437,12 +437,6 @@ class PointOutcome:
         }
 
 
-def _percentile(ordered: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted non-empty list."""
-    index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
 @dataclass
 class CampaignReport:
     """Structured report of one :meth:`CampaignEngine.run` batch.
@@ -466,17 +460,14 @@ class CampaignReport:
         return sum(1 for o in self.outcomes if o.status == "cached")
 
     def wall_time_percentiles(self) -> dict:
-        """p50/p90/p99/max of per-point wall time over executed points."""
-        walls = sorted(
-            o.wall_s for o in self.outcomes if o.status != "cached"
-        )
-        if not walls:
-            return {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
+        """p50/p90/p99/max of per-point wall time over executed points
+        (the percentiles ``repro obs report`` computes)."""
+        walls = [o.wall_s for o in self.outcomes if o.status != "cached"]
         return {
-            "p50": round(_percentile(walls, 0.50), 6),
-            "p90": round(_percentile(walls, 0.90), 6),
-            "p99": round(_percentile(walls, 0.99), 6),
-            "max": round(walls[-1], 6),
+            "p50": round(percentile(walls, 50), 6),
+            "p90": round(percentile(walls, 90), 6),
+            "p99": round(percentile(walls, 99), 6),
+            "max": round(max(walls, default=0.0), 6),
         }
 
     def to_dict(self) -> dict:

@@ -11,9 +11,8 @@ point that has already been simulated -- across processes and across runs.
 The cache directory defaults to ``.repro_cache`` in the working directory
 and can be redirected with the ``REPRO_CACHE_DIR`` environment variable.
 
-Size is bounded by an explicit ``repro cache gc --max-mb N`` sweep or, opportunistically on
-writes, by the ``REPRO_CACHE_MAX_MB`` environment variable; both evict the
-oldest entries (by file modification time) first.
+Size is bounded by an explicit ``repro cache gc --max-mb N`` sweep, which
+evicts the oldest entries (by file modification time) first.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Optional
 
-from repro.common.fsutil import atomic_write_json
 from repro.obs.logs import get_logger
 from repro.sim.multi_core import MultiCoreResult
 from repro.sim.results import SingleCoreResult
@@ -33,10 +32,6 @@ logger = get_logger("cache")
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable capping the cache size in MiB; enforced
-#: opportunistically on writes (oldest entries evicted first).
-CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -47,35 +42,23 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
 
-_warned_bad_cap = False
+def _atomic_write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as JSON to a uniquely named temp file beside
+    ``path``, then ``os.replace`` it into place.
 
-
-def cache_size_cap_bytes() -> Optional[int]:
-    """The ``REPRO_CACHE_MAX_MB`` cap in bytes, or None when unset.
-
-    An unparseable or non-positive value disables the cap but warns once,
-    so a typo (``REPRO_CACHE_MAX_MB=64MB``) doesn't silently leave the
-    cache unbounded.
+    A reader never observes a torn entry, and two racing writers of one
+    path (engine pool workers, overlapping runs) each install a complete
+    payload -- last one wins -- instead of colliding on the temp name or
+    interleaving bytes.
     """
-    global _warned_bad_cap
-    raw = os.environ.get(CACHE_MAX_MB_ENV)
-    if not raw:
-        return None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp_path = path.with_name(f".{path.stem}-{uuid.uuid4().hex[:8]}.tmp")
     try:
-        max_mb = float(raw)
-    except ValueError:
-        max_mb = -1.0
-    if max_mb <= 0:
-        if not _warned_bad_cap:
-            _warned_bad_cap = True
-            logger.warning(
-                "ignoring invalid %s=%r (expected a positive number of MB); "
-                "cache is unbounded",
-                CACHE_MAX_MB_ENV,
-                raw,
-            )
-        return None
-    return int(max_mb * 1024 * 1024)
+        tmp_path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        os.replace(tmp_path, path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -121,10 +104,6 @@ class ResultCache:
         self.misses = 0
         #: Corrupt entries renamed aside by this instance.
         self.quarantined = 0
-        #: Running byte total of the directory, maintained incrementally
-        #: once initialized so the opportunistic per-write size-cap check
-        #: costs O(1) instead of a directory scan.
-        self._approx_size: Optional[int] = None
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -144,7 +123,6 @@ class ResultCache:
         except OSError:
             return
         self.quarantined += 1
-        self._approx_size = None
         logger.warning(
             "quarantined corrupt result-cache entry %s -> %s (%s); "
             "the point will be re-simulated",
@@ -186,24 +164,14 @@ class ResultCache:
         ``point`` is the (JSON-safe) description of the simulated point; it
         is stored alongside the result so that cache entries are
         self-describing and debuggable with a text editor.  The write goes
-        through :func:`~repro.common.fsutil.atomic_write_json` (unique temp
-        file, then ``os.replace``), so concurrent writers of the same key
+        through :func:`_atomic_write_json` (unique temp file, then
+        ``os.replace``), so concurrent writers of the same key
         (two overlapping runs simulating the same point) each replace the
         entry atomically with identical content instead of tearing each
         other's writes.
         """
         payload = {"key": key, "point": point, "result": result_to_dict(result)}
-        path = self._path(key)
-        previous = 0
-        if self._approx_size is not None:
-            try:
-                previous = path.stat().st_size
-            except OSError:
-                previous = 0
-        written = atomic_write_json(path, payload)
-        if self._approx_size is not None:
-            self._approx_size += written - previous
-        self._enforce_size_cap()
+        _atomic_write_json(self._path(key), payload)
 
     def entries(self) -> list[str]:
         """Return the keys of every stored entry."""
@@ -226,7 +194,6 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
-        self._approx_size = None
         return removed
 
     # ------------------------------------------------------------------
@@ -243,21 +210,6 @@ class ResultCache:
             except OSError:
                 pass
         return total
-
-    def _enforce_size_cap(self) -> None:
-        """Apply the ``REPRO_CACHE_MAX_MB`` cap, if one is configured.
-
-        Called on every write; the first call scans the directory once,
-        after which the running total makes the check O(1) until a GC
-        actually has to evict.
-        """
-        cap = cache_size_cap_bytes()
-        if cap is None:
-            return
-        if self._approx_size is None:
-            self._approx_size = self.size_bytes()
-        if self._approx_size > cap:
-            self.gc(cap)
 
     def gc(self, max_bytes: int, dry_run: bool = False) -> tuple[int, int]:
         """Evict oldest entries until the cache fits in ``max_bytes``.
@@ -290,6 +242,4 @@ class ResultCache:
                     continue
             removed += 1
             freed += size
-        if not dry_run:
-            self._approx_size = total - freed
         return (removed, freed)

@@ -1,40 +1,2 @@
 """Workload traces: the record container, synthetic generators, the
 persistent memory-mapped trace store and external trace ingestion."""
-
-from repro.traces.ingest import (
-    import_champsim_trace,
-    read_champsim_trace,
-)
-from repro.traces.store import (
-    TraceStore,
-    TraceStoreError,
-    load_trace,
-    save_trace,
-    workload_key,
-)
-from repro.traces.synthetic import (
-    SyntheticTraceConfig,
-    interleave_compute,
-    pointer_chase_trace,
-    random_access_trace,
-    strided_trace,
-    streaming_trace,
-)
-from repro.traces.trace import Trace
-
-__all__ = [
-    "Trace",
-    "TraceStore",
-    "TraceStoreError",
-    "SyntheticTraceConfig",
-    "import_champsim_trace",
-    "interleave_compute",
-    "load_trace",
-    "pointer_chase_trace",
-    "random_access_trace",
-    "read_champsim_trace",
-    "save_trace",
-    "strided_trace",
-    "streaming_trace",
-    "workload_key",
-]

@@ -4,9 +4,10 @@ The built-in workloads are synthetic; this module opens the door to traces
 of real applications.  It parses ChampSim-style *memory* traces -- one
 access per line, optionally gzip- (``.gz``) or xz-compressed (``.xz``,
 decoded via :mod:`lzma`) -- converts them to the columnar
-:class:`~repro.traces.trace.Trace` representation, persists them in a
-:class:`~repro.traces.store.TraceStore` and registers them in the store's
-imported-workload registry.  There they become workloads of the
+:class:`~repro.traces.trace.Trace` representation and persists each as
+the :class:`~repro.traces.store.TraceStore` entry ``imported.<name>``,
+whose header carries its registry fields; the store's listing of those
+entries is the registry.  There they become workloads of the
 ``imported`` suite (``imported.<name>``), which
 :func:`repro.sim.engine.build_workload_trace` resolves like a generated
 workload, runnable through ``repro sweep`` and ``repro figure`` with
@@ -27,6 +28,9 @@ Because ChampSim memory traces carry no non-memory instructions, an
 applied at import time so imported workloads exhibit a memory intensity
 comparable to the generated ones; the default of 0 keeps the file's exact
 access stream.
+
+Importing a name again replaces its entry (last writer wins), and the new
+content key changes the result-cache keys of the points that run it.
 """
 
 from __future__ import annotations
@@ -35,12 +39,13 @@ import gzip
 import hashlib
 import io
 import lzma
+import re
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from repro.traces.store import TRACE_SCHEMA_VERSION, TraceStore
+from repro.traces.store import IMPORTED_PREFIX, TRACE_SCHEMA_VERSION, TraceStore
 from repro.traces.synthetic import interleave_columns
 from repro.traces.trace import (
     ADDR_DTYPE,
@@ -53,8 +58,8 @@ from repro.traces.trace import (
 #: The workload suite imported traces are registered under.
 IMPORTED_SUITE = "imported"
 
-#: Workload-name prefix of imported traces.
-IMPORTED_PREFIX = "imported."
+#: Names an imported trace may take: its store entry is ``imported.<name>``.
+_NAME_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 
 _LOAD_TOKENS = frozenset({"r", "l", "load", "rd", "read", "0"})
 _STORE_TOKENS = frozenset({"w", "s", "store", "wr", "write", "1"})
@@ -201,11 +206,16 @@ def import_champsim_trace(
 ) -> tuple[str, str, Trace]:
     """Import one ChampSim-style trace file into the store.
 
-    Parses the file, persists the columnar trace under its content-hash key
-    and registers it as imported workload ``imported.<name>``.  Returns
-    ``(workload name, store key, memory-mapped trace)``.
+    Parses the file and persists the columnar trace as the store entry of
+    imported workload ``imported.<name>``, replacing any earlier import of
+    that name.  Returns ``(workload name, content key, memory-mapped
+    trace)``; the content key is :func:`file_content_key`.
     """
     path = Path(path)
+    if name and not _NAME_PATTERN.fullmatch(name):
+        raise ValueError(
+            f"imported trace name {name!r} must be letters, digits, '.', '-' or '_'"
+        )
     store = trace_store if trace_store is not None else TraceStore.default()
     trace = read_champsim_trace(
         path, name=name, compute_per_access=compute_per_access,
@@ -213,23 +223,16 @@ def import_champsim_trace(
     )
     workload = IMPORTED_PREFIX + trace.name
     key = file_content_key(path, compute_per_access, max_records)
+    # records and memory_accesses are header fields of every entry.
     store.put(
-        key,
+        workload,
         trace,
         extra={
             "workload": workload,
-            "imported_from": str(path),
-        },
-    )
-    store.register_imported(
-        workload,
-        key,
-        {
+            "content_key": key,
             "source": str(path),
-            "records": len(trace),
-            "memory_accesses": trace.num_memory_accesses,
             "compute_per_access": compute_per_access,
         },
     )
-    stored = store.get(key)
+    stored = store.get(workload)
     return workload, key, stored if stored is not None else trace

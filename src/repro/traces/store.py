@@ -13,20 +13,23 @@ works on them unchanged.
 On-disk layout (one directory per stored trace)::
 
     .repro_traces/
-        index.json              # imported-workload registry (see ingest.py)
-        .index.lock             # flock held while the registry is rewritten
-        <key>/
+        <key>/                  # a generated workload trace
             meta.json           # versioned header (format, dtypes, counts)
             pc.bin              # raw little-endian int64 column
             vaddr.bin           # raw little-endian int64 column
             kind.bin            # raw uint8 column
+        imported.<name>/        # an imported trace (same files, see ingest.py)
 
-``<key>`` is a content hash of everything that determines the trace:
-workload name, memory-access budget, generator scale and the trace schema
-version (for imported traces, the source file's content hash).  The store
-directory defaults to ``.repro_traces`` in the working directory and can be
-redirected with the ``REPRO_TRACE_DIR`` environment variable -- the same
-convention as the result cache's ``REPRO_CACHE_DIR``.
+A generated trace's ``<key>`` is a content hash of everything that
+determines it: workload name, memory-access budget, generator scale and
+the trace schema version.  An imported trace's entry is named after its
+workload, and its header carries the registry fields (``content_key``,
+the source file's content hash, plus ``source``, ``records``,
+``memory_accesses`` and ``compute_per_access``), so the directory listing
+is the imported-workload registry.  The store directory defaults to
+``.repro_traces`` in the working directory and can be redirected with the
+``REPRO_TRACE_DIR`` environment variable -- the same convention as the
+result cache's ``REPRO_CACHE_DIR``.
 
 Writes are atomic (columns and header land in a temp directory that is
 renamed into place), so a crashed build never leaves a truncated entry; a
@@ -37,20 +40,17 @@ silently mis-decoding foreign bytes.
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
 import json
 import os
 import shutil
 import sys
 import uuid
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.common.fsutil import atomic_write_json
 from repro.obs.logs import get_logger
 from repro.traces.trace import ADDR_DTYPE, KIND_DTYPE, Trace
 
@@ -59,17 +59,20 @@ logger = get_logger("traces")
 #: Environment variable overriding the default trace store directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
-#: Digest-verification policy for loads: "auto" (default -- verify entries
-#: up to the size threshold), "always", or "never".
-TRACE_VERIFY_ENV = "REPRO_TRACE_VERIFY"
-
-#: Entries at or below this many column bytes are digest-verified on load
-#: under the "auto" policy; larger entries keep the O(1) mmap-open cost and
-#: rely on the byte-length check alone.
-VERIFY_AUTO_MAX_BYTES = 64 * 1024 * 1024
+#: Entries at or below this many column bytes are digest-verified on load;
+#: larger entries keep the O(1) mmap-open cost and rely on the byte-length
+#: check alone.
+VERIFY_MAX_BYTES = 64 * 1024 * 1024
 
 #: Default trace store directory (relative to the working directory).
 DEFAULT_TRACE_DIR = ".repro_traces"
+
+#: Workload-name prefix of imported traces, and of their entry names.
+IMPORTED_PREFIX = "imported."
+
+#: Header fields an imported entry carries for the registry (besides
+#: ``content_key``, reported as ``key``).
+_IMPORTED_FIELDS = ("source", "records", "memory_accesses", "compute_per_access")
 
 #: Bumped whenever the on-disk trace format changes incompatibly.
 TRACE_FORMAT_VERSION = 1
@@ -86,9 +89,6 @@ _COLUMNS = (
 )
 
 _META_NAME = "meta.json"
-_INDEX_NAME = "index.json"
-#: Lock file that serializes registry writers (``flock``).
-_INDEX_LOCK_NAME = ".index.lock"
 
 
 class TraceStoreError(RuntimeError):
@@ -147,8 +147,8 @@ def save_trace(trace: Trace, directory: Path | str, extra: Optional[dict] = None
                 "file": file_name,
                 "dtype": dtype,
                 # Content digest: the byte-length check catches truncation,
-                # this catches in-place corruption (verified on load per
-                # the REPRO_TRACE_VERIFY policy).
+                # this catches in-place corruption (verified on load for
+                # entries up to VERIFY_MAX_BYTES).
                 "sha256": hashlib.sha256(memoryview(data)).hexdigest(),
             }
         meta = {
@@ -171,9 +171,10 @@ def save_trace(trace: Trace, directory: Path | str, extra: Optional[dict] = None
         except OSError:
             # A concurrent writer renamed its entry into place between the
             # rmtree and the replace (os.replace cannot overwrite a
-            # non-empty directory).  Keys are content hashes of everything
-            # that determines the trace, so the winner's entry is
-            # byte-identical -- losing the race is success.
+            # non-empty directory).  A generated trace's key is a content
+            # hash of everything that determines it, so that entry is
+            # byte-identical; an imported name is last-writer-wins, and
+            # the other import won.  Either way losing the race is success.
             if not (directory / _META_NAME).is_file():
                 raise
             shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -216,24 +217,6 @@ def read_meta(directory: Path | str) -> dict:
     return meta
 
 
-def _verify_policy() -> str:
-    """The ``REPRO_TRACE_VERIFY`` policy: "auto", "always" or "never"."""
-    policy = (os.environ.get(TRACE_VERIFY_ENV) or "auto").strip().lower()
-    return policy if policy in ("auto", "always", "never") else "auto"
-
-
-def _should_verify(total_bytes: int, verify: Optional[bool]) -> bool:
-    """Whether a load of ``total_bytes`` of columns digest-verifies."""
-    if verify is not None:
-        return verify
-    policy = _verify_policy()
-    if policy == "always":
-        return True
-    if policy == "never":
-        return False
-    return total_bytes <= VERIFY_AUTO_MAX_BYTES
-
-
 def load_trace(
     directory: Path | str, mmap: bool = True, verify: Optional[bool] = None
 ) -> Trace:
@@ -248,9 +231,9 @@ def load_trace(
     Every column's byte length is validated against the header, so a
     truncated file raises :class:`TraceStoreError` instead of handing the
     simulator a short memmap.  Stored content digests are additionally
-    verified when ``verify`` is True (or, when None, per the
-    ``REPRO_TRACE_VERIFY`` policy -- by default entries up to 64 MiB; the
-    verification read warms the same page cache the simulation will use).
+    verified when ``verify`` is True or, when None, for entries up to
+    64 MiB of columns (the verification read warms the same page cache the
+    simulation will use).
     """
     directory = Path(directory)
     meta = read_meta(directory)
@@ -258,7 +241,9 @@ def load_trace(
     total_bytes = records * sum(
         np.dtype(dtype).itemsize for _, _, dtype in _COLUMNS
     )
-    check_digests = _should_verify(total_bytes, verify)
+    check_digests = (
+        verify if verify is not None else total_bytes <= VERIFY_MAX_BYTES
+    )
     arrays = {}
     for column_name, _, dtype in _COLUMNS:
         described = meta["columns"][column_name]
@@ -328,12 +313,12 @@ def _json_safe(value):
 # The store
 # ----------------------------------------------------------------------
 class TraceStore:
-    """Directory of stored traces keyed by workload content hash.
+    """Directory of stored traces: generated workload traces keyed by
+    content hash, imported traces by workload name.
 
     One instance wraps one directory; entries are self-describing
-    sub-directories (see the module docstring for the layout).  The store
-    also carries the imported-workload registry (``index.json``) that maps
-    ``imported.<name>`` workloads to their entries -- see
+    sub-directories (see the module docstring for the layout), and the
+    ``imported.*`` entries are the imported-workload registry -- see
     :mod:`repro.traces.ingest`.
     """
 
@@ -349,8 +334,6 @@ class TraceStore:
         #: re-open of the same entry skips the O(n) hash (the threat is
         #: on-disk corruption, checked once per process).
         self._verified: set[str] = set()
-        #: ((mtime_ns, size), parsed registry) memo for :meth:`_read_index`.
-        self._index_cache: Optional[tuple[tuple[int, int], dict]] = None
 
     @classmethod
     def default(cls) -> "TraceStore":
@@ -409,15 +392,18 @@ class TraceStore:
         except OSError:
             return
         logger.warning(
-            "quarantined corrupt trace-store entry %s -> %s (%s); "
-            "the trace will be regenerated",
+            "quarantined corrupt trace-store entry %s -> %s (%s); %s",
             key,
             target.name,
             reason,
+            "import it again"
+            if key.startswith(IMPORTED_PREFIX)
+            else "the trace will be regenerated",
         )
 
     def put(self, key: str, trace: Trace, extra: Optional[dict] = None) -> Path:
         """Store ``trace`` under ``key`` (atomically replacing any entry)."""
+        self._verified.discard(key)
         return save_trace(trace, self.path(key), extra=extra)
 
     def remove(self, key: str) -> bool:
@@ -437,6 +423,7 @@ class TraceStore:
             path.name
             for path in self.directory.iterdir()
             if path.is_dir()
+            and not path.name.startswith(".")
             and not path.name.endswith(".corrupt")
             and (path / _META_NAME).is_file()
         )
@@ -478,10 +465,10 @@ class TraceStore:
         """Evict the oldest stored traces until the store fits ``max_bytes``.
 
         Age is the entry header's modification time (headers are written
-        once, atomically, when the entry lands).  Evicted entries are also
-        dropped from the imported-workload registry so it never dangles.
-        With ``dry_run`` nothing is deleted; the return value reports what
-        a real sweep would do.  Returns ``(entries_removed, bytes_freed)``
+        once, atomically, when the entry lands).  An evicted imported entry
+        leaves the imported-workload registry with it.  With ``dry_run``
+        nothing is deleted; the return value reports what a real sweep
+        would do.  Returns ``(entries_removed, bytes_freed)``
         -- the mirror of :meth:`repro.sim.result_cache.ResultCache.gc`.
         """
         stamped = []
@@ -505,7 +492,6 @@ class TraceStore:
                     shutil.rmtree(self.path(key))
                 except OSError:
                     continue
-                self.unregister_key(key)
             removed += 1
             freed += size
         return (removed, freed)
@@ -535,100 +521,25 @@ class TraceStore:
         return stored if stored is not None else trace
 
     # ------------------------------------------------------------------
-    # Imported-workload registry
+    # Imported workloads
     # ------------------------------------------------------------------
-    def _index_path(self) -> Path:
-        return self.directory / _INDEX_NAME
-
-    def _load_index(self) -> dict:
-        """The registry as it is on disk now ({} when missing or unreadable)."""
-        try:
-            with self._index_path().open("r", encoding="utf-8") as fh:
-                index = json.load(fh)
-        except (OSError, ValueError):
-            return {}
-        return index if isinstance(index, dict) else {}
-
-    def _read_index(self) -> dict:
-        # The registry is consulted on every campaign-point build over an
-        # imported workload (sweep compilation, reducer lookups); an
-        # mtime/size-validated memo turns the repeated open+parse into one
-        # stat.  Every writer funnels through atomic_write_json's atomic
-        # replace, which bumps the mtime, so a reader sees other processes'
-        # writes; writers re-read the file under the lock instead.
-        try:
-            stat = self._index_path().stat()
-            state = (stat.st_mtime_ns, stat.st_size)
-        except OSError:
-            self._index_cache = None
-            return {}
-        cached = self._index_cache
-        if cached is not None and cached[0] == state:
-            index = cached[1]
-        else:
-            index = self._load_index()
-            self._index_cache = (state, index)
-        # Callers mutate the returned dict before writing it back; hand out
-        # a copy so the memo never sees half-applied mutations.
-        return {
-            workload: dict(entry) if isinstance(entry, dict) else entry
-            for workload, entry in index.items()
-        }
-
-    @contextmanager
-    def _locked_index(self):
-        """The registry, read from disk under an exclusive lock on
-        :data:`_INDEX_LOCK_NAME` held until the block ends, so concurrent
-        read-modify-write cycles (other processes included) never lose an
-        update."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with (self.directory / _INDEX_LOCK_NAME).open("a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            yield self._load_index()
-
-    def register_imported(self, workload: str, key: str, info: dict) -> None:
-        """Register entry ``key`` as imported workload ``workload``."""
-        with self._locked_index() as index:
-            index[workload] = {"key": key, **_json_safe(info)}
-            atomic_write_json(self._index_path(), index)
-
-    def unregister_key(self, key: str) -> list[str]:
-        """Drop every imported workload registered under entry ``key``.
-
-        Returns the workload names removed (used when the entry itself is
-        deleted, so the registry never dangles).
-        """
-        with self._locked_index() as index:
-            removed = [
-                workload for workload, entry in index.items()
-                if entry.get("key") == key
-            ]
-            if removed:
-                for workload in removed:
-                    del index[workload]
-                atomic_write_json(self._index_path(), index)
-        return removed
-
     def imported_workloads(self) -> dict[str, dict]:
-        """``{workload name: registry entry}`` of every imported trace."""
-        return {
-            workload: entry
-            for workload, entry in sorted(self._read_index().items())
-            if self.contains(entry.get("key", ""))
-        }
+        """``{workload name: registry fields}`` of every imported entry.
 
-    def load_imported(self, workload: str, mmap: bool = True) -> Optional[Trace]:
-        """Load the trace registered under an ``imported.*`` workload name."""
-        entry = self._read_index().get(workload)
-        if entry is None:
-            return None
-        return self.get(entry["key"], mmap=mmap)
-
-    def resolve(self, name_or_key: str) -> Optional[str]:
-        """Resolve a CLI argument -- entry key or imported name -- to a key."""
-        if self.contains(name_or_key):
-            return name_or_key
-        entry = self._read_index().get(name_or_key)
-        if entry is not None and self.contains(entry.get("key", "")):
-            return entry["key"]
-        return None
+        ``key`` is the entry's ``content_key`` (the source file's content
+        hash, which campaign points fold into their cache keys); the other
+        fields are :data:`_IMPORTED_FIELDS`, read from the same header.
+        """
+        registry = {}
+        for name in self.keys():
+            if not name.startswith(IMPORTED_PREFIX):
+                continue
+            try:
+                meta = read_meta(self.path(name))
+            except TraceStoreError:
+                continue
+            registry[name] = {
+                "key": meta.get("content_key", ""),
+                **{field: meta.get(field) for field in _IMPORTED_FIELDS},
+            }
+        return registry

@@ -8,8 +8,7 @@ Pins the tentpole guarantees of the struct-of-arrays trace representation:
   columnar :class:`Trace` or a plain object list of records (single-core
   and multi-core);
 * ``split()``/``truncated()`` are zero-copy views;
-* the result cache GC policy evicts oldest-first, explicitly and
-  opportunistically via ``REPRO_CACHE_MAX_MB``.
+* the result cache GC policy evicts oldest-first.
 """
 
 import dataclasses
@@ -22,7 +21,7 @@ from repro.common.config import cascade_lake_multi_core, cascade_lake_single_cor
 from repro.common.types import AccessKind, MemoryAccess
 from repro.sim.engine import build_workload_trace
 from repro.sim.multi_core import run_multicore_mix
-from repro.sim.result_cache import CACHE_MAX_MB_ENV, ResultCache
+from repro.sim.result_cache import ResultCache
 from repro.sim.results import SingleCoreResult
 from repro.sim.scenarios import build_scenario
 from repro.sim.single_core import run_single_core
@@ -301,24 +300,3 @@ def test_gc_evicts_oldest_first(tmp_path):
     assert freed == 3 * entry_size
     assert cache.entries() == ["k3", "k4", "k5"]
     assert cache.size_bytes() <= 3 * entry_size
-
-
-def test_put_enforces_env_size_cap(tmp_path, monkeypatch):
-    cache = ResultCache(tmp_path / "cache")
-    cache.put("pre", _dummy_result("pre"))
-    entry_size = (cache.directory / "pre.json").stat().st_size
-    monkeypatch.setenv(CACHE_MAX_MB_ENV, str(2.5 * entry_size / (1024 * 1024)))
-    for index in range(8):
-        cache.put(f"k{index}", _dummy_result(f"k{index}"))
-    assert len(cache.entries()) <= 2
-    assert cache.size_bytes() <= int(2.5 * entry_size)
-    # The freshest entry always survives a write-triggered sweep.
-    assert "k7" in cache.entries()
-
-
-def test_put_without_cap_keeps_everything(tmp_path, monkeypatch):
-    monkeypatch.delenv(CACHE_MAX_MB_ENV, raising=False)
-    cache = ResultCache(tmp_path / "cache")
-    for index in range(5):
-        cache.put(f"k{index}", _dummy_result(f"k{index}"))
-    assert len(cache.entries()) == 5

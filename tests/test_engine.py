@@ -289,6 +289,31 @@ class TestCampaignReport:
         )
         assert report.wall_time_percentiles()["p50"] == 2.0
 
+    def test_percentiles_match_obs_report(self):
+        """``--report`` and ``obs report`` compute one percentile: on four
+        executed points the old nearest-rank p50/p90 (3.0/4.0) differed
+        from the interpolated ones (2.5/3.7)."""
+        from repro.obs.analyze import summarize
+
+        walls = [1.0, 2.0, 3.0, 4.0]
+        report = CampaignReport(
+            outcomes=[PointOutcome("c", "c", "cached")] + [
+                PointOutcome(str(i), str(i), "ok", wall_s=wall)
+                for i, wall in enumerate(walls)
+            ]
+        )
+        spans = [
+            {"type": "span", "name": "simulate", "ts": 0.0, "dur": wall}
+            for wall in walls
+        ]
+        stragglers = summarize(spans)["stragglers"]
+        assert report.wall_time_percentiles() == {
+            "p50": stragglers["p50_s"],
+            "p90": stragglers["p90_s"],
+            "p99": stragglers["p99_s"],
+            "max": stragglers["max_s"],
+        } == {"p50": 2.5, "p90": 3.7, "p99": 3.97, "max": 4.0}
+
     def test_report_counts_simulated_then_cached_points(self, tmp_path):
         engine = CampaignEngine(result_cache=ResultCache(tmp_path))
         points = [tiny_point(), tiny_point(scheme="tlp")]

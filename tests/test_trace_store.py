@@ -6,8 +6,9 @@ Pins the tentpole guarantees of the persistent memory-mapped trace store:
   yields bit-identical metrics to the in-memory build;
 * headers are versioned and endianness-tagged, and incompatible entries are
   rejected instead of mis-decoded;
-* ChampSim-style text traces (plain and gzipped) import into the store and
-  become first-class ``imported.*`` catalog workloads runnable through the
+* ChampSim-style text traces (plain and gzipped) import into the store as
+  ``imported.<name>`` entries, whose listing is the imported-workload
+  registry, and become first-class catalog workloads runnable through the
   campaign engine;
 * the catalog/engine ``store=`` fast path serves store hits without running
   a generator (asserted via the generator-invocation counter);
@@ -39,6 +40,7 @@ from repro.sim.scenarios import build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.ingest import (
     TraceParseError,
+    file_content_key,
     import_champsim_trace,
     parse_champsim_lines,
     read_champsim_trace,
@@ -297,36 +299,36 @@ class TestChampsimIngestion:
         }
         # The served trace is the memory-mapped stored copy.
         assert _is_memory_mapped(trace.columns()[0])
-        assert store.resolve("imported.fixture") == key
+        # The entry is named after the workload: the listing is the registry.
+        assert store.keys() == ["imported.fixture"]
 
-    def test_index_write_survives_a_squatted_temp_name(self, tmp_path):
-        # Index writes go through a uniquely named temp file, so a stale
-        # (or concurrent writer's) <store>/index.tmp cannot block or tear
-        # the registry.
+    def test_import_rejects_a_name_that_is_not_one_path_component(self, tmp_path):
         store = TraceStore(tmp_path / "store")
-        (tmp_path / "store" / "index.tmp").mkdir(parents=True)
-        import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="a")
-        import_champsim_trace(CHAMPSIM_FIXTURE_GZ, trace_store=store, name="b")
-        assert sorted(store.imported_workloads()) == ["imported.a", "imported.b"]
+        with pytest.raises(ValueError, match="must be letters"):
+            import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="../x")
+        assert store.keys() == []
 
     def test_concurrent_registrations_are_all_kept(self, tmp_path):
-        """Two processes registering 100 names each on one store keep all
-        200: each read-modify-write of the registry runs under its lock."""
+        """Two processes importing 100 names each into one store keep all
+        200: each import is its own entry, so there is nothing to lock."""
         store = TraceStore(tmp_path / "store")
-        _, key, _ = import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="seed")
+        import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="seed")
         script = (
             "import sys\n"
+            "from repro.traces.ingest import import_champsim_trace\n"
             "from repro.traces.store import TraceStore\n"
             "store = TraceStore(sys.argv[1])\n"
             "print('ready', flush=True)\n"
             "sys.stdin.readline()\n"
             "for i in range(100):\n"
-            "    store.register_imported(f'imported.{sys.argv[2]}{i}', sys.argv[3], {})\n"
+            "    import_champsim_trace(sys.argv[3], trace_store=store,\n"
+            "                          name=f'{sys.argv[2]}{i}')\n"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         processes = [
             subprocess.Popen(
-                [sys.executable, "-c", script, str(store.directory), prefix, key],
+                [sys.executable, "-c", script, str(store.directory), prefix,
+                 str(CHAMPSIM_FIXTURE)],
                 env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
             )
             for prefix in ("a", "b")
@@ -340,7 +342,11 @@ class TestChampsimIngestion:
         for process in processes:
             process.communicate(timeout=120)
             assert process.returncode == 0
-        assert len(store.imported_workloads()) == 201
+        registry = store.imported_workloads()
+        assert len(registry) == 201
+        assert {entry["key"] for entry in registry.values()} == {
+            file_content_key(CHAMPSIM_FIXTURE)
+        }
 
     def test_imported_workload_runs_through_engine(self, tmp_path):
         store = TraceStore(tmp_path / "store")
@@ -373,13 +379,13 @@ class TestChampsimIngestion:
         assert full.num_memory_accesses == 240
         assert head.num_memory_accesses == 50
         # Both imports coexist in the store and registry.
-        assert store.load_imported("imported.full").num_memory_accesses == 240
-        assert store.load_imported("imported.head").num_memory_accesses == 50
+        assert store.get("imported.full").num_memory_accesses == 240
+        assert store.get("imported.head").num_memory_accesses == 50
 
     def test_reimporting_different_content_changes_point_cache_key(self, tmp_path):
-        """Result-cache keys of imported-workload points follow the trace
-        content, so re-importing a different file under the same name can
-        never serve stale cached results."""
+        """Re-importing a name replaces its entry, and result-cache keys of
+        imported-workload points follow the trace content, so the new file
+        can never be served stale cached results."""
         from repro.sim.engine import single_core_point
 
         store = TraceStore(tmp_path / "store")
@@ -399,6 +405,31 @@ class TestChampsimIngestion:
         source.write_text("0x400000 0x9000 R\n0x400004 0xa000 R\n")
         import_champsim_trace(source, trace_store=store, name="app")
         assert point().key() != first_key
+        # The second import replaced the first: one entry, new content.
+        assert store.keys() == ["imported.app"]
+        assert list(store.get("imported.app").columns()[1]) == [0x9000, 0xA000]
+        assert store.imported_workloads()["imported.app"]["key"] == (
+            file_content_key(source)
+        )
+
+    def test_point_trace_keys_are_the_file_content_key(self, tmp_path):
+        """An imported point's cache key folds in the source file's content
+        key, read back from the entry's header."""
+        from repro.sim.engine import multi_core_point, single_core_point
+
+        store = TraceStore(tmp_path / "store")
+        import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="fixture")
+        content_key = file_content_key(CHAMPSIM_FIXTURE)
+        point = single_core_point(
+            "imported.fixture", "tlp", "ipcp", memory_accesses=100,
+            warmup_fraction=0.25, trace_store=store,
+        )
+        assert point.trace_keys == (content_key,)
+        mix = multi_core_point(
+            "m", ("bfs.urand", "imported.fixture"), "tlp", "ipcp",
+            memory_accesses=100, warmup_fraction=0.25, trace_store=store,
+        )
+        assert mix.trace_keys == ("", content_key)
 
     def test_generated_point_cache_keys_unchanged_by_trace_keys_field(self):
         """Generated-only points omit trace_keys from the key payload, so
@@ -618,7 +649,10 @@ class TestTraceCli:
         assert "memory_accesses" in capsys.readouterr().out
         assert main(["trace", "--dir", store_dir, "rm",
                      "imported.fixture"]) == 0
-        assert "unregistered imported.fixture" in capsys.readouterr().out
+        assert "removed imported.fixture" in capsys.readouterr().out
+        assert TraceStore(store_dir).imported_workloads() == {}
+        assert main(["trace", "--dir", store_dir, "ls"]) == 0
+        assert "imported.fixture" not in capsys.readouterr().out
 
     def test_import_missing_file_fails(self, tmp_path, capsys):
         from repro.cli import main
@@ -695,6 +729,17 @@ class TestCorruptStorage:
         assert "digest mismatch" in caplog.text
 
 
+    def test_corrupt_imported_entry_asks_for_a_new_import(self, tmp_path, caplog):
+        store = TraceStore(tmp_path)
+        import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="fixture")
+        (tmp_path / "imported.fixture" / "pc.bin").write_bytes(b"\x00" * 8)
+        with caplog.at_level(logging.WARNING, logger="repro.traces"):
+            with pytest.raises(KeyError, match="repro trace import"):
+                build_workload_trace("imported.fixture", 100, trace_store=store)
+        assert "import it again" in caplog.text
+        assert store.imported_workloads() == {}
+
+
 # ----------------------------------------------------------------------
 # Trace-store GC (size-capped sweep mirroring `repro cache gc`)
 # ----------------------------------------------------------------------
@@ -737,10 +782,8 @@ class TestTraceStoreGc:
         import os
 
         store = TraceStore(tmp_path / "store")
-        _, key, _ = import_champsim_trace(
-            CHAMPSIM_FIXTURE, trace_store=store, name="fixture"
-        )
-        os.utime(store.path(key) / "meta.json", (0, 0))
+        import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store, name="fixture")
+        os.utime(store.path("imported.fixture") / "meta.json", (0, 0))
         store.put(
             workload_key("spec.lbm_like", 400),
             spec_like_trace("lbm_like", num_memory_accesses=400),
@@ -748,7 +791,7 @@ class TestTraceStoreGc:
         removed, _ = store.gc(store.entry_size_bytes(workload_key("spec.lbm_like", 400)))
         assert removed == 1
         assert "imported.fixture" not in store.imported_workloads()
-        assert store.resolve("imported.fixture") is None
+        assert store.get("imported.fixture") is None
 
     def test_gc_noop_when_under_cap(self, tmp_path):
         store, keys = self._populated_store(tmp_path)
@@ -801,7 +844,7 @@ class TestXzIngestion:
             xz_fixture, trace_store=store, name="xzfixture"
         )
         assert workload == "imported.xzfixture"
-        assert store.resolve("imported.xzfixture") == key
+        assert store.imported_workloads()["imported.xzfixture"]["key"] == key
         assert trace.num_memory_accesses > 0
 
     def test_cli_imports_xz(self, tmp_path, xz_fixture, capsys):
