@@ -75,7 +75,8 @@ from repro.sim.single_core import run_single_core
 from repro.stats.metrics import percent_change, speedup_percent
 from repro.traces.store import TraceStore
 from repro.traces.trace import Trace
-from repro.workloads import GAP_KERNELS, gap_trace, spec_like_trace
+from repro.workloads.gap import GAP_KERNELS, gap_trace
+from repro.workloads.spec_like import spec_like_trace
 
 __all__ = [
     # Entry points
@@ -136,7 +137,7 @@ def load_trace(
 
     ``workload`` is a workload name: ``<kernel>.<graph>`` for the GAP suite
     (e.g. ``bfs.urand``), ``spec.<name>`` for the SPEC-like generators
-    (:data:`repro.workloads.CATALOG_WORKLOADS` lists both), or
+    (:data:`repro.workloads.catalog.CATALOG_WORKLOADS` lists both), or
     ``imported.<name>`` for a trace ingested with ``repro trace import``.
     With a ``trace_store`` the generator runs only on a store miss and the
     trace comes back memory-mapped.

@@ -47,21 +47,21 @@ import os
 import time
 from typing import Sequence
 
-from repro.experiments import CampaignCache
 from repro.experiments.common import (
+    CampaignCache,
     ExperimentConfig,
     format_rows,
     quick_experiment_config,
 )
-from repro.sim.engine import PointFailedError
+from repro.prefetchers.l1d import L1D_PREFETCHERS
+from repro.sim.engine import CampaignReport, PointFailedError
 from repro.sim.scenarios import SCHEMES
 from repro.stats.metrics import percent_change, speedup_percent
 from repro.workloads.catalog import CATALOG_WORKLOADS
 from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS
 
-#: L1D prefetcher names accepted by every --prefetchers flag (must match
-#: repro.prefetchers.make_l1d_prefetcher).
-PREFETCHER_CHOICES = ("ipcp", "berti", "none")
+#: L1D prefetcher names accepted by every --prefetchers flag.
+PREFETCHER_CHOICES = (*L1D_PREFETCHERS, "none")
 
 #: CLI figure id -> registered experiment name.  Figures that are views of
 #: one shared campaign (10/11/12, 3/13/14, 5/6) alias the same spec.
@@ -301,11 +301,20 @@ def _finish_telemetry() -> None:
         print(obs_profile.hotspot_table(profiles, top=15), end="")
 
 
-def _finish_run(args: argparse.Namespace, engine) -> int:
-    """Shared post-run reporting: the ``--report`` dump and telemetry."""
-    report = engine.last_report
-    if args.report and report is not None:
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+def _finish_run(args: argparse.Namespace, engine, claims=None) -> int:
+    """Shared post-run reporting: the ``--report`` dump and telemetry.
+
+    ``claims`` maps each figure to its ``(name, verdict, margin)`` rows.
+    A run that simulated nothing (``figure table02``) reports no points.
+    """
+    if args.report:
+        payload = (engine.last_report or CampaignReport()).to_dict()
+        if claims is not None:
+            payload["claims"] = {
+                figure: [dict(zip(("name", "verdict", "margin"), row)) for row in rows]
+                for figure, rows in claims.items()
+            }
+        payload = json.dumps(payload, indent=2, sort_keys=True)
         if args.report == "-":
             print(payload)
         else:
@@ -333,26 +342,29 @@ def _format_bytes(count: int) -> str:
     return f"{count / (1024 * 1024):.1f} MiB"
 
 
+def _gc(args: argparse.Namespace, label: str, store, noun: str, note: str = "") -> int:
+    """``cache gc`` / ``trace gc``: evict ``store``'s oldest entries down to
+    ``--max-mb`` (or, with ``--dry-run``, say what that would evict)."""
+    before = store.size_bytes()
+    removed, freed = store.gc(int(args.max_mb * 1024 * 1024), dry_run=args.dry_run)
+    verb = "would evict" if args.dry_run else "evicted"
+    print(
+        f"{label} gc{' (dry run)' if args.dry_run else ''}: {store.directory} "
+        f"{_format_bytes(before)} -> {_format_bytes(before - freed)} "
+        f"({removed} {noun} {verb}, {_format_bytes(freed)} reclaimed, "
+        f"cap {args.max_mb:g} MB{note})"
+    )
+    return 0
+
+
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.sim.result_cache import ResultCache
 
     cache = ResultCache(args.dir) if args.dir else ResultCache()
     # argparse's required subparser guarantees gc is the only command.
-    max_bytes = int(args.max_mb * 1024 * 1024)
-    before = cache.size_bytes()
-    removed, freed = cache.gc(max_bytes, dry_run=args.dry_run)
-    verb = "would evict" if args.dry_run else "evicted"
     quarantined = cache.quarantined_files()
-    quarantine_note = (
-        f", {len(quarantined)} quarantined corrupt entries" if quarantined else ""
-    )
-    print(
-        f"cache gc{' (dry run)' if args.dry_run else ''}: {cache.directory} "
-        f"{_format_bytes(before)} -> {_format_bytes(before - freed)} "
-        f"({removed} entries {verb}, {_format_bytes(freed)} reclaimed, "
-        f"cap {args.max_mb:g} MB{quarantine_note})"
-    )
-    return 0
+    note = f", {len(quarantined)} quarantined corrupt entries" if quarantined else ""
+    return _gc(args, "cache", cache, "entries", note)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -399,17 +411,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.trace_command == "gc":
-        max_bytes = int(args.max_mb * 1024 * 1024)
-        before = store.size_bytes()
-        removed, freed = store.gc(max_bytes, dry_run=args.dry_run)
-        verb = "would evict" if args.dry_run else "evicted"
-        print(
-            f"trace gc{' (dry run)' if args.dry_run else ''}: {store.directory} "
-            f"{_format_bytes(before)} -> {_format_bytes(before - freed)} "
-            f"({removed} traces {verb}, {_format_bytes(freed)} reclaimed, "
-            f"cap {args.max_mb:g} MB)"
-        )
-        return 0
+        return _gc(args, "trace", store, "traces")
 
     if args.trace_command == "ls":
         keys = store.keys()
@@ -457,6 +459,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.spec import (
+        evaluate_claims,
         get_experiment,
         registered_experiments,
         run_experiments,
@@ -484,6 +487,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                                       progress=progress)
     except PointFailedError as error:
         return _run_failed(error)
+    claims = {}
     for index, (spec, result) in enumerate(zip(specs, results)):
         if args.prefetchers:
             # Some figures pin their prefetcher axis (the paper fixes IPCP
@@ -503,10 +507,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             print()
         print(spec.title)
         print(spec.format_table(result))
+        claims[spec.name] = evaluate_claims(spec, result)
+        for name, verdict, margin in claims[spec.name]:
+            shown = "" if margin is None else f" (margin {margin:+.3f})"
+            print(f"claim {verdict}: {name}{shown}")
     elapsed = time.perf_counter() - start
     print("\n" + _run_summary(f"figures: {len(names)}", elapsed,
                               cache.engine, args.jobs))
-    return _finish_run(args, cache.engine)
+    return _finish_run(args, cache.engine, claims)
 
 
 def _sweep_spec_from_args(args: argparse.Namespace):
@@ -736,10 +744,18 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a memory-access budget: an integer >= 1."""
+    """argparse type of a count (a budget, a worker count): an integer >= 1."""
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _size_cap_mb(text: str) -> float:
+    """argparse type of a ``--max-mb`` size cap: a finite number >= 0."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -770,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine_flags(sub_parser: argparse.ArgumentParser) -> None:
         """Engine, caching and telemetry flags shared by figure and sweep."""
-        sub_parser.add_argument("--jobs", type=int, default=None,
+        sub_parser.add_argument("--jobs", type=_positive_int, default=None,
                                 help="parallel worker processes "
                                      "(default: os.cpu_count())")
         sub_parser.add_argument("--no-cache", action="store_true",
@@ -817,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="accumulate a cProfile across per-point "
                                      "execution in every process and print a "
                                      "hotspot table (implies --telemetry)")
-        sub_parser.add_argument("--sample-interval", type=int, default=None,
+        sub_parser.add_argument("--sample-interval", type=_positive_int, default=None,
                                 metavar="N",
                                 help="with --telemetry, emit an IPC/MPKI/"
                                      "predictor snapshot every N memory "
@@ -919,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc_parser = cache_sub.add_parser(
         "gc", help="evict oldest entries until the cache fits a size cap"
     )
-    gc_parser.add_argument("--max-mb", type=float, required=True,
+    gc_parser.add_argument("--max-mb", type=_size_cap_mb, required=True,
                            help="target cache size in MB (the one bound "
                                 "on the cache's size)")
     gc_parser.add_argument("--dry-run", action="store_true",
@@ -955,12 +971,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace_import.add_argument("--compute-per-access", type=int, default=0,
                               help="NON_MEM records interleaved after each "
                                    "imported access (default 0)")
-    trace_import.add_argument("--max-records", type=int, default=None,
+    trace_import.add_argument("--max-records", type=_positive_int, default=None,
                               help="read at most this many memory records")
     trace_gc = trace_sub.add_parser(
         "gc", help="evict the oldest stored traces until the store fits a size cap"
     )
-    trace_gc.add_argument("--max-mb", type=float, required=True,
+    trace_gc.add_argument("--max-mb", type=_size_cap_mb, required=True,
                           help="target store size in MB")
     trace_gc.add_argument("--dry-run", action="store_true",
                           help="report what would be evicted without deleting")

@@ -7,7 +7,9 @@ Each ``figNN_*`` module declares its experiment as a spec (see
   campaign-point batch;
 * ``reduce(config, results, **params)`` -- a pure fold of the executed
   batch into the figure's result object;
-* ``format_table(result)`` -- rendering.
+* ``format_table(result)`` -- rendering;
+* ``SPEC.claims`` -- the paper's claims about the result, as named
+  predicates whose verdicts ``repro figure`` prints.
 
 Specs register under their figure name, and the registry is the one way to
 run a figure: ``run_experiment(name, cache=..., **params)``,
@@ -22,37 +24,3 @@ result comes from :meth:`~repro.experiments.common.CampaignCache.run_points`
 and is read back through a :class:`~repro.experiments.spec.SweepResults`
 view.
 """
-
-from repro.experiments.common import (
-    CampaignCache,
-    ExperimentConfig,
-    default_experiment_config,
-)
-from repro.experiments.spec import (
-    ExperimentSpec,
-    MultiCoreSweep,
-    SingleCoreSweep,
-    SweepResults,
-    SweepSpec,
-    get_experiment,
-    registered_experiments,
-    run_experiment,
-    sweep_spec_from_dict,
-    sweep_spec_to_dict,
-)
-
-__all__ = [
-    "CampaignCache",
-    "ExperimentConfig",
-    "ExperimentSpec",
-    "MultiCoreSweep",
-    "SingleCoreSweep",
-    "SweepResults",
-    "SweepSpec",
-    "default_experiment_config",
-    "get_experiment",
-    "registered_experiments",
-    "run_experiment",
-    "sweep_spec_from_dict",
-    "sweep_spec_to_dict",
-]

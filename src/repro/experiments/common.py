@@ -81,7 +81,7 @@ class ExperimentConfig:
 
 
 def default_experiment_config() -> ExperimentConfig:
-    """The configuration used by the benchmark harness."""
+    """The full-scale configuration: every figure spec's claims hold at it."""
     return ExperimentConfig()
 
 
@@ -179,16 +179,6 @@ def campaign_for(
 # ----------------------------------------------------------------------
 # Aggregation helpers
 # ----------------------------------------------------------------------
-def geomean_speedup_percent(
-    ipcs: Iterable[float], baseline_ipcs: Iterable[float]
-) -> float:
-    """Geometric-mean speedup in percent over paired baselines."""
-    ratios = [ipc / base for ipc, base in zip(ipcs, baseline_ipcs)]
-    if not ratios:
-        return 0.0
-    return 100.0 * (geometric_mean(ratios) - 1.0)
-
-
 def average_percent_change(values: Iterable[float], baselines: Iterable[float]) -> float:
     """Arithmetic mean of per-pair percentage changes."""
     changes = [

@@ -11,10 +11,12 @@ from dataclasses import dataclass, field
 
 from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
+    Claim,
     ExperimentSpec,
     SingleCoreSweep,
     SweepResults,
     SweepSpec,
+    ref,
     register,
 )
 
@@ -86,6 +88,11 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
+        claims=(
+            Claim(ref("overall", "L1D"), ">=", ref("overall", "L2C"), ">=",
+                  ref("overall", "LLC")),
+            Claim(ref("overall", "LLC"), ">", 1.0),
+        ),
     )
 )
 

@@ -12,10 +12,13 @@ from dataclasses import dataclass, field
 
 from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
+    Claim,
     ExperimentSpec,
+    Ref,
     SingleCoreSweep,
     SweepResults,
     SweepSpec,
+    ref,
     register,
 )
 
@@ -91,6 +94,10 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
+        claims=(
+            Claim(ref("overall", "DRAM"), ">", 40.0),
+            Claim(Ref(tuple(("overall", level) for level in _LEVELS[:3])), ">", 5.0),
+        ),
     )
 )
 

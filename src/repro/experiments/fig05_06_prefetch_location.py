@@ -4,7 +4,7 @@ Figure 5 shows the *inaccurate* L1D prefetches (PPKI) of IPCP and Berti by
 the level that served them (L2C, LLC, DRAM); Figure 6 shows the *accurate*
 ones.  The paper's observation -- the vast majority of DRAM-served L1D
 prefetches are inaccurate -- is what justifies using off-chip prediction as
-a prefetch filter (SLP).
+a prefetch filter (SLP); ``SPEC.claims`` checks it for IPCP.
 """
 
 from __future__ import annotations
@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
+    Claim,
     ExperimentSpec,
+    Ref,
     SingleCoreSweep,
     SweepResults,
     SweepSpec,
+    ref,
     register,
 )
 
@@ -113,6 +116,14 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
+        claims=(
+            *(Claim(Ref(tuple(("inaccurate_average", prefetcher, level)
+                              for level in _LEVELS)), ">=", 0.0)
+              for prefetcher in ExperimentConfig.l1d_prefetchers),
+            Claim(ref("dram_inaccuracy_ratio", "ipcp"), ">", 0.3),
+            *(Claim(ref("accurate_average", prefetcher, level), ">=", 0.0)
+              for prefetcher in ExperimentConfig.l1d_prefetchers for level in _LEVELS),
+        ),
     )
 )
 

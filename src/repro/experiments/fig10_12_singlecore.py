@@ -18,16 +18,18 @@ from repro.experiments.common import (
     ExperimentConfig,
     average_percent_change,
     format_rows,
-    geomean_speedup_percent,
 )
 from repro.experiments.spec import (
+    Claim,
     ExperimentSpec,
+    Ref,
     SingleCoreSweep,
     SweepResults,
     SweepSpec,
+    ref,
     register,
 )
-from repro.stats.metrics import percent_change, speedup_percent
+from repro.stats.metrics import geometric_mean_speedup, percent_change, speedup_percent
 
 
 @dataclass
@@ -101,7 +103,7 @@ def reduce(
                 )
                 for workload in workloads
             }
-            result.geomean_speedup[prefetcher][scheme] = geomean_speedup_percent(
+            result.geomean_speedup[prefetcher][scheme] = geometric_mean_speedup(
                 [scheme_results[w].ipc for w in workloads],
                 [baseline_results[w].ipc for w in workloads],
             )
@@ -111,7 +113,7 @@ def reduce(
                     w for w in workloads if config.suite_of(w) == suite
                 ]
                 if suite_workloads:
-                    by_suite[suite] = geomean_speedup_percent(
+                    by_suite[suite] = geometric_mean_speedup(
                         [scheme_results[w].ipc for w in suite_workloads],
                         [baseline_results[w].ipc for w in suite_workloads],
                     )
@@ -137,6 +139,26 @@ def reduce(
 
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
+
+
+def claims(prefetcher: str) -> tuple[Claim, ...]:
+    """Figures 10, 11 and 12's claims for one L1D prefetcher."""
+
+    def of(field: str, scheme: str, offset: float = 0.0) -> Ref:
+        return ref(field, prefetcher, scheme, offset=offset)
+
+    speedup, dram = "geomean_speedup", "average_dram_change"
+    accuracy = "prefetch_accuracy"
+    return (
+        Claim(of(speedup, "tlp"), ">=", of(speedup, "hermes", -1.0)),
+        Claim(of(speedup, "tlp"), ">=", of(speedup, "hermes_ppf", -1.0)),
+        Claim(of(dram, "tlp"), "<", of(dram, "hermes")),
+        Claim(of(dram, "tlp"), "<", of(dram, "hermes_ppf")),
+        Claim(of(dram, "tlp"), "<", 5.0),
+        Claim(of(accuracy, "tlp"), ">=",
+              ref("baseline_accuracy", prefetcher, offset=-10.0)),
+        Claim(of(accuracy, "tlp"), ">=", of(accuracy, "hermes", -10.0)),
+    )
 
 
 def format_table(result: SingleCoreCampaignResult) -> str:
@@ -173,6 +195,10 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
+        claims=tuple(
+            claim for prefetcher in ExperimentConfig.l1d_prefetchers
+            for claim in claims(prefetcher)
+        ),
     )
 )
 

@@ -22,10 +22,12 @@ from repro.experiments.common import (
     format_rows,
 )
 from repro.experiments.spec import (
+    Claim,
     ExperimentSpec,
     MultiCoreSweep,
     SweepResults,
     SweepSpec,
+    ref,
     register,
 )
 
@@ -109,6 +111,14 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
+        claims=(
+            Claim(ref("average_dram_change", "ipcp", "hermes"), ">", -1.0),
+            Claim(ref("geomean_speedup", "ipcp", "tlp"), ">=",
+                  ref("geomean_speedup", "ipcp", "hermes", offset=-1.0)),
+            *(Claim(ref("average_dram_change", "ipcp", "tlp"), "<=",
+                    ref("average_dram_change", "ipcp", scheme))
+              for scheme in ("hermes", "hermes_ppf")),
+        ),
     )
 )
 

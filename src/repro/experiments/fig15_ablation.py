@@ -2,8 +2,9 @@
 
 The paper decomposes TLP into six designs (FLP, SLP, TSP, Delayed TSP,
 Selective TSP, TLP) and shows that each added mechanism compounds the
-multi-core speedup.  The harness below runs the same six designs on the
-multi-core mixes and reports their normalised weighted speedups.
+multi-core speedup.  This module runs the same six designs on the
+multi-core mixes and reports their normalised weighted speedups;
+``SPEC.claims`` are the checked claims.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from dataclasses import dataclass, field
 
 from repro.experiments.common import ExperimentConfig, compare_mixes, format_rows
 from repro.experiments.spec import (
+    Claim,
     ExperimentSpec,
     MultiCoreSweep,
     SweepResults,
     SweepSpec,
+    ref,
     register,
 )
 
@@ -68,6 +71,10 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
+        claims=tuple(
+            Claim(ref("geomean", "tlp"), ">=", ref("geomean", design, offset=-2.0))
+            for design in ("flp", "tsp")
+        ),
     )
 )
 

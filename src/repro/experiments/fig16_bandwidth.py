@@ -4,7 +4,7 @@ The paper sweeps the per-core DRAM data rate from 1.6 GB/s to 25.6 GB/s and
 shows that (a) TLP's performance advantage is largest when bandwidth is
 scarce and shrinks (but persists) as bandwidth grows, and (b) TLP reduces
 DRAM transactions at every bandwidth point while the other schemes increase
-them.
+them.  ``SPEC.claims`` checks (b) against Hermes.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from repro.experiments.common import (
     format_rows,
 )
 from repro.experiments.spec import (
+    Claim,
     ExperimentSpec,
     MultiCoreSweep,
     SweepResults,
     SweepSpec,
+    ref,
     register,
 )
 
@@ -98,6 +100,11 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
+        claims=tuple(
+            Claim(ref("dram_change", bandwidth, "tlp"), "<=",
+                  ref("dram_change", bandwidth, "hermes", offset=1.0))
+            for bandwidth in DEFAULT_BANDWIDTHS
+        ),
     )
 )
 

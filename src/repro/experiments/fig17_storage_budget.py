@@ -1,25 +1,24 @@
 """Figure 17: designs enhanced with TLP's storage budget.
 
 The paper checks whether simply giving the baseline prefetcher or Hermes an
-extra ~7KB of state (TLP's budget) closes the gap: it does not.  The harness
-compares ``prefetcher_7kb`` (enlarged IPCP/Berti tables), ``hermes_7kb``
-(doubled Hermes weight tables) and ``tlp`` on the single-core campaign.
+extra ~7KB of state (TLP's budget) closes the gap: it does not
+(``SPEC.claims``).  This module compares ``prefetcher_7kb`` (enlarged
+IPCP/Berti tables), ``hermes_7kb`` (doubled Hermes weight tables) and
+``tlp`` on the single-core campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import (
-    ExperimentConfig,
-    format_rows,
-    geomean_speedup_percent,
-)
+from repro.experiments import fig10_12_singlecore
+from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
+    Claim,
     ExperimentSpec,
-    SingleCoreSweep,
     SweepResults,
     SweepSpec,
+    ref,
     register,
 )
 
@@ -38,9 +37,7 @@ def sweep(
     config: ExperimentConfig, schemes: tuple[str, ...] = STORAGE_SCHEMES
 ) -> SweepSpec:
     """Baseline plus the +7KB designs on every workload and prefetcher."""
-    return SweepSpec(
-        single_core=(SingleCoreSweep(schemes=("baseline",) + tuple(schemes)),)
-    )
+    return fig10_12_singlecore.sweep(config, schemes)
 
 
 def reduce(
@@ -48,24 +45,9 @@ def reduce(
     results: SweepResults,
     schemes: tuple[str, ...] = STORAGE_SCHEMES,
 ) -> Figure17Result:
-    """Fold the storage-budget comparison into geomean speedups."""
-    workloads = config.workloads()
-    result = Figure17Result()
-    for prefetcher in config.l1d_prefetchers:
-        baseline_ipcs = [
-            results.single_core(workload, "baseline", prefetcher).ipc
-            for workload in workloads
-        ]
-        result.geomean_speedup[prefetcher] = {}
-        for scheme in schemes:
-            scheme_ipcs = [
-                results.single_core(workload, scheme, prefetcher).ipc
-                for workload in workloads
-            ]
-            result.geomean_speedup[prefetcher][scheme] = geomean_speedup_percent(
-                scheme_ipcs, baseline_ipcs
-            )
-    return result
+    """The +7KB designs' geomean speedups, folded as Figure 10 folds its schemes."""
+    campaign = fig10_12_singlecore.reduce(config, results, schemes)
+    return Figure17Result(geomean_speedup=campaign.geomean_speedup)
 
 
 def format_table(result: Figure17Result) -> str:
@@ -84,6 +66,11 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
+        claims=tuple(
+            Claim(ref("geomean_speedup", prefetcher, "tlp"), ">=",
+                  ref("geomean_speedup", prefetcher, "hermes_7kb", offset=-1.0))
+            for prefetcher in ExperimentConfig.l1d_prefetchers
+        ),
     )
 )
 

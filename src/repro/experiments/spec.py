@@ -12,8 +12,10 @@ halves:
   executed batch (a :class:`SweepResults` lookup view) into the figure's
   numbers without running anything.
 
-An :class:`ExperimentSpec` pairs the two and registers under a name; the
-registry drives ``repro figure <name>|all`` and the parity test suite.
+An :class:`ExperimentSpec` pairs the two, names the paper's claims about
+the reduced result (:class:`Claim`, checked by :func:`evaluate_claims`) and
+registers under a name; the registry drives ``repro figure <name>|all`` and
+the parity test suite.
 User-defined sweeps (``repro sweep``) build a :class:`SweepSpec` straight
 from CLI flags or JSON (:func:`sweep_spec_from_dict`) -- including
 ``imported.*`` trace-store workloads -- without writing a module.
@@ -33,6 +35,7 @@ modules plug their specs in from above.
 from __future__ import annotations
 
 import importlib
+import operator
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional, Sequence
 
@@ -536,18 +539,92 @@ class SweepResults:
 
 
 # ----------------------------------------------------------------------
+# Claims
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Ref:
+    """A number read from a reduced result: the sum of the values at
+    ``paths`` (each an attribute name, then mapping keys), plus ``offset``."""
+
+    paths: tuple[tuple, ...]
+    offset: float = 0.0
+
+    def read(self, result) -> float:
+        total = 0.0
+        for attribute, *keys in self.paths:
+            value = getattr(result, attribute)
+            for key in keys:
+                value = value[key]
+            total += value
+        return total + self.offset
+
+    def __str__(self) -> str:
+        text = " + ".join(
+            path[0] + "".join(f"[{key}]" for key in path[1:]) for path in self.paths
+        )
+        if self.offset:
+            text += f" {'-' if self.offset < 0 else '+'} {abs(self.offset):g}"
+        return text
+
+
+def ref(*path, offset: float = 0.0) -> Ref:
+    """One path's value: ``ref("overall", "LLC")`` reads ``overall["LLC"]``."""
+    return Ref((path,), offset)
+
+
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+class Claim:
+    """A paper claim: a chained comparison over a reduced result.
+
+    ``Claim(5.0, "<", ref("total"), "<", 9.0)`` alternates terms (a
+    :class:`Ref` or a constant) and operators, and holds when every link
+    holds.  Its name is the comparison itself, ``5 < total < 9``; its margin
+    is the signed distance from the tightest link's bound, positive on the
+    passing side.
+    """
+
+    def __init__(self, *chain) -> None:
+        self.chain = chain
+        self.name = " ".join(
+            f"{term:g}" if isinstance(term, float) else str(term) for term in chain
+        )
+
+    def evaluate(self, result) -> tuple[str, Optional[float]]:
+        """``(verdict, margin)``; ``("not evaluated", None)`` when the result
+        lacks a key the claim reads (e.g. an IPCP claim on a Berti-only run)."""
+        try:
+            values = [term.read(result) if isinstance(term, Ref) else term
+                      for term in self.chain[::2]]
+        except KeyError:
+            return "not evaluated", None
+        links = list(zip(values, self.chain[1::2], values[1:]))
+        holds = all(_COMPARISONS[op](left, right) for left, op, right in links)
+        margin = min(left - right if op[0] == ">" else right - left
+                     for left, op, right in links)
+        return ("PASS" if holds else "FAIL"), margin
+
+
+def evaluate_claims(spec: ExperimentSpec, result) -> list[tuple]:
+    """``(name, verdict, margin)`` of each of ``spec``'s claims on ``result``."""
+    return [(claim.name, *claim.evaluate(result)) for claim in spec.claims]
+
+
+# ----------------------------------------------------------------------
 # Experiment registry
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named experiment: a sweep builder plus a pure reducer.
+    """A named experiment: a sweep builder, a pure reducer and its claims.
 
     ``build_sweep(config, **params)`` returns the :class:`SweepSpec`;
     ``reduce(config, results, **params)`` folds the executed
     :class:`SweepResults` into the figure's result object.  Both receive
     the same keyword parameters (a figure's knobs, e.g. Figure 16's
     bandwidth points); :func:`run_experiment` forwards them from its
-    caller.
+    caller.  ``claims`` are the paper's claims about that result;
+    ``repro figure`` prints their verdicts (:func:`evaluate_claims`).
     """
 
     name: str
@@ -555,6 +632,7 @@ class ExperimentSpec:
     build_sweep: Callable[..., SweepSpec]
     reduce: Callable[..., Any]
     format_table: Callable[[Any], str]
+    claims: tuple[Claim, ...] = ()
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}

@@ -1,11 +1,11 @@
 """Table II: storage overhead of TLP.
 
 The paper's headline hardware-cost claim is that TLP needs ~7KB of storage
-per core.  The harness recomputes the breakdown from the implemented
-predictor configuration (weight tables, page buffers, Load Queue and L1D
-MSHR metadata) rather than hard-coding the paper's numbers.  Its sweep is
-empty -- the registry still carries it so ``repro figure all`` reproduces
-every table of the paper, not just the simulated ones.
+per core (``SPEC.claims``).  This module recomputes the breakdown from
+the implemented predictor configuration (weight tables, page buffers, Load
+Queue and L1D MSHR metadata) rather than hard-coding the paper's numbers.
+Its sweep is empty -- the registry still carries it so ``repro figure all``
+reproduces every table of the paper, not just the simulated ones.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ from repro.core.storage import StorageBreakdown, tlp_storage_breakdown
 from repro.core.tlp import TLPConfig, TwoLevelPerceptron
 from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
+    Claim,
     ExperimentSpec,
     SweepResults,
     SweepSpec,
+    ref,
     register,
 )
 
@@ -53,6 +55,12 @@ SPEC = register(
         build_sweep=sweep,
         reduce=reduce,
         format_table=format_table,
+        claims=(
+            Claim(5.0, "<", ref("total"), "<", 9.0),
+            Claim(2.5, "<", ref("flp_total"), "<", 4.5),
+            Claim(2.5, "<", ref("slp_total"), "<", 4.7),
+            Claim(ref("load_queue_metadata"), "<", 1.0),
+        ),
     )
 )
 

@@ -29,30 +29,3 @@ Layout:
 ``logs``
     ``repro.*`` named-logger setup behind ``--log-level`` / ``REPRO_LOG``.
 """
-
-from __future__ import annotations
-
-from repro.obs import profile, sample, tracer
-from repro.obs.logs import get_logger, setup_logging
-from repro.obs.tracer import (
-    TELEMETRY_ENV,
-    enabled,
-    event,
-    install_from_env,
-    merge_run,
-    span,
-)
-
-__all__ = [
-    "TELEMETRY_ENV",
-    "enabled",
-    "event",
-    "span",
-    "install_from_env",
-    "merge_run",
-    "setup_logging",
-    "get_logger",
-    "tracer",
-    "profile",
-    "sample",
-]

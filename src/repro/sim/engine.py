@@ -5,7 +5,7 @@ L1D prefetchers and trace budgets, each point an independent simulation.
 This module enumerates campaign points up front, runs them, and persists
 every result to the on-disk :class:`~repro.sim.result_cache.ResultCache`,
 keyed by a content hash of everything that determines the outcome.  A warm
-cache means re-running a figure harness performs zero simulations.
+cache means re-running a figure performs zero simulations.
 
 Cache misses run in-process at ``--jobs 1`` (or when only one point
 misses) and otherwise on one :class:`concurrent.futures.ProcessPoolExecutor`.

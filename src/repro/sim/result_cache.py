@@ -5,7 +5,7 @@ prefetcher, budget) points; simulating one point is expensive while its
 result is a small bag of counters.  The cache stores one JSON file per
 simulated point, keyed by a content hash of everything that determines the
 outcome (workload, scenario, system configuration, trace budget, warm-up
-split), so that re-running a figure harness or example script skips every
+split), so that re-running a figure, sweep or example script skips every
 point that has already been simulated -- across processes and across runs.
 
 The cache directory defaults to ``.repro_cache`` in the working directory

@@ -30,9 +30,9 @@ from repro.core.tlp import TwoLevelPerceptron
 from repro.core.variants import ABLATION_VARIANTS, build_ablation_variant
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.predictors.hermes import HermesPredictor
-from repro.prefetchers import make_l1d_prefetcher
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
+from repro.prefetchers.l1d import make_l1d_prefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
 

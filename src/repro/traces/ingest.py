@@ -131,6 +131,8 @@ def read_champsim_trace(
     path = Path(path)
     if compute_per_access < 0:
         raise ValueError("compute_per_access must be non-negative")
+    if max_records is not None and max_records < 1:
+        raise ValueError(f"max_records must be at least 1, got {max_records}")
     pcs: list[int] = []
     vaddrs: list[int] = []
     kinds: list[int] = []

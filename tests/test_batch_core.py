@@ -52,7 +52,7 @@ from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
 from repro.sim import batch as batch_module
-from repro.sim import check_invariants, multi_core, native
+from repro.sim import multi_core, native
 from repro.sim.batch import (
     DEFAULT_CHUNK_RECORDS,
     batch_unsupported_reason,
@@ -65,11 +65,13 @@ from repro.sim.multi_core import (
     build_mix_hierarchies,
     run_multicore_mix,
 )
+from repro.sim.results import check_invariants
 from repro.sim.scenarios import SCHEMES, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.ingest import read_champsim_trace
 from repro.traces.trace import KIND_LOAD, KIND_NON_MEM, Trace, trace_lists
-from repro.workloads import gap_trace, spec_like_trace
+from repro.workloads.gap import gap_trace
+from repro.workloads.spec_like import spec_like_trace
 from test_cache import STATE_ARRAYS, check_flat_layout
 
 FIXTURES = Path(__file__).parent / "fixtures"

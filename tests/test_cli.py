@@ -58,6 +58,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "import", "x.trace", "--max-records", "-5"],
+        ["trace", "import", "x.trace", "--max-records", "0"],
+        ["figure", "fig01", "--sample-interval", "-3"],
+        ["sweep", "--jobs", "-2"],
+        ["figure", "all", "--jobs", "0"],
+        ["cache", "gc", "--max-mb", "-1"],
+        ["trace", "gc", "--max-mb", "-1"],
+        ["trace", "gc", "--max-mb", "nan"],
+        ["cache", "gc", "--max-mb", "inf"],
+    ])
+    def test_counts_and_size_caps_are_range_checked(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "must be" in capsys.readouterr().err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -150,6 +166,24 @@ class TestFigureCommand:
 
         assert f"figures: {len(registered_experiments())} in" in output
         assert "Figure 1" in output and "Table II" in output
+
+
+    # table02 simulates nothing: its report still carries its claims.
+    @pytest.mark.parametrize("figure", ["fig01", "table02"])
+    def test_figure_report_carries_claim_verdicts(self, capsys, tmp_path, figure):
+        from repro.experiments.spec import get_experiment
+
+        report_path = tmp_path / "report.json"
+        assert main(["figure", figure, "--quick", "--no-cache", "--jobs", "1",
+                     "--accesses", "900", "--report", str(report_path)]) == 0
+        names = [claim.name for claim in get_experiment(figure).claims]
+        printed = re.findall(r"^claim (PASS|FAIL): (.+) \(margin [-+]\d+\.\d+\)$",
+                             capsys.readouterr().out, re.MULTILINE)
+        assert [name for _, name in printed] == names
+        reported = json.loads(report_path.read_text())["claims"]
+        assert list(reported) == [figure]
+        assert [(row["verdict"], row["name"]) for row in reported[figure]] == printed
+        assert all(isinstance(row["margin"], float) for row in reported[figure])
 
 
 class TestSweepCommand:

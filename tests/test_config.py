@@ -55,7 +55,7 @@ class TestSystemConfig:
 
     def test_multi_core_bandwidth_is_per_core(self):
         system = cascade_lake_multi_core(4)
-        assert system.dram.bandwidth_gbps == pytest.approx(12.8)
+        assert system.dram.bandwidth_gbps == 3.2 * 4
 
     def test_with_dram_bandwidth(self):
         system = cascade_lake_multi_core(4).with_dram_bandwidth(1.6)

@@ -14,7 +14,7 @@ from repro.common.types import AccessKind, AccessOutcome, MemLevel, MemoryAccess
 from repro.cpu.core import CoreRunner
 from repro.sim.multi_core import run_multicore_mix
 from repro.sim.scenarios import build_scenario
-from repro.workloads import spec_like_trace
+from repro.workloads.spec_like import spec_like_trace
 
 
 def fixed_latency_memory(latency):

@@ -7,8 +7,7 @@ import pickle
 
 import pytest
 
-from repro.experiments import CampaignCache
-from repro.experiments.common import quick_experiment_config
+from repro.experiments.common import CampaignCache, quick_experiment_config
 from repro.experiments.spec import run_experiment
 from repro.sim.engine import (
     CampaignEngine,

@@ -9,26 +9,38 @@ hand-rolled harness loops at the quick configuration; see
 
 The rest pins the batch machinery: one engine fan-out per figure, the
 in-process memo deduplicating across specs, parallel (``jobs > 1``)
-execution matching serial and the sweep-spec JSON round trip.
+execution matching serial and the sweep-spec JSON round trip -- and the
+paper's claims each spec carries: all hold at the default configuration,
+and each fails on a result moved just past its bound.
 """
 
 import dataclasses
 import json
+import types
 from pathlib import Path
 
 import pytest
 
 from repro import api
-from repro.experiments.common import CampaignCache, quick_experiment_config
+from repro.experiments.common import (
+    CampaignCache,
+    default_experiment_config,
+    quick_experiment_config,
+)
 from repro.experiments.spec import (
+    Claim,
     MultiCoreSweep,
+    Ref,
     SingleCoreSweep,
     SweepResults,
     SweepSpec,
+    evaluate_claims,
     get_experiment,
     multicore_mixes,
+    ref,
     registered_experiments,
     run_experiment,
+    run_experiments,
     sweep_spec_from_dict,
     sweep_spec_to_dict,
 )
@@ -108,6 +120,94 @@ class TestRegistry:
             assert callable(spec.reduce)
             assert callable(spec.format_table)
             assert spec.title
+
+
+class Doctored:
+    """A reduced result with the value at one path (an attribute name, then
+    mapping keys) replaced; every other read passes through."""
+
+    def __init__(self, inner, path, value):
+        self._inner, self._path, self._value = inner, path, value
+
+    def _step(self, key, inner):
+        if key != self._path[0]:
+            return inner
+        if len(self._path) == 1:
+            return self._value
+        return Doctored(inner, self._path[1:], self._value)
+
+    def __getattr__(self, name):
+        return self._step(name, getattr(self._inner, name))
+
+    def __getitem__(self, key):
+        return self._step(key, self._inner[key])
+
+
+def just_past_bound(claim, result, delta=1e-6):
+    """``result`` doctored so the claim's first link fails by ``delta``.
+
+    Moves the first path of the link's left term (its right term when the
+    left is a constant) to the wrong side of the other term.
+    """
+    left, op, right = claim.chain[:3]
+    if isinstance(left, Ref):
+        term, other, sign = left, right, -1.0 if op.startswith(">") else 1.0
+    else:
+        term, other, sign = right, left, 1.0 if op.startswith(">") else -1.0
+    target = (other.read(result) if isinstance(other, Ref) else other) + sign * delta
+    path = term.paths[0]
+    leaf = ref(*path).read(result)
+    return Doctored(result, path, leaf + target - term.read(result))
+
+
+@pytest.fixture(scope="module")
+def default_results():
+    """``{name: (spec, reduced result)}`` of the whole registry at the
+    default configuration, run as one batch (a few seconds cold)."""
+    specs = list(registered_experiments().values())
+    results = run_experiments(specs, config=default_experiment_config(), jobs=2)
+    return {spec.name: (spec, result) for spec, result in zip(specs, results)}
+
+
+class TestClaims:
+    def test_every_claim_holds_at_default_config(self, default_results):
+        verdicts = {
+            (name, claim_name): (verdict, margin)
+            for name, (spec, result) in default_results.items()
+            for claim_name, verdict, margin in evaluate_claims(spec, result)
+        }
+        assert all(spec.claims for spec, _ in default_results.values())
+        failed = {key: row for key, row in verdicts.items() if row[0] != "PASS"}
+        assert not failed
+        assert all(margin >= 0.0 for _, margin in verdicts.values())
+
+    def test_every_claim_fails_just_past_its_bound(self, default_results):
+        for spec, result in default_results.values():
+            for claim in spec.claims:
+                verdict, margin = claim.evaluate(just_past_bound(claim, result))
+                assert verdict == "FAIL", (spec.name, claim.name)
+                assert -1e-3 < margin < 0.0, (spec.name, claim.name, margin)
+
+    def test_strictness_at_the_bound(self):
+        result = types.SimpleNamespace(share={"dram": 40.0})
+        at_bound = ref("share", "dram")
+        assert Claim(at_bound, ">", 40.0).evaluate(result) == ("FAIL", 0.0)
+        assert Claim(at_bound, ">=", 40.0).evaluate(result) == ("PASS", 0.0)
+        chain = Claim(30.0, "<", at_bound, "<=", 41.0)
+        assert chain.name == "30 < share[dram] <= 41"
+        assert chain.evaluate(result) == ("PASS", 1.0)
+
+    def test_missing_key_is_not_evaluated(self, campaign):
+        # The quick configuration sweeps IPCP only: Berti claims read keys
+        # the result lacks, and are reported rather than raised.
+        spec = get_experiment("fig10")
+        rows = evaluate_claims(spec, run_experiment(spec, cache=campaign))
+        for name, verdict, margin in rows:
+            if "[berti]" in name:
+                assert (verdict, margin) == ("not evaluated", None)
+            else:
+                assert verdict in ("PASS", "FAIL") and margin is not None
+        assert any("[berti]" in name for name, _, _ in rows)
 
 
 class TestSweepCompilation:

@@ -4,15 +4,15 @@ These tests run the per-figure harnesses with a drastically reduced workload
 set and trace length.  They check structural invariants (every workload gets
 a row, shares sum to 100%, etc.) and a few qualitative expectations that are
 robust even at tiny scale (e.g. L1D MPKI >= LLC MPKI, TLP filters
-prefetches).  The full-scale shape comparisons against the paper live in the
-figure harnesses, ``benchmarks/bench_fig*.py``.
+prefetches).  The paper's claims, checked at the default configuration,
+are each figure spec's ``claims`` (``tests/test_experiment_specs.py``).
 """
 
 import pytest
 
 from repro import api
-from repro.experiments import CampaignCache, run_experiment
-from repro.experiments.common import quick_experiment_config
+from repro.experiments.common import CampaignCache, quick_experiment_config
+from repro.experiments.spec import run_experiment
 from repro.experiments import (
     fig01_mpki,
     fig02_hermes_dram_sc,

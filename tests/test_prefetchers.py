@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.addresses import BLOCK_SIZE
 from repro.common.types import MemLevel
-from repro.prefetchers import make_l1d_prefetcher
 from repro.prefetchers.base import AlwaysIssueFilter, PrefetchRequest
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
+from repro.prefetchers.l1d import make_l1d_prefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import DELTA_SPAN, SPPPrefetcher
 

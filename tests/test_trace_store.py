@@ -382,6 +382,14 @@ class TestChampsimIngestion:
         assert store.get("imported.full").num_memory_accesses == 240
         assert store.get("imported.head").num_memory_accesses == 50
 
+    @pytest.mark.parametrize("max_records", [0, -5])
+    def test_max_records_below_one_is_rejected(self, tmp_path, max_records):
+        store = TraceStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="max_records must be at least 1"):
+            import_champsim_trace(CHAMPSIM_FIXTURE, trace_store=store,
+                                  max_records=max_records)
+        assert store.keys() == []
+
     def test_reimporting_different_content_changes_point_cache_key(self, tmp_path):
         """Re-importing a name replaces its entry, and result-cache keys of
         imported-workload points follow the trace content, so the new file
