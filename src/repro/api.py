@@ -28,6 +28,11 @@ implementation: "batch" (the default), the compiled kernel of
 bit-identical to; results (and persistent cache entries) are shared
 between the two.
 
+Importing this module loads no simulator component: the simulator names
+(``MemoryHierarchy``, the prefetchers and filters, ``run_single_core``,
+``build_scenario`` ...) resolve on first access, and the entry points load
+the simulator on the first point they simulate.
+
 Example::
 
     from repro import api
@@ -40,6 +45,7 @@ Example::
 
 from __future__ import annotations
 
+import importlib
 from typing import Optional
 
 from repro.common.config import (
@@ -50,7 +56,7 @@ from repro.common.config import (
     cascade_lake_multi_core,
     cascade_lake_single_core,
 )
-from repro.core.slp import SecondLevelPerceptron
+from repro.common.names import SCHEMES
 from repro.experiments.common import CampaignCache, ExperimentConfig, campaign_for
 from repro.experiments.spec import (
     MultiCoreSweep,
@@ -58,20 +64,13 @@ from repro.experiments.spec import (
     SweepResults,
     SweepSpec,
 )
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.prefetchers.base import FilterDecision, PrefetchFilter, PrefetchRequest
-from repro.prefetchers.ipcp import IPCPPrefetcher
-from repro.prefetchers.spp import SPPPrefetcher
 from repro.sim.engine import (
     CampaignPoint,
     build_workload_trace,
     execute_point,
     single_core_point,
 )
-from repro.sim.multi_core import MultiCoreResult, run_multicore_mix
-from repro.sim.results import SingleCoreResult
-from repro.sim.scenarios import SCHEMES, Scenario, build_scenario
-from repro.sim.single_core import run_single_core
+from repro.sim.results import MultiCoreResult, SingleCoreResult
 from repro.stats.metrics import percent_change, speedup_percent
 from repro.traces.store import TraceStore
 from repro.traces.trace import Trace
@@ -125,6 +124,31 @@ __all__ = [
     "percent_change",
     "speedup_percent",
 ]
+
+#: Names of ``__all__`` that live in the simulator layer -> their defining
+#: module, imported on first access (see :func:`__getattr__`).
+_SIMULATOR_NAMES = {
+    "Scenario": "repro.sim.scenarios",
+    "build_scenario": "repro.sim.scenarios",
+    "run_single_core": "repro.sim.single_core",
+    "run_multicore_mix": "repro.sim.multi_core",
+    "MemoryHierarchy": "repro.memory.hierarchy",
+    "PrefetchFilter": "repro.prefetchers.base",
+    "FilterDecision": "repro.prefetchers.base",
+    "PrefetchRequest": "repro.prefetchers.base",
+    "IPCPPrefetcher": "repro.prefetchers.ipcp",
+    "SPPPrefetcher": "repro.prefetchers.spp",
+    "SecondLevelPerceptron": "repro.core.slp",
+}
+
+
+def __getattr__(name: str):
+    """Resolve a simulator name on first access and bind it here."""
+    module = _SIMULATOR_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
 
 
 def load_trace(

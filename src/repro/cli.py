@@ -47,21 +47,20 @@ import os
 import time
 from typing import Sequence
 
+from repro.common.names import L1D_PREFETCHER_NAMES, SCHEMES
 from repro.experiments.common import (
     CampaignCache,
     ExperimentConfig,
     format_rows,
     quick_experiment_config,
 )
-from repro.prefetchers.l1d import L1D_PREFETCHERS
 from repro.sim.engine import CampaignReport, PointFailedError
-from repro.sim.scenarios import SCHEMES
 from repro.stats.metrics import percent_change, speedup_percent
 from repro.workloads.catalog import CATALOG_WORKLOADS
 from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS
 
 #: L1D prefetcher names accepted by every --prefetchers flag.
-PREFETCHER_CHOICES = (*L1D_PREFETCHERS, "none")
+PREFETCHER_CHOICES = (*L1D_PREFETCHER_NAMES, "none")
 
 #: CLI figure id -> registered experiment name.  Figures that are views of
 #: one shared campaign (10/11/12, 3/13/14, 5/6) alias the same spec.
@@ -703,8 +702,7 @@ def _cmd_obs_export_chrome(args: argparse.Namespace) -> int:
 
     from repro.obs import timeline
 
-    records = _load_obs_run(args.run)
-    if records is None:
+    if _load_obs_run(args.run) is None:
         return 2
     target = pathlib.Path(args.run)
     if args.output:
@@ -713,10 +711,7 @@ def _cmd_obs_export_chrome(args: argparse.Namespace) -> int:
         out = target / "trace.json"
     else:
         out = target.with_suffix(".trace.json")
-    trace = timeline.chrome_trace(records)
-    with out.open("w", encoding="utf-8") as fh:
-        json.dump(trace, fh)
-        fh.write("\n")
+    trace = timeline.export_chrome(target, out)
     print(f"chrome trace written to {out} "
           f"({len(trace['traceEvents'])} events; open in ui.perfetto.dev)")
     return 0

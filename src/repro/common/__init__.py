@@ -9,4 +9,5 @@ This package contains the pieces that every other subsystem depends on:
   perceptron weight tables.
 * :mod:`repro.common.config` -- configuration dataclasses mirroring Table III
   of the paper.
+* :mod:`repro.common.names` -- the scheme and L1D prefetcher names.
 """

@@ -14,9 +14,8 @@ from typing import Iterable, Optional
 
 from repro.experiments.spec import MultiCoreSweep, SweepResults
 from repro.sim.engine import CampaignEngine, CampaignPoint
-from repro.sim.multi_core import MultiCoreResult
 from repro.sim.result_cache import ResultCache
-from repro.sim.results import SingleCoreResult
+from repro.sim.results import MultiCoreResult, SingleCoreResult
 from repro.stats.metrics import geometric_mean, percent_change, weighted_speedup
 
 #: Default single-core workload selection: four GAP kernel/graph pairs and

@@ -49,8 +49,7 @@ from repro.sim.engine import (
     multi_core_point,
     single_core_point,
 )
-from repro.sim.multi_core import MultiCoreResult
-from repro.sim.results import SingleCoreResult
+from repro.sim.results import MultiCoreResult, SingleCoreResult
 
 
 # ----------------------------------------------------------------------

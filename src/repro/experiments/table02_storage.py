@@ -10,10 +10,8 @@ reproduces every table of the paper, not just the simulated ones.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.storage import StorageBreakdown, tlp_storage_breakdown
-from repro.core.tlp import TLPConfig, TwoLevelPerceptron
 from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
     Claim,
@@ -23,6 +21,10 @@ from repro.experiments.spec import (
     ref,
     register,
 )
+
+if TYPE_CHECKING:
+    from repro.core.storage import StorageBreakdown
+    from repro.core.tlp import TLPConfig
 
 
 def sweep(
@@ -38,6 +40,9 @@ def reduce(
     tlp_config: Optional[TLPConfig] = None,
 ) -> StorageBreakdown:
     """Compute the storage breakdown of a (default) TLP instance."""
+    from repro.core.storage import tlp_storage_breakdown
+    from repro.core.tlp import TLPConfig, TwoLevelPerceptron
+
     tlp = TwoLevelPerceptron(tlp_config if tlp_config is not None else TLPConfig())
     return tlp_storage_breakdown(tlp)
 

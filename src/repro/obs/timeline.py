@@ -97,10 +97,11 @@ def chrome_trace(records: Iterable[dict]) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def export_chrome(run: Path | str, out_path: Path | str) -> Path:
-    """Read a run (dir or merged JSONL) and write the Chrome trace file."""
+def export_chrome(run: Path | str, out_path: Path | str) -> dict:
+    """Read a run (dir or merged JSONL), write its Chrome trace file to
+    ``out_path`` and return the trace object written."""
     trace = chrome_trace(tracer.load_run(run))
     target = Path(out_path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(trace), encoding="utf-8")
-    return target
+    return trace

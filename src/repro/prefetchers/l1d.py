@@ -7,6 +7,7 @@ from repro.prefetchers.base import L1DPrefetcher
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 
+#: Keyed by :data:`repro.common.names.L1D_PREFETCHER_NAMES`, in its order.
 L1D_PREFETCHERS = {"ipcp": IPCPPrefetcher, "berti": BertiPrefetcher}
 
 

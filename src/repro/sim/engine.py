@@ -18,7 +18,9 @@ Layering: the engine sits between the raw simulation drivers
 (:mod:`repro.sim.single_core` / :mod:`repro.sim.multi_core`) and the
 experiment harnesses.  :mod:`repro.experiments.spec` compiles sweeps to its
 point batches, and :class:`repro.experiments.common.CampaignCache` is a
-per-process memo on top of it, keyed by point key.
+per-process memo on top of it, keyed by point key.  The engine imports the
+drivers inside :func:`execute_point`, so enumerating, compiling and caching
+points loads no simulator module.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from repro.obs import profile as obs_profile
 from repro.obs import tracer as obs_tracer
 from repro.obs.analyze import percentile
 
@@ -43,11 +44,8 @@ from repro.common.config import (
     system_config_from_dict,
     system_config_to_dict,
 )
-from repro.sim.multi_core import MultiCoreResult, run_multicore_mix
 from repro.sim.result_cache import ResultCache
-from repro.sim.results import SingleCoreResult
-from repro.sim.scenarios import build_scenario
-from repro.sim.single_core import run_single_core
+from repro.sim.results import MultiCoreResult, SingleCoreResult
 from repro.traces.store import IMPORTED_PREFIX, TraceStore, workload_key
 from repro.traces.trace import Trace
 from repro.workloads.gap import gap_trace
@@ -318,6 +316,11 @@ def execute_point(
     cores.  The ``simulate`` span records the core the point asked for; a
     run without the compiled kernel also emits ``sim.batch.fallback``.
     """
+    # Imported here, so that only simulating a point loads the simulator.
+    from repro.sim.multi_core import run_multicore_mix
+    from repro.sim.scenarios import build_scenario
+    from repro.sim.single_core import run_single_core
+
     memo = traces if traces is not None else {}
 
     def trace_for(workload: str) -> Trace:
@@ -374,6 +377,8 @@ def _init_pool_worker(trace_store_dir: Optional[str]) -> None:
     )
     _worker_traces = {}
     obs_tracer.install_from_env()
+    from repro.obs import profile as obs_profile
+
     obs_profile.install_from_env()
 
 
@@ -388,6 +393,8 @@ def _run_point(
     The generator-invocation delta rides back so the campaign report can
     count generator work across worker processes.
     """
+    from repro.obs import profile as obs_profile
+
     before = _generator_invocations
     start = time.perf_counter()
     with obs_profile.profiled_point():
@@ -539,11 +546,14 @@ class CampaignEngine:
         )
 
     def resolve_jobs(self, jobs: Optional[int] = None) -> int:
-        """Effective worker count for a run."""
+        """Effective worker count for a run: ``jobs``, else the engine's,
+        else ``os.cpu_count()``; a count below 1 raises ValueError."""
         effective = jobs if jobs is not None else self.jobs
         if effective is None:
-            effective = os.cpu_count() or 1
-        return max(1, effective)
+            return os.cpu_count() or 1
+        if effective < 1:
+            raise ValueError(f"jobs must be at least 1 (or None), got {effective}")
+        return effective
 
     # ------------------------------------------------------------------
     # Execution

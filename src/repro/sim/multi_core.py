@@ -14,7 +14,6 @@ batch mix runs that merge over its cores' steppers in the compiled kernel
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heapreplace
 from typing import Optional
 
@@ -25,28 +24,9 @@ from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.obs import sample as obs_sample
 from repro.sim import native
 from repro.sim.batch import chunk_size, fused_core_stepper, run_phase, use_kernel
+from repro.sim.results import MultiCoreResult
 from repro.sim.scenarios import Scenario, build_hierarchy
-from repro.stats.metrics import weighted_speedup
 from repro.traces.trace import KIND_NON_MEM, Trace, trace_lists
-
-
-@dataclass
-class MultiCoreResult:
-    """Outcome of one multi-core mix simulation."""
-
-    mix_name: str
-    scenario: str
-    workloads: list[str]
-    ipcs: list[float]
-    instructions: list[int]
-    dram_transactions: int
-    dram_transactions_by_source: dict[str, int]
-    per_core_dram_demand: list[int] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
-
-    def weighted_speedup(self, single_core_ipcs: list[float]) -> float:
-        """Weighted speedup against per-workload isolated IPCs."""
-        return weighted_speedup(self.ipcs, single_core_ipcs)
 
 
 def build_mix_hierarchies(

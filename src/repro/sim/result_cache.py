@@ -25,8 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.obs.logs import get_logger
-from repro.sim.multi_core import MultiCoreResult
-from repro.sim.results import SingleCoreResult
+from repro.sim.results import MultiCoreResult, SingleCoreResult
 
 logger = get_logger("cache")
 

@@ -1,16 +1,22 @@
-"""Result containers produced by the simulation drivers."""
+"""Result containers produced by the simulation drivers.
+
+The result types are plain data: this module imports no simulator
+component (the functions that read a hierarchy are handed one), so
+caching and reducing results never loads the simulator.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.common.types import MemLevel
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.predictors.perceptron import HashedPerceptron
-from repro.prefetchers.ppf import PerceptronPrefetchFilter
-from repro.stats.metrics import accuracy, mpki, ppki
+from repro.stats.metrics import accuracy, mpki, ppki, weighted_speedup
+
+if TYPE_CHECKING:
+    from repro.memory.hierarchy import MemoryHierarchy
 
 
 @dataclass
@@ -48,6 +54,25 @@ class SingleCoreResult:
         """Inaccurate L1D prefetches per kilo instruction served by ``level``."""
         key = level.name if isinstance(level, MemLevel) else level
         return ppki(self.inaccurate_prefetch_source.get(key, 0), self.instructions)
+
+
+@dataclass
+class MultiCoreResult:
+    """Outcome of one multi-core mix simulation."""
+
+    mix_name: str
+    scenario: str
+    workloads: list[str]
+    ipcs: list[float]
+    instructions: list[int]
+    dram_transactions: int
+    dram_transactions_by_source: dict[str, int]
+    per_core_dram_demand: list[int] = field(default_factory=list)
+    extra: dict = field(default_factory=dict)
+
+    def weighted_speedup(self, single_core_ipcs: list[float]) -> float:
+        """Weighted speedup against per-workload isolated IPCs."""
+        return weighted_speedup(self.ipcs, single_core_ipcs)
 
 
 def collect_single_core_result(
@@ -166,6 +191,9 @@ def check_invariants(result, hierarchies=()) -> list[str]:
 def _weight_tables(hierarchy: MemoryHierarchy) -> list[tuple]:
     """``(label, weights, (min, max))`` of each perceptron weight table of
     ``hierarchy``: FLP/Hermes and SLP per feature, PPF as one table."""
+    from repro.predictors.perceptron import HashedPerceptron
+    from repro.prefetchers.ppf import PerceptronPrefetchFilter
+
     tables = []
     for role in ("offchip_predictor", "l1d_prefetch_filter"):
         component = getattr(hierarchy, role)

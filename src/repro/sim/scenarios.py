@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.config import SystemConfig, cascade_lake_single_core
+from repro.common.names import SCHEMES
 from repro.core.tlp import TwoLevelPerceptron
 from repro.core.variants import ABLATION_VARIANTS, build_ablation_variant
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
@@ -35,22 +36,6 @@ from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.l1d import make_l1d_prefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
-
-#: All recognised scheme names.
-SCHEMES = (
-    "baseline",
-    "ppf",
-    "hermes",
-    "hermes_ppf",
-    "tlp",
-    "flp",
-    "slp",
-    "tsp",
-    "delayed_tsp",
-    "selective_tsp",
-    "hermes_7kb",
-    "prefetcher_7kb",
-)
 
 #: Figure 15 designs built by :func:`build_ablation_variant`; the full TLP
 #: is built as ``tlp``.

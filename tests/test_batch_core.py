@@ -60,12 +60,8 @@ from repro.sim.batch import (
     use_kernel,
 )
 from repro.sim.engine import build_workload_trace, single_core_point
-from repro.sim.multi_core import (
-    MultiCoreResult,
-    build_mix_hierarchies,
-    run_multicore_mix,
-)
-from repro.sim.results import check_invariants
+from repro.sim.multi_core import build_mix_hierarchies, run_multicore_mix
+from repro.sim.results import MultiCoreResult, check_invariants
 from repro.sim.scenarios import SCHEMES, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.ingest import read_champsim_trace

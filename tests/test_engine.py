@@ -17,9 +17,8 @@ from repro.sim.engine import (
     multi_core_point,
     single_core_point,
 )
-from repro.sim.multi_core import MultiCoreResult
 from repro.sim.result_cache import ResultCache, result_from_dict, result_to_dict
-from repro.sim.results import SingleCoreResult
+from repro.sim.results import MultiCoreResult, SingleCoreResult
 
 #: Tiny trace budget so each simulated point costs ~10ms.
 BUDGET = 800

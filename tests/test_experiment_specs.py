@@ -331,6 +331,16 @@ class TestBatchExecution:
         # The cache's own config (or none) is accepted.
         run_experiment("fig01", cache=cache, config=quick_experiment_config())
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_run_sweep_rejects_a_worker_count_below_one(self, jobs):
+        cache = CampaignCache(quick_experiment_config(), use_result_cache=False)
+        spec = SweepSpec(single_core=(
+            SingleCoreSweep(schemes=("baseline",), l1d_prefetchers=("ipcp",)),
+        ))
+        with pytest.raises(ValueError, match=f"got {jobs}$"):
+            api.run_sweep(spec, cache=cache, jobs=jobs)
+        assert cache.engine.simulations_run == 0
+
     def test_parallel_jobs_bit_identical_to_serial(self, expected):
         """The pool fan-out path produces the exact pre-refactor outputs."""
         cache = CampaignCache(quick_experiment_config(), use_result_cache=False)

@@ -1,0 +1,88 @@
+"""The data layer loads without the simulator.
+
+Describing, compiling and caching points, and parsing the CLI, import no
+simulator component; the simulator loads on the first simulated point.
+Each check runs in a fresh interpreter, where ``sys.modules`` shows exactly
+what an entry point imported.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.common.names import L1D_PREFETCHER_NAMES, SCHEMES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Module prefixes of the simulator layer.
+SIMULATOR_PREFIXES = (
+    "repro.sim.batch",
+    "repro.sim.native",
+    "repro.memory.",
+    "repro.cpu.",
+    "repro.predictors.",
+    "repro.prefetchers.",
+    "repro.core.",
+)
+
+#: Prints the simulator modules loaded so far, as one JSON line.
+LOADED = (
+    "import json, sys\n"
+    f"prefixes = {SIMULATOR_PREFIXES!r}\n"
+    "def loaded():\n"
+    "    print(json.dumps(sorted(m for m in sys.modules if m.startswith(prefixes))))\n"
+)
+
+
+def run_python(script: str, *args: str) -> list[list[str]]:
+    """Run ``script`` in a fresh interpreter; its JSON lines, parsed."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    process = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert process.returncode == 0, process.stderr
+    return [
+        json.loads(line) for line in process.stdout.splitlines()
+        if line.startswith("[")
+    ]
+
+
+def test_api_import_loads_no_simulator_until_a_point_runs():
+    before, after = run_python(
+        LOADED
+        + "from repro import api\n"
+        "loaded()\n"
+        "api.simulate_point('spec.mcf_like', 'tlp', memory_accesses=400)\n"
+        "loaded()\n"
+    )
+    assert before == []
+    for prefix in SIMULATOR_PREFIXES:
+        assert any(name.startswith(prefix) for name in after), prefix
+
+
+def test_cli_help_loads_no_simulator():
+    (loaded,) = run_python(
+        LOADED
+        + "import contextlib, io, runpy\n"
+        "sys.argv = ['repro', '--help']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('repro.cli', run_name='__main__')\n"
+        "    except SystemExit as done:\n"
+        "        assert not done.code, done.code\n"
+        "loaded()\n"
+    )
+    assert loaded == []
+
+
+def test_plain_names_match_the_components():
+    from repro.prefetchers.l1d import L1D_PREFETCHERS
+    from repro.sim import scenarios
+
+    assert scenarios.SCHEMES is SCHEMES
+    assert tuple(L1D_PREFETCHERS) == L1D_PREFETCHER_NAMES

@@ -382,9 +382,9 @@ class TestChromeExport:
         with run.open("w") as fh:
             for record in _synthetic_run():
                 fh.write(json.dumps(record) + "\n")
-        out = timeline.export_chrome(run, tmp_path / "trace.json")
-        trace = json.loads(out.read_text())
-        assert trace["traceEvents"]
+        written = timeline.export_chrome(run, tmp_path / "trace.json")
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert trace["traceEvents"] and trace == written
 
 
 # ----------------------------------------------------------------------
@@ -460,6 +460,14 @@ class TestObsCli:
         assert main(["obs", "export-chrome", str(run_dir),
                      "-o", str(out_file)]) == 0
         assert json.loads(out_file.read_text())["traceEvents"]
+
+    def test_export_chrome_writes_what_timeline_writes(self, run_dir, capsys):
+        assert main(["obs", "export-chrome", str(run_dir)]) == 0
+        printed = capsys.readouterr().out
+        expected_file = run_dir / "expected" / "trace.json"
+        expected = timeline.export_chrome(run_dir, expected_file)
+        assert (run_dir / "trace.json").read_text() == expected_file.read_text()
+        assert f"to {run_dir / 'trace.json'} ({len(expected['traceEvents'])} events;" in printed
 
     def test_report_on_missing_run(self, tmp_path, capsys):
         assert main(["obs", "report", str(tmp_path / "nope")]) == 2
