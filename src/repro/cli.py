@@ -45,7 +45,7 @@ import dataclasses
 import json
 import os
 import time
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.common.names import L1D_PREFETCHER_NAMES, SCHEMES
 from repro.experiments.common import (
@@ -145,17 +145,18 @@ def _resolve_trace_store(args: argparse.Namespace):
     return TraceStore(trace_dir) if trace_dir else TraceStore.default()
 
 
-def _imported_workloads(args: argparse.Namespace, trace_store) -> tuple[str, ...]:
-    """The ``imported.*`` workloads joining the sweep (``--include-imported``)."""
-    if not getattr(args, "include_imported", False):
-        return ()
+def _imported_workloads(trace_store, reason: str) -> Optional[tuple[str, ...]]:
+    """The ``imported.*`` workloads of the trace store, which ``reason``
+    needs; None, after saying why, when there is no store or it holds none
+    (the command then exits with status 2)."""
     if trace_store is None:
-        raise SystemExit("--include-imported requires the trace store "
-                         "(drop --no-trace-store)")
+        print(f"{reason} requires the trace store (drop --no-trace-store)")
+        return None
     imported = tuple(trace_store.imported_workloads())
     if not imported:
-        print(f"note: no imported traces in {trace_store.directory} "
+        print(f"no imported traces in {trace_store.directory} "
               f"(use 'repro trace import')")
+        return None
     return imported
 
 
@@ -179,12 +180,15 @@ def _cache_from_config(
 
 
 def _experiment_config_from_args(
-    args: argparse.Namespace, trace_store
-) -> ExperimentConfig:
+    args: argparse.Namespace, trace_store, imported_suite: bool = False
+) -> Optional[ExperimentConfig]:
     """Experiment configuration for ``repro figure`` / ``repro sweep``.
 
     Starts from the full-scale defaults (or the quick test configuration
-    with ``--quick``) and applies the explicit axis overrides.
+    with ``--quick``) and applies the explicit axis overrides.  The store's
+    imported workloads join it with ``--include-imported`` or when
+    ``imported_suite`` (a sweep draws mixes from the imported suite); None
+    when they are wanted but missing.
     """
     config = quick_experiment_config() if args.quick else ExperimentConfig()
     overrides: dict = {}
@@ -194,8 +198,14 @@ def _experiment_config_from_args(
         overrides["multicore_memory_accesses"] = args.multicore_accesses
     if args.prefetchers:
         overrides["l1d_prefetchers"] = tuple(args.prefetchers)
-    imported = _imported_workloads(args, trace_store)
-    if imported:
+    if args.include_imported or imported_suite:
+        imported = _imported_workloads(
+            trace_store,
+            "--include-imported" if args.include_imported
+            else "sweeping the imported suite",
+        )
+        if imported is None:
+            return None
         overrides["imported_workloads"] = imported
     return dataclasses.replace(config, **overrides) if overrides else config
 
@@ -476,6 +486,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
     trace_store = _resolve_trace_store(args)
     config = _experiment_config_from_args(args, trace_store)
+    if config is None:
+        return 2
     cache = _cache_from_config(args, config, trace_store)
     specs = [get_experiment(name) for name in names]
     start = time.perf_counter()
@@ -583,26 +595,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"invalid sweep spec: {error}")
         return 2
     trace_store = _resolve_trace_store(args)
-    config = _experiment_config_from_args(args, trace_store)
     # A multi-core block drawing mixes from the imported suite needs the
     # imported workloads in the config even without --include-imported;
     # an empty imported suite would otherwise compile to zero mixes
     # silently.
-    wants_imported = any(
-        block.mixes is None and "imported" in block.suites
-        for block in spec.multi_core
+    config = _experiment_config_from_args(
+        args,
+        trace_store,
+        imported_suite=any(
+            block.mixes is None and "imported" in block.suites
+            for block in spec.multi_core
+        ),
     )
-    if wants_imported and not config.imported_workloads:
-        if trace_store is None:
-            print("sweeping the imported suite requires the trace store "
-                  "(drop --no-trace-store)")
-            return 2
-        imported = tuple(trace_store.imported_workloads())
-        if not imported:
-            print(f"no imported traces in {trace_store.directory} "
-                  f"(use 'repro trace import')")
-            return 2
-        config = dataclasses.replace(config, imported_workloads=imported)
+    if config is None:
+        return 2
     cache = _cache_from_config(args, config, trace_store)
     points = spec.compile(config, trace_store=trace_store)
     if not points:

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.common.config import CacheConfig
+from repro.memory.pool import state_array
 
 #: Bits of a slot's ``_flags`` byte.  :data:`PREFETCH_PENDING` marks an
 #: issued L1D prefetch whose usefulness the hierarchy has not counted yet.
@@ -85,6 +86,12 @@ class Cache:
     stamp from the cache's one-element ``_clock``, so the stamps of a set
     are unique and the first minimum of a full set is exactly its least
     recently used block.
+
+    The state arrays (all but ``_clock``) belong to their cache: nothing
+    may keep one past the cache's lifetime.  Once no other object refers
+    to an array, the next cache of the same geometry reuses it (see
+    :func:`repro.memory.pool.state_array`); an array still referenced
+    anywhere is never handed out again.
     """
 
     def __init__(
@@ -103,12 +110,12 @@ class Cache:
             )
         self.latency = config.latency
         slots = self.num_sets * self.associativity
-        self._tags = array("q", [-1]) * slots
-        self._stamps = array("q", [0]) * slots
-        self._ready = array("q", [0]) * slots
-        self._flags = array("B", [0]) * slots
-        self._source = array("b", [-1]) * slots
-        self._set_fill = array("q", [0]) * self.num_sets
+        self._tags = state_array("q", slots, -1)
+        self._stamps = state_array("q", slots, 0)
+        self._ready = state_array("q", slots, 0)
+        self._flags = state_array("B", slots, 0)
+        self._source = state_array("b", slots, -1)
+        self._set_fill = state_array("q", self.num_sets, 0)
         self._clock = array("q", [0])
         self.stats = CacheStats()
         self._eviction_listener = eviction_listener

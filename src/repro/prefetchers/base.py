@@ -10,14 +10,17 @@ from typing import Optional
 import numpy as np
 
 from repro.common.types import MemLevel
+from repro.memory.pool import state_array
 
 #: In-page deltas lie in -63..63 (SPP's pattern table, Berti's counters).
 DELTA_SPAN = 127
 
 
 def flat_table(items: int, dtype) -> memoryview:
-    """A zeroed flat state table; subscripts return plain Python ints."""
-    return memoryview(np.zeros(items, dtype=dtype))
+    """A zeroed flat state table (a recycled
+    :func:`~repro.memory.pool.state_array`); subscripts return plain Python
+    numbers."""
+    return memoryview(state_array(np.dtype(dtype).char, items))
 
 
 class FifoTable:

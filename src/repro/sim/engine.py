@@ -30,8 +30,8 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from repro.obs import tracer as obs_tracer
@@ -115,14 +115,47 @@ class CampaignPoint:
         """Content-hash cache key of this point (hashed once: it is frozen)."""
         return self._key
 
+    def to_dict(self) -> dict:
+        """The point's fields by name (its values are plain data already)."""
+        return {name: getattr(self, name) for name in _POINT_FIELDS}
+
     @cached_property
     def _key(self) -> str:
-        payload = asdict(self)
-        if payload.get("trace_keys") is None:
-            payload.pop("trace_keys", None)
+        payload = self.to_dict()
+        if payload["trace_keys"] is None:
+            del payload["trace_keys"]
         payload["schema"] = CACHE_SCHEMA_VERSION
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+
+
+_POINT_FIELDS = tuple(spec.name for spec in fields(CampaignPoint))
+
+#: Canonical system JSON by ``repr(system)``.  The repr, unlike equality,
+#: tells 1 from 1.0, so two configs that serialise differently never share
+#: an entry.
+_SYSTEM_JSON: dict[str, str] = {}
+_SYSTEM_JSON_LIMIT = 256
+
+
+def system_json(system: SystemConfig) -> str:
+    """The canonical JSON of ``system`` (a point's ``system_json``),
+    serialised once per distinct config and process."""
+    description = repr(system)
+    text = _SYSTEM_JSON.get(description)
+    if text is None:
+        if len(_SYSTEM_JSON) >= _SYSTEM_JSON_LIMIT:
+            _SYSTEM_JSON.clear()
+        text = _SYSTEM_JSON[description] = json.dumps(
+            system_config_to_dict(system), sort_keys=True
+        )
+    return text
+
+
+@lru_cache(maxsize=64)
+def _parse_system_json(text: str) -> SystemConfig:
+    """The (frozen) config a point's ``system_json`` describes."""
+    return system_config_from_dict(json.loads(text))
 
 
 def imported_trace_keys(
@@ -168,7 +201,7 @@ def single_core_point(
         memory_accesses=memory_accesses,
         warmup_fraction=warmup_fraction,
         gap_scale=gap_scale,
-        system_json=json.dumps(system_config_to_dict(resolved), sort_keys=True),
+        system_json=system_json(resolved),
         trace_keys=imported_trace_keys((workload,), trace_store),
     )
 
@@ -195,7 +228,7 @@ def multi_core_point(
         memory_accesses=memory_accesses,
         warmup_fraction=warmup_fraction,
         gap_scale=gap_scale,
-        system_json=json.dumps(system_config_to_dict(system), sort_keys=True),
+        system_json=system_json(system),
         mix_name=mix_name,
         trace_keys=imported_trace_keys(workloads, trace_store),
     )
@@ -328,7 +361,7 @@ def execute_point(
             memo, workload, point.memory_accesses, point.gap_scale, trace_store
         )
 
-    system = system_config_from_dict(json.loads(point.system_json))
+    system = _parse_system_json(point.system_json)
     if sim_core is not None and sim_core != system.sim_core:
         system = replace(system, sim_core=sim_core)
     scenario = build_scenario(point.scheme, l1d_prefetcher=point.l1d_prefetcher)
@@ -665,7 +698,7 @@ class CampaignEngine:
         self.simulations_run += 1
         if self.result_cache is not None:
             with obs_tracer.span("cache_put", point=point.label):
-                self.result_cache.put(key, result, point=asdict(point))
+                self.result_cache.put(key, result, point=point.to_dict())
 
     # ------------------------------------------------------------------
     # Introspection

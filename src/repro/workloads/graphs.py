@@ -105,12 +105,28 @@ def _edges_to_csr(
 def uniform_random_graph(
     num_vertices: int = 65_536, average_degree: int = 16, seed: int = 7
 ) -> CSRGraph:
-    """Erdos-Renyi style graph: every edge endpoint drawn uniformly."""
+    """Erdos-Renyi style graph: every edge endpoint drawn uniformly.
+
+    The endpoints are the ``rng.integers(0, num_vertices)`` draws of the
+    sources, then of the destinations, taken from one raw draw: numpy
+    bounds each from a uint32 (the low half of a raw word, then its high
+    half) by Lemire's multiply-shift, which for a power-of-two bound
+    ``2**k`` never rejects and is exactly ``u32 >> (32 - k)`` (see
+    :mod:`repro.traces.synthetic`).  Other vertex counts are refused.
+    """
+    if num_vertices < 2 or num_vertices & (num_vertices - 1):
+        raise ValueError(
+            f"urand: the vertex count must be a power of two of at least 2, "
+            f"got {num_vertices}"
+        )
     rng = np.random.default_rng(seed)
     num_edges = num_vertices * average_degree
-    sources = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    destinations = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    return _edges_to_csr("urand", num_vertices, sources, destinations)
+    # 2 * num_edges uint32 values, low half of each raw word first.
+    raw = rng.bit_generator.random_raw(num_edges).astype("<u8", copy=False)
+    endpoints = raw.view("<u4") >> np.uint32(33 - num_vertices.bit_length())
+    return _edges_to_csr(
+        "urand", num_vertices, endpoints[:num_edges], endpoints[num_edges:]
+    )
 
 
 def power_law_graph(
@@ -141,15 +157,26 @@ def power_law_graph(
 
 
 def road_graph(side: int = 256, seed: int = 13) -> CSRGraph:
-    """2D grid graph (road-network-like: degree ~4, high locality)."""
+    """2D grid graph (road-network-like: degree ~4, high locality).
+
+    Vertex ``v`` links to ``v + 1``, ``v - 1``, ``v + side`` and
+    ``v - side``, in that order, where they lie on the grid; the CSR form
+    follows in closed form, without an edge list.
+    """
     num_vertices = side * side
-    vertex_ids = np.arange(num_vertices).reshape(side, side)
-    right = vertex_ids[:, :-1].ravel(), vertex_ids[:, 1:].ravel()
-    down = vertex_ids[:-1, :].ravel(), vertex_ids[1:, :].ravel()
-    sources = np.concatenate([right[0], right[1], down[0], down[1]])
-    destinations = np.concatenate([right[1], right[0], down[1], down[0]])
-    return _edges_to_csr("road", num_vertices, sources.astype(np.int64),
-                         destinations.astype(np.int64))
+    vertex = np.arange(num_vertices, dtype=np.int32)
+    column = vertex % side
+    candidates = np.stack(
+        [vertex + 1, vertex - 1, vertex + side, vertex - side], axis=1
+    )
+    present = np.stack(
+        [column < side - 1, column > 0,
+         vertex < num_vertices - side, vertex >= side],
+        axis=1,
+    )
+    row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=row_ptr[1:])
+    return CSRGraph(name="road", row_ptr=row_ptr, col_idx=candidates[present])
 
 
 #: Named graph generators, mirroring the role of Table V's input graphs.

@@ -254,6 +254,26 @@ class TestSweepCommand:
                      "--trace-dir", str(tmp_path / "empty_store")]) == 2
         assert "no imported traces" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig10", "--include-imported"],
+        ["sweep", "--include-imported", "--schemes", "baseline"],
+        ["sweep", "--multicore", "--suites", "imported"],
+    ], ids=["figure_include", "sweep_include", "sweep_suite"])
+    def test_missing_imported_workloads_are_one_error(self, capsys, tmp_path, argv):
+        # Whichever flag asks for the imported workloads, a missing or an
+        # empty trace store stops the command the same way, before any
+        # point runs.
+        common = [*argv, "--quick", "--no-cache"]
+        store = tmp_path / "empty_store"
+        assert main([*common, "--trace-dir", str(store)]) == 2
+        assert capsys.readouterr().out == (
+            f"no imported traces in {store} (use 'repro trace import')\n"
+        )
+        assert main([*common, "--no-trace-store"]) == 2
+        assert capsys.readouterr().out.endswith(
+            " requires the trace store (drop --no-trace-store)\n"
+        )
+
     @pytest.mark.parametrize("axes", [
         {"memory_accesses": 0},
         {"memory_accesses": -5},

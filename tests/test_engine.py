@@ -7,21 +7,55 @@ import pickle
 
 import pytest
 
+from repro.common.config import (
+    DRAMConfig,
+    cascade_lake_single_core,
+    system_config_to_dict,
+)
 from repro.experiments.common import CampaignCache, quick_experiment_config
-from repro.experiments.spec import run_experiment
+from repro.experiments.spec import get_experiment, run_experiment
 from repro.sim.engine import (
     CampaignEngine,
+    CampaignPoint,
     CampaignReport,
     PointOutcome,
     execute_point,
     multi_core_point,
     single_core_point,
+    system_json,
 )
 from repro.sim.result_cache import ResultCache, result_from_dict, result_to_dict
 from repro.sim.results import MultiCoreResult, SingleCoreResult
 
 #: Tiny trace budget so each simulated point costs ~10ms.
 BUDGET = 800
+
+
+#: The fig10 quick points' keys, computed before the engine memoised its
+#: system descriptions: a point's key is its result-cache address, so
+#: describing a point faster must leave every key as it was.
+FIG10_QUICK_KEYS = {
+    "bfs.urand/baseline/ipcp": "bf67a38c1271da109ff033989d1277cb",
+    "pr.urand/baseline/ipcp": "1b3e3fc6b9e819a712bbcac5dbc85cf9",
+    "spec.mcf_like/baseline/ipcp": "db9499bfc2c705cc792abf14f838fb20",
+    "spec.omnetpp_like/baseline/ipcp": "41cac82847d6ddbf3f5afe535cb9b54c",
+    "bfs.urand/ppf/ipcp": "defbe715ba183c92b76827e3d327db0e",
+    "pr.urand/ppf/ipcp": "10d3e8d0721b9896ca1ce75710bbe1cc",
+    "spec.mcf_like/ppf/ipcp": "53a2f6ec80b61d39e4e4fcb131582254",
+    "spec.omnetpp_like/ppf/ipcp": "a1af0c13157f45a55184e49cfef66c28",
+    "bfs.urand/hermes/ipcp": "4ab83851d27a25cdd0e94512ce07be06",
+    "pr.urand/hermes/ipcp": "525eaa5a45f010dbbe30a50efd04e345",
+    "spec.mcf_like/hermes/ipcp": "56103be7b7e27d40690be3f1f1f8df5e",
+    "spec.omnetpp_like/hermes/ipcp": "cd6268d054e970ad079f15173e8d84c2",
+    "bfs.urand/hermes_ppf/ipcp": "d406f6ff0f5fcb20bc17f350be5e7c5a",
+    "pr.urand/hermes_ppf/ipcp": "097379e62a5ca427cf55c247fca734f5",
+    "spec.mcf_like/hermes_ppf/ipcp": "f5961f5e79a56b0fa22e5b2faca1b43a",
+    "spec.omnetpp_like/hermes_ppf/ipcp": "89281d0160451fbbbde1e5cf914d75ee",
+    "bfs.urand/tlp/ipcp": "d5ca83f65bcd8c1db0047bc3bfe81348",
+    "pr.urand/tlp/ipcp": "169997e92146c30130a4e54a8f17b8c5",
+    "spec.mcf_like/tlp/ipcp": "8ef831bacdb36a3967d4119ae1889746",
+    "spec.omnetpp_like/tlp/ipcp": "81e2be39948a4153ddbc5adb9a5b07ca",
+}
 
 
 def tiny_point(workload="bfs.urand", scheme="baseline", budget=BUDGET):
@@ -60,11 +94,29 @@ class TestCampaignPoint:
     def test_label(self):
         assert tiny_point().label == "bfs.urand/baseline/ipcp"
 
+    def test_fig10_quick_keys_are_pinned(self):
+        config = quick_experiment_config()
+        points = get_experiment("fig10").build_sweep(config).compile(config)
+        assert {point.label: point.key() for point in points} == FIG10_QUICK_KEYS
+
+    def test_system_json_is_the_canonical_json(self):
+        """The memo returns what serialising each config gives, also for
+        configs that are equal but serialise differently (12 vs 12.0)."""
+        for bandwidth in (12.8, 12, 12.0, 12.8):
+            system = dataclasses.replace(
+                cascade_lake_single_core(),
+                dram=DRAMConfig(bandwidth_gbps=bandwidth),
+            )
+            assert system_json(system) == json.dumps(
+                system_config_to_dict(system), sort_keys=True
+            )
+        assert tiny_point().system_json == system_json(cascade_lake_single_core())
+
     def test_key_is_hashed_once_and_survives_pickling(self, monkeypatch):
         point = tiny_point()
         key = point.key()
         monkeypatch.setattr(
-            "repro.sim.engine.asdict", lambda *_: pytest.fail("key hashed twice")
+            CampaignPoint, "to_dict", lambda *_: pytest.fail("key hashed twice")
         )
         assert point.key() == key
         copy = pickle.loads(pickle.dumps(point))

@@ -24,7 +24,13 @@ from repro.traces.synthetic import (
 from repro.traces.trace import Trace
 from repro.workloads.catalog import CATALOG_WORKLOADS
 from repro.workloads.gap import GAP_KERNELS, gap_trace
-from repro.workloads.graphs import CSRGraph, _edges_to_csr, generate_graph
+from repro.workloads.graphs import (
+    CSRGraph,
+    _edges_to_csr,
+    generate_graph,
+    road_graph,
+    uniform_random_graph,
+)
 from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS, spec_like_trace
 
 #: Pinned GAP trace and graph digests (regenerate with
@@ -205,6 +211,47 @@ def edge_lists(draw):
     edges += [(v, v) for v in draw(st.lists(vertex, max_size=200))]
     draw(st.randoms(use_true_random=False)).shuffle(edges)
     return num_vertices, edges
+
+
+def road_edges(side):
+    """The grid's edges as an edge list: right, left, down and up links."""
+    ids = np.arange(side * side, dtype=np.int64).reshape(side, side)
+    right = ids[:, :-1].ravel(), ids[:, 1:].ravel()
+    down = ids[:-1, :].ravel(), ids[1:, :].ravel()
+    sources = np.concatenate([right[0], right[1], down[0], down[1]])
+    destinations = np.concatenate([right[1], right[0], down[1], down[0]])
+    return sources, destinations
+
+
+class TestGraphBuilds:
+    """The generators build CSR form directly, equal to the edge-list way."""
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 7, 64])
+    def test_road_matches_the_sorted_edge_list(self, side):
+        expected_row_ptr, expected_col_idx = reference_csr(side * side, *road_edges(side))
+        graph = road_graph(side=side)
+        assert graph.row_ptr.dtype == np.int64 and graph.col_idx.dtype == np.int32
+        assert np.array_equal(graph.row_ptr, expected_row_ptr)
+        assert np.array_equal(graph.col_idx, expected_col_idx)
+
+    @pytest.mark.parametrize("num_vertices,degree", [(2, 1), (64, 3), (4096, 16), (32_768, 16)])
+    def test_urand_matches_bounded_integer_draws(self, num_vertices, degree):
+        rng = np.random.default_rng(7)
+        edges = num_vertices * degree
+        sources = rng.integers(0, num_vertices, size=edges, dtype=np.int64)
+        destinations = rng.integers(0, num_vertices, size=edges, dtype=np.int64)
+        expected_row_ptr, expected_col_idx = reference_csr(
+            num_vertices, sources, destinations
+        )
+        graph = uniform_random_graph(num_vertices, average_degree=degree, seed=7)
+        assert graph.row_ptr.dtype == np.int64 and graph.col_idx.dtype == np.int32
+        assert np.array_equal(graph.row_ptr, expected_row_ptr)
+        assert np.array_equal(graph.col_idx, expected_col_idx)
+
+    @pytest.mark.parametrize("num_vertices", [0, 1, 3, 1000, 65_535])
+    def test_urand_refuses_other_vertex_counts(self, num_vertices):
+        with pytest.raises(ValueError, match="power of two"):
+            uniform_random_graph(num_vertices)
 
 
 class TestEdgesToCSR:
