@@ -35,6 +35,13 @@
  * Steppers or all scalar reference.  Pure counters accumulate per chunk
  * and are added to their stats objects at the end of each chunk.
  *
+ * Every index reduction (cache set, hashed perceptron slot, IPCP/Berti/SPP
+ * table key, FIFO slot, page-frame probe) goes through py_mod: a
+ * non-negative index is masked when the table size is a power of two, as
+ * every Table III structure is, and taken as is when already in range;
+ * only other sizes divide (%), in the out-of-line py_mod_divide.  The ROB's
+ * retire ring, of rob_size + 1 slots, wraps by compare-and-subtract.
+ *
  * Stepper.run() runs one core's trace to its end.  run_mix() interleaves
  * the Steppers of a multi-core mix: it pauses each before every load/store
  * and resumes the core with the smallest (dispatch cycle, core id).  Built
@@ -334,12 +341,27 @@ py_bool(int value)
     return value ? Py_True : Py_False;
 }
 
-/* Python's ``a % m`` for m > 0. */
-static inline int64_t
-py_mod(int64_t a, int64_t m)
+/* The dividing case of py_mod, kept out of line and off the hot path. */
+static __attribute__((noinline, cold)) int64_t
+py_mod_divide(int64_t a, int64_t m)
 {
     int64_t r = a % m;
     return r < 0 ? r + m : r;
+}
+
+/* Python's ``a % m`` for m > 0: every index reduction of the kernel.  A
+ * non-negative ``a`` is masked when ``m`` is a power of two and returned
+ * as is when already below ``m``; only the rest divide. */
+static inline int64_t
+py_mod(int64_t a, int64_t m)
+{
+    if (a >= 0) {
+        if ((m & (m - 1)) == 0)
+            return a & (m - 1);
+        if (a < m)
+            return a;
+    }
+    return py_mod_divide(a, m);
 }
 
 /* Python's ``a // 2``. */
@@ -457,15 +479,14 @@ hash_pair(uint64_t a, uint64_t b)
     return hash_step(hash_step(0x9E3779B9ull, a), b);
 }
 
-/* fold_xor(value, bits) for a non-negative value and 1 <= bits < 64. */
+/* fold_xor(value, bits) for a 32-bit value and 1 <= bits < 64: a fixed
+ * trip count per ``bits`` (the chunks past the value's top bit are 0). */
 static inline uint64_t
 fold_xor(uint64_t value, int bits)
 {
     uint64_t mask = (1ull << bits) - 1, folded = 0;
-    while (value) {
-        folded ^= value & mask;
-        value >>= bits;
-    }
+    for (int shift = 0; shift < 32; shift += bits)
+        folded ^= (value >> shift) & mask;
     return folded;
 }
 
@@ -473,7 +494,7 @@ fold_xor(uint64_t value, int bits)
 static inline Py_ssize_t
 table_slot(uint64_t value, int bits, Py_ssize_t entries)
 {
-    return (Py_ssize_t)(fold_xor(jenkins32(value), bits) % (uint64_t)entries);
+    return (Py_ssize_t)py_mod((int64_t)fold_xor(jenkins32(value), bits), entries);
 }
 
 /* max(1, (entries - 1).bit_length()) */
@@ -618,7 +639,7 @@ fifo_bind(Fifo *f, PyObject *obj, PyObject *name, Py_ssize_t cap, const char *wh
 static inline Py_ssize_t
 fifo_push(Fifo *f, int64_t key)
 {
-    Py_ssize_t slot = (Py_ssize_t)(*f->inserted % f->cap);
+    Py_ssize_t slot = (Py_ssize_t)py_mod(*f->inserted, f->cap);
     if (f->index.keys[slot] != -1)
         index_remove(&f->index, slot);
     f->index.keys[slot] = key;
@@ -1853,6 +1874,10 @@ cache_init(CacheState *c, PyObject *cache, int level)
         || get_ll(cache, S_associativity, &c->ways) < 0
         || get_ll(cache, S_latency, &c->latency) < 0)
         return -1;
+    if (c->num_sets < 1 || c->ways < 1) {
+        PyErr_SetString(PyExc_ValueError, "cache geometry must be positive");
+        return -1;
+    }
     Py_ssize_t slots = c->num_sets * c->ways;
     View *v = c->views;
     if ((c->tags = state_array(v++, cache, S__tags, 'q', slots, "cache")) == NULL
@@ -1877,7 +1902,7 @@ cache_release(CacheState *c)
 static inline Py_ssize_t
 cache_find(const CacheState *c, long long block)
 {
-    Py_ssize_t set_idx = (Py_ssize_t)(block % c->num_sets);
+    Py_ssize_t set_idx = (Py_ssize_t)py_mod(block, c->num_sets);
     Py_ssize_t base = set_idx * c->ways, end = base + c->set_fill[set_idx];
     for (Py_ssize_t slot = base; slot < end; slot++) {
         if (c->tags[slot] == block)
@@ -2009,7 +2034,7 @@ cache_fill(Stepper *s, CacheState *c, long long block, long long ready, int fill
             c->ready[slot] = ready;
         return 0;
     }
-    Py_ssize_t set_idx = (Py_ssize_t)(block % c->num_sets);
+    Py_ssize_t set_idx = (Py_ssize_t)py_mod(block, c->num_sets);
     Py_ssize_t base = set_idx * c->ways;
     if (c->set_fill[set_idx] < c->ways) {
         slot = base + c->set_fill[set_idx]++;
@@ -2103,9 +2128,9 @@ allocate_frame(PageTable *t, int64_t vpage, PyObject *vpage_obj)
 {
     if (add_attr(t->obj, S_page_faults, 1) < 0)
         return -1;
-    int64_t candidate = (int64_t)(
-        jenkins32(((uint64_t)vpage << 4) ^ ((uint64_t)t->core_id * 0x9E3779B1ull))
-        % (uint64_t)t->memory_frames);
+    int64_t candidate = py_mod(
+        (int64_t)jenkins32(((uint64_t)vpage << 4) ^ ((uint64_t)t->core_id * 0x9E3779B1ull)),
+        t->memory_frames);
     PyObject *frame_obj = NULL;
     for (long long probes = 0;; probes++) {
         if (probes > t->memory_frames) {
@@ -2120,7 +2145,7 @@ allocate_frame(PageTable *t, int64_t vpage, PyObject *vpage_obj)
         Py_DECREF(frame_obj);
         if (taken < 0)
             return -1;
-        candidate = (candidate + 1) % t->memory_frames;
+        candidate = py_mod(candidate + 1, t->memory_frames);
     }
     int rc = PySet_Add(t->allocated, frame_obj) == 0
         && PyDict_SetItem(t->mapping, vpage_obj, frame_obj) == 0;
@@ -2643,6 +2668,14 @@ end_chunk(Stepper *s)
     return rc;
 }
 
+/* The ring slot ``offset`` (< retire_cap) places after the ROB's head. */
+static inline Py_ssize_t
+retire_slot(const Stepper *s, Py_ssize_t offset)
+{
+    Py_ssize_t slot = s->retire_head + offset;
+    return slot >= s->retire_cap ? slot - s->retire_cap : slot;
+}
+
 /* Write the core runner's state back (end of the trace). */
 static int
 finish(Stepper *s)
@@ -2651,7 +2684,7 @@ finish(Stepper *s)
     if (times == NULL)
         return -1;
     for (Py_ssize_t i = 0; i < s->retire_len; i++) {
-        PyObject *value = PyFloat_FromDouble(s->retire[(s->retire_head + i) % s->retire_cap]);
+        PyObject *value = PyFloat_FromDouble(s->retire[retire_slot(s, i)]);
         if (value == NULL) {
             Py_DECREF(times);
             return -1;
@@ -2692,7 +2725,7 @@ retire_record(Stepper *s, double dispatch, long long latency)
     double retire = s->last_retire + s->dispatch_interval;
     if (completion > retire)
         retire = completion;
-    s->retire[(s->retire_head + s->retire_len) % s->retire_cap] = retire;
+    s->retire[retire_slot(s, s->retire_len)] = retire;
     s->retire_len++;
     s->last_retire = retire;
     s->dispatch_cycle = dispatch + s->dispatch_interval;
@@ -2730,7 +2763,7 @@ advance(Stepper *s, double *pause)
             dispatch = s->dispatch_cycle;
             if (s->retire_len >= s->rob_size) {
                 double constraint = s->retire[s->retire_head];
-                s->retire_head = (s->retire_head + 1) % s->retire_cap;
+                s->retire_head = retire_slot(s, 1);
                 s->retire_len--;
                 if (constraint > dispatch)
                     dispatch = constraint;

@@ -45,6 +45,7 @@ import json
 import os
 import shutil
 import sys
+import time
 import uuid
 from pathlib import Path
 from typing import Callable, Optional
@@ -89,6 +90,19 @@ _COLUMNS = (
 )
 
 _META_NAME = "meta.json"
+
+#: Entries whose content digests this process verified: absolute entry path
+#: -> the column files' ``(st_ino, st_size, st_mtime_ns)`` when they were
+#: hashed.  A load whose columns still carry that stamp skips the O(n) hash;
+#: a replaced entry or a rewritten column has a new stamp and is hashed
+#: again.
+_VERIFIED: dict[str, tuple] = {}
+
+#: A column modified less than this long before it was hashed is not
+#: memoised: a rewrite within the same file-system timestamp tick would keep
+#: its stamp (git's "racily clean" rule).  Fresh entries are hashed on every
+#: load until they are this old.
+_SETTLE_NS = 1_000_000_000
 
 
 class TraceStoreError(RuntimeError):
@@ -232,7 +246,9 @@ def load_trace(
     truncated file raises :class:`TraceStoreError` instead of handing the
     simulator a short memmap.  Stored content digests are additionally
     verified when ``verify`` is True or, when None, for entries up to
-    64 MiB of columns (the verification read warms the same page cache the
+    64 MiB of columns, once per process while the column files keep their
+    inode, size and modification time, and on every load while they are less
+    than a second old (the verification read warms the same page cache the
     simulation will use).
     """
     directory = Path(directory)
@@ -241,23 +257,30 @@ def load_trace(
     total_bytes = records * sum(
         np.dtype(dtype).itemsize for _, _, dtype in _COLUMNS
     )
-    check_digests = (
-        verify if verify is not None else total_bytes <= VERIFY_MAX_BYTES
-    )
-    arrays = {}
+    paths, stamp = {}, []
     for column_name, _, dtype in _COLUMNS:
-        described = meta["columns"][column_name]
-        file_name = described["file"]
-        path = directory / file_name
+        path = paths[column_name] = directory / meta["columns"][column_name]["file"]
         expected = records * np.dtype(dtype).itemsize
         try:
-            actual = path.stat().st_size
+            stat = path.stat()
         except OSError as exc:
             raise TraceStoreError(f"missing column file {path}") from exc
-        if actual != expected:
+        if stat.st_size != expected:
             raise TraceStoreError(
-                f"column file {path} is {actual} bytes; header says {expected}"
+                f"column file {path} is {stat.st_size} bytes; header says {expected}"
             )
+        stamp.append((stat.st_ino, stat.st_size, stat.st_mtime_ns))
+    memo_key = str(directory.absolute())
+    stamp = tuple(stamp)
+    check_digests = (
+        verify
+        if verify is not None
+        else total_bytes <= VERIFY_MAX_BYTES and _VERIFIED.get(memo_key) != stamp
+    )
+    hashed_at = time.time_ns()
+    arrays = {}
+    for column_name, _, dtype in _COLUMNS:
+        path = paths[column_name]
         if mmap:
             arrays[column_name] = (
                 np.memmap(path, dtype=dtype, mode="r", shape=(records,))
@@ -266,7 +289,7 @@ def load_trace(
             )
         else:
             arrays[column_name] = np.fromfile(path, dtype=dtype)
-        stored_digest = described.get("sha256")
+        stored_digest = meta["columns"][column_name].get("sha256")
         if check_digests and stored_digest and records:
             actual_digest = hashlib.sha256(
                 memoryview(np.ascontiguousarray(arrays[column_name]))
@@ -277,6 +300,8 @@ def load_trace(
                     f"({actual_digest[:12]} != stored {stored_digest[:12]}); "
                     f"entry is corrupt"
                 )
+    if check_digests and all(m < hashed_at - _SETTLE_NS for _, _, m in stamp):
+        _VERIFIED[memo_key] = stamp
     # On little-endian hosts the explicit '<' dtypes equal the native column
     # dtypes, so the view keeps the memmaps as-is (zero copy); a big-endian
     # host gets a byte-swapped private copy instead of a mis-decoded map.
@@ -292,6 +317,11 @@ def load_trace(
         native(arrays["kind"], KIND_DTYPE),
         dict(meta.get("metadata") or {}),
     )
+
+
+def _forget_verified(directory: Path) -> None:
+    """Drop ``directory`` from the process's verified-entry memo."""
+    _VERIFIED.pop(str(directory.absolute()), None)
 
 
 def _json_safe(value):
@@ -319,7 +349,9 @@ class TraceStore:
     One instance wraps one directory; entries are self-describing
     sub-directories (see the module docstring for the layout), and the
     ``imported.*`` entries are the imported-workload registry -- see
-    :mod:`repro.traces.ingest`.
+    :mod:`repro.traces.ingest`.  Content digests are verified once per
+    process per entry, whichever instance loads it (:func:`load_trace`);
+    ``put``, ``remove`` and a quarantine make the next load hash it again.
     """
 
     def __init__(self, directory: Optional[Path | str] = None) -> None:
@@ -330,10 +362,6 @@ class TraceStore:
         self.hits = 0
         #: Lookups that found no (readable) entry.
         self.misses = 0
-        #: Keys whose content digests this instance already verified; a
-        #: re-open of the same entry skips the O(n) hash (the threat is
-        #: on-disk corruption, checked once per process).
-        self._verified: set[str] = set()
 
     @classmethod
     def default(cls) -> "TraceStore":
@@ -367,23 +395,18 @@ class TraceStore:
             self.misses += 1
             return None
         try:
-            trace = load_trace(
-                self.path(key),
-                mmap=mmap,
-                verify=False if key in self._verified else None,
-            )
+            trace = load_trace(self.path(key), mmap=mmap)
         except TraceStoreError as error:
             self._quarantine(key, error)
             self.misses += 1
             return None
-        self._verified.add(key)
         self.hits += 1
         return trace
 
     def _quarantine(self, key: str, reason: Exception) -> None:
         """Rename a corrupt entry aside so the next access regenerates it."""
         entry = self.path(key)
-        self._verified.discard(key)
+        _forget_verified(entry)
         target = entry.with_name(entry.name + ".corrupt")
         try:
             if target.exists():
@@ -403,13 +426,13 @@ class TraceStore:
 
     def put(self, key: str, trace: Trace, extra: Optional[dict] = None) -> Path:
         """Store ``trace`` under ``key`` (atomically replacing any entry)."""
-        self._verified.discard(key)
+        _forget_verified(self.path(key))
         return save_trace(trace, self.path(key), extra=extra)
 
     def remove(self, key: str) -> bool:
         """Delete the entry stored under ``key``; True when one existed."""
         entry = self.path(key)
-        self._verified.discard(key)
+        _forget_verified(entry)
         if not entry.is_dir():
             return False
         shutil.rmtree(entry)

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import (
     CacheConfig,
+    CoreConfig,
     SystemConfig,
     cascade_lake_multi_core,
     cascade_lake_single_core,
@@ -441,6 +442,42 @@ class TestComponentState:
         assert batch_unsupported_reason(hierarchy()) is None
         scalar, batch = _state_pair(trace, hierarchy)
         assert batch == scalar
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scheme=st.sampled_from(("baseline", "tlp", "ppf")),
+        l1d=st.sampled_from(("ipcp", "berti")),
+        sets=st.tuples(*[st.integers(1, 48)] * 3),
+        ways=st.tuples(*[st.integers(1, 16)] * 3),
+        rob_size=st.integers(1, 300),
+        seed=st.integers(0, 1_000),
+    )
+    def test_random_cache_geometries(self, scheme, l1d, sets, ways, rob_size, seed):
+        """Set counts that are not powers of two take the kernel's dividing
+        index path, powers of two its mask; either way every result, stat
+        and state array (the caches' included) matches the scalar run."""
+        trace = spec_like_trace("mcf_like", num_memory_accesses=400, seed=seed)
+        system = dataclasses.replace(
+            cascade_lake_single_core(),
+            core=CoreConfig(rob_size=rob_size),
+            l1d=CacheConfig("L1D", sets[0] * ways[0] * 64, ways[0], 4, 10),
+            l2c=CacheConfig("L2C", sets[1] * ways[1] * 64, ways[1], 10, 16),
+            llc=CacheConfig("LLC", sets[2] * ways[2] * 64, ways[2], 36, 64),
+        )
+        scenario = build_scenario(scheme, l1d_prefetcher=l1d)
+        runs = []
+        for core in ("scalar", "batch"):
+            config = dataclasses.replace(system, sim_core=core)
+            hierarchy = build_hierarchy(scenario, config=config)
+            result = run_single_core(trace, scenario, config=config, hierarchy=hierarchy)
+            assert check_invariants(result, [hierarchy]) == [], core
+            runs.append((
+                dataclasses.asdict(result),
+                dataclasses.asdict(hierarchy.stats),
+                _lru_state(hierarchy),
+                _component_state(hierarchy),
+            ))
+        assert runs[1] == runs[0]
 
 
 class _SubclassedFLP(FirstLevelPerceptron):
@@ -1024,6 +1061,7 @@ class TestMultiCoreEquivalence:
             warmup_fraction=warmup_fraction,
         )
         assert oracle.dram_transactions > 0
+        states = []
         for core in ("scalar", "batch"):
             system = _mix_system(core, len(traces), bandwidth)
             hierarchies = build_mix_hierarchies(scenario, system, len(traces))
@@ -1033,6 +1071,8 @@ class TestMultiCoreEquivalence:
             )
             assert dataclasses.asdict(result) == dataclasses.asdict(oracle), core
             assert check_invariants(result, hierarchies) == [], core
+            states.append([_lru_state(h) for h in hierarchies])
+        assert states[1] == states[0]
 
     @pytest.mark.parametrize("scheme,prefetcher", [
         ("baseline", "ipcp"), ("hermes", "ipcp"), ("tlp", "ipcp"),
@@ -1061,6 +1101,12 @@ class TestMultiCoreEquivalence:
         self._check(
             [mix_traces["bfs.urand"], mix_traces["spec.mcf_like"]], "tlp"
         )
+
+    def test_three_core_mix(self, mix_traces):
+        """Three cores' shared LLC (3 x 1.375 MiB, 11 ways) has 6,144 sets:
+        its index divides."""
+        assert _mix_system("batch", 3).scaled_llc().num_sets == 6_144
+        self._check([mix_traces[w] for w in HETERO_MIX[:3]], "tlp")
 
     @pytest.mark.parametrize("chunk_records", [1, 61, DEFAULT_CHUNK_RECORDS])
     def test_chunk_sizes(self, mix_traces, chunk_records, monkeypatch):

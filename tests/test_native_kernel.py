@@ -87,7 +87,7 @@ class TestLoader:
             "from pathlib import Path\n"
             "from repro.sim import native\n"
             "module = native.load(Path(sys.argv[1]))\n"
-            "print(module.Stepper.__name__)\n"
+            "print(module.Stepper.__name__, Path(module.__file__).name)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         processes = [
@@ -97,13 +97,17 @@ class TestLoader:
             )
             for _ in range(2)
         ]
+        loaded = set()
         for process in processes:
             out, err = process.communicate(timeout=300)
             assert process.returncode == 0, err
-            assert out.strip() == "Stepper"
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            native.artifact_path(tmp_path).name
-        ]
+            stepper, name = out.split()
+            assert stepper == "Stepper"
+            loaded.add(name)
+        # One artifact, the one both loaded (named by the builders' flags,
+        # which need not be this process's).
+        assert len(loaded) == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(loaded)
 
     def test_build_deletes_stale_kernels(self, tmp_path, monkeypatch):
         suffix = native.artifact_path(tmp_path).name.split(".", 1)[1]
@@ -329,6 +333,16 @@ class TestCacheLayout:
         hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
         getattr(getattr(hierarchy, level), name).append(0)
         with pytest.raises(ValueError, match="cache state does not match its geometry"):
+            _stepper_for(hierarchy, traces["cc.road"])
+
+    @pytest.mark.parametrize("level,name,value", [
+        ("l1d", "num_sets", -1), ("llc", "num_sets", -64), ("l2c", "associativity", -2),
+    ])
+    def test_negative_geometry_is_rejected(self, traces, level, name, value):
+        # A negative product would match arrays of any length.
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
+        setattr(getattr(hierarchy, level), name, value)
+        with pytest.raises(ValueError, match="cache geometry must be positive"):
             _stepper_for(hierarchy, traces["cc.road"])
 
 

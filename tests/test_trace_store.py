@@ -748,6 +748,86 @@ class TestCorruptStorage:
         assert store.imported_workloads() == {}
 
 
+class TestVerifiedOncePerProcess:
+    """Content digests are hashed once per process per unchanged entry."""
+
+    def _put(self, store, key, seed_offset=0):
+        trace = spec_like_trace("lbm_like", num_memory_accesses=200 + seed_offset)
+        store.put(key, trace)
+        return trace
+
+    def _age(self, entry):
+        """Date the entry's columns 10 s back, past the settle window."""
+        for name in ("pc.bin", "vaddr.bin", "kind.bin"):
+            stat = (entry / name).stat()
+            past = stat.st_mtime_ns - 10_000_000_000
+            os.utime(entry / name, ns=(past, past))
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        from repro.traces import store as store_module
+
+        calls = []
+        real = store_module.hashlib.sha256
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store_module.hashlib, "sha256", counting)
+        return calls
+
+    def test_two_instances_hash_each_column_once(self, tmp_path, hashes):
+        self._put(TraceStore(tmp_path), "k")
+        hashes.clear()  # the put's own digests
+        first, second = TraceStore(tmp_path), TraceStore(tmp_path)
+        assert first.get("k") is not None
+        assert len(hashes) == 3
+        # A fresh entry is hashed on every load until it settles.
+        assert second.get("k") is not None
+        assert len(hashes) == 6
+        self._age(tmp_path / "k")
+        assert first.get("k") is not None
+        assert len(hashes) == 9
+        assert second.get("k") is not None
+        assert TraceStore(tmp_path).get("k") is not None
+        assert len(hashes) == 9
+
+    def test_a_put_of_different_content_is_verified_again(self, tmp_path, hashes):
+        store = TraceStore(tmp_path)
+        self._put(store, "k")
+        self._age(tmp_path / "k")
+        hashes.clear()  # the put's own digests
+        store.get("k")
+        store.get("k")
+        assert len(hashes) == 3
+        replacement = self._put(TraceStore(tmp_path), "k", seed_offset=50)
+        self._age(tmp_path / "k")
+        hashes.clear()
+        loaded = store.get("k")
+        assert len(hashes) == 3
+        assert np.array_equal(loaded.columns()[1], replacement.columns()[1])
+
+    def test_a_column_rewritten_in_place_is_quarantined(self, tmp_path, caplog):
+        from repro.traces import store as store_module
+
+        store = TraceStore(tmp_path)
+        self._put(store, "k")
+        entry = tmp_path / "k"
+        self._age(entry)
+        assert store.get("k") is not None  # clean, and memoised
+        assert str(entry.absolute()) in store_module._VERIFIED
+        with (entry / "vaddr.bin").open("r+b") as column:
+            byte = column.read(1)
+            column.seek(0)
+            column.write(bytes([byte[0] ^ 0xFF]))
+        with caplog.at_level(logging.WARNING, logger="repro.traces"):
+            assert TraceStore(tmp_path).get("k") is None
+        assert "digest mismatch" in caplog.text
+        assert [p.name for p in store.quarantined_entries()] == ["k.corrupt"]
+        assert str(entry.absolute()) not in store_module._VERIFIED
+
+
 # ----------------------------------------------------------------------
 # Trace-store GC (size-capped sweep mirroring `repro cache gc`)
 # ----------------------------------------------------------------------
