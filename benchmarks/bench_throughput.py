@@ -21,8 +21,9 @@ and PPF:
   TLP/IPCP hierarchy and the 4-core hierarchy set over one shared LLC
   (the fixed cost every point pays before its first access);
 * ``graph_build`` -- median milliseconds of 5 cold builds (graph memo
-  cleared before each) of the ``medium`` urand and road input graphs, the
-  set-up cost of every process that generates a GAP trace.
+  cleared before each) of the ``medium`` urand and road input graphs, each
+  with every ``col_idx`` row filled (a trace fills only the rows it walks,
+  so this is the most a GAP trace's graph can cost).
 
 ``--check`` calibrates the host just before and just after the gated rows
 and scales every gate by the higher of the two scores, so calibration noise
@@ -201,9 +202,9 @@ def measure_hierarchy_build(repeats: int = 9) -> dict:
 
 def measure_graph_build(repeats: int = 5) -> dict:
     """Median cold build time of the medium urand and road input graphs,
-    in milliseconds."""
+    every row filled, in milliseconds."""
     return _median_build_ms({
-        f"{name}_medium_ms": lambda name=name: generate_graph(name, scale="medium")
+        f"{name}_medium_ms": lambda name=name: generate_graph(name, scale="medium").col_idx
         for name in ("urand", "road")
     }, repeats, before=clear_graph_memo)
 

@@ -29,7 +29,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -665,6 +664,8 @@ class CampaignEngine:
                     raise PointFailedError(point, error) from error
                 yield key, point, outcome
             return
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         store_dir = (
             str(self.trace_store.directory) if self.trace_store is not None else None
         )

@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import uuid
 from pathlib import Path
 from typing import Optional
 
@@ -51,7 +50,7 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
     interleaving bytes.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_name(f".{path.stem}-{uuid.uuid4().hex[:8]}.tmp")
+    tmp_path = path.with_name(f".{path.stem}-{os.urandom(4).hex()}.tmp")
     try:
         tmp_path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         os.replace(tmp_path, path)

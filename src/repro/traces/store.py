@@ -46,7 +46,6 @@ import os
 import shutil
 import sys
 import time
-import uuid
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -149,7 +148,7 @@ def save_trace(trace: Trace, directory: Path | str, extra: Optional[dict] = None
     directory = Path(directory)
     pc, vaddr, kind = trace.columns()
     directory.parent.mkdir(parents=True, exist_ok=True)
-    tmp_dir = directory.parent / f".tmp-{directory.name}-{uuid.uuid4().hex[:8]}"
+    tmp_dir = directory.parent / f".tmp-{directory.name}-{os.urandom(4).hex()}"
     tmp_dir.mkdir()
     try:
         columns = {}

@@ -22,6 +22,9 @@ per-access compute interleave is expanded vectorically at the end, and the
 kernels walk the CSR arrays through ``memoryview`` objects: indexing one
 returns a plain int as fast as indexing a list does (numpy scalar access is
 several times slower), and creating one copies nothing.
+
+Each kernel fills the graph rows it is about to read (``CSRGraph.fill``),
+and BFS, BC and SSSP reset only the entries the previous source reached.
 """
 
 from __future__ import annotations
@@ -108,20 +111,32 @@ class TraceEmitter:
 # arrays are walked through memoryviews -- both are per-access hot-path
 # costs in a trace-emission run.
 # ----------------------------------------------------------------------
+def _fill_ahead(graph: CSRGraph, vertex: int) -> int:
+    """Fill the rows from ``vertex`` holding the next ``max(16,384, edges
+    passed)`` edges of a walk from vertex 0; return the end of that window."""
+    start = int(graph.row_ptr[vertex])
+    end = np.searchsorted(graph.row_ptr, start + max(16_384, start))
+    end = min(int(end), graph.num_vertices)
+    graph.fill(np.arange(vertex, end))
+    return end
+
+
 def _bfs(emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator) -> None:
     """Breadth-first search with an explicit frontier (push style)."""
-    row_ptr = memoryview(graph.row_ptr)
-    col_idx = memoryview(graph.col_idx)
+    row_ptr, col_idx = graph.views()
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     pc = _CODE_BASE
+    parent, reached = [-1] * num_vertices, []
     while not emitter.exhausted:
         source = int(rng.integers(0, num_vertices))
-        parent = [-1] * num_vertices
+        for vertex in reached:
+            parent[vertex] = -1
         parent[source] = source
-        frontier = [source]
+        frontier = reached = [source]
         queue_index = 0
         while frontier and not emitter.exhausted:
+            graph.fill(frontier)
             next_frontier = []
             for vertex in frontier:
                 if emitter.exhausted:
@@ -142,17 +157,19 @@ def _bfs(emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator) -> No
                         store(pc + 0x50, _QUEUE_BASE + 4 * (queue_index + len(next_frontier)))
                         next_frontier.append(neighbor)
             frontier = next_frontier
+            reached += frontier
 
 
 def _pagerank(emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator) -> None:
     """Pull-style PageRank iterations."""
-    row_ptr = memoryview(graph.row_ptr)
-    col_idx = memoryview(graph.col_idx)
+    row_ptr, col_idx = graph.views()
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     pc = _CODE_BASE + 0x1000
-    vertex = 0
+    vertex = filled = 0
     while not emitter.exhausted:
+        if vertex == filled:
+            filled = _fill_ahead(graph, vertex)
         load(pc + 0x00, _ROW_PTR_BASE + 8 * vertex)
         load(pc + 0x04, _ROW_PTR_BASE + 8 * (vertex + 1))
         for edge in range(row_ptr[vertex], row_ptr[vertex + 1]):
@@ -172,15 +189,17 @@ def _connected_components(
     emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator
 ) -> None:
     """Shiloach-Vishkin style hook-and-compress over the edge list."""
-    row_ptr = memoryview(graph.row_ptr)
-    col_idx = memoryview(graph.col_idx)
+    row_ptr, col_idx = graph.views()
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     comp = list(range(num_vertices))
     pc = _CODE_BASE + 0x2000
+    filled = 0
     while not emitter.exhausted:
         vertex = 0
         while vertex < num_vertices and not emitter.exhausted:
+            if vertex == filled:
+                filled = _fill_ahead(graph, vertex)
             load(pc + 0x00, _ROW_PTR_BASE + 8 * vertex)
             load(pc + 0x04, _ROW_PTR_BASE + 8 * (vertex + 1))
             for edge in range(row_ptr[vertex], row_ptr[vertex + 1]):
@@ -203,19 +222,21 @@ def _betweenness_centrality(
     emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator
 ) -> None:
     """Brandes-style BC from sampled sources (forward BFS + backward pass)."""
-    row_ptr = memoryview(graph.row_ptr)
-    col_idx = memoryview(graph.col_idx)
+    row_ptr, col_idx = graph.views()
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     pc = _CODE_BASE + 0x3000
+    depth, reached = [-1] * num_vertices, []
     while not emitter.exhausted:
         source = int(rng.integers(0, num_vertices))
-        depth = [-1] * num_vertices
+        for vertex in reached:
+            depth[vertex] = -1
         depth[source] = 0
         order: list[int] = []
-        frontier = [source]
+        frontier = reached = [source]
         # Forward sweep.
         while frontier and not emitter.exhausted:
+            graph.fill(frontier)
             next_frontier = []
             for vertex in frontier:
                 if emitter.exhausted:
@@ -236,6 +257,7 @@ def _betweenness_centrality(
                         store(pc + 0x34, _PROP_C_BASE + 8 * neighbor)
                         next_frontier.append(neighbor)
             frontier = next_frontier
+            reached += frontier
         # Backward accumulation.
         for vertex in reversed(order):
             if emitter.exhausted:
@@ -255,13 +277,14 @@ def _triangle_count(
     emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator
 ) -> None:
     """Triangle counting by neighbour-list intersection."""
-    row_ptr = memoryview(graph.row_ptr)
-    col_idx = memoryview(graph.col_idx)
+    row_ptr, col_idx = graph.views()
     num_vertices = graph.num_vertices
     load = emitter.load
     pc = _CODE_BASE + 0x4000
-    vertex = 0
+    vertex = filled = 0
     while not emitter.exhausted:
+        if vertex == filled:
+            filled = _fill_ahead(graph, vertex)
         load(pc + 0x00, _ROW_PTR_BASE + 8 * vertex)
         load(pc + 0x04, _ROW_PTR_BASE + 8 * (vertex + 1))
         for edge in range(row_ptr[vertex], row_ptr[vertex + 1]):
@@ -285,18 +308,20 @@ def _triangle_count(
 
 def _sssp(emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator) -> None:
     """Delta-stepping-style SSSP (bucketed Bellman-Ford relaxations)."""
-    row_ptr = memoryview(graph.row_ptr)
-    col_idx = memoryview(graph.col_idx)
+    row_ptr, col_idx = graph.views()
     num_vertices = graph.num_vertices
     load, store = emitter.load, emitter.store
     pc = _CODE_BASE + 0x5000
     infinity = int(np.iinfo(np.int64).max)
+    dist, reached = [infinity] * num_vertices, []
     while not emitter.exhausted:
         source = int(rng.integers(0, num_vertices))
-        dist = [infinity] * num_vertices
+        for vertex in reached:
+            dist[vertex] = infinity
         dist[source] = 0
-        bucket = [source]
+        bucket = reached = [source]
         while bucket and not emitter.exhausted:
+            graph.fill(bucket)
             next_bucket = []
             for vertex in bucket:
                 if emitter.exhausted:
@@ -316,6 +341,7 @@ def _sssp(emitter: TraceEmitter, graph: CSRGraph, rng: np.random.Generator) -> N
                         store(pc + 0x40, _PROP_C_BASE + 8 * neighbor)
                         next_bucket.append(neighbor)
             bucket = next_bucket
+            reached += bucket
 
 
 #: Kernel registry: name -> (callable, description).  Mirrors Table IV.

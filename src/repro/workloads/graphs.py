@@ -17,32 +17,78 @@ shapes the memory access pattern:
 Graphs are stored in CSR (compressed sparse row) form, the layout GAP itself
 uses, because the kernels' characteristic access pattern (stream the offsets
 array, stream the neighbour list, random-access the property array) follows
-directly from CSR.  A graph holds only its two numpy arrays; the trace
-emitters walk them through ``memoryview`` objects (see
-:mod:`repro.workloads.gap`).
+directly from CSR.  The trace emitters walk the two arrays through
+``memoryview`` objects (see :mod:`repro.workloads.gap`); ``urand`` and
+``kron`` fill the ``col_idx`` rows a trace reads on demand.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
 class CSRGraph:
     """A directed graph in compressed sparse row form.
 
     Attributes:
         name: graph name ("urand_small", "kron_medium", ...).
         row_ptr: int64 array of size ``num_vertices + 1``.
-        col_idx: int32 array of size ``num_edges`` (destination vertices).
+        col_idx: int32 array of size ``num_edges`` (destination vertices);
+            reading it (or pickling) first fills any rows :meth:`fill` left.
     """
 
-    name: str
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
+    def __init__(self, name: str, row_ptr, col_idx, pending=None) -> None:
+        self.name, self.row_ptr, self._col_idx = name, row_ptr, col_idx
+        #: (sources, destinations, key shift, lengths of the unfilled rows).
+        self._pending: tuple | None = pending
+
+    def __reduce__(self):
+        return CSRGraph, (self.name, self.row_ptr, self.col_idx)
+
+    @property
+    def col_idx(self) -> np.ndarray:
+        """The complete neighbour array (fills every unfilled row first)."""
+        if self._pending is not None:
+            self.fill(np.flatnonzero(self._pending[3]))
+        return self._col_idx
+
+    def views(self) -> tuple[memoryview, memoryview]:
+        """``row_ptr`` and ``col_idx`` as memoryviews (fills write in place)."""
+        return memoryview(self.row_ptr), memoryview(self._col_idx)
+
+    def fill(self, vertices) -> None:
+        """Fill the ``col_idx`` rows of ``vertices``: one pass over the sources
+        selects their edges, sorted by the unique keys ``(source << shift) |
+        edge_index``; rows holding most edges fill every row, with no pass."""
+        if self._pending is None:
+            return
+        sources, destinations, shift, unfilled = self._pending
+        vertices = np.asarray(vertices, dtype=np.int64)
+        vertices = vertices[unfilled[vertices] > 0]
+        if not len(vertices):
+            return
+        wanted = np.zeros(len(unfilled), dtype=bool)
+        wanted[vertices] = True
+        rows = np.flatnonzero(wanted)
+        lengths = unfilled[rows]
+        if 2 * lengths.sum() > len(sources):
+            unfilled[:] = 0
+            edges, positions = np.arange(len(sources)), slice(None)
+        else:
+            unfilled[rows] = 0
+            edges = np.flatnonzero(np.take(wanted, sources))
+            sources = sources[edges]
+            positions = np.repeat(self.row_ptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+            positions += np.arange(len(edges))
+        order = np.left_shift(sources, shift, dtype=np.int64)
+        order |= edges
+        order.sort()
+        order &= (1 << shift) - 1
+        self._col_idx[positions] = destinations[order]
+        if not unfilled.any():
+            self._pending = None
 
     @property
     def num_vertices(self) -> int:
@@ -52,7 +98,7 @@ class CSRGraph:
     @property
     def num_edges(self) -> int:
         """Number of directed edges."""
-        return len(self.col_idx)
+        return len(self._col_idx)
 
     @property
     def average_degree(self) -> float:
@@ -71,35 +117,25 @@ class CSRGraph:
 
     def footprint_bytes(self) -> int:
         """Approximate CSR footprint (offsets + neighbours), in bytes."""
-        return self.row_ptr.nbytes + self.col_idx.nbytes
+        return self.row_ptr.nbytes + self._col_idx.nbytes
 
 
 def _edges_to_csr(
     name: str, num_vertices: int, sources: np.ndarray, destinations: np.ndarray
 ) -> CSRGraph:
-    """Build a CSR graph from parallel source/destination arrays.
-
-    Edges are ordered by source, keeping input order within a source, by one
-    in-place sort of the int64 keys ``(source << shift) | edge_index``: the
-    keys are unique, so an unstable sort yields exactly the stable order.
-    """
+    """A CSR graph over parallel source/destination arrays, rows unfilled:
+    ``row_ptr`` is one ``bincount`` of the sources, and each row keeps its
+    edges in input order (see :meth:`CSRGraph.fill`)."""
     num_edges = len(sources)
     shift = num_edges.bit_length()
     if (num_vertices - 1).bit_length() + shift > 63:
         raise ValueError(f"{name}: {num_vertices} vertices x {num_edges} "
                          f"edges do not fit a 63-bit sort key")
-    order = np.left_shift(sources, shift, dtype=np.int64)
-    order |= np.arange(num_edges, dtype=np.int64)
-    order.sort()
-    order &= (1 << shift) - 1
     counts = np.bincount(sources, minlength=num_vertices)
     row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
-    return CSRGraph(
-        name=name,
-        row_ptr=row_ptr,
-        col_idx=destinations.astype(np.int32)[order],
-    )
+    pending = (sources, destinations, shift, counts)
+    return CSRGraph(name, row_ptr, np.empty(num_edges, dtype=np.int32), pending)
 
 
 def uniform_random_graph(
@@ -150,7 +186,7 @@ def power_law_graph(
         np.minimum(raw_dst / raw_dst.max(), 0.999999) * num_vertices
     ).astype(np.int64)
     # Permute ids so hubs are scattered over the address space.
-    permutation = rng.permutation(num_vertices)
+    permutation = rng.permutation(num_vertices).astype(np.int32)
     sources = permutation[sources]
     destinations = permutation[destinations]
     return _edges_to_csr("kron", num_vertices, sources, destinations)
@@ -176,7 +212,7 @@ def road_graph(side: int = 256, seed: int = 13) -> CSRGraph:
     )
     row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(present.sum(axis=1), out=row_ptr[1:])
-    return CSRGraph(name="road", row_ptr=row_ptr, col_idx=candidates[present])
+    return CSRGraph("road", row_ptr, candidates[present])
 
 
 #: Named graph generators, mirroring the role of Table V's input graphs.
@@ -192,15 +228,14 @@ GRAPH_GENERATORS = {
 }
 
 #: (name, scale, seed) -> CSRGraph memo.  Graph generation is deterministic
-#: and graphs are immutable once built (the kernels only read them), so one
-#: process-wide copy serves every campaign point that shares an input graph
-#: -- a large share of cold campaign-point wall time otherwise.  The memo is
-#: a small LRU: a memoized graph pins its two CSR arrays, 8 B per vertex
-#: plus 4 B per edge (~9.4 MB for the 2.1M-edge medium urand or kron graph,
-#: ~3.1 MB for the medium road graph), and a long sharded run sweeping many
-#: graph scales must not grow memory without bound, so the least recently
-#: used graph is evicted once the cap is reached (a campaign interleaves
-#: points over only a handful of distinct graphs at a time).
+#: and graphs are immutable once built (a fill writes only unread rows), so
+#: one process-wide copy serves every campaign point that shares an input
+#: graph.  The memo is a small LRU: a memoized graph pins its two CSR
+#: arrays, 8 B per vertex plus 4 B per edge (~9.4 MB for medium urand or
+#: kron, ~3.1 MB for medium road), and until it is complete its endpoint
+#: columns too, 8 B per edge (~16.8 MB; only filled ``col_idx`` pages are
+#: resident), so the least recently used graph is evicted at the cap (a
+#: campaign interleaves points over only a handful of graphs at a time).
 _GRAPH_MEMO: OrderedDict[tuple[str, str, int], CSRGraph] = OrderedDict()
 _GRAPH_MEMO_LIMIT = 6
 

@@ -3,7 +3,9 @@
 The fixture pins the bytes of the GAP kernel traces and of the CSR input
 graphs they walk: a sha256 of the ``(pc, vaddr, kind)`` columns for every
 kernel over the ``urand``, ``kron`` and ``road`` graphs at ``tiny`` scale,
-a few ``medium``-scale traces, and the ``row_ptr``/``col_idx`` arrays of
+``medium``-scale traces (most over ``urand`` and ``kron``, whose rows a
+kernel fills on demand), ``tiny`` road BFS/BC/SSSP traces long enough to
+run several sources, and the ``row_ptr``/``col_idx`` arrays of
 the three ``medium`` graphs.  ``tests/test_traces_and_workloads.py``
 regenerates every entry and compares it, so a change to graph construction
 or to a kernel's walk that alters a single access is caught.
@@ -12,12 +14,17 @@ Only regenerate after an *intentional* trace generator change (the same
 kind of change that bumps ``CACHE_SCHEMA_VERSION``)::
 
     PYTHONPATH=src python tests/fixtures/generate_gap_trace_digests.py
+
+An optional argument writes the digests to another path instead; CI writes
+them to a temporary file and diffs it against the committed fixture, so the
+script and the fixture cannot drift apart.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from repro.workloads.gap import GAP_KERNELS, gap_trace
@@ -38,6 +45,15 @@ TRACE_CASES = [
     (kernel, graph, "medium", accesses)
     for kernel, graph in (("bfs", "urand"), ("cc", "road"))
     for accesses in (2_000, 12_000)
+] + [
+    (kernel, "urand", "medium", 12_000) for kernel in ("bc", "sssp", "pr", "tc", "cc")
+] + [
+    ("pr", "urand", "medium", 4_000),
+] + [
+    (kernel, "kron", "medium", 2_000) for kernel in ("bfs", "bc", "sssp")
+] + [
+    # Several sources per trace, each reaching vertices earlier ones reached.
+    (kernel, "road", "tiny", 200_000) for kernel in ("bfs", "bc", "sssp")
 ]
 
 #: Input graphs whose CSR arrays are pinned, all at ``medium`` scale.
@@ -74,13 +90,14 @@ def generate() -> dict:
     return {"traces": traces, "graphs": graphs}
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    path = Path(argv[0]) if argv else FIXTURE_PATH
     payload = generate()
-    FIXTURE_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE_PATH} ({len(payload['traces'])} traces, "
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path} ({len(payload['traces'])} traces, "
           f"{len(payload['graphs'])} graphs)")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -310,10 +310,10 @@ class TestFailFast:
 
 class TestFigureAllPool:
     def test_figure_all_builds_one_process_pool(self, monkeypatch, capsys):
+        import concurrent.futures
         from concurrent.futures import ProcessPoolExecutor
 
         from repro.cli import main
-        from repro.sim import engine as engine_module
 
         pools = []
 
@@ -322,7 +322,8 @@ class TestFigureAllPool:
                 pools.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", CountingPool)
+        # The engine imports the pool class when a run opens one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         assert main(["figure", "all", "--quick", "--jobs", "2",
                      "--no-cache"]) == 0
         assert pools == [2]

@@ -1,7 +1,8 @@
 """The data layer loads without the simulator.
 
 Describing, compiling and caching points, and parsing the CLI, import no
-simulator component; the simulator loads on the first simulated point.
+simulator component, nor the process pool's modules; the simulator loads on
+the first simulated point, the pool when a run opens one.
 Each check runs in a fresh interpreter, where ``sys.modules`` shows exactly
 what an entry point imported.
 """
@@ -29,12 +30,18 @@ SIMULATOR_PREFIXES = (
     "repro.core.",
 )
 
-#: Prints the simulator modules loaded so far, as one JSON line.
+#: The process pool's modules and ``uuid``: the data layer opens no pool
+#: and names its temporary files without ``uuid``.
+POOL_MODULES = ("concurrent.futures", "multiprocessing", "uuid")
+
+#: Prints the simulator and pool modules loaded so far, as one JSON line.
 LOADED = (
     "import json, sys\n"
     f"prefixes = {SIMULATOR_PREFIXES!r}\n"
+    f"pool = {POOL_MODULES!r}\n"
     "def loaded():\n"
-    "    print(json.dumps(sorted(m for m in sys.modules if m.startswith(prefixes))))\n"
+    "    print(json.dumps(sorted(m for m in sys.modules\n"
+    "                            if m.startswith(prefixes) or m in pool)))\n"
 )
 
 

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -254,21 +257,69 @@ class TestGraphBuilds:
             uniform_random_graph(num_vertices)
 
 
+def edge_columns(edges):
+    """The source and destination columns of an edge list, as int64."""
+    sources = np.array([e[0] for e in edges], dtype=np.int64)
+    destinations = np.array([e[1] for e in edges], dtype=np.int64)
+    return sources, destinations
+
+
 class TestEdgesToCSR:
+    """``_edges_to_csr`` builds ``row_ptr`` whole and fills ``col_idx`` rows
+    on request (``CSRGraph.fill``); reading ``col_idx`` fills the rest."""
+
     @settings(max_examples=60, deadline=None)
     @given(edge_lists())
     def test_matches_stable_argsort_reference(self, case):
         num_vertices, edges = case
-        sources = np.array([e[0] for e in edges], dtype=np.int64)
-        destinations = np.array([e[1] for e in edges], dtype=np.int64)
+        sources, destinations = edge_columns(edges)
         expected_row_ptr, expected_col_idx = reference_csr(
             num_vertices, sources, destinations
         )
         graph = _edges_to_csr("g", num_vertices, sources.copy(), destinations.copy())
         assert graph.row_ptr.dtype == np.int64
-        assert graph.col_idx.dtype == np.int32
         assert np.array_equal(graph.row_ptr, expected_row_ptr)
+        assert graph.num_edges == len(edges)
+        assert graph.col_idx.dtype == np.int32
         assert np.array_equal(graph.col_idx, expected_col_idx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_lists(), st.data())
+    def test_requested_rows_match_the_reference(self, case, data):
+        num_vertices, edges = case
+        sources, destinations = edge_columns(edges)
+        row_ptr, expected_col_idx = reference_csr(num_vertices, sources, destinations)
+        graph = _edges_to_csr("g", num_vertices, sources.copy(), destinations.copy())
+        vertex = st.integers(min_value=0, max_value=num_vertices - 1)
+        requested = set()
+        for request in data.draw(st.lists(st.lists(vertex, max_size=40), max_size=8)):
+            graph.fill(request)
+            requested.update(request)
+            col_idx = np.asarray(graph.views()[1])
+            for v in requested:
+                row = slice(row_ptr[v], row_ptr[v + 1])
+                assert np.array_equal(col_idx[row], expected_col_idx[row]), v
+        assert np.array_equal(graph.col_idx, expected_col_idx)
+
+    def test_only_a_minority_of_unfilled_edges_makes_a_pass(self, monkeypatch):
+        """Empty or filled rows make no pass over the source column, and
+        rows holding most of the edges fill every row without one."""
+        sources = np.array([0, 2, 0, 2, 3, 3, 4, 4, 4], dtype=np.int64)
+        destinations = np.array([1, 4, 2, 0, 3, 1, 0, 2, 4], dtype=np.int64)
+        graph = _edges_to_csr("g", 6, sources, destinations)
+        passes = []
+        take = np.take
+        monkeypatch.setattr(np, "take", lambda *args: passes.append(1) or take(*args))
+        graph.fill([1, 5])  # empty rows
+        graph.fill([])
+        assert passes == []
+        graph.fill([2, 0, 2])  # 4 of 9 edges
+        assert passes == [1]
+        graph.fill([0, 1, 2])
+        assert passes == [1]
+        assert list(graph.neighbors(2)) == [4, 0]  # fills rows 3-4: 5 of 9
+        assert passes == [1] and graph._pending is None
+        assert graph.col_idx.tolist() == [1, 2, 4, 0, 3, 1, 0, 2, 4]
 
     def test_oversized_key_rejected(self):
         # 62 bits of vertex id + 2 bits of edge index > 63.
@@ -308,6 +359,39 @@ class TestGAPKernels:
         trace = gap_trace(entry["kernel"], graph=entry["graph"], scale=entry["scale"],
                           max_memory_accesses=entry["accesses"], seed=entry["seed"])
         assert sha256_of(*trace.columns()) == entry["sha256"]
+
+    @pytest.mark.parametrize("kernels", [("bfs", "tc"), ("tc", "bfs")])
+    def test_memoised_graph_gives_pinned_traces_in_any_order(self, kernels):
+        """Two kernels in one fresh interpreter share the memoised medium
+        urand graph, the second walking rows the first left filled."""
+        script = (
+            "import hashlib, json, sys\n"
+            "from repro.workloads.gap import gap_trace\n"
+            "from repro.workloads.graphs import generate_graph\n"
+            "digests = []\n"
+            "for kernel in sys.argv[1:]:\n"
+            "    trace = gap_trace(kernel, 'urand', scale='medium',\n"
+            "                      max_memory_accesses=12_000, seed=5)\n"
+            "    digest = hashlib.sha256()\n"
+            "    for column in trace.columns():\n"
+            "        digest.update(column.tobytes())\n"
+            "    digests.append(digest.hexdigest())\n"
+            "graph = generate_graph('urand', scale='medium', seed=5)\n"
+            "print(json.dumps([digests, graph._pending is not None]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        process = subprocess.run(
+            [sys.executable, "-c", script, *kernels],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert process.returncode == 0, process.stderr
+        digests, partly_filled = json.loads(process.stdout)
+        assert partly_filled  # the graph was shared, not completed
+        assert digests == [
+            GAP_DIGESTS["traces"][f"{kernel}.urand.medium.12000"]["sha256"]
+            for kernel in kernels
+        ]
 
 
 class TestSpecLikeWorkloads:
