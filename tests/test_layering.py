@@ -2,7 +2,8 @@
 
 Describing, compiling and caching points, and parsing the CLI, import no
 simulator component, nor the process pool's modules; the simulator loads on
-the first simulated point, the pool when a run opens one.
+the first simulated point, the pool when a run opens one.  Importing the
+package also starts no BLAS worker threads, unless the environment asks.
 Each check runs in a fresh interpreter, where ``sys.modules`` shows exactly
 what an entry point imported.
 """
@@ -45,9 +46,10 @@ LOADED = (
 )
 
 
-def run_python(script: str, *args: str) -> list[list[str]]:
-    """Run ``script`` in a fresh interpreter; its JSON lines, parsed."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def run_python(script: str, *args: str, env: dict | None = None) -> list[list]:
+    """Run ``script`` in a fresh interpreter, in ``env`` (by default this
+    process's environment); its JSON lines, parsed."""
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(SRC)}
     process = subprocess.run(
         [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=300,
@@ -93,3 +95,30 @@ def test_plain_names_match_the_components():
 
     assert scenarios.SCHEMES is SCHEMES
     assert tuple(L1D_PREFETCHERS) == L1D_PREFETCHER_NAMES
+
+
+#: Prints ``OPENBLAS_NUM_THREADS`` and the process's thread count (None where
+#: ``/proc`` has no task list) after the package and numpy load, in that
+#: order, as one JSON line.
+BLAS_THREADS = (
+    "import json, os\n"
+    "import repro.api\n"
+    "import numpy\n"
+    "task = '/proc/self/task'\n"
+    "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+    "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+)
+
+
+def test_numpy_starts_no_blas_threads_by_default():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    ((value, threads),) = run_python(BLAS_THREADS, env=env)
+    assert value == "1"
+    if sys.platform.startswith("linux"):
+        assert threads == 1
+
+
+def test_a_preset_blas_thread_count_wins():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    ((value, _),) = run_python(BLAS_THREADS, env=env)
+    assert value == "2"

@@ -6,8 +6,10 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.traces.synthetic import (
     strided_trace,
 )
 from repro.traces.trace import Trace
+from repro.workloads import graphs
 from repro.workloads.catalog import CATALOG_WORKLOADS
 from repro.workloads.gap import GAP_KERNELS, gap_trace
 from repro.workloads.graphs import (
@@ -264,6 +267,11 @@ def edge_columns(edges):
     return sources, destinations
 
 
+#: Fill chunk sizes each fill test runs at: its edge lists span many chunks
+#: of 1 or 3 sources, and fit in one of the default.
+FILL_CHUNKS = (1, 3, graphs._FILL_CHUNK)
+
+
 class TestEdgesToCSR:
     """``_edges_to_csr`` builds ``row_ptr`` whole and fills ``col_idx`` rows
     on request (``CSRGraph.fill``); reading ``col_idx`` fills the rest."""
@@ -276,12 +284,15 @@ class TestEdgesToCSR:
         expected_row_ptr, expected_col_idx = reference_csr(
             num_vertices, sources, destinations
         )
-        graph = _edges_to_csr("g", num_vertices, sources.copy(), destinations.copy())
-        assert graph.row_ptr.dtype == np.int64
-        assert np.array_equal(graph.row_ptr, expected_row_ptr)
-        assert graph.num_edges == len(edges)
-        assert graph.col_idx.dtype == np.int32
-        assert np.array_equal(graph.col_idx, expected_col_idx)
+        for chunk in FILL_CHUNKS:
+            with mock.patch.object(graphs, "_FILL_CHUNK", chunk):
+                graph = _edges_to_csr("g", num_vertices, sources.copy(), destinations.copy())
+                graph.fill(sources[-1:])  # one row by a pass, then the rest whole
+                assert graph.row_ptr.dtype == np.int64
+                assert np.array_equal(graph.row_ptr, expected_row_ptr)
+                assert graph.num_edges == len(edges)
+                assert graph.col_idx.dtype == np.int32
+                assert np.array_equal(graph.col_idx, expected_col_idx), chunk
 
     @settings(max_examples=60, deadline=None)
     @given(edge_lists(), st.data())
@@ -289,17 +300,20 @@ class TestEdgesToCSR:
         num_vertices, edges = case
         sources, destinations = edge_columns(edges)
         row_ptr, expected_col_idx = reference_csr(num_vertices, sources, destinations)
-        graph = _edges_to_csr("g", num_vertices, sources.copy(), destinations.copy())
         vertex = st.integers(min_value=0, max_value=num_vertices - 1)
-        requested = set()
-        for request in data.draw(st.lists(st.lists(vertex, max_size=40), max_size=8)):
-            graph.fill(request)
-            requested.update(request)
-            col_idx = np.asarray(graph.views()[1])
-            for v in requested:
-                row = slice(row_ptr[v], row_ptr[v + 1])
-                assert np.array_equal(col_idx[row], expected_col_idx[row]), v
-        assert np.array_equal(graph.col_idx, expected_col_idx)
+        requests = data.draw(st.lists(st.lists(vertex, max_size=40), max_size=8))
+        for chunk in FILL_CHUNKS:
+            with mock.patch.object(graphs, "_FILL_CHUNK", chunk):
+                graph = _edges_to_csr("g", num_vertices, sources.copy(), destinations.copy())
+                requested = set()
+                for request in requests:
+                    graph.fill(request)
+                    requested.update(request)
+                    col_idx = np.asarray(graph.views()[1])
+                    for v in requested:
+                        row = slice(row_ptr[v], row_ptr[v + 1])
+                        assert np.array_equal(col_idx[row], expected_col_idx[row]), (chunk, v)
+                assert np.array_equal(graph.col_idx, expected_col_idx), chunk
 
     def test_only_a_minority_of_unfilled_edges_makes_a_pass(self, monkeypatch):
         """Empty or filled rows make no pass over the source column, and
@@ -320,6 +334,22 @@ class TestEdgesToCSR:
         assert list(graph.neighbors(2)) == [4, 0]  # fills rows 3-4: 5 of 9
         assert passes == [1] and graph._pending is None
         assert graph.col_idx.tolist() == [1, 2, 4, 0, 3, 1, 0, 2, 4]
+
+    def test_build_and_small_fills_make_no_edge_sized_temporary(self):
+        """A medium urand build plus fills of 1, 17 and 300 rows peaks less
+        than one edge-sized copy (16 MB of endpoints) above what it keeps."""
+        graphs.clear_graph_memo()
+        tracemalloc.start()
+        try:
+            graph = generate_graph("urand", "medium", seed=5)
+            for rows in (1, 17, 300):
+                graph.fill(np.arange(rows) * (graph.num_vertices // rows))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            graphs.clear_graph_memo()
+        assert graph._pending is not None
+        assert peak - current <= 12 * 2**20
 
     def test_oversized_key_rejected(self):
         # 62 bits of vertex id + 2 bits of edge index > 63.
