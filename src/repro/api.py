@@ -10,7 +10,8 @@ The entry points and their CLI twins:
 
 ===================  =====================================================
 ``load_trace``       ``repro trace build`` -- one workload trace
-``simulate_point``   one (workload, scheme, prefetcher) simulation
+``simulate_point``   ``repro sweep --workloads W --schemes S --prefetchers
+                     P`` -- one (workload, scheme, prefetcher) simulation
 ``run_sweep``        ``repro sweep`` -- a user-defined point grid
 ``run_figure``       ``repro figure`` -- one registered paper figure
 ===================  =====================================================
@@ -21,6 +22,10 @@ answer ``run_sweep`` gives for the same point.  ``run_sweep`` and
 ``run_figure`` are the cached path: both run their points through
 :meth:`CampaignCache.run_points` and read them back through a
 :class:`SweepResults` view (``results.single_core(workload, scheme)``).
+
+Every entry point that simulates checks each point's inputs when it makes
+the point: an unknown workload, scheme or L1D prefetcher, or a budget
+below one, raises ``ValueError`` before any point runs.
 
 Every entry point takes ``core=`` to select the simulator core
 implementation: "batch" (the default), the compiled kernel of
@@ -193,7 +198,8 @@ def simulate_point(
 
     ``scheme`` is one of :data:`SCHEMES` (``baseline``, ``hermes``,
     ``tlp``, ...); ``core`` selects the simulator core implementation
-    ("batch" by default, or the bit-identical "scalar" reference).
+    ("batch" by default, or the bit-identical "scalar" reference).  An
+    input outside the design space raises ``ValueError``.
     """
     point = single_core_point(
         workload,
@@ -257,8 +263,9 @@ def run_figure(
 ):
     """Execute one registered paper figure end to end; return its result.
 
-    ``name`` is a figure id from the experiment registry (``fig01`` ...
-    ``fig17``, ``table02``).  Extra keyword ``params`` are forwarded to the
+    ``name`` is a figure id (``fig01`` ... ``fig17``, ``table02``; ids of
+    figures that share one campaign, such as ``fig11``, name the same
+    experiment as ``fig10``) or a registered experiment name.  Extra keyword ``params`` are forwarded to the
     figure's sweep builder and reducer (e.g. Figure 16's bandwidth points).
     The returned object is the figure's reduced result; render it with the
     spec's ``format_table`` or consume its fields directly.

@@ -1,9 +1,19 @@
-"""Command-line interface for running simulations and regenerating figures.
+r"""Command-line interface: a thin shell over :mod:`repro.api`.
+
+Each command turns its flags into the API's terms -- an
+:class:`~repro.experiments.common.ExperimentConfig`, a
+:class:`~repro.experiments.spec.SweepSpec` or a figure id of
+:data:`~repro.experiments.spec.FIGURE_IDS` -- runs them and prints the
+result.  The API checks each point's workload, scheme, prefetcher and
+budget when it makes the point, so a sweep naming an unknown one exits
+with status 2 before any point runs.  Comparing schemes on one workload is
+a sweep over that workload.
 
 Examples::
 
     # Compare schemes on one workload
-    python -m repro.cli run --workload bfs.urand --schemes baseline hermes tlp
+    python -m repro.cli sweep --workloads bfs.urand \
+        --schemes baseline hermes tlp --prefetchers ipcp --accesses 10000
 
     # Regenerate figures through the experiment registry (``all`` runs
     # every figure's points as one deduplicated batch on one process pool)
@@ -11,7 +21,7 @@ Examples::
     python -m repro.cli figure all --jobs 8
     python -m repro.cli figure fig10 --quick --jobs 4
 
-    # Run a user-defined sweep without writing a module
+    # Run a larger user-defined sweep without writing a module
     python -m repro.cli sweep --workloads bfs.urand spec.mcf_like \
         --schemes baseline hermes tlp --jobs 4
     python -m repro.cli sweep --spec-json my_sweep.json --list
@@ -47,40 +57,18 @@ import os
 import time
 from typing import Optional, Sequence
 
-from repro.common.names import L1D_PREFETCHER_NAMES, SCHEMES
+from repro.common.names import L1D_PREFETCHER_CHOICES, SCHEMES
 from repro.experiments.common import (
     CampaignCache,
     ExperimentConfig,
     format_rows,
     quick_experiment_config,
 )
+from repro.experiments.spec import FIGURE_IDS
 from repro.sim.engine import CampaignReport, PointFailedError
-from repro.stats.metrics import percent_change, speedup_percent
+from repro.stats.metrics import speedup_percent
 from repro.workloads.catalog import CATALOG_WORKLOADS
 from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS
-
-#: L1D prefetcher names accepted by every --prefetchers flag.
-PREFETCHER_CHOICES = (*L1D_PREFETCHER_NAMES, "none")
-
-#: CLI figure id -> registered experiment name.  Figures that are views of
-#: one shared campaign (10/11/12, 3/13/14, 5/6) alias the same spec.
-FIGURES = {
-    "fig01": "fig01",
-    "fig02": "fig02",
-    "fig03": "fig13",
-    "fig04": "fig04",
-    "fig05": "fig05",
-    "fig06": "fig05",
-    "fig10": "fig10",
-    "fig11": "fig10",
-    "fig12": "fig10",
-    "fig13": "fig13",
-    "fig14": "fig13",
-    "fig15": "fig15",
-    "fig16": "fig16",
-    "fig17": "fig17",
-    "table02": "table02",
-}
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -100,38 +88,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
             print(f"  {name:<24} {entry.get('memory_accesses', '?')} accesses "
                   f"from {entry.get('source', '?')}")
     print("\nFigures:")
-    for name in sorted(FIGURES):
+    for name in sorted(FIGURE_IDS):
         print(f"  {name}")
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro import api
-
-    campaign = CampaignCache(ExperimentConfig(memory_accesses=args.accesses))
-    # The engine's trace memo: the simulations below reuse this trace.
-    trace = campaign.engine.trace(
-        args.workload, args.accesses, campaign.config.gap_scale
-    )
-    print(f"workload: {trace.summary()}")
-    spec = api.SweepSpec(single_core=(api.SingleCoreSweep(
-        workloads=(args.workload,),
-        schemes=tuple(args.schemes),
-        l1d_prefetchers=(args.prefetcher,),
-    ),))
-    results = api.run_sweep(spec, cache=campaign)
-    baseline = None
-    for scheme in args.schemes:
-        result = results.single_core(args.workload, scheme, args.prefetcher)
-        if baseline is None:
-            baseline = result
-        print(
-            f"  {scheme:<14} ipc={result.ipc:7.3f} "
-            f"({speedup_percent(result.ipc, baseline.ipc):+6.1f}%)  "
-            f"dram={result.dram_transactions:7d} "
-            f"({percent_change(result.dram_transactions, baseline.dram_transactions):+6.1f}%)  "
-            f"pf_acc={100 * result.l1d_prefetch_accuracy:5.1f}%"
-        )
     return 0
 
 
@@ -474,22 +432,19 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         run_experiments,
     )
 
-    if args.name == "all":
-        names = list(registered_experiments())
-    else:
-        canonical = FIGURES.get(args.name)
-        if canonical is None:
-            print(f"unknown figure {args.name!r}; choose from "
-                  f"{sorted(FIGURES)} or 'all'")
-            return 1
-        names = [canonical]
+    try:
+        specs = (list(registered_experiments().values()) if args.name == "all"
+                 else [get_experiment(args.name)])
+    except KeyError:
+        print(f"unknown figure {args.name!r}; choose from "
+              f"{sorted(FIGURE_IDS)} or 'all'")
+        return 1
 
     trace_store = _resolve_trace_store(args)
     config = _experiment_config_from_args(args, trace_store)
     if config is None:
         return 2
     cache = _cache_from_config(args, config, trace_store)
-    specs = [get_experiment(name) for name in names]
     start = time.perf_counter()
     try:
         # Every figure's points in one deduplicated batch: one pool per run.
@@ -523,7 +478,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             shown = "" if margin is None else f" (margin {margin:+.3f})"
             print(f"claim {verdict}: {name}{shown}")
     elapsed = time.perf_counter() - start
-    print("\n" + _run_summary(f"figures: {len(names)}", elapsed,
+    print("\n" + _run_summary(f"figures: {len(specs)}", elapsed,
                               cache.engine, args.jobs))
     return _finish_run(args, cache.engine, claims)
 
@@ -562,32 +517,6 @@ def _sweep_spec_from_args(args: argparse.Namespace):
     return SweepSpec(single_core=(single,), multi_core=multi)
 
 
-def _unknown_workloads(points, trace_store) -> list[str]:
-    """Swept workload names no generator or imported trace can satisfy.
-
-    Checked up front so a typo is one clean CLI error, not a generator
-    traceback from deep inside a worker process.
-    """
-    from repro.workloads.gap import GAP_KERNELS
-    from repro.workloads.graphs import GRAPH_GENERATORS
-
-    imported = (
-        set(trace_store.imported_workloads()) if trace_store is not None else set()
-    )
-    unknown = []
-    for workload in sorted({w for point in points for w in point.workloads}):
-        if workload.startswith("spec."):
-            known = workload[len("spec."):] in SPEC_LIKE_WORKLOADS
-        elif workload.startswith("imported."):
-            known = workload in imported
-        else:
-            kernel, _, graph = workload.partition(".")
-            known = kernel in GAP_KERNELS and graph in GRAPH_GENERATORS
-        if not known:
-            unknown.append(workload)
-    return unknown
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = _sweep_spec_from_args(args)
@@ -610,16 +539,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if config is None:
         return 2
     cache = _cache_from_config(args, config, trace_store)
-    points = spec.compile(config, trace_store=trace_store)
+    try:
+        # Making a point checks its workloads, scheme, prefetcher and budget.
+        points = spec.compile(config, trace_store=trace_store)
+    except ValueError as error:
+        print(error)
+        return 2
     if not points:
         print("the sweep compiled to zero points")
         return 1
-    unknown = _unknown_workloads(points, trace_store)
-    if unknown:
-        print(f"unknown workloads: {', '.join(unknown)} "
-              f"(generated names: 'repro list'; imported traces: "
-              f"'repro trace ls')")
-        return 2
 
     if args.list:
         _print_point_status("sweep", cache.engine.status(points))
@@ -708,7 +636,8 @@ def _cmd_obs_export_chrome(args: argparse.Namespace) -> int:
 
     from repro.obs import timeline
 
-    if _load_obs_run(args.run) is None:
+    records = _load_obs_run(args.run)
+    if records is None:
         return 2
     target = pathlib.Path(args.run)
     if args.output:
@@ -717,7 +646,7 @@ def _cmd_obs_export_chrome(args: argparse.Namespace) -> int:
         out = target / "trace.json"
     else:
         out = target.with_suffix(".trace.json")
-    trace = timeline.export_chrome(target, out)
+    trace = timeline.export_chrome(records, out)
     print(f"chrome trace written to {out} "
           f"({len(trace['traceEvents'])} events; open in ui.perfetto.dev)")
     return 0
@@ -734,14 +663,6 @@ def _cmd_obs_hotspots(args: argparse.Namespace) -> int:
     print(obs_profile.hotspot_table(profiles, top=args.top, sort=args.sort),
           end="")
     return 0
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "report":
-        return _cmd_obs_report(args)
-    if args.obs_command == "export-chrome":
-        return _cmd_obs_export_chrome(args)
-    return _cmd_obs_hotspots(args)
 
 
 def _positive_int(text: str) -> int:
@@ -773,17 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     list_parser = subparsers.add_parser("list", help="list workloads, schemes and figures")
     list_parser.set_defaults(func=_cmd_list)
-
-    run_parser = subparsers.add_parser("run", help="simulate one workload under several schemes")
-    run_parser.add_argument("--workload", default="bfs.urand",
-                            help="workload name (e.g. bfs.urand or spec.mcf_like)")
-    run_parser.add_argument("--schemes", nargs="+", default=["baseline", "hermes", "tlp"],
-                            choices=list(SCHEMES))
-    run_parser.add_argument("--prefetcher", default="ipcp",
-                            choices=PREFETCHER_CHOICES)
-    run_parser.add_argument("--accesses", type=_positive_int, default=10_000,
-                            help="memory accesses to simulate")
-    run_parser.set_defaults(func=_cmd_run)
 
     def add_engine_flags(sub_parser: argparse.ArgumentParser) -> None:
         """Engine, caching and telemetry flags shared by figure and sweep."""
@@ -847,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser.add_argument(
         "name", help="figure id (e.g. fig01, fig10, table02) or 'all'")
     figure_parser.add_argument("--prefetchers", nargs="+", default=None,
-                               choices=PREFETCHER_CHOICES,
+                               choices=L1D_PREFETCHER_CHOICES,
                                help="L1D prefetchers to sweep "
                                     "(default: the configuration's sweep)")
     add_engine_flags(figure_parser)
@@ -866,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="schemes to sweep (include 'baseline' to get "
                                    "speedup columns)")
     sweep_parser.add_argument("--prefetchers", nargs="+", default=None,
-                              choices=PREFETCHER_CHOICES,
+                              choices=L1D_PREFETCHER_CHOICES,
                               help="L1D prefetchers to sweep "
                                    "(default: the configuration's sweep)")
     sweep_parser.add_argument("--multicore", action="store_true",
@@ -903,6 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.add_argument("--json", action="store_true",
                             help="emit the machine-readable summary instead "
                                  "of the text report")
+    obs_report.set_defaults(func=_cmd_obs_report)
     obs_chrome = obs_sub.add_parser(
         "export-chrome",
         help="convert a recorded run to Chrome trace-event JSON "
@@ -912,6 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "run.jsonl file")
     obs_chrome.add_argument("-o", "--output", default=None, metavar="PATH",
                             help="output file (default: <run>/trace.json)")
+    obs_chrome.set_defaults(func=_cmd_obs_export_chrome)
     obs_hotspots = obs_sub.add_parser(
         "hotspots",
         help="merge a run's cProfile dumps (--profile cprofile) and print "
@@ -924,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_hotspots.add_argument("--sort", default="cumulative",
                               choices=("cumulative", "tottime", "calls"),
                               help="pstats sort key (default cumulative)")
-    obs_parser.set_defaults(func=_cmd_obs)
+    obs_hotspots.set_defaults(func=_cmd_obs_hotspots)
 
     cache_parser = subparsers.add_parser(
         "cache", help="manage the persistent result cache"

@@ -25,5 +25,9 @@ SCHEMES = (
     "prefetcher_7kb",
 )
 
-#: The L1D prefetchers by name ("none" runs without one).
+#: The L1D prefetchers by name.
 L1D_PREFETCHER_NAMES = ("ipcp", "berti")
+
+#: What a point's L1D prefetcher may be: a prefetcher, or "none" to run
+#: without one.
+L1D_PREFETCHER_CHOICES = (*L1D_PREFETCHER_NAMES, "none")

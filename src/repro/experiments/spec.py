@@ -14,8 +14,9 @@ halves:
 
 An :class:`ExperimentSpec` pairs the two, names the paper's claims about
 the reduced result (:class:`Claim`, checked by :func:`evaluate_claims`) and
-registers under a name; the registry drives ``repro figure <name>|all`` and
-the parity test suite.
+registers under a name; :data:`FIGURE_IDS` maps each of the paper's figure
+ids to one.  The registry drives ``repro figure <id>|all`` and the parity
+test suite.
 User-defined sweeps (``repro sweep``) build a :class:`SweepSpec` straight
 from CLI flags or JSON (:func:`sweep_spec_from_dict`) -- including
 ``imported.*`` trace-store workloads -- without writing a module.
@@ -24,7 +25,9 @@ Every point is named by its cache key, built from an experiment
 configuration by :func:`config_single_core_point` /
 :func:`config_multi_core_point`.  Sweep compilation and
 :class:`SweepResults` lookups both use them, so a lookup finds the point
-the sweep ran.
+the sweep ran.  Making a point checks its inputs, so a sweep naming an
+unknown workload, scheme or prefetcher fails to compile with ``ValueError``
+before any point runs.
 
 Layering: this module sits on :mod:`repro.sim.engine` only;
 :mod:`repro.experiments.common` layers the in-process memo
@@ -39,11 +42,7 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional, Sequence
 
-from repro.common.config import (
-    SystemConfig,
-    system_config_from_dict,
-    system_config_to_dict,
-)
+from repro.common.config import SystemConfig, system_config_from_dict
 from repro.sim.engine import (
     CampaignPoint,
     multi_core_point,
@@ -306,39 +305,8 @@ class SweepSpec:
 
 
 # ----------------------------------------------------------------------
-# JSON round trip (repro sweep --spec-json)
+# JSON form (repro sweep --spec-json)
 # ----------------------------------------------------------------------
-def sweep_spec_to_dict(spec: SweepSpec) -> dict:
-    """Serialize a sweep spec to the JSON form ``repro sweep`` accepts."""
-
-    def block_dict(block) -> dict:
-        payload = {}
-        for spec_field in fields(block):
-            value = getattr(block, spec_field.name)
-            if value == spec_field.default:
-                continue
-            if spec_field.name == "systems":
-                value = [
-                    None if system is None else system_config_to_dict(system)
-                    for system in value
-                ]
-            elif isinstance(value, tuple):
-                value = _tuple_to_lists(value)
-            payload[spec_field.name] = value
-        return payload
-
-    return {
-        "single_core": [block_dict(block) for block in spec.single_core],
-        "multi_core": [block_dict(block) for block in spec.multi_core],
-    }
-
-
-def _tuple_to_lists(value):
-    if isinstance(value, tuple):
-        return [_tuple_to_lists(item) for item in value]
-    return value
-
-
 def _lists_to_tuples(value):
     if isinstance(value, list):
         return tuple(_lists_to_tuples(item) for item in value)
@@ -636,6 +604,28 @@ class ExperimentSpec:
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
+#: Figure id -> registered experiment name (``repro figure <id>``).
+#: Figures that are views of one shared campaign (10/11/12, 3/13/14, 5/6)
+#: alias the same spec.  A constant, so listing the ids imports no figure
+#: module.
+FIGURE_IDS = {
+    "fig01": "fig01",
+    "fig02": "fig02",
+    "fig03": "fig13",
+    "fig04": "fig04",
+    "fig05": "fig05",
+    "fig06": "fig05",
+    "fig10": "fig10",
+    "fig11": "fig10",
+    "fig12": "fig10",
+    "fig13": "fig13",
+    "fig14": "fig13",
+    "fig15": "fig15",
+    "fig16": "fig16",
+    "fig17": "fig17",
+    "table02": "table02",
+}
+
 #: Modules that register figure specs on import (order = ``figure all``).
 _FIGURE_MODULES = (
     "fig01_mpki",
@@ -670,13 +660,16 @@ def registered_experiments() -> dict[str, ExperimentSpec]:
 
 
 def get_experiment(name: str) -> ExperimentSpec:
-    """Look up one registered experiment by name."""
+    """Look up one registered experiment by name or figure id
+    (:data:`FIGURE_IDS`: ``fig11`` is ``fig10``)."""
     ensure_registered()
-    if name not in _REGISTRY:
+    spec = _REGISTRY.get(FIGURE_IDS.get(name, name))
+    if spec is None:
         raise KeyError(
-            f"unknown experiment {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown experiment {name!r}; choose from "
+            f"{sorted({*FIGURE_IDS, *_REGISTRY})}"
         )
-    return _REGISTRY[name]
+    return spec
 
 
 # ----------------------------------------------------------------------

@@ -97,10 +97,12 @@ def chrome_trace(records: Iterable[dict]) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def export_chrome(run: Path | str, out_path: Path | str) -> dict:
-    """Read a run (dir or merged JSONL), write its Chrome trace file to
-    ``out_path`` and return the trace object written."""
-    trace = chrome_trace(tracer.load_run(run))
+def export_chrome(run: Path | str | list[dict], out_path: Path | str) -> dict:
+    """Write the Chrome trace file of a run -- a directory, a merged JSONL
+    file or the records already loaded from one -- to ``out_path`` and
+    return the trace object written."""
+    records = run if isinstance(run, list) else tracer.load_run(run)
+    trace = chrome_trace(records)
     target = Path(out_path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(trace), encoding="utf-8")

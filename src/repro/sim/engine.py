@@ -43,12 +43,14 @@ from repro.common.config import (
     system_config_from_dict,
     system_config_to_dict,
 )
+from repro.common.names import L1D_PREFETCHER_CHOICES, SCHEMES
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import MultiCoreResult, SingleCoreResult
 from repro.traces.store import IMPORTED_PREFIX, TraceStore, workload_key
 from repro.traces.trace import Trace
-from repro.workloads.gap import gap_trace
-from repro.workloads.spec_like import spec_like_trace
+from repro.workloads.gap import GAP_KERNELS, gap_trace
+from repro.workloads.graphs import GRAPH_GENERATORS
+from repro.workloads.spec_like import SPEC_LIKE_WORKLOADS, spec_like_trace
 
 #: Bumped whenever simulator behaviour changes in a way that invalidates
 #: previously cached results.
@@ -157,27 +159,62 @@ def _parse_system_json(text: str) -> SystemConfig:
     return system_config_from_dict(json.loads(text))
 
 
+def _generated(workload: str) -> bool:
+    """Whether a generator makes ``workload``: ``spec.<name>`` needs a
+    SPEC-like generator, ``<kernel>.<graph>`` a GAP kernel and graph."""
+    if workload.startswith("spec."):
+        return workload[len("spec."):] in SPEC_LIKE_WORKLOADS
+    kernel, _, graph = workload.partition(".")
+    return kernel in GAP_KERNELS and graph in GRAPH_GENERATORS
+
+
 def imported_trace_keys(
     workloads: Sequence[str], trace_store: Optional[TraceStore] = None
 ) -> Optional[tuple[str, ...]]:
     """``CampaignPoint.trace_keys`` for a workload tuple.
 
-    Returns None when no workload is imported (keeping generated-only cache
-    keys identical to the pre-store format); otherwise a tuple parallel to
-    ``workloads`` holding each imported workload's store content key ("" for
-    generated workloads, and for imported workloads missing from the store
-    -- those fail later with a clear error when their trace is loaded).
+    Raises ``ValueError`` naming the workloads that neither a generator
+    nor the store's registry of ``imported.*`` traces can supply.  Returns
+    None when no workload is imported (keeping generated-only cache keys
+    identical to the pre-store format); otherwise a tuple parallel to
+    ``workloads`` holding each imported workload's store content key (""
+    for generated workloads).
     """
-    if not any(workload.startswith(IMPORTED_PREFIX) for workload in workloads):
+    registry: dict[str, dict] = {}
+    if any(workload.startswith(IMPORTED_PREFIX) for workload in workloads):
+        store = trace_store if trace_store is not None else TraceStore.default()
+        registry = store.imported_workloads()
+    unknown = [
+        workload for workload in workloads
+        if workload not in registry and not _generated(workload)
+    ]
+    if unknown:
+        raise ValueError(
+            f"unknown workloads: {', '.join(sorted(set(unknown)))} (generated "
+            f"names: 'repro list'; imported traces: 'repro trace ls')"
+        )
+    if not registry:
         return None
-    store = trace_store if trace_store is not None else TraceStore.default()
-    registry = store.imported_workloads()
     return tuple(
-        registry.get(workload, {}).get("key", "")
-        if workload.startswith(IMPORTED_PREFIX)
-        else ""
+        registry[workload]["key"] if workload in registry else ""
         for workload in workloads
     )
+
+
+def _check_point(scheme: str, l1d_prefetcher: str, memory_accesses: int) -> None:
+    """Raise ``ValueError`` unless a point's scheme, L1D prefetcher and
+    budget name a point of the design space."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {list(SCHEMES)}")
+    if l1d_prefetcher not in L1D_PREFETCHER_CHOICES:
+        raise ValueError(
+            f"unknown L1D prefetcher {l1d_prefetcher!r}; choose from "
+            f"{list(L1D_PREFETCHER_CHOICES)}"
+        )
+    if type(memory_accesses) is not int or memory_accesses < 1:
+        raise ValueError(
+            f"memory_accesses must be an integer >= 1, got {memory_accesses!r}"
+        )
 
 
 def single_core_point(
@@ -190,7 +227,12 @@ def single_core_point(
     system: Optional[SystemConfig] = None,
     trace_store: Optional[TraceStore] = None,
 ) -> CampaignPoint:
-    """Describe one single-core simulation as a :class:`CampaignPoint`."""
+    """Describe one single-core simulation as a :class:`CampaignPoint`.
+
+    Raises ``ValueError`` for an input outside the design space: an
+    unknown workload, scheme or L1D prefetcher, or a budget below one.
+    """
+    _check_point(scheme, l1d_prefetcher, memory_accesses)
     resolved = system if system is not None else cascade_lake_single_core()
     return CampaignPoint(
         kind="single_core",
@@ -216,7 +258,9 @@ def multi_core_point(
     per_core_bandwidth_gbps: float = 3.2,
     trace_store: Optional[TraceStore] = None,
 ) -> CampaignPoint:
-    """Describe one multi-core mix simulation as a :class:`CampaignPoint`."""
+    """Describe one multi-core mix simulation as a :class:`CampaignPoint`
+    (checked as :func:`single_core_point` checks its inputs)."""
+    _check_point(scheme, l1d_prefetcher, memory_accesses)
     system = cascade_lake_multi_core(num_cores=len(workloads))
     system = system.with_dram_bandwidth(per_core_bandwidth_gbps)
     return CampaignPoint(

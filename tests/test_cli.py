@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.spec import FIGURE_IDS
 
 
 class TestParser:
@@ -14,14 +15,12 @@ class TestParser:
         args = build_parser().parse_args(["list"])
         assert args.command == "list"
 
-    def test_run_command_defaults(self):
-        args = build_parser().parse_args(["run"])
-        assert args.workload == "bfs.urand"
-        assert "tlp" in args.schemes
-
-    def test_run_command_rejects_unknown_scheme(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--schemes", "magic"])
+    def test_run_is_an_unknown_command(self, capsys):
+        # One workload is a sweep: ``repro sweep --workloads W``.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--workload", "bfs.urand"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'run'" in capsys.readouterr().err
 
     def test_figure_command(self):
         args = build_parser().parse_args(["figure", "fig01"])
@@ -49,7 +48,7 @@ class TestParser:
             build_parser().parse_args(["sweep", "--schemes", "magic"])
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--accesses", "0"],
+        ["figure", "fig10", "--accesses", "0"],
         ["sweep", "--accesses", "-5"],
         ["figure", "fig01", "--multicore-accesses", "0"],
         ["trace", "build", "--workload", "bfs.urand", "--accesses", "0"],
@@ -92,19 +91,13 @@ class TestExecution:
     def test_figure_table_mapping_complete(self):
         # Every evaluation figure of the paper has a CLI entry.
         for expected in ("fig01", "fig10", "fig13", "fig15", "fig16", "fig17", "table02"):
-            assert expected in FIGURES
-
-    def test_run_command_executes_small_simulation(self, capsys):
-        assert main(["run", "--workload", "spec.sphinx_like", "--schemes", "baseline",
-                     "--accesses", "1500"]) == 0
-        output = capsys.readouterr().out
-        assert "ipc=" in output
+            assert expected in FIGURE_IDS
 
     @pytest.mark.parametrize("prefetcher", ["ipcp", "berti"])
     def test_run_prints_the_sweep_numbers(self, capsys, prefetcher):
-        """``repro run``, ``api.run_sweep`` and ``api.simulate_point`` give
-        one point one answer, at the experiment config's warm-up fraction;
-        ``repro run`` builds its trace once."""
+        """A one-workload ``repro sweep``, ``api.run_sweep`` and
+        ``api.simulate_point`` give one point one answer, at the experiment
+        config's warm-up fraction; the sweep builds its trace once."""
         from repro import api
         from repro.sim.engine import (
             generator_invocations,
@@ -112,11 +105,13 @@ class TestExecution:
         )
 
         reset_generator_invocations()
-        assert main(["run", "--workload", "bfs.urand", "--schemes", "baseline", "tlp",
-                     "--prefetcher", prefetcher, "--accesses", "2000"]) == 0
+        assert main(["sweep", "--workloads", "bfs.urand", "--schemes", "baseline",
+                     "tlp", "--prefetchers", prefetcher, "--accesses", "2000",
+                     "--jobs", "1", "--no-cache", "--no-trace-store"]) == 0
         assert generator_invocations() == 1
         printed = re.findall(
-            r"^\s*(\S+)\s+ipc=\s*([\d.]+).*dram=\s*(\d+)",
+            rf"^bfs\.urand/(\S+)/{prefetcher}\s+single_core\s+2000\s+"
+            r"([\d.]+)\s+(\d+)\s",
             capsys.readouterr().out, re.MULTILINE,
         )
         results = api.run_sweep(
@@ -130,7 +125,7 @@ class TestExecution:
         expected = []
         for scheme in ("baseline", "tlp"):
             result = results.single_core("bfs.urand", scheme, prefetcher)
-            expected.append((scheme, f"{result.ipc:.3f}", str(result.dram_transactions)))
+            expected.append((scheme, f"{result.ipc:.2f}", str(result.dram_transactions)))
             one_off = api.simulate_point(
                 "bfs.urand", scheme, prefetcher, memory_accesses=2000
             )
@@ -237,6 +232,28 @@ class TestSweepCommand:
                      "--workloads", "bfs.uran", "--schemes", "baseline"]) == 2
         output = capsys.readouterr().out
         assert "unknown workloads: bfs.uran" in output
+
+    @pytest.mark.parametrize("axes, named", [
+        ({"schemes": ["magic"]}, "unknown scheme 'magic'"),
+        ({"workloads": ["bfs.urnd"]}, "unknown workloads: bfs.urnd"),
+        ({"l1d_prefetchers": ["stride"]}, "unknown L1D prefetcher 'stride'"),
+    ], ids=["scheme", "workload", "prefetcher"])
+    def test_spec_json_unknown_names_exit_2_before_simulating(
+        self, capsys, tmp_path, monkeypatch, axes, named
+    ):
+        from repro.sim import engine as engine_module
+
+        def no_simulation(point, **kwargs):
+            raise AssertionError(f"simulated {point.label}")
+
+        monkeypatch.setattr(engine_module, "execute_point", no_simulation)
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({"single_core": [{
+            "workloads": ["spec.sphinx_like"], "schemes": ["baseline"], **axes,
+        }]}))
+        assert main(["sweep", "--quick", "--no-cache", "--jobs", "1",
+                     "--spec-json", str(spec_path)]) == 2
+        assert named in capsys.readouterr().out
 
     def test_sweep_bandwidths_imply_multicore(self, capsys):
         # --bandwidths/--suites shape the multi-core block, so passing one

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import pickle
+import re
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.sim.engine import (
 )
 from repro.sim.result_cache import ResultCache, result_from_dict, result_to_dict
 from repro.sim.results import MultiCoreResult, SingleCoreResult
+from repro.traces.store import TraceStore
 
 #: Tiny trace budget so each simulated point costs ~10ms.
 BUDGET = 800
@@ -123,6 +125,48 @@ class TestCampaignPoint:
         assert copy == point and copy.key() == key
         monkeypatch.undo()
         assert dataclasses.replace(copy, scheme="tlp").key() == tiny_point(scheme="tlp").key()
+
+
+class TestPointInputs:
+    """A point outside the design space raises ``ValueError`` when it is
+    made, so it never reaches a worker."""
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"workload": "bfs.urnd"}, "bfs.urnd"),
+        ({"workload": "spec.gromacs_like"}, "spec.gromacs_like"),
+        ({"workload": "urand"}, "urand"),
+        ({"scheme": "magic"}, "magic"),
+        ({"l1d_prefetcher": "stride"}, "stride"),
+        ({"memory_accesses": 0}, "integer >= 1"),
+        ({"memory_accesses": -5}, "integer >= 1"),
+        ({"memory_accesses": 2.5}, "integer >= 1"),
+        ({"memory_accesses": True}, "integer >= 1"),
+    ])
+    def test_single_core_point_rejects_an_unknown_input(self, kwargs, named):
+        point = {"workload": "bfs.urand", "scheme": "baseline",
+                 "l1d_prefetcher": "ipcp", "memory_accesses": BUDGET, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(named)):
+            single_core_point(warmup_fraction=0.25, **point)
+
+    def test_multi_core_point_names_every_unknown_workload(self):
+        with pytest.raises(ValueError, match="unknown workloads: bfs.urnd, spec.x"):
+            multi_core_point("mix", ["spec.x", "bfs.urand", "bfs.urnd"],
+                             "baseline", "ipcp", memory_accesses=BUDGET,
+                             warmup_fraction=0.25)
+        with pytest.raises(ValueError, match="unknown scheme 'magic'"):
+            multi_core_point("mix", ["bfs.urand"] * 2, "magic", "ipcp",
+                             memory_accesses=BUDGET, warmup_fraction=0.25)
+
+    def test_imported_workloads_must_be_in_the_store(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown workloads: imported.astar"):
+            single_core_point("imported.astar", "baseline", "ipcp",
+                              memory_accesses=BUDGET, warmup_fraction=0.25,
+                              trace_store=TraceStore(tmp_path / "empty"))
+
+    def test_no_prefetcher_is_a_point(self):
+        point = single_core_point("bfs.urand", "tlp", "none",
+                                  memory_accesses=BUDGET, warmup_fraction=0.25)
+        assert point.label == "bfs.urand/tlp/none"
 
 
 class TestResultCacheSerialization:
@@ -278,10 +322,14 @@ class TestFailFast:
 
     BAD = "spec.no_such_workload"
 
+    def bad_point(self):
+        """A point whose generator fails inside the run (making it through
+        ``single_core_point`` would raise before the run)."""
+        return dataclasses.replace(tiny_point(), workloads=(self.BAD,))
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_point_fails_run_naming_its_label(self, jobs):
-        points = [tiny_point(), tiny_point(scheme="tlp"),
-                  tiny_point(workload=self.BAD)]
+        points = [tiny_point(), tiny_point(scheme="tlp"), self.bad_point()]
         engine = CampaignEngine(result_cache=None)
         with pytest.raises(RuntimeError) as excinfo:
             engine.run(points, jobs=jobs)
@@ -298,7 +346,7 @@ class TestFailFast:
         cache = ResultCache(tmp_path)
         engine = CampaignEngine(result_cache=cache)
         with pytest.raises(RuntimeError, match=self.BAD):
-            engine.run(healthy + [tiny_point(workload=self.BAD)], jobs=1)
+            engine.run(healthy + [self.bad_point()], jobs=1)
         assert engine.simulations_run == len(healthy)
         assert all(cache.contains(point.key()) for point in healthy)
         # Re-running resumes from the result cache: nothing is re-simulated.

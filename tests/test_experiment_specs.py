@@ -41,8 +41,8 @@ from repro.experiments.spec import (
     registered_experiments,
     run_experiment,
     run_experiments,
+    FIGURE_IDS,
     sweep_spec_from_dict,
-    sweep_spec_to_dict,
 )
 from repro.sim.engine import single_core_point
 
@@ -113,6 +113,17 @@ class TestRegistry:
         assert spec.name == "fig01"
         with pytest.raises(KeyError, match="unknown experiment"):
             get_experiment("fig99")
+
+    def test_figure_ids_name_registered_experiments(self, campaign):
+        """A figure id that is a view of another figure's campaign names
+        that figure's spec, in the registry and through ``api.run_figure``."""
+        for figure_id, name in FIGURE_IDS.items():
+            assert get_experiment(figure_id) is get_experiment(name)
+        assert get_experiment("fig11").name == "fig10"
+        assert get_experiment("fig03").name == "fig13"
+        assert json_ready(api.run_figure("fig11", cache=campaign)) == json_ready(
+            api.run_figure("fig10", cache=campaign)
+        )
 
     def test_specs_carry_render_and_sweep(self):
         for name, spec in registered_experiments().items():
@@ -281,6 +292,32 @@ class TestSweepCompilation:
         assert point.key() == direct.key()
 
 
+class TestPointInputs:
+    """The API rejects a bad point input with ``ValueError`` before any
+    point simulates."""
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_simulate_point_rejects_a_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="memory_accesses must be an integer >= 1"):
+            api.simulate_point("bfs.urand", "baseline", memory_accesses=budget)
+
+    @pytest.mark.parametrize("spec, named", [
+        (SweepSpec(single_core=(SingleCoreSweep(
+            workloads=("bfs.urand", "bfs.urnd")),)), "unknown workloads: bfs.urnd"),
+        (SweepSpec(single_core=(SingleCoreSweep(
+            workloads=("bfs.urand",), schemes=("baseline", "magic")),)),
+         "unknown scheme 'magic'"),
+        (SweepSpec(multi_core=(MultiCoreSweep(
+            mixes=(("m", ("bfs.urand", "bfs.urnd")),)),)),
+         "unknown workloads: bfs.urnd"),
+    ], ids=["workload", "scheme", "mix_workload"])
+    def test_run_sweep_rejects_unknown_names_before_simulating(self, spec, named):
+        cache = CampaignCache(quick_experiment_config(), use_result_cache=False)
+        with pytest.raises(ValueError, match=named):
+            api.run_sweep(spec, cache=cache)
+        assert cache.engine.simulations_run == 0
+
+
 class TestBatchExecution:
     def test_figure_runs_as_one_engine_batch(self, monkeypatch):
         """A spec-driven figure issues exactly one ``CampaignEngine.run``."""
@@ -440,7 +477,21 @@ class TestSweepResults:
 
 class TestSweepSpecJson:
     def test_round_trip(self):
-        spec = SweepSpec(
+        """The JSON form parses to the spec built in Python."""
+        payload = {
+            "single_core": [{
+                "workloads": ["bfs.urand", "imported.astar"],
+                "schemes": ["baseline", "tlp"],
+                "memory_accesses": 4_000,
+            }],
+            "multi_core": [{
+                "suites": ["gap"],
+                "mixes": [["custom", ["a", "b", "c", "d"]]],
+                "schemes": ["baseline", "hermes"],
+                "per_core_bandwidths": [1.6, 3.2],
+            }],
+        }
+        assert sweep_spec_from_dict(payload) == SweepSpec(
             single_core=(
                 SingleCoreSweep(
                     workloads=("bfs.urand", "imported.astar"),
@@ -457,7 +508,6 @@ class TestSweepSpecJson:
                 ),
             ),
         )
-        assert sweep_spec_from_dict(sweep_spec_to_dict(spec)) == spec
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown SingleCoreSweep axes"):
@@ -506,11 +556,8 @@ class TestSweepSpecJson:
             sweep_spec_from_dict({"multi_core": [{"isolated_baselines": 1}]})
 
     def test_defaults_omitted_from_serialization(self):
-        payload = sweep_spec_to_dict(
-            SweepSpec(single_core=(SingleCoreSweep(schemes=("tlp",)),))
-        )
-        assert payload == {
-            "single_core": [{"schemes": ["tlp"]}],
-            "multi_core": [],
-        }
+        """Axes left out of the JSON form take the dataclass defaults."""
+        assert sweep_spec_from_dict(
+            {"single_core": [{"schemes": ["tlp"]}], "multi_core": []}
+        ) == SweepSpec(single_core=(SingleCoreSweep(schemes=("tlp",)),))
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
-from repro.cli import _unknown_workloads
 from repro.common.types import AccessKind, MemoryAccess
+from repro.sim.engine import single_core_point
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
     mixed_trace,
@@ -446,9 +445,10 @@ class TestCatalog:
         assert len(gap) == 6 * 3
         assert "bfs.kron" in gap and "sssp.road" in gap
         assert "spec.mcf_like" in CATALOG_WORKLOADS
-        # Every catalog name passes the CLI's up-front workload check.
-        points = [SimpleNamespace(workloads=CATALOG_WORKLOADS)]
-        assert _unknown_workloads(points, None) == []
+        # Every catalog name passes the check made when a point is made.
+        for name in CATALOG_WORKLOADS:
+            single_core_point(name, "baseline", "ipcp", memory_accesses=100,
+                              warmup_fraction=0.25)
 
     def test_build_trace_by_name(self):
         trace = api.load_trace("bfs.urand", 500, gap_scale="tiny")
