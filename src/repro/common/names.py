@@ -2,14 +2,14 @@
 
 Parsing CLI flags and describing points need only these names; keeping
 them apart from the components they select lets that code run without
-importing the simulator.  :mod:`repro.sim.scenarios` builds the schemes,
-and :data:`repro.prefetchers.l1d.L1D_PREFETCHERS` maps the prefetcher
-names to their classes.
+importing the simulator.  They are the keys, in order, of the two tables
+in :mod:`repro.sim.scenarios` that turn a name into components:
+``SCHEME_COMPONENTS`` and ``L1D_PREFETCHERS``.
 """
 
 from __future__ import annotations
 
-#: All recognised scheme names (see :mod:`repro.sim.scenarios`).
+#: All recognised scheme names.
 SCHEMES = (
     "baseline",
     "ppf",

@@ -6,96 +6,21 @@ filtering, attached to the L1D).  The two predictors are connected: SLP's
 leveling feature consumes the FLP prediction bit of the demand access from
 which each prefetch originates.
 
-The class below bundles the two predictors with their configuration so that
-simulation drivers can attach a whole TLP instance to a
-:class:`~repro.memory.hierarchy.MemoryHierarchy` in one call, and so that the
-storage accounting of Table II can be computed from a configured instance.
+:data:`repro.sim.scenarios.SCHEME_COMPONENTS` builds the ``tlp`` scheme;
+the class below bundles the pair at the paper's configuration so that the
+storage accounting of Table II can be computed from an instance.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
 
 
-@dataclass(frozen=True)
-class TLPConfig:
-    """Configuration knobs of a TLP instance.
-
-    The defaults correspond to the configuration evaluated in the paper:
-    5-bit weights, the Table I feature set, a selective-delay band between
-    ``tau_low`` and ``tau_high``, and a prefetch-filtering threshold
-    ``tau_pref``.
-    """
-
-    tau_high: int = 16
-    tau_low: int = 2
-    tau_pref: int = 8
-    weight_bits: int = 5
-    training_threshold: int = 34
-    page_buffer_entries: int = 128
-    table_entries: int | None = None
-    selective_delay: bool = True
-    use_leveling_feature: bool = True
-
-
 class TwoLevelPerceptron:
-    """The complete TLP predictor: FLP + SLP, wired together."""
+    """The complete TLP predictor: FLP + SLP at the paper's configuration
+    (5-bit weights, the Table I features, selective delay and leveling)."""
 
-    name = "tlp"
-
-    def __init__(self, config: TLPConfig | None = None) -> None:
-        self.config = config if config is not None else TLPConfig()
-        self.flp = FirstLevelPerceptron(
-            tau_high=self.config.tau_high,
-            tau_low=self.config.tau_low,
-            table_entries=self.config.table_entries,
-            weight_bits=self.config.weight_bits,
-            training_threshold=self.config.training_threshold,
-            page_buffer_entries=self.config.page_buffer_entries,
-            selective_delay=self.config.selective_delay,
-        )
-        self.slp = SecondLevelPerceptron(
-            tau_pref=self.config.tau_pref,
-            table_entries=self.config.table_entries,
-            weight_bits=self.config.weight_bits,
-            training_threshold=self.config.training_threshold,
-            page_buffer_entries=self.config.page_buffer_entries,
-            use_leveling_feature=self.config.use_leveling_feature,
-        )
-
-    # ------------------------------------------------------------------
-    # Attachment helpers
-    # ------------------------------------------------------------------
-    def attach(self, hierarchy) -> None:
-        """Attach FLP as off-chip predictor and SLP as L1D prefetch filter."""
-        hierarchy.offchip_predictor = self.flp
-        hierarchy.l1d_prefetch_filter = self.slp
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def storage_kib(self) -> float:
-        """Total predictor storage (FLP + SLP), excluding queue metadata."""
-        return self.flp.storage_kib() + self.slp.storage_kib()
-
-    def reset(self) -> None:
-        """Clear both predictors."""
-        self.flp.reset()
-        self.slp.reset()
-
-    def summary(self) -> dict:
-        """Return a dictionary of headline statistics of both predictors."""
-        return {
-            "flp_immediate_decisions": self.flp.immediate_decisions,
-            "flp_delayed_decisions": self.flp.delayed_decisions,
-            "flp_negative_decisions": self.flp.negative_decisions,
-            "flp_training_accuracy": self.flp.perceptron.stats.accuracy,
-            "slp_consultations": self.slp.consultations,
-            "slp_discarded": self.slp.discarded,
-            "slp_discard_rate": self.slp.discard_rate,
-            "slp_training_accuracy": self.slp.perceptron.stats.accuracy,
-            "storage_kib": self.storage_kib(),
-        }
+    def __init__(self) -> None:
+        self.flp = FirstLevelPerceptron()
+        self.slp = SecondLevelPerceptron()

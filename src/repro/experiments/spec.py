@@ -358,23 +358,15 @@ def sweep_spec_from_dict(payload: dict) -> SweepSpec:
             )
         kwargs = {}
         for name, value in block.items():
-            if name == "memory_accesses":
-                if (
-                    isinstance(value, bool)
-                    or not isinstance(value, int)
-                    or value <= 0
-                ):
-                    raise ValueError(
-                        f"{cls.__name__} axis 'memory_accesses' must be an "
-                        f"integer >= 1, got {value!r}"
-                    )
-            elif name == "isolated_baselines":
+            # The budget, the one scalar axis besides this flag, is checked
+            # with every other point input when the sweep compiles.
+            if name == "isolated_baselines":
                 if not isinstance(value, bool):
                     raise ValueError(
                         f"{cls.__name__} axis 'isolated_baselines' must be "
                         f"a boolean, got {value!r}"
                     )
-            elif not isinstance(value, list):
+            elif name != "memory_accesses" and not isinstance(value, list):
                 raise ValueError(
                     f"{cls.__name__} axis {name!r} must be a JSON array, "
                     f"got {value!r} (omit the key to use the default)"

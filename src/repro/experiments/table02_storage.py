@@ -10,7 +10,7 @@ reproduces every table of the paper, not just the simulated ones.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.experiments.common import ExperimentConfig, format_rows
 from repro.experiments.spec import (
@@ -24,27 +24,18 @@ from repro.experiments.spec import (
 
 if TYPE_CHECKING:
     from repro.core.storage import StorageBreakdown
-    from repro.core.tlp import TLPConfig
 
 
-def sweep(
-    config: ExperimentConfig, tlp_config: Optional[TLPConfig] = None
-) -> SweepSpec:
+def sweep(config: ExperimentConfig) -> SweepSpec:
     """Table II simulates nothing: the sweep is empty."""
     return SweepSpec()
 
 
-def reduce(
-    config: ExperimentConfig,
-    results: SweepResults,
-    tlp_config: Optional[TLPConfig] = None,
-) -> StorageBreakdown:
-    """Compute the storage breakdown of a (default) TLP instance."""
+def reduce(config: ExperimentConfig, results: SweepResults) -> StorageBreakdown:
+    """Compute the storage breakdown of the paper's TLP configuration."""
     from repro.core.storage import tlp_storage_breakdown
-    from repro.core.tlp import TLPConfig, TwoLevelPerceptron
 
-    tlp = TwoLevelPerceptron(tlp_config if tlp_config is not None else TLPConfig())
-    return tlp_storage_breakdown(tlp)
+    return tlp_storage_breakdown()
 
 
 def format_table(result: StorageBreakdown) -> str:

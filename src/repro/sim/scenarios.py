@@ -3,43 +3,84 @@
 A :class:`Scenario` names one point of the paper's design space:
 
 * the L1D prefetcher (IPCP or Berti, the two evaluated in the paper, or
-  none);
+  none), looked up in :data:`L1D_PREFETCHERS`;
 * the L2 prefetcher (SPP in every paper configuration);
 * the *scheme*, i.e. the off-chip-prediction / prefetch-filtering proposal
-  under test:
+  under test, looked up in :data:`SCHEME_COMPONENTS`.
 
-  - ``baseline``       -- prefetchers only, no off-chip prediction, no filter;
-  - ``ppf``            -- PPF filtering an aggressive SPP at L2;
-  - ``hermes``         -- Hermes off-chip prediction;
-  - ``hermes_ppf``     -- both of the above;
-  - ``tlp``            -- the paper's proposal (FLP + SLP);
-  - ``flp`` / ``slp`` / ``tsp`` / ``delayed_tsp`` / ``selective_tsp``
-                       -- the Figure 15 ablation variants;
-  - ``hermes_7kb``     -- Hermes given TLP's extra storage budget (Figure 17);
-  - ``prefetcher_7kb`` -- the L1D prefetcher given extra table storage
-                          (Figure 17).
+The two tables are the one place a name turns into components;
+:mod:`repro.common.names` holds their keys as plain tuples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.config import SystemConfig, cascade_lake_single_core
-from repro.common.names import SCHEMES
-from repro.core.tlp import TwoLevelPerceptron
-from repro.core.variants import ABLATION_VARIANTS, build_ablation_variant
+from repro.common.names import L1D_PREFETCHER_CHOICES, SCHEMES
+from repro.core.flp import FirstLevelPerceptron as FLP
+from repro.core.slp import SecondLevelPerceptron as SLP
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
-from repro.prefetchers.l1d import make_l1d_prefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
 
-#: Figure 15 designs built by :func:`build_ablation_variant`; the full TLP
-#: is built as ``tlp``.
-_ABLATION_SCHEMES = tuple(name for name in ABLATION_VARIANTS if name != "tlp")
+#: L1D prefetcher name -> class, in ``L1D_PREFETCHER_NAMES`` order ("none"
+#: runs without one).
+L1D_PREFETCHERS = {"ipcp": IPCPPrefetcher, "berti": BertiPrefetcher}
+
+#: ``prefetcher_7kb`` (Figure 17): each L1D prefetcher's tables enlarged to
+#: TLP's storage budget.
+PREFETCHER_7KB_SIZES = {
+    "ipcp": {"ip_table_entries": 4096, "cplx_table_entries": 16384},
+    "berti": {"table_entries": 2048},
+}
+
+
+def _two_level(flp: Optional[FLP], slp: Optional[SLP]) -> dict:
+    return {"offchip_predictor": flp, "l1d_prefetch_filter": slp}
+
+
+#: Scheme name -> builder of what the scheme adds to the prefetchers, as
+#: :class:`MemoryHierarchy` keyword arguments; in ``SCHEMES`` order.
+SCHEME_COMPONENTS = {
+    "baseline": lambda: {},
+    "ppf": lambda: {"l2_prefetch_filter": PerceptronPrefetchFilter()},
+    "hermes": lambda: {"offchip_predictor": HermesPredictor()},
+    "hermes_ppf": lambda: {
+        "l2_prefetch_filter": PerceptronPrefetchFilter(),
+        "offchip_predictor": HermesPredictor(),
+    },
+    # The paper's proposal: FLP with selective delay + SLP with the
+    # leveling feature.  The Figure 15 designs switch these off; FLP alone
+    # behaves like Hermes with FLP's thresholds, and Delayed TSP has no
+    # immediate threshold, so every positive prediction waits for the L1D.
+    "tlp": lambda: _two_level(
+        FLP(selective_delay=True), SLP(use_leveling_feature=True)
+    ),
+    "flp": lambda: _two_level(FLP(selective_delay=False), None),
+    "slp": lambda: _two_level(None, SLP(use_leveling_feature=False)),
+    "tsp": lambda: _two_level(
+        FLP(selective_delay=False), SLP(use_leveling_feature=False)
+    ),
+    "delayed_tsp": lambda: _two_level(
+        FLP(tau_high=math.inf, selective_delay=True), SLP(use_leveling_feature=False)
+    ),
+    "selective_tsp": lambda: _two_level(
+        FLP(selective_delay=True), SLP(use_leveling_feature=False)
+    ),
+    # Figure 17: Hermes with every weight table doubled (roughly +7KB); the
+    # prefetcher's own enlargement is PREFETCHER_7KB_SIZES.
+    "hermes_7kb": lambda: {"offchip_predictor": HermesPredictor(table_entries=2048)},
+    "prefetcher_7kb": lambda: {},
+}
+
+#: PPF filters an aggressive SPP (lower thresholds, deeper lookahead).
+AGGRESSIVE_SPP_SCHEMES = ("ppf", "hermes_ppf")
 
 
 @dataclass(frozen=True)
@@ -59,30 +100,18 @@ class Scenario:
 def build_scenario(
     scheme: str, l1d_prefetcher: str = "ipcp", l2_prefetcher: str = "spp"
 ) -> Scenario:
-    """Validate the scheme name and build a :class:`Scenario`."""
-    if scheme not in SCHEMES:
+    """Build a :class:`Scenario`; the scheme and L1D prefetcher must be
+    table keys (or "none"), spelled exactly."""
+    if scheme not in SCHEME_COMPONENTS:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if l1d_prefetcher != "none" and l1d_prefetcher not in L1D_PREFETCHERS:
+        raise ValueError(
+            f"unknown L1D prefetcher {l1d_prefetcher!r}; choose from "
+            f"{L1D_PREFETCHER_CHOICES}"
+        )
     return Scenario(
         scheme=scheme, l1d_prefetcher=l1d_prefetcher, l2_prefetcher=l2_prefetcher
     )
-
-
-def _build_l1d_prefetcher(scenario: Scenario):
-    if scenario.scheme == "prefetcher_7kb":
-        # Figure 17: give the baseline prefetcher TLP's storage budget by
-        # enlarging its internal tables.
-        if scenario.l1d_prefetcher == "ipcp":
-            return IPCPPrefetcher(ip_table_entries=4096, cplx_table_entries=16384)
-        if scenario.l1d_prefetcher == "berti":
-            return BertiPrefetcher(table_entries=2048)
-    return make_l1d_prefetcher(scenario.l1d_prefetcher)
-
-
-def _build_l2_prefetcher(scenario: Scenario):
-    if scenario.l2_prefetcher == "none":
-        return None
-    aggressive = scenario.scheme in ("ppf", "hermes_ppf")
-    return SPPPrefetcher(aggressive=aggressive)
 
 
 def build_hierarchy(
@@ -92,38 +121,19 @@ def build_hierarchy(
     core_id: int = 0,
 ) -> MemoryHierarchy:
     """Instantiate the memory hierarchy for one core under a scenario."""
-    system = config if config is not None else cascade_lake_single_core()
-    l1d_prefetcher = _build_l1d_prefetcher(scenario)
-    l2_prefetcher = _build_l2_prefetcher(scenario)
-
-    offchip_predictor = None
-    l1d_filter = None
-    l2_filter = None
-
-    scheme = scenario.scheme
-    if scheme in ("ppf", "hermes_ppf"):
-        l2_filter = PerceptronPrefetchFilter()
-    if scheme in ("hermes", "hermes_ppf"):
-        offchip_predictor = HermesPredictor()
-    if scheme == "hermes_7kb":
-        # Double every weight table: roughly +7KB of state.
-        offchip_predictor = HermesPredictor(table_entries=2048)
-    if scheme == "tlp":
-        tlp = TwoLevelPerceptron()
-        offchip_predictor = tlp.flp
-        l1d_filter = tlp.slp
-    if scheme in _ABLATION_SCHEMES:
-        variant = build_ablation_variant(scheme)
-        offchip_predictor = variant.offchip_predictor
-        l1d_filter = variant.l1d_prefetch_filter
-
+    scheme, prefetcher = scenario.scheme, scenario.l1d_prefetcher
+    l1d_prefetcher = None
+    if prefetcher != "none":
+        sizes = PREFETCHER_7KB_SIZES[prefetcher] if scheme == "prefetcher_7kb" else {}
+        l1d_prefetcher = L1D_PREFETCHERS[prefetcher](**sizes)
+    l2_prefetcher = None
+    if scenario.l2_prefetcher != "none":
+        l2_prefetcher = SPPPrefetcher(aggressive=scheme in AGGRESSIVE_SPP_SCHEMES)
     return MemoryHierarchy(
-        config=system,
+        config=config if config is not None else cascade_lake_single_core(),
         shared=shared,
         core_id=core_id,
         l1d_prefetcher=l1d_prefetcher,
         l2_prefetcher=l2_prefetcher,
-        l1d_prefetch_filter=l1d_filter,
-        l2_prefetch_filter=l2_filter,
-        offchip_predictor=offchip_predictor,
+        **SCHEME_COMPONENTS[scheme](),
     )

@@ -40,7 +40,6 @@ from repro.experiments.common import quick_experiment_config
 from repro.experiments.spec import registered_experiments
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
-from repro.core.tlp import TLPConfig, TwoLevelPerceptron
 from repro.cpu.core import CoreRunner
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
@@ -272,12 +271,18 @@ class TestSchemePrefetcherEquivalence:
         assert batch == scalar
 
 
-def _tlp_hierarchy(prefetcher, **tlp_options) -> MemoryHierarchy:
-    tlp = TwoLevelPerceptron(TLPConfig(**tlp_options))
+def _tlp_hierarchy(
+    prefetcher, use_leveling_feature=True, **shared_options
+) -> MemoryHierarchy:
+    """TLP over ``prefetcher``; ``shared_options`` go to both FLP and SLP."""
+    flp = FirstLevelPerceptron(**shared_options)
+    slp = SecondLevelPerceptron(
+        use_leveling_feature=use_leveling_feature, **shared_options
+    )
     return MemoryHierarchy(
         cascade_lake_single_core(), l1d_prefetcher=prefetcher,
-        l2_prefetcher=SPPPrefetcher(), l1d_prefetch_filter=tlp.slp,
-        offchip_predictor=tlp.flp,
+        l2_prefetcher=SPPPrefetcher(), l1d_prefetch_filter=slp,
+        offchip_predictor=flp,
     )
 
 

@@ -291,20 +291,31 @@ class TestSweepCommand:
             " requires the trace store (drop --no-trace-store)\n"
         )
 
-    @pytest.mark.parametrize("axes", [
-        {"memory_accesses": 0},
-        {"memory_accesses": -5},
-        {"systems": [5]},
-        {"systems": [{"bogus": 1}]},
-    ], ids=["zero_budget", "negative_budget", "scalar_system", "bogus_system"])
-    def test_sweep_rejects_invalid_spec_values(self, capsys, tmp_path, axes):
+    @pytest.mark.parametrize("axes, message", [
+        ({"memory_accesses": 0}, "memory_accesses must be an integer >= 1, got 0"),
+        ({"memory_accesses": -5}, "memory_accesses must be an integer >= 1, got -5"),
+        ({"memory_accesses": True}, "memory_accesses must be an integer >= 1, got True"),
+        ({"memory_accesses": 1.5}, "memory_accesses must be an integer >= 1, got 1.5"),
+        ({"systems": [5]}, "invalid sweep spec"),
+        ({"systems": [{"bogus": 1}]}, "invalid sweep spec"),
+    ], ids=["zero_budget", "negative_budget", "bool_budget", "fractional_budget",
+            "scalar_system", "bogus_system"])
+    def test_sweep_rejects_invalid_spec_values(
+        self, capsys, tmp_path, monkeypatch, axes, message
+    ):
+        from repro.sim import engine as engine_module
+
+        def no_point_may_run(point, **kwargs):
+            raise AssertionError(f"{point.label} ran")
+
+        monkeypatch.setattr(engine_module, "execute_point", no_point_may_run)
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"single_core": [{
             "workloads": ["spec.sphinx_like"], "schemes": ["baseline"], **axes,
         }]}))
-        assert main(["sweep", "--quick", "--no-cache",
+        assert main(["sweep", "--quick", "--no-cache", "--jobs", "1",
                      "--spec-json", str(spec_path)]) == 2
-        assert "invalid sweep spec" in capsys.readouterr().out
+        assert message in capsys.readouterr().out
 
     def test_sweep_invalid_spec_json_is_an_error(self, capsys, tmp_path):
         spec_path = tmp_path / "bad.json"

@@ -548,10 +548,14 @@ class TestSweepSpecJson:
         assert spec.multi_core[0].mixes == (("m", ("a", "b", "c", "d")),)
 
     def test_scalar_axes_are_typed(self):
-        with pytest.raises(ValueError, match="must be an integer"):
-            sweep_spec_from_dict({"single_core": [{"memory_accesses": "4000"}]})
-        with pytest.raises(ValueError, match="must be an integer"):
-            sweep_spec_from_dict({"multi_core": [{"memory_accesses": [500]}]})
+        # A budget is checked with the other point inputs, when the sweep
+        # compiles: before anything runs.
+        config = quick_experiment_config()
+        for payload in ({"single_core": [{"memory_accesses": "4000"}]},
+                        {"multi_core": [{"memory_accesses": [500]}]}):
+            spec = sweep_spec_from_dict(payload)
+            with pytest.raises(ValueError, match="must be an integer"):
+                spec.compile(config)
         with pytest.raises(ValueError, match="must be a boolean"):
             sweep_spec_from_dict({"multi_core": [{"isolated_baselines": 1}]})
 

@@ -249,8 +249,11 @@ class TestSharedMemory:
 class TestTLPIntegration:
     def test_tlp_attached_hierarchy_runs(self):
         tlp = TwoLevelPerceptron()
-        hierarchy = make_hierarchy(l1d_prefetcher=NextBlockPrefetcher())
-        tlp.attach(hierarchy)
+        hierarchy = make_hierarchy(
+            l1d_prefetcher=NextBlockPrefetcher(),
+            offchip_predictor=tlp.flp,
+            l1d_prefetch_filter=tlp.slp,
+        )
         for index in range(50):
             hierarchy.demand_access(0x400 + index % 3, 0x20_0000 + index * 0x1000, cycle=index * 50)
         assert hierarchy.stats.demand_loads == 50

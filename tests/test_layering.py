@@ -90,11 +90,12 @@ def test_cli_help_loads_no_simulator():
 
 
 def test_plain_names_match_the_components():
-    from repro.prefetchers.l1d import L1D_PREFETCHERS
     from repro.sim import scenarios
 
     assert scenarios.SCHEMES is SCHEMES
-    assert tuple(L1D_PREFETCHERS) == L1D_PREFETCHER_NAMES
+    assert tuple(scenarios.SCHEME_COMPONENTS) == SCHEMES
+    assert tuple(scenarios.L1D_PREFETCHERS) == L1D_PREFETCHER_NAMES
+    assert tuple(scenarios.PREFETCHER_7KB_SIZES) == L1D_PREFETCHER_NAMES
 
 
 #: Prints ``OPENBLAS_NUM_THREADS`` and the process's thread count (None where

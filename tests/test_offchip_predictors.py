@@ -5,11 +5,12 @@ import pytest
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
 from repro.core.storage import tlp_storage_breakdown
-from repro.core.tlp import TLPConfig, TwoLevelPerceptron
-from repro.core.variants import ABLATION_VARIANTS, build_ablation_variant
+from repro.core.tlp import TwoLevelPerceptron
+from repro.experiments.fig15_ablation import ABLATION_ORDER
 from repro.predictors.base import NullOffChipPredictor, OffChipAction
 from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.base import PrefetchRequest
+from repro.sim.scenarios import build_hierarchy, build_scenario
 
 
 def train_predictor(predictor, pc, vaddr, outcome, repetitions=20):
@@ -169,66 +170,48 @@ class TestTLP:
         assert table[-1][0] == "Total"
         assert table[-1][1] == pytest.approx(breakdown.total)
 
-    def test_config_propagates_thresholds(self):
-        tlp = TwoLevelPerceptron(TLPConfig(tau_high=30, tau_low=5, tau_pref=12))
-        assert tlp.flp.tau_high == 30
-        assert tlp.flp.tau_low == 5
-        assert tlp.slp.tau_pref == 12
-
-    def test_attach_wires_hierarchy(self):
-        from repro.memory.hierarchy import MemoryHierarchy
-        from repro.common.config import cascade_lake_single_core
-
-        hierarchy = MemoryHierarchy(cascade_lake_single_core())
-        tlp = TwoLevelPerceptron()
-        tlp.attach(hierarchy)
-        assert hierarchy.offchip_predictor is tlp.flp
-        assert hierarchy.l1d_prefetch_filter is tlp.slp
-
-    def test_summary_keys(self):
-        summary = TwoLevelPerceptron().summary()
-        assert "storage_kib" in summary
-        assert "slp_discard_rate" in summary
-
-    def test_reset(self):
-        tlp = TwoLevelPerceptron()
-        tlp.flp.predict(1, 2, 0)
-        tlp.reset()
-        assert tlp.flp.perceptron.stats.predictions == 0
-
 
 class TestAblationVariants:
+    """The Figure 15 designs, as the scheme table builds them."""
+
+    @staticmethod
+    def build(name):
+        hierarchy = build_hierarchy(build_scenario(name))
+        return hierarchy.offchip_predictor, hierarchy.l1d_prefetch_filter
+
     def test_all_variants_buildable(self):
-        for name in ABLATION_VARIANTS:
-            variant = build_ablation_variant(name)
-            assert variant.name == name
+        for name in ABLATION_ORDER:
+            offchip_predictor, l1d_filter = self.build(name)
+            assert isinstance(offchip_predictor, FirstLevelPerceptron) or isinstance(
+                l1d_filter, SecondLevelPerceptron
+            )
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            build_ablation_variant("nope")
+            build_scenario("nope")
 
     def test_flp_variant_has_no_filter(self):
-        variant = build_ablation_variant("flp")
-        assert variant.offchip_predictor is not None
-        assert variant.l1d_prefetch_filter is None
+        offchip_predictor, l1d_filter = self.build("flp")
+        assert isinstance(offchip_predictor, FirstLevelPerceptron)
+        assert l1d_filter is None
 
     def test_slp_variant_has_no_offchip_predictor(self):
-        variant = build_ablation_variant("slp")
-        assert variant.offchip_predictor is None
-        assert variant.l1d_prefetch_filter is not None
+        offchip_predictor, l1d_filter = self.build("slp")
+        assert isinstance(offchip_predictor, NullOffChipPredictor)
+        assert isinstance(l1d_filter, SecondLevelPerceptron)
 
     def test_tsp_disables_selective_delay_and_leveling(self):
-        variant = build_ablation_variant("tsp")
-        assert variant.offchip_predictor.selective_delay is False
-        assert variant.l1d_prefetch_filter.use_leveling_feature is False
+        offchip_predictor, l1d_filter = self.build("tsp")
+        assert offchip_predictor.selective_delay is False
+        assert l1d_filter.use_leveling_feature is False
 
     def test_tlp_variant_enables_everything(self):
-        variant = build_ablation_variant("tlp")
-        assert variant.offchip_predictor.selective_delay is True
-        assert variant.l1d_prefetch_filter.use_leveling_feature is True
+        offchip_predictor, l1d_filter = self.build("tlp")
+        assert offchip_predictor.selective_delay is True
+        assert l1d_filter.use_leveling_feature is True
 
     def test_always_delayed_flp_never_immediate(self):
-        predictor = build_ablation_variant("delayed_tsp").offchip_predictor
+        predictor, _ = self.build("delayed_tsp")
         predictor.tau_low = -200  # every confidence flags the load
         decision = predictor.predict(0x400, 0x1000, 0)
         assert decision.action is OffChipAction.DELAYED

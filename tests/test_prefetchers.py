@@ -9,9 +9,9 @@ from repro.common.types import MemLevel
 from repro.prefetchers.base import AlwaysIssueFilter, PrefetchRequest
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
-from repro.prefetchers.l1d import make_l1d_prefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import DELTA_SPAN, SPPPrefetcher
+from repro.sim.scenarios import build_hierarchy, build_scenario
 
 BASE = 0x10_0000
 
@@ -514,14 +514,19 @@ class TestPPF:
 
 
 class TestFactoryAndFilters:
+    @staticmethod
+    def l1d_prefetcher(name):
+        scenario = build_scenario("baseline", l1d_prefetcher=name)
+        return build_hierarchy(scenario).l1d_prefetcher
+
     def test_factory_names(self):
-        assert isinstance(make_l1d_prefetcher("ipcp"), IPCPPrefetcher)
-        assert isinstance(make_l1d_prefetcher("berti"), BertiPrefetcher)
-        assert make_l1d_prefetcher("none") is None
+        assert type(self.l1d_prefetcher("ipcp")) is IPCPPrefetcher
+        assert type(self.l1d_prefetcher("berti")) is BertiPrefetcher
+        assert self.l1d_prefetcher("none") is None
 
     def test_factory_unknown(self):
         with pytest.raises(ValueError):
-            make_l1d_prefetcher("bingo")
+            self.l1d_prefetcher("bingo")
 
     def test_always_issue_filter(self):
         filt = AlwaysIssueFilter()

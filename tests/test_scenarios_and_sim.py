@@ -1,14 +1,18 @@
 """Integration tests: scenario building, single-core and multi-core drivers."""
 
+import math
+
 import pytest
 
 from repro.common.config import cascade_lake_multi_core, cascade_lake_single_core
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
+from repro.predictors.base import NullOffChipPredictor
 from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
+from repro.prefetchers.spp import SPPPrefetcher
 from repro.sim.multi_core import run_multicore_mix
 from repro.sim.scenarios import SCHEMES, Scenario, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
@@ -63,6 +67,13 @@ class TestScenarioBuilding:
         hierarchy = build_hierarchy(build_scenario("hermes_7kb"))
         assert hierarchy.offchip_predictor.storage_kib() > small.storage_kib()
 
+    @pytest.mark.parametrize("name", ["bingo", "IPCP", "Berti", "NONE", ""])
+    def test_unknown_or_misspelled_prefetcher_rejected(self, name):
+        # Names are exact, as the engine's point check spells them: a
+        # scenario that builds must be a point the engine accepts.
+        with pytest.raises(ValueError, match="unknown L1D prefetcher"):
+            build_scenario("tlp", l1d_prefetcher=name)
+
     def test_ablation_schemes_attach_expected_components(self):
         slp_only = build_hierarchy(build_scenario("slp"))
         from repro.predictors.base import NullOffChipPredictor
@@ -71,6 +82,112 @@ class TestScenarioBuilding:
         assert isinstance(slp_only.l1d_prefetch_filter, SecondLevelPerceptron)
         tsp = build_hierarchy(build_scenario("selective_tsp"))
         assert tsp.offchip_predictor.selective_delay is True
+
+
+FLP, SLP, HERMES, PPF = (FirstLevelPerceptron, SecondLevelPerceptron,
+                         HermesPredictor, PerceptronPrefetchFilter)
+
+#: Scheme -> the types of the off-chip predictor, L1D prefetch filter and L2
+#: prefetch filter it adds (None: it adds none), and whether its SPP runs
+#: aggressively.
+SCHEME_PARTS = {
+    "baseline": (NullOffChipPredictor, None, None, False),
+    "ppf": (NullOffChipPredictor, None, PPF, True),
+    "hermes": (HERMES, None, None, False),
+    "hermes_ppf": (HERMES, None, PPF, True),
+    "tlp": (FLP, SLP, None, False),
+    "flp": (FLP, None, None, False),
+    "slp": (NullOffChipPredictor, SLP, None, False),
+    "tsp": (FLP, SLP, None, False),
+    "delayed_tsp": (FLP, SLP, None, False),
+    "selective_tsp": (FLP, SLP, None, False),
+    "hermes_7kb": (HERMES, None, None, False),
+    "prefetcher_7kb": (NullOffChipPredictor, None, None, False),
+}
+
+#: The Figure 15 switches: FLP's (selective_delay, tau_high, tau_low) and
+#: SLP's use_leveling_feature.
+TWO_LEVEL_SWITCHES = {
+    "tlp": ((True, 16, 2), True),
+    "flp": ((False, 16, 2), None),
+    "slp": (None, False),
+    "tsp": ((False, 16, 2), False),
+    "delayed_tsp": ((True, math.inf, 2), False),
+    "selective_tsp": ((True, 16, 2), False),
+}
+
+#: Hermes' (and FLP's) five weight tables at their default sizes.
+LEGACY_TABLES = (1024, 1024, 512, 512, 1024)
+
+#: Each L1D prefetcher's table sizes, as set and as built: IPCP's IP and
+#: CPLX tables, Berti's history table.  ``prefetcher_7kb`` enlarges them.
+PREFETCHER_TABLES = {
+    "ipcp": ((1024, 1024, 4096, 4096), (4096, 4096, 16384, 16384)),
+    "berti": ((512, 512), (2048, 2048)),
+}
+
+
+def _built(hierarchy) -> dict:
+    """A hierarchy's component types and the values that tell schemes
+    apart."""
+    l1d, spp = hierarchy.l1d_prefetcher, hierarchy.l2_prefetcher
+    offchip, l1d_filter = hierarchy.offchip_predictor, hierarchy.l1d_prefetch_filter
+    parts = (l1d, spp, offchip, l1d_filter, hierarchy.l2_prefetch_filter)
+    built = {
+        "types": tuple(None if part is None else type(part) for part in parts),
+        "spp": (spp.lookahead_confidence, spp.l2_fill_confidence,
+                spp.max_lookahead_depth),
+    }
+    if isinstance(offchip, FLP):
+        built["flp"] = (offchip.selective_delay, offchip.tau_high, offchip.tau_low)
+    if isinstance(l1d_filter, SLP):
+        built["slp_leveling"] = l1d_filter.use_leveling_feature
+    if isinstance(offchip, (FLP, HERMES)):
+        built["offchip_tables"] = tuple(
+            spec.table_entries for spec in offchip.perceptron.features
+        )
+    if isinstance(l1d, IPCPPrefetcher):
+        built["l1d_tables"] = (l1d.ip_table_entries, len(l1d._ip_last),
+                               l1d.cplx_table_entries, len(l1d._cplx_stride))
+    if isinstance(l1d, BertiPrefetcher):
+        built["l1d_tables"] = (l1d.table_entries, len(l1d._pages))
+    return built
+
+
+def _expected(scheme: str, prefetcher: str) -> dict:
+    offchip, l1d_filter, l2_filter, aggressive = SCHEME_PARTS[scheme]
+    l1d = {"ipcp": IPCPPrefetcher, "berti": BertiPrefetcher}.get(prefetcher)
+    expected = {
+        "types": (l1d, SPPPrefetcher, offchip, l1d_filter, l2_filter),
+        "spp": (0.10, 0.25, 8) if aggressive else (0.25, 0.5, 4),
+    }
+    flp, leveling = TWO_LEVEL_SWITCHES.get(scheme, (None, None))
+    if flp is not None:
+        expected["flp"] = flp
+    if leveling is not None:
+        expected["slp_leveling"] = leveling
+    if offchip in (FLP, HERMES):
+        expected["offchip_tables"] = (
+            (2048,) * 5 if scheme == "hermes_7kb" else LEGACY_TABLES
+        )
+    if l1d is not None:
+        default, enlarged = PREFETCHER_TABLES[prefetcher]
+        expected["l1d_tables"] = enlarged if scheme == "prefetcher_7kb" else default
+    return expected
+
+
+class TestSchemeTable:
+    """What every scheme builds with every L1D prefetcher, pinned."""
+
+    def test_every_scheme_is_pinned(self):
+        assert tuple(SCHEME_PARTS) == SCHEMES
+
+    @pytest.mark.parametrize("prefetcher", ["ipcp", "berti", "none"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_components(self, scheme, prefetcher):
+        scenario = build_scenario(scheme, l1d_prefetcher=prefetcher)
+        hierarchy = build_hierarchy(scenario)
+        assert _built(hierarchy) == _expected(scheme, prefetcher)
 
 
 class TestSingleCoreDriver:
