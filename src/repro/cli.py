@@ -81,7 +81,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
         print(f"  {name:<23} {spec.description}" if spec else f"  {name}")
     from repro.traces.store import TraceStore
 
-    imported = TraceStore.default().imported_workloads()
+    imported = TraceStore().imported_workloads()
     if imported:
         print("\nImported traces (trace store):")
         for name, entry in imported.items():
@@ -100,7 +100,7 @@ def _resolve_trace_store(args: argparse.Namespace):
     if getattr(args, "no_trace_store", False):
         return None
     trace_dir = getattr(args, "trace_dir", None)
-    return TraceStore(trace_dir) if trace_dir else TraceStore.default()
+    return TraceStore(trace_dir or None)
 
 
 def _imported_workloads(trace_store, reason: str) -> Optional[tuple[str, ...]]:
@@ -125,12 +125,8 @@ def _cache_from_config(
     from repro.sim.engine import CampaignEngine
     from repro.sim.result_cache import ResultCache
 
-    if args.no_cache:
-        result_cache = None
-    else:
-        result_cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
     engine = CampaignEngine(
-        result_cache=result_cache,
+        result_cache=None if args.no_cache else ResultCache(args.cache_dir or None),
         jobs=args.jobs,
         trace_store=trace_store,
     )
@@ -309,12 +305,14 @@ def _format_bytes(count: int) -> str:
     return f"{count / (1024 * 1024):.1f} MiB"
 
 
-def _gc(args: argparse.Namespace, label: str, store, noun: str, note: str = "") -> int:
+def _gc(args: argparse.Namespace, label: str, store, noun: str) -> int:
     """``cache gc`` / ``trace gc``: evict ``store``'s oldest entries down to
     ``--max-mb`` (or, with ``--dry-run``, say what that would evict)."""
     before = store.size_bytes()
     removed, freed = store.gc(int(args.max_mb * 1024 * 1024), dry_run=args.dry_run)
     verb = "would evict" if args.dry_run else "evicted"
+    quarantined = len(store.quarantined())
+    note = f", {quarantined} quarantined corrupt entries" if quarantined else ""
     print(
         f"{label} gc{' (dry run)' if args.dry_run else ''}: {store.directory} "
         f"{_format_bytes(before)} -> {_format_bytes(before - freed)} "
@@ -327,17 +325,14 @@ def _gc(args: argparse.Namespace, label: str, store, noun: str, note: str = "") 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.sim.result_cache import ResultCache
 
-    cache = ResultCache(args.dir) if args.dir else ResultCache()
     # argparse's required subparser guarantees gc is the only command.
-    quarantined = cache.quarantined_files()
-    note = f", {len(quarantined)} quarantined corrupt entries" if quarantined else ""
-    return _gc(args, "cache", cache, "entries", note)
+    return _gc(args, "cache", ResultCache(args.dir or None), "entries")
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.traces.store import TraceStore, TraceStoreError
 
-    store = TraceStore(args.dir) if args.dir else TraceStore.default()
+    store = TraceStore(args.dir or None)
 
     if args.trace_command == "build":
         from repro.sim.engine import build_workload_trace

@@ -182,7 +182,7 @@ def imported_trace_keys(
     """
     registry: dict[str, dict] = {}
     if any(workload.startswith(IMPORTED_PREFIX) for workload in workloads):
-        store = trace_store if trace_store is not None else TraceStore.default()
+        store = trace_store if trace_store is not None else TraceStore()
         registry = store.imported_workloads()
     unknown = [
         workload for workload in workloads
@@ -328,7 +328,7 @@ def _build_workload_trace(
     trace_store: Optional[TraceStore],
 ) -> Trace:
     if workload.startswith(IMPORTED_PREFIX):
-        store = trace_store if trace_store is not None else TraceStore.default()
+        store = trace_store if trace_store is not None else TraceStore()
         trace = store.get(workload)
         if trace is None:
             raise KeyError(

@@ -23,21 +23,9 @@ import os
 from pathlib import Path
 from typing import Optional
 
+from repro.common.entry_store import EntryStore
 from repro.obs.logs import get_logger
 from repro.sim.results import MultiCoreResult, SingleCoreResult
-
-logger = get_logger("cache")
-
-#: Environment variable overriding the default cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Default cache directory (relative to the working directory).
-DEFAULT_CACHE_DIR = ".repro_cache"
-
-
-def default_cache_dir() -> Path:
-    """Resolve the cache directory from the environment or the default."""
-    return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
@@ -84,50 +72,27 @@ def result_from_dict(payload: dict) -> SingleCoreResult | MultiCoreResult:
     raise ValueError(f"unsupported cached result kind {kind!r}")
 
 
-class ResultCache:
-    """One-file-per-result JSON store.
+class ResultCache(EntryStore):
+    """One JSON file per simulated point, ``<key>.json``: the file is both
+    the entry and its header.
 
-    Writes are atomic (write to a uniquely named temp file, then
-    ``os.replace``) so that a crashed or interrupted campaign -- or two
-    shard writers racing on the same key -- can never tear an entry.  A
-    torn or corrupt entry found on read is *quarantined*: renamed to
-    ``<key>.json.corrupt`` (with a warning) and treated as a miss, so the
-    point is simply re-simulated and re-committed instead of crashing the
-    campaign; ``repro cache gc`` reports the quarantined files.
+    Writes go through :func:`_atomic_write_json`, so a crashed or
+    interrupted campaign -- or two pool workers racing on the same key --
+    never tears an entry.  A torn or corrupt entry found on read is
+    quarantined to ``<key>.json.corrupt`` and treated as a miss, so the
+    point is re-simulated and re-committed instead of crashing the
+    campaign.  Directory, listing, quarantine and ``gc`` are
+    :class:`~repro.common.entry_store.EntryStore`'s.
     """
 
-    def __init__(self, directory: Optional[Path | str] = None) -> None:
-        self.directory = Path(directory) if directory is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
-        #: Corrupt entries renamed aside by this instance.
-        self.quarantined = 0
+    DIR_ENV = "REPRO_CACHE_DIR"
+    DEFAULT_DIR = ".repro_cache"
+    SUFFIX = ".json"
+    NOUN = "result-cache"
+    LOGGER = get_logger("cache")
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def contains(self, key: str) -> bool:
-        """True when an entry for ``key`` exists (does not count hit/miss)."""
-        return self._path(key).is_file()
-
-    def __contains__(self, key: str) -> bool:
-        return self.contains(key)
-
-    def _quarantine(self, path: Path, reason: Exception) -> None:
-        """Rename a corrupt entry aside so the next run re-simulates it."""
-        target = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, target)
-        except OSError:
-            return
-        self.quarantined += 1
-        logger.warning(
-            "quarantined corrupt result-cache entry %s -> %s (%s); "
-            "the point will be re-simulated",
-            path.name,
-            target.name,
-            reason,
-        )
+    def _next_step(self, key: str) -> str:
+        return "the point will be re-simulated"
 
     def get(self, key: str) -> Optional[SingleCoreResult | MultiCoreResult]:
         """Return the cached result for ``key``, or None on a miss.
@@ -136,16 +101,15 @@ class ResultCache:
         disk corruption) is quarantined with a warning and counts as a
         miss -- reads never raise.
         """
-        path = self._path(key)
         try:
-            with path.open("r", encoding="utf-8") as fh:
+            with self.path(key).open("r", encoding="utf-8") as fh:
                 payload = json.load(fh)
             result = result_from_dict(payload["result"])
         except FileNotFoundError:
             self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError) as error:
-            self._quarantine(path, error)
+            self._quarantine(key, error)
             self.misses += 1
             return None
         self.hits += 1
@@ -169,75 +133,4 @@ class ResultCache:
         other's writes.
         """
         payload = {"key": key, "point": point, "result": result_to_dict(result)}
-        _atomic_write_json(self._path(key), payload)
-
-    def entries(self) -> list[str]:
-        """Return the keys of every stored entry."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(path.stem for path in self.directory.glob("*.json"))
-
-    def quarantined_files(self) -> list[Path]:
-        """Corrupt entries renamed aside by :meth:`get` (oldest first)."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(self.directory.glob("*.json.corrupt"))
-
-    def clear(self) -> int:
-        """Delete every entry, returning the number removed."""
-        removed = 0
-        for key in self.entries():
-            try:
-                self._path(key).unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    # ------------------------------------------------------------------
-    # Size accounting and garbage collection
-    # ------------------------------------------------------------------
-    def size_bytes(self) -> int:
-        """Total size of every stored entry, in bytes (directory scan)."""
-        if not self.directory.is_dir():
-            return 0
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def gc(self, max_bytes: int, dry_run: bool = False) -> tuple[int, int]:
-        """Evict oldest entries until the cache fits in ``max_bytes``.
-
-        Age is the file modification time.  With
-        ``dry_run`` nothing is deleted; the return value reports what a real
-        sweep would do.  Returns ``(entries_removed, bytes_freed)``.
-        """
-        if not self.directory.is_dir():
-            return (0, 0)
-        stamped = []
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            stamped.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        stamped.sort()
-        removed = 0
-        freed = 0
-        for _, size, path in stamped:
-            if total - freed <= max_bytes:
-                break
-            if not dry_run:
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-            removed += 1
-            freed += size
-        return (removed, freed)
+        _atomic_write_json(self.path(key), payload)

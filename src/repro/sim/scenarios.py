@@ -4,9 +4,11 @@ A :class:`Scenario` names one point of the paper's design space:
 
 * the L1D prefetcher (IPCP or Berti, the two evaluated in the paper, or
   none), looked up in :data:`L1D_PREFETCHERS`;
-* the L2 prefetcher (SPP in every paper configuration);
 * the *scheme*, i.e. the off-chip-prediction / prefetch-filtering proposal
   under test, looked up in :data:`SCHEME_COMPONENTS`.
+
+The L2 prefetcher is SPP in every paper configuration, aggressive under
+:data:`AGGRESSIVE_SPP_SCHEMES`.
 
 The two tables are the one place a name turns into components;
 :mod:`repro.common.names` holds their keys as plain tuples.
@@ -89,7 +91,6 @@ class Scenario:
 
     scheme: str = "baseline"
     l1d_prefetcher: str = "ipcp"
-    l2_prefetcher: str = "spp"
 
     @property
     def name(self) -> str:
@@ -97,9 +98,7 @@ class Scenario:
         return f"{self.scheme}/{self.l1d_prefetcher}"
 
 
-def build_scenario(
-    scheme: str, l1d_prefetcher: str = "ipcp", l2_prefetcher: str = "spp"
-) -> Scenario:
+def build_scenario(scheme: str, l1d_prefetcher: str = "ipcp") -> Scenario:
     """Build a :class:`Scenario`; the scheme and L1D prefetcher must be
     table keys (or "none"), spelled exactly."""
     if scheme not in SCHEME_COMPONENTS:
@@ -109,9 +108,7 @@ def build_scenario(
             f"unknown L1D prefetcher {l1d_prefetcher!r}; choose from "
             f"{L1D_PREFETCHER_CHOICES}"
         )
-    return Scenario(
-        scheme=scheme, l1d_prefetcher=l1d_prefetcher, l2_prefetcher=l2_prefetcher
-    )
+    return Scenario(scheme=scheme, l1d_prefetcher=l1d_prefetcher)
 
 
 def build_hierarchy(
@@ -126,14 +123,11 @@ def build_hierarchy(
     if prefetcher != "none":
         sizes = PREFETCHER_7KB_SIZES[prefetcher] if scheme == "prefetcher_7kb" else {}
         l1d_prefetcher = L1D_PREFETCHERS[prefetcher](**sizes)
-    l2_prefetcher = None
-    if scenario.l2_prefetcher != "none":
-        l2_prefetcher = SPPPrefetcher(aggressive=scheme in AGGRESSIVE_SPP_SCHEMES)
     return MemoryHierarchy(
         config=config if config is not None else cascade_lake_single_core(),
         shared=shared,
         core_id=core_id,
         l1d_prefetcher=l1d_prefetcher,
-        l2_prefetcher=l2_prefetcher,
+        l2_prefetcher=SPPPrefetcher(aggressive=scheme in AGGRESSIVE_SPP_SCHEMES),
         **SCHEME_COMPONENTS[scheme](),
     )

@@ -218,7 +218,7 @@ def import_champsim_trace(
         raise ValueError(
             f"imported trace name {name!r} must be letters, digits, '.', '-' or '_'"
         )
-    store = trace_store if trace_store is not None else TraceStore.default()
+    store = trace_store if trace_store is not None else TraceStore()
     trace = read_champsim_trace(
         path, name=name, compute_per_access=compute_per_access,
         max_records=max_records,

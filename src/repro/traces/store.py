@@ -51,21 +51,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.common.entry_store import EntryStore
 from repro.obs.logs import get_logger
 from repro.traces.trace import ADDR_DTYPE, KIND_DTYPE, Trace
-
-logger = get_logger("traces")
-
-#: Environment variable overriding the default trace store directory.
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 #: Entries at or below this many column bytes are digest-verified on load;
 #: larger entries keep the O(1) mmap-open cost and rely on the byte-length
 #: check alone.
 VERIFY_MAX_BYTES = 64 * 1024 * 1024
-
-#: Default trace store directory (relative to the working directory).
-DEFAULT_TRACE_DIR = ".repro_traces"
 
 #: Workload-name prefix of imported traces, and of their entry names.
 IMPORTED_PREFIX = "imported."
@@ -106,11 +99,6 @@ _SETTLE_NS = 1_000_000_000
 
 class TraceStoreError(RuntimeError):
     """A stored trace cannot be decoded (corrupt, foreign or incompatible)."""
-
-
-def default_trace_dir() -> Path:
-    """Resolve the store directory from the environment or the default."""
-    return Path(os.environ.get(TRACE_DIR_ENV) or DEFAULT_TRACE_DIR)
 
 
 def workload_key(
@@ -341,54 +329,38 @@ def _json_safe(value):
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
-class TraceStore:
+class TraceStore(EntryStore):
     """Directory of stored traces: generated workload traces keyed by
     content hash, imported traces by workload name.
 
-    One instance wraps one directory; entries are self-describing
-    sub-directories (see the module docstring for the layout), and the
-    ``imported.*`` entries are the imported-workload registry -- see
-    :mod:`repro.traces.ingest`.  Content digests are verified once per
-    process per entry, whichever instance loads it (:func:`load_trace`);
-    ``put``, ``remove`` and a quarantine make the next load hash it again.
+    An entry is a column directory whose ``meta.json`` is its header (see
+    the module docstring for the layout), installed by :func:`save_trace`;
+    the ``imported.*`` entries are the imported-workload registry -- see
+    :mod:`repro.traces.ingest`.  Directory, listing, quarantine and ``gc``
+    are :class:`~repro.common.entry_store.EntryStore`'s; an evicted or
+    quarantined imported entry leaves the registry with it.  Content
+    digests are verified once per process per entry, whichever instance
+    loads it (:func:`load_trace`); ``put``, ``remove`` and a quarantine
+    make the next load hash it again.
     """
 
-    def __init__(self, directory: Optional[Path | str] = None) -> None:
-        self.directory = (
-            Path(directory) if directory is not None else default_trace_dir()
-        )
-        #: Entries served from disk by this instance (mmap opens).
-        self.hits = 0
-        #: Lookups that found no (readable) entry.
-        self.misses = 0
+    DIR_ENV = "REPRO_TRACE_DIR"
+    DEFAULT_DIR = ".repro_traces"
+    HEADER = _META_NAME
+    NOUN = "trace-store"
+    LOGGER = get_logger("traces")
 
-    @classmethod
-    def default(cls) -> "TraceStore":
-        """The store at ``$REPRO_TRACE_DIR`` (or ``.repro_traces``)."""
-        return cls()
-
-    # ------------------------------------------------------------------
-    # Raw entry access
-    # ------------------------------------------------------------------
-    def path(self, key: str) -> Path:
-        """Directory of the entry stored under ``key``."""
-        return self.directory / key
-
-    def contains(self, key: str) -> bool:
-        """True when a (complete) entry for ``key`` exists."""
-        return (self.path(key) / _META_NAME).is_file()
-
-    def __contains__(self, key: str) -> bool:
-        return self.contains(key)
+    def _next_step(self, key: str) -> str:
+        if key.startswith(IMPORTED_PREFIX):
+            return "import it again"
+        return "the trace will be regenerated"
 
     def get(self, key: str, mmap: bool = True) -> Optional[Trace]:
         """Load the trace stored under ``key``, or None on a miss.
 
-        Corrupt or incompatible entries are *quarantined*: renamed to
-        ``<key>.corrupt`` with a warning and counted as a miss, so the
-        caller regenerates the trace instead of handing the simulator a
-        truncated or bit-rotted memmap -- and the broken bytes stay around
-        for a post-mortem instead of being silently overwritten.
+        Corrupt or incompatible entries are quarantined and counted as a
+        miss, so the caller regenerates the trace instead of handing the
+        simulator a truncated or bit-rotted memmap.
         """
         if not self.contains(key):
             self.misses += 1
@@ -403,25 +375,8 @@ class TraceStore:
         return trace
 
     def _quarantine(self, key: str, reason: Exception) -> None:
-        """Rename a corrupt entry aside so the next access regenerates it."""
-        entry = self.path(key)
-        _forget_verified(entry)
-        target = entry.with_name(entry.name + ".corrupt")
-        try:
-            if target.exists():
-                shutil.rmtree(target)
-            os.replace(entry, target)
-        except OSError:
-            return
-        logger.warning(
-            "quarantined corrupt trace-store entry %s -> %s (%s); %s",
-            key,
-            target.name,
-            reason,
-            "import it again"
-            if key.startswith(IMPORTED_PREFIX)
-            else "the trace will be regenerated",
-        )
+        _forget_verified(self.path(key))
+        super()._quarantine(key, reason)
 
     def put(self, key: str, trace: Trace, extra: Optional[dict] = None) -> Path:
         """Store ``trace`` under ``key`` (atomically replacing any entry)."""
@@ -429,36 +384,8 @@ class TraceStore:
         return save_trace(trace, self.path(key), extra=extra)
 
     def remove(self, key: str) -> bool:
-        """Delete the entry stored under ``key``; True when one existed."""
-        entry = self.path(key)
-        _forget_verified(entry)
-        if not entry.is_dir():
-            return False
-        shutil.rmtree(entry)
-        return True
-
-    def keys(self) -> list[str]:
-        """Keys of every complete entry in the store."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(
-            path.name
-            for path in self.directory.iterdir()
-            if path.is_dir()
-            and not path.name.startswith(".")
-            and not path.name.endswith(".corrupt")
-            and (path / _META_NAME).is_file()
-        )
-
-    def quarantined_entries(self) -> list[Path]:
-        """Corrupt entries renamed aside by :meth:`get`."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(
-            path
-            for path in self.directory.iterdir()
-            if path.is_dir() and path.name.endswith(".corrupt")
-        )
+        _forget_verified(self.path(key))
+        return super().remove(key)
 
     def info(self, key: str) -> dict:
         """Validated header of one entry plus its on-disk size."""
@@ -466,57 +393,6 @@ class TraceStore:
         meta["key"] = key
         meta["size_bytes"] = self.entry_size_bytes(key)
         return meta
-
-    def entry_size_bytes(self, key: str) -> int:
-        """On-disk size of one entry (all column files + header)."""
-        total = 0
-        entry = self.path(key)
-        if entry.is_dir():
-            for path in entry.iterdir():
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    pass
-        return total
-
-    def size_bytes(self) -> int:
-        """Total on-disk size of every entry."""
-        return sum(self.entry_size_bytes(key) for key in self.keys())
-
-    def gc(self, max_bytes: int, dry_run: bool = False) -> tuple[int, int]:
-        """Evict the oldest stored traces until the store fits ``max_bytes``.
-
-        Age is the entry header's modification time (headers are written
-        once, atomically, when the entry lands).  An evicted imported entry
-        leaves the imported-workload registry with it.  With ``dry_run``
-        nothing is deleted; the return value reports what a real sweep
-        would do.  Returns ``(entries_removed, bytes_freed)``
-        -- the mirror of :meth:`repro.sim.result_cache.ResultCache.gc`.
-        """
-        stamped = []
-        total = 0
-        for key in self.keys():
-            try:
-                mtime = (self.path(key) / _META_NAME).stat().st_mtime
-            except OSError:
-                continue
-            size = self.entry_size_bytes(key)
-            stamped.append((mtime, size, key))
-            total += size
-        stamped.sort()
-        removed = 0
-        freed = 0
-        for _, size, key in stamped:
-            if total - freed <= max_bytes:
-                break
-            if not dry_run:
-                try:
-                    shutil.rmtree(self.path(key))
-                except OSError:
-                    continue
-            removed += 1
-            freed += size
-        return (removed, freed)
 
     # ------------------------------------------------------------------
     # Workload fast path

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.result_cache import CACHE_DIR_ENV
-from repro.traces.store import TRACE_DIR_ENV
+from repro.sim.result_cache import ResultCache
+from repro.traces.store import TraceStore
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -21,8 +21,8 @@ def _isolated_result_cache(tmp_path_factory):
     import os
 
     previous = {}
-    for env_var, label in ((CACHE_DIR_ENV, "repro_result_cache"),
-                           (TRACE_DIR_ENV, "repro_trace_store")):
+    for env_var, label in ((ResultCache.DIR_ENV, "repro_result_cache"),
+                           (TraceStore.DIR_ENV, "repro_trace_store")):
         previous[env_var] = os.environ.get(env_var)
         os.environ[env_var] = str(tmp_path_factory.mktemp(label))
     yield

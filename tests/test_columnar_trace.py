@@ -21,8 +21,6 @@ from repro.common.config import cascade_lake_multi_core, cascade_lake_single_cor
 from repro.common.types import AccessKind, MemoryAccess
 from repro.sim.engine import build_workload_trace
 from repro.sim.multi_core import run_multicore_mix
-from repro.sim.result_cache import ResultCache
-from repro.sim.results import SingleCoreResult
 from repro.sim.scenarios import build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.synthetic import (
@@ -253,50 +251,3 @@ class TestColumnarContainer:
         trace = spec_like_trace("wrf_like", num_memory_accesses=100)
         shim = ObjectTrace(trace.name, list(trace))
         assert list(trace_lists(shim)) == list(trace.as_lists())
-
-
-# ----------------------------------------------------------------------
-# Result cache GC
-# ----------------------------------------------------------------------
-def _dummy_result(workload: str) -> SingleCoreResult:
-    return SingleCoreResult(
-        workload=workload,
-        scenario="baseline",
-        instructions=1000,
-        cycles=100.0,
-        ipc=10.0,
-        average_load_latency=1.0,
-        dram_transactions=0,
-        dram_transactions_by_source={},
-        mpki_by_level={},
-        l1d_prefetches_issued=0,
-        l1d_prefetches_filtered=0,
-        l1d_prefetch_accuracy=0.0,
-        useful_l1d_prefetches=0,
-        useless_l1d_prefetches=0,
-        accurate_prefetch_source={},
-        inaccurate_prefetch_source={},
-        offchip_prediction_location={},
-        speculative_requests=0,
-        delayed_predictions_saved=0,
-        served_by={},
-    )
-
-
-def test_gc_evicts_oldest_first(tmp_path):
-    import os
-    import time
-
-    cache = ResultCache(tmp_path / "cache")
-    for index in range(6):
-        key = f"k{index}"
-        cache.put(key, _dummy_result(key))
-        # Force distinct, ordered mtimes regardless of filesystem resolution.
-        stamp = time.time() - 1000 + index
-        os.utime(cache.directory / f"{key}.json", (stamp, stamp))
-    entry_size = (cache.directory / "k0.json").stat().st_size
-    removed, freed = cache.gc(3 * entry_size)
-    assert removed == 3
-    assert freed == 3 * entry_size
-    assert cache.entries() == ["k3", "k4", "k5"]
-    assert cache.size_bytes() <= 3 * entry_size

@@ -210,15 +210,6 @@ class TestResultCacheStore:
         (tmp_path / "bad.json").write_text("{not json")
         assert cache.get("bad") is None
 
-    def test_entries_and_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = execute_point(tiny_point())
-        cache.put("k1", result)
-        cache.put("k2", result)
-        assert cache.entries() == ["k1", "k2"]
-        assert cache.clear() == 2
-        assert cache.entries() == []
-
 
 class TestEngineCaching:
     def test_cache_hit_short_circuits_simulation(self, tmp_path):
@@ -301,9 +292,7 @@ class TestEngineDeterminism:
 
 class TestWarmCacheSkipsFigureHarness:
     def test_second_fig10_invocation_performs_zero_simulations(self, tmp_path, monkeypatch):
-        from repro.sim import result_cache as result_cache_module
-
-        monkeypatch.setenv(result_cache_module.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(ResultCache.DIR_ENV, str(tmp_path))
         config = quick_experiment_config()
 
         cold = CampaignCache(config)
@@ -446,7 +435,7 @@ class TestCorruptStorage:
             assert cache.get(point.key()) is None
         assert "quarantined corrupt" in caplog.text
         assert not entry.exists()
-        assert [p.name for p in cache.quarantined_files()] == [
+        assert [p.name for p in cache.quarantined()] == [
             f"{point.key()}.json.corrupt"
         ]
         # The engine transparently re-simulates a torn point.

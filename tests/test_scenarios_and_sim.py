@@ -74,6 +74,13 @@ class TestScenarioBuilding:
         with pytest.raises(ValueError, match="unknown L1D prefetcher"):
             build_scenario("tlp", l1d_prefetcher=name)
 
+    @pytest.mark.parametrize("make", [Scenario, build_scenario])
+    def test_l2_prefetcher_is_not_a_knob(self, make):
+        # SPP is the L2 prefetcher of every scheme (TestSchemeTable pins
+        # its preset); a name that would not change it is refused.
+        with pytest.raises(TypeError, match="l2_prefetcher"):
+            make("baseline", l2_prefetcher="bop")
+
     def test_ablation_schemes_attach_expected_components(self):
         slp_only = build_hierarchy(build_scenario("slp"))
         from repro.predictors.base import NullOffChipPredictor

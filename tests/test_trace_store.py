@@ -13,8 +13,11 @@ Pins the tentpole guarantees of the persistent memory-mapped trace store:
 * the catalog/engine ``store=`` fast path serves store hits without running
   a generator (asserted via the generator-invocation counter);
 * the ``repro trace`` CLI subcommands work end to end;
-* the per-process graph memo is a bounded LRU and the result-cache GC
-  supports dry runs.
+* the per-process graph memo is a bounded LRU.
+
+The listing, size, gc and quarantine rules it shares with the result cache
+are tested in ``tests/test_entry_store.py`` (run here by
+:class:`TestTraceStoreGc`).
 """
 
 import dataclasses
@@ -56,6 +59,7 @@ from repro.traces.store import (
 )
 from repro.traces.trace import KIND_LOAD, KIND_NON_MEM, KIND_STORE, Trace
 from repro.workloads.spec_like import spec_like_trace
+from test_entry_store import EntryStoreContract
 
 from pathlib import Path
 
@@ -676,11 +680,9 @@ class TestTraceCli:
 
     def test_sweep_include_imported_smoke(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
-        from repro.traces.store import TRACE_DIR_ENV
-        from repro.sim.result_cache import CACHE_DIR_ENV
 
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path / "store"))
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "rc"))
+        monkeypatch.setenv(TraceStore.DIR_ENV, str(tmp_path / "store"))
+        monkeypatch.setenv(ResultCache.DIR_ENV, str(tmp_path / "rc"))
         assert main(["trace", "import", str(CHAMPSIM_FIXTURE),
                      "--name", "fixture", "--compute-per-access", "2"]) == 0
         output = capsys.readouterr().out
@@ -716,7 +718,7 @@ class TestCorruptStorage:
         assert "quarantined corrupt trace" in caplog.text
         assert rebuilt.num_memory_accesses >= BUDGET
         assert store.contains(key)  # regenerated entry replaces the corrupt one
-        assert key not in [p.name for p in store.quarantined_entries()]
+        assert key not in [p.name for p in store.quarantined()]
 
     def test_bitrot_detected_by_digest(self, tmp_path, caplog):
         from repro.sim.engine import build_workload_trace
@@ -824,47 +826,29 @@ class TestVerifiedOncePerProcess:
         with caplog.at_level(logging.WARNING, logger="repro.traces"):
             assert TraceStore(tmp_path).get("k") is None
         assert "digest mismatch" in caplog.text
-        assert [p.name for p in store.quarantined_entries()] == ["k.corrupt"]
+        assert [p.name for p in store.quarantined()] == ["k.corrupt"]
         assert str(entry.absolute()) not in store_module._VERIFIED
 
 
 # ----------------------------------------------------------------------
-# Trace-store GC (size-capped sweep mirroring `repro cache gc`)
+# Trace-store entry rules and GC (shared with the result cache)
 # ----------------------------------------------------------------------
-class TestTraceStoreGc:
-    def _populated_store(self, tmp_path) -> tuple[TraceStore, list[str]]:
-        """A store with three entries whose header mtimes are 0/1/2."""
-        import os
+class TestTraceStoreGc(EntryStoreContract):
+    """The shared entry rules (``tests/test_entry_store.py``) on the trace
+    store, plus what an eviction does to the imported-workload registry."""
 
-        store = TraceStore(tmp_path / "store")
-        keys = []
-        for index, budget in enumerate((200, 250, 300)):
-            trace = spec_like_trace("lbm_like", num_memory_accesses=budget)
-            key = workload_key("spec.lbm_like", budget)
-            store.put(key, trace)
-            meta_path = store.path(key) / "meta.json"
-            os.utime(meta_path, (index, index))
-            keys.append(key)
-        return store, keys
+    STORE = TraceStore
+    LOGGER = "repro.traces"
+    COMMAND, CLI_NOUN = "trace", "traces"
 
-    def test_gc_evicts_oldest_first(self, tmp_path):
-        store, keys = self._populated_store(tmp_path)
-        newest_size = store.entry_size_bytes(keys[2])
-        removed, freed = store.gc(newest_size + store.entry_size_bytes(keys[1]))
-        assert removed == 1
-        assert not store.contains(keys[0])  # oldest mtime went first
-        assert store.contains(keys[1]) and store.contains(keys[2])
-        assert freed > 0
-        assert store.size_bytes() <= newest_size + store.entry_size_bytes(keys[1])
+    def add(self, store, index: int) -> str:
+        budget = (200, 250, 300)[index]
+        key = workload_key("spec.lbm_like", budget)
+        store.put(key, spec_like_trace("lbm_like", num_memory_accesses=budget))
+        return key
 
-    def test_gc_dry_run_deletes_nothing(self, tmp_path):
-        store, keys = self._populated_store(tmp_path)
-        before = store.size_bytes()
-        removed, freed = store.gc(0, dry_run=True)
-        assert removed == 3
-        assert freed == before
-        assert store.keys() == sorted(keys)
-        assert store.size_bytes() == before
+    def corrupt(self, store, key: str) -> None:
+        (store.path(key) / "pc.bin").write_bytes(b"\x00" * 8)
 
     def test_gc_unregisters_evicted_imported_traces(self, tmp_path):
         import os
@@ -881,15 +865,10 @@ class TestTraceStoreGc:
         assert "imported.fixture" not in store.imported_workloads()
         assert store.get("imported.fixture") is None
 
-    def test_gc_noop_when_under_cap(self, tmp_path):
-        store, keys = self._populated_store(tmp_path)
-        assert store.gc(store.size_bytes() + 1) == (0, 0)
-        assert store.keys() == sorted(keys)
-
     def test_cli_gc_and_dry_run(self, tmp_path, capsys):
         from repro.cli import main
 
-        store, _ = self._populated_store(tmp_path)
+        store, _ = self.populated(tmp_path)
         store_dir = str(store.directory)
         assert main(["trace", "--dir", store_dir, "gc",
                      "--max-mb", "0.001", "--dry-run"]) == 0
@@ -963,53 +942,3 @@ class TestGraphMemoLru:
         assert ("urand", "tiny", 1) not in graphs._GRAPH_MEMO  # LRU victim
         assert graphs.generate_graph("urand", scale="tiny", seed=0) is keep
         graphs.clear_graph_memo()
-
-
-# ----------------------------------------------------------------------
-# Result-cache GC dry run
-# ----------------------------------------------------------------------
-def _dummy_result(workload: str):
-    from repro.sim.results import SingleCoreResult
-
-    return SingleCoreResult(
-        workload=workload,
-        scenario="baseline",
-        instructions=1000,
-        cycles=100.0,
-        ipc=10.0,
-        average_load_latency=1.0,
-        dram_transactions=0,
-        dram_transactions_by_source={},
-        mpki_by_level={},
-        l1d_prefetches_issued=0,
-        l1d_prefetches_filtered=0,
-        l1d_prefetch_accuracy=0.0,
-        useful_l1d_prefetches=0,
-        useless_l1d_prefetches=0,
-        accurate_prefetch_source={},
-        inaccurate_prefetch_source={},
-        offchip_prediction_location={},
-        speculative_requests=0,
-        delayed_predictions_saved=0,
-        served_by={},
-    )
-
-
-def test_result_cache_gc_dry_run_reports_without_deleting(tmp_path):
-    import os
-    import time
-
-    cache = ResultCache(tmp_path / "cache")
-    for index in range(6):
-        key = f"k{index}"
-        cache.put(key, _dummy_result(key))
-        stamp = time.time() - 1000 + index
-        os.utime(cache.directory / f"{key}.json", (stamp, stamp))
-    entry_size = (cache.directory / "k0.json").stat().st_size
-    removed, freed = cache.gc(3 * entry_size, dry_run=True)
-    assert (removed, freed) == (3, 3 * entry_size)
-    # Nothing was actually deleted.
-    assert len(cache.entries()) == 6
-    # A real sweep then evicts exactly what the dry run predicted.
-    assert cache.gc(3 * entry_size) == (removed, freed)
-    assert cache.entries() == ["k3", "k4", "k5"]
