@@ -309,15 +309,17 @@ def _gc(args: argparse.Namespace, label: str, store, noun: str) -> int:
     """``cache gc`` / ``trace gc``: evict ``store``'s oldest entries down to
     ``--max-mb`` (or, with ``--dry-run``, say what that would evict)."""
     before = store.size_bytes()
+    quarantined = len(store.quarantined())
     removed, freed = store.gc(int(args.max_mb * 1024 * 1024), dry_run=args.dry_run)
     verb = "would evict" if args.dry_run else "evicted"
-    quarantined = len(store.quarantined())
-    note = f", {quarantined} quarantined corrupt entries" if quarantined else ""
+    # gc evicts the quarantined entries first.
+    evicted = min(removed, quarantined)
+    note = f", {evicted} of them quarantined corrupt" if evicted else ""
     print(
         f"{label} gc{' (dry run)' if args.dry_run else ''}: {store.directory} "
         f"{_format_bytes(before)} -> {_format_bytes(before - freed)} "
-        f"({removed} {noun} {verb}, {_format_bytes(freed)} reclaimed, "
-        f"cap {args.max_mb:g} MB{note})"
+        f"({removed} {noun} {verb}{note}, {_format_bytes(freed)} reclaimed, "
+        f"cap {args.max_mb:g} MB)"
     )
     return 0
 

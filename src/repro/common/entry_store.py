@@ -10,9 +10,11 @@ else ``DEFAULT_DIR`` in the working directory.
 
 A corrupt entry found on read is *quarantined*: renamed to ``<entry
 name>.corrupt`` with one warning and counted as a miss, so the caller
-rebuilds it while the broken bytes stay for a post-mortem.  Writes never
-evict; :meth:`EntryStore.gc` is the one size bound and evicts the oldest
-entries (by header modification time) first.
+rebuilds it while the broken bytes stay for a post-mortem.  Quarantined
+entries count toward the store's size.  Writes never evict;
+:meth:`EntryStore.gc` is the one size bound: it evicts the quarantined
+entries first, as they can never be read back, then the oldest entries (by
+header modification time).
 """
 
 from __future__ import annotations
@@ -84,15 +86,7 @@ class EntryStore:
 
     def remove(self, key: str) -> bool:
         """Delete the entry stored under ``key``; True when one existed."""
-        entry = self.path(key)
-        try:
-            if entry.is_dir():
-                shutil.rmtree(entry)
-            else:
-                entry.unlink()
-        except FileNotFoundError:
-            return False
-        return True
+        return _delete(self.path(key))
 
     def _next_step(self, key: str) -> str:
         """What the quarantine warning says happens to ``key`` next."""
@@ -128,25 +122,22 @@ class EntryStore:
 
     def entry_size_bytes(self, key: str) -> int:
         """On-disk size of one entry (every file of an entry directory)."""
-        entry = self.path(key)
-        total = 0
-        for path in entry.iterdir() if entry.is_dir() else (entry,):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+        return _size(self.path(key))
 
     def size_bytes(self) -> int:
-        """Total on-disk size of every entry."""
-        return sum(self.entry_size_bytes(key) for key in self.keys())
+        """Total on-disk size of every entry, quarantined ones included."""
+        return sum(self.entry_size_bytes(key) for key in self.keys()) + sum(
+            _size(path) for path in self.quarantined()
+        )
 
     def gc(self, max_bytes: int, dry_run: bool = False) -> tuple[int, int]:
-        """Evict the oldest entries (by header modification time) until the
-        store fits in ``max_bytes``.
+        """Evict entries until the store fits in ``max_bytes``: the
+        quarantined ones first, then the oldest (by header modification
+        time).
 
         With ``dry_run`` nothing is deleted; the return value reports what
-        a real sweep would do.  Returns ``(entries_removed, bytes_freed)``.
+        a real sweep would do.  Returns ``(entries_removed, bytes_freed)``,
+        quarantined entries included.
         """
         stamped = []
         for key in self.keys():
@@ -154,18 +145,46 @@ class EntryStore:
                 mtime = self.header(key).stat().st_mtime
             except OSError:
                 continue
-            stamped.append((mtime, self.entry_size_bytes(key), key))
-        stamped.sort()
-        excess = sum(size for _, size, _ in stamped) - max_bytes
+            stamped.append((mtime, key))
+        victims = [(path, None) for path in self.quarantined()]
+        victims += [(self.path(key), key) for _, key in sorted(stamped)]
+        sizes = [_size(path) for path, _ in victims]
+        excess = sum(sizes) - max_bytes
         removed = freed = 0
-        for _, size, key in stamped:
+        for (path, key), size in zip(victims, sizes):
             if freed >= excess:
                 break
             if not dry_run:
                 try:
-                    self.remove(key)
+                    if key is None:
+                        _delete(path)
+                    else:
+                        self.remove(key)
                 except OSError:
                     continue
             removed += 1
             freed += size
         return (removed, freed)
+
+
+def _size(entry: Path) -> int:
+    """On-disk size of an entry file, or of every file of an entry directory."""
+    total = 0
+    for path in entry.iterdir() if entry.is_dir() else (entry,):
+        try:
+            total += path.stat().st_size
+        except OSError:
+            pass
+    return total
+
+
+def _delete(entry: Path) -> bool:
+    """Delete an entry file or directory; True when one existed."""
+    try:
+        if entry.is_dir():
+            shutil.rmtree(entry)
+        else:
+            entry.unlink()
+    except FileNotFoundError:
+        return False
+    return True

@@ -23,12 +23,15 @@ from DRAM and negatively otherwise.
 
 from __future__ import annotations
 
+from repro.common.counters import Counters
 from repro.predictors.base import OffChipAction, OffChipDecision, OffChipPredictor
 from repro.predictors.features import FeatureHistory, legacy_hermes_features
 from repro.predictors.perceptron import HashedPerceptron
 
 
-class FirstLevelPerceptron(OffChipPredictor):
+class FirstLevelPerceptron(OffChipPredictor, Counters, fields=(
+    "immediate_decisions", "delayed_decisions", "negative_decisions",
+)):
     """FLP: Hermes-style off-chip prediction with selective delay."""
 
     name = "flp"
@@ -58,31 +61,30 @@ class FirstLevelPerceptron(OffChipPredictor):
         #: Last binary off-chip prediction; consumed by SLP's leveling feature
         #: for prefetches triggered by this demand access.
         self.last_prediction = False
-        self.immediate_decisions = 0
-        self.delayed_decisions = 0
-        self.negative_decisions = 0
+        Counters.__init__(self)
 
     def predict(self, pc: int, vaddr: int, cycle: int) -> OffChipDecision:
         context = self.history.context(pc, vaddr)
         confidence, indices = self.perceptron.predict(context)
         self.history.observe(pc, vaddr)
 
+        counts = self.counts
         if confidence > self.tau_high:
             action = OffChipAction.IMMEDIATE
             predicted_offchip = True
-            self.immediate_decisions += 1
+            counts[_F.immediate_decisions] += 1
         elif confidence >= self.tau_low:
             predicted_offchip = True
             if self.selective_delay:
                 action = OffChipAction.DELAYED
-                self.delayed_decisions += 1
+                counts[_F.delayed_decisions] += 1
             else:
                 action = OffChipAction.IMMEDIATE
-                self.immediate_decisions += 1
+                counts[_F.immediate_decisions] += 1
         else:
             action = OffChipAction.NONE
             predicted_offchip = False
-            self.negative_decisions += 1
+            counts[_F.negative_decisions] += 1
 
         self.last_prediction = predicted_offchip
         return OffChipDecision(
@@ -102,11 +104,12 @@ class FirstLevelPerceptron(OffChipPredictor):
         self.perceptron.reset()
         self.history.reset()
         self.last_prediction = False
-        self.immediate_decisions = 0
-        self.delayed_decisions = 0
-        self.negative_decisions = 0
+        self.zero()
 
     def storage_kib(self) -> float:
         """FLP storage (weight tables plus page buffer), in KiB."""
         bits = self.perceptron.storage_bits() + self.history.storage_bits()
         return bits / 8.0 / 1024.0
+
+
+_F = FirstLevelPerceptron.SLOT

@@ -19,12 +19,15 @@ completes, positively if it was served from DRAM and negatively otherwise.
 
 from __future__ import annotations
 
+from repro.common.counters import Counters
 from repro.predictors.features import FeatureHistory, slp_features
 from repro.predictors.perceptron import HashedPerceptron
 from repro.prefetchers.base import FilterDecision, PrefetchFilter, PrefetchRequest
 
 
-class SecondLevelPerceptron(PrefetchFilter):
+class SecondLevelPerceptron(
+    PrefetchFilter, Counters, fields=("consultations", "discarded", "issued"),
+):
     """SLP: off-chip prediction used as an adaptive L1D prefetch filter."""
 
     name = "slp"
@@ -45,9 +48,7 @@ class SecondLevelPerceptron(PrefetchFilter):
             training_threshold=training_threshold,
         )
         self.history = FeatureHistory(page_buffer_entries=page_buffer_entries)
-        self.consultations = 0
-        self.discarded = 0
-        self.issued = 0
+        Counters.__init__(self)
 
     def consult(
         self,
@@ -75,26 +76,17 @@ class SecondLevelPerceptron(PrefetchFilter):
     ) -> tuple[bool, int, list[int]]:
         """Score one candidate; returns ``(issue, confidence, indices)``.
 
-        The kernel behind :meth:`consult`, called directly by the batch
-        simulator core (no request/decision objects).  ``predict`` is
-        unrolled to ``_compute`` plus the two prediction counters it keeps.
+        The kernel behind :meth:`consult` (no request/decision objects).
         """
-        self.consultations += 1
+        counts = self.counts
+        counts[_S.consultations] += 1
         flp_bit = trigger_offchip_prediction if self.use_leveling_feature else False
         history = self.history
-        perceptron = self.perceptron
         context = history.context(trigger_pc, paddr, flp_prediction=flp_bit)
-        confidence, indices = perceptron._compute(context)
-        stats = perceptron.stats
-        stats.predictions += 1
-        if confidence >= 0:
-            stats.positive_predictions += 1
+        confidence, indices = self.perceptron.predict(context)
         history.observe(trigger_pc, paddr)
         issue = confidence < self.tau_pref
-        if issue:
-            self.issued += 1
-        else:
-            self.discarded += 1
+        counts[_S.issued if issue else _S.discarded] += 1
         return issue, confidence, indices
 
     def train(self, metadata, outcome: bool) -> None:
@@ -115,9 +107,7 @@ class SecondLevelPerceptron(PrefetchFilter):
     def reset(self) -> None:
         self.perceptron.reset()
         self.history.reset()
-        self.consultations = 0
-        self.discarded = 0
-        self.issued = 0
+        self.zero()
 
     @property
     def discard_rate(self) -> float:
@@ -130,3 +120,6 @@ class SecondLevelPerceptron(PrefetchFilter):
         """SLP storage (weight tables plus page buffer), in KiB."""
         bits = self.perceptron.storage_bits() + self.history.storage_bits()
         return bits / 8.0 / 1024.0
+
+
+_S = SecondLevelPerceptron.SLOT

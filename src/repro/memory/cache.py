@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.common.config import CacheConfig
+from repro.common.counters import Counters
 from repro.memory.pool import state_array
 
 #: Bits of a slot's ``_flags`` byte.  :data:`PREFETCH_PENDING` marks an
@@ -28,20 +29,12 @@ PREFETCH_USEFUL = 4
 PREFETCH_PENDING = 8
 
 
-@dataclass
-class CacheStats:
+class CacheStats(Counters, fields=(
+    "demand_accesses", "demand_hits", "demand_misses", "prefetch_fills",
+    "demand_fills", "evictions", "useful_prefetch_evictions",
+    "useless_prefetch_evictions", "prefetch_hits", "writebacks",
+)):
     """Counters exported by each cache level."""
-
-    demand_accesses: int = 0
-    demand_hits: int = 0
-    demand_misses: int = 0
-    prefetch_fills: int = 0
-    demand_fills: int = 0
-    evictions: int = 0
-    useful_prefetch_evictions: int = 0
-    useless_prefetch_evictions: int = 0
-    prefetch_hits: int = 0
-    writebacks: int = 0
 
     @property
     def demand_hit_rate(self) -> float:
@@ -49,6 +42,9 @@ class CacheStats:
         if self.demand_accesses == 0:
             return 0.0
         return self.demand_hits / self.demand_accesses
+
+
+_C = CacheStats.SLOT
 
 
 @dataclass
@@ -153,18 +149,18 @@ class Cache:
         whether it was the first demand use of a prefetched block; that use
         marks the block useful and increments ``prefetch_hits``.
         """
-        stats = self.stats
-        stats.demand_accesses += 1
+        counts = self.stats.counts
+        counts[_C.demand_accesses] += 1
         slot = self.find(block_addr)
         if slot < 0:
-            stats.demand_misses += 1
+            counts[_C.demand_misses] += 1
             return None
-        stats.demand_hits += 1
+        counts[_C.demand_hits] += 1
         flags = self._flags[slot]
         first_use = flags & (PREFETCHED | PREFETCH_USEFUL) == PREFETCHED
         if first_use:
             flags |= PREFETCH_USEFUL
-            stats.prefetch_hits += 1
+            counts[_C.prefetch_hits] += 1
         if is_write:
             flags |= DIRTY
         self._flags[slot] = flags
@@ -225,9 +221,9 @@ class Cache:
         clock[0] += 1
         self._stamps[slot] = clock[0]
         if prefetched:
-            self.stats.prefetch_fills += 1
+            self.stats.counts[_C.prefetch_fills] += 1
         else:
-            self.stats.demand_fills += 1
+            self.stats.counts[_C.demand_fills] += 1
         return eviction
 
     def invalidate(self, block_addr: int) -> bool:
@@ -255,15 +251,15 @@ class Cache:
     def _evict(self, slot: int) -> EvictionInfo:
         """Account for the block in ``slot``; the caller reuses the slot."""
         flags = self._flags[slot]
-        stats = self.stats
-        stats.evictions += 1
+        counts = self.stats.counts
+        counts[_C.evictions] += 1
         if flags & DIRTY:
-            stats.writebacks += 1
+            counts[_C.writebacks] += 1
         if flags & PREFETCHED:
             if flags & PREFETCH_USEFUL:
-                stats.useful_prefetch_evictions += 1
+                counts[_C.useful_prefetch_evictions] += 1
             else:
-                stats.useless_prefetch_evictions += 1
+                counts[_C.useless_prefetch_evictions] += 1
         info = EvictionInfo(
             block_addr=self._tags[slot],
             was_prefetched=bool(flags & PREFETCHED),
@@ -280,7 +276,7 @@ class Cache:
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
         """Zero the counters without touching cache contents (post warm-up)."""
-        self.stats = CacheStats()
+        self.stats.zero()
 
     def take_pending(self, block_addr: int) -> int:
         """Clear a block's :data:`PREFETCH_PENDING` bit; return the level its

@@ -17,23 +17,19 @@ observation.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from repro.common.config import DRAMConfig
+from repro.common.counters import Counters
 from repro.common.types import RequestSource
 
 
-@dataclass
-class DRAMStats:
-    """Transaction counters split by request source."""
-
-    total_transactions: int = 0
-    demand_transactions: int = 0
-    l1d_prefetch_transactions: int = 0
-    l2c_prefetch_transactions: int = 0
-    speculative_transactions: int = 0
-    total_queue_cycles: int = 0
-    max_queue_cycles: int = 0
+class DRAMStats(Counters, fields=(
+    "total_transactions", "demand_transactions", "l1d_prefetch_transactions",
+    "l2c_prefetch_transactions", "speculative_transactions",
+    "total_queue_cycles", "max_queue_cycles",
+)):
+    """Transaction counters split by request source, and the queueing
+    delay they saw (a sum and a maximum)."""
 
     def by_source(self) -> dict[str, int]:
         """Return the per-source transaction counts as a dictionary."""
@@ -43,6 +39,9 @@ class DRAMStats:
             "l2c_prefetch": self.l2c_prefetch_transactions,
             "speculative": self.speculative_transactions,
         }
+
+
+_D = DRAMStats.SLOT
 
 
 class DRAMModel:
@@ -68,22 +67,24 @@ class DRAMModel:
         any queuing delay caused by earlier transactions still occupying the
         channel.
         """
-        self.stats.total_transactions += 1
+        counts = self.stats.counts
+        counts[_D.total_transactions] += 1
         if source is RequestSource.DEMAND:
-            self.stats.demand_transactions += 1
+            counts[_D.demand_transactions] += 1
         elif source is RequestSource.L1D_PREFETCH:
-            self.stats.l1d_prefetch_transactions += 1
+            counts[_D.l1d_prefetch_transactions] += 1
         elif source is RequestSource.L2C_PREFETCH:
-            self.stats.l2c_prefetch_transactions += 1
+            counts[_D.l2c_prefetch_transactions] += 1
         else:
-            self.stats.speculative_transactions += 1
+            counts[_D.speculative_transactions] += 1
 
         busy_until = self._busy_until
         queue_delay = max(0.0, busy_until[0] - cycle)
         busy_until[0] = cycle + queue_delay + self._cycles_per_transaction
         queue_cycles = int(queue_delay)
-        self.stats.total_queue_cycles += queue_cycles
-        self.stats.max_queue_cycles = max(self.stats.max_queue_cycles, queue_cycles)
+        counts[_D.total_queue_cycles] += queue_cycles
+        if queue_cycles > counts[_D.max_queue_cycles]:
+            counts[_D.max_queue_cycles] = queue_cycles
         return int(queue_delay + self.config.access_latency)
 
     def queue_delay(self, cycle: int) -> float:
@@ -102,4 +103,4 @@ class DRAMModel:
 
     def reset_stats(self) -> None:
         """Zero the transaction counters (post warm-up)."""
-        self.stats = DRAMStats()
+        self.stats.zero()

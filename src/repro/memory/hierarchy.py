@@ -26,11 +26,11 @@ The demand access flow mirrors the paper's Figure 9:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.addresses import block_address
 from repro.common.config import SystemConfig
+from repro.common.counters import Counters
 from repro.common.types import AccessOutcome, MemLevel, RequestSource
 from repro.memory.cache import Cache, EvictionInfo
 from repro.memory.dram import DRAMModel
@@ -48,55 +48,34 @@ from repro.prefetchers.base import (
 )
 
 
-@dataclass
-class HierarchyStats:
+#: A per-level counter group: one slot per MemLevel, L1D to DRAM.
+_BY_LEVEL = tuple(MemLevel)
+
+
+class HierarchyStats(Counters, fields=(
+    "demand_loads", "demand_stores", ("served_by", _BY_LEVEL),
+    # Where the block actually resided when a speculative off-chip request
+    # was issued (Figure 4 of the paper).
+    ("offchip_prediction_location", _BY_LEVEL),
+    "speculative_requests", "delayed_speculative_requests",
+    "delayed_predictions_saved", "offchip_predictions",
+    "l1d_prefetch_candidates", "l1d_prefetches_filtered",
+    "l1d_prefetches_dropped_resident", "l1d_prefetches_dropped_queue_full",
+    "l2c_prefetches_dropped_queue_full", "l1d_prefetches_issued",
+    ("l1d_prefetch_served_by", _BY_LEVEL),
+    "l2c_prefetch_candidates", "l2c_prefetches_filtered",
+    "l2c_prefetches_dropped_resident", "l2c_prefetches_issued",
+    "useful_l1d_prefetches", "useless_l1d_prefetches",
+    # Accurate/inaccurate L1D prefetches broken down by the level that
+    # served them (Figures 5 and 6).
+    ("accurate_prefetch_source", _BY_LEVEL),
+    ("inaccurate_prefetch_source", _BY_LEVEL),
+)):
     """Aggregate statistics of one core's view of the hierarchy."""
 
-    demand_loads: int = 0
-    demand_stores: int = 0
-    served_by: dict[MemLevel, int] = field(
-        default_factory=lambda: {level: 0 for level in MemLevel}
-    )
-    #: Where the block actually resided when a speculative off-chip request
-    #: was issued (Figure 4 of the paper).
-    offchip_prediction_location: dict[MemLevel, int] = field(
-        default_factory=lambda: {level: 0 for level in MemLevel}
-    )
-    speculative_requests: int = 0
-    delayed_speculative_requests: int = 0
-    delayed_predictions_saved: int = 0
-    offchip_predictions: int = 0
-    l1d_prefetch_candidates: int = 0
-    l1d_prefetches_filtered: int = 0
-    l1d_prefetches_dropped_resident: int = 0
-    l1d_prefetches_dropped_queue_full: int = 0
-    l2c_prefetches_dropped_queue_full: int = 0
-    l1d_prefetches_issued: int = 0
-    l1d_prefetch_served_by: dict[MemLevel, int] = field(
-        default_factory=lambda: {level: 0 for level in MemLevel}
-    )
-    l2c_prefetch_candidates: int = 0
-    l2c_prefetches_filtered: int = 0
-    l2c_prefetches_dropped_resident: int = 0
-    l2c_prefetches_issued: int = 0
-    useful_l1d_prefetches: int = 0
-    useless_l1d_prefetches: int = 0
-    #: Accurate/inaccurate L1D prefetches broken down by the level that
-    #: served them (Figures 5 and 6).
-    accurate_prefetch_source: dict[MemLevel, int] = field(
-        default_factory=lambda: {level: 0 for level in MemLevel}
-    )
-    inaccurate_prefetch_source: dict[MemLevel, int] = field(
-        default_factory=lambda: {level: 0 for level in MemLevel}
-    )
 
-    @property
-    def l1d_prefetch_accuracy(self) -> float:
-        """Fraction of resolved L1D prefetches that were useful."""
-        resolved = self.useful_l1d_prefetches + self.useless_l1d_prefetches
-        if resolved == 0:
-            return 0.0
-        return self.useful_l1d_prefetches / resolved
+#: Slots of :class:`HierarchyStats`, for the demand and prefetch paths.
+_H = HierarchyStats.SLOT
 
 
 class SharedMemory:
@@ -187,24 +166,24 @@ class MemoryHierarchy:
         useless DRAM transaction each, which is exactly the overhead the
         paper quantifies in Figures 2/3.
         """
-        stats = self.stats
+        counts = self.stats.counts
         l1d = self.l1d
         paddr = self.page_table.translate(vaddr)
         block = block_address(paddr)
         if is_write:
-            stats.demand_stores += 1
+            counts[_H.demand_stores] += 1
         else:
-            stats.demand_loads += 1
+            counts[_H.demand_loads] += 1
 
         decision = self.offchip_predictor.predict(pc, vaddr, cycle)
         if decision.predicted_offchip:
-            stats.offchip_predictions += 1
+            counts[_H.offchip_predictions] += 1
 
         speculative_issued = False
         speculative_ready: Optional[int] = None
         if decision.action is OffChipAction.IMMEDIATE:
             speculative_issued = True
-            stats.speculative_requests += 1
+            counts[_H.speculative_requests] += 1
             self._record_offchip_prediction_location(block)
             dram_latency = self.dram.access(
                 cycle + self._predictor_latency, RequestSource.SPECULATIVE_OFFCHIP
@@ -232,11 +211,11 @@ class MemoryHierarchy:
         # the L1D lookup has resolved as a miss.
         if decision.action is OffChipAction.DELAYED:
             if l1d_hit:
-                stats.delayed_predictions_saved += 1
+                counts[_H.delayed_predictions_saved] += 1
             else:
                 speculative_issued = True
-                stats.speculative_requests += 1
-                stats.delayed_speculative_requests += 1
+                counts[_H.speculative_requests] += 1
+                counts[_H.delayed_speculative_requests] += 1
                 self._record_offchip_prediction_location(
                     block, already_missed_l1d=True
                 )
@@ -267,7 +246,7 @@ class MemoryHierarchy:
         went_offchip = served_by is MemLevel.DRAM
         self.offchip_predictor.train(decision.metadata, went_offchip)
 
-        stats.served_by[served_by] += 1
+        counts[_H.served_by + served_by] += 1
         return AccessOutcome(
             served_by=served_by,
             latency=latency,
@@ -346,7 +325,7 @@ class MemoryHierarchy:
             location = MemLevel.LLC
         else:
             location = MemLevel.DRAM
-        self.stats.offchip_prediction_location[location] += 1
+        self.stats.counts[_H.offchip_prediction_location + location] += 1
 
     # ------------------------------------------------------------------
     # L1D prefetch path
@@ -361,7 +340,7 @@ class MemoryHierarchy:
             return
         trigger_prediction = bool(getattr(self.offchip_predictor, "last_prediction", False))
         for request in candidates:
-            self.stats.l1d_prefetch_candidates += 1
+            self.stats.counts[_H.l1d_prefetch_candidates] += 1
             self._issue_l1d_prefetch(request, trigger_prediction, cycle)
 
     def _issue_l1d_prefetch(
@@ -370,7 +349,7 @@ class MemoryHierarchy:
         target_paddr = self.page_table.translate(request.vaddr)
         block = block_address(target_paddr)
         if self.l1d.resident(block):
-            self.stats.l1d_prefetches_dropped_resident += 1
+            self.stats.counts[_H.l1d_prefetches_dropped_resident] += 1
             return
 
         filter_metadata: dict = {}
@@ -380,7 +359,7 @@ class MemoryHierarchy:
             )
             filter_metadata = decision.metadata
             if not decision.issue:
-                self.stats.l1d_prefetches_filtered += 1
+                self.stats.counts[_H.l1d_prefetches_filtered] += 1
                 return
 
         # The L1D prefetch request travels to the L2 like any other L1D miss,
@@ -394,11 +373,12 @@ class MemoryHierarchy:
 
         fetched = self._fetch_for_prefetch(block, cycle, RequestSource.L1D_PREFETCH)
         if fetched is None:
-            self.stats.l1d_prefetches_dropped_queue_full += 1
+            self.stats.counts[_H.l1d_prefetches_dropped_queue_full] += 1
             return
         served_by, fetch_latency = fetched
-        self.stats.l1d_prefetches_issued += 1
-        self.stats.l1d_prefetch_served_by[served_by] += 1
+        counts = self.stats.counts
+        counts[_H.l1d_prefetches_issued] += 1
+        counts[_H.l1d_prefetch_served_by + served_by] += 1
         # Pending until its first demand use (useful) or eviction (useless).
         self.l1d.fill(
             block,
@@ -452,13 +432,15 @@ class MemoryHierarchy:
     def _resolve_l1d_prefetch_use(self, block: int) -> None:
         source = self.l1d.take_pending(block)
         if source >= 0:
-            self.stats.useful_l1d_prefetches += 1
-            self.stats.accurate_prefetch_source[MemLevel(source)] += 1
+            counts = self.stats.counts
+            counts[_H.useful_l1d_prefetches] += 1
+            counts[_H.accurate_prefetch_source + source] += 1
 
     def _on_l1d_eviction(self, info: EvictionInfo) -> None:
         if info.pending_source >= 0:
-            self.stats.useless_l1d_prefetches += 1
-            self.stats.inaccurate_prefetch_source[MemLevel(info.pending_source)] += 1
+            counts = self.stats.counts
+            counts[_H.useless_l1d_prefetches] += 1
+            counts[_H.inaccurate_prefetch_source + info.pending_source] += 1
 
     # ------------------------------------------------------------------
     # L2 prefetch path (SPP + PPF)
@@ -468,14 +450,14 @@ class MemoryHierarchy:
             return
         candidates = self.l2_prefetcher.on_access(paddr, pc, hit=hit, cycle=cycle)
         for request in candidates:
-            self.stats.l2c_prefetch_candidates += 1
+            self.stats.counts[_H.l2c_prefetch_candidates] += 1
             self._issue_l2c_prefetch(request, cycle)
 
     def _issue_l2c_prefetch(self, request: PrefetchRequest, cycle: int) -> None:
         # SPP works on physical addresses already (it sits below the L1D).
         block = block_address(request.vaddr)
         if self.l2c.resident(block):
-            self.stats.l2c_prefetches_dropped_resident += 1
+            self.stats.counts[_H.l2c_prefetches_dropped_resident] += 1
             return
 
         filter_metadata: dict = {}
@@ -485,14 +467,14 @@ class MemoryHierarchy:
             )
             filter_metadata = decision.metadata
             if not decision.issue:
-                self.stats.l2c_prefetches_filtered += 1
+                self.stats.counts[_H.l2c_prefetches_filtered] += 1
                 return
 
         llc_resident = self.llc.resident(block)
         fill_latency = self.l2c.latency + self.llc.latency
         if not llc_resident:
             if self.dram.queue_delay(cycle) > self._prefetch_drop_queue_cycles:
-                self.stats.l2c_prefetches_dropped_queue_full += 1
+                self.stats.counts[_H.l2c_prefetches_dropped_queue_full] += 1
                 return
             dram_latency = self.dram.access(cycle, RequestSource.L2C_PREFETCH)
             fill_latency += dram_latency
@@ -503,7 +485,7 @@ class MemoryHierarchy:
                 prefetch_source_level=int(MemLevel.DRAM),
                 ready_cycle=cycle + fill_latency,
             )
-        self.stats.l2c_prefetches_issued += 1
+        self.stats.counts[_H.l2c_prefetches_issued] += 1
         if request.fill_level is MemLevel.L2C:
             self.l2c.fill(
                 block,
@@ -543,7 +525,7 @@ class MemoryHierarchy:
         Called between the warm-up and the measured portion of a run, like
         ChampSim's warm-up/simulation split.
         """
-        self.stats = HierarchyStats()
+        self.stats.zero()
         self.l1d.reset_stats()
         self.l2c.reset_stats()
         if include_shared:

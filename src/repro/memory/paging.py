@@ -12,10 +12,11 @@ and physical cacheline-offset features agree but page-level hashes differ.
 from __future__ import annotations
 
 from repro.common.addresses import PAGE_BITS, page_offset
+from repro.common.counters import Counters
 from repro.common.hashing import jenkins32
 
 
-class PageTable:
+class PageTable(Counters, fields=("page_faults",)):
     """Deterministic first-touch page allocator.
 
     Frames are assigned on first touch using a hash of the virtual page
@@ -30,7 +31,7 @@ class PageTable:
         self.memory_frames = memory_frames
         self._mapping: dict[int, int] = {}
         self._allocated_frames: set[int] = set()
-        self.page_faults = 0
+        Counters.__init__(self)
 
     def translate(self, vaddr: int) -> int:
         """Translate a virtual byte address to a physical byte address."""

@@ -4,10 +4,12 @@ Enabled by ``REPRO_SIM_SAMPLE=<N>`` (or ``--sample-interval N`` on the
 CLI, which sets the variable) *and* an active telemetry sink: samples
 are emitted as ``sim_sample`` tracer events, never stored in results or
 cache entries, so metric bit-identity and ``CACHE_SCHEMA_VERSION`` are
-untouched.  Both the scalar and batch cores call a :func:`hook` at every
-interval boundary of the measured phase with their cumulative state,
-yielding a time series of IPC, per-level MPKI and off-chip prediction
-accuracy/coverage that exposes predictor warm-up inside a point.
+untouched.  Both the scalar and batch cores call a :func:`hook` right
+after every N-th load/store of the measured phase, so both sample the same
+states; the counters it reads are the model's own arrays, current at every
+access on either core.  The samples form a time series of IPC, per-level
+MPKI and off-chip prediction accuracy/coverage that exposes predictor
+warm-up inside a point.
 """
 
 from __future__ import annotations
@@ -77,12 +79,9 @@ def hook(trace_name: str, scenario: str, core: str, hierarchy, **context):
         )
         if perceptron is not None:
             pstats = perceptron.stats
-            trained = pstats.training_events
-            attrs["predictor_accuracy"] = (
-                pstats.correct_predictions / trained if trained else 0.0
-            )
+            attrs["predictor_accuracy"] = pstats.accuracy
             attrs["predictor_predictions"] = pstats.predictions
-            attrs["predictor_training_events"] = trained
+            attrs["predictor_training_events"] = pstats.training_events
         tracer.event("sim_sample", **attrs)
 
     return emit

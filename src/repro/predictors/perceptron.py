@@ -23,10 +23,9 @@ in place through the buffer protocol, so there is nothing to synchronize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.common.counters import Counters
 from repro.common.hashing import table_index
 from repro.predictors.features import FeatureContext, FeatureSpec
 
@@ -36,15 +35,11 @@ from repro.predictors.features import FeatureContext, FeatureSpec
 _INDEX_MEMO_LIMIT = 1 << 16
 
 
-@dataclass
-class PerceptronStats:
+class PerceptronStats(Counters, fields=(
+    "predictions", "positive_predictions", "training_events", "weight_updates",
+    "correct_predictions",
+)):
     """Training/prediction counters of one perceptron instance."""
-
-    predictions: int = 0
-    positive_predictions: int = 0
-    training_events: int = 0
-    weight_updates: int = 0
-    correct_predictions: int = 0
 
     @property
     def accuracy(self) -> float:
@@ -52,6 +47,9 @@ class PerceptronStats:
         if self.training_events == 0:
             return 0.0
         return self.correct_predictions / self.training_events
+
+
+_P = PerceptronStats.SLOT
 
 
 class HashedPerceptron:
@@ -101,8 +99,9 @@ class HashedPerceptron:
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def _compute(self, context: FeatureContext) -> tuple[int, list[int]]:
-        """Fused index selection + weight summation (the hot loop)."""
+    def predict(self, context: FeatureContext) -> tuple[int, list[int]]:
+        """Return ``(confidence, indices)`` for a feature context: fused
+        index selection and weight summation (the hot loop)."""
         total = 0
         indices = []
         append = indices.append
@@ -116,22 +115,10 @@ class HashedPerceptron:
                 memo[value] = index
             append(index)
             total += table[index]
-        return total, indices
-
-    def confidence(self, indices: list[int]) -> int:
-        """Sum the weights selected by ``indices``."""
-        total = 0
-        for table, index in zip(self._tables, indices):
-            total += table[index]
-        return total
-
-    def predict(self, context: FeatureContext) -> tuple[int, list[int]]:
-        """Return ``(confidence, indices)`` for a feature context."""
-        total, indices = self._compute(context)
-        stats = self.stats
-        stats.predictions += 1
+        counts = self.stats.counts
+        counts[_P.predictions] += 1
         if total >= 0:
-            stats.positive_predictions += 1
+            counts[_P.positive_predictions] += 1
         return total, indices
 
     # ------------------------------------------------------------------
@@ -143,10 +130,11 @@ class HashedPerceptron:
         Weights are updated when the prediction disagreed with the outcome or
         when its magnitude was below the training threshold.
         """
-        self.stats.training_events += 1
+        counts = self.stats.counts
+        counts[_P.training_events] += 1
         predicted_positive = confidence >= 0
         if predicted_positive == target_positive:
-            self.stats.correct_predictions += 1
+            counts[_P.correct_predictions] += 1
         needs_update = (
             predicted_positive != target_positive
             or abs(confidence) < self.training_threshold
@@ -159,7 +147,7 @@ class HashedPerceptron:
         ):
             updated = table[index] + delta
             table[index] = min(maximum, max(minimum, updated))
-        self.stats.weight_updates += 1
+        counts[_P.weight_updates] += 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -183,4 +171,4 @@ class HashedPerceptron:
         the prediction plan stay valid.
         """
         self._weights[:] = 0
-        self.stats = PerceptronStats()
+        self.stats.zero()

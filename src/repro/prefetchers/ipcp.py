@@ -42,6 +42,7 @@ from __future__ import annotations
 from array import array
 
 from repro.common.addresses import PAGE_BITS
+from repro.common.counters import Counters
 from repro.prefetchers.base import (
     FifoTable,
     L1DPrefetcher,
@@ -54,8 +55,13 @@ _BLOCKS_PER_PAGE = 1 << (PAGE_BITS - 6)
 #: Per-class request confidence of the original implementation.
 _CLASS_CONFIDENCE = {"cs": 0.9, "gs": 0.6, "cplx": 0.5, "nl": 0.3}
 
+#: The classes ``class_counts`` counts.  They are IPCP's only counters, so
+#: a class's slot is its index here.
+CLASSES = ("cs", "cplx", "gs", "nl", "none")
+_CS, _CPLX, _GS, _NL, _NONE = range(len(CLASSES))
 
-class IPCPPrefetcher(L1DPrefetcher):
+
+class IPCPPrefetcher(L1DPrefetcher, Counters, fields=(("class_counts", CLASSES),)):
     """Instruction pointer classifier prefetcher (CS / CPLX / GS classes)."""
 
     name = "ipcp"
@@ -105,7 +111,7 @@ class IPCPPrefetcher(L1DPrefetcher):
         self._cplx_stride = cbuf[0 * m:1 * m]
         self._cplx_conf = cbuf[1 * m:2 * m]
         self._clear_regions()
-        self.class_counts = {"cs": 0, "cplx": 0, "gs": 0, "nl": 0, "none": 0}
+        Counters.__init__(self)
 
     # ------------------------------------------------------------------
     # Main hook (scalar reference path)
@@ -165,14 +171,14 @@ class IPCPPrefetcher(L1DPrefetcher):
                 m = self.cplx_table_entries
                 cplx_stride = self._cplx_stride
                 cplx_conf = self._cplx_conf
-                class_counts = self.class_counts
+                counts = self.counts
 
                 # -- classification (CS -> GS -> CPLX -> none) --
                 if (
                     stride == last_stride
                     and confidence >= self.cs_confidence_threshold
                 ):
-                    class_counts["cs"] += 1
+                    counts[_CS] += 1
                     cls = "cs"
                     targets = []
                     append = targets.append
@@ -184,7 +190,7 @@ class IPCPPrefetcher(L1DPrefetcher):
                 else:
                     density = touched.bit_count() / _BLOCKS_PER_PAGE
                     if density >= self.gs_density_threshold:
-                        class_counts["gs"] += 1
+                        counts[_GS] += 1
                         cls = "gs"
                         targets = []
                         append = targets.append
@@ -194,7 +200,7 @@ class IPCPPrefetcher(L1DPrefetcher):
                             if target_block > 0:
                                 append(target_block << 6)
                     elif cplx_conf[signature % m] >= 2:
-                        class_counts["cplx"] += 1
+                        counts[_CPLX] += 1
                         cls = "cplx"
                         targets = []
                         append = targets.append
@@ -214,7 +220,7 @@ class IPCPPrefetcher(L1DPrefetcher):
                                 ^ (chained_stride & 0x3F)
                             ) & 0xFFF
                     else:
-                        class_counts["none"] += 1
+                        counts[_NONE] += 1
 
                 # -- training / bookkeeping --
                 if stride == last_stride:
@@ -246,7 +252,7 @@ class IPCPPrefetcher(L1DPrefetcher):
             # back to next-line prefetching.  This fallback is what makes
             # IPCP an aggressive prefetcher with a long inaccurate tail
             # (Figure 5a of the paper).
-            self.class_counts["nl"] += 1
+            self.counts[_NL] += 1
             cls = "nl"
             targets = []
             target_block = block
@@ -281,7 +287,7 @@ class IPCPPrefetcher(L1DPrefetcher):
         self._ip_buf[:] = array("q", [-1]) * n + array("q", [0]) * (3 * n)
         self._cplx_buf[:] = array("q", [0]) * len(self._cplx_buf)
         self._clear_regions()
-        self.class_counts = {"cs": 0, "cplx": 0, "gs": 0, "nl": 0, "none": 0}
+        self.zero()
 
     def _clear_regions(self) -> None:
         """An empty region FIFO (see the module docstring)."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.counters import Counters
 from repro.common.hashing import fold_xor, hash_combine, jenkins32
 from repro.prefetchers.base import (
     FilterDecision,
@@ -40,7 +41,9 @@ from repro.prefetchers.base import (
 _INDEX_MEMO_LIMIT = 1 << 16
 
 
-class PerceptronPrefetchFilter(PrefetchFilter):
+class PerceptronPrefetchFilter(
+    PrefetchFilter, Counters, fields=("consultations", "rejected", "accepted"),
+):
     """Perceptron filter over SPP prefetch candidates (PPF)."""
 
     name = "ppf"
@@ -84,9 +87,7 @@ class PerceptronPrefetchFilter(PrefetchFilter):
         # value -> index memo per feature; feature values repeat heavily so
         # this removes most hash computations from the consult hot path.
         self._index_memos: list[dict[int, int]] = [{} for _ in range(n_features)]
-        self.consultations = 0
-        self.rejected = 0
-        self.accepted = 0
+        Counters.__init__(self)
 
     # ------------------------------------------------------------------
     # Filter interface (scalar reference path)
@@ -145,7 +146,7 @@ class PerceptronPrefetchFilter(PrefetchFilter):
         ``block`` is the physical block address of the candidate
         (``paddr >> 6``); the page and in-page offset derive from it.
         """
-        self.consultations += 1
+        self.counts[_PPF.consultations] += 1
         page = block >> 6
         offset = block & 63
         confidence = path_confidence
@@ -185,10 +186,7 @@ class PerceptronPrefetchFilter(PrefetchFilter):
             total += tables[feature][index]
             feature += 1
         issue = total >= self.issue_threshold
-        if issue:
-            self.accepted += 1
-        else:
-            self.rejected += 1
+        self.counts[_PPF.accepted if issue else _PPF.rejected] += 1
         return issue, total, indices
 
     def train_step(self, indices: list[int], confidence: int, outcome: bool) -> None:
@@ -212,9 +210,7 @@ class PerceptronPrefetchFilter(PrefetchFilter):
 
     def reset(self) -> None:
         self._weights[:] = 0
-        self.consultations = 0
-        self.rejected = 0
-        self.accepted = 0
+        self.zero()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -230,3 +226,6 @@ class PerceptronPrefetchFilter(PrefetchFilter):
         if self.consultations == 0:
             return 0.0
         return self.rejected / self.consultations
+
+
+_PPF = PerceptronPrefetchFilter.SLOT

@@ -36,6 +36,7 @@ from array import array
 import numpy as np
 
 from repro.common.addresses import BLOCK_SIZE
+from repro.common.counters import Counters
 from repro.common.types import MemLevel
 from repro.prefetchers.base import (
     DELTA_SPAN,
@@ -47,7 +48,7 @@ from repro.prefetchers.base import (
 )
 
 
-class SPPPrefetcher(L2Prefetcher):
+class SPPPrefetcher(L2Prefetcher, Counters, fields=("lookahead_prefetches",)):
     """Signature path prefetcher with lookahead and confidence-based fill level."""
 
     name = "spp"
@@ -78,7 +79,7 @@ class SPPPrefetcher(L2Prefetcher):
             self.l2_fill_confidence = 0.25
             self.max_lookahead_depth = 8
         self._clear_tables()
-        self.lookahead_prefetches = 0
+        Counters.__init__(self)
 
     # ------------------------------------------------------------------
     # Main hook (scalar reference path)
@@ -208,13 +209,13 @@ class SPPPrefetcher(L2Prefetcher):
                 )
             )
             if depth > 0:
-                self.lookahead_prefetches += 1
+                self.counts[_LOOKAHEAD] += 1
             signature = ((signature << 3) ^ (predicted_delta & 0x7F)) & 0xFFF
         return predictions
 
     def reset(self) -> None:
         self._clear_tables()
-        self.lookahead_prefetches = 0
+        self.zero()
 
     def _clear_tables(self) -> None:
         self._signatures = FifoTable(self.signature_table_entries)
@@ -226,3 +227,6 @@ class SPPPrefetcher(L2Prefetcher):
         self._pattern_totals = flat_table(m, np.uint8)
         self._pattern_best_delta = flat_table(m, np.int8)
         self._pattern_best_count = flat_table(m, np.uint8)
+
+
+_LOOKAHEAD = SPPPrefetcher.SLOT.lookahead_prefetches

@@ -18,22 +18,28 @@
  * per-entry rows (page, total, history, delta counters, confirmed deltas),
  * SPP's signature FIFO and pattern table, and each feature history's page
  * buffer (an LRU of page keys, last-use stamps and a clock) and last PCs.
- * Nothing is copied in or written back, so every core of a mix sees the
- * others' DRAM and LLC updates with no copy to refresh, and the scalar
- * reference can pick up a table wherever the kernel left it.  The kernel
- * keeps only private lookup indexes beside the FIFO and LRU keys (KeyIndex
- * and the page buffer's recency list), built when the Stepper is built and
- * updated alongside the keys.  An issued L1D prefetch is tracked by the
- * PREFETCH_PENDING bit of its L1D slot's flags, with its serve level in
- * _source, so it boxes nothing.  The page table's _mapping,
- * _allocated_frames and page_faults, PPF's pending-prefetch dict and every
- * stats object stay Python objects; a block address is boxed only to key
- * PPF's pending dict or an EvictionInfo.  PPF training on prefetch use and
- * L2C eviction stays a Python call.  Only hierarchies of those stock
- * components run here; the batch core rejects any other with a ValueError
- * before building a Stepper (repro.sim.batch.use_kernel), and a run is all
- * Steppers or all scalar reference.  Pure counters accumulate per chunk
- * and are added to their stats objects at the end of each chunk.
+ * Every counter is a slot of its owner's int64 ``counts`` array
+ * (repro.common.counters): the hierarchy's, each cache's, the DRAM
+ * channel's and each perceptron's stats, and FLP's, SLP's, PPF's, SPP's,
+ * IPCP's and the page table's own.  The kernel increments a slot where its
+ * event happens; the enums below mirror the Python layouts, and the module's
+ * COUNTER_LAYOUT exports them for a test to pin.  Nothing is copied in or
+ * written back (but the core runner's timing state and the off-chip
+ * predictor's last prediction, at the end of the trace), so every core of a
+ * mix sees the others' DRAM and LLC updates with no copy to refresh, and the
+ * scalar reference can pick up a table or a counter wherever the kernel left
+ * it.  The kernel keeps only private lookup indexes beside the FIFO and LRU
+ * keys (KeyIndex and the page buffer's recency list), built when the Stepper
+ * is built and updated alongside the keys.  An issued L1D prefetch is
+ * tracked by the PREFETCH_PENDING bit of its L1D slot's flags, with its
+ * serve level in _source, so it boxes nothing.  The page table's _mapping
+ * and _allocated_frames and PPF's pending-prefetch dict stay Python objects;
+ * a block address is boxed only to key PPF's pending dict or an
+ * EvictionInfo.  PPF training on prefetch use and L2C eviction stays a
+ * Python call.  Only hierarchies of those stock components run here; the
+ * batch core rejects any other with a ValueError before building a Stepper
+ * (repro.sim.batch.use_kernel), and a run is all Steppers or all scalar
+ * reference.
  *
  * Every index reduction (cache set, hashed perceptron slot, IPCP/Berti/SPP
  * table key, FIFO slot, page-frame probe) goes through py_mod: a
@@ -44,8 +50,10 @@
  *
  * Stepper.run() runs one core's trace to its end.  run_mix() interleaves
  * the Steppers of a multi-core mix: it pauses each before every load/store
- * and resumes the core with the smallest (dispatch cycle, core id).  Built
- * on first use by repro.sim.native.
+ * and resumes the core with the smallest (dispatch cycle, core id).  A
+ * Stepper given a sample hook calls it right after every N-th load/store of
+ * its trace, where the scalar reference cuts a sampled phase.  Built on
+ * first use by repro.sim.native.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -59,15 +67,14 @@
 /* ------------------------------------------------------------------ */
 
 static PyObject *EvictionInfoType;
-static PyObject *Levels[4]; /* MemLevel.L1D .. MemLevel.DRAM */
 static long long BertiHistoryDepth;
 
 #define NAMES(X)                                                             \
     X(_clock) X(_busy_until) X(_tags) X(_stamps) X(_ready) X(_flags)         \
-    X(_source) X(_set_fill) X(stats) X(_eviction_listener) X(num_sets)       \
-    X(associativity)                                                         \
+    X(_source) X(_set_fill) X(stats) X(counts) X(_eviction_listener)         \
+    X(num_sets) X(associativity)                                             \
     X(latency) X(l1d) X(l2c) X(llc) X(dram) X(page_table) X(_mapping)        \
-    X(_allocated_frames) X(core_id) X(memory_frames) X(page_faults)          \
+    X(_allocated_frames) X(core_id) X(memory_frames)                         \
     X(_resolve_l2c_prefetch_use) X(_pending_l2c_prefetches)                  \
     X(_predictor_latency)                                                    \
     X(_prefetch_drop_queue_cycles) X(_cycles_per_transaction) X(config)      \
@@ -76,36 +83,16 @@ static long long BertiHistoryDepth;
     X(l1d_prefetch_filter) X(l2_prefetch_filter)                             \
     X(perceptron) X(_tables) X(_weight_limits) X(training_threshold)         \
     X(last_prediction) X(activation_threshold) X(tau_high) X(tau_low)        \
-    X(selective_delay) X(immediate_decisions) X(delayed_decisions)           \
-    X(negative_decisions) X(predictions) X(positive_predictions)             \
-    X(training_events) X(correct_predictions) X(weight_updates)              \
+    X(selective_delay)                                                       \
     X(_retire_times) X(rob_size) X(dispatch_interval) X(_dispatch_cycle)     \
     X(_last_retire) X(instructions) X(loads) X(stores)                       \
-    X(total_load_latency) X(clear) X(extend) X(demand_loads)                 \
-    X(demand_stores) X(offchip_predictions) X(speculative_requests)          \
-    X(delayed_speculative_requests) X(delayed_predictions_saved)             \
-    X(offchip_prediction_location)                                           \
-    X(l1d_prefetch_candidates) X(l1d_prefetches_dropped_resident)            \
-    X(l1d_prefetches_filtered) X(l1d_prefetches_dropped_queue_full)          \
-    X(l1d_prefetches_issued) X(l2c_prefetch_candidates)                      \
-    X(l2c_prefetches_dropped_resident) X(l2c_prefetches_filtered)            \
-    X(l2c_prefetches_dropped_queue_full) X(l2c_prefetches_issued)            \
-    X(served_by) X(l1d_prefetch_served_by) X(useful_l1d_prefetches)          \
-    X(useless_l1d_prefetches) X(accurate_prefetch_source)                    \
-    X(inaccurate_prefetch_source) X(demand_accesses)                         \
-    X(demand_hits) X(demand_misses) X(prefetch_hits) X(prefetch_fills)       \
-    X(demand_fills) X(evictions) X(writebacks) X(useful_prefetch_evictions)  \
-    X(useless_prefetch_evictions) X(total_transactions)                      \
-    X(demand_transactions) X(speculative_transactions)                       \
-    X(l1d_prefetch_transactions) X(l2c_prefetch_transactions)                \
-    X(total_queue_cycles) X(max_queue_cycles)                                \
+    X(total_load_latency) X(clear) X(extend)                                 \
     /* IPCP */                                                               \
     X(ip_table_entries) X(cplx_table_entries) X(region_entries)              \
     X(cs_degree) X(cplx_degree) X(gs_degree) X(nl_degree)                    \
     X(cs_confidence_threshold) X(gs_density_threshold) X(_ip_buf)            \
     X(_cplx_buf) X(_regions) X(_region_touched) X(_region_offset)            \
-    X(_region_direction) X(class_counts) X(pages) X(inserted)                \
-    X(cs) X(cplx) X(gs) X(nl) X(none)                                        \
+    X(_region_direction) X(pages) X(inserted)                                \
     /* Berti */                                                              \
     X(table_entries) X(low_coverage) X(max_prefetch_degree)                  \
     X(relearn_interval) X(_pages) X(_totals) X(_history) X(_history_lengths) \
@@ -117,15 +104,115 @@ static long long BertiHistoryDepth;
     X(_signatures) X(_signature_packed)                                      \
     X(_pattern_counts) X(_pattern_deltas) X(_pattern_lengths)                \
     X(_pattern_totals) X(_pattern_best_delta) X(_pattern_best_count)         \
-    X(lookahead_prefetches)                                                  \
     /* PPF, SLP and the feature histories */                                 \
-    X(_weights) X(_index_bits) X(issue_threshold) X(consultations)           \
-    X(accepted) X(rejected) X(tau_pref) X(use_leveling_feature) X(history)   \
-    X(page_buffer_entries) X(_pcs) X(_pc_count) X(issued) X(discarded)
+    X(_weights) X(_index_bits) X(issue_threshold) X(tau_pref)                \
+    X(use_leveling_feature) X(history) X(page_buffer_entries) X(_pcs)        \
+    X(_pc_count)
 
 #define DECLARE_NAME(n) static PyObject *S_##n;
 NAMES(DECLARE_NAME)
 #undef DECLARE_NAME
+
+/* ------------------------------------------------------------------ */
+/* Counter layouts (repro.common.counters)                             */
+/* ------------------------------------------------------------------ */
+
+/* The slots of each class's ``counts`` array, in its declared order: X(p, n)
+ * is the slot p_n, L(p, n) the four slots from p_n on, L1D to DRAM. */
+#define HIERARCHY_COUNTERS(X, L)                                             \
+    X(H, demand_loads) X(H, demand_stores) L(H, served_by)                   \
+    L(H, offchip_prediction_location) X(H, speculative_requests)             \
+    X(H, delayed_speculative_requests) X(H, delayed_predictions_saved)       \
+    X(H, offchip_predictions) X(H, l1d_prefetch_candidates)                  \
+    X(H, l1d_prefetches_filtered) X(H, l1d_prefetches_dropped_resident)      \
+    X(H, l1d_prefetches_dropped_queue_full)                                  \
+    X(H, l2c_prefetches_dropped_queue_full) X(H, l1d_prefetches_issued)      \
+    L(H, l1d_prefetch_served_by) X(H, l2c_prefetch_candidates)               \
+    X(H, l2c_prefetches_filtered) X(H, l2c_prefetches_dropped_resident)      \
+    X(H, l2c_prefetches_issued) X(H, useful_l1d_prefetches)                  \
+    X(H, useless_l1d_prefetches) L(H, accurate_prefetch_source)              \
+    L(H, inaccurate_prefetch_source)
+#define CACHE_COUNTERS(X, L)                                                 \
+    X(C, demand_accesses) X(C, demand_hits) X(C, demand_misses)              \
+    X(C, prefetch_fills) X(C, demand_fills) X(C, evictions)                  \
+    X(C, useful_prefetch_evictions) X(C, useless_prefetch_evictions)         \
+    X(C, prefetch_hits) X(C, writebacks)
+#define DRAM_COUNTERS(X, L)                                                  \
+    X(D, total_transactions) X(D, demand_transactions)                       \
+    X(D, l1d_prefetch_transactions) X(D, l2c_prefetch_transactions)          \
+    X(D, speculative_transactions) X(D, total_queue_cycles)                  \
+    X(D, max_queue_cycles)
+#define PERCEPTRON_COUNTERS(X, L)                                            \
+    X(P, predictions) X(P, positive_predictions) X(P, training_events)       \
+    X(P, weight_updates) X(P, correct_predictions)
+#define FLP_COUNTERS(X, L)                                                   \
+    X(FLP, immediate_decisions) X(FLP, delayed_decisions)                    \
+    X(FLP, negative_decisions)
+#define SLP_COUNTERS(X, L) X(SLP, consultations) X(SLP, discarded) X(SLP, issued)
+#define PPF_COUNTERS(X, L) X(PPF, consultations) X(PPF, rejected) X(PPF, accepted)
+#define SPP_COUNTERS(X, L) X(SPP, lookahead_prefetches)
+/* IPCP's class_counts, by class. */
+#define IPCP_COUNTERS(X, L)                                                  \
+    X(IPCP, cs) X(IPCP, cplx) X(IPCP, gs) X(IPCP, nl) X(IPCP, none)
+#define PAGE_TABLE_COUNTERS(X, L) X(PT, page_faults)
+
+/* G(class, prefix, layout, name prefix) for every counter-owning class. */
+#define COUNTER_GROUPS(G)                                                    \
+    G(HierarchyStats, H, HIERARCHY_COUNTERS, "")                             \
+    G(CacheStats, C, CACHE_COUNTERS, "")                                     \
+    G(DRAMStats, D, DRAM_COUNTERS, "")                                       \
+    G(PerceptronStats, P, PERCEPTRON_COUNTERS, "")                           \
+    G(FirstLevelPerceptron, FLP, FLP_COUNTERS, "")                           \
+    G(SecondLevelPerceptron, SLP, SLP_COUNTERS, "")                          \
+    G(PerceptronPrefetchFilter, PPF, PPF_COUNTERS, "")                       \
+    G(SPPPrefetcher, SPP, SPP_COUNTERS, "")                                  \
+    G(IPCPPrefetcher, IPCP, IPCP_COUNTERS, "class_counts.")                  \
+    G(PageTable, PT, PAGE_TABLE_COUNTERS, "")
+
+#define ENUM_SLOT(p, n) p##_##n,
+#define ENUM_LEVELS(p, n) p##_##n, p##_##n##_DRAM = p##_##n + 3,
+#define ENUM_GROUP(cls, p, layout, prefix) enum { layout(ENUM_SLOT, ENUM_LEVELS) p##_COUNT };
+COUNTER_GROUPS(ENUM_GROUP)
+#undef ENUM_GROUP
+#undef ENUM_LEVELS
+#undef ENUM_SLOT
+
+static int
+add_layout(PyObject *layout, const char *cls, const char *prefix,
+           const char *const *names, Py_ssize_t count)
+{
+    PyObject *slots = PyTuple_New(count);
+    for (Py_ssize_t i = 0; slots != NULL && i < count; i++) {
+        PyObject *name = PyUnicode_FromFormat("%s%s", prefix, names[i]);
+        if (name == NULL)
+            Py_CLEAR(slots);
+        else
+            PyTuple_SET_ITEM(slots, i, name);
+    }
+    int rc = slots == NULL ? -1 : PyDict_SetItemString(layout, cls, slots);
+    Py_XDECREF(slots);
+    return rc;
+}
+
+/* {class name: slot names}: the layouts the kernel was compiled with. */
+static PyObject *
+counter_layout(void)
+{
+    PyObject *layout = PyDict_New();
+#define NAME_SLOT(p, n) #n,
+#define NAME_LEVELS(p, n) #n ".L1D", #n ".L2C", #n ".LLC", #n ".DRAM",
+#define ADD_GROUP(cls, p, slots, prefix)                                      \
+    {                                                                         \
+        static const char *const names[] = {slots(NAME_SLOT, NAME_LEVELS)};   \
+        if (layout != NULL && add_layout(layout, #cls, prefix, names, p##_COUNT) < 0) \
+            Py_CLEAR(layout);                                                 \
+    }
+    COUNTER_GROUPS(ADD_GROUP)
+#undef ADD_GROUP
+#undef NAME_LEVELS
+#undef NAME_SLOT
+    return layout;
+}
 
 static inline int
 truth(PyObject *value)
@@ -155,9 +242,8 @@ load_model_types(void)
     if (EvictionInfoType != NULL)
         return 0;
     PyObject *info = import_attr("repro.memory.cache", "EvictionInfo");
-    PyObject *level = import_attr("repro.common.types", "MemLevel");
     PyObject *depth = import_attr("repro.prefetchers.berti", "_HISTORY_DEPTH");
-    if (info == NULL || level == NULL || depth == NULL)
+    if (info == NULL || depth == NULL)
         goto error;
     BertiHistoryDepth = PyLong_AsLongLong(depth);
     if (BertiHistoryDepth < 1 || BertiHistoryDepth > 255) {
@@ -165,21 +251,11 @@ load_model_types(void)
             PyErr_SetString(PyExc_ValueError, "Berti history depth out of range");
         goto error;
     }
-    static const char *level_names[4] = {"L1D", "L2C", "LLC", "DRAM"};
-    for (int i = 0; i < 4; i++) {
-        Levels[i] = PyObject_GetAttrString(level, level_names[i]);
-        if (Levels[i] == NULL)
-            goto error;
-    }
-    Py_DECREF(level);
     Py_DECREF(depth);
     EvictionInfoType = info;
     return 0;
 error:
-    for (int i = 0; i < 4; i++)
-        Py_CLEAR(Levels[i]);
     Py_XDECREF(info);
-    Py_XDECREF(level);
     Py_XDECREF(depth);
     return -1;
 }
@@ -228,17 +304,6 @@ get_truth(PyObject *obj, PyObject *name, int *out)
     return *out < 0 ? -1 : 0;
 }
 
-static int
-set_ll(PyObject *obj, PyObject *name, long long value)
-{
-    PyObject *boxed = PyLong_FromLongLong(value);
-    if (boxed == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(obj, name, boxed);
-    Py_DECREF(boxed);
-    return rc;
-}
-
 /* obj.name += delta (Python int arithmetic; nothing to do for 0). */
 static int
 add_attr(PyObject *obj, PyObject *name, long long delta)
@@ -260,47 +325,6 @@ add_attr(PyObject *obj, PyObject *name, long long delta)
         return -1;
     int rc = PyObject_SetAttr(obj, name, sum);
     Py_DECREF(sum);
-    return rc;
-}
-
-/* mapping[key] += delta */
-static int
-add_item(PyObject *mapping, PyObject *key, long long delta)
-{
-    if (delta == 0)
-        return 0;
-    PyObject *value = PyObject_GetItem(mapping, key);
-    if (value == NULL)
-        return -1;
-    PyObject *boxed = PyLong_FromLongLong(delta);
-    if (boxed == NULL) {
-        Py_DECREF(value);
-        return -1;
-    }
-    PyObject *sum = PyNumber_Add(value, boxed);
-    Py_DECREF(value);
-    Py_DECREF(boxed);
-    if (sum == NULL)
-        return -1;
-    int rc = PyObject_SetItem(mapping, key, sum);
-    Py_DECREF(sum);
-    return rc;
-}
-
-/* getattr(obj, name)[level] += counts[level] for the four memory levels. */
-static int
-add_levels(PyObject *obj, PyObject *name, long long *counts)
-{
-    PyObject *mapping = PyObject_GetAttr(obj, name);
-    if (mapping == NULL)
-        return -1;
-    int rc = 0;
-    for (int level = 0; level < 4; level++) {
-        if (rc == 0 && add_item(mapping, Levels[level], counts[level]) < 0)
-            rc = -1;
-        counts[level] = 0;
-    }
-    Py_DECREF(mapping);
     return rc;
 }
 
@@ -446,6 +470,25 @@ state_array(View *v, PyObject *obj, PyObject *name, char code, Py_ssize_t length
     return v->view.buf;
 }
 
+/* The ``count`` counters of ``obj`` (a repro.common.counters.Counters). */
+static int64_t *
+counter_array(View *v, PyObject *obj, Py_ssize_t count, const char *what)
+{
+    return state_array(v, obj, S_counts, 'q', count, what);
+}
+
+/* The counters of ``obj.stats``. */
+static int64_t *
+stats_array(View *v, PyObject *obj, Py_ssize_t count, const char *what)
+{
+    PyObject *stats = PyObject_GetAttr(obj, S_stats);
+    if (stats == NULL)
+        return NULL;
+    int64_t *counts = counter_array(v, stats, count, what);
+    Py_DECREF(stats);
+    return counts;
+}
+
 /* ------------------------------------------------------------------ */
 /* Hashing (repro.common.hashing)                                      */
 /* ------------------------------------------------------------------ */
@@ -480,7 +523,7 @@ hash_pair(uint64_t a, uint64_t b)
 }
 
 /* fold_xor(value, bits) for a 32-bit value and 1 <= bits < 64: a fixed
- * trip count per ``bits`` (the chunks past the value's top bit are 0). */
+ * trip count per ``bits`` (the bit groups past the value's top bit are 0). */
 static inline uint64_t
 fold_xor(uint64_t value, int bits)
 {
@@ -670,9 +713,8 @@ typedef struct {
     int bits[MAX_FEATURES];
     long long lo[MAX_FEATURES], hi[MAX_FEATURES];
     double training_threshold;
-    PyObject *stats;
-    /* Chunk-local counters, added to ``stats`` at the end of each chunk. */
-    long long predictions, positive, training_events, correct, weight_updates;
+    View counts_view;
+    int64_t *counts; /* the PerceptronStats */
 } Perceptron;
 
 /* Bind a HashedPerceptron's flat weights (in place; each feature's table
@@ -682,7 +724,7 @@ perceptron_init(Perceptron *p, PyObject *perceptron, int features)
 {
     int rc = -1;
     PyObject *tables = NULL, *limits = NULL;
-    if ((p->stats = PyObject_GetAttr(perceptron, S_stats)) == NULL
+    if ((p->counts = stats_array(&p->counts_view, perceptron, P_COUNT, "perceptron")) == NULL
         || (tables = PyObject_GetAttr(perceptron, S__tables)) == NULL
         || (limits = PyObject_GetAttr(perceptron, S__weight_limits)) == NULL
         || get_double(perceptron, S_training_threshold, &p->training_threshold) < 0)
@@ -730,26 +772,18 @@ static void
 perceptron_release(Perceptron *p)
 {
     view_release(&p->view);
+    view_release(&p->counts_view);
     p->features = 0;
-}
-
-static inline long long
-perceptron_sum(const Perceptron *p, const Py_ssize_t *indices)
-{
-    long long total = 0;
-    for (int f = 0; f < p->features; f++)
-        total += p->tables[f][indices[f]];
-    return total;
 }
 
 /* HashedPerceptron.train */
 static void
 perceptron_train(Perceptron *p, const Py_ssize_t *indices, int target, long long confidence)
 {
-    p->training_events++;
+    p->counts[P_training_events]++;
     int predicted = confidence >= 0;
     if (predicted == target)
-        p->correct++;
+        p->counts[P_correct_predictions]++;
     long long magnitude = confidence >= 0 ? confidence : -confidence;
     if (predicted == target && (double)magnitude >= p->training_threshold)
         return;
@@ -761,47 +795,37 @@ perceptron_train(Perceptron *p, const Py_ssize_t *indices, int target, long long
             updated = p->hi[f];
         p->tables[f][indices[f]] = (int32_t)updated;
     }
-    p->weight_updates++;
+    p->counts[P_weight_updates]++;
 }
 
-static int
-perceptron_flush(Perceptron *p)
+/* The weight sum of ``indices``, counted as a prediction. */
+static inline long long
+perceptron_predict(Perceptron *p, const Py_ssize_t *indices)
 {
-    if (add_attr(p->stats, S_predictions, p->predictions) < 0
-        || add_attr(p->stats, S_positive_predictions, p->positive) < 0
-        || add_attr(p->stats, S_training_events, p->training_events) < 0
-        || add_attr(p->stats, S_correct_predictions, p->correct) < 0
-        || add_attr(p->stats, S_weight_updates, p->weight_updates) < 0)
-        return -1;
-    p->predictions = p->positive = p->training_events = p->correct = 0;
-    p->weight_updates = 0;
-    return 0;
+    long long total = 0;
+    for (int f = 0; f < p->features; f++)
+        total += p->tables[f][indices[f]];
+    p->counts[P_predictions]++;
+    if (total >= 0)
+        p->counts[P_positive_predictions]++;
+    return total;
 }
 
 /* ------------------------------------------------------------------ */
 /* IPCP (repro.prefetchers.ipcp.IPCPPrefetcher._step)                   */
 /* ------------------------------------------------------------------ */
 
-enum { CLASS_CS, CLASS_CPLX, CLASS_GS, CLASS_NL, CLASS_NONE, NUM_CLASSES };
-
 typedef struct {
-    View views[5];
+    View views[6];
     int64_t *ip_last, *ip_stride, *ip_conf, *ip_sig, *cplx_stride, *cplx_conf;
     long long n, m, cs_degree, cplx_degree, gs_degree, nl_degree, cs_threshold;
     double gs_density;
     Fifo regions;      /* the page FIFO */
     uint64_t *touched; /* per region slot: touched-block bitmask */
     int8_t *last_offset, *direction;
-    long long class_counts[NUM_CLASSES];
+    int64_t *counts; /* class_counts */
     int64_t *targets;
 } IPCP;
-
-static PyObject **
-class_name(int cls)
-{
-    static PyObject **names[NUM_CLASSES] = {&S_cs, &S_cplx, &S_gs, &S_nl, &S_none};
-    return names[cls];
-}
 
 /* Bind IPCP's tables and region FIFO (in place). */
 static int
@@ -834,6 +858,7 @@ ipcp_bind(IPCP *p, PyObject *obj)
         || (p->touched = state_array(v++, obj, S__region_touched, 'Q', cap, "IPCP")) == NULL
         || (p->last_offset = state_array(v++, obj, S__region_offset, 'b', cap, "IPCP")) == NULL
         || (p->direction = state_array(v++, obj, S__region_direction, 'b', cap, "IPCP")) == NULL
+        || (p->counts = counter_array(v++, obj, IPCP_COUNT, "IPCP")) == NULL
         || (p->targets = mem_calloc(most, sizeof(int64_t))) == NULL)
         return -1;
     p->ip_last = ip;
@@ -878,7 +903,7 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
         int64_t signature = p->ip_sig[key];
         int64_t m = p->m, target;
         if (stride == last_stride && confidence >= p->cs_threshold) {
-            p->class_counts[CLASS_CS]++;
+            p->counts[IPCP_cs]++;
             target = block;
             for (long long k = 0; k < p->cs_degree; k++) {
                 if (add_checked(target, stride, &target) < 0
@@ -887,7 +912,7 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
             }
         }
         else if ((double)__builtin_popcountll(p->touched[r]) / 64.0 >= p->gs_density) {
-            p->class_counts[CLASS_GS]++;
+            p->counts[IPCP_gs]++;
             target = block;
             for (long long k = 0; k < p->gs_degree; k++) {
                 if (add_checked(target, p->direction[r], &target) < 0
@@ -896,7 +921,7 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
             }
         }
         else if (p->cplx_conf[py_mod(signature, m)] >= 2) {
-            p->class_counts[CLASS_CPLX]++;
+            p->counts[IPCP_cplx]++;
             target = block;
             uint64_t chained = (uint64_t)signature;
             for (long long k = 0; k < p->cplx_degree; k++) {
@@ -914,7 +939,7 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
             }
         }
         else {
-            p->class_counts[CLASS_NONE]++;
+            p->counts[IPCP_none]++;
         }
 
         /* Training: stride confidence, then the CPLX entry of the previous
@@ -951,7 +976,7 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
 
     if (count == 0 && !hit) {
         /* NL: a miss no other class covered falls back to next-line. */
-        p->class_counts[CLASS_NL]++;
+        p->counts[IPCP_nl]++;
         int64_t target = block;
         for (long long k = 0; k < p->nl_degree; k++) {
             if (add_checked(target, 1, &target) < 0 || ipcp_emit(p, target, &count) < 0)
@@ -962,26 +987,10 @@ ipcp_step(IPCP *p, int64_t pc, int64_t vaddr, int hit)
     return count;
 }
 
-static int
-ipcp_flush(IPCP *p, PyObject *obj)
-{
-    PyObject *counts = PyObject_GetAttr(obj, S_class_counts);
-    if (counts == NULL)
-        return -1;
-    int rc = 0;
-    for (int cls = 0; cls < NUM_CLASSES; cls++) {
-        if (rc == 0 && add_item(counts, *class_name(cls), p->class_counts[cls]) < 0)
-            rc = -1;
-        p->class_counts[cls] = 0;
-    }
-    Py_DECREF(counts);
-    return rc;
-}
-
 static void
 ipcp_release(IPCP *p)
 {
-    for (int i = 0; i < 5; i++)
+    for (int i = 0; i < 6; i++)
         view_release(&p->views[i]);
     fifo_release(&p->regions);
     PyMem_Free(p->targets);
@@ -1182,14 +1191,14 @@ typedef struct {
 
 /* SPPPrefetcher's signature FIFO and pattern table, used in place. */
 typedef struct {
-    View views[7];
+    View views[8];
     uint8_t *counts, *lengths, *totals, *best_count; /* best_count 0: no memo */
     int8_t *deltas, *best_delta;
     long long m, max_depth;
     double lookahead_confidence, l2_fill_confidence;
     Fifo signatures; /* the page FIFO */
     int64_t *packed; /* per signature slot: (signature << 6) | offset */
-    long long lookahead_prefetches;
+    int64_t *counters;
     Prediction *predictions;
 } SPP;
 
@@ -1216,6 +1225,7 @@ spp_bind(SPP *p, PyObject *obj)
         || (p->best_delta = state_array(v++, obj, S__pattern_best_delta, 'b', p->m, "SPP")) == NULL
         || (p->best_count = state_array(v++, obj, S__pattern_best_count, 'B', p->m, "SPP")) == NULL
         || (p->packed = state_array(v++, obj, S__signature_packed, 'q', cap, "SPP")) == NULL
+        || (p->counters = counter_array(v++, obj, SPP_COUNT, "SPP")) == NULL
         || fifo_bind(&p->signatures, obj, S__signatures, cap, "SPP") < 0
         || (p->predictions = mem_calloc(p->max_depth, sizeof(Prediction))) == NULL)
         return -1;
@@ -1312,7 +1322,7 @@ spp_step(SPP *p, int64_t block)
         out->depth = depth;
         out->confidence = path_confidence;
         if (depth > 0)
-            p->lookahead_prefetches++;
+            p->counters[SPP_lookahead_prefetches]++;
         signature = spp_signature(signature, predicted_delta);
     }
     return count;
@@ -1321,7 +1331,7 @@ spp_step(SPP *p, int64_t block)
 static void
 spp_release(SPP *p)
 {
-    for (int i = 0; i < 7; i++)
+    for (int i = 0; i < 8; i++)
         view_release(&p->views[i]);
     fifo_release(&p->signatures);
     PyMem_Free(p->predictions);
@@ -1335,12 +1345,12 @@ spp_release(SPP *p)
 #define PPF_FEATURES 9
 
 typedef struct {
-    View view;
+    View views[2];
     int32_t *weights; /* PPF_FEATURES rows of ``entries`` weights */
+    int64_t *counts;
     long long entries;
     int bits;
     double issue_threshold;
-    long long consultations, accepted, rejected;
 } PPF;
 
 static int
@@ -1355,8 +1365,9 @@ ppf_bind(PPF *p, PyObject *obj)
         return -1;
     }
     p->bits = (int)bits;
-    p->weights = state_array(&p->view, obj, S__weights, 'i', PPF_FEATURES * p->entries, "PPF");
-    return p->weights == NULL ? -1 : 0;
+    p->weights = state_array(&p->views[0], obj, S__weights, 'i', PPF_FEATURES * p->entries, "PPF");
+    p->counts = p->weights ? counter_array(&p->views[1], obj, PPF_COUNT, "PPF") : NULL;
+    return p->counts == NULL ? -1 : 0;
 }
 
 /* Score one SPP candidate: the weight-table indices go to ``indices``, the
@@ -1365,7 +1376,7 @@ static int
 ppf_consult(PPF *p, int64_t pc, const Prediction *candidate, Py_ssize_t *indices,
             long long *confidence)
 {
-    p->consultations++;
+    p->counts[PPF_consultations]++;
     int64_t block = candidate->block, delta = candidate->delta;
     uint64_t offset = (uint64_t)block & 63;
     double bucket = candidate->confidence > 0.0 ? candidate->confidence : 0.0;
@@ -1388,22 +1399,8 @@ ppf_consult(PPF *p, int64_t pc, const Prediction *candidate, Py_ssize_t *indices
     }
     *confidence = total;
     int issue = (double)total >= p->issue_threshold;
-    if (issue)
-        p->accepted++;
-    else
-        p->rejected++;
+    p->counts[issue ? PPF_accepted : PPF_rejected]++;
     return issue;
-}
-
-static int
-ppf_flush(PPF *p, PyObject *obj)
-{
-    if (add_attr(obj, S_consultations, p->consultations) < 0
-        || add_attr(obj, S_accepted, p->accepted) < 0
-        || add_attr(obj, S_rejected, p->rejected) < 0)
-        return -1;
-    p->consultations = p->accepted = p->rejected = 0;
-    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1587,7 +1584,8 @@ typedef struct {
     History history;
     double tau_pref;
     int leveling;
-    long long consultations, issued, discarded;
+    View counts_view;
+    int64_t *counts;
 } SLP;
 
 static int
@@ -1599,7 +1597,8 @@ slp_bind(SLP *s, PyObject *obj)
     int bound = perceptron_init(&s->p, perceptron, SLP_FEATURES);
     Py_DECREF(perceptron);
     if (bound < 0 || get_double(obj, S_tau_pref, &s->tau_pref) < 0
-        || get_truth(obj, S_use_leveling_feature, &s->leveling) < 0)
+        || get_truth(obj, S_use_leveling_feature, &s->leveling) < 0
+        || (s->counts = counter_array(&s->counts_view, obj, SLP_COUNT, "SLP")) == NULL)
         return -1;
     PyObject *history = PyObject_GetAttr(obj, S_history);
     if (history == NULL)
@@ -1616,7 +1615,7 @@ static int
 slp_consult(SLP *s, int64_t pc, int64_t paddr, int trigger_prediction, Py_ssize_t *indices,
             long long *confidence)
 {
-    s->consultations++;
+    s->counts[SLP_consultations]++;
     uint64_t values[SLP_FEATURES];
     history_step(&s->history, pc, paddr, values);
     values[NUM_FEATURES] = hash_pair(s->leveling && trigger_prediction,
@@ -1624,27 +1623,11 @@ slp_consult(SLP *s, int64_t pc, int64_t paddr, int trigger_prediction, Py_ssize_
     Perceptron *p = &s->p;
     for (int f = 0; f < SLP_FEATURES; f++)
         indices[f] = table_slot(values[f], p->bits[f], p->entries[f]);
-    long long total = perceptron_sum(p, indices);
+    long long total = perceptron_predict(p, indices);
     *confidence = total;
-    p->predictions++;
-    if (total >= 0)
-        p->positive++;
     int issue = (double)total < s->tau_pref;
-    if (issue)
-        s->issued++;
-    else
-        s->discarded++;
+    s->counts[issue ? SLP_issued : SLP_discarded]++;
     return issue;
-}
-
-static int
-slp_flush(SLP *s, PyObject *obj)
-{
-    if (perceptron_flush(&s->p) < 0 || add_attr(obj, S_consultations, s->consultations) < 0
-        || add_attr(obj, S_issued, s->issued) < 0 || add_attr(obj, S_discarded, s->discarded) < 0)
-        return -1;
-    s->consultations = s->issued = s->discarded = 0;
-    return 0;
 }
 
 static void
@@ -1652,6 +1635,7 @@ slp_release(SLP *s)
 {
     perceptron_release(&s->p);
     history_release(&s->history);
+    view_release(&s->counts_view);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1662,7 +1646,9 @@ slp_release(SLP *s)
  * far (open addressing, linear probing; frame -1 marks a free slot).  A
  * mapping is never removed or changed, so the C table cannot go stale. */
 typedef struct {
-    PyObject *obj, *mapping, *allocated; /* PageTable, _mapping, _allocated_frames */
+    PyObject *mapping, *allocated; /* _mapping, _allocated_frames */
+    View counts_view;
+    int64_t *counts;
     long long core_id, memory_frames;
     int64_t *vpages, *frames;
     size_t mask, count;
@@ -1698,11 +1684,12 @@ frames_alloc(PageTable *t, size_t size)
 }
 
 static void
-frames_free(PageTable *t)
+page_table_release(PageTable *t)
 {
     PyMem_Free(t->vpages);
     PyMem_Free(t->frames);
     t->vpages = t->frames = NULL;
+    view_release(&t->counts_view);
 }
 
 static inline void
@@ -1740,11 +1727,11 @@ frames_add(PageTable *t, int64_t vpage, int64_t frame)
 static int
 page_table_init(PageTable *t, PyObject *obj)
 {
-    t->obj = Py_NewRef(obj);
     if ((t->mapping = PyObject_GetAttr(obj, S__mapping)) == NULL
         || (t->allocated = PyObject_GetAttr(obj, S__allocated_frames)) == NULL
         || get_ll(obj, S_core_id, &t->core_id) < 0
-        || get_ll(obj, S_memory_frames, &t->memory_frames) < 0)
+        || get_ll(obj, S_memory_frames, &t->memory_frames) < 0
+        || (t->counts = counter_array(&t->counts_view, obj, PT_COUNT, "page table")) == NULL)
         return -1;
     if (!PyDict_CheckExact(t->mapping) || !PySet_CheckExact(t->allocated)
         || t->memory_frames <= 0) {
@@ -1763,32 +1750,25 @@ enum { PK_NULL = 0, PK_HERMES = 1, PK_FLP = 2 };
 enum { PF_NONE = 0, PF_IPCP = 1, PF_BERTI = 2 };
 enum { LEVEL_L1D = 0, LEVEL_L2C = 1, LEVEL_LLC = 2, LEVEL_DRAM = 3 };
 
-#define CACHE_OBJECTS(X) X(stats) X(listener)
-
 /* Bits of a cache slot's flags byte (repro.memory.cache). */
 enum { F_DIRTY = 1, F_PREFETCHED = 2, F_USEFUL = 4, F_PENDING = 8 };
 
 /* One cache level: its flat state arrays, used in place. */
 typedef struct {
-#define DECLARE_FIELD(n) PyObject *n;
-    CACHE_OBJECTS(DECLARE_FIELD)
-#undef DECLARE_FIELD
-    View views[7];
+    PyObject *listener;
+    View views[8];
     int64_t *tags, *stamps, *ready, *set_fill, *clock;
     uint8_t *flags;
     int8_t *source;
+    int64_t *counts; /* the CacheStats */
     int level;
     long long num_sets, ways, latency;
-    /* Chunk-local counters, added to ``stats`` at the end of each chunk. */
-    long long accesses, hits, misses, pf_hits;
-    long long prefetch_fills, demand_fills, evictions, writebacks;
-    long long useful_evictions, useless_evictions;
 } CacheState;
 
 #define STEPPER_OBJECTS(X)                                                    \
-    X(runner) X(hierarchy) X(hstats) X(sample_hook) X(resolve_l2)             \
-    X(pending_l2c) X(predictor) X(dram) X(dram_stats)                         \
-    X(retire_deque) X(prefetcher) X(l2_prefetcher) X(l1_filter) X(l2_filter)
+    X(runner) X(hierarchy) X(sample_hook) X(resolve_l2) X(pending_l2c)        \
+    X(predictor) X(dram) X(retire_deque) X(prefetcher) X(l2_prefetcher)       \
+    X(l1_filter) X(l2_filter)
 
 typedef struct {
     PyObject_HEAD
@@ -1802,7 +1782,7 @@ typedef struct {
     int have_columns;
     const int64_t *pcs, *vaddrs;
     const uint8_t *kinds;
-    Py_ssize_t total, chunk_records, pos, chunk_stop;
+    Py_ssize_t total, pos;
     int kind_non_mem;
 
     PageTable pages;
@@ -1828,33 +1808,23 @@ typedef struct {
     View busy_view;
     double *busy_until; /* dram._busy_until, in place */
 
+    /* The counters of the hierarchy's and the DRAM channel's stats and of
+     * FLP's decisions, in place. */
+    View counter_views[3];
+    int64_t *hstats, *dram_stats, *flp_counts;
+
     /* Core timing: the ROB's retire times as a ring buffer. */
     double *retire;
     Py_ssize_t retire_cap, retire_head, retire_len, rob_size;
     double dispatch_interval, dispatch_cycle, last_retire;
-    long long instructions, loads, stores;
+    long long base_instructions, instructions, loads, stores;
     double total_load_latency;
     int pending; /* a load/store at ``pos`` was yielded, not yet performed */
     double pending_dispatch;
-    int in_chunk, finished;
+    int finished;
 
-    /* Sampling. */
+    /* Sampling: the hook runs after load/store number next_sample. */
     long long sample_interval, next_sample;
-
-    /* Chunk-local counters. */
-    long long flp_immediate, flp_delayed, flp_negative;
-    long long demand_loads, demand_stores, offchip_predictions;
-    long long speculative_requests, delayed_speculative, delayed_saved;
-    long long l1_pf_candidates, l1_pf_dropped_resident, l1_pf_filtered;
-    long long l1_pf_dropped_queue, l1_pf_issued;
-    long long l2_pf_candidates, l2_pf_dropped_resident, l2_pf_filtered;
-    long long l2_pf_dropped_queue, l2_pf_issued;
-    long long useful_l1_prefetches, useless_l1_prefetches;
-    long long served[4], pf_served[4], prediction_location[4];
-    long long accurate_source[4], inaccurate_source[4];
-    long long dram_transactions, dram_demand, dram_speculative;
-    long long dram_l1d_prefetch, dram_l2c_prefetch;
-    long long dram_queue_cycles, dram_max_queue;
 } Stepper;
 
 /* ------------------------------------------------------------------ */
@@ -1865,8 +1835,7 @@ static int
 cache_init(CacheState *c, PyObject *cache, int level)
 {
     c->level = level;
-    if ((c->stats = PyObject_GetAttr(cache, S_stats)) == NULL
-        || (c->listener = PyObject_GetAttr(cache, S__eviction_listener)) == NULL)
+    if ((c->listener = PyObject_GetAttr(cache, S__eviction_listener)) == NULL)
         return -1;
     if (c->listener == Py_None)
         Py_CLEAR(c->listener);
@@ -1886,7 +1855,8 @@ cache_init(CacheState *c, PyObject *cache, int level)
         || (c->flags = state_array(v++, cache, S__flags, 'B', slots, "cache")) == NULL
         || (c->source = state_array(v++, cache, S__source, 'b', slots, "cache")) == NULL
         || (c->set_fill = state_array(v++, cache, S__set_fill, 'q', c->num_sets, "cache")) == NULL
-        || (c->clock = state_array(v++, cache, S__clock, 'q', 1, "cache")) == NULL)
+        || (c->clock = state_array(v++, cache, S__clock, 'q', 1, "cache")) == NULL
+        || (c->counts = stats_array(v++, cache, C_COUNT, "cache")) == NULL)
         return -1;
     return 0;
 }
@@ -1894,7 +1864,7 @@ cache_init(CacheState *c, PyObject *cache, int level)
 static void
 cache_release(CacheState *c)
 {
-    for (int i = 0; i < 7; i++)
+    for (int i = 0; i < 8; i++)
         view_release(&c->views[i]);
 }
 
@@ -1919,14 +1889,14 @@ static Py_ssize_t
 cache_lookup(CacheState *c, long long block, long long cycle, int is_write,
              long long *latency, int *prefetch_hit)
 {
-    c->accesses++;
+    c->counts[C_demand_accesses]++;
     Py_ssize_t slot = cache_find(c, block);
     if (slot < 0) {
-        c->misses++;
+        c->counts[C_demand_misses]++;
         *prefetch_hit = 0;
         return -1;
     }
-    c->hits++;
+    c->counts[C_demand_hits]++;
     long long ready = c->ready[slot];
     if (ready > cycle && ready - cycle > *latency)
         *latency = ready - cycle;
@@ -1934,7 +1904,7 @@ cache_lookup(CacheState *c, long long block, long long cycle, int is_write,
     *prefetch_hit = (flags & (F_PREFETCHED | F_USEFUL)) == F_PREFETCHED;
     if (*prefetch_hit) {
         flags |= F_USEFUL;
-        c->pf_hits++;
+        c->counts[C_prefetch_hits]++;
     }
     if (is_write)
         flags |= F_DIRTY;
@@ -1956,12 +1926,12 @@ count_l1_prefetch(Stepper *s, Py_ssize_t slot, int useful)
     }
     s->l1.flags[slot] &= (uint8_t)~F_PENDING;
     if (useful) {
-        s->useful_l1_prefetches++;
-        s->accurate_source[level]++;
+        s->hstats[H_useful_l1d_prefetches]++;
+        s->hstats[H_accurate_prefetch_source + level]++;
     }
     else {
-        s->useless_l1_prefetches++;
-        s->inaccurate_source[level]++;
+        s->hstats[H_useless_l1d_prefetches]++;
+        s->hstats[H_inaccurate_prefetch_source + level]++;
     }
     return 0;
 }
@@ -2047,15 +2017,12 @@ cache_fill(Stepper *s, CacheState *c, long long block, long long ready, int fill
                 slot = i;
         }
         int flags = c->flags[slot];
-        c->evictions++;
+        c->counts[C_evictions]++;
         if (flags & F_DIRTY)
-            c->writebacks++;
-        if (flags & F_PREFETCHED) {
-            if (flags & F_USEFUL)
-                c->useful_evictions++;
-            else
-                c->useless_evictions++;
-        }
+            c->counts[C_writebacks]++;
+        if (flags & F_PREFETCHED)
+            c->counts[flags & F_USEFUL ? C_useful_prefetch_evictions
+                                       : C_useless_prefetch_evictions]++;
         if (evicted(s, c, slot) < 0)
             return -1;
     }
@@ -2064,31 +2031,7 @@ cache_fill(Stepper *s, CacheState *c, long long block, long long ready, int fill
     c->flags[slot] = (uint8_t)fill_flags;
     c->source[slot] = (int8_t)source;
     c->stamps[slot] = ++*c->clock;
-    if (prefetched)
-        c->prefetch_fills++;
-    else
-        c->demand_fills++;
-    return 0;
-}
-
-static int
-cache_flush(CacheState *c)
-{
-    PyObject *stats = c->stats;
-    if (add_attr(stats, S_demand_accesses, c->accesses) < 0
-        || add_attr(stats, S_demand_hits, c->hits) < 0
-        || add_attr(stats, S_demand_misses, c->misses) < 0
-        || add_attr(stats, S_prefetch_hits, c->pf_hits) < 0
-        || add_attr(stats, S_prefetch_fills, c->prefetch_fills) < 0
-        || add_attr(stats, S_demand_fills, c->demand_fills) < 0
-        || add_attr(stats, S_evictions, c->evictions) < 0
-        || add_attr(stats, S_writebacks, c->writebacks) < 0
-        || add_attr(stats, S_useful_prefetch_evictions, c->useful_evictions) < 0
-        || add_attr(stats, S_useless_prefetch_evictions, c->useless_evictions) < 0)
-        return -1;
-    c->accesses = c->hits = c->misses = c->pf_hits = 0;
-    c->prefetch_fills = c->demand_fills = c->evictions = c->writebacks = 0;
-    c->useful_evictions = c->useless_evictions = 0;
+    c->counts[prefetched ? C_prefetch_fills : C_demand_fills]++;
     return 0;
 }
 
@@ -2097,20 +2040,21 @@ cache_flush(CacheState *c)
 /* ------------------------------------------------------------------ */
 
 /* DRAMModel.access: one transaction issued at ``issue_at``, counted in
- * ``*counter``; returns the latency until the data. */
+ * the DRAM counter ``source``; returns the latency until the data. */
 static long long
-dram_access(Stepper *s, long long issue_at, long long *counter)
+dram_access(Stepper *s, long long issue_at, int source)
 {
     double delay = *s->busy_until - (double)issue_at;
     if (delay < 0.0)
         delay = 0.0;
     *s->busy_until = (double)issue_at + delay + s->cycles_per_transaction;
-    s->dram_transactions++;
-    (*counter)++;
+    int64_t *counts = s->dram_stats;
+    counts[D_total_transactions]++;
+    counts[source]++;
     long long queue_cycles = (long long)delay;
-    s->dram_queue_cycles += queue_cycles;
-    if (queue_cycles > s->dram_max_queue)
-        s->dram_max_queue = queue_cycles;
+    counts[D_total_queue_cycles] += queue_cycles;
+    if (queue_cycles > counts[D_max_queue_cycles])
+        counts[D_max_queue_cycles] = queue_cycles;
     return (long long)(delay + (double)s->dram_access_latency);
 }
 
@@ -2126,8 +2070,7 @@ dram_backed_up(Stepper *s, long long cycle)
 static int64_t
 allocate_frame(PageTable *t, int64_t vpage, PyObject *vpage_obj)
 {
-    if (add_attr(t->obj, S_page_faults, 1) < 0)
-        return -1;
+    t->counts[PT_page_faults]++;
     int64_t candidate = py_mod(
         (int64_t)jenkins32(((uint64_t)vpage << 4) ^ ((uint64_t)t->core_id * 0x9E3779B1ull)),
         t->memory_frames);
@@ -2205,27 +2148,27 @@ spp_issue(Stepper *s, long long pc, long long block, long long cycle)
         long long pblock = prediction->block;
         Py_ssize_t indices[PPF_FEATURES];
         long long confidence = 0;
-        s->l2_pf_candidates++;
+        s->hstats[H_l2c_prefetch_candidates]++;
         if (cache_find(&s->l2, pblock) >= 0) {
-            s->l2_pf_dropped_resident++;
+            s->hstats[H_l2c_prefetches_dropped_resident]++;
             continue;
         }
         if (s->have_ppf && !ppf_consult(&s->ppf, pc, prediction, indices, &confidence)) {
-            s->l2_pf_filtered++;
+            s->hstats[H_l2c_prefetches_filtered]++;
             continue;
         }
         long long fill_latency = s->l2.latency + s->llc.latency;
         if (cache_find(&s->llc, pblock) < 0) {
             if (dram_backed_up(s, cycle)) {
-                s->l2_pf_dropped_queue++;
+                s->hstats[H_l2c_prefetches_dropped_queue_full]++;
                 continue;
             }
-            fill_latency += dram_access(s, cycle, &s->dram_l2c_prefetch);
+            fill_latency += dram_access(s, cycle, D_l2c_prefetch_transactions);
             if (cache_fill(s, &s->llc, pblock, cycle + fill_latency, F_PREFETCHED,
                            LEVEL_DRAM) < 0)
                 return -1;
         }
-        s->l2_pf_issued++;
+        s->hstats[H_l2c_prefetches_issued]++;
         if (prediction->fill_l2
             && cache_fill(s, &s->l2, pblock, cycle + fill_latency, F_PREFETCHED,
                           LEVEL_DRAM) < 0)
@@ -2259,7 +2202,7 @@ spp_issue(Stepper *s, long long pc, long long block, long long cycle)
 static int
 l1_prefetch_target(Stepper *s, long long tvaddr, long long pc, long long cycle)
 {
-    s->l1_pf_candidates++;
+    s->hstats[H_l1d_prefetch_candidates]++;
     long long tpaddr;
     if (translate(s, tvaddr, &tpaddr) < 0)
         return -1;
@@ -2267,12 +2210,12 @@ l1_prefetch_target(Stepper *s, long long tvaddr, long long pc, long long cycle)
     Py_ssize_t indices[SLP_FEATURES];
     long long confidence = 0;
     if (cache_find(&s->l1, tblock) >= 0) {
-        s->l1_pf_dropped_resident++;
+        s->hstats[H_l1d_prefetches_dropped_resident]++;
         return 0;
     }
     if (s->have_slp
         && !slp_consult(&s->slp, pc, tpaddr, s->last_prediction, indices, &confidence)) {
-        s->l1_pf_filtered++;
+        s->hstats[H_l1d_prefetches_filtered]++;
         return 0;
     }
     /* The L2 prefetcher observes the prefetch arriving from the level
@@ -2295,19 +2238,19 @@ l1_prefetch_target(Stepper *s, long long tvaddr, long long pc, long long cycle)
     }
     else {
         if (dram_backed_up(s, cycle)) {
-            s->l1_pf_dropped_queue++;
+            s->hstats[H_l1d_prefetches_dropped_queue_full]++;
             return 0;
         }
         served = LEVEL_DRAM;
         fetch_latency = s->l1.latency + s->l2.latency + s->llc.latency
-                        + dram_access(s, cycle, &s->dram_l1d_prefetch);
+                        + dram_access(s, cycle, D_l1d_prefetch_transactions);
         long long ready = cycle + fetch_latency;
         if (cache_fill(s, &s->llc, tblock, ready, 0, -1) < 0
             || cache_fill(s, &s->l2, tblock, ready, 0, -1) < 0)
             return -1;
     }
-    s->l1_pf_issued++;
-    s->pf_served[served]++;
+    s->hstats[H_l1d_prefetches_issued]++;
+    s->hstats[H_l1d_prefetch_served_by + served]++;
     /* The block stays pending until its first demand use or eviction. */
     if (cache_fill(s, &s->l1, tblock, cycle + fetch_latency, F_PREFETCHED | F_PENDING,
                    served) < 0)
@@ -2353,7 +2296,7 @@ record_location(Stepper *s, long long block, int missed_l1d)
     int location = missed_l1d ? LEVEL_L2C : LEVEL_L1D;
     while (location < LEVEL_DRAM && cache_find(levels[location], block) < 0)
         location++;
-    s->prediction_location[location]++;
+    s->hstats[H_offchip_prediction_location + location]++;
 }
 
 /* MemoryHierarchy.demand_access plus the perceptron predict/train, inlined.
@@ -2370,10 +2313,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     if (translate(s, vaddr, &paddr) < 0)
         return -1;
     long long block = paddr >> 6;
-    if (is_write)
-        s->demand_stores++;
-    else
-        s->demand_loads++;
+    s->hstats[is_write ? H_demand_stores : H_demand_loads]++;
 
     /* -- off-chip prediction -- */
     int action = 0, predicted_offchip = 0;
@@ -2384,10 +2324,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         history_step(&s->history, pc, vaddr, values);
         for (int f = 0; f < NUM_FEATURES; f++)
             indices[f] = table_slot(values[f], s->flp.bits[f], s->flp.entries[f]);
-        confidence = perceptron_sum(&s->flp, indices);
-        s->flp.predictions++;
-        if (confidence >= 0)
-            s->flp.positive++;
+        confidence = perceptron_predict(&s->flp, indices);
         if (s->predictor_kind == PK_HERMES) {
             predicted_offchip = (double)confidence >= s->activation_threshold;
             action = predicted_offchip ? 1 : 0;
@@ -2395,36 +2332,31 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         else if ((double)confidence > s->tau_high) {
             action = 1;
             predicted_offchip = 1;
-            s->flp_immediate++;
+            s->flp_counts[FLP_immediate_decisions]++;
         }
         else if ((double)confidence >= s->tau_low) {
             predicted_offchip = 1;
-            if (s->selective_delay) {
-                action = 2;
-                s->flp_delayed++;
-            }
-            else {
-                action = 1;
-                s->flp_immediate++;
-            }
+            action = s->selective_delay ? 2 : 1;
+            s->flp_counts[action == 2 ? FLP_delayed_decisions : FLP_immediate_decisions]++;
         }
         else {
-            s->flp_negative++;
+            s->flp_counts[FLP_negative_decisions]++;
         }
         s->last_prediction = predicted_offchip;
     }
     if (predicted_offchip)
-        s->offchip_predictions++;
+        s->hstats[H_offchip_predictions]++;
 
     /* -- immediate speculative DRAM request -- */
     int speculative = 0;
     long long speculative_ready = 0;
     if (action == 1) {
-        s->speculative_requests++;
+        s->hstats[H_speculative_requests]++;
         record_location(s, block, 0);
         speculative = 1;
         speculative_ready = s->predictor_latency
-                            + dram_access(s, cycle + s->predictor_latency, &s->dram_speculative);
+                            + dram_access(s, cycle + s->predictor_latency,
+                                          D_speculative_transactions);
     }
 
     /* -- L1D lookup -- */
@@ -2443,22 +2375,22 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
     /* -- selective delay (FLP) -- */
     if (action == 2) {
         if (l1d_hit) {
-            s->delayed_saved++;
+            s->hstats[H_delayed_predictions_saved]++;
         }
         else {
-            s->speculative_requests++;
-            s->delayed_speculative++;
+            s->hstats[H_speculative_requests]++;
+            s->hstats[H_delayed_speculative_requests]++;
             record_location(s, block, 1);
             long long wait = s->l1.latency + s->predictor_latency;
             speculative = 1;
-            speculative_ready = wait + dram_access(s, cycle + wait, &s->dram_speculative);
+            speculative_ready = wait + dram_access(s, cycle + wait, D_speculative_transactions);
         }
     }
 
     int went_offchip = 0;
     long long effective_latency = latency;
     if (l1d_hit) {
-        s->served[LEVEL_L1D]++;
+        s->hstats[H_served_by + LEVEL_L1D]++;
     }
     else {
         /* -- below-L1D walk -- */
@@ -2475,7 +2407,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         if (l2_hit) {
             if (cache_fill(s, &s->l1, block, cycle + latency, 0, -1) < 0)
                 return -1;
-            s->served[LEVEL_L2C]++;
+            s->hstats[H_served_by + LEVEL_L2C]++;
         }
         else {
             latency += s->llc.latency;
@@ -2484,7 +2416,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
                 if (cache_fill(s, &s->l1, block, cycle + latency, 0, -1) < 0
                     || cache_fill(s, &s->l2, block, cycle + latency, 0, -1) < 0)
                     return -1;
-                s->served[LEVEL_LLC]++;
+                s->hstats[H_served_by + LEVEL_LLC]++;
             }
             else {
                 long long dram_latency;
@@ -2494,7 +2426,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
                     dram_latency = s->dram_access_latency;
                 }
                 else {
-                    dram_latency = dram_access(s, cycle + latency, &s->dram_demand);
+                    dram_latency = dram_access(s, cycle + latency, D_demand_transactions);
                 }
                 latency += dram_latency;
                 long long ready = cycle + latency;
@@ -2502,7 +2434,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
                     || cache_fill(s, &s->l2, block, ready, 0, -1) < 0
                     || cache_fill(s, &s->l1, block, ready, 0, -1) < 0)
                     return -1;
-                s->served[LEVEL_DRAM]++;
+                s->hstats[H_served_by + LEVEL_DRAM]++;
                 went_offchip = 1;
             }
         }
@@ -2529,142 +2461,24 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
 }
 
 /* ------------------------------------------------------------------ */
-/* Chunks, core timing and the mix driver                              */
+/* Core timing, sampling and the mix driver                            */
 /* ------------------------------------------------------------------ */
 
-static void
-start_chunk(Stepper *s)
-{
-    s->chunk_stop = s->pos + s->chunk_records;
-    if (s->chunk_stop > s->total)
-        s->chunk_stop = s->total;
-    s->in_chunk = 1;
-}
-
+/* Call the sample hook with the phase's state just after its load/store
+ * number ``accesses``. */
 static int
-flush_dram(Stepper *s)
+sample(Stepper *s, long long accesses)
 {
-    PyObject *stats = s->dram_stats;
-    if (add_attr(stats, S_total_transactions, s->dram_transactions) < 0
-        || add_attr(stats, S_demand_transactions, s->dram_demand) < 0
-        || add_attr(stats, S_speculative_transactions, s->dram_speculative) < 0
-        || add_attr(stats, S_l1d_prefetch_transactions, s->dram_l1d_prefetch) < 0
-        || add_attr(stats, S_l2c_prefetch_transactions, s->dram_l2c_prefetch) < 0
-        || add_attr(stats, S_total_queue_cycles, s->dram_queue_cycles) < 0)
-        return -1;
-    long long current;
-    if (get_ll(stats, S_max_queue_cycles, &current) < 0)
-        return -1;
-    if (s->dram_max_queue > current && set_ll(stats, S_max_queue_cycles, s->dram_max_queue) < 0)
-        return -1;
-    s->dram_transactions = s->dram_demand = s->dram_speculative = 0;
-    s->dram_l1d_prefetch = s->dram_l2c_prefetch = 0;
-    s->dram_queue_cycles = s->dram_max_queue = 0;
-    return 0;
-}
-
-static int
-flush_hierarchy(Stepper *s)
-{
-    PyObject *h = s->hstats;
-    if (add_attr(h, S_demand_loads, s->demand_loads) < 0
-        || add_attr(h, S_demand_stores, s->demand_stores) < 0
-        || add_attr(h, S_offchip_predictions, s->offchip_predictions) < 0
-        || add_attr(h, S_speculative_requests, s->speculative_requests) < 0
-        || add_attr(h, S_delayed_speculative_requests, s->delayed_speculative) < 0
-        || add_attr(h, S_delayed_predictions_saved, s->delayed_saved) < 0
-        || add_attr(h, S_l1d_prefetch_candidates, s->l1_pf_candidates) < 0
-        || add_attr(h, S_l1d_prefetches_dropped_resident, s->l1_pf_dropped_resident) < 0
-        || add_attr(h, S_l1d_prefetches_filtered, s->l1_pf_filtered) < 0
-        || add_attr(h, S_l1d_prefetches_dropped_queue_full, s->l1_pf_dropped_queue) < 0
-        || add_attr(h, S_l1d_prefetches_issued, s->l1_pf_issued) < 0
-        || add_attr(h, S_l2c_prefetch_candidates, s->l2_pf_candidates) < 0
-        || add_attr(h, S_l2c_prefetches_dropped_resident, s->l2_pf_dropped_resident) < 0
-        || add_attr(h, S_l2c_prefetches_filtered, s->l2_pf_filtered) < 0
-        || add_attr(h, S_l2c_prefetches_dropped_queue_full, s->l2_pf_dropped_queue) < 0
-        || add_attr(h, S_l2c_prefetches_issued, s->l2_pf_issued) < 0
-        || add_attr(h, S_useful_l1d_prefetches, s->useful_l1_prefetches) < 0
-        || add_attr(h, S_useless_l1d_prefetches, s->useless_l1_prefetches) < 0
-        || add_levels(h, S_served_by, s->served) < 0
-        || add_levels(h, S_l1d_prefetch_served_by, s->pf_served) < 0
-        || add_levels(h, S_offchip_prediction_location, s->prediction_location) < 0
-        || add_levels(h, S_accurate_prefetch_source, s->accurate_source) < 0
-        || add_levels(h, S_inaccurate_prefetch_source, s->inaccurate_source) < 0)
-        return -1;
-    s->demand_loads = s->demand_stores = s->offchip_predictions = 0;
-    s->speculative_requests = s->delayed_speculative = s->delayed_saved = 0;
-    s->l1_pf_candidates = s->l1_pf_dropped_resident = s->l1_pf_filtered = 0;
-    s->l1_pf_dropped_queue = s->l1_pf_issued = 0;
-    s->l2_pf_candidates = s->l2_pf_dropped_resident = s->l2_pf_filtered = 0;
-    s->l2_pf_dropped_queue = s->l2_pf_issued = 0;
-    s->useful_l1_prefetches = s->useless_l1_prefetches = 0;
-    return 0;
-}
-
-static int
-flush_predictor(Stepper *s)
-{
-    if (s->predictor_kind == PK_NULL)
-        return 0;
-    if (perceptron_flush(&s->flp) < 0
-        || PyObject_SetAttr(s->predictor, S_last_prediction, py_bool(s->last_prediction)) < 0)
-        return -1;
-    if (s->predictor_kind == PK_FLP
-        && (add_attr(s->predictor, S_immediate_decisions, s->flp_immediate) < 0
-            || add_attr(s->predictor, S_delayed_decisions, s->flp_delayed) < 0
-            || add_attr(s->predictor, S_negative_decisions, s->flp_negative) < 0))
-        return -1;
-    s->flp_immediate = s->flp_delayed = s->flp_negative = 0;
-    return 0;
-}
-
-static int
-flush_components(Stepper *s)
-{
-    if (s->prefetch_kind == PF_IPCP && ipcp_flush(&s->ipcp, s->prefetcher) < 0)
-        return -1;
-    if (s->have_spp && add_attr(s->l2_prefetcher, S_lookahead_prefetches,
-                                s->spp.lookahead_prefetches) < 0)
-        return -1;
-    s->spp.lookahead_prefetches = 0;
-    if (s->have_ppf && ppf_flush(&s->ppf, s->l2_filter) < 0)
-        return -1;
-    return s->have_slp ? slp_flush(&s->slp, s->l1_filter) : 0;
-}
-
-/* Add the chunk's counters to their stats objects, then sample. */
-static int
-end_chunk(Stepper *s)
-{
-    s->in_chunk = 0;
-    if (flush_hierarchy(s) < 0 || cache_flush(&s->l1) < 0 || cache_flush(&s->l2) < 0
-        || cache_flush(&s->llc) < 0 || flush_dram(s) < 0 || flush_predictor(s) < 0
-        || flush_components(s) < 0)
-        return -1;
-    if (s->sample_hook == NULL)
-        return 0;
-    long long loads, stores;
-    if (get_ll(s->hstats, S_demand_loads, &loads) < 0
-        || get_ll(s->hstats, S_demand_stores, &stores) < 0)
-        return -1;
-    long long accesses = loads + stores;
-    if (accesses < s->next_sample)
-        return 0;
     PyObject *accesses_obj = PyLong_FromLongLong(accesses);
-    PyObject *done_obj = PyLong_FromLongLong(s->instructions);
-    PyObject *base = PyObject_GetAttr(s->runner, S_instructions);
-    PyObject *instructions = (base && done_obj) ? PyNumber_Add(base, done_obj) : NULL;
+    PyObject *instructions = PyLong_FromLongLong(s->base_instructions + s->instructions);
     PyObject *cycles = PyFloat_FromDouble(s->last_retire);
     int rc = -1;
-    if (accesses_obj && instructions && cycles
-        && discard(call3(s->sample_hook, accesses_obj, instructions, cycles)) == 0)
-        rc = 0;
+    if (accesses_obj && instructions && cycles)
+        rc = discard(call3(s->sample_hook, accesses_obj, instructions, cycles));
     Py_XDECREF(accesses_obj);
-    Py_XDECREF(done_obj);
-    Py_XDECREF(base);
     Py_XDECREF(instructions);
     Py_XDECREF(cycles);
-    s->next_sample = (accesses / s->sample_interval + 1) * s->sample_interval;
+    s->next_sample += s->sample_interval;
     return rc;
 }
 
@@ -2676,7 +2490,8 @@ retire_slot(const Stepper *s, Py_ssize_t offset)
     return slot >= s->retire_cap ? slot - s->retire_cap : slot;
 }
 
-/* Write the core runner's state back (end of the trace). */
+/* Write the core runner's state and the off-chip predictor's last prediction
+ * back (end of the trace). */
 static int
 finish(Stepper *s)
 {
@@ -2715,6 +2530,8 @@ finish(Stepper *s)
     Py_XDECREF(latency);
     Py_XDECREF(old);
     Py_XDECREF(total);
+    if (rc == 0 && s->predictor_kind != PK_NULL)
+        rc = PyObject_SetAttr(s->predictor, S_last_prediction, py_bool(s->last_prediction));
     return rc;
 }
 
@@ -2749,16 +2566,11 @@ advance(Stepper *s, double *pause)
             dispatch = s->pending_dispatch;
         }
         else {
-            if (s->pos == s->chunk_stop) {
-                if (s->in_chunk && end_chunk(s) < 0)
-                    goto error;
-                if (s->pos == s->total) {
-                    s->finished = 1;
-                    int rc = finish(s);
-                    release_components(s);
-                    return rc;
-                }
-                start_chunk(s);
+            if (s->pos == s->total) {
+                s->finished = 1;
+                int rc = finish(s);
+                release_components(s);
+                return rc;
             }
             dispatch = s->dispatch_cycle;
             if (s->retire_len >= s->rob_size) {
@@ -2785,6 +2597,9 @@ advance(Stepper *s, double *pause)
             goto error;
         retire_record(s, dispatch, latency);
         s->pos++;
+        long long accesses = s->loads + s->stores;
+        if (accesses == s->next_sample && sample(s, accesses) < 0)
+            goto error;
     }
 error:
     s->finished = 1;
@@ -2890,7 +2705,9 @@ init_predictor(Stepper *s, PyObject *predictor)
         return get_double(predictor, S_activation_threshold, &s->activation_threshold);
     if (get_truth(predictor, S_selective_delay, &s->selective_delay) < 0
         || get_double(predictor, S_tau_high, &s->tau_high) < 0
-        || get_double(predictor, S_tau_low, &s->tau_low) < 0)
+        || get_double(predictor, S_tau_low, &s->tau_low) < 0
+        || (s->flp_counts = counter_array(&s->counter_views[2], predictor, FLP_COUNT,
+                                          "FLP")) == NULL)
         return -1;
     return 0;
 }
@@ -2901,6 +2718,7 @@ init_core(Stepper *s, PyObject *runner)
     s->runner = Py_NewRef(runner);
     long long rob_size;
     if (get_ll(runner, S_rob_size, &rob_size) < 0
+        || get_ll(runner, S_instructions, &s->base_instructions) < 0
         || get_double(runner, S_dispatch_interval, &s->dispatch_interval) < 0
         || get_double(runner, S__dispatch_cycle, &s->dispatch_cycle) < 0
         || get_double(runner, S__last_retire, &s->last_retire) < 0
@@ -2945,7 +2763,7 @@ init_hierarchy(Stepper *s, PyObject *h)
         || (l2c = PyObject_GetAttr(h, S_l2c)) == NULL || cache_init(&s->l2, l2c, LEVEL_L2C) < 0
         || (llc = PyObject_GetAttr(h, S_llc)) == NULL || cache_init(&s->llc, llc, LEVEL_LLC) < 0
         || (s->dram = PyObject_GetAttr(h, S_dram)) == NULL
-        || (s->dram_stats = PyObject_GetAttr(s->dram, S_stats)) == NULL
+        || (s->dram_stats = stats_array(&s->counter_views[1], s->dram, D_COUNT, "DRAM")) == NULL
         || (s->busy_until = state_array(&s->busy_view, s->dram, S__busy_until, 'd', 1,
                                         "DRAM")) == NULL
         || get_double(s->dram, S__cycles_per_transaction, &s->cycles_per_transaction) < 0
@@ -2953,7 +2771,7 @@ init_hierarchy(Stepper *s, PyObject *h)
         || get_ll(config, S_access_latency, &s->dram_access_latency) < 0
         || (page_table = PyObject_GetAttr(h, S_page_table)) == NULL
         || page_table_init(&s->pages, page_table) < 0
-        || (s->hstats = PyObject_GetAttr(h, S_stats)) == NULL
+        || (s->hstats = stats_array(&s->counter_views[0], h, H_COUNT, "hierarchy")) == NULL
         || (s->resolve_l2 = PyObject_GetAttr(h, S__resolve_l2c_prefetch_use)) == NULL
         || (s->pending_l2c = PyObject_GetAttr(h, S__pending_l2c_prefetches)) == NULL
         || get_ll(h, S__predictor_latency, &s->predictor_latency) < 0
@@ -3005,10 +2823,11 @@ release_components(Stepper *s)
     ipcp_release(&s->ipcp);
     berti_release(&s->berti);
     spp_release(&s->spp);
-    view_release(&s->ppf.view);
+    view_release(&s->ppf.views[0]);
+    view_release(&s->ppf.views[1]);
     slp_release(&s->slp);
     history_release(&s->history);
-    frames_free(&s->pages);
+    page_table_release(&s->pages);
 }
 
 static PyObject *
@@ -3016,21 +2835,15 @@ stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {
         "runner", "hierarchy", "pcs", "vaddrs", "kinds", "kind_non_mem",
-        "chunk_records", "predictor_kind", "prefetch_kind", "sample_hook",
-        "sample_interval", NULL};
+        "predictor_kind", "prefetch_kind", "sample_hook", "sample_interval", NULL};
     PyObject *runner, *hierarchy, *pcs, *vaddrs, *kinds, *hook;
     int kind_non_mem, predictor_kind, prefetch_kind;
-    Py_ssize_t chunk_records;
     long long sample_interval;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOiniiOL", keywords, &runner,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOiiiOL", keywords, &runner,
                                      &hierarchy, &pcs, &vaddrs, &kinds, &kind_non_mem,
-                                     &chunk_records, &predictor_kind, &prefetch_kind,
-                                     &hook, &sample_interval))
+                                     &predictor_kind, &prefetch_kind, &hook,
+                                     &sample_interval))
         return NULL;
-    if (chunk_records <= 0) {
-        PyErr_SetString(PyExc_ValueError, "chunk_records must be positive");
-        return NULL;
-    }
     if (predictor_kind < PK_NULL || predictor_kind > PK_FLP) {
         PyErr_SetString(PyExc_ValueError, "unknown predictor kind");
         return NULL;
@@ -3041,7 +2854,7 @@ stepper_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     if (s == NULL)
         return NULL;
     s->kind_non_mem = kind_non_mem;
-    s->chunk_records = chunk_records;
+    s->next_sample = -1;
     s->predictor_kind = predictor_kind;
     s->prefetch_kind = prefetch_kind;
     if (hook != Py_None && sample_interval > 0) {
@@ -3097,6 +2910,8 @@ release_buffers(Stepper *s)
     cache_release(&s->l2);
     cache_release(&s->llc);
     view_release(&s->busy_view);
+    for (int i = 0; i < 3; i++)
+        view_release(&s->counter_views[i]);
     perceptron_release(&s->flp);
     release_components(s);
 }
@@ -3107,12 +2922,9 @@ stepper_traverse(Stepper *s, visitproc visit, void *arg)
 #define VISIT(n) Py_VISIT(s->n);
     STEPPER_OBJECTS(VISIT)
 #undef VISIT
-#define VISIT_CACHE(n) Py_VISIT(s->l1.n); Py_VISIT(s->l2.n); Py_VISIT(s->llc.n);
-    CACHE_OBJECTS(VISIT_CACHE)
-#undef VISIT_CACHE
-    Py_VISIT(s->flp.stats);
-    Py_VISIT(s->slp.p.stats);
-    Py_VISIT(s->pages.obj);
+    Py_VISIT(s->l1.listener);
+    Py_VISIT(s->l2.listener);
+    Py_VISIT(s->llc.listener);
     Py_VISIT(s->pages.mapping);
     Py_VISIT(s->pages.allocated);
     return 0;
@@ -3126,12 +2938,9 @@ stepper_clear(Stepper *s)
 #define CLEAR(n) Py_CLEAR(s->n);
     STEPPER_OBJECTS(CLEAR)
 #undef CLEAR
-#define CLEAR_CACHE(n) Py_CLEAR(s->l1.n); Py_CLEAR(s->l2.n); Py_CLEAR(s->llc.n);
-    CACHE_OBJECTS(CLEAR_CACHE)
-#undef CLEAR_CACHE
-    Py_CLEAR(s->flp.stats);
-    Py_CLEAR(s->slp.p.stats);
-    Py_CLEAR(s->pages.obj);
+    Py_CLEAR(s->l1.listener);
+    Py_CLEAR(s->l2.listener);
+    Py_CLEAR(s->llc.listener);
     Py_CLEAR(s->pages.mapping);
     Py_CLEAR(s->pages.allocated);
     return 0;
@@ -3191,7 +3000,10 @@ PyInit__fused(void)
     PyObject *module = PyModule_Create(&fused_module);
     if (module == NULL)
         return NULL;
-    if (PyModule_AddObjectRef(module, "Stepper", (PyObject *)&StepperType) < 0) {
+    PyObject *layout = counter_layout();
+    if (layout == NULL || PyModule_AddObjectRef(module, "Stepper", (PyObject *)&StepperType) < 0
+        || PyModule_AddObject(module, "COUNTER_LAYOUT", layout) < 0) {
+        Py_XDECREF(layout);
         Py_DECREF(module);
         return NULL;
     }

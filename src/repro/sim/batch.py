@@ -24,13 +24,15 @@ record.  The batch core runs the same steps for a whole trace in C
    scalar reference uses, in the same order with the same arithmetic: the
    flat arrays of each :class:`Cache`, DRAM ``_busy_until``, every
    component's tables (IPCP's IP/CPLX tables and region FIFO, Berti's
-   rows, SPP's signature FIFO and pattern table, the perceptron weights)
-   and the page buffers and PC histories of the feature histories, all
-   through the buffer protocol, and the page table and every stats object
-   as Python objects.  No component state is copied in or written back
-   (only the core runner's timing state is, at the end of the trace); the
-   kernel keeps just private lookup indexes over the shared FIFO and LRU
-   keys, built when a stepper is built.  PPF training on prefetch use and L2C
+   rows, SPP's signature FIFO and pattern table, the perceptron weights),
+   the page buffers and PC histories of the feature histories and every
+   counter (the ``counts`` array of each stats object and component, see
+   :mod:`repro.common.counters`), all through the buffer protocol, and the
+   page table's mapping as Python objects.  No component state is copied in
+   or written back (only the core runner's timing state and the off-chip
+   predictor's last prediction are, at the end of the trace); the kernel
+   keeps just private lookup indexes over the shared FIFO and LRU keys,
+   built when a stepper is built.  PPF training on prefetch use and L2C
    eviction stays a Python call.
 
 3. **Phases, scheduling and the one core per run** -- :func:`run_phase`
@@ -84,11 +86,6 @@ from repro.traces.trace import KIND_NON_MEM
 
 _LOG = logging.getLogger("repro.sim.batch")
 
-#: Records per chunk.  The kernel adds its counters to the stats objects and
-#: runs the sample hook at chunk ends, so chunks only bound how stale the
-#: stats objects get mid-run.
-DEFAULT_CHUNK_RECORDS = 8192
-
 #: Feature layout the kernel's feature history computes (Table I order).
 _LEGACY_FEATURE_NAMES = (
     "pc_xor_cacheline_offset",
@@ -119,8 +116,8 @@ _PREFETCH_PATH = (
 
 #: Per-core components of a hierarchy.  While a core runs, the kernel keeps
 #: private state beside theirs (lookup indexes over the FIFO and LRU keys,
-#: the page table's frame cache, chunk-local counters), so a mix's cores
-#: must not share them.
+#: the page table's frame cache, the off-chip predictor's last prediction),
+#: so a mix's cores must not share them.
 _PRIVATE_COMPONENTS = (
     "l1d", "l2c", "page_table", "offchip_predictor", "l1d_prefetcher",
     "l2_prefetcher", "l1d_prefetch_filter", "l2_prefetch_filter",
@@ -193,8 +190,8 @@ def _shared_component_reason(
 ) -> Optional[str]:
     """Why a mix's cores cannot run fused side by side, or None.
 
-    Each fused core keeps private lookup indexes and counters beside its
-    components' state, which another core's updates would leave stale.
+    Each fused core keeps private lookup indexes beside its components'
+    state, which another core's updates would leave stale.
     """
     owners: dict[int, tuple[int, str]] = {}
     for core_id, hierarchy in enumerate(hierarchies):
@@ -261,7 +258,7 @@ def _note_scalar_fallback(reason: str) -> None:
 
 
 def fused_core_stepper(
-    runner: CoreRunner, trace, hierarchy: MemoryHierarchy, chunk_records: int,
+    runner: CoreRunner, trace, hierarchy: MemoryHierarchy,
     sample_hook=None, sample_interval: Optional[int] = None,
 ):
     """The compiled kernel's per-core stepper (supported hierarchies only).
@@ -269,7 +266,9 @@ def fused_core_stepper(
     Its ``run()`` runs the whole trace; the kernel's ``run_mix`` instead
     pauses it before each load/store, so the shared LLC/DRAM is touched in
     (dispatch cycle, core id) order.  Runner state is written back at the
-    end.
+    end.  ``sample_hook(accesses, instructions, cycles)``, given with a
+    positive ``sample_interval``, runs right after every
+    ``sample_interval``-th load/store.
     """
     pc_col, vaddr_col, kind_col = trace.columns()
     predictor = hierarchy.offchip_predictor
@@ -281,19 +280,9 @@ def fused_core_stepper(
         predictor_kind = _PK_FLP
     return native.kernel().Stepper(
         runner, hierarchy, pc_col, vaddr_col, kind_col, KIND_NON_MEM,
-        chunk_records, predictor_kind,
-        _PREFETCH_KINDS[type(hierarchy.l1d_prefetcher)],
+        predictor_kind, _PREFETCH_KINDS[type(hierarchy.l1d_prefetcher)],
         sample_hook, sample_interval or 0,
     )
-
-
-def chunk_size(sample_interval: Optional[int] = None) -> int:
-    """Records per fused-stepper chunk: :data:`DEFAULT_CHUNK_RECORDS`, capped
-    to ``max(1024, sample_interval)`` when sampling so each sample lands
-    near its multiple of the interval."""
-    if sample_interval:
-        return min(DEFAULT_CHUNK_RECORDS, max(1024, sample_interval))
-    return DEFAULT_CHUNK_RECORDS
 
 
 def run_phase(
@@ -313,22 +302,17 @@ def run_phase(
     the same state.
 
     ``sample_hook(accesses, instructions, cycles)``, given with a positive
-    ``sample_interval``, reads the cumulative state of the phase about every
-    ``sample_interval`` demand accesses: the scalar path cuts the trace just
-    after every ``sample_interval``-th load/store, and the kernel calls the
-    hook at the first chunk end past each multiple, with chunks capped near
-    the interval.  Cutting and chunking are result-invariant, so sampling
-    never changes metrics.
+    ``sample_interval``, reads the cumulative state of the phase just after
+    every ``sample_interval``-th load/store: the scalar path cuts the trace
+    there and the kernel calls the hook there, so both cores sample the same
+    states.  Cutting is result-invariant, so sampling never changes metrics.
     """
-    sampling = sample_hook is not None and bool(sample_interval)
     if fused:
         fused_core_stepper(
-            runner, trace, hierarchy,
-            chunk_size(sample_interval if sampling else None),
-            sample_hook, sample_interval,
+            runner, trace, hierarchy, sample_hook, sample_interval,
         ).run()
         return
-    if not sampling:
+    if sample_hook is None or not sample_interval:
         runner.run_trace(trace)
         return
     _, _, kinds = trace.columns()

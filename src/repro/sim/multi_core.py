@@ -23,7 +23,7 @@ from repro.cpu.core import CoreResult, CoreRunner
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.obs import sample as obs_sample
 from repro.sim import native
-from repro.sim.batch import chunk_size, fused_core_stepper, run_phase, use_kernel
+from repro.sim.batch import fused_core_stepper, run_phase, use_kernel
 from repro.sim.results import MultiCoreResult
 from repro.sim.scenarios import Scenario, build_hierarchy
 from repro.traces.trace import KIND_NON_MEM, Trace, trace_lists
@@ -106,8 +106,7 @@ def run_multicore_mix(
     measured = [phase for _, phase in splits]
     if fused:
         native.kernel().run_mix([
-            fused_core_stepper(runner, trace, hierarchy, chunk_size(interval),
-                               hook, interval)
+            fused_core_stepper(runner, trace, hierarchy, hook, interval)
             for runner, trace, hierarchy, hook in zip(
                 runners, measured, hierarchies, hooks
             )

@@ -108,21 +108,18 @@ def collect_single_core_result(
         ),
         useful_l1d_prefetches=stats.useful_l1d_prefetches,
         useless_l1d_prefetches=stats.useless_l1d_prefetches,
-        accurate_prefetch_source={
-            level.name: count for level, count in stats.accurate_prefetch_source.items()
-        },
-        inaccurate_prefetch_source={
-            level.name: count
-            for level, count in stats.inaccurate_prefetch_source.items()
-        },
-        offchip_prediction_location={
-            level.name: count
-            for level, count in stats.offchip_prediction_location.items()
-        },
+        accurate_prefetch_source=_by_level_name(stats.accurate_prefetch_source),
+        inaccurate_prefetch_source=_by_level_name(stats.inaccurate_prefetch_source),
+        offchip_prediction_location=_by_level_name(stats.offchip_prediction_location),
         speculative_requests=stats.speculative_requests,
         delayed_predictions_saved=stats.delayed_predictions_saved,
-        served_by={level.name: count for level, count in stats.served_by.items()},
+        served_by=_by_level_name(stats.served_by),
     )
+
+
+def _by_level_name(counts) -> dict[str, int]:
+    """A per-level counter group as a plain ``{level name: count}`` dict."""
+    return {level.name: count for level, count in counts.items()}
 
 
 def check_invariants(result, hierarchies=()) -> list[str]:

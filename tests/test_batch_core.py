@@ -1,4 +1,4 @@
-"""Batch core equivalence: the chunked fused loop vs. the scalar reference.
+"""Batch core equivalence: the compiled fused loop vs. the scalar reference.
 
 The batch core of :mod:`repro.sim.batch` is an optimization, not a model
 change: for every supported component combination it must produce results
@@ -44,6 +44,7 @@ from repro.cpu.core import CoreRunner
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
 from repro.memory.paging import PageTable
+from repro.obs import sample as obs_sample
 from repro.obs import tracer
 from repro.predictors.features import FeatureHistory, legacy_hermes_features
 from repro.predictors.perceptron import HashedPerceptron
@@ -51,14 +52,8 @@ from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
-from repro.sim import batch as batch_module
 from repro.sim import multi_core, native
-from repro.sim.batch import (
-    DEFAULT_CHUNK_RECORDS,
-    batch_unsupported_reason,
-    run_phase,
-    use_kernel,
-)
+from repro.sim.batch import batch_unsupported_reason, run_phase, use_kernel
 from repro.sim.engine import build_workload_trace, single_core_point
 from repro.sim.multi_core import build_mix_hierarchies, run_multicore_mix
 from repro.sim.results import MultiCoreResult, check_invariants
@@ -180,7 +175,7 @@ def _component_state(hierarchy: MemoryHierarchy) -> dict:
     if slp is not None:
         state["slp"] = (
             slp.perceptron._weights.tolist(),
-            dataclasses.asdict(slp.perceptron.stats),
+            slp.perceptron.stats.as_dict(),
             _arrays(slp.history, HISTORY_STATE),
             slp.consultations,
             slp.issued,
@@ -189,7 +184,7 @@ def _component_state(hierarchy: MemoryHierarchy) -> dict:
     perceptron = getattr(hierarchy.offchip_predictor, "perceptron", None)
     if perceptron is not None:
         state["offchip"] = (
-            perceptron._weights.tolist(), dataclasses.asdict(perceptron.stats),
+            perceptron._weights.tolist(), perceptron.stats.as_dict(),
             _arrays(hierarchy.offchip_predictor.history, HISTORY_STATE),
         )
     state["page_table"] = _page_table_state(hierarchy.page_table)
@@ -204,37 +199,49 @@ def _page_table_state(table: PageTable) -> tuple:
     )
 
 
-def _patch_chunk_records(monkeypatch, chunk_records: int) -> list:
-    """Run every fused phase in ``chunk_records``-record chunks.  Returns the
-    chunk size of each phase's stepper, in the order they are built."""
-    monkeypatch.setattr(batch_module, "DEFAULT_CHUNK_RECORDS", chunk_records)
-    chunks = []
-    real = batch_module.fused_core_stepper
+def _sample_every(monkeypatch, interval: int) -> list:
+    """Sample every measured phase just after each ``interval``-th
+    load/store, with no telemetry sink: a sampled phase runs in chunks of
+    ``interval`` loads/stores, each ended by a hook call.  Returns the list
+    the samples go to; a sample is the core that ran, the core id, the
+    hook's arguments and the hierarchy's counters at that point."""
+    samples = []
 
-    def spy(runner, trace, hierarchy, chunk, *args):
-        chunks.append(chunk)
-        return real(runner, trace, hierarchy, chunk, *args)
+    def hook(trace_name, scenario, core, hierarchy, core_id=0, **context):
+        def emit(accesses, instructions, cycles):
+            samples.append((
+                core, core_id, accesses, instructions, cycles,
+                hierarchy.stats.as_dict(),
+            ))
+        return emit
 
-    monkeypatch.setattr(batch_module, "fused_core_stepper", spy)
-    return chunks
+    monkeypatch.setattr(obs_sample, "sample_interval", lambda: interval)
+    monkeypatch.setattr(obs_sample, "hook", hook)
+    return samples
 
 
-def _state_pair(trace, make_hierarchy, chunk_records=None, monkeypatch=None):
+def _core_samples(samples: list, core: str) -> list:
+    """The samples of the runs on ``core``, without the core's name."""
+    return [sample[1:] for sample in samples if sample[0] == core]
+
+
+def _state_pair(trace, make_hierarchy, sample_interval=None, monkeypatch=None):
     """Scalar and batch runs on fresh hierarchies from ``make_hierarchy``:
-    their results, then their hierarchy and component states."""
+    their results, then their hierarchy and component states, then their
+    samples when sampling every ``sample_interval`` loads/stores."""
+    samples = _sample_every(monkeypatch, sample_interval) if sample_interval else []
     runs = []
     for core in ("scalar", "batch"):
         hierarchy = make_hierarchy()
-        if core == "batch" and chunk_records is not None:
-            monkeypatch.setattr(batch_module, "DEFAULT_CHUNK_RECORDS", chunk_records)
         result = run_single_core(
             trace, build_scenario("baseline"), config=_system(core),
             hierarchy=hierarchy,
         )
         runs.append((
             result,
-            dataclasses.asdict(hierarchy.stats),
+            hierarchy.stats.as_dict(),
             _component_state(hierarchy),
+            _core_samples(samples, core),
         ))
     return runs
 
@@ -341,17 +348,19 @@ def _strided_trace(records: int = 3_000, seed: int = 3) -> Trace:
 
 class TestComponentState:
     """The kernel leaves every flat state array of the prefetchers, filters
-    and feature histories exactly as the scalar reference does."""
+    and feature histories exactly as the scalar reference does, and samples
+    the same counters on the way."""
 
     @pytest.mark.parametrize("case", sorted(STATE_CASES))
-    @pytest.mark.parametrize("chunk_records", (7, DEFAULT_CHUNK_RECORDS))
+    @pytest.mark.parametrize("sample_interval", (7, 8192))
     @pytest.mark.parametrize("trace_name", ("spec", "strided"))
     def test_state_after_run(
-        self, spec_mcf_trace, case, chunk_records, trace_name, monkeypatch
+        self, spec_mcf_trace, case, sample_interval, trace_name, monkeypatch
     ):
         trace = spec_mcf_trace if trace_name == "spec" else _strided_trace()
         assert batch_unsupported_reason(STATE_CASES[case]()) is None
-        scalar, batch = _state_pair(trace, STATE_CASES[case], chunk_records, monkeypatch)
+        scalar, batch = _state_pair(trace, STATE_CASES[case], sample_interval, monkeypatch)
+        assert scalar[3]  # at least the closing sample
         assert batch == scalar
 
     @pytest.mark.parametrize("trace_name", ("spec", "strided"))
@@ -389,7 +398,7 @@ class TestComponentState:
             runner.run_trace(phases[2])
             runs.append((
                 dataclasses.asdict(runner.finish()),
-                dataclasses.asdict(hierarchy.stats),
+                hierarchy.stats.as_dict(),
                 _component_state(hierarchy),
             ))
         assert runs[0] == runs[1]
@@ -478,7 +487,7 @@ class TestComponentState:
             assert check_invariants(result, [hierarchy]) == [], core
             runs.append((
                 dataclasses.asdict(result),
-                dataclasses.asdict(hierarchy.stats),
+                hierarchy.stats.as_dict(),
                 _lru_state(hierarchy),
                 _component_state(hierarchy),
             ))
@@ -589,16 +598,21 @@ class TestTraceFamilyEquivalence:
         _assert_identical(scalar, batch)
 
     def test_tiny_chunks_hit_every_boundary(self, spec_mcf_trace, monkeypatch):
-        """A 7-record chunk forces lead-window/boundary code on every chunk."""
+        """Sampling every 7 loads/stores ends a 7-access chunk of the measured
+        phase with a hook call: the kernel calls it after exactly the
+        accesses the scalar path cuts after, and it changes nothing."""
         scenario = build_scenario("tlp")
         scalar_hierarchy = build_hierarchy(scenario, config=_system("scalar"))
         scalar = run_single_core(spec_mcf_trace, scenario, config=_system("scalar"),
                                  hierarchy=scalar_hierarchy)
-        chunks = _patch_chunk_records(monkeypatch, 7)
+        samples = _sample_every(monkeypatch, 7)
         batch_hierarchy = build_hierarchy(scenario, config=_system("batch"))
         batch = run_single_core(spec_mcf_trace, scenario, config=_system("batch"),
                                 hierarchy=batch_hierarchy)
-        assert chunks == [7, 7]  # the warm-up and the measured phase
+        accesses = [sample[2] for sample in samples]
+        measured = batch_hierarchy.stats.demand_loads + batch_hierarchy.stats.demand_stores
+        # Every 7th access, then the closing sample.
+        assert accesses == [*range(7, measured + 1, 7), measured]
         assert batch.instructions > 0
         assert batch_hierarchy.stats.demand_loads == (
             scalar_hierarchy.stats.demand_loads
@@ -610,11 +624,13 @@ class TestTraceFamilyEquivalence:
 
 
 class TestChunkBoundarySweep:
-    """Chunk size must never change results: every boundary is mid-stream.
+    """Sampling cuts the measured phase into chunks of N loads/stores, each
+    ended by a sample-hook call; the chunk size must never change results,
+    and both cores must sample the same counters at every boundary.
 
-    Sweeps chunk sizes from the degenerate 1-record chunk (every record
-    crosses a boundary) through primes that misalign with internal windows
-    up to one chunk covering the whole trace, against the same scalar
+    Sweeps chunk sizes from the degenerate 1-access chunk (a hook call after
+    every access) through primes that misalign with internal windows up to
+    one chunk covering the whole trace, against the same unsampled scalar
     reference.  Runs under ``ppf`` so the boundary also cuts through the
     fused SPP lookahead + PPF filter state.
     """
@@ -629,21 +645,22 @@ class TestChunkBoundarySweep:
                                  hierarchy=hierarchy)
         return trace, scenario, result, hierarchy
 
-    @pytest.mark.parametrize("chunk_records", (1, 7, 61, 600, 10_000))
-    def test_chunk_size_invariance(self, scalar_reference, chunk_records, monkeypatch):
+    @pytest.mark.parametrize("sample_interval", (1, 7, 61, 600, 10_000))
+    def test_chunk_size_invariance(self, scalar_reference, sample_interval, monkeypatch):
         trace, scenario, scalar, scalar_hierarchy = scalar_reference
-        chunks = _patch_chunk_records(monkeypatch, chunk_records)
-        hierarchy = build_hierarchy(scenario, config=_system("batch"))
-        result = run_single_core(trace, scenario, config=_system("batch"),
-                                 hierarchy=hierarchy)
-        assert chunks == [chunk_records] * 2
-        assert dataclasses.asdict(hierarchy.stats) == (
-            dataclasses.asdict(scalar_hierarchy.stats)
-        )
-        assert dataclasses.asdict(hierarchy.dram.stats) == (
-            dataclasses.asdict(scalar_hierarchy.dram.stats)
-        )
-        _assert_identical(scalar, result)
+        samples = _sample_every(monkeypatch, sample_interval)
+        for core in ("scalar", "batch"):
+            hierarchy = build_hierarchy(scenario, config=_system(core))
+            result = run_single_core(trace, scenario, config=_system(core),
+                                     hierarchy=hierarchy)
+            assert hierarchy.stats.as_dict() == scalar_hierarchy.stats.as_dict()
+            assert hierarchy.dram.stats.as_dict() == (
+                scalar_hierarchy.dram.stats.as_dict()
+            )
+            _assert_identical(scalar, result)
+        measured = scalar_hierarchy.stats.demand_loads + scalar_hierarchy.stats.demand_stores
+        assert len(_core_samples(samples, "batch")) == measured // sample_interval + 1
+        assert _core_samples(samples, "batch") == _core_samples(samples, "scalar")
 
 
 class TestTableCollisionStress:
@@ -696,7 +713,7 @@ class TestEvictionStress:
                 _assert_eviction_bound(cache)
                 check_flat_layout(cache)
             states[core] = _lru_state(hierarchy), [
-                dataclasses.asdict(cache.stats) for cache in _caches(hierarchy)
+                cache.stats.as_dict() for cache in _caches(hierarchy)
             ]
         _assert_identical(results["scalar"], results["batch"])
         assert states["batch"] == states["scalar"]
@@ -1113,14 +1130,20 @@ class TestMultiCoreEquivalence:
         assert _mix_system("batch", 3).scaled_llc().num_sets == 6_144
         self._check([mix_traces[w] for w in HETERO_MIX[:3]], "tlp")
 
-    @pytest.mark.parametrize("chunk_records", [1, 61, DEFAULT_CHUNK_RECORDS])
-    def test_chunk_sizes(self, mix_traces, chunk_records, monkeypatch):
-        monkeypatch.setattr(batch_module, "DEFAULT_CHUNK_RECORDS", chunk_records)
-        # A quarter of each trace keeps the one-record chunks affordable.
+    @pytest.mark.parametrize("sample_interval", [1, 61, 8192])
+    def test_chunk_sizes(self, mix_traces, sample_interval, monkeypatch):
+        """Sampling every N loads/stores of each core, in chunks of N
+        accesses between hook calls, changes nothing, and both cores sample
+        the same counters after the same accesses."""
+        samples = _sample_every(monkeypatch, sample_interval)
+        # A quarter of each trace keeps the one-access chunks affordable.
         self._check(
             [mix_traces[w][: len(mix_traces[w]) // 4] for w in HETERO_MIX],
             "tlp",
         )
+        batch = _core_samples(samples, "batch")
+        assert {sample[0] for sample in batch} == {0, 1, 2, 3}
+        assert batch == _core_samples(samples, "scalar")
 
     def test_no_warmup(self, mix_traces):
         self._check(

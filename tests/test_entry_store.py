@@ -123,8 +123,33 @@ class EntryStoreContract:
             assert store.keys() == sorted(keys[1:])
             self.add(store, 0)
         assert store.misses == 2 and store.hits == 0
-        # A quarantined entry counts toward neither size nor gc.
-        assert store.gc(0, dry_run=True) == (3, store.size_bytes())
+        # A quarantined entry counts toward the size, and gc evicts it first.
+        quarantined = sum(
+            path.stat().st_size
+            for entry in store.quarantined()
+            for path in (entry.rglob("*") if entry.is_dir() else (entry,))
+            if path.is_file()
+        )
+        live = sum(store.entry_size_bytes(key) for key in keys)
+        assert quarantined > 0 and store.size_bytes() == live + quarantined
+        assert store.gc(live + quarantined - 1, dry_run=True) == (1, quarantined)
+        assert store.gc(0, dry_run=True) == (4, store.size_bytes())
+
+    def test_gc_reclaims_quarantined_entries(self, tmp_path):
+        """Quarantined entries can never be read back: a full sweep leaves
+        none in the store, and they go before any live entry."""
+        store, keys = self.populated(tmp_path)
+        self.corrupt(store, keys[2])
+        assert store.get(keys[2]) is None
+        assert len(store.quarantined()) == 1
+        quarantined = store.size_bytes() - sum(store.entry_size_bytes(k) for k in keys[:2])
+        assert store.gc(store.size_bytes() - 1) == (1, quarantined)
+        assert store.quarantined() == [] and store.keys() == sorted(keys[:2])
+        self.corrupt(store, keys[0])
+        assert store.get(keys[0]) is None
+        assert store.gc(0)[0] == 2
+        assert store.quarantined() == [] and store.keys() == []
+        assert list(store.directory.iterdir()) == []
 
     def test_cli_gc_dry_run_reports_quarantined(self, tmp_path, capsys):
         from repro.cli import main
@@ -135,12 +160,12 @@ class EntryStoreContract:
         argv = [self.COMMAND, "--dir", str(store.directory), "gc", "--max-mb", "0"]
         assert main(argv + ["--dry-run"]) == 0
         output = capsys.readouterr().out
-        assert f"({len(keys) - 1} {self.CLI_NOUN} would evict," in output
-        assert output.rstrip().endswith(", 1 quarantined corrupt entries)")
-        assert store.keys() == sorted(keys[1:])
+        assert f"({len(keys)} {self.CLI_NOUN} would evict, 1 of them quarantined corrupt," in output
+        assert store.keys() == sorted(keys[1:]) and len(store.quarantined()) == 1
         assert main(argv) == 0
-        assert f"({len(keys) - 1} {self.CLI_NOUN} evicted," in capsys.readouterr().out
-        assert store.keys() == [] and len(store.quarantined()) == 1
+        output = capsys.readouterr().out
+        assert f"({len(keys)} {self.CLI_NOUN} evicted, 1 of them quarantined corrupt," in output
+        assert store.keys() == [] and store.quarantined() == []
 
 
 def _dummy_result(workload: str) -> SingleCoreResult:

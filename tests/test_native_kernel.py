@@ -28,9 +28,17 @@ from repro.common.config import (
     cascade_lake_multi_core,
     cascade_lake_single_core,
 )
+from repro.core.flp import FirstLevelPerceptron
+from repro.core.slp import SecondLevelPerceptron
 from repro.cpu.core import CoreRunner
-from repro.memory.cache import EvictionInfo
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.cache import CacheStats, EvictionInfo
+from repro.memory.dram import DRAMStats
+from repro.memory.hierarchy import HierarchyStats, MemoryHierarchy
+from repro.memory.paging import PageTable
+from repro.predictors.perceptron import PerceptronStats
+from repro.prefetchers.ipcp import IPCPPrefetcher
+from repro.prefetchers.ppf import PerceptronPrefetchFilter
+from repro.prefetchers.spp import SPPPrefetcher
 from repro.obs import tracer
 from repro.sim import native
 from repro.sim.batch import batch_unsupported_reason, fused_core_stepper
@@ -278,7 +286,7 @@ class TestRefcounts:
     def test_exhausted_stepper_stays_exhausted(self, traces):
         hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
         runner = CoreRunner(_single("batch").core, hierarchy.demand_access)
-        stepper = fused_core_stepper(runner, traces["cc.road"], hierarchy, 61)
+        stepper = fused_core_stepper(runner, traces["cc.road"], hierarchy)
         assert not hasattr(stepper, "__next__")
         stepper.run()
         assert runner.instructions == len(traces["cc.road"])
@@ -293,7 +301,7 @@ class TestRefcounts:
         Python iterator beside a Stepper before advancing either."""
         hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
         runner = CoreRunner(_single("batch").core, hierarchy.demand_access)
-        stepper = fused_core_stepper(runner, traces["cc.road"], hierarchy, 61)
+        stepper = fused_core_stepper(runner, traces["cc.road"], hierarchy)
         with pytest.raises(TypeError, match="run_mix needs Steppers"):
             native.kernel().run_mix([stepper, iter([0.0])])
         assert runner.instructions == 0
@@ -304,7 +312,7 @@ class TestRefcounts:
 # ----------------------------------------------------------------------
 def _stepper_for(hierarchy, trace):
     runner = CoreRunner(_single("batch").core, hierarchy.demand_access)
-    return fused_core_stepper(runner, trace, hierarchy, 61)
+    return fused_core_stepper(runner, trace, hierarchy)
 
 
 class TestCacheLayout:
@@ -420,3 +428,54 @@ class TestComponentLayout:
         setattr(component, name, replacement(getattr(component, name)))
         with pytest.raises((TypeError, ValueError), match=error):
             _stepper_for(hierarchy, traces["cc.road"])
+
+
+# ----------------------------------------------------------------------
+# Counter layout
+# ----------------------------------------------------------------------
+#: Every class whose counters the kernel increments in place.
+COUNTER_CLASSES = (
+    HierarchyStats, CacheStats, DRAMStats, PerceptronStats,
+    FirstLevelPerceptron, SecondLevelPerceptron, PerceptronPrefetchFilter,
+    SPPPrefetcher, IPCPPrefetcher, PageTable,
+)
+
+
+class TestCounterLayout:
+    """The kernel's counter enums mirror the Python declarations, and it
+    refuses a ``counts`` array that does not fit them."""
+
+    def test_kernel_layout_equals_python_declarations(self):
+        assert native.kernel().COUNTER_LAYOUT == {
+            cls.__name__: cls.FIELDS for cls in COUNTER_CLASSES
+        }
+
+    @pytest.mark.parametrize("owner,replacement,error", [
+        (lambda h: h.stats, lambda a: a[:-1], ValueError),
+        (lambda h: h.l2c.stats, lambda a: a + array("q", [0]), ValueError),
+        (lambda h: h.page_table, lambda a: array("l", a), TypeError),
+        (lambda h: h.offchip_predictor.perceptron.stats, list, TypeError),
+        (lambda h: h.l1d_prefetch_filter, lambda a: array("d", a), TypeError),
+    ])
+    def test_misfit_counters_are_rejected(self, traces, owner, replacement, error):
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
+        counters = owner(hierarchy)
+        counters.counts = replacement(counters.counts)
+        with pytest.raises(error):
+            _stepper_for(hierarchy, traces["cc.road"])
+
+    def test_kernel_counts_in_the_models_arrays(self, traces):
+        """A run increments the very arrays the model objects own."""
+        hierarchy = build_hierarchy(build_scenario("tlp"), config=_single("batch"))
+        arrays = [
+            counters.counts for counters in (
+                hierarchy.stats, hierarchy.l1d.stats, hierarchy.dram.stats,
+                hierarchy.offchip_predictor, hierarchy.l1d_prefetch_filter,
+                hierarchy.l1d_prefetcher, hierarchy.page_table,
+            )
+        ]
+        _stepper_for(hierarchy, traces["cc.road"]).run()
+        assert hierarchy.stats.counts is arrays[0]
+        assert all(any(counts) for counts in arrays)
+        hierarchy.reset_stats()
+        assert hierarchy.stats.counts is arrays[0] and not any(arrays[0])

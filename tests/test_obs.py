@@ -322,6 +322,49 @@ class TestSimSampling:
             assert mine[-1]["ipc"] == pytest.approx(plain["ipcs"][core_id])
             assert mine[-1]["llc_mpki"] <= mine[-1]["l2c_mpki"]
 
+    def test_batch_and_scalar_emit_the_same_samples(self, tmp_path, monkeypatch):
+        """Both cores sample at the same points: the kernel calls the hook
+        right after every N-th load/store, where the scalar path cuts, so a
+        single-core point and a 4-core mix emit equal ``sim_sample`` events
+        on both cores, per core, apart from the ``core`` attribute."""
+        from repro.common.config import (
+            cascade_lake_multi_core,
+            cascade_lake_single_core,
+        )
+        from repro.sim.engine import build_workload_trace
+        from repro.sim.multi_core import run_multicore_mix
+        from repro.sim.scenarios import build_scenario
+        from repro.sim.single_core import run_single_core
+
+        workloads = ("bfs.urand", "spec.mcf_like", "spec.lbm_like", "cc.road")
+        traces = [build_workload_trace(w, 1000, "tiny") for w in workloads]
+        monkeypatch.setenv(sample.SAMPLE_ENV, "123")
+        samples = {}
+        for core in ("batch", "scalar"):
+            tracer.configure(tmp_path / core, proc="t1")
+            run_single_core(
+                traces[0], build_scenario("tlp"),
+                config=dataclasses.replace(cascade_lake_single_core(), sim_core=core),
+            )
+            run_multicore_mix(
+                traces, build_scenario("tlp"), mix_name="m",
+                config=dataclasses.replace(cascade_lake_multi_core(), sim_core=core),
+            )
+            tracer.disable()
+            attrs = [
+                r["attrs"] for r in tracer.load_run(tmp_path / core)
+                if r["type"] == "event" and r["name"] == "sim_sample"
+            ]
+            assert {a.pop("core") for a in attrs} == {core}
+            samples[core] = attrs
+        single = [a for a in samples["batch"] if "core_id" not in a]
+        assert [a["accesses"] for a in single[:3]] == [123, 246, 369]
+        for core_id in range(len(traces)):
+            mine = [a for a in samples["batch"] if a.get("core_id") == core_id]
+            assert len(mine) >= 2
+            assert mine == [a for a in samples["scalar"] if a.get("core_id") == core_id]
+        assert samples["batch"] == samples["scalar"]
+
     def test_sampling_requires_telemetry(self, monkeypatch):
         monkeypatch.setenv(sample.SAMPLE_ENV, "500")
         assert sample.sample_interval() is None  # tracer off -> no sampling

@@ -88,7 +88,7 @@ def _stepper(hierarchy):
     system = cascade_lake_single_core()
     trace = build_workload_trace("cc.road", 600, "tiny")
     return fused_core_stepper(
-        CoreRunner(system.core, hierarchy.demand_access), trace, hierarchy, 61
+        CoreRunner(system.core, hierarchy.demand_access), trace, hierarchy
     )
 
 

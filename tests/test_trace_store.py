@@ -865,6 +865,20 @@ class TestTraceStoreGc(EntryStoreContract):
         assert "imported.fixture" not in store.imported_workloads()
         assert store.get("imported.fixture") is None
 
+    def test_gc_forgets_evicted_entries(self, tmp_path):
+        """gc evicts a live entry through ``remove``, so the entry also
+        leaves the process's verified-entry memo."""
+        from repro.traces import store as store_module
+
+        store, keys = self.populated(tmp_path)
+        entry = store.path(keys[0])
+        for name in ("pc.bin", "vaddr.bin", "kind.bin"):
+            os.utime(entry / name, (0, 0))  # past the settle window
+        assert store.get(keys[0]) is not None
+        assert str(entry.absolute()) in store_module._VERIFIED
+        assert store.gc(0)[0] == len(keys)
+        assert str(entry.absolute()) not in store_module._VERIFIED
+
     def test_cli_gc_and_dry_run(self, tmp_path, capsys):
         from repro.cli import main
 
