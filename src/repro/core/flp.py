@@ -19,6 +19,11 @@ mechanism:
 
 FLP is trained when the demand load completes, positively if it was served
 from DRAM and negatively otherwise.
+
+With ``selective_delay=False`` the middle band fires immediately too, so FLP
+fires on ``confidence >= tau_low`` alone: with the default ``tau_low = 2``,
+Hermes' activation threshold, that is Hermes, and the ``hermes`` schemes
+build it (:mod:`repro.predictors.hermes`).
 """
 
 from __future__ import annotations
@@ -95,10 +100,7 @@ class FirstLevelPerceptron(OffChipPredictor, Counters, fields=(
         )
 
     def train(self, metadata: dict, went_offchip: bool) -> None:
-        indices = metadata.get("indices")
-        if indices is None:
-            return
-        self.perceptron.train(indices, went_offchip, metadata.get("confidence", 0))
+        self.perceptron.train_on(metadata, went_offchip)
 
     def reset(self) -> None:
         self.perceptron.reset()

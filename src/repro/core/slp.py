@@ -95,14 +95,7 @@ class SecondLevelPerceptron(
         ``metadata`` is either the consult decision's metadata dict or the
         raw ``(indices, confidence)`` tuple the batch core tracks.
         """
-        if type(metadata) is tuple:
-            indices, confidence = metadata
-        else:
-            indices = metadata.get("indices")
-            if indices is None:
-                return
-            confidence = metadata.get("confidence", 0)
-        self.perceptron.train(indices, outcome, confidence)
+        self.perceptron.train_on(metadata, outcome)
 
     def reset(self) -> None:
         self.perceptron.reset()

@@ -5,6 +5,11 @@ Selective TSP, TLP) and shows that each added mechanism compounds the
 multi-core speedup.  This module runs the same six designs on the
 multi-core mixes and reports their normalised weighted speedups;
 ``SPEC.claims`` are the checked claims.
+
+The ``flp`` design is FLP without selective delay, which is Hermes: the
+``flp`` and ``hermes`` schemes build the same predictor, field for field
+(:data:`repro.sim.scenarios.SCHEME_COMPONENTS`).  So the first bar is
+Hermes, and the claim ``tlp >= flp - 2`` is a claim against Hermes.
 """
 
 from __future__ import annotations

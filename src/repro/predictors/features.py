@@ -99,13 +99,14 @@ class FeatureSpec:
     Attributes:
         name: feature name (used in reports and storage accounting).
         extractor: function mapping a :class:`FeatureContext` to an integer
-            feature value (hashed down to the table index by the perceptron).
+            feature value (hashed down to the table index by the perceptron),
+            or None when the owner computes the values itself (PPF).
         table_entries: number of weights in this feature's table.
         weight_bits: width of each weight counter.
     """
 
     name: str
-    extractor: Callable[[FeatureContext], int]
+    extractor: Optional[Callable[[FeatureContext], int]]
     table_entries: int = 128
     weight_bits: int = 5
 

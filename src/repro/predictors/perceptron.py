@@ -1,19 +1,26 @@
 """Hashed perceptron predictor.
 
-This is the shared neural machinery behind Hermes, PPF, FLP and SLP: one
-small table of signed saturating weights per program feature, indexed by a
-hash of the feature value.  A prediction sums the selected weights; training
-increments or decrements them following the standard perceptron update rule
-with a training threshold (weights stop moving once the prediction is both
-correct and confident).
+This is the one neural machinery behind FLP (and Hermes, which is FLP
+without selective delay), SLP and PPF: one small table of signed saturating
+weights per feature, indexed by a hash of the feature value.  A prediction
+sums the selected weights and reads positive when the sum reaches the
+decision ``threshold`` (0 for FLP and SLP, PPF's issue threshold for PPF);
+training increments or decrements them following the standard perceptron
+update rule with a training threshold (weights stop moving once the
+prediction is both correct and confident).
+
+FLP and SLP derive their feature values from a :class:`FeatureContext`
+through each :class:`FeatureSpec`'s extractor (:meth:`predict`); PPF
+computes its nine candidate values itself and scores them directly
+(:meth:`score`).  A value is an int, or a tuple of ints hashed together
+with :func:`hash_combine`.
 
 The prediction path is the hottest code in the simulator (every demand load
 and every prefetch candidate consults a perceptron), so the implementation
-precomputes per-feature index widths at construction time and memoizes the
-``feature value -> table index`` hash per feature.  Feature values repeat
-heavily across a trace (loads in loops see the same PCs and offsets), so the
-memo turns most predictions into dictionary lookups while remaining
-bit-identical to the direct hash computation.
+memoizes the ``feature value -> table index`` hash per feature.  Feature
+values repeat heavily across a trace (loads in loops see the same PCs and
+offsets), so the memo turns most predictions into dictionary lookups while
+remaining bit-identical to the direct hash computation.
 
 Weight storage is one flat numpy ``int32`` buffer.  The scalar path indexes
 it through per-feature :class:`memoryview` rows (plain-int reads and writes),
@@ -26,13 +33,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.counters import Counters
-from repro.common.hashing import table_index
+from repro.common.hashing import hash_combine, table_index
 from repro.predictors.features import FeatureContext, FeatureSpec
 
 #: Per-feature memo entries kept before the memo is cleared.  Feature values
 #: come from hashes of PCs and addresses, so a trace touches a bounded set;
 #: the cap only guards against pathological workloads.
 _INDEX_MEMO_LIMIT = 1 << 16
+
+
+def _index(memo: dict, value, entries: int) -> int:
+    """The slot of ``value`` in a table of ``entries`` weights (a tuple
+    value hashes its parts together), memoized in ``memo``."""
+    if len(memo) >= _INDEX_MEMO_LIMIT:
+        memo.clear()
+    hashed = hash_combine(*value) if type(value) is tuple else value
+    index = table_index(hashed, max(1, (entries - 1).bit_length())) % entries
+    memo[value] = index
+    return index
 
 
 class PerceptronStats(Counters, fields=(
@@ -59,11 +77,15 @@ class HashedPerceptron:
         self,
         features: list[FeatureSpec],
         training_threshold: int = 32,
+        threshold: int = 0,
     ) -> None:
         if not features:
             raise ValueError("a perceptron needs at least one feature")
         self.features = list(features)
         self.training_threshold = training_threshold
+        #: Decision boundary: a prediction is positive when its confidence
+        #: is at least this.
+        self.threshold = threshold
         # All weights live in one flat int32 buffer; each feature's table is
         # a zero-copy memoryview slice of it.  Memoryview subscripts return
         # plain Python ints, keeping the scalar loop cheap.
@@ -75,49 +97,37 @@ class HashedPerceptron:
         self._tables: list[memoryview] = [
             buffer[offsets[i]:offsets[i + 1]] for i in range(len(self.features))
         ]
-        self._weight_limits: list[tuple[int, int]] = []
-        for spec in self.features:
-            maximum = (1 << (spec.weight_bits - 1)) - 1
-            minimum = -(1 << (spec.weight_bits - 1))
-            self._weight_limits.append((minimum, maximum))
-        # Hot-path plan: one row per feature holding everything the fused
-        # prediction loop needs (extractor, index bits, entry count, weight
-        # table, value->index memo), so predict() touches no attributes of
-        # FeatureSpec and recomputes no bit widths.
-        self._plan: list[tuple] = [
-            (
-                spec.extractor,
-                max(1, (spec.table_entries - 1).bit_length()),
-                spec.table_entries,
-                table,
-                {},
-            )
-            for spec, table in zip(self.features, self._tables)
+        self._weight_limits: list[tuple[int, int]] = [
+            (-(1 << (spec.weight_bits - 1)), (1 << (spec.weight_bits - 1)) - 1)
+            for spec in self.features
         ]
+        self._extractors = [spec.extractor for spec in self.features]
+        # One value->index memo per feature.
+        self._memos: list[dict] = [{} for _ in self.features]
         self.stats = PerceptronStats()
 
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
     def predict(self, context: FeatureContext) -> tuple[int, list[int]]:
-        """Return ``(confidence, indices)`` for a feature context: fused
+        """Return ``(confidence, indices)`` for a feature context."""
+        return self.score([extract(context) for extract in self._extractors])
+
+    def score(self, values) -> tuple[int, list[int]]:
+        """Return ``(confidence, indices)`` for one value per feature: fused
         index selection and weight summation (the hot loop)."""
         total = 0
         indices = []
         append = indices.append
-        for extractor, bits, entries, table, memo in self._plan:
-            value = extractor(context)
+        for value, memo, table in zip(values, self._memos, self._tables):
             index = memo.get(value)
             if index is None:
-                if len(memo) >= _INDEX_MEMO_LIMIT:
-                    memo.clear()
-                index = table_index(value, bits) % entries
-                memo[value] = index
+                index = _index(memo, value, len(table))
             append(index)
             total += table[index]
         counts = self.stats.counts
         counts[_P.predictions] += 1
-        if total >= 0:
+        if total >= self.threshold:
             counts[_P.positive_predictions] += 1
         return total, indices
 
@@ -132,22 +142,34 @@ class HashedPerceptron:
         """
         counts = self.stats.counts
         counts[_P.training_events] += 1
-        predicted_positive = confidence >= 0
+        predicted_positive = confidence >= self.threshold
         if predicted_positive == target_positive:
             counts[_P.correct_predictions] += 1
-        needs_update = (
-            predicted_positive != target_positive
-            or abs(confidence) < self.training_threshold
-        )
-        if not needs_update:
-            return
+            if abs(confidence) >= self.training_threshold:
+                return
         delta = 1 if target_positive else -1
         for table, index, (minimum, maximum) in zip(
             self._tables, indices, self._weight_limits
         ):
             updated = table[index] + delta
-            table[index] = min(maximum, max(minimum, updated))
+            table[index] = (
+                maximum if updated > maximum else minimum if updated < minimum else updated
+            )
         counts[_P.weight_updates] += 1
+
+    def train_on(self, metadata, target_positive: bool) -> None:
+        """:meth:`train` on the prediction ``metadata`` describes: a
+        decision's metadata dict with ``indices`` and ``confidence`` (no
+        ``indices``: nothing to train), or the raw ``(indices,
+        confidence)`` tuple the batch core tracks for a prefetch filter."""
+        if type(metadata) is tuple:
+            indices, confidence = metadata
+        else:
+            indices = metadata.get("indices")
+            if indices is None:
+                return
+            confidence = metadata.get("confidence", 0)
+        self.train(indices, target_positive, confidence)
 
     # ------------------------------------------------------------------
     # Introspection

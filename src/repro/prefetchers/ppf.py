@@ -11,34 +11,26 @@ The paper highlights two drawbacks that TLP addresses: PPF is tuned to a
 specific underlying prefetcher (SPP) and requires roughly 40KB of storage.
 The default table sizes below reproduce that storage footprint.
 
-State layout
-------------
-
-All weights live in one flat numpy ``int32`` buffer (the
-:class:`HashedPerceptron` pattern), indexed through per-feature
-:class:`memoryview` rows; :meth:`reset` zeroes the buffer in place so the
-rows stay valid.  Selected indices travel as a list in ``FEATURES`` order
-(not a name-keyed dict), shared by the scalar :meth:`consult`/:meth:`train`
-interface and the batch core's direct :meth:`consult_step`/
-:meth:`train_step` calls.
+PPF computes its nine candidate feature values itself and scores and trains
+them through a :class:`HashedPerceptron` (weights, saturating limits,
+value->index hashing and update rule) whose decision threshold is the issue
+threshold.  Selected indices travel as a list in ``FEATURES`` order, shared
+by the scalar :meth:`consult`/:meth:`train` interface and the batch core,
+which scores candidates in C on the same weights and hands their
+``(indices, confidence)`` back to :meth:`train`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.counters import Counters
-from repro.common.hashing import fold_xor, hash_combine, jenkins32
+from repro.predictors.features import FeatureSpec
+from repro.predictors.perceptron import HashedPerceptron
 from repro.prefetchers.base import (
     FilterDecision,
     PrefetchFilter,
     PrefetchRequest,
     check_table_sizes,
 )
-
-#: Per-feature memo entries kept before the memo is cleared (matches
-#: HashedPerceptron's cap).
-_INDEX_MEMO_LIMIT = 1 << 16
 
 
 class PerceptronPrefetchFilter(
@@ -48,8 +40,7 @@ class PerceptronPrefetchFilter(
 
     name = "ppf"
 
-    #: Feature names; each gets its own weight table (a memoryview row of
-    #: the flat buffer, in this order).
+    #: Feature names; each gets its own weight table, in this order.
     FEATURES = (
         "pc",
         "pc_xor_depth",
@@ -70,23 +61,11 @@ class PerceptronPrefetchFilter(
         training_threshold: int = 40,
     ) -> None:
         check_table_sizes("PPF", table_entries=table_entries)
-        self.table_entries = table_entries
-        self.weight_bits = weight_bits
-        self.issue_threshold = issue_threshold
-        self.training_threshold = training_threshold
-        self._max_weight = (1 << (weight_bits - 1)) - 1
-        self._min_weight = -(1 << (weight_bits - 1))
-        n_features = len(self.FEATURES)
-        self._weights = np.zeros(n_features * table_entries, dtype=np.int32)
-        buffer = memoryview(self._weights)
-        self._tables: list[memoryview] = [
-            buffer[i * table_entries:(i + 1) * table_entries]
-            for i in range(n_features)
-        ]
-        self._index_bits = max(1, (table_entries - 1).bit_length())
-        # value -> index memo per feature; feature values repeat heavily so
-        # this removes most hash computations from the consult hot path.
-        self._index_memos: list[dict[int, int]] = [{} for _ in range(n_features)]
+        self.perceptron = HashedPerceptron(
+            [FeatureSpec(name, None, table_entries, weight_bits) for name in self.FEATURES],
+            training_threshold=training_threshold,
+            threshold=issue_threshold,
+        )
         Counters.__init__(self)
 
     # ------------------------------------------------------------------
@@ -120,18 +99,8 @@ class PerceptronPrefetchFilter(
         ``metadata`` is either the consult decision's metadata dict or the
         raw ``(indices, confidence)`` tuple the batch core tracks.
         """
-        if type(metadata) is tuple:
-            indices, confidence = metadata
-        else:
-            indices = metadata.get("indices")
-            if indices is None:
-                return
-            confidence = metadata.get("confidence", 0)
-        self.train_step(indices, confidence, outcome)
+        self.perceptron.train_on(metadata, outcome)
 
-    # ------------------------------------------------------------------
-    # The kernels (shared with the batch core)
-    # ------------------------------------------------------------------
     def consult_step(
         self,
         trigger_pc: int,
@@ -147,69 +116,27 @@ class PerceptronPrefetchFilter(
         (``paddr >> 6``); the page and in-page offset derive from it.
         """
         self.counts[_PPF.consultations] += 1
-        page = block >> 6
         offset = block & 63
-        confidence = path_confidence
-        confidence_bucket = int(min(0.999, max(0.0, confidence)) * 8)
-        # Combined features are memoized on their raw component tuples so
-        # hash_combine only runs on memo misses; the resulting index is the
-        # same either way (same hash composition, different memo key).
-        values = (
+        perceptron = self.perceptron
+        # The two combined features are tuples, hashed together on a memo
+        # miss only.
+        total, indices = perceptron.score((
             trigger_pc,
             trigger_pc ^ (depth << 5),
             block,
             offset,
-            (page, delta),
+            (block >> 6, delta),
             (signature, delta),
-            confidence_bucket,
+            int(min(0.999, max(0.0, path_confidence)) * 8),
             trigger_pc ^ offset,
             delta & 0xFFF,
-        )
-        total = 0
-        indices: list[int] = []
-        append = indices.append
-        bits = self._index_bits
-        entries = self.table_entries
-        memos = self._index_memos
-        tables = self._tables
-        feature = 0
-        for value in values:
-            memo = memos[feature]
-            index = memo.get(value)
-            if index is None:
-                if len(memo) >= _INDEX_MEMO_LIMIT:
-                    memo.clear()
-                hashed = hash_combine(*value) if type(value) is tuple else value
-                index = fold_xor(jenkins32(hashed), bits) % entries
-                memo[value] = index
-            append(index)
-            total += tables[feature][index]
-            feature += 1
-        issue = total >= self.issue_threshold
+        ))
+        issue = total >= perceptron.threshold
         self.counts[_PPF.accepted if issue else _PPF.rejected] += 1
         return issue, total, indices
 
-    def train_step(self, indices: list[int], confidence: int, outcome: bool) -> None:
-        """Apply the perceptron update for one resolved prefetch."""
-        predicted_useful = confidence >= self.issue_threshold
-        if predicted_useful == outcome and abs(confidence) >= self.training_threshold:
-            return
-        delta = 1 if outcome else -1
-        tables = self._tables
-        max_weight = self._max_weight
-        min_weight = self._min_weight
-        feature = 0
-        for index in indices:
-            updated = tables[feature][index] + delta
-            if updated > max_weight:
-                updated = max_weight
-            elif updated < min_weight:
-                updated = min_weight
-            tables[feature][index] = updated
-            feature += 1
-
     def reset(self) -> None:
-        self._weights[:] = 0
+        self.perceptron.reset()
         self.zero()
 
     # ------------------------------------------------------------------
@@ -217,8 +144,7 @@ class PerceptronPrefetchFilter(
     # ------------------------------------------------------------------
     def storage_kib(self) -> float:
         """Weight storage in KiB (~40KB with the default configuration)."""
-        bits = len(self.FEATURES) * self.table_entries * self.weight_bits
-        return bits / 8.0 / 1024.0
+        return self.perceptron.storage_kib()
 
     @property
     def reject_rate(self) -> float:

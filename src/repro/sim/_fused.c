@@ -4,7 +4,7 @@
  * One Stepper runs one core's trace through its MemoryHierarchy: core
  * dispatch/ROB timing, page translation with first-touch frame allocation,
  * the L1D->L2C->LLC->DRAM walk with its LRU updates and fills, speculative
- * DRAM requests, the FLP/Hermes feature history, weight sums and training,
+ * DRAM requests, the FLP feature history, weight sums and training,
  * the L1D/L2C prefetch issue paths, and the order-dependent kernels of the
  * stock prefetchers and filters: IPCP or Berti at the L1D, SPP at the L2C,
  * the SLP filter above the L1D and the PPF filter behind SPP.  It works on
@@ -13,8 +13,9 @@
  * typed arrays, read and written in place through the buffer protocol
  * (state_array): each cache's _tags, _stamps, _ready, _flags, _source,
  * _set_fill and one-element _clock (repro.memory.cache.Cache), the DRAM
- * channel's one-element _busy_until, the perceptron weights of FLP,
- * Hermes, PPF and SLP, IPCP's IP/CPLX tables and region FIFO, Berti's
+ * channel's one-element _busy_until, the HashedPerceptron weights of FLP
+ * (Hermes is FLP without selective delay), SLP and PPF, which all score
+ * through perceptron_predict, IPCP's IP/CPLX tables and region FIFO, Berti's
  * per-entry rows (page, total, history, delta counters, confirmed deltas),
  * SPP's signature FIFO and pattern table, and each feature history's page
  * buffer (an LRU of page keys, last-use stamps and a clock) and last PCs.
@@ -82,7 +83,7 @@ static long long BertiHistoryDepth;
     X(offchip_predictor) X(l1d_prefetcher) X(l2_prefetcher)                  \
     X(l1d_prefetch_filter) X(l2_prefetch_filter)                             \
     X(perceptron) X(_tables) X(_weight_limits) X(training_threshold)         \
-    X(last_prediction) X(activation_threshold) X(tau_high) X(tau_low)        \
+    X(threshold) X(last_prediction) X(tau_high) X(tau_low)                   \
     X(selective_delay)                                                       \
     X(_retire_times) X(rob_size) X(dispatch_interval) X(_dispatch_cycle)     \
     X(_last_retire) X(instructions) X(loads) X(stores)                       \
@@ -105,7 +106,7 @@ static long long BertiHistoryDepth;
     X(_pattern_counts) X(_pattern_deltas) X(_pattern_lengths)                \
     X(_pattern_totals) X(_pattern_best_delta) X(_pattern_best_count)         \
     /* PPF, SLP and the feature histories */                                 \
-    X(_weights) X(_index_bits) X(issue_threshold) X(tau_pref)                \
+    X(_weights) X(tau_pref)                                                  \
     X(use_leveling_feature) X(history) X(page_buffer_entries) X(_pcs)        \
     X(_pc_count)
 
@@ -700,10 +701,11 @@ fifo_release(Fifo *f)
 }
 
 /* ------------------------------------------------------------------ */
-/* Hashed perceptrons (FLP/Hermes and SLP)                             */
+/* Hashed perceptrons (FLP, SLP and PPF)                               */
 /* ------------------------------------------------------------------ */
 
-#define MAX_FEATURES 6
+/* The most weight tables of any perceptron bound here: PPF's nine. */
+#define MAX_FEATURES 9
 
 typedef struct {
     int features;
@@ -712,21 +714,26 @@ typedef struct {
     Py_ssize_t entries[MAX_FEATURES];
     int bits[MAX_FEATURES];
     long long lo[MAX_FEATURES], hi[MAX_FEATURES];
+    long long threshold; /* the decision boundary */
     double training_threshold;
     View counts_view;
     int64_t *counts; /* the PerceptronStats */
 } Perceptron;
 
-/* Bind a HashedPerceptron's flat weights (in place; each feature's table
- * follows the previous one's) and limits. */
+/* Bind ``owner.perceptron``, a HashedPerceptron: its flat weights (in
+ * place; each feature's table follows the previous one's), limits and
+ * thresholds. */
 static int
-perceptron_init(Perceptron *p, PyObject *perceptron, int features)
+perceptron_bind(Perceptron *p, PyObject *owner, int features)
 {
     int rc = -1;
     PyObject *tables = NULL, *limits = NULL;
-    if ((p->counts = stats_array(&p->counts_view, perceptron, P_COUNT, "perceptron")) == NULL
+    PyObject *perceptron = PyObject_GetAttr(owner, S_perceptron);
+    if (perceptron == NULL
+        || (p->counts = stats_array(&p->counts_view, perceptron, P_COUNT, "perceptron")) == NULL
         || (tables = PyObject_GetAttr(perceptron, S__tables)) == NULL
         || (limits = PyObject_GetAttr(perceptron, S__weight_limits)) == NULL
+        || get_ll(perceptron, S_threshold, &p->threshold) < 0
         || get_double(perceptron, S_training_threshold, &p->training_threshold) < 0)
         goto done;
     if (PySequence_Size(tables) != features || PySequence_Size(limits) != features) {
@@ -763,6 +770,7 @@ perceptron_init(Perceptron *p, PyObject *perceptron, int features)
     p->features = features;
     rc = 0;
 done:
+    Py_XDECREF(perceptron);
     Py_XDECREF(tables);
     Py_XDECREF(limits);
     return rc;
@@ -781,7 +789,7 @@ static void
 perceptron_train(Perceptron *p, const Py_ssize_t *indices, int target, long long confidence)
 {
     p->counts[P_training_events]++;
-    int predicted = confidence >= 0;
+    int predicted = confidence >= p->threshold;
     if (predicted == target)
         p->counts[P_correct_predictions]++;
     long long magnitude = confidence >= 0 ? confidence : -confidence;
@@ -806,7 +814,7 @@ perceptron_predict(Perceptron *p, const Py_ssize_t *indices)
     for (int f = 0; f < p->features; f++)
         total += p->tables[f][indices[f]];
     p->counts[P_predictions]++;
-    if (total >= 0)
+    if (total >= p->threshold)
         p->counts[P_positive_predictions]++;
     return total;
 }
@@ -1345,29 +1353,18 @@ spp_release(SPP *p)
 #define PPF_FEATURES 9
 
 typedef struct {
-    View views[2];
-    int32_t *weights; /* PPF_FEATURES rows of ``entries`` weights */
+    Perceptron p;
+    View counts_view;
     int64_t *counts;
-    long long entries;
-    int bits;
-    double issue_threshold;
 } PPF;
 
 static int
 ppf_bind(PPF *p, PyObject *obj)
 {
-    long long bits;
-    if (get_ll(obj, S_table_entries, &p->entries) < 0 || get_ll(obj, S__index_bits, &bits) < 0
-        || get_double(obj, S_issue_threshold, &p->issue_threshold) < 0)
+    if (perceptron_bind(&p->p, obj, PPF_FEATURES) < 0
+        || (p->counts = counter_array(&p->counts_view, obj, PPF_COUNT, "PPF")) == NULL)
         return -1;
-    if (p->entries < 1 || bits != index_bits((Py_ssize_t)p->entries)) {
-        PyErr_SetString(PyExc_ValueError, "PPF table size and index bits disagree");
-        return -1;
-    }
-    p->bits = (int)bits;
-    p->weights = state_array(&p->views[0], obj, S__weights, 'i', PPF_FEATURES * p->entries, "PPF");
-    p->counts = p->weights ? counter_array(&p->views[1], obj, PPF_COUNT, "PPF") : NULL;
-    return p->counts == NULL ? -1 : 0;
+    return 0;
 }
 
 /* Score one SPP candidate: the weight-table indices go to ``indices``, the
@@ -1392,22 +1389,27 @@ ppf_consult(PPF *p, int64_t pc, const Prediction *candidate, Py_ssize_t *indices
         (uint64_t)pc ^ offset,
         (uint64_t)delta & 0xFFF,
     };
-    long long total = 0;
-    for (int f = 0; f < PPF_FEATURES; f++) {
-        indices[f] = table_slot(values[f], p->bits, (Py_ssize_t)p->entries);
-        total += p->weights[f * p->entries + indices[f]];
-    }
+    for (int f = 0; f < PPF_FEATURES; f++)
+        indices[f] = table_slot(values[f], p->p.bits[f], p->p.entries[f]);
+    long long total = perceptron_predict(&p->p, indices);
     *confidence = total;
-    int issue = (double)total >= p->issue_threshold;
+    int issue = total >= p->p.threshold;
     p->counts[issue ? PPF_accepted : PPF_rejected]++;
     return issue;
+}
+
+static void
+ppf_release(PPF *p)
+{
+    perceptron_release(&p->p);
+    view_release(&p->counts_view);
 }
 
 /* ------------------------------------------------------------------ */
 /* Feature history (repro.predictors.features.FeatureHistory)          */
 /* ------------------------------------------------------------------ */
 
-/* The Table I features, shared by FLP/Hermes (virtual addresses) and SLP
+/* The Table I features, shared by FLP (virtual addresses) and SLP
  * (physical addresses). */
 #define NUM_FEATURES 5
 
@@ -1591,12 +1593,8 @@ typedef struct {
 static int
 slp_bind(SLP *s, PyObject *obj)
 {
-    PyObject *perceptron = PyObject_GetAttr(obj, S_perceptron);
-    if (perceptron == NULL)
-        return -1;
-    int bound = perceptron_init(&s->p, perceptron, SLP_FEATURES);
-    Py_DECREF(perceptron);
-    if (bound < 0 || get_double(obj, S_tau_pref, &s->tau_pref) < 0
+    if (perceptron_bind(&s->p, obj, SLP_FEATURES) < 0
+        || get_double(obj, S_tau_pref, &s->tau_pref) < 0
         || get_truth(obj, S_use_leveling_feature, &s->leveling) < 0
         || (s->counts = counter_array(&s->counts_view, obj, SLP_COUNT, "SLP")) == NULL)
         return -1;
@@ -1745,7 +1743,7 @@ page_table_init(PageTable *t, PyObject *obj)
 /* The stepper                                                         */
 /* ------------------------------------------------------------------ */
 
-enum { PK_NULL = 0, PK_HERMES = 1, PK_FLP = 2 };
+enum { PK_NULL = 0, PK_FLP = 1 };
 /* L1D prefetcher kernels. */
 enum { PF_NONE = 0, PF_IPCP = 1, PF_BERTI = 2 };
 enum { LEVEL_L1D = 0, LEVEL_L2C = 1, LEVEL_LLC = 2, LEVEL_DRAM = 3 };
@@ -1791,7 +1789,7 @@ typedef struct {
     int predictor_kind;
     Perceptron flp;
     History history;
-    double activation_threshold, tau_high, tau_low;
+    double tau_high, tau_low;
     int selective_delay, last_prediction;
 
     /* Prefetchers and filters the kernel runs itself. */
@@ -2325,11 +2323,7 @@ demand_access(Stepper *s, long long pc, long long vaddr, int kind, double dispat
         for (int f = 0; f < NUM_FEATURES; f++)
             indices[f] = table_slot(values[f], s->flp.bits[f], s->flp.entries[f]);
         confidence = perceptron_predict(&s->flp, indices);
-        if (s->predictor_kind == PK_HERMES) {
-            predicted_offchip = (double)confidence >= s->activation_threshold;
-            action = predicted_offchip ? 1 : 0;
-        }
-        else if ((double)confidence > s->tau_high) {
+        if ((double)confidence > s->tau_high) {
             action = 1;
             predicted_offchip = 1;
             s->flp_counts[FLP_immediate_decisions]++;
@@ -2687,22 +2681,16 @@ init_predictor(Stepper *s, PyObject *predictor)
     s->predictor = Py_NewRef(predictor);
     if (s->predictor_kind == PK_NULL)
         return 0;
-    PyObject *perceptron = PyObject_GetAttr(predictor, S_perceptron);
-    if (perceptron == NULL)
-        return -1;
-    int bound = perceptron_init(&s->flp, perceptron, NUM_FEATURES);
-    Py_DECREF(perceptron);
-    if (bound < 0 || get_truth(predictor, S_last_prediction, &s->last_prediction) < 0)
+    if (perceptron_bind(&s->flp, predictor, NUM_FEATURES) < 0
+        || get_truth(predictor, S_last_prediction, &s->last_prediction) < 0)
         return -1;
     PyObject *history = PyObject_GetAttr(predictor, S_history);
     if (history == NULL)
         return -1;
-    bound = history_bind(&s->history, history);
+    int bound = history_bind(&s->history, history);
     Py_DECREF(history);
     if (bound < 0)
         return -1;
-    if (s->predictor_kind == PK_HERMES)
-        return get_double(predictor, S_activation_threshold, &s->activation_threshold);
     if (get_truth(predictor, S_selective_delay, &s->selective_delay) < 0
         || get_double(predictor, S_tau_high, &s->tau_high) < 0
         || get_double(predictor, S_tau_low, &s->tau_low) < 0
@@ -2823,8 +2811,7 @@ release_components(Stepper *s)
     ipcp_release(&s->ipcp);
     berti_release(&s->berti);
     spp_release(&s->spp);
-    view_release(&s->ppf.views[0]);
-    view_release(&s->ppf.views[1]);
+    ppf_release(&s->ppf);
     slp_release(&s->slp);
     history_release(&s->history);
     page_table_release(&s->pages);

@@ -42,9 +42,11 @@ record.  The batch core runs the same steps for a whole trace in C
    every mix warm-up through it.  A mix's measured phases interleave their
    cores in the kernel's ``run_mix`` (:mod:`repro.sim.multi_core`).  A run
    is all kernel or all scalar (:func:`use_kernel`): the kernel models stock
-   :class:`MemoryHierarchy`/:class:`Cache`, a Null / Hermes / FLP off-chip
-   predictor over the Table I feature set, and stock IPCP or Berti, SPP,
-   PPF and SLP, each owned by one core.  Any other hierarchy raises
+   :class:`MemoryHierarchy`/:class:`Cache`, a Null or FLP off-chip
+   predictor over the Table I feature set (Hermes is FLP without selective
+   delay), and stock IPCP or Berti, SPP, PPF and SLP, each owned by one
+   core; FLP, SLP and PPF each score through a stock
+   :class:`HashedPerceptron`.  Any other hierarchy raises
    :class:`ValueError` on the batch core, naming the component
    (:func:`batch_unsupported_reason`); it runs with ``sim_core="scalar"``.
    Without the compiled kernel every run goes scalar, with the reason
@@ -75,7 +77,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import tracer as obs_tracer
 from repro.predictors.base import NullOffChipPredictor
 from repro.predictors.features import FeatureHistory
-from repro.predictors.hermes import HermesPredictor
 from repro.predictors.perceptron import HashedPerceptron
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
@@ -99,8 +100,7 @@ _LEGACY_FEATURE_NAMES = (
 _SLP_FEATURE_NAMES = _LEGACY_FEATURE_NAMES + ("flp_prediction_plus_offset",)
 
 _PK_NULL = 0
-_PK_HERMES = 1
-_PK_FLP = 2
+_PK_FLP = 1
 
 #: The L1D prefetcher kernel the compiled loop runs, by prefetcher type.
 _PREFETCH_KINDS = {type(None): 0, IPCPPrefetcher: 1, BertiPrefetcher: 2}
@@ -126,6 +126,8 @@ _PRIVATE_COMPONENTS = (
 
 def _feature_set_reason(label: str, perceptron, history, names) -> Optional[str]:
     """Why a Table I perceptron is not the one the kernel models, or None."""
+    if type(perceptron) is not HashedPerceptron:
+        return f"{label}: perceptron subclass {type(perceptron).__name__}"
     if tuple(spec.name for spec in perceptron.features) != names:
         return f"{label}: non-standard feature set"
     if type(history) is not FeatureHistory:
@@ -144,11 +146,12 @@ def _prefetch_path_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
         component = getattr(hierarchy, name)
         if component is not None and type(component) not in modelled:
             return f"unmodelled {label} {type(component).__name__}"
+    ppf = hierarchy.l2_prefetch_filter
+    if ppf is not None and type(ppf.perceptron) is not HashedPerceptron:
+        return f"PPF: perceptron subclass {type(ppf.perceptron).__name__}"
     slp = hierarchy.l1d_prefetch_filter
     if slp is None:
         return None
-    if type(slp.perceptron) is not HashedPerceptron:
-        return f"SLP: perceptron subclass {type(slp.perceptron).__name__}"
     return _feature_set_reason("SLP", slp.perceptron, slp.history, _SLP_FEATURE_NAMES)
 
 
@@ -164,7 +167,7 @@ def _model_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
                 f" ({type(cache).__name__})"
             )
     predictor = hierarchy.offchip_predictor
-    if type(predictor) in (HermesPredictor, FirstLevelPerceptron):
+    if type(predictor) is FirstLevelPerceptron:
         reason = _feature_set_reason(
             f"off-chip predictor {type(predictor).__name__}",
             predictor.perceptron, predictor.history, _LEGACY_FEATURE_NAMES,
@@ -271,13 +274,9 @@ def fused_core_stepper(
     ``sample_interval``-th load/store.
     """
     pc_col, vaddr_col, kind_col = trace.columns()
-    predictor = hierarchy.offchip_predictor
-    if type(predictor) is NullOffChipPredictor:
-        predictor_kind = _PK_NULL
-    elif type(predictor) is HermesPredictor:
-        predictor_kind = _PK_HERMES
-    else:
-        predictor_kind = _PK_FLP
+    predictor_kind = (
+        _PK_NULL if type(hierarchy.offchip_predictor) is NullOffChipPredictor else _PK_FLP
+    )
     return native.kernel().Stepper(
         runner, hierarchy, pc_col, vaddr_col, kind_col, KIND_NON_MEM,
         predictor_kind, _PREFETCH_KINDS[type(hierarchy.l1d_prefetcher)],

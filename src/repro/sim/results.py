@@ -187,9 +187,9 @@ def check_invariants(result, hierarchies=()) -> list[str]:
 
 def _weight_tables(hierarchy: MemoryHierarchy) -> list[tuple]:
     """``(label, weights, (min, max))`` of each perceptron weight table of
-    ``hierarchy``: FLP/Hermes and SLP per feature, PPF as one table."""
+    ``hierarchy``: FLP and SLP per feature, PPF as one table (its nine
+    tables share their limits)."""
     from repro.predictors.perceptron import HashedPerceptron
-    from repro.prefetchers.ppf import PerceptronPrefetchFilter
 
     tables = []
     for role in ("offchip_predictor", "l1d_prefetch_filter"):
@@ -202,7 +202,7 @@ def _weight_tables(hierarchy: MemoryHierarchy) -> list[tuple]:
                 tables.append((
                     f"{type(component).__name__} {spec.name}", table, limits,
                 ))
-    ppf = hierarchy.l2_prefetch_filter
-    if isinstance(ppf, PerceptronPrefetchFilter):
-        tables.append(("PPF", ppf._weights, (ppf._min_weight, ppf._max_weight)))
+    ppf = getattr(hierarchy.l2_prefetch_filter, "perceptron", None)
+    if isinstance(ppf, HashedPerceptron):
+        tables.append(("PPF", ppf._weights, ppf._weight_limits[0]))
     return tables

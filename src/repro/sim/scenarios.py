@@ -25,7 +25,6 @@ from repro.common.names import L1D_PREFETCHER_CHOICES, SCHEMES
 from repro.core.flp import FirstLevelPerceptron as FLP
 from repro.core.slp import SecondLevelPerceptron as SLP
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemory
-from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
@@ -52,15 +51,17 @@ def _two_level(flp: Optional[FLP], slp: Optional[SLP]) -> dict:
 SCHEME_COMPONENTS = {
     "baseline": lambda: {},
     "ppf": lambda: {"l2_prefetch_filter": PerceptronPrefetchFilter()},
-    "hermes": lambda: {"offchip_predictor": HermesPredictor()},
+    # Hermes is FLP without selective delay: every prediction at or above
+    # tau_low = 2, Hermes' activation threshold, fires immediately.
+    "hermes": lambda: {"offchip_predictor": FLP(selective_delay=False)},
     "hermes_ppf": lambda: {
         "l2_prefetch_filter": PerceptronPrefetchFilter(),
-        "offchip_predictor": HermesPredictor(),
+        "offchip_predictor": FLP(selective_delay=False),
     },
     # The paper's proposal: FLP with selective delay + SLP with the
     # leveling feature.  The Figure 15 designs switch these off; FLP alone
-    # behaves like Hermes with FLP's thresholds, and Delayed TSP has no
-    # immediate threshold, so every positive prediction waits for the L1D.
+    # is Hermes, and Delayed TSP has no immediate threshold, so every
+    # positive prediction waits for the L1D.
     "tlp": lambda: _two_level(
         FLP(selective_delay=True), SLP(use_leveling_feature=True)
     ),
@@ -77,7 +78,9 @@ SCHEME_COMPONENTS = {
     ),
     # Figure 17: Hermes with every weight table doubled (roughly +7KB); the
     # prefetcher's own enlargement is PREFETCHER_7KB_SIZES.
-    "hermes_7kb": lambda: {"offchip_predictor": HermesPredictor(table_entries=2048)},
+    "hermes_7kb": lambda: {
+        "offchip_predictor": FLP(table_entries=2048, selective_delay=False)
+    },
     "prefetcher_7kb": lambda: {},
 }
 

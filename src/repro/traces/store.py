@@ -365,8 +365,13 @@ class TraceStore(EntryStore):
         if not self.contains(key):
             self.misses += 1
             return None
+        return self._load(key, mmap)
+
+    def _load(
+        self, key: str, mmap: bool = True, verify: Optional[bool] = None
+    ) -> Optional[Trace]:
         try:
-            trace = load_trace(self.path(key), mmap=mmap)
+            trace = load_trace(self.path(key), mmap=mmap, verify=verify)
         except TraceStoreError as error:
             self._quarantine(key, error)
             self.misses += 1
@@ -407,15 +412,17 @@ class TraceStore(EntryStore):
 
         The cold path stores the freshly built trace, then serves the
         memory-mapped copy so the caller's first use behaves exactly like
-        every later warm use.  Writes are atomic, so concurrent builders of
-        the same key are safe (last writer wins with identical bytes).
+        every later warm use.  The write just digested the columns, so that
+        copy is served on the byte-length check alone.  Writes are atomic,
+        so concurrent builders of the same key are safe (last writer wins
+        with identical bytes).
         """
         cached = self.get(key)
         if cached is not None:
             return cached
         trace = builder()
         self.put(key, trace, extra=extra)
-        stored = self.get(key)
+        stored = self._load(key, verify=False)
         return stored if stored is not None else trace
 
     # ------------------------------------------------------------------

@@ -169,7 +169,8 @@ def _component_state(hierarchy: MemoryHierarchy) -> dict:
     ppf = hierarchy.l2_prefetch_filter
     if ppf is not None:
         state["ppf"] = (
-            ppf._weights.tolist(), ppf.consultations, ppf.accepted, ppf.rejected,
+            ppf.perceptron._weights.tolist(), ppf.perceptron.stats.as_dict(),
+            ppf.consultations, ppf.accepted, ppf.rejected,
         )
     slp = hierarchy.l1d_prefetch_filter
     if slp is not None:
@@ -276,6 +277,38 @@ class TestSchemePrefetcherEquivalence:
             gap_bfs_trace, lambda: build_hierarchy(scenario)
         )
         assert batch == scalar
+
+    def test_ppf_perceptron_counters_identical(self, gap_bfs_trace):
+        """PPF scores and trains through its HashedPerceptron on both cores:
+        a ``hermes_ppf`` point leaves equal perceptron counters and weights.
+        The weights start seeded around the issue threshold (-8), so
+        candidates score on both sides of it and between it and 0."""
+        scenario = build_scenario("hermes_ppf")
+        start = np.random.default_rng(5).integers(
+            -2, 2, size=PerceptronPrefetchFilter().perceptron._weights.size
+        )
+        runs, confidences = [], []
+        for core in ("scalar", "batch"):
+            hierarchy = build_hierarchy(scenario, config=_system(core))
+            perceptron = hierarchy.l2_prefetch_filter.perceptron
+            perceptron._weights[:] = start
+            if core == "scalar":
+                score = perceptron.score
+
+                def recording(values):
+                    total, indices = score(values)
+                    confidences.append(total)
+                    return total, indices
+
+                perceptron.score = recording
+            run_single_core(gap_bfs_trace, scenario, config=_system(core),
+                            hierarchy=hierarchy)
+            runs.append((perceptron.stats.as_dict(), perceptron._weights.tolist()))
+        assert runs[1] == runs[0]
+        assert any(-8 <= total < 0 for total in confidences)
+        stats = runs[0][0]
+        assert 0 < stats["positive_predictions"] < stats["predictions"]
+        assert stats["training_events"] > 0
 
 
 def _tlp_hierarchy(
@@ -886,6 +919,21 @@ class TestFallbacks:
             " InstrumentedHistory"
         )
 
+    @pytest.mark.parametrize("scheme,role,label", [
+        ("hermes", "offchip_predictor", "off-chip predictor FirstLevelPerceptron"),
+        ("tlp", "l1d_prefetch_filter", "SLP"),
+        ("ppf", "l2_prefetch_filter", "PPF"),
+    ])
+    def test_perceptron_subclass_falls_back(self, scheme, role, label):
+        class InstrumentedPerceptron(HashedPerceptron):
+            pass
+
+        hierarchy = build_hierarchy(build_scenario(scheme))
+        getattr(hierarchy, role).perceptron.__class__ = InstrumentedPerceptron
+        assert batch_unsupported_reason(hierarchy) == (
+            f"{label}: perceptron subclass InstrumentedPerceptron"
+        )
+
     def test_hierarchy_subclass_falls_back(self):
         class InstrumentedHierarchy(MemoryHierarchy):
             pass
@@ -1347,7 +1395,7 @@ class TestCheckInvariants:
         pytest.param("tlp", "l1d_prefetch_filter",
                      "SecondLevelPerceptron flp_prediction_plus_offset", id="slp"),
         pytest.param("hermes", "offchip_predictor",
-                     "HermesPredictor last_four_load_pcs", id="hermes"),
+                     "FirstLevelPerceptron last_four_load_pcs", id="hermes"),
         pytest.param("ppf", "l2_prefetch_filter", "PPF", id="ppf"),
     ])
     def test_weight_out_of_range_is_reported(self, scheme, role, table):

@@ -123,3 +123,31 @@ def test_a_preset_blas_thread_count_wins():
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
     ((value, _),) = run_python(BLAS_THREADS, env=env)
     assert value == "2"
+
+
+#: Imports the repository benchmark's modules, then prints, as one JSON
+#: line, why each ablation-ladder rung (built as the benchmark builds it)
+#: cannot run in the kernel: None for every rung that can.
+BENCHMARK_RUNGS = (
+    "import json, sys\n"
+    f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+    "import perfbench.layers, perfbench.checks, perfbench.workloads\n"
+    "from dataclasses import replace\n"
+    "from repro import api\n"
+    "layers = perfbench.layers\n"
+    "system = replace(api.cascade_lake_single_core(), sim_core='batch')\n"
+    "print(json.dumps([\n"
+    "    [rung, layers.batch_unsupported_reason(layers._rung(rung, system))]\n"
+    "    for rung in layers.RUNGS\n"
+    "]))\n"
+)
+
+
+def test_benchmark_imports_and_its_hierarchies_run_in_the_kernel():
+    """A change that breaks what the benchmark imports or builds
+    (``HermesPredictor()``, ``PerceptronPrefetchFilter()``, TLP's FLP and
+    SLP) fails here, not only in the benchmark's own self-test."""
+    (reasons,) = run_python(BENCHMARK_RUNGS)
+    rungs = [rung for rung, _ in reasons]
+    assert {"hermes", "flp", "slp", "ppf"} <= set(rungs)
+    assert reasons == [[rung, None] for rung in rungs]

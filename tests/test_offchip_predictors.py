@@ -1,4 +1,5 @@
-"""Tests for Hermes, FLP, SLP, TLP and the ablation variants."""
+"""Tests for Hermes (FLP without selective delay), FLP, SLP, TLP and the
+ablation variants."""
 
 import pytest
 
@@ -8,9 +9,8 @@ from repro.core.storage import tlp_storage_breakdown
 from repro.core.tlp import TwoLevelPerceptron
 from repro.experiments.fig15_ablation import ABLATION_ORDER
 from repro.predictors.base import NullOffChipPredictor, OffChipAction
-from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.base import PrefetchRequest
-from repro.sim.scenarios import build_hierarchy, build_scenario
+from repro.sim.scenarios import SCHEME_COMPONENTS, build_hierarchy, build_scenario
 
 
 def train_predictor(predictor, pc, vaddr, outcome, repetitions=20):
@@ -30,30 +30,37 @@ class TestNullPredictor:
         assert not decision.predicted_offchip
 
 
+def make_hermes() -> FirstLevelPerceptron:
+    """The ``hermes`` scheme's predictor: FLP without selective delay, whose
+    immediate requests fire at ``tau_low = 2``, Hermes' activation
+    threshold."""
+    return SCHEME_COMPONENTS["hermes"]()["offchip_predictor"]
+
+
 class TestHermes:
     def test_learns_offchip_loads(self):
-        hermes = HermesPredictor(activation_threshold=2)
+        hermes = make_hermes()
         decision = train_predictor(hermes, 0x400, 0x1000, outcome=True)
         assert decision.predicted_offchip
         assert decision.action is OffChipAction.IMMEDIATE
 
     def test_learns_onchip_loads(self):
-        hermes = HermesPredictor(activation_threshold=2)
+        hermes = make_hermes()
         decision = train_predictor(hermes, 0x404, 0x2000, outcome=False)
         assert not decision.predicted_offchip
         assert decision.action is OffChipAction.NONE
 
     def test_last_prediction_exposed(self):
-        hermes = HermesPredictor()
+        hermes = make_hermes()
         train_predictor(hermes, 0x400, 0x1000, outcome=True)
         assert hermes.last_prediction is True
 
     def test_storage_is_a_few_kib(self):
-        hermes = HermesPredictor()
+        hermes = make_hermes()
         assert 2.0 < hermes.storage_kib() < 6.0
 
     def test_reset(self):
-        hermes = HermesPredictor()
+        hermes = make_hermes()
         train_predictor(hermes, 0x400, 0x1000, outcome=True)
         hermes.reset()
         decision = hermes.predict(0x400, 0x1000, 0)

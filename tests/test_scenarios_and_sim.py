@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.common.config import cascade_lake_multi_core, cascade_lake_single_core
@@ -42,8 +43,10 @@ class TestScenarioBuilding:
         assert isinstance(hierarchy.l1d_prefetcher, IPCPPrefetcher)
 
     def test_hermes_scheme_attaches_hermes(self):
+        # Hermes is FLP without selective delay (TestHermesIsFLP).
         hierarchy = build_hierarchy(build_scenario("hermes"))
-        assert isinstance(hierarchy.offchip_predictor, HermesPredictor)
+        assert type(hierarchy.offchip_predictor) is FirstLevelPerceptron
+        assert hierarchy.offchip_predictor.selective_delay is False
 
     def test_ppf_scheme_attaches_filter_at_l2(self):
         hierarchy = build_hierarchy(build_scenario("ppf"))
@@ -91,8 +94,7 @@ class TestScenarioBuilding:
         assert tsp.offchip_predictor.selective_delay is True
 
 
-FLP, SLP, HERMES, PPF = (FirstLevelPerceptron, SecondLevelPerceptron,
-                         HermesPredictor, PerceptronPrefetchFilter)
+FLP, SLP, PPF = FirstLevelPerceptron, SecondLevelPerceptron, PerceptronPrefetchFilter
 
 #: Scheme -> the types of the off-chip predictor, L1D prefetch filter and L2
 #: prefetch filter it adds (None: it adds none), and whether its SPP runs
@@ -100,21 +102,24 @@ FLP, SLP, HERMES, PPF = (FirstLevelPerceptron, SecondLevelPerceptron,
 SCHEME_PARTS = {
     "baseline": (NullOffChipPredictor, None, None, False),
     "ppf": (NullOffChipPredictor, None, PPF, True),
-    "hermes": (HERMES, None, None, False),
-    "hermes_ppf": (HERMES, None, PPF, True),
+    "hermes": (FLP, None, None, False),
+    "hermes_ppf": (FLP, None, PPF, True),
     "tlp": (FLP, SLP, None, False),
     "flp": (FLP, None, None, False),
     "slp": (NullOffChipPredictor, SLP, None, False),
     "tsp": (FLP, SLP, None, False),
     "delayed_tsp": (FLP, SLP, None, False),
     "selective_tsp": (FLP, SLP, None, False),
-    "hermes_7kb": (HERMES, None, None, False),
+    "hermes_7kb": (FLP, None, None, False),
     "prefetcher_7kb": (NullOffChipPredictor, None, None, False),
 }
 
-#: The Figure 15 switches: FLP's (selective_delay, tau_high, tau_low) and
-#: SLP's use_leveling_feature.
+#: FLP's (selective_delay, tau_high, tau_low) and SLP's use_leveling_feature:
+#: the Figure 15 switches, and Hermes, which is FLP without selective delay.
 TWO_LEVEL_SWITCHES = {
+    "hermes": ((False, 16, 2), None),
+    "hermes_ppf": ((False, 16, 2), None),
+    "hermes_7kb": ((False, 16, 2), None),
     "tlp": ((True, 16, 2), True),
     "flp": ((False, 16, 2), None),
     "slp": (None, False),
@@ -123,7 +128,7 @@ TWO_LEVEL_SWITCHES = {
     "selective_tsp": ((True, 16, 2), False),
 }
 
-#: Hermes' (and FLP's) five weight tables at their default sizes.
+#: FLP's (and so Hermes') five weight tables at their default sizes.
 LEGACY_TABLES = (1024, 1024, 512, 512, 1024)
 
 #: Each L1D prefetcher's table sizes, as set and as built: IPCP's IP and
@@ -149,7 +154,7 @@ def _built(hierarchy) -> dict:
         built["flp"] = (offchip.selective_delay, offchip.tau_high, offchip.tau_low)
     if isinstance(l1d_filter, SLP):
         built["slp_leveling"] = l1d_filter.use_leveling_feature
-    if isinstance(offchip, (FLP, HERMES)):
+    if isinstance(offchip, FLP):
         built["offchip_tables"] = tuple(
             spec.table_entries for spec in offchip.perceptron.features
         )
@@ -173,7 +178,7 @@ def _expected(scheme: str, prefetcher: str) -> dict:
         expected["flp"] = flp
     if leveling is not None:
         expected["slp_leveling"] = leveling
-    if offchip in (FLP, HERMES):
+    if offchip is FLP:
         expected["offchip_tables"] = (
             (2048,) * 5 if scheme == "hermes_7kb" else LEGACY_TABLES
         )
@@ -195,6 +200,62 @@ class TestSchemeTable:
         scenario = build_scenario(scheme, l1d_prefetcher=prefetcher)
         hierarchy = build_hierarchy(scenario)
         assert _built(hierarchy) == _expected(scheme, prefetcher)
+
+
+#: The schemes that build Hermes, FLP without selective delay, and the
+#: weight-table sizes of each.
+HERMES_TABLES = {
+    "hermes": LEGACY_TABLES,
+    "hermes_ppf": LEGACY_TABLES,
+    "hermes_7kb": (2048,) * 5,
+    "flp": LEGACY_TABLES,
+}
+
+
+def _fields(value):
+    """``value`` as plain data, attribute by attribute: arrays and
+    memoryviews as lists, objects as their type and attributes."""
+    if isinstance(value, (np.ndarray, memoryview)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _fields(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_fields(item) for item in value]
+    if callable(value) or not hasattr(value, "__dict__") and not hasattr(value, "__slots__"):
+        return value
+    slots = [
+        name for cls in type(value).__mro__ for name in vars(cls).get("__slots__", ())
+        if hasattr(value, name) and not name.startswith("__")
+    ]
+    attributes = {name: getattr(value, name) for name in slots}
+    attributes.update(getattr(value, "__dict__", {}))
+    return (type(value), _fields(attributes))
+
+
+class TestHermesIsFLP:
+    """Hermes fires an immediate request on confidence >= 2: FLP with
+    tau_low = 2 and no selective delay."""
+
+    @pytest.mark.parametrize("scheme", sorted(HERMES_TABLES))
+    def test_builds_flp_without_selective_delay(self, scheme):
+        predictor = build_hierarchy(build_scenario(scheme)).offchip_predictor
+        assert type(predictor) is FLP
+        assert (predictor.selective_delay, predictor.tau_low) == (False, 2)
+        assert tuple(
+            spec.table_entries for spec in predictor.perceptron.features
+        ) == HERMES_TABLES[scheme]
+
+    def test_flp_and_hermes_predictors_are_equal_field_for_field(self):
+        flp, hermes, hermes_ppf = (
+            build_hierarchy(build_scenario(scheme)).offchip_predictor
+            for scheme in ("flp", "hermes", "hermes_ppf")
+        )
+        assert {"selective_delay", "tau_low", "perceptron", "history"} <= set(
+            _fields(flp)[1]
+        )
+        assert _fields(hermes) == _fields(flp)
+        assert _fields(hermes_ppf) == _fields(flp)
+        assert _fields(HermesPredictor()) == _fields(flp)
 
 
 class TestSingleCoreDriver:

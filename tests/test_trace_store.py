@@ -779,6 +779,16 @@ class TestVerifiedOncePerProcess:
         monkeypatch.setattr(store_module.hashlib, "sha256", counting)
         return calls
 
+    def test_get_or_build_miss_hashes_each_column_once(self, tmp_path, hashes):
+        """The write digests each column; serving the just-written entry
+        does not hash it again."""
+        store = TraceStore(tmp_path)
+        built = store.get_or_build(
+            "k", lambda: spec_like_trace("lbm_like", num_memory_accesses=200)
+        )
+        assert len(hashes) == 3
+        assert not built.columns()[0].flags.writeable  # the stored map
+
     def test_two_instances_hash_each_column_once(self, tmp_path, hashes):
         self._put(TraceStore(tmp_path), "k")
         hashes.clear()  # the put's own digests
